@@ -15,11 +15,12 @@
 //!   around them until they are ready, so warm-up manifests as
 //!   *delayed capacity* — the still-warming replica leaves the rest
 //!   of the fleet congested, which the measured TTFT/attainment pick
-//!   up. Dispatch goes through
-//!   [`seesaw_engine::OnlineEngine::run_ready`], whose ready-time
-//!   clamp is the engine-level guard of the same contract (a no-op
-//!   here because the router never hands a warming replica traffic,
-//!   but load-bearing for streams assembled without the router).
+//!   up. Each replica is an engine actor
+//!   ([`seesaw_engine::OnlineEngine::actor`]) created with its ready
+//!   time, whose ready-time clamp is the engine-level guard of the
+//!   same contract (a no-op here because the router never hands a
+//!   warming replica traffic, but load-bearing for streams assembled
+//!   without the router).
 //! * **Scale down** marks replicas as retiring: they stop receiving
 //!   new requests and *drain* their in-flight work before
 //!   disappearing — the replica's billed lifetime extends to its last
@@ -43,9 +44,9 @@ use crate::faults::{
 use crate::policy::{ScaleDecision, ScalingPolicy};
 use seesaw_engine::driver::assert_arrivals_sorted;
 use seesaw_engine::online::mean_lengths;
-use seesaw_engine::{live_state, EngineReport, LiveState, OnlineEngine, ServiceRates, SweepRunner};
+use seesaw_engine::{finish_all, EngineActor, OnlineEngine, ServiceRates, SweepRunner};
 use seesaw_fleet::sweep::ReplicaBuilder;
-use seesaw_fleet::telemetry::{record_request_spans, replica_track};
+use seesaw_fleet::telemetry::{record_request_spans, replica_track, route_args};
 use seesaw_fleet::{FleetReport, Router, RouterPolicy};
 use seesaw_telemetry::{
     fmt_secs, ControllerProfile, Instrument, ALERT_TRACK, CONTROLLER_TRACK, ROUTER_TRACK,
@@ -55,6 +56,7 @@ use seesaw_workload::{
     WindowAccumulator, WindowMetrics,
 };
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Instant;
 
@@ -165,8 +167,8 @@ pub struct WindowSignals {
     /// whenever the fleet keeps up, growing when offered load exceeds
     /// capacity). Under a live policy
     /// ([`RouterPolicy::needs_live_state`]) it is the *measured*
-    /// count of unfinished requests across accepting replicas,
-    /// observed from their exact engine replays on the global clock.
+    /// count of unfinished requests across accepting replicas, read
+    /// exactly from their engine actors on the global clock.
     pub queue_depth: f64,
     /// Fraction of the window's arrivals whose *estimated* queue wait
     /// (fluid backlog over accepting replicas at the arrival instant)
@@ -305,8 +307,13 @@ impl ElasticFleetReport {
 }
 
 /// One live replica's controller-side state during the replay.
-struct ReplicaState {
-    engine: Box<dyn OnlineEngine>,
+struct ReplicaState<'e> {
+    engine: &'e dyn OnlineEngine,
+    /// The replica on the global clock: every dispatch is pushed as
+    /// it is routed, live routing reads its measured state, and
+    /// finishing it yields the replica's report. Taken once the
+    /// trajectory is fixed.
+    actor: Option<Box<dyn EngineActor + 'e>>,
     rates: ServiceRates,
     spawn_s: f64,
     ready_s: f64,
@@ -318,27 +325,35 @@ struct ReplicaState {
     /// injection: it resolves which *measured*-in-flight attempts a
     /// kill loses.
     stream_meta: Vec<(usize, u32, f64)>,
-    /// Memoized causal replay of the assigned stream (see
-    /// [`seesaw_engine::stepper`]), kept only under live routing;
-    /// invalidated whenever the stream grows.
-    live_cache: Option<EngineReport>,
 }
 
-impl ReplicaState {
+impl<'e> ReplicaState<'e> {
     fn live(&self) -> bool {
         self.retire_s.is_none() && self.killed_s.is_none()
     }
 
-    /// Measured replica state at `t`, from the exact causal replay of
-    /// everything assigned so far (engines admit on arrival times, so
-    /// the prefix replay *is* the live trajectory). Memoized between
-    /// assignments: a replica that received nothing re-simulates
-    /// nothing.
-    fn live_state_at(&mut self, t: f64) -> LiveState {
-        if self.live_cache.is_none() {
-            self.live_cache = Some(self.engine.run_ready(&self.stream, self.ready_s));
+    fn actor(&mut self) -> &mut (dyn EngineActor + 'e) {
+        self.actor.as_deref_mut().expect("actors finish after the trajectory")
+    }
+}
+
+/// Engines of every replica spawned so far. Replicas spawn mid-replay
+/// while earlier replicas' actors borrow their engines, so storage is
+/// append-only through a shared reference: each engine sits in its own
+/// once-set cell and never moves.
+#[derive(Default)]
+struct EngineArena {
+    engine: OnceCell<Box<dyn OnlineEngine>>,
+    next: OnceCell<Box<EngineArena>>,
+}
+
+impl EngineArena {
+    fn push(&self, engine: Box<dyn OnlineEngine>) -> &dyn OnlineEngine {
+        let mut cell = self;
+        while cell.engine.get().is_some() {
+            cell = cell.next.get_or_init(Box::default);
         }
-        live_state(self.live_cache.as_ref().expect("cache just filled"), t)
+        cell.engine.get_or_init(|| engine).as_ref()
     }
 }
 
@@ -497,30 +512,27 @@ impl AutoscaleController {
         let telemetry = instr.telemetry_on();
         let prof = instr.profiling;
         let run_start = prof.then(Instant::now);
-        // Replay accounting is deterministic (it follows the decision
-        // trajectory), so the counters run unconditionally; only the
-        // wall-clock timers are gated on `prof`.
+        // Host time spent reading live replica state (actor advances
+        // and projections); gated on `prof` like every phase timer.
         let mut replay_s = 0.0f64;
-        let mut replays: u64 = 0;
-        let mut replayed_requests: u64 = 0;
         faults
             .validate()
             .unwrap_or_else(|e| panic!("invalid fault schedule: {e}"));
         assert_arrivals_sorted(requests);
         let (avg_in, avg_out) = mean_lengths(requests);
-        let spawn = |idx: usize, spawn_s: f64, ready_s: f64| -> ReplicaState {
-            let engine = build(idx);
-            let rates = engine.service_rates(avg_in, avg_out);
+        let engines = EngineArena::default();
+        let spawn = |idx: usize, spawn_s: f64, ready_s: f64| {
+            let engine = engines.push(build(idx));
             ReplicaState {
                 engine,
-                rates,
+                actor: Some(engine.actor(ready_s)),
+                rates: engine.service_rates(avg_in, avg_out),
                 spawn_s,
                 ready_s,
                 retire_s: None,
                 killed_s: None,
                 stream: Vec::new(),
                 stream_meta: Vec::new(),
-                live_cache: None,
             }
         };
 
@@ -556,8 +568,9 @@ impl AutoscaleController {
         // beyond an integer compare. Hash containers are lookup-only
         // (never iterated), so their order cannot leak into output.
         let injecting = !faults.events.is_empty();
-        // Live routing: decisions read measured replica state (exact
-        // causal replays) instead of the router's virtual queues, and
+        // Live routing: decisions read measured replica state (the
+        // replicas' engine actors) instead of the router's virtual
+        // queues, and
         // a kill's lost set is the *measured* in-flight attempts at
         // the kill instant rather than the `CalQueue` mirror.
         let live_routing = cfg.router.needs_live_state();
@@ -691,19 +704,15 @@ impl AutoscaleController {
                         // the `CalQueue` mirror; live mode reads the
                         // *measured* in-flight set — the kill fires as
                         // an event on the global clock, and what it
-                        // loses is exactly what the replica's replay
-                        // says is unfinished at that instant.
+                        // loses is exactly what the replica's
+                        // projection says is unfinished at that
+                        // instant.
                         let lost: Vec<(f64, f64, u64, usize, u32)> = if live_routing {
                             let replay_start = prof.then(Instant::now);
                             let rep = &mut replicas[v];
-                            if rep.live_cache.is_none() {
-                                replays += 1;
-                                replayed_requests += rep.stream.len() as u64;
-                                rep.live_cache =
-                                    Some(rep.engine.run_ready(&rep.stream, rep.ready_s));
-                            }
-                            let replay = rep.live_cache.as_ref().expect("cache just filled");
-                            let completion: HashMap<u64, f64> = replay
+                            let completion: HashMap<u64, f64> = rep
+                                .actor()
+                                .projected()
                                 .timeline
                                 .iter()
                                 .map(|t| (t.id, t.completion_s))
@@ -879,15 +888,10 @@ impl AutoscaleController {
                 // trajectory stays deterministic and jobs-invariant.
                 let live: Vec<(usize, f64)> = if live_routing {
                     let replay_start = prof.then(Instant::now);
-                    let mut states = Vec::with_capacity(eligible.len());
-                    for &i in &eligible {
-                        if replicas[i].live_cache.is_none() {
-                            replays += 1;
-                            replayed_requests += replicas[i].stream.len() as u64;
-                        }
-                        let s = replicas[i].live_state_at(req.arrival_s);
-                        states.push((s.queue_depth, s.work_s));
-                    }
+                    let states = eligible
+                        .iter()
+                        .map(|&i| cfg.router.read_live(replicas[i].actor(), req.arrival_s))
+                        .collect();
                     replay_s += lap(replay_start);
                     states
                 } else {
@@ -915,12 +919,7 @@ impl AutoscaleController {
                         ROUTER_TRACK,
                         &format!("route {} -> r{}", req.id, routed.replica),
                         req.arrival_s,
-                        &[
-                            ("queue_depth", depth.to_string()),
-                            ("work_s", fmt_secs(work_s)),
-                            ("est_wait_s", fmt_secs(routed.est_wait_s)),
-                            ("measured", live_routing.to_string()),
-                        ],
+                        &route_args(depth, work_s, routed.est_wait_s, live_routing),
                     );
                     instr
                         .metrics
@@ -933,8 +932,8 @@ impl AutoscaleController {
                 backlog_s += work;
                 est_work_s += work;
                 replicas[routed.replica].stream.push(req);
+                replicas[routed.replica].actor().push(req);
                 if live_routing {
-                    replicas[routed.replica].live_cache = None;
                     if injecting {
                         replicas[routed.replica].stream_meta.push((orig_idx, attempt, work));
                     }
@@ -965,17 +964,14 @@ impl AutoscaleController {
             backlog_t = t1;
             // Under live routing the controller observes the
             // *measured* queue: unfinished requests across accepting
-            // replicas at the boundary, from their exact replays —
-            // not the calibrated fluid estimate.
+            // replicas at the boundary, counted exactly by their
+            // actors (no projection) — not the calibrated fluid
+            // estimate.
             let queue_depth = if live_routing {
                 let replay_start = prof.then(Instant::now);
                 let mut depth = 0usize;
                 for rep in replicas.iter_mut().filter(|r| r.live() && r.ready_s <= t1) {
-                    if rep.live_cache.is_none() {
-                        replays += 1;
-                        replayed_requests += rep.stream.len() as u64;
-                    }
-                    depth += rep.live_state_at(t1).queue_depth;
+                    depth += rep.actor().depth_at(t1).queue_depth;
                 }
                 replay_s += lap(replay_start);
                 depth as f64
@@ -1139,12 +1135,19 @@ impl AutoscaleController {
         // so this equals the fault-free horizon.
         let horizon_s = windows.len() as f64 * cfg.window_s;
 
-        // The trajectory is fixed; run the real simulations.
+        // Projections behind the live reads, and the requests they
+        // re-simulated (deterministic: they follow the trajectory).
+        let (replays, replayed_requests) = replicas
+            .iter_mut()
+            .map(|r| r.actor().projection_counts())
+            .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
+        // The trajectory is fixed; finish the replicas' simulations.
         let engine_start = prof.then(Instant::now);
-        let indices: Vec<usize> = (0..replicas.len()).collect();
-        let mut reports = runner.map(&indices, |&i| {
-            replicas[i].engine.run_ready(&replicas[i].stream, replicas[i].ready_s)
-        });
+        let actors = replicas
+            .iter_mut()
+            .map(|r| r.actor.take().expect("each replica has one actor"))
+            .collect();
+        let mut reports = finish_all(runner, actors);
         let engine_s = lap(engine_start);
         let metrics_start = prof.then(Instant::now);
         if injecting {
@@ -1807,22 +1810,30 @@ mod tests {
     }
 
     /// The wall-time profile attributes most of the controller's run
-    /// and counts replays only where live routing replays.
+    /// and counts projections only where a forward-looking signal is
+    /// read: `least-work-live` projects, `jsq-live` (depth reads only)
+    /// and estimated routing never do.
     #[test]
     fn profile_attributes_controller_time() {
         let build = builder();
         let reqs = traced(60, 3.0, 29);
-        let config =
-            AutoscaleConfig { router: RouterPolicy::JoinShortestQueueLive, ..cfg(5.0, 4.0, 6) };
-        let ctl = AutoscaleController::new(config, ScalingPolicy::Static { n: 2 });
-        let (report, profile) = ctl.run_profiled_with(&SweepRunner::serial(), &build, &reqs);
-        assert_eq!(report, ctl.run_with(&SweepRunner::serial(), &build, &reqs));
+        let live = |router| {
+            let config = AutoscaleConfig { router, ..cfg(5.0, 4.0, 6) };
+            let ctl = AutoscaleController::new(config, ScalingPolicy::Static { n: 2 });
+            let (report, profile) = ctl.run_profiled_with(&SweepRunner::serial(), &build, &reqs);
+            assert_eq!(report, ctl.run_with(&SweepRunner::serial(), &build, &reqs));
+            (report, profile)
+        };
+        let (_, work) = live(RouterPolicy::LeastWorkLive);
+        assert!(work.replays > 0, "least-work-live reads projected work");
+        assert!(work.replayed_requests >= work.replays);
+        let (report, profile) = live(RouterPolicy::JoinShortestQueueLive);
         assert_eq!(profile.windows, report.windows.len());
         assert_eq!(profile.dispatches, 60);
-        assert!(profile.replays > 0, "live routing must replay");
-        assert!(profile.replayed_requests >= profile.replays);
+        assert_eq!(profile.replays, 0, "jsq-live reads depths without projecting");
+        assert_eq!(profile.replayed_requests, 0);
         assert!(profile.total_s > 0.0);
-        assert!(profile.replay_s > 0.0);
+        assert!(profile.replay_s > 0.0, "depth reads are timed");
         assert!(profile.engine_s > 0.0);
         assert!(
             profile.coverage() > 0.8,

@@ -31,7 +31,10 @@
 //! isolation (sketch-mode window accumulation + burn-rate evaluation
 //! over a precomputed day) and must additionally clear 1.5x the full
 //! `autoscale` cell rate — the pipeline may never become comparable
-//! in cost to the replay it summarizes.
+//! in cost to the replay it summarizes. Likewise `fleet_live` must
+//! clear 0.7x the `fleet` rate: live routing reads replica state from
+//! engine actors that simulate each replica once, so it may never
+//! again cost a multiple of the estimated fast path.
 //!
 //! Two telemetry figures ride along: `fleet_live_traced` times the
 //! live-fleet cell with the span recorder and metrics registry on
@@ -66,6 +69,9 @@ const TELEMETRY_DISABLED_TOLERANCE: f64 = 0.05;
 /// Minimum ratio of the streaming-metrics pipeline rate
 /// (`autoscale_sketch`) to the full autoscale cell rate.
 const SKETCH_SPEEDUP_FLOOR: f64 = 1.5;
+/// Minimum ratio of the live-routed fleet cell rate (`fleet_live`) to
+/// the estimated fast-path cell rate (`fleet`).
+const FLEET_LIVE_FLOOR: f64 = 0.7;
 /// Profiled controller runs folded into one attribution block.
 const PROFILE_RUNS: usize = 3;
 /// Minimum fraction of controller wall time the profile must explain.
@@ -435,6 +441,16 @@ fn main() {
         eprintln!(
             "ERROR: streaming metrics pipeline only {sketch_ratio:.2}x the full autoscale \
              cell (floor {SKETCH_SPEEDUP_FLOOR:.1}x)"
+        );
+        std::process::exit(1);
+    }
+
+    let live_ratio = sims.fleet_live / sims.fleet.max(1e-9);
+    println!("fleet_live vs fleet: {live_ratio:.2}x (floor {FLEET_LIVE_FLOOR:.1}x)");
+    if live_ratio < FLEET_LIVE_FLOOR {
+        eprintln!(
+            "ERROR: live-routed fleet cell only {live_ratio:.2}x the estimated fast path \
+             (floor {FLEET_LIVE_FLOOR:.1}x)"
         );
         std::process::exit(1);
     }

@@ -25,7 +25,7 @@
 //!
 //! The live-fleet variant (`sims_per_sec.fleet_live`) is the same
 //! fleet cell under `jsq-live` routing: the global event loop with
-//! per-arrival measured-state queries (the causal replay stepper) in
+//! per-arrival measured-depth reads from the replicas' engine actors in
 //! place of the merged-timeline fast path — the cost of real-feedback
 //! routing on an otherwise identical cell.
 //!
@@ -232,10 +232,11 @@ impl SimsBench {
     /// One live-routed fleet evaluation (`sims_per_sec.fleet_live`):
     /// the same [`FLEET_REPLICAS`]-replica cell as
     /// [`SimsBench::run_fleet_once`], but under `jsq-live` — the
-    /// global event loop queries every replica's measured state (via
-    /// the causal replay stepper) at each arrival instead of routing
-    /// on analytic virtual queues. The fast-path/event-loop cost
-    /// ratio is exactly what this figure tracks.
+    /// global event loop reads every replica's measured queue depth
+    /// from its engine actor at each arrival instead of routing on
+    /// analytic virtual queues. The fast-path/event-loop cost ratio
+    /// is exactly what this figure tracks (`perf_report` holds it to
+    /// at least 0.7).
     pub fn run_fleet_live_once(&self) -> FleetReport {
         let fleet = Fleet::homogeneous(FLEET_REPLICAS, |_| {
             Box::new(
@@ -326,7 +327,7 @@ impl SimsBench {
     }
 
     /// One *profiled* autoscale evaluation: the compressed diurnal
-    /// day under `jsq-live` routing (so live-state replay shows up as
+    /// day under `jsq-live` routing (so live-state reads show up as
     /// a phase) with the controller's self-profiling timers on.
     /// Returns the report plus the wall-time phase attribution
     /// (routing / live-state replay / engine runs / metrics) that

@@ -1,0 +1,433 @@
+//! Resumable engine actors: live replica state without prefix replay.
+//!
+//! A fleet router that reads *measured* replica state needs, at every
+//! arrival instant, each replica's live queue — and later its final
+//! report. An [`EngineActor`] is one replica kept running on the
+//! fleet's global clock: requests are pushed as they are routed,
+//! state is read between pushes, and [`EngineActor::finish`] returns
+//! the report of the whole assigned stream.
+//!
+//! # Exactness contract
+//!
+//! For a replica that becomes ready at `ready_s`, after pushing the
+//! arrival-ordered requests `assigned`:
+//!
+//! * [`EngineActor::projected`] equals
+//!   `run_ready(assigned, ready_s)` byte-for-byte;
+//! * [`EngineActor::depth_at`]`(t)` equals the counts of
+//!   [`crate::live_state`]`(projected(), t)`;
+//! * [`EngineActor::finish`] equals `run_ready` of the full stream.
+//!
+//! Time never runs backwards: a push must not arrive before an
+//! earlier push or query, and a query must not precede an earlier
+//! push or query.
+//!
+//! # How the vLLM and Seesaw actors stay exact
+//!
+//! Their scheduling loops ([`Resumable`]) are written as resumable
+//! state machines over one simulated cluster. Engines are causal —
+//! admission gates on arrival times — so a decision only depends on
+//! requests not pushed yet in two ways, and the loop pauses at both:
+//!
+//! * **Admission** reads the waiting queue at the current clock. Every
+//!   request not yet pushed arrives at or after the actor's horizon
+//!   (its newest push or query time), so an admission whose clock is
+//!   strictly before the horizon sees exactly what the full run sees.
+//!   At a later clock the loop pauses: a request pushed at the same
+//!   instant must still be co-admitted.
+//! * **"No more arrivals"** — vLLM's all-done check, Seesaw's
+//!   re-shard-back check — is undecidable while the pushed requests
+//!   are all served. The loop *parks* there without advancing its
+//!   clock, and resolves the check on the next push (as the full run
+//!   would) or at finish (as the prefix run would).
+//!
+//! A depth query advances the loop through every decision before `t`
+//! and counts the in-flight requests from their recorded task handles:
+//! a handle already complete has its final time; an unfinished one
+//! completes no earlier than the simulator's next event. In the rare
+//! case that an event is pending at or before `t` (a tie with the
+//! query instant, or work still draining at a park) the count falls
+//! back to a projection, which is exact by construction.
+//!
+//! A projection clones the run, closes its intake and runs it to
+//! completion; only forward-looking signals — remaining work, a
+//! killed replica's lost set and completion times — need one. The
+//! actor keeps no roofline of its own: each advance, projection or
+//! finish borrows the calling thread's pooled cost cache (what a
+//! plain `run` uses), so actors and projections share one cache and
+//! a clone never copies it.
+
+use crate::cluster_sim::ClusterSim;
+use crate::driver::assert_arrivals_sorted;
+use crate::report::EngineReport;
+use crate::stepper::live_state;
+use crate::sweep::SweepRunner;
+use crate::timing::TimingRecorder;
+use seesaw_hw::FxBuildHasher;
+use seesaw_roofline::Roofline;
+use seesaw_sim::{SimTime, Simulator, TaskHandle, TraceSummary};
+use seesaw_workload::{Request, RequestMap, RunStats};
+use std::collections::{HashMap, VecDeque};
+use std::sync::Mutex;
+
+/// Backward-looking counts of a replica at one instant.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Depth {
+    /// Requests that have arrived but not yet produced a first token.
+    pub waiting: usize,
+    /// Requests past their first token but not yet complete.
+    pub running: usize,
+    /// Total unfinished requests (`waiting + running`).
+    pub queue_depth: usize,
+}
+
+/// One replica fed request by request on a global clock (see the
+/// module docs for the exactness contract every implementation
+/// keeps). `Send`, so finished actors can run out on a
+/// [`crate::SweepRunner`].
+pub trait EngineActor: Send {
+    /// Assign `req`; arrivals are nondecreasing across pushes and
+    /// never precede an earlier query.
+    fn push(&mut self, req: Request);
+
+    /// Exact waiting/running/queue-depth counts at `t`, which must not
+    /// precede an earlier push or query. The vLLM and Seesaw actors
+    /// answer in time proportional to the requests in flight, with no
+    /// projection.
+    fn depth_at(&mut self, t: f64) -> Depth;
+
+    /// The report of the assigned stream run to completion as if
+    /// nothing more arrived. Memoized until the next push.
+    fn projected(&mut self) -> &EngineReport;
+
+    /// `(projections, requests they re-simulated)` so far — the
+    /// replay-amplification counters telemetry reports.
+    fn projection_counts(&self) -> (u64, u64);
+
+    /// Run the full assigned stream to completion.
+    fn finish(self: Box<Self>) -> EngineReport;
+}
+
+/// Finish every actor on `runner`, reports in actor order — the
+/// fleet tiers' final per-replica simulations.
+pub fn finish_all<'a>(
+    runner: &SweepRunner,
+    actors: Vec<Box<dyn EngineActor + 'a>>,
+) -> Vec<EngineReport> {
+    let cells: Vec<Mutex<Option<Box<dyn EngineActor + 'a>>>> =
+        actors.into_iter().map(|a| Mutex::new(Some(a))).collect();
+    runner.map(&cells, |cell| {
+        let actor = cell.lock().expect("actor cell").take();
+        actor.expect("each actor finishes once").finish()
+    })
+}
+
+/// The request side of a resumable run: the queue the scheduler
+/// admits from, and what is known about requests not pushed yet.
+#[derive(Debug, Clone)]
+pub(crate) struct Intake {
+    /// Pushed, not yet admitted, with arrivals clamped to `ready_s`
+    /// (a warming replica dispatches nothing before it is ready).
+    pub waiting: VecDeque<Request>,
+    /// Every pushed request, with its true arrival.
+    pub meta: RequestMap,
+    ready_s: f64,
+    /// No request pushed from now on arrives before this instant.
+    horizon: f64,
+    /// Nothing more will be pushed.
+    closed: bool,
+    requests: usize,
+    input_tokens: u64,
+    output_tokens: u64,
+}
+
+impl Intake {
+    /// Every request up front and nothing more to come (`run`).
+    pub fn closed(requests: &[Request]) -> Self {
+        assert_arrivals_sorted(requests);
+        Intake {
+            waiting: requests.iter().copied().collect(),
+            meta: RequestMap::new(requests),
+            ready_s: 0.0,
+            horizon: f64::INFINITY,
+            closed: true,
+            requests: requests.len(),
+            input_tokens: requests.iter().map(|r| r.input_len as u64).sum(),
+            output_tokens: requests.iter().map(|r| r.output_len as u64).sum(),
+        }
+    }
+
+    /// An empty intake for a replica ready at `ready_s`, fed by pushes.
+    pub fn open(ready_s: f64) -> Self {
+        assert!(
+            ready_s.is_finite() && ready_s >= 0.0,
+            "replica ready time must be finite and non-negative, got {ready_s}"
+        );
+        Intake {
+            waiting: VecDeque::new(),
+            meta: RequestMap::new(&[]),
+            ready_s,
+            horizon: 0.0,
+            closed: false,
+            requests: 0,
+            input_tokens: 0,
+            output_tokens: 0,
+        }
+    }
+
+    pub fn push(&mut self, req: Request) {
+        assert!(!self.closed, "push after the run was closed");
+        assert!(
+            req.arrival_s >= self.horizon,
+            "actor pushes must be arrival-ordered: {} after a push or query at {}",
+            req.arrival_s,
+            self.horizon
+        );
+        self.horizon = req.arrival_s;
+        self.meta.insert(req);
+        self.waiting
+            .push_back(req.with_arrival(req.arrival_s.max(self.ready_s)));
+        self.requests += 1;
+        self.input_tokens += req.input_len as u64;
+        self.output_tokens += req.output_len as u64;
+    }
+
+    /// Record a state query at `t`: nothing pushed later arrives
+    /// before it.
+    pub fn observe(&mut self, t: f64) {
+        assert!(
+            t >= self.horizon,
+            "state query at {t} precedes an earlier push or query at {}",
+            self.horizon
+        );
+        self.horizon = t;
+    }
+
+    pub fn close(&mut self) {
+        self.closed = true;
+    }
+
+    /// Whether an admission decision at `now` sees every request that
+    /// has arrived by then.
+    pub fn sees_arrivals(&self, now: SimTime) -> bool {
+        self.closed || now.as_secs() < self.horizon
+    }
+
+    /// Whether no request remains to admit, ever — `None` while the
+    /// pushed ones are all admitted but more may still be pushed.
+    pub fn drained(&self) -> Option<bool> {
+        if !self.waiting.is_empty() {
+            Some(false)
+        } else if self.closed {
+            Some(true)
+        } else {
+            None
+        }
+    }
+
+    /// Requests pushed so far.
+    pub fn len(&self) -> usize {
+        self.requests
+    }
+
+    pub fn stats(&self, duration_s: f64) -> RunStats {
+        assert!(
+            self.requests == 0 || duration_s > 0.0,
+            "a non-empty run ({} requests) needs strictly positive duration",
+            self.requests
+        );
+        RunStats {
+            requests: self.requests,
+            input_tokens: self.input_tokens,
+            output_tokens: self.output_tokens,
+            duration_s,
+        }
+    }
+}
+
+/// One engine's scheduling loop written as a resumable state machine.
+pub(crate) trait Resumable: Clone + Send {
+    fn intake(&self) -> &Intake;
+    fn intake_mut(&mut self) -> &mut Intake;
+    fn cluster(&self) -> &ClusterSim;
+    fn recorder(&self) -> &TimingRecorder;
+    /// Requests retired so far.
+    fn completed(&self) -> usize;
+    /// A roofline on the calling thread's pooled cost cache.
+    fn roofline(&self) -> Roofline;
+    /// Run scheduling decisions until one needs requests not pushed
+    /// yet (`false`) or the run is complete (`true`).
+    fn advance(&mut self, rl: &Roofline) -> bool;
+    /// The report of a completed run, plus its busy-time summary.
+    fn finish(self) -> (EngineReport, TraceSummary);
+}
+
+/// Run `st` (whose intake is closed) to completion.
+pub(crate) fn run_to_end<R: Resumable>(mut st: R, rl: &Roofline) -> (EngineReport, TraceSummary) {
+    let done = st.advance(rl);
+    assert!(done, "a closed run always completes");
+    st.finish()
+}
+
+/// Builds a run from the requests pushed before its first read.
+type Start<'a, R> = Box<dyn FnOnce(Intake) -> R + Send + 'a>;
+
+/// The actor over a [`Resumable`] run. The run — and with it the
+/// simulator — starts at the first read or at `finish`, so an actor
+/// nobody reads (every replica under estimated routing) holds only its
+/// pushed requests until it runs exactly like a plain `run`.
+pub(crate) struct SimActor<'a, R> {
+    unstarted: Option<(Intake, Start<'a, R>)>,
+    run: Option<R>,
+    inflight: Inflight,
+    projection: Option<EngineReport>,
+    projections: u64,
+    reprojected: u64,
+}
+
+impl<'a, R: Resumable> SimActor<'a, R> {
+    pub fn new(intake: Intake, start: impl FnOnce(Intake) -> R + Send + 'a) -> Self {
+        SimActor {
+            unstarted: Some((intake, Box::new(start))),
+            run: None,
+            inflight: Inflight::default(),
+            projection: None,
+            projections: 0,
+            reprojected: 0,
+        }
+    }
+
+    fn intake_mut(&mut self) -> &mut Intake {
+        match (&mut self.unstarted, &mut self.run) {
+            (Some((intake, _)), _) => intake,
+            (None, Some(run)) => run.intake_mut(),
+            (None, None) => unreachable!("an actor is either unstarted or running"),
+        }
+    }
+
+    /// The run, started if need be, advanced as far as its intake
+    /// allows.
+    fn advanced(&mut self) -> &mut R {
+        if let Some((intake, start)) = self.unstarted.take() {
+            self.run = Some(start(intake));
+        }
+        let run = self.run.as_mut().expect("started above");
+        run.advance(&run.roofline());
+        run
+    }
+}
+
+impl<R: Resumable> EngineActor for SimActor<'_, R> {
+    fn push(&mut self, req: Request) {
+        self.intake_mut().push(req);
+        self.inflight.add(req.id);
+        self.projection = None;
+    }
+
+    fn depth_at(&mut self, t: f64) -> Depth {
+        self.intake_mut().observe(t);
+        let sim = &self.advanced().cluster().sim;
+        if sim.next_event_time().is_some_and(|e| e.as_secs() <= t) {
+            return live_state(self.projected(), t).depth();
+        }
+        let run = self.run.as_ref().expect("advanced starts the run");
+        self.inflight.depth_at(t, run.recorder(), &run.cluster().sim)
+    }
+
+    fn projected(&mut self) -> &EngineReport {
+        if self.projection.is_none() {
+            // Move the shared trajectory as far as it is known first,
+            // so the fork only simulates what lies beyond it.
+            let mut fork = self.advanced().clone();
+            fork.intake_mut().close();
+            self.projections += 1;
+            self.reprojected += (fork.intake().len() - fork.completed()) as u64;
+            let rl = fork.roofline();
+            self.projection = Some(run_to_end(fork, &rl).0);
+        }
+        self.projection.as_ref().expect("projection was just filled")
+    }
+
+    fn projection_counts(&self) -> (u64, u64) {
+        (self.projections, self.reprojected)
+    }
+
+    fn finish(mut self: Box<Self>) -> EngineReport {
+        self.intake_mut().close();
+        self.advanced();
+        let run = self.run.take().expect("advanced starts the run");
+        run.finish().0
+    }
+}
+
+/// Pushed requests not yet known to be complete, with the task
+/// handles that will time their first token and completion.
+#[derive(Debug, Default)]
+struct Inflight {
+    /// Recorder entries already absorbed.
+    firsts_seen: usize,
+    dones_seen: usize,
+    slots: Vec<Slot>,
+    index: HashMap<u64, usize, FxBuildHasher>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    id: u64,
+    first: Option<TaskHandle>,
+    done: Option<TaskHandle>,
+}
+
+impl Inflight {
+    fn add(&mut self, id: u64) {
+        self.index.insert(id, self.slots.len());
+        self.slots.push(Slot {
+            id,
+            first: None,
+            done: None,
+        });
+    }
+
+    /// Counts at `t`, given that every unfinished task of `sim`
+    /// completes after `t`. Requests complete by `t` are retired:
+    /// queries never move backwards.
+    fn depth_at(&mut self, t: f64, rec: &TimingRecorder, sim: &Simulator) -> Depth {
+        for &(id, h) in &rec.first_tokens()[self.firsts_seen..] {
+            if let Some(&i) = self.index.get(&id) {
+                self.slots[i].first = Some(h);
+            }
+        }
+        self.firsts_seen = rec.first_tokens().len();
+        for &(id, h) in &rec.completions()[self.dones_seen..] {
+            if let Some(&i) = self.index.get(&id) {
+                self.slots[i].done = Some(h);
+            }
+        }
+        self.dones_seen = rec.completions().len();
+        let by_t = |h: Option<TaskHandle>| {
+            h.and_then(|h| sim.completion_time(h))
+                .is_some_and(|at| at.as_secs() <= t)
+        };
+        let mut depth = Depth::default();
+        let mut i = 0;
+        while i < self.slots.len() {
+            let slot = self.slots[i];
+            if by_t(slot.done) {
+                self.index.remove(&slot.id);
+                self.slots.swap_remove(i);
+                if let Some(moved) = self.slots.get(i) {
+                    self.index.insert(moved.id, i);
+                }
+                continue;
+            }
+            if by_t(slot.first) {
+                depth.running += 1;
+            } else {
+                depth.waiting += 1;
+            }
+            i += 1;
+        }
+        depth.queue_depth = depth.waiting + depth.running;
+        depth
+    }
+}

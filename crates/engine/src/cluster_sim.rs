@@ -39,11 +39,34 @@ pub struct ClusterSim {
     staging: Vec<ResourceId>,
     /// Reusable per-stage task-handle buffer for `submit_pass`.
     scratch: Vec<TaskHandle>,
+    /// Whether `sim` came from the thread's pool (and goes back on
+    /// drop). Clones are freed instead: a projection's fork must not
+    /// park its arena in the pool.
+    pooled: bool,
+}
+
+/// A clone is an independent fork of the simulated cluster at the
+/// same instant (what an engine actor's projection runs on).
+impl Clone for ClusterSim {
+    fn clone(&self) -> Self {
+        ClusterSim {
+            sim: self.sim.clone(),
+            cluster: Arc::clone(&self.cluster),
+            compute: self.compute.clone(),
+            h2d: self.h2d.clone(),
+            d2h: self.d2h.clone(),
+            staging: self.staging.clone(),
+            scratch: Vec::new(),
+            pooled: false,
+        }
+    }
 }
 
 impl Drop for ClusterSim {
     fn drop(&mut self) {
-        seesaw_sim::release_pooled(std::mem::take(&mut self.sim));
+        if self.pooled {
+            seesaw_sim::release_pooled(std::mem::take(&mut self.sim));
+        }
     }
 }
 
@@ -104,6 +127,7 @@ impl ClusterSim {
             d2h,
             staging,
             scratch: Vec::new(),
+            pooled: true,
         }
     }
 

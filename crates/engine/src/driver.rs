@@ -41,7 +41,7 @@ pub struct RunSeq {
 }
 
 /// Per-DP-replica engine state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Replica {
     /// Data-parallel rank.
     pub dp_rank: usize,

@@ -34,6 +34,7 @@
 //! bubbles between rounds. DP replicas transition in lockstep
 //! (matching the paper's whole-cluster re-sharding).
 
+pub mod actor;
 pub mod autotune;
 pub mod cluster_sim;
 pub mod disagg;
@@ -46,6 +47,7 @@ pub mod sweep;
 pub mod timing;
 pub mod vllm;
 
+pub use actor::{finish_all, Depth, EngineActor};
 pub use online::{OnlineEngine, ServiceRates};
 pub use report::{EngineReport, Phase, PhaseSpan};
 pub use stepper::{live_state, EngineStepper, LiveState};

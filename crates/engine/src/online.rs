@@ -15,7 +15,9 @@
 //! steady-state capacity occupancy is `in/prefill_rate +
 //! out/decode_rate` seconds.
 
+use crate::actor::EngineActor;
 use crate::report::EngineReport;
+use crate::stepper::EngineStepper;
 use seesaw_workload::{LatencyStats, Request, RequestMap};
 use serde::{Deserialize, Serialize};
 
@@ -112,6 +114,19 @@ pub trait OnlineEngine: Send + Sync {
         }
         report.latency = LatencyStats::from_timeline(&report.timeline);
         report
+    }
+
+    /// An [`EngineActor`] for one replica that becomes ready at
+    /// `ready_s`: routed requests are pushed one at a time, live state
+    /// is read between pushes, and `finish` returns
+    /// `run_ready(stream, ready_s)` of everything pushed.
+    ///
+    /// The default replays the assigned prefix on every state read
+    /// ([`EngineStepper`]) — correct for any engine, quadratic in the
+    /// stream. The vLLM and Seesaw engines override it with actors
+    /// that simulate each replica once ([`crate::actor`]).
+    fn actor(&self, ready_s: f64) -> Box<dyn EngineActor + '_> {
+        Box::new(EngineStepper::new(self, ready_s))
     }
 }
 

@@ -21,11 +21,10 @@
 //! `c_p`'s layout and pulled under `c_d`'s from the same shared host
 //! buffer (paper Figure 7).
 
+use crate::actor::{run_to_end, EngineActor, Intake, Resumable, SimActor};
 use crate::autotune;
 use crate::cluster_sim::ClusterSim;
-use crate::driver::{
-    assert_arrivals_sorted, submit_decode_burst, submit_prefill_batch, Replica, RunSeq,
-};
+use crate::driver::{submit_decode_burst, submit_prefill_batch, Replica, RunSeq};
 use crate::report::{EngineReport, Phase, PhaseSpan};
 use crate::timing::TimingRecorder;
 use seesaw_hw::{efficiency, ClusterSpec};
@@ -34,7 +33,7 @@ use seesaw_model::ModelConfig;
 use seesaw_parallel::{FitError, MemoryPlan, ParallelConfig, ReshardPlan};
 use seesaw_roofline::Roofline;
 use seesaw_sim::{SimTime, TaskHandle, TaskKind, TraceSummary};
-use seesaw_workload::{LatencyStats, Request, RequestMap, RunStats};
+use seesaw_workload::{LatencyStats, Request};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -194,9 +193,11 @@ impl SeesawEngine {
     }
 
     fn run_impl(&self, requests: &[Request], traced: bool) -> (EngineReport, TraceSummary) {
-        let mut st = SeesawRun::new(self, requests, traced);
-        st.run();
-        st.finish(requests, self.spec.label())
+        run_to_end(SeesawRun::new(self, Intake::closed(requests), traced), &self.roofline())
+    }
+
+    fn roofline(&self) -> Roofline {
+        Roofline::new(Arc::clone(&self.cluster), Arc::clone(&self.model))
     }
 }
 
@@ -211,6 +212,11 @@ impl crate::online::OnlineEngine for SeesawEngine {
 
     fn run_traced(&self, requests: &[Request]) -> (EngineReport, TraceSummary) {
         SeesawEngine::run_traced(self, requests)
+    }
+
+    fn actor(&self, ready_s: f64) -> Box<dyn EngineActor + '_> {
+        let start = move |intake| SeesawRun::new(self, intake, false);
+        Box::new(SimActor::new(Intake::open(ready_s), start))
     }
 
     fn service_rates(&self, avg_in: usize, avg_out: usize) -> crate::online::ServiceRates {
@@ -251,14 +257,43 @@ struct PendingSwapIn {
     ready: TaskHandle,
 }
 
+/// Where a paused [`SeesawRun`] resumes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Enter a prefill phase under `c_p`.
+    PrefillStart,
+    /// Top of a prefill-phase iteration: reclaim vacated GPU KV.
+    PrefillIter,
+    /// A prefill-phase admission.
+    PrefillAdmit,
+    /// Leave the prefill phase: drain swap-outs, then decode (if
+    /// anything was buffered).
+    PrefillEnd,
+    /// After a decode phase, at the re-shard-back check.
+    AfterDecode,
+    /// After a prefill phase that buffered nothing.
+    Unbuffered,
+    /// The run is complete.
+    Done,
+}
+
+/// The locals of one prefill phase, kept across pauses.
+#[derive(Debug, Clone, Default)]
+struct PrefillPhase {
+    pending: Vec<Vec<PendingSwapOut>>,
+    outstanding: VecDeque<TaskHandle>,
+    /// Phase start, seconds.
+    t_phase: f64,
+    buffered_any: bool,
+}
+
+#[derive(Clone)]
 struct SeesawRun<'a> {
     eng: &'a SeesawEngine,
     cs: ClusterSim,
-    rl: Roofline,
     replicas: Vec<Replica>,
     buffers: Vec<CpuKvBuffer>,
-    waiting: VecDeque<Request>,
-    meta: RequestMap,
+    intake: Intake,
     sizer_p: SwapSizer,
     sizer_d: SwapSizer,
     completed: usize,
@@ -270,21 +305,21 @@ struct SeesawRun<'a> {
     swap_in_bytes: u64,
     phases: Vec<PhaseSpan>,
     rec: TimingRecorder,
+    at: Step,
+    phase: PrefillPhase,
     /// Reusable part buffers for the per-sequence swap chains.
     scratch_a: Vec<TaskHandle>,
     scratch_b: Vec<TaskHandle>,
 }
 
 impl<'a> SeesawRun<'a> {
-    fn new(eng: &'a SeesawEngine, requests: &[Request], traced: bool) -> Self {
-        assert_arrivals_sorted(requests);
+    fn new(eng: &'a SeesawEngine, intake: Intake, traced: bool) -> Self {
         let dp = eng.spec.prefill.dp;
         let cs = if traced {
             ClusterSim::with_trace(Arc::clone(&eng.cluster))
         } else {
             ClusterSim::new(Arc::clone(&eng.cluster))
         };
-        let rl = Roofline::new(Arc::clone(&eng.cluster), Arc::clone(&eng.model));
         let replicas = (0..dp)
             .map(|d| Replica::new(d, eng.plan_p.kv_tokens_per_replica, eng.spec.prefill.pp))
             .collect();
@@ -294,14 +329,13 @@ impl<'a> SeesawRun<'a> {
         let buffers = (0..dp)
             .map(|_| CpuKvBuffer::new(total_buffer_tokens / dp as u64))
             .collect();
+        let rec = TimingRecorder::with_capacity(intake.len());
         SeesawRun {
             eng,
             cs,
-            rl,
             replicas,
             buffers,
-            waiting: requests.iter().copied().collect(),
-            meta: RequestMap::new(requests),
+            intake,
             sizer_p: SwapSizer::new(&eng.model, eng.spec.prefill, eng.spec.layout),
             sizer_d: SwapSizer::new(&eng.model, eng.spec.decode, eng.spec.layout),
             completed: 0,
@@ -312,7 +346,9 @@ impl<'a> SeesawRun<'a> {
             swap_out_bytes: 0,
             swap_in_bytes: 0,
             phases: Vec::new(),
-            rec: TimingRecorder::with_capacity(requests.len()),
+            rec,
+            at: Step::PrefillStart,
+            phase: PrefillPhase::default(),
             scratch_a: Vec::new(),
             scratch_b: Vec::new(),
         }
@@ -325,36 +361,13 @@ impl<'a> SeesawRun<'a> {
         }
     }
 
-    fn run(&mut self) {
-        // The model is initially loaded in the prefill sharding.
-        loop {
-            let buffered_any = self.prefill_phase();
-            if buffered_any {
-                self.reshard(self.eng.spec.prefill, self.eng.spec.decode);
-                self.decode_phase();
-                if self.waiting.is_empty() {
-                    break;
-                }
-                self.reshard(self.eng.spec.decode, self.eng.spec.prefill);
-            } else if self.waiting.is_empty() {
-                break;
-            } else {
-                // Nothing buffered and nothing admissible: only
-                // future arrivals remain, so the cluster idles until
-                // the next one. (Offline, buffered_any == false with
-                // waiting non-empty cannot occur: prefill always
-                // makes progress or panics.)
-                self.wait_for_next_arrival();
-            }
-        }
-    }
-
     /// Idle the cluster until the head request arrives (online
     /// serving). Only reached when a prefill phase could admit
     /// nothing and buffered nothing, which for an already-available
     /// request would have panicked inside the phase instead.
     fn wait_for_next_arrival(&mut self) {
         let t = self
+            .intake
             .waiting
             .front()
             .expect("an idle, unfinished engine must have pending arrivals")
@@ -367,12 +380,10 @@ impl<'a> SeesawRun<'a> {
     // Prefill phase (config c_p)
     // ------------------------------------------------------------------
 
-    /// Run prefill until the CPU buffer is full or no prompts remain.
-    /// Returns whether any sequences were buffered for decoding.
-    #[allow(clippy::needless_range_loop)] // replica index addresses several parallel arrays
-    fn prefill_phase(&mut self) -> bool {
+    /// Enter a prefill phase: the `Prefill*` steps then run prefill
+    /// until the CPU buffer is full or no prompts remain.
+    fn begin_prefill(&mut self) {
         let cfg = self.eng.spec.prefill;
-        let dp = cfg.dp;
         for rep in &mut self.replicas {
             rep.kv = PagedKvCache::new(
                 self.eng.plan_p.kv_tokens_per_replica,
@@ -380,173 +391,187 @@ impl<'a> SeesawRun<'a> {
             );
             rep.reset_tails(cfg.pp);
         }
-        let mut pending: Vec<Vec<PendingSwapOut>> = vec![Vec::new(); dp];
-        let mut outstanding: VecDeque<TaskHandle> = VecDeque::new();
-        let t_phase = self.cs.now();
-        let mut buffered_any = false;
+        self.phase = PrefillPhase {
+            pending: vec![Vec::new(); cfg.dp],
+            outstanding: VecDeque::new(),
+            t_phase: self.cs.now().as_secs(),
+            buffered_any: false,
+        };
+    }
 
-        loop {
-            // Without the async pipeline, swap-outs serialize with
-            // compute: drain them before scheduling more prefill.
-            if !self.eng.spec.overlap {
-                let drains: Vec<TaskHandle> = pending
-                    .iter()
-                    .flat_map(|v| v.iter().map(|p| p.buffered.unwrap_or(p.vacate)))
-                    .collect();
-                for h in drains {
-                    self.cs.sim.run_until(h);
-                }
-            }
-            // Reclaim GPU KV from completed swap-outs.
-            for d in 0..dp {
-                let mut i = 0;
-                while i < pending[d].len() {
-                    if self.cs.sim.completed(pending[d][i].vacate) {
-                        let p = pending[d].swap_remove(i);
-                        self.replicas[d].kv.free(p.id).expect("resident");
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-
-            // Admission: GPU KV must fit the prompt, CPU buffer must
-            // have room for its eventual KV.
-            let mut admitted: Vec<Vec<(u64, usize)>> = vec![Vec::new(); dp];
-            let mut budget = vec![MAX_PREFILL_TOKENS; dp];
-            let mut buffer_full = false;
-            let mut arrivals_pending = false;
-            while let Some(&req) = self.waiting.front() {
-                // Online serving: requests become schedulable only
-                // once their arrival time has passed. (Offline
-                // arrival_s == 0.0 never trips this.)
-                if req.arrival_s > self.cs.now().as_secs() {
-                    arrivals_pending = true;
-                    break;
-                }
-                let mut best: Option<usize> = None;
-                for d in 0..dp {
-                    if budget[d] >= req.input_len
-                        && self.replicas[d].kv.can_fit(req.input_len)
-                        && self.buffers[d].can_fit(req.input_len)
-                    {
-                        let better = match best {
-                            None => true,
-                            Some(b) => {
-                                self.buffers[d].capacity_tokens() - self.buffers[d].used_tokens()
-                                    > self.buffers[b].capacity_tokens()
-                                        - self.buffers[b].used_tokens()
-                            }
-                        };
-                        if better {
-                            best = Some(d);
-                        }
-                    }
-                }
-                let Some(d) = best else {
-                    buffer_full = (0..dp)
-                        .all(|d| !self.buffers[d].can_fit(req.input_len));
-                    if buffer_full && self.buffers.iter().all(|b| b.is_empty()) {
-                        panic!(
-                            "prompt {} ({} tokens) exceeds the CPU KV buffer capacity ({} tokens)",
-                            req.id,
-                            req.input_len,
-                            self.buffers[0].capacity_tokens()
-                        );
-                    }
-                    break;
-                };
-                self.waiting.pop_front();
-                self.replicas[d]
-                    .kv
-                    .allocate(req.id, req.input_len)
-                    .expect("can_fit checked");
-                if req.output_len > 1 {
-                    // Reserve buffer capacity now; the swap tasks that
-                    // physically fill it are submitted after the pass.
-                    let ok = self.buffers[d].push(BufferedSeq {
-                        req_id: req.id,
-                        tokens: req.input_len,
-                        output_len: req.output_len,
-                    });
-                    assert!(ok, "can_fit checked");
-                }
-                admitted[d].push((req.id, req.input_len));
-                budget[d] -= req.input_len;
-            }
-
-            let nothing_admitted = admitted.iter().all(|a| a.is_empty());
-            if nothing_admitted {
-                if buffer_full || self.waiting.is_empty() || arrivals_pending {
-                    // Phase over. With arrivals pending the outer
-                    // loop decodes whatever was buffered (or idles
-                    // until the next arrival if nothing was).
-                    break;
-                }
-                // GPU KV is the bottleneck: wait for the oldest
-                // swap-out to vacate space.
-                let oldest = (0..dp)
-                    .filter_map(|d| pending[d].first().map(|p| p.vacate))
-                    .next();
-                match oldest {
-                    Some(h) => {
-                        self.cs.sim.run_until(h);
-                        continue;
-                    }
-                    None => panic!(
-                        "prefill stalled: prompt {} does not fit GPU KV ({} tokens)",
-                        self.waiting.front().expect("non-empty").input_len,
-                        self.replicas[0].kv.capacity_tokens()
-                    ),
-                }
-            }
-
-            // Run the prefill passes and attach swap-outs.
-            let mut joins = Vec::new();
-            for d in 0..dp {
-                if admitted[d].is_empty() {
-                    continue;
-                }
-                let parts = submit_prefill_batch(
-                    &mut self.cs,
-                    &self.rl,
-                    cfg,
-                    &mut self.replicas[d],
-                    &admitted[d],
-                );
-                for (pass, ids) in parts {
-                    joins.push(pass);
-                    for id in ids {
-                        let req = self.meta.req(id);
-                        // The pass exit emits the slot's first tokens
-                        // (and finishes single-token requests).
-                        self.rec.first_token(id, pass);
-                        if req.output_len <= 1 {
-                            self.rec.completed(id, pass);
-                        }
-                        let p = self.submit_swap_out(d, id, req, pass);
-                        if p.buffered.is_some() {
-                            buffered_any = true;
-                        }
-                        pending[d].push(p);
-                    }
-                }
-            }
-            // Keep two batch joins in flight so pipeline stages stay
-            // busy across batch boundaries.
-            let join = self.cs.join(&joins);
-            outstanding.push_back(join);
-            if outstanding.len() >= 2 {
-                let oldest = outstanding.pop_front().expect("non-empty");
-                self.cs.sim.run_until(oldest);
+    /// The top of a prefill-phase iteration: without the async
+    /// pipeline, swap-outs serialize with compute (drain them before
+    /// scheduling more prefill); then reclaim GPU KV from completed
+    /// swap-outs.
+    fn reclaim_swap_outs(&mut self) {
+        let pending = &mut self.phase.pending;
+        if !self.eng.spec.overlap {
+            for h in pending
+                .iter()
+                .flat_map(|v| v.iter().map(|p| p.buffered.unwrap_or(p.vacate)))
+            {
+                self.cs.sim.run_until(h);
             }
         }
-        while let Some(j) = outstanding.pop_front() {
+        for (d, list) in pending.iter_mut().enumerate() {
+            let mut i = 0;
+            while i < list.len() {
+                if self.cs.sim.completed(list[i].vacate) {
+                    let p = list.swap_remove(i);
+                    self.replicas[d].kv.free(p.id).expect("resident");
+                } else {
+                    i += 1;
+                }
+            }
+        }
+    }
+
+    /// One prefill-phase admission and its passes; returns the next
+    /// step (another iteration, or the end of the phase).
+    #[allow(clippy::needless_range_loop)] // replica index addresses several parallel arrays
+    fn prefill_round(&mut self, rl: &Roofline) -> Step {
+        let cfg = self.eng.spec.prefill;
+        let dp = cfg.dp;
+        // Admission: GPU KV must fit the prompt, CPU buffer must
+        // have room for its eventual KV.
+        let mut admitted: Vec<Vec<(u64, usize)>> = vec![Vec::new(); dp];
+        let mut budget = vec![MAX_PREFILL_TOKENS; dp];
+        let mut buffer_full = false;
+        let mut arrivals_pending = false;
+        while let Some(&req) = self.intake.waiting.front() {
+            // Online serving: requests become schedulable only
+            // once their arrival time has passed. (Offline
+            // arrival_s == 0.0 never trips this.)
+            if req.arrival_s > self.cs.now().as_secs() {
+                arrivals_pending = true;
+                break;
+            }
+            let mut best: Option<usize> = None;
+            for d in 0..dp {
+                if budget[d] >= req.input_len
+                    && self.replicas[d].kv.can_fit(req.input_len)
+                    && self.buffers[d].can_fit(req.input_len)
+                {
+                    let better = match best {
+                        None => true,
+                        Some(b) => {
+                            self.buffers[d].capacity_tokens() - self.buffers[d].used_tokens()
+                                > self.buffers[b].capacity_tokens()
+                                    - self.buffers[b].used_tokens()
+                        }
+                    };
+                    if better {
+                        best = Some(d);
+                    }
+                }
+            }
+            let Some(d) = best else {
+                buffer_full = (0..dp)
+                    .all(|d| !self.buffers[d].can_fit(req.input_len));
+                if buffer_full && self.buffers.iter().all(|b| b.is_empty()) {
+                    panic!(
+                        "prompt {} ({} tokens) exceeds the CPU KV buffer capacity ({} tokens)",
+                        req.id,
+                        req.input_len,
+                        self.buffers[0].capacity_tokens()
+                    );
+                }
+                break;
+            };
+            self.intake.waiting.pop_front();
+            self.replicas[d]
+                .kv
+                .allocate(req.id, req.input_len)
+                .expect("can_fit checked");
+            if req.output_len > 1 {
+                // Reserve buffer capacity now; the swap tasks that
+                // physically fill it are submitted after the pass.
+                let ok = self.buffers[d].push(BufferedSeq {
+                    req_id: req.id,
+                    tokens: req.input_len,
+                    output_len: req.output_len,
+                });
+                assert!(ok, "can_fit checked");
+            }
+            admitted[d].push((req.id, req.input_len));
+            budget[d] -= req.input_len;
+        }
+
+        let nothing_admitted = admitted.iter().all(|a| a.is_empty());
+        if nothing_admitted {
+            if buffer_full || self.intake.waiting.is_empty() || arrivals_pending {
+                // Phase over. With arrivals pending the outer
+                // loop decodes whatever was buffered (or idles
+                // until the next arrival if nothing was).
+                return Step::PrefillEnd;
+            }
+            // GPU KV is the bottleneck: wait for the oldest
+            // swap-out to vacate space.
+            let oldest = self
+                .phase
+                .pending
+                .iter()
+                .find_map(|v| v.first().map(|p| p.vacate));
+            match oldest {
+                Some(h) => {
+                    self.cs.sim.run_until(h);
+                    return Step::PrefillIter;
+                }
+                None => panic!(
+                    "prefill stalled: prompt {} does not fit GPU KV ({} tokens)",
+                    self.intake.waiting.front().expect("non-empty").input_len,
+                    self.replicas[0].kv.capacity_tokens()
+                ),
+            }
+        }
+
+        // Run the prefill passes and attach swap-outs.
+        let mut joins = Vec::new();
+        for d in 0..dp {
+            if admitted[d].is_empty() {
+                continue;
+            }
+            let parts =
+                submit_prefill_batch(&mut self.cs, rl, cfg, &mut self.replicas[d], &admitted[d]);
+            for (pass, ids) in parts {
+                joins.push(pass);
+                for id in ids {
+                    let req = self.intake.meta.req(id);
+                    // The pass exit emits the slot's first tokens
+                    // (and finishes single-token requests).
+                    self.rec.first_token(id, pass);
+                    if req.output_len <= 1 {
+                        self.rec.completed(id, pass);
+                    }
+                    let p = self.submit_swap_out(d, id, req, pass);
+                    if p.buffered.is_some() {
+                        self.phase.buffered_any = true;
+                    }
+                    self.phase.pending[d].push(p);
+                }
+            }
+        }
+        // Keep two batch joins in flight so pipeline stages stay
+        // busy across batch boundaries.
+        let join = self.cs.join(&joins);
+        self.phase.outstanding.push_back(join);
+        if self.phase.outstanding.len() >= 2 {
+            let oldest = self.phase.outstanding.pop_front().expect("non-empty");
+            self.cs.sim.run_until(oldest);
+        }
+        Step::PrefillIter
+    }
+
+    /// Leave the prefill phase: drain in-flight passes and every
+    /// swap-out before transitioning. Returns whether any sequences
+    /// were buffered for decoding.
+    fn end_prefill(&mut self) -> bool {
+        let mut phase = std::mem::take(&mut self.phase);
+        while let Some(j) = phase.outstanding.pop_front() {
             self.cs.sim.run_until(j);
         }
-
-        // Drain every swap-out before transitioning.
-        let handles: Vec<TaskHandle> = pending
+        let handles: Vec<TaskHandle> = phase
+            .pending
             .iter()
             .flat_map(|v| v.iter().map(|p| p.buffered.unwrap_or(p.vacate)))
             .collect();
@@ -554,15 +579,15 @@ impl<'a> SeesawRun<'a> {
             let join = self.cs.join(&handles);
             self.cs.sim.run_until(join);
         }
-        for d in 0..dp {
-            for p in pending[d].drain(..) {
+        for (d, list) in phase.pending.iter_mut().enumerate() {
+            for p in list.drain(..) {
                 self.replicas[d].kv.free(p.id).expect("resident");
             }
         }
         // Attribute the whole phase's wall clock (incl. drain) to prefill.
-        self.prefill_wall += self.cs.now() - t_phase;
-        self.record_phase(Phase::Prefill, t_phase.as_secs());
-        buffered_any
+        self.prefill_wall += self.cs.now().as_secs() - phase.t_phase;
+        self.record_phase(Phase::Prefill, phase.t_phase);
+        phase.buffered_any
     }
 
     /// Submit the swap-out chain for one prefilled sequence: per-GPU
@@ -615,7 +640,7 @@ impl<'a> SeesawRun<'a> {
     // ------------------------------------------------------------------
 
     #[allow(clippy::needless_range_loop)] // replica index addresses several parallel arrays
-    fn decode_phase(&mut self) {
+    fn decode_phase(&mut self, rl: &Roofline) {
         let cfg = self.eng.spec.decode;
         let dp = cfg.dp;
         for rep in &mut self.replicas {
@@ -673,7 +698,7 @@ impl<'a> SeesawRun<'a> {
                     continue;
                 }
                 if let Some(h) =
-                    submit_decode_burst(&mut self.cs, &self.rl, cfg, &mut self.replicas[d], rounds)
+                    submit_decode_burst(&mut self.cs, rl, cfg, &mut self.replicas[d], rounds)
                 {
                     submitted.push((d, rounds, h));
                 }
@@ -778,17 +803,99 @@ impl<'a> SeesawRun<'a> {
         self.record_phase(Phase::Reshard, t0.as_secs());
     }
 
-    fn finish(mut self, requests: &[Request], label: String) -> (EngineReport, TraceSummary) {
+}
+
+impl Resumable for SeesawRun<'_> {
+    fn intake(&self) -> &Intake {
+        &self.intake
+    }
+
+    fn intake_mut(&mut self) -> &mut Intake {
+        &mut self.intake
+    }
+
+    fn cluster(&self) -> &ClusterSim {
+        &self.cs
+    }
+
+    fn recorder(&self) -> &TimingRecorder {
+        &self.rec
+    }
+
+    fn completed(&self) -> usize {
+        self.completed
+    }
+
+    fn roofline(&self) -> Roofline {
+        self.eng.roofline()
+    }
+
+    /// The model is initially loaded in the prefill sharding; each
+    /// cycle prefills into the CPU buffer, re-shards, decodes the
+    /// buffer dry and re-shards back while requests remain.
+    fn advance(&mut self, rl: &Roofline) -> bool {
+        loop {
+            match self.at {
+                Step::PrefillStart => {
+                    self.begin_prefill();
+                    self.at = Step::PrefillIter;
+                }
+                Step::PrefillIter => {
+                    self.reclaim_swap_outs();
+                    self.at = Step::PrefillAdmit;
+                }
+                Step::PrefillAdmit => {
+                    if !self.intake.sees_arrivals(self.cs.now()) {
+                        return false;
+                    }
+                    self.at = self.prefill_round(rl);
+                }
+                Step::PrefillEnd => {
+                    if self.end_prefill() {
+                        self.reshard(self.eng.spec.prefill, self.eng.spec.decode);
+                        self.decode_phase(rl);
+                        self.at = Step::AfterDecode;
+                    } else {
+                        self.at = Step::Unbuffered;
+                    }
+                }
+                Step::AfterDecode => match self.intake.drained() {
+                    None => return false,
+                    Some(true) => self.at = Step::Done,
+                    Some(false) => {
+                        self.reshard(self.eng.spec.decode, self.eng.spec.prefill);
+                        self.at = Step::PrefillStart;
+                    }
+                },
+                Step::Unbuffered => match self.intake.drained() {
+                    None => return false,
+                    Some(true) => self.at = Step::Done,
+                    Some(false) => {
+                        // Nothing buffered and nothing admissible: only
+                        // future arrivals remain, so the cluster idles
+                        // until the next one. (Offline, an unbuffered
+                        // phase with requests waiting cannot occur:
+                        // prefill always makes progress or panics.)
+                        self.wait_for_next_arrival();
+                        self.at = Step::PrefillStart;
+                    }
+                },
+                Step::Done => return true,
+            }
+        }
+    }
+
+    fn finish(mut self) -> (EngineReport, TraceSummary) {
+        debug_assert_eq!(self.at, Step::Done, "finish runs after the loop completes");
         let end = self.cs.sim.run_until_idle();
-        assert_eq!(self.completed, requests.len(), "all requests must finish");
+        assert_eq!(self.completed, self.intake.len(), "all requests must finish");
         let trace_summary = self.cs.sim.trace().summary();
         let gpu_utilization = self.cs.mean_compute_utilization();
-        let timeline =
-            std::mem::take(&mut self.rec).resolve(&self.cs.sim, &self.meta);
+        let timeline = std::mem::take(&mut self.rec).resolve(&self.cs.sim, &self.intake.meta);
         let latency = LatencyStats::from_timeline(&timeline);
         let report = EngineReport {
-            label,
-            stats: RunStats::from_requests(requests, end.as_secs()),
+            label: self.eng.spec.label(),
+            stats: self.intake.stats(end.as_secs()),
             prefill_wall_s: self.prefill_wall,
             decode_wall_s: self.decode_wall,
             mixed_wall_s: 0.0,

@@ -1,4 +1,4 @@
-//! Step-wise live-state access to an [`OnlineEngine`].
+//! Live-state reads of a replica, and the prefix-replay actor.
 //!
 //! The fleet tier's global event loop needs, at each arrival instant,
 //! the *actual* state of every replica — live queue depth and
@@ -10,20 +10,24 @@
 //! therefore reproduces its live state at any `t` up to the next
 //! assignment *exactly* — same rounds, same batches, same clock.
 //!
-//! [`EngineStepper`] packages that replay with memoization: the
-//! replay report is cached and only invalidated when the replica
-//! receives another request, so a replica that is not routed to
-//! answers state queries from the cache. Total cost for a stream of
-//! `n` arrivals over `N` replicas is `O((n/N)^2)` replica-rounds per
-//! replica — the price of exact feedback without rewriting three
-//! engines as incremental state machines.
+//! [`EngineStepper`] is that replay packaged as an
+//! [`EngineActor`]: the replay report is memoized and only
+//! invalidated when the replica receives another request. Every
+//! state query after a push re-simulates the whole assigned prefix,
+//! so a stream of `n` arrivals over `N` replicas costs `O((n/N)^2)`
+//! replica-rounds per replica. It is the default
+//! [`OnlineEngine::actor`] — kept for engines whose `run` is not
+//! causal (disaggregation picks its split from the whole stream) and
+//! as the test oracle for the resumable actors of the vLLM and Seesaw
+//! engines ([`crate::actor`]), which simulate each replica once.
 
+use crate::actor::{Depth, EngineActor};
 use crate::online::OnlineEngine;
 use crate::report::EngineReport;
 use seesaw_workload::Request;
 
-/// A replica's observable state at one instant, derived from an
-/// exact replay of its assigned stream (see module docs).
+/// A replica's observable state at one instant, read from a run
+/// report of its assigned stream (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiveState {
     /// Requests that have arrived but not yet produced a first token.
@@ -44,6 +48,17 @@ pub struct LiveState {
     /// The next instant at which this replica's state changes (a
     /// first token or a completion), if any work is pending.
     pub next_event_s: Option<f64>,
+}
+
+impl LiveState {
+    /// The backward-looking counts alone.
+    pub fn depth(&self) -> Depth {
+        Depth {
+            waiting: self.waiting,
+            running: self.running,
+            queue_depth: self.queue_depth,
+        }
+    }
 }
 
 /// Observable state of a finished (or replayed) engine run at time
@@ -83,14 +98,15 @@ pub fn live_state(report: &EngineReport, t: f64) -> LiveState {
 }
 
 /// Step-wise wrapper over one replica: accepts routed requests one at
-/// a time and answers exact live-state queries between pushes.
+/// a time and answers exact live-state queries between pushes by
+/// replaying the assigned prefix.
 ///
-/// The stepper owns the replica's assigned sub-stream. `state_at(t)`
-/// is exact for any `t` at or after the last pushed arrival (causality:
+/// The stepper owns the replica's assigned sub-stream. Queries are
+/// exact for any `t` at or after the last pushed arrival (causality:
 /// no request pushed later can have arrived by then — pushes are
-/// arrival-ordered).
-pub struct EngineStepper<'a> {
-    engine: &'a dyn OnlineEngine,
+/// arrival-ordered); an earlier `t` panics.
+pub struct EngineStepper<'a, E: ?Sized = dyn OnlineEngine> {
+    engine: &'a E,
     ready_s: f64,
     assigned: Vec<Request>,
     cache: Option<EngineReport>,
@@ -98,10 +114,10 @@ pub struct EngineStepper<'a> {
     replayed_requests: u64,
 }
 
-impl<'a> EngineStepper<'a> {
+impl<'a, E: OnlineEngine + ?Sized> EngineStepper<'a, E> {
     /// A stepper for a replica that becomes ready (weights loaded) at
     /// `ready_s` — `0.0` for an always-warm replica.
-    pub fn new(engine: &'a dyn OnlineEngine, ready_s: f64) -> Self {
+    pub fn new(engine: &'a E, ready_s: f64) -> Self {
         assert!(
             ready_s.is_finite() && ready_s >= 0.0,
             "replica ready time must be finite and non-negative, got {ready_s}"
@@ -145,19 +161,12 @@ impl<'a> EngineStepper<'a> {
         self.cache.as_ref().expect("cache was just filled")
     }
 
-    /// `(cache refills, total requests re-simulated across them)` —
-    /// the replay-amplification counters telemetry aggregates. Each
-    /// refill is one `run_ready` over the current assigned prefix.
-    pub fn replay_counts(&self) -> (u64, u64) {
-        (self.replays, self.replayed_requests)
-    }
-
     /// Exact live state at `t`, which must be at or after the last
     /// pushed arrival. Memoized: repeated queries between pushes
     /// re-simulate nothing.
     pub fn state_at(&mut self, t: f64) -> LiveState {
         if let Some(last) = self.assigned.last() {
-            debug_assert!(
+            assert!(
                 t >= last.arrival_s,
                 "state query at {t} precedes the last assignment at {}",
                 last.arrival_s
@@ -171,6 +180,30 @@ impl<'a> EngineStepper<'a> {
     pub fn finish(mut self) -> EngineReport {
         self.report();
         self.cache.take().expect("report() fills the cache")
+    }
+}
+
+impl<E: OnlineEngine + ?Sized> EngineActor for EngineStepper<'_, E> {
+    fn push(&mut self, req: Request) {
+        EngineStepper::push(self, req);
+    }
+
+    fn depth_at(&mut self, t: f64) -> Depth {
+        self.state_at(t).depth()
+    }
+
+    fn projected(&mut self) -> &EngineReport {
+        self.report()
+    }
+
+    /// Each cache refill is one projection: a `run_ready` over the
+    /// whole assigned prefix.
+    fn projection_counts(&self) -> (u64, u64) {
+        (self.replays, self.replayed_requests)
+    }
+
+    fn finish(self: Box<Self>) -> EngineReport {
+        EngineStepper::finish(*self)
     }
 }
 
@@ -267,10 +300,10 @@ mod tests {
         let b = stepper.state_at(0.5);
         assert_eq!(a, b);
         assert!(stepper.cache.is_some(), "state queries memoize the replay");
-        assert_eq!(stepper.replay_counts(), (1, 1), "one refill, one request replayed");
+        assert_eq!(stepper.projection_counts(), (1, 1), "one refill, one request replayed");
         stepper.push(Request::new(1, 128, 8).with_arrival(1.0));
         stepper.state_at(1.0);
-        assert_eq!(stepper.replay_counts(), (2, 3), "second refill replays both requests");
+        assert_eq!(stepper.projection_counts(), (2, 3), "second refill replays both requests");
     }
 
     #[test]
@@ -284,6 +317,15 @@ mod tests {
         let done = stepper.finish();
         assert!(done.timeline[0].first_token_s >= 10.0);
         assert_eq!(done.timeline[0].arrival_s, 1.0, "true arrival preserved");
+    }
+
+    #[test]
+    #[should_panic(expected = "precedes the last assignment")]
+    fn query_before_last_push_rejected() {
+        let eng = engine();
+        let mut stepper = EngineStepper::new(&eng, 0.0);
+        stepper.push(Request::new(0, 128, 8).with_arrival(2.0));
+        stepper.state_at(1.0);
     }
 
     #[test]

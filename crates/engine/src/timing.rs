@@ -17,7 +17,7 @@ use seesaw_sim::{Simulator, TaskHandle};
 use seesaw_workload::{RequestMap, RequestTiming};
 
 /// Accumulates first-token / completion handles during a run.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct TimingRecorder {
     first: Vec<(u64, TaskHandle)>,
     done: Vec<(u64, TaskHandle)>,
@@ -45,6 +45,17 @@ impl TimingRecorder {
     /// Record that `task` produces request `id`'s last token.
     pub fn completed(&mut self, id: u64, task: TaskHandle) {
         self.done.push((id, task));
+    }
+
+    /// First-token records so far, in recording order (append-only,
+    /// so a reader can resume from the length it last saw).
+    pub fn first_tokens(&self) -> &[(u64, TaskHandle)] {
+        &self.first
+    }
+
+    /// Completion records so far, in recording order (append-only).
+    pub fn completions(&self) -> &[(u64, TaskHandle)] {
+        &self.done
     }
 
     /// Resolve every recorded handle against the (fully drained)

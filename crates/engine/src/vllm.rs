@@ -8,10 +8,10 @@
 //! Appendix A batching model, where max batch size is derived from
 //! average *total* sequence length).
 
+use crate::actor::{run_to_end, EngineActor, Intake, Resumable, SimActor};
 use crate::cluster_sim::ClusterSim;
 use crate::driver::{
-    assert_arrivals_sorted, submit_decode_burst, submit_mixed_round, submit_prefill_batch,
-    Replica, RunSeq,
+    submit_decode_burst, submit_mixed_round, submit_prefill_batch, Replica, RunSeq,
 };
 use crate::online::{OnlineEngine, ServiceRates};
 use crate::report::EngineReport;
@@ -22,7 +22,7 @@ use seesaw_model::ModelConfig;
 use seesaw_parallel::{FitError, MemoryPlan, ParallelConfig};
 use seesaw_roofline::{BatchShape, Roofline};
 use seesaw_sim::{SimTime, TaskHandle, TraceSummary};
-use seesaw_workload::{LatencyStats, Request, RequestMap, RunStats};
+use seesaw_workload::{LatencyStats, Request};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -48,7 +48,7 @@ pub struct VllmEngine {
 }
 
 /// A submitted-but-not-yet-integrated prefill batch.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct InflightPrefill {
     join: TaskHandle,
     admitted: Vec<Vec<(u64, usize)>>,
@@ -108,13 +108,11 @@ impl VllmEngine {
     }
 
     fn run_impl(&self, requests: &[Request], traced: bool) -> (EngineReport, TraceSummary) {
-        let mut st = RunState::new(self, requests, traced);
-        match self.policy {
-            SchedulingPolicy::PrefillPrioritized => st.run_prefill_prioritized(),
-            SchedulingPolicy::DecodePrioritized => st.run_decode_prioritized(),
-            SchedulingPolicy::ChunkedPrefill { chunk_tokens } => st.run_chunked(chunk_tokens),
-        }
-        st.finish(requests, self.label())
+        run_to_end(RunState::new(self, Intake::closed(requests), traced), &self.roofline())
+    }
+
+    fn roofline(&self) -> Roofline {
+        Roofline::new(Arc::clone(&self.cluster), Arc::clone(&self.model))
     }
 }
 
@@ -131,6 +129,11 @@ impl OnlineEngine for VllmEngine {
         VllmEngine::run_traced(self, requests)
     }
 
+    fn actor(&self, ready_s: f64) -> Box<dyn EngineActor + '_> {
+        let start = move |intake| RunState::new(self, intake, false);
+        Box::new(SimActor::new(Intake::open(ready_s), start))
+    }
+
     fn service_rates(&self, avg_in: usize, avg_out: usize) -> ServiceRates {
         let tm = seesaw_roofline::ThroughputModel::new(Roofline::new(
             Arc::clone(&self.cluster),
@@ -145,54 +148,86 @@ impl OnlineEngine for VllmEngine {
     }
 }
 
+/// Where a paused [`RunState`] resumes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Resume {
+    /// The top of the scheduling loop (its all-done check).
+    Top,
+    /// Inside an admission step: pipelined prefill, or a chunked
+    /// round's admission.
+    Admit,
+    /// Prefill-prioritized: after the prefill step, at the second
+    /// all-done check.
+    AfterPrefill,
+    /// Chunked: rounds drained, nothing chunking, at the all-done
+    /// check.
+    Idle,
+    /// The run is complete.
+    Done,
+}
+
+#[derive(Clone)]
 struct RunState<'a> {
     eng: &'a VllmEngine,
     cs: ClusterSim,
-    rl: Roofline,
     replicas: Vec<Replica>,
-    waiting: VecDeque<Request>,
-    meta: RequestMap,
+    intake: Intake,
     prefilling: Vec<VecDeque<Prefilling>>,
     completed: usize,
     prefill_wall: f64,
     decode_wall: f64,
     mixed_wall: f64,
     rec: TimingRecorder,
+    at: Resume,
+    /// Prefill batches in flight within the current prefill step.
+    batches: VecDeque<InflightPrefill>,
+    /// Whether the current prefill step has prefilled anything.
+    prefilled: bool,
+    /// Mixed rounds in flight (chunked policy).
+    rounds: VecDeque<TaskHandle>,
+    round: usize,
 }
 
 impl<'a> RunState<'a> {
-    fn new(eng: &'a VllmEngine, requests: &[Request], traced: bool) -> Self {
-        assert_arrivals_sorted(requests);
+    fn new(eng: &'a VllmEngine, intake: Intake, traced: bool) -> Self {
         let cs = if traced {
             ClusterSim::with_trace(Arc::clone(&eng.cluster))
         } else {
             ClusterSim::new(Arc::clone(&eng.cluster))
         };
-        let rl = Roofline::new(Arc::clone(&eng.cluster), Arc::clone(&eng.model));
         let replicas = (0..eng.cfg.dp)
             .map(|d| Replica::new(d, eng.plan.kv_tokens_per_replica, eng.cfg.pp))
             .collect();
-        let meta = RequestMap::new(requests);
+        let rec = TimingRecorder::with_capacity(intake.len());
         RunState {
             eng,
             cs,
-            rl,
             replicas,
-            waiting: requests.iter().copied().collect(),
-            meta,
+            intake,
             prefilling: vec![VecDeque::new(); eng.cfg.dp],
             completed: 0,
             prefill_wall: 0.0,
             decode_wall: 0.0,
             mixed_wall: 0.0,
-            rec: TimingRecorder::with_capacity(requests.len()),
+            rec,
+            at: Resume::Top,
+            batches: VecDeque::new(),
+            prefilled: false,
+            rounds: VecDeque::new(),
+            round: 0,
         }
     }
 
-    fn all_done(&self) -> bool {
-        self.waiting.is_empty()
-            && self.replicas.iter().all(|r| r.running.is_empty())
-            && self.prefilling.iter().all(|p| p.is_empty())
+    /// The all-done check: `None` when the replicas are idle with
+    /// every pushed request served, so the answer depends on pushes
+    /// still to come.
+    fn all_done(&self) -> Option<bool> {
+        if self.replicas.iter().any(|r| !r.running.is_empty())
+            || self.prefilling.iter().any(|p| !p.is_empty())
+        {
+            return Some(false);
+        }
+        self.intake.drained()
     }
 
     /// Idle the cluster until the head request arrives. Only called
@@ -201,6 +236,7 @@ impl<'a> RunState<'a> {
     /// `admit` instead — so the head arrival must lie in the future.
     fn wait_for_next_arrival(&mut self) {
         let t = self
+            .intake
             .waiting
             .front()
             .expect("an idle, unfinished engine must have pending arrivals")
@@ -219,7 +255,7 @@ impl<'a> RunState<'a> {
         let dp = self.eng.cfg.dp;
         let mut admitted: Vec<Vec<(u64, usize)>> = vec![Vec::new(); dp];
         let mut budget = vec![token_budget; dp];
-        'outer: while let Some(&req) = self.waiting.front() {
+        'outer: while let Some(&req) = self.intake.waiting.front() {
             // Online serving: a request is only schedulable once its
             // arrival time has passed in simulated time. (Offline
             // workloads carry arrival_s == 0.0 and never break here.)
@@ -242,7 +278,7 @@ impl<'a> RunState<'a> {
             }
             match best {
                 Some(d) => {
-                    self.waiting.pop_front();
+                    self.intake.waiting.pop_front();
                     self.replicas[d]
                         .kv
                         .allocate(req.id, reserve)
@@ -273,7 +309,11 @@ impl<'a> RunState<'a> {
     /// returning the in-flight record (join handle + members). The
     /// caller decides when to wait on it, so consecutive batches keep
     /// the pipeline full.
-    fn submit_prefill(&mut self, admitted: Vec<Vec<(u64, usize)>>) -> Option<InflightPrefill> {
+    fn submit_prefill(
+        &mut self,
+        rl: &Roofline,
+        admitted: Vec<Vec<(u64, usize)>>,
+    ) -> Option<InflightPrefill> {
         if admitted.iter().all(|a| a.is_empty()) {
             return None;
         }
@@ -283,14 +323,14 @@ impl<'a> RunState<'a> {
                 continue;
             }
             let parts =
-                submit_prefill_batch(&mut self.cs, &self.rl, self.eng.cfg, &mut self.replicas[d], batch);
+                submit_prefill_batch(&mut self.cs, rl, self.eng.cfg, &mut self.replicas[d], batch);
             for (h, ids) in parts {
                 // The slot's pass exit is where its sequences' first
                 // tokens appear (and where single-token requests
                 // finish outright).
                 for &id in &ids {
                     self.rec.first_token(id, h);
-                    if self.meta.req(id).output_len <= 1 {
+                    if self.intake.meta.req(id).output_len <= 1 {
                         self.rec.completed(id, h);
                     }
                 }
@@ -309,7 +349,7 @@ impl<'a> RunState<'a> {
         self.prefill_wall += self.cs.now() - t0;
         for (d, members) in batch.admitted.into_iter().enumerate() {
             for (id, prompt) in members {
-                let req = self.meta.req(id);
+                let req = self.intake.meta.req(id);
                 if req.output_len <= 1 {
                     self.replicas[d].kv.free(id).expect("was allocated");
                     self.completed += 1;
@@ -326,34 +366,37 @@ impl<'a> RunState<'a> {
 
     /// Admit + prefill with up to two batches in flight, so pipeline
     /// stages stay busy across batch boundaries (matching vLLM's
-    /// virtual-engine behaviour under PP). Returns whether any prefill
-    /// work happened.
-    fn do_prefill_pipelined(&mut self) -> bool {
-        let mut outstanding: VecDeque<InflightPrefill> = VecDeque::new();
-        let mut any = false;
+    /// virtual-engine behaviour under PP). Resumable: returns `false`
+    /// when an admission must wait for more pushes (the in-flight
+    /// batches stay in `self.batches`), `true` once the step is over;
+    /// `self.prefilled` then says whether any prefill work happened.
+    fn prefill_step(&mut self, rl: &Roofline) -> bool {
         loop {
+            if !self.intake.sees_arrivals(self.cs.now()) {
+                return false;
+            }
             let admitted = self.admit(MAX_PREFILL_TOKENS);
-            match self.submit_prefill(admitted) {
+            match self.submit_prefill(rl, admitted) {
                 Some(batch) => {
-                    any = true;
-                    outstanding.push_back(batch);
-                    if outstanding.len() >= 2 {
-                        let oldest = outstanding.pop_front().expect("non-empty");
+                    self.prefilled = true;
+                    self.batches.push_back(batch);
+                    if self.batches.len() >= 2 {
+                        let oldest = self.batches.pop_front().expect("non-empty");
                         self.integrate_prefill(oldest);
                     }
                 }
                 None => break,
             }
         }
-        while let Some(batch) = outstanding.pop_front() {
+        while let Some(batch) = self.batches.pop_front() {
             self.integrate_prefill(batch);
         }
-        any
+        true
     }
 
     /// One decode burst across replicas (each replica uses its own
     /// safe burst length). Returns whether any work ran.
-    fn do_decode_burst(&mut self) -> bool {
+    fn do_decode_burst(&mut self, rl: &Roofline) -> bool {
         let mut submitted: Vec<(usize, usize, TaskHandle)> = Vec::new();
         for d in 0..self.replicas.len() {
             let rounds = self.replicas[d].max_burst(BURST_CAP);
@@ -362,7 +405,7 @@ impl<'a> RunState<'a> {
             }
             if let Some(h) = submit_decode_burst(
                 &mut self.cs,
-                &self.rl,
+                rl,
                 self.eng.cfg,
                 &mut self.replicas[d],
                 rounds,
@@ -389,104 +432,173 @@ impl<'a> RunState<'a> {
         true
     }
 
-    fn run_prefill_prioritized(&mut self) {
-        while !self.all_done() {
-            let prefilled = self.do_prefill_pipelined();
-            if self.all_done() {
-                break;
+    /// The loop-top all-done check: on to a fresh prefill step or to
+    /// `Done`, or `false` to park until the answer is known.
+    fn top(&mut self) -> bool {
+        match self.all_done() {
+            None => return false,
+            Some(true) => self.at = Resume::Done,
+            Some(false) => {
+                self.prefilled = false;
+                self.at = Resume::Admit;
             }
-            let decoded = self.do_decode_burst();
-            if !prefilled && !decoded {
-                // Nothing running and nothing admissible: the only
-                // remaining work is a future arrival.
-                self.wait_for_next_arrival();
+        }
+        true
+    }
+
+    fn advance_prefill_prioritized(&mut self, rl: &Roofline) -> bool {
+        loop {
+            match self.at {
+                Resume::Top => {
+                    if !self.top() {
+                        return false;
+                    }
+                }
+                Resume::Admit => {
+                    if !self.prefill_step(rl) {
+                        return false;
+                    }
+                    self.at = Resume::AfterPrefill;
+                }
+                Resume::AfterPrefill => {
+                    match self.all_done() {
+                        None => return false,
+                        Some(true) => {
+                            self.at = Resume::Done;
+                            return true;
+                        }
+                        Some(false) => {}
+                    }
+                    let decoded = self.do_decode_burst(rl);
+                    if !self.prefilled && !decoded {
+                        // Nothing running and nothing admissible: the
+                        // only remaining work is a future arrival.
+                        self.wait_for_next_arrival();
+                    }
+                    self.at = Resume::Top;
+                }
+                Resume::Done => return true,
+                Resume::Idle => unreachable!("chunked-only state"),
             }
         }
     }
 
-    fn run_decode_prioritized(&mut self) {
-        while !self.all_done() {
-            // Fill the batch once, then decode it to completion.
-            let mut progressed = self.do_prefill_pipelined();
-            while self.replicas.iter().any(|r| !r.running.is_empty()) {
-                self.do_decode_burst();
-                progressed = true;
-            }
-            if !progressed {
-                self.wait_for_next_arrival();
+    fn advance_decode_prioritized(&mut self, rl: &Roofline) -> bool {
+        loop {
+            match self.at {
+                Resume::Top => {
+                    if !self.top() {
+                        return false;
+                    }
+                }
+                Resume::Admit => {
+                    // Fill the batch once, then decode it to completion.
+                    if !self.prefill_step(rl) {
+                        return false;
+                    }
+                    let mut progressed = self.prefilled;
+                    while self.replicas.iter().any(|r| !r.running.is_empty()) {
+                        self.do_decode_burst(rl);
+                        progressed = true;
+                    }
+                    if !progressed {
+                        self.wait_for_next_arrival();
+                    }
+                    self.at = Resume::Top;
+                }
+                Resume::Done => return true,
+                Resume::AfterPrefill | Resume::Idle => unreachable!("not a decode-prioritized state"),
             }
         }
     }
 
-    fn run_chunked(&mut self, chunk_tokens: usize) {
+    fn advance_chunked(&mut self, rl: &Roofline, chunk_tokens: usize) -> bool {
         assert!(chunk_tokens > 0, "chunk size must be positive");
         // Two mixed rounds stay in flight so pipeline stages remain
         // busy across round boundaries. Engine state (graduations,
         // decode advances, admissions) evolves deterministically, so
         // bookkeeping is applied at submission; the simulator is only
         // consulted for wall-clock time.
-        let mut outstanding: VecDeque<TaskHandle> = VecDeque::new();
-        let mut round = 0usize;
         loop {
-            // Admit into the prefilling queues.
-            let admitted = self.admit(usize::MAX);
-            for (d, batch) in admitted.into_iter().enumerate() {
-                for (id, prompt) in batch {
-                    self.prefilling[d].push_back(Prefilling { id, prompt, done: 0 });
-                }
-            }
-            if self.all_done() {
-                break;
-            }
-
-            let chunking = self.prefilling.iter().any(|p| !p.is_empty());
-            if chunking {
-                round += 1;
-                if let Some(join) = self.submit_mixed_round_step(chunk_tokens, round) {
-                    outstanding.push_back(join);
-                    if outstanding.len() >= 2 {
-                        let oldest = outstanding.pop_front().expect("non-empty");
-                        let t0 = self.cs.now();
-                        self.cs.sim.run_until(oldest);
-                        self.mixed_wall += self.cs.now() - t0;
+            match self.at {
+                Resume::Top | Resume::Admit => {
+                    if !self.intake.sees_arrivals(self.cs.now()) {
+                        self.at = Resume::Admit;
+                        return false;
+                    }
+                    // Admit into the prefilling queues.
+                    let admitted = self.admit(usize::MAX);
+                    for (d, batch) in admitted.into_iter().enumerate() {
+                        for (id, prompt) in batch {
+                            self.prefilling[d].push_back(Prefilling { id, prompt, done: 0 });
+                        }
+                    }
+                    if self.prefilling.iter().any(|p| !p.is_empty()) {
+                        self.round += 1;
+                        if let Some(join) = self.submit_mixed_round_step(rl, chunk_tokens, self.round) {
+                            self.rounds.push_back(join);
+                            if self.rounds.len() >= 2 {
+                                let oldest = self.rounds.pop_front().expect("non-empty");
+                                self.wait_mixed(oldest);
+                            }
+                        }
+                        self.at = Resume::Admit;
+                    } else {
+                        // Drain in-flight mixed rounds before pure decode.
+                        while let Some(j) = self.rounds.pop_front() {
+                            self.wait_mixed(j);
+                        }
+                        self.at = Resume::Idle;
                     }
                 }
-            } else {
-                // Drain in-flight mixed rounds before pure decode.
-                while let Some(j) = outstanding.pop_front() {
-                    let t0 = self.cs.now();
-                    self.cs.sim.run_until(j);
-                    self.mixed_wall += self.cs.now() - t0;
-                }
-                if !self.do_decode_burst() {
-                    // Nothing running and nothing chunking, but
-                    // waiting non-empty: either the drain above just
-                    // made the head request admissible, or its
-                    // arrival is still in the future and the cluster
-                    // idles until it.
-                    if self
-                        .waiting
-                        .front()
-                        .is_some_and(|r| r.arrival_s > self.cs.now().as_secs())
+                Resume::Idle => {
+                    match self.all_done() {
+                        None => return false,
+                        Some(true) => {
+                            self.at = Resume::Done;
+                            return true;
+                        }
+                        Some(false) => {}
+                    }
+                    if !self.do_decode_burst(rl)
+                        && self
+                            .intake
+                            .waiting
+                            .front()
+                            .is_some_and(|r| r.arrival_s > self.cs.now().as_secs())
                     {
+                        // Nothing running and nothing chunking, but
+                        // waiting non-empty: either the drain just made
+                        // the head request admissible, or its arrival
+                        // is still in the future and the cluster idles
+                        // until it.
                         self.wait_for_next_arrival();
                     }
-                    continue;
+                    self.at = Resume::Admit;
                 }
+                Resume::Done => return true,
+                Resume::AfterPrefill => unreachable!("not a chunked state"),
             }
         }
-        while let Some(j) = outstanding.pop_front() {
-            let t0 = self.cs.now();
-            self.cs.sim.run_until(j);
-            self.mixed_wall += self.cs.now() - t0;
-        }
+    }
+
+    /// Wait for one in-flight mixed round, charging mixed-batch time.
+    fn wait_mixed(&mut self, join: TaskHandle) {
+        let t0 = self.cs.now();
+        self.cs.sim.run_until(join);
+        self.mixed_wall += self.cs.now() - t0;
     }
 
     /// Submit one mixed round per replica (every running sequence
     /// decodes one token while up to `chunk_tokens` prompt tokens
     /// prefill) and apply its deterministic state updates immediately.
     /// Returns the round's join handle.
-    fn submit_mixed_round_step(&mut self, chunk_tokens: usize, round: usize) -> Option<TaskHandle> {
+    fn submit_mixed_round_step(
+        &mut self,
+        rl: &Roofline,
+        chunk_tokens: usize,
+        round: usize,
+    ) -> Option<TaskHandle> {
         let mut handles = Vec::new();
         let mut graduated: Vec<(usize, u64, usize)> = Vec::new();
         let mut decoded: Vec<usize> = Vec::new();
@@ -513,7 +625,7 @@ impl<'a> RunState<'a> {
             }
             if let Some(h) = submit_mixed_round(
                 &mut self.cs,
-                &self.rl,
+                rl,
                 self.eng.cfg,
                 &mut self.replicas[d],
                 &chunk,
@@ -537,7 +649,7 @@ impl<'a> RunState<'a> {
             }
         }
         for (d, id, prompt) in graduated {
-            let req = self.meta.req(id);
+            let req = self.intake.meta.req(id);
             // The round that finishes a prompt's last chunk emits its
             // first token.
             self.rec.first_token(id, join);
@@ -556,16 +668,52 @@ impl<'a> RunState<'a> {
         Some(join)
     }
 
-    fn finish(mut self, requests: &[Request], label: String) -> (EngineReport, TraceSummary) {
+}
+
+impl Resumable for RunState<'_> {
+    fn intake(&self) -> &Intake {
+        &self.intake
+    }
+
+    fn intake_mut(&mut self) -> &mut Intake {
+        &mut self.intake
+    }
+
+    fn cluster(&self) -> &ClusterSim {
+        &self.cs
+    }
+
+    fn recorder(&self) -> &TimingRecorder {
+        &self.rec
+    }
+
+    fn completed(&self) -> usize {
+        self.completed
+    }
+
+    fn roofline(&self) -> Roofline {
+        self.eng.roofline()
+    }
+
+    fn advance(&mut self, rl: &Roofline) -> bool {
+        match self.eng.policy {
+            SchedulingPolicy::PrefillPrioritized => self.advance_prefill_prioritized(rl),
+            SchedulingPolicy::DecodePrioritized => self.advance_decode_prioritized(rl),
+            SchedulingPolicy::ChunkedPrefill { chunk_tokens } => self.advance_chunked(rl, chunk_tokens),
+        }
+    }
+
+    fn finish(mut self) -> (EngineReport, TraceSummary) {
+        debug_assert_eq!(self.at, Resume::Done, "finish runs after the loop completes");
         let end = self.cs.sim.run_until_idle();
-        assert_eq!(self.completed, requests.len(), "all requests must finish");
+        assert_eq!(self.completed, self.intake.len(), "all requests must finish");
         let trace_summary = self.cs.sim.trace().summary();
         let gpu_utilization = self.cs.mean_compute_utilization();
-        let timeline = self.rec.resolve(&self.cs.sim, &self.meta);
+        let timeline = std::mem::take(&mut self.rec).resolve(&self.cs.sim, &self.intake.meta);
         let latency = LatencyStats::from_timeline(&timeline);
         let report = EngineReport {
-            label,
-            stats: RunStats::from_requests(requests, end.as_secs()),
+            label: self.eng.label(),
+            stats: self.intake.stats(end.as_secs()),
             prefill_wall_s: self.prefill_wall,
             decode_wall_s: self.decode_wall,
             mixed_wall_s: self.mixed_wall,

@@ -7,17 +7,17 @@
 //! by *measured* queue depth / remaining work at each arrival
 //! instant, so the fleet must advance on one global clock.
 //!
-//! This module hosts the N replicas as actors on a single
+//! This module hosts the N replicas as engine actors
+//! ([`seesaw_engine::EngineActor`]) on a single
 //! [`seesaw_sim::EventQueue`]: every arrival is an event; popping one
-//! advances the global clock to that instant, queries each replica's
-//! exact live state there (via [`seesaw_engine::EngineStepper`]'s
-//! causal replay — engines admit on arrival times, so replaying the
-//! assigned prefix reproduces the live trajectory exactly), routes on
-//! the measured state, and hands the request to the chosen actor.
-//! Decisions are serial in event order, so runs are deterministic and
-//! runner-invariant; the final per-replica simulations are
-//! independent and parallelize on the [`SweepRunner`] exactly like
-//! the fast path.
+//! advances the global clock to that instant, reads each replica's
+//! exact live state there — the actors keep running on the global
+//! clock, so each replica is simulated once rather than re-run from
+//! t=0 — routes on the measured state, and pushes the request to the
+//! chosen actor. Decisions are serial in event order, so runs are
+//! deterministic and runner-invariant; finishing the actors — the
+//! final per-replica simulations — parallelizes on the
+//! [`SweepRunner`] exactly like the fast path.
 //!
 //! For feedback-free policies the loop skips the live-state queries
 //! and the router falls through to its estimated decision — the same
@@ -30,12 +30,12 @@ use crate::fleet::Fleet;
 use crate::report::FleetReport;
 use crate::router::Router;
 use crate::router::RouterPolicy;
-use crate::telemetry::{record_request_spans, register_tracks};
+use crate::telemetry::{record_request_spans, register_tracks, route_args};
 use seesaw_engine::driver::assert_arrivals_sorted;
-use seesaw_engine::{EngineStepper, SweepRunner};
+use seesaw_engine::{finish_all, EngineActor, SweepRunner};
 use seesaw_sim::{EventQueue, SimTime};
-use seesaw_telemetry::{fmt_secs, Instrument, ROUTER_TRACK};
-use seesaw_workload::{split_stream, Request};
+use seesaw_telemetry::{Instrument, ROUTER_TRACK};
+use seesaw_workload::Request;
 
 impl Fleet {
     /// Serve `requests` (sorted by arrival) under `policy` on the
@@ -80,14 +80,11 @@ impl Fleet {
         };
         let live_routing = policy.needs_live_state();
         let mut router = Router::new(policy, n);
-        // One actor per replica: a stepper replaying the replica's
-        // assigned sub-stream to answer exact state queries. Only
-        // live policies consult them.
-        let mut actors: Vec<EngineStepper<'_>> = if live_routing {
-            self.replicas.iter().map(|r| EngineStepper::new(&**r, 0.0)).collect()
-        } else {
-            Vec::new()
-        };
+        // One actor per replica, fed its requests as they are routed.
+        // Only live policies read their state; finishing them yields
+        // the replica reports under every policy.
+        let mut actors: Vec<Box<dyn EngineActor + '_>> =
+            self.replicas.iter().map(|r| r.actor(0.0)).collect();
         let all: Vec<usize> = (0..n).collect();
         let mut events: EventQueue<usize> = EventQueue::new();
         for (idx, req) in requests.iter().enumerate() {
@@ -103,13 +100,7 @@ impl Fleet {
             // Measured state of every replica at this instant —
             // queried serially in replica order for determinism.
             let live: Vec<(usize, f64)> = if live_routing {
-                actors
-                    .iter_mut()
-                    .map(|a| {
-                        let s = a.state_at(now);
-                        (s.queue_depth, s.work_s)
-                    })
-                    .collect()
+                actors.iter_mut().map(|a| policy.read_live(a.as_mut(), now)).collect()
             } else {
                 Vec::new()
             };
@@ -129,36 +120,28 @@ impl Fleet {
                     ROUTER_TRACK,
                     &format!("route {} -> r{}", req.id, routed.replica),
                     now,
-                    &[
-                        ("queue_depth", depth.to_string()),
-                        ("work_s", fmt_secs(work_s)),
-                        ("est_wait_s", fmt_secs(routed.est_wait_s)),
-                        ("measured", live_routing.to_string()),
-                    ],
+                    &route_args(depth, work_s, routed.est_wait_s, live_routing),
                 );
                 instr
                     .metrics
                     .counter_add(&format!("fleet.route.{policy}.replica{}", routed.replica), 1);
                 instr.metrics.observe("fleet.route.est_wait_s", routed.est_wait_s);
             }
-            if live_routing {
-                actors[routed.replica].push(req.clone());
-            }
+            actors[routed.replica].push(*req);
         }
         if telemetry {
             instr.metrics.counter_add("fleet.events.pushed", events.total_pushes());
             instr.metrics.counter_add("fleet.events.popped", events.total_pops());
-            let (replays, replayed) = actors
+            // Projections (and the requests they re-simulated) behind
+            // the live reads: zero under `jsq-live`.
+            let (projections, reprojected) = actors
                 .iter()
-                .map(EngineStepper::replay_counts)
+                .map(|a| a.projection_counts())
                 .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
-            instr.metrics.counter_add("fleet.replay.count", replays);
-            instr.metrics.counter_add("fleet.replay.requests", replayed);
+            instr.metrics.counter_add("fleet.replay.count", projections);
+            instr.metrics.counter_add("fleet.replay.requests", reprojected);
         }
-        drop(actors);
-        let streams = split_stream(requests, &assignment, n);
-        let indices: Vec<usize> = (0..n).collect();
-        let reports = runner.map(&indices, |&i| self.replicas[i].run(&streams[i]));
+        let reports = finish_all(runner, actors);
         let report = FleetReport::from_replica_reports(policy, reports, assignment);
         if telemetry {
             record_request_spans(&mut instr.recorder, &report);

@@ -179,7 +179,7 @@ impl Fleet {
     ) -> (FleetReport, Vec<seesaw_sim::TraceSummary>) {
         let n = self.replicas.len();
         let assignment = if policy.needs_live_state() {
-            // Live routing needs the causal replay loop; reuse it and
+            // Live routing needs the global event loop; reuse it and
             // keep only the assignment (the traced re-runs below
             // reproduce the same per-replica reports).
             self.run_event_loop_with(runner, policy, requests).assignment

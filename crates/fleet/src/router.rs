@@ -21,6 +21,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use seesaw_engine::{live_state, EngineActor};
 use seesaw_workload::Request;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -49,8 +50,8 @@ pub enum RouterPolicy {
     /// beyond queue expiry.
     LeastEstimatedWork,
     /// JSQ over *measured* replica state: fewest actually-unfinished
-    /// requests at the arrival instant, observed from each replica's
-    /// exact engine replay (see `seesaw_engine::stepper`). Requires
+    /// requests at the arrival instant, counted exactly from each
+    /// replica's engine actor (see `seesaw_engine::actor`). Requires
     /// the global event loop — there is no estimated fast path.
     JoinShortestQueueLive,
     /// Least *measured* remaining work: the replica whose in-flight
@@ -107,6 +108,26 @@ impl RouterPolicy {
             self,
             RouterPolicy::JoinShortestQueueLive | RouterPolicy::LeastWorkLive
         )
+    }
+
+    /// The measured `(queue depth, remaining work seconds)` a live
+    /// policy ranks a replica by at `t`, read from its actor.
+    /// `jsq-live` reads only the depth — an exact in-flight count, no
+    /// projection — and leaves the work unread (NaN). `least-work-live`
+    /// needs the forward-looking work, which costs one projection per
+    /// busy replica that received work since its last read (an idle
+    /// one has no work left by definition).
+    pub fn read_live<A: EngineActor + ?Sized>(&self, actor: &mut A, t: f64) -> (usize, f64) {
+        // Advancing the actor to `t` first keeps the projection short.
+        let depth = actor.depth_at(t).queue_depth;
+        match self {
+            RouterPolicy::LeastWorkLive if depth == 0 => (0, 0.0),
+            RouterPolicy::LeastWorkLive => {
+                let s = live_state(actor.projected(), t);
+                (s.queue_depth, s.work_s)
+            }
+            _ => (depth, f64::NAN),
+        }
     }
 }
 

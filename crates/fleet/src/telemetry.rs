@@ -55,6 +55,23 @@ pub fn record_request_spans(rec: &mut Recorder, report: &FleetReport) {
     }
 }
 
+/// A route instant's arguments. The work a decision never read (NaN:
+/// `jsq-live` ranks by depth alone) is left out rather than computed.
+pub fn route_args(
+    depth: usize,
+    work_s: f64,
+    est_wait_s: f64,
+    measured: bool,
+) -> Vec<(&'static str, String)> {
+    let mut args = vec![("queue_depth", depth.to_string())];
+    if !work_s.is_nan() {
+        args.push(("work_s", fmt_secs(work_s)));
+    }
+    args.push(("est_wait_s", fmt_secs(est_wait_s)));
+    args.push(("measured", measured.to_string()));
+    args
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,11 +6,12 @@
 
 use proptest::prelude::*;
 use seesaw_engine::vllm::VllmEngine;
-use seesaw_engine::{OnlineEngine, SchedulingPolicy, SweepRunner};
+use seesaw_engine::{EngineReport, OnlineEngine, SchedulingPolicy, ServiceRates, SweepRunner};
 use seesaw_fleet::{Fleet, RouterPolicy};
 use seesaw_hw::ClusterSpec;
 use seesaw_model::{presets, ModelConfig};
 use seesaw_parallel::ParallelConfig;
+use seesaw_telemetry::Instrument;
 use seesaw_workload::{ArrivalDist, Request, WorkloadGen};
 use std::sync::Arc;
 
@@ -30,6 +31,39 @@ fn vllm_fleet(n: usize) -> Fleet {
             )
             .expect("valid config"),
         ) as Box<dyn OnlineEngine>
+    })
+}
+
+/// A vLLM replica behind the default actor, which replays the
+/// assigned prefix on every read.
+struct Replayed(VllmEngine);
+
+impl OnlineEngine for Replayed {
+    fn label(&self) -> String {
+        self.0.label()
+    }
+
+    fn run(&self, requests: &[Request]) -> EngineReport {
+        self.0.run(requests)
+    }
+
+    fn service_rates(&self, avg_in: usize, avg_out: usize) -> ServiceRates {
+        OnlineEngine::service_rates(&self.0, avg_in, avg_out)
+    }
+}
+
+fn replayed_fleet(n: usize) -> Fleet {
+    let (cluster, model) = specs();
+    Fleet::homogeneous(n, |_| {
+        Box::new(Replayed(
+            VllmEngine::new(
+                Arc::clone(&cluster),
+                Arc::clone(&model),
+                ParallelConfig::new(1, 2, 2),
+                SchedulingPolicy::PrefillPrioritized,
+            )
+            .expect("valid config"),
+        )) as Box<dyn OnlineEngine>
     })
 }
 
@@ -71,6 +105,42 @@ fn event_loop_matches_fast_path_under_bursty_load() {
         let looped = fleet.run_event_loop_with(&SweepRunner::new(4), policy, &reqs);
         assert_eq!(fast, looped, "{policy}: event loop diverged from fast path");
     }
+}
+
+/// Live reads cost only what the policy reads. On a 4-replica live
+/// fleet, `jsq-live` routes on depths without a single projection,
+/// and `least-work-live` re-simulates fewer requests than replaying
+/// every replica's prefix did — while both route exactly as the
+/// prefix-replay actors do.
+#[test]
+fn live_reads_project_only_where_work_is_read() {
+    let reqs = online_reqs(48, 8.0, 5);
+    let run = |fleet: &Fleet, policy| {
+        let mut instr = Instrument::tracing();
+        let report =
+            fleet.run_instrumented_with(&SweepRunner::serial(), policy, &reqs, &mut instr);
+        let counts = (
+            instr.metrics.counter("fleet.replay.count"),
+            instr.metrics.counter("fleet.replay.requests"),
+        );
+        (report, counts)
+    };
+    let (actors, replay) = (vllm_fleet(4), replayed_fleet(4));
+
+    let (report, counts) = run(&actors, RouterPolicy::JoinShortestQueueLive);
+    assert_eq!(counts, (0, 0), "jsq-live reads depths without projecting");
+    let (replayed, replay_counts) = run(&replay, RouterPolicy::JoinShortestQueueLive);
+    assert_eq!(report, replayed, "jsq-live: actors route exactly as prefix replay");
+    assert!(replay_counts.1 > 0, "the prefix-replay actor replays on every read");
+
+    let (report, (projections, reprojected)) = run(&actors, RouterPolicy::LeastWorkLive);
+    let (replayed, (_, replayed_requests)) = run(&replay, RouterPolicy::LeastWorkLive);
+    assert_eq!(report, replayed, "least-work-live: actors route exactly as prefix replay");
+    assert!(projections > 0, "least-work-live reads projected work");
+    assert!(
+        reprojected < replayed_requests,
+        "projections re-simulate {reprojected} requests, prefix replay {replayed_requests}"
+    );
 }
 
 proptest! {

@@ -174,7 +174,7 @@ const NO_RESOURCE: u32 = u32::MAX;
 /// are stored as `u32` and the completion time piggybacks on the
 /// state machine (`state == Done`), keeping the record compact enough
 /// that a simulation's whole working set stays cache-resident.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Task {
     duration: f64,
     service_start: SimTime,
@@ -196,7 +196,7 @@ impl Task {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct ResState {
     busy: bool,
     queue: VecDeque<usize>,
@@ -229,8 +229,9 @@ fn unpack_event(key: u128) -> (SimTime, usize) {
 /// All task/event/trace storage is arena-style (flat vectors indexed
 /// by task id) and survives [`Simulator::reset`] with its capacity
 /// intact, so a pooled simulator re-runs a comparable workload
-/// without touching the allocator.
-#[derive(Debug)]
+/// without touching the allocator. A clone is an independent
+/// simulator at the same instant, with the same pending events.
+#[derive(Debug, Clone)]
 pub struct Simulator {
     pool: ResourcePool,
     res_state: Vec<ResState>,
@@ -372,6 +373,14 @@ impl Simulator {
     /// Number of submitted-but-unfinished tasks.
     pub fn outstanding(&self) -> usize {
         self.outstanding
+    }
+
+    /// Time of the earliest pending completion event, if any. Every
+    /// unfinished task completes at or after it: a task only becomes
+    /// ready when a dependency or its resource's current occupant
+    /// completes.
+    pub fn next_event_time(&self) -> Option<SimTime> {
+        self.events.peek().map(|&Reverse(key)| unpack_event(key).0)
     }
 
     /// Submit a task; it becomes ready once its dependencies complete
@@ -726,6 +735,32 @@ mod tests {
         assert_eq!(sim.outstanding(), 1);
         sim.run_until_idle();
         assert!(sim.completed(slow));
+    }
+
+    #[test]
+    fn next_event_time_peeks_without_advancing() {
+        let mut sim = Simulator::new();
+        let g0 = sim.add_resource("g0");
+        assert_eq!(sim.next_event_time(), None);
+        let a = compute(&mut sim, g0, 1.0);
+        compute(&mut sim, g0, 2.0);
+        assert_eq!(sim.next_event_time().map(SimTime::as_secs), Some(1.0));
+        assert_eq!(sim.now().as_secs(), 0.0);
+        sim.run_until(a);
+        assert_eq!(sim.next_event_time().map(SimTime::as_secs), Some(3.0));
+    }
+
+    #[test]
+    fn clone_continues_independently() {
+        let mut sim = Simulator::without_trace();
+        let g0 = sim.add_resource("g0");
+        let a = compute(&mut sim, g0, 1.0);
+        let b = compute(&mut sim, g0, 2.0);
+        sim.run_until(a);
+        let mut fork = sim.clone();
+        assert_eq!(fork.run_until(b).as_secs(), 3.0);
+        assert!(!sim.completed(b), "the original does not advance with its clone");
+        assert_eq!(sim.run_until_idle(), fork.now());
     }
 
     #[test]

@@ -10,13 +10,14 @@
 /// the times denominators.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ControllerProfile {
-    /// Route-decision time: the dispatch loop minus live-state replay.
+    /// Route-decision time: the dispatch loop minus live-state reads.
     pub routing_s: f64,
-    /// Live-state replay: `run_ready` re-simulations behind
-    /// `live_state_at` (dispatch-time queries, window-boundary
-    /// observations, kill-time in-flight reads).
+    /// Live-state reads: advancing the replicas' engine actors to the
+    /// query instant, plus any projections behind the reads
+    /// (dispatch-time queries, window-boundary depths, kill-time lost
+    /// sets).
     pub replay_s: f64,
-    /// Final per-replica engine simulations (the `runner.map` block).
+    /// Final per-replica engine simulations (finishing the actors).
     pub engine_s: f64,
     /// Report assembly: retry fold-back, lifecycles, fleet merge,
     /// windowed metrics, availability accounting.
@@ -27,12 +28,15 @@ pub struct ControllerProfile {
     pub windows: usize,
     /// Requests dispatched (including retries).
     pub dispatches: u64,
-    /// Live-state cache refills (each is one `run_ready` replay).
+    /// Projections behind live reads: an actor cloned and run to
+    /// completion to read a forward-looking signal (remaining work, a
+    /// kill's lost set). Depth reads never project; the default
+    /// prefix-replay actor projects on every read after a push.
     pub replays: u64,
-    /// Total requests re-simulated across those refills — the replay
+    /// Requests those projections re-simulated — the replay
     /// amplification numerator (`replayed_requests / dispatches` is
-    /// how many times the average request is re-run before the final
-    /// pass).
+    /// how many times the average request is re-run besides its one
+    /// simulation).
     pub replayed_requests: u64,
 }
 
@@ -52,8 +56,8 @@ impl ControllerProfile {
         }
     }
 
-    /// Replay amplification: re-simulated requests per dispatched
-    /// request (0.0 when nothing dispatched).
+    /// Replay amplification: requests re-simulated by projections per
+    /// dispatched request (0.0 when nothing dispatched).
     pub fn replay_amplification(&self) -> f64 {
         if self.dispatches == 0 {
             0.0
@@ -89,7 +93,7 @@ impl ControllerProfile {
             pct(self.routing_s)
         ));
         out.push_str(&format!(
-            "  live-state replay  {:>9.4}s  {:>5.1}%  ({} replays, {:.1}x amplification)\n",
+            "  live-state replay  {:>9.4}s  {:>5.1}%  ({} projections, {:.1}x amplification)\n",
             self.replay_s,
             pct(self.replay_s),
             self.replays,

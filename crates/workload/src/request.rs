@@ -112,6 +112,33 @@ impl RequestMap {
         }
     }
 
+    /// Add one request (its id must be new). Ids arriving in
+    /// increasing order append in O(1); a dense map whose span would
+    /// not cover `req.id` converts to the sorted representation.
+    pub fn insert(&mut self, req: Request) {
+        if let RequestMap::Dense { base, slots } = self {
+            match req.id.checked_sub(*base).and_then(|i| slots.get_mut(i as usize)) {
+                Some(slot) => {
+                    assert!(slot.is_none(), "duplicate request id {}", req.id);
+                    *slot = Some(req);
+                    return;
+                }
+                None => *self = RequestMap::Sorted(slots.iter().flatten().copied().collect()),
+            }
+        }
+        let RequestMap::Sorted(sorted) = self else {
+            unreachable!("dense maps converted above")
+        };
+        if sorted.last().is_none_or(|last| last.id < req.id) {
+            sorted.push(req);
+            return;
+        }
+        match sorted.binary_search_by_key(&req.id, |r| r.id) {
+            Ok(_) => panic!("duplicate request id {}", req.id),
+            Err(pos) => sorted.insert(pos, req),
+        }
+    }
+
     /// Look up a request by id.
     pub fn get(&self, id: u64) -> Option<&Request> {
         match self {
@@ -275,6 +302,29 @@ mod tests {
     fn request_map_rejects_duplicate_ids() {
         let reqs = vec![Request::new(5, 10, 1), Request::new(5, 20, 2)];
         RequestMap::new(&reqs);
+    }
+
+    #[test]
+    fn insert_matches_bulk_build() {
+        let reqs: Vec<Request> = [5u64, 9, 2, 40, 7].iter().map(|&id| Request::new(id, 8, 2)).collect();
+        let mut grown = RequestMap::new(&reqs[..2]);
+        for r in &reqs[2..] {
+            grown.insert(*r);
+        }
+        let bulk = RequestMap::new(&reqs);
+        for r in &reqs {
+            assert_eq!(grown.get(r.id), bulk.get(r.id));
+        }
+        assert_eq!(grown.len(), reqs.len());
+        assert_eq!(grown.get(3), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate request id")]
+    fn insert_rejects_duplicates() {
+        let mut map = RequestMap::new(&[]);
+        map.insert(Request::new(1, 8, 2));
+        map.insert(Request::new(1, 8, 2));
     }
 
     #[test]
