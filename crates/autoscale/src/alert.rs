@@ -24,12 +24,11 @@
 
 use crate::faults::{FaultKind, FaultSchedule};
 use seesaw_workload::WindowMetrics;
-use serde::{Deserialize, Serialize};
 
 /// A multi-window burn-rate alert rule. `Copy`, so controllers and
 /// sweep grids pass it by value like every other config knob; the
 /// display name (e.g. `burn6x-1s/3l@0.90`) is derived.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlertRule {
     /// Attainment objective the error budget is defined against
     /// (e.g. 0.90: up to 10% of arrivals may miss the SLO).
@@ -106,7 +105,7 @@ impl std::fmt::Display for AlertRule {
 }
 
 /// What an [`AlertEvent`] announces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlertKind {
     /// The rule started firing at this window boundary.
     Fire,
@@ -115,7 +114,7 @@ pub enum AlertKind {
 }
 
 /// One typed alert transition, emitted at a window boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlertEvent {
     /// Display name of the rule that transitioned.
     pub rule: String,
@@ -255,7 +254,7 @@ impl AlertEngine {
 
 /// How one rule's alerts line up against a fault schedule's injected
 /// correlated outages — the detection-frontier cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetectionScore {
     /// Correlated group outages in the schedule.
     pub outages: usize,

@@ -46,7 +46,9 @@ use seesaw_engine::driver::assert_arrivals_sorted;
 use seesaw_engine::online::mean_lengths;
 use seesaw_engine::{finish_all, EngineActor, OnlineEngine, ServiceRates, SweepRunner};
 use seesaw_fleet::sweep::ReplicaBuilder;
-use seesaw_fleet::telemetry::{record_request_spans, replica_track, route_args};
+use seesaw_fleet::telemetry::{
+    record_request_spans, register_replica_track, register_tracks, route_args,
+};
 use seesaw_fleet::{FleetReport, Router, RouterPolicy};
 use seesaw_telemetry::{
     fmt_secs, ControllerProfile, Instrument, ALERT_TRACK, CONTROLLER_TRACK, ROUTER_TRACK,
@@ -55,7 +57,6 @@ use seesaw_workload::{
     windowed_metrics, DispatchQueue, LatencyStats, Request, SloSpec, SummaryMode,
     WindowAccumulator, WindowMetrics,
 };
-use serde::{Deserialize, Serialize};
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Instant;
@@ -67,7 +68,7 @@ fn lap(start: Option<Instant>) -> f64 {
 }
 
 /// Controller configuration shared by every policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleConfig {
     /// Control-window length, seconds: signals are observed and
     /// decisions taken at these boundaries.
@@ -151,7 +152,7 @@ impl Default for AutoscaleConfig {
 /// The signals a policy sees at one window boundary — all a-priori
 /// (router virtual-queue) state, the kind a production autoscaler
 /// actually has before any request finishes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowSignals {
     /// Window start, seconds (inclusive).
     pub t0: f64,
@@ -189,7 +190,7 @@ pub struct WindowSignals {
 }
 
 /// One scale event in the decision log.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleEvent {
     /// When the decision was taken (a window boundary), seconds.
     pub t_s: f64,
@@ -200,7 +201,7 @@ pub struct ScaleEvent {
 }
 
 /// One replica's lifetime, as billed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicaLifecycle {
     /// When the replica was provisioned, seconds.
     pub spawn_s: f64,
@@ -231,7 +232,7 @@ impl ReplicaLifecycle {
 
 /// Outcome of one elastic-fleet trace replay: the merged fleet view
 /// plus the control trajectory and the cost accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElasticFleetReport {
     /// The scaling policy that drove the trajectory.
     pub policy: ScalingPolicy,
@@ -542,13 +543,8 @@ impl AutoscaleController {
         let mut router = Router::new(cfg.router, n0);
         let mut assignment = vec![0usize; requests.len()];
         if telemetry {
-            instr.recorder.track(CONTROLLER_TRACK, "controller");
-            instr.recorder.track(ROUTER_TRACK, &format!("router ({})", cfg.router));
-            for (i, rep) in replicas.iter().enumerate() {
-                instr
-                    .recorder
-                    .track(replica_track(i), &format!("replica{i} [{}]", rep.engine.label()));
-            }
+            let labels: Vec<String> = replicas.iter().map(|r| r.engine.label()).collect();
+            register_tracks(&mut instr.recorder, &format!("router ({})", cfg.router), &labels);
         }
 
         // Signal calibration: the roofline estimates are steady-state
@@ -898,7 +894,7 @@ impl AutoscaleController {
                     Vec::new()
                 };
                 let routed = router
-                    .route_live_among(&req, &eligible, &live, |i, r| {
+                    .route(&req, &eligible, &live, |i, r| {
                         replicas[i].rates.est_service_s(r)
                     })
                     .expect("eligible is non-empty");
@@ -1011,9 +1007,7 @@ impl AutoscaleController {
                         cal.push(CalQueue::default());
                         if telemetry {
                             let label = replicas[idx].engine.label();
-                            instr
-                                .recorder
-                                .track(replica_track(idx), &format!("replica{idx} [{label}]"));
+                            register_replica_track(&mut instr.recorder, idx, &label);
                         }
                     }
                     desired = provisioned + k;
@@ -1084,9 +1078,7 @@ impl AutoscaleController {
                         cal.push(CalQueue::default());
                         if telemetry {
                             let label = replicas[idx].engine.label();
-                            instr
-                                .recorder
-                                .track(replica_track(idx), &format!("replica{idx} [{label}]"));
+                            register_replica_track(&mut instr.recorder, idx, &label);
                         }
                     }
                     events.push(ScaleEvent { t_s: t1, from: live_now, to: want });

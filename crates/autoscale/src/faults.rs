@@ -11,10 +11,9 @@
 //! bit-identical (one code path, no RNG on it).
 
 use crate::controller::ReplicaLifecycle;
-use serde::{Deserialize, Serialize};
 
 /// How lost requests are retried after a replica failure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Most dispatch attempts a request may consume (first try
     /// included, ≥ 1). A request whose attempt budget is exhausted is
@@ -75,7 +74,7 @@ impl RetryPolicy {
 }
 
 /// What fails at one scheduled fault instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Kill one live replica, chosen as `candidates[pick % len]` over
     /// the replicas live at the fault instant (in spawn order). The
@@ -97,7 +96,7 @@ pub enum FaultKind {
 }
 
 /// One scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// When the fault strikes, seconds.
     pub t_s: f64,
@@ -107,7 +106,7 @@ pub struct FaultEvent {
 
 /// A fully resolved fault schedule plus recovery knobs — everything
 /// the controller needs to replay failures deterministically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     /// Timed faults, sorted by time.
     pub events: Vec<FaultEvent>,
@@ -176,7 +175,7 @@ impl FaultSchedule {
 }
 
 /// One replica kill as it actually happened during the replay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailureEvent {
     /// When the replica died, seconds.
     pub t_s: f64,
@@ -195,7 +194,7 @@ pub struct FailureEvent {
 /// `completed + failed == offered` and
 /// `attempts == completed + lost_attempts` — nothing is ever
 /// silently dropped.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AvailabilityStats {
     /// Requests in the original trace.
     pub offered: usize,

@@ -12,10 +12,9 @@
 //! `[min_replicas, max_replicas]` bounds; policies just propose.
 
 use crate::controller::WindowSignals;
-use serde::{Deserialize, Serialize};
 
 /// What a policy wants done at a window boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleDecision {
     /// Keep the current replica count.
     Hold,
@@ -26,7 +25,7 @@ pub enum ScaleDecision {
 }
 
 /// A replica-count policy evaluated once per control window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScalingPolicy {
     /// A fixed fleet of `n` replicas — the baseline every elastic
     /// policy is judged against (provision-for-peak vs

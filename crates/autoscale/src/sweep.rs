@@ -15,10 +15,9 @@ use crate::policy::ScalingPolicy;
 use seesaw_engine::SweepRunner;
 use seesaw_fleet::sweep::ReplicaBuilder;
 use seesaw_workload::Request;
-use serde::{Deserialize, Serialize};
 
 /// One frontier cell: a policy replayed over a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrontierPoint {
     /// The scaling policy (its `Display` name labels the row).
     pub policy: ScalingPolicy,
@@ -43,7 +42,7 @@ pub struct FrontierPoint {
 }
 
 /// A completed policy × trace frontier sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrontierSweep {
     /// Replica configuration label (replica 0's).
     pub label: String,

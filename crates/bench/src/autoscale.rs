@@ -53,6 +53,33 @@ pub const DEFAULT_DIURNAL_SHARPNESS: f64 = 3.0;
 /// figure — and everything sized from it — is reproducible).
 pub const CAPACITY_PROBE_REQUESTS: usize = 256;
 
+/// Most control windows a replayed span may cover. Memory grows per
+/// window: every replayed cell retains a window record and windowed
+/// metrics for each one. At this cap the default eight-cell frontier
+/// peaks about 160 MiB above the same day in 120 s windows (measured:
+/// a 600 s day in 6 ms windows), roughly 1.6 KiB per window. A
+/// span/window pair past it (`--window 1e-9`, or a trace file
+/// spanning 1e308 s) is rejected up front instead of aborting on a
+/// terabyte-sized allocation.
+pub const MAX_WINDOWS: usize = 100_000;
+
+/// Check that `ceil(span_s / window_s)` windows fit in
+/// [`MAX_WINDOWS`], with a message naming the span and window when
+/// they do not (non-finite ratios are rejected too).
+pub fn check_window_count(span_s: f64, window_s: f64) -> Result<(), String> {
+    let windows = (span_s / window_s).ceil();
+    if windows <= MAX_WINDOWS as f64 {
+        return Ok(());
+    }
+    let show = |x: f64| if x < 1e9 { x.to_string() } else { format!("{x:e}") };
+    Err(format!(
+        "a {} s span in {} s windows needs {} control windows; at most {MAX_WINDOWS} are supported",
+        show(span_s),
+        show(window_s),
+        show(windows),
+    ))
+}
+
 /// The default diurnal envelope shape (see
 /// [`DEFAULT_DIURNAL_SHARPNESS`]); also the shape behind the `fleet`
 /// bin's `--trace diurnal` pattern.
@@ -111,6 +138,16 @@ fn requests_for_times(times: Vec<f64>, seed: u64) -> Vec<Request> {
     ArrivalDist::Trace(times)
         .attach(&base, 0)
         .expect("trace arrivals are valid")
+}
+
+/// Load a trace file (see [`seesaw_workload::load_trace_file`]) as
+/// ShareGPT-shaped requests, rejecting one whose span needs more than
+/// [`MAX_WINDOWS`] windows of `window_s`.
+fn load_trace_requests(path: &str, window_s: f64, seed: u64) -> Result<Vec<Request>, String> {
+    let times = seesaw_workload::load_trace_file(path)?;
+    check_window_count(times.last().copied().unwrap_or(0.0), window_s)
+        .map_err(|e| format!("{path}: {e}"))?;
+    Ok(requests_for_times(times, seed))
 }
 
 /// Sample one named envelope into a ShareGPT-shaped request trace.
@@ -183,10 +220,10 @@ pub fn default_frontier_with(
     let (capacity_rps, label) = offline_capacity(&build, &probe);
     config.capacity_rps = capacity_rps;
     let traces: Vec<(String, Vec<Request>)> = match trace_file {
-        Some(path) => {
-            let times = seesaw_workload::load_trace_file(path)?;
-            vec![(path.to_string(), requests_for_times(times, spec.seed))]
-        }
+        Some(path) => vec![(
+            path.to_string(),
+            load_trace_requests(path, config.window_s, spec.seed)?,
+        )],
         None => default_traces(spec, capacity_rps),
     };
     // Size the static baselines from the load actually replayed: the
@@ -246,10 +283,10 @@ pub fn observed_frontier_cell_with(
     let (capacity_rps, _) = offline_capacity(&build, &probe);
     config.capacity_rps = capacity_rps;
     let (trace, requests) = match trace_file {
-        Some(path) => {
-            let times = seesaw_workload::load_trace_file(path)?;
-            (path.to_string(), requests_for_times(times, spec.seed))
-        }
+        Some(path) => (
+            path.to_string(),
+            load_trace_requests(path, config.window_s, spec.seed)?,
+        ),
         None => {
             let mut traces = default_traces(spec, capacity_rps);
             traces.swap_remove(0)
@@ -520,6 +557,27 @@ mod tests {
         // Degenerate scenario where mean rounds up to peak: no
         // duplicate static row.
         assert_eq!(default_policies(2.0, 1.5).len(), 3);
+    }
+
+    /// Window axes past `MAX_WINDOWS` are rejected with a message —
+    /// from `--day/--window` and from a trace file's span — instead
+    /// of aborting on allocation, while the default day passes.
+    #[test]
+    fn oversized_window_axes_are_rejected() {
+        assert!(check_window_count(DEFAULT_DAY_S, AutoscaleConfig::default().window_s).is_ok());
+        let err = check_window_count(600.0, 1e-9).expect_err("6e11 windows");
+        assert!(err.contains("6e11 control windows"), "{err}");
+        // After re-basing to t=0 this trace spans ~7e307 s.
+        let path = std::env::temp_dir()
+            .join(format!("seesaw-huge-span-trace-{}.txt", std::process::id()));
+        std::fs::write(&path, "1e308\n1.7e308\n").expect("temp dir is writable");
+        let path = path.to_str().expect("utf-8 temp path");
+        let spec = ScenarioSpec { day_s: 120.0, ..ScenarioSpec::default() };
+        let config = AutoscaleConfig::default();
+        let err = default_frontier_with(&SweepRunner::serial(), &spec, config, Some(path))
+            .expect_err("trace span needs too many windows");
+        std::fs::remove_file(path).ok();
+        assert!(err.contains("control windows"), "{err}");
     }
 
     #[test]

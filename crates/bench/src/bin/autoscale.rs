@@ -34,7 +34,7 @@
 //! JSON file.
 
 use seesaw_autoscale::AutoscaleConfig;
-use seesaw_bench::autoscale::{self, ScenarioSpec};
+use seesaw_bench::autoscale::{self, check_window_count, ScenarioSpec};
 use seesaw_engine::SweepRunner;
 
 fn usage() -> ! {
@@ -148,6 +148,10 @@ fn parse_args() -> Args {
     }
     if parsed.config.min_replicas > parsed.config.max_replicas {
         eprintln!("--min must be <= --max");
+        std::process::exit(2);
+    }
+    if let Err(e) = check_window_count(parsed.spec.day_s, parsed.config.window_s) {
+        eprintln!("--day/--window: {e}");
         std::process::exit(2);
     }
     parsed

@@ -44,7 +44,7 @@
 //! file.
 
 use seesaw_autoscale::AutoscaleConfig;
-use seesaw_bench::autoscale::ScenarioSpec;
+use seesaw_bench::autoscale::{check_window_count, ScenarioSpec};
 use seesaw_bench::chaos::{self, ChaosSpec};
 use seesaw_engine::SweepRunner;
 
@@ -170,6 +170,10 @@ fn parse_args() -> Args {
     }
     if parsed.config.min_replicas > parsed.config.max_replicas {
         eprintln!("--min must be <= --max");
+        std::process::exit(2);
+    }
+    if let Err(e) = check_window_count(parsed.spec.day_s, parsed.config.window_s) {
+        eprintln!("--day/--window: {e}");
         std::process::exit(2);
     }
     parsed

@@ -32,9 +32,10 @@
 //! over a precomputed day) and must additionally clear 1.5x the full
 //! `autoscale` cell rate — the pipeline may never become comparable
 //! in cost to the replay it summarizes. Likewise `fleet_live` must
-//! clear 0.7x the `fleet` rate: live routing reads replica state from
-//! engine actors that simulate each replica once, so it may never
-//! again cost a multiple of the estimated fast path.
+//! clear 0.7x the `fleet` rate: both cells run on the same fleet
+//! event loop, so the ratio is the cost of reading measured replica
+//! state from the engine actors, which may never again grow to a
+//! multiple of the cell it rides on.
 //!
 //! Two telemetry figures ride along: `fleet_live_traced` times the
 //! live-fleet cell with the span recorder and metrics registry on
@@ -70,7 +71,8 @@ const TELEMETRY_DISABLED_TOLERANCE: f64 = 0.05;
 /// (`autoscale_sketch`) to the full autoscale cell rate.
 const SKETCH_SPEEDUP_FLOOR: f64 = 1.5;
 /// Minimum ratio of the live-routed fleet cell rate (`fleet_live`) to
-/// the estimated fast-path cell rate (`fleet`).
+/// the estimated-routing cell rate (`fleet`) on the same event loop —
+/// the cost budget of live-state reads.
 const FLEET_LIVE_FLOOR: f64 = 0.7;
 /// Profiled controller runs folded into one attribution block.
 const PROFILE_RUNS: usize = 3;
@@ -174,12 +176,11 @@ impl Sims {
 /// (arrival-gated run + percentile computation) per second. `fleet`
 /// is the fleet-sweep grid-cell rate: a serial 4-replica JSQ fleet
 /// run (routing + 4 replica simulations + merged report) per second;
-/// `fleet_live` is the same cell under `jsq-live` — the global event
-/// loop with per-arrival measured-state queries in place of the
-/// merged-timeline fast path. `autoscale` is the frontier-sweep
-/// grid-cell rate: one reactive controller replay of the compressed
-/// diurnal trace (windowed routing, scaling decisions, elastic
-/// replica runs, merged windowed report) per second.
+/// `fleet_live` is the same cell under `jsq-live` — the same event
+/// loop plus per-arrival measured-state reads. `autoscale` is the
+/// frontier-sweep grid-cell rate: one reactive controller replay of
+/// the compressed diurnal trace (windowed routing, scaling decisions,
+/// elastic replica runs, merged windowed report) per second.
 /// `autoscale_sketch` is the streaming metrics pipeline alone: one
 /// sketch-mode window-accumulator pass plus burn-rate evaluation over
 /// the autoscale cell's precomputed day. `chaos` is the same replay
@@ -449,8 +450,8 @@ fn main() {
     println!("fleet_live vs fleet: {live_ratio:.2}x (floor {FLEET_LIVE_FLOOR:.1}x)");
     if live_ratio < FLEET_LIVE_FLOOR {
         eprintln!(
-            "ERROR: live-routed fleet cell only {live_ratio:.2}x the estimated fast path \
-             (floor {FLEET_LIVE_FLOOR:.1}x)"
+            "ERROR: live-routed fleet cell only {live_ratio:.2}x the estimated-routing cell \
+             — live-state reads cost too much (floor {FLEET_LIVE_FLOOR:.1}x)"
         );
         std::process::exit(1);
     }

@@ -1,8 +1,7 @@
 //! Minimal hand-rolled JSON rendering for the `--json` outputs of the
 //! `serving` and `fleet` bins.
 //!
-//! The vendored `serde` is a no-op marker stand-in (this build
-//! environment has no network, see `vendor/serde`), so sweeps render
+//! The workspace has no serialization dependency, so sweeps render
 //! their JSON explicitly — the same approach `perf_report` uses for
 //! `BENCH_sweep.json`. Numbers are fixed-precision so output diffs
 //! cleanly across runs and platforms.

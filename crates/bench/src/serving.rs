@@ -42,7 +42,7 @@ pub const DEFAULT_SLO: SloSpec = SloSpec { ttft_s: 15.0, tpot_s: 0.05 };
 pub const DEFAULT_LOAD_MULTIPLIERS: &[f64] = &[0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0];
 
 /// One evaluated load point.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingPoint {
     /// Offered load, requests/second.
     pub offered_rps: f64,
@@ -57,7 +57,7 @@ pub struct ServingPoint {
 }
 
 /// A completed offered-load sweep.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingSweep {
     /// Engine configuration label.
     pub label: String,

@@ -19,15 +19,15 @@
 //! The fleet variant (`sims_per_sec.fleet`) is one fleet-sweep grid
 //! cell: a 4-replica fleet of the vLLM candidate, join-shortest-queue
 //! routing over the same arrival pattern at 4× the serving rate
-//! (per-replica load unchanged), run serially — routing, stream
-//! split, four replica simulations, and the merged fleet report
-//! included.
+//! (per-replica load unchanged), run serially on the fleet's global
+//! event loop — routing, four replica actors, and the merged fleet
+//! report included.
 //!
 //! The live-fleet variant (`sims_per_sec.fleet_live`) is the same
-//! fleet cell under `jsq-live` routing: the global event loop with
-//! per-arrival measured-depth reads from the replicas' engine actors in
-//! place of the merged-timeline fast path — the cost of real-feedback
-//! routing on an otherwise identical cell.
+//! fleet cell under `jsq-live` routing: the same event loop, plus a
+//! measured-depth read from every replica's engine actor at each
+//! arrival — so the ratio of the two figures is the cost of the live
+//! reads on an otherwise identical cell.
 //!
 //! The chaos variant (`sims_per_sec.chaos`) replays the autoscale
 //! scenario under a fixed seeded kill schedule (~3 expected kills on
@@ -208,8 +208,8 @@ impl SimsBench {
     /// set under join-shortest-queue routing, serially (the metric is
     /// single-thread grid-cell rate, like the other sims/sec
     /// figures). This is a fleet sweep's per-cell unit of work:
-    /// service-rate estimation, routing, stream split, four replica
-    /// simulations, and the merged fleet report.
+    /// service-rate estimation, routing on the event loop, four
+    /// replica simulations, and the merged fleet report.
     pub fn run_fleet_once(&self) -> FleetReport {
         let fleet = Fleet::homogeneous(FLEET_REPLICAS, |_| {
             Box::new(
@@ -234,9 +234,9 @@ impl SimsBench {
     /// [`SimsBench::run_fleet_once`], but under `jsq-live` — the
     /// global event loop reads every replica's measured queue depth
     /// from its engine actor at each arrival instead of routing on
-    /// analytic virtual queues. The fast-path/event-loop cost ratio
-    /// is exactly what this figure tracks (`perf_report` holds it to
-    /// at least 0.7).
+    /// analytic virtual queues. Both cells run on the same loop, so
+    /// the ratio of the two rates is the cost of those live reads
+    /// (`perf_report` holds it to at least 0.7).
     pub fn run_fleet_live_once(&self) -> FleetReport {
         let fleet = Fleet::homogeneous(FLEET_REPLICAS, |_| {
             Box::new(

@@ -277,7 +277,7 @@ fn repeated_fleet_runs_reproduce_the_first_report() {
 /// The live-fleet sims/sec scenario (perf_report's `fleet_live`
 /// metric) reproduces exactly across warm-pool repetitions — the
 /// global event loop's measured-state queries must be as
-/// deterministic as the fast path they replace.
+/// deterministic as estimated routing.
 #[test]
 fn repeated_fleet_live_runs_reproduce_the_first_report() {
     use seesaw_bench::simsbench::{SimsBench, FLEET_REPLICAS};

@@ -27,12 +27,11 @@ use seesaw_engine::SweepRunner;
 use seesaw_fleet::sweep::ReplicaBuilder;
 use seesaw_telemetry::Instrument;
 use seesaw_workload::Request;
-use serde::{Deserialize, Serialize};
 
 /// How the deployment responds to failures: the scaling policy that
 /// drives the trajectory, whether killed capacity is replaced, and
 /// how lost requests retry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoverySpec {
     /// Scaling policy driving the window-by-window trajectory.
     pub policy: ScalingPolicy,

@@ -15,7 +15,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seesaw_autoscale::{FaultEvent, FaultKind, FaultSchedule, RetryPolicy};
-use serde::{Deserialize, Serialize};
 
 /// Salt separating the kill stream from other draws on the same seed.
 const KILL_SALT: u64 = 0x6b69_6c6c_0000_0001;
@@ -26,7 +25,7 @@ const OUTAGE_SALT: u64 = 0x6f75_7461_0000_0002;
 /// regenerate the exact [`FaultSchedule`] for any horizon. This is
 /// the reproducibility unit the `chaos` bin echoes into its JSON —
 /// a frontier point is replayable from these five numbers alone.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed for both event streams (each salted independently).
     pub seed: u64,

@@ -15,11 +15,10 @@ use seesaw_autoscale::{score_detection, AutoscaleConfig, DetectionScore, Elastic
 use seesaw_engine::SweepRunner;
 use seesaw_fleet::sweep::ReplicaBuilder;
 use seesaw_workload::Request;
-use serde::{Deserialize, Serialize};
 
 /// One frontier cell: a recovery posture replayed under a failure
 /// model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosPoint {
     /// Failure-model name (e.g. `"none"`, `"kills-8/day"`).
     pub fault: String,
@@ -65,7 +64,7 @@ pub struct ChaosPoint {
 }
 
 /// A completed fault × recovery frontier over one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosFrontier {
     /// Replica configuration label (replica 0's).
     pub label: String,

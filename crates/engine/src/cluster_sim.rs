@@ -74,8 +74,8 @@ impl ClusterSim {
     /// Instantiate resources for every GPU of `cluster`.
     ///
     /// The simulator skips span recording ([`Simulator::without_trace`])
-    /// — the fast path engines and autotune probes always take, since
-    /// sweep throughput only needs the clock. Use
+    /// — what engines and autotune probes use by default, since sweep
+    /// throughput only needs the clock. Use
     /// [`ClusterSim::with_trace`] when the execution trace itself is
     /// the product (breakdown figures, timeline debugging).
     pub fn new(cluster: impl Into<Arc<ClusterSpec>>) -> Self {
@@ -289,10 +289,10 @@ mod tests {
 
     #[test]
     fn trace_is_opt_in() {
-        let mut fast = ClusterSim::new(ClusterSpec::a10x4());
-        let h = fast.submit_pass(ParallelConfig::tp(4), 0, &[1.0], None, TaskKind::Compute);
-        fast.sim.run_until(h);
-        assert!(fast.sim.trace().spans().is_empty(), "fast path records nothing");
+        let mut plain = ClusterSim::new(ClusterSpec::a10x4());
+        let h = plain.submit_pass(ParallelConfig::tp(4), 0, &[1.0], None, TaskKind::Compute);
+        plain.sim.run_until(h);
+        assert!(plain.sim.trace().spans().is_empty(), "untraced sim records nothing");
 
         let mut traced = ClusterSim::with_trace(ClusterSpec::a10x4());
         let h = traced.submit_pass(ParallelConfig::tp(4), 0, &[1.0], None, TaskKind::Compute);

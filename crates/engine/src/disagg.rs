@@ -19,11 +19,10 @@ use seesaw_model::ModelConfig;
 use seesaw_parallel::{FitError, ParallelConfig};
 use seesaw_roofline::{Roofline, ThroughputModel};
 use seesaw_workload::{LatencyStats, Request, RequestTiming, RunStats, SloSpec};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One evaluated disaggregation split.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DisaggReport {
     /// GPUs assigned to prefill.
     pub prefill_gpus: usize,

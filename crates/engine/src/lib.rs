@@ -54,10 +54,8 @@ pub use stepper::{live_state, EngineStepper, LiveState};
 pub use sweep::{SweepResult, SweepRunner};
 pub use timing::TimingRecorder;
 
-use serde::{Deserialize, Serialize};
-
 /// Scheduling policy for the static-parallelism baseline engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulingPolicy {
     /// Eagerly prefill whenever KV space allows (vLLM default;
     /// maximizes batch size, pauses decodes during prefill passes).

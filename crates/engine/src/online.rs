@@ -8,8 +8,8 @@
 //! trait objects and mix backends freely.
 //!
 //! Cost-aware request routers additionally need a cheap *a-priori*
-//! estimate of what a request will cost on a given engine, before any
-//! simulation runs. [`ServiceRates`] provides that: analytic
+//! estimate of what a request will cost on a given engine, without
+//! reading any simulated state. [`ServiceRates`] provides that: analytic
 //! roofline-derived token rates (the same Eq. 1/2 closed forms the
 //! auto-tuner ranks candidates with), from which a request's
 //! steady-state capacity occupancy is `in/prefill_rate +
@@ -19,12 +19,12 @@ use crate::actor::EngineActor;
 use crate::report::EngineReport;
 use crate::stepper::EngineStepper;
 use seesaw_workload::{LatencyStats, Request, RequestMap};
-use serde::{Deserialize, Serialize};
 
 /// Analytic steady-state service rates of an engine, for cost-aware
 /// routing. Derived from the roofline model (Eq. 1/2), not measured:
-/// routers must rank replicas *before* simulating them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// estimated routing policies rank replicas without reading any
+/// simulated state.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceRates {
     /// Sustained prefill rate, prompt tokens/second.
     pub prefill_tokens_per_sec: f64,
@@ -88,12 +88,12 @@ pub trait OnlineEngine: Send + Sync {
     /// requests start no earlier, and requests behind them inherit the
     /// longer backlog.
     ///
-    /// `ready_s <= ` the first arrival is a no-op fast path returning
-    /// `run` byte-for-byte (a warm replica's report is unchanged).
-    /// The autoscale controller's router never assigns traffic to a
-    /// warming replica, so for router-assigned streams this method
-    /// *is* that fast path — the clamp is the engine-level guard of
-    /// the same contract for streams assembled without the router.
+    /// `ready_s <= ` the first arrival returns `run` byte-for-byte (a
+    /// warm replica's report is unchanged). The autoscale
+    /// controller's router never assigns traffic to a warming
+    /// replica, so for router-assigned streams this method *is*
+    /// `run` — the clamp is the engine-level guard of the same
+    /// contract for streams assembled without the router.
     fn run_ready(&self, requests: &[Request], ready_s: f64) -> EngineReport {
         assert!(
             ready_s.is_finite() && ready_s >= 0.0,

@@ -1,10 +1,9 @@
 //! Run reports common to every engine.
 
 use seesaw_workload::{LatencyStats, RequestTiming, RunStats, SloSpec};
-use serde::{Deserialize, Serialize};
 
 /// Engine phase, for the execution timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Prompt processing under `c_p`.
     Prefill,
@@ -25,7 +24,7 @@ impl std::fmt::Display for Phase {
 }
 
 /// One contiguous phase interval in an engine run's timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseSpan {
     /// What the cluster was doing.
     pub phase: Phase,
@@ -43,7 +42,7 @@ impl PhaseSpan {
 }
 
 /// Outcome of one engine run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineReport {
     /// Configuration label in the paper's notation (`"T4P2"`,
     /// `"P4->T4"`).

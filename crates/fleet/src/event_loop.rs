@@ -1,30 +1,24 @@
-//! The fleet's global time-ordered event loop.
-//!
-//! The merged-timeline fast path ([`Fleet::run_with`]) routes the
-//! whole stream up front and simulates replicas independently — valid
-//! precisely because feedback-free policies never read replica state.
-//! Live policies do: `jsq-live` and `least-work-live` rank replicas
-//! by *measured* queue depth / remaining work at each arrival
-//! instant, so the fleet must advance on one global clock.
+//! The fleet's global time-ordered event loop — the one way a
+//! [`Fleet`] runs.
 //!
 //! This module hosts the N replicas as engine actors
 //! ([`seesaw_engine::EngineActor`]) on a single
 //! [`seesaw_sim::EventQueue`]: every arrival is an event; popping one
-//! advances the global clock to that instant, reads each replica's
-//! exact live state there — the actors keep running on the global
+//! advances the global clock to that instant, routes the request
+//! through [`Router::route`] and pushes it to the chosen actor. Live
+//! policies (`jsq-live`, `least-work-live`) first read each replica's
+//! exact measured state there — the actors keep running on the global
 //! clock, so each replica is simulated once rather than re-run from
-//! t=0 — routes on the measured state, and pushes the request to the
-//! chosen actor. Decisions are serial in event order, so runs are
-//! deterministic and runner-invariant; finishing the actors — the
-//! final per-replica simulations — parallelizes on the
-//! [`SweepRunner`] exactly like the fast path.
+//! t=0 — while estimated policies decide from the router's virtual
+//! queues and never query the actors. Decisions are serial in event
+//! order, so runs are deterministic and runner-invariant; finishing
+//! the actors — the final per-replica simulations — parallelizes on
+//! the [`SweepRunner`].
 //!
-//! For feedback-free policies the loop skips the live-state queries
-//! and the router falls through to its estimated decision — the same
-//! decision the fast path makes — so both paths produce byte-identical
-//! [`FleetReport`]s (enforced by `tests/event_core.rs`). That
-//! equivalence is what lets [`Fleet::run_with`] auto-select the fast
-//! path whenever the policy permits.
+//! For estimated policies the result equals the merged-timeline
+//! construction (route the whole stream, split it per replica, run
+//! each replica's engine on its stream, merge), which
+//! `tests/event_core.rs` keeps as the oracle.
 
 use crate::fleet::Fleet;
 use crate::report::FleetReport;
@@ -38,33 +32,14 @@ use seesaw_telemetry::{Instrument, ROUTER_TRACK};
 use seesaw_workload::Request;
 
 impl Fleet {
-    /// Serve `requests` (sorted by arrival) under `policy` on the
-    /// global event loop, with the final replica simulations
-    /// parallelized by `runner`.
-    ///
-    /// Works for *every* policy: live policies require it, and
-    /// feedback-free policies produce reports byte-identical to the
-    /// merged-timeline fast path (which [`Fleet::run_with`] selects
-    /// automatically for them — calling this directly just forgoes
-    /// the shortcut, e.g. to test the equivalence).
-    pub fn run_event_loop_with(
-        &self,
-        runner: &SweepRunner,
-        policy: RouterPolicy,
-        requests: &[Request],
-    ) -> FleetReport {
-        self.run_event_loop_instrumented_with(runner, policy, requests, &mut Instrument::off())
-    }
-
-    /// [`Fleet::run_event_loop_with`] with a telemetry [`Instrument`]:
-    /// route decisions (and the measured or estimated state each one
-    /// saw) are recorded as instants on the router track while the
-    /// loop runs; request lifecycle spans and registry metrics are
-    /// filled in from the finished report. With `Instrument::off()`
-    /// this *is* `run_event_loop_with` — every recording site is a
-    /// branch on a false bool, so disabled output is byte-identical
-    /// (enforced by tests).
-    pub fn run_event_loop_instrumented_with(
+    /// [`Fleet::run_with`] with a telemetry [`Instrument`]: route
+    /// decisions (and the measured or estimated state each one saw)
+    /// are recorded as instants on the router track while the loop
+    /// runs; request lifecycle spans and registry metrics are filled
+    /// in from the finished report. With `Instrument::off()` this
+    /// *is* `run_with` — every recording site is a branch on a false
+    /// bool, so disabled output is byte-identical (enforced by tests).
+    pub fn run_instrumented_with(
         &self,
         runner: &SweepRunner,
         policy: RouterPolicy,
@@ -105,7 +80,7 @@ impl Fleet {
                 Vec::new()
             };
             let routed = router
-                .route_live_among(req, &all, &live, est)
+                .route(req, &all, &live, est)
                 .expect("every replica of a fixed fleet is eligible");
             assignment[idx] = routed.replica;
             if telemetry {

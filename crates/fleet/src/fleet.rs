@@ -1,29 +1,22 @@
 //! The fleet itself: N engine replicas served by one router.
 
 use crate::report::FleetReport;
-use crate::router::{self, RouterPolicy};
-use seesaw_engine::driver::assert_arrivals_sorted;
+use crate::router::RouterPolicy;
 use seesaw_engine::online::mean_lengths;
 use seesaw_engine::{OnlineEngine, ServiceRates, SweepRunner};
+use seesaw_telemetry::Instrument;
 use seesaw_workload::{split_stream, Request};
 
 /// N replicas of (possibly heterogeneous) engines behind a router.
 ///
 /// A `Fleet` owns its replicas as [`OnlineEngine`] trait objects, so
-/// Seesaw, vLLM, and disaggregated backends mix freely. Running the
-/// fleet is a three-step pipeline:
-///
-/// 1. **Route** — one serial pass over the global arrival-sorted
-///    stream assigns every request to a replica (see
-///    [`crate::router`]).
-/// 2. **Simulate** — per-replica streams (still arrival-sorted; the
-///    split preserves order) run through each replica's existing
-///    online engine path, concurrently on the given
-///    [`SweepRunner`]. Replica simulations share nothing, so this
-///    parallelizes exactly like a candidate sweep.
-/// 3. **Merge** — per-replica timelines combine into a
-///    [`FleetReport`] with fleet-level percentiles and imbalance
-///    statistics.
+/// Seesaw, vLLM, and disaggregated backends mix freely. Every run
+/// goes through the fleet's global event loop ([`crate::event_loop`]):
+/// each arrival is routed in global time order (see
+/// [`crate::router`]) and pushed to its replica's engine actor; the
+/// actors then finish concurrently on the given [`SweepRunner`], and
+/// their per-replica timelines combine into a [`FleetReport`] with
+/// fleet-level percentiles and imbalance statistics.
 pub struct Fleet {
     pub(crate) replicas: Vec<Box<dyn OnlineEngine>>,
     /// Whether every replica is known-identical (constructed via
@@ -99,78 +92,27 @@ impl Fleet {
     }
 
     /// [`Fleet::run`] on an explicit runner. Deterministic and
-    /// runner-invariant: routing is serial, replica runs are
-    /// independent, and reports are collected in replica order.
-    ///
-    /// Dispatches on the policy: feedback-free (estimated-queue)
-    /// policies take this merged-timeline fast path — route the whole
-    /// stream serially, then simulate replicas independently — while
-    /// live policies ([`RouterPolicy::needs_live_state`]) run on the
-    /// global event loop ([`Fleet::run_event_loop_with`]), which
-    /// observes measured replica state at every arrival. The two
-    /// paths produce byte-identical reports for feedback-free
-    /// policies (enforced by tests), so the dispatch is purely a
-    /// performance choice.
+    /// runner-invariant: routing is serial in event order, replica
+    /// runs are independent, and reports are collected in replica
+    /// order. This is [`Fleet::run_instrumented_with`] with telemetry
+    /// off.
     pub fn run_with(
         &self,
         runner: &SweepRunner,
         policy: RouterPolicy,
         requests: &[Request],
     ) -> FleetReport {
-        if policy.needs_live_state() {
-            return self.run_event_loop_with(runner, policy, requests);
-        }
-        self.run_fast_path(runner, policy, requests)
-    }
-
-    /// [`Fleet::run_with`] under a telemetry [`Instrument`]. When
-    /// recording is on, every policy runs on the global event loop so
-    /// the route-decision instants carry the state each decision saw
-    /// (for feedback-free policies the loop reproduces the fast path
-    /// byte-for-byte, so only wall-time differs); with
-    /// [`seesaw_telemetry::Instrument::off()`] this dispatches
-    /// exactly like `run_with`.
-    pub fn run_instrumented_with(
-        &self,
-        runner: &SweepRunner,
-        policy: RouterPolicy,
-        requests: &[Request],
-        instr: &mut seesaw_telemetry::Instrument,
-    ) -> FleetReport {
-        if policy.needs_live_state() || instr.telemetry_on() {
-            return self.run_event_loop_instrumented_with(runner, policy, requests, instr);
-        }
-        self.run_fast_path(runner, policy, requests)
-    }
-
-    fn run_fast_path(
-        &self,
-        runner: &SweepRunner,
-        policy: RouterPolicy,
-        requests: &[Request],
-    ) -> FleetReport {
-        assert_arrivals_sorted(requests);
-        let n = self.replicas.len();
-        let rates = self.routing_rates(policy, requests);
-        // `rates` is empty for round-robin (the router never asks it
-        // for estimates); the `get` keeps the closure total rather
-        // than resting an index on that other-crate invariant.
-        let assignment = router::assign(policy, n, requests, |replica, req| {
-            rates.get(replica).map_or(1.0, |r| r.est_service_s(req))
-        });
-        let streams = split_stream(requests, &assignment, n);
-        let indices: Vec<usize> = (0..n).collect();
-        let reports = runner.map(&indices, |&i| self.replicas[i].run(&streams[i]));
-        FleetReport::from_replica_reports(policy, reports, assignment)
+        self.run_instrumented_with(runner, policy, requests, &mut Instrument::off())
     }
 
     /// Serve `requests` under `policy` with engine span recording on
     /// ([`OnlineEngine::run_traced`]), returning the fleet report plus
     /// each replica's per-category busy-time summary (replica order) —
-    /// the `fleet --breakdown` path. Routing is identical to
-    /// [`Fleet::run_with`]; only the final simulations record spans,
-    /// so the report matches the untraced run byte-for-byte. Engines
-    /// without a traced path contribute all-zero summaries.
+    /// the `fleet --breakdown` path. The assignment comes from
+    /// [`Fleet::run_with`]; the per-replica streams it implies are then
+    /// re-run with span recording, which reproduces the same replica
+    /// reports, so the result matches the untraced run byte-for-byte.
+    /// Engines without a traced path contribute all-zero summaries.
     pub fn run_breakdown_with(
         &self,
         runner: &SweepRunner,
@@ -178,18 +120,7 @@ impl Fleet {
         requests: &[Request],
     ) -> (FleetReport, Vec<seesaw_sim::TraceSummary>) {
         let n = self.replicas.len();
-        let assignment = if policy.needs_live_state() {
-            // Live routing needs the global event loop; reuse it and
-            // keep only the assignment (the traced re-runs below
-            // reproduce the same per-replica reports).
-            self.run_event_loop_with(runner, policy, requests).assignment
-        } else {
-            assert_arrivals_sorted(requests);
-            let rates = self.routing_rates(policy, requests);
-            router::assign(policy, n, requests, |replica, req| {
-                rates.get(replica).map_or(1.0, |r| r.est_service_s(req))
-            })
-        };
+        let assignment = self.run_with(runner, policy, requests).assignment;
         let streams = split_stream(requests, &assignment, n);
         let indices: Vec<usize> = (0..n).collect();
         let traced = runner.map(&indices, |&i| self.replicas[i].run_traced(&streams[i]));
@@ -205,8 +136,7 @@ impl Fleet {
     /// so the vec is empty. A known-homogeneous fleet computes one
     /// analytic rate and shares it (rates can be expensive: disagg
     /// re-runs its split search per call); heterogeneous fleets
-    /// estimate per replica. Shared by the fast path and the event
-    /// loop so both routes see identical estimates.
+    /// estimate per replica.
     pub(crate) fn routing_rates(
         &self,
         policy: RouterPolicy,
@@ -329,9 +259,8 @@ mod tests {
             assert_eq!(m1, m4, "{policy}: metric bytes are jobs-invariant");
             assert!(t1.contains("\"ph\":\"X\""), "{policy}: request spans present");
             assert!(t1.contains("route "), "{policy}: route instants present");
-            // The report itself matches the uninstrumented run: for
-            // live policies trivially, for estimated ones because the
-            // event loop reproduces the fast path byte-for-byte.
+            // Recording only observes: the report matches the
+            // uninstrumented run.
             assert_eq!(r1, fleet.run_with(&SweepRunner::serial(), policy, &reqs), "{policy}");
         }
     }
@@ -340,7 +269,7 @@ mod tests {
     fn breakdown_matches_untraced_report_and_fills_buckets() {
         let fleet = small_fleet(2);
         let reqs = online_reqs(12, 5.0);
-        for policy in [RouterPolicy::JoinShortestQueue, RouterPolicy::JoinShortestQueueLive] {
+        for policy in RouterPolicy::all_with_live() {
             let plain = fleet.run_with(&SweepRunner::serial(), policy, &reqs);
             let (report, summaries) =
                 fleet.run_breakdown_with(&SweepRunner::serial(), policy, &reqs);

@@ -9,31 +9,26 @@
 //! * [`Fleet`] owns N replicas, each an engine behind a
 //!   [`seesaw_engine::OnlineEngine`] trait object — Seesaw, vLLM, or
 //!   disaggregated backends, heterogeneous mixes allowed.
-//! * [`Router`] walks the global arrival-sorted stream once and
-//!   assigns every request to a replica under a pluggable
+//! * [`Router`] assigns each arriving request to a replica through
+//!   one decision function, [`Router::route`], under a pluggable
 //!   [`RouterPolicy`]: round-robin, join-shortest-queue,
 //!   power-of-two-choices (seeded), or least-estimated-work using the
 //!   roofline service-rate estimates — plus the live-feedback
 //!   `jsq-live` and `least-work-live` policies that rank replicas by
 //!   *measured* engine state.
-//! * [`Fleet::run_with`] splits the stream per replica (order- and
-//!   therefore arrival-sortedness-preserving), runs every replica
-//!   through its existing per-engine online path — concurrently, on a
-//!   [`seesaw_engine::SweepRunner`] — and merges the per-replica
-//!   timelines into a [`FleetReport`] with fleet-level latency
-//!   percentiles, SLO attainment, goodput, and per-replica
-//!   load-imbalance statistics. Live policies automatically run on
-//!   the global event loop ([`event_loop`]) instead; feedback-free
-//!   ones keep this merged-timeline fast path, which the event loop
-//!   reproduces byte-for-byte.
+//! * [`Fleet::run_with`] runs the fleet on its global event loop
+//!   ([`event_loop`]): arrivals are routed in time order and pushed to
+//!   per-replica engine actors, which finish concurrently on a
+//!   [`seesaw_engine::SweepRunner`]; the per-replica timelines merge
+//!   into a [`FleetReport`] with fleet-level latency percentiles, SLO
+//!   attainment, goodput, and per-replica load-imbalance statistics.
 //! * [`sweep`] evaluates capacity-scaling grids (replica count ×
 //!   offered load) and router-policy head-to-head comparisons.
 //!
-//! Everything is deterministic: routing is a single serial pass (in
-//! arrival order on the fast path, in global event order on the event
-//! loop), replica simulations are independent, and results are
-//! collected in replica order — so fleet output is byte-identical for
-//! every `--jobs` value, and a single-replica round-robin fleet
+//! Everything is deterministic: routing is a single serial pass in
+//! global event order, replica simulations are independent, and
+//! results are collected in replica order — so fleet output is
+//! byte-identical for every `--jobs` value, and a single-replica round-robin fleet
 //! reproduces the bare engine's report exactly.
 
 pub mod event_loop;
@@ -47,9 +42,7 @@ pub use fleet::Fleet;
 pub use report::{FleetReport, LoadImbalance};
 pub use router::{NoAcceptingReplica, Routed, Router, RouterPolicy};
 pub use sweep::{
-    hetero_offline_capacity, offline_capacity, policy_comparison_at_capacity_with,
-    policy_comparison_hetero_patterned_with, policy_comparison_patterned_at_capacity_with,
-    policy_comparison_with,
-    scaling_sweep_at_capacity_with, scaling_sweep_patterned_at_capacity_with,
-    scaling_sweep_with, FleetPoint, FleetScalingSweep,
+    hetero_offline_capacity, offline_capacity, policy_comparison_hetero_patterned_with,
+    policy_comparison_patterned_at_capacity_with, policy_comparison_with,
+    scaling_sweep_patterned_at_capacity_with, scaling_sweep_with, FleetPoint, FleetScalingSweep,
 };

@@ -4,7 +4,6 @@
 use crate::router::RouterPolicy;
 use seesaw_engine::EngineReport;
 use seesaw_workload::{merge_timelines, LatencyStats, RequestTiming, RunStats, SloSpec};
-use serde::{Deserialize, Serialize};
 
 /// How evenly the router spread the stream over the replicas.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// (input + output) measure *work* balance — a router can equalize
 /// counts while piling the long prompts onto one replica, which is
 /// exactly what `cv_tokens > cv_requests` reveals.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadImbalance {
     /// Fewest requests any replica received.
     pub min_requests: usize,
@@ -32,7 +31,7 @@ pub struct LoadImbalance {
 
 /// Outcome of one fleet run: every replica's own [`EngineReport`]
 /// plus the merged fleet-level view.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Routing policy that produced the assignment.
     pub policy: RouterPolicy,

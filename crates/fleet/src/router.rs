@@ -2,15 +2,17 @@
 //!
 //! The router sees the global request stream in arrival order and
 //! assigns each request to a replica *at its arrival instant*, using
-//! only information available then: per-replica bookkeeping of what
-//! has been dispatched, and analytic service-time estimates
-//! ([`seesaw_engine::ServiceRates`]) — never the simulated outcome,
-//! which does not exist yet (replicas simulate after routing). Each
-//! replica is modeled as a virtual FIFO server: a routed request
-//! occupies it for its estimated service time, and requests whose
-//! estimated completion has passed are drained before each decision.
-//! This is exactly the state a production load balancer tracks
-//! (outstanding requests / estimated backlog per backend).
+//! only information available then. Estimated policies read
+//! per-replica bookkeeping of what has been dispatched, priced by
+//! analytic service-time estimates ([`seesaw_engine::ServiceRates`]):
+//! each replica is modeled as a virtual FIFO server that a routed
+//! request occupies for its estimated service time, and requests
+//! whose estimated completion has passed are drained before each
+//! decision — exactly the state a production load balancer tracks
+//! (outstanding requests / estimated backlog per backend). Live
+//! policies instead rank replicas by state measured from their
+//! engines at the arrival instant, supplied by the caller's event
+//! loop. Every decision goes through the one [`Router::route`].
 //!
 //! All policies are deterministic: [`RouterPolicy::PowerOfTwoChoices`]
 //! carries its own RNG seed, and queue-state ties break by a
@@ -23,11 +25,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seesaw_engine::{live_state, EngineActor};
 use seesaw_workload::Request;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// How the fleet router picks a replica for each arriving request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RouterPolicy {
     /// Request `i` goes to replica `i mod N` — load-oblivious, the
     /// baseline every balancer is measured against.
@@ -51,12 +52,11 @@ pub enum RouterPolicy {
     LeastEstimatedWork,
     /// JSQ over *measured* replica state: fewest actually-unfinished
     /// requests at the arrival instant, counted exactly from each
-    /// replica's engine actor (see `seesaw_engine::actor`). Requires
-    /// the global event loop — there is no estimated fast path.
+    /// replica's engine actor (see `seesaw_engine::actor`).
     JoinShortestQueueLive,
     /// Least *measured* remaining work: the replica whose in-flight
     /// requests have the least summed remaining wall-clock seconds at
-    /// the arrival instant. Requires the global event loop.
+    /// the arrival instant.
     LeastWorkLive,
 }
 
@@ -100,9 +100,9 @@ impl RouterPolicy {
 
     /// Whether decisions under this policy read *measured* replica
     /// state (live queue depth / remaining work) rather than the
-    /// router's virtual-queue estimates. Live policies must run on
-    /// the global event loop; feedback-free ones take the
-    /// merged-timeline fast path.
+    /// router's virtual-queue estimates — callers must then supply
+    /// [`RouterPolicy::read_live`] per eligible replica to
+    /// [`Router::route`].
     pub fn needs_live_state(&self) -> bool {
         matches!(
             self,
@@ -136,7 +136,7 @@ impl RouterPolicy {
 /// buffer the arrival until a replica is accepting (or count it lost
 /// when none ever will be); a panic here would kill whole chaos
 /// sweeps on their most interesting points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoAcceptingReplica {
     /// Arrival time (seconds) at which routing found no accepting
     /// replica.
@@ -196,7 +196,7 @@ impl VirtualQueue {
     }
 }
 
-/// One routing decision from [`Router::route_among`].
+/// One routing decision from [`Router::route`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Routed {
     /// The chosen replica.
@@ -215,8 +215,9 @@ pub struct Routed {
 pub struct Router {
     policy: RouterPolicy,
     queues: Vec<VirtualQueue>,
-    /// Round-robin cursor: the next replica for `RoundRobin`, and the
-    /// tie-break rotor for the queue-state policies.
+    /// Tie-break rotor: the first replica the keyed argmin considers.
+    /// Round-robin is the argmin of a constant key, so this is also
+    /// its cursor.
     rr_next: usize,
     rng: Option<StdRng>,
 }
@@ -242,66 +243,6 @@ impl Router {
         self.queues.len()
     }
 
-    /// Route one request (arrivals must be fed in nondecreasing
-    /// order). `est_service` maps `(replica, request)` to the
-    /// roofline-estimated service seconds on that replica — evaluated
-    /// once, for the chosen replica (heterogeneous fleets have
-    /// per-replica rates).
-    pub fn route(&mut self, req: &Request, est_service: impl Fn(usize, &Request) -> f64) -> usize {
-        let now = req.arrival_s;
-        let n = self.queues.len();
-        // Round-robin never consults queue state or service
-        // estimates — skip the bookkeeping entirely (`est_service` is
-        // not called, so load-oblivious fleets need no rates at all).
-        if self.policy == RouterPolicy::RoundRobin {
-            let r = self.rr_next;
-            self.rr_next = (self.rr_next + 1) % n;
-            return r;
-        }
-        for q in &mut self.queues {
-            q.advance_to(now);
-        }
-        let chosen = match self.policy {
-            RouterPolicy::RoundRobin => unreachable!("handled above"),
-            RouterPolicy::JoinShortestQueue => self.argmin_by(|q| q.inflight.len() as f64),
-            RouterPolicy::PowerOfTwoChoices { .. } => {
-                if n == 1 {
-                    0
-                } else {
-                    let rng = self.rng.as_mut().expect("po2 router has an RNG");
-                    let a = rng.gen_range(0..n);
-                    let mut b = rng.gen_range(0..n - 1);
-                    if b >= a {
-                        b += 1;
-                    }
-                    // The first sample wins ties — it is already
-                    // uniform, so tied (e.g. drained) queues spread
-                    // instead of hot-spotting a fixed index.
-                    if self.queues[b].inflight.len() < self.queues[a].inflight.len() {
-                        b
-                    } else {
-                        a
-                    }
-                }
-            }
-            RouterPolicy::LeastEstimatedWork => self.argmin_by(|q| q.work),
-            RouterPolicy::JoinShortestQueueLive | RouterPolicy::LeastWorkLive => {
-                panic!(
-                    "{} reads measured replica state; route via the global \
-                     event loop (route_live_among), not the estimated path",
-                    self.policy
-                )
-            }
-        };
-        let est = est_service(chosen, req);
-        assert!(
-            est.is_finite() && est > 0.0,
-            "service estimate must be positive and finite, got {est}"
-        );
-        self.queues[chosen].push(now, est);
-        chosen
-    }
-
     /// Add a replica (an empty virtual queue), returning its index.
     /// Elastic fleets call this when the autoscaling controller
     /// spawns a replica mid-stream: the router is *resumable* — its
@@ -311,26 +252,37 @@ impl Router {
         self.queues.len() - 1
     }
 
-    /// [`Router::route`] restricted to the `eligible` replicas
-    /// (sorted, non-empty, in range) — the ones currently accepting
-    /// traffic in an elastic fleet (warm, not retiring). With every
-    /// replica eligible the decision is identical to [`Router::route`]
-    /// (same RNG draws, same rotor walk), so a Static autoscaling run
-    /// reproduces a fixed [`crate::Fleet`] byte-for-byte.
+    /// Route one request (arrivals must be fed in nondecreasing
+    /// order) to one of the `eligible` replicas — sorted, unique, in
+    /// range: the ones currently accepting traffic (every replica of
+    /// a fixed fleet; warm, not retiring ones in an elastic fleet).
     ///
-    /// Unlike `route`, bookkeeping runs for *every* policy (including
-    /// round-robin, whose assignment ignores it) so the controller's
-    /// queue-depth/wait signals exist regardless of policy; `route`
-    /// keeps its bookkeeping-free round-robin fast path, which cannot
-    /// diverge because round-robin decisions never read queue state.
+    /// `live[k]` is the measured `(unfinished requests, remaining
+    /// work seconds)` of replica `eligible[k]` at the arrival instant
+    /// (see [`RouterPolicy::read_live`]). Live policies rank by it and
+    /// panic without it; estimated policies ignore it (pass `&[]`)
+    /// and rank by the virtual queues. `est_service` maps `(replica,
+    /// request)` to the roofline-estimated service seconds on that
+    /// replica — evaluated once, for the chosen replica, whose
+    /// virtual queue then holds the request under every policy, so
+    /// [`Router::queue_state`] is meaningful regardless of policy.
+    ///
+    /// Round-robin, JSQ, least-work and both live policies take the
+    /// argmin of their key over `eligible`; exact ties resolve on the
+    /// round-robin rotor (the first tied replica at or after it,
+    /// cyclically), so a fleet whose queues keep draining — light
+    /// load — degenerates to round-robin instead of a fixed-index hot
+    /// spot. Po2 samples two distinct eligible positions with its
+    /// seeded RNG.
     ///
     /// An empty `eligible` set — every replica dark mid-outage — is a
     /// typed [`NoAcceptingReplica`] error, not a panic: the caller
     /// decides whether to buffer, requeue, or fail the arrival.
-    pub fn route_among(
+    pub fn route(
         &mut self,
         req: &Request,
         eligible: &[usize],
+        live: &[(usize, f64)],
         est_service: impl Fn(usize, &Request) -> f64,
     ) -> Result<Routed, NoAcceptingReplica> {
         let n = self.queues.len();
@@ -341,111 +293,21 @@ impl Router {
             eligible.windows(2).all(|w| w[0] < w[1]) && *eligible.last().unwrap() < n,
             "eligible set must be sorted, unique, and in range"
         );
-        let now = req.arrival_s;
-        for q in &mut self.queues {
-            q.advance_to(now);
-        }
-        let chosen = match self.policy {
-            RouterPolicy::RoundRobin => {
-                let r = (0..n)
-                    .map(|off| (self.rr_next + off) % n)
-                    .find(|i| eligible.binary_search(i).is_ok())
-                    .expect("eligible is non-empty");
-                self.rr_next = (r + 1) % n;
-                r
-            }
-            RouterPolicy::JoinShortestQueue => {
-                self.argmin_among(eligible, |q| q.inflight.len() as f64)
-            }
-            RouterPolicy::PowerOfTwoChoices { .. } => {
-                let k = eligible.len();
-                if k == 1 {
-                    eligible[0]
-                } else {
-                    let rng = self.rng.as_mut().expect("po2 router has an RNG");
-                    // Sample positions in the eligible list with the
-                    // same draw pattern `route` uses over all
-                    // replicas, so full eligibility replays the same
-                    // stream.
-                    let a = rng.gen_range(0..k);
-                    let mut b = rng.gen_range(0..k - 1);
-                    if b >= a {
-                        b += 1;
-                    }
-                    let (a, b) = (eligible[a], eligible[b]);
-                    if self.queues[b].inflight.len() < self.queues[a].inflight.len() {
-                        b
-                    } else {
-                        a
-                    }
-                }
-            }
-            RouterPolicy::LeastEstimatedWork => self.argmin_among(eligible, |q| q.work),
-            RouterPolicy::JoinShortestQueueLive | RouterPolicy::LeastWorkLive => {
-                panic!(
-                    "{} reads measured replica state; route via \
-                     route_live_among, not the estimated path",
-                    self.policy
-                )
-            }
-        };
-        let est = est_service(chosen, req);
         assert!(
-            est.is_finite() && est > 0.0,
-            "service estimate must be positive and finite, got {est}"
-        );
-        let start = self.queues[chosen].push(now, est);
-        Ok(Routed { replica: chosen, est_wait_s: start - now })
-    }
-
-    /// Route one request from *measured* replica state: `live[k]` is
-    /// the `(unfinished request count, remaining work seconds)` of
-    /// replica `eligible[k]` at the arrival instant, observed from
-    /// the engines' exact replays by the global event loop.
-    ///
-    /// Live policies take the argmin of their measured key with the
-    /// same round-robin tie rotor the estimated policies use;
-    /// estimated policies (including round-robin and po2) ignore
-    /// `live` and decide exactly as [`Router::route_among`] — so an
-    /// event loop can call this uniformly and feedback-free policies
-    /// still replay their merged-timeline decisions bit-for-bit.
-    /// Virtual-queue bookkeeping runs for every policy, keeping
-    /// `queue_state` meaningful regardless.
-    pub fn route_live_among(
-        &mut self,
-        req: &Request,
-        eligible: &[usize],
-        live: &[(usize, f64)],
-        est_service: impl Fn(usize, &Request) -> f64,
-    ) -> Result<Routed, NoAcceptingReplica> {
-        if !self.policy.needs_live_state() {
-            return self.route_among(req, eligible, est_service);
-        }
-        if eligible.is_empty() {
-            return Err(NoAcceptingReplica { at_s: req.arrival_s });
-        }
-        assert_eq!(
-            live.len(),
-            eligible.len(),
-            "live state must be supplied per eligible replica"
-        );
-        debug_assert!(
-            eligible.windows(2).all(|w| w[0] < w[1])
-                && *eligible.last().unwrap() < self.queues.len(),
-            "eligible set must be sorted, unique, and in range"
+            !self.policy.needs_live_state() || live.len() == eligible.len(),
+            "{} ranks replicas by measured replica state: supply one live entry \
+             per eligible replica",
+            self.policy
         );
         let now = req.arrival_s;
         for q in &mut self.queues {
             q.advance_to(now);
         }
-        let keys: Vec<f64> = match self.policy {
-            RouterPolicy::JoinShortestQueueLive => {
-                live.iter().map(|&(depth, _)| depth as f64).collect()
-            }
-            RouterPolicy::LeastWorkLive => live.iter().map(|&(_, work)| work).collect(),
-            _ => unreachable!("estimated policies returned above"),
+        let chosen = if let RouterPolicy::PowerOfTwoChoices { .. } = self.policy {
+            self.po2(eligible)
+        } else {
+            self.argmin(eligible, live)
         };
-        let chosen = self.argmin_live(eligible, &keys);
         let est = est_service(chosen, req);
         assert!(
             est.is_finite() && est > 0.0,
@@ -482,79 +344,57 @@ impl Router {
             .collect()
     }
 
-    /// [`Router::argmin_by`] restricted to `eligible`: the minimum is
-    /// taken over eligible replicas only, and the tie walk skips
-    /// ineligible indices — with all replicas eligible both loops
-    /// visit the same indices in the same order as `argmin_by`.
-    fn argmin_among(&mut self, eligible: &[usize], key: impl Fn(&VirtualQueue) -> f64) -> usize {
+    /// The key replica `eligible[pos]` is ranked by (lower wins).
+    fn key(&self, pos: usize, replica: usize, live: &[(usize, f64)]) -> f64 {
+        match self.policy {
+            RouterPolicy::RoundRobin => 0.0,
+            RouterPolicy::JoinShortestQueue => self.queues[replica].inflight.len() as f64,
+            RouterPolicy::LeastEstimatedWork => self.queues[replica].work,
+            RouterPolicy::JoinShortestQueueLive => live[pos].0 as f64,
+            RouterPolicy::LeastWorkLive => live[pos].1,
+            RouterPolicy::PowerOfTwoChoices { .. } => unreachable!("po2 samples, it has no key"),
+        }
+    }
+
+    /// The eligible replica minimizing [`Router::key`]; the tie walk
+    /// starts at the rotor and skips ineligible indices.
+    fn argmin(&mut self, eligible: &[usize], live: &[(usize, f64)]) -> usize {
         let n = self.queues.len();
         let min = eligible
             .iter()
-            .map(|&i| key(&self.queues[i]))
+            .enumerate()
+            .map(|(pos, &i)| self.key(pos, i, live))
             .fold(f64::INFINITY, f64::min);
-        for off in 0..n {
-            let i = (self.rr_next + off) % n;
-            if eligible.binary_search(&i).is_ok() && key(&self.queues[i]) == min {
-                self.rr_next = (i + 1) % n;
-                return i;
-            }
-        }
-        unreachable!("some eligible replica attains the minimum")
+        let chosen = (0..n)
+            .map(|off| (self.rr_next + off) % n)
+            .find(|&i| eligible.binary_search(&i).is_ok_and(|pos| self.key(pos, i, live) == min))
+            .expect("some eligible replica attains the minimum");
+        self.rr_next = (chosen + 1) % n;
+        chosen
     }
 
-    /// [`Router::argmin_among`] over externally supplied keys
-    /// (`keys[k]` belongs to `eligible[k]`): the live-policy argmin,
-    /// sharing the same rotor walk so measured ties rotate exactly
-    /// like estimated ones.
-    fn argmin_live(&mut self, eligible: &[usize], keys: &[f64]) -> usize {
-        let n = self.queues.len();
-        let min = keys.iter().copied().fold(f64::INFINITY, f64::min);
-        for off in 0..n {
-            let i = (self.rr_next + off) % n;
-            if let Ok(pos) = eligible.binary_search(&i) {
-                if keys[pos] == min {
-                    self.rr_next = (i + 1) % n;
-                    return i;
-                }
-            }
+    /// Power of two choices: sample two distinct eligible positions
+    /// and keep the one with fewer in-flight requests. The first
+    /// sample wins ties — it is already uniform, so tied (e.g.
+    /// drained) queues spread instead of hot-spotting a fixed index.
+    fn po2(&mut self, eligible: &[usize]) -> usize {
+        let k = eligible.len();
+        if k == 1 {
+            return eligible[0];
         }
-        unreachable!("some eligible replica attains the minimum")
-    }
-
-    /// Replica minimizing `key`; exact ties resolve round-robin (the
-    /// first tied replica at or after the rotor, cyclically), so a
-    /// fleet whose estimated queues keep draining — light load —
-    /// degenerates to round-robin instead of a fixed-index hot spot.
-    fn argmin_by(&mut self, key: impl Fn(&VirtualQueue) -> f64) -> usize {
-        let n = self.queues.len();
-        let min = self
-            .queues
-            .iter()
-            .map(&key)
-            .fold(f64::INFINITY, f64::min);
-        for off in 0..n {
-            let i = (self.rr_next + off) % n;
-            if key(&self.queues[i]) == min {
-                self.rr_next = (i + 1) % n;
-                return i;
-            }
+        let rng = self.rng.as_mut().expect("po2 router has an RNG");
+        let a = rng.gen_range(0..k);
+        let mut b = rng.gen_range(0..k - 1);
+        if b >= a {
+            b += 1;
         }
-        unreachable!("some replica attains the minimum")
+        let (a, b) = (eligible[a], eligible[b]);
+        if self.queues[b].inflight.len() < self.queues[a].inflight.len() {
+            b
+        } else {
+            a
+        }
     }
-}
-
-/// Route a whole arrival-sorted stream, returning one replica index
-/// per request. Estimated policies only — live policies have no
-/// whole-stream assignment (each decision needs measured state, so
-/// they run on the fleet's global event loop) and panic here.
-pub fn assign(
-    policy: RouterPolicy,
-    n_replicas: usize,
-    reqs: &[Request],
-    est_service: impl Fn(usize, &Request) -> f64,
-) -> Vec<usize> {
-    let mut router = Router::new(policy, n_replicas);
-    reqs.iter().map(|r| router.route(r, &est_service)).collect()
 }
 
 #[cfg(test)]
@@ -573,6 +413,20 @@ mod tests {
     }
 
     const UNIT_EST: fn(usize, &Request) -> f64 = |_, _| 1.0;
+
+    /// Route a whole stream over all `n` replicas without live state.
+    fn assign(
+        policy: RouterPolicy,
+        n: usize,
+        reqs: &[Request],
+        est: impl Fn(usize, &Request) -> f64,
+    ) -> Vec<usize> {
+        let mut router = Router::new(policy, n);
+        let all: Vec<usize> = (0..n).collect();
+        reqs.iter()
+            .map(|r| router.route(r, &all, &[], &est).expect("eligible").replica)
+            .collect()
+    }
 
     #[test]
     fn round_robin_cycles() {
@@ -658,9 +512,10 @@ mod tests {
         let r0 = Request::new(0, 100, 10).with_arrival(0.0);
         let r1 = Request::new(1, 100, 10).with_arrival(0.0);
         let r2 = Request::new(2, 100, 10).with_arrival(3.0);
-        assert_eq!(router.route(&r0, UNIT_EST), 0);
-        assert_eq!(router.route(&r1, UNIT_EST), 1);
-        assert_eq!(router.route(&r2, UNIT_EST), 0, "drained queues tie; rotor returns to 0");
+        let mut route = |r| router.route(r, &[0, 1], &[], UNIT_EST).expect("eligible").replica;
+        assert_eq!(route(&r0), 0);
+        assert_eq!(route(&r1), 1);
+        assert_eq!(route(&r2), 0, "drained queues tie; rotor returns to 0");
     }
 
     #[test]
@@ -670,25 +525,21 @@ mod tests {
         assign(RouterPolicy::JoinShortestQueue, 2, &reqs, |_, _| 0.0);
     }
 
-    /// `route_among` with every replica eligible must replay exactly
-    /// the decisions `route` makes — same rotor walk, same RNG
-    /// stream — for every policy (the Static-autoscale ==
-    /// fixed-Fleet byte-identity rests on this).
+    /// Round-robin rotates over the eligible replicas only: masked
+    /// replicas are skipped, and the cursor resumes after the last
+    /// pick once they return.
     #[test]
-    fn route_among_full_eligibility_matches_route() {
-        let reqs = reqs_at(&[0.0, 0.0, 0.3, 0.1, 2.0, 0.05, 0.0, 5.0, 0.2, 0.0]);
-        let est = |i: usize, r: &Request| 0.3 + 0.1 * i as f64 + 0.01 * (r.id % 3) as f64;
-        for policy in RouterPolicy::all_default() {
-            let n = 3;
-            let all: Vec<usize> = (0..n).collect();
-            let mut a = Router::new(policy, n);
-            let mut b = Router::new(policy, n);
-            for r in &reqs {
-                let via_route = a.route(r, est);
-                let via_among = b.route_among(r, &all, est).expect("all eligible").replica;
-                assert_eq!(via_route, via_among, "{policy} diverged at request {}", r.id);
-            }
-        }
+    fn round_robin_skips_ineligible_replicas() {
+        let mut router = Router::new(RouterPolicy::RoundRobin, 3);
+        let picks: Vec<usize> = [&[0, 2][..], &[0, 2], &[0, 2], &[0, 1, 2], &[0, 1, 2]]
+            .iter()
+            .enumerate()
+            .map(|(id, eligible)| {
+                let r = Request::new(id as u64, 1, 1).with_arrival(0.0);
+                router.route(&r, eligible, &[], UNIT_EST).expect("eligible").replica
+            })
+            .collect();
+        assert_eq!(picks, vec![0, 2, 0, 1, 2]);
     }
 
     /// Eligibility masks keep traffic off warming/retiring replicas,
@@ -700,13 +551,13 @@ mod tests {
         let r0 = Request::new(0, 100, 10).with_arrival(0.0);
         let r1 = Request::new(1, 100, 10).with_arrival(0.1);
         // Only replica 1 is accepting: everything lands there.
-        assert_eq!(router.route_among(&r0, &[1], UNIT_EST).expect("eligible").replica, 1);
-        assert_eq!(router.route_among(&r1, &[1], UNIT_EST).expect("eligible").replica, 1);
+        assert_eq!(router.route(&r0, &[1], &[], UNIT_EST).expect("eligible").replica, 1);
+        assert_eq!(router.route(&r1, &[1], &[], UNIT_EST).expect("eligible").replica, 1);
         // A new replica appears with an empty queue; JSQ prefers it.
         let new = router.add_replica();
         assert_eq!(new, 2);
         let r2 = Request::new(2, 100, 10).with_arrival(0.2);
-        assert_eq!(router.route_among(&r2, &[1, 2], UNIT_EST).expect("eligible").replica, 2);
+        assert_eq!(router.route(&r2, &[1, 2], &[], UNIT_EST).expect("eligible").replica, 2);
         let state = router.queue_state(0.2);
         assert_eq!(state.len(), 3);
         assert_eq!(state[0].0, 0, "masked-out replica received nothing");
@@ -722,7 +573,7 @@ mod tests {
         let mut router = Router::new(RouterPolicy::JoinShortestQueue, 1);
         let route_one = |router: &mut Router, id: u64, at: f64| {
             router
-                .route_among(&Request::new(id, 1, 1).with_arrival(at), &[0], UNIT_EST)
+                .route(&Request::new(id, 1, 1).with_arrival(at), &[0], &[], UNIT_EST)
                 .expect("eligible")
         };
         let w0 = route_one(&mut router, 0, 0.0);
@@ -744,7 +595,7 @@ mod tests {
         let mut router = Router::new(RouterPolicy::LeastEstimatedWork, 2);
         for id in 0..4 {
             router
-                .route_among(&Request::new(id, 1, 1).with_arrival(0.0), &[0, 1], UNIT_EST)
+                .route(&Request::new(id, 1, 1).with_arrival(0.0), &[0, 1], &[], UNIT_EST)
                 .expect("eligible");
         }
         let before = router.queue_state(0.0);
@@ -755,7 +606,7 @@ mod tests {
         assert_eq!(after[1].0, 2, "other replicas keep their state");
         // The cleared replica now wins least-work against the loaded one.
         let routed = router
-            .route_among(&Request::new(9, 1, 1).with_arrival(0.0), &[0, 1], UNIT_EST)
+            .route(&Request::new(9, 1, 1).with_arrival(0.0), &[0, 1], &[], UNIT_EST)
             .expect("eligible");
         assert_eq!(routed.replica, 0);
     }
@@ -767,16 +618,15 @@ mod tests {
         let mut router = Router::new(RouterPolicy::JoinShortestQueue, 2);
         let req = Request::new(0, 1, 1).with_arrival(3.5);
         let err = router
-            .route_among(&req, &[], UNIT_EST)
+            .route(&req, &[], &[], UNIT_EST)
             .expect_err("no accepting replica");
         assert_eq!(err, NoAcceptingReplica { at_s: 3.5 });
         assert!(err.to_string().contains("no accepting replica"));
-        let err = router
-            .route_live_among(&req, &[], &[], UNIT_EST)
-            .expect_err("no accepting replica");
+        let mut live = Router::new(RouterPolicy::LeastWorkLive, 2);
+        let err = live.route(&req, &[], &[], UNIT_EST).expect_err("no accepting replica");
         assert_eq!(err.at_s, 3.5);
         // The router is still usable afterwards.
-        assert!(router.route_among(&req, &[0, 1], UNIT_EST).is_ok());
+        assert!(router.route(&req, &[0, 1], &[], UNIT_EST).is_ok());
     }
 
     /// Live policies pick the argmin of the *measured* key supplied
@@ -788,7 +638,7 @@ mod tests {
         // Virtual queues are all empty, but the measured depths say
         // replica 2 is least loaded.
         let routed = router
-            .route_live_among(&r, &[0, 1, 2], &[(4, 9.0), (3, 1.0), (1, 5.0)], UNIT_EST)
+            .route(&r, &[0, 1, 2], &[(4, 9.0), (3, 1.0), (1, 5.0)], UNIT_EST)
             .expect("eligible");
         assert_eq!(routed.replica, 2);
 
@@ -796,7 +646,7 @@ mod tests {
         // Same depths — least-work-live keys on remaining seconds
         // instead and picks replica 1.
         let routed = router
-            .route_live_among(&r, &[0, 1, 2], &[(4, 9.0), (3, 1.0), (1, 5.0)], UNIT_EST)
+            .route(&r, &[0, 1, 2], &[(4, 9.0), (3, 1.0), (1, 5.0)], UNIT_EST)
             .expect("eligible");
         assert_eq!(routed.replica, 1);
     }
@@ -813,7 +663,7 @@ mod tests {
             let r = Request::new(id, 1, 1).with_arrival(id as f64 * 10.0);
             picks.push(
                 router
-                    .route_live_among(&r, &[0, 1, 2], &idle, UNIT_EST)
+                    .route(&r, &[0, 1, 2], &idle, UNIT_EST)
                     .expect("eligible")
                     .replica,
             );
@@ -821,26 +671,20 @@ mod tests {
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 
-    /// Estimated policies passed through `route_live_among` ignore
-    /// the live values and decide exactly as `route_among` — the
-    /// event loop calls one entry point for every policy.
+    /// Estimated policies ignore the live values and decide from
+    /// their virtual queues — misleading measurements change nothing.
     #[test]
-    fn route_live_among_delegates_for_estimated_policies() {
+    fn estimated_policies_ignore_live_state() {
         let reqs = reqs_at(&[0.0, 0.0, 0.3, 0.1, 2.0, 0.05]);
         for policy in RouterPolicy::all_default() {
             let all = [0usize, 1, 2];
-            let mut a = Router::new(policy, 3);
-            let mut b = Router::new(policy, 3);
-            for r in &reqs {
-                // Deliberately misleading live state: must be ignored.
-                let live = [(99, 99.0), (0, 0.0), (50, 1.0)];
-                let va = a.route_among(r, &all, UNIT_EST).expect("eligible").replica;
-                let vb = b
-                    .route_live_among(r, &all, &live, UNIT_EST)
-                    .expect("eligible")
-                    .replica;
-                assert_eq!(va, vb, "{policy} diverged at request {}", r.id);
-            }
+            let mut router = Router::new(policy, 3);
+            let live = [(99, 99.0), (0, 0.0), (50, 1.0)];
+            let picks: Vec<usize> = reqs
+                .iter()
+                .map(|r| router.route(r, &all, &live, UNIT_EST).expect("eligible").replica)
+                .collect();
+            assert_eq!(picks, assign(policy, 3, &reqs, UNIT_EST), "{policy}");
         }
     }
 

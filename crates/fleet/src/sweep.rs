@@ -20,13 +20,12 @@ use crate::report::FleetReport;
 use crate::router::RouterPolicy;
 use seesaw_engine::{OnlineEngine, SweepRunner};
 use seesaw_workload::{ArrivalDist, Request, SloSpec, ARRIVAL_SEED_SALT};
-use serde::{Deserialize, Serialize};
 
 /// Builder for one replica (called once per replica per fleet).
 pub type ReplicaBuilder<'a> = &'a (dyn Fn(usize) -> Box<dyn OnlineEngine> + Sync);
 
 /// One evaluated fleet grid cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetPoint {
     /// Replicas in the fleet.
     pub n_replicas: usize,
@@ -44,7 +43,7 @@ pub struct FleetPoint {
 }
 
 /// A completed replica-count × offered-load scaling sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetScalingSweep {
     /// Replica configuration label (replica 0's).
     pub label: String,
@@ -77,7 +76,7 @@ impl FleetScalingSweep {
 /// Measure the single-replica offline capacity of `build`'s engine on
 /// `base` (arrival times ignored), returning `(capacity_rps, label)`
 /// so callers running several sweeps over the same scenario measure
-/// once and thread the result through the `*_at_capacity_with`
+/// once and thread the result through the `*_patterned_at_capacity_with`
 /// variants.
 pub fn offline_capacity(build: ReplicaBuilder, base: &[Request]) -> (f64, String) {
     let offline: Vec<Request> = base.iter().map(|r| r.with_arrival(0.0)).collect();
@@ -112,36 +111,6 @@ pub fn scaling_sweep_with(
     seed: u64,
 ) -> FleetScalingSweep {
     let (capacity_rps, label) = offline_capacity(build, base);
-    scaling_sweep_at_capacity_with(
-        runner,
-        build,
-        workload,
-        base,
-        (capacity_rps, &label),
-        replica_counts,
-        multipliers,
-        policy,
-        slo,
-        seed,
-    )
-}
-
-/// [`scaling_sweep_with`] with a pre-measured `(capacity_rps, label)`
-/// (from [`offline_capacity`]), so several sweeps over one scenario
-/// do not re-measure the offline run.
-#[allow(clippy::too_many_arguments)]
-pub fn scaling_sweep_at_capacity_with(
-    runner: &SweepRunner,
-    build: ReplicaBuilder,
-    workload: &str,
-    base: &[Request],
-    capacity: (f64, &str),
-    replica_counts: &[usize],
-    multipliers: &[f64],
-    policy: RouterPolicy,
-    slo: SloSpec,
-    seed: u64,
-) -> FleetScalingSweep {
     let unit = ArrivalDist::Poisson { rate: 1.0 }
         .sample_times(base.len(), seed ^ ARRIVAL_SEED_SALT)
         .expect("unit-rate Poisson is valid");
@@ -150,7 +119,7 @@ pub fn scaling_sweep_at_capacity_with(
         build,
         workload,
         base,
-        capacity,
+        (capacity_rps, &label),
         &unit,
         replica_counts,
         multipliers,
@@ -159,7 +128,8 @@ pub fn scaling_sweep_at_capacity_with(
     )
 }
 
-/// [`scaling_sweep_at_capacity_with`] on an explicit unit-mean-rate
+/// [`scaling_sweep_with`] with a pre-measured `(capacity_rps, label)`
+/// (from [`offline_capacity`]) and an explicit unit-mean-rate
 /// arrival pattern (one time per request) instead of the sampled
 /// Poisson one — this is how trace-shaped arrivals (diurnal envelopes
 /// or replayed trace files, normalized via
@@ -243,25 +213,6 @@ pub fn policy_comparison_with(
     seed: u64,
 ) -> Vec<FleetPoint> {
     let (capacity_rps, _) = offline_capacity(build, base);
-    policy_comparison_at_capacity_with(
-        runner, build, base, capacity_rps, n_replicas, multiplier, policies, slo, seed,
-    )
-}
-
-/// [`policy_comparison_with`] with a pre-measured capacity (from
-/// [`offline_capacity`]).
-#[allow(clippy::too_many_arguments)]
-pub fn policy_comparison_at_capacity_with(
-    runner: &SweepRunner,
-    build: ReplicaBuilder,
-    base: &[Request],
-    capacity_rps: f64,
-    n_replicas: usize,
-    multiplier: f64,
-    policies: &[RouterPolicy],
-    slo: SloSpec,
-    seed: u64,
-) -> Vec<FleetPoint> {
     let unit = ArrivalDist::Poisson { rate: 1.0 }
         .sample_times(base.len(), seed ^ ARRIVAL_SEED_SALT)
         .expect("unit-rate Poisson is valid");
@@ -270,9 +221,10 @@ pub fn policy_comparison_at_capacity_with(
     )
 }
 
-/// [`policy_comparison_at_capacity_with`] on an explicit
-/// unit-mean-rate arrival pattern — the router × trace head-to-head
-/// (see [`scaling_sweep_patterned_at_capacity_with`] for the pattern
+/// [`policy_comparison_with`] with a pre-measured capacity (from
+/// [`offline_capacity`]) and an explicit unit-mean-rate arrival
+/// pattern — the router × trace head-to-head (see
+/// [`scaling_sweep_patterned_at_capacity_with`] for the pattern
 /// convention).
 #[allow(clippy::too_many_arguments)]
 pub fn policy_comparison_patterned_at_capacity_with(

@@ -19,8 +19,14 @@ pub fn register_tracks(rec: &mut Recorder, router_name: &str, labels: &[String])
     rec.track(CONTROLLER_TRACK, "controller");
     rec.track(ROUTER_TRACK, router_name);
     for (i, label) in labels.iter().enumerate() {
-        rec.track(replica_track(i), &format!("replica{i} [{label}]"));
+        register_replica_track(rec, i, label);
     }
+}
+
+/// Register replica `i`'s track — also called for replicas spawned
+/// mid-run by an elastic fleet.
+pub fn register_replica_track(rec: &mut Recorder, i: usize, label: &str) {
+    rec.track(replica_track(i), &format!("replica{i} [{label}]"));
 }
 
 /// Track id of replica `i`.

@@ -1,37 +1,63 @@
-//! Fleet event-core equivalence: the global event loop must
-//! reproduce the merged-timeline fast path byte-for-byte on every
-//! feedback-free policy (making the fast-path auto-selection purely a
-//! performance choice), and the live policies must be deterministic
-//! and jobs-invariant over arbitrary traces.
+//! Fleet event-core checks: on every feedback-free policy the global
+//! event loop must reproduce a merged-timeline oracle byte-for-byte
+//! (route the whole stream up front, split it, run each replica
+//! alone, merge), and the live policies must be deterministic and
+//! jobs-invariant over arbitrary traces.
 
 use proptest::prelude::*;
 use seesaw_engine::vllm::VllmEngine;
+use seesaw_engine::online::mean_lengths;
 use seesaw_engine::{EngineReport, OnlineEngine, SchedulingPolicy, ServiceRates, SweepRunner};
-use seesaw_fleet::{Fleet, RouterPolicy};
+use seesaw_fleet::{Fleet, FleetReport, Router, RouterPolicy};
 use seesaw_hw::ClusterSpec;
 use seesaw_model::{presets, ModelConfig};
 use seesaw_parallel::ParallelConfig;
 use seesaw_telemetry::Instrument;
-use seesaw_workload::{ArrivalDist, Request, WorkloadGen};
+use seesaw_workload::{split_stream, ArrivalDist, Request, WorkloadGen};
 use std::sync::Arc;
 
 fn specs() -> (Arc<ClusterSpec>, Arc<ModelConfig>) {
     (Arc::new(ClusterSpec::a10x4()), Arc::new(presets::llama2_13b()))
 }
 
-fn vllm_fleet(n: usize) -> Fleet {
+fn vllm_engine() -> VllmEngine {
     let (cluster, model) = specs();
-    Fleet::homogeneous(n, |_| {
-        Box::new(
-            VllmEngine::new(
-                Arc::clone(&cluster),
-                Arc::clone(&model),
-                ParallelConfig::new(1, 2, 2),
-                SchedulingPolicy::PrefillPrioritized,
-            )
-            .expect("valid config"),
-        ) as Box<dyn OnlineEngine>
-    })
+    VllmEngine::new(cluster, model, ParallelConfig::new(1, 2, 2), SchedulingPolicy::PrefillPrioritized)
+        .expect("valid config")
+}
+
+fn vllm_fleet(n: usize) -> Fleet {
+    Fleet::homogeneous(n, |_| Box::new(vllm_engine()) as Box<dyn OnlineEngine>)
+}
+
+/// The merged-timeline oracle for an `n`-replica vLLM fleet under an
+/// estimated policy: estimated decisions never read engine state, so
+/// the whole stream can be routed up front by a fresh [`Router`] over
+/// all replicas, split per replica, run through each replica's engine
+/// independently, and merged.
+fn merged_timeline(
+    runner: &SweepRunner,
+    n: usize,
+    policy: RouterPolicy,
+    reqs: &[Request],
+) -> FleetReport {
+    let engine = vllm_engine();
+    let (avg_in, avg_out) = mean_lengths(reqs);
+    let rates = OnlineEngine::service_rates(&engine, avg_in, avg_out);
+    let mut router = Router::new(policy, n);
+    let all: Vec<usize> = (0..n).collect();
+    let assignment: Vec<usize> = reqs
+        .iter()
+        .map(|r| {
+            router
+                .route(r, &all, &[], |_, r| rates.est_service_s(r))
+                .expect("every replica eligible")
+                .replica
+        })
+        .collect();
+    let streams = split_stream(reqs, &assignment, n);
+    let reports = runner.map(&streams, |s| engine.run(s));
+    FleetReport::from_replica_reports(policy, reports, assignment)
 }
 
 /// A vLLM replica behind the default actor, which replays the
@@ -74,37 +100,35 @@ fn online_reqs(n: usize, rate: f64, seed: u64) -> Vec<Request> {
         .expect("valid arrivals")
 }
 
-/// The acceptance bar for the refactor: for all four estimated-queue
-/// policies, forcing the global event loop produces a `FleetReport`
-/// byte-identical to the merged-timeline fast path — same
-/// assignments, same per-replica reports, same merged aggregates.
-#[test]
-fn event_loop_matches_fast_path_for_every_estimated_policy() {
-    let fleet = vllm_fleet(3);
-    let reqs = online_reqs(36, 5.0, 17);
-    for policy in RouterPolicy::all_default() {
-        assert!(!policy.needs_live_state(), "{policy} takes the fast path");
-        let fast = fleet.run_with(&SweepRunner::serial(), policy, &reqs);
-        let looped = fleet.run_event_loop_with(&SweepRunner::serial(), policy, &reqs);
-        assert_eq!(fast, looped, "{policy}: event loop diverged from fast path");
+/// For all four estimated-queue policies, on serial and 4-way
+/// runners, the event loop must produce a `FleetReport`
+/// byte-identical to the merged-timeline oracle — same assignments,
+/// same per-replica reports, same merged aggregates.
+fn assert_matches_merged_timeline(n: usize, reqs: &[Request]) {
+    let fleet = vllm_fleet(n);
+    for runner in [SweepRunner::serial(), SweepRunner::new(4)] {
+        for policy in RouterPolicy::all_default() {
+            assert!(!policy.needs_live_state(), "{policy} is estimated");
+            let looped = fleet.run_with(&runner, policy, reqs);
+            let oracle = merged_timeline(&runner, n, policy, reqs);
+            assert_eq!(looped, oracle, "{policy}: event loop diverged from the oracle");
+        }
     }
 }
 
-/// Same equivalence under burstier arrivals and a different fleet
-/// width, on a parallel runner — the interleaving of replica
-/// simulations must not matter on either path.
 #[test]
-fn event_loop_matches_fast_path_under_bursty_load() {
-    let fleet = vllm_fleet(4);
+fn event_loop_matches_merged_timeline_for_every_estimated_policy() {
+    assert_matches_merged_timeline(3, &online_reqs(36, 5.0, 17));
+}
+
+/// Burstier arrivals (Gamma, cv 2.5) on a wider fleet.
+#[test]
+fn event_loop_matches_merged_timeline_under_bursty_load() {
     let base = WorkloadGen::constant(768, 32).generate(28);
     let reqs = ArrivalDist::Gamma { rate: 9.0, cv: 2.5 }
         .attach(&base, 23)
         .expect("valid arrivals");
-    for policy in RouterPolicy::all_default() {
-        let fast = fleet.run_with(&SweepRunner::new(4), policy, &reqs);
-        let looped = fleet.run_event_loop_with(&SweepRunner::new(4), policy, &reqs);
-        assert_eq!(fast, looped, "{policy}: event loop diverged from fast path");
-    }
+    assert_matches_merged_timeline(4, &reqs);
 }
 
 /// Live reads cost only what the policy reads. On a 4-replica live

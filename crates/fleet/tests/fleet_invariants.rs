@@ -8,8 +8,7 @@ use seesaw_engine::disagg::DisaggEngine;
 use seesaw_engine::seesaw::{SeesawEngine, SeesawSpec};
 use seesaw_engine::vllm::VllmEngine;
 use seesaw_engine::{OnlineEngine, SchedulingPolicy, SweepRunner};
-use seesaw_fleet::router;
-use seesaw_fleet::{Fleet, RouterPolicy};
+use seesaw_fleet::{Fleet, Router, RouterPolicy};
 use seesaw_hw::ClusterSpec;
 use seesaw_model::{presets, ModelConfig};
 use seesaw_parallel::ParallelConfig;
@@ -140,9 +139,17 @@ proptest! {
             2 => RouterPolicy::PowerOfTwoChoices { seed: po2_seed },
             _ => RouterPolicy::LeastEstimatedWork,
         };
-        let assignment = router::assign(policy, n_replicas, &reqs, |_, r| {
-            0.01 + r.input_len as f64 / 1000.0
-        });
+        let mut router = Router::new(policy, n_replicas);
+        let all: Vec<usize> = (0..n_replicas).collect();
+        let assignment: Vec<usize> = reqs
+            .iter()
+            .map(|req| {
+                router
+                    .route(req, &all, &[], |_, r| 0.01 + r.input_len as f64 / 1000.0)
+                    .expect("every replica eligible")
+                    .replica
+            })
+            .collect();
         prop_assert_eq!(assignment.len(), n);
         let streams = split_stream(&reqs, &assignment, n_replicas);
         for s in &streams {

@@ -3,11 +3,10 @@
 use crate::gpu::GpuSpec;
 use crate::interconnect::{HostLink, Interconnect};
 use crate::units::GIB;
-use serde::{Deserialize, Serialize};
 
 /// A homogeneous single-node GPU cluster, as used throughout the
 /// paper's evaluation (4 or 8 identical GPUs plus host memory).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Specification of each (identical) GPU.
     pub gpu: GpuSpec,

@@ -2,13 +2,12 @@
 
 use crate::efficiency;
 use crate::units::{ByteSize, GB_PER_S, GIB, TFLOPS};
-use serde::{Deserialize, Serialize};
 
 /// Performance-relevant specification of a single GPU.
 ///
 /// Mirrors Table 1 of the paper. `peak_flops` is the fp16 dense
 /// throughput (tensor cores); `hbm_bw` is datasheet memory bandwidth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name, e.g. `"A10"`.
     pub name: String,

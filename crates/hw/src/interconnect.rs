@@ -18,10 +18,9 @@
 
 use crate::efficiency as eff;
 use crate::units::GIB;
-use serde::{Deserialize, Serialize};
 
 /// The kind of device-to-device fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InterconnectKind {
     /// Devices hang off a PCIe root complex; no direct GPU-to-GPU
     /// links. This is the g5/g6 instance topology.
@@ -31,7 +30,7 @@ pub enum InterconnectKind {
 }
 
 /// A fabric connecting the GPUs of one node, with its cost model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Interconnect {
     /// Fabric topology class.
     pub kind: InterconnectKind,
@@ -130,7 +129,7 @@ impl Interconnect {
 
 /// Host (CPU<->GPU) link: in every configuration the paper evaluates,
 /// each GPU reaches host memory over PCIe 4.0 x8 at 16 GiB/s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostLink {
     /// Per-direction bandwidth in bytes/s.
     pub bw: f64,

@@ -5,7 +5,6 @@
 //! rates are `f64` FLOP/second. These helpers exist so call sites read
 //! like the paper ("24 GiB", "16 GiB/s") instead of raw exponents.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One kibibyte (2^10 bytes).
@@ -24,7 +23,7 @@ pub const TFLOPS: f64 = 1e12;
 
 /// A byte count with human-readable `Display`, used in reports and
 /// experiment output tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ByteSize(pub u64);
 
 impl ByteSize {

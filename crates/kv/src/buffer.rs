@@ -8,11 +8,10 @@
 //! shards under `c_p` and pulling them under `c_d` performs KV
 //! re-sharding for free (Figure 7).
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A prefilled sequence parked in host memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BufferedSeq {
     /// Request id.
     pub req_id: u64,

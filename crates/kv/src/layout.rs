@@ -8,10 +8,8 @@
 //! bandwidth. `HND` (`num_heads, seq_len, head_dim`) makes each
 //! head-shard contiguous; Seesaw stores the CPU KV cache in `HND`.
 
-use serde::{Deserialize, Serialize};
-
 /// KV tensor layout in host memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KvLayout {
     /// `(seq_len, num_heads, head_dim)` — contiguous by token.
     Nhd,

@@ -1,7 +1,6 @@
 //! Paged (block-based) GPU KV cache accounting.
 
 use seesaw_hw::FxBuildHasher;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Fx-hashed sequence-id map — engines allocate/free per request per
@@ -11,7 +10,7 @@ use std::collections::HashMap;
 type SeqMap = HashMap<u64, SeqAlloc, FxBuildHasher>;
 
 /// Errors from cache operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvError {
     /// Not enough free blocks for the allocation.
     OutOfBlocks {

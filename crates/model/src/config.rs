@@ -1,9 +1,7 @@
 //! Architecture configuration and derived accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// Numeric precision of weights and KV cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dtype {
     /// 16-bit floating point (the paper's setting).
     F16,
@@ -27,7 +25,7 @@ impl Dtype {
 /// attention block (`q/k/v/o` projections) and a SwiGLU MLP
 /// (`gate/up/down` projections), plus tied-ish input/output embeddings
 /// counted once each at the model level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Human-readable name, e.g. `"CodeLLaMA-34B"`.
     pub name: String,

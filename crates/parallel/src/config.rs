@@ -1,6 +1,5 @@
 //! The `(DP, TP, PP)` configuration triple.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -11,7 +10,7 @@ use std::str::FromStr;
 /// dimensions (so `"P8"` is `DP=1, TP=1, PP=8` and `"T4P2"` is
 /// `DP=1, TP=4, PP=2`). [`FromStr`]/[`fmt::Display`] implement that
 /// syntax, and also accept the long forms `TP4PP2`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParallelConfig {
     /// Data-parallel degree (model replicas).
     pub dp: usize,

@@ -5,7 +5,6 @@ use crate::config::ParallelConfig;
 use crate::shard::ShardMap;
 use seesaw_hw::ClusterSpec;
 use seesaw_model::ModelConfig;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Fraction of device memory reserved for activations, CUDA context,
@@ -13,7 +12,7 @@ use std::fmt;
 pub const ACTIVATION_RESERVE_FRAC: f64 = 0.08;
 
 /// Why a configuration cannot run on a cluster.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FitError {
     /// The configuration needs more GPUs than the cluster has.
     NotEnoughGpus {
@@ -64,7 +63,7 @@ impl std::error::Error for FitError {}
 pub const MIN_KV_TOKENS: u64 = 4096;
 
 /// The memory layout of a model under a configuration on a cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryPlan {
     /// The configuration planned.
     pub config: ParallelConfig,

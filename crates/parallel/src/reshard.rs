@@ -16,11 +16,10 @@
 use crate::config::ParallelConfig;
 use crate::shard::{GpuShard, ShardMap};
 use seesaw_model::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Weight bytes one GPU must load (and already holds) for a
 /// transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WeightMove {
     /// Flat GPU index.
     pub gpu: usize,
@@ -31,7 +30,7 @@ pub struct WeightMove {
 }
 
 /// A complete weight re-sharding plan between two configurations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReshardPlan {
     /// Configuration being left.
     pub from: ParallelConfig,

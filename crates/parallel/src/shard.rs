@@ -9,10 +9,9 @@
 
 use crate::config::ParallelConfig;
 use seesaw_model::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// The shard of model state owned by one GPU under one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuShard {
     /// Flat GPU index (see [`ParallelConfig::gpu_index`]).
     pub gpu: usize,
@@ -61,7 +60,7 @@ impl GpuShard {
 }
 
 /// The complete placement of one model under one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardMap {
     /// The configuration this map realizes.
     pub config: ParallelConfig,

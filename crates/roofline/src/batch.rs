@@ -1,10 +1,8 @@
 //! Micro-batch shape descriptors.
 
-use serde::{Deserialize, Serialize};
-
 /// The shape of one micro-batch presented to a forward pass, carrying
 /// exactly the aggregates the roofline needs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchShape {
     /// Number of sequences in the micro-batch.
     pub seqs: usize,

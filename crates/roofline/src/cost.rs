@@ -6,13 +6,12 @@ use seesaw_model::ModelConfig;
 use seesaw_parallel::shard::kv_heads_per_rank;
 use seesaw_parallel::ParallelConfig;
 use seesaw_hw::FxBuildHasher;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which inference stage a pass belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Prompt processing (compute/communication bound).
     Prefill,
@@ -22,7 +21,7 @@ pub enum Stage {
 
 /// The five cost components of one decoder layer's forward pass on one
 /// tensor-parallel rank (paper Table 3), in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LayerCost {
     /// Weight streaming from HBM (`T_linear_dm`).
     pub linear_dm: f64,
@@ -77,7 +76,7 @@ impl LayerCost {
 }
 
 /// Time attributed to the paper's breakdown buckets, seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageBreakdown {
     /// GEMM + attention kernel time.
     pub compute: f64,

@@ -1,10 +1,9 @@
 //! Named FIFO resources.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a resource registered with a [`ResourcePool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ResourceId(pub(crate) usize);
 
 impl ResourceId {

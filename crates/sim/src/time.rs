@@ -1,6 +1,5 @@
 //! Simulation time: `f64` seconds with a total order.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -10,7 +9,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// Wraps `f64` and provides `Ord` (NaN is forbidden by construction:
 /// all constructors assert finiteness), so times can key ordered
 /// collections like the event heap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimTime(f64);
 
 impl SimTime {

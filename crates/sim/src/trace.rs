@@ -3,7 +3,6 @@
 
 use crate::resource::ResourceId;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Category of work a task represents. These map onto the breakdown
 /// series in the paper's figures:
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 ///   share is folded into compute by the roofline, matching how the
 ///   paper measures; *re-sharding* weight reloads over PCIe are
 ///   [`TaskKind::ReshardLoad`])
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// On-GPU kernel execution (GEMM / attention), including its HBM
     /// weight streaming component.
@@ -56,7 +55,7 @@ impl TaskKind {
 }
 
 /// One executed task's footprint in the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
     /// Resource the task ran on (`None` for pure sync nodes).
     pub resource: Option<ResourceId>,
@@ -78,7 +77,7 @@ impl Span {
 }
 
 /// An append-only log of executed spans.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Trace {
     spans: Vec<Span>,
     enabled: bool,
@@ -150,7 +149,7 @@ impl Trace {
 }
 
 /// Busy time per category (seconds).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct TraceSummary {
     /// GEMM/attention kernel time.
     pub compute: f64,

@@ -10,10 +10,9 @@
 use crate::request::Request;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// An inter-arrival process over simulated seconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalDist {
     /// Poisson process: exponential inter-arrival gaps with mean
     /// `1 / rate` (rate in requests/second).

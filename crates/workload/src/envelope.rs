@@ -22,11 +22,10 @@
 use crate::arrival::ArrivalDist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// An arrival-rate curve over the day (periodic: `rate_at` wraps at
 /// `period_s`, so traces longer than one period repeat the shape).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RateEnvelope {
     /// Flat rate — the degenerate envelope (a homogeneous Poisson
     /// process; useful as a sweep baseline).

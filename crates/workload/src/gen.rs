@@ -4,10 +4,9 @@ use crate::arrival::{ArrivalDist, ArrivalSampler};
 use crate::request::Request;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A clipped length distribution for one marginal (input or output).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LengthDist {
     /// Every sample is exactly this length (§6.5 sweeps).
     Constant(usize),

@@ -8,11 +8,10 @@
 //! TTFT/TPOT SLO per second — are the serving sweep's headline
 //! metrics.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Simulated-time timeline of one request's life.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestTiming {
     /// Request id.
     pub id: u64,
@@ -77,7 +76,7 @@ fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// Five-number summary of one latency marginal (all seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Arithmetic mean.
     pub mean: f64,
@@ -123,7 +122,7 @@ impl LatencySummary {
 }
 
 /// How latency marginals are summarized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SummaryMode {
     /// Exact nearest-rank percentiles over the materialized sample
     /// set (sort-based; the historical behaviour, kept byte-identical
@@ -173,7 +172,7 @@ const SKETCH_MIN_S: f64 = 1e-9;
 /// that associativity. Memory is one `(i32, u64)` entry per occupied
 /// bucket (the full 1 ns – 10⁵ s range is ~2.6k buckets, but real
 /// marginals occupy a few dozen).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LatencySketch {
     /// Occupied buckets: `⌊ln v / ln γ⌋ → count`. Ordered, so walks
     /// are ascending and deterministic.
@@ -321,7 +320,7 @@ impl LatencySketch {
 }
 
 /// Latency summary of a completed run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
     /// Requests summarized.
     pub count: usize,
@@ -390,7 +389,7 @@ impl LatencyStats {
 }
 
 /// A latency service-level objective on TTFT and TPOT.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloSpec {
     /// Maximum acceptable time to first token, seconds.
     pub ttft_s: f64,
@@ -433,7 +432,7 @@ impl SloSpec {
 /// goodput (work was delivered then). Windows with no arrivals carry
 /// `None` — "no traffic" is not "0% attainment", and an all-`None`
 /// quiet night must not drag a daily average down.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowMetrics {
     /// Window start, seconds (inclusive).
     pub t0: f64,

@@ -1,10 +1,9 @@
 //! Run statistics shared by every engine.
 
 use crate::request::Request;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of processing a request set in simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunStats {
     /// Requests completed.
     pub requests: usize,

@@ -1,7 +1,5 @@
 //! Inference requests.
 
-use serde::{Deserialize, Serialize};
-
 /// One inference request: a prompt of `input_len` tokens that will
 /// generate `output_len` tokens, available to the engine from
 /// `arrival_s` seconds of simulated time.
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// available at t = 0. Online serving workloads attach an arrival
 /// stream (see [`crate::ArrivalDist`]); engines then only admit a
 /// request once the simulated clock has reached its arrival time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Unique id within a run.
     pub id: u64,
@@ -181,7 +179,7 @@ impl From<&[Request]> for RequestMap {
 }
 
 /// Aggregate length statistics of a request set (Figure 9 style).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LengthStats {
     /// Number of requests.
     pub count: usize,
