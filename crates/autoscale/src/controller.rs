@@ -2,11 +2,14 @@
 //! time-sliced elastic fleet, growing and shrinking the replica count
 //! online.
 //!
-//! Time advances in fixed control windows. Within a window the
-//! controller routes each arrival over the replicas *currently
-//! accepting traffic* (warm, not retiring) using the fleet tier's
-//! resumable [`Router`]; at the window boundary it reads the cheap
-//! observable signals — queue depth, offered load, estimated
+//! The replay is one loop over a [`seesaw_sim::EventQueue`] holding
+//! replica kills, base arrivals and retry/resume dispatches on one
+//! global clock, each popped into a small named handler. Time
+//! advances in fixed control windows: the loop pops every event before
+//! the window end, then closes the window. A dispatch routes over the
+//! replicas *currently accepting traffic* (warm, not retiring) using
+//! the fleet tier's [`Router`]; at the window boundary the controller
+//! reads its signals — queue depth, offered load, estimated
 //! utilization, estimated TTFT attainment — and lets the
 //! [`ScalingPolicy`] propose an action, subject to its cooldown:
 //!
@@ -26,15 +29,19 @@
 //!   disappearing — the replica's billed lifetime extends to its last
 //!   completion.
 //!
-//! Routing decisions use only a-priori state (virtual queues and
-//! roofline service estimates), so the whole decision trajectory is
-//! deterministic and independent of the [`SweepRunner`]; the real
-//! engine simulations run once per replica after the trajectory is
-//! fixed, in parallel, and merge into an ordinary [`FleetReport`]
-//! judged by measured (not estimated) latency. A [`ScalingPolicy::Static`]
-//! trajectory never scales, which makes the elastic run collapse
-//! exactly — byte-for-byte — onto the fixed [`seesaw_fleet::Fleet`]
-//! of the same size.
+//! Each dispatch is pushed to its replica's actor as it is routed, so
+//! the actors run on the replay's clock: live policies (`jsq-live`,
+//! `least-work-live`) read their measured state at the arrival
+//! instant, and a kill under a live policy loses exactly the measured
+//! in-flight set; estimated policies decide from the router's virtual
+//! queues and roofline service estimates. Decisions are serial in
+//! event order, so the trajectory is deterministic and independent of
+//! the [`SweepRunner`]; finishing the actors — the rest of each
+//! replica's simulation — runs in parallel and merges into an ordinary
+//! [`FleetReport`] judged by measured (not estimated) latency. A
+//! [`ScalingPolicy::Static`] trajectory never scales, which makes the
+//! elastic run collapse exactly — byte-for-byte — onto the fixed
+//! [`seesaw_fleet::Fleet`] of the same size.
 
 use crate::alert::{AlertEngine, AlertEvent, AlertKind, AlertRule};
 use crate::faults::{
@@ -49,14 +56,12 @@ use seesaw_fleet::sweep::ReplicaBuilder;
 use seesaw_fleet::telemetry::{
     record_request_spans, register_replica_track, register_tracks, route_args,
 };
-use seesaw_fleet::{FleetReport, Router, RouterPolicy};
+use seesaw_fleet::{FleetReport, Routed, Router, RouterPolicy};
+use seesaw_sim::{EventQueue, SimTime};
 use seesaw_telemetry::{
     fmt_secs, ControllerProfile, Instrument, ALERT_TRACK, CONTROLLER_TRACK, ROUTER_TRACK,
 };
-use seesaw_workload::{
-    windowed_metrics, DispatchQueue, LatencyStats, Request, SloSpec, SummaryMode,
-    WindowAccumulator, WindowMetrics,
-};
+use seesaw_workload::{windowed_metrics, LatencyStats, Request, SloSpec, WindowMetrics};
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Instant;
@@ -149,9 +154,9 @@ impl Default for AutoscaleConfig {
     }
 }
 
-/// The signals a policy sees at one window boundary — all a-priori
-/// (router virtual-queue) state, the kind a production autoscaler
-/// actually has before any request finishes.
+/// The signals a policy sees at one window boundary — the kind a
+/// production autoscaler has before any request finishes: estimated
+/// work and wait, plus the measured queue under a live routing policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowSignals {
     /// Window start, seconds (inclusive).
@@ -307,7 +312,48 @@ impl ElasticFleetReport {
     }
 }
 
-/// One live replica's controller-side state during the replay.
+/// Capacity-calibrated mirror of one replica's FIFO queue, kept only
+/// while faults are injected under an estimated routing policy: it
+/// resolves *which* dispatched attempts are still estimated in flight
+/// (and therefore lost) when the replica is killed. Entries are
+/// `(est done, est service, attempt id, original request index,
+/// attempt number)`.
+#[derive(Debug, Default)]
+struct CalQueue {
+    busy_until: f64,
+    inflight: VecDeque<(f64, f64, u64, usize, u32)>,
+}
+
+impl CalQueue {
+    /// Drop attempts estimated done by `now`.
+    fn drain_to(&mut self, now: f64) {
+        while let Some(&(done, ..)) = self.inflight.front() {
+            if done > now {
+                break;
+            }
+            self.inflight.pop_front();
+        }
+    }
+
+    /// Enqueue attempt `id` (of `requests[idx]`, attempt `attempt`)
+    /// dispatched at `now` with calibrated `work` seconds.
+    fn push(&mut self, now: f64, work: f64, id: u64, idx: usize, attempt: u32) {
+        self.drain_to(now);
+        let start = now.max(self.busy_until);
+        self.busy_until = start + work;
+        self.inflight.push_back((start + work, work, id, idx, attempt));
+    }
+
+    /// The replica dies at `tk`: everything not estimated done by then
+    /// is lost.
+    fn lose(&mut self, tk: f64) -> Vec<(f64, f64, u64, usize, u32)> {
+        self.drain_to(tk);
+        self.busy_until = tk;
+        self.inflight.drain(..).collect()
+    }
+}
+
+/// One replica's controller-side state during the replay.
 struct ReplicaState<'e> {
     engine: &'e dyn OnlineEngine,
     /// The replica on the global clock: every dispatch is pushed as
@@ -326,11 +372,17 @@ struct ReplicaState<'e> {
     /// injection: it resolves which *measured*-in-flight attempts a
     /// kill loses.
     stream_meta: Vec<(usize, u32, f64)>,
+    /// The estimated-policy loss mirror (fault injection only).
+    cal: CalQueue,
 }
 
 impl<'e> ReplicaState<'e> {
     fn live(&self) -> bool {
         self.retire_s.is_none() && self.killed_s.is_none()
+    }
+
+    fn accepting(&self, t: f64) -> bool {
+        self.live() && self.ready_s <= t
     }
 
     fn actor(&mut self) -> &mut (dyn EngineActor + 'e) {
@@ -358,16 +410,828 @@ impl EngineArena {
     }
 }
 
-/// Capacity-calibrated mirror of one replica's FIFO queue, kept only
-/// while faults are being injected: it resolves *which* dispatched
-/// attempts are still estimated in flight (and therefore lost) when
-/// the replica is killed. Entries are
-/// `(est done, est service, attempt id, original request index,
-/// attempt number)`.
-#[derive(Debug, Default)]
-struct CalQueue {
-    busy_until: f64,
-    inflight: VecDeque<(f64, f64, u64, usize, u32)>,
+/// One pending event of the replay. Push order settles ties at one
+/// instant (the queue is FIFO there): every kill is pushed first, then
+/// every base arrival, then retries and resumes as they are scheduled.
+/// So a kill runs before a dispatch at the same instant (a request
+/// arriving exactly then already finds the replica gone), a base
+/// arrival before a retry, and equal-time retries in the order they
+/// were lost. Window close runs before anything at the window end,
+/// because the loop only pops events strictly inside the window.
+enum Event {
+    /// `faults.events[i]` strikes.
+    Kill(usize),
+    /// First dispatch of `requests[i]`.
+    Arrival(usize),
+    /// A later dispatch of `requests[idx]` under the fresh attempt id
+    /// `id`: a retry of lost work, or — with `resume` — a parked
+    /// attempt continuing once a warming replica is ready (the same
+    /// attempt: it waited out an outage, it did not fail).
+    Redispatch { id: u64, idx: usize, attempt: u32, resume: bool },
+}
+
+/// Per-window accumulators, reset when the window closes.
+#[derive(Default)]
+struct WindowTally {
+    arrivals: usize,
+    est_work_s: f64,
+    waits_ok: usize,
+    failures: usize,
+}
+
+/// The state of one elastic replay: replicas, router and event queue,
+/// plus the counters the report is built from.
+struct Replay<'a> {
+    ctl: &'a AutoscaleController,
+    build: ReplicaBuilder<'a>,
+    engines: &'a EngineArena,
+    requests: &'a [Request],
+    faults: &'a FaultSchedule,
+    instr: &'a mut Instrument,
+    /// Deterministic telemetry on (every recording site branches on it).
+    telemetry: bool,
+    /// Decisions read measured replica state (the engine actors), and
+    /// a kill loses the measured in-flight set instead of the
+    /// `CalQueue` mirror's.
+    live_routing: bool,
+    /// Faults are scheduled: gates every extra per-dispatch cost, so
+    /// the fault-free replay pays nothing beyond a bool test.
+    injecting: bool,
+    /// Mean `(input, output)` lengths of the trace: what replica
+    /// service rates are estimated at.
+    avg_lengths: (usize, usize),
+    /// Signal calibration: the roofline estimates are steady-state
+    /// optimistic, so they are scaled such that the mean request costs
+    /// exactly `1 / capacity_rps` seconds of replica time — the
+    /// *measured* cost. The router keeps the raw estimates (their
+    /// relative order is what routing needs, and it keeps Static
+    /// trajectories byte-identical to the fixed fleet tier).
+    calib: f64,
+    queue: EventQueue<Event>,
+    replicas: Vec<ReplicaState<'a>>,
+    router: Router,
+    assignment: Vec<usize>,
+    /// Attempt id → `(original request index, attempt number)` for
+    /// every retry and resume. Hash containers are lookup-only (never
+    /// iterated), so their order cannot leak into output.
+    retry_meta: HashMap<u64, (usize, u32)>,
+    /// Attempt ids a kill declared lost.
+    doomed: HashSet<u64>,
+    next_attempt_id: u64,
+    failures: Vec<FailureEvent>,
+    attempts: usize,
+    retries: usize,
+    lost_attempts: usize,
+    failed: usize,
+    replicas_killed: usize,
+    /// The replica count the policy last asked for — what replacement
+    /// spawns restore toward after kills.
+    desired: usize,
+    windows: Vec<WindowSignals>,
+    events: Vec<ScaleEvent>,
+    peak_replicas: usize,
+    windows_since_event: usize,
+    eligible: Vec<usize>,
+    /// Calibrated fluid backlog: outstanding replica-seconds of work,
+    /// drained at one second per accepting replica-second.
+    backlog_s: f64,
+    backlog_t: f64,
+    tally: WindowTally,
+    /// Host time spent reading live replica state (actor advances and
+    /// projections); gated on `instr.profiling` like every phase timer.
+    replay_s: f64,
+}
+
+impl<'a> Replay<'a> {
+    fn new(
+        ctl: &'a AutoscaleController,
+        build: ReplicaBuilder<'a>,
+        engines: &'a EngineArena,
+        requests: &'a [Request],
+        faults: &'a FaultSchedule,
+        instr: &'a mut Instrument,
+    ) -> Self {
+        let cfg = ctl.config;
+        let n0 = ctl.policy.initial_replicas(cfg.min_replicas, cfg.max_replicas);
+        let mut queue = EventQueue::new();
+        for (i, e) in faults.events.iter().enumerate() {
+            queue.push(SimTime::from_secs(e.t_s), Event::Kill(i));
+        }
+        for (i, r) in requests.iter().enumerate() {
+            queue.push(SimTime::from_secs(r.arrival_s), Event::Arrival(i));
+        }
+        let mut replay = Replay {
+            ctl,
+            build,
+            engines,
+            requests,
+            faults,
+            telemetry: instr.telemetry_on(),
+            instr,
+            live_routing: cfg.router.needs_live_state(),
+            injecting: !faults.events.is_empty(),
+            avg_lengths: mean_lengths(requests),
+            // Set below, from the first initial replica's rates.
+            calib: 0.0,
+            queue,
+            replicas: Vec::new(),
+            router: Router::new(cfg.router, n0),
+            assignment: vec![0; requests.len()],
+            retry_meta: HashMap::new(),
+            doomed: HashSet::new(),
+            next_attempt_id: requests.iter().map(|r| r.id).max().unwrap_or(0).saturating_add(1),
+            failures: Vec::new(),
+            attempts: 0,
+            retries: 0,
+            lost_attempts: 0,
+            failed: 0,
+            replicas_killed: 0,
+            desired: n0,
+            windows: Vec::new(),
+            events: Vec::new(),
+            peak_replicas: n0,
+            windows_since_event: ctl.policy.cooldown_windows(),
+            eligible: Vec::new(),
+            backlog_s: 0.0,
+            backlog_t: 0.0,
+            tally: WindowTally::default(),
+            replay_s: 0.0,
+        };
+        replay.replicas = (0..n0).map(|i| replay.replica(i, 0.0, 0.0)).collect();
+        if replay.telemetry {
+            let labels: Vec<String> = replay.replicas.iter().map(|r| r.engine.label()).collect();
+            let name = format!("router ({})", cfg.router);
+            register_tracks(&mut replay.instr.recorder, &name, &labels);
+        }
+        let (avg_in, avg_out) = replay.avg_lengths;
+        let mean_req = Request::new(u64::MAX, avg_in, avg_out);
+        replay.calib =
+            1.0 / (cfg.capacity_rps * replay.replicas[0].rates.est_service_s(&mean_req));
+        replay
+    }
+
+    fn cfg(&self) -> &AutoscaleConfig {
+        &self.ctl.config
+    }
+
+    /// Build replica `idx`, provisioned at `spawn_s` and accepting
+    /// traffic from `ready_s`.
+    fn replica(&self, idx: usize, spawn_s: f64, ready_s: f64) -> ReplicaState<'a> {
+        let engines: &'a EngineArena = self.engines;
+        let engine = engines.push((self.build)(idx));
+        let (avg_in, avg_out) = self.avg_lengths;
+        ReplicaState {
+            engine,
+            actor: Some(engine.actor(ready_s)),
+            rates: engine.service_rates(avg_in, avg_out),
+            spawn_s,
+            ready_s,
+            retire_s: None,
+            killed_s: None,
+            stream: Vec::new(),
+            stream_meta: Vec::new(),
+            cal: CalQueue::default(),
+        }
+    }
+
+    /// A fresh attempt id.
+    fn attempt_id(&mut self) -> u64 {
+        let id = self.next_attempt_id;
+        self.next_attempt_id = id.checked_add(1).expect("attempt ids exhausted");
+        id
+    }
+
+    /// Replay every window, popping each window's events into their
+    /// handlers before closing it. Windows extend past the trace while
+    /// retries or faults are still pending — the drain tail of a
+    /// failure near the trace end must still be replayed, not dropped.
+    fn run(&mut self) {
+        let window_s = self.cfg().window_s;
+        let last_arrival = self.requests.last().map_or(0.0, |r| r.arrival_s);
+        let base_windows = (last_arrival / window_s) as usize + 1;
+        self.windows.reserve(base_windows);
+        let mut w = 0usize;
+        while w < base_windows || !self.queue.is_empty() {
+            let t0 = w as f64 * window_s;
+            let t1 = t0 + window_s;
+            while self.queue.peek_time().is_some_and(|t| t.as_secs() < t1) {
+                let (at, event) = self.queue.pop().expect("peeked an event");
+                match event {
+                    Event::Kill(i) => self.kill(i),
+                    Event::Arrival(idx) => self.dispatch(self.requests[idx], idx, 1),
+                    Event::Redispatch { id, idx, attempt, resume } => {
+                        self.redispatch(at.as_secs(), id, idx, attempt, resume)
+                    }
+                }
+            }
+            self.close_window(w, t0, t1);
+            w += 1;
+        }
+    }
+
+    /// Fault `faults.events[fault]` strikes: kill its victims.
+    fn kill(&mut self, fault: usize) {
+        let event = self.faults.events[fault];
+        let candidates: Vec<usize> = (0..self.replicas.len())
+            .filter(|&i| self.replicas[i].live())
+            .collect();
+        let (victims, group) = match event.kind {
+            FaultKind::KillReplica { pick } => {
+                let victim = (!candidates.is_empty())
+                    .then(|| candidates[(pick % candidates.len() as u64) as usize]);
+                (Vec::from_iter(victim), None)
+            }
+            FaultKind::GroupOutage { group } => (
+                candidates.into_iter().filter(|i| i % self.faults.groups == group).collect(),
+                Some(group),
+            ),
+        };
+        for v in victims {
+            self.kill_replica(v, event.t_s, group);
+        }
+    }
+
+    /// Kill replica `v` at `tk`. Attempts done by the kill instant
+    /// survived; everything else on the replica is lost and requeued
+    /// (or failed).
+    fn kill_replica(&mut self, v: usize, tk: f64, group: Option<usize>) {
+        self.replicas[v].killed_s = Some(tk);
+        self.replicas_killed += 1;
+        self.tally.failures += 1;
+        self.router.reset_replica(v);
+        let lost = if self.live_routing {
+            self.measured_inflight(v, tk)
+        } else {
+            self.replicas[v].cal.lose(tk)
+        };
+        self.lost_attempts += lost.len();
+        self.failures.push(FailureEvent { t_s: tk, replica: v, group, lost_attempts: lost.len() });
+        if self.telemetry {
+            self.instr.recorder.instant(
+                CONTROLLER_TRACK,
+                &format!("kill r{v}"),
+                tk,
+                &[
+                    ("lost_attempts", lost.len().to_string()),
+                    ("group", group.map_or_else(|| "-".into(), |g| g.to_string())),
+                ],
+            );
+            self.instr.metrics.counter_add("autoscale.kills", 1);
+        }
+        for (done, service, attempt_id, idx, attempt) in lost {
+            self.doomed.insert(attempt_id);
+            // The unserved remainder of the lost work leaves the fluid
+            // backlog; the retry re-adds its full cost when dispatched.
+            self.backlog_s = (self.backlog_s - service.min(done - tk)).max(0.0);
+            self.requeue_or_fail(tk, idx, attempt);
+        }
+    }
+
+    /// What a kill at `tk` loses under live routing: exactly the
+    /// attempts the victim's projection says are unfinished at that
+    /// instant, as `(done, work, attempt id, request index, attempt)`.
+    fn measured_inflight(&mut self, v: usize, tk: f64) -> Vec<(f64, f64, u64, usize, u32)> {
+        let start = self.instr.profiling.then(Instant::now);
+        let rep = &mut self.replicas[v];
+        let completion: HashMap<u64, f64> = rep
+            .actor()
+            .projected()
+            .timeline
+            .iter()
+            .map(|t| (t.id, t.completion_s))
+            .collect();
+        let lost = rep
+            .stream
+            .iter()
+            .zip(&rep.stream_meta)
+            .filter_map(|(r, &(idx, attempt, work))| {
+                let done = completion.get(&r.id).copied().unwrap_or(f64::INFINITY);
+                (done > tk).then_some((done, work, r.id, idx, attempt))
+            })
+            .collect();
+        self.replay_s += lap(start);
+        lost
+    }
+
+    /// Requeue attempt `attempt` of `requests[idx]`, lost at
+    /// `lost_at_s`, after the detection delay and backoff — or count
+    /// the request failed when its budget (attempts or deadline) is
+    /// exhausted.
+    fn requeue_or_fail(&mut self, lost_at_s: f64, idx: usize, attempt: u32) {
+        let retry = self.faults.retry;
+        let attempt = attempt + 1;
+        let retry_at = lost_at_s + self.faults.detect_s + retry.backoff_s(attempt);
+        if attempt > retry.max_attempts
+            || retry_at - self.requests[idx].arrival_s > retry.deadline_s
+        {
+            self.failed += 1;
+            return;
+        }
+        let id = self.attempt_id();
+        self.retry_meta.insert(id, (idx, attempt));
+        let event = Event::Redispatch { id, idx, attempt, resume: false };
+        self.queue.push(SimTime::from_secs(retry_at), event);
+    }
+
+    /// A retry or resume comes due at `at`.
+    fn redispatch(&mut self, at: f64, id: u64, idx: usize, attempt: u32, resume: bool) {
+        let orig = &self.requests[idx];
+        let req = Request::new(id, orig.input_len, orig.output_len).with_arrival(at);
+        if !resume {
+            self.retries += 1;
+            if self.telemetry {
+                self.instr.recorder.instant(
+                    CONTROLLER_TRACK,
+                    &format!("retry req {}", orig.id),
+                    at,
+                    &[("attempt", attempt.to_string())],
+                );
+                self.instr.metrics.counter_add("autoscale.retry_dispatches", 1);
+            }
+        }
+        self.dispatch(req, idx, attempt);
+    }
+
+    /// Route dispatch attempt `attempt` of `requests[idx]` (carried by
+    /// `req`) among the accepting replicas and push it to the chosen
+    /// replica's actor; park it when every replica is dark.
+    fn dispatch(&mut self, req: Request, idx: usize, attempt: u32) {
+        let now = req.arrival_s;
+        self.eligible.clear();
+        self.eligible
+            .extend((0..self.replicas.len()).filter(|&i| self.replicas[i].accepting(now)));
+        if self.eligible.is_empty() {
+            return self.park(req, idx, attempt);
+        }
+        self.attempts += 1;
+        let accepting = self.eligible.len() as f64;
+        self.backlog_s = (self.backlog_s - (now - self.backlog_t) * accepting).max(0.0);
+        self.backlog_t = now;
+        let live = self.read_live(now);
+        let replicas = &self.replicas;
+        let routed = self
+            .router
+            .route(&req, &self.eligible, &live, |i, r| replicas[i].rates.est_service_s(r))
+            .expect("eligible is non-empty");
+        self.assignment[idx] = routed.replica;
+        if self.telemetry {
+            self.record_route(&req, &routed, &live);
+        }
+        let rep = &mut self.replicas[routed.replica];
+        let work = self.calib * rep.rates.est_service_s(&req);
+        rep.stream.push(req);
+        rep.actor().push(req);
+        if self.injecting && self.live_routing {
+            rep.stream_meta.push((idx, attempt, work));
+        } else if self.injecting {
+            rep.cal.push(now, work, req.id, idx, attempt);
+        }
+        self.tally.waits_ok +=
+            usize::from(self.backlog_s / accepting <= self.cfg().slo.ttft_s);
+        self.backlog_s += work;
+        self.tally.est_work_s += work;
+        self.tally.arrivals += 1;
+    }
+
+    /// Measured state of each eligible replica at `now` (live policies
+    /// only; estimated policies ignore the vec and read their virtual
+    /// queues). Queried serially in eligible order, so the trajectory
+    /// stays deterministic and jobs-invariant.
+    fn read_live(&mut self, now: f64) -> Vec<(usize, f64)> {
+        if !self.live_routing {
+            return Vec::new();
+        }
+        let start = self.instr.profiling.then(Instant::now);
+        let policy = self.cfg().router;
+        let states = self
+            .eligible
+            .iter()
+            .map(|&i| policy.read_live(self.replicas[i].actor(), now))
+            .collect();
+        self.replay_s += lap(start);
+        states
+    }
+
+    /// Record a route decision and the state it saw: measured for live
+    /// policies, the router's virtual queue otherwise.
+    fn record_route(&mut self, req: &Request, routed: &Routed, live: &[(usize, f64)]) {
+        let (depth, work_s) = if self.live_routing {
+            let pos = self
+                .eligible
+                .iter()
+                .position(|&i| i == routed.replica)
+                .expect("routed among eligible");
+            live[pos]
+        } else {
+            self.router.queue_state(req.arrival_s)[routed.replica]
+        };
+        self.instr.recorder.instant(
+            ROUTER_TRACK,
+            &format!("route {} -> r{}", req.id, routed.replica),
+            req.arrival_s,
+            &route_args(depth, work_s, routed.est_wait_s, self.live_routing),
+        );
+        let counter = format!("autoscale.route.replica{}", routed.replica);
+        self.instr.metrics.counter_add(&counter, 1);
+        self.instr.metrics.observe("autoscale.route.est_wait_s", routed.est_wait_s);
+    }
+
+    /// Every replica is dark at `req`'s dispatch — only kills can empty
+    /// the fleet (`min_replicas` guards the fault-free path). Park the
+    /// attempt until the first warming replica becomes ready, so it
+    /// waits out the outage instead of burning a retry; with nothing
+    /// warming (replacements only spawn at window boundaries) the
+    /// attempt is lost at dispatch and requeued like killed work.
+    fn park(&mut self, req: Request, idx: usize, attempt: u32) {
+        let now = req.arrival_s;
+        assert!(self.injecting, "no accepting replica at t={now} (min_replicas guards this)");
+        self.backlog_t = now;
+        let resume = self
+            .replicas
+            .iter()
+            .filter(|r| r.live())
+            .map(|r| r.ready_s)
+            .fold(f64::INFINITY, f64::min);
+        let orig_id = self.requests[idx].id;
+        if resume.is_finite() {
+            debug_assert!(resume > now, "a ready live replica would have been eligible");
+            let id = self.attempt_id();
+            // Same attempt number: parking is not a retry.
+            self.retry_meta.insert(id, (idx, attempt));
+            let event = Event::Redispatch { id, idx, attempt, resume: true };
+            self.queue.push(SimTime::from_secs(resume), event);
+            if self.telemetry {
+                self.instr.recorder.instant(
+                    CONTROLLER_TRACK,
+                    &format!("park req {orig_id}"),
+                    now,
+                    &[("resume_s", fmt_secs(resume))],
+                );
+                self.instr.metrics.counter_add("autoscale.parked", 1);
+            }
+        } else {
+            self.tally.arrivals += 1;
+            self.attempts += 1;
+            self.lost_attempts += 1;
+            if self.telemetry {
+                let name = format!("lost-at-dispatch req {orig_id}");
+                self.instr.recorder.instant(CONTROLLER_TRACK, &name, now, &[]);
+            }
+            self.requeue_or_fail(now, idx, attempt);
+        }
+    }
+
+    /// Close window `w` = `[t0, t1)`: observe the boundary signals,
+    /// let the policy decide (cooldown-gated), act, and replace killed
+    /// capacity.
+    fn close_window(&mut self, w: usize, t0: f64, t1: f64) {
+        let cfg = *self.cfg();
+        let tally = std::mem::take(&mut self.tally);
+        let queue_state = self.router.queue_state(t1);
+        let ready = self.replicas.iter().filter(|r| r.accepting(t1)).count();
+        let provisioned = self.replicas.iter().filter(|r| r.live()).count();
+        self.backlog_s = (self.backlog_s - (t1 - self.backlog_t) * ready.max(1) as f64).max(0.0);
+        self.backlog_t = t1;
+        let signals = WindowSignals {
+            t0,
+            t1,
+            arrivals: tally.arrivals,
+            offered_rps: tally.arrivals as f64 / cfg.window_s,
+            queue_depth: self.queue_depth(t1),
+            est_attainment: if tally.arrivals > 0 {
+                tally.waits_ok as f64 / tally.arrivals as f64
+            } else {
+                1.0
+            },
+            utilization_est: tally.est_work_s / (ready.max(1) as f64 * cfg.window_s),
+            ready,
+            provisioned,
+            failures: tally.failures,
+        };
+        let decision = if self.windows_since_event >= self.ctl.policy.cooldown_windows() {
+            self.ctl.policy.decide(&signals, cfg.min_replicas, cfg.max_replicas)
+        } else {
+            ScaleDecision::Hold
+        };
+        match decision {
+            ScaleDecision::Hold => self.windows_since_event += 1,
+            ScaleDecision::Up(k) => {
+                self.spawn(k, t1);
+                self.desired = provisioned + k;
+                self.windows_since_event = 0;
+                let to = provisioned + k;
+                self.scale_event("scale-up", "autoscale.scale_up", t1, provisioned, to);
+            }
+            ScaleDecision::Down(k) => {
+                self.retire(k, t1, &queue_state);
+                self.desired = provisioned - k;
+                self.windows_since_event = 0;
+                let to = provisioned - k;
+                self.scale_event("scale-down", "autoscale.scale_down", t1, provisioned, to);
+            }
+        }
+        // Replacement spawns: restore the policy's desired count after
+        // kills shrank the live fleet. Recorded as a scale event but
+        // does NOT reset the cooldown — replacing lost capacity is
+        // repair, not a policy decision.
+        if self.faults.replace_failures {
+            let live_now = self.replicas.iter().filter(|r| r.live()).count();
+            let want = self.desired.clamp(cfg.min_replicas, cfg.max_replicas);
+            if live_now < want {
+                self.spawn(want - live_now, t1);
+                self.scale_event("replace", "autoscale.replacements", t1, live_now, want);
+            }
+        }
+        if self.telemetry {
+            self.record_window(w, &signals);
+        }
+        self.windows.push(signals);
+    }
+
+    /// The boundary queue-depth signal at `t1`. Under live routing the
+    /// controller observes the *measured* queue: unfinished requests
+    /// across accepting replicas, counted exactly by their actors (no
+    /// projection); otherwise the calibrated fluid backlog.
+    fn queue_depth(&mut self, t1: f64) -> f64 {
+        if !self.live_routing {
+            return self.backlog_s * self.cfg().capacity_rps;
+        }
+        let start = self.instr.profiling.then(Instant::now);
+        let mut depth = 0usize;
+        for rep in self.replicas.iter_mut().filter(|r| r.accepting(t1)) {
+            depth += rep.actor().depth_at(t1).queue_depth;
+        }
+        self.replay_s += lap(start);
+        depth as f64
+    }
+
+    /// Spawn `k` replicas at `at`; they accept traffic after warm-up.
+    fn spawn(&mut self, k: usize, at: f64) {
+        for _ in 0..k {
+            let idx = self.router.add_replica();
+            debug_assert_eq!(idx, self.replicas.len());
+            let replica = self.replica(idx, at, at + self.cfg().warmup_s);
+            if self.telemetry {
+                let label = replica.engine.label();
+                register_replica_track(&mut self.instr.recorder, idx, &label);
+            }
+            self.replicas.push(replica);
+        }
+    }
+
+    /// Retire the `k` emptiest accepting replicas at `t1` (fastest
+    /// drain); ties prefer the newest (LIFO), all deterministic.
+    fn retire(&mut self, k: usize, t1: f64, queue_state: &[(usize, f64)]) {
+        let mut victims: Vec<usize> =
+            (0..self.replicas.len()).filter(|&i| self.replicas[i].accepting(t1)).collect();
+        victims.sort_by(|&a, &b| {
+            let (qa, qb) = (queue_state[a], queue_state[b]);
+            qa.0.cmp(&qb.0).then(qa.1.total_cmp(&qb.1)).then(b.cmp(&a))
+        });
+        for &v in victims.iter().take(k) {
+            self.replicas[v].retire_s = Some(t1);
+        }
+    }
+
+    /// Log a `from -> to` scale event at `t_s`, named `kind` on the
+    /// controller track and counted under `counter`.
+    fn scale_event(&mut self, kind: &str, counter: &str, t_s: f64, from: usize, to: usize) {
+        self.events.push(ScaleEvent { t_s, from, to });
+        self.peak_replicas = self.peak_replicas.max(to);
+        if self.telemetry {
+            self.instr.recorder.instant(
+                CONTROLLER_TRACK,
+                &format!("{kind} {from} -> {to}"),
+                t_s,
+                &[("from", from.to_string()), ("to", to.to_string())],
+            );
+            self.instr.metrics.counter_add(counter, 1);
+        }
+    }
+
+    /// Record window `w`'s span and gauges.
+    fn record_window(&mut self, w: usize, signals: &WindowSignals) {
+        self.instr.recorder.span(
+            CONTROLLER_TRACK,
+            &format!("window {w}"),
+            signals.t0,
+            self.ctl.config.window_s,
+            &[
+                ("arrivals", signals.arrivals.to_string()),
+                ("offered_rps", fmt_secs(signals.offered_rps)),
+                ("queue_depth", fmt_secs(signals.queue_depth)),
+                ("est_attainment", fmt_secs(signals.est_attainment)),
+                ("utilization_est", fmt_secs(signals.utilization_est)),
+                ("ready", signals.ready.to_string()),
+                ("provisioned", signals.provisioned.to_string()),
+                ("failures", signals.failures.to_string()),
+            ],
+        );
+        let metrics = &mut self.instr.metrics;
+        let peak = metrics
+            .gauge("autoscale.window.queue_depth.max")
+            .unwrap_or(0.0)
+            .max(signals.queue_depth);
+        metrics.gauge_set("autoscale.window.queue_depth.max", peak);
+        metrics.observe("autoscale.window.offered_rps", signals.offered_rps);
+    }
+
+    /// The trajectory is fixed: finish the replicas' simulations, fold
+    /// retries back onto their requests, and build the report.
+    /// `loop_s` is the host time of [`Replay::run`], `run_start` the
+    /// start of the whole run (both profiling only).
+    fn finish(
+        mut self,
+        runner: &SweepRunner,
+        loop_s: f64,
+        run_start: Option<Instant>,
+    ) -> ElasticFleetReport {
+        let cfg = *self.cfg();
+        let prof = self.instr.profiling;
+        // With no faults the loop runs exactly the base window count,
+        // so this equals the fault-free horizon.
+        let horizon_s = self.windows.len() as f64 * cfg.window_s;
+        // Projections behind the live reads, and the requests they
+        // re-simulated (deterministic: they follow the trajectory).
+        let (replays, replayed_requests) = self
+            .replicas
+            .iter_mut()
+            .map(|r| r.actor().projection_counts())
+            .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
+        let engine_start = prof.then(Instant::now);
+        let actors = self
+            .replicas
+            .iter_mut()
+            .map(|r| r.actor.take().expect("each replica has one actor"))
+            .collect();
+        let mut reports = finish_all(runner, actors);
+        let engine_s = lap(engine_start);
+        let metrics_start = prof.then(Instant::now);
+        if self.injecting {
+            self.fold_retries(&mut reports);
+        }
+        let lifecycles: Vec<ReplicaLifecycle> = self
+            .replicas
+            .iter()
+            .zip(&reports)
+            .map(|(rep, report)| lifecycle(rep, report, horizon_s))
+            .collect();
+        let replica_seconds: f64 = lifecycles.iter().map(ReplicaLifecycle::billed_s).sum();
+        let assignment = std::mem::take(&mut self.assignment);
+        let fleet = FleetReport::from_replica_reports(cfg.router, reports, assignment);
+        let windowed = windowed_metrics(&fleet.timeline, cfg.slo, cfg.window_s, horizon_s);
+        let alerts = AlertEngine::evaluate(&[self.ctl.alert], &windowed);
+        // Conservation: every offered request either completed or was
+        // counted failed — nothing is silently dropped.
+        let completed = fleet.timeline.len();
+        assert_eq!(
+            completed + self.failed,
+            self.requests.len(),
+            "request conservation: every offered request must complete or be counted failed"
+        );
+        debug_assert_eq!(self.attempts, completed + self.lost_attempts);
+        let availability = AvailabilityStats {
+            offered: self.requests.len(),
+            attempts: self.attempts,
+            completed,
+            lost_attempts: self.lost_attempts,
+            retries: self.retries,
+            failed: self.failed,
+            replicas_killed: self.replicas_killed,
+            unavailability_s: unavailability_s(&lifecycles, horizon_s),
+            window_capacity_s: accepting_capacity_per_window(
+                &lifecycles,
+                cfg.window_s,
+                self.windows.len(),
+            ),
+        };
+        let metrics_s = lap(metrics_start);
+        if self.telemetry {
+            self.record_run(&fleet, &alerts, &availability, (replays, replayed_requests));
+        }
+        if prof {
+            self.instr.profile.absorb(&ControllerProfile {
+                routing_s: (loop_s - self.replay_s).max(0.0),
+                replay_s: self.replay_s,
+                engine_s,
+                metrics_s,
+                total_s: lap(run_start),
+                windows: self.windows.len(),
+                dispatches: self.attempts as u64,
+                replays,
+                replayed_requests,
+            });
+        }
+        ElasticFleetReport {
+            policy: self.ctl.policy,
+            config: cfg,
+            fleet,
+            windows: self.windows,
+            events: self.events,
+            lifecycles,
+            failures: self.failures,
+            availability,
+            windowed,
+            alerts,
+            horizon_s,
+            replica_seconds,
+            peak_replicas: self.peak_replicas,
+        }
+    }
+
+    /// Drop attempts the fault schedule declared lost, and fold
+    /// surviving retries back onto their original request: the
+    /// timeline's identity and arrival are the *first* attempt's (so
+    /// e2e spans detection + backoff + requeue), while the simulated
+    /// completion is the surviving attempt's.
+    fn fold_retries(&self, reports: &mut [seesaw_engine::EngineReport]) {
+        for report in reports {
+            report.timeline.retain(|t| !self.doomed.contains(&t.id));
+            for t in &mut report.timeline {
+                if let Some(&(idx, attempt)) = self.retry_meta.get(&t.id) {
+                    t.id = self.requests[idx].id;
+                    t.arrival_s = self.requests[idx].arrival_s;
+                    t.attempts = attempt;
+                }
+            }
+            report.timeline.sort_by_key(|t| t.id);
+            report.latency = LatencyStats::from_timeline(&report.timeline);
+        }
+    }
+
+    /// Record the finished run: request spans, alert transitions, and
+    /// the run's registry counters.
+    fn record_run(
+        &mut self,
+        fleet: &FleetReport,
+        alerts: &[AlertEvent],
+        availability: &AvailabilityStats,
+        (replays, replayed_requests): (u64, u64),
+    ) {
+        record_request_spans(&mut self.instr.recorder, fleet);
+        for a in alerts {
+            let name = match a.kind {
+                AlertKind::Fire => "alert.fire",
+                AlertKind::Clear => "alert.clear",
+            };
+            self.instr.recorder.instant(
+                ALERT_TRACK,
+                name,
+                a.t_s,
+                &[
+                    ("rule", a.rule.clone()),
+                    ("window", a.window.to_string()),
+                    ("short_burn", format!("{:.2}", a.short_burn)),
+                    ("long_burn", format!("{:.2}", a.long_burn)),
+                ],
+            );
+        }
+        let m = &mut self.instr.metrics;
+        let fired = alerts.iter().filter(|a| a.kind == AlertKind::Fire).count();
+        m.counter_add("autoscale.alerts.fired", fired as u64);
+        for (i, rep) in fleet.replicas.iter().enumerate() {
+            m.counter_add(&format!("autoscale.requests.replica{i}"), rep.stats.requests as u64);
+        }
+        m.counter_add("autoscale.windows", self.windows.len() as u64);
+        m.counter_add("autoscale.attempts", self.attempts as u64);
+        m.counter_add("autoscale.retries", self.retries as u64);
+        m.counter_add("autoscale.lost_attempts", self.lost_attempts as u64);
+        m.counter_add("autoscale.failed", self.failed as u64);
+        m.counter_add("autoscale.replicas_killed", self.replicas_killed as u64);
+        m.counter_add("autoscale.scale_events", self.events.len() as u64);
+        m.counter_add("autoscale.replay.count", replays);
+        m.counter_add("autoscale.replay.requests", replayed_requests);
+        m.gauge_set("autoscale.peak_replicas", self.peak_replicas as f64);
+        m.gauge_set("autoscale.unavailability_s", availability.unavailability_s);
+    }
+}
+
+/// Replica `rep`'s billed lifetime, from its finished `report`.
+fn lifecycle(
+    rep: &ReplicaState,
+    report: &seesaw_engine::EngineReport,
+    horizon_s: f64,
+) -> ReplicaLifecycle {
+    let last_completion = report
+        .timeline
+        .iter()
+        .map(|t| t.completion_s)
+        .fold(rep.ready_s, f64::max);
+    let end_s = match (rep.killed_s, rep.retire_s) {
+        // A kill is instantaneous: nothing drains past it, and billing
+        // stops at the kill.
+        (Some(killed), _) => killed,
+        (None, Some(retire)) => retire.max(last_completion),
+        (None, None) => horizon_s.max(last_completion),
+    };
+    ReplicaLifecycle {
+        spawn_s: rep.spawn_s,
+        ready_s: rep.ready_s,
+        retire_s: rep.retire_s,
+        killed_s: rep.killed_s,
+        end_s,
+        requests: rep.stream.len(),
+    }
 }
 
 /// The autoscaling controller: a [`ScalingPolicy`] bound to an
@@ -378,12 +1242,6 @@ pub struct AutoscaleController {
     pub config: AutoscaleConfig,
     /// The replica-count policy.
     pub policy: ScalingPolicy,
-    /// How window TTFT summaries are computed: [`SummaryMode::Exact`]
-    /// (the default — byte-identical to pre-sketch behaviour) sorts
-    /// each window's samples post-hoc; [`SummaryMode::Sketch`] folds
-    /// completions into a streaming [`WindowAccumulator`] of
-    /// mergeable quantile sketches as replica reports land.
-    pub summary: SummaryMode,
     /// The burn-rate alert rule evaluated over the measured window
     /// axis ([`ElasticFleetReport::alerts`]).
     pub alert: AlertRule,
@@ -392,25 +1250,13 @@ pub struct AutoscaleController {
 impl AutoscaleController {
     /// A controller; panics on invalid configuration or policy (use
     /// [`AutoscaleConfig::validate`] / [`ScalingPolicy::validate`]
-    /// for recoverable checks). Summaries default to
-    /// [`SummaryMode::Exact`] and alerting to [`AlertRule::default`];
-    /// override with [`AutoscaleController::with_summary`] /
+    /// for recoverable checks). Alerting defaults to
+    /// [`AlertRule::default`]; override with
     /// [`AutoscaleController::with_alert`].
     pub fn new(config: AutoscaleConfig, policy: ScalingPolicy) -> Self {
         config.validate().unwrap_or_else(|e| panic!("invalid autoscale config: {e}"));
         policy.validate().unwrap_or_else(|e| panic!("invalid scaling policy: {e}"));
-        AutoscaleController {
-            config,
-            policy,
-            summary: SummaryMode::Exact,
-            alert: AlertRule::default(),
-        }
-    }
-
-    /// The same controller with `summary` as its window-summary mode.
-    pub fn with_summary(mut self, summary: SummaryMode) -> Self {
-        self.summary = summary;
-        self
+        AutoscaleController { config, policy, alert: AlertRule::default() }
     }
 
     /// The same controller evaluating `alert`; panics on an invalid
@@ -422,86 +1268,32 @@ impl AutoscaleController {
     }
 
     /// Replay `requests` (sorted by arrival) on replicas built by
-    /// `build`, parallelizing the final engine simulations on the
-    /// environment's runner.
-    pub fn run(&self, build: ReplicaBuilder, requests: &[Request]) -> ElasticFleetReport {
-        self.run_with(&SweepRunner::from_env(), build, requests)
-    }
-
-    /// [`AutoscaleController::run`] on an explicit runner. The
-    /// decision trajectory is computed serially (it is causal:
+    /// `build`, under the fault schedule `faults`
+    /// ([`FaultSchedule::none`] for a fault-free day): scheduled kills
+    /// strike mid-replay, their in-flight and queued attempts are lost
+    /// and requeued through the router after the detection delay
+    /// (under the schedule's retry policy), and — when the schedule
+    /// asks for it — the controller spawns replacement replicas that
+    /// pay the usual warm-up.
+    ///
+    /// The decision trajectory is computed serially (it is causal:
     /// window N+1's routing depends on window N's scaling), so the
-    /// runner only parallelizes the per-replica engine simulations —
-    /// output is byte-identical for every `--jobs` value.
+    /// runner only parallelizes finishing the per-replica engine
+    /// simulations — output is byte-identical for every `--jobs`
+    /// value.
+    ///
+    /// `instr` collects telemetry: when its recorder is enabled, the
+    /// controller records its decision trajectory as it happens —
+    /// scale events, kills, retries and parks on the controller track;
+    /// route decisions (with the measured or estimated state each one
+    /// saw) on the router track; one span per control window — and
+    /// fills request lifecycle spans and registry metrics from the
+    /// finished report. When `instr.profiling` is set, wall time is
+    /// attributed across the controller phases (routing / live-state
+    /// reads / engine runs / metrics) into `instr.profile`. With
+    /// [`Instrument::off`] every recording site is a branch on a false
+    /// bool, so the report is byte-identical (enforced by tests).
     pub fn run_with(
-        &self,
-        runner: &SweepRunner,
-        build: ReplicaBuilder,
-        requests: &[Request],
-    ) -> ElasticFleetReport {
-        self.run_faulted_with(runner, build, requests, &FaultSchedule::none())
-    }
-
-    /// [`AutoscaleController::run_with`] under a [`FaultSchedule`]:
-    /// scheduled kills strike mid-replay, their in-flight and queued
-    /// attempts are lost and requeued through the router after the
-    /// detection delay (under the schedule's retry policy), and —
-    /// when the schedule asks for it — the controller spawns
-    /// replacement replicas that pay the usual warm-up.
-    ///
-    /// This is the *only* replay loop: the fault-free path is the
-    /// same code with an empty schedule, so
-    /// `run_faulted_with(.., &FaultSchedule::none())` is structurally
-    /// identical to [`AutoscaleController::run_with`] — byte-for-byte,
-    /// not merely equivalent. Faults and requeue decisions are
-    /// resolved serially on the causal trajectory (like every routing
-    /// and scaling decision), so output remains byte-identical for
-    /// every `--jobs` value.
-    pub fn run_faulted_with(
-        &self,
-        runner: &SweepRunner,
-        build: ReplicaBuilder,
-        requests: &[Request],
-        faults: &FaultSchedule,
-    ) -> ElasticFleetReport {
-        self.run_faulted_instrumented_with(runner, build, requests, faults, &mut Instrument::off())
-    }
-
-    /// [`AutoscaleController::run_with`] collecting the wall-time
-    /// phase profile beside the report — the `perf_report` entry
-    /// point for answering "where does controller time go".
-    pub fn run_profiled_with(
-        &self,
-        runner: &SweepRunner,
-        build: ReplicaBuilder,
-        requests: &[Request],
-    ) -> (ElasticFleetReport, ControllerProfile) {
-        let mut instr = Instrument::profiling();
-        let report = self.run_faulted_instrumented_with(
-            runner,
-            build,
-            requests,
-            &FaultSchedule::none(),
-            &mut instr,
-        );
-        (report, instr.profile)
-    }
-
-    /// [`AutoscaleController::run_faulted_with`] with a telemetry
-    /// [`Instrument`]. When the recorder is enabled, the controller
-    /// records its decision trajectory as it happens — scale events,
-    /// kills, retries and parks on the controller track; route
-    /// decisions (with the measured or estimated state each one saw)
-    /// on the router track; one span per control window — and fills
-    /// request lifecycle spans and registry metrics from the finished
-    /// report. When `instr.profiling` is set, wall time is attributed
-    /// across the controller phases (routing / live-state replay /
-    /// engine runs / metrics) into `instr.profile`.
-    ///
-    /// With `Instrument::off()` this *is* `run_faulted_with`: every
-    /// recording site is a branch on a false bool, so the disabled
-    /// run's report is byte-identical (enforced by tests).
-    pub fn run_faulted_instrumented_with(
         &self,
         runner: &SweepRunner,
         build: ReplicaBuilder,
@@ -509,801 +1301,17 @@ impl AutoscaleController {
         faults: &FaultSchedule,
         instr: &mut Instrument,
     ) -> ElasticFleetReport {
-        let cfg = self.config;
-        let telemetry = instr.telemetry_on();
-        let prof = instr.profiling;
-        let run_start = prof.then(Instant::now);
-        // Host time spent reading live replica state (actor advances
-        // and projections); gated on `prof` like every phase timer.
-        let mut replay_s = 0.0f64;
+        let run_start = instr.profiling.then(Instant::now);
         faults
             .validate()
             .unwrap_or_else(|e| panic!("invalid fault schedule: {e}"));
         assert_arrivals_sorted(requests);
-        let (avg_in, avg_out) = mean_lengths(requests);
         let engines = EngineArena::default();
-        let spawn = |idx: usize, spawn_s: f64, ready_s: f64| {
-            let engine = engines.push(build(idx));
-            ReplicaState {
-                engine,
-                actor: Some(engine.actor(ready_s)),
-                rates: engine.service_rates(avg_in, avg_out),
-                spawn_s,
-                ready_s,
-                retire_s: None,
-                killed_s: None,
-                stream: Vec::new(),
-                stream_meta: Vec::new(),
-            }
-        };
-
-        let n0 = self.policy.initial_replicas(cfg.min_replicas, cfg.max_replicas);
-        let mut replicas: Vec<ReplicaState> =
-            (0..n0).map(|i| spawn(i, 0.0, 0.0)).collect();
-        let mut router = Router::new(cfg.router, n0);
-        let mut assignment = vec![0usize; requests.len()];
-        if telemetry {
-            let labels: Vec<String> = replicas.iter().map(|r| r.engine.label()).collect();
-            register_tracks(&mut instr.recorder, &format!("router ({})", cfg.router), &labels);
-        }
-
-        // Signal calibration: the roofline estimates are steady-state
-        // optimistic, so scale them such that the mean request costs
-        // exactly `1 / capacity_rps` seconds of replica time — the
-        // *measured* cost. The router keeps the raw estimates (their
-        // relative order is what routing needs, and it keeps Static
-        // trajectories byte-identical to the fixed fleet tier).
-        let mean_req = Request::new(u64::MAX, avg_in, avg_out);
-        let calib = 1.0 / (cfg.capacity_rps * replicas[0].rates.est_service_s(&mean_req));
-
-        let last_arrival = requests.last().map_or(0.0, |r| r.arrival_s);
-        let base_windows = (last_arrival / cfg.window_s) as usize + 1;
-
-        // Fault/retry bookkeeping. `injecting` gates every extra
-        // per-dispatch cost, so the fault-free replay pays nothing
-        // beyond an integer compare. Hash containers are lookup-only
-        // (never iterated), so their order cannot leak into output.
-        let injecting = !faults.events.is_empty();
-        // Live routing: decisions read measured replica state (the
-        // replicas' engine actors) instead of the router's virtual
-        // queues, and
-        // a kill's lost set is the *measured* in-flight attempts at
-        // the kill instant rather than the `CalQueue` mirror.
-        let live_routing = cfg.router.needs_live_state();
-        let mut dispatch = DispatchQueue::new(requests);
-        let mut next_fault = 0usize;
-        let mut base_next = 0usize; // original index of the next base dispatch
-        let mut retry_meta: HashMap<u64, (usize, u32)> = HashMap::new();
-        // Attempt ids parked until a warming replica becomes ready
-        // (dispatched while every replica was dark): re-dispatch is a
-        // continuation of the same attempt, not a retry.
-        let mut buffered: HashSet<u64> = HashSet::new();
-        let mut doomed: HashSet<u64> = HashSet::new();
-        let mut next_attempt_id = requests
-            .iter()
-            .map(|r| r.id)
-            .max()
-            .unwrap_or(0)
-            .saturating_add(1);
-        let mut cal: Vec<CalQueue> = (0..n0).map(|_| CalQueue::default()).collect();
-        let mut failures: Vec<FailureEvent> = Vec::new();
-        let mut attempts = 0usize;
-        let mut retries = 0usize;
-        let mut lost_attempts = 0usize;
-        let mut failed = 0usize;
-        let mut replicas_killed = 0usize;
-        // The replica count the policy last asked for — what
-        // replacement spawns restore toward after kills.
-        let mut desired = n0;
-        // Requeue a lost attempt, or count the request failed when
-        // its budget (attempts or deadline) is exhausted.
-        let requeue_or_fail =
-            |dispatch: &mut DispatchQueue,
-             retry_meta: &mut HashMap<u64, (usize, u32)>,
-             next_attempt_id: &mut u64,
-             failed: &mut usize,
-             lost_at_s: f64,
-             orig_idx: usize,
-             attempt: u32| {
-                let next_attempt = attempt + 1;
-                if next_attempt > faults.retry.max_attempts {
-                    *failed += 1;
-                    return;
-                }
-                let retry_at =
-                    lost_at_s + faults.detect_s + faults.retry.backoff_s(next_attempt);
-                let orig = &requests[orig_idx];
-                if retry_at - orig.arrival_s > faults.retry.deadline_s {
-                    *failed += 1;
-                    return;
-                }
-                let id = *next_attempt_id;
-                *next_attempt_id = next_attempt_id
-                    .checked_add(1)
-                    .expect("attempt ids exhausted");
-                retry_meta.insert(id, (orig_idx, next_attempt));
-                dispatch
-                    .push(Request::new(id, orig.input_len, orig.output_len).with_arrival(retry_at));
-            };
-
-        let mut windows = Vec::with_capacity(base_windows);
-        let mut events = Vec::new();
-        let mut peak_replicas = n0;
-        let mut windows_since_event = self.policy.cooldown_windows();
-        let mut eligible: Vec<usize> = Vec::new();
-        // Calibrated fluid backlog: outstanding replica-seconds of
-        // work, drained at one second per accepting replica-second.
-        let mut backlog_s = 0.0f64;
-        let mut backlog_t = 0.0f64;
-
-        // Windows extend past the base count while retries or faults
-        // are still pending — the drain tail of a failure near the
-        // trace end must still be replayed, not dropped.
-        let mut w = 0usize;
-        let loop_start = prof.then(Instant::now);
-        while w < base_windows || !dispatch.is_empty() || next_fault < faults.events.len() {
-            let t0 = w as f64 * cfg.window_s;
-            let t1 = t0 + cfg.window_s;
-            let mut arrivals = 0usize;
-            let mut est_work_s = 0.0;
-            let mut waits_ok = 0usize;
-            let mut window_failures = 0usize;
-            loop {
-                let t_disp = dispatch.peek_s();
-                let t_fault = faults.events.get(next_fault).map(|e| e.t_s);
-                // A fault inside the window at or before the next
-                // dispatch is processed first: the kill causally
-                // precedes a dispatch at the same instant (a request
-                // arriving exactly then already finds the replica
-                // gone). With no faults this branch never runs and
-                // the loop is exactly the fault-free walk.
-                let fault_first = match (t_fault, t_disp) {
-                    (Some(tf), Some(td)) => tf < t1 && tf <= td,
-                    (Some(tf), None) => tf < t1,
-                    _ => false,
-                };
-                if fault_first {
-                    let event = faults.events[next_fault];
-                    next_fault += 1;
-                    let tk = event.t_s;
-                    let candidates: Vec<usize> = replicas
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, r)| r.live().then_some(i))
-                        .collect();
-                    let (victims, group): (Vec<usize>, Option<usize>) = match event.kind {
-                        FaultKind::KillReplica { pick } => {
-                            if candidates.is_empty() {
-                                (Vec::new(), None)
-                            } else {
-                                let v = candidates[(pick % candidates.len() as u64) as usize];
-                                (vec![v], None)
-                            }
-                        }
-                        FaultKind::GroupOutage { group } => (
-                            candidates
-                                .iter()
-                                .copied()
-                                .filter(|i| i % faults.groups == group)
-                                .collect(),
-                            Some(group),
-                        ),
-                    };
-                    for v in victims {
-                        replicas[v].killed_s = Some(tk);
-                        replicas_killed += 1;
-                        window_failures += 1;
-                        router.reset_replica(v);
-                        // Attempts done by the kill instant survived;
-                        // everything else on the replica is lost and
-                        // requeued (or failed). Estimated mode reads
-                        // the `CalQueue` mirror; live mode reads the
-                        // *measured* in-flight set — the kill fires as
-                        // an event on the global clock, and what it
-                        // loses is exactly what the replica's
-                        // projection says is unfinished at that
-                        // instant.
-                        let lost: Vec<(f64, f64, u64, usize, u32)> = if live_routing {
-                            let replay_start = prof.then(Instant::now);
-                            let rep = &mut replicas[v];
-                            let completion: HashMap<u64, f64> = rep
-                                .actor()
-                                .projected()
-                                .timeline
-                                .iter()
-                                .map(|t| (t.id, t.completion_s))
-                                .collect();
-                            let lost = rep
-                                .stream
-                                .iter()
-                                .zip(&rep.stream_meta)
-                                .filter_map(|(r, &(orig_idx, attempt, work))| {
-                                    let done =
-                                        completion.get(&r.id).copied().unwrap_or(f64::INFINITY);
-                                    (done > tk).then_some((done, work, r.id, orig_idx, attempt))
-                                })
-                                .collect();
-                            replay_s += lap(replay_start);
-                            lost
-                        } else {
-                            let q = &mut cal[v];
-                            while let Some(&(done, ..)) = q.inflight.front() {
-                                if done > tk {
-                                    break;
-                                }
-                                q.inflight.pop_front();
-                            }
-                            q.busy_until = tk;
-                            q.inflight.drain(..).collect()
-                        };
-                        lost_attempts += lost.len();
-                        failures.push(FailureEvent {
-                            t_s: tk,
-                            replica: v,
-                            group,
-                            lost_attempts: lost.len(),
-                        });
-                        if telemetry {
-                            instr.recorder.instant(
-                                CONTROLLER_TRACK,
-                                &format!("kill r{v}"),
-                                tk,
-                                &[
-                                    ("lost_attempts", lost.len().to_string()),
-                                    ("group", group.map_or_else(|| "-".into(), |g| g.to_string())),
-                                ],
-                            );
-                            instr.metrics.counter_add("autoscale.kills", 1);
-                        }
-                        for (done, service, attempt_id, orig_idx, attempt) in lost {
-                            doomed.insert(attempt_id);
-                            // The unserved remainder of the lost work
-                            // leaves the fluid backlog; the retry
-                            // re-adds its full cost when dispatched.
-                            backlog_s = (backlog_s - service.min(done - tk)).max(0.0);
-                            requeue_or_fail(
-                                &mut dispatch,
-                                &mut retry_meta,
-                                &mut next_attempt_id,
-                                &mut failed,
-                                tk,
-                                orig_idx,
-                                attempt,
-                            );
-                        }
-                    }
-                    continue;
-                }
-                let Some(td) = t_disp else { break };
-                if td >= t1 {
-                    break;
-                }
-                let (req, is_retry) = dispatch.pop().expect("peeked a dispatch");
-                // A buffered re-dispatch continues the same attempt —
-                // it waited out an outage, it did not fail.
-                let resumed = is_retry && buffered.remove(&req.id);
-                let (orig_idx, attempt) = if is_retry {
-                    if !resumed {
-                        retries += 1;
-                    }
-                    *retry_meta.get(&req.id).expect("retry has metadata")
-                } else {
-                    base_next += 1;
-                    (base_next - 1, 1)
-                };
-                if telemetry && is_retry && !resumed {
-                    instr.recorder.instant(
-                        CONTROLLER_TRACK,
-                        &format!("retry req {}", requests[orig_idx].id),
-                        req.arrival_s,
-                        &[("attempt", attempt.to_string())],
-                    );
-                    instr.metrics.counter_add("autoscale.retry_dispatches", 1);
-                }
-                eligible.clear();
-                eligible.extend(replicas.iter().enumerate().filter_map(|(i, rep)| {
-                    (rep.live() && rep.ready_s <= req.arrival_s).then_some(i)
-                }));
-                if eligible.is_empty() {
-                    // Only kills can empty the fleet (`min_replicas`
-                    // guards the fault-free path).
-                    assert!(
-                        injecting,
-                        "no accepting replica at t={} (min_replicas guards this)",
-                        req.arrival_s
-                    );
-                    backlog_t = req.arrival_s;
-                    // Park the arrival until the first warming replica
-                    // becomes ready: the request waits out the outage
-                    // instead of burning a retry attempt. With nothing
-                    // warming (replacements only spawn at window
-                    // boundaries) the attempt is lost at dispatch and
-                    // requeued like killed work.
-                    let resume = replicas
-                        .iter()
-                        .filter(|r| r.live())
-                        .map(|r| r.ready_s)
-                        .fold(f64::INFINITY, f64::min);
-                    if resume.is_finite() {
-                        debug_assert!(
-                            resume > req.arrival_s,
-                            "a ready live replica would have been eligible"
-                        );
-                        let id = next_attempt_id;
-                        next_attempt_id =
-                            next_attempt_id.checked_add(1).expect("attempt ids exhausted");
-                        // Same attempt number: parking is not a retry.
-                        retry_meta.insert(id, (orig_idx, attempt));
-                        buffered.insert(id);
-                        dispatch.push(
-                            Request::new(id, req.input_len, req.output_len)
-                                .with_arrival(resume),
-                        );
-                        if telemetry {
-                            instr.recorder.instant(
-                                CONTROLLER_TRACK,
-                                &format!("park req {}", requests[orig_idx].id),
-                                req.arrival_s,
-                                &[("resume_s", fmt_secs(resume))],
-                            );
-                            instr.metrics.counter_add("autoscale.parked", 1);
-                        }
-                    } else {
-                        arrivals += 1;
-                        attempts += 1;
-                        lost_attempts += 1;
-                        if telemetry {
-                            instr.recorder.instant(
-                                CONTROLLER_TRACK,
-                                &format!("lost-at-dispatch req {}", requests[orig_idx].id),
-                                req.arrival_s,
-                                &[],
-                            );
-                        }
-                        requeue_or_fail(
-                            &mut dispatch,
-                            &mut retry_meta,
-                            &mut next_attempt_id,
-                            &mut failed,
-                            req.arrival_s,
-                            orig_idx,
-                            attempt,
-                        );
-                    }
-                    continue;
-                }
-                attempts += 1;
-                backlog_s = (backlog_s
-                    - (req.arrival_s - backlog_t) * eligible.len() as f64)
-                    .max(0.0);
-                backlog_t = req.arrival_s;
-                // Measured state of each eligible replica at the
-                // arrival instant (live policies only; estimated
-                // policies ignore the vec and read their virtual
-                // queues). Queried serially in eligible order, so the
-                // trajectory stays deterministic and jobs-invariant.
-                let live: Vec<(usize, f64)> = if live_routing {
-                    let replay_start = prof.then(Instant::now);
-                    let states = eligible
-                        .iter()
-                        .map(|&i| cfg.router.read_live(replicas[i].actor(), req.arrival_s))
-                        .collect();
-                    replay_s += lap(replay_start);
-                    states
-                } else {
-                    Vec::new()
-                };
-                let routed = router
-                    .route(&req, &eligible, &live, |i, r| {
-                        replicas[i].rates.est_service_s(r)
-                    })
-                    .expect("eligible is non-empty");
-                assignment[orig_idx] = routed.replica;
-                if telemetry {
-                    // The state this decision saw: measured for live
-                    // policies, the router's virtual queue otherwise.
-                    let (depth, work_s) = if live_routing {
-                        let pos = eligible
-                            .iter()
-                            .position(|&i| i == routed.replica)
-                            .expect("routed among eligible");
-                        live[pos]
-                    } else {
-                        router.queue_state(req.arrival_s)[routed.replica]
-                    };
-                    instr.recorder.instant(
-                        ROUTER_TRACK,
-                        &format!("route {} -> r{}", req.id, routed.replica),
-                        req.arrival_s,
-                        &route_args(depth, work_s, routed.est_wait_s, live_routing),
-                    );
-                    instr
-                        .metrics
-                        .counter_add(&format!("autoscale.route.replica{}", routed.replica), 1);
-                    instr.metrics.observe("autoscale.route.est_wait_s", routed.est_wait_s);
-                }
-                let work = calib * replicas[routed.replica].rates.est_service_s(&req);
-                waits_ok +=
-                    usize::from(backlog_s / eligible.len() as f64 <= cfg.slo.ttft_s);
-                backlog_s += work;
-                est_work_s += work;
-                replicas[routed.replica].stream.push(req);
-                replicas[routed.replica].actor().push(req);
-                if live_routing {
-                    if injecting {
-                        replicas[routed.replica].stream_meta.push((orig_idx, attempt, work));
-                    }
-                } else if injecting {
-                    let q = &mut cal[routed.replica];
-                    let now = req.arrival_s;
-                    while let Some(&(done, ..)) = q.inflight.front() {
-                        if done > now {
-                            break;
-                        }
-                        q.inflight.pop_front();
-                    }
-                    let start = now.max(q.busy_until);
-                    q.busy_until = start + work;
-                    q.inflight.push_back((start + work, work, req.id, orig_idx, attempt));
-                }
-                arrivals += 1;
-            }
-
-            // Observe the boundary state.
-            let queue_state = router.queue_state(t1);
-            let ready = replicas
-                .iter()
-                .filter(|r| r.live() && r.ready_s <= t1)
-                .count();
-            let provisioned = replicas.iter().filter(|r| r.live()).count();
-            backlog_s = (backlog_s - (t1 - backlog_t) * ready.max(1) as f64).max(0.0);
-            backlog_t = t1;
-            // Under live routing the controller observes the
-            // *measured* queue: unfinished requests across accepting
-            // replicas at the boundary, counted exactly by their
-            // actors (no projection) — not the calibrated fluid
-            // estimate.
-            let queue_depth = if live_routing {
-                let replay_start = prof.then(Instant::now);
-                let mut depth = 0usize;
-                for rep in replicas.iter_mut().filter(|r| r.live() && r.ready_s <= t1) {
-                    depth += rep.actor().depth_at(t1).queue_depth;
-                }
-                replay_s += lap(replay_start);
-                depth as f64
-            } else {
-                backlog_s * cfg.capacity_rps
-            };
-            let signals = WindowSignals {
-                t0,
-                t1,
-                arrivals,
-                offered_rps: arrivals as f64 / cfg.window_s,
-                queue_depth,
-                est_attainment: if arrivals > 0 {
-                    waits_ok as f64 / arrivals as f64
-                } else {
-                    1.0
-                },
-                utilization_est: est_work_s / (ready.max(1) as f64 * cfg.window_s),
-                ready,
-                provisioned,
-                failures: window_failures,
-            };
-
-            // Decide (cooldown-gated), then act.
-            let decision = if windows_since_event >= self.policy.cooldown_windows() {
-                self.policy.decide(&signals, cfg.min_replicas, cfg.max_replicas)
-            } else {
-                ScaleDecision::Hold
-            };
-            match decision {
-                ScaleDecision::Hold => windows_since_event += 1,
-                ScaleDecision::Up(k) => {
-                    for _ in 0..k {
-                        let idx = router.add_replica();
-                        debug_assert_eq!(idx, replicas.len());
-                        replicas.push(spawn(idx, t1, t1 + cfg.warmup_s));
-                        cal.push(CalQueue::default());
-                        if telemetry {
-                            let label = replicas[idx].engine.label();
-                            register_replica_track(&mut instr.recorder, idx, &label);
-                        }
-                    }
-                    desired = provisioned + k;
-                    events.push(ScaleEvent { t_s: t1, from: provisioned, to: provisioned + k });
-                    peak_replicas = peak_replicas.max(provisioned + k);
-                    windows_since_event = 0;
-                    if telemetry {
-                        instr.recorder.instant(
-                            CONTROLLER_TRACK,
-                            &format!("scale-up {provisioned} -> {}", provisioned + k),
-                            t1,
-                            &[
-                                ("from", provisioned.to_string()),
-                                ("to", (provisioned + k).to_string()),
-                            ],
-                        );
-                        instr.metrics.counter_add("autoscale.scale_up", 1);
-                    }
-                }
-                ScaleDecision::Down(k) => {
-                    // Retire the emptiest accepting replicas (fastest
-                    // drain); ties prefer the newest (LIFO), all
-                    // deterministic.
-                    let mut victims: Vec<usize> = replicas
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.live() && r.ready_s <= t1)
-                        .map(|(i, _)| i)
-                        .collect();
-                    victims.sort_by(|&a, &b| {
-                        let (qa, qb) = (queue_state[a], queue_state[b]);
-                        qa.0.cmp(&qb.0)
-                            .then(qa.1.total_cmp(&qb.1))
-                            .then(b.cmp(&a))
-                    });
-                    for &v in victims.iter().take(k) {
-                        replicas[v].retire_s = Some(t1);
-                    }
-                    desired = provisioned - k;
-                    events.push(ScaleEvent { t_s: t1, from: provisioned, to: provisioned - k });
-                    windows_since_event = 0;
-                    if telemetry {
-                        instr.recorder.instant(
-                            CONTROLLER_TRACK,
-                            &format!("scale-down {provisioned} -> {}", provisioned - k),
-                            t1,
-                            &[
-                                ("from", provisioned.to_string()),
-                                ("to", (provisioned - k).to_string()),
-                            ],
-                        );
-                        instr.metrics.counter_add("autoscale.scale_down", 1);
-                    }
-                }
-            }
-            // Replacement spawns: restore the policy's desired count
-            // after kills shrank the live fleet. Recorded as a scale
-            // event but does NOT reset the cooldown — replacing lost
-            // capacity is repair, not a policy decision.
-            if faults.replace_failures {
-                let live_now = replicas.iter().filter(|r| r.live()).count();
-                let want = desired.clamp(cfg.min_replicas, cfg.max_replicas);
-                if live_now < want {
-                    for _ in 0..(want - live_now) {
-                        let idx = router.add_replica();
-                        debug_assert_eq!(idx, replicas.len());
-                        replicas.push(spawn(idx, t1, t1 + cfg.warmup_s));
-                        cal.push(CalQueue::default());
-                        if telemetry {
-                            let label = replicas[idx].engine.label();
-                            register_replica_track(&mut instr.recorder, idx, &label);
-                        }
-                    }
-                    events.push(ScaleEvent { t_s: t1, from: live_now, to: want });
-                    peak_replicas = peak_replicas.max(want);
-                    if telemetry {
-                        instr.recorder.instant(
-                            CONTROLLER_TRACK,
-                            &format!("replace {live_now} -> {want}"),
-                            t1,
-                            &[("from", live_now.to_string()), ("to", want.to_string())],
-                        );
-                        instr.metrics.counter_add("autoscale.replacements", 1);
-                    }
-                }
-            }
-            if telemetry {
-                instr.recorder.span(
-                    CONTROLLER_TRACK,
-                    &format!("window {w}"),
-                    t0,
-                    cfg.window_s,
-                    &[
-                        ("arrivals", signals.arrivals.to_string()),
-                        ("offered_rps", fmt_secs(signals.offered_rps)),
-                        ("queue_depth", fmt_secs(signals.queue_depth)),
-                        ("est_attainment", fmt_secs(signals.est_attainment)),
-                        ("utilization_est", fmt_secs(signals.utilization_est)),
-                        ("ready", signals.ready.to_string()),
-                        ("provisioned", signals.provisioned.to_string()),
-                        ("failures", signals.failures.to_string()),
-                    ],
-                );
-                let peak = instr
-                    .metrics
-                    .gauge("autoscale.window.queue_depth.max")
-                    .unwrap_or(0.0)
-                    .max(signals.queue_depth);
-                instr.metrics.gauge_set("autoscale.window.queue_depth.max", peak);
-                instr.metrics.observe("autoscale.window.offered_rps", signals.offered_rps);
-            }
-            windows.push(signals);
-            w += 1;
-        }
+        let mut replay = Replay::new(self, build, &engines, requests, faults, instr);
+        let loop_start = replay.instr.profiling.then(Instant::now);
+        replay.run();
         let loop_s = lap(loop_start);
-        // With no faults the loop runs exactly `base_windows` times,
-        // so this equals the fault-free horizon.
-        let horizon_s = windows.len() as f64 * cfg.window_s;
-
-        // Projections behind the live reads, and the requests they
-        // re-simulated (deterministic: they follow the trajectory).
-        let (replays, replayed_requests) = replicas
-            .iter_mut()
-            .map(|r| r.actor().projection_counts())
-            .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
-        // The trajectory is fixed; finish the replicas' simulations.
-        let engine_start = prof.then(Instant::now);
-        let actors = replicas
-            .iter_mut()
-            .map(|r| r.actor.take().expect("each replica has one actor"))
-            .collect();
-        let mut reports = finish_all(runner, actors);
-        let engine_s = lap(engine_start);
-        let metrics_start = prof.then(Instant::now);
-        if injecting {
-            // Drop attempts the fault schedule declared lost, and fold
-            // surviving retries back onto their original request: the
-            // timeline's identity and arrival are the *first* attempt's
-            // (so e2e spans detection + backoff + requeue), while the
-            // simulated completion is the surviving attempt's.
-            for report in &mut reports {
-                report.timeline.retain(|t| !doomed.contains(&t.id));
-                for t in &mut report.timeline {
-                    if let Some(&(orig_idx, attempt)) = retry_meta.get(&t.id) {
-                        t.id = requests[orig_idx].id;
-                        t.arrival_s = requests[orig_idx].arrival_s;
-                        t.attempts = attempt;
-                    }
-                }
-                report.timeline.sort_by_key(|t| t.id);
-                report.latency = LatencyStats::from_timeline(&report.timeline);
-            }
-        }
-        let lifecycles: Vec<ReplicaLifecycle> = replicas
-            .iter()
-            .zip(&reports)
-            .map(|(rep, report)| {
-                let last_completion = report
-                    .timeline
-                    .iter()
-                    .map(|t| t.completion_s)
-                    .fold(rep.ready_s, f64::max);
-                let end_s = match (rep.killed_s, rep.retire_s) {
-                    // A kill is instantaneous: nothing drains past
-                    // it, and billing stops at the kill.
-                    (Some(killed), _) => killed,
-                    (None, Some(retire)) => retire.max(last_completion),
-                    (None, None) => horizon_s.max(last_completion),
-                };
-                ReplicaLifecycle {
-                    spawn_s: rep.spawn_s,
-                    ready_s: rep.ready_s,
-                    retire_s: rep.retire_s,
-                    killed_s: rep.killed_s,
-                    end_s,
-                    requests: rep.stream.len(),
-                }
-            })
-            .collect();
-        let replica_seconds: f64 = lifecycles.iter().map(ReplicaLifecycle::billed_s).sum();
-        // In sketch mode the window axis is built *streamingly*: each
-        // replica report's completions fold into the accumulator as
-        // they land — no post-hoc sort of the merged timeline. The
-        // accumulator is push-order-invariant (property-tested
-        // against the oracle), so the result stays byte-identical for
-        // every `--jobs` value. Exact mode keeps the original
-        // post-hoc path untouched.
-        let mut acc = (self.summary == SummaryMode::Sketch)
-            .then(|| WindowAccumulator::new(cfg.slo, cfg.window_s, SummaryMode::Sketch));
-        if let Some(acc) = acc.as_mut() {
-            for report in &reports {
-                acc.observe(&report.timeline);
-            }
-        }
-        let fleet = FleetReport::from_replica_reports(cfg.router, reports, assignment);
-        let windowed = match acc {
-            Some(acc) => acc.finish(horizon_s),
-            None => windowed_metrics(&fleet.timeline, cfg.slo, cfg.window_s, horizon_s),
-        };
-        let alerts = AlertEngine::evaluate(&[self.alert], &windowed);
-        // Conservation: every offered request either completed or was
-        // counted failed — nothing is silently dropped.
-        let completed = fleet.timeline.len();
-        assert_eq!(
-            completed + failed,
-            requests.len(),
-            "request conservation: every offered request must complete or be counted failed"
-        );
-        debug_assert_eq!(attempts, completed + lost_attempts);
-        let availability = AvailabilityStats {
-            offered: requests.len(),
-            attempts,
-            completed,
-            lost_attempts,
-            retries,
-            failed,
-            replicas_killed,
-            unavailability_s: unavailability_s(&lifecycles, horizon_s),
-            window_capacity_s: accepting_capacity_per_window(
-                &lifecycles,
-                cfg.window_s,
-                windows.len(),
-            ),
-        };
-        let metrics_s = lap(metrics_start);
-        if telemetry {
-            record_request_spans(&mut instr.recorder, &fleet);
-            for a in &alerts {
-                let name = match a.kind {
-                    AlertKind::Fire => "alert.fire",
-                    AlertKind::Clear => "alert.clear",
-                };
-                instr.recorder.instant(
-                    ALERT_TRACK,
-                    name,
-                    a.t_s,
-                    &[
-                        ("rule", a.rule.clone()),
-                        ("window", a.window.to_string()),
-                        ("short_burn", format!("{:.2}", a.short_burn)),
-                        ("long_burn", format!("{:.2}", a.long_burn)),
-                    ],
-                );
-            }
-            instr.metrics.counter_add(
-                "autoscale.alerts.fired",
-                alerts.iter().filter(|a| a.kind == AlertKind::Fire).count() as u64,
-            );
-            for (i, rep) in fleet.replicas.iter().enumerate() {
-                instr.metrics.counter_add(
-                    &format!("autoscale.requests.replica{i}"),
-                    rep.stats.requests as u64,
-                );
-            }
-            instr.metrics.counter_add("autoscale.windows", windows.len() as u64);
-            instr.metrics.counter_add("autoscale.attempts", attempts as u64);
-            instr.metrics.counter_add("autoscale.retries", retries as u64);
-            instr.metrics.counter_add("autoscale.lost_attempts", lost_attempts as u64);
-            instr.metrics.counter_add("autoscale.failed", failed as u64);
-            instr.metrics.counter_add("autoscale.replicas_killed", replicas_killed as u64);
-            instr.metrics.counter_add("autoscale.scale_events", events.len() as u64);
-            instr.metrics.counter_add("autoscale.replay.count", replays);
-            instr.metrics.counter_add("autoscale.replay.requests", replayed_requests);
-            instr.metrics.gauge_set("autoscale.peak_replicas", peak_replicas as f64);
-            instr
-                .metrics
-                .gauge_set("autoscale.unavailability_s", availability.unavailability_s);
-        }
-        if prof {
-            instr.profile.absorb(&ControllerProfile {
-                routing_s: (loop_s - replay_s).max(0.0),
-                replay_s,
-                engine_s,
-                metrics_s,
-                total_s: lap(run_start),
-                windows: windows.len(),
-                dispatches: attempts as u64,
-                replays,
-                replayed_requests,
-            });
-        }
-        ElasticFleetReport {
-            policy: self.policy,
-            config: cfg,
-            fleet,
-            windows,
-            events,
-            lifecycles,
-            failures,
-            availability,
-            windowed,
-            alerts,
-            horizon_s,
-            replica_seconds,
-            peak_replicas,
-        }
+        replay.finish(runner, loop_s, run_start)
     }
 }
 
@@ -1335,6 +1343,17 @@ mod tests {
         }
     }
 
+    /// A plain run of `ctl` (telemetry off) under `faults`.
+    fn run(
+        ctl: &AutoscaleController,
+        runner: &SweepRunner,
+        build: ReplicaBuilder,
+        reqs: &[Request],
+        faults: &FaultSchedule,
+    ) -> ElasticFleetReport {
+        ctl.run_with(runner, build, reqs, faults, &mut Instrument::off())
+    }
+
     fn cfg(window_s: f64, warmup_s: f64, max: usize) -> AutoscaleConfig {
         AutoscaleConfig {
             window_s,
@@ -1361,7 +1380,7 @@ mod tests {
         let build = builder();
         let reqs = traced(40, 2.0, 7);
         let ctl = AutoscaleController::new(cfg(10.0, 30.0, 8), ScalingPolicy::Static { n: 3 });
-        let report = ctl.run_with(&SweepRunner::serial(), &build, &reqs);
+        let report = run(&ctl, &SweepRunner::serial(), &build, &reqs, &FaultSchedule::none());
         assert!(report.events.is_empty());
         assert_eq!(report.lifecycles.len(), 3);
         assert_eq!(report.peak_replicas, 3);
@@ -1381,7 +1400,7 @@ mod tests {
         let reqs = traced(120, 4.0, 3);
         let ctl =
             AutoscaleController::new(cfg(5.0, 8.0, 6), ScalingPolicy::reactive_default());
-        let report = ctl.run_with(&SweepRunner::serial(), &build, &reqs);
+        let report = run(&ctl, &SweepRunner::serial(), &build, &reqs, &FaultSchedule::none());
         assert!(
             report.events.iter().any(|e| e.to > e.from),
             "overload must scale up: {:?}",
@@ -1420,7 +1439,7 @@ mod tests {
         }
         let ctl =
             AutoscaleController::new(cfg(5.0, 5.0, 6), ScalingPolicy::reactive_default());
-        let report = ctl.run_with(&SweepRunner::serial(), &build, &reqs);
+        let report = run(&ctl, &SweepRunner::serial(), &build, &reqs, &FaultSchedule::none());
         let downs: Vec<&ScaleEvent> =
             report.events.iter().filter(|e| e.to < e.from).collect();
         assert!(!downs.is_empty(), "quiet tail must scale down: {:?}", report.events);
@@ -1451,69 +1470,17 @@ mod tests {
             ScalingPolicy::target_utilization_default(),
         ] {
             let ctl = AutoscaleController::new(cfg(5.0, 6.0, 6), policy);
-            let serial = ctl.run_with(&SweepRunner::serial(), &build, &reqs);
-            let parallel = ctl.run_with(&SweepRunner::new(4), &build, &reqs);
+            let serial = run(&ctl, &SweepRunner::serial(), &build, &reqs, &FaultSchedule::none());
+            let parallel = run(&ctl, &SweepRunner::new(4), &build, &reqs, &FaultSchedule::none());
             assert_eq!(serial, parallel, "{policy}");
         }
-    }
-
-    #[test]
-    fn sketch_mode_keeps_exact_counters_and_stays_jobs_invariant() {
-        let build = builder();
-        let reqs = traced(120, 4.0, 3);
-        let ctl =
-            AutoscaleController::new(cfg(5.0, 8.0, 6), ScalingPolicy::reactive_default());
-        let exact = ctl.run_with(&SweepRunner::serial(), &build, &reqs);
-        // Exact is the default: `with_summary(Exact)` is a no-op, and
-        // the whole report — not just the window axis — is
-        // byte-identical to the plain run.
-        assert_eq!(
-            exact,
-            ctl.with_summary(SummaryMode::Exact)
-                .run_with(&SweepRunner::serial(), &build, &reqs)
-        );
-        let sketch = ctl
-            .with_summary(SummaryMode::Sketch)
-            .run_with(&SweepRunner::serial(), &build, &reqs);
-        // Everything outside the window axis is untouched by the
-        // summary mode...
-        assert_eq!(sketch.fleet, exact.fleet);
-        assert_eq!(sketch.windows, exact.windows);
-        assert_eq!(sketch.events, exact.events);
-        assert_eq!(sketch.availability, exact.availability);
-        // ...and alerting (driven by the exact counters) transitions
-        // identically in both modes.
-        assert_eq!(sketch.alerts, exact.alerts);
-        // The window axis keeps exact counters; only the TTFT summary
-        // is sketched, within its 1% bound.
-        assert_eq!(sketch.windowed.len(), exact.windowed.len());
-        for (s, e) in sketch.windowed.iter().zip(&exact.windowed) {
-            assert_eq!(s.arrivals, e.arrivals);
-            assert_eq!(s.completions, e.completions);
-            assert_eq!(s.attainment, e.attainment);
-            assert_eq!(s.goodput_rps, e.goodput_rps);
-            assert_eq!(s.ttft.is_some(), e.ttft.is_some());
-            if let (Some(sk), Some(ex)) = (s.ttft, e.ttft) {
-                for (a, b) in [(sk.p50, ex.p50), (sk.p90, ex.p90), (sk.max, ex.max)] {
-                    assert!((a - b).abs() <= (b.abs() * 0.01).max(1e-9));
-                }
-            }
-        }
-        // The streaming fold consumes per-replica reports, but its
-        // output is push-order-invariant: byte-identical across
-        // `--jobs`.
-        assert_eq!(
-            sketch,
-            ctl.with_summary(SummaryMode::Sketch)
-                .run_with(&SweepRunner::new(4), &build, &reqs)
-        );
     }
 
     #[test]
     fn empty_trace_yields_one_quiet_window() {
         let build = builder();
         let ctl = AutoscaleController::new(cfg(10.0, 5.0, 4), ScalingPolicy::reactive_default());
-        let report = ctl.run_with(&SweepRunner::serial(), &build, &[]);
+        let report = run(&ctl, &SweepRunner::serial(), &build, &[], &FaultSchedule::none());
         assert_eq!(report.windows.len(), 1);
         assert_eq!(report.fleet.stats.requests, 0);
         assert_eq!(report.peak_replicas, 1);
@@ -1548,13 +1515,12 @@ mod tests {
         let reqs = traced(60, 3.0, 9);
         for policy in [ScalingPolicy::Static { n: 2 }, ScalingPolicy::reactive_default()] {
             let ctl = AutoscaleController::new(cfg(5.0, 6.0, 6), policy);
-            let plain = ctl.run_with(&SweepRunner::serial(), &build, &reqs);
-            let faulted = ctl.run_faulted_with(
-                &SweepRunner::serial(),
-                &build,
-                &reqs,
-                &FaultSchedule::none(),
-            );
+            let plain = run(&ctl, &SweepRunner::serial(), &build, &reqs, &FaultSchedule::none());
+            // Recovery knobs without a fault never act: no kill means
+            // nothing to replace, requeue or detect.
+            let knobs =
+                FaultSchedule { detect_s: 5.0, replace_failures: true, ..FaultSchedule::none() };
+            let faulted = run(&ctl, &SweepRunner::serial(), &build, &reqs, &knobs);
             assert_eq!(plain, faulted, "{policy}");
             assert_eq!(plain.availability.offered, 60);
             assert_eq!(plain.availability.attempts, 60);
@@ -1571,7 +1537,7 @@ mod tests {
         let reqs = traced(80, 3.0, 13);
         let ctl = AutoscaleController::new(cfg(5.0, 4.0, 6), ScalingPolicy::Static { n: 2 });
         let report =
-            ctl.run_faulted_with(&SweepRunner::serial(), &build, &reqs, &kill_at(8.0, 1, true));
+            run(&ctl, &SweepRunner::serial(), &build, &reqs, &kill_at(8.0, 1, true));
         let a = &report.availability;
         assert_eq!(a.replicas_killed, 1);
         assert_eq!(report.failures.len(), 1);
@@ -1599,6 +1565,59 @@ mod tests {
         assert!(report.windows.iter().map(|w| w.failures).sum::<usize>() == 1);
     }
 
+    /// A kill at exactly a request's arrival instant runs first: the
+    /// request is routed among the survivors on its first attempt
+    /// instead of landing on the dying replica and being retried.
+    #[test]
+    fn kill_at_an_arrival_instant_routes_that_arrival_among_survivors() {
+        let build = builder();
+        let reqs = traced(40, 3.0, 31);
+        let ctl = AutoscaleController::new(cfg(5.0, 4.0, 6), ScalingPolicy::Static { n: 2 });
+        let k = 10;
+        let clean = run(&ctl, &SweepRunner::serial(), &build, &reqs, &FaultSchedule::none());
+        // The replica request `k` goes to on a clean day; with both
+        // replicas live, `pick` = its index selects it as the victim.
+        let victim = clean.fleet.assignment[k];
+        let faults = kill_at(reqs[k].arrival_s, victim as u64, true);
+        let report = run(&ctl, &SweepRunner::serial(), &build, &reqs, &faults);
+        assert_eq!(report.failures.len(), 1);
+        assert_eq!(report.failures[0].replica, victim);
+        assert_ne!(report.fleet.assignment[k], victim, "routed to the replica killed on arrival");
+        let timing = report.fleet.timeline.iter().find(|t| t.id == reqs[k].id).expect("served");
+        assert_eq!(timing.attempts, 1, "the arrival must not be lost to the kill");
+    }
+
+    /// With `warmup_s == window_s`, a replacement spawned at a window
+    /// boundary is ready exactly one boundary later, so a request
+    /// parked in the dark fleet resumes on that boundary: window close
+    /// runs first, the resume counts in the later window's arrivals,
+    /// and parking is not a retry.
+    #[test]
+    fn parked_request_resumes_on_a_window_boundary_in_the_later_window() {
+        let build = builder();
+        let reqs = vec![Request::new(0, 512, 32).with_arrival(6.0)];
+        let ctl = AutoscaleController::new(cfg(5.0, 5.0, 4), ScalingPolicy::Static { n: 1 });
+        let outage = FaultSchedule {
+            events: vec![FaultEvent { t_s: 3.0, kind: FaultKind::GroupOutage { group: 0 } }],
+            groups: 1,
+            detect_s: 2.0,
+            retry: RetryPolicy::default(),
+            replace_failures: true,
+        };
+        let report = run(&ctl, &SweepRunner::serial(), &build, &reqs, &outage);
+        // The replacement spawns at t=5 and is ready at t=10.
+        assert_eq!(report.lifecycles.len(), 2);
+        assert_eq!(report.lifecycles[1].ready_s, 10.0);
+        let arrivals: Vec<usize> = report.windows.iter().map(|w| w.arrivals).collect();
+        assert_eq!(arrivals, vec![0, 0, 1], "the resume belongs to window [10, 15)");
+        let a = &report.availability;
+        assert_eq!((a.retries, a.attempts, a.completed, a.failed), (0, 1, 1, 0));
+        let timing = report.fleet.timeline[0];
+        assert_eq!(timing.attempts, 1);
+        assert_eq!(timing.arrival_s, 6.0, "the timeline keeps the first arrival");
+        assert!(timing.first_token_s >= 10.0);
+    }
+
     #[test]
     fn replacement_recovers_a_full_outage_and_a_bare_fleet_does_not() {
         let build = builder();
@@ -1612,8 +1631,8 @@ mod tests {
         };
         let ctl = AutoscaleController::new(cfg(5.0, 4.0, 6), ScalingPolicy::Static { n: 2 });
         let repaired =
-            ctl.run_faulted_with(&SweepRunner::serial(), &build, &reqs, &outage(true));
-        let bare = ctl.run_faulted_with(&SweepRunner::serial(), &build, &reqs, &outage(false));
+            run(&ctl, &SweepRunner::serial(), &build, &reqs, &outage(true));
+        let bare = run(&ctl, &SweepRunner::serial(), &build, &reqs, &outage(false));
         // Without replacement the fleet stays dark: every request
         // after the outage exhausts its retries and fails, and the
         // fleet accrues unavailability. With replacement, spawns
@@ -1647,8 +1666,8 @@ mod tests {
         for policy in [ScalingPolicy::Static { n: 2 }, ScalingPolicy::reactive_default()] {
             let ctl = AutoscaleController::new(cfg(5.0, 5.0, 6), policy);
             let faults = kill_at(6.0, 0, true);
-            let serial = ctl.run_faulted_with(&SweepRunner::serial(), &build, &reqs, &faults);
-            let parallel = ctl.run_faulted_with(&SweepRunner::new(4), &build, &reqs, &faults);
+            let serial = run(&ctl, &SweepRunner::serial(), &build, &reqs, &faults);
+            let parallel = run(&ctl, &SweepRunner::new(4), &build, &reqs, &faults);
             assert_eq!(serial, parallel, "{policy}");
         }
     }
@@ -1664,8 +1683,8 @@ mod tests {
         for router in [RouterPolicy::JoinShortestQueueLive, RouterPolicy::LeastWorkLive] {
             let config = AutoscaleConfig { router, ..cfg(5.0, 4.0, 6) };
             let ctl = AutoscaleController::new(config, ScalingPolicy::Static { n: 2 });
-            let serial = ctl.run_with(&SweepRunner::serial(), &build, &reqs);
-            let parallel = ctl.run_with(&SweepRunner::new(4), &build, &reqs);
+            let serial = run(&ctl, &SweepRunner::serial(), &build, &reqs, &FaultSchedule::none());
+            let parallel = run(&ctl, &SweepRunner::new(4), &build, &reqs, &FaultSchedule::none());
             assert_eq!(serial, parallel, "{router} diverged across job counts");
             assert_eq!(serial.fleet.timeline.len(), 40, "{router}");
             assert_eq!(serial.availability.failed, 0, "{router}");
@@ -1694,13 +1713,13 @@ mod tests {
             AutoscaleConfig { router: RouterPolicy::JoinShortestQueueLive, ..cfg(5.0, 4.0, 6) };
         let ctl = AutoscaleController::new(config, ScalingPolicy::Static { n: 2 });
         let faults = kill_at(8.0, 1, true);
-        let report = ctl.run_faulted_with(&SweepRunner::serial(), &build, &reqs, &faults);
+        let report = run(&ctl, &SweepRunner::serial(), &build, &reqs, &faults);
         let a = &report.availability;
         assert_eq!(a.replicas_killed, 1);
         assert_eq!(a.completed + a.failed, a.offered);
         assert_eq!(a.attempts, a.completed + a.lost_attempts);
         assert!(a.lost_attempts > 0, "an 8s-in kill must catch measured in-flight work");
-        let parallel = ctl.run_faulted_with(&SweepRunner::new(4), &build, &reqs, &faults);
+        let parallel = run(&ctl, &SweepRunner::new(4), &build, &reqs, &faults);
         assert_eq!(report, parallel);
     }
 
@@ -1719,7 +1738,7 @@ mod tests {
             replace_failures: true,
         };
         let ctl = AutoscaleController::new(cfg(5.0, 4.0, 6), ScalingPolicy::Static { n: 2 });
-        let report = ctl.run_faulted_with(&SweepRunner::serial(), &build, &reqs, &outage);
+        let report = run(&ctl, &SweepRunner::serial(), &build, &reqs, &outage);
         let a = &report.availability;
         assert_eq!(a.completed + a.failed, a.offered);
         // The replacement spawns at the t=10 boundary and warms by
@@ -1741,7 +1760,7 @@ mod tests {
     fn ratio_paths_stay_finite_on_empty_and_degenerate_runs() {
         let build = builder();
         let ctl = AutoscaleController::new(cfg(10.0, 5.0, 4), ScalingPolicy::reactive_default());
-        let report = ctl.run_with(&SweepRunner::serial(), &build, &[]);
+        let report = run(&ctl, &SweepRunner::serial(), &build, &[], &FaultSchedule::none());
         assert_eq!(report.attainment(), 0.0);
         assert_eq!(report.goodput_rps(), 0.0);
         assert!(report.mean_replicas().is_finite());
@@ -1766,25 +1785,18 @@ mod tests {
         for router in [RouterPolicy::JoinShortestQueue, RouterPolicy::JoinShortestQueueLive] {
             let config = AutoscaleConfig { router, ..cfg(5.0, 4.0, 6) };
             let ctl = AutoscaleController::new(config, ScalingPolicy::reactive_default());
-            let plain = ctl.run_faulted_with(&SweepRunner::serial(), &build, &reqs, &faults);
+            let plain = run(&ctl, &SweepRunner::serial(), &build, &reqs, &faults);
 
-            let mut off = seesaw_telemetry::Instrument::off();
-            let quiet = ctl.run_faulted_instrumented_with(
-                &SweepRunner::serial(),
-                &build,
-                &reqs,
-                &faults,
-                &mut off,
-            );
+            let mut off = Instrument::off();
+            let quiet = ctl.run_with(&SweepRunner::serial(), &build, &reqs, &faults, &mut off);
             assert_eq!(plain, quiet, "{router}: off instrument must not perturb the run");
             assert!(off.recorder.spans().is_empty() && off.recorder.instants().is_empty());
             assert!(off.metrics.is_empty());
 
             let run = |jobs: Option<usize>| {
                 let runner = jobs.map_or_else(SweepRunner::serial, SweepRunner::new);
-                let mut instr = seesaw_telemetry::Instrument::tracing();
-                let report =
-                    ctl.run_faulted_instrumented_with(&runner, &build, &reqs, &faults, &mut instr);
+                let mut instr = Instrument::tracing();
+                let report = ctl.run_with(&runner, &build, &reqs, &faults, &mut instr);
                 let trace = seesaw_telemetry::perfetto::render(&instr.recorder, "autoscale");
                 (report, trace, instr.metrics.render_json())
             };
@@ -1809,11 +1821,18 @@ mod tests {
     fn profile_attributes_controller_time() {
         let build = builder();
         let reqs = traced(60, 3.0, 29);
+        let profiled = |ctl: &AutoscaleController| {
+            let mut instr = Instrument::profiling();
+            let none = FaultSchedule::none();
+            let report = ctl.run_with(&SweepRunner::serial(), &build, &reqs, &none, &mut instr);
+            (report, instr.profile)
+        };
         let live = |router| {
             let config = AutoscaleConfig { router, ..cfg(5.0, 4.0, 6) };
             let ctl = AutoscaleController::new(config, ScalingPolicy::Static { n: 2 });
-            let (report, profile) = ctl.run_profiled_with(&SweepRunner::serial(), &build, &reqs);
-            assert_eq!(report, ctl.run_with(&SweepRunner::serial(), &build, &reqs));
+            let (report, profile) = profiled(&ctl);
+            let plain = run(&ctl, &SweepRunner::serial(), &build, &reqs, &FaultSchedule::none());
+            assert_eq!(report, plain);
             (report, profile)
         };
         let (_, work) = live(RouterPolicy::LeastWorkLive);
@@ -1836,7 +1855,7 @@ mod tests {
 
         // Estimated routing never replays; the counters stay zero.
         let est = AutoscaleController::new(cfg(5.0, 4.0, 6), ScalingPolicy::Static { n: 2 });
-        let (_, p2) = est.run_profiled_with(&SweepRunner::serial(), &build, &reqs);
+        let (_, p2) = profiled(&est);
         assert_eq!(p2.replays, 0);
         assert_eq!(p2.replayed_requests, 0);
         assert_eq!(p2.replay_s, 0.0);

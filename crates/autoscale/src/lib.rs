@@ -12,8 +12,8 @@
 //!   [`seesaw_workload::RateEnvelope`] for diurnal/bimodal trace
 //!   generation) through a time-sliced elastic fleet: per control
 //!   window it routes arrivals over the currently-accepting replicas
-//!   on the fleet tier's resumable router, observes a-priori signals
-//!   (queue depth, offered load, estimated utilization/attainment),
+//!   on the fleet tier's router, observes its signals (queue depth,
+//!   offered load, estimated utilization/attainment),
 //!   and lets a [`ScalingPolicy`] grow or shrink the fleet — new
 //!   replicas pay a warm-up (weight-load) delay before accepting
 //!   traffic, retiring replicas drain their in-flight work before
@@ -31,10 +31,11 @@
 //!   kills replicas (or whole groups) mid-trace, lost attempts are
 //!   requeued under a [`RetryPolicy`], replacement spawns restore the
 //!   desired count, and [`AvailabilityStats`] accounts for every
-//!   offered request. `run_with` is literally
-//!   `run_faulted_with(.., FaultSchedule::none())`, so the fault-free
-//!   path is byte-identical by construction (the `chaos` crate builds
-//!   seeded schedules and sweeps the availability frontier).
+//!   offered request. The controller has one entry point,
+//!   [`AutoscaleController::run_with`], and a fault-free day is that
+//!   replay under [`FaultSchedule::none`] — one code path (the `chaos`
+//!   crate builds seeded schedules and sweeps the availability
+//!   frontier).
 //!
 //! Everything is deterministic and runner-invariant: the decision
 //! trajectory is causal and serial; only the final per-replica engine

@@ -11,9 +11,11 @@
 //! deterministic.
 
 use crate::controller::{AutoscaleConfig, AutoscaleController, ElasticFleetReport};
+use crate::faults::FaultSchedule;
 use crate::policy::ScalingPolicy;
 use seesaw_engine::SweepRunner;
 use seesaw_fleet::sweep::ReplicaBuilder;
+use seesaw_telemetry::Instrument;
 use seesaw_workload::Request;
 
 /// One frontier cell: a policy replayed over a trace.
@@ -90,7 +92,13 @@ pub fn frontier_sweep_with(
     let points = runner.map(&cells, |&(t, p)| {
         let (trace_name, requests) = &traces[t];
         let controller = AutoscaleController::new(config, policies[p]);
-        let report = controller.run_with(runner, build, requests);
+        let report = controller.run_with(
+            runner,
+            build,
+            requests,
+            &FaultSchedule::none(),
+            &mut Instrument::off(),
+        );
         FrontierPoint {
             policy: policies[p],
             trace: trace_name.clone(),

@@ -7,16 +7,29 @@
 
 use proptest::prelude::*;
 use seesaw_autoscale::{
-    AutoscaleConfig, AutoscaleController, ScaleEvent, ScalingPolicy,
+    AutoscaleConfig, AutoscaleController, ElasticFleetReport, FaultSchedule, ScaleEvent,
+    ScalingPolicy,
 };
 use seesaw_engine::vllm::VllmEngine;
 use seesaw_engine::{OnlineEngine, SchedulingPolicy, SweepRunner};
+use seesaw_fleet::sweep::ReplicaBuilder;
 use seesaw_fleet::{Fleet, RouterPolicy};
 use seesaw_hw::ClusterSpec;
 use seesaw_model::{presets, ModelConfig};
 use seesaw_parallel::ParallelConfig;
+use seesaw_telemetry::Instrument;
 use seesaw_workload::{ArrivalDist, Request, SloSpec, WorkloadGen};
 use std::sync::Arc;
+
+/// A fault-free run of `controller` with telemetry off.
+fn plain(
+    controller: &AutoscaleController,
+    runner: &SweepRunner,
+    build: ReplicaBuilder,
+    reqs: &[Request],
+) -> ElasticFleetReport {
+    controller.run_with(runner, build, reqs, &FaultSchedule::none(), &mut Instrument::off())
+}
 
 fn specs() -> (Arc<ClusterSpec>, Arc<ModelConfig>) {
     (Arc::new(ClusterSpec::a10x4()), Arc::new(presets::llama2_13b()))
@@ -69,7 +82,8 @@ fn static_policy_reproduces_the_fixed_fleet_byte_for_byte() {
                 config(10.0, 60.0, 8, router),
                 ScalingPolicy::Static { n },
             );
-            let elastic = controller.run_with(
+            let elastic = plain(
+                &controller,
                 &SweepRunner::serial(),
                 &|_| Box::new(vllm_engine(&cluster, &model)) as Box<dyn OnlineEngine>,
                 &reqs,
@@ -96,11 +110,11 @@ fn longer_warmup_never_improves_attainment() {
     };
     let reqs = sharegpt_trace(150, 5.0, 23);
     let run = |warmup_s: f64| {
-        AutoscaleController::new(
+        let controller = AutoscaleController::new(
             config(5.0, warmup_s, 8, RouterPolicy::JoinShortestQueue),
             ScalingPolicy::reactive_default(),
-        )
-        .run_with(&SweepRunner::serial(), &build, &reqs)
+        );
+        plain(&controller, &SweepRunner::serial(), &build, &reqs)
     };
     let instant = run(0.0);
     let slow = run(12.0);
@@ -155,7 +169,7 @@ fn cooldown_prevents_oscillation_on_a_step_trace() {
         config(window_s, 2.0, 8, RouterPolicy::JoinShortestQueue),
         policy,
     );
-    let report = controller.run_with(&SweepRunner::serial(), &build, &reqs);
+    let report = plain(&controller, &SweepRunner::serial(), &build, &reqs);
     let events: &Vec<ScaleEvent> = &report.events;
     assert!(events.len() >= 2, "the surge must drive several scale-ups: {events:?}");
     // Cooldown: consecutive events at least (cooldown + 1) windows
@@ -212,8 +226,8 @@ proptest! {
             config(window, warmup, 6, RouterPolicy::JoinShortestQueue),
             policy,
         );
-        let serial = controller.run_with(&SweepRunner::serial(), &build, &reqs);
-        let parallel = controller.run_with(&SweepRunner::new(4), &build, &reqs);
+        let serial = plain(&controller, &SweepRunner::serial(), &build, &reqs);
+        let parallel = plain(&controller, &SweepRunner::new(4), &build, &reqs);
         prop_assert_eq!(&serial, &parallel);
         // Every request served exactly once, whatever the trajectory.
         prop_assert_eq!(serial.fleet.timeline.len(), n);

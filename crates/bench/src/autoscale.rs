@@ -294,7 +294,7 @@ pub fn observed_frontier_cell_with(
     };
     let policy = ScalingPolicy::reactive_default();
     let mut instr = Instrument::tracing();
-    let report = AutoscaleController::new(config, policy).run_faulted_instrumented_with(
+    let report = AutoscaleController::new(config, policy).run_with(
         runner,
         &build,
         &requests,

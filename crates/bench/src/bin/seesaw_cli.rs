@@ -22,6 +22,18 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Parse a count argument that must be at least 1, exiting 2 with a
+/// message otherwise.
+fn positive(arg: &str, what: &str) -> usize {
+    match arg.parse::<usize>() {
+        Ok(v) if v > 0 => v,
+        _ => {
+            eprintln!("{what} must be a positive integer, got '{arg}'");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn parse_target(args: &[String]) -> (ModelConfig, ClusterSpec) {
     let model = presets::by_name(&args[0]).unwrap_or_else(|| {
         eprintln!("unknown model '{}'; expected 13b/15b/34b/70b", args[0]);
@@ -31,7 +43,7 @@ fn parse_target(args: &[String]) -> (ModelConfig, ClusterSpec) {
         eprintln!("unknown gpu '{}'; expected a10/l4/a100/a100-pcie", args[1]);
         std::process::exit(2);
     });
-    let n: usize = args[2].parse().unwrap_or_else(|_| usage());
+    let n = positive(&args[2], "n_gpus");
     (model, ClusterSpec::new(gpu, n))
 }
 
@@ -93,22 +105,18 @@ fn main() {
     let (model, cluster) = parse_target(&args[1..4]);
     match args[0].as_str() {
         "plan" => cmd_plan(&model, &cluster),
-        "compare" => {
+        "compare" | "tune" => {
             if args.len() < 6 {
                 usage();
             }
-            let avg_in = args[4].parse().unwrap_or_else(|_| usage());
-            let avg_out = args[5].parse().unwrap_or_else(|_| usage());
-            let n = args.get(6).and_then(|s| s.parse().ok()).unwrap_or(100);
-            cmd_compare(&model, &cluster, avg_in, avg_out, n);
-        }
-        "tune" => {
-            if args.len() < 6 {
-                usage();
+            let avg_in = positive(&args[4], "avg_in");
+            let avg_out = positive(&args[5], "avg_out");
+            if args[0] == "tune" {
+                cmd_tune(&model, &cluster, avg_in, avg_out);
+            } else {
+                let n = args.get(6).map_or(100, |s| positive(s, "n_requests"));
+                cmd_compare(&model, &cluster, avg_in, avg_out, n);
             }
-            let avg_in = args[4].parse().unwrap_or_else(|_| usage());
-            let avg_out = args[5].parse().unwrap_or_else(|_| usage());
-            cmd_tune(&model, &cluster, avg_in, avg_out);
         }
         _ => usage(),
     }

@@ -550,7 +550,10 @@ mod tests {
             AutoscaleController::new(config, ScalingPolicy::Static { n: 5 });
         let runner = SweepRunner::new(4);
 
-        let clean = controller.run_with(&runner, &build, requests);
+        let run = |schedule: &FaultSchedule| {
+            controller.run_with(&runner, &build, requests, schedule, &mut Instrument::off())
+        };
+        let clean = run(&FaultSchedule::none());
         assert!(
             clean.alerts.is_empty(),
             "fault-free day must not page: {:?}",
@@ -570,7 +573,7 @@ mod tests {
             retry: ChaosSpec::default().retry,
             replace_failures: true,
         };
-        let faulted = controller.run_faulted_with(&runner, &build, requests, &schedule);
+        let faulted = run(&schedule);
         let score = score_detection(&faulted.alerts, &schedule);
         assert_eq!(score.outages, 2);
         assert_eq!(score.missed, 0, "alerts: {:?}", faulted.alerts);

@@ -27,18 +27,17 @@ use crate::serving::{default_engine_of, default_requests, default_specs, EngineK
 use crate::table::{f2, f3, Table};
 use seesaw_engine::vllm::VllmEngine;
 use seesaw_engine::{OnlineEngine, SchedulingPolicy, SweepRunner};
+use seesaw_fleet::sweep::paced;
 use seesaw_fleet::{
-    hetero_offline_capacity, offline_capacity, policy_comparison_hetero_patterned_with,
-    policy_comparison_patterned_at_capacity_with, policy_comparison_with,
-    scaling_sweep_patterned_at_capacity_with, scaling_sweep_with, FleetPoint,
-    FleetScalingSweep, RouterPolicy,
+    hetero_offline_capacity, offline_capacity, policy_comparison_patterned_with,
+    scaling_sweep_patterned_at_capacity_with, FleetPoint, FleetScalingSweep, RouterPolicy,
 };
 use seesaw_fleet::{Fleet, FleetReport};
 use seesaw_hw::ClusterSpec;
 use seesaw_parallel::ParallelConfig;
 use seesaw_sim::TraceSummary;
 use seesaw_telemetry::{Instrument, MetricsRegistry};
-use seesaw_workload::{unit_rate_pattern, ArrivalDist, Request, SloSpec, ARRIVAL_SEED_SALT};
+use seesaw_workload::{unit_rate_pattern, ArrivalDist, SloSpec, ARRIVAL_SEED_SALT};
 use std::sync::Arc;
 
 /// Default replica counts for the scaling sweep.
@@ -66,55 +65,12 @@ pub const HETERO_REPLICAS: usize = 4;
 /// measured state pays off.
 pub const DEFAULT_HETERO_LOAD: f64 = 1.2;
 
-/// Run the default scaling sweep for `kind` replicas.
-#[allow(clippy::too_many_arguments)]
-pub fn default_scaling_sweep_with(
-    runner: &SweepRunner,
-    kind: EngineKind,
-    n_requests: usize,
-    replica_counts: &[usize],
-    multipliers: &[f64],
-    policy: RouterPolicy,
-    slo: SloSpec,
-    seed: u64,
-) -> FleetScalingSweep {
-    let (cluster, model) = default_specs();
-    let (name, base) = default_requests(n_requests, seed);
-    scaling_sweep_with(
-        runner,
-        &|_| default_engine_of(kind, &cluster, &model),
-        &name,
-        &base,
-        replica_counts,
-        multipliers,
-        policy,
-        slo,
-        seed,
-    )
-}
-
-/// Run the default router head-to-head for `kind` replicas.
-pub fn default_policy_comparison_with(
-    runner: &SweepRunner,
-    kind: EngineKind,
-    n_requests: usize,
-    n_replicas: usize,
-    multiplier: f64,
-    slo: SloSpec,
-    seed: u64,
-) -> Vec<FleetPoint> {
-    let (cluster, model) = default_specs();
-    let (_, base) = default_requests(n_requests, seed);
-    policy_comparison_with(
-        runner,
-        &|_| default_engine_of(kind, &cluster, &model),
-        &base,
-        n_replicas,
-        multiplier,
-        &RouterPolicy::all_with_live(),
-        slo,
-        seed,
-    )
+/// The seeded unit-rate Poisson arrival pattern behind every default
+/// fleet experiment: `n` times, salted like every serving sweep.
+fn poisson_unit(n: usize, seed: u64) -> Vec<f64> {
+    ArrivalDist::Poisson { rate: 1.0 }
+        .sample_times(n, seed ^ ARRIVAL_SEED_SALT)
+        .expect("unit-rate Poisson is valid")
 }
 
 /// The heterogeneous router head-to-head: its fleet label (from
@@ -165,17 +121,12 @@ pub fn default_hetero_comparison_with(
         }
     };
     let (capacity_rps, label) = hetero_offline_capacity(&build, HETERO_REPLICAS, &base);
-    let unit = ArrivalDist::Poisson { rate: 1.0 }
-        .sample_times(base.len(), seed ^ ARRIVAL_SEED_SALT)
-        .expect("unit-rate Poisson is valid");
-    let points = policy_comparison_hetero_patterned_with(
+    let points = policy_comparison_patterned_with(
         runner,
-        &build,
+        &|| Fleet::new((0..HETERO_REPLICAS).map(&build).collect()),
         &base,
-        capacity_rps,
-        &unit,
-        HETERO_REPLICAS,
-        multiplier,
+        &poisson_unit(base.len(), seed),
+        (multiplier, multiplier * capacity_rps),
         &RouterPolicy::all_with_live(),
         slo,
     );
@@ -200,23 +151,6 @@ pub struct ObservedCell {
     pub metrics: MetricsRegistry,
 }
 
-/// The head-to-head cell's request stream: `base` paced by a seeded
-/// unit-rate Poisson pattern scaled to `multiplier × N × capacity`.
-fn comparison_stream(
-    base: &[Request],
-    capacity_rps: f64,
-    n_replicas: usize,
-    multiplier: f64,
-    seed: u64,
-) -> (Vec<Request>, f64) {
-    let unit = ArrivalDist::Poisson { rate: 1.0 }
-        .sample_times(base.len(), seed ^ ARRIVAL_SEED_SALT)
-        .expect("unit-rate Poisson is valid");
-    let rate = multiplier * n_replicas as f64 * capacity_rps;
-    let reqs = base.iter().zip(&unit).map(|(r, &t)| r.with_arrival(t / rate)).collect();
-    (reqs, rate)
-}
-
 /// Run one dedicated fleet cell — the head-to-head's configuration
 /// under `policy` — with the telemetry recorder on, and render its
 /// Perfetto trace. Recorded bytes are sim-time only, so the trace is
@@ -234,7 +168,8 @@ pub fn observed_cell_with(
     let build = |_: usize| default_engine_of(kind, &cluster, &model);
     let (_, base) = default_requests(n_requests, seed);
     let (capacity_rps, _) = offline_capacity(&build, &base);
-    let (reqs, rate) = comparison_stream(&base, capacity_rps, n_replicas, multiplier, seed);
+    let rate = multiplier * n_replicas as f64 * capacity_rps;
+    let reqs = paced(&base, &poisson_unit(base.len(), seed), rate);
     let fleet = Fleet::homogeneous(n_replicas, build);
     let mut instr = Instrument::tracing();
     let report = fleet.run_instrumented_with(runner, policy, &reqs, &mut instr);
@@ -267,7 +202,8 @@ pub fn breakdown_cell_with(
     let build = |_: usize| default_engine_of(kind, &cluster, &model);
     let (_, base) = default_requests(n_requests, seed);
     let (capacity_rps, _) = offline_capacity(&build, &base);
-    let (reqs, _) = comparison_stream(&base, capacity_rps, n_replicas, multiplier, seed);
+    let rate = multiplier * n_replicas as f64 * capacity_rps;
+    let reqs = paced(&base, &poisson_unit(base.len(), seed), rate);
     let fleet = Fleet::homogeneous(n_replicas, build);
     fleet.run_breakdown_with(runner, policy, &reqs)
 }
@@ -385,9 +321,7 @@ pub fn default_experiments_patterned_with(
     let unit: &[f64] = match pattern {
         Some(u) => u,
         None => {
-            poisson = ArrivalDist::Poisson { rate: 1.0 }
-                .sample_times(base.len(), seed ^ ARRIVAL_SEED_SALT)
-                .expect("unit-rate Poisson is valid");
+            poisson = poisson_unit(base.len(), seed);
             &poisson
         }
     };
@@ -403,14 +337,12 @@ pub fn default_experiments_patterned_with(
         policy,
         slo,
     );
-    let comparison = policy_comparison_patterned_at_capacity_with(
+    let comparison = policy_comparison_patterned_with(
         runner,
-        &build,
+        &|| Fleet::homogeneous(compare_replicas, build),
         &base,
-        capacity_rps,
         unit,
-        compare_replicas,
-        compare_load,
+        (compare_load, compare_load * compare_replicas as f64 * capacity_rps),
         &RouterPolicy::all_with_live(),
         slo,
     );
@@ -637,6 +569,29 @@ pub fn to_json_with_telemetry(
 mod tests {
     use super::*;
 
+    /// The default experiments on Poisson arrivals: a `replicas` ×
+    /// `multipliers` jsq scaling grid plus the six-policy head-to-head
+    /// on 2 replicas at 0.9× load.
+    fn experiments(
+        n_requests: usize,
+        replicas: &[usize],
+        multipliers: &[f64],
+    ) -> (FleetScalingSweep, Vec<FleetPoint>) {
+        default_experiments_patterned_with(
+            &SweepRunner::serial(),
+            EngineKind::Vllm,
+            n_requests,
+            None,
+            replicas,
+            multipliers,
+            RouterPolicy::JoinShortestQueue,
+            2,
+            0.9,
+            crate::serving::DEFAULT_SLO,
+            42,
+        )
+    }
+
     /// The diurnal `--trace` pattern must actually carry the daily
     /// shape: the period is sized so the sampled arrivals span one
     /// full cycle, concentrating them around the mid-pattern peak
@@ -699,7 +654,7 @@ mod tests {
         let build = |_: usize| default_engine_of(EngineKind::Vllm, &cluster, &model);
         let (_, base) = default_requests(12, 42);
         let (capacity_rps, _) = offline_capacity(&build, &base);
-        let (reqs, _) = comparison_stream(&base, capacity_rps, 2, 0.9, 42);
+        let reqs = paced(&base, &poisson_unit(base.len(), 42), 0.9 * 2.0 * capacity_rps);
         let plain = Fleet::homogeneous(2, build).run_with(
             &SweepRunner::serial(),
             RouterPolicy::JoinShortestQueue,
@@ -738,16 +693,7 @@ mod tests {
     /// exact pre-telemetry `to_json` output.
     #[test]
     fn json_telemetry_block_is_optional_and_well_formed() {
-        let scaling = default_scaling_sweep_with(
-            &SweepRunner::serial(),
-            EngineKind::Vllm,
-            12,
-            &[1],
-            &[0.5],
-            RouterPolicy::JoinShortestQueue,
-            crate::serving::DEFAULT_SLO,
-            42,
-        );
+        let (scaling, _) = experiments(12, &[1], &[0.5]);
         let plain = to_json(&scaling, &[], None, 42);
         assert_eq!(plain, to_json_with_telemetry(&scaling, &[], None, 42, None));
         let cell = observed_cell_with(
@@ -775,16 +721,20 @@ mod tests {
     #[test]
     fn default_scaling_sweep_renders_and_is_jobs_invariant() {
         let run = |runner: &SweepRunner| {
-            default_scaling_sweep_with(
+            default_experiments_patterned_with(
                 runner,
                 EngineKind::Vllm,
                 16,
+                None,
                 &[1, 2],
                 &[0.5, 1.5],
                 RouterPolicy::JoinShortestQueue,
+                2,
+                0.9,
                 crate::serving::DEFAULT_SLO,
                 42,
             )
+            .0
         };
         let serial = run(&SweepRunner::serial());
         let parallel = run(&SweepRunner::new(4));
@@ -797,30 +747,12 @@ mod tests {
 
     #[test]
     fn comparison_covers_all_policies_and_json_is_wellformed() {
-        let points = default_policy_comparison_with(
-            &SweepRunner::serial(),
-            EngineKind::Vllm,
-            16,
-            2,
-            0.9,
-            crate::serving::DEFAULT_SLO,
-            42,
-        );
+        let (scaling, points) = experiments(16, &[1], &[0.5]);
         assert_eq!(points.len(), 6);
         let rendered = render_comparison(&points);
         for p in ["round-robin", "jsq", "po2", "least-work", "jsq-live", "least-work-live"] {
             assert!(rendered.contains(p), "missing {p} in\n{rendered}");
         }
-        let scaling = default_scaling_sweep_with(
-            &SweepRunner::serial(),
-            EngineKind::Vllm,
-            16,
-            &[1],
-            &[0.5],
-            RouterPolicy::JoinShortestQueue,
-            crate::serving::DEFAULT_SLO,
-            42,
-        );
         let json = to_json(&scaling, &points, None, 42);
         // Cheap structural checks: balanced braces/brackets, every
         // policy present, no NaN leakage.
@@ -872,21 +804,7 @@ mod tests {
         let rendered = render_hetero_comparison(&hetero);
         assert!(rendered.contains("heterogeneous"), "table header names the experiment");
         assert!(rendered.contains("jsq-live"));
-        let json = to_json(
-            &default_scaling_sweep_with(
-                &SweepRunner::serial(),
-                EngineKind::Vllm,
-                16,
-                &[1],
-                &[0.5],
-                RouterPolicy::JoinShortestQueue,
-                crate::serving::DEFAULT_SLO,
-                42,
-            ),
-            &[],
-            Some(&hetero),
-            42,
-        );
+        let json = to_json(&experiments(16, &[1], &[0.5]).0, &[], Some(&hetero), 42);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"hetero\""));

@@ -47,7 +47,7 @@
 
 use seesaw_autoscale::{
     AlertEngine, AlertEvent, AlertRule, AutoscaleConfig, AutoscaleController, ElasticFleetReport,
-    RetryPolicy, ScalingPolicy,
+    FaultSchedule, RetryPolicy, ScalingPolicy,
 };
 use seesaw_chaos::{ChaosController, FaultPlan, RecoverySpec};
 use seesaw_engine::seesaw::{SeesawEngine, SeesawSpec};
@@ -175,9 +175,9 @@ impl SimsBench {
         .run(&self.reqs)
     }
 
-    /// One vLLM single-candidate evaluation (D1T2P2,
-    /// prefill-prioritized): construct from the shared handles + run.
-    pub fn run_vllm_once(&self) -> EngineReport {
+    /// The scenario's vLLM replica (D1T2P2, prefill-prioritized),
+    /// built from the shared handles.
+    fn vllm(&self) -> VllmEngine {
         VllmEngine::new(
             Arc::clone(&self.cluster),
             Arc::clone(&self.model),
@@ -185,7 +185,12 @@ impl SimsBench {
             SchedulingPolicy::PrefillPrioritized,
         )
         .expect("valid config")
-        .run(&self.reqs)
+    }
+
+    /// One vLLM single-candidate evaluation (D1T2P2,
+    /// prefill-prioritized): construct from the shared handles + run.
+    pub fn run_vllm_once(&self) -> EngineReport {
+        self.vllm().run(&self.reqs)
     }
 
     /// One online-serving evaluation: the vLLM candidate on the
@@ -193,14 +198,7 @@ impl SimsBench {
     /// gaps, and latency-percentile computation included. This is a
     /// serving sweep's per-load-point unit of work.
     pub fn run_serving_once(&self) -> EngineReport {
-        VllmEngine::new(
-            Arc::clone(&self.cluster),
-            Arc::clone(&self.model),
-            ParallelConfig::new(1, 2, 2),
-            SchedulingPolicy::PrefillPrioritized,
-        )
-        .expect("valid config")
-        .run(&self.serving_reqs)
+        self.vllm().run(&self.serving_reqs)
     }
 
     /// One fleet evaluation: construct a [`FLEET_REPLICAS`]-replica
@@ -211,17 +209,7 @@ impl SimsBench {
     /// service-rate estimation, routing on the event loop, four
     /// replica simulations, and the merged fleet report.
     pub fn run_fleet_once(&self) -> FleetReport {
-        let fleet = Fleet::homogeneous(FLEET_REPLICAS, |_| {
-            Box::new(
-                VllmEngine::new(
-                    Arc::clone(&self.cluster),
-                    Arc::clone(&self.model),
-                    ParallelConfig::new(1, 2, 2),
-                    SchedulingPolicy::PrefillPrioritized,
-                )
-                .expect("valid config"),
-            ) as _
-        });
+        let fleet = Fleet::homogeneous(FLEET_REPLICAS, |_| Box::new(self.vllm()) as _);
         fleet.run_with(
             &SweepRunner::serial(),
             RouterPolicy::JoinShortestQueue,
@@ -238,17 +226,7 @@ impl SimsBench {
     /// the ratio of the two rates is the cost of those live reads
     /// (`perf_report` holds it to at least 0.7).
     pub fn run_fleet_live_once(&self) -> FleetReport {
-        let fleet = Fleet::homogeneous(FLEET_REPLICAS, |_| {
-            Box::new(
-                VllmEngine::new(
-                    Arc::clone(&self.cluster),
-                    Arc::clone(&self.model),
-                    ParallelConfig::new(1, 2, 2),
-                    SchedulingPolicy::PrefillPrioritized,
-                )
-                .expect("valid config"),
-            ) as _
-        });
+        let fleet = Fleet::homogeneous(FLEET_REPLICAS, |_| Box::new(self.vllm()) as _);
         fleet.run_with(
             &SweepRunner::serial(),
             RouterPolicy::JoinShortestQueueLive,
@@ -259,17 +237,7 @@ impl SimsBench {
     /// The live-fleet cell's fleet (shared by the plain, traced, and
     /// disabled-telemetry variants so they measure identical work).
     fn live_fleet(&self) -> Fleet {
-        Fleet::homogeneous(FLEET_REPLICAS, |_| {
-            Box::new(
-                VllmEngine::new(
-                    Arc::clone(&self.cluster),
-                    Arc::clone(&self.model),
-                    ParallelConfig::new(1, 2, 2),
-                    SchedulingPolicy::PrefillPrioritized,
-                )
-                .expect("valid config"),
-            ) as _
-        })
+        Fleet::homogeneous(FLEET_REPLICAS, |_| Box::new(self.vllm()) as _)
     }
 
     /// One telemetry-traced live-fleet evaluation
@@ -312,18 +280,14 @@ impl SimsBench {
     pub fn run_autoscale_once(&self) -> ElasticFleetReport {
         let controller =
             AutoscaleController::new(self.autoscale_config(), ScalingPolicy::reactive_default());
-        let build = |_: usize| -> Box<dyn OnlineEngine> {
-            Box::new(
-                VllmEngine::new(
-                    Arc::clone(&self.cluster),
-                    Arc::clone(&self.model),
-                    ParallelConfig::new(1, 2, 2),
-                    SchedulingPolicy::PrefillPrioritized,
-                )
-                .expect("valid config"),
-            )
-        };
-        controller.run_with(&SweepRunner::serial(), &build, &self.autoscale_reqs)
+        let build = |_: usize| -> Box<dyn OnlineEngine> { Box::new(self.vllm()) };
+        controller.run_with(
+            &SweepRunner::serial(),
+            &build,
+            &self.autoscale_reqs,
+            &FaultSchedule::none(),
+            &mut Instrument::off(),
+        )
     }
 
     /// One *profiled* autoscale evaluation: the compressed diurnal
@@ -340,18 +304,16 @@ impl SimsBench {
             ..self.autoscale_config()
         };
         let controller = AutoscaleController::new(config, ScalingPolicy::reactive_default());
-        let build = |_: usize| -> Box<dyn OnlineEngine> {
-            Box::new(
-                VllmEngine::new(
-                    Arc::clone(&self.cluster),
-                    Arc::clone(&self.model),
-                    ParallelConfig::new(1, 2, 2),
-                    SchedulingPolicy::PrefillPrioritized,
-                )
-                .expect("valid config"),
-            )
-        };
-        controller.run_profiled_with(&SweepRunner::serial(), &build, &self.autoscale_reqs)
+        let build = |_: usize| -> Box<dyn OnlineEngine> { Box::new(self.vllm()) };
+        let mut instr = Instrument::profiling();
+        let report = controller.run_with(
+            &SweepRunner::serial(),
+            &build,
+            &self.autoscale_reqs,
+            &FaultSchedule::none(),
+            &mut instr,
+        );
+        (report, instr.profile)
     }
 
     /// One streaming-metrics evaluation
@@ -418,17 +380,12 @@ impl SimsBench {
             retry,
         };
         let controller = ChaosController::new(self.autoscale_config(), plan, recovery);
-        let build = |_: usize| -> Box<dyn OnlineEngine> {
-            Box::new(
-                VllmEngine::new(
-                    Arc::clone(&self.cluster),
-                    Arc::clone(&self.model),
-                    ParallelConfig::new(1, 2, 2),
-                    SchedulingPolicy::PrefillPrioritized,
-                )
-                .expect("valid config"),
-            )
-        };
-        controller.run_with(&SweepRunner::serial(), &build, &self.autoscale_reqs)
+        let build = |_: usize| -> Box<dyn OnlineEngine> { Box::new(self.vllm()) };
+        controller.run_instrumented_with(
+            &SweepRunner::serial(),
+            &build,
+            &self.autoscale_reqs,
+            &mut Instrument::off(),
+        )
     }
 }

@@ -164,31 +164,23 @@ fn fleet_sweeps_are_byte_identical_across_job_counts() {
     use seesaw_bench::fleet;
     use seesaw_bench::serving::EngineKind;
     use seesaw_fleet::RouterPolicy;
-    let scaling = |runner: &SweepRunner| {
-        fleet::default_scaling_sweep_with(
+    let experiments = |runner: &SweepRunner| {
+        fleet::default_experiments_patterned_with(
             runner,
             EngineKind::Vllm,
             32,
+            None,
             &[1, 2, 4],
             &[0.5, 1.0],
             RouterPolicy::JoinShortestQueue,
-            seesaw_bench::serving::DEFAULT_SLO,
-            seesaw_bench::SEED,
-        )
-    };
-    let comparison = |runner: &SweepRunner| {
-        fleet::default_policy_comparison_with(
-            runner,
-            EngineKind::Vllm,
-            32,
             4,
             0.9,
             seesaw_bench::serving::DEFAULT_SLO,
             seesaw_bench::SEED,
         )
     };
-    let (s1, c1) = (scaling(&SweepRunner::serial()), comparison(&SweepRunner::serial()));
-    let (s4, c4) = (scaling(&SweepRunner::new(4)), comparison(&SweepRunner::new(4)));
+    let (s1, c1) = experiments(&SweepRunner::serial());
+    let (s4, c4) = experiments(&SweepRunner::new(4));
     assert_eq!(s1, s4, "fleet scaling points must be runner-invariant");
     assert_eq!(c1, c4, "router comparison must be runner-invariant");
     assert_eq!(fleet::render_scaling(&s1), fleet::render_scaling(&s4));
@@ -198,7 +190,7 @@ fn fleet_sweeps_are_byte_identical_across_job_counts() {
         fleet::to_json(&s4, &c4, None, seesaw_bench::SEED)
     );
     // Warm rerun (pools and caches populated) must also reproduce.
-    let warm = scaling(&SweepRunner::new(4));
+    let (warm, _) = experiments(&SweepRunner::new(4));
     assert_eq!(s1, warm, "warm-pool fleet rerun drifted");
 }
 
@@ -212,13 +204,16 @@ fn single_replica_fleet_point_matches_bare_serving_point() {
     let runner = SweepRunner::serial();
     let slo = serving::DEFAULT_SLO;
     let bare = serving::default_sweep_with(&runner, 32, &[0.75], slo, seesaw_bench::SEED);
-    let fleet_sweep = fleet::default_scaling_sweep_with(
+    let (fleet_sweep, _) = fleet::default_experiments_patterned_with(
         &runner,
         serving::EngineKind::Vllm,
         32,
+        None,
         &[1],
         &[0.75],
         RouterPolicy::RoundRobin,
+        1,
+        0.75,
         slo,
         seesaw_bench::SEED,
     );

@@ -3,20 +3,20 @@
 //!
 //! This is a thin, deterministic composition: the plan resolves to a
 //! [`seesaw_autoscale::FaultSchedule`] over the trace's base horizon,
-//! and [`seesaw_autoscale::AutoscaleController::run_faulted_with`]
-//! does the rest. With an empty plan the schedule is empty and the
-//! replay is byte-identical to the plain autoscale run — one code
-//! path, no RNG on it.
+//! and [`seesaw_autoscale::AutoscaleController::run_with`] does the
+//! rest. With an empty plan the schedule is empty and the replay is
+//! the plain autoscale run — one code path, no RNG on it.
 //!
-//! Kills fire as events on the replay's global clock, interleaved
-//! with dispatches in time order. Under an estimated routing policy
-//! the lost set is resolved from the capacity-calibrated `CalQueue`
-//! mirror; under a live policy (`jsq-live` / `least-work-live`) it is
-//! exactly the *measured* in-flight set of the victim at the kill
-//! instant, read from its engine replay. Either way, a dispatch that
-//! finds every replica dark no longer panics: the arrival parks until
-//! the first warming replica is ready (or requeues under the retry
-//! policy when nothing is warming).
+//! Kills are events on the replay's event queue, interleaved with
+//! dispatches in time order (a kill runs first at an equal instant).
+//! Under an estimated routing policy the lost set is resolved from the
+//! capacity-calibrated `CalQueue` mirror; under a live policy
+//! (`jsq-live` / `least-work-live`) it is exactly the *measured*
+//! in-flight set of the victim at the kill instant, read from its
+//! engine actor. Either way, a dispatch that finds every replica dark
+//! does not panic: the arrival parks until the first warming replica
+//! is ready (or requeues under the retry policy when nothing is
+//! warming).
 
 use crate::plan::FaultPlan;
 use seesaw_autoscale::{
@@ -101,31 +101,16 @@ impl ChaosController {
         self
     }
 
-    /// Replay `requests` under the fault plan, parallelizing replica
-    /// simulations on the environment's runner.
-    pub fn run(&self, build: ReplicaBuilder, requests: &[Request]) -> ElasticFleetReport {
-        self.run_with(&SweepRunner::from_env(), build, requests)
-    }
-
-    /// [`ChaosController::run`] on an explicit runner. The fault
-    /// schedule spans the trace's base window horizon (the same
-    /// horizon the fault-free replay would have), so the failure
-    /// process is a property of the *day*, not of how long the retry
-    /// tail happens to drag on.
-    pub fn run_with(
-        &self,
-        runner: &SweepRunner,
-        build: ReplicaBuilder,
-        requests: &[Request],
-    ) -> ElasticFleetReport {
-        self.run_instrumented_with(runner, build, requests, &mut Instrument::off())
-    }
-
-    /// [`ChaosController::run_with`] with a telemetry [`Instrument`]:
-    /// a straight passthrough to the instrumented autoscale replay,
-    /// so kills, retries, parks, scale events, route decisions, and
-    /// request lifecycles land on the same tracks as a fault-free
-    /// run. With `Instrument::off()` this *is* `run_with`.
+    /// Replay `requests` under the fault plan with a telemetry
+    /// [`Instrument`]: a straight passthrough to
+    /// [`AutoscaleController::run_with`] under
+    /// [`ChaosController::schedule_for`], so kills, retries, parks,
+    /// scale events, route decisions, and request lifecycles land on
+    /// the same tracks as a fault-free run. The fault schedule spans
+    /// the trace's base window horizon (the same horizon the
+    /// fault-free replay would have), so the failure process is a
+    /// property of the *day*, not of how long the retry tail happens to
+    /// drag on. Pass [`Instrument::off`] for a plain run.
     pub fn run_instrumented_with(
         &self,
         runner: &SweepRunner,
@@ -136,12 +121,12 @@ impl ChaosController {
         let schedule = self.schedule_for(requests);
         AutoscaleController::new(self.config, self.recovery.policy)
             .with_alert(self.alert)
-            .run_faulted_instrumented_with(runner, build, requests, &schedule, instr)
+            .run_with(runner, build, requests, &schedule, instr)
     }
 
     /// The resolved fault schedule a replay of `requests` runs under —
     /// the detection-scoring ground truth. Spans the trace's base
-    /// window horizon, exactly as [`ChaosController::run_with`] does.
+    /// window horizon.
     pub fn schedule_for(&self, requests: &[Request]) -> seesaw_autoscale::FaultSchedule {
         let last_arrival = requests.last().map_or(0.0, |r| r.arrival_s);
         let horizon_s = ((last_arrival / self.config.window_s) as usize + 1) as f64

@@ -23,8 +23,8 @@
 //!   silently dropped: `completed + failed == offered` always holds.
 //! * [`ChaosController`] composes the two over the autoscale replay;
 //!   with an empty plan it reproduces the plain autoscale run
-//!   byte-for-byte (one code path — `run_with` *is*
-//!   `run_faulted_with` with an empty schedule).
+//!   byte-for-byte (one code path — the controller's one entry point,
+//!   `AutoscaleController::run_with`, under an empty schedule).
 //! * [`chaos_sweep_with`] runs failure-model × recovery grids into
 //!   the cost-vs-SLO-vs-availability frontier (the `chaos` bin).
 

@@ -14,6 +14,7 @@ use crate::plan::FaultPlan;
 use seesaw_autoscale::{score_detection, AutoscaleConfig, DetectionScore, ElasticFleetReport};
 use seesaw_engine::SweepRunner;
 use seesaw_fleet::sweep::ReplicaBuilder;
+use seesaw_telemetry::Instrument;
 use seesaw_workload::Request;
 
 /// One frontier cell: a recovery posture replayed under a failure
@@ -116,7 +117,8 @@ pub fn chaos_sweep_with(
     let points = runner.map(&cells, |&(f, r)| {
         let (fault_name, plan) = &faults[f];
         let controller = ChaosController::new(config, *plan, recoveries[r]);
-        let report = controller.run_with(runner, build, requests);
+        let report =
+            controller.run_instrumented_with(runner, build, requests, &mut Instrument::off());
         let detection = score_detection(&report.alerts, &controller.schedule_for(requests));
         let a = &report.availability;
         ChaosPoint {

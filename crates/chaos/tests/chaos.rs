@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use seesaw_autoscale::{
-    AutoscaleConfig, AutoscaleController, RetryPolicy, ScalingPolicy,
+    AutoscaleConfig, AutoscaleController, ElasticFleetReport, FaultSchedule, RetryPolicy,
+    ScalingPolicy,
 };
 use seesaw_chaos::{chaos_sweep_with, ChaosController, FaultPlan, RecoverySpec};
 use seesaw_engine::vllm::VllmEngine;
@@ -14,8 +15,18 @@ use seesaw_fleet::RouterPolicy;
 use seesaw_hw::ClusterSpec;
 use seesaw_model::presets;
 use seesaw_parallel::ParallelConfig;
+use seesaw_telemetry::Instrument;
 use seesaw_workload::{ArrivalDist, Request, SloSpec, WorkloadGen};
 use std::sync::Arc;
+
+/// A serial run of `chaos` with telemetry off.
+fn run(
+    chaos: &ChaosController,
+    build: &(dyn Fn(usize) -> Box<dyn OnlineEngine> + Sync),
+    reqs: &[Request],
+) -> ElasticFleetReport {
+    chaos.run_instrumented_with(&SweepRunner::serial(), build, reqs, &mut Instrument::off())
+}
 
 fn builder() -> impl Fn(usize) -> Box<dyn OnlineEngine> + Sync {
     let cluster = Arc::new(ClusterSpec::a10x4());
@@ -74,9 +85,14 @@ fn empty_plan_reproduces_the_autoscale_run_byte_for_byte() {
             FaultPlan::none(),
             RecoverySpec { policy, replace_failures: false, retry: RetryPolicy::default() },
         );
-        let faulted = chaos.run_with(&SweepRunner::serial(), &build, &reqs);
-        let plain = AutoscaleController::new(config, policy)
-            .run_with(&SweepRunner::serial(), &build, &reqs);
+        let faulted = run(&chaos, &build, &reqs);
+        let plain = AutoscaleController::new(config, policy).run_with(
+            &SweepRunner::serial(),
+            &build,
+            &reqs,
+            &FaultSchedule::none(),
+            &mut Instrument::off(),
+        );
         assert_eq!(faulted, plain, "{policy}: empty plan must nest the autoscale tier");
     }
 }
@@ -145,20 +161,25 @@ fn replacement_recovers_attainment_a_bare_fleet_loses() {
         groups: 1,
         detect_s: 2.0,
     };
-    let baseline = ChaosController::new(
-        config,
-        FaultPlan::none(),
-        RecoverySpec::bare_static(2),
-    )
-    .run_with(&SweepRunner::serial(), &build, &reqs);
-    let healed = ChaosController::new(
-        config,
-        outage,
-        RecoverySpec::healing(ScalingPolicy::Static { n: 2 }),
-    )
-    .run_with(&SweepRunner::serial(), &build, &reqs);
-    let bare = ChaosController::new(config, outage, RecoverySpec::bare_static(2))
-        .run_with(&SweepRunner::serial(), &build, &reqs);
+    let baseline = run(
+        &ChaosController::new(config, FaultPlan::none(), RecoverySpec::bare_static(2)),
+        &build,
+        &reqs,
+    );
+    let healed = run(
+        &ChaosController::new(
+            config,
+            outage,
+            RecoverySpec::healing(ScalingPolicy::Static { n: 2 }),
+        ),
+        &build,
+        &reqs,
+    );
+    let bare = run(
+        &ChaosController::new(config, outage, RecoverySpec::bare_static(2)),
+        &build,
+        &reqs,
+    );
     assert!(baseline.availability.failed == 0);
     assert_eq!(healed.availability.completed + healed.availability.failed, reqs.len());
     assert_eq!(bare.availability.completed + bare.availability.failed, reqs.len());
@@ -206,12 +227,12 @@ proptest! {
             groups,
             detect_s: 1.5,
         };
-        let report = ChaosController::new(
+        let chaos = ChaosController::new(
             cfg(router),
             plan,
             RecoverySpec::healing(ScalingPolicy::reactive_default()),
-        )
-        .run_with(&SweepRunner::serial(), &build, &reqs);
+        );
+        let report = run(&chaos, &build, &reqs);
         let a = &report.availability;
         prop_assert_eq!(a.offered, 30);
         prop_assert_eq!(a.completed + a.failed, a.offered);
@@ -228,9 +249,8 @@ proptest! {
     }
 }
 
-/// The instrumented chaos entry point is a passthrough: with the
-/// instrument off it reproduces `run_with` byte-for-byte, and with
-/// tracing on it records the injected kills without perturbing the
+/// The chaos entry point is a passthrough: with the instrument off it
+/// records nothing, and with tracing on it records the injected kills without perturbing the
 /// report.
 #[test]
 fn instrumented_chaos_run_records_kills_without_perturbing() {
@@ -241,14 +261,11 @@ fn instrumented_chaos_run_records_kills_without_perturbing() {
         dense_kills(5),
         RecoverySpec::healing(ScalingPolicy::reactive_default()),
     );
-    let plain = chaos.run_with(&SweepRunner::serial(), &build, &reqs);
-
-    let mut off = seesaw_telemetry::Instrument::off();
-    let quiet = chaos.run_instrumented_with(&SweepRunner::serial(), &build, &reqs, &mut off);
-    assert_eq!(plain, quiet, "off instrument must not perturb the chaos run");
+    let mut off = Instrument::off();
+    let plain = chaos.run_instrumented_with(&SweepRunner::serial(), &build, &reqs, &mut off);
     assert!(off.recorder.spans().is_empty() && off.metrics.is_empty());
 
-    let mut instr = seesaw_telemetry::Instrument::tracing();
+    let mut instr = Instrument::tracing();
     let traced = chaos.run_instrumented_with(&SweepRunner::serial(), &build, &reqs, &mut instr);
     assert_eq!(plain, traced, "telemetry must not perturb the chaos run");
     assert!(plain.availability.replicas_killed > 0, "plan must strike the trace");

@@ -85,13 +85,8 @@ impl Fleet {
         self.replicas.iter().map(|r| r.label()).collect()
     }
 
-    /// Serve `requests` (sorted by arrival) under `policy`, with
-    /// replica simulations parallelized by the environment's runner.
-    pub fn run(&self, policy: RouterPolicy, requests: &[Request]) -> FleetReport {
-        self.run_with(&SweepRunner::from_env(), policy, requests)
-    }
-
-    /// [`Fleet::run`] on an explicit runner. Deterministic and
+    /// Serve `requests` (sorted by arrival) under `policy`, finishing
+    /// the replica simulations on `runner`. Deterministic and
     /// runner-invariant: routing is serial in event order, replica
     /// runs are independent, and reports are collected in replica
     /// order. This is [`Fleet::run_instrumented_with`] with telemetry

@@ -42,7 +42,6 @@ pub use fleet::Fleet;
 pub use report::{FleetReport, LoadImbalance};
 pub use router::{NoAcceptingReplica, Routed, Router, RouterPolicy};
 pub use sweep::{
-    hetero_offline_capacity, offline_capacity, policy_comparison_hetero_patterned_with,
-    policy_comparison_patterned_at_capacity_with, policy_comparison_with,
-    scaling_sweep_patterned_at_capacity_with, scaling_sweep_with, FleetPoint, FleetScalingSweep,
+    hetero_offline_capacity, offline_capacity, policy_comparison_patterned_with,
+    scaling_sweep_patterned_at_capacity_with, FleetPoint, FleetScalingSweep,
 };

@@ -19,7 +19,7 @@ use crate::fleet::Fleet;
 use crate::report::FleetReport;
 use crate::router::RouterPolicy;
 use seesaw_engine::{OnlineEngine, SweepRunner};
-use seesaw_workload::{ArrivalDist, Request, SloSpec, ARRIVAL_SEED_SALT};
+use seesaw_workload::{Request, SloSpec};
 
 /// Builder for one replica (called once per replica per fleet).
 pub type ReplicaBuilder<'a> = &'a (dyn Fn(usize) -> Box<dyn OnlineEngine> + Sync);
@@ -76,8 +76,7 @@ impl FleetScalingSweep {
 /// Measure the single-replica offline capacity of `build`'s engine on
 /// `base` (arrival times ignored), returning `(capacity_rps, label)`
 /// so callers running several sweeps over the same scenario measure
-/// once and thread the result through the `*_patterned_at_capacity_with`
-/// variants.
+/// once and thread the result through each of them.
 pub fn offline_capacity(build: ReplicaBuilder, base: &[Request]) -> (f64, String) {
     let offline: Vec<Request> = base.iter().map(|r| r.with_arrival(0.0)).collect();
     let engine = build(0);
@@ -86,56 +85,22 @@ pub fn offline_capacity(build: ReplicaBuilder, base: &[Request]) -> (f64, String
 
 /// Scale one unit-rate arrival pattern to `rate` and attach it to
 /// `base` (whatever arrival times `base` carried are replaced).
-fn paced(base: &[Request], unit: &[f64], rate: f64) -> Vec<Request> {
+pub fn paced(base: &[Request], unit: &[f64], rate: f64) -> Vec<Request> {
     base.iter()
         .zip(unit)
         .map(|(r, &t)| r.with_arrival(t / rate))
         .collect()
 }
 
-/// Sweep fleets of `replica_counts` homogeneous replicas over
-/// `multipliers ×` their aggregate capacity, under one routing
-/// `policy`. The arrival pattern is Poisson, sampled once at unit
-/// rate from `seed` (salted, like every serving sweep) and rescaled
-/// per cell.
-#[allow(clippy::too_many_arguments)]
-pub fn scaling_sweep_with(
-    runner: &SweepRunner,
-    build: ReplicaBuilder,
-    workload: &str,
-    base: &[Request],
-    replica_counts: &[usize],
-    multipliers: &[f64],
-    policy: RouterPolicy,
-    slo: SloSpec,
-    seed: u64,
-) -> FleetScalingSweep {
-    let (capacity_rps, label) = offline_capacity(build, base);
-    let unit = ArrivalDist::Poisson { rate: 1.0 }
-        .sample_times(base.len(), seed ^ ARRIVAL_SEED_SALT)
-        .expect("unit-rate Poisson is valid");
-    scaling_sweep_patterned_at_capacity_with(
-        runner,
-        build,
-        workload,
-        base,
-        (capacity_rps, &label),
-        &unit,
-        replica_counts,
-        multipliers,
-        policy,
-        slo,
-    )
-}
-
-/// [`scaling_sweep_with`] with a pre-measured `(capacity_rps, label)`
-/// (from [`offline_capacity`]) and an explicit unit-mean-rate
-/// arrival pattern (one time per request) instead of the sampled
-/// Poisson one — this is how trace-shaped arrivals (diurnal envelopes
-/// or replayed trace files, normalized via
-/// [`seesaw_workload::unit_rate_pattern`]) run through the fleet
-/// grid: every cell replays the *same trace shape*, time-scaled to
-/// its offered rate.
+/// Sweep fleets of `replica_counts` homogeneous replicas built by
+/// `build` over `multipliers ×` their aggregate capacity, under one
+/// routing `policy`. `(capacity_rps, label)` is the single replica's
+/// measured offline capacity (from [`offline_capacity`]) and `unit`
+/// a unit-mean-rate arrival pattern (one time per request): a sampled
+/// unit-rate Poisson pattern, or a trace shape (diurnal envelopes or
+/// replayed trace files, normalized via
+/// [`seesaw_workload::unit_rate_pattern`]). Every cell replays the
+/// *same* pattern, time-scaled to its offered rate.
 #[allow(clippy::too_many_arguments)]
 pub fn scaling_sweep_patterned_at_capacity_with(
     runner: &SweepRunner,
@@ -197,44 +162,27 @@ pub fn scaling_sweep_patterned_at_capacity_with(
     }
 }
 
-/// Run every `policy` head-to-head on the *same* fleet size, request
-/// stream, and offered load (a multiple of the fleet's aggregate
-/// capacity). Returns one [`FleetPoint`] per policy, in `policies`
-/// order (the point's `report.policy` names it).
-#[allow(clippy::too_many_arguments)]
-pub fn policy_comparison_with(
+/// Run every `policy` head-to-head on the same fleet, request stream
+/// and offered load. `fleet` builds a fresh fleet per policy (a
+/// [`Fleet::homogeneous`] one shares one service-rate estimate across
+/// its replicas; a mixed [`Fleet::new`] one prices each replica from
+/// its own engine). `base` is paced by the unit-mean-rate `unit`
+/// pattern at `offered_rps`, which the caller derives as `multiplier ×`
+/// the fleet's capacity — `N ×` one replica's [`offline_capacity`], or
+/// a mixed fleet's [`hetero_offline_capacity`]. Returns one
+/// [`FleetPoint`] per policy, in `policies` order (the point's
+/// `report.policy` names it).
+///
+/// On a mixed fleet this is the live-vs-estimated proving ground: the
+/// estimated policies price every replica through the same analytic
+/// queue model, while the live policies observe each replica's
+/// measured state.
+pub fn policy_comparison_patterned_with(
     runner: &SweepRunner,
-    build: ReplicaBuilder,
+    fleet: &(dyn Fn() -> Fleet + Sync),
     base: &[Request],
-    n_replicas: usize,
-    multiplier: f64,
-    policies: &[RouterPolicy],
-    slo: SloSpec,
-    seed: u64,
-) -> Vec<FleetPoint> {
-    let (capacity_rps, _) = offline_capacity(build, base);
-    let unit = ArrivalDist::Poisson { rate: 1.0 }
-        .sample_times(base.len(), seed ^ ARRIVAL_SEED_SALT)
-        .expect("unit-rate Poisson is valid");
-    policy_comparison_patterned_at_capacity_with(
-        runner, build, base, capacity_rps, &unit, n_replicas, multiplier, policies, slo,
-    )
-}
-
-/// [`policy_comparison_with`] with a pre-measured capacity (from
-/// [`offline_capacity`]) and an explicit unit-mean-rate arrival
-/// pattern — the router × trace head-to-head (see
-/// [`scaling_sweep_patterned_at_capacity_with`] for the pattern
-/// convention).
-#[allow(clippy::too_many_arguments)]
-pub fn policy_comparison_patterned_at_capacity_with(
-    runner: &SweepRunner,
-    build: ReplicaBuilder,
-    base: &[Request],
-    capacity_rps: f64,
     unit: &[f64],
-    n_replicas: usize,
-    multiplier: f64,
+    (multiplier, offered_rps): (f64, f64),
     policies: &[RouterPolicy],
     slo: SloSpec,
 ) -> Vec<FleetPoint> {
@@ -244,20 +192,18 @@ pub fn policy_comparison_patterned_at_capacity_with(
         base.len(),
         "arrival pattern must cover every request"
     );
-    assert!(n_replicas > 0, "policy comparison needs replicas");
     assert!(
-        capacity_rps.is_finite() && capacity_rps > 0.0,
-        "capacity must be positive and finite, got {capacity_rps}"
+        offered_rps.is_finite() && offered_rps > 0.0,
+        "offered load must be positive and finite, got {offered_rps}"
     );
-    let rate = multiplier * n_replicas as f64 * capacity_rps;
-    let reqs = paced(base, unit, rate);
+    let reqs = paced(base, unit, offered_rps);
     runner.map(policies, |&policy| {
-        let fleet = Fleet::homogeneous(n_replicas, |i| build(i));
+        let fleet = fleet();
         let report = fleet.run_with(runner, policy, &reqs);
         FleetPoint {
-            n_replicas,
+            n_replicas: fleet.len(),
             load_multiplier: multiplier,
-            offered_rps: rate,
+            offered_rps,
             attainment: report.slo_attainment(slo),
             goodput_rps: report.goodput_rps(slo),
             report,
@@ -296,57 +242,6 @@ pub fn hetero_offline_capacity(
     (total, label)
 }
 
-/// [`policy_comparison_patterned_at_capacity_with`] over an explicit
-/// (possibly heterogeneous) fleet: `build(i)` may return
-/// differently-configured engines per replica index, each replica's
-/// routing cost estimates come from its own engine, and offered load
-/// is `multiplier ×` the fleet's *aggregate* capacity (from
-/// [`hetero_offline_capacity`]) rather than `N ×` a single replica's.
-///
-/// This is the live-vs-estimated proving ground: on a mixed fleet the
-/// estimated policies price every replica through the same analytic
-/// queue model, while the live policies observe each replica's
-/// measured state — the gap between the two is exactly what the
-/// global event loop exists to capture.
-#[allow(clippy::too_many_arguments)]
-pub fn policy_comparison_hetero_patterned_with(
-    runner: &SweepRunner,
-    build: ReplicaBuilder,
-    base: &[Request],
-    aggregate_capacity_rps: f64,
-    unit: &[f64],
-    n_replicas: usize,
-    multiplier: f64,
-    policies: &[RouterPolicy],
-    slo: SloSpec,
-) -> Vec<FleetPoint> {
-    assert!(!base.is_empty(), "policy comparison needs requests");
-    assert_eq!(
-        unit.len(),
-        base.len(),
-        "arrival pattern must cover every request"
-    );
-    assert!(n_replicas > 0, "policy comparison needs replicas");
-    assert!(
-        aggregate_capacity_rps.is_finite() && aggregate_capacity_rps > 0.0,
-        "capacity must be positive and finite, got {aggregate_capacity_rps}"
-    );
-    let rate = multiplier * aggregate_capacity_rps;
-    let reqs = paced(base, unit, rate);
-    runner.map(policies, |&policy| {
-        let fleet = Fleet::new((0..n_replicas).map(|i| build(i)).collect());
-        let report = fleet.run_with(runner, policy, &reqs);
-        FleetPoint {
-            n_replicas,
-            load_multiplier: multiplier,
-            offered_rps: rate,
-            attainment: report.slo_attainment(slo),
-            goodput_rps: report.goodput_rps(slo),
-            report,
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,7 +250,7 @@ mod tests {
     use seesaw_hw::ClusterSpec;
     use seesaw_model::presets;
     use seesaw_parallel::ParallelConfig;
-    use seesaw_workload::WorkloadGen;
+    use seesaw_workload::{ArrivalDist, WorkloadGen, ARRIVAL_SEED_SALT};
     use std::sync::Arc;
 
     fn builder() -> impl Fn(usize) -> Box<dyn OnlineEngine> + Sync {
@@ -376,20 +271,29 @@ mod tests {
 
     const SLO: SloSpec = SloSpec { ttft_s: 15.0, tpot_s: 0.05 };
 
+    /// A unit-rate Poisson arrival pattern of `n` requests.
+    fn poisson_unit(n: usize) -> Vec<f64> {
+        ArrivalDist::Poisson { rate: 1.0 }
+            .sample_times(n, 42 ^ ARRIVAL_SEED_SALT)
+            .expect("unit-rate Poisson is valid")
+    }
+
     #[test]
     fn scaling_sweep_covers_the_grid_and_scales_offered_load() {
         let build = builder();
         let base = WorkloadGen::constant(768, 48).generate(16);
-        let sweep = scaling_sweep_with(
+        let (capacity_rps, label) = offline_capacity(&build, &base);
+        let sweep = scaling_sweep_patterned_at_capacity_with(
             &SweepRunner::serial(),
             &build,
             "const",
             &base,
+            (capacity_rps, &label),
+            &poisson_unit(base.len()),
             &[1, 2],
             &[0.5, 2.0],
             RouterPolicy::JoinShortestQueue,
             SLO,
-            42,
         );
         assert_eq!(sweep.points.len(), 4);
         // Offered load scales with both axes.
@@ -435,19 +339,25 @@ mod tests {
         assert!(cap.is_finite() && cap > 0.0);
         assert!(label.starts_with("2x "), "run-length label, got {label}");
         assert!(label.contains(" + 1x "), "mix must name both configs: {label}");
-        let unit = ArrivalDist::Poisson { rate: 1.0 }
-            .sample_times(base.len(), 42 ^ ARRIVAL_SEED_SALT)
-            .expect("valid");
+        let unit = poisson_unit(base.len());
         let policies = [RouterPolicy::JoinShortestQueue, RouterPolicy::JoinShortestQueueLive];
+        let mixed = || Fleet::new((0..3).map(&build).collect());
         let run = |runner: &SweepRunner| {
-            policy_comparison_hetero_patterned_with(
-                runner, &build, &base, cap, &unit, 3, 1.1, &policies, SLO,
+            policy_comparison_patterned_with(
+                runner,
+                &mixed,
+                &base,
+                &unit,
+                (1.1, 1.1 * cap),
+                &policies,
+                SLO,
             )
         };
         let serial = run(&SweepRunner::serial());
         assert_eq!(serial, run(&SweepRunner::new(4)));
         for (p, policy) in serial.iter().zip(policies) {
             assert_eq!(p.report.policy, policy);
+            assert_eq!(p.n_replicas, 3);
             assert_eq!(p.report.stats.requests, 18);
             assert!((p.offered_rps - 1.1 * cap).abs() < 1e-12);
         }
@@ -457,16 +367,18 @@ mod tests {
     fn policy_comparison_is_deterministic_and_complete() {
         let build = builder();
         let base = WorkloadGen::constant(768, 48).generate(16);
+        let (capacity_rps, _) = offline_capacity(&build, &base);
+        let unit = poisson_unit(base.len());
+        let pair = || Fleet::homogeneous(2, &build);
         let run = |runner: &SweepRunner| {
-            policy_comparison_with(
+            policy_comparison_patterned_with(
                 runner,
-                &build,
+                &pair,
                 &base,
-                2,
-                1.0,
+                &unit,
+                (1.0, 2.0 * capacity_rps),
                 &RouterPolicy::all_default(),
                 SLO,
-                42,
             )
         };
         let serial = run(&SweepRunner::serial());

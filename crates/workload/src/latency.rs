@@ -136,15 +136,6 @@ pub enum SummaryMode {
     Sketch,
 }
 
-impl std::fmt::Display for SummaryMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SummaryMode::Exact => "exact",
-            SummaryMode::Sketch => "sketch",
-        })
-    }
-}
-
 /// Natural log of the sketch's bucket growth factor (γ = 1.01):
 /// consecutive bucket boundaries differ by 1%, so reporting a
 /// bucket's geometric midpoint is at most `√γ − 1 ≈ 0.5%` away from
@@ -354,38 +345,6 @@ impl LatencyStats {
         })
     }
 
-    /// [`LatencyStats::from_timeline`] under a [`SummaryMode`]. Exact
-    /// mode *is* `from_timeline` (delegation, so exact consumers stay
-    /// byte-identical); sketch mode folds all three marginals in one
-    /// pass with no sample vectors and no sorts.
-    pub fn from_timeline_mode(timeline: &[RequestTiming], mode: SummaryMode) -> Option<Self> {
-        match mode {
-            SummaryMode::Exact => Self::from_timeline(timeline),
-            SummaryMode::Sketch => {
-                if timeline.is_empty() {
-                    return None;
-                }
-                let mut ttft = LatencySketch::new();
-                let mut tpot = LatencySketch::new();
-                let mut e2e = LatencySketch::new();
-                for t in timeline {
-                    ttft.push(t.ttft());
-                    if t.output_len > 1 {
-                        tpot.push(t.tpot());
-                    }
-                    e2e.push(t.e2e());
-                }
-                let zero =
-                    LatencySummary { mean: 0.0, p50: 0.0, p90: 0.0, p99: 0.0, max: 0.0 };
-                Some(LatencyStats {
-                    count: timeline.len(),
-                    ttft: ttft.summary().unwrap_or(zero),
-                    tpot: tpot.summary().unwrap_or(zero),
-                    e2e: e2e.summary().unwrap_or(zero),
-                })
-            }
-        }
-    }
 }
 
 /// A latency service-level objective on TTFT and TPOT.
@@ -613,11 +572,6 @@ impl WindowAccumulator {
             "window length must be finite and > 0, got {window_s}"
         );
         WindowAccumulator { slo, window_s, mode, cells: Vec::new(), span_s: 0.0, nonempty: false }
-    }
-
-    /// The summary mode the accumulator renders with.
-    pub fn mode(&self) -> SummaryMode {
-        self.mode
     }
 
     fn cell(&mut self, idx: usize) -> &mut WindowCell {

@@ -31,4 +31,4 @@ pub use latency::{
 };
 pub use metrics::RunStats;
 pub use request::{LengthStats, Request, RequestMap};
-pub use stream::{merge_timelines, split_stream, DispatchQueue};
+pub use stream::{merge_timelines, split_stream};

@@ -13,17 +13,9 @@
 //! per-replica [`RequestTiming`] timelines into one fleet-level
 //! timeline (id-sorted, matching the single-engine report
 //! convention) for aggregate latency/SLO statistics.
-//!
-//! [`DispatchQueue`] is the retry-aware generalization of walking the
-//! base stream directly: a fault-injecting controller pops the merged
-//! sequence of base arrivals plus requeued retry attempts in
-//! nondecreasing arrival order, so downstream per-replica streams stay
-//! arrival-sorted even when replicas die mid-run.
 
 use crate::latency::RequestTiming;
 use crate::request::Request;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Split `reqs` into `n_streams` per-replica streams according to
 /// `assignment` (parallel to `reqs`; values in `[0, n_streams)`).
@@ -62,123 +54,6 @@ where
         );
     }
     merged
-}
-
-/// A retry attempt waiting for dispatch, min-ordered by arrival time
-/// (ties broken by push order, so equal-time retries dispatch in the
-/// order they were lost).
-#[derive(Debug, Clone, Copy)]
-struct RetryKey {
-    at_s: f64,
-    seq: u64,
-    req: Request,
-}
-
-impl PartialEq for RetryKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for RetryKey {}
-impl PartialOrd for RetryKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for RetryKey {
-    // Reversed so `BinaryHeap` (a max-heap) pops the *earliest*
-    // retry; ties pop in push order.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at_s
-            .total_cmp(&self.at_s)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-/// Merges an arrival-sorted base stream with retry attempts pushed
-/// mid-walk into one nondecreasing dispatch order.
-///
-/// The consumer alternates [`DispatchQueue::pop`] with whatever
-/// bookkeeping it does at each dispatch time; retries may be pushed
-/// between pops as long as their arrival is at or after the last
-/// popped time (enforced — a retry is always scheduled *after* the
-/// failure that caused it, which itself is at or after the causal
-/// walk's current position). Base requests win ties against retries
-/// at the same instant, preserving the plain walk order exactly when
-/// no retries are ever pushed.
-#[derive(Debug)]
-pub struct DispatchQueue<'a> {
-    base: &'a [Request],
-    next: usize,
-    retries: BinaryHeap<RetryKey>,
-    seq: u64,
-    last_s: f64,
-}
-
-impl<'a> DispatchQueue<'a> {
-    /// Wrap an arrival-sorted base stream (asserted).
-    pub fn new(base: &'a [Request]) -> Self {
-        assert!(
-            base.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s),
-            "base stream must be arrival-sorted"
-        );
-        DispatchQueue { base, next: 0, retries: BinaryHeap::new(), seq: 0, last_s: 0.0 }
-    }
-
-    /// Schedule a retry attempt; its `arrival_s` is the retry time.
-    /// Must not precede the last popped dispatch (the queue would no
-    /// longer be a sorted merge).
-    pub fn push(&mut self, req: Request) {
-        assert!(
-            req.arrival_s.is_finite() && req.arrival_s >= self.last_s,
-            "retry at {} precedes the dispatch watermark {}",
-            req.arrival_s,
-            self.last_s
-        );
-        self.retries.push(RetryKey { at_s: req.arrival_s, seq: self.seq, req });
-        self.seq += 1;
-    }
-
-    /// Arrival time of the next dispatch, if any.
-    pub fn peek_s(&self) -> Option<f64> {
-        let base = self.base.get(self.next).map(|r| r.arrival_s);
-        let retry = self.retries.peek().map(|k| k.at_s);
-        match (base, retry) {
-            (Some(b), Some(r)) => Some(b.min(r)),
-            (x, y) => x.or(y),
-        }
-    }
-
-    /// Next request in nondecreasing arrival order, with a flag
-    /// marking retry attempts. Base requests win ties.
-    pub fn pop(&mut self) -> Option<(Request, bool)> {
-        let take_base = match (self.base.get(self.next), self.retries.peek()) {
-            (Some(b), Some(r)) => b.arrival_s <= r.at_s,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        let (req, is_retry) = if take_base {
-            self.next += 1;
-            (self.base[self.next - 1], false)
-        } else {
-            (self.retries.pop().expect("peeked").req, true)
-        };
-        debug_assert!(req.arrival_s >= self.last_s);
-        self.last_s = req.arrival_s;
-        Some((req, is_retry))
-    }
-
-    /// Dispatches still pending (base remainder + scheduled retries).
-    pub fn len(&self) -> usize {
-        self.base.len() - self.next + self.retries.len()
-    }
-
-    /// Whether nothing is left to dispatch.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -230,59 +105,6 @@ mod tests {
         let b = vec![t(0), t(4)];
         let merged = merge_timelines([a.as_slice(), b.as_slice()]);
         assert_eq!(merged.iter().map(|x| x.id).collect::<Vec<_>>(), vec![0, 3, 4, 5]);
-    }
-
-    #[test]
-    fn dispatch_queue_merges_sorted() {
-        let base: Vec<Request> = (0..4)
-            .map(|i| Request::new(i, 10, 2).with_arrival(i as f64))
-            .collect();
-        let mut q = DispatchQueue::new(&base);
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.peek_s(), Some(0.0));
-        assert_eq!(q.pop(), Some((base[0], false)));
-        // Two retries land between base arrivals; one ties base id 2.
-        q.push(Request::new(100, 10, 2).with_arrival(1.5));
-        q.push(Request::new(101, 10, 2).with_arrival(2.0));
-        let order: Vec<(u64, bool)> = std::iter::from_fn(|| q.pop())
-            .map(|(r, retry)| (r.id, retry))
-            .collect();
-        // Base wins the t = 2.0 tie against retry 101.
-        assert_eq!(
-            order,
-            vec![(1, false), (100, true), (2, false), (101, true), (3, false)]
-        );
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn dispatch_queue_equal_time_retries_pop_in_push_order() {
-        let base: Vec<Request> = Vec::new();
-        let mut q = DispatchQueue::new(&base);
-        for id in [7u64, 3, 9] {
-            q.push(Request::new(id, 10, 2).with_arrival(5.0));
-        }
-        let ids: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(r, _)| r.id).collect();
-        assert_eq!(ids, vec![7, 3, 9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "dispatch watermark")]
-    fn dispatch_queue_rejects_retry_before_watermark() {
-        let base = vec![Request::new(0, 10, 2).with_arrival(3.0)];
-        let mut q = DispatchQueue::new(&base);
-        q.pop();
-        q.push(Request::new(1, 10, 2).with_arrival(2.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "arrival-sorted")]
-    fn dispatch_queue_rejects_unsorted_base() {
-        let base = vec![
-            Request::new(0, 10, 2).with_arrival(3.0),
-            Request::new(1, 10, 2).with_arrival(1.0),
-        ];
-        DispatchQueue::new(&base);
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! `assert_arrivals_sorted` guard.
 
 use proptest::prelude::*;
-use seesaw_workload::{
-    merge_timelines, split_stream, ArrivalDist, DispatchQueue, Request, RequestTiming,
-};
+use seesaw_workload::{merge_timelines, split_stream, ArrivalDist, Request, RequestTiming};
 
 /// Random nondecreasing arrival trace of `n` requests.
 fn traced_requests(n: usize, seed: u64, rate: f64, cv: f64) -> Vec<Request> {
@@ -86,59 +84,6 @@ proptest! {
         prop_assert_eq!(merged.len(), n);
         for (i, t) in merged.iter().enumerate() {
             prop_assert_eq!(t.id, i as u64, "merged timeline must be id-sorted and complete");
-        }
-    }
-
-    /// A dispatch queue interleaving base arrivals with retries pushed
-    /// at or after the causal walk's position (how a kill schedule
-    /// requeues lost work: detection + backoff always lands in the
-    /// future) pops a nondecreasing, lossless sequence — and any
-    /// split of that sequence stays arrival-sorted per replica, so a
-    /// chaos run can never trip `assert_arrivals_sorted`.
-    #[test]
-    fn dispatch_queue_stays_sorted_under_random_requeues(
-        n in 1usize..150,
-        n_replicas in 1usize..6,
-        seed in 0u64..500,
-        rate in 0.5f64..20.0,
-        retry_seed in 0u64..1000,
-        retry_every in 1usize..8,
-    ) {
-        let reqs = traced_requests(n, seed, rate, 1.0);
-        let mut q = DispatchQueue::new(&reqs);
-        let mut x = retry_seed.wrapping_mul(2).wrapping_add(1);
-        let mut lcg = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            x >> 33
-        };
-        let mut next_retry_id = n as u64;
-        let mut popped: Vec<Request> = Vec::new();
-        let mut pushed = 0usize;
-        while let Some((req, _)) = q.pop() {
-            // Pseudo-random "kill": requeue a retry attempt at the
-            // current position plus a random nonnegative delay.
-            if popped.len() % retry_every == 0 && pushed < 2 * n {
-                let delay = (lcg() % 1000) as f64 / 100.0;
-                q.push(Request::new(next_retry_id, 64, 8).with_arrival(req.arrival_s + delay));
-                next_retry_id += 1;
-                pushed += 1;
-            }
-            popped.push(req);
-        }
-        prop_assert_eq!(popped.len(), n + pushed, "no dispatch may be lost");
-        prop_assert!(
-            popped.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s),
-            "dispatch order must be nondecreasing"
-        );
-        let assignment: Vec<usize> = popped
-            .iter()
-            .map(|_| (lcg() as usize) % n_replicas)
-            .collect();
-        for (r, s) in split_stream(&popped, &assignment, n_replicas).iter().enumerate() {
-            prop_assert!(
-                s.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s),
-                "replica {} requeued stream lost arrival order", r
-            );
         }
     }
 }
