@@ -71,13 +71,22 @@ pub fn check_window_count(span_s: f64, window_s: f64) -> Result<(), String> {
     if windows <= MAX_WINDOWS as f64 {
         return Ok(());
     }
-    let show = |x: f64| if x < 1e9 { x.to_string() } else { format!("{x:e}") };
     Err(format!(
         "a {} s span in {} s windows needs {} control windows; at most {MAX_WINDOWS} are supported",
         show(span_s),
         show(window_s),
         show(windows),
     ))
+}
+
+/// `x` in plain notation below 10⁹, in scientific notation above (an
+/// out-of-range CLI value would otherwise print hundreds of digits).
+pub(crate) fn show(x: f64) -> String {
+    if x < 1e9 {
+        x.to_string()
+    } else {
+        format!("{x:e}")
+    }
 }
 
 /// The default diurnal envelope shape (see

@@ -1,11 +1,14 @@
 //! All ablation studies (DESIGN.md D1-D5). Usage: ablations [n_requests]
 use seesaw_bench::figs::ablations as a;
+use seesaw_engine::SweepRunner;
+
 fn main() {
-    let n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(200);
-    println!("{}", a::abl_sched(n));
-    println!("{}", a::abl_buffer(n));
-    println!("{}", a::abl_overlap(n));
-    println!("{}", a::abl_layout(n));
+    let n = seesaw_bench::cli::count_arg("ablations [n_requests]", "n_requests", 200);
+    let runner = SweepRunner::from_env();
+    println!("{}", a::abl_sched_with(&runner, n));
+    println!("{}", a::abl_buffer_with(&runner, n));
+    println!("{}", a::abl_overlap_with(&runner, n));
+    println!("{}", a::abl_layout_with(&runner, n));
     println!("{}", a::abl_reshard());
-    println!("{}", a::abl_chunk(n));
+    println!("{}", a::abl_chunk_with(&runner, n));
 }

@@ -176,6 +176,10 @@ fn parse_args() -> Args {
         eprintln!("--day/--window: {e}");
         std::process::exit(2);
     }
+    if let Err(e) = parsed.chaos.check(parsed.spec.day_s, parsed.config.window_s) {
+        eprintln!("--kills/--outages: {e}");
+        std::process::exit(2);
+    }
     parsed
 }
 

@@ -1,5 +1,7 @@
 //! Figure 13: D:P ratio sensitivity. Usage: fig13 [n_requests_per_point]
+use seesaw_engine::SweepRunner;
+
 fn main() {
-    let n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(64);
-    println!("{}", seesaw_bench::figs::fig13::run(n));
+    let n = seesaw_bench::cli::count_arg("fig13 [n_requests_per_point]", "n_requests_per_point", 64);
+    println!("{}", seesaw_bench::figs::fig13::run_with(&SweepRunner::from_env(), n));
 }

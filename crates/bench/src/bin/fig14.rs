@@ -1,5 +1,7 @@
 //! Figure 14: bandwidth sensitivity. Usage: fig14 [n_requests_per_point]
+use seesaw_engine::SweepRunner;
+
 fn main() {
-    let n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(150);
-    println!("{}", seesaw_bench::figs::fig14::run(n));
+    let n = seesaw_bench::cli::count_arg("fig14 [n_requests_per_point]", "n_requests_per_point", 150);
+    println!("{}", seesaw_bench::figs::fig14::run_with(&SweepRunner::from_env(), n));
 }

@@ -8,8 +8,10 @@
 //!
 //! models: 13b 15b 34b 70b · gpus: a10 l4 a100 a100-pcie
 
+use seesaw_bench::cli::positive;
 use seesaw_bench::harness;
 use seesaw_engine::seesaw::SeesawSpec;
+use seesaw_engine::SweepRunner;
 use seesaw_hw::{ClusterSpec, GpuSpec};
 use seesaw_model::{presets, ModelConfig};
 use seesaw_parallel::{enumerate_configs, MemoryPlan};
@@ -20,18 +22,6 @@ fn usage() -> ! {
         "usage: seesaw_cli <plan|compare|tune> <model> <gpu> <n_gpus> [avg_in avg_out [n_requests]]"
     );
     std::process::exit(2);
-}
-
-/// Parse a count argument that must be at least 1, exiting 2 with a
-/// message otherwise.
-fn positive(arg: &str, what: &str) -> usize {
-    match arg.parse::<usize>() {
-        Ok(v) if v > 0 => v,
-        _ => {
-            eprintln!("{what} must be a positive integer, got '{arg}'");
-            std::process::exit(2);
-        }
-    }
 }
 
 fn parse_target(args: &[String]) -> (ModelConfig, ClusterSpec) {
@@ -72,8 +62,9 @@ fn cmd_plan(model: &ModelConfig, cluster: &ClusterSpec) {
 
 fn cmd_compare(model: &ModelConfig, cluster: &ClusterSpec, avg_in: usize, avg_out: usize, n: usize) {
     let reqs = WorkloadGen::constant(avg_in, avg_out).generate(n);
-    let base = harness::best_vllm(cluster, model, &reqs);
-    let ours = harness::seesaw_auto(cluster, model, &reqs);
+    let runner = SweepRunner::from_env();
+    let base = harness::best_vllm_with(&runner, cluster, model, &reqs);
+    let ours = harness::seesaw_auto_with(&runner, cluster, model, &reqs);
     println!(
         "baseline [{}]: {:.3} req/s  (GPU util {:.0}%)",
         base.label,

@@ -19,7 +19,7 @@
 //! and all requeue decisions happen on the serial causal trajectory.
 
 use crate::autoscale::{
-    default_traces, scenario_json, ScenarioSpec, CAPACITY_PROBE_REQUESTS,
+    default_traces, scenario_json, show, ScenarioSpec, CAPACITY_PROBE_REQUESTS,
 };
 use crate::jsonfmt;
 use crate::serving::{default_engine_of, default_specs, DEFAULT_SLO};
@@ -32,6 +32,15 @@ use seesaw_engine::SweepRunner;
 use seesaw_fleet::offline_capacity;
 use seesaw_telemetry::{Instrument, MetricsRegistry};
 use seesaw_workload::WorkloadGen;
+
+/// Most fault events (kills plus outages) a chaos run may expect over
+/// its fault horizon — one day, rounded up to whole control windows.
+/// The whole schedule is drawn up front and every event is resolved
+/// by the replay, so time and memory grow with this count (~0.8 s and
+/// ~150 MB at 100 000 on a 4-replica fleet); the bound sits far above
+/// any realistic failure rate while keeping a mistyped `--kills 1e9`
+/// from exhausting memory.
+pub const MAX_FAULT_EVENTS: f64 = 100_000.0;
 
 /// Failure-model knobs of the default chaos scenario, expressed per
 /// *day* so a compressed `--day` keeps the same number of expected
@@ -93,6 +102,28 @@ impl ChaosSpec {
             groups: self.groups,
             detect_s: self.detect_s,
         }
+    }
+
+    /// Check every plan of [`ChaosSpec::fault_roster`] for a
+    /// `day_s`-second day in `window_s`-second windows: each must be
+    /// valid (a rate scaled past `f64` range is not), and at most
+    /// [`MAX_FAULT_EVENTS`] may be expected before the last window
+    /// ends.
+    pub fn check(&self, day_s: f64, window_s: f64) -> Result<(), String> {
+        let horizon_s = ((day_s / window_s).floor() + 1.0) * window_s;
+        for (_, plan) in self.fault_roster(day_s) {
+            plan.validate()?;
+            let expected = (plan.kills_per_hour + plan.outages_per_hour) * horizon_s / 3600.0;
+            if expected > MAX_FAULT_EVENTS {
+                return Err(format!(
+                    "{} expected faults over a {} s horizon; at most {MAX_FAULT_EVENTS} are \
+                     supported",
+                    show(expected),
+                    show(horizon_s),
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// The default failure roster: a fault-free control row, then
@@ -520,6 +551,20 @@ mod tests {
     use seesaw_autoscale::{
         score_detection, AutoscaleController, FaultEvent, FaultKind, FaultSchedule,
     };
+
+    #[test]
+    fn fault_rate_check_bounds_expected_events() {
+        let chaos = ChaosSpec::default();
+        assert!(chaos.check(86_400.0, 300.0).is_ok());
+        let heavy = ChaosSpec { kills_per_day: 1500.0, outages_per_day: 40.0, ..chaos };
+        assert!(heavy.check(1800.0, 60.0).is_ok());
+        for kills_per_day in [1e9, 1e308] {
+            assert!(ChaosSpec { kills_per_day, ..chaos }.check(100.0, 10.0).is_err());
+        }
+        // A day far shorter than one window still schedules a whole
+        // window of faults.
+        assert!(ChaosSpec { kills_per_day: 5.0, ..chaos }.check(1e-300, 10.0).is_err());
+    }
 
     /// The acceptance bar for the default burn-rate rule: every
     /// injected correlated outage fires within

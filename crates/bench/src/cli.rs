@@ -1,6 +1,8 @@
 //! Shared argument parsing for the sweep binaries
 //! (`all_figures [subsample] [--jobs N]`,
-//! `perf_report [subsample] [--jobs N] [--out PATH]`).
+//! `perf_report [subsample] [--jobs N] [--out PATH]`) and the
+//! per-figure binaries. Malformed arguments print a message and exit
+//! 2; they never panic or fall back to a default silently.
 
 /// Parsed sweep-binary arguments.
 #[derive(Debug, Clone)]
@@ -53,14 +55,44 @@ pub fn parse_sweep_args(usage: &str, default_subsample: usize, accept_out: bool)
                     std::process::exit(2);
                 });
             }
-            other => match other.parse() {
-                Ok(n) => parsed.subsample = n,
-                Err(_) => {
-                    eprintln!("usage: {usage}");
-                    std::process::exit(2);
-                }
-            },
+            other if other.parse::<usize>().is_ok() => {
+                parsed.subsample = positive(other, "subsample");
+            }
+            _ => {
+                eprintln!("usage: {usage}");
+                std::process::exit(2);
+            }
         }
     }
     parsed
+}
+
+/// Parse a count argument that must be at least 1, exiting 2 with a
+/// message otherwise.
+pub fn positive(arg: &str, what: &str) -> usize {
+    match arg.parse::<usize>() {
+        Ok(v) if v > 0 => v,
+        _ => {
+            eprintln!("{what} must be a positive integer, got '{arg}'");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The positional arguments of a binary taking at most `max` of them;
+/// prints `usage` and exits 2 when there are more.
+pub fn positionals(usage: &str, max: usize) -> Vec<String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.len() > max {
+        eprintln!("usage: {usage}");
+        std::process::exit(2);
+    }
+    args
+}
+
+/// The single optional count argument of a per-figure binary:
+/// `default` when absent; prints a message and exits 2 when it is not
+/// a positive integer or is followed by more arguments.
+pub fn count_arg(usage: &str, what: &str, default: usize) -> usize {
+    positionals(usage, 1).first().map_or(default, |s| positive(s, what))
 }

@@ -33,11 +33,7 @@ fn workload(n: usize) -> Vec<Request> {
 /// throughput + transition counts. The full buffer is
 /// transition-minimizing scheduling; a GPU-KV-sized buffer behaves
 /// like decode-prioritizing.
-pub fn abl_sched(n_requests: usize) -> String {
-    abl_sched_with(&SweepRunner::from_env(), n_requests)
-}
-
-/// [`abl_sched`] on an explicit runner (cases evaluate concurrently).
+/// Runs on `runner` (cases evaluate concurrently).
 pub fn abl_sched_with(runner: &SweepRunner, n_requests: usize) -> String {
     let (cluster, model, base) = setting();
     let reqs = workload(n_requests);
@@ -71,12 +67,7 @@ pub fn abl_sched_with(runner: &SweepRunner, n_requests: usize) -> String {
 }
 
 /// D2 — CPU buffer capacity sweep.
-pub fn abl_buffer(n_requests: usize) -> String {
-    abl_buffer_with(&SweepRunner::from_env(), n_requests)
-}
-
-/// [`abl_buffer`] on an explicit runner (capacities sweep
-/// concurrently).
+/// Runs on `runner` (capacities sweep concurrently).
 pub fn abl_buffer_with(runner: &SweepRunner, n_requests: usize) -> String {
     let (cluster, model, base) = setting();
     let reqs = workload(n_requests);
@@ -103,12 +94,7 @@ pub fn abl_buffer_with(runner: &SweepRunner, n_requests: usize) -> String {
 }
 
 /// D3 — asynchronous pipeline on/off.
-pub fn abl_overlap(n_requests: usize) -> String {
-    abl_overlap_with(&SweepRunner::from_env(), n_requests)
-}
-
-/// [`abl_overlap`] on an explicit runner (both arms run
-/// concurrently).
+/// Runs on `runner` (both arms run concurrently).
 pub fn abl_overlap_with(runner: &SweepRunner, n_requests: usize) -> String {
     let (cluster, model, base) = setting();
     let reqs = workload(n_requests);
@@ -133,12 +119,7 @@ pub fn abl_overlap_with(runner: &SweepRunner, n_requests: usize) -> String {
 }
 
 /// D4 — KV layout (HND vs NHD) under tensor-parallel sharded swaps.
-pub fn abl_layout(n_requests: usize) -> String {
-    abl_layout_with(&SweepRunner::from_env(), n_requests)
-}
-
-/// [`abl_layout`] on an explicit runner (both layouts run
-/// concurrently).
+/// Runs on `runner` (both layouts run concurrently).
 pub fn abl_layout_with(runner: &SweepRunner, n_requests: usize) -> String {
     let (cluster, model, base) = setting();
     let reqs = workload(n_requests);
@@ -165,12 +146,7 @@ pub fn abl_layout_with(runner: &SweepRunner, n_requests: usize) -> String {
 /// (the §7.2 discussion: "determining the optimal chunk size is
 /// challenging"). Seesaw's transition-minimizing schedule is shown as
 /// a chunk-free reference.
-pub fn abl_chunk(n_requests: usize) -> String {
-    abl_chunk_with(&SweepRunner::from_env(), n_requests)
-}
-
-/// [`abl_chunk`] on an explicit runner (chunk sizes sweep
-/// concurrently).
+/// Runs on `runner` (chunk sizes sweep concurrently).
 pub fn abl_chunk_with(runner: &SweepRunner, n_requests: usize) -> String {
     use seesaw_engine::vllm::VllmEngine;
     use seesaw_engine::SchedulingPolicy;
@@ -240,7 +216,7 @@ mod tests {
 
     #[test]
     fn buffer_sweep_shows_fewer_transitions_with_bigger_buffers() {
-        let s = abl_buffer(60);
+        let s = abl_buffer_with(&SweepRunner::from_env(), 60);
         assert!(s.contains("0.5x") && s.contains("16x"));
     }
 
@@ -268,7 +244,7 @@ mod tests {
 
     #[test]
     fn sched_ablation_renders() {
-        let s = abl_sched(40);
+        let s = abl_sched_with(&SweepRunner::from_env(), 40);
         assert!(s.contains("transition-minimizing"));
         assert!(s.contains("decode-prioritizing-like"));
     }

@@ -35,14 +35,11 @@ fn dataset(name: &str, n_div: usize) -> (String, Vec<Request>) {
     }
 }
 
-/// Regenerate one panel of Figure 10 for `gpu` ∈ {"a10", "l4"}.
-/// `subsample` divides the request counts (1 = the paper's counts).
-pub fn run(gpu: &str, subsample: usize) -> String {
-    run_with(&SweepRunner::from_env(), gpu, subsample)
-}
-
-/// [`run`] on an explicit runner: the six (model × dataset) grid
-/// cells evaluate concurrently; rows render in grid order.
+/// Regenerate one panel of Figure 10 for `gpu` ∈ {"a10", "l4"}
+/// (panics on any other name). `subsample` divides the request counts
+/// (1 = the paper's counts). Runs on `runner`: the six (model ×
+/// dataset) grid cells evaluate concurrently; rows render in grid
+/// order.
 pub fn run_with(runner: &SweepRunner, gpu: &str, subsample: usize) -> String {
     let mut out = super::banner(
         "Figure 10",
@@ -62,8 +59,9 @@ pub fn run_with(runner: &SweepRunner, gpu: &str, subsample: usize) -> String {
         let cluster = match (gpu, n) {
             ("a10", 4) => ClusterSpec::a10x4(),
             ("a10", _) => ClusterSpec::a10x8(),
-            (_, 4) => ClusterSpec::l4x4(),
-            _ => ClusterSpec::l4x8(),
+            ("l4", 4) => ClusterSpec::l4x4(),
+            ("l4", _) => ClusterSpec::l4x8(),
+            _ => panic!("Figure 10 has a10 and l4 panels, not '{gpu}'"),
         };
         for ds in ["arxiv", "sharegpt"] {
             cells.push((model.clone(), cluster.clone(), ds));
@@ -111,12 +109,12 @@ mod tests {
     #[test]
     fn fifteen_b_row_shows_speedup() {
         use super::*;
-        use crate::harness::{best_vllm, seesaw_auto};
+        use crate::harness::{best_vllm_with, seesaw_auto_with};
         let cluster = ClusterSpec::a10x4();
         let model = presets::llama3_15b();
         let reqs = WorkloadGen::arxiv_summarization(SEED).generate(60);
-        let base = best_vllm(&cluster, &model, &reqs);
-        let ours = seesaw_auto(&cluster, &model, &reqs);
+        let base = best_vllm_with(&SweepRunner::from_env(), &cluster, &model, &reqs);
+        let ours = seesaw_auto_with(&SweepRunner::from_env(), &cluster, &model, &reqs);
         assert!(
             ours.throughput_rps() > base.throughput_rps(),
             "seesaw {} vs vllm {} ({})",

@@ -10,11 +10,7 @@ use seesaw_model::presets;
 use seesaw_workload::WorkloadGen;
 
 /// Regenerate Figure 11. `subsample` divides request counts.
-pub fn run(subsample: usize) -> String {
-    run_with(&SweepRunner::from_env(), subsample)
-}
-
-/// [`run`] on an explicit runner: the eight (dataset × system) cells
+/// Runs on `runner`: the eight (dataset × system) cells
 /// evaluate concurrently; rows render in legend order.
 pub fn run_with(runner: &SweepRunner, subsample: usize) -> String {
     let model = presets::llama2_70b();
@@ -78,7 +74,7 @@ pub fn run_with(runner: &SweepRunner, subsample: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{best_vllm, seesaw_auto};
+    use crate::harness::{best_vllm_with, seesaw_auto_with};
 
     /// The figure's core claims at small scale: NVLink lifts vLLM, and
     /// Seesaw narrows the PCIe/NVLink gap.
@@ -88,9 +84,9 @@ mod tests {
         let pcie = ClusterSpec::a100x8_pcie();
         let nvl = ClusterSpec::a100x8_nvlink();
         let reqs = WorkloadGen::arxiv_summarization(SEED).generate(80);
-        let v_nvl = best_vllm(&nvl, &model, &reqs).throughput_rps();
-        let v_pcie = best_vllm(&pcie, &model, &reqs).throughput_rps();
-        let s_pcie = seesaw_auto(&pcie, &model, &reqs).throughput_rps();
+        let v_nvl = best_vllm_with(&SweepRunner::from_env(), &nvl, &model, &reqs).throughput_rps();
+        let v_pcie = best_vllm_with(&SweepRunner::from_env(), &pcie, &model, &reqs).throughput_rps();
+        let s_pcie = seesaw_auto_with(&SweepRunner::from_env(), &pcie, &model, &reqs).throughput_rps();
         assert!(v_nvl > v_pcie, "NVLink must beat PCIe for vLLM");
         assert!(
             s_pcie / v_nvl > v_pcie / v_nvl,

@@ -27,11 +27,7 @@ fn run_vllm(
 
 /// Regenerate Figure 12. `n_requests` scales the workload (the paper
 /// uses the full 500-request arxiv sample).
-pub fn run(n_requests: usize) -> String {
-    run_with(&seesaw_engine::SweepRunner::from_env(), n_requests)
-}
-
-/// [`run`] on an explicit runner: the four system rows evaluate
+/// Runs on `runner`: the four system rows evaluate
 /// concurrently. Each row pairs its label with its own job closure,
 /// so a label can never silently run another system's configuration.
 pub fn run_with(runner: &seesaw_engine::SweepRunner, n_requests: usize) -> String {
@@ -147,7 +143,7 @@ mod tests {
 
     #[test]
     fn renders_four_rows() {
-        let s = run(40);
+        let s = run_with(&seesaw_engine::SweepRunner::from_env(), 40);
         for name in ["tp4", "pp4", "p4->t4 (seesaw)", "tp2pp2+chunked"] {
             assert!(s.contains(name), "missing {name}");
         }

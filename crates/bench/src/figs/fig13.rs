@@ -47,12 +47,7 @@ pub fn point(ratio: f64, n_requests: usize) -> (f64, f64, f64, f64) {
 }
 
 /// Regenerate Figure 13 with `n_requests` per point.
-pub fn run(n_requests: usize) -> String {
-    run_with(&seesaw_engine::SweepRunner::from_env(), n_requests)
-}
-
-/// [`run`] on an explicit runner: the swept ratio points evaluate
-/// concurrently.
+/// Runs on `runner`: the swept ratio points evaluate concurrently.
 pub fn run_with(runner: &seesaw_engine::SweepRunner, n_requests: usize) -> String {
     let mut out = super::banner(
         "Figure 13",

@@ -33,12 +33,7 @@ pub fn static_configs() -> Vec<ParallelConfig> {
 
 /// Throughputs at one bandwidth scale: statics in legend order, then
 /// Seesaw (`D2P4 -> D2T4`, the paper's configuration).
-pub fn point(scale: f64, reqs: &[Request]) -> Vec<f64> {
-    point_with(&seesaw_engine::SweepRunner::from_env(), scale, reqs)
-}
-
-/// [`point`] on an explicit runner (governs the adaptive-seesaw
-/// probe's parallelism).
+/// Runs on `runner` (governs the adaptive-seesaw probe's parallelism).
 pub fn point_with(runner: &seesaw_engine::SweepRunner, scale: f64, reqs: &[Request]) -> Vec<f64> {
     let cluster = ClusterSpec::a10x8().with_allreduce_scale(scale);
     let model = presets::codellama_34b();
@@ -71,12 +66,7 @@ pub fn point_with(runner: &seesaw_engine::SweepRunner, scale: f64, reqs: &[Reque
 }
 
 /// Regenerate Figure 14 with `n_requests` arxiv requests per point.
-pub fn run(n_requests: usize) -> String {
-    run_with(&seesaw_engine::SweepRunner::from_env(), n_requests)
-}
-
-/// [`run`] on an explicit runner: the swept bandwidth scales evaluate
-/// concurrently.
+/// Runs on `runner`: the swept bandwidth scales evaluate concurrently.
 pub fn run_with(runner: &seesaw_engine::SweepRunner, n_requests: usize) -> String {
     let reqs = WorkloadGen::arxiv_summarization(SEED).generate(n_requests);
     let mut out = super::banner(
@@ -117,8 +107,8 @@ mod tests {
     #[test]
     fn bandwidth_crossover_and_seesaw_robustness() {
         let reqs = WorkloadGen::arxiv_summarization(SEED).generate(40);
-        let slow = point(0.1, &reqs);
-        let fast = point(50.0, &reqs);
+        let slow = point_with(&seesaw_engine::SweepRunner::from_env(), 0.1, &reqs);
+        let fast = point_with(&seesaw_engine::SweepRunner::from_env(), 50.0, &reqs);
         // Legend order: [d2t1p4, d2t2p2, d2t4p1, p8, t2p4, t4p2, t8, seesaw]
         let (p8, t8) = (3, 6);
         assert!(slow[p8] > slow[t8], "slow fabric favours PP8 over TP8");

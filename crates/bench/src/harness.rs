@@ -1,9 +1,8 @@
 //! Sweep harness: the tuned-vLLM baseline and the auto-probed Seesaw
 //! run used by the end-to-end figures.
 //!
-//! Every function has a `*_with` variant taking an explicit
-//! [`SweepRunner`]; the plain variants resolve the job count from the
-//! environment (`SEESAW_JOBS` / `RAYON_NUM_THREADS`, else all cores).
+//! Every sweep takes an explicit [`SweepRunner`]; binaries build one
+//! with `SweepRunner::from_env`.
 //! Parallel and serial runners produce identical reports in identical
 //! order — candidates are independent simulations and results are
 //! collected by candidate index.
@@ -30,15 +29,7 @@ pub fn baseline_policies() -> Vec<SchedulingPolicy> {
 
 /// Run every feasible static configuration × baseline policy and
 /// return all reports (used by figures that show the whole sweep).
-pub fn vllm_sweep(
-    cluster: &ClusterSpec,
-    model: &ModelConfig,
-    reqs: &[Request],
-) -> Vec<EngineReport> {
-    vllm_sweep_with(&SweepRunner::from_env(), cluster, model, reqs)
-}
-
-/// [`vllm_sweep`] on an explicit runner. Candidate engine runs are
+/// Runs on `runner`. Candidate engine runs are
 /// independent simulations, so they execute concurrently; report
 /// order matches the serial enumeration order exactly.
 pub fn vllm_sweep_with(
@@ -70,11 +61,6 @@ pub fn vllm_sweep_with(
 /// The tuned baseline: best throughput across the sweep (what the
 /// paper reports as the vLLM bar after sweeping parallelisms and
 /// tuning the chunk size).
-pub fn best_vllm(cluster: &ClusterSpec, model: &ModelConfig, reqs: &[Request]) -> EngineReport {
-    best_vllm_with(&SweepRunner::from_env(), cluster, model, reqs)
-}
-
-/// [`best_vllm`] on an explicit runner.
 pub fn best_vllm_with(
     runner: &SweepRunner,
     cluster: &ClusterSpec,
@@ -93,12 +79,7 @@ pub fn best_vllm_with(
 
 /// Seesaw with its configuration pair auto-probed on a sample of the
 /// workload.
-pub fn seesaw_auto(cluster: &ClusterSpec, model: &ModelConfig, reqs: &[Request]) -> EngineReport {
-    seesaw_auto_with(&SweepRunner::from_env(), cluster, model, reqs)
-}
-
-/// [`seesaw_auto`] on an explicit runner (the probe pairs evaluate
-/// concurrently).
+/// Runs on `runner` (the probe pairs evaluate concurrently).
 pub fn seesaw_auto_with(
     runner: &SweepRunner,
     cluster: &ClusterSpec,
@@ -134,8 +115,8 @@ mod tests {
         let cluster = ClusterSpec::a10x4();
         let m = presets::llama2_13b();
         let reqs = WorkloadGen::constant(512, 32).generate(16);
-        let sweep = vllm_sweep(&cluster, &m, &reqs);
-        let best = best_vllm(&cluster, &m, &reqs);
+        let sweep = vllm_sweep_with(&SweepRunner::from_env(), &cluster, &m, &reqs);
+        let best = best_vllm_with(&SweepRunner::from_env(), &cluster, &m, &reqs);
         assert!(sweep
             .iter()
             .all(|r| r.throughput_rps() <= best.throughput_rps() + 1e-12));
@@ -147,7 +128,7 @@ mod tests {
         let cluster = ClusterSpec::a10x4();
         let m = presets::llama2_13b();
         let reqs = WorkloadGen::constant(1024, 64).generate(24);
-        let rep = seesaw_auto(&cluster, &m, &reqs);
+        let rep = seesaw_auto_with(&SweepRunner::from_env(), &cluster, &m, &reqs);
         assert_eq!(rep.stats.requests, 24);
     }
 }

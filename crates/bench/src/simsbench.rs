@@ -35,15 +35,13 @@
 //! one chaos-frontier grid cell including fault scheduling, loss
 //! resolution, and availability accounting.
 //!
-//! The streaming-metrics variant (`sims_per_sec.autoscale_sketch`)
-//! isolates the metrics pipeline the sketch/streaming-window work
-//! optimized: one sketch-mode `WindowAccumulator` pass over the
-//! autoscale cell's precomputed day (split into per-replica shards so
-//! sketch merging is exercised), window-axis rendering, and the
-//! default burn-rate rule evaluation. The engine simulation — which
-//! dominates a full replay and is identical in both summary modes —
-//! is deliberately excluded, so this figure tracks the pipeline
-//! itself rather than re-measuring `autoscale`.
+//! The metrics variant (`sims_per_sec.metrics`) isolates the
+//! controller's metrics phase: `windowed_metrics` plus the default
+//! burn-rate rule over the autoscale cell's precomputed day — the
+//! exact pipeline `AutoscaleController` runs when it builds a report.
+//! The engine simulation, which dominates a full replay, is excluded,
+//! so this figure tracks the pipeline itself rather than re-measuring
+//! `autoscale`.
 
 use seesaw_autoscale::{
     AlertEngine, AlertEvent, AlertRule, AutoscaleConfig, AutoscaleController, ElasticFleetReport,
@@ -59,8 +57,8 @@ use seesaw_model::{presets, ModelConfig};
 use seesaw_parallel::ParallelConfig;
 use seesaw_telemetry::Instrument;
 use seesaw_workload::{
-    ArrivalDist, RateEnvelope, Request, RequestTiming, SloSpec, SummaryMode, WindowAccumulator,
-    WindowMetrics, WorkloadGen,
+    windowed_metrics, ArrivalDist, RateEnvelope, Request, RequestTiming, SloSpec, WindowMetrics,
+    WorkloadGen,
 };
 use std::sync::Arc;
 
@@ -99,14 +97,12 @@ pub struct SimsBench {
     /// + scaling decisions + replica runs + the merged report, so the
     /// per-request work is kept lighter than the offline scenarios).
     pub autoscale_reqs: Vec<Request>,
-    /// The autoscale cell's completed day, split into
-    /// [`FLEET_REPLICAS`] per-replica timing shards — the fixed input
-    /// of the streaming-metrics scenario
-    /// (`sims_per_sec.autoscale_sketch`), precomputed once so each
-    /// evaluation re-runs only the metrics pipeline.
-    pub sketch_shards: Vec<Vec<RequestTiming>>,
-    /// The same cell's measured control horizon, seconds.
-    pub sketch_horizon_s: f64,
+    /// The autoscale cell's merged timeline — the fixed input of the
+    /// metrics scenario (`sims_per_sec.metrics`), precomputed once so
+    /// each evaluation re-runs only the metrics pipeline.
+    pub metrics_timeline: Vec<RequestTiming>,
+    /// The same cell's control horizon, seconds.
+    pub metrics_horizon_s: f64,
 }
 
 impl Default for SimsBench {
@@ -139,22 +135,12 @@ impl SimsBench {
             serving_reqs,
             fleet_reqs,
             autoscale_reqs,
-            sketch_shards: Vec::new(),
-            sketch_horizon_s: 0.0,
+            metrics_timeline: Vec::new(),
+            metrics_horizon_s: 0.0,
         };
-        // Replay the autoscale cell once and deal its merged timeline
-        // round-robin into per-replica shards: the streaming-metrics
-        // scenario's fixed input. Round-robin (rather than contiguous
-        // slices) keeps every shard overlapping every window, so each
-        // evaluation exercises cross-shard sketch merging in every
-        // window, like per-replica reports do in the controller.
-        let report = bench.run_autoscale_once();
-        let mut shards = vec![Vec::new(); FLEET_REPLICAS];
-        for (i, t) in report.fleet.timeline.iter().enumerate() {
-            shards[i % FLEET_REPLICAS].push(t.clone());
-        }
-        bench.sketch_shards = shards;
-        bench.sketch_horizon_s = report.horizon_s;
+        let day = bench.run_autoscale_once();
+        bench.metrics_timeline = day.fleet.timeline;
+        bench.metrics_horizon_s = day.horizon_s;
         bench
     }
 
@@ -316,21 +302,19 @@ impl SimsBench {
         (report, instr.profile)
     }
 
-    /// One streaming-metrics evaluation
-    /// (`sims_per_sec.autoscale_sketch`): fold the precomputed
-    /// per-replica day shards into a sketch-mode
-    /// [`WindowAccumulator`], render the window axis, and evaluate
-    /// the default burn-rate rule — exactly the per-cell metrics work
-    /// the streaming pipeline replaced, isolated from the engine
-    /// simulation (identical in both summary modes) that dominates a
-    /// full replay.
-    pub fn run_autoscale_sketch_once(&self) -> (Vec<WindowMetrics>, Vec<AlertEvent>) {
+    /// One metrics evaluation (`sims_per_sec.metrics`): the
+    /// controller's metrics phase — `windowed_metrics` over the
+    /// precomputed merged timeline and horizon, then the default
+    /// burn-rate rule — isolated from the engine simulation that
+    /// dominates a full replay.
+    pub fn run_metrics_once(&self) -> (Vec<WindowMetrics>, Vec<AlertEvent>) {
         let config = self.autoscale_config();
-        let mut acc = WindowAccumulator::new(config.slo, config.window_s, SummaryMode::Sketch);
-        for shard in &self.sketch_shards {
-            acc.observe(shard);
-        }
-        let windows = acc.finish(self.sketch_horizon_s);
+        let windows = windowed_metrics(
+            &self.metrics_timeline,
+            config.slo,
+            config.window_s,
+            self.metrics_horizon_s,
+        );
         let alerts = AlertEngine::evaluate(&[AlertRule::default()], &windows);
         (windows, alerts)
     }

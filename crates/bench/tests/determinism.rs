@@ -308,3 +308,17 @@ fn repeated_autoscale_runs_reproduce_the_first_report() {
         assert_eq!(bench.run_autoscale_once(), first, "warm-pool autoscale rerun drifted");
     }
 }
+
+/// The metrics sims/sec scenario (perf_report's `metrics` metric)
+/// times exactly what the controller computes: over the precomputed
+/// day it yields the autoscale report's windows and alerts.
+#[test]
+fn metrics_scenario_reproduces_the_controller_metrics() {
+    use seesaw_bench::simsbench::SimsBench;
+    let bench = SimsBench::new();
+    let report = bench.run_autoscale_once();
+    assert_eq!(bench.metrics_timeline, report.fleet.timeline);
+    let (windows, alerts) = bench.run_metrics_once();
+    assert_eq!(windows, report.windowed);
+    assert_eq!(alerts, report.alerts);
+}

@@ -8,7 +8,7 @@
 
 use seesaw_hw::{efficiency, ClusterSpec};
 use seesaw_model::ModelConfig;
-use seesaw_parallel::{feasible, FitError, MemoryPlan, ParallelConfig, ReshardPlan};
+use seesaw_parallel::{feasible, FitError, ParallelConfig, ReshardPlan};
 use seesaw_roofline::{Roofline, ThroughputModel};
 
 /// Rank every memory-feasible static configuration by estimated
@@ -190,18 +190,6 @@ pub fn best_seesaw_pair_probed_with(
         "no feasible Seesaw pair for {} on {}x{}",
         model.name, cluster.num_gpus, cluster.gpu.name
     )))
-}
-
-/// Convenience: the best static config's memory plan (used by
-/// examples to report capacity).
-pub fn best_static_plan(
-    cluster: &ClusterSpec,
-    model: &ModelConfig,
-    avg_in: usize,
-    avg_out: usize,
-) -> Result<MemoryPlan, FitError> {
-    let (cfg, _) = best_static_config(cluster, model, avg_in, avg_out)?;
-    MemoryPlan::new(model, cluster, cfg)
 }
 
 #[cfg(test)]

@@ -163,11 +163,6 @@ impl PagedKvCache {
         let allocated: usize = self.seqs.values().map(|a| a.blocks).sum();
         allocated * self.block_tokens - self.used_tokens()
     }
-
-    /// Ids of resident sequences (unordered).
-    pub fn resident_ids(&self) -> Vec<u64> {
-        self.seqs.keys().copied().collect()
-    }
 }
 
 #[cfg(test)]

@@ -52,11 +52,6 @@ impl GpuShard {
     pub fn weight_bytes(&self) -> u64 {
         self.layer_weight_bytes() + self.embedding_bytes
     }
-
-    /// Whether this shard owns (part of) `layer`.
-    pub fn owns_layer(&self, layer: usize) -> bool {
-        (self.layer_start..self.layer_end).contains(&layer)
-    }
 }
 
 /// The complete placement of one model under one configuration.

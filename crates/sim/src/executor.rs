@@ -140,14 +140,6 @@ impl TaskSpec {
         self
     }
 
-    /// Add several dependencies.
-    pub fn after_all(mut self, deps: &[TaskHandle]) -> Self {
-        for &d in deps {
-            self.deps.push(d);
-        }
-        self
-    }
-
     /// Set the trace tag.
     pub fn tag(mut self, tag: u64) -> Self {
         self.tag = tag;
@@ -352,11 +344,6 @@ impl Simulator {
     /// The execution trace so far.
     pub fn trace(&self) -> &Trace {
         &self.trace
-    }
-
-    /// Clear the recorded trace (e.g. after a warm-up phase).
-    pub fn clear_trace(&mut self) {
-        self.trace.clear();
     }
 
     /// Whether a task has completed.

@@ -8,8 +8,6 @@
 //! TTFT/TPOT SLO per second — are the serving sweep's headline
 //! metrics.
 
-use std::collections::BTreeMap;
-
 /// Simulated-time timeline of one request's life.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestTiming {
@@ -121,195 +119,6 @@ impl LatencySummary {
     }
 }
 
-/// How latency marginals are summarized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SummaryMode {
-    /// Exact nearest-rank percentiles over the materialized sample
-    /// set (sort-based; the historical behaviour, kept byte-identical
-    /// for tests and figures).
-    #[default]
-    Exact,
-    /// Mergeable log-bucketed quantile sketch: bounded relative
-    /// error, one streaming pass, and associative merge — per-replica
-    /// summaries combine into fleet summaries without re-sorting
-    /// timelines.
-    Sketch,
-}
-
-/// Natural log of the sketch's bucket growth factor (γ = 1.01):
-/// consecutive bucket boundaries differ by 1%, so reporting a
-/// bucket's geometric midpoint is at most `√γ − 1 ≈ 0.5%` away from
-/// any sample in it — comfortably inside the 1% relative-error
-/// budget the sketch promises.
-const SKETCH_LN_GAMMA: f64 = 0.009_950_330_853_155_723;
-
-/// Values below this (seconds) land in the sketch's zero bucket: a
-/// latency under a nanosecond is indistinguishable from zero for
-/// every consumer here, and an explicit floor keeps `ln` away from
-/// `-inf`.
-const SKETCH_MIN_S: f64 = 1e-9;
-
-/// A deterministic mergeable quantile sketch over non-negative
-/// latency samples (seconds).
-///
-/// Samples map to geometrically spaced buckets (`idx = ⌊ln v / ln γ⌋`
-/// with γ = 1.01), so any quantile is answered to within ~0.5%
-/// relative error from bucket counts alone. The state is pure counts
-/// plus exact min/max, which makes merging **associative and
-/// commutative to the byte**: `(a ⊕ b) ⊕ c` and `a ⊕ (b ⊕ c)` hold
-/// identical state (unlike t-digest, whose centroid merges depend on
-/// order). Every derived figure — quantiles *and* the mean — is
-/// computed from the merged counts at render time, so it inherits
-/// that associativity. Memory is one `(i32, u64)` entry per occupied
-/// bucket (the full 1 ns – 10⁵ s range is ~2.6k buckets, but real
-/// marginals occupy a few dozen).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LatencySketch {
-    /// Occupied buckets: `⌊ln v / ln γ⌋ → count`. Ordered, so walks
-    /// are ascending and deterministic.
-    buckets: BTreeMap<i32, u64>,
-    /// Samples below [`SKETCH_MIN_S`] (zero latencies included).
-    zeros: u64,
-    /// Total samples.
-    count: u64,
-    /// Exact smallest sample (`+inf` when empty).
-    min: f64,
-    /// Exact largest sample (`-inf` when empty).
-    max: f64,
-}
-
-impl LatencySketch {
-    /// An empty sketch.
-    pub fn new() -> Self {
-        LatencySketch {
-            buckets: BTreeMap::new(),
-            zeros: 0,
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Sketch a whole sample set.
-    pub fn of(xs: &[f64]) -> Self {
-        let mut s = Self::new();
-        for &x in xs {
-            s.push(x);
-        }
-        s
-    }
-
-    /// Record one sample. Panics on non-finite or negative values —
-    /// latencies are physical durations.
-    pub fn push(&mut self, v: f64) {
-        assert!(v.is_finite() && v >= 0.0, "latency samples must be finite and >= 0, got {v}");
-        if v < SKETCH_MIN_S {
-            self.zeros += 1;
-        } else {
-            let idx = (v.ln() / SKETCH_LN_GAMMA).floor() as i32;
-            *self.buckets.entry(idx).or_insert(0) += 1;
-        }
-        self.count += 1;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Fold another sketch in. Pure count addition plus min/max, so
-    /// merge order can never change the result.
-    pub fn merge(&mut self, other: &LatencySketch) {
-        for (&idx, &n) in &other.buckets {
-            *self.buckets.entry(idx).or_insert(0) += n;
-        }
-        self.zeros += other.zeros;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The representative value reported for a bucket: its geometric
-    /// midpoint, clamped into the exactly-tracked `[min, max]` so
-    /// tails never overshoot the sample range (and a single-valued
-    /// sketch answers exactly).
-    fn rep(&self, idx: i32) -> f64 {
-        ((idx as f64 + 0.5) * SKETCH_LN_GAMMA).exp().clamp(self.min, self.max)
-    }
-
-    /// Nearest-rank quantile (`p` in percent, 0 < p ≤ 100) to within
-    /// the sketch's relative-error bound; `None` when empty.
-    pub fn quantile(&self, p: f64) -> Option<f64> {
-        assert!(
-            p > 0.0 && p <= 100.0 && p.is_finite(),
-            "percentile must be in (0, 100], got {p}"
-        );
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((p / 100.0) * self.count as f64).ceil() as u64;
-        let rank = rank.clamp(1, self.count);
-        let mut seen = self.zeros;
-        if rank <= seen {
-            return Some(0.0f64.clamp(self.min, self.max));
-        }
-        for (&idx, &n) in &self.buckets {
-            seen += n;
-            if rank <= seen {
-                return Some(self.rep(idx));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Mean to within the bucket-representative error, derived from
-    /// merged counts at render time (so it is merge-associative,
-    /// unlike a running f64 sum); `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let sum: f64 = self
-            .buckets
-            .iter()
-            .map(|(&idx, &n)| n as f64 * self.rep(idx))
-            .sum();
-        Some(sum / self.count as f64)
-    }
-
-    /// The standard five-number summary, from the sketch; `None` when
-    /// empty. `max` is exact; mean/percentiles carry the ≤1% bound.
-    pub fn summary(&self) -> Option<LatencySummary> {
-        if self.count == 0 {
-            return None;
-        }
-        Some(LatencySummary {
-            mean: self.mean().expect("non-empty"),
-            p50: self.quantile(50.0).expect("non-empty"),
-            p90: self.quantile(90.0).expect("non-empty"),
-            p99: self.quantile(99.0).expect("non-empty"),
-            max: self.max,
-        })
-    }
-
-    /// Canonical rendering of the full sketch state. Two sketches
-    /// holding the same merged state render identically, which is
-    /// what the merge-associativity property tests compare.
-    pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = format!(
-            "count={} zeros={} min={:e} max={:e}",
-            self.count, self.zeros, self.min, self.max
-        );
-        for (&idx, &n) in &self.buckets {
-            write!(out, " b{idx}={n}").expect("string write");
-        }
-        out
-    }
-}
-
 /// Latency summary of a completed run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
@@ -344,7 +153,6 @@ impl LatencyStats {
             e2e: LatencySummary::of(&e2e),
         })
     }
-
 }
 
 /// A latency service-level objective on TTFT and TPOT.
@@ -470,187 +278,6 @@ pub fn windowed_metrics(
             ttft: LatencySummary::try_of(&ttfts[w]),
         })
         .collect()
-}
-
-/// Per-window TTFT samples, by summary mode.
-#[derive(Debug, Clone)]
-enum WindowTtft {
-    /// Materialized samples, summarized by sort at finish — the exact
-    /// path, equal to [`windowed_metrics`] output.
-    Exact(Vec<f64>),
-    /// Streaming sketch — constant state per window.
-    Sketch(LatencySketch),
-}
-
-impl WindowTtft {
-    fn empty(mode: SummaryMode) -> Self {
-        match mode {
-            SummaryMode::Exact => WindowTtft::Exact(Vec::new()),
-            SummaryMode::Sketch => WindowTtft::Sketch(LatencySketch::new()),
-        }
-    }
-
-    fn push(&mut self, v: f64) {
-        match self {
-            WindowTtft::Exact(xs) => xs.push(v),
-            WindowTtft::Sketch(s) => s.push(v),
-        }
-    }
-
-    fn absorb(&mut self, other: WindowTtft) {
-        match (self, other) {
-            (WindowTtft::Exact(a), WindowTtft::Exact(b)) => a.extend(b),
-            (WindowTtft::Sketch(a), WindowTtft::Sketch(b)) => a.merge(&b),
-            _ => unreachable!("one accumulator, one mode"),
-        }
-    }
-
-    fn summary(&self) -> Option<LatencySummary> {
-        match self {
-            WindowTtft::Exact(xs) => LatencySummary::try_of(xs),
-            WindowTtft::Sketch(s) => s.summary(),
-        }
-    }
-}
-
-/// One window's streaming tallies.
-#[derive(Debug, Clone)]
-struct WindowCell {
-    arrivals: usize,
-    met_arrivals: usize,
-    completions: usize,
-    met_completions: usize,
-    ttft: WindowTtft,
-}
-
-impl WindowCell {
-    fn empty(mode: SummaryMode) -> Self {
-        WindowCell {
-            arrivals: 0,
-            met_arrivals: 0,
-            completions: 0,
-            met_completions: 0,
-            ttft: WindowTtft::empty(mode),
-        }
-    }
-}
-
-/// Streaming replacement for the post-hoc [`windowed_metrics`] pass:
-/// completions fold in one at a time (in any order — per replica, per
-/// attempt, as a causal loop produces them), and
-/// [`WindowAccumulator::finish`] renders the same per-window
-/// attainment / goodput / TTFT axis without ever materializing or
-/// re-walking the merged timeline.
-///
-/// In [`SummaryMode::Exact`] the output equals `windowed_metrics` on
-/// the same timeline **exactly** (property-tested), including the
-/// empty-window `None` semantics and the clamp-into-last-window
-/// boundary behaviour; `windowed_metrics` stays as the oracle. In
-/// [`SummaryMode::Sketch`] per-window TTFT summaries come from
-/// mergeable sketches instead of sorted sample vectors.
-#[derive(Debug, Clone)]
-pub struct WindowAccumulator {
-    slo: SloSpec,
-    window_s: f64,
-    mode: SummaryMode,
-    /// Dense per-window tallies, grown on demand; raw (unclamped)
-    /// window indices — `finish` folds any overhang into the final
-    /// window exactly like the oracle's index clamp.
-    cells: Vec<WindowCell>,
-    /// Largest completion time seen — sets the axis span.
-    span_s: f64,
-    /// Whether anything was pushed (a timeline of all-zero timestamps
-    /// still needs one window).
-    nonempty: bool,
-}
-
-impl WindowAccumulator {
-    /// An empty accumulator over `window_s`-second windows from t = 0.
-    pub fn new(slo: SloSpec, window_s: f64, mode: SummaryMode) -> Self {
-        assert!(
-            window_s.is_finite() && window_s > 0.0,
-            "window length must be finite and > 0, got {window_s}"
-        );
-        WindowAccumulator { slo, window_s, mode, cells: Vec::new(), span_s: 0.0, nonempty: false }
-    }
-
-    fn cell(&mut self, idx: usize) -> &mut WindowCell {
-        if idx >= self.cells.len() {
-            self.cells.resize_with(idx + 1, || WindowCell::empty(self.mode));
-        }
-        &mut self.cells[idx]
-    }
-
-    /// Fold one completed request in: attainment/TTFT attribute to
-    /// its arrival window, goodput to its completion window.
-    pub fn push(&mut self, t: &RequestTiming) {
-        let met = self.slo.met_by(t);
-        self.nonempty = true;
-        self.span_s = self.span_s.max(t.completion_s);
-        let aw = (t.arrival_s / self.window_s) as usize;
-        let ttft = t.ttft();
-        let arrival = self.cell(aw);
-        arrival.arrivals += 1;
-        arrival.met_arrivals += usize::from(met);
-        arrival.ttft.push(ttft);
-        let cw = (t.completion_s / self.window_s) as usize;
-        let completion = self.cell(cw);
-        completion.completions += 1;
-        completion.met_completions += usize::from(met);
-    }
-
-    /// Fold a whole timeline in.
-    pub fn observe(&mut self, timeline: &[RequestTiming]) {
-        for t in timeline {
-            self.push(t);
-        }
-    }
-
-    /// Render the window axis: at least `⌈horizon_s / window_s⌉`
-    /// windows (trailing quiet ones included), extended whenever a
-    /// completion landed past the horizon — the same axis
-    /// [`windowed_metrics`] computes post hoc.
-    pub fn finish(mut self, horizon_s: f64) -> Vec<WindowMetrics> {
-        assert!(
-            horizon_s.is_finite() && horizon_s >= 0.0,
-            "horizon must be finite and >= 0, got {horizon_s}"
-        );
-        let span = self.span_s.max(horizon_s);
-        let n_windows = (span / self.window_s).ceil() as usize;
-        let n_windows = n_windows.max(usize::from(span > 0.0 || self.nonempty));
-        // The oracle clamps indices into `[0, n_windows)`; the
-        // accumulator indexed raw, so fold any overhang (at most one
-        // window, from completions exactly on the final boundary)
-        // back into the last window.
-        while self.cells.len() > n_windows {
-            let tail = self.cells.pop().expect("len checked");
-            let last = self.cells.len() - 1;
-            let into = &mut self.cells[last];
-            into.arrivals += tail.arrivals;
-            into.met_arrivals += tail.met_arrivals;
-            into.completions += tail.completions;
-            into.met_completions += tail.met_completions;
-            into.ttft.absorb(tail.ttft);
-        }
-        while self.cells.len() < n_windows {
-            self.cells.push(WindowCell::empty(self.mode));
-        }
-        let window_s = self.window_s;
-        self.cells
-            .into_iter()
-            .enumerate()
-            .map(|(w, c)| WindowMetrics {
-                t0: w as f64 * window_s,
-                t1: (w + 1) as f64 * window_s,
-                arrivals: c.arrivals,
-                completions: c.completions,
-                attainment: (c.arrivals > 0)
-                    .then(|| c.met_arrivals as f64 / c.arrivals as f64),
-                goodput_rps: c.met_completions as f64 / window_s,
-                ttft: c.ttft.summary(),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

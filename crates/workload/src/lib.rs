@@ -26,8 +26,8 @@ pub use arrival::{ArrivalDist, ArrivalSampler};
 pub use envelope::{load_trace_file, parse_trace, unit_rate_pattern, RateEnvelope};
 pub use gen::{LengthDist, WorkloadGen, ARRIVAL_SEED_SALT};
 pub use latency::{
-    percentile, windowed_metrics, LatencySketch, LatencyStats, LatencySummary, RequestTiming,
-    SloSpec, SummaryMode, WindowAccumulator, WindowMetrics,
+    percentile, windowed_metrics, LatencyStats, LatencySummary, RequestTiming, SloSpec,
+    WindowMetrics,
 };
 pub use metrics::RunStats;
 pub use request::{LengthStats, Request, RequestMap};

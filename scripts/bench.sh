@@ -7,11 +7,11 @@
 #     rate "fleet", the same cell on the live-feedback global event
 #     loop "fleet_live", that cell with telemetry recording on
 #     "fleet_live_traced", the reactive-diurnal autoscale grid-cell
-#     rate "autoscale", the streaming-metrics pipeline rate
-#     "autoscale_sketch" (sketch windows + burn-rate evaluation over
-#     a precomputed day; also held to >= 1.5x "autoscale" inside
-#     perf_report), or the seeded-kill fault-injection grid-cell
-#     rate "chaos") regresses >20% vs the committed BENCH_sweep.json,
+#     rate "autoscale", the controller's metrics-phase rate "metrics"
+#     (windowed_metrics + burn-rate evaluation over a precomputed
+#     day; also held to >= 1.5x "autoscale" inside perf_report), or
+#     the seeded-kill fault-injection grid-cell rate "chaos")
+#     regresses >20% vs the committed BENCH_sweep.json,
 #   * the telemetry-disabled instrumented path costs >5% vs plain
 #     fleet_live, or the controller self-profile explains <90% of
 #     wall time (both checked inside perf_report), or
