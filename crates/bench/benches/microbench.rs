@@ -105,28 +105,6 @@ fn bench_roofline(c: &mut Criterion) {
     c.bench_function("roofline_layer_cost_decode", |b| {
         b.iter(|| black_box(rl.layer_cost(Stage::Decode, &shape, 4)))
     });
-    // Guard the memoization win: repeated identical evaluations (the
-    // engines' steady-state pattern — every decode round of a stable
-    // batch hits the same key) against the raw Table 3 math.
-    let shapes: Vec<BatchShape> = (1..=16).map(|b| BatchShape::decode_uniform(b * 8, 1024)).collect();
-    c.bench_function("roofline_layer_cost_cached_16shapes", |b| {
-        let warm = Roofline::new(ClusterSpec::a10x8(), presets::codellama_34b());
-        for s in &shapes {
-            warm.layer_cost(Stage::Decode, s, 4);
-        }
-        b.iter(|| {
-            for s in &shapes {
-                black_box(warm.layer_cost(Stage::Decode, s, 4));
-            }
-        })
-    });
-    c.bench_function("roofline_layer_cost_uncached_16shapes", |b| {
-        b.iter(|| {
-            for s in &shapes {
-                black_box(rl.layer_cost_uncached(Stage::Decode, s, 4));
-            }
-        })
-    });
 }
 
 fn bench_autotune_probe(c: &mut Criterion) {
@@ -185,7 +163,7 @@ fn bench_engines(c: &mut Criterion) {
 /// The `sims_per_sec` unit of work from `perf_report` — the shared
 /// [`seesaw_bench::simsbench::SimsBench`] scenario: construct an
 /// engine from shared `Arc` specs and run one candidate evaluation,
-/// with the thread's executor/roofline-cache pools warm.
+/// with the thread's executor pool warm.
 fn bench_single_candidate_eval(c: &mut Criterion) {
     use seesaw_bench::simsbench::SimsBench;
     let bench = SimsBench::new();

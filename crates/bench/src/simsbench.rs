@@ -6,7 +6,7 @@
 //! Fixed seed: 24 × 1024-in/64-out requests, LLaMA2-13B on 4×A10;
 //! one Seesaw candidate (P4→T4) and one vLLM candidate (D1T2P2,
 //! prefill-prioritized). Specs are `Arc`-shared so repeated
-//! construction exercises the pooled-executor / warm-cache hot path
+//! construction exercises the pooled-executor hot path
 //! exactly like a sweep worker.
 //!
 //! The serving variant replays the same request set with fixed-seed
@@ -280,7 +280,7 @@ impl SimsBench {
     /// day under `jsq-live` routing (so live-state reads show up as
     /// a phase) with the controller's self-profiling timers on.
     /// Returns the report plus the wall-time phase attribution
-    /// (routing / live-state replay / engine runs / metrics) that
+    /// (routing / actor advancement / engine runs / metrics) that
     /// `perf_report` renders — the "where do the cells/s go" answer.
     pub fn run_autoscale_profiled_once(
         &self,

@@ -37,10 +37,10 @@ fn tuned_baseline_and_probed_seesaw_are_runner_invariant() {
     assert_eq!(ours_s, ours_p);
 }
 
-/// The per-thread executor/roofline-cache pools warm up after the
-/// first run; re-running a whole figure grid through the warm pools
-/// must reproduce the cold output byte-for-byte, serial and parallel
-/// alike (fig10/fig11 are the heaviest sweep grids).
+/// The per-thread executor pools warm up after the first run;
+/// re-running a whole figure grid through the warm pools must
+/// reproduce the cold output byte-for-byte, serial and parallel alike
+/// (fig10/fig11 are the heaviest sweep grids).
 #[test]
 fn pooled_rerun_is_byte_identical_for_fig10_and_fig11_grids() {
     let cold10 = figs::fig10::run_with(&SweepRunner::serial(), "a10", 64);
@@ -54,8 +54,8 @@ fn pooled_rerun_is_byte_identical_for_fig10_and_fig11_grids() {
     assert_eq!(cold11, warm11, "fig11 pooled parallel rerun must match serial");
 }
 
-/// The sims/sec scenario run repeatedly (warm executor pool, warm
-/// roofline cache, shared Arc specs — exactly what `perf_report`
+/// The sims/sec scenario run repeatedly (warm executor pool, shared
+/// Arc specs — exactly what `perf_report`
 /// measures, via the shared `SimsBench` definition) must reproduce
 /// its first report exactly.
 #[test]

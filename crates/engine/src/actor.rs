@@ -53,9 +53,8 @@
 //! completion; only forward-looking signals — remaining work, a
 //! killed replica's lost set and completion times — need one. The
 //! actor keeps no roofline of its own: each advance, projection or
-//! finish borrows the calling thread's pooled cost cache (what a
-//! plain `run` uses), so actors and projections share one cache and
-//! a clone never copies it.
+//! finish builds one from the engine's shared specs (what a plain
+//! `run` uses), which is two reference-count bumps.
 
 use crate::cluster_sim::ClusterSim;
 use crate::driver::assert_arrivals_sorted;
@@ -253,7 +252,7 @@ pub(crate) trait Resumable: Clone + Send {
     fn recorder(&self) -> &TimingRecorder;
     /// Requests retired so far.
     fn completed(&self) -> usize;
-    /// A roofline on the calling thread's pooled cost cache.
+    /// A roofline over the engine's shared specs.
     fn roofline(&self) -> Roofline;
     /// Run scheduling decisions until one needs requests not pushed
     /// yet (`false`) or the run is complete (`true`).

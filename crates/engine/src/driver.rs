@@ -118,7 +118,8 @@ pub fn stage_durations(
 }
 
 /// [`stage_durations`] writing into a caller-owned buffer, so burst
-/// loops reuse one allocation across rounds.
+/// loops reuse one allocation across rounds. The layer cost is
+/// evaluated once per pass and scaled by each stage's layer count.
 pub fn stage_durations_into(
     rl: &Roofline,
     cfg: ParallelConfig,
@@ -126,15 +127,8 @@ pub fn stage_durations_into(
     shape: &BatchShape,
     durs: &mut Vec<f64>,
 ) {
-    let p2p = if cfg.pp > 1 {
-        rl.cluster().interconnect.p2p_time(rl.p2p_bytes(shape))
-    } else {
-        0.0
-    };
-    durs.clear();
-    durs.extend((0..cfg.pp).map(|s| {
-        rl.stage_time(cfg, s, stage, shape) + if s + 1 < cfg.pp { p2p } else { 0.0 }
-    }));
+    let layer = rl.layer_cost(stage, shape, cfg.tp).layer_time();
+    fill_stage_durations(rl, cfg, layer, shape, durs);
 }
 
 /// Per-stage durations for a mixed (chunked prefill + decode) pass.
@@ -145,18 +139,30 @@ pub fn mixed_stage_durations(
     decode: &BatchShape,
 ) -> Vec<f64> {
     let layer = rl.layer_cost_mixed(prefill, decode, cfg.tp).layer_time();
-    let merged = prefill.merge(decode);
+    let mut durs = Vec::with_capacity(cfg.pp);
+    fill_stage_durations(rl, cfg, layer, &prefill.merge(decode), &mut durs);
+    durs
+}
+
+/// `layer` seconds per layer on each stage, plus the activation hop
+/// for `shape` on all but the last stage.
+fn fill_stage_durations(
+    rl: &Roofline,
+    cfg: ParallelConfig,
+    layer: f64,
+    shape: &BatchShape,
+    durs: &mut Vec<f64>,
+) {
     let p2p = if cfg.pp > 1 {
-        rl.cluster().interconnect.p2p_time(rl.p2p_bytes(&merged))
+        rl.cluster().interconnect.p2p_time(rl.p2p_bytes(shape))
     } else {
         0.0
     };
-    (0..cfg.pp)
-        .map(|s| {
-            let (a, b) = cfg.stage_layers(rl.model().num_layers, s);
-            (b - a) as f64 * layer + if s + 1 < cfg.pp { p2p } else { 0.0 }
-        })
-        .collect()
+    durs.clear();
+    durs.extend((0..cfg.pp).map(|s| {
+        let (a, b) = cfg.stage_layers(rl.model().num_layers, s);
+        (b - a) as f64 * layer + if s + 1 < cfg.pp { p2p } else { 0.0 }
+    }));
 }
 
 /// Indices of `replica.running` assigned to each micro-batch slot

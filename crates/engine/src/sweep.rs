@@ -4,7 +4,7 @@
 //! runs; auto-tuning probes dozens of `(c_p, c_d)` pairs; ablations
 //! sweep spec variants. All of these are embarrassingly parallel:
 //! each candidate owns its own [`Simulator`](seesaw_sim::Simulator),
-//! KV caches, and (memoized) roofline, so runs share nothing.
+//! KV caches, and roofline, so runs share nothing.
 //! [`SweepRunner`] evaluates such grids across OS threads while
 //! keeping results in candidate order, so parallel output is
 //! byte-identical to the serial path.

@@ -1,6 +1,6 @@
 //! FNV/FxHash-style multiplicative hasher shared by the workspace's
-//! hot-path integer-keyed maps (the roofline cost cache, the paged KV
-//! sequence map) — much cheaper than SipHash for small exact keys.
+//! hot-path integer-keyed maps (the paged KV sequence map) — much
+//! cheaper than SipHash for small exact keys.
 //!
 //! Only use it where map iteration order cannot leak into user-visible
 //! output: the hasher is not DoS-resistant and its order is arbitrary.

@@ -5,9 +5,6 @@ use seesaw_hw::ClusterSpec;
 use seesaw_model::ModelConfig;
 use seesaw_parallel::shard::kv_heads_per_rank;
 use seesaw_parallel::ParallelConfig;
-use seesaw_hw::FxBuildHasher;
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which inference stage a pass belongs to.
@@ -111,138 +108,25 @@ impl StageBreakdown {
     }
 }
 
-/// Exact memoization key for one `layer_cost` evaluation. `sq_sum` is
-/// keyed by its bit pattern, so cache hits return bit-identical costs
-/// to a fresh evaluation (figure output must not drift).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CostKey {
-    prefill: bool,
-    seqs: usize,
-    new_tokens: usize,
-    ctx_tokens: usize,
-    sq_sum_bits: u64,
-    tp: usize,
-}
-
-impl CostKey {
-    fn new(stage: Stage, shape: &BatchShape, tp: usize) -> Self {
-        CostKey {
-            prefill: stage == Stage::Prefill,
-            seqs: shape.seqs,
-            new_tokens: shape.new_tokens,
-            ctx_tokens: shape.ctx_tokens,
-            sq_sum_bits: shape.sq_sum.to_bits(),
-            tp,
-        }
-    }
-}
-
-type CostCache = HashMap<CostKey, LayerCost, FxBuildHasher>;
-
-/// Per-thread retention of cost caches between [`Roofline`] lifetimes,
-/// keyed by spec *value equality* (with an `Arc::ptr_eq` fast path):
-/// a roofline rebuilt for the same cluster/model — whether from the
-/// engine's shared `Arc` handles or from a fresh deep copy, as the
-/// figure grids do per cell — inherits the thread's warm cache.
-/// Layer costs are pure functions of the spec values, and the cache's
-/// keys are exact, so hits are bit-identical to fresh evaluation and
-/// warm-started runs produce byte-identical output.
-struct CachePoolEntry {
-    cluster: Arc<ClusterSpec>,
-    model: Arc<ModelConfig>,
-    cache: CostCache,
-}
-
-impl CachePoolEntry {
-    fn matches(&self, cluster: &Arc<ClusterSpec>, model: &Arc<ModelConfig>) -> bool {
-        (Arc::ptr_eq(&self.cluster, cluster) || *self.cluster == **cluster)
-            && (Arc::ptr_eq(&self.model, model) || *self.model == **model)
-    }
-}
-
-const CACHE_POOL_MAX: usize = 8;
-
-thread_local! {
-    static CACHE_POOL: RefCell<Vec<CachePoolEntry>> = const { RefCell::new(Vec::new()) };
-}
-
-fn cache_pool_take(cluster: &Arc<ClusterSpec>, model: &Arc<ModelConfig>) -> CostCache {
-    CACHE_POOL
-        .try_with(|pool| {
-            let mut pool = pool.borrow_mut();
-            let hit = pool.iter().position(|e| e.matches(cluster, model));
-            // Order-preserving removal (≤ 8 entries) so the capacity
-            // eviction below really drops the oldest entry.
-            hit.map(|i| pool.remove(i).cache).unwrap_or_default()
-        })
-        .unwrap_or_default()
-}
-
-fn cache_pool_put(cluster: Arc<ClusterSpec>, model: Arc<ModelConfig>, cache: CostCache) {
-    if cache.is_empty() {
-        return;
-    }
-    let _ = CACHE_POOL.try_with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if let Some(e) = pool.iter_mut().find(|e| e.matches(&cluster, &model)) {
-            // Keep whichever sibling learned more shapes.
-            if cache.len() > e.cache.len() {
-                e.cache = cache;
-            }
-            return;
-        }
-        if pool.len() == CACHE_POOL_MAX {
-            pool.remove(0); // evict in insertion order
-        }
-        pool.push(CachePoolEntry { cluster, model, cache });
-    });
-}
-
 /// The analytical performance model: cluster + model + Table 3
-/// formulas, with a memoization cache over `(stage, shape, tp)`
-/// evaluations.
+/// formulas.
 ///
 /// The cluster and model are `Arc`-shared: constructing a roofline
 /// from existing handles is two reference-count bumps, not a deep
-/// copy. The cache is interior-mutable and owned by each `Roofline`
-/// instance: engines and `ThroughputModel`s construct their own
-/// roofline per run, so concurrent sweep workers never contend on a
-/// shared cache (and `Roofline` deliberately is not `Sync`). On drop
-/// the learned cache is parked in a per-thread pool and revived by
-/// the next roofline built for the same cluster/model values.
-#[derive(Debug)]
+/// copy. Every cost is a pure function of the specs and its
+/// arguments, evaluated in closed form on each call.
+#[derive(Debug, Clone)]
 pub struct Roofline {
-    // Private so the memoized costs can never go stale: rebuilding
-    // via `Roofline::new` is the only way to change what is modeled.
+    // Private so a roofline always models the specs it was built
+    // from: rebuilding via `Roofline::new` is the only way to change
+    // what is modeled.
     cluster: Arc<ClusterSpec>,
     model: Arc<ModelConfig>,
-    cache: RefCell<CostCache>,
-}
-
-impl Clone for Roofline {
-    fn clone(&self) -> Self {
-        Roofline {
-            cluster: Arc::clone(&self.cluster),
-            model: Arc::clone(&self.model),
-            cache: self.cache.clone(),
-        }
-    }
-}
-
-impl Drop for Roofline {
-    fn drop(&mut self) {
-        cache_pool_put(
-            Arc::clone(&self.cluster),
-            Arc::clone(&self.model),
-            self.cache.take(),
-        );
-    }
 }
 
 impl Roofline {
     /// Build the model for a cluster/model pair. Accepts owned specs
-    /// or `Arc` handles; rebuilding for a cluster/model this thread
-    /// has evaluated before revives that run's memoized costs.
+    /// or `Arc` handles.
     pub fn new(
         cluster: impl Into<Arc<ClusterSpec>>,
         model: impl Into<Arc<ModelConfig>>,
@@ -250,12 +134,7 @@ impl Roofline {
         let cluster = cluster.into();
         let model = model.into();
         model.validate().expect("invalid model config");
-        let cache = cache_pool_take(&cluster, &model);
-        Roofline {
-            cluster,
-            model,
-            cache: RefCell::new(cache),
-        }
+        Roofline { cluster, model }
     }
 
     /// Hardware under evaluation.
@@ -268,35 +147,10 @@ impl Roofline {
         &self.model
     }
 
-
-    /// Number of distinct `(stage, shape, tp)` evaluations cached so
-    /// far.
-    pub fn cost_cache_len(&self) -> usize {
-        self.cache.borrow().len()
-    }
-
     /// Cost of one decoder layer for a micro-batch of `shape` at
     /// tensor-parallel degree `tp` (per rank; all TP ranks run this
-    /// concurrently and then all-reduce). Memoized per instance;
-    /// identical inputs return bit-identical costs whether they hit
-    /// or miss the cache.
+    /// concurrently and then all-reduce): the Table 3 evaluation.
     pub fn layer_cost(&self, stage: Stage, shape: &BatchShape, tp: usize) -> LayerCost {
-        if shape.is_empty() {
-            return LayerCost::default();
-        }
-        let key = CostKey::new(stage, shape, tp);
-        if let Some(&hit) = self.cache.borrow().get(&key) {
-            return hit;
-        }
-        let cost = self.layer_cost_uncached(stage, shape, tp);
-        self.cache.borrow_mut().insert(key, cost);
-        cost
-    }
-
-    /// The raw Table 3 evaluation, bypassing the memoization cache
-    /// (reference implementation for cache-correctness tests and
-    /// benchmarks).
-    pub fn layer_cost_uncached(&self, stage: Stage, shape: &BatchShape, tp: usize) -> LayerCost {
         if shape.is_empty() {
             return LayerCost::default();
         }
@@ -536,41 +390,6 @@ mod tests {
         assert_eq!(c.layer_time(), 0.0);
         let m = r.layer_cost_mixed(&BatchShape::empty(), &BatchShape::empty(), 4);
         assert_eq!(m.layer_time(), 0.0);
-    }
-
-    /// The per-thread cache pool revives memoized costs for rooflines
-    /// rebuilt for the same cluster/model — via the same `Arc`
-    /// handles or a value-equal deep copy — and the revived values
-    /// are bit-identical to fresh evaluation. Different specs never
-    /// inherit.
-    #[test]
-    fn cache_pool_revives_for_equal_specs() {
-        let cluster = Arc::new(ClusterSpec::l4x8());
-        let model = Arc::new(presets::llama2_13b());
-        let shape = BatchShape::decode_uniform(8, 256);
-        let cold = {
-            let r = Roofline::new(Arc::clone(&cluster), Arc::clone(&model));
-            assert_eq!(r.cost_cache_len(), 0, "first build starts cold");
-            let c = r.layer_cost(Stage::Decode, &shape, 2);
-            assert_eq!(r.cost_cache_len(), 1);
-            c
-        };
-        let r = Roofline::new(Arc::clone(&cluster), Arc::clone(&model));
-        assert_eq!(r.cost_cache_len(), 1, "same handles revive the cache");
-        let warm = r.layer_cost(Stage::Decode, &shape, 2);
-        assert_eq!(cold, warm);
-        drop(r);
-
-        // A value-equal deep copy (the figure grids' per-cell
-        // pattern) inherits too, bit-identically.
-        let copy = Roofline::new(ClusterSpec::l4x8(), presets::llama2_13b());
-        assert_eq!(copy.cost_cache_len(), 1, "equal values revive the cache");
-        assert_eq!(copy.layer_cost(Stage::Decode, &shape, 2), cold);
-        drop(copy);
-
-        // A different spec starts cold.
-        let other = Roofline::new(ClusterSpec::a10x8(), presets::llama2_13b());
-        assert_eq!(other.cost_cache_len(), 0);
     }
 
     #[test]

@@ -31,16 +31,16 @@ impl ThroughputModel {
     }
 
     /// Time of the bottleneck pipeline stage for one micro-batch
-    /// (`T_stage` in Eq. 1).
+    /// (`T_stage` in Eq. 1): the largest stage's layer count × one
+    /// layer-cost evaluation.
     pub fn stage_bottleneck_time(
         &self,
         cfg: ParallelConfig,
         stage: Stage,
         shape: &BatchShape,
     ) -> f64 {
-        (0..cfg.pp)
-            .map(|r| self.roofline.stage_time(cfg, r, stage, shape))
-            .fold(0.0_f64, f64::max)
+        let layer = self.roofline.layer_cost(stage, shape, cfg.tp).layer_time();
+        cfg.max_stage_layers(self.roofline.model().num_layers) as f64 * layer
     }
 
     /// Eq. 1: sustained decode rate in *sequence-steps per second* for

@@ -17,7 +17,7 @@
 //!
 //! [`ControllerProfile`] is the one deliberate exception to the
 //! no-wall-clock rule: it attributes *host* time across controller
-//! phases (routing / live-state replay / engine runs / metrics) so
+//! phases (routing / actor advancement / engine runs / metrics) so
 //! `perf_report` can say where the autoscale tier's cycles go. It is
 //! returned beside reports, never inside them, so report equality and
 //! byte-identity are unaffected.

@@ -93,7 +93,7 @@ impl ControllerProfile {
             pct(self.routing_s)
         ));
         out.push_str(&format!(
-            "  live-state replay  {:>9.4}s  {:>5.1}%  ({} projections, {:.1}x amplification)\n",
+            "  actor advancement  {:>9.4}s  {:>5.1}%  ({} projections, {:.1}x amplification)\n",
             self.replay_s,
             pct(self.replay_s),
             self.replays,
@@ -141,7 +141,7 @@ mod tests {
         assert!((p.coverage() - 0.95).abs() < 1e-12);
         assert!((p.replay_amplification() - 4.5).abs() < 1e-12);
         let text = p.render();
-        assert!(text.contains("live-state replay"));
+        assert!(text.contains("actor advancement"));
         assert!(text.contains("95.0% of 10.0000s total"));
     }
 

@@ -18,7 +18,9 @@
 #   * the fleet bin's --trace-out export is not a well-formed
 #     Perfetto document with the expected tracks, or
 #   * the fleet bin's --metrics-out snapshot is not valid JSON
-#     carrying the recorder's dropped-event health counters.
+#     carrying the recorder's dropped-event health counters, or
+#   * full-fidelity figure generation (`all_figures 1 --jobs 1`)
+#     peaks above ALL_FIGURES_MAX_RSS_MIB of resident memory.
 #
 # Usage: scripts/bench.sh [subsample] [--jobs N]
 #   subsample defaults to 8 (the committed artifact's setting).
@@ -29,7 +31,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release -p seesaw-bench --bin perf_report --bin fleet
+# Peak-RSS ceiling for `all_figures 1 --jobs 1`, in MiB. The run
+# peaks near 29 MiB on x86-64 Linux; the ceiling leaves ~4x headroom
+# but fails on unbounded per-thread retention across figure cells
+# (a memo kept per thread for the process lifetime peaked at 460 MiB).
+ALL_FIGURES_MAX_RSS_MIB=128
+
+cargo build --release -p seesaw-bench --bin perf_report --bin fleet --bin all_figures
 
 ./target/release/perf_report "$@" \
     --out target/BENCH_sweep.json \
@@ -61,6 +69,17 @@ for drop in ("telemetry.dropped_spans", "telemetry.dropped_instants"):
     assert drop in snap["counters"], f"missing health counter {drop!r}"
     assert snap["counters"][drop] == 0, f"{drop} nonzero on an uncapped run"
 print(f"bench.sh: metrics OK ({len(snap['counters'])} counters)")
+EOF
+
+# Memory smoke: the child's peak RSS (ru_maxrss is KiB on Linux).
+python3 - "$ALL_FIGURES_MAX_RSS_MIB" <<'EOF'
+import resource, subprocess, sys
+limit = float(sys.argv[1])
+subprocess.run(["./target/release/all_figures", "1", "--jobs", "1"],
+               stdout=subprocess.DEVNULL, check=True)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+assert peak <= limit, f"all_figures 1 peaked at {peak:.1f} MiB > {limit:.0f} MiB"
+print(f"bench.sh: memory OK (all_figures 1 peak RSS {peak:.1f} MiB <= {limit:.0f} MiB)")
 EOF
 
 echo "bench.sh: OK (fresh artifact at target/BENCH_sweep.json)"
