@@ -19,17 +19,21 @@
 //!
 //! Everything is deterministic and byte-identical across `--jobs`.
 
+use crate::cli::Telemetry;
 use crate::jsonfmt;
-use crate::serving::{default_engine_of, default_specs, EngineKind, DEFAULT_SLO};
+use crate::serving::{default_engine_of, default_specs, EngineKind};
 use crate::table::{f2, f3, Table};
 use seesaw_autoscale::{
     frontier_sweep_with, AutoscaleConfig, AutoscaleController, ElasticFleetReport, FaultSchedule,
     FrontierPoint, FrontierSweep, ScalingPolicy,
 };
-use seesaw_engine::SweepRunner;
+use seesaw_engine::{OnlineEngine, SweepRunner};
 use seesaw_fleet::offline_capacity;
+use seesaw_hw::ClusterSpec;
+use seesaw_model::ModelConfig;
 use seesaw_telemetry::{Instrument, MetricsRegistry};
 use seesaw_workload::{ArrivalDist, RateEnvelope, Request, WorkloadGen, ARRIVAL_SEED_SALT};
+use std::sync::Arc;
 
 /// Default trace length: one day.
 pub const DEFAULT_DAY_S: f64 = 86_400.0;
@@ -211,36 +215,82 @@ pub fn default_traces(spec: &ScenarioSpec, capacity_rps: f64) -> Vec<(String, Ve
     ]
 }
 
-/// Run the default frontier: measure capacity, shape the day, sweep
-/// the policy × trace grid. `config.capacity_rps` is overwritten with
-/// the measured value; `trace_file`, when given, *replaces* the
-/// generated traces with a replayed one (absolute arrival times, see
-/// [`seesaw_workload::load_trace_file`]). Errs on an
-/// unreadable/malformed trace file.
-pub fn default_frontier_with(
-    runner: &SweepRunner,
-    spec: &ScenarioSpec,
-    mut config: AutoscaleConfig,
-    trace_file: Option<&str>,
-) -> Result<FrontierSweep, String> {
-    let (cluster, model) = default_specs();
-    let build = |_: usize| default_engine_of(spec.kind, &cluster, &model);
-    let probe = WorkloadGen::sharegpt(spec.seed).generate(CAPACITY_PROBE_REQUESTS);
-    let (capacity_rps, label) = offline_capacity(&build, &probe);
-    config.capacity_rps = capacity_rps;
-    let traces: Vec<(String, Vec<Request>)> = match trace_file {
-        Some(path) => vec![(
-            path.to_string(),
-            load_trace_requests(path, config.window_s, spec.seed)?,
-        )],
-        None => default_traces(spec, capacity_rps),
-    };
+/// One elastic scenario, set up once per invocation and shared by
+/// the frontier and the observed cell: the replica specs, the
+/// measured per-replica capacity, and the replayed traces.
+pub struct Scenario {
+    /// The day's knobs.
+    pub(crate) spec: ScenarioSpec,
+    /// The controller config, with `capacity_rps` set to the measured
+    /// per-replica offline capacity.
+    pub(crate) config: AutoscaleConfig,
+    /// Replica configuration label.
+    pub(crate) label: String,
+    /// Named request traces: the generated diurnal and rush-hours
+    /// days, or one replayed trace file.
+    pub(crate) traces: Vec<(String, Vec<Request>)>,
+    replayed: bool,
+    cluster: Arc<ClusterSpec>,
+    model: Arc<ModelConfig>,
+}
+
+impl Scenario {
+    /// The default scenario: measure capacity on a
+    /// [`CAPACITY_PROBE_REQUESTS`]-request probe and shape the day
+    /// around it. `trace_file`, when given, *replaces* the generated
+    /// traces with a replayed one (absolute arrival times, see
+    /// [`seesaw_workload::load_trace_file`]). Errs on an
+    /// unreadable/malformed trace file or one spanning more than
+    /// [`MAX_WINDOWS`] windows.
+    pub fn new(
+        spec: &ScenarioSpec,
+        config: AutoscaleConfig,
+        trace_file: Option<&str>,
+    ) -> Result<Self, String> {
+        let replayed = match trace_file {
+            Some(path) => {
+                let requests = load_trace_requests(path, config.window_s, spec.seed)?;
+                Some(vec![(path.to_string(), requests)])
+            }
+            None => None,
+        };
+        Ok(Self::with_probe(spec, config, CAPACITY_PROBE_REQUESTS, replayed))
+    }
+
+    /// A scenario whose capacity is measured on `probe_requests`
+    /// requests, replaying `traces` or, when `None`, the generated
+    /// default day.
+    pub fn with_probe(
+        spec: &ScenarioSpec,
+        mut config: AutoscaleConfig,
+        probe_requests: usize,
+        traces: Option<Vec<(String, Vec<Request>)>>,
+    ) -> Self {
+        let (cluster, model) = default_specs();
+        let build = |_: usize| default_engine_of(spec.kind, &cluster, &model);
+        let probe = WorkloadGen::sharegpt(spec.seed).generate(probe_requests);
+        let (capacity_rps, label) = offline_capacity(&build, &probe);
+        config.capacity_rps = capacity_rps;
+        let replayed = traces.is_some();
+        let traces = traces.unwrap_or_else(|| default_traces(spec, capacity_rps));
+        Scenario { spec: *spec, config, label, traces, replayed, cluster, model }
+    }
+
+    /// One default replica (every elastic run's replica builder).
+    pub(crate) fn replica(&self, _: usize) -> Box<dyn OnlineEngine> {
+        default_engine_of(self.spec.kind, &self.cluster, &self.model)
+    }
+}
+
+/// Run the default frontier: sweep `scenario`'s policy × trace grid.
+pub fn default_frontier_with(runner: &SweepRunner, scenario: &Scenario) -> FrontierSweep {
+    let (spec, config) = (&scenario.spec, scenario.config);
     // Size the static baselines from the load actually replayed: the
     // envelope multipliers for generated days, the measured
     // windowed peak/mean for a trace file (whose load has no
     // relation to the --trough/--peak knobs).
-    let (peak_mult, mean_mult) = if trace_file.is_some() {
-        trace_load_multipliers(&traces[0].1, config.window_s, capacity_rps)
+    let (peak_mult, mean_mult) = if scenario.replayed {
+        trace_load_multipliers(&scenario.traces[0].1, config.window_s, config.capacity_rps)
     } else {
         (
             spec.peak_mult,
@@ -248,14 +298,14 @@ pub fn default_frontier_with(
         )
     };
     let policies = default_policies(peak_mult, mean_mult);
-    Ok(frontier_sweep_with(
+    frontier_sweep_with(
         runner,
-        &build,
+        &|i| scenario.replica(i),
         config,
         &policies,
-        &traces,
-        (capacity_rps, &label),
-    ))
+        &scenario.traces,
+        (config.capacity_rps, &scenario.label),
+    )
 }
 
 /// One frontier cell run with the telemetry recorder on: the
@@ -269,50 +319,31 @@ pub struct ObservedFrontierCell {
     pub policy: ScalingPolicy,
     /// The (telemetry-identical) elastic-fleet report.
     pub report: ElasticFleetReport,
-    /// The run's Perfetto/Chrome trace-event JSON.
-    pub trace_json: String,
-    /// The run's metric snapshot (for the `--json` telemetry block).
-    pub metrics: MetricsRegistry,
+    /// The run's trace and metric snapshot.
+    pub telemetry: Telemetry,
 }
 
 /// Run one dedicated frontier cell — the reactive controller on the
-/// first trace (the diurnal day, or the replayed `trace_file`) — with
+/// first trace (the diurnal day, or the replayed trace file) — with
 /// the telemetry recorder on, and render its Perfetto trace. Recorded
 /// bytes are sim-time only, so the trace is byte-identical for every
-/// `--jobs` value. Errs on an unreadable/malformed trace file.
+/// `--jobs` value.
 pub fn observed_frontier_cell_with(
     runner: &SweepRunner,
-    spec: &ScenarioSpec,
-    mut config: AutoscaleConfig,
-    trace_file: Option<&str>,
-) -> Result<ObservedFrontierCell, String> {
-    let (cluster, model) = default_specs();
-    let build = |_: usize| default_engine_of(spec.kind, &cluster, &model);
-    let probe = WorkloadGen::sharegpt(spec.seed).generate(CAPACITY_PROBE_REQUESTS);
-    let (capacity_rps, _) = offline_capacity(&build, &probe);
-    config.capacity_rps = capacity_rps;
-    let (trace, requests) = match trace_file {
-        Some(path) => (
-            path.to_string(),
-            load_trace_requests(path, config.window_s, spec.seed)?,
-        ),
-        None => {
-            let mut traces = default_traces(spec, capacity_rps);
-            traces.swap_remove(0)
-        }
-    };
+    scenario: &Scenario,
+) -> ObservedFrontierCell {
+    let (trace, requests) = &scenario.traces[0];
     let policy = ScalingPolicy::reactive_default();
     let mut instr = Instrument::tracing();
-    let report = AutoscaleController::new(config, policy).run_with(
+    let report = AutoscaleController::new(scenario.config, policy).run_with(
         runner,
-        &build,
-        &requests,
+        &|i| scenario.replica(i),
+        requests,
         &FaultSchedule::none(),
         &mut instr,
     );
-    instr.snapshot_drops();
-    let trace_json = seesaw_telemetry::perfetto::render(&instr.recorder, "autoscale");
-    Ok(ObservedFrontierCell { trace, policy, report, trace_json, metrics: instr.metrics })
+    let telemetry = Telemetry::finish(instr, "autoscale");
+    ObservedFrontierCell { trace: trace.clone(), policy, report, telemetry }
 }
 
 /// Render the frontier as the `autoscale` bin's table. Cost is billed
@@ -437,15 +468,10 @@ pub fn scenario_json(spec: &ScenarioSpec) -> String {
 /// the per-window series for plotting fleet-size trajectories. The
 /// header echoes the full scenario (engine, day shape, workload seed)
 /// alongside the controller config, so any cell is reproducible from
-/// the document alone.
-pub fn to_json(sweep: &FrontierSweep, spec: &ScenarioSpec) -> String {
-    to_json_with_telemetry(sweep, spec, None)
-}
-
-/// [`to_json`] with an optional `telemetry` metrics block (present
-/// only when a telemetry-enabled run produced one — the plain
-/// document stays byte-identical to pre-telemetry output).
-pub fn to_json_with_telemetry(
+/// the document alone. The `telemetry` metrics block is present only
+/// when a traced run produced one, so the plain document stays
+/// byte-identical to pre-telemetry output.
+pub fn to_json(
     sweep: &FrontierSweep,
     spec: &ScenarioSpec,
     telemetry: Option<&MetricsRegistry>,
@@ -524,36 +550,37 @@ pub fn to_json_with_telemetry(
     out
 }
 
-/// A miniature frontier (small day, small windows) for tests and the
-/// sims/sec benchmark: same code path as the default scenario at a
-/// fraction of the volume.
-pub fn mini_frontier_with(
-    runner: &SweepRunner,
-    day_s: f64,
-    policies: &[ScalingPolicy],
-    seed: u64,
-) -> FrontierSweep {
-    let spec = ScenarioSpec { day_s, seed, ..ScenarioSpec::default() };
-    let (cluster, model) = default_specs();
-    let build = |_: usize| default_engine_of(spec.kind, &cluster, &model);
-    let probe = WorkloadGen::sharegpt(seed).generate(64);
-    let (capacity_rps, label) = offline_capacity(&build, &probe);
-    let config = AutoscaleConfig {
-        window_s: (day_s / 12.0).max(1.0),
-        warmup_s: (day_s / 48.0).max(0.5),
-        min_replicas: 1,
-        max_replicas: 8,
-        slo: DEFAULT_SLO,
-        capacity_rps,
-        ..AutoscaleConfig::default()
-    };
-    let traces = default_traces(&spec, capacity_rps);
-    frontier_sweep_with(runner, &build, config, policies, &traces, (capacity_rps, &label))
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::serving::DEFAULT_SLO;
+
+    /// The miniature days' controller config: twelve windows, warm-up
+    /// a quarter window, 1–8 replicas.
+    pub(crate) fn mini_config(day_s: f64) -> AutoscaleConfig {
+        AutoscaleConfig {
+            window_s: (day_s / 12.0).max(1.0),
+            warmup_s: (day_s / 48.0).max(0.5),
+            min_replicas: 1,
+            max_replicas: 8,
+            slo: DEFAULT_SLO,
+            ..AutoscaleConfig::default()
+        }
+    }
+
+    /// A miniature frontier (small day, small windows): the default
+    /// scenario's code path at a fraction of the volume.
+    fn mini_frontier_with(
+        runner: &SweepRunner,
+        day_s: f64,
+        policies: &[ScalingPolicy],
+        seed: u64,
+    ) -> FrontierSweep {
+        let spec = ScenarioSpec { day_s, seed, ..ScenarioSpec::default() };
+        let s = Scenario::with_probe(&spec, mini_config(day_s), 64, None);
+        let capacity = (s.config.capacity_rps, s.label.as_str());
+        frontier_sweep_with(runner, &|i| s.replica(i), s.config, policies, &s.traces, capacity)
+    }
 
     #[test]
     fn default_policy_roster_covers_baselines_and_controllers() {
@@ -582,9 +609,9 @@ mod tests {
         std::fs::write(&path, "1e308\n1.7e308\n").expect("temp dir is writable");
         let path = path.to_str().expect("utf-8 temp path");
         let spec = ScenarioSpec { day_s: 120.0, ..ScenarioSpec::default() };
-        let config = AutoscaleConfig::default();
-        let err = default_frontier_with(&SweepRunner::serial(), &spec, config, Some(path))
-            .expect_err("trace span needs too many windows");
+        let err = Scenario::new(&spec, AutoscaleConfig::default(), Some(path))
+            .err()
+            .expect("trace span needs too many windows");
         std::fs::remove_file(path).ok();
         assert!(err.contains("control windows"), "{err}");
     }
@@ -600,13 +627,13 @@ mod tests {
         let spec = ScenarioSpec { day_s: 120.0, seed: 42, ..ScenarioSpec::default() };
         assert_eq!(serial, parallel);
         assert_eq!(render_frontier(&serial), render_frontier(&parallel));
-        assert_eq!(to_json(&serial, &spec), to_json(&parallel, &spec));
+        assert_eq!(to_json(&serial, &spec, None), to_json(&parallel, &spec, None));
         assert_eq!(serial.points.len(), 4, "2 traces x 2 policies");
         let rendered = render_frontier(&serial);
         assert!(rendered.contains("cost vs peak"));
         assert!(rendered.contains("diurnal"));
         assert!(rendered.contains("rush-hours"));
-        let json = to_json(&serial, &spec);
+        let json = to_json(&serial, &spec, None);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"windows\""));

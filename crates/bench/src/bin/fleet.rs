@@ -37,11 +37,19 @@
 //! the fleet-wide engine-time breakdown (compute / communication /
 //! weight transfer / ...) merged from the per-replica sim spans.
 
-use seesaw_bench::fleet;
+use seesaw_bench::cli::{fail, Flags, TelemetryOut};
+use seesaw_bench::fleet::{self, FleetScenario};
 use seesaw_bench::serving::EngineKind;
 use seesaw_engine::SweepRunner;
 use seesaw_fleet::RouterPolicy;
 use seesaw_workload::SloSpec;
+
+const USAGE: &str = "fleet [n_requests] [--jobs N] [--engine seesaw|vllm|disagg] \
+     [--replicas n1,n2,...] [--loads m1,m2,...] \
+     [--policy rr|jsq|po2|lew|jsq-live|lew-live] \
+     [--compare-replicas N] [--compare-load M] [--hetero-load M] [--no-hetero] \
+     [--slo-ttft S] [--slo-tpot S] [--seed S] [--trace <file|diurnal>] [--json] \
+     [--trace-out FILE] [--metrics-out FILE] [--breakdown]";
 
 struct Args {
     n_requests: usize,
@@ -58,21 +66,8 @@ struct Args {
     seed: u64,
     trace: Option<String>,
     json: bool,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
+    out: TelemetryOut,
     breakdown: bool,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: fleet [n_requests] [--jobs N] [--engine seesaw|vllm|disagg] \
-         [--replicas n1,n2,...] [--loads m1,m2,...] \
-         [--policy rr|jsq|po2|lew|jsq-live|lew-live] \
-         [--compare-replicas N] [--compare-load M] [--hetero-load M] [--no-hetero] \
-         [--slo-ttft S] [--slo-tpot S] [--seed S] [--trace <file|diurnal>] [--json] \
-         [--trace-out FILE] [--metrics-out FILE] [--breakdown]"
-    );
-    std::process::exit(2);
 }
 
 fn parse_policy(s: &str) -> RouterPolicy {
@@ -83,10 +78,9 @@ fn parse_policy(s: &str) -> RouterPolicy {
         "lew" | "least-work" => RouterPolicy::LeastEstimatedWork,
         "jsq-live" => RouterPolicy::JoinShortestQueueLive,
         "lew-live" | "least-work-live" => RouterPolicy::LeastWorkLive,
-        other => {
-            eprintln!("unknown policy '{other}' (expected rr|jsq|po2|lew|jsq-live|lew-live)");
-            std::process::exit(2);
-        }
+        other => fail(format_args!(
+            "unknown policy '{other}' (expected rr|jsq|po2|lew|jsq-live|lew-live)"
+        )),
     }
 }
 
@@ -106,98 +100,30 @@ fn parse_args() -> Args {
         seed: seesaw_bench::SEED,
         trace: None,
         json: false,
-        trace_out: None,
-        metrics_out: None,
+        out: TelemetryOut::default(),
         breakdown: false,
     };
-    let mut args = std::env::args().skip(1);
-    let next_f64 = |args: &mut dyn Iterator<Item = String>, what: &str| -> f64 {
-        args.next()
-            .and_then(|v| v.parse().ok())
-            .filter(|&x: &f64| x.is_finite() && x > 0.0)
-            .unwrap_or_else(|| {
-                eprintln!("{what} needs a positive number");
-                std::process::exit(2);
-            })
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--jobs" | "-j" => {
-                parsed.jobs = args.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0);
-                if parsed.jobs.is_none() {
-                    eprintln!("--jobs needs a positive integer");
-                    std::process::exit(2);
-                }
-            }
-            "--engine" | "-e" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                parsed.engine = spec.parse().unwrap_or_else(|e: String| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-            }
-            "--replicas" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                let counts: Option<Vec<usize>> = spec
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>().ok().filter(|&n| n > 0))
-                    .collect();
-                match counts {
-                    Some(c) if !c.is_empty() => parsed.replica_counts = c,
-                    _ => {
-                        eprintln!("--replicas needs a comma-separated list of positive counts");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--loads" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                let loads: Option<Vec<f64>> = spec
-                    .split(',')
-                    .map(|s| s.trim().parse::<f64>().ok().filter(|&x| x.is_finite() && x > 0.0))
-                    .collect();
-                match loads {
-                    Some(l) if !l.is_empty() => parsed.multipliers = l,
-                    _ => {
-                        eprintln!("--loads needs a comma-separated list of positive multipliers");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--policy" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                parsed.policy = parse_policy(&spec);
-            }
-            "--compare-replicas" => {
-                parsed.compare_replicas = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--compare-replicas needs a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--compare-load" => parsed.compare_load = next_f64(&mut args, "--compare-load"),
-            "--hetero-load" => parsed.hetero_load = next_f64(&mut args, "--hetero-load"),
+    let mut flags = Flags::new(USAGE);
+    while let Some(arg) = flags.next_arg() {
+        let flag = arg.as_str();
+        match flag {
+            "--jobs" | "-j" => parsed.jobs = Some(flags.count("--jobs")),
+            "--engine" | "-e" => parsed.engine = flags.engine(),
+            "--replicas" => parsed.replica_counts = flags.replica_list(flag),
+            "--loads" => parsed.multipliers = flags.multipliers(flag),
+            "--policy" => parsed.policy = parse_policy(&flags.value()),
+            "--compare-replicas" => parsed.compare_replicas = flags.replicas(flag),
+            "--compare-load" => parsed.compare_load = flags.positive(flag),
+            "--hetero-load" => parsed.hetero_load = flags.positive(flag),
             "--no-hetero" => parsed.hetero = false,
-            "--slo-ttft" => parsed.slo.ttft_s = next_f64(&mut args, "--slo-ttft"),
-            "--slo-tpot" => parsed.slo.tpot_s = next_f64(&mut args, "--slo-tpot"),
-            "--seed" => {
-                parsed.seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs a non-negative integer");
-                    std::process::exit(2);
-                });
-            }
-            "--trace" => parsed.trace = Some(args.next().unwrap_or_else(|| usage())),
-            "--trace-out" => parsed.trace_out = Some(args.next().unwrap_or_else(|| usage())),
-            "--metrics-out" => parsed.metrics_out = Some(args.next().unwrap_or_else(|| usage())),
+            "--slo-ttft" => parsed.slo.ttft_s = flags.positive(flag),
+            "--slo-tpot" => parsed.slo.tpot_s = flags.positive(flag),
+            "--seed" => parsed.seed = flags.seed(flag),
+            "--trace" => parsed.trace = Some(flags.value()),
             "--breakdown" => parsed.breakdown = true,
             "--json" => parsed.json = true,
-            other => match other.parse() {
-                Ok(n) if n > 0 => parsed.n_requests = n,
-                _ => usage(),
-            },
+            _ if parsed.out.read(flag, &mut flags) => {}
+            other => parsed.n_requests = flags.requests(other),
         }
     }
     parsed
@@ -207,15 +133,12 @@ fn main() {
     let args = parse_args();
     let runner = SweepRunner::with_jobs(args.jobs);
     let pattern = args.trace.as_deref().map(|spec| {
-        fleet::trace_pattern(spec, args.n_requests, args.seed).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        fleet::trace_pattern(spec, args.n_requests, args.seed).unwrap_or_else(|e| fail(e))
     });
+    let scenario = FleetScenario::new(args.engine, args.n_requests, args.seed);
     let (scaling, comparison) = fleet::default_experiments_patterned_with(
         &runner,
-        args.engine,
-        args.n_requests,
+        &scenario,
         pattern.as_deref(),
         &args.replica_counts,
         &args.multipliers,
@@ -223,7 +146,6 @@ fn main() {
         args.compare_replicas,
         args.compare_load,
         args.slo,
-        args.seed,
     );
     let hetero = args.hetero.then(|| {
         fleet::default_hetero_comparison_with(
@@ -234,48 +156,24 @@ fn main() {
             args.seed,
         )
     });
-    // The dedicated observability cell: traced only when asked, so a
-    // plain run's output stays byte-identical to the untraced bin.
-    let observed = (args.trace_out.is_some() || args.metrics_out.is_some()).then(|| {
+    let observed = args.out.wanted().then(|| {
         fleet::observed_cell_with(
             &runner,
-            args.engine,
-            args.n_requests,
+            &scenario,
             args.compare_replicas,
             args.compare_load,
             args.policy,
-            args.seed,
         )
     });
-    if let (Some(path), Some(cell)) = (args.trace_out.as_deref(), observed.as_ref()) {
-        std::fs::write(path, &cell.trace_json).unwrap_or_else(|e| {
-            eprintln!("cannot write trace to {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!(
-            "wrote Perfetto trace ({} replicas, {} policy, {} events) to {path}",
-            cell.n_replicas,
-            cell.policy,
-            cell.trace_json.matches("\"ph\":").count(),
-        );
-    }
-    if let (Some(path), Some(cell)) = (args.metrics_out.as_deref(), observed.as_ref()) {
-        std::fs::write(path, format!("{}\n", cell.metrics.render_json())).unwrap_or_else(|e| {
-            eprintln!("cannot write metrics to {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("wrote metrics snapshot ({} replicas, {} policy) to {path}", cell.n_replicas, cell.policy);
+    if let Some(cell) = &observed {
+        let name = format!("{} replicas, {} policy", cell.n_replicas, cell.policy);
+        args.out.write(&cell.telemetry, &name);
     }
     if args.json {
+        let telemetry = observed.as_ref().map(|c| &c.telemetry.metrics);
         print!(
             "{}",
-            fleet::to_json_with_telemetry(
-                &scaling,
-                &comparison,
-                hetero.as_ref(),
-                args.seed,
-                observed.as_ref().map(|c| &c.metrics),
-            )
+            fleet::to_json(&scaling, &comparison, hetero.as_ref(), args.seed, telemetry)
         );
     } else {
         print!("{}", fleet::render_scaling(&scaling));
@@ -287,12 +185,10 @@ fn main() {
     if args.breakdown {
         let (report, summaries) = fleet::breakdown_cell_with(
             &runner,
-            args.engine,
-            args.n_requests,
+            &scenario,
             args.compare_replicas,
             args.compare_load,
             args.policy,
-            args.seed,
         );
         let table = fleet::render_breakdown(&report, &summaries);
         if args.json {

@@ -8,7 +8,7 @@
 //!
 //! models: 13b 15b 34b 70b · gpus: a10 l4 a100 a100-pcie
 
-use seesaw_bench::cli::positive;
+use seesaw_bench::cli::{at_most, fail, positive, MAX_REQUESTS};
 use seesaw_bench::harness;
 use seesaw_engine::seesaw::SeesawSpec;
 use seesaw_engine::SweepRunner;
@@ -18,20 +18,18 @@ use seesaw_parallel::{enumerate_configs, MemoryPlan};
 use seesaw_workload::WorkloadGen;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: seesaw_cli <plan|compare|tune> <model> <gpu> <n_gpus> [avg_in avg_out [n_requests]]"
-    );
-    std::process::exit(2);
+    fail(
+        "usage: seesaw_cli <plan|compare|tune> <model> <gpu> <n_gpus> \
+         [avg_in avg_out [n_requests]]",
+    )
 }
 
 fn parse_target(args: &[String]) -> (ModelConfig, ClusterSpec) {
     let model = presets::by_name(&args[0]).unwrap_or_else(|| {
-        eprintln!("unknown model '{}'; expected 13b/15b/34b/70b", args[0]);
-        std::process::exit(2);
+        fail(format_args!("unknown model '{}'; expected 13b/15b/34b/70b", args[0]))
     });
     let gpu = GpuSpec::by_name(&args[1]).unwrap_or_else(|| {
-        eprintln!("unknown gpu '{}'; expected a10/l4/a100/a100-pcie", args[1]);
-        std::process::exit(2);
+        fail(format_args!("unknown gpu '{}'; expected a10/l4/a100/a100-pcie", args[1]))
     });
     let n = positive(&args[2], "n_gpus");
     (model, ClusterSpec::new(gpu, n))
@@ -105,7 +103,9 @@ fn main() {
             if args[0] == "tune" {
                 cmd_tune(&model, &cluster, avg_in, avg_out);
             } else {
-                let n = args.get(6).map_or(100, |s| positive(s, "n_requests"));
+                let n = args.get(6).map_or(100, |s| {
+                    at_most("n_requests", positive(s, "n_requests"), MAX_REQUESTS)
+                });
                 cmd_compare(&model, &cluster, avg_in, avg_out, n);
             }
         }

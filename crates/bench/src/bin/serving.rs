@@ -13,6 +13,7 @@
 //! `--jobs` value. `--json` emits the machine-readable sweep instead
 //! of the table.
 
+use seesaw_bench::cli::Flags;
 use seesaw_bench::serving::{self, EngineKind};
 use seesaw_engine::SweepRunner;
 use seesaw_workload::SloSpec;
@@ -27,14 +28,6 @@ struct Args {
     json: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: serving [n_requests] [--jobs N] [--engine seesaw|vllm|disagg] \
-         [--loads m1,m2,...] [--slo-ttft S] [--slo-tpot S] [--seed S] [--json]"
-    );
-    std::process::exit(2);
-}
-
 fn parse_args() -> Args {
     let mut parsed = Args {
         n_requests: 200,
@@ -42,69 +35,27 @@ fn parse_args() -> Args {
         engine: EngineKind::Vllm,
         multipliers: serving::DEFAULT_LOAD_MULTIPLIERS.to_vec(),
         slo: serving::DEFAULT_SLO,
-        seed: crate_seed(),
+        seed: seesaw_bench::SEED,
         json: false,
     };
-    let mut args = std::env::args().skip(1);
-    let next_f64 = |args: &mut dyn Iterator<Item = String>, what: &str| -> f64 {
-        args.next()
-            .and_then(|v| v.parse().ok())
-            .filter(|&x: &f64| x.is_finite() && x > 0.0)
-            .unwrap_or_else(|| {
-                eprintln!("{what} needs a positive number");
-                std::process::exit(2);
-            })
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--jobs" | "-j" => {
-                parsed.jobs = args.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0);
-                if parsed.jobs.is_none() {
-                    eprintln!("--jobs needs a positive integer");
-                    std::process::exit(2);
-                }
-            }
-            "--loads" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                let parsed_loads: Option<Vec<f64>> = spec
-                    .split(',')
-                    .map(|s| s.trim().parse::<f64>().ok().filter(|&x| x.is_finite() && x > 0.0))
-                    .collect();
-                match parsed_loads {
-                    Some(loads) if !loads.is_empty() => parsed.multipliers = loads,
-                    _ => {
-                        eprintln!("--loads needs a comma-separated list of positive multipliers");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--engine" | "-e" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                parsed.engine = spec.parse().unwrap_or_else(|e: String| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-            }
+    let mut flags = Flags::new(
+        "serving [n_requests] [--jobs N] [--engine seesaw|vllm|disagg] \
+         [--loads m1,m2,...] [--slo-ttft S] [--slo-tpot S] [--seed S] [--json]",
+    );
+    while let Some(arg) = flags.next_arg() {
+        let flag = arg.as_str();
+        match flag {
+            "--jobs" | "-j" => parsed.jobs = Some(flags.count("--jobs")),
+            "--loads" => parsed.multipliers = flags.multipliers(flag),
+            "--engine" | "-e" => parsed.engine = flags.engine(),
             "--json" => parsed.json = true,
-            "--slo-ttft" => parsed.slo.ttft_s = next_f64(&mut args, "--slo-ttft"),
-            "--slo-tpot" => parsed.slo.tpot_s = next_f64(&mut args, "--slo-tpot"),
-            "--seed" => {
-                parsed.seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs a non-negative integer");
-                    std::process::exit(2);
-                });
-            }
-            other => match other.parse() {
-                Ok(n) if n > 0 => parsed.n_requests = n,
-                _ => usage(),
-            },
+            "--slo-ttft" => parsed.slo.ttft_s = flags.positive(flag),
+            "--slo-tpot" => parsed.slo.tpot_s = flags.positive(flag),
+            "--seed" => parsed.seed = flags.seed(flag),
+            other => parsed.n_requests = flags.requests(other),
         }
     }
     parsed
-}
-
-fn crate_seed() -> u64 {
-    seesaw_bench::SEED
 }
 
 fn main() {

@@ -18,20 +18,16 @@
 //! fault schedules are resolved from their seeds before the replay,
 //! and all requeue decisions happen on the serial causal trajectory.
 
-use crate::autoscale::{
-    default_traces, scenario_json, show, ScenarioSpec, CAPACITY_PROBE_REQUESTS,
-};
+use crate::autoscale::{scenario_json, show, Scenario, ScenarioSpec};
+use crate::cli::Telemetry;
 use crate::jsonfmt;
-use crate::serving::{default_engine_of, default_specs, DEFAULT_SLO};
 use crate::table::{f2, f3, Table};
-use seesaw_autoscale::{AutoscaleConfig, ElasticFleetReport, RetryPolicy, ScalingPolicy};
+use seesaw_autoscale::{ElasticFleetReport, RetryPolicy, ScalingPolicy};
 use seesaw_chaos::{
     chaos_sweep_with, ChaosController, ChaosFrontier, ChaosPoint, FaultPlan, RecoverySpec,
 };
 use seesaw_engine::SweepRunner;
-use seesaw_fleet::offline_capacity;
 use seesaw_telemetry::{Instrument, MetricsRegistry};
-use seesaw_workload::WorkloadGen;
 
 /// Most fault events (kills plus outages) a chaos run may expect over
 /// its fault horizon — one day, rounded up to whole control windows.
@@ -176,33 +172,23 @@ impl ChaosSpec {
     }
 }
 
-/// Run the default chaos frontier: measure capacity, shape the
-/// diurnal day (the autoscale scenario's first trace), and sweep the
-/// fault × recovery grid. `config.capacity_rps` is overwritten with
-/// the measured value.
+/// Run the default chaos frontier: sweep the fault × recovery grid
+/// over `scenario`'s diurnal day (its first trace).
 pub fn default_chaos_frontier_with(
     runner: &SweepRunner,
-    spec: &ScenarioSpec,
+    scenario: &Scenario,
     chaos: &ChaosSpec,
-    mut config: AutoscaleConfig,
 ) -> ChaosFrontier {
-    let (cluster, model) = default_specs();
-    let build = |_: usize| default_engine_of(spec.kind, &cluster, &model);
-    let probe = WorkloadGen::sharegpt(spec.seed).generate(CAPACITY_PROBE_REQUESTS);
-    let (capacity_rps, label) = offline_capacity(&build, &probe);
-    config.capacity_rps = capacity_rps;
-    let traces = default_traces(spec, capacity_rps);
-    let (trace_name, requests) = &traces[0];
-    let faults = chaos.fault_roster(spec.day_s);
-    let recoveries = chaos.recovery_roster(spec.peak_mult);
+    let (trace_name, requests) = &scenario.traces[0];
+    let config = scenario.config;
     chaos_sweep_with(
         runner,
-        &build,
+        &|i| scenario.replica(i),
         config,
-        &faults,
-        &recoveries,
+        &chaos.fault_roster(scenario.spec.day_s),
+        &chaos.recovery_roster(scenario.spec.peak_mult),
         (trace_name, requests),
-        (capacity_rps, &label),
+        (config.capacity_rps, &scenario.label),
     )
 }
 
@@ -216,89 +202,40 @@ pub struct ObservedChaosCell {
     pub recovery: String,
     /// The (telemetry-identical) elastic-fleet report.
     pub report: ElasticFleetReport,
-    /// The run's Perfetto/Chrome trace-event JSON.
-    pub trace_json: String,
-    /// The run's metric snapshot (for the `--json` telemetry block).
-    pub metrics: MetricsRegistry,
+    /// The run's trace and metric snapshot.
+    pub telemetry: Telemetry,
 }
 
 /// Run one dedicated chaos cell — independent kills against the
-/// reactive-with-replacement posture on the diurnal day — with the
-/// telemetry recorder on, and render its Perfetto trace (kill and
-/// retry markers land on the controller track). Recorded bytes are
-/// sim-time only, so the trace is byte-identical for every `--jobs`
-/// value.
+/// reactive-with-replacement posture on `scenario`'s diurnal day —
+/// with the telemetry recorder on, and render its Perfetto trace
+/// (kill and retry markers land on the controller track). Recorded
+/// bytes are sim-time only, so the trace is byte-identical for every
+/// `--jobs` value.
 pub fn observed_chaos_cell_with(
     runner: &SweepRunner,
-    spec: &ScenarioSpec,
+    scenario: &Scenario,
     chaos: &ChaosSpec,
-    mut config: AutoscaleConfig,
 ) -> ObservedChaosCell {
-    let (cluster, model) = default_specs();
-    let build = |_: usize| default_engine_of(spec.kind, &cluster, &model);
-    let probe = WorkloadGen::sharegpt(spec.seed).generate(CAPACITY_PROBE_REQUESTS);
-    let (capacity_rps, _) = offline_capacity(&build, &probe);
-    config.capacity_rps = capacity_rps;
-    let traces = default_traces(spec, capacity_rps);
-    let (_, requests) = &traces[0];
-    let plan = chaos.plan(spec.day_s, false);
-    let fault = format!("kills-{:.0}/day", chaos.kills_per_day);
+    let plan = chaos.plan(scenario.spec.day_s, false);
     let recovery = RecoverySpec {
         policy: ScalingPolicy::reactive_default(),
         replace_failures: true,
         retry: chaos.retry,
     };
-    let recovery_name = recovery.to_string();
     let mut instr = Instrument::tracing();
-    let report = ChaosController::new(config, plan, recovery).run_instrumented_with(
-        runner, &build, requests, &mut instr,
-    );
-    instr.snapshot_drops();
-    let trace_json = seesaw_telemetry::perfetto::render(&instr.recorder, "chaos");
-    ObservedChaosCell {
-        fault,
-        recovery: recovery_name,
-        report,
-        trace_json,
-        metrics: instr.metrics,
-    }
-}
-
-/// A miniature chaos frontier (small day, small windows) for tests
-/// and the sims/sec benchmark: same code path as the default scenario
-/// at a fraction of the volume.
-pub fn mini_chaos_frontier_with(
-    runner: &SweepRunner,
-    day_s: f64,
-    faults: &[(String, FaultPlan)],
-    recoveries: &[RecoverySpec],
-    seed: u64,
-) -> ChaosFrontier {
-    let spec = ScenarioSpec { day_s, seed, ..ScenarioSpec::default() };
-    let (cluster, model) = default_specs();
-    let build = |_: usize| default_engine_of(spec.kind, &cluster, &model);
-    let probe = WorkloadGen::sharegpt(seed).generate(64);
-    let (capacity_rps, label) = offline_capacity(&build, &probe);
-    let config = AutoscaleConfig {
-        window_s: (day_s / 12.0).max(1.0),
-        warmup_s: (day_s / 48.0).max(0.5),
-        min_replicas: 1,
-        max_replicas: 8,
-        slo: DEFAULT_SLO,
-        capacity_rps,
-        ..AutoscaleConfig::default()
-    };
-    let traces = default_traces(&spec, capacity_rps);
-    let (trace_name, requests) = &traces[0];
-    chaos_sweep_with(
+    let report = ChaosController::new(scenario.config, plan, recovery).run_instrumented_with(
         runner,
-        &build,
-        config,
-        faults,
-        recoveries,
-        (trace_name, requests),
-        (capacity_rps, &label),
-    )
+        &|i| scenario.replica(i),
+        &scenario.traces[0].1,
+        &mut instr,
+    );
+    ObservedChaosCell {
+        fault: format!("kills-{:.0}/day", chaos.kills_per_day),
+        recovery: recovery.to_string(),
+        report,
+        telemetry: Telemetry::finish(instr, "chaos"),
+    }
 }
 
 /// Render the frontier as the `chaos` bin's table: cost and SLO
@@ -445,15 +382,10 @@ pub fn render_chaos_timeline(point: &ChaosPoint) -> String {
 /// (engine, day shape, workload seed), the controller config, and the
 /// retry policy; every point carries its complete fault plan (seed
 /// and rates) — so any frontier point is reproducible from the
-/// document alone.
-pub fn to_json(frontier: &ChaosFrontier, spec: &ScenarioSpec, chaos: &ChaosSpec) -> String {
-    to_json_with_telemetry(frontier, spec, chaos, None)
-}
-
-/// [`to_json`] with an optional `telemetry` metrics block (present
-/// only when a telemetry-enabled run produced one — the plain
-/// document stays byte-identical to pre-telemetry output).
-pub fn to_json_with_telemetry(
+/// document alone. The `telemetry` metrics block is present only when
+/// a traced run produced one, so the plain document stays
+/// byte-identical to pre-telemetry output.
+pub fn to_json(
     frontier: &ChaosFrontier,
     spec: &ScenarioSpec,
     chaos: &ChaosSpec,
@@ -548,9 +480,35 @@ pub fn to_json_with_telemetry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autoscale::tests::mini_config;
+    use crate::serving::DEFAULT_SLO;
     use seesaw_autoscale::{
-        score_detection, AutoscaleController, FaultEvent, FaultKind, FaultSchedule,
+        score_detection, AutoscaleConfig, AutoscaleController, FaultEvent, FaultKind,
+        FaultSchedule,
     };
+
+    /// A miniature chaos frontier (small day, small windows): the
+    /// default scenario's code path at a fraction of the volume.
+    fn mini_chaos_frontier_with(
+        runner: &SweepRunner,
+        day_s: f64,
+        faults: &[(String, FaultPlan)],
+        recoveries: &[RecoverySpec],
+        seed: u64,
+    ) -> ChaosFrontier {
+        let spec = ScenarioSpec { day_s, seed, ..ScenarioSpec::default() };
+        let s = Scenario::with_probe(&spec, mini_config(day_s), 64, None);
+        let (trace_name, requests) = &s.traces[0];
+        chaos_sweep_with(
+            runner,
+            &|i| s.replica(i),
+            s.config,
+            faults,
+            recoveries,
+            (trace_name, requests),
+            (s.config.capacity_rps, &s.label),
+        )
+    }
 
     #[test]
     fn fault_rate_check_bounds_expected_events() {
@@ -576,24 +534,20 @@ mod tests {
     fn default_rule_detects_loaded_outages_and_stays_quiet_fault_free() {
         let day_s = 1200.0;
         let spec = ScenarioSpec { day_s, seed: 42, ..ScenarioSpec::default() };
-        let (cluster, model) = default_specs();
-        let build = |_: usize| default_engine_of(spec.kind, &cluster, &model);
-        let probe = WorkloadGen::sharegpt(42).generate(64);
-        let (capacity_rps, _) = offline_capacity(&build, &probe);
         let config = AutoscaleConfig {
             window_s: 100.0,
             warmup_s: 25.0,
             min_replicas: 1,
             max_replicas: 8,
             slo: DEFAULT_SLO,
-            capacity_rps,
             ..AutoscaleConfig::default()
         };
-        let traces = default_traces(&spec, capacity_rps);
-        let (_, requests) = &traces[0];
+        let s = Scenario::with_probe(&spec, config, 64, None);
+        let (config, requests) = (s.config, &s.traces[0].1);
         let controller =
             AutoscaleController::new(config, ScalingPolicy::Static { n: 5 });
         let runner = SweepRunner::new(4);
+        let build = |i: usize| s.replica(i);
 
         let run = |schedule: &FaultSchedule| {
             controller.run_with(&runner, &build, requests, schedule, &mut Instrument::off())
@@ -674,7 +628,7 @@ mod tests {
         let spec = ScenarioSpec { day_s: 120.0, seed: 42, ..ScenarioSpec::default() };
         assert_eq!(serial, parallel, "chaos frontier must be byte-identical across --jobs");
         assert_eq!(render_chaos(&serial), render_chaos(&parallel));
-        assert_eq!(to_json(&serial, &spec, &chaos), to_json(&parallel, &spec, &chaos));
+        assert_eq!(to_json(&serial, &spec, &chaos, None), to_json(&parallel, &spec, &chaos, None));
         assert_eq!(serial.points.len(), 4, "2 faults x 2 recoveries");
         // The fault-free column equals the plain autoscale numbers:
         // clean availability and no retries.
@@ -702,7 +656,7 @@ mod tests {
             assert_eq!(p.detection.missed, 0);
             assert_eq!(p.detection.median_latency_s, None);
         }
-        let json = to_json(&serial, &spec, &chaos);
+        let json = to_json(&serial, &spec, &chaos, None);
         assert!(json.contains("\"detection\""));
         assert!(json.contains("\"false_fires\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -22,6 +22,7 @@
 //! 4×A10 per replica, ShareGPT-shaped lengths) and is byte-identical
 //! for every `--jobs` value.
 
+use crate::cli::Telemetry;
 use crate::jsonfmt;
 use crate::serving::{default_engine_of, default_requests, default_specs, EngineKind};
 use crate::table::{f2, f3, Table};
@@ -34,10 +35,11 @@ use seesaw_fleet::{
 };
 use seesaw_fleet::{Fleet, FleetReport};
 use seesaw_hw::ClusterSpec;
+use seesaw_model::ModelConfig;
 use seesaw_parallel::ParallelConfig;
 use seesaw_sim::TraceSummary;
 use seesaw_telemetry::{Instrument, MetricsRegistry};
-use seesaw_workload::{unit_rate_pattern, ArrivalDist, SloSpec, ARRIVAL_SEED_SALT};
+use seesaw_workload::{unit_rate_pattern, ArrivalDist, Request, SloSpec, ARRIVAL_SEED_SALT};
 use std::sync::Arc;
 
 /// Default replica counts for the scaling sweep.
@@ -133,6 +135,52 @@ pub fn default_hetero_comparison_with(
     HeteroComparison { label, capacity_rps, points }
 }
 
+/// The homogeneous fleet behind the default experiments and the
+/// dedicated cells, set up once per invocation: one backend's default
+/// replica, the request set, and the single-replica offline capacity
+/// measured on it.
+pub struct FleetScenario {
+    kind: EngineKind,
+    cluster: Arc<ClusterSpec>,
+    model: Arc<ModelConfig>,
+    /// Workload name.
+    workload: String,
+    /// The request set (each cell paces its own arrivals).
+    base: Vec<Request>,
+    /// Workload seed; it also seeds the Poisson arrival pattern.
+    seed: u64,
+    /// Single-replica offline capacity on `base`, requests/second.
+    capacity_rps: f64,
+    /// Replica configuration label.
+    label: String,
+}
+
+impl FleetScenario {
+    /// Generate `n_requests` ShareGPT-shaped requests from `seed` and
+    /// measure one `kind` replica's offline capacity on them.
+    pub fn new(kind: EngineKind, n_requests: usize, seed: u64) -> Self {
+        let (cluster, model) = default_specs();
+        let (workload, base) = default_requests(n_requests, seed);
+        let build = |_: usize| default_engine_of(kind, &cluster, &model);
+        let (capacity_rps, label) = offline_capacity(&build, &base);
+        FleetScenario { kind, cluster, model, workload, base, seed, capacity_rps, label }
+    }
+
+    /// One default replica (every fleet's replica builder).
+    fn replica(&self, _: usize) -> Box<dyn OnlineEngine> {
+        default_engine_of(self.kind, &self.cluster, &self.model)
+    }
+
+    /// A dedicated cell: `n_replicas` replicas and the Poisson-paced
+    /// requests at `multiplier ×` their aggregate capacity, with that
+    /// rate.
+    fn cell(&self, n_replicas: usize, multiplier: f64) -> (Fleet, Vec<Request>, f64) {
+        let rate = multiplier * n_replicas as f64 * self.capacity_rps;
+        let reqs = paced(&self.base, &poisson_unit(self.base.len(), self.seed), rate);
+        (Fleet::homogeneous(n_replicas, |i| self.replica(i)), reqs, rate)
+    }
+}
+
 /// One fleet cell run with the telemetry recorder on: the dedicated
 /// observability cell behind the `fleet` bin's `--trace-out` flag.
 #[derive(Debug)]
@@ -145,10 +193,8 @@ pub struct ObservedCell {
     pub offered_rps: f64,
     /// The (telemetry-identical) fleet report.
     pub report: FleetReport,
-    /// The run's Perfetto/Chrome trace-event JSON.
-    pub trace_json: String,
-    /// The run's metric snapshot (for the `--json` telemetry block).
-    pub metrics: MetricsRegistry,
+    /// The run's trace and metric snapshot.
+    pub telemetry: Telemetry,
 }
 
 /// Run one dedicated fleet cell — the head-to-head's configuration
@@ -157,32 +203,16 @@ pub struct ObservedCell {
 /// byte-identical for every `--jobs` value (enforced by tests).
 pub fn observed_cell_with(
     runner: &SweepRunner,
-    kind: EngineKind,
-    n_requests: usize,
+    scenario: &FleetScenario,
     n_replicas: usize,
     multiplier: f64,
     policy: RouterPolicy,
-    seed: u64,
 ) -> ObservedCell {
-    let (cluster, model) = default_specs();
-    let build = |_: usize| default_engine_of(kind, &cluster, &model);
-    let (_, base) = default_requests(n_requests, seed);
-    let (capacity_rps, _) = offline_capacity(&build, &base);
-    let rate = multiplier * n_replicas as f64 * capacity_rps;
-    let reqs = paced(&base, &poisson_unit(base.len(), seed), rate);
-    let fleet = Fleet::homogeneous(n_replicas, build);
+    let (fleet, reqs, offered_rps) = scenario.cell(n_replicas, multiplier);
     let mut instr = Instrument::tracing();
     let report = fleet.run_instrumented_with(runner, policy, &reqs, &mut instr);
-    instr.snapshot_drops();
-    let trace_json = seesaw_telemetry::perfetto::render(&instr.recorder, "fleet");
-    ObservedCell {
-        policy,
-        n_replicas,
-        offered_rps: rate,
-        report,
-        trace_json,
-        metrics: instr.metrics,
-    }
+    let telemetry = Telemetry::finish(instr, "fleet");
+    ObservedCell { policy, n_replicas, offered_rps, report, telemetry }
 }
 
 /// Run the same dedicated cell with engine tracing on and merge each
@@ -191,20 +221,12 @@ pub fn observed_cell_with(
 /// in replica order.
 pub fn breakdown_cell_with(
     runner: &SweepRunner,
-    kind: EngineKind,
-    n_requests: usize,
+    scenario: &FleetScenario,
     n_replicas: usize,
     multiplier: f64,
     policy: RouterPolicy,
-    seed: u64,
 ) -> (FleetReport, Vec<TraceSummary>) {
-    let (cluster, model) = default_specs();
-    let build = |_: usize| default_engine_of(kind, &cluster, &model);
-    let (_, base) = default_requests(n_requests, seed);
-    let (capacity_rps, _) = offline_capacity(&build, &base);
-    let rate = multiplier * n_replicas as f64 * capacity_rps;
-    let reqs = paced(&base, &poisson_unit(base.len(), seed), rate);
-    let fleet = Fleet::homogeneous(n_replicas, build);
+    let (fleet, reqs, _) = scenario.cell(n_replicas, multiplier);
     fleet.run_breakdown_with(runner, policy, &reqs)
 }
 
@@ -294,16 +316,15 @@ pub fn trace_pattern(spec: &str, n_requests: usize, seed: u64) -> Result<Vec<f64
 }
 
 /// Run both default fleet experiments — scaling sweep and router
-/// head-to-head — measuring the single-replica offline capacity
-/// *once* and threading it through both (the `fleet` bin's body).
-/// `pattern`, when given, replaces the unit-rate Poisson arrivals
-/// with a trace-shaped unit pattern (see [`trace_pattern`]), turning
-/// the head-to-head into the router × trace grid.
+/// head-to-head — on `scenario`, whose capacity was measured once
+/// (the `fleet` bin's body). `pattern`, when given, replaces the
+/// unit-rate Poisson arrivals with a trace-shaped unit pattern (see
+/// [`trace_pattern`]), turning the head-to-head into the router ×
+/// trace grid.
 #[allow(clippy::too_many_arguments)]
 pub fn default_experiments_patterned_with(
     runner: &SweepRunner,
-    kind: EngineKind,
-    n_requests: usize,
+    scenario: &FleetScenario,
     pattern: Option<&[f64]>,
     replica_counts: &[usize],
     multipliers: &[f64],
@@ -311,26 +332,22 @@ pub fn default_experiments_patterned_with(
     compare_replicas: usize,
     compare_load: f64,
     slo: SloSpec,
-    seed: u64,
 ) -> (FleetScalingSweep, Vec<FleetPoint>) {
-    let (cluster, model) = default_specs();
-    let build = |_: usize| default_engine_of(kind, &cluster, &model);
-    let (name, base) = default_requests(n_requests, seed);
-    let (capacity_rps, label) = offline_capacity(&build, &base);
+    let base = &scenario.base;
     let poisson;
     let unit: &[f64] = match pattern {
         Some(u) => u,
         None => {
-            poisson = poisson_unit(base.len(), seed);
+            poisson = poisson_unit(base.len(), scenario.seed);
             &poisson
         }
     };
     let scaling = scaling_sweep_patterned_at_capacity_with(
         runner,
-        &build,
-        &name,
-        &base,
-        (capacity_rps, &label),
+        &|i| scenario.replica(i),
+        &scenario.workload,
+        base,
+        (scenario.capacity_rps, &scenario.label),
         unit,
         replica_counts,
         multipliers,
@@ -339,10 +356,10 @@ pub fn default_experiments_patterned_with(
     );
     let comparison = policy_comparison_patterned_with(
         runner,
-        &|| Fleet::homogeneous(compare_replicas, build),
-        &base,
+        &|| Fleet::homogeneous(compare_replicas, |i| scenario.replica(i)),
+        base,
         unit,
-        (compare_load, compare_load * compare_replicas as f64 * capacity_rps),
+        (compare_load, compare_load * compare_replicas as f64 * scenario.capacity_rps),
         &RouterPolicy::all_with_live(),
         slo,
     );
@@ -499,20 +516,11 @@ fn point_json(p: &FleetPoint, seed: u64) -> String {
 /// (the `fleet` bin's `--json` output). The header echoes the
 /// workload seed, and every point additionally carries its own
 /// `policy` and `seed` fields. `hetero` is optional so callers
-/// skipping the mixed-fleet experiment still emit a valid document.
+/// skipping the mixed-fleet experiment still emit a valid document;
+/// the `telemetry` metrics block is present only when a traced run
+/// produced one, so the plain document stays byte-identical to
+/// pre-telemetry output.
 pub fn to_json(
-    scaling: &FleetScalingSweep,
-    comparison: &[FleetPoint],
-    hetero: Option<&HeteroComparison>,
-    seed: u64,
-) -> String {
-    to_json_with_telemetry(scaling, comparison, hetero, seed, None)
-}
-
-/// [`to_json`] with an optional `telemetry` metrics block (present
-/// only when a telemetry-enabled run produced one — the plain
-/// document stays byte-identical to pre-telemetry output).
-pub fn to_json_with_telemetry(
     scaling: &FleetScalingSweep,
     comparison: &[FleetPoint],
     hetero: Option<&HeteroComparison>,
@@ -579,8 +587,7 @@ mod tests {
     ) -> (FleetScalingSweep, Vec<FleetPoint>) {
         default_experiments_patterned_with(
             &SweepRunner::serial(),
-            EngineKind::Vllm,
-            n_requests,
+            &FleetScenario::new(EngineKind::Vllm, n_requests, 42),
             None,
             replicas,
             multipliers,
@@ -588,7 +595,6 @@ mod tests {
             2,
             0.9,
             crate::serving::DEFAULT_SLO,
-            42,
         )
     }
 
@@ -621,34 +627,25 @@ mod tests {
     /// reports.
     #[test]
     fn observed_cell_is_jobs_invariant_and_report_faithful() {
+        let scenario = FleetScenario::new(EngineKind::Vllm, 12, 42);
         let cell = |runner: &SweepRunner| {
-            observed_cell_with(
-                runner,
-                EngineKind::Vllm,
-                12,
-                2,
-                0.9,
-                RouterPolicy::JoinShortestQueue,
-                42,
-            )
+            observed_cell_with(runner, &scenario, 2, 0.9, RouterPolicy::JoinShortestQueue)
         };
         let serial = cell(&SweepRunner::serial());
         let parallel = cell(&SweepRunner::new(4));
         assert_eq!(serial.report, parallel.report);
-        assert_eq!(
-            serial.trace_json, parallel.trace_json,
-            "trace bytes must be --jobs-invariant"
-        );
-        assert_eq!(serial.metrics.render_json(), parallel.metrics.render_json());
+        let (trace, metrics) = (&serial.telemetry.trace_json, &serial.telemetry.metrics);
+        assert_eq!(trace, &parallel.telemetry.trace_json, "trace bytes must be --jobs-invariant");
+        assert_eq!(metrics.render_json(), parallel.telemetry.metrics.render_json());
         // The trace is a well-formed event array with per-replica
         // tracks and per-request spans.
-        assert!(serial.trace_json.starts_with("{\"traceEvents\":"));
+        assert!(trace.starts_with("{\"traceEvents\":"));
         assert_eq!(
-            serial.trace_json.matches("\"thread_name\"").count(),
+            trace.matches("\"thread_name\"").count(),
             2 + serial.n_replicas,
             "controller + router + one track per replica"
         );
-        assert!(serial.trace_json.contains("req "));
+        assert!(trace.contains("req "));
         // Telemetry must not perturb the cell: rerun it untraced.
         let (cluster, model) = default_specs();
         let build = |_: usize| default_engine_of(EngineKind::Vllm, &cluster, &model);
@@ -670,12 +667,10 @@ mod tests {
     fn breakdown_cell_reconciles_and_renders() {
         let (report, summaries) = breakdown_cell_with(
             &SweepRunner::serial(),
-            EngineKind::Vllm,
-            12,
+            &FleetScenario::new(EngineKind::Vllm, 12, 42),
             2,
             0.9,
             RouterPolicy::JoinShortestQueue,
-            42,
         );
         assert_eq!(summaries.len(), 2, "one summary per replica");
         assert!(summaries.iter().any(|s| s.total() > 0.0));
@@ -689,23 +684,19 @@ mod tests {
     }
 
     /// The `telemetry` block lands in the `--json` document only when
-    /// a metric snapshot is supplied; without one the document is the
-    /// exact pre-telemetry `to_json` output.
+    /// a metric snapshot is supplied.
     #[test]
     fn json_telemetry_block_is_optional_and_well_formed() {
         let (scaling, _) = experiments(12, &[1], &[0.5]);
-        let plain = to_json(&scaling, &[], None, 42);
-        assert_eq!(plain, to_json_with_telemetry(&scaling, &[], None, 42, None));
+        let plain = to_json(&scaling, &[], None, 42, None);
         let cell = observed_cell_with(
             &SweepRunner::serial(),
-            EngineKind::Vllm,
-            12,
+            &FleetScenario::new(EngineKind::Vllm, 12, 42),
             2,
             0.9,
             RouterPolicy::JoinShortestQueue,
-            42,
         );
-        let with = to_json_with_telemetry(&scaling, &[], None, 42, Some(&cell.metrics));
+        let with = to_json(&scaling, &[], None, 42, Some(&cell.telemetry.metrics));
         assert!(with.contains("\"telemetry\": {"));
         assert!(with.contains("\"counters\""));
         // The recorder's overflow health counters are always present
@@ -723,8 +714,7 @@ mod tests {
         let run = |runner: &SweepRunner| {
             default_experiments_patterned_with(
                 runner,
-                EngineKind::Vllm,
-                16,
+                &FleetScenario::new(EngineKind::Vllm, 16, 42),
                 None,
                 &[1, 2],
                 &[0.5, 1.5],
@@ -732,7 +722,6 @@ mod tests {
                 2,
                 0.9,
                 crate::serving::DEFAULT_SLO,
-                42,
             )
             .0
         };
@@ -753,7 +742,7 @@ mod tests {
         for p in ["round-robin", "jsq", "po2", "least-work", "jsq-live", "least-work-live"] {
             assert!(rendered.contains(p), "missing {p} in\n{rendered}");
         }
-        let json = to_json(&scaling, &points, None, 42);
+        let json = to_json(&scaling, &points, None, 42, None);
         // Cheap structural checks: balanced braces/brackets, every
         // policy present, no NaN leakage.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -804,7 +793,7 @@ mod tests {
         let rendered = render_hetero_comparison(&hetero);
         assert!(rendered.contains("heterogeneous"), "table header names the experiment");
         assert!(rendered.contains("jsq-live"));
-        let json = to_json(&experiments(16, &[1], &[0.5]).0, &[], Some(&hetero), 42);
+        let json = to_json(&experiments(16, &[1], &[0.5]).0, &[], Some(&hetero), 42, None);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"hetero\""));

@@ -69,3 +69,60 @@ fn chaos_rejects_extreme_fault_rates() {
     rejects(chaos, "chaos", "--day 100 --window 10 --kills 1e9", "expected faults");
     rejects(chaos, "chaos", "--day 1e-300 --window 10 --kills 5", "expected faults");
 }
+
+/// One probe per shared value class and experiment bin: each rejects
+/// its argument during parsing with the bin's own message.
+#[test]
+fn experiment_bins_reject_bad_flag_values() {
+    let fleet = env!("CARGO_BIN_EXE_fleet");
+    let serving = env!("CARGO_BIN_EXE_serving");
+    let autoscale = env!("CARGO_BIN_EXE_autoscale");
+    let chaos = env!("CARGO_BIN_EXE_chaos");
+    rejects(fleet, "fleet", "--jobs 0", "--jobs needs a positive integer");
+    let list = "needs a comma-separated list of positive";
+    rejects(fleet, "fleet", "--replicas 2,0", &format!("--replicas {list} counts"));
+    rejects(fleet, "fleet", "--engine tpu", "unknown engine 'tpu'");
+    rejects(fleet, "fleet", "--policy nope", "unknown policy 'nope'");
+    rejects(serving, "serving", "--loads 1,-2", &format!("--loads {list} multipliers"));
+    rejects(serving, "serving", "--slo-tpot 0", "--slo-tpot needs a positive number");
+    rejects(autoscale, "autoscale", "--seed x", "--seed needs a non-negative integer");
+    rejects(autoscale, "autoscale", "--warmup -1", "--warmup needs a non-negative number");
+    rejects(autoscale, "autoscale", "--min 5 --max 2", "--min must be <= --max");
+    rejects(autoscale, "autoscale", "--day 600 --window 1e-9", "control windows");
+    rejects(chaos, "chaos", "--slo-ttft nan", "--slo-ttft needs a positive number");
+    rejects(chaos, "chaos", "--peak 1 --trough 2", "--peak must be >= --trough");
+    rejects(chaos, "chaos", "--groups 0", "--groups needs a positive integer");
+    rejects(chaos, "chaos", "--trace-out", "usage: chaos");
+    let bins = [(fleet, "fleet"), (serving, "serving"), (autoscale, "autoscale"), (chaos, "chaos")];
+    for (exe, name) in bins {
+        rejects(exe, name, "--bogus", &format!("usage: {name}"));
+    }
+}
+
+/// Counts that used to wrap or abort on a terabyte-sized allocation:
+/// a retry budget past `u32`, and replica or request counts past the
+/// shared ceilings.
+#[test]
+fn experiment_bins_reject_oversized_counts() {
+    rejects(
+        env!("CARGO_BIN_EXE_chaos"),
+        "chaos",
+        "--day 600 --window 60 --retries 4294967296",
+        "--retries must be at most 4294967295",
+    );
+    let fleet = env!("CARGO_BIN_EXE_fleet");
+    rejects(fleet, "fleet", "10 --replicas 100000000000", "--replicas must be at most");
+    let compare = "10 --compare-replicas 100000000000";
+    rejects(fleet, "fleet", compare, "--compare-replicas must be at most");
+    rejects(fleet, "fleet", "100000000000", "n_requests must be at most");
+    rejects(
+        env!("CARGO_BIN_EXE_autoscale"),
+        "autoscale",
+        "--day 600 --window 60 --min 100000000000 --max 100000000000",
+        "--min must be at most",
+    );
+    let too_many = "n_requests must be at most";
+    rejects(env!("CARGO_BIN_EXE_serving"), "serving", "100000000000", too_many);
+    let cli = "compare 13b a10 4 512 64 100000000000";
+    rejects(env!("CARGO_BIN_EXE_seesaw_cli"), "seesaw_cli", cli, too_many);
+}

@@ -167,8 +167,7 @@ fn fleet_sweeps_are_byte_identical_across_job_counts() {
     let experiments = |runner: &SweepRunner| {
         fleet::default_experiments_patterned_with(
             runner,
-            EngineKind::Vllm,
-            32,
+            &fleet::FleetScenario::new(EngineKind::Vllm, 32, seesaw_bench::SEED),
             None,
             &[1, 2, 4],
             &[0.5, 1.0],
@@ -176,7 +175,6 @@ fn fleet_sweeps_are_byte_identical_across_job_counts() {
             4,
             0.9,
             seesaw_bench::serving::DEFAULT_SLO,
-            seesaw_bench::SEED,
         )
     };
     let (s1, c1) = experiments(&SweepRunner::serial());
@@ -186,8 +184,8 @@ fn fleet_sweeps_are_byte_identical_across_job_counts() {
     assert_eq!(fleet::render_scaling(&s1), fleet::render_scaling(&s4));
     assert_eq!(fleet::render_comparison(&c1), fleet::render_comparison(&c4));
     assert_eq!(
-        fleet::to_json(&s1, &c1, None, seesaw_bench::SEED),
-        fleet::to_json(&s4, &c4, None, seesaw_bench::SEED)
+        fleet::to_json(&s1, &c1, None, seesaw_bench::SEED, None),
+        fleet::to_json(&s4, &c4, None, seesaw_bench::SEED, None)
     );
     // Warm rerun (pools and caches populated) must also reproduce.
     let (warm, _) = experiments(&SweepRunner::new(4));
@@ -206,8 +204,7 @@ fn single_replica_fleet_point_matches_bare_serving_point() {
     let bare = serving::default_sweep_with(&runner, 32, &[0.75], slo, seesaw_bench::SEED);
     let (fleet_sweep, _) = fleet::default_experiments_patterned_with(
         &runner,
-        serving::EngineKind::Vllm,
-        32,
+        &fleet::FleetScenario::new(serving::EngineKind::Vllm, 32, seesaw_bench::SEED),
         None,
         &[1],
         &[0.75],
@@ -215,7 +212,6 @@ fn single_replica_fleet_point_matches_bare_serving_point() {
         1,
         0.75,
         slo,
-        seesaw_bench::SEED,
     );
     assert!((fleet_sweep.capacity_rps - bare.capacity_rps).abs() < 1e-12);
     let bare_point = &bare.points[0];

@@ -15,10 +15,12 @@
 #   * the telemetry-disabled instrumented path costs >5% vs plain
 #     fleet_live, or the controller self-profile explains <90% of
 #     wall time (both checked inside perf_report), or
-#   * the fleet bin's --trace-out export is not a well-formed
-#     Perfetto document with the expected tracks, or
-#   * the fleet bin's --metrics-out snapshot is not valid JSON
-#     carrying the recorder's dropped-event health counters, or
+#   * the fleet, autoscale or chaos bin's --trace-out export is not
+#     a well-formed Perfetto document with the expected tracks, spans
+#     and instants, or
+#   * one of those bins' --metrics-out snapshot is not valid JSON
+#     carrying the recorder's dropped-event health counters at zero,
+#     or
 #   * full-fidelity figure generation (`all_figures 1 --jobs 1`)
 #     peaks above ALL_FIGURES_MAX_RSS_MIB of resident memory.
 #
@@ -37,39 +39,52 @@ cd "$(dirname "$0")/.."
 # (a memo kept per thread for the process lifetime peaked at 460 MiB).
 ALL_FIGURES_MAX_RSS_MIB=128
 
-cargo build --release -p seesaw-bench --bin perf_report --bin fleet --bin all_figures
+cargo build --release -p seesaw-bench --bin perf_report --bin fleet --bin autoscale \
+    --bin chaos --bin all_figures
 
 ./target/release/perf_report "$@" \
     --out target/BENCH_sweep.json \
     --baseline BENCH_sweep.json
 
-# Telemetry smoke test: export a small fleet trace plus its metric
-# snapshot and validate both.
-trace=target/fleet.trace.json
-metrics=target/fleet.metrics.json
-./target/release/fleet 16 --replicas 1 --loads 0.5 --no-hetero \
-    --compare-replicas 2 --trace-out "$trace" --metrics-out "$metrics" > /dev/null
-
-python3 - "$trace" "$metrics" <<'EOF'
+# Telemetry smoke test: each bin exports one traced cell plus its
+# metric snapshot; validate both files. Usage: check_telemetry NAME
+# TRACKS ARGS..., where TRACKS is an exact track count, or N+ for at
+# least N.
+check_telemetry() {
+    local name=$1 tracks=$2
+    shift 2
+    local trace=target/$name.trace.json metrics=target/$name.metrics.json
+    ./target/release/"$name" "$@" --trace-out "$trace" --metrics-out "$metrics" > /dev/null
+    python3 - "$name" "$tracks" "$trace" "$metrics" <<'EOF'
 import json, sys
-with open(sys.argv[1]) as f:
+name, want, trace, metrics = sys.argv[1:]
+with open(trace) as f:
     doc = json.load(f)
 events = doc["traceEvents"]
 tracks = [e for e in events if e.get("name") == "thread_name"]
-# controller + router + 2 replica tracks from --compare-replicas 2.
-assert len(tracks) == 4, f"expected 4 tracks, got {len(tracks)}"
-assert any(e.get("ph") == "X" for e in events), "no spans recorded"
-assert any(e.get("ph") == "i" for e in events), "no instants recorded"
-print(f"bench.sh: trace OK ({len(events)} events, {len(tracks)} tracks)")
-with open(sys.argv[2]) as f:
+if want.endswith("+"):
+    assert len(tracks) >= int(want[:-1]), f"{name}: expected {want} tracks, got {len(tracks)}"
+else:
+    assert len(tracks) == int(want), f"{name}: expected {want} tracks, got {len(tracks)}"
+assert any(e.get("ph") == "X" for e in events), f"{name}: no spans recorded"
+assert any(e.get("ph") == "i" for e in events), f"{name}: no instants recorded"
+print(f"bench.sh: {name} trace OK ({len(events)} events, {len(tracks)} tracks)")
+with open(metrics) as f:
     snap = json.load(f)
 for key in ("counters", "gauges", "histograms"):
-    assert key in snap, f"metrics snapshot missing {key!r}"
+    assert key in snap, f"{name}: metrics snapshot missing {key!r}"
 for drop in ("telemetry.dropped_spans", "telemetry.dropped_instants"):
-    assert drop in snap["counters"], f"missing health counter {drop!r}"
-    assert snap["counters"][drop] == 0, f"{drop} nonzero on an uncapped run"
-print(f"bench.sh: metrics OK ({len(snap['counters'])} counters)")
+    assert drop in snap["counters"], f"{name}: missing health counter {drop!r}"
+    assert snap["counters"][drop] == 0, f"{name}: {drop} nonzero on an uncapped run"
+print(f"bench.sh: {name} metrics OK ({len(snap['counters'])} counters)")
 EOF
+}
+
+# controller + router + 2 replica tracks from --compare-replicas 2.
+check_telemetry fleet 4 16 --replicas 1 --loads 0.5 --no-hetero --compare-replicas 2
+# At least the controller and router tracks.
+check_telemetry autoscale 2+ --day 1800 --window 60
+check_telemetry chaos 2+ --day 1800 --window 60
 
 # Memory smoke: the child's peak RSS (ru_maxrss is KiB on Linux).
 python3 - "$ALL_FIGURES_MAX_RSS_MIB" <<'EOF'
