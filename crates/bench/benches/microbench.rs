@@ -46,8 +46,8 @@ fn bench_sim_executor(c: &mut Criterion) {
             black_box(drive(&mut sim))
         })
     });
-    // The sweep-worker steady state: one pooled executor reset and
-    // reused per candidate, arena/heap/queue capacity retained.
+    // One executor reset and reused per run, heap/queue capacity
+    // retained.
     g.bench_function("fifo_chain_10k_tasks_pooled", |b| {
         let mut sim = Simulator::without_trace();
         (0..8).for_each(|i| {
@@ -162,8 +162,7 @@ fn bench_engines(c: &mut Criterion) {
 
 /// The `sims_per_sec` unit of work from `perf_report` — the shared
 /// [`seesaw_bench::simsbench::SimsBench`] scenario: construct an
-/// engine from shared `Arc` specs and run one candidate evaluation,
-/// with the thread's executor pool warm.
+/// engine from shared `Arc` specs and run one candidate evaluation.
 fn bench_single_candidate_eval(c: &mut Criterion) {
     use seesaw_bench::simsbench::SimsBench;
     let bench = SimsBench::new();

@@ -18,9 +18,8 @@
 //! sweep performs per grid cell — plus one online-serving candidate
 //! (fixed-seed Poisson arrivals, arrival-gated admission, latency
 //! percentiles), the unit of work a serving sweep performs per load
-//! point. Candidates share `Arc`'d specs and the per-thread
-//! executor pools stay warm across iterations — the steady state of
-//! a sweep worker.
+//! point. Candidates share `Arc`'d specs across iterations — the
+//! steady state of a sweep worker.
 //!
 //! With `--baseline PATH`, the report exits non-zero when any
 //! sims/sec figure (`seesaw`, `vllm`, `serving`, `fleet`,
@@ -61,7 +60,7 @@ const SIMS_BATCH: usize = 100;
 /// Measurement batches (the best one is reported, suppressing
 /// scheduler noise on small CI hosts).
 const SIMS_BATCHES: usize = 5;
-/// Warm-up iterations before timing (fills the executor pools).
+/// Warm-up iterations before timing.
 const SIMS_WARMUP: usize = 10;
 /// Maximum tolerated sims/sec regression vs `--baseline`.
 const SIMS_REGRESSION_TOLERANCE: f64 = 0.20;

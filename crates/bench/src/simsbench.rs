@@ -6,8 +6,7 @@
 //! Fixed seed: 24 × 1024-in/64-out requests, LLaMA2-13B on 4×A10;
 //! one Seesaw candidate (P4→T4) and one vLLM candidate (D1T2P2,
 //! prefill-prioritized). Specs are `Arc`-shared so repeated
-//! construction exercises the pooled-executor hot path
-//! exactly like a sweep worker.
+//! construction exercises the same hot path as a sweep worker.
 //!
 //! The serving variant replays the same request set with fixed-seed
 //! Poisson arrivals at twice the scenario's offline capacity (a

@@ -37,27 +37,25 @@ fn tuned_baseline_and_probed_seesaw_are_runner_invariant() {
     assert_eq!(ours_s, ours_p);
 }
 
-/// The per-thread executor pools warm up after the first run;
-/// re-running a whole figure grid through the warm pools must
-/// reproduce the cold output byte-for-byte, serial and parallel alike
-/// (fig10/fig11 are the heaviest sweep grids).
+/// Re-running a whole figure grid in the same process must
+/// reproduce the first output byte-for-byte, serial and parallel
+/// alike (fig10/fig11 are the heaviest sweep grids).
 #[test]
 fn pooled_rerun_is_byte_identical_for_fig10_and_fig11_grids() {
     let cold10 = figs::fig10::run_with(&SweepRunner::serial(), "a10", 64);
     let warm10 = figs::fig10::run_with(&SweepRunner::serial(), "a10", 64);
     assert_eq!(cold10, warm10, "fig10 serial rerun must not drift");
     let parallel10 = figs::fig10::run_with(&SweepRunner::new(4), "a10", 64);
-    assert_eq!(cold10, parallel10, "fig10 pooled parallel must match serial");
+    assert_eq!(cold10, parallel10, "fig10 parallel must match serial");
 
     let cold11 = figs::fig11::run_with(&SweepRunner::serial(), 64);
     let warm11 = figs::fig11::run_with(&SweepRunner::new(4), 64);
-    assert_eq!(cold11, warm11, "fig11 pooled parallel rerun must match serial");
+    assert_eq!(cold11, warm11, "fig11 parallel rerun must match serial");
 }
 
-/// The sims/sec scenario run repeatedly (warm executor pool, shared
-/// Arc specs — exactly what `perf_report`
-/// measures, via the shared `SimsBench` definition) must reproduce
-/// its first report exactly.
+/// The sims/sec scenario run repeatedly (shared Arc specs — exactly
+/// what `perf_report` measures, via the shared `SimsBench`
+/// definition) must reproduce its first report exactly.
 #[test]
 fn repeated_engine_runs_reproduce_the_first_report() {
     use seesaw_bench::simsbench::SimsBench;
@@ -65,8 +63,8 @@ fn repeated_engine_runs_reproduce_the_first_report() {
     let first_seesaw = bench.run_seesaw_once();
     let first_vllm = bench.run_vllm_once();
     for _ in 0..3 {
-        assert_eq!(bench.run_seesaw_once(), first_seesaw, "warm-pool rerun drifted");
-        assert_eq!(bench.run_vllm_once(), first_vllm, "warm-pool rerun drifted");
+        assert_eq!(bench.run_seesaw_once(), first_seesaw, "rerun drifted");
+        assert_eq!(bench.run_vllm_once(), first_vllm, "rerun drifted");
     }
 }
 

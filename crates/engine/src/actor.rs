@@ -42,9 +42,12 @@
 //!   would) or at finish (as the prefix run would).
 //!
 //! A depth query advances the loop through every decision before `t`
-//! and counts the in-flight requests from their recorded task handles:
-//! a handle already complete has its final time; an unfinished one
-//! completes no earlier than the simulator's next event. In the rare
+//! and counts the in-flight requests from their timing records, read
+//! by position in the run's recorder: a settled record or a finished
+//! task has its final time; an unfinished task completes no earlier
+//! than the simulator's next event. The records are why the run may
+//! retire finished tasks as it goes — it settles them first, and never
+//! retires a task a record still points at. In the rare
 //! case that an event is pending at or before `t` (a tie with the
 //! query instant, or work still draining at a park) the count falls
 //! back to a projection, which is exact by construction.
@@ -61,10 +64,10 @@ use crate::driver::assert_arrivals_sorted;
 use crate::report::EngineReport;
 use crate::stepper::live_state;
 use crate::sweep::SweepRunner;
-use crate::timing::TimingRecorder;
+use crate::timing::{Stamp, TimingRecorder};
 use seesaw_hw::FxBuildHasher;
 use seesaw_roofline::Roofline;
-use seesaw_sim::{SimTime, Simulator, TaskHandle, TraceSummary};
+use seesaw_sim::{SimTime, Simulator, TraceSummary};
 use seesaw_workload::{Request, RequestMap, RunStats};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
@@ -359,8 +362,9 @@ impl<R: Resumable> EngineActor for SimActor<'_, R> {
     }
 }
 
-/// Pushed requests not yet known to be complete, with the task
-/// handles that will time their first token and completion.
+/// Pushed requests not yet known to be complete, with the positions
+/// of their first-token and completion records in the run's
+/// [`TimingRecorder`].
 #[derive(Debug, Default)]
 struct Inflight {
     /// Recorder entries already absorbed.
@@ -373,8 +377,8 @@ struct Inflight {
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     id: u64,
-    first: Option<TaskHandle>,
-    done: Option<TaskHandle>,
+    first: Option<usize>,
+    done: Option<usize>,
 }
 
 impl Inflight {
@@ -391,27 +395,28 @@ impl Inflight {
     /// completes after `t`. Requests complete by `t` are retired:
     /// queries never move backwards.
     fn depth_at(&mut self, t: f64, rec: &TimingRecorder, sim: &Simulator) -> Depth {
-        for &(id, h) in &rec.first_tokens()[self.firsts_seen..] {
-            if let Some(&i) = self.index.get(&id) {
-                self.slots[i].first = Some(h);
+        let (firsts, dones) = (rec.first_tokens(), rec.completions());
+        for (i, &(id, _)) in firsts.iter().enumerate().skip(self.firsts_seen) {
+            if let Some(&s) = self.index.get(&id) {
+                self.slots[s].first = Some(i);
             }
         }
-        self.firsts_seen = rec.first_tokens().len();
-        for &(id, h) in &rec.completions()[self.dones_seen..] {
-            if let Some(&i) = self.index.get(&id) {
-                self.slots[i].done = Some(h);
+        self.firsts_seen = firsts.len();
+        for (i, &(id, _)) in dones.iter().enumerate().skip(self.dones_seen) {
+            if let Some(&s) = self.index.get(&id) {
+                self.slots[s].done = Some(i);
             }
         }
-        self.dones_seen = rec.completions().len();
-        let by_t = |h: Option<TaskHandle>| {
-            h.and_then(|h| sim.completion_time(h))
+        self.dones_seen = dones.len();
+        let by_t = |records: &[(u64, Stamp)], i: Option<usize>| {
+            i.and_then(|i| records[i].1.time(sim))
                 .is_some_and(|at| at.as_secs() <= t)
         };
         let mut depth = Depth::default();
         let mut i = 0;
         while i < self.slots.len() {
             let slot = self.slots[i];
-            if by_t(slot.done) {
+            if by_t(dones, slot.done) {
                 self.index.remove(&slot.id);
                 self.slots.swap_remove(i);
                 if let Some(moved) = self.slots.get(i) {
@@ -419,7 +424,7 @@ impl Inflight {
                 }
                 continue;
             }
-            if by_t(slot.first) {
+            if by_t(firsts, slot.first) {
                 depth.running += 1;
             } else {
                 depth.waiting += 1;
@@ -429,4 +434,14 @@ impl Inflight {
         depth.queue_depth = depth.waiting + depth.running;
         depth
     }
+}
+
+/// `(tasks submitted, peak tasks retained)` by the simulator of `run`
+/// advanced to completion: the arena-bound tests compare the peak
+/// across stream lengths.
+#[cfg(test)]
+pub(crate) fn arena_counts<R: Resumable>(mut run: R) -> (usize, usize) {
+    assert!(run.advance(&run.roofline()), "a closed run always completes");
+    let sim = &run.cluster().sim;
+    (sim.submitted_tasks(), sim.peak_retained_tasks())
 }

@@ -22,12 +22,13 @@ use std::sync::Arc;
 
 /// The simulated cluster: resources plus the underlying simulator.
 ///
-/// The simulator itself is checked out of the calling thread's
-/// [`seesaw_sim::ExecutorPool`] and returned on drop, so consecutive
-/// candidate evaluations on one sweep worker reuse the task arena,
-/// event heap, resource registry (when the GPU count matches), and
-/// trace buffers instead of reallocating them per run.
-#[derive(Debug)]
+/// Each cluster builds a fresh simulator. Engines retire finished
+/// tasks as they run ([`Simulator::retire`]), so its task arena stays
+/// as small as the work in flight and there is no grown arena worth
+/// reusing across runs. A clone is an independent fork of the
+/// simulated cluster at the same instant (what an engine actor's
+/// projection runs on).
+#[derive(Debug, Clone)]
 pub struct ClusterSim {
     /// The discrete-event simulator.
     pub sim: Simulator,
@@ -39,35 +40,6 @@ pub struct ClusterSim {
     staging: Vec<ResourceId>,
     /// Reusable per-stage task-handle buffer for `submit_pass`.
     scratch: Vec<TaskHandle>,
-    /// Whether `sim` came from the thread's pool (and goes back on
-    /// drop). Clones are freed instead: a projection's fork must not
-    /// park its arena in the pool.
-    pooled: bool,
-}
-
-/// A clone is an independent fork of the simulated cluster at the
-/// same instant (what an engine actor's projection runs on).
-impl Clone for ClusterSim {
-    fn clone(&self) -> Self {
-        ClusterSim {
-            sim: self.sim.clone(),
-            cluster: Arc::clone(&self.cluster),
-            compute: self.compute.clone(),
-            h2d: self.h2d.clone(),
-            d2h: self.d2h.clone(),
-            staging: self.staging.clone(),
-            scratch: Vec::new(),
-            pooled: false,
-        }
-    }
-}
-
-impl Drop for ClusterSim {
-    fn drop(&mut self) {
-        if self.pooled {
-            seesaw_sim::release_pooled(std::mem::take(&mut self.sim));
-        }
-    }
 }
 
 impl ClusterSim {
@@ -79,46 +51,21 @@ impl ClusterSim {
     /// [`ClusterSim::with_trace`] when the execution trace itself is
     /// the product (breakdown figures, timeline debugging).
     pub fn new(cluster: impl Into<Arc<ClusterSpec>>) -> Self {
-        Self::build(cluster.into(), false)
+        Self::build(cluster.into(), Simulator::without_trace())
     }
 
     /// Instantiate with span recording enabled.
     pub fn with_trace(cluster: impl Into<Arc<ClusterSpec>>) -> Self {
-        Self::build(cluster.into(), true)
+        Self::build(cluster.into(), Simulator::new())
     }
 
-    fn build(cluster: Arc<ClusterSpec>, trace: bool) -> Self {
-        let mut sim = seesaw_sim::acquire_pooled();
-        sim.set_tracing(trace);
+    fn build(cluster: Arc<ClusterSpec>, mut sim: Simulator) -> Self {
         let n = cluster.num_gpus;
-        // Resource ids are laid out deterministically (compute block,
-        // then h2d, d2h, staging), so a pooled simulator with the same
-        // resource count has exactly this registry already — skip
-        // re-registering (and re-formatting the names). The layout
-        // check below keeps this safe against any future caller that
-        // releases differently-shaped simulators onto the same
-        // thread's pool.
-        let registry_matches = n > 0
-            && sim.pool().len() == 4 * n
-            && sim.pool().name(sim.pool().id(0)) == "gpu0.compute";
-        if !registry_matches {
-            sim.reset_resources();
-            for i in 0..n {
-                sim.add_resource(format!("gpu{i}.compute"));
-            }
-            for i in 0..n {
-                sim.add_resource(format!("gpu{i}.h2d"));
-            }
-            for i in 0..n {
-                sim.add_resource(format!("gpu{i}.d2h"));
-            }
-            for i in 0..n {
-                sim.add_resource(format!("gpu{i}.staging"));
-            }
-        }
-        let block =
-            |b: usize| -> Vec<ResourceId> { (0..n).map(|i| sim.pool().id(b * n + i)).collect() };
-        let (compute, h2d, d2h, staging) = (block(0), block(1), block(2), block(3));
+        let mut block = |engine: &str| -> Vec<ResourceId> {
+            (0..n).map(|i| sim.add_resource(format!("gpu{i}.{engine}"))).collect()
+        };
+        let (compute, h2d, d2h, staging) =
+            (block("compute"), block("h2d"), block("d2h"), block("staging"));
         ClusterSim {
             sim,
             cluster,
@@ -127,7 +74,6 @@ impl ClusterSim {
             d2h,
             staging,
             scratch: Vec::new(),
-            pooled: true,
         }
     }
 

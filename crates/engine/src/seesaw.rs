@@ -714,6 +714,7 @@ impl<'a> SeesawRun<'a> {
                     self.rec.completed(seq.id, h);
                 }
             }
+            self.rec.settle_and_retire(&mut self.cs.sim);
             for d in 0..dp {
                 self.prefetch(d, &mut inflight[d]);
             }
@@ -842,6 +843,7 @@ impl Resumable for SeesawRun<'_> {
                 }
                 Step::PrefillIter => {
                     self.reclaim_swap_outs();
+                    self.rec.settle_and_retire(&mut self.cs.sim);
                     self.at = Step::PrefillAdmit;
                 }
                 Step::PrefillAdmit => {
@@ -939,6 +941,29 @@ mod tests {
         assert!(report.swap_in_bytes > 0);
         assert!(report.prefill_wall_s > 0.0);
         assert!(report.decode_wall_s > 0.0);
+    }
+
+    /// The task arena is bounded by the work in flight: a stream four
+    /// times longer, of the same shape and load, peaks at the same
+    /// number of retained tasks across its prefill/decode cycles.
+    #[test]
+    fn arena_is_bounded_by_in_flight_tasks() {
+        use crate::actor::arena_counts;
+        use seesaw_workload::ArrivalDist;
+        let stream = |n| {
+            WorkloadGen::constant(512, 32)
+                .with_arrivals(ArrivalDist::Poisson { rate: 4.0 })
+                .expect("valid arrivals")
+                .generate(n)
+        };
+        let mut spec = spec_p4t4();
+        spec.buffer_tokens_override = Some(6_000);
+        let eng = SeesawEngine::new(ClusterSpec::a10x4(), presets::llama2_13b(), spec).unwrap();
+        let counts = |n| arena_counts(SeesawRun::new(&eng, Intake::closed(&stream(n)), false));
+        let (short, long) = (counts(100), counts(400));
+        let shown = format!("(submitted, peak) {short:?} vs {long:?}");
+        assert!(long.0 > 3 * short.0, "{shown}");
+        assert!(long.1 <= short.1 + short.1 / 4, "arena grew with the stream, {shown}");
     }
 
     #[test]

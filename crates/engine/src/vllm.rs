@@ -347,6 +347,7 @@ impl<'a> RunState<'a> {
         let t0 = self.cs.now();
         self.cs.sim.run_until(batch.join);
         self.prefill_wall += self.cs.now() - t0;
+        self.rec.settle_and_retire(&mut self.cs.sim);
         for (d, members) in batch.admitted.into_iter().enumerate() {
             for (id, prompt) in members {
                 let req = self.intake.meta.req(id);
@@ -429,6 +430,7 @@ impl<'a> RunState<'a> {
                 self.rec.completed(seq.id, h);
             }
         }
+        self.rec.settle_and_retire(&mut self.cs.sim);
         true
     }
 
@@ -587,6 +589,7 @@ impl<'a> RunState<'a> {
         let t0 = self.cs.now();
         self.cs.sim.run_until(join);
         self.mixed_wall += self.cs.now() - t0;
+        self.rec.settle_and_retire(&mut self.cs.sim);
     }
 
     /// Submit one mixed round per replica (every running sequence
@@ -738,6 +741,39 @@ mod tests {
 
     fn small_requests(n: usize) -> Vec<Request> {
         WorkloadGen::constant(512, 32).generate(n)
+    }
+
+    /// The task arena is bounded by the work in flight: a stream four
+    /// times longer, of the same shape and load, peaks at the same
+    /// number of retained tasks under every policy.
+    #[test]
+    fn arena_is_bounded_by_in_flight_tasks() {
+        use crate::actor::arena_counts;
+        use seesaw_workload::ArrivalDist;
+        let stream = |n| {
+            WorkloadGen::constant(512, 32)
+                .with_arrivals(ArrivalDist::Poisson { rate: 4.0 })
+                .expect("valid arrivals")
+                .generate(n)
+        };
+        for policy in [
+            SchedulingPolicy::PrefillPrioritized,
+            SchedulingPolicy::DecodePrioritized,
+            SchedulingPolicy::ChunkedPrefill { chunk_tokens: 512 },
+        ] {
+            let eng = VllmEngine::new(
+                ClusterSpec::a10x4(),
+                presets::llama2_13b(),
+                ParallelConfig::new(1, 2, 2),
+                policy,
+            )
+            .unwrap();
+            let counts = |n| arena_counts(RunState::new(&eng, Intake::closed(&stream(n)), false));
+            let (short, long) = (counts(100), counts(400));
+            let shown = format!("{policy:?}: (submitted, peak) {short:?} vs {long:?}");
+            assert!(long.0 > 3 * short.0, "{shown}");
+            assert!(long.1 <= short.1 + short.1 / 4, "arena grew with the stream, {shown}");
+        }
     }
 
     #[test]

@@ -3,16 +3,18 @@
 use crate::resource::{ResourceId, ResourcePool};
 use crate::time::SimTime;
 use crate::trace::{Span, TaskKind, Trace};
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Handle to a submitted task.
+/// Handle to a submitted task: its id, which counts submissions since
+/// the simulator was built or last [`Simulator::reset`]. Ids are
+/// monotone, so a handle stays valid after [`Simulator::retire`]
+/// drops the tasks before it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskHandle(usize);
 
 impl TaskHandle {
-    /// Raw task index.
+    /// Raw task id.
     pub fn index(self) -> usize {
         self.0
     }
@@ -218,16 +220,27 @@ fn unpack_event(key: u128) -> (SimTime, usize) {
 /// Holds the resource pool, the task graph, the pending-event heap,
 /// and the execution trace. See the crate docs for the model.
 ///
-/// All task/event/trace storage is arena-style (flat vectors indexed
-/// by task id) and survives [`Simulator::reset`] with its capacity
-/// intact, so a pooled simulator re-runs a comparable workload
-/// without touching the allocator. A clone is an independent
-/// simulator at the same instant, with the same pending events.
+/// Tasks live in a base-offset window: `tasks[i]` is the task with id
+/// `base + i`. [`Simulator::retire`] drops the finished prefix of the
+/// window, so a caller that retires once per scheduling round holds
+/// only the tasks between the oldest unfinished one and the newest,
+/// however long the run (at most twice that: retired tasks leave the
+/// window in bulk, once they are half of it). A retired task counts as
+/// finished everywhere except [`Simulator::completion_time`], which
+/// panics: its time was not kept. A clone is an independent simulator
+/// at the same instant, with the same pending events.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     pool: ResourcePool,
     res_state: Vec<ResState>,
     tasks: Vec<Task>,
+    /// Id of `tasks[0]`.
+    base: usize,
+    /// Every task before this id is retired; those still in `tasks`
+    /// are dropped once they make up half of it.
+    retired: usize,
+    /// Most tasks `tasks` has held at once since the last reset.
+    peak_retained: usize,
     /// Min-heap of packed (completion time, sequence, task id) keys.
     events: BinaryHeap<Reverse<u128>>,
     seq: u32,
@@ -252,6 +265,9 @@ impl Simulator {
             pool: ResourcePool::new(),
             res_state: Vec::new(),
             tasks: Vec::new(),
+            base: 0,
+            retired: 0,
+            peak_retained: 0,
             events: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
@@ -274,15 +290,16 @@ impl Simulator {
     }
 
     /// Rewind to time zero for a fresh run: drops every task, pending
-    /// event, recorded span, and busy account, but keeps the
-    /// registered resources *and* every buffer's allocated capacity.
-    /// A reset simulator is observationally identical to a newly
-    /// constructed one with the same resources and tracing mode (the
-    /// tracing flag deliberately survives, so reset-in-place loops
-    /// keep their configuration; [`ExecutorPool::acquire`] normalizes
-    /// it at the pool boundary instead).
+    /// event, recorded span, and busy account, and restarts task ids
+    /// at 0, but keeps the registered resources. A reset simulator is
+    /// observationally identical to a newly constructed one with the
+    /// same resources and tracing mode (the tracing flag deliberately
+    /// survives, so reset-in-place loops keep their configuration).
     pub fn reset(&mut self) {
         self.tasks.clear();
+        self.base = 0;
+        self.retired = 0;
+        self.peak_retained = 0;
         self.events.clear();
         self.seq = 0;
         self.now = SimTime::ZERO;
@@ -298,8 +315,7 @@ impl Simulator {
     }
 
     /// [`Simulator::reset`] plus dropping the registered resources, so
-    /// a pooled simulator can be rebuilt for a different cluster
-    /// shape. Task/event/trace capacity is still retained.
+    /// the simulator can be rebuilt for a different cluster shape.
     pub fn reset_resources(&mut self) {
         self.reset();
         self.pool = ResourcePool::new();
@@ -346,20 +362,78 @@ impl Simulator {
         &self.trace
     }
 
-    /// Whether a task has completed.
+    /// The retained task `id`, or `None` if it was retired.
+    #[inline]
+    fn task(&self, id: usize) -> Option<&Task> {
+        (id >= self.retired).then(|| &self.tasks[id - self.base])
+    }
+
+    #[inline]
+    fn task_mut(&mut self, id: usize) -> &mut Task {
+        &mut self.tasks[id - self.base]
+    }
+
+    /// Whether a task has completed (a retired task has).
     pub fn completed(&self, h: TaskHandle) -> bool {
-        self.tasks[h.0].done()
+        self.task(h.0).is_none_or(Task::done)
     }
 
     /// Completion time of a task, if it has finished.
+    ///
+    /// Panics if the task was retired: its time was not kept, so a
+    /// caller that still needs it must read it before the
+    /// [`Simulator::retire`] call that drops it.
     pub fn completion_time(&self, h: TaskHandle) -> Option<SimTime> {
-        let t = &self.tasks[h.0];
+        let t = self.task(h.0).unwrap_or_else(|| {
+            panic!(
+                "completion time of task {} was dropped: it was retired \
+                 (read it before retiring past it)",
+                h.0
+            )
+        });
         t.done().then_some(t.completion)
     }
 
     /// Number of submitted-but-unfinished tasks.
     pub fn outstanding(&self) -> usize {
         self.outstanding
+    }
+
+    /// Exact number of tasks submitted since the simulator was built
+    /// or last reset, retired ones included (the next task's id).
+    pub fn submitted_tasks(&self) -> usize {
+        self.base + self.tasks.len()
+    }
+
+    /// Exact number of tasks held in memory now: those not yet
+    /// retired, plus retired ones not yet dropped in bulk.
+    pub fn retained_tasks(&self) -> usize {
+        self.tasks.len()
+    }
+
+    /// Exact high-water mark of [`Simulator::retained_tasks`] since
+    /// the simulator was built or last reset.
+    pub fn peak_retained_tasks(&self) -> usize {
+        self.peak_retained
+    }
+
+    /// Retire the finished tasks before the first unfinished one,
+    /// which a caller does once it has read every completion time it
+    /// needs from them. Handles to retired tasks stay usable: they
+    /// count as finished for dependencies, [`Simulator::completed`]
+    /// and [`Simulator::run_until`]. Each task is retired once, and
+    /// the bulk drop moves no more tasks than it drops, so the cost is
+    /// amortized O(1) per task.
+    pub fn retire(&mut self) {
+        let end = self.submitted_tasks();
+        while self.retired < end && self.tasks[self.retired - self.base].done() {
+            self.retired += 1;
+        }
+        let dead = self.retired - self.base;
+        if dead > 0 && 2 * dead >= self.tasks.len() {
+            self.tasks.drain(..dead);
+            self.base = self.retired;
+        }
     }
 
     /// Time of the earliest pending completion event, if any. Every
@@ -416,14 +490,18 @@ impl Simulator {
         if let Some(r) = resource {
             assert!(r.index() < self.res_state.len(), "unknown resource {r}");
         }
-        let id = self.tasks.len();
-        assert!(id < u32::MAX as usize, "task arena exceeds u32 ids");
+        let id = self.submitted_tasks();
+        assert!(id < u32::MAX as usize, "task ids exceed u32");
         let mut remaining = 0;
         for d in deps {
             assert!(d.0 < id, "dependency on not-yet-submitted task");
-            if !self.tasks[d.0].done() {
-                self.tasks[d.0].dependents.push(id as u32);
-                remaining += 1;
+            // A retired dependency has finished: no edge.
+            if d.0 >= self.retired {
+                let dep = &mut self.tasks[d.0 - self.base];
+                if !dep.done() {
+                    dep.dependents.push(id as u32);
+                    remaining += 1;
+                }
             }
         }
         self.tasks.push(Task {
@@ -437,6 +515,7 @@ impl Simulator {
             kind,
             state: TaskState::Waiting,
         });
+        self.peak_retained = self.peak_retained.max(self.tasks.len());
         self.outstanding += 1;
         if remaining == 0 {
             self.make_ready(id);
@@ -445,19 +524,21 @@ impl Simulator {
     }
 
     /// Run until `h` completes, leaving any other in-flight tasks
-    /// pending in the event queue. Returns the completion time.
+    /// pending in the event queue. Returns the completion time, or
+    /// for a retired task (finished before the last retire; its time
+    /// was not kept) the current time, without stepping.
     ///
     /// Panics if the event queue drains before `h` completes (a
     /// dependency was never satisfiable).
     pub fn run_until(&mut self, h: TaskHandle) -> SimTime {
-        while !self.tasks[h.0].done() {
+        while !self.completed(h) {
             assert!(
                 self.step(),
                 "simulation deadlock: task {} unreachable",
                 h.0
             );
         }
-        self.tasks[h.0].completion
+        self.task(h.0).map_or(self.now, |t| t.completion)
     }
 
     /// Run until no events remain. Returns the final time.
@@ -497,17 +578,19 @@ impl Simulator {
     }
 
     fn make_ready(&mut self, id: usize) {
-        let r = self.tasks[id].resource;
+        let now = self.now;
+        let task = self.task_mut(id);
+        let r = task.resource;
         if r == NO_RESOURCE {
             // Pure sync: completes at the current instant.
-            self.tasks[id].state = TaskState::Running;
-            self.tasks[id].service_start = self.now;
-            self.schedule_completion(id, self.now);
+            task.state = TaskState::Running;
+            task.service_start = now;
+            self.schedule_completion(id, now);
         } else {
             let rs = &mut self.res_state[r as usize];
             if rs.busy {
                 rs.queue.push_back(id);
-                self.tasks[id].state = TaskState::Queued;
+                self.task_mut(id).state = TaskState::Queued;
             } else {
                 self.start_service(id, r as usize);
             }
@@ -516,10 +599,11 @@ impl Simulator {
 
     fn start_service(&mut self, id: usize, r: usize) {
         self.res_state[r].busy = true;
-        let task = &mut self.tasks[id];
+        let now = self.now;
+        let task = self.task_mut(id);
         task.state = TaskState::Running;
-        task.service_start = self.now;
-        let end = self.now + task.duration;
+        task.service_start = now;
+        let end = now + task.duration;
         self.schedule_completion(id, end);
     }
 
@@ -529,20 +613,23 @@ impl Simulator {
     }
 
     fn complete(&mut self, id: usize) {
-        let task = &mut self.tasks[id];
+        let now = self.now;
+        let task = self.task_mut(id);
         debug_assert_eq!(task.state, TaskState::Running);
         task.state = TaskState::Done;
-        task.completion = self.now;
-        self.outstanding -= 1;
+        task.completion = now;
         let (resource, service_start) = (task.resource, task.service_start);
+        let (kind, tag) = (task.kind, task.tag);
+        let dependents = std::mem::take(&mut task.dependents);
+        self.outstanding -= 1;
         if self.trace.is_enabled() {
             let span = Span {
                 resource: (resource != NO_RESOURCE)
                     .then(|| self.pool.id(resource as usize)),
-                kind: task.kind,
+                kind,
                 start: service_start,
-                end: self.now,
-                tag: task.tag,
+                end: now,
+                tag,
             };
             self.trace.record(span);
         }
@@ -560,7 +647,7 @@ impl Simulator {
         // Wake dependents; the single-successor case (linear chains,
         // the dominant graph shape) goes straight to `wake` with no
         // slice round-trip.
-        match std::mem::take(&mut self.tasks[id].dependents) {
+        match dependents {
             SmallList::Empty => {}
             SmallList::One(d) => self.wake(d as usize),
             SmallList::Two([a, b]) => {
@@ -577,85 +664,12 @@ impl Simulator {
 
     #[inline]
     fn wake(&mut self, d: usize) {
-        self.tasks[d].remaining_deps -= 1;
-        if self.tasks[d].remaining_deps == 0 {
+        let task = self.task_mut(d);
+        task.remaining_deps -= 1;
+        if task.remaining_deps == 0 {
             self.make_ready(d);
         }
     }
-}
-
-/// A reuse pool of [`Simulator`] instances: checking one out and
-/// returning it lets repeated simulations reuse the task arena, event
-/// heap, resource queues, and trace buffers instead of reallocating
-/// them per run. Pool membership is bounded; surplus releases simply
-/// drop the simulator.
-#[derive(Debug, Default)]
-pub struct ExecutorPool {
-    free: Vec<Simulator>,
-}
-
-impl ExecutorPool {
-    /// Most simulators retained per pool; beyond this, releases drop.
-    pub const MAX_POOLED: usize = 4;
-
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Check out a simulator: a [`Simulator::reset`] pooled instance
-    /// when one is available (its resources are still registered),
-    /// else a fresh one. Tracing is normalized to enabled — matching
-    /// [`Simulator::new`] — so pool hits and misses are observably
-    /// identical regardless of how the released instance was
-    /// configured.
-    pub fn acquire(&mut self) -> Simulator {
-        match self.free.pop() {
-            Some(mut sim) => {
-                sim.reset();
-                sim.set_tracing(true);
-                sim
-            }
-            None => Simulator::new(),
-        }
-    }
-
-    /// Return a simulator to the pool for reuse.
-    pub fn release(&mut self, sim: Simulator) {
-        if self.free.len() < Self::MAX_POOLED {
-            self.free.push(sim);
-        }
-    }
-
-    /// Number of simulators currently pooled.
-    pub fn len(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Whether the pool holds no simulators.
-    pub fn is_empty(&self) -> bool {
-        self.free.is_empty()
-    }
-}
-
-thread_local! {
-    /// Per-thread executor pool: each sweep worker reuses its own
-    /// simulators with no locking, and the pool dies with the thread.
-    static THREAD_POOL: RefCell<ExecutorPool> = RefCell::new(ExecutorPool::new());
-}
-
-/// Check a simulator out of this thread's [`ExecutorPool`] (a fresh
-/// instance during thread teardown, when the pool is already gone).
-pub fn acquire_pooled() -> Simulator {
-    THREAD_POOL
-        .try_with(|p| p.borrow_mut().acquire())
-        .unwrap_or_else(|_| Simulator::new())
-}
-
-/// Return a simulator to this thread's [`ExecutorPool`] (dropped
-/// during thread teardown, when the pool is already gone).
-pub fn release_pooled(sim: Simulator) {
-    let _ = THREAD_POOL.try_with(|p| p.borrow_mut().release(sim));
 }
 
 #[cfg(test)]
@@ -977,38 +991,110 @@ mod tests {
         assert_eq!(sim.run_until_idle().as_secs(), 2.0);
     }
 
+    /// A long run of chained two-stage passes that retires every
+    /// round holds only the passes in flight, and ends where a run
+    /// that never retires ends.
     #[test]
-    fn pool_reuses_instances_and_bounds_retention() {
-        let mut pool = ExecutorPool::new();
-        let mut sim = pool.acquire();
-        let g = sim.add_resource("g");
-        compute(&mut sim, g, 1.0);
-        sim.run_until_idle();
-        pool.release(sim);
-        assert_eq!(pool.len(), 1);
-
-        // The reused instance comes back reset, resources intact.
-        let sim = pool.acquire();
-        assert!(pool.is_empty());
-        assert_eq!(sim.now(), SimTime::ZERO);
-        assert_eq!(sim.pool().len(), 1);
-        pool.release(sim);
-
-        for _ in 0..2 * ExecutorPool::MAX_POOLED {
-            pool.release(Simulator::new());
-        }
-        assert_eq!(pool.len(), ExecutorPool::MAX_POOLED);
+    fn retiring_every_round_bounds_the_arena() {
+        const PASSES: usize = 100_000;
+        let run = |retire: bool| {
+            let mut sim = Simulator::without_trace();
+            let s0 = sim.add_resource("stage0");
+            let s1 = sim.add_resource("stage1");
+            let mut tail: Option<TaskHandle> = None;
+            for _ in 0..PASSES {
+                let a = sim.submit_on(s0, 1e-3, TaskKind::Compute, 0, tail);
+                let b = sim.submit_on(s1, 2e-3, TaskKind::Compute, 0, Some(a));
+                // Keep the previous pass in flight while this one is
+                // submitted, as the engines' slot tails do.
+                if let Some(prev) = tail {
+                    sim.run_until(prev);
+                }
+                tail = Some(b);
+                if retire {
+                    sim.retire();
+                }
+            }
+            sim.run_until_idle();
+            sim
+        };
+        let (retiring, keeping) = (run(true), run(false));
+        assert_eq!(retiring.submitted_tasks(), 2 * PASSES);
+        assert!(
+            retiring.peak_retained_tasks() <= 16,
+            "arena grew to {} tasks",
+            retiring.peak_retained_tasks()
+        );
+        assert_eq!(keeping.peak_retained_tasks(), 2 * PASSES);
+        assert_eq!(retiring.now(), keeping.now());
     }
 
-    /// Acquire normalizes tracing, so a pool hit behaves exactly like
-    /// `Simulator::new()` no matter how the released instance was
-    /// configured.
     #[test]
-    fn pool_acquire_normalizes_tracing() {
-        let mut pool = ExecutorPool::new();
-        pool.release(Simulator::without_trace());
-        let sim = pool.acquire();
-        assert!(sim.trace().is_enabled(), "pool hit must match Simulator::new()");
+    fn retired_dependency_adds_no_edge() {
+        let mut sim = Simulator::new();
+        let g0 = sim.add_resource("g0");
+        let g1 = sim.add_resource("g1");
+        let a = compute(&mut sim, g0, 1.0);
+        sim.run_until(a);
+        sim.retire();
+        assert_eq!(sim.retained_tasks(), 0);
+        assert!(sim.completed(a), "a retired task counts as finished");
+        // `b` is ready at once: its only dependency is retired.
+        let b = sim.submit(TaskSpec::new(g1, 1.0, TaskKind::Compute).after(a));
+        let join = sim.submit_sync(&[a, b]);
+        assert_eq!(sim.next_event_time().map(SimTime::as_secs), Some(2.0));
+        assert_eq!(sim.run_until(join).as_secs(), 2.0);
+        assert_eq!(sim.run_until(a), sim.now(), "a retired task does not step");
+    }
+
+    #[test]
+    #[should_panic(expected = "it was retired")]
+    fn completion_time_of_retired_task_panics() {
+        let mut sim = Simulator::new();
+        let g0 = sim.add_resource("g0");
+        let a = compute(&mut sim, g0, 1.0);
+        sim.run_until_idle();
+        sim.retire();
+        sim.completion_time(a);
+    }
+
+    #[test]
+    fn retire_stops_at_the_first_unfinished_task() {
+        let mut sim = Simulator::new();
+        let g0 = sim.add_resource("g0");
+        let g1 = sim.add_resource("g1");
+        let a = compute(&mut sim, g0, 1.0);
+        let slow = compute(&mut sim, g1, 5.0);
+        let c = compute(&mut sim, g0, 1.0);
+        sim.run_until(c);
+        sim.retire();
+        // Only `a` precedes the unfinished `slow`; it is one task of
+        // three, so it stays in memory until more retired tasks join it.
+        assert_eq!(sim.retained_tasks(), 3);
+        assert!(sim.completed(a) && !sim.completed(slow));
+        assert_eq!(sim.completion_time(c).map(SimTime::as_secs), Some(2.0));
+        sim.run_until_idle();
+        sim.retire();
+        assert_eq!(sim.retained_tasks(), 0);
+        assert_eq!(sim.submitted_tasks(), 3);
+        assert_eq!(sim.peak_retained_tasks(), 3);
+    }
+
+    #[test]
+    fn reset_restarts_task_ids_at_zero() {
+        let mut sim = Simulator::new();
+        let g0 = sim.add_resource("g0");
+        compute(&mut sim, g0, 1.0);
+        compute(&mut sim, g0, 1.0);
+        sim.run_until_idle();
+        sim.retire();
+        assert_eq!(sim.submitted_tasks(), 2);
+        sim.reset();
+        assert_eq!((sim.submitted_tasks(), sim.retained_tasks()), (0, 0));
+        assert_eq!(sim.peak_retained_tasks(), 0);
+        let a = compute(&mut sim, g0, 1.0);
+        assert_eq!(a.index(), 0);
+        assert_eq!(sim.run_until(a).as_secs(), 1.0);
     }
 
     #[test]

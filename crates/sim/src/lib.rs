@@ -18,6 +18,9 @@
 //! * The simulator knows nothing about LLMs; durations are computed by
 //!   callers (`seesaw-roofline`, the engines) from the hardware cost
 //!   models.
+//! * Memory follows the work in flight: [`Simulator::retire`] drops
+//!   finished tasks, so a long run holds only the tasks between the
+//!   oldest unfinished (or still needed) one and the newest.
 
 pub mod events;
 pub mod executor;
@@ -26,7 +29,7 @@ pub mod time;
 pub mod trace;
 
 pub use events::EventQueue;
-pub use executor::{acquire_pooled, release_pooled, ExecutorPool, SmallList, Simulator, TaskHandle, TaskSpec};
+pub use executor::{SmallList, Simulator, TaskHandle, TaskSpec};
 pub use resource::{ResourceId, ResourcePool};
 pub use time::SimTime;
 pub use trace::{Span, TaskKind, Trace, TraceSummary};

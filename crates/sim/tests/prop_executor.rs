@@ -3,7 +3,7 @@
 //! dependencies, and work conservation.
 
 use proptest::prelude::*;
-use seesaw_sim::{ExecutorPool, Simulator, TaskKind, TaskSpec};
+use seesaw_sim::{SimTime, Simulator, TaskHandle, TaskKind, TaskSpec};
 
 /// A randomly generated task: resource index, duration, and a set of
 /// earlier tasks to depend on (encoded as offsets).
@@ -58,6 +58,66 @@ fn run_workload(sim: &mut Simulator, tasks: &[GenTask]) {
         handles.push(sim.submit(spec));
     }
     sim.run_until_idle();
+}
+
+/// Drive `tasks` through two simulators in lockstep, one of which
+/// retires between submissions as `ops` says, and check that both
+/// report the same completion times, clock, busy times and trace.
+/// `ops[i]` = (how far back to `run_until` after task `i`, whether to
+/// retire).
+fn check_retiring_matches_keeping(tasks: &[GenTask], ops: &[(usize, bool)], n_res: usize) {
+    let (mut keeping, mut retiring) = (Simulator::new(), Simulator::new());
+    for i in 0..n_res {
+        keeping.add_resource(format!("r{i}"));
+        retiring.add_resource(format!("r{i}"));
+    }
+    let mut handles = Vec::new();
+    // Completion times read from `retiring` before each retire, as an
+    // engine's timing recorder settles them.
+    let mut times = Vec::new();
+    let settle = |sim: &Simulator, handles: &[TaskHandle], times: &mut Vec<Option<SimTime>>| {
+        let dropped = sim.submitted_tasks() - sim.retained_tasks();
+        times.resize(handles.len(), None);
+        for (h, t) in handles.iter().zip(times.iter_mut()).skip(dropped) {
+            if t.is_none() {
+                *t = sim.completion_time(*h);
+            }
+        }
+    };
+    for (i, (t, &(back, retire))) in tasks.iter().zip(ops).enumerate() {
+        let submit = |sim: &mut Simulator| {
+            let mut spec = TaskSpec::new(sim.pool().id(t.resource), t.duration, TaskKind::Compute);
+            for &off in &t.dep_offsets {
+                if off <= i && i > 0 {
+                    spec = spec.after(handles[i - off.min(i)]);
+                }
+            }
+            sim.submit(spec)
+        };
+        let h = submit(&mut keeping);
+        assert_eq!(submit(&mut retiring), h, "ids are monotone in both");
+        handles.push(h);
+        let target = handles[i - back.min(i)];
+        keeping.run_until(target);
+        retiring.run_until(target);
+        if retire {
+            settle(&retiring, &handles, &mut times);
+            retiring.retire();
+        }
+        assert_eq!(keeping.now(), retiring.now());
+        assert_eq!(keeping.outstanding(), retiring.outstanding());
+    }
+    keeping.run_until_idle();
+    retiring.run_until_idle();
+    settle(&retiring, &handles, &mut times);
+    for (h, t) in handles.iter().zip(&times) {
+        assert_eq!(*t, keeping.completion_time(*h), "completion time of task {}", h.index());
+    }
+    for i in 0..n_res {
+        let r = keeping.pool().id(i);
+        assert_eq!(keeping.busy_time(r), retiring.busy_time(r));
+    }
+    assert_same_outcome(&keeping, &retiring);
 }
 
 fn assert_same_outcome(a: &Simulator, b: &Simulator) {
@@ -138,29 +198,31 @@ proptest! {
         }
     }
 
-    /// A pooled + reset executor replays arbitrary task graphs to the
-    /// exact same trace and final time as a freshly constructed one —
-    /// including back-to-back different graphs through the same
-    /// pooled instance (the sweep-worker reuse pattern).
+    /// Retiring finished tasks at random points changes no outcome:
+    /// completion times, the clock, busy times and trace spans all
+    /// match a run that never retires.
     #[test]
-    fn pooled_reset_matches_fresh(
+    fn retiring_matches_keeping(
+        tasks in tasks_strategy(3),
+        ops in prop::collection::vec((0usize..4, prop::sample::select(vec![false, true])), 40..41),
+    ) {
+        check_retiring_matches_keeping(&tasks, &ops, 3);
+    }
+
+    /// A reset executor replays arbitrary task graphs to the exact
+    /// same trace and final time as a freshly constructed one —
+    /// including back-to-back different graphs through the same
+    /// instance.
+    #[test]
+    fn reset_matches_fresh(
         first in tasks_strategy(3),
         second in tasks_strategy(3),
     ) {
-        let mut pool = ExecutorPool::new();
-
-        // Dirty a simulator with the first graph, return it.
-        let mut sim = pool.acquire();
-        (0..3).for_each(|i| { sim.add_resource(format!("r{i}")); });
-        run_workload(&mut sim, &first);
-        pool.release(sim);
-
-        // The reused (reset) instance must replay the second graph
-        // exactly like a fresh simulator does.
-        let mut reused = pool.acquire();
-        prop_assert_eq!(reused.pool().len(), 3, "resources survive pooling");
-        run_workload(&mut reused, &second);
+        let mut sim = build_and_run(&first, 3);
+        sim.reset();
+        prop_assert_eq!(sim.pool().len(), 3, "resources survive reset");
+        run_workload(&mut sim, &second);
         let fresh = build_and_run(&second, 3);
-        assert_same_outcome(&reused, &fresh);
+        assert_same_outcome(&sim, &fresh);
     }
 }

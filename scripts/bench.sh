@@ -22,7 +22,9 @@
 #     carrying the recorder's dropped-event health counters at zero,
 #     or
 #   * full-fidelity figure generation (`all_figures 1 --jobs 1`)
-#     peaks above ALL_FIGURES_MAX_RSS_MIB of resident memory.
+#     peaks above ALL_FIGURES_MAX_RSS_MIB of resident memory, or the
+#     chaos bin's one-hour day (`chaos --day 3600 --jobs 1`) peaks
+#     above CHAOS_DAY_MAX_RSS_MIB.
 #
 # Usage: scripts/bench.sh [subsample] [--jobs N]
 #   subsample defaults to 8 (the committed artifact's setting).
@@ -33,11 +35,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Peak-RSS ceiling for `all_figures 1 --jobs 1`, in MiB. The run
-# peaks near 29 MiB on x86-64 Linux; the ceiling leaves ~4x headroom
-# but fails on unbounded per-thread retention across figure cells
-# (a memo kept per thread for the process lifetime peaked at 460 MiB).
-ALL_FIGURES_MAX_RSS_MIB=128
+# Peak-RSS ceilings, in MiB, measured on x86-64 Linux.
+# `all_figures 1 --jobs 1` peaks near 14 MiB; the ceiling fails on
+# per-thread retention across figure cells (a memo kept per thread
+# for the process lifetime peaked at 460 MiB; pooled simulator arenas
+# at 29 MiB).
+ALL_FIGURES_MAX_RSS_MIB=64
+# `chaos --day 3600 --jobs 1` peaks near 29 MiB with engines retiring
+# finished simulator tasks; arenas that grow with simulated time
+# peaked at 95 MiB.
+CHAOS_DAY_MAX_RSS_MIB=64
 
 cargo build --release -p seesaw-bench --bin perf_report --bin fleet --bin autoscale \
     --bin chaos --bin all_figures
@@ -86,15 +93,21 @@ check_telemetry fleet 4 16 --replicas 1 --loads 0.5 --no-hetero --compare-replic
 check_telemetry autoscale 2+ --day 1800 --window 60
 check_telemetry chaos 2+ --day 1800 --window 60
 
-# Memory smoke: the child's peak RSS (ru_maxrss is KiB on Linux).
-python3 - "$ALL_FIGURES_MAX_RSS_MIB" <<'EOF'
+# Memory smoke: the child's peak RSS (ru_maxrss is KiB on Linux). Usage:
+# check_peak_rss LIMIT_MIB COMMAND...
+check_peak_rss() {
+    python3 - "$@" <<'EOF'
 import resource, subprocess, sys
-limit = float(sys.argv[1])
-subprocess.run(["./target/release/all_figures", "1", "--jobs", "1"],
-               stdout=subprocess.DEVNULL, check=True)
+limit, cmd = float(sys.argv[1]), sys.argv[2:]
+subprocess.run(cmd, stdout=subprocess.DEVNULL, check=True)
 peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-assert peak <= limit, f"all_figures 1 peaked at {peak:.1f} MiB > {limit:.0f} MiB"
-print(f"bench.sh: memory OK (all_figures 1 peak RSS {peak:.1f} MiB <= {limit:.0f} MiB)")
+name = " ".join(cmd).removeprefix("./target/release/")
+assert peak <= limit, f"{name} peaked at {peak:.1f} MiB > {limit:.0f} MiB"
+print(f"bench.sh: memory OK ({name} peak RSS {peak:.1f} MiB <= {limit:.0f} MiB)")
 EOF
+}
+
+check_peak_rss "$ALL_FIGURES_MAX_RSS_MIB" ./target/release/all_figures 1 --jobs 1
+check_peak_rss "$CHAOS_DAY_MAX_RSS_MIB" ./target/release/chaos --day 3600 --jobs 1
 
 echo "bench.sh: OK (fresh artifact at target/BENCH_sweep.json)"
