@@ -32,16 +32,18 @@
 //! Each dispatch is pushed to its replica's actor as it is routed, so
 //! the actors run on the replay's clock: live policies (`jsq-live`,
 //! `least-work-live`) read their measured state at the arrival
-//! instant, and a kill under a live policy loses exactly the measured
-//! in-flight set; estimated policies decide from the router's virtual
-//! queues and roofline service estimates. Decisions are serial in
+//! instant; estimated policies decide from the router's virtual
+//! queues and roofline service estimates. A kill, under every policy,
+//! finishes the victim's actor at the kill instant (nothing can reach
+//! a dead replica, so that run is final) and loses exactly the
+//! attempts it had not completed by then. Decisions are serial in
 //! event order, so the trajectory is deterministic and independent of
-//! the [`SweepRunner`]; finishing the actors — the rest of each
-//! replica's simulation — runs in parallel and merges into an ordinary
-//! [`FleetReport`] judged by measured (not estimated) latency. A
-//! [`ScalingPolicy::Static`] trajectory never scales, which makes the
-//! elastic run collapse exactly — byte-for-byte — onto the fixed
-//! [`seesaw_fleet::Fleet`] of the same size.
+//! the [`SweepRunner`]; finishing the surviving actors — the rest of
+//! each replica's simulation — runs in parallel and merges into an
+//! ordinary [`FleetReport`] judged by measured (not estimated)
+//! latency. A [`ScalingPolicy::Static`] trajectory never scales, which
+//! makes the elastic run collapse exactly — byte-for-byte — onto the
+//! fixed [`seesaw_fleet::Fleet`] of the same size.
 
 use crate::alert::{AlertEngine, AlertEvent, AlertKind, AlertRule};
 use crate::faults::{
@@ -51,7 +53,9 @@ use crate::faults::{
 use crate::policy::{ScaleDecision, ScalingPolicy};
 use seesaw_engine::driver::assert_arrivals_sorted;
 use seesaw_engine::online::mean_lengths;
-use seesaw_engine::{finish_all, EngineActor, OnlineEngine, ServiceRates, SweepRunner};
+use seesaw_engine::{
+    finish_all, EngineActor, EngineReport, OnlineEngine, ServiceRates, SweepRunner,
+};
 use seesaw_fleet::sweep::ReplicaBuilder;
 use seesaw_fleet::telemetry::{
     record_request_spans, register_replica_track, register_tracks, route_args,
@@ -63,7 +67,7 @@ use seesaw_telemetry::{
 };
 use seesaw_workload::{windowed_metrics, LatencyStats, Request, SloSpec, WindowMetrics};
 use std::cell::OnceCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Elapsed seconds of an optional phase-timer start (0 when the timer
@@ -312,68 +316,23 @@ impl ElasticFleetReport {
     }
 }
 
-/// Capacity-calibrated mirror of one replica's FIFO queue, kept only
-/// while faults are injected under an estimated routing policy: it
-/// resolves *which* dispatched attempts are still estimated in flight
-/// (and therefore lost) when the replica is killed. Entries are
-/// `(est done, est service, attempt id, original request index,
-/// attempt number)`.
-#[derive(Debug, Default)]
-struct CalQueue {
-    busy_until: f64,
-    inflight: VecDeque<(f64, f64, u64, usize, u32)>,
-}
-
-impl CalQueue {
-    /// Drop attempts estimated done by `now`.
-    fn drain_to(&mut self, now: f64) {
-        while let Some(&(done, ..)) = self.inflight.front() {
-            if done > now {
-                break;
-            }
-            self.inflight.pop_front();
-        }
-    }
-
-    /// Enqueue attempt `id` (of `requests[idx]`, attempt `attempt`)
-    /// dispatched at `now` with calibrated `work` seconds.
-    fn push(&mut self, now: f64, work: f64, id: u64, idx: usize, attempt: u32) {
-        self.drain_to(now);
-        let start = now.max(self.busy_until);
-        self.busy_until = start + work;
-        self.inflight.push_back((start + work, work, id, idx, attempt));
-    }
-
-    /// The replica dies at `tk`: everything not estimated done by then
-    /// is lost.
-    fn lose(&mut self, tk: f64) -> Vec<(f64, f64, u64, usize, u32)> {
-        self.drain_to(tk);
-        self.busy_until = tk;
-        self.inflight.drain(..).collect()
-    }
-}
-
 /// One replica's controller-side state during the replay.
 struct ReplicaState<'e> {
     engine: &'e dyn OnlineEngine,
     /// The replica on the global clock: every dispatch is pushed as
     /// it is routed, live routing reads its measured state, and
-    /// finishing it yields the replica's report. Taken once the
-    /// trajectory is fixed.
+    /// finishing it yields the replica's report. Taken at the kill,
+    /// or once the trajectory is fixed.
     actor: Option<Box<dyn EngineActor + 'e>>,
+    /// A killed replica's report, finished at the kill and keeping
+    /// only the completions up to it.
+    report: Option<EngineReport>,
     rates: ServiceRates,
     spawn_s: f64,
     ready_s: f64,
     retire_s: Option<f64>,
     killed_s: Option<f64>,
     stream: Vec<Request>,
-    /// `(original request index, attempt number, calibrated work)`
-    /// per stream entry, kept only when live routing meets fault
-    /// injection: it resolves which *measured*-in-flight attempts a
-    /// kill loses.
-    stream_meta: Vec<(usize, u32, f64)>,
-    /// The estimated-policy loss mirror (fault injection only).
-    cal: CalQueue,
 }
 
 impl<'e> ReplicaState<'e> {
@@ -386,7 +345,7 @@ impl<'e> ReplicaState<'e> {
     }
 
     fn actor(&mut self) -> &mut (dyn EngineActor + 'e) {
-        self.actor.as_deref_mut().expect("actors finish after the trajectory")
+        self.actor.as_deref_mut().expect("only running replicas are read")
     }
 }
 
@@ -450,12 +409,10 @@ struct Replay<'a> {
     instr: &'a mut Instrument,
     /// Deterministic telemetry on (every recording site branches on it).
     telemetry: bool,
-    /// Decisions read measured replica state (the engine actors), and
-    /// a kill loses the measured in-flight set instead of the
-    /// `CalQueue` mirror's.
+    /// Decisions read measured replica state (the engine actors).
     live_routing: bool,
-    /// Faults are scheduled: gates every extra per-dispatch cost, so
-    /// the fault-free replay pays nothing beyond a bool test.
+    /// Faults are scheduled: only then can the fleet go dark or a
+    /// retry need folding back onto its request.
     injecting: bool,
     /// Mean `(input, output)` lengths of the trace: what replica
     /// service rates are estimated at.
@@ -475,8 +432,12 @@ struct Replay<'a> {
     /// every retry and resume. Hash containers are lookup-only (never
     /// iterated), so their order cannot leak into output.
     retry_meta: HashMap<u64, (usize, u32)>,
-    /// Attempt ids a kill declared lost.
-    doomed: HashSet<u64>,
+    /// Request id → index in `requests`, built at the first kill: the
+    /// origin of every lost first attempt.
+    first_attempts: Option<HashMap<u64, usize>>,
+    /// `(projections, requests they re-simulated)` of the actors
+    /// finished at their kill.
+    killed_projections: (u64, u64),
     next_attempt_id: u64,
     failures: Vec<FailureEvent>,
     attempts: usize,
@@ -538,7 +499,8 @@ impl<'a> Replay<'a> {
             router: Router::new(cfg.router, n0),
             assignment: vec![0; requests.len()],
             retry_meta: HashMap::new(),
-            doomed: HashSet::new(),
+            first_attempts: None,
+            killed_projections: (0, 0),
             next_attempt_id: requests.iter().map(|r| r.id).max().unwrap_or(0).saturating_add(1),
             failures: Vec::new(),
             attempts: 0,
@@ -583,14 +545,13 @@ impl<'a> Replay<'a> {
         ReplicaState {
             engine,
             actor: Some(engine.actor(ready_s)),
+            report: None,
             rates: engine.service_rates(avg_in, avg_out),
             spawn_s,
             ready_s,
             retire_s: None,
             killed_s: None,
             stream: Vec::new(),
-            stream_meta: Vec::new(),
-            cal: CalQueue::default(),
         }
     }
 
@@ -659,11 +620,7 @@ impl<'a> Replay<'a> {
         self.replicas_killed += 1;
         self.tally.failures += 1;
         self.router.reset_replica(v);
-        let lost = if self.live_routing {
-            self.measured_inflight(v, tk)
-        } else {
-            self.replicas[v].cal.lose(tk)
-        };
+        let lost = self.finish_victim(v, tk);
         self.lost_attempts += lost.len();
         self.failures.push(FailureEvent { t_s: tk, replica: v, group, lost_attempts: lost.len() });
         if self.telemetry {
@@ -678,39 +635,55 @@ impl<'a> Replay<'a> {
             );
             self.instr.metrics.counter_add("autoscale.kills", 1);
         }
-        for (done, service, attempt_id, idx, attempt) in lost {
-            self.doomed.insert(attempt_id);
+        for (id, done) in lost {
+            let (idx, attempt) = self.origin(id);
+            let work = self.calib * self.replicas[v].rates.est_service_s(&self.requests[idx]);
             // The unserved remainder of the lost work leaves the fluid
             // backlog; the retry re-adds its full cost when dispatched.
-            self.backlog_s = (self.backlog_s - service.min(done - tk)).max(0.0);
+            self.backlog_s = (self.backlog_s - work.min(done - tk)).max(0.0);
             self.requeue_or_fail(tk, idx, attempt);
         }
     }
 
-    /// What a kill at `tk` loses under live routing: exactly the
-    /// attempts the victim's projection says are unfinished at that
-    /// instant, as `(done, work, attempt id, request index, attempt)`.
-    fn measured_inflight(&mut self, v: usize, tk: f64) -> Vec<(f64, f64, u64, usize, u32)> {
+    /// Finish victim `v`'s actor at its kill instant `tk`: nothing more
+    /// reaches it, so its run is final. Keep the completions up to `tk`
+    /// as its report and return the attempts it had not completed, as
+    /// `(attempt id, measured completion)` in dispatch order.
+    fn finish_victim(&mut self, v: usize, tk: f64) -> Vec<(u64, f64)> {
         let start = self.instr.profiling.then(Instant::now);
         let rep = &mut self.replicas[v];
-        let completion: HashMap<u64, f64> = rep
-            .actor()
-            .projected()
-            .timeline
-            .iter()
-            .map(|t| (t.id, t.completion_s))
-            .collect();
+        let actor = rep.actor.take().expect("a replica is killed once");
+        let (projections, reprojected) = actor.projection_counts();
+        self.killed_projections.0 += projections;
+        self.killed_projections.1 += reprojected;
+        let mut report = actor.finish();
+        let completion: HashMap<u64, f64> =
+            report.timeline.iter().map(|t| (t.id, t.completion_s)).collect();
         let lost = rep
             .stream
             .iter()
-            .zip(&rep.stream_meta)
-            .filter_map(|(r, &(idx, attempt, work))| {
+            .filter_map(|r| {
                 let done = completion.get(&r.id).copied().unwrap_or(f64::INFINITY);
-                (done > tk).then_some((done, work, r.id, idx, attempt))
+                (done > tk).then_some((r.id, done))
             })
             .collect();
+        report.timeline.retain(|t| t.completion_s <= tk);
+        rep.report = Some(report);
         self.replay_s += lap(start);
         lost
+    }
+
+    /// `(request index, attempt number)` of attempt `id`: retries and
+    /// resumes are in `retry_meta`, any other id is a first attempt.
+    fn origin(&mut self, id: u64) -> (usize, u32) {
+        if let Some(&meta) = self.retry_meta.get(&id) {
+            return meta;
+        }
+        let requests = self.requests;
+        let index = self
+            .first_attempts
+            .get_or_insert_with(|| requests.iter().enumerate().map(|(i, r)| (r.id, i)).collect());
+        (*index.get(&id).expect("a first attempt carries its request's id"), 1)
     }
 
     /// Requeue attempt `attempt` of `requests[idx]`, lost at
@@ -781,11 +754,6 @@ impl<'a> Replay<'a> {
         let work = self.calib * rep.rates.est_service_s(&req);
         rep.stream.push(req);
         rep.actor().push(req);
-        if self.injecting && self.live_routing {
-            rep.stream_meta.push((idx, attempt, work));
-        } else if self.injecting {
-            rep.cal.push(now, work, req.id, idx, attempt);
-        }
         self.tally.waits_ok +=
             usize::from(self.backlog_s / accepting <= self.cfg().slo.ttft_s);
         self.backlog_s += work;
@@ -1055,17 +1023,26 @@ impl<'a> Replay<'a> {
         // re-simulated (deterministic: they follow the trajectory).
         let (replays, replayed_requests) = self
             .replicas
-            .iter_mut()
-            .map(|r| r.actor().projection_counts())
-            .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
+            .iter()
+            .filter_map(|r| r.actor.as_deref())
+            .map(|a| a.projection_counts())
+            .fold(self.killed_projections, |(a, b), (c, d)| (a + c, b + d));
+        // Killed replicas finished at their kill; run out the rest.
         let engine_start = prof.then(Instant::now);
-        let actors = self
+        let actors = self.replicas.iter_mut().filter_map(|r| r.actor.take()).collect();
+        let mut finished = finish_all(runner, actors).into_iter();
+        let mut reports: Vec<EngineReport> = self
             .replicas
             .iter_mut()
-            .map(|r| r.actor.take().expect("each replica has one actor"))
+            .map(|r| r.report.take().unwrap_or_else(|| finished.next().expect("a live actor")))
             .collect();
-        let mut reports = finish_all(runner, actors);
         let engine_s = lap(engine_start);
+        debug_assert!(
+            self.replicas.iter().zip(&reports).all(|(rep, report)| {
+                rep.killed_s.is_none_or(|k| report.timeline.iter().all(|t| t.completion_s <= k))
+            }),
+            "a killed replica completed a request after its kill"
+        );
         let metrics_start = prof.then(Instant::now);
         if self.injecting {
             self.fold_retries(&mut reports);
@@ -1139,14 +1116,12 @@ impl<'a> Replay<'a> {
         }
     }
 
-    /// Drop attempts the fault schedule declared lost, and fold
-    /// surviving retries back onto their original request: the
+    /// Fold surviving retries back onto their original request: the
     /// timeline's identity and arrival are the *first* attempt's (so
     /// e2e spans detection + backoff + requeue), while the simulated
     /// completion is the surviving attempt's.
-    fn fold_retries(&self, reports: &mut [seesaw_engine::EngineReport]) {
+    fn fold_retries(&self, reports: &mut [EngineReport]) {
         for report in reports {
-            report.timeline.retain(|t| !self.doomed.contains(&t.id));
             for t in &mut report.timeline {
                 if let Some(&(idx, attempt)) = self.retry_meta.get(&t.id) {
                     t.id = self.requests[idx].id;
@@ -1209,7 +1184,7 @@ impl<'a> Replay<'a> {
 /// Replica `rep`'s billed lifetime, from its finished `report`.
 fn lifecycle(
     rep: &ReplicaState,
-    report: &seesaw_engine::EngineReport,
+    report: &EngineReport,
     horizon_s: f64,
 ) -> ReplicaLifecycle {
     let last_completion = report
@@ -1721,6 +1696,38 @@ mod tests {
         assert!(a.lost_attempts > 0, "an 8s-in kill must catch measured in-flight work");
         let parallel = run(&ctl, &SweepRunner::new(4), &build, &reqs, &faults);
         assert_eq!(report, parallel);
+    }
+
+    /// A victim finished at its kill makes no projection there, but the
+    /// projections it made while live stay in the replay counters: the
+    /// metrics counters and the profile both add them to the
+    /// survivors'.
+    #[test]
+    fn kill_keeps_the_victims_projection_counts() {
+        let build = builder();
+        let reqs = traced(60, 3.0, 23);
+        let config = AutoscaleConfig { router: RouterPolicy::LeastWorkLive, ..cfg(5.0, 4.0, 6) };
+        let ctl = AutoscaleController::new(config, ScalingPolicy::Static { n: 2 });
+        let faults = kill_at(8.0, 1, true);
+        let mut instr = Instrument { profiling: true, ..Instrument::tracing() };
+        let engines = EngineArena::default();
+        let mut replay = Replay::new(&ctl, &build, &engines, &reqs, &faults, &mut instr);
+        replay.run();
+        let victim = replay.killed_projections;
+        assert!(victim.0 > 0, "least-work-live projects the victim before its kill");
+        let survivors = replay
+            .replicas
+            .iter()
+            .filter_map(|r| r.actor.as_deref())
+            .map(|a| a.projection_counts())
+            .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
+        assert!(survivors.0 > 0);
+        let report = replay.finish(&SweepRunner::serial(), 0.0, None);
+        assert_eq!(report.availability.replicas_killed, 1);
+        let total = (victim.0 + survivors.0, victim.1 + survivors.1);
+        assert_eq!(instr.metrics.counter("autoscale.replay.count"), total.0);
+        assert_eq!(instr.metrics.counter("autoscale.replay.requests"), total.1);
+        assert_eq!((instr.profile.replays, instr.profile.replayed_requests), total);
     }
 
     /// During a full outage with replacement, arrivals park until the

@@ -184,8 +184,8 @@ pub struct FailureEvent {
     /// The outage group, for correlated failures (`None` for
     /// independent kills).
     pub group: Option<usize>,
-    /// Dispatch attempts lost on this replica (in flight or queued at
-    /// the kill, by the controller's calibrated queue mirror).
+    /// Dispatch attempts lost on this replica: those its simulation
+    /// had not completed by the kill (in flight or queued).
     pub lost_attempts: usize,
 }
 

@@ -46,19 +46,6 @@ fn bench_sim_executor(c: &mut Criterion) {
             black_box(drive(&mut sim))
         })
     });
-    // One executor reset and reused per run, heap/queue capacity
-    // retained.
-    g.bench_function("fifo_chain_10k_tasks_pooled", |b| {
-        let mut sim = Simulator::without_trace();
-        (0..8).for_each(|i| {
-            sim.add_resource(format!("r{i}"));
-        });
-        black_box(drive(&mut sim));
-        b.iter(|| {
-            sim.reset();
-            black_box(drive(&mut sim))
-        })
-    });
     g.finish();
 }
 

@@ -338,8 +338,9 @@ impl SimsBench {
     /// compressed day, reactive scaling with replacement spawns, and
     /// the lost work requeued under a compressed retry policy. This
     /// is a chaos-frontier grid cell: everything the autoscale cell
-    /// does plus fault scheduling, calibrated-queue loss resolution,
-    /// requeue/backoff bookkeeping, and availability accounting.
+    /// does plus fault scheduling, finishing each victim's simulation
+    /// at its kill to resolve the lost attempts, requeue/backoff
+    /// bookkeeping, and availability accounting.
     pub fn run_chaos_once(&self) -> ElasticFleetReport {
         let plan = FaultPlan {
             seed: crate::SEED,

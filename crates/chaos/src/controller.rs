@@ -9,14 +9,13 @@
 //!
 //! Kills are events on the replay's event queue, interleaved with
 //! dispatches in time order (a kill runs first at an equal instant).
-//! Under an estimated routing policy the lost set is resolved from the
-//! capacity-calibrated `CalQueue` mirror; under a live policy
-//! (`jsq-live` / `least-work-live`) it is exactly the *measured*
-//! in-flight set of the victim at the kill instant, read from its
-//! engine actor. Either way, a dispatch that finds every replica dark
-//! does not panic: the arrival parks until the first warming replica
-//! is ready (or requeues under the retry policy when nothing is
-//! warming).
+//! Under every routing policy a kill finishes the victim's engine
+//! actor at the kill instant — nothing can reach a dead replica, so
+//! that run is final — and loses exactly the attempts it had not
+//! completed by then; the victim's report keeps only the completions
+//! up to the kill. A dispatch that finds every replica dark does not
+//! panic: the arrival parks until the first warming replica is ready
+//! (or requeues under the retry policy when nothing is warming).
 
 use crate::plan::FaultPlan;
 use seesaw_autoscale::{

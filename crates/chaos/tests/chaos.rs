@@ -199,6 +199,37 @@ fn replacement_recovers_attainment_a_bare_fleet_loses() {
     );
 }
 
+/// A kill is final under every router: no replica completes a request
+/// after its kill instant, and every offered request still either
+/// completes or is counted failed.
+#[test]
+fn no_router_completes_requests_on_a_dead_replica() {
+    let build = builder();
+    let reqs = traced(60, 3.0, 37);
+    for router in RouterPolicy::all_with_live() {
+        let chaos = ChaosController::new(
+            cfg(router),
+            dense_kills(11),
+            RecoverySpec::healing(ScalingPolicy::Static { n: 3 }),
+        );
+        let report = run(&chaos, &build, &reqs);
+        let a = &report.availability;
+        assert!(a.replicas_killed > 0, "{router}: the plan must strike the trace");
+        assert_eq!(a.completed + a.failed, a.offered, "{router}");
+        for (lc, rep) in report.lifecycles.iter().zip(&report.fleet.replicas) {
+            let Some(killed) = lc.killed_s else { continue };
+            for t in &rep.timeline {
+                assert!(
+                    t.completion_s <= killed,
+                    "{router}: request {} completed at {} on a replica killed at {killed}",
+                    t.id,
+                    t.completion_s
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

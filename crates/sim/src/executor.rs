@@ -7,9 +7,8 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Handle to a submitted task: its id, which counts submissions since
-/// the simulator was built or last [`Simulator::reset`]. Ids are
-/// monotone, so a handle stays valid after [`Simulator::retire`]
-/// drops the tasks before it.
+/// the simulator was built. Ids are monotone, so a handle stays valid
+/// after [`Simulator::retire`] drops the tasks before it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskHandle(usize);
 
@@ -239,7 +238,7 @@ pub struct Simulator {
     /// Every task before this id is retired; those still in `tasks`
     /// are dropped once they make up half of it.
     retired: usize,
-    /// Most tasks `tasks` has held at once since the last reset.
+    /// Most tasks `tasks` has held at once.
     peak_retained: usize,
     /// Min-heap of packed (completion time, sequence, task id) keys.
     events: BinaryHeap<Reverse<u128>>,
@@ -287,40 +286,6 @@ impl Simulator {
     /// Enable or disable span recording for subsequent tasks.
     pub fn set_tracing(&mut self, enabled: bool) {
         self.trace.set_enabled(enabled);
-    }
-
-    /// Rewind to time zero for a fresh run: drops every task, pending
-    /// event, recorded span, and busy account, and restarts task ids
-    /// at 0, but keeps the registered resources. A reset simulator is
-    /// observationally identical to a newly constructed one with the
-    /// same resources and tracing mode (the tracing flag deliberately
-    /// survives, so reset-in-place loops keep their configuration).
-    pub fn reset(&mut self) {
-        self.tasks.clear();
-        self.base = 0;
-        self.retired = 0;
-        self.peak_retained = 0;
-        self.events.clear();
-        self.seq = 0;
-        self.now = SimTime::ZERO;
-        self.trace.clear();
-        self.outstanding = 0;
-        for b in &mut self.busy {
-            *b = 0.0;
-        }
-        for rs in &mut self.res_state {
-            rs.busy = false;
-            rs.queue.clear();
-        }
-    }
-
-    /// [`Simulator::reset`] plus dropping the registered resources, so
-    /// the simulator can be rebuilt for a different cluster shape.
-    pub fn reset_resources(&mut self) {
-        self.reset();
-        self.pool = ResourcePool::new();
-        self.res_state.clear();
-        self.busy.clear();
     }
 
     /// Register a resource.
@@ -399,8 +364,8 @@ impl Simulator {
         self.outstanding
     }
 
-    /// Exact number of tasks submitted since the simulator was built
-    /// or last reset, retired ones included (the next task's id).
+    /// Exact number of tasks submitted since the simulator was built,
+    /// retired ones included (the next task's id).
     pub fn submitted_tasks(&self) -> usize {
         self.base + self.tasks.len()
     }
@@ -412,7 +377,7 @@ impl Simulator {
     }
 
     /// Exact high-water mark of [`Simulator::retained_tasks`] since
-    /// the simulator was built or last reset.
+    /// the simulator was built.
     pub fn peak_retained_tasks(&self) -> usize {
         self.peak_retained
     }
@@ -945,52 +910,6 @@ mod tests {
         assert_eq!(sim.run_until(join).as_secs(), 3.0);
     }
 
-    /// A reset simulator replays a workload to the exact same trace
-    /// and final time as its first run (and as a fresh instance).
-    #[test]
-    fn reset_replays_identically() {
-        let workload = |sim: &mut Simulator, g0: ResourceId, g1: ResourceId| {
-            let a = sim.submit(TaskSpec::new(g0, 1.0, TaskKind::Compute));
-            let b = sim.submit(TaskSpec::new(g1, 0.5, TaskKind::SwapOut).after(a));
-            let c = sim.submit(TaskSpec::new(g0, 2.0, TaskKind::Compute));
-            let j = sim.submit(TaskSpec::sync(vec![b, c]));
-            sim.run_until(j);
-            sim.run_until_idle()
-        };
-        let mut sim = Simulator::new();
-        let g0 = sim.add_resource("g0");
-        let g1 = sim.add_resource("g1");
-        let end1 = workload(&mut sim, g0, g1);
-        let spans1: Vec<Span> = sim.trace().spans().to_vec();
-        let busy1 = sim.busy_time(g0);
-
-        sim.reset();
-        assert_eq!(sim.now(), SimTime::ZERO);
-        assert_eq!(sim.outstanding(), 0);
-        assert_eq!(sim.busy_time(g0), 0.0);
-        assert!(sim.trace().spans().is_empty());
-        assert_eq!(sim.pool().len(), 2, "resources survive reset");
-
-        let end2 = workload(&mut sim, g0, g1);
-        assert_eq!(end1, end2);
-        assert_eq!(spans1, sim.trace().spans());
-        assert_eq!(busy1, sim.busy_time(g0));
-    }
-
-    #[test]
-    fn reset_resources_allows_rebuilding_a_different_shape() {
-        let mut sim = Simulator::new();
-        let a = sim.add_resource("a");
-        sim.add_resource("b");
-        compute(&mut sim, a, 1.0);
-        sim.run_until_idle();
-        sim.reset_resources();
-        assert!(sim.pool().is_empty());
-        let r = sim.add_resource("only");
-        compute(&mut sim, r, 2.0);
-        assert_eq!(sim.run_until_idle().as_secs(), 2.0);
-    }
-
     /// A long run of chained two-stage passes that retires every
     /// round holds only the passes in flight, and ends where a run
     /// that never retires ends.
@@ -1081,30 +1000,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_restarts_task_ids_at_zero() {
-        let mut sim = Simulator::new();
-        let g0 = sim.add_resource("g0");
-        compute(&mut sim, g0, 1.0);
-        compute(&mut sim, g0, 1.0);
-        sim.run_until_idle();
-        sim.retire();
-        assert_eq!(sim.submitted_tasks(), 2);
-        sim.reset();
-        assert_eq!((sim.submitted_tasks(), sim.retained_tasks()), (0, 0));
-        assert_eq!(sim.peak_retained_tasks(), 0);
-        let a = compute(&mut sim, g0, 1.0);
-        assert_eq!(a.index(), 0);
-        assert_eq!(sim.run_until(a).as_secs(), 1.0);
-    }
-
-    #[test]
     fn tracing_toggle_applies_to_subsequent_tasks() {
         let mut sim = Simulator::without_trace();
         let g = sim.add_resource("g");
         compute(&mut sim, g, 1.0);
         sim.run_until_idle();
         assert!(sim.trace().spans().is_empty());
-        sim.reset();
         sim.set_tracing(true);
         compute(&mut sim, g, 1.0);
         sim.run_until_idle();

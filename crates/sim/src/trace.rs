@@ -123,11 +123,6 @@ impl Trace {
         &self.spans
     }
 
-    /// Clear recorded spans, keeping the enabled flag.
-    pub fn clear(&mut self) {
-        self.spans.clear();
-    }
-
     /// Aggregate busy seconds per [`TaskKind`].
     pub fn summary(&self) -> TraceSummary {
         let mut s = TraceSummary::default();

@@ -208,21 +208,4 @@ proptest! {
     ) {
         check_retiring_matches_keeping(&tasks, &ops, 3);
     }
-
-    /// A reset executor replays arbitrary task graphs to the exact
-    /// same trace and final time as a freshly constructed one —
-    /// including back-to-back different graphs through the same
-    /// instance.
-    #[test]
-    fn reset_matches_fresh(
-        first in tasks_strategy(3),
-        second in tasks_strategy(3),
-    ) {
-        let mut sim = build_and_run(&first, 3);
-        sim.reset();
-        prop_assert_eq!(sim.pool().len(), 3, "resources survive reset");
-        run_workload(&mut sim, &second);
-        let fresh = build_and_run(&second, 3);
-        assert_same_outcome(&sim, &fresh);
-    }
 }

@@ -14,10 +14,11 @@ pub struct ControllerProfile {
     pub routing_s: f64,
     /// Live-state reads: advancing the replicas' engine actors to the
     /// query instant, plus any projections behind the reads
-    /// (dispatch-time queries, window-boundary depths, kill-time lost
-    /// sets).
+    /// (dispatch-time queries, window-boundary depths), and finishing
+    /// each killed replica's actor at its kill.
     pub replay_s: f64,
-    /// Final per-replica engine simulations (finishing the actors).
+    /// Final engine simulations of the replicas still running once
+    /// the trajectory is fixed (finishing their actors).
     pub engine_s: f64,
     /// Report assembly: retry fold-back, lifecycles, fleet merge,
     /// windowed metrics, availability accounting.

@@ -24,7 +24,10 @@
 #   * full-fidelity figure generation (`all_figures 1 --jobs 1`)
 #     peaks above ALL_FIGURES_MAX_RSS_MIB of resident memory, or the
 #     chaos bin's one-hour day (`chaos --day 3600 --jobs 1`) peaks
-#     above CHAOS_DAY_MAX_RSS_MIB.
+#     above CHAOS_DAY_MAX_RSS_MIB, or
+#   * a heavy-fault chaos grid (1500 kills and 40 outages per day,
+#     on an 1800 s day; ~0.5 s) has a cell where `completed + failed`
+#     differs from the offered request count (request reconciliation).
 #
 # Usage: scripts/bench.sh [subsample] [--jobs N]
 #   subsample defaults to 8 (the committed artifact's setting).
@@ -109,5 +112,19 @@ EOF
 
 check_peak_rss "$ALL_FIGURES_MAX_RSS_MIB" ./target/release/all_figures 1 --jobs 1
 check_peak_rss "$CHAOS_DAY_MAX_RSS_MIB" ./target/release/chaos --day 3600 --jobs 1
+
+# Reconciliation smoke: under heavy faults every chaos cell must still
+# account for each offered request as completed or failed.
+./target/release/chaos --day 1800 --window 60 --warmup 60 --kills 1500 --outages 40 \
+    --groups 2 --max 4 --json > target/chaos_heavy.json
+python3 - target/chaos_heavy.json <<'EOF'
+import json, sys
+points = json.load(open(sys.argv[1]))["points"]
+for p in points:
+    cell = f"{p['fault']} x {p['recovery']}"
+    assert p["completed"] + p["failed"] == p["n_requests"], (
+        f"{cell}: completed {p['completed']} + failed {p['failed']} != offered {p['n_requests']}")
+print(f"bench.sh: reconciliation OK ({len(points)} heavy-fault chaos cells)")
+EOF
 
 echo "bench.sh: OK (fresh artifact at target/BENCH_sweep.json)"
