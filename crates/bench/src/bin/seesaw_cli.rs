@@ -15,7 +15,7 @@ use seesaw_engine::SweepRunner;
 use seesaw_hw::{ClusterSpec, GpuSpec};
 use seesaw_model::{presets, ModelConfig};
 use seesaw_parallel::{enumerate_configs, MemoryPlan};
-use seesaw_workload::WorkloadGen;
+use seesaw_workload::{Request, WorkloadGen};
 
 fn usage() -> ! {
     fail(
@@ -60,29 +60,37 @@ fn cmd_plan(model: &ModelConfig, cluster: &ClusterSpec) {
 
 fn cmd_compare(model: &ModelConfig, cluster: &ClusterSpec, avg_in: usize, avg_out: usize, n: usize) {
     let reqs = WorkloadGen::constant(avg_in, avg_out).generate(n);
+    // Every request of the constant-length workload has reqs[0]'s size.
+    harness::check_request_fits(cluster, model, &reqs[0]).unwrap_or_else(|e| fail(e));
     let runner = SweepRunner::from_env();
     let base = harness::best_vllm_with(&runner, cluster, model, &reqs);
-    let ours = harness::seesaw_auto_with(&runner, cluster, model, &reqs);
     println!(
         "baseline [{}]: {:.3} req/s  (GPU util {:.0}%)",
         base.label,
         base.throughput_rps(),
         100.0 * base.gpu_utilization
     );
-    println!(
-        "seesaw   [{}]: {:.3} req/s  (GPU util {:.0}%, {} transitions)",
-        ours.label,
-        ours.throughput_rps(),
-        100.0 * ours.gpu_utilization,
-        ours.transitions
-    );
-    println!("speedup: {:.2}x", ours.throughput_rps() / base.throughput_rps());
+    match harness::seesaw_auto_with(&runner, cluster, model, &reqs) {
+        Ok(ours) => {
+            println!(
+                "seesaw   [{}]: {:.3} req/s  (GPU util {:.0}%, {} transitions)",
+                ours.label,
+                ours.throughput_rps(),
+                100.0 * ours.gpu_utilization,
+                ours.transitions
+            );
+            println!("speedup: {:.2}x", ours.throughput_rps() / base.throughput_rps());
+        }
+        Err(e) => println!("seesaw   [-]: skipped, {e}"),
+    }
 }
 
 fn cmd_tune(model: &ModelConfig, cluster: &ClusterSpec, avg_in: usize, avg_out: usize) {
+    let req = Request::new(0, avg_in, avg_out);
+    harness::check_request_fits(cluster, model, &req).unwrap_or_else(|e| fail(e));
     match SeesawSpec::auto_for(cluster, model, avg_in, avg_out) {
         Ok(spec) => println!("recommended: {}", spec.label()),
-        Err(e) => println!("no feasible deployment: {e}"),
+        Err(e) => fail(format_args!("no feasible deployment: {e}")),
     }
 }
 

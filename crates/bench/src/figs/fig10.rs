@@ -70,7 +70,7 @@ pub fn run_with(runner: &SweepRunner, gpu: &str, subsample: usize) -> String {
     let results = runner.map(&cells, |(model, cluster, ds)| {
         let (ds_name, reqs) = dataset(ds, subsample.max(1));
         let base = best_vllm_with(runner, cluster, model, &reqs);
-        let ours = seesaw_auto_with(runner, cluster, model, &reqs);
+        let ours = seesaw_auto_with(runner, cluster, model, &reqs).expect("feasible Seesaw pair");
         (ds_name, base, ours)
     });
     let mut speedups = Vec::new();
@@ -114,7 +114,7 @@ mod tests {
         let model = presets::llama3_15b();
         let reqs = WorkloadGen::arxiv_summarization(SEED).generate(60);
         let base = best_vllm_with(&SweepRunner::from_env(), &cluster, &model, &reqs);
-        let ours = seesaw_auto_with(&SweepRunner::from_env(), &cluster, &model, &reqs);
+        let ours = seesaw_auto_with(&SweepRunner::from_env(), &cluster, &model, &reqs).unwrap();
         assert!(
             ours.throughput_rps() > base.throughput_rps(),
             "seesaw {} vs vllm {} ({})",

@@ -44,7 +44,7 @@ pub fn run_with(runner: &SweepRunner, subsample: usize) -> String {
     let reports = runner.map(&cells, |&(ds, (_, cluster, seesaw))| {
         let reqs = if ds == "arxiv" { &arxiv } else { &sharegpt };
         if seesaw {
-            seesaw_auto_with(runner, cluster, &model, reqs)
+            seesaw_auto_with(runner, cluster, &model, reqs).expect("feasible Seesaw pair")
         } else {
             best_vllm_with(runner, cluster, &model, reqs)
         }
@@ -86,7 +86,9 @@ mod tests {
         let reqs = WorkloadGen::arxiv_summarization(SEED).generate(80);
         let v_nvl = best_vllm_with(&SweepRunner::from_env(), &nvl, &model, &reqs).throughput_rps();
         let v_pcie = best_vllm_with(&SweepRunner::from_env(), &pcie, &model, &reqs).throughput_rps();
-        let s_pcie = seesaw_auto_with(&SweepRunner::from_env(), &pcie, &model, &reqs).throughput_rps();
+        let s_pcie = seesaw_auto_with(&SweepRunner::from_env(), &pcie, &model, &reqs)
+            .unwrap()
+            .throughput_rps();
         assert!(v_nvl > v_pcie, "NVLink must beat PCIe for vLLM");
         assert!(
             s_pcie / v_nvl > v_pcie / v_nvl,

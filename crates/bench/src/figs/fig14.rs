@@ -60,7 +60,9 @@ pub fn point_with(runner: &seesaw_engine::SweepRunner, scale: f64, reqs: &[Reque
     // Seesaw's real deployment re-tunes (c_p, c_d) for the fabric at
     // hand; the adaptive column shows that.
     let adaptive =
-        crate::harness::seesaw_auto_with(runner, &cluster, &model, reqs).throughput_rps();
+        crate::harness::seesaw_auto_with(runner, &cluster, &model, reqs)
+            .expect("feasible Seesaw pair")
+            .throughput_rps();
     out.push(adaptive);
     out
 }

@@ -12,7 +12,7 @@ use seesaw_engine::vllm::VllmEngine;
 use seesaw_engine::{EngineReport, OnlineEngine, SchedulingPolicy, SweepRunner};
 use seesaw_hw::ClusterSpec;
 use seesaw_model::ModelConfig;
-use seesaw_parallel::feasible;
+use seesaw_parallel::{feasible, FitError};
 use seesaw_workload::Request;
 use std::sync::Arc;
 
@@ -51,11 +51,43 @@ pub fn vllm_sweep_with(
             if let Ok(engine) =
                 VllmEngine::new(Arc::clone(&cluster), Arc::clone(&model), cfg, policy)
             {
-                engines.push(Box::new(engine));
+                // A replica that cannot hold every request would
+                // never admit the ones it cannot.
+                if reqs.iter().all(|r| engine.holds(r)) {
+                    engines.push(Box::new(engine));
+                }
             }
         }
     }
     runner.map(&engines, |engine| engine.run(reqs))
+}
+
+/// Fails, naming the request size and the largest KV capacity,
+/// unless some configuration of the baseline sweep can hold `req`.
+pub fn check_request_fits(
+    cluster: &ClusterSpec,
+    model: &ModelConfig,
+    req: &Request,
+) -> Result<(), String> {
+    let mut largest = 0;
+    for cfg in feasible::feasible_configs(model, cluster) {
+        for policy in baseline_policies() {
+            if let Ok(engine) = VllmEngine::new(cluster.clone(), model.clone(), cfg, policy) {
+                if engine.holds(req) {
+                    return Ok(());
+                }
+                largest = largest.max(engine.kv_capacity_tokens());
+            }
+        }
+    }
+    Err(format!(
+        "a {}-token request does not fit: the largest per-replica KV capacity of {} on \
+         {}x {} is {largest} tokens",
+        req.total_len(),
+        model.name,
+        cluster.num_gpus,
+        cluster.gpu.name
+    ))
 }
 
 /// The tuned baseline: best throughput across the sweep (what the
@@ -78,18 +110,17 @@ pub fn best_vllm_with(
 }
 
 /// Seesaw with its configuration pair auto-probed on a sample of the
-/// workload.
+/// workload, or why the probe found no pair that can hold it.
 /// Runs on `runner` (the probe pairs evaluate concurrently).
 pub fn seesaw_auto_with(
     runner: &SweepRunner,
     cluster: &ClusterSpec,
     model: &ModelConfig,
     reqs: &[Request],
-) -> EngineReport {
+) -> Result<EngineReport, FitError> {
     let probe = &reqs[..reqs.len().min(32)];
-    let spec = SeesawSpec::auto_probed_with(runner, cluster, model, probe)
-        .expect("feasible Seesaw pair");
-    seesaw_with(cluster, model, spec, reqs)
+    let spec = SeesawSpec::auto_probed_with(runner, cluster, model, probe)?;
+    Ok(seesaw_with(cluster, model, spec, reqs))
 }
 
 /// A Seesaw run with an explicit spec.
@@ -128,7 +159,7 @@ mod tests {
         let cluster = ClusterSpec::a10x4();
         let m = presets::llama2_13b();
         let reqs = WorkloadGen::constant(1024, 64).generate(24);
-        let rep = seesaw_auto_with(&SweepRunner::from_env(), &cluster, &m, &reqs);
+        let rep = seesaw_auto_with(&SweepRunner::from_env(), &cluster, &m, &reqs).unwrap();
         assert_eq!(rep.stats.requests, 24);
     }
 }

@@ -37,6 +37,33 @@ fn bad_counts_exit_2_with_a_message() {
     }
 }
 
+/// A request no configuration can hold: the KV check names its size
+/// and the largest capacity before any simulation (it used to panic
+/// inside the vLLM sweep).
+#[test]
+fn oversized_requests_exit_2_with_the_capacity() {
+    let cli = env!("CARGO_BIN_EXE_seesaw_cli");
+    let needle = "a 400064-token request does not fit: the largest per-replica KV capacity \
+                  of LLaMA2-13B on 4x A10 is 83984 tokens";
+    rejects(cli, "seesaw_cli", "compare 13b a10 4 400000 64 2", needle);
+    rejects(cli, "seesaw_cli", "tune 13b a10 4 400000 64", needle);
+}
+
+/// A request only chunked-prefill vLLM can hold (its prompt exceeds
+/// one prefill pass): the sweep skips the configs that cannot, and
+/// the Seesaw row is skipped with the reason.
+#[test]
+fn compare_skips_what_cannot_hold_the_request() {
+    let out = Command::new(env!("CARGO_BIN_EXE_seesaw_cli"))
+        .args("compare 13b a10 4 20000 64 2".split_whitespace())
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("baseline [D2T2]"), "{stdout}");
+    assert!(stdout.contains("seesaw   [-]: skipped"), "{stdout}");
+}
+
 #[test]
 fn a_valid_plan_still_runs() {
     let (code, stderr) = run(env!("CARGO_BIN_EXE_seesaw_cli"), "plan 13b a10 4");

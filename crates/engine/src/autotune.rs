@@ -170,14 +170,34 @@ pub fn best_seesaw_pair_probed_with(
                 std::sync::Arc::clone(&model_arc),
                 spec,
             ) {
-                engines.push((cp, cd, engine));
+                // A pair that cannot hold a probe request would stall
+                // on it: it is not a candidate for this workload.
+                if probe.iter().all(|r| engine.holds(r)) {
+                    engines.push((cp, cd, engine));
+                }
             }
         }
     }
     if engines.is_empty() {
-        // Shortlist dead-end (typically all-mismatched DP): feasible
-        // pairs may still exist outside the shortlists.
-        return best_seesaw_pair(cluster, model, avg_in.max(1), avg_out.max(1));
+        // Shortlist dead-end (typically all-mismatched DP, or no pair
+        // holding the probe): feasible pairs may still exist outside
+        // the shortlists.
+        let (cp, cd) = best_seesaw_pair(cluster, model, avg_in.max(1), avg_out.max(1))?;
+        let engine = crate::seesaw::SeesawEngine::new(
+            cluster_arc,
+            model_arc,
+            crate::seesaw::SeesawSpec::new(cp, cd),
+        )?;
+        return match probe.iter().find(|r| !engine.holds(r)) {
+            None => Ok((cp, cd)),
+            Some(r) => Err(FitError::Invalid(format!(
+                "no Seesaw pair for {} on {}x{} holds a {}-token request",
+                model.name,
+                cluster.num_gpus,
+                cluster.gpu.name,
+                r.total_len()
+            ))),
+        };
     }
     let rates = runner.map(&engines, |(_, _, engine)| engine.run(probe).throughput_rps());
     let mut best: Option<(ParallelConfig, ParallelConfig, f64)> = None;

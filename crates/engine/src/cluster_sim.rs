@@ -14,6 +14,14 @@
 //! Because these are distinct resources, computation/communication
 //! overlap (the paper's asynchronous pipeline) falls out of the task
 //! graph naturally.
+//!
+//! Decode bursts do not enter the task graph per pass:
+//! [`submit_decode_burst`](crate::driver::submit_decode_burst)
+//! computes their pipeline schedule in closed form and charges each
+//! stage's GPUs with [`ClusterSim::record_compute`]. Every other
+//! compute task is submitted through [`ClusterSim::submit_pass`] or
+//! [`ClusterSim::submit_compute_overhead`], and must not land on a GPU
+//! before its last fused burst ends (debug-asserted).
 
 use seesaw_hw::ClusterSpec;
 use seesaw_parallel::ParallelConfig;
@@ -40,6 +48,10 @@ pub struct ClusterSim {
     staging: Vec<ResourceId>,
     /// Reusable per-stage task-handle buffer for `submit_pass`.
     scratch: Vec<TaskHandle>,
+    /// Per GPU, the end of the last service interval charged with
+    /// `record_compute`: the executor does not see that work, so no
+    /// compute task may start before it.
+    burst_end: Vec<SimTime>,
 }
 
 impl ClusterSim {
@@ -74,6 +86,7 @@ impl ClusterSim {
             d2h,
             staging,
             scratch: Vec::new(),
+            burst_end: vec![SimTime::ZERO; n],
         }
     }
 
@@ -102,6 +115,7 @@ impl ClusterSim {
             parts.clear();
             for t in 0..cfg.tp {
                 let g = cfg.gpu_index(dp_rank, s, t);
+                self.debug_assert_after_burst(g);
                 parts.push(self.sim.submit_on(self.compute[g], dur, kind, g as u64, prev));
             }
             prev = Some(if parts.len() == 1 {
@@ -156,8 +170,37 @@ impl ClusterSim {
         duration: f64,
         dep: Option<TaskHandle>,
     ) -> TaskHandle {
+        self.debug_assert_after_burst(gpu);
         self.sim
             .submit_on(self.compute[gpu], duration, TaskKind::Overhead, gpu as u64, dep)
+    }
+
+    /// Charge GPU `gpu`'s compute engine one decode-pass stage served
+    /// over `[start, end]`, scheduled by the caller rather than the
+    /// executor (a fused decode burst). Adds busy time and, when
+    /// tracing, a `Compute` span.
+    pub fn record_compute(&mut self, gpu: usize, start: SimTime, end: SimTime) {
+        self.sim
+            .record_service(self.compute[gpu], start, end, TaskKind::Compute, gpu as u64);
+        self.burst_end[gpu] = self.burst_end[gpu].max(end);
+    }
+
+    /// Whether GPU `gpu`'s compute engine is free now: no task running
+    /// or queued, and its last fused burst over.
+    pub fn compute_idle(&self, gpu: usize) -> bool {
+        self.sim.is_idle(self.compute[gpu]) && self.now() >= self.burst_end[gpu]
+    }
+
+    /// A compute task submitted now may start at once, so the GPU's
+    /// last fused burst must be over: the executor cannot see that
+    /// work and would serve the task on top of it.
+    fn debug_assert_after_burst(&self, gpu: usize) {
+        debug_assert!(
+            self.now() >= self.burst_end[gpu],
+            "compute task on gpu{gpu} at {} lands inside a fused decode burst ending at {}",
+            self.now(),
+            self.burst_end[gpu]
+        );
     }
 
     /// Mean busy fraction of the GPUs' compute engines over the run so

@@ -1,6 +1,13 @@
 //! Shared engine machinery: per-replica run state, micro-batch slot
-//! assignment, and pipelined pass submission for decode bursts,
-//! prefill batches, and mixed (chunked) rounds.
+//! assignment, and pipelined pass submission for prefill batches and
+//! mixed (chunked) rounds.
+//!
+//! Decode bursts are the exception: [`submit_decode_burst`] computes a
+//! burst's pipeline schedule in closed form (a max-plus recurrence over
+//! rounds, slots and stages), charges the GPUs directly and submits one
+//! marker task per slot, instead of `rounds × slots × PP × TP` tasks.
+//! The per-round task-graph version it replaced lives on as the test
+//! oracle in `tests/decode_burst.rs`.
 
 use crate::cluster_sim::ClusterSim;
 use seesaw_hw::efficiency;
@@ -104,6 +111,12 @@ impl Replica {
     }
 }
 
+/// Tokens a fresh replica with `capacity_tokens` of KV can reserve for
+/// one request (whole blocks only): the longest request it can hold.
+pub fn kv_capacity(capacity_tokens: u64) -> usize {
+    PagedKvCache::new(capacity_tokens, PagedKvCache::DEFAULT_BLOCK_TOKENS).capacity_tokens()
+}
+
 /// Per-stage service durations for a pure-stage pass, including the
 /// inter-stage activation hop on all but the last stage.
 pub fn stage_durations(
@@ -175,13 +188,29 @@ pub fn slot_members(replica: &Replica, pp: usize) -> Vec<Vec<usize>> {
     slots
 }
 
-/// Submit `rounds` chained decode rounds for one replica (each round
+/// Run `rounds` chained decode rounds for one replica (each round
 /// advances every running sequence one token through all pipeline
 /// stages). Returns the join of the final round's slot tails, or
 /// `None` if nothing is running.
 ///
-/// The caller must `run_until` the returned handle and then call
-/// [`Replica::advance_decode`] with the same `rounds`.
+/// The burst's schedule is computed in closed form rather than pushed
+/// through the event heap. Each slot's pass in round `r` follows its
+/// own pass in round `r - 1`, and each stage serves passes first come,
+/// first served. With the replica's GPUs idle at the start, every
+/// stage therefore serves in (round, slot) order. So a pass's stage
+/// `s` starts at the later of its stage `s - 1` end and the stage's
+/// previous end — the max-plus recurrence the executor would step
+/// through, with the same floating-point operations in the same order.
+/// Each stage's GPUs are charged their service interval directly, and
+/// each non-empty slot gets one marker task that completes at its
+/// final pass's end. That marker becomes the slot's tail. Per pass,
+/// the roofline is evaluated once, as before.
+///
+/// Panics unless the replica's compute GPUs are idle and its previous
+/// tails have completed: callers drain earlier compute work (prefill
+/// batches, mixed rounds, the previous burst, re-shard overheads)
+/// before a burst. The caller must `run_until` the returned handle and
+/// then call [`Replica::advance_decode`] with the same `rounds`.
 pub fn submit_decode_burst(
     cs: &mut ClusterSim,
     rl: &Roofline,
@@ -192,12 +221,22 @@ pub fn submit_decode_burst(
     if replica.running.is_empty() || rounds == 0 {
         return None;
     }
+    let d = replica.dp_rank;
+    assert!(
+        replica.tails.iter().flatten().all(|&t| cs.sim.completed(t)),
+        "decode burst on replica {d} before its previous pipeline tails completed"
+    );
+    assert!(
+        (0..cfg.pp).all(|s| (0..cfg.tp).all(|t| cs.compute_idle(cfg.gpu_index(d, s, t)))),
+        "decode burst on replica {d} while its compute GPUs are busy"
+    );
     let slots = slot_members(replica, cfg.pp);
     let overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
-    let mut last: Vec<TaskHandle> = Vec::new();
+    let now = cs.now();
+    let mut stage_free = vec![now; cfg.pp];
+    let mut slot_tail = vec![now; cfg.pp];
     let mut durs: Vec<f64> = Vec::new();
     for r in 0..rounds {
-        last.clear();
         for (slot, members) in slots.iter().enumerate() {
             if members.is_empty() {
                 continue;
@@ -206,8 +245,23 @@ pub fn submit_decode_burst(
                 BatchShape::decode_iter(members.iter().map(|&i| replica.running[i].ctx + r + 1));
             stage_durations_into(rl, cfg, Stage::Decode, &shape, &mut durs);
             durs[0] += overhead;
-            let tail =
-                cs.submit_pass(cfg, replica.dp_rank, &durs, replica.tails[slot], TaskKind::Compute);
+            let mut ready = slot_tail[slot];
+            for (s, &dur) in durs.iter().enumerate() {
+                let start = ready.max(stage_free[s]);
+                let end = start + dur;
+                for t in 0..cfg.tp {
+                    cs.record_compute(cfg.gpu_index(d, s, t), start, end);
+                }
+                stage_free[s] = end;
+                ready = end;
+            }
+            slot_tail[slot] = ready;
+        }
+    }
+    let mut last = Vec::with_capacity(cfg.pp);
+    for (slot, members) in slots.iter().enumerate() {
+        if !members.is_empty() {
+            let tail = cs.sim.submit_at(slot_tail[slot]);
             replica.tails[slot] = Some(tail);
             last.push(tail);
         }

@@ -24,7 +24,7 @@
 use crate::actor::{run_to_end, EngineActor, Intake, Resumable, SimActor};
 use crate::autotune;
 use crate::cluster_sim::ClusterSim;
-use crate::driver::{submit_decode_burst, submit_prefill_batch, Replica, RunSeq};
+use crate::driver::{kv_capacity, submit_decode_burst, submit_prefill_batch, Replica, RunSeq};
 use crate::report::{EngineReport, Phase, PhaseSpan};
 use crate::timing::TimingRecorder;
 use seesaw_hw::{efficiency, ClusterSpec};
@@ -179,6 +179,25 @@ impl SeesawEngine {
         &self.spec
     }
 
+    /// Whether a replica can ever run `req`: its prompt fits one
+    /// prefill pass, the prefill config's KV and the CPU buffer, and
+    /// its full length fits the decode config's KV.
+    pub fn holds(&self, req: &Request) -> bool {
+        req.input_len <= MAX_PREFILL_TOKENS
+            && req.input_len <= kv_capacity(self.plan_p.kv_tokens_per_replica)
+            && req.input_len as u64 <= self.buffer_tokens_per_replica()
+            && req.total_len() <= kv_capacity(self.plan_d.kv_tokens_per_replica)
+    }
+
+    /// CPU KV buffer capacity of one replica, in tokens.
+    fn buffer_tokens_per_replica(&self) -> u64 {
+        let total = self
+            .spec
+            .buffer_tokens_override
+            .unwrap_or_else(|| self.cluster.total_cpu_mem() / self.model.kv_bytes_per_token());
+        total / self.spec.prefill.dp as u64
+    }
+
     /// Process `requests` to completion.
     pub fn run(&self, requests: &[Request]) -> EngineReport {
         self.run_impl(requests, false).0
@@ -323,11 +342,8 @@ impl<'a> SeesawRun<'a> {
         let replicas = (0..dp)
             .map(|d| Replica::new(d, eng.plan_p.kv_tokens_per_replica, eng.spec.prefill.pp))
             .collect();
-        let total_buffer_tokens = eng.spec.buffer_tokens_override.unwrap_or_else(|| {
-            eng.cluster.total_cpu_mem() / eng.model.kv_bytes_per_token()
-        });
         let buffers = (0..dp)
-            .map(|_| CpuKvBuffer::new(total_buffer_tokens / dp as u64))
+            .map(|_| CpuKvBuffer::new(eng.buffer_tokens_per_replica()))
             .collect();
         let rec = TimingRecorder::with_capacity(intake.len());
         SeesawRun {
@@ -964,6 +980,9 @@ mod tests {
         let shown = format!("(submitted, peak) {short:?} vs {long:?}");
         assert!(long.0 > 3 * short.0, "{shown}");
         assert!(long.1 <= short.1 + short.1 / 4, "arena grew with the stream, {shown}");
+        // Fused decode bursts: 9 127 tasks, where per-round bursts took
+        // 16 275; what remains is prefill, swaps and re-shards.
+        assert!(long.0 <= 10_000, "{shown}");
     }
 
     #[test]

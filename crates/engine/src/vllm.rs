@@ -11,7 +11,7 @@
 use crate::actor::{run_to_end, EngineActor, Intake, Resumable, SimActor};
 use crate::cluster_sim::ClusterSim;
 use crate::driver::{
-    submit_decode_burst, submit_mixed_round, submit_prefill_batch, Replica, RunSeq,
+    kv_capacity, submit_decode_burst, submit_mixed_round, submit_prefill_batch, Replica, RunSeq,
 };
 use crate::online::{OnlineEngine, ServiceRates};
 use crate::report::EngineReport;
@@ -92,6 +92,20 @@ impl VllmEngine {
     /// Configuration label.
     pub fn label(&self) -> String {
         self.cfg.to_string()
+    }
+
+    /// KV capacity of one replica, in tokens (whole blocks).
+    pub fn kv_capacity_tokens(&self) -> usize {
+        kv_capacity(self.plan.kv_tokens_per_replica)
+    }
+
+    /// Whether a replica can ever admit `req`. Admission reserves the
+    /// request's full length in KV, and outside chunked prefill its
+    /// whole prompt must fit one prefill pass.
+    pub fn holds(&self, req: &Request) -> bool {
+        let prompt_fits = matches!(self.policy, SchedulingPolicy::ChunkedPrefill { .. })
+            || req.input_len <= MAX_PREFILL_TOKENS;
+        prompt_fits && req.total_len() <= self.kv_capacity_tokens()
     }
 
     /// Process `requests` to completion, returning the run report.
@@ -773,6 +787,13 @@ mod tests {
             let shown = format!("{policy:?}: (submitted, peak) {short:?} vs {long:?}");
             assert!(long.0 > 3 * short.0, "{shown}");
             assert!(long.1 <= short.1 + short.1 / 4, "arena grew with the stream, {shown}");
+            if !matches!(policy, SchedulingPolicy::ChunkedPrefill { .. }) {
+                // A decode burst is one marker task per slot plus a
+                // join, not a task per stage per GPU per round (759
+                // tasks and a peak of 13, where per-round bursts took
+                // 18 334 and 373).
+                assert!(long.0 <= 1_000 && long.1 <= 32, "{shown}");
+            }
         }
     }
 

@@ -228,6 +228,13 @@ fn unpack_event(key: u128) -> (SimTime, usize) {
 /// finished everywhere except [`Simulator::completion_time`], which
 /// panics: its time was not kept. A clone is an independent simulator
 /// at the same instant, with the same pending events.
+///
+/// Work whose schedule is analytic can bypass the event heap: the
+/// caller computes each service interval itself, charges it with
+/// [`Simulator::record_service`], and submits one
+/// [`Simulator::submit_at`] marker per chain it needs to wait on or
+/// depend on. The engines' decode bursts run this way; prefill
+/// batches, mixed rounds, transfers, overheads and joins are tasks.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     pool: ResourcePool,
@@ -359,6 +366,12 @@ impl Simulator {
         t.done().then_some(t.completion)
     }
 
+    /// Whether `r` is serving nothing and has nothing queued.
+    pub fn is_idle(&self, r: ResourceId) -> bool {
+        let rs = &self.res_state[r.index()];
+        !rs.busy && rs.queue.is_empty()
+    }
+
     /// Number of submitted-but-unfinished tasks.
     pub fn outstanding(&self) -> usize {
         self.outstanding
@@ -440,6 +453,63 @@ impl Simulator {
         self.submit_parts(Some(resource), duration, kind, tag, deps)
     }
 
+    /// Submit a resource-less task that completes at `at` (no earlier
+    /// than now). It stands for the tail of work whose schedule the
+    /// caller computed in closed form and charged with
+    /// [`Simulator::record_service`], so later tasks can depend on it
+    /// and [`Simulator::run_until`] can wait for it.
+    pub fn submit_at(&mut self, at: SimTime) -> TaskHandle {
+        assert!(at >= self.now, "submit_at({at}) is before now ({})", self.now);
+        let now = self.now;
+        let id = self.push_task(Task {
+            duration: at - now,
+            service_start: now,
+            completion: SimTime::ZERO,
+            tag: 0,
+            dependents: SmallList::Empty,
+            resource: NO_RESOURCE,
+            remaining_deps: 0,
+            kind: TaskKind::Sync,
+            state: TaskState::Running,
+        });
+        self.schedule_completion(id, at);
+        TaskHandle(id)
+    }
+
+    /// Charge `resource` one service interval `[start, end]` of work
+    /// the caller scheduled itself: `end - start` busy seconds and,
+    /// when tracing, a span — exactly what completing a task on
+    /// `resource` would add. The caller keeps the resource's FIFO
+    /// order: nothing the executor serves there may overlap the
+    /// interval.
+    pub fn record_service(
+        &mut self,
+        resource: ResourceId,
+        start: SimTime,
+        end: SimTime,
+        kind: TaskKind,
+        tag: u64,
+    ) {
+        self.busy[resource.index()] += end - start;
+        self.trace.record(Span {
+            resource: Some(resource),
+            kind,
+            start,
+            end,
+            tag,
+        });
+    }
+
+    /// Append `task` to the window and return its id.
+    fn push_task(&mut self, task: Task) -> usize {
+        let id = self.submitted_tasks();
+        assert!(id < u32::MAX as usize, "task ids exceed u32");
+        self.tasks.push(task);
+        self.peak_retained = self.peak_retained.max(self.tasks.len());
+        self.outstanding += 1;
+        id
+    }
+
     fn submit_parts(
         &mut self,
         resource: Option<ResourceId>,
@@ -456,7 +526,6 @@ impl Simulator {
             assert!(r.index() < self.res_state.len(), "unknown resource {r}");
         }
         let id = self.submitted_tasks();
-        assert!(id < u32::MAX as usize, "task ids exceed u32");
         let mut remaining = 0;
         for d in deps {
             assert!(d.0 < id, "dependency on not-yet-submitted task");
@@ -469,7 +538,7 @@ impl Simulator {
                 }
             }
         }
-        self.tasks.push(Task {
+        self.push_task(Task {
             duration,
             service_start: SimTime::ZERO,
             completion: SimTime::ZERO,
@@ -480,8 +549,6 @@ impl Simulator {
             kind,
             state: TaskState::Waiting,
         });
-        self.peak_retained = self.peak_retained.max(self.tasks.len());
-        self.outstanding += 1;
         if remaining == 0 {
             self.make_ready(id);
         }
@@ -587,22 +654,13 @@ impl Simulator {
         let (kind, tag) = (task.kind, task.tag);
         let dependents = std::mem::take(&mut task.dependents);
         self.outstanding -= 1;
-        if self.trace.is_enabled() {
-            let span = Span {
-                resource: (resource != NO_RESOURCE)
-                    .then(|| self.pool.id(resource as usize)),
-                kind,
-                start: service_start,
-                end: now,
-                tag,
-            };
-            self.trace.record(span);
-        }
 
-        // Free the resource and start the next queued task.
+        // Charge the resource, free it and start the next queued task.
+        // Resource-less tasks are joins and markers, not work: they
+        // leave no span.
         if resource != NO_RESOURCE {
             let r = resource as usize;
-            self.busy[r] += self.now - service_start;
+            self.record_service(ResourceId(r), service_start, now, kind, tag);
             self.res_state[r].busy = false;
             if let Some(next) = self.res_state[r].queue.pop_front() {
                 self.start_service(next, r);
@@ -997,6 +1055,55 @@ mod tests {
         assert_eq!(sim.retained_tasks(), 0);
         assert_eq!(sim.submitted_tasks(), 3);
         assert_eq!(sim.peak_retained_tasks(), 3);
+    }
+
+    #[test]
+    fn submit_at_completes_at_its_time_and_gates_dependents() {
+        let mut sim = Simulator::new();
+        let g0 = sim.add_resource("g0");
+        let at = sim.submit_at(SimTime::from_secs(2.5));
+        let b = sim.submit_on(g0, 1.0, TaskKind::Compute, 0, Some(at));
+        assert_eq!(sim.next_event_time().map(SimTime::as_secs), Some(2.5));
+        assert_eq!(sim.run_until(at).as_secs(), 2.5);
+        assert_eq!(sim.run_until(b).as_secs(), 3.5);
+        // The marker is bookkeeping, not work: only `b` leaves a span.
+        assert_eq!(sim.trace().spans().len(), 1);
+        assert_eq!(sim.submitted_tasks(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "is before now")]
+    fn submit_at_rejects_the_past() {
+        let mut sim = Simulator::new();
+        let g0 = sim.add_resource("g0");
+        let a = compute(&mut sim, g0, 2.0);
+        sim.run_until(a);
+        sim.submit_at(SimTime::from_secs(1.0));
+    }
+
+    #[test]
+    fn record_service_matches_an_executed_task() {
+        let mut run = Simulator::new();
+        let g0 = run.add_resource("g0");
+        let a = run.submit_on(g0, 0.75, TaskKind::Compute, 7, None);
+        run.run_until(a);
+        let mut recorded = Simulator::new();
+        let r0 = recorded.add_resource("g0");
+        recorded.record_service(r0, SimTime::ZERO, SimTime::from_secs(0.75), TaskKind::Compute, 7);
+        assert_eq!(recorded.busy_time(r0), run.busy_time(g0));
+        assert_eq!(recorded.trace().spans(), run.trace().spans());
+        assert_eq!(recorded.submitted_tasks(), 0, "no task enters the event heap");
+        assert!(recorded.is_idle(r0), "the executor does not see recorded work");
+    }
+
+    #[test]
+    fn joins_leave_no_span() {
+        let mut sim = Simulator::new();
+        let g0 = sim.add_resource("g0");
+        let a = compute(&mut sim, g0, 1.0);
+        let join = sim.submit_sync(&[a]);
+        sim.run_until(join);
+        assert_eq!(sim.trace().spans().len(), 1);
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //! * Memory follows the work in flight: [`Simulator::retire`] drops
 //!   finished tasks, so a long run holds only the tasks between the
 //!   oldest unfinished (or still needed) one and the newest.
+//! * Work whose schedule is analytic need not enter the event heap:
+//!   [`Simulator::record_service`] charges a caller-computed service
+//!   interval, and [`Simulator::submit_at`] is a marker task that
+//!   completes at an absolute time (the engines' fused decode bursts).
 
 pub mod events;
 pub mod executor;

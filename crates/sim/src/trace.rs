@@ -57,7 +57,8 @@ impl TaskKind {
 /// One executed task's footprint in the trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
-    /// Resource the task ran on (`None` for pure sync nodes).
+    /// Resource the work ran on. The simulator records service spans
+    /// only, so `None` appears only in spans recorded by hand.
     pub resource: Option<ResourceId>,
     /// Work category.
     pub kind: TaskKind,
