@@ -17,8 +17,10 @@
 //!
 //! Decode bursts do not enter the task graph per pass:
 //! [`submit_decode_burst`](crate::driver::submit_decode_burst)
-//! computes their pipeline schedule in closed form and charges each
-//! stage's GPUs with [`ClusterSim::record_compute`]. Every other
+//! computes their pipeline schedule in closed form, charges each
+//! stage interval to the stage's TP group with
+//! [`ClusterSim::record_stage`] and fences the GPUs until the burst's
+//! end with [`ClusterSim::close_burst`]. Every other
 //! compute task is submitted through [`ClusterSim::submit_pass`] or
 //! [`ClusterSim::submit_compute_overhead`], and must not land on a GPU
 //! before its last fused burst ends (debug-asserted).
@@ -48,9 +50,9 @@ pub struct ClusterSim {
     staging: Vec<ResourceId>,
     /// Reusable per-stage task-handle buffer for `submit_pass`.
     scratch: Vec<TaskHandle>,
-    /// Per GPU, the end of the last service interval charged with
-    /// `record_compute`: the executor does not see that work, so no
-    /// compute task may start before it.
+    /// Per GPU, the end of its last fused decode burst
+    /// ([`ClusterSim::close_burst`]): the executor does not see that
+    /// work, so no compute task may start before it.
     burst_end: Vec<SimTime>,
 }
 
@@ -175,14 +177,39 @@ impl ClusterSim {
             .submit_on(self.compute[gpu], duration, TaskKind::Overhead, gpu as u64, dep)
     }
 
-    /// Charge GPU `gpu`'s compute engine one decode-pass stage served
-    /// over `[start, end]`, scheduled by the caller rather than the
-    /// executor (a fused decode burst). Adds busy time and, when
-    /// tracing, a `Compute` span.
-    pub fn record_compute(&mut self, gpu: usize, start: SimTime, end: SimTime) {
-        self.sim
-            .record_service(self.compute[gpu], start, end, TaskKind::Compute, gpu as u64);
-        self.burst_end[gpu] = self.burst_end[gpu].max(end);
+    /// Charge the compute engines of pipeline stage `stage` of replica
+    /// `dp_rank` (its TP group, in lockstep) one decode-pass stage
+    /// served over `[start, end]`, scheduled by the caller rather than
+    /// the executor (a fused decode burst). Adds busy time and, when
+    /// tracing, a `Compute` span per GPU. Once every stage is charged
+    /// the caller must [`close_burst`](ClusterSim::close_burst).
+    pub fn record_stage(
+        &mut self,
+        cfg: ParallelConfig,
+        dp_rank: usize,
+        stage: usize,
+        start: SimTime,
+        end: SimTime,
+    ) {
+        let compute = &self.compute;
+        let group = (0..cfg.tp).map(|t| {
+            let g = cfg.gpu_index(dp_rank, stage, t);
+            (compute[g], g as u64)
+        });
+        self.sim.record_service(group, start, end, TaskKind::Compute);
+    }
+
+    /// End a fused decode burst on replica `dp_rank`: `stage_ends[s]`
+    /// is the end of the last interval charged to stage `s` with
+    /// [`record_stage`](ClusterSim::record_stage), and no compute task
+    /// may start on that stage's GPUs before it.
+    pub fn close_burst(&mut self, cfg: ParallelConfig, dp_rank: usize, stage_ends: &[SimTime]) {
+        for (s, &end) in stage_ends.iter().enumerate() {
+            for t in 0..cfg.tp {
+                let g = cfg.gpu_index(dp_rank, s, t);
+                self.burst_end[g] = self.burst_end[g].max(end);
+            }
+        }
     }
 
     /// Whether GPU `gpu`'s compute engine is free now: no task running

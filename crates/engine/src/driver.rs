@@ -4,17 +4,23 @@
 //!
 //! Decode bursts are the exception: [`submit_decode_burst`] computes a
 //! burst's pipeline schedule in closed form (a max-plus recurrence over
-//! rounds, slots and stages), charges the GPUs directly and submits one
-//! marker task per slot, instead of `rounds × slots × PP × TP` tasks.
-//! The per-round task-graph version it replaced lives on as the test
-//! oracle in `tests/decode_burst.rs`.
+//! rounds, slots and stages), charges each stage's TP group directly
+//! ([`ClusterSim::record_stage`]) and submits one marker task per slot,
+//! instead of `rounds × slots × PP × TP` tasks. Everything about a
+//! slot's pass but its total context is fixed for the burst, so each
+//! slot's [`DecodeCost`] is evaluated once and a round costs a few
+//! adds. The per-round task-graph version it replaced lives on as the
+//! test oracle in `tests/decode_burst.rs`.
+//!
+//! Bursts and mixed rounds keep their working buffers on the
+//! [`Replica`], so once warmed up they allocate nothing.
 
 use crate::cluster_sim::ClusterSim;
 use seesaw_hw::efficiency;
 use seesaw_kv::PagedKvCache;
 use seesaw_parallel::ParallelConfig;
-use seesaw_roofline::{BatchShape, Roofline, Stage};
-use seesaw_sim::{TaskHandle, TaskKind};
+use seesaw_roofline::{BatchShape, DecodeCost, Roofline, Stage};
+use seesaw_sim::{SimTime, TaskHandle, TaskKind};
 use seesaw_workload::Request;
 
 /// Engines admit from the queue head and idle to the *head's* arrival
@@ -60,6 +66,43 @@ pub struct Replica {
     /// rounds so the pipeline never drains between scheduler
     /// decisions.
     pub tails: Vec<Option<TaskHandle>>,
+    scratch: Scratch,
+}
+
+/// Working buffers of bursts, mixed rounds and decode advances, kept
+/// on the replica so that a warmed-up one allocates nothing. Each is
+/// O(PP), or O(sequences retired by one advance).
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Per micro-batch slot: (sequences, Σ context) of its members.
+    sums: Vec<(usize, usize)>,
+    /// A burst's passes, one per non-empty slot in slot order.
+    passes: Vec<SlotPass>,
+    /// Per stage: its layer count.
+    layers: Vec<f64>,
+    /// Per stage: the end of the last pass it served in this burst.
+    stage_free: Vec<SimTime>,
+    /// Stage durations of one mixed pass.
+    durs: Vec<f64>,
+    /// Slot tails to join.
+    last: Vec<TaskHandle>,
+    /// Sequences the last [`Replica::advance_decode`] retired.
+    finished: Vec<RunSeq>,
+}
+
+/// One non-empty slot's pass in a decode burst: everything but its
+/// context, which grows by `seqs` every round.
+#[derive(Debug, Clone, Copy)]
+struct SlotPass {
+    slot: usize,
+    seqs: usize,
+    /// Σ context of the slot's members before the burst.
+    base_ctx: usize,
+    cost: DecodeCost,
+    /// Activation hop to the next stage.
+    p2p: f64,
+    /// End of the slot's latest pass.
+    tail: SimTime,
 }
 
 impl Replica {
@@ -71,6 +114,7 @@ impl Replica {
             kv: PagedKvCache::new(capacity_tokens, PagedKvCache::DEFAULT_BLOCK_TOKENS),
             running: Vec::new(),
             tails: vec![None; pp],
+            scratch: Scratch::default(),
         }
     }
 
@@ -87,9 +131,10 @@ impl Replica {
 
     /// Apply `rounds` decode rounds: advance contexts, retire finished
     /// sequences (freeing their KV), and return them.
-    pub fn advance_decode(&mut self, rounds: usize) -> Vec<RunSeq> {
+    pub fn advance_decode(&mut self, rounds: usize) -> &[RunSeq] {
         debug_assert!(self.running.iter().all(|s| s.remaining >= rounds));
-        let mut finished = Vec::new();
+        let finished = &mut self.scratch.finished;
+        finished.clear();
         let mut i = 0;
         while i < self.running.len() {
             self.running[i].ctx += rounds;
@@ -118,42 +163,18 @@ pub fn kv_capacity(capacity_tokens: u64) -> usize {
 }
 
 /// Per-stage service durations for a pure-stage pass, including the
-/// inter-stage activation hop on all but the last stage.
+/// inter-stage activation hop on all but the last stage. The layer
+/// cost is evaluated once per pass and scaled by each stage's layer
+/// count.
 pub fn stage_durations(
     rl: &Roofline,
     cfg: ParallelConfig,
     stage: Stage,
     shape: &BatchShape,
 ) -> Vec<f64> {
-    let mut durs = Vec::with_capacity(cfg.pp);
-    stage_durations_into(rl, cfg, stage, shape, &mut durs);
-    durs
-}
-
-/// [`stage_durations`] writing into a caller-owned buffer, so burst
-/// loops reuse one allocation across rounds. The layer cost is
-/// evaluated once per pass and scaled by each stage's layer count.
-pub fn stage_durations_into(
-    rl: &Roofline,
-    cfg: ParallelConfig,
-    stage: Stage,
-    shape: &BatchShape,
-    durs: &mut Vec<f64>,
-) {
     let layer = rl.layer_cost(stage, shape, cfg.tp).layer_time();
-    fill_stage_durations(rl, cfg, layer, shape, durs);
-}
-
-/// Per-stage durations for a mixed (chunked prefill + decode) pass.
-pub fn mixed_stage_durations(
-    rl: &Roofline,
-    cfg: ParallelConfig,
-    prefill: &BatchShape,
-    decode: &BatchShape,
-) -> Vec<f64> {
-    let layer = rl.layer_cost_mixed(prefill, decode, cfg.tp).layer_time();
     let mut durs = Vec::with_capacity(cfg.pp);
-    fill_stage_durations(rl, cfg, layer, &prefill.merge(decode), &mut durs);
+    fill_stage_durations(rl, cfg, layer, shape, &mut durs);
     durs
 }
 
@@ -166,11 +187,7 @@ fn fill_stage_durations(
     shape: &BatchShape,
     durs: &mut Vec<f64>,
 ) {
-    let p2p = if cfg.pp > 1 {
-        rl.cluster().interconnect.p2p_time(rl.p2p_bytes(shape))
-    } else {
-        0.0
-    };
+    let p2p = p2p_hop(rl, cfg, shape);
     durs.clear();
     durs.extend((0..cfg.pp).map(|s| {
         let (a, b) = cfg.stage_layers(rl.model().num_layers, s);
@@ -178,14 +195,27 @@ fn fill_stage_durations(
     }));
 }
 
-/// Indices of `replica.running` assigned to each micro-batch slot
-/// (round-robin; stable while membership is unchanged).
-pub fn slot_members(replica: &Replica, pp: usize) -> Vec<Vec<usize>> {
-    let mut slots = vec![Vec::new(); pp];
-    for (i, _) in replica.running.iter().enumerate() {
-        slots[i % pp].push(i);
+/// Activation hop between adjacent stages for a pass of `shape` (none
+/// without pipelining).
+fn p2p_hop(rl: &Roofline, cfg: ParallelConfig, shape: &BatchShape) -> f64 {
+    if cfg.pp > 1 {
+        rl.cluster().interconnect.p2p_time(rl.p2p_bytes(shape))
+    } else {
+        0.0
     }
-    slots
+}
+
+/// Per micro-batch slot, the sequence count and context sum of the
+/// running sequences it holds. Sequence `i` rides in slot `i % pp`
+/// (round-robin; stable while membership is unchanged).
+fn slot_sums(running: &[RunSeq], pp: usize, sums: &mut Vec<(usize, usize)>) {
+    sums.clear();
+    sums.resize(pp, (0, 0));
+    for (i, seq) in running.iter().enumerate() {
+        let (seqs, ctx) = &mut sums[i % pp];
+        *seqs += 1;
+        *ctx += seq.ctx;
+    }
 }
 
 /// Run `rounds` chained decode rounds for one replica (each round
@@ -201,10 +231,14 @@ pub fn slot_members(replica: &Replica, pp: usize) -> Vec<Vec<usize>> {
 /// `s` starts at the later of its stage `s - 1` end and the stage's
 /// previous end — the max-plus recurrence the executor would step
 /// through, with the same floating-point operations in the same order.
-/// Each stage's GPUs are charged their service interval directly, and
+/// Each stage interval is charged to the stage's TP group at once, and
 /// each non-empty slot gets one marker task that completes at its
-/// final pass's end. That marker becomes the slot's tail. Per pass,
-/// the roofline is evaluated once, as before.
+/// final pass's end. That marker becomes the slot's tail.
+///
+/// Only a slot's total context changes between rounds (by one token
+/// per member), so its [`DecodeCost`] and activation hop are evaluated
+/// once per burst, and a pass's layer time is
+/// [`DecodeCost::layer_time`] of `base + seqs · (r + 1)` tokens.
 ///
 /// Panics unless the replica's compute GPUs are idle and its previous
 /// tails have completed: callers drain earlier compute work (prefill
@@ -230,43 +264,59 @@ pub fn submit_decode_burst(
         (0..cfg.pp).all(|s| (0..cfg.tp).all(|t| cs.compute_idle(cfg.gpu_index(d, s, t)))),
         "decode burst on replica {d} while its compute GPUs are busy"
     );
-    let slots = slot_members(replica, cfg.pp);
     let overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
     let now = cs.now();
-    let mut stage_free = vec![now; cfg.pp];
-    let mut slot_tail = vec![now; cfg.pp];
-    let mut durs: Vec<f64> = Vec::new();
+    let sc = &mut replica.scratch;
+    slot_sums(&replica.running, cfg.pp, &mut sc.sums);
+    sc.passes.clear();
+    for (slot, &(seqs, base_ctx)) in sc.sums.iter().enumerate() {
+        if seqs > 0 {
+            sc.passes.push(SlotPass {
+                slot,
+                seqs,
+                base_ctx,
+                cost: rl.decode_cost(seqs, cfg.tp),
+                p2p: p2p_hop(rl, cfg, &BatchShape::decode_total(seqs, base_ctx)),
+                tail: now,
+            });
+        }
+    }
+    let num_layers = rl.model().num_layers;
+    sc.layers.clear();
+    sc.layers.extend((0..cfg.pp).map(|s| {
+        let (a, b) = cfg.stage_layers(num_layers, s);
+        (b - a) as f64
+    }));
+    sc.stage_free.clear();
+    sc.stage_free.resize(cfg.pp, now);
+    let last_stage = cfg.pp - 1;
     for r in 0..rounds {
-        for (slot, members) in slots.iter().enumerate() {
-            if members.is_empty() {
-                continue;
-            }
-            let shape =
-                BatchShape::decode_iter(members.iter().map(|&i| replica.running[i].ctx + r + 1));
-            stage_durations_into(rl, cfg, Stage::Decode, &shape, &mut durs);
-            durs[0] += overhead;
-            let mut ready = slot_tail[slot];
-            for (s, &dur) in durs.iter().enumerate() {
-                let start = ready.max(stage_free[s]);
-                let end = start + dur;
-                for t in 0..cfg.tp {
-                    cs.record_compute(cfg.gpu_index(d, s, t), start, end);
+        for pass in sc.passes.iter_mut() {
+            let layer = pass.cost.layer_time(pass.base_ctx + pass.seqs * (r + 1));
+            let mut ready = pass.tail;
+            for (s, free) in sc.stage_free.iter_mut().enumerate() {
+                let hop = if s < last_stage { pass.p2p } else { 0.0 };
+                let mut dur = sc.layers[s] * layer + hop;
+                if s == 0 {
+                    dur += overhead;
                 }
-                stage_free[s] = end;
+                let start = ready.max(*free);
+                let end = start + dur;
+                cs.record_stage(cfg, d, s, start, end);
+                *free = end;
                 ready = end;
             }
-            slot_tail[slot] = ready;
+            pass.tail = ready;
         }
     }
-    let mut last = Vec::with_capacity(cfg.pp);
-    for (slot, members) in slots.iter().enumerate() {
-        if !members.is_empty() {
-            let tail = cs.sim.submit_at(slot_tail[slot]);
-            replica.tails[slot] = Some(tail);
-            last.push(tail);
-        }
+    cs.close_burst(cfg, d, &sc.stage_free);
+    sc.last.clear();
+    for pass in &sc.passes {
+        let tail = cs.sim.submit_at(pass.tail);
+        replica.tails[pass.slot] = Some(tail);
+        sc.last.push(tail);
     }
-    Some(cs.join(&last))
+    Some(cs.join(&sc.last))
 }
 
 /// Balanced assignment of a prefill batch to up to `pp` micro-batch
@@ -334,27 +384,29 @@ pub fn submit_mixed_round(
     chunk: &BatchShape,
     chunk_slot: usize,
 ) -> Option<TaskHandle> {
-    let slots = slot_members(replica, cfg.pp);
     if replica.running.is_empty() && chunk.is_empty() {
         return None;
     }
     let overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
-    let mut last = Vec::new();
-    for (slot, members) in slots.iter().enumerate() {
-        let dshape =
-            BatchShape::decode_iter(members.iter().map(|&i| replica.running[i].ctx + 1));
+    let sc = &mut replica.scratch;
+    slot_sums(&replica.running, cfg.pp, &mut sc.sums);
+    sc.last.clear();
+    for (slot, &(seqs, ctx)) in sc.sums.iter().enumerate() {
+        // Each member attends over its context plus the new token.
+        let dshape = BatchShape::decode_total(seqs, ctx + seqs);
         let pshape = if slot == chunk_slot % cfg.pp { *chunk } else { BatchShape::empty() };
         if dshape.seqs == 0 && pshape.is_empty() {
             continue;
         }
-        let mut durs = mixed_stage_durations(rl, cfg, &pshape, &dshape);
-        durs[0] += overhead;
+        let layer = rl.layer_cost_mixed(&pshape, &dshape, cfg.tp).layer_time();
+        fill_stage_durations(rl, cfg, layer, &pshape.merge(&dshape), &mut sc.durs);
+        sc.durs[0] += overhead;
         let tail =
-            cs.submit_pass(cfg, replica.dp_rank, &durs, replica.tails[slot], TaskKind::Compute);
+            cs.submit_pass(cfg, replica.dp_rank, &sc.durs, replica.tails[slot], TaskKind::Compute);
         replica.tails[slot] = Some(tail);
-        last.push(tail);
+        sc.last.push(tail);
     }
-    Some(cs.join(&last))
+    Some(cs.join(&sc.last))
 }
 
 #[cfg(test)]
@@ -382,7 +434,7 @@ mod tests {
         assert_eq!(burst, 3);
         let h = submit_decode_burst(&mut cs, &rl, cfg, &mut rep, burst).unwrap();
         cs.sim.run_until(h);
-        let done = rep.advance_decode(burst);
+        let done = rep.advance_decode(burst).to_vec();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, 1);
         assert_eq!(rep.running.len(), 1);

@@ -329,6 +329,10 @@ struct SeesawRun<'a> {
     /// Reusable part buffers for the per-sequence swap chains.
     scratch_a: Vec<TaskHandle>,
     scratch_b: Vec<TaskHandle>,
+    /// Reusable buffers of a decode burst step: per replica burst
+    /// `(replica, rounds, join)`, and the joins to wait on.
+    bursts: Vec<(usize, usize, TaskHandle)>,
+    burst_joins: Vec<TaskHandle>,
 }
 
 impl<'a> SeesawRun<'a> {
@@ -367,6 +371,8 @@ impl<'a> SeesawRun<'a> {
             phase: PrefillPhase::default(),
             scratch_a: Vec::new(),
             scratch_b: Vec::new(),
+            bursts: Vec::new(),
+            burst_joins: Vec::new(),
         }
     }
 
@@ -707,7 +713,7 @@ impl<'a> SeesawRun<'a> {
 
             // Decode burst.
             let cap = if any_inflight { BURST_CAP_INFLIGHT } else { BURST_CAP };
-            let mut submitted = Vec::new();
+            self.bursts.clear();
             for d in 0..dp {
                 let rounds = self.replicas[d].max_burst(cap);
                 if rounds == 0 {
@@ -716,12 +722,14 @@ impl<'a> SeesawRun<'a> {
                 if let Some(h) =
                     submit_decode_burst(&mut self.cs, rl, cfg, &mut self.replicas[d], rounds)
                 {
-                    submitted.push((d, rounds, h));
+                    self.bursts.push((d, rounds, h));
                 }
             }
-            let join = self.cs.join(&submitted.iter().map(|&(_, _, h)| h).collect::<Vec<_>>());
+            self.burst_joins.clear();
+            self.burst_joins.extend(self.bursts.iter().map(|&(_, _, h)| h));
+            let join = self.cs.join(&self.burst_joins);
             self.cs.sim.run_until(join);
-            for (d, rounds, h) in submitted {
+            for &(d, rounds, h) in &self.bursts {
                 let finished = self.replicas[d].advance_decode(rounds);
                 self.completed += finished.len();
                 // Bursts are capped at the minimum remaining count,

@@ -200,6 +200,10 @@ struct RunState<'a> {
     /// Mixed rounds in flight (chunked policy).
     rounds: VecDeque<TaskHandle>,
     round: usize,
+    /// Reusable buffers of a decode burst step: per replica burst
+    /// `(replica, rounds, join)`, and the joins to wait on.
+    bursts: Vec<(usize, usize, TaskHandle)>,
+    burst_joins: Vec<TaskHandle>,
 }
 
 impl<'a> RunState<'a> {
@@ -229,6 +233,8 @@ impl<'a> RunState<'a> {
             prefilled: false,
             rounds: VecDeque::new(),
             round: 0,
+            bursts: Vec::new(),
+            burst_joins: Vec::new(),
         }
     }
 
@@ -412,7 +418,7 @@ impl<'a> RunState<'a> {
     /// One decode burst across replicas (each replica uses its own
     /// safe burst length). Returns whether any work ran.
     fn do_decode_burst(&mut self, rl: &Roofline) -> bool {
-        let mut submitted: Vec<(usize, usize, TaskHandle)> = Vec::new();
+        self.bursts.clear();
         for d in 0..self.replicas.len() {
             let rounds = self.replicas[d].max_burst(BURST_CAP);
             if rounds == 0 {
@@ -425,17 +431,19 @@ impl<'a> RunState<'a> {
                 &mut self.replicas[d],
                 rounds,
             ) {
-                submitted.push((d, rounds, h));
+                self.bursts.push((d, rounds, h));
             }
         }
-        if submitted.is_empty() {
+        if self.bursts.is_empty() {
             return false;
         }
         let t0 = self.cs.now();
-        let join = self.cs.join(&submitted.iter().map(|&(_, _, h)| h).collect::<Vec<_>>());
+        self.burst_joins.clear();
+        self.burst_joins.extend(self.bursts.iter().map(|&(_, _, h)| h));
+        let join = self.cs.join(&self.burst_joins);
         self.cs.sim.run_until(join);
         self.decode_wall += self.cs.now() - t0;
-        for (d, rounds, h) in submitted {
+        for &(d, rounds, h) in &self.bursts {
             let finished = self.replicas[d].advance_decode(rounds);
             self.completed += finished.len();
             // The burst is capped at the minimum remaining count, so

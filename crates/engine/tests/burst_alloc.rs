@@ -1,0 +1,99 @@
+//! A fused decode burst keeps its working buffers on the replica, so
+//! once warmed up its round loop allocates nothing: a 1-round and a
+//! 64-round burst make the same number of heap allocations, and a
+//! whole engine-loop step (burst, wait, advance, retire) makes none. The
+//! counting allocator counts only the thread that switched it on, so
+//! the test harness's own threads do not disturb the count.
+
+use seesaw_engine::cluster_sim::ClusterSim;
+use seesaw_engine::driver::{submit_decode_burst, Replica, RunSeq};
+use seesaw_hw::ClusterSpec;
+use seesaw_model::presets;
+use seesaw_parallel::ParallelConfig;
+use seesaw_roofline::Roofline;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    /// Allocations made on this thread while counting is on (`None`
+    /// when off). Const-initialized, so reading it never allocates.
+    static ALLOCS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+fn count_one() {
+    ALLOCS.with(|c| {
+        if let Some(n) = c.get() {
+            c.set(Some(n + 1));
+        }
+    });
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Heap allocations `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> usize {
+    ALLOCS.with(|c| c.set(Some(0)));
+    f();
+    ALLOCS.with(|c| c.take()).expect("counting was on")
+}
+
+/// One engine-loop step: burst, wait, advance, retire.
+fn step(cs: &mut ClusterSim, rl: &Roofline, cfg: ParallelConfig, rep: &mut Replica, rounds: usize) {
+    let join = submit_decode_burst(cs, rl, cfg, rep, rounds).expect("replica is running");
+    cs.sim.run_until(join);
+    assert!(
+        rep.advance_decode(rounds).is_empty(),
+        "nothing finishes mid-test"
+    );
+    cs.sim.retire();
+}
+
+#[test]
+fn burst_allocations_do_not_grow_with_rounds() {
+    let cluster = ClusterSpec::a10x4();
+    let rl = Roofline::new(cluster.clone(), presets::llama2_13b());
+    let cfg = ParallelConfig::new(1, 2, 2);
+    let mut cs = ClusterSim::new(cluster);
+    let mut rep = Replica::new(0, 1 << 20, cfg.pp);
+    rep.running = (0..6u64)
+        .map(|id| RunSeq {
+            id,
+            ctx: 500 + 100 * id as usize,
+            remaining: 1 << 20,
+        })
+        .collect();
+    for _ in 0..8 {
+        step(&mut cs, &rl, cfg, &mut rep, 16);
+    }
+    let short = allocations(|| step(&mut cs, &rl, cfg, &mut rep, 1));
+    let long = allocations(|| step(&mut cs, &rl, cfg, &mut rep, 64));
+    assert_eq!(
+        short, long,
+        "a 64-round burst allocates more than a 1-round one"
+    );
+    assert_eq!(short, 0, "a warmed-up burst step allocates");
+}

@@ -8,17 +8,26 @@
 
 use proptest::prelude::*;
 use seesaw_engine::cluster_sim::ClusterSim;
-use seesaw_engine::driver::{
-    slot_members, stage_durations_into, submit_decode_burst, Replica, RunSeq,
-};
+use seesaw_engine::driver::{stage_durations, submit_decode_burst, Replica, RunSeq};
 use seesaw_hw::{efficiency, ClusterSpec};
 use seesaw_model::presets;
 use seesaw_parallel::ParallelConfig;
 use seesaw_roofline::{BatchShape, Roofline, Stage};
 use seesaw_sim::{TaskHandle, TaskKind, TraceSummary};
 
+/// Indices of `replica.running` assigned to each micro-batch slot
+/// (round-robin, as the engines assign them).
+fn slot_members(replica: &Replica, pp: usize) -> Vec<Vec<usize>> {
+    let mut slots = vec![Vec::new(); pp];
+    for i in 0..replica.running.len() {
+        slots[i % pp].push(i);
+    }
+    slots
+}
+
 /// The per-round burst: `rounds` × non-empty slots passes, each
-/// submitted through `ClusterSim::submit_pass` behind its slot's tail.
+/// submitted through `ClusterSim::submit_pass` behind its slot's tail,
+/// with its stage durations evaluated from the full layer cost.
 fn reference_burst(
     cs: &mut ClusterSim,
     rl: &Roofline,
@@ -32,7 +41,6 @@ fn reference_burst(
     let slots = slot_members(replica, cfg.pp);
     let overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
     let mut last: Vec<TaskHandle> = Vec::new();
-    let mut durs: Vec<f64> = Vec::new();
     for r in 0..rounds {
         last.clear();
         for (slot, members) in slots.iter().enumerate() {
@@ -41,7 +49,7 @@ fn reference_burst(
             }
             let shape =
                 BatchShape::decode_iter(members.iter().map(|&i| replica.running[i].ctx + r + 1));
-            stage_durations_into(rl, cfg, Stage::Decode, &shape, &mut durs);
+            let mut durs = stage_durations(rl, cfg, Stage::Decode, &shape);
             durs[0] += overhead;
             let tail = cs.submit_pass(
                 cfg,
@@ -170,11 +178,23 @@ fn assert_summaries_close(a: TraceSummary, b: TraceSummary) {
     }
 }
 
+/// The cluster/model pairs drawn: PCIe with an MHA model, PCIe with a
+/// GQA model, and NVLink with GQA `llama2_70b` (whose eight KV heads
+/// shard down to one per rank at TP 8).
+fn setup(which: usize) -> (ClusterSpec, seesaw_model::ModelConfig) {
+    match which {
+        0 => (ClusterSpec::a10x4(), presets::llama2_13b()),
+        1 => (ClusterSpec::l4x8(), presets::llama3_15b()),
+        _ => (ClusterSpec::a100x8_nvlink(), presets::llama2_70b()),
+    }
+}
+
 /// A random decode setup: cluster, layout, per-replica contexts and
 /// the round counts of 2–3 back-to-back bursts.
 #[derive(Debug, Clone)]
 struct Case {
-    l4: bool,
+    /// Index into [`setup`].
+    setup: usize,
     cfg: ParallelConfig,
     contexts: Vec<Vec<usize>>,
     bursts: Vec<usize>,
@@ -182,17 +202,19 @@ struct Case {
 
 fn cases() -> impl Strategy<Value = Case> {
     let layout = (
-        prop::sample::select(vec![false, true]),
-        prop::sample::select(vec![1usize, 2, 4]),
+        0usize..3,
+        prop::sample::select(vec![1usize, 2, 4, 8]),
         prop::sample::select(vec![1usize, 2, 4]),
         1usize..9,
     );
     let batches = prop::collection::vec(prop::collection::vec(1usize..4000, 1..41), 8..9);
     let short = prop::sample::select(vec![false, true]);
     let bursts = prop::collection::vec(1usize..65, 2..4);
-    (layout, batches, short, bursts).prop_map(|((l4, tp, pp, dp), batches, short, bursts)| {
-        let gpus = if l4 { 8 } else { 4 };
-        // Shrink the layout until it fits the cluster: pp first, then dp.
+    (layout, batches, short, bursts).prop_map(|((which, tp, pp, dp), batches, short, bursts)| {
+        let gpus = setup(which).0.num_gpus;
+        // Shrink the layout until it fits the cluster: tp first, then
+        // pp, then dp.
+        let tp = tp.min(gpus);
         let pp = if tp * pp > gpus { gpus / tp } else { pp };
         let dp = dp.min(gpus / (tp * pp));
         let mut contexts = batches;
@@ -204,7 +226,7 @@ fn cases() -> impl Strategy<Value = Case> {
             last.truncate(1 + last[0] % 3);
         }
         Case {
-            l4,
+            setup: which,
             cfg: ParallelConfig::new(dp, tp, pp),
             contexts,
             bursts,
@@ -217,11 +239,7 @@ proptest! {
 
     #[test]
     fn fused_burst_matches_the_per_round_reference(case in cases()) {
-        let (cluster, model) = if case.l4 {
-            (ClusterSpec::l4x8(), presets::llama3_15b())
-        } else {
-            (ClusterSpec::a10x4(), presets::llama2_13b())
-        };
+        let (cluster, model) = setup(case.setup);
         let rl = Roofline::new(cluster.clone(), model);
         let run = |burst: Burst| drive(burst, &cluster, &rl, case.cfg, &case.contexts, &case.bursts);
         let (fused, fused_cs) = run(submit_decode_burst);

@@ -3,7 +3,7 @@
 //! per-stage `Roofline::stage_time` evaluation bit for bit, including
 //! uneven layer splits.
 
-use seesaw_engine::driver::stage_durations_into;
+use seesaw_engine::driver::stage_durations;
 use seesaw_hw::ClusterSpec;
 use seesaw_model::presets;
 use seesaw_parallel::ParallelConfig;
@@ -40,7 +40,6 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 #[test]
 fn stage_durations_match_per_stage_evaluation() {
-    let mut durs = Vec::new();
     for (rl, stage, shape) in cases() {
         for cfg in configs() {
             let p2p = rl.cluster().interconnect.p2p_time(rl.p2p_bytes(&shape));
@@ -50,7 +49,7 @@ fn stage_durations_match_per_stage_evaluation() {
                     rl.stage_time(cfg, s, stage, &shape) + hop
                 })
                 .collect();
-            stage_durations_into(&rl, cfg, stage, &shape, &mut durs);
+            let durs = stage_durations(&rl, cfg, stage, &shape);
             assert_eq!(bits(&durs), bits(&want), "{stage:?} {shape:?} {cfg:?}");
         }
     }

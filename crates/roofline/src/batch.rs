@@ -58,13 +58,22 @@ impl BatchShape {
     /// [`BatchShape::decode`] from an iterator of context lengths, so
     /// hot loops need not materialize a slice.
     pub fn decode_iter(ctx_lens: impl IntoIterator<Item = usize>) -> Self {
-        let mut shape = Self::empty();
-        for ctx in ctx_lens {
-            shape.seqs += 1;
-            shape.ctx_tokens += ctx;
+        let (seqs, ctx_tokens) = ctx_lens
+            .into_iter()
+            .fold((0, 0), |(seqs, total), ctx| (seqs + 1, total + ctx));
+        Self::decode_total(seqs, ctx_tokens)
+    }
+
+    /// A decode micro-batch of `seqs` sequences whose contexts sum to
+    /// `ctx_tokens`: what [`BatchShape::decode`] builds from the
+    /// individual lengths.
+    pub fn decode_total(seqs: usize, ctx_tokens: usize) -> Self {
+        BatchShape {
+            seqs,
+            new_tokens: seqs,
+            sq_sum: 0.0,
+            ctx_tokens,
         }
-        shape.new_tokens = shape.seqs;
-        shape
     }
 
     /// [`BatchShape::prefill`] from an iterator of prompt lengths, so

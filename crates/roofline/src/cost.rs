@@ -108,6 +108,45 @@ impl StageBreakdown {
     }
 }
 
+/// A decode micro-batch's per-layer cost with its context-free terms
+/// evaluated: what [`Roofline::decode_cost`] returns. Only the
+/// attention terms are left, linear in the batch's total context.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DecodeCost {
+    linear_dm: f64,
+    linear_comp: f64,
+    comm: f64,
+    /// K and V bytes read per context token (`2·dt·kv_rank·d`).
+    kv_bytes_per_token: f64,
+    /// Attention FLOPs per context token (`4·hq_rank·d`).
+    attn_flops_per_token: f64,
+    /// Effective HBM bandwidth, bytes/s.
+    hbm_bw: f64,
+    /// Effective attention-kernel throughput, FLOP/s.
+    attn_flops: f64,
+}
+
+impl DecodeCost {
+    /// The layer cost when the batch's contexts sum to `ctx_tokens`.
+    #[inline]
+    pub fn layer_cost(&self, ctx_tokens: usize) -> LayerCost {
+        let ctx = ctx_tokens as f64;
+        LayerCost {
+            linear_dm: self.linear_dm,
+            linear_comp: self.linear_comp,
+            attn_dm: self.kv_bytes_per_token * ctx / self.hbm_bw,
+            attn_comp: self.attn_flops_per_token * ctx / self.attn_flops,
+            comm: self.comm,
+        }
+    }
+
+    /// [`LayerCost::layer_time`] of [`Self::layer_cost`].
+    #[inline]
+    pub fn layer_time(&self, ctx_tokens: usize) -> f64 {
+        self.layer_cost(ctx_tokens).layer_time()
+    }
+}
+
 /// The analytical performance model: cluster + model + Table 3
 /// formulas.
 ///
@@ -154,52 +193,79 @@ impl Roofline {
         if shape.is_empty() {
             return LayerCost::default();
         }
+        match stage {
+            Stage::Prefill => self.prefill_layer_cost(shape, tp),
+            // One new token per sequence.
+            Stage::Decode => self.decode_cost(shape.new_tokens, tp).layer_cost(shape.ctx_tokens),
+        }
+    }
+
+    fn prefill_layer_cost(&self, shape: &BatchShape, tp: usize) -> LayerCost {
         let m = &self.model;
         let g = &self.cluster.gpu;
         let dt = m.dtype.bytes() as f64;
-        let tpf = tp as f64;
-        let hq_rank = (m.num_heads as f64 / tpf).max(1.0);
+        let hq_rank = (m.num_heads as f64 / tp as f64).max(1.0);
         let kv_rank = kv_heads_per_rank(m.num_kv_heads, tp) as f64;
         let d = m.head_dim as f64;
-
-        // Linear layers: weights stream once per pass, sharded by TP.
-        let weight_bytes_rank = m.weight_bytes_per_layer() as f64 / tpf;
-        let linear_dm = g.hbm_time(weight_bytes_rank);
-        let linear_comp =
-            g.gemm_time(m.linear_flops_per_token_layer() * shape.new_tokens as f64 / tpf);
-
-        let (attn_dm_bytes, attn_flops) = match stage {
-            Stage::Prefill => {
-                // Q for new tokens + K/V over the full context (covers
-                // both whole-prompt and chunked prefill).
-                let bytes = dt
-                    * d
-                    * (shape.new_tokens as f64 * hq_rank
-                        + 2.0 * kv_rank * shape.ctx_tokens as f64);
-                let flops = 2.0 * hq_rank * d * shape.sq_sum;
-                (bytes, flops)
-            }
-            Stage::Decode => {
-                // Read K and V across each sequence's context.
-                let bytes = 2.0 * dt * kv_rank * d * shape.ctx_tokens as f64;
-                let flops = 4.0 * hq_rank * d * shape.ctx_tokens as f64;
-                (bytes, flops)
-            }
-        };
-        let attn_dm = g.hbm_time(attn_dm_bytes);
-        let attn_comp = g.attn_time(attn_flops);
-
-        // Two all-reduces per layer over the activation tensor
-        // (tokens × hidden), replicated on every rank.
-        let ar_bytes = shape.new_tokens as f64 * m.hidden as f64 * dt;
-        let comm = 2.0 * self.cluster.interconnect.allreduce_time(ar_bytes, tp);
-
+        // Q for new tokens + K/V over the full context (covers both
+        // whole-prompt and chunked prefill).
+        let bytes = dt
+            * d
+            * (shape.new_tokens as f64 * hq_rank + 2.0 * kv_rank * shape.ctx_tokens as f64);
+        let flops = 2.0 * hq_rank * d * shape.sq_sum;
+        let (linear_dm, linear_comp, comm) = self.token_terms(shape.new_tokens, tp);
         LayerCost {
             linear_dm,
             linear_comp,
-            attn_dm,
-            attn_comp,
+            attn_dm: g.hbm_time(bytes),
+            attn_comp: g.attn_time(flops),
             comm,
+        }
+    }
+
+    /// The terms of one layer's cost that depend only on the pass's
+    /// new-token count: weight streaming (once per pass, sharded by
+    /// TP), linear FLOPs, and two all-reduces per layer over the
+    /// activation tensor (tokens × hidden, replicated on every rank).
+    fn token_terms(&self, new_tokens: usize, tp: usize) -> (f64, f64, f64) {
+        let m = &self.model;
+        let g = &self.cluster.gpu;
+        let tpf = tp as f64;
+        let linear_dm = g.hbm_time(m.weight_bytes_per_layer() as f64 / tpf);
+        let linear_comp = g.gemm_time(m.linear_flops_per_token_layer() * new_tokens as f64 / tpf);
+        let ar_bytes = new_tokens as f64 * m.hidden as f64 * m.dtype.bytes() as f64;
+        let comm = 2.0 * self.cluster.interconnect.allreduce_time(ar_bytes, tp);
+        (linear_dm, linear_comp, comm)
+    }
+
+    /// The decode layer cost of a micro-batch of `seqs` sequences at
+    /// TP degree `tp`, with every term but the context-dependent KV
+    /// read evaluated up front. Within a decode burst only a slot's
+    /// total context changes from round to round, so one `DecodeCost`
+    /// per slot serves every round: [`DecodeCost::layer_time`] is a
+    /// few flops, bit-identical to
+    /// `layer_cost(Stage::Decode, ..).layer_time()` on the same batch.
+    ///
+    /// Panics on an empty batch (`seqs == 0`); `layer_cost` prices an
+    /// empty shape at zero before it gets here.
+    pub fn decode_cost(&self, seqs: usize, tp: usize) -> DecodeCost {
+        assert!(seqs > 0, "a decode batch holds at least one sequence");
+        let m = &self.model;
+        let g = &self.cluster.gpu;
+        let dt = m.dtype.bytes() as f64;
+        let hq_rank = (m.num_heads as f64 / tp as f64).max(1.0);
+        let kv_rank = kv_heads_per_rank(m.num_kv_heads, tp) as f64;
+        let d = m.head_dim as f64;
+        let (linear_dm, linear_comp, comm) = self.token_terms(seqs, tp);
+        DecodeCost {
+            linear_dm,
+            linear_comp,
+            comm,
+            // Read K and V across each sequence's context.
+            kv_bytes_per_token: 2.0 * dt * kv_rank * d,
+            attn_flops_per_token: 4.0 * hq_rank * d,
+            hbm_bw: g.effective_hbm_bw(),
+            attn_flops: g.effective_attn_flops(),
         }
     }
 
@@ -390,6 +456,12 @@ mod tests {
         assert_eq!(c.layer_time(), 0.0);
         let m = r.layer_cost_mixed(&BatchShape::empty(), &BatchShape::empty(), 4);
         assert_eq!(m.layer_time(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one sequence")]
+    fn decode_cost_rejects_an_empty_batch() {
+        rl().decode_cost(0, 4);
     }
 
     #[test]

@@ -25,5 +25,5 @@ pub mod cost;
 pub mod eq2;
 
 pub use batch::BatchShape;
-pub use cost::{LayerCost, Roofline, Stage, StageBreakdown};
+pub use cost::{DecodeCost, LayerCost, Roofline, Stage, StageBreakdown};
 pub use eq2::ThroughputModel;

@@ -4,10 +4,44 @@
 use proptest::prelude::*;
 use seesaw_hw::ClusterSpec;
 use seesaw_model::presets;
+use seesaw_parallel::shard::kv_heads_per_rank;
 use seesaw_roofline::{BatchShape, Roofline, Stage};
 
 fn rl() -> Roofline {
     Roofline::new(ClusterSpec::a10x8(), presets::codellama_34b())
+}
+
+/// Every cluster preset.
+fn clusters() -> Vec<ClusterSpec> {
+    vec![
+        ClusterSpec::a10x8(),
+        ClusterSpec::a10x4(),
+        ClusterSpec::l4x8(),
+        ClusterSpec::l4x4(),
+        ClusterSpec::a100x8_nvlink(),
+        ClusterSpec::a100x8_pcie(),
+    ]
+}
+
+/// The Table 3 decode layer time written out term by term, in the
+/// order `Roofline::layer_cost` evaluated it before its decode terms
+/// were hoisted into `DecodeCost`.
+fn table3_decode_layer_time(rl: &Roofline, shape: &BatchShape, tp: usize) -> f64 {
+    let m = rl.model();
+    let g = &rl.cluster().gpu;
+    let dt = m.dtype.bytes() as f64;
+    let tpf = tp as f64;
+    let hq_rank = (m.num_heads as f64 / tpf).max(1.0);
+    let kv_rank = kv_heads_per_rank(m.num_kv_heads, tp) as f64;
+    let d = m.head_dim as f64;
+    let linear_dm = g.hbm_time(m.weight_bytes_per_layer() as f64 / tpf);
+    let linear_comp =
+        g.gemm_time(m.linear_flops_per_token_layer() * shape.new_tokens as f64 / tpf);
+    let attn_dm = g.hbm_time(2.0 * dt * kv_rank * d * shape.ctx_tokens as f64);
+    let attn_comp = g.attn_time(4.0 * hq_rank * d * shape.ctx_tokens as f64);
+    let ar_bytes = shape.new_tokens as f64 * m.hidden as f64 * dt;
+    let comm = 2.0 * rl.cluster().interconnect.allreduce_time(ar_bytes, tp);
+    linear_dm.max(linear_comp) + attn_dm.max(attn_comp) + comm
 }
 
 proptest! {
@@ -81,5 +115,36 @@ proptest! {
         let pure_d = r.layer_cost(Stage::Decode, &d, 2).layer_time();
         prop_assert!(mixed <= pure_p + pure_d + 1e-12);
         prop_assert!(mixed >= pure_p.max(pure_d) * 0.5, "weights stream once, but work adds");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A burst evaluates each slot's decode cost once and asks it for
+    /// the layer time at every round's context; that must be the full
+    /// `layer_cost` evaluation bit for bit, on every cluster (PCIe and
+    /// NVLink all-reduce), every model (MHA and GQA KV-head sharding)
+    /// and every TP degree, and equal the Table 3 closed form.
+    #[test]
+    fn decode_cost_is_layer_cost_bit_for_bit(
+        cluster in 0usize..6,
+        model in 0usize..4,
+        tp in prop::sample::select(vec![1usize, 2, 4, 8]),
+        ctxs in prop::collection::vec(1usize..32768, 1..65),
+    ) {
+        let rl = Roofline::new(clusters()[cluster].clone(), presets::all()[model].clone());
+        let shape = BatchShape::decode(&ctxs);
+        let full = rl.layer_cost(Stage::Decode, &shape, tp);
+        let cost = rl.decode_cost(ctxs.len(), tp);
+        prop_assert_eq!(
+            cost.layer_time(shape.ctx_tokens).to_bits(),
+            full.layer_time().to_bits()
+        );
+        prop_assert_eq!(cost.layer_cost(shape.ctx_tokens), full);
+        prop_assert_eq!(
+            table3_decode_layer_time(&rl, &shape, tp).to_bits(),
+            full.layer_time().to_bits()
+        );
     }
 }

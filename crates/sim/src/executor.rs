@@ -476,28 +476,31 @@ impl Simulator {
         TaskHandle(id)
     }
 
-    /// Charge `resource` one service interval `[start, end]` of work
-    /// the caller scheduled itself: `end - start` busy seconds and,
-    /// when tracing, a span — exactly what completing a task on
-    /// `resource` would add. The caller keeps the resource's FIFO
-    /// order: nothing the executor serves there may overlap the
-    /// interval.
+    /// Charge each of `resources` (a resource and its span tag) one
+    /// service interval `[start, end]` of work the caller scheduled
+    /// itself: `end - start` busy seconds and, when tracing, a span —
+    /// exactly what completing a task on each resource would add. A
+    /// TP group serving one pipeline stage in lockstep is charged in
+    /// one call. The caller keeps each resource's FIFO order: nothing
+    /// the executor serves there may overlap the interval.
     pub fn record_service(
         &mut self,
-        resource: ResourceId,
+        resources: impl IntoIterator<Item = (ResourceId, u64)>,
         start: SimTime,
         end: SimTime,
         kind: TaskKind,
-        tag: u64,
     ) {
-        self.busy[resource.index()] += end - start;
-        self.trace.record(Span {
-            resource: Some(resource),
-            kind,
-            start,
-            end,
-            tag,
-        });
+        let service = end - start;
+        for (resource, tag) in resources {
+            self.busy[resource.index()] += service;
+            self.trace.record(Span {
+                resource: Some(resource),
+                kind,
+                start,
+                end,
+                tag,
+            });
+        }
     }
 
     /// Append `task` to the window and return its id.
@@ -660,7 +663,7 @@ impl Simulator {
         // leave no span.
         if resource != NO_RESOURCE {
             let r = resource as usize;
-            self.record_service(ResourceId(r), service_start, now, kind, tag);
+            self.record_service([(ResourceId(r), tag)], service_start, now, kind);
             self.res_state[r].busy = false;
             if let Some(next) = self.res_state[r].queue.pop_front() {
                 self.start_service(next, r);
@@ -1089,7 +1092,7 @@ mod tests {
         run.run_until(a);
         let mut recorded = Simulator::new();
         let r0 = recorded.add_resource("g0");
-        recorded.record_service(r0, SimTime::ZERO, SimTime::from_secs(0.75), TaskKind::Compute, 7);
+        recorded.record_service([(r0, 7)], SimTime::ZERO, SimTime::from_secs(0.75), TaskKind::Compute);
         assert_eq!(recorded.busy_time(r0), run.busy_time(g0));
         assert_eq!(recorded.trace().spans(), run.trace().spans());
         assert_eq!(recorded.submitted_tasks(), 0, "no task enters the event heap");

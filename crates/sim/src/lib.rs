@@ -23,8 +23,9 @@
 //!   oldest unfinished (or still needed) one and the newest.
 //! * Work whose schedule is analytic need not enter the event heap:
 //!   [`Simulator::record_service`] charges a caller-computed service
-//!   interval, and [`Simulator::submit_at`] is a marker task that
-//!   completes at an absolute time (the engines' fused decode bursts).
+//!   interval to a group of resources, and [`Simulator::submit_at`]
+//!   is a marker task that completes at an absolute time (the
+//!   engines' fused decode bursts).
 
 pub mod events;
 pub mod executor;
