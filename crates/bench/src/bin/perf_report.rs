@@ -22,8 +22,8 @@
 //! steady state of a sweep worker.
 //!
 //! With `--baseline PATH`, the report exits non-zero when any
-//! sims/sec figure (`seesaw`, `vllm`, `serving`, `fleet`,
-//! `fleet_live`, `fleet_live_traced`, `autoscale`, `metrics`,
+//! sims/sec figure (`seesaw`, `vllm`, `vllm_chunked`, `serving`,
+//! `fleet`, `fleet_live`, `fleet_live_traced`, `autoscale`, `metrics`,
 //! `chaos`) regresses more than 20% against the committed artifact
 //! (or when parallel output ever diverges from serial). `metrics` is
 //! the controller's metrics phase in isolation (`windowed_metrics`
@@ -121,6 +121,7 @@ fn sims_per_sec(mut f: impl FnMut()) -> f64 {
 struct Sims {
     seesaw: f64,
     vllm: f64,
+    vllm_chunked: f64,
     serving: f64,
     fleet: f64,
     fleet_live: f64,
@@ -132,10 +133,11 @@ struct Sims {
 
 impl Sims {
     /// `(gate-key, value)` pairs, in report order.
-    fn named(&self) -> [(&'static str, f64); 9] {
+    fn named(&self) -> [(&'static str, f64); 10] {
         [
             ("seesaw", self.seesaw),
             ("vllm", self.vllm),
+            ("vllm_chunked", self.vllm_chunked),
             ("serving", self.serving),
             ("fleet", self.fleet),
             ("fleet_live", self.fleet_live),
@@ -151,6 +153,7 @@ impl Sims {
         Sims {
             seesaw: self.seesaw.max(other.seesaw),
             vllm: self.vllm.max(other.vllm),
+            vllm_chunked: self.vllm_chunked.max(other.vllm_chunked),
             serving: self.serving.max(other.serving),
             fleet: self.fleet.max(other.fleet),
             fleet_live: self.fleet_live.max(other.fleet_live),
@@ -171,7 +174,8 @@ impl Sims {
 }
 
 /// The tier-1 sims/sec microbench — see [`seesaw_bench::simsbench`]
-/// for the canonical scenario definition. `serving` is the
+/// for the canonical scenario definition. `vllm_chunked` is the vLLM
+/// candidate under 512-token chunked prefill. `serving` is the
 /// latency-metric throughput: online serving-sweep load points
 /// (arrival-gated run + percentile computation) per second. `fleet`
 /// is the fleet-sweep grid-cell rate: a serial 4-replica JSQ fleet
@@ -193,6 +197,9 @@ fn measure_sims_per_sec(bench: &SimsBench) -> Sims {
         }),
         vllm: sims_per_sec(|| {
             std::hint::black_box(bench.run_vllm_once());
+        }),
+        vllm_chunked: sims_per_sec(|| {
+            std::hint::black_box(bench.run_vllm_chunked_once());
         }),
         serving: sims_per_sec(|| {
             std::hint::black_box(bench.run_serving_once());

@@ -6,7 +6,10 @@
 //! Fixed seed: 24 × 1024-in/64-out requests, LLaMA2-13B on 4×A10;
 //! one Seesaw candidate (P4→T4) and one vLLM candidate (D1T2P2,
 //! prefill-prioritized). Specs are `Arc`-shared so repeated
-//! construction exercises the same hot path as a sweep worker.
+//! construction exercises the same hot path as a sweep worker. The
+//! chunked variant (`sims_per_sec.vllm_chunked`) runs the same vLLM
+//! layout under 512-token chunked prefill — the baseline the paper's
+//! sweeps tune — so its mixed rounds are timed on their own.
 //!
 //! The serving variant replays the same request set with fixed-seed
 //! Poisson arrivals at twice the scenario's offline capacity (a
@@ -176,6 +179,19 @@ impl SimsBench {
     /// prefill-prioritized): construct from the shared handles + run.
     pub fn run_vllm_once(&self) -> EngineReport {
         self.vllm().run(&self.reqs)
+    }
+
+    /// One chunked-prefill vLLM evaluation (D1T2P2, 512-token
+    /// chunks): construct from the shared handles + run.
+    pub fn run_vllm_chunked_once(&self) -> EngineReport {
+        VllmEngine::new(
+            Arc::clone(&self.cluster),
+            Arc::clone(&self.model),
+            ParallelConfig::new(1, 2, 2),
+            SchedulingPolicy::ChunkedPrefill { chunk_tokens: 512 },
+        )
+        .expect("valid config")
+        .run(&self.reqs)
     }
 
     /// One online-serving evaluation: the vLLM candidate on the

@@ -62,9 +62,11 @@ fn repeated_engine_runs_reproduce_the_first_report() {
     let bench = SimsBench::new();
     let first_seesaw = bench.run_seesaw_once();
     let first_vllm = bench.run_vllm_once();
+    let first_chunked = bench.run_vllm_chunked_once();
     for _ in 0..3 {
         assert_eq!(bench.run_seesaw_once(), first_seesaw, "rerun drifted");
         assert_eq!(bench.run_vllm_once(), first_vllm, "rerun drifted");
+        assert_eq!(bench.run_vllm_chunked_once(), first_chunked, "rerun drifted");
     }
 }
 

@@ -45,7 +45,9 @@
 //! and counts the in-flight requests from their timing records, read
 //! by position in the run's recorder: a settled record or a finished
 //! task has its final time; an unfinished task completes no earlier
-//! than the simulator's next event. The records are why the run may
+//! than the simulator's next event. Work scheduled in closed form
+//! (fused decode bursts, mixed rounds) is in the simulator too: each
+//! leaves a marker task at its end. The records are why the run may
 //! retire finished tasks as it goes — it settles them first, and never
 //! retires a task a record still points at. In the rare
 //! case that an event is pending at or before `t` (a tie with the

@@ -15,15 +15,17 @@
 //! overlap (the paper's asynchronous pipeline) falls out of the task
 //! graph naturally.
 //!
-//! Decode bursts do not enter the task graph per pass:
-//! [`submit_decode_burst`](crate::driver::submit_decode_burst)
-//! computes their pipeline schedule in closed form, charges each
-//! stage interval to the stage's TP group with
-//! [`ClusterSim::record_stage`] and fences the GPUs until the burst's
-//! end with [`ClusterSim::close_burst`]. Every other
-//! compute task is submitted through [`ClusterSim::submit_pass`] or
+//! Decode bursts and mixed (chunked-prefill) rounds do not enter the
+//! task graph per pass:
+//! [`submit_decode_burst`](crate::driver::submit_decode_burst) and
+//! [`submit_mixed_round`](crate::driver::submit_mixed_round) compute
+//! their pipeline schedule in closed form, charge each stage interval
+//! to the stage's TP group with [`ClusterSim::record_stage`] and fence
+//! the GPUs until the work's end with [`ClusterSim::close_burst`].
+//! Every other compute task (prefill passes, re-shard overheads) is
+//! submitted through [`ClusterSim::submit_pass`] or
 //! [`ClusterSim::submit_compute_overhead`], and must not land on a GPU
-//! before its last fused burst ends (debug-asserted).
+//! before its last fused work ends (debug-asserted).
 
 use seesaw_hw::ClusterSpec;
 use seesaw_parallel::ParallelConfig;
@@ -50,7 +52,7 @@ pub struct ClusterSim {
     staging: Vec<ResourceId>,
     /// Reusable per-stage task-handle buffer for `submit_pass`.
     scratch: Vec<TaskHandle>,
-    /// Per GPU, the end of its last fused decode burst
+    /// Per GPU, the end of its last fused burst or mixed round
     /// ([`ClusterSim::close_burst`]): the executor does not see that
     /// work, so no compute task may start before it.
     burst_end: Vec<SimTime>,
@@ -178,9 +180,9 @@ impl ClusterSim {
     }
 
     /// Charge the compute engines of pipeline stage `stage` of replica
-    /// `dp_rank` (its TP group, in lockstep) one decode-pass stage
-    /// served over `[start, end]`, scheduled by the caller rather than
-    /// the executor (a fused decode burst). Adds busy time and, when
+    /// `dp_rank` (its TP group, in lockstep) one pass stage served over
+    /// `[start, end]`, scheduled by the caller rather than the executor
+    /// (a fused decode burst or mixed round). Adds busy time and, when
     /// tracing, a `Compute` span per GPU. Once every stage is charged
     /// the caller must [`close_burst`](ClusterSim::close_burst).
     pub fn record_stage(
@@ -199,10 +201,10 @@ impl ClusterSim {
         self.sim.record_service(group, start, end, TaskKind::Compute);
     }
 
-    /// End a fused decode burst on replica `dp_rank`: `stage_ends[s]`
-    /// is the end of the last interval charged to stage `s` with
-    /// [`record_stage`](ClusterSim::record_stage), and no compute task
-    /// may start on that stage's GPUs before it.
+    /// End a fused decode burst or mixed round on replica `dp_rank`:
+    /// `stage_ends[s]` is the end of the last interval charged to stage
+    /// `s` with [`record_stage`](ClusterSim::record_stage), and no
+    /// compute task may start on that stage's GPUs before it.
     pub fn close_burst(&mut self, cfg: ParallelConfig, dp_rank: usize, stage_ends: &[SimTime]) {
         for (s, &end) in stage_ends.iter().enumerate() {
             for t in 0..cfg.tp {

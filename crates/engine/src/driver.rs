@@ -1,16 +1,23 @@
 //! Shared engine machinery: per-replica run state, micro-batch slot
-//! assignment, and pipelined pass submission for prefill batches and
-//! mixed (chunked) rounds.
+//! assignment, and pipelined pass submission for prefill batches,
+//! decode bursts and mixed (chunked) rounds.
 //!
-//! Decode bursts are the exception: [`submit_decode_burst`] computes a
-//! burst's pipeline schedule in closed form (a max-plus recurrence over
-//! rounds, slots and stages), charges each stage's TP group directly
-//! ([`ClusterSim::record_stage`]) and submits one marker task per slot,
-//! instead of `rounds × slots × PP × TP` tasks. Everything about a
-//! slot's pass but its total context is fixed for the burst, so each
-//! slot's [`DecodeCost`] is evaluated once and a round costs a few
-//! adds. The per-round task-graph version it replaced lives on as the
-//! test oracle in `tests/decode_burst.rs`.
+//! Only prefill batches go through the executor pass by pass
+//! ([`ClusterSim::submit_pass`]). Decode bursts and mixed rounds
+//! compute their pipeline schedule in closed form (a max-plus
+//! recurrence over passes and stages), charge each stage's TP group
+//! directly ([`ClusterSim::record_stage`]) and leave one marker task
+//! in the executor to wait on, instead of `passes × PP × TP` tasks:
+//!
+//! * [`submit_decode_burst`] schedules a burst's rounds in (round,
+//!   slot) order. Everything about a slot's pass but its total context
+//!   is fixed for the burst, so each slot's [`DecodeCost`] is
+//!   evaluated once and a round costs a few adds.
+//! * [`submit_mixed_round`] schedules one round of a chunked-prefill
+//!   run, whose passes stage 0 serves in readiness order.
+//!
+//! The task-graph versions they replaced live on as the test oracles
+//! in `tests/decode_burst.rs` and `tests/mixed_round.rs`.
 //!
 //! Bursts and mixed rounds keep their working buffers on the
 //! [`Replica`], so once warmed up they allocate nothing.
@@ -78,16 +85,78 @@ struct Scratch {
     sums: Vec<(usize, usize)>,
     /// A burst's passes, one per non-empty slot in slot order.
     passes: Vec<SlotPass>,
-    /// Per stage: its layer count.
-    layers: Vec<f64>,
-    /// Per stage: the end of the last pass it served in this burst.
-    stage_free: Vec<SimTime>,
-    /// Stage durations of one mixed pass.
-    durs: Vec<f64>,
+    /// A mixed round's passes, one per non-empty slot.
+    mixed: Vec<MixedPass>,
+    /// The replica's stages, for fused passes.
+    stages: Stages,
+    /// Per slot: the end of its latest mixed pass.
+    slot_end: Vec<SimTime>,
+    /// The latest stage-0 readiness of any mixed pass scheduled so far.
+    ready_by: SimTime,
     /// Slot tails to join.
     last: Vec<TaskHandle>,
     /// Sequences the last [`Replica::advance_decode`] retired.
     finished: Vec<RunSeq>,
+}
+
+/// A replica's pipeline stages as fused passes see them.
+#[derive(Debug, Clone, Default)]
+struct Stages {
+    /// Per stage: its layer count.
+    layers: Vec<f64>,
+    /// Per stage: the end of the last pass it served.
+    free: Vec<SimTime>,
+    /// The per-pass step overhead, charged on stage 0.
+    overhead: f64,
+}
+
+impl Stages {
+    /// Take the layer counts and step overhead of `cfg`'s stages.
+    /// Stages keep the end of their last pass; a stage new to the
+    /// layout is free from zero.
+    fn load(&mut self, rl: &Roofline, cfg: ParallelConfig) {
+        self.overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
+        let num_layers = rl.model().num_layers;
+        self.layers.clear();
+        self.layers.extend((0..cfg.pp).map(|s| {
+            let (a, b) = cfg.stage_layers(num_layers, s);
+            (b - a) as f64
+        }));
+        self.free.resize(cfg.pp, SimTime::ZERO);
+    }
+
+    /// Serve a pass that is ready for stage 0 at `ready` through every
+    /// stage of replica `d`, first come, first served, and return its
+    /// end. Stage `s` starts at the later of the pass's readiness (its
+    /// previous stage's end) and the stage's previous end, and takes
+    /// `layer` seconds per layer, plus the activation hop `p2p` on all
+    /// but the last stage and the step overhead on stage 0: the
+    /// executor's floating-point operations. Each interval is charged
+    /// to the stage's TP group.
+    fn serve(
+        &mut self,
+        cs: &mut ClusterSim,
+        cfg: ParallelConfig,
+        d: usize,
+        mut ready: SimTime,
+        layer: f64,
+        p2p: f64,
+    ) -> SimTime {
+        let last_stage = cfg.pp - 1;
+        for (s, free) in self.free.iter_mut().enumerate() {
+            let hop = if s < last_stage { p2p } else { 0.0 };
+            let mut dur = self.layers[s] * layer + hop;
+            if s == 0 {
+                dur += self.overhead;
+            }
+            let start = ready.max(*free);
+            let end = start + dur;
+            cs.record_stage(cfg, d, s, start, end);
+            *free = end;
+            ready = end;
+        }
+        ready
+    }
 }
 
 /// One non-empty slot's pass in a decode burst: everything but its
@@ -103,6 +172,19 @@ struct SlotPass {
     p2p: f64,
     /// End of the slot's latest pass.
     tail: SimTime,
+}
+
+/// One non-empty slot's pass in a mixed round.
+#[derive(Debug, Clone, Copy)]
+struct MixedPass {
+    slot: usize,
+    /// Seconds per layer of the chunk and decode work it carries.
+    layer: f64,
+    /// Activation hop to the next stage.
+    p2p: f64,
+    /// When stage 0 can take it: the later of the round's submission
+    /// and the end of the slot's previous pass.
+    ready: SimTime,
 }
 
 impl Replica {
@@ -173,26 +255,13 @@ pub fn stage_durations(
     shape: &BatchShape,
 ) -> Vec<f64> {
     let layer = rl.layer_cost(stage, shape, cfg.tp).layer_time();
-    let mut durs = Vec::with_capacity(cfg.pp);
-    fill_stage_durations(rl, cfg, layer, shape, &mut durs);
-    durs
-}
-
-/// `layer` seconds per layer on each stage, plus the activation hop
-/// for `shape` on all but the last stage.
-fn fill_stage_durations(
-    rl: &Roofline,
-    cfg: ParallelConfig,
-    layer: f64,
-    shape: &BatchShape,
-    durs: &mut Vec<f64>,
-) {
     let p2p = p2p_hop(rl, cfg, shape);
-    durs.clear();
-    durs.extend((0..cfg.pp).map(|s| {
-        let (a, b) = cfg.stage_layers(rl.model().num_layers, s);
-        (b - a) as f64 * layer + if s + 1 < cfg.pp { p2p } else { 0.0 }
-    }));
+    (0..cfg.pp)
+        .map(|s| {
+            let (a, b) = cfg.stage_layers(rl.model().num_layers, s);
+            (b - a) as f64 * layer + if s + 1 < cfg.pp { p2p } else { 0.0 }
+        })
+        .collect()
 }
 
 /// Activation hop between adjacent stages for a pass of `shape` (none
@@ -264,7 +333,6 @@ pub fn submit_decode_burst(
         (0..cfg.pp).all(|s| (0..cfg.tp).all(|t| cs.compute_idle(cfg.gpu_index(d, s, t)))),
         "decode burst on replica {d} while its compute GPUs are busy"
     );
-    let overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
     let now = cs.now();
     let sc = &mut replica.scratch;
     slot_sums(&replica.running, cfg.pp, &mut sc.sums);
@@ -281,35 +349,15 @@ pub fn submit_decode_burst(
             });
         }
     }
-    let num_layers = rl.model().num_layers;
-    sc.layers.clear();
-    sc.layers.extend((0..cfg.pp).map(|s| {
-        let (a, b) = cfg.stage_layers(num_layers, s);
-        (b - a) as f64
-    }));
-    sc.stage_free.clear();
-    sc.stage_free.resize(cfg.pp, now);
-    let last_stage = cfg.pp - 1;
+    sc.stages.load(rl, cfg);
+    sc.stages.free.fill(now);
     for r in 0..rounds {
         for pass in sc.passes.iter_mut() {
             let layer = pass.cost.layer_time(pass.base_ctx + pass.seqs * (r + 1));
-            let mut ready = pass.tail;
-            for (s, free) in sc.stage_free.iter_mut().enumerate() {
-                let hop = if s < last_stage { pass.p2p } else { 0.0 };
-                let mut dur = sc.layers[s] * layer + hop;
-                if s == 0 {
-                    dur += overhead;
-                }
-                let start = ready.max(*free);
-                let end = start + dur;
-                cs.record_stage(cfg, d, s, start, end);
-                *free = end;
-                ready = end;
-            }
-            pass.tail = ready;
+            pass.tail = sc.stages.serve(cs, cfg, d, pass.tail, layer, pass.p2p);
         }
     }
-    cs.close_burst(cfg, d, &sc.stage_free);
+    cs.close_burst(cfg, d, &sc.stages.free);
     sc.last.clear();
     for pass in &sc.passes {
         let tail = cs.sim.submit_at(pass.tail);
@@ -369,13 +417,41 @@ pub fn submit_prefill_batch(
     out
 }
 
-/// Submit one mixed round (chunked prefill riding on the decode
-/// batch). `chunk` is the prefill sub-batch, attached to slot
-/// `chunk_slot % PP`; rotating that slot across rounds lets
+/// Run one mixed round on one replica: every running sequence decodes
+/// a token while `chunk`, the prefill sub-batch, rides in slot
+/// `chunk_slot % PP`. Rotating that slot across rounds lets
 /// consecutive chunks wavefront through the pipeline the way real
 /// chunked-prefill schedulers interleave virtual engines, instead of
 /// each chunk waiting for the previous one to exit the last stage.
-/// Returns the join of this round's slot tails.
+/// Returns the end of the round's last pass on this replica, or `None`
+/// if it has no pass (nothing running, no chunk).
+///
+/// Like [`submit_decode_burst`], the round's schedule is computed in
+/// closed form and charged with [`ClusterSim::record_stage`]; no
+/// executor task is submitted, so the caller waits on a
+/// [`Simulator::submit_at`](seesaw_sim::Simulator::submit_at) marker
+/// at the returned end (or the latest end over its replicas). The
+/// schedule is the one the executor's FIFO stage queues produce for
+/// per-slot chained passes:
+///
+/// * A slot's pass is ready for stage 0 at the later of now and the
+///   end of the slot's previous pass, and stage 0 serves in readiness
+///   order (ties in slot order). That can differ from slot order: a
+///   slot still finishing a long chunk lets the slots behind it go
+///   first.
+/// * Every later stage serves in stage-0 order: a pass is ready there
+///   when its previous stage ends, and those ends strictly increase in
+///   that stage's order because every duration is positive.
+/// * Each stage starts at the later of its readiness and the end of
+///   the stage's previous pass, with the executor's floating-point
+///   operations.
+///
+/// Two rounds may be in flight, as long as every pass of the previous
+/// round is ready for stage 0 by now: then no pass of this round can
+/// be served before it, and the previous rounds' schedule stands. The
+/// engines keep that by submitting a round only after the one two
+/// back has ended; a round submitted earlier panics. Callers drain
+/// executor compute work (prefill batches, re-shard overheads) first.
 pub fn submit_mixed_round(
     cs: &mut ClusterSim,
     rl: &Roofline,
@@ -383,14 +459,22 @@ pub fn submit_mixed_round(
     replica: &mut Replica,
     chunk: &BatchShape,
     chunk_slot: usize,
-) -> Option<TaskHandle> {
+) -> Option<SimTime> {
     if replica.running.is_empty() && chunk.is_empty() {
         return None;
     }
-    let overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
+    let d = replica.dp_rank;
+    let now = cs.now();
     let sc = &mut replica.scratch;
+    assert!(
+        sc.ready_by <= now,
+        "mixed round on replica {d} at {now} before a pass of the previous round is ready at {}",
+        sc.ready_by
+    );
+    sc.stages.load(rl, cfg);
+    sc.slot_end.resize(cfg.pp, SimTime::ZERO);
     slot_sums(&replica.running, cfg.pp, &mut sc.sums);
-    sc.last.clear();
+    sc.mixed.clear();
     for (slot, &(seqs, ctx)) in sc.sums.iter().enumerate() {
         // Each member attends over its context plus the new token.
         let dshape = BatchShape::decode_total(seqs, ctx + seqs);
@@ -398,15 +482,23 @@ pub fn submit_mixed_round(
         if dshape.seqs == 0 && pshape.is_empty() {
             continue;
         }
-        let layer = rl.layer_cost_mixed(&pshape, &dshape, cfg.tp).layer_time();
-        fill_stage_durations(rl, cfg, layer, &pshape.merge(&dshape), &mut sc.durs);
-        sc.durs[0] += overhead;
-        let tail =
-            cs.submit_pass(cfg, replica.dp_rank, &sc.durs, replica.tails[slot], TaskKind::Compute);
-        replica.tails[slot] = Some(tail);
-        sc.last.push(tail);
+        sc.mixed.push(MixedPass {
+            slot,
+            layer: rl.layer_cost_mixed(&pshape, &dshape, cfg.tp).layer_time(),
+            p2p: p2p_hop(rl, cfg, &pshape.merge(&dshape)),
+            ready: now.max(sc.slot_end[slot]),
+        });
     }
-    Some(cs.join(&sc.last))
+    sc.mixed.sort_unstable_by_key(|p| (p.ready, p.slot));
+    let mut round_end = now;
+    for pass in &sc.mixed {
+        let end = sc.stages.serve(cs, cfg, d, pass.ready, pass.layer, pass.p2p);
+        sc.slot_end[pass.slot] = end;
+        sc.ready_by = sc.ready_by.max(pass.ready);
+        round_end = round_end.max(end);
+    }
+    cs.close_burst(cfg, d, &sc.stages.free);
+    Some(round_end)
 }
 
 #[cfg(test)]
@@ -499,8 +591,9 @@ mod tests {
         let cfg = ParallelConfig::tp(4);
         let mut rep = Replica::new(0, 1_000_000, cfg.pp);
         let chunk = BatchShape::prefill_chunk(512, 0);
-        let h = submit_mixed_round(&mut cs, &rl, cfg, &mut rep, &chunk, 0).unwrap();
-        assert!(cs.sim.run_until(h).as_secs() > 0.0);
+        let end = submit_mixed_round(&mut cs, &rl, cfg, &mut rep, &chunk, 0).unwrap();
+        assert!(end.as_secs() > 0.0);
+        assert_eq!(cs.sim.submitted_tasks(), 0, "a mixed round submits no task");
         // Nothing at all -> None.
         assert!(
             submit_mixed_round(&mut cs, &rl, cfg, &mut rep, &BatchShape::empty(), 0).is_none()

@@ -65,7 +65,8 @@ struct Prefilling {
 impl VllmEngine {
     /// Validate the configuration against the cluster and build the
     /// engine. Accepts owned specs or `Arc` handles (sweeps share one
-    /// allocation across all candidates).
+    /// allocation across all candidates). A chunked-prefill policy
+    /// needs a positive chunk size ([`FitError::Invalid`] otherwise).
     pub fn new(
         cluster: impl Into<Arc<ClusterSpec>>,
         model: impl Into<Arc<ModelConfig>>,
@@ -73,6 +74,11 @@ impl VllmEngine {
         policy: SchedulingPolicy,
     ) -> Result<Self, FitError> {
         let (cluster, model) = (cluster.into(), model.into());
+        if policy == (SchedulingPolicy::ChunkedPrefill { chunk_tokens: 0 }) {
+            return Err(FitError::Invalid(
+                "chunked prefill needs a positive chunk size".into(),
+            ));
+        }
         if cfg.num_gpus() != cluster.num_gpus {
             return Err(FitError::NotEnoughGpus {
                 need: cfg.num_gpus(),
@@ -197,13 +203,21 @@ struct RunState<'a> {
     batches: VecDeque<InflightPrefill>,
     /// Whether the current prefill step has prefilled anything.
     prefilled: bool,
-    /// Mixed rounds in flight (chunked policy).
+    /// End markers of the mixed rounds in flight (chunked policy).
     rounds: VecDeque<TaskHandle>,
     round: usize,
     /// Reusable buffers of a decode burst step: per replica burst
     /// `(replica, rounds, join)`, and the joins to wait on.
     bursts: Vec<(usize, usize, TaskHandle)>,
     burst_joins: Vec<TaskHandle>,
+    /// Reusable buffers of a mixed round step: the prompts it finishes
+    /// `(replica, id, prompt)`, and the replicas it decodes.
+    graduated: Vec<(usize, u64, usize)>,
+    decoded: Vec<usize>,
+    /// Admission buffers: per replica, the requests the last
+    /// admission admitted and the prompt-token budget it left.
+    admitted: Vec<Vec<(u64, usize)>>,
+    budget: Vec<usize>,
 }
 
 impl<'a> RunState<'a> {
@@ -235,6 +249,10 @@ impl<'a> RunState<'a> {
             round: 0,
             bursts: Vec::new(),
             burst_joins: Vec::new(),
+            graduated: Vec::new(),
+            decoded: Vec::new(),
+            admitted: vec![Vec::new(); eng.cfg.dp],
+            budget: Vec::new(),
         }
     }
 
@@ -269,12 +287,14 @@ impl<'a> RunState<'a> {
     }
 
     /// Admit waiting requests into replica KV caches (full
-    /// `input+output` reservation), spreading across replicas.
-    /// Returns per-replica admitted `(id, prompt_len)` lists.
-    fn admit(&mut self, token_budget: usize) -> Vec<Vec<(u64, usize)>> {
-        let dp = self.eng.cfg.dp;
-        let mut admitted: Vec<Vec<(u64, usize)>> = vec![Vec::new(); dp];
-        let mut budget = vec![token_budget; dp];
+    /// `input+output` reservation), spreading across replicas, with
+    /// up to `token_budget` prompt tokens per replica. Leaves the
+    /// per-replica admitted `(id, prompt_len)` lists in
+    /// `self.admitted`.
+    fn admit(&mut self, token_budget: usize) {
+        self.admitted.iter_mut().for_each(Vec::clear);
+        self.budget.clear();
+        self.budget.resize(self.eng.cfg.dp, token_budget);
         'outer: while let Some(&req) = self.intake.waiting.front() {
             // Online serving: a request is only schedulable once its
             // arrival time has passed in simulated time. (Offline
@@ -286,7 +306,7 @@ impl<'a> RunState<'a> {
             // Pick the replica with the most free KV that can take it.
             let mut best: Option<usize> = None;
             for (d, rep) in self.replicas.iter().enumerate() {
-                if budget[d] >= req.input_len && rep.kv.can_fit(reserve) {
+                if self.budget[d] >= req.input_len && rep.kv.can_fit(reserve) {
                     let better = match best {
                         None => true,
                         Some(b) => rep.kv.free_tokens() > self.replicas[b].kv.free_tokens(),
@@ -303,14 +323,14 @@ impl<'a> RunState<'a> {
                         .kv
                         .allocate(req.id, reserve)
                         .expect("can_fit checked");
-                    admitted[d].push((req.id, req.input_len));
-                    budget[d] -= req.input_len;
+                    self.admitted[d].push((req.id, req.input_len));
+                    self.budget[d] -= req.input_len;
                 }
                 None => {
                     // No replica can take the head request right now.
                     if self.replicas.iter().all(|r| r.running.is_empty())
                         && self.prefilling.iter().all(|p| p.is_empty())
-                        && admitted.iter().all(|a| a.is_empty())
+                        && self.admitted.iter().all(|a| a.is_empty())
                     {
                         let cap = self.replicas[0].kv.capacity_tokens();
                         panic!(
@@ -322,7 +342,6 @@ impl<'a> RunState<'a> {
                 }
             }
         }
-        admitted
     }
 
     /// Submit a whole-prompt prefill pass for admitted batches,
@@ -396,7 +415,8 @@ impl<'a> RunState<'a> {
             if !self.intake.sees_arrivals(self.cs.now()) {
                 return false;
             }
-            let admitted = self.admit(MAX_PREFILL_TOKENS);
+            self.admit(MAX_PREFILL_TOKENS);
+            let admitted = std::mem::replace(&mut self.admitted, vec![Vec::new(); self.eng.cfg.dp]);
             match self.submit_prefill(rl, admitted) {
                 Some(batch) => {
                     self.prefilled = true;
@@ -537,9 +557,11 @@ impl<'a> RunState<'a> {
     }
 
     fn advance_chunked(&mut self, rl: &Roofline, chunk_tokens: usize) -> bool {
-        assert!(chunk_tokens > 0, "chunk size must be positive");
         // Two mixed rounds stay in flight so pipeline stages remain
-        // busy across round boundaries. Engine state (graduations,
+        // busy across round boundaries; a round is submitted only
+        // after the one two back has ended, which
+        // `submit_mixed_round`'s closed-form schedule relies on.
+        // Engine state (graduations,
         // decode advances, admissions) evolves deterministically, so
         // bookkeeping is applied at submission; the simulator is only
         // consulted for wall-clock time.
@@ -551,16 +573,16 @@ impl<'a> RunState<'a> {
                         return false;
                     }
                     // Admit into the prefilling queues.
-                    let admitted = self.admit(usize::MAX);
-                    for (d, batch) in admitted.into_iter().enumerate() {
-                        for (id, prompt) in batch {
+                    self.admit(usize::MAX);
+                    for (d, batch) in self.admitted.iter().enumerate() {
+                        for &(id, prompt) in batch {
                             self.prefilling[d].push_back(Prefilling { id, prompt, done: 0 });
                         }
                     }
                     if self.prefilling.iter().any(|p| !p.is_empty()) {
                         self.round += 1;
-                        if let Some(join) = self.submit_mixed_round_step(rl, chunk_tokens, self.round) {
-                            self.rounds.push_back(join);
+                        if let Some(marker) = self.submit_mixed_round_step(rl, chunk_tokens, self.round) {
+                            self.rounds.push_back(marker);
                             if self.rounds.len() >= 2 {
                                 let oldest = self.rounds.pop_front().expect("non-empty");
                                 self.wait_mixed(oldest);
@@ -606,27 +628,28 @@ impl<'a> RunState<'a> {
         }
     }
 
-    /// Wait for one in-flight mixed round, charging mixed-batch time.
-    fn wait_mixed(&mut self, join: TaskHandle) {
+    /// Wait for one in-flight mixed round's end marker, charging
+    /// mixed-batch time.
+    fn wait_mixed(&mut self, marker: TaskHandle) {
         let t0 = self.cs.now();
-        self.cs.sim.run_until(join);
+        self.cs.sim.run_until(marker);
         self.mixed_wall += self.cs.now() - t0;
         self.rec.settle_and_retire(&mut self.cs.sim);
     }
 
-    /// Submit one mixed round per replica (every running sequence
-    /// decodes one token while up to `chunk_tokens` prompt tokens
-    /// prefill) and apply its deterministic state updates immediately.
-    /// Returns the round's join handle.
+    /// Run one mixed round per replica (every running sequence decodes
+    /// one token while up to `chunk_tokens` prompt tokens prefill) and
+    /// apply its deterministic state updates immediately. Returns a
+    /// marker task that completes at the round's end.
     fn submit_mixed_round_step(
         &mut self,
         rl: &Roofline,
         chunk_tokens: usize,
         round: usize,
     ) -> Option<TaskHandle> {
-        let mut handles = Vec::new();
-        let mut graduated: Vec<(usize, u64, usize)> = Vec::new();
-        let mut decoded: Vec<usize> = Vec::new();
+        self.graduated.clear();
+        self.decoded.clear();
+        let mut round_end: Option<SimTime> = None;
         for d in 0..self.replicas.len() {
             // Build this replica's chunk from the head of its queue.
             let mut budget = chunk_tokens;
@@ -641,14 +664,11 @@ impl<'a> RunState<'a> {
                 budget -= take;
                 if front.done == front.prompt {
                     let p = self.prefilling[d].pop_front().expect("front exists");
-                    graduated.push((d, p.id, p.prompt));
+                    self.graduated.push((d, p.id, p.prompt));
                 }
             }
             let had_running = !self.replicas[d].running.is_empty();
-            if chunk.is_empty() && !had_running {
-                continue;
-            }
-            if let Some(h) = submit_mixed_round(
+            if let Some(end) = submit_mixed_round(
                 &mut self.cs,
                 rl,
                 self.eng.cfg,
@@ -656,32 +676,29 @@ impl<'a> RunState<'a> {
                 &chunk,
                 round,
             ) {
-                handles.push(h);
+                round_end = Some(round_end.map_or(end, |e| e.max(end)));
                 if had_running {
-                    decoded.push(d);
+                    self.decoded.push(d);
                 }
             }
         }
-        if handles.is_empty() {
-            return None;
-        }
-        let join = self.cs.join(&handles);
-        for d in decoded {
+        let marker = self.cs.sim.submit_at(round_end?);
+        for &d in &self.decoded {
             let finished = self.replicas[d].advance_decode(1);
             self.completed += finished.len();
             for seq in finished {
-                self.rec.completed(seq.id, join);
+                self.rec.completed(seq.id, marker);
             }
         }
-        for (d, id, prompt) in graduated {
+        for &(d, id, prompt) in &self.graduated {
             let req = self.intake.meta.req(id);
             // The round that finishes a prompt's last chunk emits its
             // first token.
-            self.rec.first_token(id, join);
+            self.rec.first_token(id, marker);
             if req.output_len <= 1 {
                 self.replicas[d].kv.free(id).expect("was allocated");
                 self.completed += 1;
-                self.rec.completed(id, join);
+                self.rec.completed(id, marker);
             } else {
                 self.replicas[d].running.push(RunSeq {
                     id,
@@ -690,9 +707,8 @@ impl<'a> RunState<'a> {
                 });
             }
         }
-        Some(join)
+        Some(marker)
     }
-
 }
 
 impl Resumable for RunState<'_> {
@@ -795,12 +811,15 @@ mod tests {
             let shown = format!("{policy:?}: (submitted, peak) {short:?} vs {long:?}");
             assert!(long.0 > 3 * short.0, "{shown}");
             assert!(long.1 <= short.1 + short.1 / 4, "arena grew with the stream, {shown}");
-            if !matches!(policy, SchedulingPolicy::ChunkedPrefill { .. }) {
-                // A decode burst is one marker task per slot plus a
-                // join, not a task per stage per GPU per round (759
-                // tasks and a peak of 13, where per-round bursts took
-                // 18 334 and 373).
-                assert!(long.0 <= 1_000 && long.1 <= 32, "{shown}");
+            // A decode burst is one marker task per slot plus a join,
+            // not a task per stage per GPU per round (759 tasks and a
+            // peak of 13, where per-round bursts took 18 334 and 373).
+            // A mixed round is one end marker, not a pass per slot per
+            // stage per GPU plus joins (981 tasks and a peak of 3,
+            // where per-pass rounds took 5 732 and 32).
+            assert!(long.0 <= 1_000 && long.1 <= 32, "{shown}");
+            if matches!(policy, SchedulingPolicy::ChunkedPrefill { .. }) {
+                assert_eq!(long, (981, 3), "{shown}");
             }
         }
     }
@@ -903,6 +922,18 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, FitError::NotEnoughGpus { .. }));
+    }
+
+    #[test]
+    fn rejects_a_zero_chunk_size() {
+        let err = VllmEngine::new(
+            ClusterSpec::a10x4(),
+            presets::llama2_13b(),
+            ParallelConfig::new(1, 2, 2),
+            SchedulingPolicy::ChunkedPrefill { chunk_tokens: 0 },
+        )
+        .unwrap_err();
+        assert!(matches!(err, FitError::Invalid(ref m) if m.contains("chunk size")), "{err}");
     }
 
     #[test]

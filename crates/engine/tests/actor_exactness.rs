@@ -15,26 +15,25 @@ use seesaw_parallel::ParallelConfig;
 use seesaw_workload::Request;
 
 /// The four scheduling loops with native actors: vLLM under each
-/// policy, and Seesaw with a CPU buffer small enough to force several
-/// prefill/decode cycles per stream.
+/// policy (chunked prefill also on a 4-stage pipeline, where a mixed
+/// round's passes reach stage 0 out of slot order), and Seesaw with a
+/// CPU buffer small enough to force several prefill/decode cycles per
+/// stream.
 fn engines() -> Vec<Box<dyn OnlineEngine>> {
-    let vllm = |policy| -> Box<dyn OnlineEngine> {
+    let vllm_on = |cfg, policy| -> Box<dyn OnlineEngine> {
         Box::new(
-            VllmEngine::new(
-                ClusterSpec::a10x4(),
-                presets::llama2_13b(),
-                ParallelConfig::new(1, 2, 2),
-                policy,
-            )
-            .expect("valid config"),
+            VllmEngine::new(ClusterSpec::a10x4(), presets::llama2_13b(), cfg, policy)
+                .expect("valid config"),
         )
     };
+    let vllm = |policy| vllm_on(ParallelConfig::new(1, 2, 2), policy);
     let mut spec = SeesawSpec::new(ParallelConfig::pp(4), ParallelConfig::tp(4));
     spec.buffer_tokens_override = Some(6_000);
     vec![
         vllm(SchedulingPolicy::PrefillPrioritized),
         vllm(SchedulingPolicy::DecodePrioritized),
         vllm(SchedulingPolicy::ChunkedPrefill { chunk_tokens: 512 }),
+        vllm_on(ParallelConfig::pp(4), SchedulingPolicy::ChunkedPrefill { chunk_tokens: 512 }),
         Box::new(
             SeesawEngine::new(ClusterSpec::a10x4(), presets::llama2_13b(), spec)
                 .expect("valid spec"),

@@ -1,18 +1,21 @@
-//! A fused decode burst keeps its working buffers on the replica, so
-//! once warmed up its round loop allocates nothing: a 1-round and a
-//! 64-round burst make the same number of heap allocations, and a
-//! whole engine-loop step (burst, wait, advance, retire) makes none. The
-//! counting allocator counts only the thread that switched it on, so
-//! the test harness's own threads do not disturb the count.
+//! Fused decode bursts and mixed rounds keep their working buffers on
+//! the replica, so once warmed up they allocate nothing: a 1-round and
+//! a 64-round burst make the same number of heap allocations, and a
+//! whole engine-loop step (burst, wait, advance, retire; or mixed
+//! round, marker, advance, wait, retire) makes none. The counting
+//! allocator counts only the thread that switched it on, so the test
+//! harness's own threads do not disturb the count.
 
 use seesaw_engine::cluster_sim::ClusterSim;
-use seesaw_engine::driver::{submit_decode_burst, Replica, RunSeq};
+use seesaw_engine::driver::{submit_decode_burst, submit_mixed_round, Replica, RunSeq};
 use seesaw_hw::ClusterSpec;
 use seesaw_model::presets;
 use seesaw_parallel::ParallelConfig;
-use seesaw_roofline::Roofline;
+use seesaw_roofline::{BatchShape, Roofline};
+use seesaw_sim::TaskHandle;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::VecDeque;
 
 struct Counting;
 
@@ -72,12 +75,10 @@ fn step(cs: &mut ClusterSim, rl: &Roofline, cfg: ParallelConfig, rep: &mut Repli
     cs.sim.retire();
 }
 
-#[test]
-fn burst_allocations_do_not_grow_with_rounds() {
+/// A replica decoding six sequences that never finish.
+fn setup(cfg: ParallelConfig) -> (ClusterSim, Roofline, Replica) {
     let cluster = ClusterSpec::a10x4();
     let rl = Roofline::new(cluster.clone(), presets::llama2_13b());
-    let cfg = ParallelConfig::new(1, 2, 2);
-    let mut cs = ClusterSim::new(cluster);
     let mut rep = Replica::new(0, 1 << 20, cfg.pp);
     rep.running = (0..6u64)
         .map(|id| RunSeq {
@@ -86,6 +87,34 @@ fn burst_allocations_do_not_grow_with_rounds() {
             remaining: 1 << 20,
         })
         .collect();
+    (ClusterSim::new(cluster), rl, rep)
+}
+
+/// One chunked-prefill engine-loop step: a mixed round with its end
+/// marker, the decode advance, a wait for the older of the two rounds
+/// in flight, and a retire.
+fn mixed_step(
+    cs: &mut ClusterSim,
+    rl: &Roofline,
+    cfg: ParallelConfig,
+    rep: &mut Replica,
+    inflight: &mut VecDeque<TaskHandle>,
+    round: usize,
+) {
+    let chunk = BatchShape::prefill_chunk(512, 512 * (round % 8));
+    let end = submit_mixed_round(cs, rl, cfg, rep, &chunk, round).expect("replica is running");
+    inflight.push_back(cs.sim.submit_at(end));
+    assert!(rep.advance_decode(1).is_empty(), "nothing finishes mid-test");
+    if inflight.len() >= 2 {
+        cs.sim.run_until(inflight.pop_front().expect("two in flight"));
+    }
+    cs.sim.retire();
+}
+
+#[test]
+fn burst_allocations_do_not_grow_with_rounds() {
+    let cfg = ParallelConfig::new(1, 2, 2);
+    let (mut cs, rl, mut rep) = setup(cfg);
     for _ in 0..8 {
         step(&mut cs, &rl, cfg, &mut rep, 16);
     }
@@ -96,4 +125,20 @@ fn burst_allocations_do_not_grow_with_rounds() {
         "a 64-round burst allocates more than a 1-round one"
     );
     assert_eq!(short, 0, "a warmed-up burst step allocates");
+}
+
+#[test]
+fn a_warmed_up_mixed_round_step_allocates_nothing() {
+    let cfg = ParallelConfig::pp(4);
+    let (mut cs, rl, mut rep) = setup(cfg);
+    let mut inflight = VecDeque::with_capacity(2);
+    for round in 0..16 {
+        mixed_step(&mut cs, &rl, cfg, &mut rep, &mut inflight, round);
+    }
+    let allocs = allocations(|| {
+        for round in 16..80 {
+            mixed_step(&mut cs, &rl, cfg, &mut rep, &mut inflight, round);
+        }
+    });
+    assert_eq!(allocs, 0, "64 warmed-up mixed round steps allocate");
 }

@@ -1,0 +1,377 @@
+//! A mixed round (`driver::submit_mixed_round`) computes its pipeline
+//! schedule in closed form. The reference here is the task-graph
+//! version it replaced: one pass per non-empty micro-batch slot,
+//! submitted through `ClusterSim::submit_pass` behind the slot's
+//! previous pass and served by the executor's FIFO stage queues.
+//! Driven the way the chunked-prefill engine drives rounds — two in
+//! flight, the chunk slot rotating, sequences joining and retiring —
+//! the two must agree bit for bit on every round end and busy total,
+//! and record the same spans.
+
+use proptest::prelude::*;
+use seesaw_engine::cluster_sim::ClusterSim;
+use seesaw_engine::driver::{submit_mixed_round, Replica, RunSeq};
+use seesaw_hw::{efficiency, ClusterSpec};
+use seesaw_model::presets;
+use seesaw_parallel::ParallelConfig;
+use seesaw_roofline::{BatchShape, Roofline};
+use seesaw_sim::{TaskHandle, TaskKind, TraceSummary};
+use std::collections::VecDeque;
+
+/// The task-graph mixed round: per non-empty slot, one pass through
+/// `ClusterSim::submit_pass`, chained on the slot's previous tail.
+/// Returns the join of this round's slot tails.
+fn reference_round(
+    cs: &mut ClusterSim,
+    rl: &Roofline,
+    cfg: ParallelConfig,
+    replica: &mut Replica,
+    chunk: &BatchShape,
+    chunk_slot: usize,
+) -> Option<TaskHandle> {
+    if replica.running.is_empty() && chunk.is_empty() {
+        return None;
+    }
+    let overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
+    let mut sums = vec![(0usize, 0usize); cfg.pp];
+    for (i, seq) in replica.running.iter().enumerate() {
+        sums[i % cfg.pp].0 += 1;
+        sums[i % cfg.pp].1 += seq.ctx;
+    }
+    let mut last = Vec::new();
+    for (slot, &(seqs, ctx)) in sums.iter().enumerate() {
+        let dshape = BatchShape::decode_total(seqs, ctx + seqs);
+        let pshape = if slot == chunk_slot % cfg.pp {
+            *chunk
+        } else {
+            BatchShape::empty()
+        };
+        if dshape.seqs == 0 && pshape.is_empty() {
+            continue;
+        }
+        let layer = rl.layer_cost_mixed(&pshape, &dshape, cfg.tp).layer_time();
+        let p2p = if cfg.pp > 1 {
+            rl.cluster()
+                .interconnect
+                .p2p_time(rl.p2p_bytes(&pshape.merge(&dshape)))
+        } else {
+            0.0
+        };
+        let mut durs: Vec<f64> = (0..cfg.pp)
+            .map(|s| {
+                let (a, b) = cfg.stage_layers(rl.model().num_layers, s);
+                (b - a) as f64 * layer + if s + 1 < cfg.pp { p2p } else { 0.0 }
+            })
+            .collect();
+        durs[0] += overhead;
+        let tail = cs.submit_pass(
+            cfg,
+            replica.dp_rank,
+            &durs,
+            replica.tails[slot],
+            TaskKind::Compute,
+        );
+        replica.tails[slot] = Some(tail);
+        last.push(tail);
+    }
+    Some(cs.join(&last))
+}
+
+/// The closed-form round, with a marker at its end to wait on.
+fn fused_round(
+    cs: &mut ClusterSim,
+    rl: &Roofline,
+    cfg: ParallelConfig,
+    replica: &mut Replica,
+    chunk: &BatchShape,
+    chunk_slot: usize,
+) -> Option<TaskHandle> {
+    submit_mixed_round(cs, rl, cfg, replica, chunk, chunk_slot).map(|end| cs.sim.submit_at(end))
+}
+
+type Round = fn(
+    &mut ClusterSim,
+    &Roofline,
+    ParallelConfig,
+    &mut Replica,
+    &BatchShape,
+    usize,
+) -> Option<TaskHandle>;
+
+/// One replica's part of one round.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// Prefill chunk `(tokens, prefix)`, if any.
+    chunk: Option<(usize, usize)>,
+    /// A sequence `(context, remaining)` that joins `running` after
+    /// the round (its prompt's last chunk graduating).
+    joins: Option<(usize, usize)>,
+}
+
+/// What the engine loop observes at each wait.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// Per waited round: its end, and the clock after the wait.
+    times: Vec<(u64, u64)>,
+    /// Busy seconds of every GPU's compute engine.
+    busy: Vec<u64>,
+}
+
+/// Run `rounds` (per round, one step per replica) the way the chunked
+/// engine does: submit every replica's part, decode a token, let
+/// graduated sequences join, and with two rounds in flight wait for the
+/// older one. Round `r` rides its chunk in slot `r % PP`.
+fn drive(
+    round_fn: Round,
+    cluster: &ClusterSpec,
+    rl: &Roofline,
+    cfg: ParallelConfig,
+    running: &[Vec<(usize, usize)>],
+    rounds: &[Vec<Step>],
+) -> (Observed, ClusterSim) {
+    let mut cs = ClusterSim::with_trace(cluster.clone());
+    let mut next_id = 0u64;
+    let mut join = |rep: &mut Replica, (ctx, remaining): (usize, usize)| {
+        rep.kv.allocate(next_id, ctx + remaining).expect("KV fits");
+        rep.running.push(RunSeq {
+            id: next_id,
+            ctx,
+            remaining,
+        });
+        next_id += 1;
+    };
+    let mut replicas: Vec<Replica> = running
+        .iter()
+        .enumerate()
+        .map(|(d, seqs)| {
+            let mut rep = Replica::new(d, 1 << 24, cfg.pp);
+            for &seq in seqs {
+                join(&mut rep, seq);
+            }
+            rep
+        })
+        .collect();
+    let mut times = Vec::new();
+    let mut wait = |cs: &mut ClusterSim, h: TaskHandle| {
+        let end = cs.sim.run_until(h);
+        times.push((end.as_secs().to_bits(), cs.now().as_secs().to_bits()));
+    };
+    let mut inflight = VecDeque::new();
+    for (r, steps) in rounds.iter().enumerate() {
+        let mut handles = Vec::new();
+        for (rep, step) in replicas.iter_mut().zip(steps) {
+            let chunk = step.chunk.map_or(BatchShape::empty(), |(tokens, prefix)| {
+                BatchShape::prefill_chunk(tokens, prefix)
+            });
+            let had_running = !rep.running.is_empty();
+            if let Some(h) = round_fn(&mut cs, rl, cfg, rep, &chunk, r + 1) {
+                handles.push(h);
+                if had_running {
+                    rep.advance_decode(1);
+                }
+            }
+            if let Some(seq) = step.joins {
+                join(rep, seq);
+            }
+        }
+        if handles.is_empty() {
+            continue;
+        }
+        inflight.push_back(cs.join(&handles));
+        if inflight.len() >= 2 {
+            wait(&mut cs, inflight.pop_front().expect("two in flight"));
+        }
+    }
+    while let Some(h) = inflight.pop_front() {
+        wait(&mut cs, h);
+    }
+    let busy = (0..cluster.num_gpus)
+        .map(|g| {
+            let r = cs
+                .sim
+                .pool()
+                .find(&format!("gpu{g}.compute"))
+                .expect("compute engine");
+            cs.sim.busy_time(r).to_bits()
+        })
+        .collect();
+    (Observed { times, busy }, cs)
+}
+
+/// Spans as a sorted multiset of exactly comparable keys.
+fn span_multiset(cs: &ClusterSim) -> Vec<(Option<usize>, String, u64, u64, u64)> {
+    let mut spans: Vec<_> = cs
+        .sim
+        .trace()
+        .spans()
+        .iter()
+        .map(|s| {
+            let resource = s.resource.map(|r| r.index());
+            let (start, end) = (s.start.as_secs().to_bits(), s.end.as_secs().to_bits());
+            (resource, format!("{:?}", s.kind), start, end, s.tag)
+        })
+        .collect();
+    spans.sort();
+    spans
+}
+
+/// Spans are recorded in a different order, so bucket sums may differ
+/// in the last bits.
+fn assert_summaries_close(a: TraceSummary, b: TraceSummary) {
+    for (x, y) in [(a.compute, b.compute), (a.other, b.other)] {
+        assert!(
+            (x - y).abs() <= 1e-12 * x.abs().max(y.abs()),
+            "{a:?} vs {b:?}"
+        );
+    }
+}
+
+/// The cluster/model pairs drawn: PCIe with an MHA model, PCIe with a
+/// GQA model, and NVLink with GQA `llama2_70b`.
+fn setup(which: usize) -> (ClusterSpec, seesaw_model::ModelConfig) {
+    match which {
+        0 => (ClusterSpec::a10x4(), presets::llama2_13b()),
+        1 => (ClusterSpec::l4x8(), presets::llama3_15b()),
+        _ => (ClusterSpec::a100x8_nvlink(), presets::llama2_70b()),
+    }
+}
+
+/// Both schedules over one run; they must agree exactly.
+fn assert_fused_matches_reference(
+    which: usize,
+    cfg: ParallelConfig,
+    running: &[Vec<(usize, usize)>],
+    rounds: &[Vec<Step>],
+) {
+    let (cluster, model) = setup(which);
+    let rl = Roofline::new(cluster.clone(), model);
+    let run = |round_fn: Round| drive(round_fn, &cluster, &rl, cfg, running, rounds);
+    let (fused, fused_cs) = run(fused_round);
+    let (reference, reference_cs) = run(reference_round);
+    assert_eq!(fused, reference, "{cfg:?} {running:?} {rounds:?}");
+    assert_eq!(
+        span_multiset(&fused_cs),
+        span_multiset(&reference_cs),
+        "{cfg:?}"
+    );
+    assert_summaries_close(
+        fused_cs.sim.trace().summary(),
+        reference_cs.sim.trace().summary(),
+    );
+    assert!(fused_cs.sim.submitted_tasks() <= reference_cs.sim.submitted_tasks());
+}
+
+/// A random chunked run: cluster, layout, per-replica running sets
+/// (possibly empty, often fewer sequences than slots) and 2–24 rounds
+/// whose chunks come and go.
+#[derive(Debug, Clone)]
+struct Case {
+    /// Index into [`setup`].
+    setup: usize,
+    cfg: ParallelConfig,
+    running: Vec<Vec<(usize, usize)>>,
+    rounds: Vec<Vec<Step>>,
+}
+
+fn cases() -> impl Strategy<Value = Case> {
+    let layout = (
+        0usize..3,
+        prop::sample::select(vec![1usize, 2, 4]),
+        prop::sample::select(vec![1usize, 2, 4]),
+        1usize..9,
+    );
+    let seq = (1usize..4000, 1usize..30);
+    let running = prop::collection::vec(prop::collection::vec(seq, 0..7), 8..9);
+    // Per (round, replica): chunk code and size, prefix, join code,
+    // and the joining sequence's context and remaining tokens.
+    let step = (
+        0u32..3,
+        1usize..4097,
+        0usize..8000,
+        0u32..4,
+        1usize..4000,
+        1usize..30,
+    );
+    let steps = prop::collection::vec(step, 8 * 24..8 * 24 + 1);
+    let rounds = 2usize..25;
+    (layout, running, steps, rounds).prop_map(|((which, tp, pp, dp), running, steps, n)| {
+        let gpus = setup(which).0.num_gpus;
+        let pp = if tp * pp > gpus { gpus / tp } else { pp };
+        let dp = dp.min(gpus / (tp * pp));
+        let mut running = running;
+        running.truncate(dp);
+        let rounds = steps
+            .chunks(8)
+            .take(n)
+            .map(|row| {
+                row[..dp]
+                    .iter()
+                    .map(|&(chunk, tokens, prefix, joins, ctx, remaining)| Step {
+                        chunk: (chunk > 0).then_some((tokens, prefix)),
+                        joins: (joins == 0).then_some((ctx, remaining)),
+                    })
+                    .collect()
+            })
+            .collect();
+        Case {
+            setup: which,
+            cfg: ParallelConfig::new(dp, tp, pp),
+            running,
+            rounds,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn fused_mixed_rounds_match_the_task_graph(case in cases()) {
+        assert_fused_matches_reference(case.setup, case.cfg, &case.running, &case.rounds);
+    }
+}
+
+/// A long chunk on slot 0 makes a later round's slot-1 pass ready for
+/// stage 0 before that round's slot-0 pass, which still waits for the
+/// long one: the executor serves slot 1 first. A schedule that served
+/// each round's passes in slot order fails here.
+#[test]
+fn a_ready_pass_overtakes_a_slot_still_finishing_a_long_chunk() {
+    let short = Step {
+        chunk: Some((64, 0)),
+        joins: None,
+    };
+    let long = Step {
+        chunk: Some((8192, 0)),
+        joins: None,
+    };
+    let rounds = vec![
+        vec![short],
+        vec![long],
+        vec![short],
+        vec![short],
+        vec![short],
+    ];
+    // One running sequence, in slot 0; rounds 1, 3, 5 chunk on slot 1.
+    assert_fused_matches_reference(0, ParallelConfig::pp(2), &[vec![(600, 64)]], &rounds);
+}
+
+#[test]
+#[should_panic(expected = "before a pass of the previous round is ready")]
+fn a_third_round_in_flight_panics() {
+    let cfg = ParallelConfig::pp(2);
+    let (cluster, model) = setup(0);
+    let rl = Roofline::new(cluster.clone(), model);
+    let mut cs = ClusterSim::new(cluster);
+    let mut rep = Replica::new(0, 1 << 20, cfg.pp);
+    rep.kv.allocate(0, 700).expect("KV fits");
+    rep.running.push(RunSeq {
+        id: 0,
+        ctx: 600,
+        remaining: 64,
+    });
+    let chunk = BatchShape::prefill_chunk(2048, 0);
+    for round in 0..3 {
+        submit_mixed_round(&mut cs, &rl, cfg, &mut rep, &chunk, round);
+    }
+}

@@ -233,8 +233,9 @@ fn unpack_event(key: u128) -> (SimTime, usize) {
 /// caller computes each service interval itself, charges it with
 /// [`Simulator::record_service`], and submits one
 /// [`Simulator::submit_at`] marker per chain it needs to wait on or
-/// depend on. The engines' decode bursts run this way; prefill
-/// batches, mixed rounds, transfers, overheads and joins are tasks.
+/// depend on. The engines' decode bursts and chunked-prefill mixed
+/// rounds run this way; prefill batches, Seesaw's re-shard and
+/// transfer graph, overheads and joins are tasks.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     pool: ResourcePool,

@@ -2,7 +2,8 @@
 # CI performance gate: build release, regenerate the sweep/sims
 # benchmark, and fail when
 #   * parallel figure output diverges from serial (determinism), or
-#   * any sims/sec figure (seesaw, vllm, the online-serving
+#   * any sims/sec figure (seesaw, vllm, its chunked-prefill twin
+#     "vllm_chunked", the online-serving
 #     load-point rate "serving", the 4-replica-JSQ fleet grid-cell
 #     rate "fleet", the same cell on the live-feedback global event
 #     loop "fleet_live", that cell with telemetry recording on
