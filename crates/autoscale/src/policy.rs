@@ -40,12 +40,12 @@ pub enum ScalingPolicy {
     /// and a cooldown between events so one burst triggers one
     /// action, not one per window.
     ///
-    /// The queue bound catches genuine overload (backlog growth, ρ
-    /// > 1); the utilization bound catches the *latency* failure mode
-    /// that precedes it — continuous-batching engines blow the TPOT
-    /// SLO well before their queues grow, so a queue-only autoscaler
-    /// converges on a fleet that keeps up with load while missing the
-    /// SLO all day.
+    /// The queue bound catches genuine overload (backlog growth,
+    /// ρ > 1); the utilization bound catches the *latency* failure
+    /// mode that precedes it — continuous-batching engines blow the
+    /// TPOT SLO well before their queues grow, so a queue-only
+    /// autoscaler converges on a fleet that keeps up with load while
+    /// missing the SLO all day.
     ReactiveThreshold {
         /// Scale up when estimated outstanding requests per accepting
         /// replica exceed this.

@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks of the reproduction's hot paths: the
-//! discrete-event executor, the paged KV allocator, the re-sharding
+//! eager task scheduler, the paged KV allocator, the re-sharding
 //! planner, the roofline evaluation, and end-to-end engine runs at
 //! small scale.
 //!
@@ -15,7 +15,7 @@ use seesaw_kv::PagedKvCache;
 use seesaw_model::presets;
 use seesaw_parallel::{ParallelConfig, ReshardPlan};
 use seesaw_roofline::{BatchShape, Roofline, Stage};
-use seesaw_sim::{Simulator, TaskKind, TaskSpec};
+use seesaw_sim::{Simulator, TaskKind};
 use seesaw_workload::WorkloadGen;
 use std::hint::black_box;
 
@@ -27,13 +27,8 @@ fn bench_sim_executor(c: &mut Criterion) {
         let mut prev = None;
         for i in 0..TASKS {
             let r = sim.pool().id(i % 8);
-            let mut spec = TaskSpec::new(r, 0.001, TaskKind::Compute);
-            if let Some(p) = prev {
-                if i % 3 == 0 {
-                    spec = spec.after(p);
-                }
-            }
-            prev = Some(sim.submit(spec));
+            let dep = prev.filter(|_| i % 3 == 0);
+            prev = Some(sim.submit_on(r, 0.001, TaskKind::Compute, 0, dep));
         }
         sim.run_until_idle()
     };

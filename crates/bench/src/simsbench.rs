@@ -95,8 +95,8 @@ pub struct SimsBench {
     pub fleet_reqs: Vec<Request>,
     /// A compressed diurnal day for the autoscale scenario:
     /// trace-shaped arrivals over [`AUTOSCALE_DAY_S`] seconds,
-    /// 512-in/32-out requests (the controller's grid cell is routing
-    /// + scaling decisions + replica runs + the merged report, so the
+    /// 512-in/32-out requests (the controller's grid cell is routing,
+    /// scaling decisions, replica runs and the merged report, so the
     /// per-request work is kept lighter than the offline scenarios).
     pub autoscale_reqs: Vec<Request>,
     /// The autoscale cell's merged timeline — the fixed input of the

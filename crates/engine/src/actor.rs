@@ -43,16 +43,11 @@
 //!
 //! A depth query advances the loop through every decision before `t`
 //! and counts the in-flight requests from their timing records, read
-//! by position in the run's recorder: a settled record or a finished
-//! task has its final time; an unfinished task completes no earlier
-//! than the simulator's next event. Work scheduled in closed form
-//! (fused decode bursts, mixed rounds) is in the simulator too: each
-//! leaves a marker task at its end. The records are why the run may
-//! retire finished tasks as it goes — it settles them first, and never
-//! retires a task a record still points at. In the rare
-//! case that an event is pending at or before `t` (a tie with the
-//! query instant, or work still draining at a park) the count falls
-//! back to a projection, which is exact by construction.
+//! by position in the run's recorder. Every record holds its final
+//! time the moment it is made — the simulator knows each piece of
+//! work's end when it is submitted, closed-form decode bursts and
+//! mixed rounds included — so a record at or before `t` is exactly
+//! what the full run would report, and a depth read never projects.
 //!
 //! A projection clones the run, closes its intake and runs it to
 //! completion; only forward-looking signals — remaining work, a
@@ -61,15 +56,13 @@
 //! finish builds one from the engine's shared specs (what a plain
 //! `run` uses), which is two reference-count bumps.
 
-use crate::cluster_sim::ClusterSim;
 use crate::driver::assert_arrivals_sorted;
 use crate::report::EngineReport;
-use crate::stepper::live_state;
 use crate::sweep::SweepRunner;
-use crate::timing::{Stamp, TimingRecorder};
+use crate::timing::TimingRecorder;
 use seesaw_hw::FxBuildHasher;
 use seesaw_roofline::Roofline;
-use seesaw_sim::{SimTime, Simulator, TraceSummary};
+use seesaw_sim::{SimTime, TraceSummary};
 use seesaw_workload::{Request, RequestMap, RunStats};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
@@ -253,7 +246,6 @@ impl Intake {
 pub(crate) trait Resumable: Clone + Send {
     fn intake(&self) -> &Intake;
     fn intake_mut(&mut self) -> &mut Intake;
-    fn cluster(&self) -> &ClusterSim;
     fn recorder(&self) -> &TimingRecorder;
     /// Requests retired so far.
     fn completed(&self) -> usize;
@@ -330,12 +322,9 @@ impl<R: Resumable> EngineActor for SimActor<'_, R> {
 
     fn depth_at(&mut self, t: f64) -> Depth {
         self.intake_mut().observe(t);
-        let sim = &self.advanced().cluster().sim;
-        if sim.next_event_time().is_some_and(|e| e.as_secs() <= t) {
-            return live_state(self.projected(), t).depth();
-        }
+        self.advanced();
         let run = self.run.as_ref().expect("advanced starts the run");
-        self.inflight.depth_at(t, run.recorder(), &run.cluster().sim)
+        self.inflight.depth_at(t, run.recorder())
     }
 
     fn projected(&mut self) -> &EngineReport {
@@ -393,10 +382,9 @@ impl Inflight {
         });
     }
 
-    /// Counts at `t`, given that every unfinished task of `sim`
-    /// completes after `t`. Requests complete by `t` are retired:
-    /// queries never move backwards.
-    fn depth_at(&mut self, t: f64, rec: &TimingRecorder, sim: &Simulator) -> Depth {
+    /// Counts at `t`. Requests complete by `t` are retired: queries
+    /// never move backwards.
+    fn depth_at(&mut self, t: f64, rec: &TimingRecorder) -> Depth {
         let (firsts, dones) = (rec.first_tokens(), rec.completions());
         for (i, &(id, _)) in firsts.iter().enumerate().skip(self.firsts_seen) {
             if let Some(&s) = self.index.get(&id) {
@@ -410,9 +398,8 @@ impl Inflight {
             }
         }
         self.dones_seen = dones.len();
-        let by_t = |records: &[(u64, Stamp)], i: Option<usize>| {
-            i.and_then(|i| records[i].1.time(sim))
-                .is_some_and(|at| at.as_secs() <= t)
+        let by_t = |records: &[(u64, SimTime)], i: Option<usize>| {
+            i.is_some_and(|i| records[i].1.as_secs() <= t)
         };
         let mut depth = Depth::default();
         let mut i = 0;
@@ -436,14 +423,4 @@ impl Inflight {
         depth.queue_depth = depth.waiting + depth.running;
         depth
     }
-}
-
-/// `(tasks submitted, peak tasks retained)` by the simulator of `run`
-/// advanced to completion: the arena-bound tests compare the peak
-/// across stream lengths.
-#[cfg(test)]
-pub(crate) fn arena_counts<R: Resumable>(mut run: R) -> (usize, usize) {
-    assert!(run.advance(&run.roofline()), "a closed run always completes");
-    let sim = &run.cluster().sim;
-    (sim.submitted_tasks(), sim.peak_retained_tasks())
 }

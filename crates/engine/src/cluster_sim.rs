@@ -15,34 +15,33 @@
 //! overlap (the paper's asynchronous pipeline) falls out of the task
 //! graph naturally.
 //!
-//! Decode bursts and mixed (chunked-prefill) rounds do not enter the
-//! task graph per pass:
+//! Every task's completion time is known when it is submitted (see
+//! [`Simulator`]), so a task handle is a [`SimTime`] and a join is the
+//! latest of its handles. Decode bursts and mixed (chunked-prefill)
+//! rounds do not submit a task per pass:
 //! [`submit_decode_burst`](crate::driver::submit_decode_burst) and
 //! [`submit_mixed_round`](crate::driver::submit_mixed_round) compute
-//! their pipeline schedule in closed form, charge each stage interval
-//! to the stage's TP group with [`ClusterSim::record_stage`] and fence
-//! the GPUs until the work's end with [`ClusterSim::close_burst`].
-//! Every other compute task (prefill passes, re-shard overheads) is
-//! submitted through [`ClusterSim::submit_pass`] or
-//! [`ClusterSim::submit_compute_overhead`], and must not land on a GPU
-//! before its last fused work ends (debug-asserted).
+//! their pipeline schedule in closed form and charge each stage
+//! interval to the stage's TP group with [`ClusterSim::record_stage`],
+//! which occupies those GPUs until the interval ends. Every other
+//! compute task (prefill passes, re-shard overheads) is submitted
+//! through [`ClusterSim::submit_pass`] or
+//! [`ClusterSim::submit_compute_overhead`] and queues behind that work.
 
 use seesaw_hw::ClusterSpec;
 use seesaw_parallel::ParallelConfig;
-use seesaw_sim::{ResourceId, SimTime, Simulator, TaskHandle, TaskKind};
+use seesaw_sim::{ResourceId, SimTime, Simulator, TaskKind};
 use std::sync::Arc;
 
 /// The simulated cluster: resources plus the underlying simulator.
 ///
-/// Each cluster builds a fresh simulator. Engines retire finished
-/// tasks as they run ([`Simulator::retire`]), so its task arena stays
-/// as small as the work in flight and there is no grown arena worth
-/// reusing across runs. A clone is an independent fork of the
-/// simulated cluster at the same instant (what an engine actor's
-/// projection runs on).
+/// Each cluster builds a fresh simulator, whose memory does not grow
+/// with the run. A clone is an independent fork of the simulated
+/// cluster at the same instant (what an engine actor's projection runs
+/// on).
 #[derive(Debug, Clone)]
 pub struct ClusterSim {
-    /// The discrete-event simulator.
+    /// The simulator.
     pub sim: Simulator,
     /// Hardware description (shared handle, not a deep copy).
     pub cluster: Arc<ClusterSpec>,
@@ -50,12 +49,6 @@ pub struct ClusterSim {
     h2d: Vec<ResourceId>,
     d2h: Vec<ResourceId>,
     staging: Vec<ResourceId>,
-    /// Reusable per-stage task-handle buffer for `submit_pass`.
-    scratch: Vec<TaskHandle>,
-    /// Per GPU, the end of its last fused burst or mixed round
-    /// ([`ClusterSim::close_burst`]): the executor does not see that
-    /// work, so no compute task may start before it.
-    burst_end: Vec<SimTime>,
 }
 
 impl ClusterSim {
@@ -89,8 +82,6 @@ impl ClusterSim {
             h2d,
             d2h,
             staging,
-            scratch: Vec::new(),
-            burst_end: vec![SimTime::ZERO; n],
         }
     }
 
@@ -103,33 +94,26 @@ impl ClusterSim {
     /// replica `dp_rank`: stage `s` occupies every GPU of its TP group
     /// for `stage_durations[s]` seconds, after stage `s-1` finishes
     /// (and after `dep`, the micro-batch slot's previous-round tail).
-    /// Returns a handle that completes when the last stage does.
+    /// Returns the time the last stage finishes.
     pub fn submit_pass(
         &mut self,
         cfg: ParallelConfig,
         dp_rank: usize,
         stage_durations: &[f64],
-        dep: Option<TaskHandle>,
+        dep: Option<SimTime>,
         kind: TaskKind,
-    ) -> TaskHandle {
+    ) -> SimTime {
         assert_eq!(stage_durations.len(), cfg.pp, "one duration per stage");
-        let mut parts = std::mem::take(&mut self.scratch);
         let mut prev = dep;
         for (s, &dur) in stage_durations.iter().enumerate() {
-            parts.clear();
+            let mut stage_end = self.now();
             for t in 0..cfg.tp {
                 let g = cfg.gpu_index(dp_rank, s, t);
-                self.debug_assert_after_burst(g);
-                parts.push(self.sim.submit_on(self.compute[g], dur, kind, g as u64, prev));
+                let end = self.sim.submit_on(self.compute[g], dur, kind, g as u64, prev);
+                stage_end = stage_end.max(end);
             }
-            prev = Some(if parts.len() == 1 {
-                parts[0]
-            } else {
-                self.sim.submit_sync(&parts)
-            });
+            prev = Some(stage_end);
         }
-        parts.clear();
-        self.scratch = parts;
         prev.expect("pp >= 1 guarantees at least one stage")
     }
 
@@ -138,9 +122,9 @@ impl ClusterSim {
         &mut self,
         gpu: usize,
         duration: f64,
-        dep: Option<TaskHandle>,
+        dep: Option<SimTime>,
         kind: TaskKind,
-    ) -> TaskHandle {
+    ) -> SimTime {
         self.sim.submit_on(self.d2h[gpu], duration, kind, gpu as u64, dep)
     }
 
@@ -149,9 +133,9 @@ impl ClusterSim {
         &mut self,
         gpu: usize,
         duration: f64,
-        dep: Option<TaskHandle>,
+        dep: Option<SimTime>,
         kind: TaskKind,
-    ) -> TaskHandle {
+    ) -> SimTime {
         self.sim.submit_on(self.h2d[gpu], duration, kind, gpu as u64, dep)
     }
 
@@ -160,8 +144,8 @@ impl ClusterSim {
         &mut self,
         gpu: usize,
         duration: f64,
-        dep: Option<TaskHandle>,
-    ) -> TaskHandle {
+        dep: Option<SimTime>,
+    ) -> SimTime {
         self.sim
             .submit_on(self.staging[gpu], duration, TaskKind::StagingCopy, gpu as u64, dep)
     }
@@ -172,19 +156,18 @@ impl ClusterSim {
         &mut self,
         gpu: usize,
         duration: f64,
-        dep: Option<TaskHandle>,
-    ) -> TaskHandle {
-        self.debug_assert_after_burst(gpu);
+        dep: Option<SimTime>,
+    ) -> SimTime {
         self.sim
             .submit_on(self.compute[gpu], duration, TaskKind::Overhead, gpu as u64, dep)
     }
 
     /// Charge the compute engines of pipeline stage `stage` of replica
     /// `dp_rank` (its TP group, in lockstep) one pass stage served over
-    /// `[start, end]`, scheduled by the caller rather than the executor
-    /// (a fused decode burst or mixed round). Adds busy time and, when
-    /// tracing, a `Compute` span per GPU. Once every stage is charged
-    /// the caller must [`close_burst`](ClusterSim::close_burst).
+    /// `[start, end]`, scheduled by the caller rather than the
+    /// simulator (a fused decode burst or mixed round). Adds busy time
+    /// and, when tracing, a `Compute` span per GPU, and occupies the
+    /// GPUs until `end`.
     pub fn record_stage(
         &mut self,
         cfg: ParallelConfig,
@@ -201,39 +184,14 @@ impl ClusterSim {
         self.sim.record_service(group, start, end, TaskKind::Compute);
     }
 
-    /// End a fused decode burst or mixed round on replica `dp_rank`:
-    /// `stage_ends[s]` is the end of the last interval charged to stage
-    /// `s` with [`record_stage`](ClusterSim::record_stage), and no
-    /// compute task may start on that stage's GPUs before it.
-    pub fn close_burst(&mut self, cfg: ParallelConfig, dp_rank: usize, stage_ends: &[SimTime]) {
-        for (s, &end) in stage_ends.iter().enumerate() {
-            for t in 0..cfg.tp {
-                let g = cfg.gpu_index(dp_rank, s, t);
-                self.burst_end[g] = self.burst_end[g].max(end);
-            }
-        }
-    }
-
-    /// Whether GPU `gpu`'s compute engine is free now: no task running
-    /// or queued, and its last fused burst over.
+    /// Whether GPU `gpu`'s compute engine has finished all its work.
     pub fn compute_idle(&self, gpu: usize) -> bool {
-        self.sim.is_idle(self.compute[gpu]) && self.now() >= self.burst_end[gpu]
+        self.sim.is_idle(self.compute[gpu])
     }
 
-    /// A compute task submitted now may start at once, so the GPU's
-    /// last fused burst must be over: the executor cannot see that
-    /// work and would serve the task on top of it.
-    fn debug_assert_after_burst(&self, gpu: usize) {
-        debug_assert!(
-            self.now() >= self.burst_end[gpu],
-            "compute task on gpu{gpu} at {} lands inside a fused decode burst ending at {}",
-            self.now(),
-            self.burst_end[gpu]
-        );
-    }
-
-    /// Mean busy fraction of the GPUs' compute engines over the run so
-    /// far — the utilization figure engines report.
+    /// Mean busy fraction of the GPUs' compute engines over the run —
+    /// the utilization figure engines report once the run has drained
+    /// (busy time counts work when it is submitted).
     pub fn mean_compute_utilization(&self) -> f64 {
         if self.compute.is_empty() {
             return 0.0;
@@ -242,12 +200,10 @@ impl ClusterSim {
         sum / self.compute.len() as f64
     }
 
-    /// Join several handles into one (no dependency list allocated).
-    pub fn join(&mut self, handles: &[TaskHandle]) -> TaskHandle {
-        match handles.len() {
-            1 => handles[0],
-            _ => self.sim.submit_sync(handles),
-        }
+    /// Join several tasks: the time the last of them completes, and
+    /// no earlier than now (a join of finished tasks completes now).
+    pub fn join(&self, handles: &[SimTime]) -> SimTime {
+        handles.iter().fold(self.now(), |t, &h| t.max(h))
     }
 }
 

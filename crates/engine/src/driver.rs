@@ -2,12 +2,13 @@
 //! assignment, and pipelined pass submission for prefill batches,
 //! decode bursts and mixed (chunked) rounds.
 //!
-//! Only prefill batches go through the executor pass by pass
+//! Only prefill batches are submitted pass by pass, as tasks
 //! ([`ClusterSim::submit_pass`]). Decode bursts and mixed rounds
 //! compute their pipeline schedule in closed form (a max-plus
-//! recurrence over passes and stages), charge each stage's TP group
-//! directly ([`ClusterSim::record_stage`]) and leave one marker task
-//! in the executor to wait on, instead of `passes × PP × TP` tasks:
+//! recurrence over passes and stages) and charge each stage's TP group
+//! directly ([`ClusterSim::record_stage`]), instead of submitting
+//! `passes × PP × TP` tasks. Either way the caller gets the work's end
+//! time to wait on:
 //!
 //! * [`submit_decode_burst`] schedules a burst's rounds in (round,
 //!   slot) order. Everything about a slot's pass but its total context
@@ -27,7 +28,7 @@ use seesaw_hw::efficiency;
 use seesaw_kv::PagedKvCache;
 use seesaw_parallel::ParallelConfig;
 use seesaw_roofline::{BatchShape, DecodeCost, Roofline, Stage};
-use seesaw_sim::{SimTime, TaskHandle, TaskKind};
+use seesaw_sim::{SimTime, TaskKind};
 use seesaw_workload::Request;
 
 /// Engines admit from the queue head and idle to the *head's* arrival
@@ -69,10 +70,10 @@ pub struct Replica {
     pub kv: PagedKvCache,
     /// Sequences decoding on this replica.
     pub running: Vec<RunSeq>,
-    /// Per-micro-batch-slot pipeline tails (length = PP), chaining
-    /// rounds so the pipeline never drains between scheduler
-    /// decisions.
-    pub tails: Vec<Option<TaskHandle>>,
+    /// Per-micro-batch-slot pipeline tails (length = PP): the end of
+    /// each slot's latest pass, chaining rounds so the pipeline never
+    /// drains between scheduler decisions.
+    pub tails: Vec<Option<SimTime>>,
     scratch: Scratch,
 }
 
@@ -93,8 +94,6 @@ struct Scratch {
     slot_end: Vec<SimTime>,
     /// The latest stage-0 readiness of any mixed pass scheduled so far.
     ready_by: SimTime,
-    /// Slot tails to join.
-    last: Vec<TaskHandle>,
     /// Sequences the last [`Replica::advance_decode`] retired.
     finished: Vec<RunSeq>,
 }
@@ -131,7 +130,7 @@ impl Stages {
     /// previous stage's end) and the stage's previous end, and takes
     /// `layer` seconds per layer, plus the activation hop `p2p` on all
     /// but the last stage and the step overhead on stage 0: the
-    /// executor's floating-point operations. Each interval is charged
+    /// simulator's floating-point operations. Each interval is charged
     /// to the stage's TP group.
     fn serve(
         &mut self,
@@ -289,20 +288,19 @@ fn slot_sums(running: &[RunSeq], pp: usize, sums: &mut Vec<(usize, usize)>) {
 
 /// Run `rounds` chained decode rounds for one replica (each round
 /// advances every running sequence one token through all pipeline
-/// stages). Returns the join of the final round's slot tails, or
-/// `None` if nothing is running.
+/// stages). Returns the end of the final round, or `None` if nothing
+/// is running.
 ///
-/// The burst's schedule is computed in closed form rather than pushed
-/// through the event heap. Each slot's pass in round `r` follows its
+/// The burst's schedule is computed in closed form rather than
+/// submitted pass by pass. Each slot's pass in round `r` follows its
 /// own pass in round `r - 1`, and each stage serves passes first come,
 /// first served. With the replica's GPUs idle at the start, every
 /// stage therefore serves in (round, slot) order. So a pass's stage
 /// `s` starts at the later of its stage `s - 1` end and the stage's
-/// previous end — the max-plus recurrence the executor would step
-/// through, with the same floating-point operations in the same order.
+/// previous end — the max-plus recurrence of submitting every pass as
+/// a task, with the same floating-point operations in the same order.
 /// Each stage interval is charged to the stage's TP group at once, and
-/// each non-empty slot gets one marker task that completes at its
-/// final pass's end. That marker becomes the slot's tail.
+/// each non-empty slot's tail becomes its final pass's end.
 ///
 /// Only a slot's total context changes between rounds (by one token
 /// per member), so its [`DecodeCost`] and activation hop are evaluated
@@ -312,7 +310,7 @@ fn slot_sums(running: &[RunSeq], pp: usize, sums: &mut Vec<(usize, usize)>) {
 /// Panics unless the replica's compute GPUs are idle and its previous
 /// tails have completed: callers drain earlier compute work (prefill
 /// batches, mixed rounds, the previous burst, re-shard overheads)
-/// before a burst. The caller must `run_until` the returned handle and
+/// before a burst. The caller must `run_until` the returned end and
 /// then call [`Replica::advance_decode`] with the same `rounds`.
 pub fn submit_decode_burst(
     cs: &mut ClusterSim,
@@ -320,20 +318,20 @@ pub fn submit_decode_burst(
     cfg: ParallelConfig,
     replica: &mut Replica,
     rounds: usize,
-) -> Option<TaskHandle> {
+) -> Option<SimTime> {
     if replica.running.is_empty() || rounds == 0 {
         return None;
     }
     let d = replica.dp_rank;
+    let now = cs.now();
     assert!(
-        replica.tails.iter().flatten().all(|&t| cs.sim.completed(t)),
+        replica.tails.iter().flatten().all(|&t| t <= now),
         "decode burst on replica {d} before its previous pipeline tails completed"
     );
     assert!(
         (0..cfg.pp).all(|s| (0..cfg.tp).all(|t| cs.compute_idle(cfg.gpu_index(d, s, t)))),
         "decode burst on replica {d} while its compute GPUs are busy"
     );
-    let now = cs.now();
     let sc = &mut replica.scratch;
     slot_sums(&replica.running, cfg.pp, &mut sc.sums);
     sc.passes.clear();
@@ -357,14 +355,12 @@ pub fn submit_decode_burst(
             pass.tail = sc.stages.serve(cs, cfg, d, pass.tail, layer, pass.p2p);
         }
     }
-    cs.close_burst(cfg, d, &sc.stages.free);
-    sc.last.clear();
+    let mut end = now;
     for pass in &sc.passes {
-        let tail = cs.sim.submit_at(pass.tail);
-        replica.tails[pass.slot] = Some(tail);
-        sc.last.push(tail);
+        replica.tails[pass.slot] = Some(pass.tail);
+        end = end.max(pass.tail);
     }
-    Some(cs.join(&sc.last))
+    Some(end)
 }
 
 /// Balanced assignment of a prefill batch to up to `pp` micro-batch
@@ -384,9 +380,9 @@ pub fn assign_prefill_slots(seqs: &[(u64, usize)], pp: usize) -> Vec<Vec<(u64, u
 }
 
 /// Submit a pipelined prefill pass for a batch of whole prompts on one
-/// replica. Returns one `(handle, member ids)` pair per micro-batch
-/// slot used; the handle completes when that slot's sequences exit the
-/// last pipeline stage (swap-outs should depend on it).
+/// replica. Returns one `(end, member ids)` pair per micro-batch slot
+/// used: the time that slot's sequences exit the last pipeline stage
+/// (swap-outs should depend on it).
 ///
 /// Unlike decode rounds, consecutive prefill micro-batches carry no
 /// data dependency, so no slot-tail chaining is used — the stage
@@ -397,7 +393,7 @@ pub fn submit_prefill_batch(
     cfg: ParallelConfig,
     replica: &mut Replica,
     seqs: &[(u64, usize)],
-) -> Vec<(TaskHandle, Vec<u64>)> {
+) -> Vec<(SimTime, Vec<u64>)> {
     if seqs.is_empty() {
         return Vec::new();
     }
@@ -427,12 +423,10 @@ pub fn submit_prefill_batch(
 /// if it has no pass (nothing running, no chunk).
 ///
 /// Like [`submit_decode_burst`], the round's schedule is computed in
-/// closed form and charged with [`ClusterSim::record_stage`]; no
-/// executor task is submitted, so the caller waits on a
-/// [`Simulator::submit_at`](seesaw_sim::Simulator::submit_at) marker
-/// at the returned end (or the latest end over its replicas). The
-/// schedule is the one the executor's FIFO stage queues produce for
-/// per-slot chained passes:
+/// closed form and charged with [`ClusterSim::record_stage`]; no task
+/// is submitted, and the caller waits on the returned end (or the
+/// latest end over its replicas). The schedule is the one FIFO stage
+/// queues produce for per-slot chained passes submitted as tasks:
 ///
 /// * A slot's pass is ready for stage 0 at the later of now and the
 ///   end of the slot's previous pass, and stage 0 serves in readiness
@@ -443,15 +437,15 @@ pub fn submit_prefill_batch(
 ///   when its previous stage ends, and those ends strictly increase in
 ///   that stage's order because every duration is positive.
 /// * Each stage starts at the later of its readiness and the end of
-///   the stage's previous pass, with the executor's floating-point
+///   the stage's previous pass, with the simulator's floating-point
 ///   operations.
 ///
 /// Two rounds may be in flight, as long as every pass of the previous
 /// round is ready for stage 0 by now: then no pass of this round can
 /// be served before it, and the previous rounds' schedule stands. The
 /// engines keep that by submitting a round only after the one two
-/// back has ended; a round submitted earlier panics. Callers drain
-/// executor compute work (prefill batches, re-shard overheads) first.
+/// back has ended; a round submitted earlier panics. Compute tasks
+/// (prefill batches, re-shard overheads) are drained first.
 pub fn submit_mixed_round(
     cs: &mut ClusterSim,
     rl: &Roofline,
@@ -497,7 +491,6 @@ pub fn submit_mixed_round(
         sc.ready_by = sc.ready_by.max(pass.ready);
         round_end = round_end.max(end);
     }
-    cs.close_burst(cfg, d, &sc.stages.free);
     Some(round_end)
 }
 

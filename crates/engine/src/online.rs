@@ -100,7 +100,7 @@ pub trait OnlineEngine: Send + Sync {
             "replica ready time must be finite and non-negative, got {ready_s}"
         );
         // Arrivals are sorted, so the first one is the earliest.
-        if requests.first().map_or(true, |r| r.arrival_s >= ready_s) {
+        if requests.first().is_none_or(|r| r.arrival_s >= ready_s) {
             return self.run(requests);
         }
         let clamped: Vec<Request> = requests

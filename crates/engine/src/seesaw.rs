@@ -32,7 +32,7 @@ use seesaw_kv::{BufferedSeq, CpuKvBuffer, KvLayout, PagedKvCache, SwapSizer};
 use seesaw_model::ModelConfig;
 use seesaw_parallel::{FitError, MemoryPlan, ParallelConfig, ReshardPlan};
 use seesaw_roofline::Roofline;
-use seesaw_sim::{SimTime, TaskHandle, TaskKind, TraceSummary};
+use seesaw_sim::{SimTime, TaskKind, TraceSummary};
 use seesaw_workload::{LatencyStats, Request};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -260,11 +260,11 @@ impl crate::online::OnlineEngine for SeesawEngine {
 #[derive(Debug, Clone, Copy)]
 struct PendingSwapOut {
     id: u64,
-    /// Completes when the GPU-side KV can be freed (D2H done).
-    vacate: TaskHandle,
-    /// Completes when the shared-memory copy is done (`None` for
-    /// sequences that finished at prefill and are never buffered).
-    buffered: Option<TaskHandle>,
+    /// When the GPU-side KV can be freed (D2H done).
+    vacate: SimTime,
+    /// When the shared-memory copy is done (`None` for sequences that
+    /// finished at prefill and are never buffered).
+    buffered: Option<SimTime>,
 }
 
 /// A sequence whose KV swap-in is in flight.
@@ -273,7 +273,8 @@ struct PendingSwapIn {
     id: u64,
     tokens: usize,
     output_len: usize,
-    ready: TaskHandle,
+    /// When the H2D copies are done.
+    ready: SimTime,
 }
 
 /// Where a paused [`SeesawRun`] resumes.
@@ -300,7 +301,8 @@ enum Step {
 #[derive(Debug, Clone, Default)]
 struct PrefillPhase {
     pending: Vec<Vec<PendingSwapOut>>,
-    outstanding: VecDeque<TaskHandle>,
+    /// Ends of the prefill batches in flight.
+    outstanding: VecDeque<SimTime>,
     /// Phase start, seconds.
     t_phase: f64,
     buffered_any: bool,
@@ -327,12 +329,12 @@ struct SeesawRun<'a> {
     at: Step,
     phase: PrefillPhase,
     /// Reusable part buffers for the per-sequence swap chains.
-    scratch_a: Vec<TaskHandle>,
-    scratch_b: Vec<TaskHandle>,
+    scratch_a: Vec<SimTime>,
+    scratch_b: Vec<SimTime>,
     /// Reusable buffers of a decode burst step: per replica burst
-    /// `(replica, rounds, join)`, and the joins to wait on.
-    bursts: Vec<(usize, usize, TaskHandle)>,
-    burst_joins: Vec<TaskHandle>,
+    /// `(replica, rounds, end)`, and the ends to join.
+    bursts: Vec<(usize, usize, SimTime)>,
+    burst_joins: Vec<SimTime>,
 }
 
 impl<'a> SeesawRun<'a> {
@@ -592,7 +594,7 @@ impl<'a> SeesawRun<'a> {
         while let Some(j) = phase.outstanding.pop_front() {
             self.cs.sim.run_until(j);
         }
-        let handles: Vec<TaskHandle> = phase
+        let handles: Vec<SimTime> = phase
             .pending
             .iter()
             .flat_map(|v| v.iter().map(|p| p.buffered.unwrap_or(p.vacate)))
@@ -616,7 +618,7 @@ impl<'a> SeesawRun<'a> {
     /// D2H into pinned staging (dep: the prefill pass), then the
     /// host-side copy into shared memory. Sequences that finished at
     /// prefill (`output_len == 1`) skip the swap entirely.
-    fn submit_swap_out(&mut self, d: usize, id: u64, req: Request, pass: TaskHandle) -> PendingSwapOut {
+    fn submit_swap_out(&mut self, d: usize, id: u64, req: Request, pass: SimTime) -> PendingSwapOut {
         if req.output_len <= 1 {
             self.completed += 1;
             return PendingSwapOut {
@@ -738,7 +740,6 @@ impl<'a> SeesawRun<'a> {
                     self.rec.completed(seq.id, h);
                 }
             }
-            self.rec.settle_and_retire(&mut self.cs.sim);
             for d in 0..dp {
                 self.prefetch(d, &mut inflight[d]);
             }
@@ -839,10 +840,6 @@ impl Resumable for SeesawRun<'_> {
         &mut self.intake
     }
 
-    fn cluster(&self) -> &ClusterSim {
-        &self.cs
-    }
-
     fn recorder(&self) -> &TimingRecorder {
         &self.rec
     }
@@ -867,7 +864,6 @@ impl Resumable for SeesawRun<'_> {
                 }
                 Step::PrefillIter => {
                     self.reclaim_swap_outs();
-                    self.rec.settle_and_retire(&mut self.cs.sim);
                     self.at = Step::PrefillAdmit;
                 }
                 Step::PrefillAdmit => {
@@ -917,7 +913,7 @@ impl Resumable for SeesawRun<'_> {
         assert_eq!(self.completed, self.intake.len(), "all requests must finish");
         let trace_summary = self.cs.sim.trace().summary();
         let gpu_utilization = self.cs.mean_compute_utilization();
-        let timeline = std::mem::take(&mut self.rec).resolve(&self.cs.sim, &self.intake.meta);
+        let timeline = std::mem::take(&mut self.rec).resolve(&self.intake.meta);
         let latency = LatencyStats::from_timeline(&timeline);
         let report = EngineReport {
             label: self.eng.spec.label(),
@@ -967,12 +963,14 @@ mod tests {
         assert!(report.decode_wall_s > 0.0);
     }
 
-    /// The task arena is bounded by the work in flight: a stream four
-    /// times longer, of the same shape and load, peaks at the same
-    /// number of retained tasks across its prefill/decode cycles.
+    /// The simulator keeps nothing per task, so its memory is bounded
+    /// however long the stream; what is left to pin is what a run
+    /// submits. Prefill passes, swaps and re-shards are tasks; decode
+    /// bursts are closed form and a join is a `max` (9 127 tasks when
+    /// burst markers and joins were tasks). The count grows with the
+    /// stream across its prefill/decode cycles.
     #[test]
     fn arena_is_bounded_by_in_flight_tasks() {
-        use crate::actor::arena_counts;
         use seesaw_workload::ArrivalDist;
         let stream = |n| {
             WorkloadGen::constant(512, 32)
@@ -983,14 +981,50 @@ mod tests {
         let mut spec = spec_p4t4();
         spec.buffer_tokens_override = Some(6_000);
         let eng = SeesawEngine::new(ClusterSpec::a10x4(), presets::llama2_13b(), spec).unwrap();
-        let counts = |n| arena_counts(SeesawRun::new(&eng, Intake::closed(&stream(n)), false));
-        let (short, long) = (counts(100), counts(400));
-        let shown = format!("(submitted, peak) {short:?} vs {long:?}");
-        assert!(long.0 > 3 * short.0, "{shown}");
-        assert!(long.1 <= short.1 + short.1 / 4, "arena grew with the stream, {shown}");
-        // Fused decode bursts: 9 127 tasks, where per-round bursts took
-        // 16 275; what remains is prefill, swaps and re-shards.
-        assert!(long.0 <= 10_000, "{shown}");
+        let submitted = |n| {
+            let mut run = SeesawRun::new(&eng, Intake::closed(&stream(n)), false);
+            assert!(run.advance(&eng.roofline()), "a closed run always completes");
+            run.cs.sim.submitted_tasks()
+        };
+        let (short, long) = (submitted(100), submitted(400));
+        assert!(long > 3 * short, "submitted {short} vs {long}");
+        assert_eq!(long, 7_596, "submitted {short} vs {long}");
+    }
+
+    /// Two DP replicas given identical work finish it at identical
+    /// instants. Their swap-ins end at the same time, and each is
+    /// on-boarded the moment the clock reaches it; so the pair behaves
+    /// exactly like one replica serving half the stream.
+    #[test]
+    fn equal_dp_replicas_stay_in_lockstep() {
+        let run = |cluster: ClusterSpec, dp: usize, n: usize| {
+            let spec = SeesawSpec::new(
+                ParallelConfig::new(dp, 1, 4),
+                ParallelConfig::new(dp, 4, 1),
+            );
+            let eng = SeesawEngine::new(cluster, presets::codellama_34b(), spec).unwrap();
+            eng.run(&WorkloadGen::constant(512, 32).generate(n))
+        };
+        let pair = run(ClusterSpec::a10x8(), 2, 8);
+        let single = run(ClusterSpec::a10x4(), 1, 4);
+        assert_eq!(
+            pair.stats.duration_s.to_bits(),
+            single.stats.duration_s.to_bits(),
+            "D2P4->D2T4 on 8 requests {} s vs D1P4->D1T4 on 4 requests {} s",
+            pair.stats.duration_s,
+            single.stats.duration_s
+        );
+        assert_eq!(format!("{:.9}", single.stats.duration_s), "3.345096246");
+        for k in pair.timeline.chunks(2) {
+            let (a, b) = (&k[0], &k[1]);
+            assert_eq!(
+                (a.first_token_s.to_bits(), a.completion_s.to_bits()),
+                (b.first_token_s.to_bits(), b.completion_s.to_bits()),
+                "requests {} and {}",
+                a.id,
+                b.id
+            );
+        }
     }
 
     #[test]

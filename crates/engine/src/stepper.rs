@@ -71,7 +71,7 @@ pub fn live_state(report: &EngineReport, t: f64) -> LiveState {
     let mut work_s = 0.0f64;
     let mut next: Option<f64> = None;
     let mut note = |at: f64| {
-        if at > t && next.map_or(true, |n| at < n) {
+        if at > t && next.is_none_or(|n| at < n) {
             next = Some(at);
         }
     };
@@ -279,7 +279,7 @@ mod tests {
         // counts — arrived, first-token'd, completed — coincide).
         let mut stepper = EngineStepper::new(&eng, 0.0);
         for req in &stream {
-            stepper.push(req.clone());
+            stepper.push(*req);
             let now = stepper.state_at(req.arrival_s);
             let reference = live_state(&full, req.arrival_s);
             assert_eq!(now.queue_depth, reference.queue_depth);

@@ -21,7 +21,7 @@ use seesaw_hw::ClusterSpec;
 use seesaw_model::ModelConfig;
 use seesaw_parallel::{FitError, MemoryPlan, ParallelConfig};
 use seesaw_roofline::{BatchShape, Roofline};
-use seesaw_sim::{SimTime, TaskHandle, TraceSummary};
+use seesaw_sim::{SimTime, TraceSummary};
 use seesaw_workload::{LatencyStats, Request};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -50,7 +50,8 @@ pub struct VllmEngine {
 /// A submitted-but-not-yet-integrated prefill batch.
 #[derive(Debug, Clone)]
 struct InflightPrefill {
-    join: TaskHandle,
+    /// When its last pass ends.
+    join: SimTime,
     admitted: Vec<Vec<(u64, usize)>>,
 }
 
@@ -203,13 +204,13 @@ struct RunState<'a> {
     batches: VecDeque<InflightPrefill>,
     /// Whether the current prefill step has prefilled anything.
     prefilled: bool,
-    /// End markers of the mixed rounds in flight (chunked policy).
-    rounds: VecDeque<TaskHandle>,
+    /// Ends of the mixed rounds in flight (chunked policy).
+    rounds: VecDeque<SimTime>,
     round: usize,
     /// Reusable buffers of a decode burst step: per replica burst
-    /// `(replica, rounds, join)`, and the joins to wait on.
-    bursts: Vec<(usize, usize, TaskHandle)>,
-    burst_joins: Vec<TaskHandle>,
+    /// `(replica, rounds, end)`, and the ends to join.
+    bursts: Vec<(usize, usize, SimTime)>,
+    burst_joins: Vec<SimTime>,
     /// Reusable buffers of a mixed round step: the prompts it finishes
     /// `(replica, id, prompt)`, and the replicas it decodes.
     graduated: Vec<(usize, u64, usize)>,
@@ -345,7 +346,7 @@ impl<'a> RunState<'a> {
     }
 
     /// Submit a whole-prompt prefill pass for admitted batches,
-    /// returning the in-flight record (join handle + members). The
+    /// returning the in-flight record (end time + members). The
     /// caller decides when to wait on it, so consecutive batches keep
     /// the pipeline full.
     fn submit_prefill(
@@ -356,7 +357,7 @@ impl<'a> RunState<'a> {
         if admitted.iter().all(|a| a.is_empty()) {
             return None;
         }
-        let mut joins: Vec<TaskHandle> = Vec::new();
+        let mut joins: Vec<SimTime> = Vec::new();
         for (d, batch) in admitted.iter().enumerate() {
             if batch.is_empty() {
                 continue;
@@ -386,7 +387,6 @@ impl<'a> RunState<'a> {
         let t0 = self.cs.now();
         self.cs.sim.run_until(batch.join);
         self.prefill_wall += self.cs.now() - t0;
-        self.rec.settle_and_retire(&mut self.cs.sim);
         for (d, members) in batch.admitted.into_iter().enumerate() {
             for (id, prompt) in members {
                 let req = self.intake.meta.req(id);
@@ -472,7 +472,6 @@ impl<'a> RunState<'a> {
                 self.rec.completed(seq.id, h);
             }
         }
-        self.rec.settle_and_retire(&mut self.cs.sim);
         true
     }
 
@@ -581,8 +580,8 @@ impl<'a> RunState<'a> {
                     }
                     if self.prefilling.iter().any(|p| !p.is_empty()) {
                         self.round += 1;
-                        if let Some(marker) = self.submit_mixed_round_step(rl, chunk_tokens, self.round) {
-                            self.rounds.push_back(marker);
+                        if let Some(end) = self.submit_mixed_round_step(rl, chunk_tokens, self.round) {
+                            self.rounds.push_back(end);
                             if self.rounds.len() >= 2 {
                                 let oldest = self.rounds.pop_front().expect("non-empty");
                                 self.wait_mixed(oldest);
@@ -628,25 +627,24 @@ impl<'a> RunState<'a> {
         }
     }
 
-    /// Wait for one in-flight mixed round's end marker, charging
-    /// mixed-batch time.
-    fn wait_mixed(&mut self, marker: TaskHandle) {
+    /// Wait for one in-flight mixed round's end, charging mixed-batch
+    /// time.
+    fn wait_mixed(&mut self, end: SimTime) {
         let t0 = self.cs.now();
-        self.cs.sim.run_until(marker);
+        self.cs.sim.run_until(end);
         self.mixed_wall += self.cs.now() - t0;
-        self.rec.settle_and_retire(&mut self.cs.sim);
     }
 
     /// Run one mixed round per replica (every running sequence decodes
     /// one token while up to `chunk_tokens` prompt tokens prefill) and
-    /// apply its deterministic state updates immediately. Returns a
-    /// marker task that completes at the round's end.
+    /// apply its deterministic state updates immediately. Returns the
+    /// round's end.
     fn submit_mixed_round_step(
         &mut self,
         rl: &Roofline,
         chunk_tokens: usize,
         round: usize,
-    ) -> Option<TaskHandle> {
+    ) -> Option<SimTime> {
         self.graduated.clear();
         self.decoded.clear();
         let mut round_end: Option<SimTime> = None;
@@ -682,23 +680,23 @@ impl<'a> RunState<'a> {
                 }
             }
         }
-        let marker = self.cs.sim.submit_at(round_end?);
+        let end = round_end?;
         for &d in &self.decoded {
             let finished = self.replicas[d].advance_decode(1);
             self.completed += finished.len();
             for seq in finished {
-                self.rec.completed(seq.id, marker);
+                self.rec.completed(seq.id, end);
             }
         }
         for &(d, id, prompt) in &self.graduated {
             let req = self.intake.meta.req(id);
             // The round that finishes a prompt's last chunk emits its
             // first token.
-            self.rec.first_token(id, marker);
+            self.rec.first_token(id, end);
             if req.output_len <= 1 {
                 self.replicas[d].kv.free(id).expect("was allocated");
                 self.completed += 1;
-                self.rec.completed(id, marker);
+                self.rec.completed(id, end);
             } else {
                 self.replicas[d].running.push(RunSeq {
                     id,
@@ -707,7 +705,7 @@ impl<'a> RunState<'a> {
                 });
             }
         }
-        Some(marker)
+        Some(end)
     }
 }
 
@@ -718,10 +716,6 @@ impl Resumable for RunState<'_> {
 
     fn intake_mut(&mut self) -> &mut Intake {
         &mut self.intake
-    }
-
-    fn cluster(&self) -> &ClusterSim {
-        &self.cs
     }
 
     fn recorder(&self) -> &TimingRecorder {
@@ -750,7 +744,7 @@ impl Resumable for RunState<'_> {
         assert_eq!(self.completed, self.intake.len(), "all requests must finish");
         let trace_summary = self.cs.sim.trace().summary();
         let gpu_utilization = self.cs.mean_compute_utilization();
-        let timeline = std::mem::take(&mut self.rec).resolve(&self.cs.sim, &self.intake.meta);
+        let timeline = std::mem::take(&mut self.rec).resolve(&self.intake.meta);
         let latency = LatencyStats::from_timeline(&timeline);
         let report = EngineReport {
             label: self.eng.label(),
@@ -781,12 +775,15 @@ mod tests {
         WorkloadGen::constant(512, 32).generate(n)
     }
 
-    /// The task arena is bounded by the work in flight: a stream four
-    /// times longer, of the same shape and load, peaks at the same
-    /// number of retained tasks under every policy.
+    /// The simulator keeps nothing per task, so its memory is bounded
+    /// however long the stream; what is left to pin is what a run
+    /// submits. Only prefill passes are tasks, one per stage per GPU:
+    /// decode bursts and mixed rounds are scheduled in closed form, and
+    /// a join is a `max` (759 and 981 tasks when bursts and rounds left
+    /// marker tasks and joins were tasks). A stream four times longer
+    /// submits proportionally more.
     #[test]
     fn arena_is_bounded_by_in_flight_tasks() {
-        use crate::actor::arena_counts;
         use seesaw_workload::ArrivalDist;
         let stream = |n| {
             WorkloadGen::constant(512, 32)
@@ -794,10 +791,10 @@ mod tests {
                 .expect("valid arrivals")
                 .generate(n)
         };
-        for policy in [
-            SchedulingPolicy::PrefillPrioritized,
-            SchedulingPolicy::DecodePrioritized,
-            SchedulingPolicy::ChunkedPrefill { chunk_tokens: 512 },
+        for (policy, pinned) in [
+            (SchedulingPolicy::PrefillPrioritized, 380),
+            (SchedulingPolicy::DecodePrioritized, 380),
+            (SchedulingPolicy::ChunkedPrefill { chunk_tokens: 512 }, 0),
         ] {
             let eng = VllmEngine::new(
                 ClusterSpec::a10x4(),
@@ -806,21 +803,14 @@ mod tests {
                 policy,
             )
             .unwrap();
-            let counts = |n| arena_counts(RunState::new(&eng, Intake::closed(&stream(n)), false));
-            let (short, long) = (counts(100), counts(400));
-            let shown = format!("{policy:?}: (submitted, peak) {short:?} vs {long:?}");
-            assert!(long.0 > 3 * short.0, "{shown}");
-            assert!(long.1 <= short.1 + short.1 / 4, "arena grew with the stream, {shown}");
-            // A decode burst is one marker task per slot plus a join,
-            // not a task per stage per GPU per round (759 tasks and a
-            // peak of 13, where per-round bursts took 18 334 and 373).
-            // A mixed round is one end marker, not a pass per slot per
-            // stage per GPU plus joins (981 tasks and a peak of 3,
-            // where per-pass rounds took 5 732 and 32).
-            assert!(long.0 <= 1_000 && long.1 <= 32, "{shown}");
-            if matches!(policy, SchedulingPolicy::ChunkedPrefill { .. }) {
-                assert_eq!(long, (981, 3), "{shown}");
-            }
+            let submitted = |n| {
+                let mut run = RunState::new(&eng, Intake::closed(&stream(n)), false);
+                assert!(run.advance(&eng.roofline()), "a closed run always completes");
+                run.cs.sim.submitted_tasks()
+            };
+            let (short, long) = (submitted(100), submitted(400));
+            assert_eq!(long, pinned, "{policy:?}: submitted {short} vs {long}");
+            assert!(long >= 3 * short, "{policy:?}: submitted {short} vs {long}");
         }
     }
 

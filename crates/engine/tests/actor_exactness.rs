@@ -77,6 +77,8 @@ fn check(engine: &dyn OnlineEngine, feed: &[(usize, usize, u32, u32)], ready_s: 
         .collect();
     let label = engine.label();
     let mut actor = engine.actor(ready_s);
+    // Depth reads never project: every projection is one of these.
+    let mut projected = 0;
     for (i, req) in stream.iter().enumerate() {
         actor.push(*req);
         let next = stream.get(i + 1).map_or(req.arrival_s + 25.0, |n| n.arrival_s);
@@ -91,8 +93,14 @@ fn check(engine: &dyn OnlineEngine, feed: &[(usize, usize, u32, u32)], ready_s: 
             i + 1
         );
         if feed[i].3 % 2 == 1 {
+            projected += 1;
             assert_eq!(actor.projected(), &oracle, "{label}: projection after {} pushes", i + 1);
         }
+        assert!(
+            actor.projection_counts().0 <= projected,
+            "{label}: a depth read projected ({:?} for {projected} projected() calls)",
+            actor.projection_counts()
+        );
     }
     assert_eq!(actor.finish(), engine.run_ready(&stream, ready_s), "{label}: finish");
 }

@@ -1,8 +1,8 @@
 //! Fused decode bursts and mixed rounds keep their working buffers on
 //! the replica, so once warmed up they allocate nothing: a 1-round and
 //! a 64-round burst make the same number of heap allocations, and a
-//! whole engine-loop step (burst, wait, advance, retire; or mixed
-//! round, marker, advance, wait, retire) makes none. The counting
+//! whole engine-loop step (burst, wait, advance; or mixed round,
+//! advance, wait) makes none. The counting
 //! allocator counts only the thread that switched it on, so the test
 //! harness's own threads do not disturb the count.
 
@@ -12,7 +12,7 @@ use seesaw_hw::ClusterSpec;
 use seesaw_model::presets;
 use seesaw_parallel::ParallelConfig;
 use seesaw_roofline::{BatchShape, Roofline};
-use seesaw_sim::TaskHandle;
+use seesaw_sim::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -64,7 +64,7 @@ fn allocations(f: impl FnOnce()) -> usize {
     ALLOCS.with(|c| c.take()).expect("counting was on")
 }
 
-/// One engine-loop step: burst, wait, advance, retire.
+/// One engine-loop step: burst, wait, advance.
 fn step(cs: &mut ClusterSim, rl: &Roofline, cfg: ParallelConfig, rep: &mut Replica, rounds: usize) {
     let join = submit_decode_burst(cs, rl, cfg, rep, rounds).expect("replica is running");
     cs.sim.run_until(join);
@@ -72,7 +72,6 @@ fn step(cs: &mut ClusterSim, rl: &Roofline, cfg: ParallelConfig, rep: &mut Repli
         rep.advance_decode(rounds).is_empty(),
         "nothing finishes mid-test"
     );
-    cs.sim.retire();
 }
 
 /// A replica decoding six sequences that never finish.
@@ -90,25 +89,27 @@ fn setup(cfg: ParallelConfig) -> (ClusterSim, Roofline, Replica) {
     (ClusterSim::new(cluster), rl, rep)
 }
 
-/// One chunked-prefill engine-loop step: a mixed round with its end
-/// marker, the decode advance, a wait for the older of the two rounds
-/// in flight, and a retire.
+/// One chunked-prefill engine-loop step: a mixed round, the decode
+/// advance, and a wait for the older of the two rounds in flight.
 fn mixed_step(
     cs: &mut ClusterSim,
     rl: &Roofline,
     cfg: ParallelConfig,
     rep: &mut Replica,
-    inflight: &mut VecDeque<TaskHandle>,
+    inflight: &mut VecDeque<SimTime>,
     round: usize,
 ) {
     let chunk = BatchShape::prefill_chunk(512, 512 * (round % 8));
     let end = submit_mixed_round(cs, rl, cfg, rep, &chunk, round).expect("replica is running");
-    inflight.push_back(cs.sim.submit_at(end));
-    assert!(rep.advance_decode(1).is_empty(), "nothing finishes mid-test");
+    inflight.push_back(end);
+    assert!(
+        rep.advance_decode(1).is_empty(),
+        "nothing finishes mid-test"
+    );
     if inflight.len() >= 2 {
-        cs.sim.run_until(inflight.pop_front().expect("two in flight"));
+        cs.sim
+            .run_until(inflight.pop_front().expect("two in flight"));
     }
-    cs.sim.retire();
 }
 
 #[test]

@@ -1,10 +1,14 @@
 //! A fused decode burst (`driver::submit_decode_burst`) computes its
 //! pipeline schedule in closed form. The reference here is the
-//! per-round version it replaced: one task-graph pass per micro-batch
-//! slot per round, chained on the slot's previous tail and served by
-//! the executor's FIFO stage queues. On random layouts, batches and
-//! burst lengths the two must agree bit for bit on every time and busy
-//! total, and record the same spans.
+//! per-round version it replaced, run on the event-driven executor
+//! that the eager `Simulator` replaced (`tests/support`): one
+//! task-graph pass per micro-batch slot per round, chained on the
+//! slot's previous tail and served by FIFO stage queues. The two share
+//! no scheduling code. On random layouts, batches and burst lengths
+//! they must agree bit for bit on every time and busy total, and
+//! record the same spans.
+
+mod support;
 
 use proptest::prelude::*;
 use seesaw_engine::cluster_sim::ClusterSim;
@@ -13,60 +17,43 @@ use seesaw_hw::{efficiency, ClusterSpec};
 use seesaw_model::presets;
 use seesaw_parallel::ParallelConfig;
 use seesaw_roofline::{BatchShape, Roofline, Stage};
-use seesaw_sim::{TaskHandle, TaskKind, TraceSummary};
+use seesaw_sim::{SimTime, Span, TaskKind, TraceSummary};
+use support::heap::Handle;
+use support::HeapCluster;
 
-/// Indices of `replica.running` assigned to each micro-batch slot
-/// (round-robin, as the engines assign them).
-fn slot_members(replica: &Replica, pp: usize) -> Vec<Vec<usize>> {
-    let mut slots = vec![Vec::new(); pp];
-    for i in 0..replica.running.len() {
-        slots[i % pp].push(i);
-    }
-    slots
-}
-
-/// The per-round burst: `rounds` × non-empty slots passes, each
-/// submitted through `ClusterSim::submit_pass` behind its slot's tail,
-/// with its stage durations evaluated from the full layer cost.
+/// The per-round burst on the heap: `rounds` × non-empty slots passes,
+/// each behind its slot's tail, with its stage durations evaluated
+/// from the full layer cost. Returns the join of the last round.
 fn reference_burst(
-    cs: &mut ClusterSim,
+    heap: &mut HeapCluster,
     rl: &Roofline,
     cfg: ParallelConfig,
-    replica: &mut Replica,
+    replica: &Replica,
+    tails: &mut [Option<Handle>],
     rounds: usize,
-) -> Option<TaskHandle> {
-    if replica.running.is_empty() || rounds == 0 {
-        return None;
+) -> Handle {
+    let mut slots = vec![Vec::new(); cfg.pp];
+    for (i, seq) in replica.running.iter().enumerate() {
+        slots[i % cfg.pp].push(seq.ctx);
     }
-    let slots = slot_members(replica, cfg.pp);
     let overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
-    let mut last: Vec<TaskHandle> = Vec::new();
+    let mut last = Vec::new();
     for r in 0..rounds {
         last.clear();
-        for (slot, members) in slots.iter().enumerate() {
-            if members.is_empty() {
+        for (slot, ctxs) in slots.iter().enumerate() {
+            if ctxs.is_empty() {
                 continue;
             }
-            let shape =
-                BatchShape::decode_iter(members.iter().map(|&i| replica.running[i].ctx + r + 1));
+            let shape = BatchShape::decode_iter(ctxs.iter().map(|&ctx| ctx + r + 1));
             let mut durs = stage_durations(rl, cfg, Stage::Decode, &shape);
             durs[0] += overhead;
-            let tail = cs.submit_pass(
-                cfg,
-                replica.dp_rank,
-                &durs,
-                replica.tails[slot],
-                TaskKind::Compute,
-            );
-            replica.tails[slot] = Some(tail);
+            let tail = heap.pass(cfg, replica.dp_rank, &durs, tails[slot]);
+            tails[slot] = Some(tail);
             last.push(tail);
         }
     }
-    Some(cs.join(&last))
+    heap.join(&last)
 }
-
-type Burst =
-    fn(&mut ClusterSim, &Roofline, ParallelConfig, &mut Replica, usize) -> Option<TaskHandle>;
 
 /// What one engine loop observes after each burst.
 #[derive(Debug, PartialEq)]
@@ -77,20 +64,13 @@ struct Observed {
     busy: Vec<u64>,
 }
 
-/// Run `bursts` (per burst, the round count) back to back on `dp`
-/// replicas, the way the engine loops do: submit every replica's
-/// burst, join, `run_until` the join, advance the contexts.
-fn drive(
-    burst: Burst,
-    cluster: &ClusterSpec,
-    rl: &Roofline,
-    cfg: ParallelConfig,
-    contexts: &[Vec<usize>],
-    bursts: &[usize],
-) -> (Observed, ClusterSim) {
-    let mut cs = ClusterSim::with_trace(cluster.clone());
-    let total: usize = bursts.iter().sum();
-    let mut replicas: Vec<Replica> = contexts
+fn bits(t: SimTime) -> u64 {
+    t.as_secs().to_bits()
+}
+
+/// Replicas running `contexts`, none finishing within `rounds`.
+fn replicas(cfg: ParallelConfig, contexts: &[Vec<usize>], rounds: usize) -> Vec<Replica> {
+    contexts
         .iter()
         .enumerate()
         .map(|(d, ctxs)| {
@@ -101,30 +81,38 @@ fn drive(
                 .map(|(i, &ctx)| RunSeq {
                     id: i as u64,
                     ctx,
-                    remaining: total + 1,
+                    remaining: rounds + 1,
                 })
                 .collect();
             rep
         })
-        .collect();
+        .collect()
+}
+
+/// Run `bursts` (per burst, the round count) back to back on every
+/// replica the way the engine loops do: submit every replica's burst,
+/// join, wait for the join, advance the contexts.
+fn drive_fused(
+    cluster: &ClusterSpec,
+    rl: &Roofline,
+    cfg: ParallelConfig,
+    contexts: &[Vec<usize>],
+    bursts: &[usize],
+) -> (Observed, ClusterSim) {
+    let mut cs = ClusterSim::with_trace(cluster.clone());
+    let mut replicas = replicas(cfg, contexts, bursts.iter().sum());
     let mut times = Vec::new();
     for &rounds in bursts {
-        let joins: Vec<TaskHandle> = replicas
+        let ends: Vec<SimTime> = replicas
             .iter_mut()
-            .map(|rep| burst(&mut cs, rl, cfg, rep, rounds).expect("replica is running"))
+            .map(|rep| {
+                submit_decode_burst(&mut cs, rl, cfg, rep, rounds).expect("replica is running")
+            })
             .collect();
-        let join = cs.join(&joins);
-        let mut row = vec![Some(cs.sim.run_until(join).as_secs().to_bits())];
+        let join = cs.join(&ends);
+        let mut row = vec![Some(bits(cs.sim.run_until(join)))];
         for rep in &mut replicas {
-            row.extend(rep.tails.iter().map(|t| {
-                t.map(|h| {
-                    cs.sim
-                        .completion_time(h)
-                        .expect("tail done")
-                        .as_secs()
-                        .to_bits()
-                })
-            }));
+            row.extend(rep.tails.iter().map(|t| t.map(bits)));
             assert!(rep.advance_decode(rounds).is_empty());
         }
         times.push(row);
@@ -142,21 +130,70 @@ fn drive(
     (Observed { times, busy }, cs)
 }
 
+/// [`drive_fused`] with per-round bursts on the heap; also returns its
+/// spans.
+fn drive_reference(
+    cluster: &ClusterSpec,
+    rl: &Roofline,
+    cfg: ParallelConfig,
+    contexts: &[Vec<usize>],
+    bursts: &[usize],
+) -> (Observed, Vec<Span>) {
+    let mut heap = HeapCluster::new(cluster);
+    let mut replicas = replicas(cfg, contexts, bursts.iter().sum());
+    let mut tails = vec![vec![None; cfg.pp]; replicas.len()];
+    let mut times = Vec::new();
+    for &rounds in bursts {
+        let ends: Vec<Handle> = replicas
+            .iter()
+            .zip(&mut tails)
+            .map(|(rep, tails)| reference_burst(&mut heap, rl, cfg, rep, tails, rounds))
+            .collect();
+        let end = heap.join(&ends);
+        let mut row = vec![Some(bits(heap.sim.run_until(end)))];
+        for (rep, tails) in replicas.iter_mut().zip(&tails) {
+            row.extend(
+                tails
+                    .iter()
+                    .map(|t| t.map(|h| bits(heap.sim.completion_time(h).expect("tail done")))),
+            );
+            assert!(rep.advance_decode(rounds).is_empty());
+        }
+        times.push(row);
+    }
+    (
+        Observed {
+            times,
+            busy: heap.compute_busy(),
+        },
+        heap.spans(),
+    )
+}
+
 /// Spans as a sorted multiset of exactly comparable keys.
-fn span_multiset(cs: &ClusterSim) -> Vec<(Option<usize>, String, u64, u64, u64)> {
-    let mut spans: Vec<_> = cs
-        .sim
-        .trace()
-        .spans()
+fn span_multiset(spans: &[Span]) -> Vec<(Option<usize>, String, u64, u64, u64)> {
+    let mut keys: Vec<_> = spans
         .iter()
         .map(|s| {
             let resource = s.resource.map(|r| r.index());
-            let (start, end) = (s.start.as_secs().to_bits(), s.end.as_secs().to_bits());
-            (resource, format!("{:?}", s.kind), start, end, s.tag)
+            (
+                resource,
+                format!("{:?}", s.kind),
+                bits(s.start),
+                bits(s.end),
+                s.tag,
+            )
         })
         .collect();
-    spans.sort();
-    spans
+    keys.sort();
+    keys
+}
+
+/// Busy seconds per category of `spans`.
+fn summary(spans: &[Span]) -> TraceSummary {
+    let mut trace = seesaw_sim::Trace::enabled();
+    spans.iter().for_each(|&s| trace.record(s));
+    trace.summary()
 }
 
 /// Spans are recorded in a different order, so bucket sums may differ
@@ -241,13 +278,14 @@ proptest! {
     fn fused_burst_matches_the_per_round_reference(case in cases()) {
         let (cluster, model) = setup(case.setup);
         let rl = Roofline::new(cluster.clone(), model);
-        let run = |burst: Burst| drive(burst, &cluster, &rl, case.cfg, &case.contexts, &case.bursts);
-        let (fused, fused_cs) = run(submit_decode_burst);
-        let (reference, reference_cs) = run(reference_burst);
+        let (fused, fused_cs) = drive_fused(&cluster, &rl, case.cfg, &case.contexts, &case.bursts);
+        let (reference, spans) =
+            drive_reference(&cluster, &rl, case.cfg, &case.contexts, &case.bursts);
         prop_assert_eq!(&fused, &reference, "{:?}", case);
-        prop_assert_eq!(span_multiset(&fused_cs), span_multiset(&reference_cs), "{:?}", case);
-        assert_summaries_close(fused_cs.sim.trace().summary(), reference_cs.sim.trace().summary());
-        prop_assert!(fused_cs.sim.submitted_tasks() <= reference_cs.sim.submitted_tasks());
+        let fused_spans = fused_cs.sim.trace().spans();
+        prop_assert_eq!(span_multiset(fused_spans), span_multiset(&spans), "{:?}", case);
+        assert_summaries_close(fused_cs.sim.trace().summary(), summary(&spans));
+        prop_assert_eq!(fused_cs.sim.submitted_tasks(), 0, "a fused burst submits no task");
     }
 }
 
@@ -269,14 +307,14 @@ fn one_replica(cfg: ParallelConfig, seqs: usize) -> (ClusterSim, Roofline, Repli
 fn an_empty_slot_has_no_tail() {
     let cfg = ParallelConfig::pp(4);
     let (mut cs, rl, mut rep) = one_replica(cfg, 3);
-    let join = submit_decode_burst(&mut cs, &rl, cfg, &mut rep, 8).expect("running");
+    let end = submit_decode_burst(&mut cs, &rl, cfg, &mut rep, 8).expect("running");
     assert_eq!(
         cs.sim.submitted_tasks(),
-        4,
-        "three slot tails and their join"
+        0,
+        "a burst is scheduled in closed form"
     );
-    cs.sim.run_until(join);
     assert_eq!(rep.tails.iter().filter(|t| t.is_some()).count(), 3);
+    assert_eq!(rep.tails.iter().flatten().max(), Some(&end));
 }
 
 #[test]
@@ -297,16 +335,21 @@ fn a_burst_before_the_previous_one_drains_panics() {
     submit_decode_burst(&mut cs, &rl, cfg, &mut rep, 4);
 }
 
-/// The executor cannot see a fused burst's work, so a compute task
-/// submitted before the burst ends would be served on top of it.
-#[cfg(debug_assertions)]
+/// A compute task submitted while a fused burst still occupies its GPU
+/// queues behind the burst and starts when the burst's work there ends.
 #[test]
-#[should_panic(expected = "lands inside a fused decode burst")]
-fn a_compute_task_inside_a_fused_burst_panics() {
+fn a_compute_task_inside_a_fused_burst_queues_behind_it() {
     let cfg = ParallelConfig::pp(2);
     let (mut cs, rl, mut rep) = one_replica(cfg, 4);
-    submit_decode_burst(&mut cs, &rl, cfg, &mut rep, 4);
-    cs.submit_compute_overhead(1, 0.1, None);
+    let end = submit_decode_burst(&mut cs, &rl, cfg, &mut rep, 4).expect("running");
+    assert!(!cs.compute_idle(1));
+    let h = cs.submit_compute_overhead(1, 0.5, None);
+    assert_eq!(
+        h,
+        end + 0.5,
+        "the last stage's GPU is busy until the burst ends"
+    );
+    assert_eq!(cs.sim.run_until_idle(), h);
 }
 
 #[test]

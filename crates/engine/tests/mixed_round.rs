@@ -1,12 +1,15 @@
 //! A mixed round (`driver::submit_mixed_round`) computes its pipeline
 //! schedule in closed form. The reference here is the task-graph
-//! version it replaced: one pass per non-empty micro-batch slot,
-//! submitted through `ClusterSim::submit_pass` behind the slot's
-//! previous pass and served by the executor's FIFO stage queues.
-//! Driven the way the chunked-prefill engine drives rounds — two in
-//! flight, the chunk slot rotating, sequences joining and retiring —
-//! the two must agree bit for bit on every round end and busy total,
-//! and record the same spans.
+//! version it replaced, run on the event-driven executor that the
+//! eager `Simulator` replaced (`tests/support`): one pass per non-empty
+//! micro-batch slot, behind the slot's previous pass and served by
+//! FIFO stage queues. The two share no scheduling code. Driven the way
+//! the chunked-prefill engine drives rounds — two in flight, the chunk
+//! slot rotating, sequences joining and retiring — they must agree bit
+//! for bit on every round end and busy total, and record the same
+//! spans.
+
+mod support;
 
 use proptest::prelude::*;
 use seesaw_engine::cluster_sim::ClusterSim;
@@ -15,20 +18,24 @@ use seesaw_hw::{efficiency, ClusterSpec};
 use seesaw_model::presets;
 use seesaw_parallel::ParallelConfig;
 use seesaw_roofline::{BatchShape, Roofline};
-use seesaw_sim::{TaskHandle, TaskKind, TraceSummary};
+use seesaw_sim::{SimTime, Span, TraceSummary};
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use support::heap::Handle;
+use support::HeapCluster;
 
-/// The task-graph mixed round: per non-empty slot, one pass through
-/// `ClusterSim::submit_pass`, chained on the slot's previous tail.
-/// Returns the join of this round's slot tails.
+/// The task-graph mixed round on the heap: per non-empty slot, one
+/// pass chained on the slot's previous tail. Returns the join of this
+/// round's slot tails.
 fn reference_round(
-    cs: &mut ClusterSim,
+    heap: &mut HeapCluster,
     rl: &Roofline,
     cfg: ParallelConfig,
-    replica: &mut Replica,
+    replica: &Replica,
+    tails: &mut [Option<Handle>],
     chunk: &BatchShape,
     chunk_slot: usize,
-) -> Option<TaskHandle> {
+) -> Option<Handle> {
     if replica.running.is_empty() && chunk.is_empty() {
         return None;
     }
@@ -64,39 +71,12 @@ fn reference_round(
             })
             .collect();
         durs[0] += overhead;
-        let tail = cs.submit_pass(
-            cfg,
-            replica.dp_rank,
-            &durs,
-            replica.tails[slot],
-            TaskKind::Compute,
-        );
-        replica.tails[slot] = Some(tail);
+        let tail = heap.pass(cfg, replica.dp_rank, &durs, tails[slot]);
+        tails[slot] = Some(tail);
         last.push(tail);
     }
-    Some(cs.join(&last))
+    Some(heap.join(&last))
 }
-
-/// The closed-form round, with a marker at its end to wait on.
-fn fused_round(
-    cs: &mut ClusterSim,
-    rl: &Roofline,
-    cfg: ParallelConfig,
-    replica: &mut Replica,
-    chunk: &BatchShape,
-    chunk_slot: usize,
-) -> Option<TaskHandle> {
-    submit_mixed_round(cs, rl, cfg, replica, chunk, chunk_slot).map(|end| cs.sim.submit_at(end))
-}
-
-type Round = fn(
-    &mut ClusterSim,
-    &Roofline,
-    ParallelConfig,
-    &mut Replica,
-    &BatchShape,
-    usize,
-) -> Option<TaskHandle>;
 
 /// One replica's part of one round.
 #[derive(Debug, Clone, Copy)]
@@ -117,19 +97,25 @@ struct Observed {
     busy: Vec<u64>,
 }
 
-/// Run `rounds` (per round, one step per replica) the way the chunked
-/// engine does: submit every replica's part, decode a token, let
-/// graduated sequences join, and with two rounds in flight wait for the
-/// older one. Round `r` rides its chunk in slot `r % PP`.
-fn drive(
-    round_fn: Round,
-    cluster: &ClusterSpec,
-    rl: &Roofline,
+fn bits(t: SimTime) -> u64 {
+    t.as_secs().to_bits()
+}
+
+/// The chunked engine's loop over `rounds` (per round, one step per
+/// replica): submit every replica's part, decode a token, let
+/// graduated sequences join, and with two rounds in flight wait for
+/// the older one. Round `r` rides its chunk in slot `r % PP`. `round`
+/// submits a replica's part and returns its end, if it has a pass;
+/// `join_ends` joins a round's ends when it is submitted; `wait` waits for
+/// a join and returns its time and the clock after the wait.
+fn drive<H: Copy>(
     cfg: ParallelConfig,
     running: &[Vec<(usize, usize)>],
     rounds: &[Vec<Step>],
-) -> (Observed, ClusterSim) {
-    let mut cs = ClusterSim::with_trace(cluster.clone());
+    mut round: impl FnMut(&mut Replica, &BatchShape, usize) -> Option<H>,
+    mut join_ends: impl FnMut(&[H]) -> H,
+    mut wait: impl FnMut(H) -> (u64, u64),
+) -> Vec<(u64, u64)> {
     let mut next_id = 0u64;
     let mut join = |rep: &mut Replica, (ctx, remaining): (usize, usize)| {
         rep.kv.allocate(next_id, ctx + remaining).expect("KV fits");
@@ -152,20 +138,16 @@ fn drive(
         })
         .collect();
     let mut times = Vec::new();
-    let mut wait = |cs: &mut ClusterSim, h: TaskHandle| {
-        let end = cs.sim.run_until(h);
-        times.push((end.as_secs().to_bits(), cs.now().as_secs().to_bits()));
-    };
     let mut inflight = VecDeque::new();
     for (r, steps) in rounds.iter().enumerate() {
-        let mut handles = Vec::new();
+        let mut ends = Vec::new();
         for (rep, step) in replicas.iter_mut().zip(steps) {
             let chunk = step.chunk.map_or(BatchShape::empty(), |(tokens, prefix)| {
                 BatchShape::prefill_chunk(tokens, prefix)
             });
             let had_running = !rep.running.is_empty();
-            if let Some(h) = round_fn(&mut cs, rl, cfg, rep, &chunk, r + 1) {
-                handles.push(h);
+            if let Some(end) = round(rep, &chunk, r + 1) {
+                ends.push(end);
                 if had_running {
                     rep.advance_decode(1);
                 }
@@ -174,17 +156,42 @@ fn drive(
                 join(rep, seq);
             }
         }
-        if handles.is_empty() {
+        if ends.is_empty() {
             continue;
         }
-        inflight.push_back(cs.join(&handles));
+        inflight.push_back(join_ends(&ends));
         if inflight.len() >= 2 {
-            wait(&mut cs, inflight.pop_front().expect("two in flight"));
+            times.push(wait(inflight.pop_front().expect("two in flight")));
         }
     }
-    while let Some(h) = inflight.pop_front() {
-        wait(&mut cs, h);
+    while let Some(end) = inflight.pop_front() {
+        times.push(wait(end));
     }
+    times
+}
+
+/// [`drive`] with closed-form rounds on `ClusterSim`.
+fn drive_fused(
+    cluster: &ClusterSpec,
+    rl: &Roofline,
+    cfg: ParallelConfig,
+    running: &[Vec<(usize, usize)>],
+    rounds: &[Vec<Step>],
+) -> (Observed, ClusterSim) {
+    let cs = RefCell::new(ClusterSim::with_trace(cluster.clone()));
+    let times = drive(
+        cfg,
+        running,
+        rounds,
+        |rep, chunk, slot| submit_mixed_round(&mut cs.borrow_mut(), rl, cfg, rep, chunk, slot),
+        |ends| cs.borrow().join(ends),
+        |end| {
+            let mut cs = cs.borrow_mut();
+            let end = cs.sim.run_until(end);
+            (bits(end), bits(cs.now()))
+        },
+    );
+    let cs = cs.into_inner();
     let busy = (0..cluster.num_gpus)
         .map(|g| {
             let r = cs
@@ -198,21 +205,66 @@ fn drive(
     (Observed { times, busy }, cs)
 }
 
+/// [`drive`] with task-graph rounds on the heap; also returns its
+/// spans.
+fn drive_reference(
+    cluster: &ClusterSpec,
+    rl: &Roofline,
+    cfg: ParallelConfig,
+    running: &[Vec<(usize, usize)>],
+    rounds: &[Vec<Step>],
+) -> (Observed, Vec<Span>) {
+    let heap = RefCell::new(HeapCluster::new(cluster));
+    let mut tails = vec![vec![None; cfg.pp]; running.len()];
+    let times = drive(
+        cfg,
+        running,
+        rounds,
+        |rep, chunk, slot| {
+            let tails = &mut tails[rep.dp_rank];
+            reference_round(&mut heap.borrow_mut(), rl, cfg, rep, tails, chunk, slot)
+        },
+        |ends| heap.borrow_mut().join(ends),
+        |end| {
+            let sim = &mut heap.borrow_mut().sim;
+            let end = sim.run_until(end);
+            (bits(end), bits(sim.now()))
+        },
+    );
+    let heap = heap.into_inner();
+    (
+        Observed {
+            times,
+            busy: heap.compute_busy(),
+        },
+        heap.spans(),
+    )
+}
+
 /// Spans as a sorted multiset of exactly comparable keys.
-fn span_multiset(cs: &ClusterSim) -> Vec<(Option<usize>, String, u64, u64, u64)> {
-    let mut spans: Vec<_> = cs
-        .sim
-        .trace()
-        .spans()
+fn span_multiset(spans: &[Span]) -> Vec<(Option<usize>, String, u64, u64, u64)> {
+    let mut keys: Vec<_> = spans
         .iter()
         .map(|s| {
             let resource = s.resource.map(|r| r.index());
-            let (start, end) = (s.start.as_secs().to_bits(), s.end.as_secs().to_bits());
-            (resource, format!("{:?}", s.kind), start, end, s.tag)
+            (
+                resource,
+                format!("{:?}", s.kind),
+                bits(s.start),
+                bits(s.end),
+                s.tag,
+            )
         })
         .collect();
-    spans.sort();
-    spans
+    keys.sort();
+    keys
+}
+
+/// Busy seconds per category of `spans`.
+fn summary(spans: &[Span]) -> TraceSummary {
+    let mut trace = seesaw_sim::Trace::enabled();
+    spans.iter().for_each(|&s| trace.record(s));
+    trace.summary()
 }
 
 /// Spans are recorded in a different order, so bucket sums may differ
@@ -245,20 +297,20 @@ fn assert_fused_matches_reference(
 ) {
     let (cluster, model) = setup(which);
     let rl = Roofline::new(cluster.clone(), model);
-    let run = |round_fn: Round| drive(round_fn, &cluster, &rl, cfg, running, rounds);
-    let (fused, fused_cs) = run(fused_round);
-    let (reference, reference_cs) = run(reference_round);
+    let (fused, fused_cs) = drive_fused(&cluster, &rl, cfg, running, rounds);
+    let (reference, spans) = drive_reference(&cluster, &rl, cfg, running, rounds);
     assert_eq!(fused, reference, "{cfg:?} {running:?} {rounds:?}");
     assert_eq!(
-        span_multiset(&fused_cs),
-        span_multiset(&reference_cs),
+        span_multiset(fused_cs.sim.trace().spans()),
+        span_multiset(&spans),
         "{cfg:?}"
     );
-    assert_summaries_close(
-        fused_cs.sim.trace().summary(),
-        reference_cs.sim.trace().summary(),
+    assert_summaries_close(fused_cs.sim.trace().summary(), summary(&spans));
+    assert_eq!(
+        fused_cs.sim.submitted_tasks(),
+        0,
+        "a mixed round submits no task"
     );
-    assert!(fused_cs.sim.submitted_tasks() <= reference_cs.sim.submitted_tasks());
 }
 
 /// A random chunked run: cluster, layout, per-replica running sets

@@ -1,0 +1,78 @@
+//! `ClusterSim`'s task graph on the event-driven executor that the
+//! eager `Simulator` replaced: the reference the fused decode burst
+//! and mixed round are checked against, sharing no scheduling code
+//! with them.
+
+#[path = "../../../sim/tests/support/heap.rs"]
+pub mod heap;
+
+use heap::{Handle, HeapSim};
+use seesaw_hw::ClusterSpec;
+use seesaw_parallel::ParallelConfig;
+use seesaw_sim::{ResourceId, Span, TaskKind};
+
+/// An event-driven simulator with `ClusterSim`'s resources, registered
+/// in its order (so resource ids match).
+pub struct HeapCluster {
+    pub sim: HeapSim,
+    compute: Vec<ResourceId>,
+}
+
+impl HeapCluster {
+    pub fn new(cluster: &ClusterSpec) -> Self {
+        let mut sim = HeapSim::new();
+        let mut compute = Vec::new();
+        for engine in ["compute", "h2d", "d2h", "staging"] {
+            for g in 0..cluster.num_gpus {
+                let id = sim.add_resource(format!("gpu{g}.{engine}"));
+                if engine == "compute" {
+                    compute.push(id);
+                }
+            }
+        }
+        HeapCluster { sim, compute }
+    }
+
+    /// `ClusterSim::submit_pass`: per stage of replica `d`, a task on
+    /// each GPU of its TP group after the previous stage's join.
+    pub fn pass(
+        &mut self,
+        cfg: ParallelConfig,
+        d: usize,
+        durs: &[f64],
+        dep: Option<Handle>,
+    ) -> Handle {
+        let mut prev = dep;
+        for (s, &dur) in durs.iter().enumerate() {
+            let parts: Vec<Handle> = (0..cfg.tp)
+                .map(|t| {
+                    let g = cfg.gpu_index(d, s, t);
+                    self.sim
+                        .submit_on(self.compute[g], dur, TaskKind::Compute, g as u64, prev)
+                })
+                .collect();
+            prev = Some(self.join(&parts));
+        }
+        prev.expect("pp >= 1")
+    }
+
+    /// Join `parts`; a single part is its own join.
+    pub fn join(&mut self, parts: &[Handle]) -> Handle {
+        match parts {
+            [one] => *one,
+            _ => self.sim.join(parts),
+        }
+    }
+
+    /// Busy seconds of every GPU's compute engine, as bits.
+    pub fn compute_busy(&self) -> Vec<u64> {
+        self.compute
+            .iter()
+            .map(|&r| self.sim.busy_time(r).to_bits())
+            .collect()
+    }
+
+    pub fn spans(&self) -> Vec<Span> {
+        self.sim.spans().to_vec()
+    }
+}

@@ -191,6 +191,6 @@ proptest! {
         prop_assert_eq!(&serial, &parallel, "{} diverged across job counts", policy);
         let again = fleet.run_with(&SweepRunner::new(4), policy, &reqs);
         prop_assert_eq!(&parallel, &again, "{} is not deterministic", policy);
-        prop_assert_eq!(serial.stats.requests as usize, n);
+        prop_assert_eq!(serial.stats.requests, n);
     }
 }

@@ -1,13 +1,13 @@
 //! A deterministic time-ordered event queue for fleet-level loops.
 //!
-//! The executor's internal timer heap (see [`crate::executor`]) keys
-//! events by a packed `u128` — time bits first, then an insertion
-//! sequence number — so equal-time events pop in push order and the
-//! heap never compares floats directly. [`EventQueue`] lifts that
-//! idiom into a reusable, payload-carrying queue: fleet tiers push
+//! Events are keyed by a packed `u128` — time bits first, then an
+//! insertion sequence number — so equal-time events pop in push order
+//! and the heap never compares floats directly. Fleet tiers push
 //! arrivals, kills, and controller ticks onto one global clock and
 //! pop them in a single deterministic order, independent of how many
-//! worker threads later simulate the consequences.
+//! worker threads later simulate the consequences. (The engines'
+//! [`Simulator`](crate::Simulator) needs no queue: its resources serve
+//! in submission order, so every completion time is known up front.)
 //!
 //! Determinism contract: for a fixed push sequence, the pop sequence
 //! is fixed. Ties on time break by push order (FIFO), which is what a

@@ -8,7 +8,7 @@ use std::ops::{Add, AddAssign, Sub};
 ///
 /// Wraps `f64` and provides `Ord` (NaN is forbidden by construction:
 /// all constructors assert finiteness), so times can key ordered
-/// collections like the event heap. The default is time zero.
+/// collections like the fleet event queue. The default is time zero.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimTime(f64);
 

@@ -109,11 +109,6 @@ impl Trace {
         }
     }
 
-    /// Turn recording on or off (already-recorded spans are kept).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// Whether spans are being recorded.
     pub fn is_enabled(&self) -> bool {
         self.enabled

@@ -1,9 +1,14 @@
-//! Property tests for the discrete-event executor: for arbitrary task
-//! DAGs, service must respect resources (no overlap on one resource),
-//! dependencies, and work conservation.
+//! Property tests for the eager executor: for arbitrary task DAGs,
+//! service must respect resources (no overlap on one resource),
+//! dependencies, and work conservation; and on engine-shaped graphs it
+//! must agree bit for bit with the event-driven executor it replaced.
 
+#[path = "support/heap.rs"]
+mod heap;
+
+use heap::{Handle, HeapSim};
 use proptest::prelude::*;
-use seesaw_sim::{SimTime, Simulator, TaskHandle, TaskKind, TaskSpec};
+use seesaw_sim::{ResourceId, SimTime, Simulator, TaskKind};
 
 /// A randomly generated task: resource index, duration, and a set of
 /// earlier tasks to depend on (encoded as offsets).
@@ -34,102 +39,295 @@ fn tasks_strategy(n_res: usize) -> impl Strategy<Value = Vec<GenTask>> {
     })
 }
 
+/// Submit `tasks` (a task on several dependencies waits for the latest
+/// of them) and run to the end.
 fn build_and_run(tasks: &[GenTask], n_res: usize) -> Simulator {
     let mut sim = Simulator::new();
     (0..n_res).for_each(|i| {
         sim.add_resource(format!("r{i}"));
     });
-    run_workload(&mut sim, tasks);
+    let mut ends: Vec<SimTime> = Vec::new();
+    for (i, t) in tasks.iter().enumerate() {
+        let dep = t
+            .dep_offsets
+            .iter()
+            .filter(|&&off| off <= i && i > 0)
+            .map(|&off| ends[i - off])
+            .max();
+        let r = sim.pool().id(t.resource);
+        ends.push(sim.submit_on(r, t.duration, TaskKind::Compute, 0, dep));
+    }
+    sim.run_until_idle();
     sim
 }
 
-/// Drive `tasks` through an already-resourced simulator.
-fn run_workload(sim: &mut Simulator, tasks: &[GenTask]) {
-    let mut handles = Vec::new();
-    for (i, t) in tasks.iter().enumerate() {
-        let r = sim.pool().id(t.resource);
-        let mut spec = TaskSpec::new(r, t.duration, TaskKind::Compute);
-        for &off in &t.dep_offsets {
-            if off <= i && i > 0 {
-                let dep = handles[i - off.min(i)];
-                spec = spec.after(dep);
-            }
-        }
-        handles.push(sim.submit(spec));
-    }
-    sim.run_until_idle();
+/// One step of an engine-shaped run, decoded from raw draws.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// A pipelined pass through every stage, each stage on its TP
+    /// group; stage `s` lasts `base · (1 + s/2)` seconds.
+    Pass { base: f64 },
+    /// KV swap-out of the latest pass: per GPU, D2H after the pass,
+    /// then a staging copy; the D2Hs and the copies are each joined.
+    SwapOut { xfer: f64, copy: f64 },
+    /// KV swap-in: per GPU, a staging copy then H2D, joined. Swap-outs
+    /// are drained first, as a decode phase follows its prefill phase.
+    SwapIn { copy: f64, xfer: f64 },
+    /// Join `fan` of the latest waitable handles.
+    Join { fan: usize },
+    /// Drain stage `stage`'s GPUs, then charge them one interval
+    /// `[now + offset, now + offset + dur]` scheduled by the caller.
+    Record { stage: usize, offset: f64, dur: f64 },
+    /// Wait for the `back`-th latest waitable handle.
+    RunUntil { back: usize },
 }
 
-/// Drive `tasks` through two simulators in lockstep, one of which
-/// retires between submissions as `ops` says, and check that both
-/// report the same completion times, clock, busy times and trace.
-/// `ops[i]` = (how far back to `run_until` after task `i`, whether to
-/// retire).
-fn check_retiring_matches_keeping(tasks: &[GenTask], ops: &[(usize, bool)], n_res: usize) {
-    let (mut keeping, mut retiring) = (Simulator::new(), Simulator::new());
-    for i in 0..n_res {
-        keeping.add_resource(format!("r{i}"));
-        retiring.add_resource(format!("r{i}"));
-    }
-    let mut handles = Vec::new();
-    // Completion times read from `retiring` before each retire, as an
-    // engine's timing recorder settles them.
-    let mut times = Vec::new();
-    let settle = |sim: &Simulator, handles: &[TaskHandle], times: &mut Vec<Option<SimTime>>| {
-        let dropped = sim.submitted_tasks() - sim.retained_tasks();
-        times.resize(handles.len(), None);
-        for (h, t) in handles.iter().zip(times.iter_mut()).skip(dropped) {
-            if t.is_none() {
-                *t = sim.completion_time(*h);
-            }
+/// A random engine-shaped run: `pp` stages of `tp` GPUs, each GPU with
+/// a compute engine, both DMA directions and a staging thread.
+#[derive(Debug, Clone)]
+struct Shape {
+    pp: usize,
+    tp: usize,
+    /// Passes chain on their slot's previous pass (decode rounds), or
+    /// start as soon as submitted (prefill batches).
+    chained: bool,
+    /// Swap-ins wait for the latest pass (no compute/copy overlap).
+    serial_swap_in: bool,
+    ops: Vec<Op>,
+}
+
+fn shapes() -> impl Strategy<Value = Shape> {
+    let op = (0u32..12, 0.001f64..1.0, 0.0f64..0.5, 0usize..8);
+    let flags = (1usize..4, 1usize..3, 0u32..2, 0u32..2);
+    (flags, prop::collection::vec(op, 1..48)).prop_map(|((pp, tp, chained, serial), raw)| {
+        let ops = raw
+            .into_iter()
+            .map(|(code, a, b, n)| match code {
+                0..=3 => Op::Pass { base: a },
+                4 | 5 => Op::SwapOut {
+                    xfer: a,
+                    copy: b + 0.001,
+                },
+                6 => Op::SwapIn {
+                    copy: b + 0.001,
+                    xfer: a,
+                },
+                7 => Op::Join { fan: n + 1 },
+                8 => Op::Record {
+                    stage: n % pp,
+                    offset: if n < 4 { 0.0 } else { b },
+                    dur: a,
+                },
+                _ => Op::RunUntil { back: n },
+            })
+            .collect();
+        Shape {
+            pp,
+            tp,
+            chained: chained == 1,
+            serial_swap_in: serial == 1,
+            ops,
         }
-    };
-    for (i, (t, &(back, retire))) in tasks.iter().zip(ops).enumerate() {
-        let submit = |sim: &mut Simulator| {
-            let mut spec = TaskSpec::new(sim.pool().id(t.resource), t.duration, TaskKind::Compute);
-            for &off in &t.dep_offsets {
-                if off <= i && i > 0 {
-                    spec = spec.after(handles[i - off.min(i)]);
+    })
+}
+
+/// Both executors side by side: every submission goes to both, and a
+/// handle is the pair of the eager completion time and the heap task.
+struct Pair {
+    eager: Simulator,
+    heap: HeapSim,
+    /// Per engine (compute, H2D, D2H, staging), per GPU: the resource,
+    /// registered in `ClusterSim`'s order with the same id in both.
+    res: Vec<Vec<ResourceId>>,
+    /// Per GPU: the latest work on its compute engine.
+    last_compute: Vec<Option<(SimTime, Handle)>>,
+    /// Every `now` either executor reached after a wait.
+    clocks: Vec<(u64, u64)>,
+}
+
+const COMPUTE: usize = 0;
+const H2D: usize = 1;
+const D2H: usize = 2;
+const STAGING: usize = 3;
+
+impl Pair {
+    fn new(gpus: usize) -> Self {
+        let (mut eager, mut heap) = (Simulator::new(), HeapSim::new());
+        let res = ["compute", "h2d", "d2h", "staging"]
+            .iter()
+            .map(|engine| {
+                (0..gpus)
+                    .map(|g| {
+                        let id = eager.add_resource(format!("gpu{g}.{engine}"));
+                        assert_eq!(heap.add_resource(format!("gpu{g}.{engine}")), id);
+                        id
+                    })
+                    .collect()
+            })
+            .collect();
+        Pair {
+            eager,
+            heap,
+            res,
+            last_compute: vec![None; gpus],
+            clocks: Vec::new(),
+        }
+    }
+
+    fn submit(
+        &mut self,
+        gpu: usize,
+        engine: usize,
+        dur: f64,
+        kind: TaskKind,
+        dep: Option<(SimTime, Handle)>,
+    ) -> (SimTime, Handle) {
+        let r = self.res[engine][gpu];
+        let t = self
+            .eager
+            .submit_on(r, dur, kind, gpu as u64, dep.map(|d| d.0));
+        let h = self
+            .heap
+            .submit_on(r, dur, kind, gpu as u64, dep.map(|d| d.1));
+        if engine == COMPUTE {
+            self.last_compute[gpu] = Some((t, h));
+        }
+        (t, h)
+    }
+
+    /// The latest of `parts`, and no earlier than now; a single part
+    /// is its own join.
+    fn join(&mut self, parts: &[(SimTime, Handle)]) -> (SimTime, Handle) {
+        if let [one] = parts {
+            return *one;
+        }
+        let t = parts.iter().fold(self.eager.now(), |a, p| a.max(p.0));
+        let hs: Vec<Handle> = parts.iter().map(|p| p.1).collect();
+        (t, self.heap.join(&hs))
+    }
+
+    fn run_until(&mut self, (t, h): (SimTime, Handle)) {
+        self.eager.run_until(t);
+        self.heap.run_until(h);
+        let clock = (
+            self.eager.now().as_secs().to_bits(),
+            self.heap.now().as_secs().to_bits(),
+        );
+        self.clocks.push(clock);
+    }
+}
+
+/// Drive `shape` through both executors; returns the pair and every
+/// handle it made, after both ran to the end.
+fn drive(shape: &Shape) -> (Pair, Vec<(SimTime, Handle)>) {
+    let (pp, tp) = (shape.pp, shape.tp);
+    let gpu = |s: usize, t: usize| s * tp + t;
+    let mut p = Pair::new(pp * tp);
+    let mut handles: Vec<(SimTime, Handle)> = Vec::new();
+    let mut tails: Vec<Option<(SimTime, Handle)>> = vec![None; pp];
+    let mut last_pass = None;
+    let mut swap_outs = Vec::new();
+    let mut passes = 0;
+    for &op in &shape.ops {
+        match op {
+            Op::Pass { base } => {
+                let slot = passes % pp;
+                passes += 1;
+                let mut prev = if shape.chained { tails[slot] } else { None };
+                for s in 0..pp {
+                    let dur = base * (1.0 + s as f64 / 2.0);
+                    let parts: Vec<_> = (0..tp)
+                        .map(|t| p.submit(gpu(s, t), COMPUTE, dur, TaskKind::Compute, prev))
+                        .collect();
+                    prev = Some(p.join(&parts));
+                }
+                tails[slot] = prev;
+                last_pass = prev;
+                handles.push(prev.expect("pp >= 1"));
+            }
+            Op::SwapOut { xfer, copy } => {
+                let Some(pass) = last_pass else { continue };
+                let (mut d2h, mut staged) = (Vec::new(), Vec::new());
+                for g in 0..pp * tp {
+                    let out = p.submit(g, D2H, xfer, TaskKind::SwapOut, Some(pass));
+                    d2h.push(out);
+                    staged.push(p.submit(g, STAGING, copy, TaskKind::StagingCopy, Some(out)));
+                }
+                let (vacate, buffered) = (p.join(&d2h), p.join(&staged));
+                handles.extend([vacate, buffered]);
+                swap_outs.push(buffered);
+            }
+            Op::SwapIn { copy, xfer } => {
+                for h in std::mem::take(&mut swap_outs) {
+                    p.run_until(h);
+                }
+                let dep = if shape.serial_swap_in {
+                    last_pass
+                } else {
+                    None
+                };
+                let parts: Vec<_> = (0..pp * tp)
+                    .map(|g| {
+                        let st = p.submit(g, STAGING, copy, TaskKind::StagingCopy, dep);
+                        p.submit(g, H2D, xfer, TaskKind::SwapIn, Some(st))
+                    })
+                    .collect();
+                handles.push(p.join(&parts));
+            }
+            Op::Join { fan } => {
+                let fan = fan.min(handles.len());
+                let parts = handles[handles.len() - fan..].to_vec();
+                if !parts.is_empty() {
+                    handles.push(p.join(&parts));
                 }
             }
-            sim.submit(spec)
-        };
-        let h = submit(&mut keeping);
-        assert_eq!(submit(&mut retiring), h, "ids are monotone in both");
-        handles.push(h);
-        let target = handles[i - back.min(i)];
-        keeping.run_until(target);
-        retiring.run_until(target);
-        if retire {
-            settle(&retiring, &handles, &mut times);
-            retiring.retire();
+            Op::Record { stage, offset, dur } => {
+                for t in 0..tp {
+                    if let Some(last) = p.last_compute[gpu(stage, t)] {
+                        p.run_until(last);
+                    }
+                }
+                let start = SimTime::from_secs(p.eager.now().as_secs() + offset);
+                let end = start + dur;
+                let group: Vec<(ResourceId, u64)> = (0..tp)
+                    .map(|t| (p.res[COMPUTE][gpu(stage, t)], gpu(stage, t) as u64))
+                    .collect();
+                p.eager
+                    .record_service(group.iter().copied(), start, end, TaskKind::Compute);
+                let h = p.heap.occupy(&group, start, end, TaskKind::Compute);
+                for t in 0..tp {
+                    p.last_compute[gpu(stage, t)] = Some((end, h));
+                }
+            }
+            Op::RunUntil { back } => {
+                if let Some(&h) = handles.iter().rev().nth(back.min(handles.len().max(1) - 1)) {
+                    p.run_until(h);
+                }
+            }
         }
-        assert_eq!(keeping.now(), retiring.now());
-        assert_eq!(keeping.outstanding(), retiring.outstanding());
     }
-    keeping.run_until_idle();
-    retiring.run_until_idle();
-    settle(&retiring, &handles, &mut times);
-    for (h, t) in handles.iter().zip(&times) {
-        assert_eq!(*t, keeping.completion_time(*h), "completion time of task {}", h.index());
-    }
-    for i in 0..n_res {
-        let r = keeping.pool().id(i);
-        assert_eq!(keeping.busy_time(r), retiring.busy_time(r));
-    }
-    assert_same_outcome(&keeping, &retiring);
+    p.eager.run_until_idle();
+    p.heap.run_until_idle();
+    (p, handles)
 }
 
-fn assert_same_outcome(a: &Simulator, b: &Simulator) {
-    assert_eq!(a.now(), b.now(), "final SimTime must match");
-    assert_eq!(a.trace().spans().len(), b.trace().spans().len());
-    for (x, y) in a.trace().spans().iter().zip(b.trace().spans()) {
-        assert_eq!(x.resource, y.resource);
-        assert_eq!(x.kind, y.kind);
-        assert_eq!(x.start, y.start);
-        assert_eq!(x.end, y.end);
-        assert_eq!(x.tag, y.tag);
-    }
+/// Spans as a sorted multiset of exactly comparable keys.
+fn span_multiset(spans: &[seesaw_sim::Span]) -> Vec<(Option<usize>, String, u64, u64, u64)> {
+    let mut keys: Vec<_> = spans
+        .iter()
+        .map(|s| {
+            let (start, end) = (s.start.as_secs().to_bits(), s.end.as_secs().to_bits());
+            (
+                s.resource.map(|r| r.index()),
+                format!("{:?}", s.kind),
+                start,
+                end,
+                s.tag,
+            )
+        })
+        .collect();
+    keys.sort();
+    keys
 }
 
 proptest! {
@@ -197,15 +395,44 @@ proptest! {
             prop_assert_eq!(x.end, y.end);
         }
     }
+}
 
-    /// Retiring finished tasks at random points changes no outcome:
-    /// completion times, the clock, busy times and trace spans all
-    /// match a run that never retires.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// On engine-shaped graphs — pipelined passes, swap chains, fan-in
+    /// joins, caller-scheduled intervals, waits between submissions —
+    /// every resource is served in submission order, and the eager
+    /// executor agrees bit for bit with the event-driven one on every
+    /// completion time, every clock after a wait, every busy total and
+    /// the multiset of spans.
     #[test]
-    fn retiring_matches_keeping(
-        tasks in tasks_strategy(3),
-        ops in prop::collection::vec((0usize..4, prop::sample::select(vec![false, true])), 40..41),
-    ) {
-        check_retiring_matches_keeping(&tasks, &ops, 3);
+    fn eager_matches_the_event_heap(shape in shapes()) {
+        let (p, handles) = drive(&shape);
+        prop_assert_eq!(p.heap.overtakes(), 0, "{:?}", shape);
+        for &(t, h) in &handles {
+            let heap_t = p.heap.completion_time(h).expect("ran to the end");
+            prop_assert_eq!(t.as_secs().to_bits(), heap_t.as_secs().to_bits(), "{:?}", shape);
+        }
+        for &(eager, heap) in &p.clocks {
+            prop_assert_eq!(eager, heap, "{:?}", shape);
+        }
+        prop_assert_eq!(p.eager.now(), p.heap.now(), "{:?}", shape);
+        for engine in &p.res {
+            for &r in engine {
+                prop_assert_eq!(
+                    p.eager.busy_time(r).to_bits(),
+                    p.heap.busy_time(r).to_bits(),
+                    "{:?}",
+                    shape
+                );
+            }
+        }
+        prop_assert_eq!(
+            span_multiset(p.eager.trace().spans()),
+            span_multiset(p.heap.spans()),
+            "{:?}",
+            shape
+        );
     }
 }

@@ -136,7 +136,6 @@ mod tests {
             dispatches: 100,
             replays: 40,
             replayed_requests: 450,
-            ..Default::default()
         };
         assert!((p.accounted_s() - 9.5).abs() < 1e-12);
         assert!((p.coverage() - 0.95).abs() < 1e-12);

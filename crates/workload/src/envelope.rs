@@ -209,9 +209,7 @@ impl RateEnvelope {
     pub fn mean_rps(&self) -> f64 {
         match *self {
             RateEnvelope::Constant { rps } => rps,
-            RateEnvelope::Sinusoidal { trough_rps, peak_rps, sharpness, .. }
-                if sharpness == 1.0 =>
-            {
+            RateEnvelope::Sinusoidal { trough_rps, peak_rps, sharpness: 1.0, .. } => {
                 0.5 * (trough_rps + peak_rps)
             }
             RateEnvelope::Sinusoidal { period_s, .. }
@@ -436,7 +434,7 @@ mod tests {
     fn thinning_concentrates_arrivals_at_the_peak() {
         let env = RateEnvelope::diurnal(0.2, 4.0, 1000.0);
         let times = env.sample_trace(1000.0, 3).unwrap();
-        let trough_half = times.iter().filter(|&&t| t < 250.0 || t >= 750.0).count();
+        let trough_half = times.iter().filter(|&&t| !(250.0..750.0).contains(&t)).count();
         let peak_half = times.len() - trough_half;
         assert!(
             peak_half > 2 * trough_half,

@@ -329,8 +329,7 @@ mod tests {
         use crate::arrival::ArrivalDist;
         let err = WorkloadGen::sharegpt(0)
             .with_arrivals(ArrivalDist::Poisson { rate: -2.0 })
-            .err()
-            .expect("negative rate must be rejected");
+            .expect_err("negative rate must be rejected");
         assert!(err.contains("rate"), "unexpected error: {err}");
     }
 

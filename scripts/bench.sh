@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI performance gate: build release, regenerate the sweep/sims
 # benchmark, and fail when
+#   * clippy reports any warning on the workspace (all targets), or
 #   * parallel figure output diverges from serial (determinism), or
 #   * any sims/sec figure (seesaw, vllm, its chunked-prefill twin
 #     "vllm_chunked", the online-serving
@@ -45,13 +46,15 @@ cd "$(dirname "$0")/.."
 # for the process lifetime peaked at 460 MiB; pooled simulator arenas
 # at 29 MiB).
 ALL_FIGURES_MAX_RSS_MIB=64
-# `chaos --day 3600 --jobs 1` peaks near 29 MiB with engines retiring
-# finished simulator tasks; arenas that grow with simulated time
+# `chaos --day 3600 --jobs 1` peaks near 29 MiB; the simulator keeps
+# nothing per task (every completion time is computed at submission),
+# and when it kept a task arena that grew with simulated time the day
 # peaked at 95 MiB.
 CHAOS_DAY_MAX_RSS_MIB=64
 
 cargo build --release -p seesaw-bench --bin perf_report --bin fleet --bin autoscale \
     --bin chaos --bin all_figures
+cargo clippy --workspace --all-targets -- -D warnings
 
 ./target/release/perf_report "$@" \
     --out target/BENCH_sweep.json \
