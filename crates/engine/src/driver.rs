@@ -20,8 +20,13 @@
 //! The task-graph versions they replaced live on as the test oracles
 //! in `tests/decode_burst.rs` and `tests/mixed_round.rs`.
 //!
-//! Bursts and mixed rounds keep their working buffers on the
-//! [`Replica`], so once warmed up they allocate nothing.
+//! A replica keeps its decoding sequences so that a decode step costs
+//! O(PP + sequences it retires), not O(running) (see [`Replica`]):
+//! bursts and mixed rounds read per-slot sums, and an advance bumps a
+//! step clock and visits only the retirees.
+//!
+//! Prefill batches, bursts and mixed rounds keep their working buffers
+//! on the [`Replica`], so once warmed up they allocate nothing.
 
 use crate::cluster_sim::ClusterSim;
 use seesaw_hw::efficiency;
@@ -30,6 +35,8 @@ use seesaw_parallel::ParallelConfig;
 use seesaw_roofline::{BatchShape, DecodeCost, Roofline, Stage};
 use seesaw_sim::{SimTime, TaskKind};
 use seesaw_workload::Request;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Engines admit from the queue head and idle to the *head's* arrival
 /// time, so a request slice must be nondecreasing in `arrival_s`
@@ -62,28 +69,186 @@ pub struct RunSeq {
 }
 
 /// Per-DP-replica engine state.
+///
+/// The decoding sequences are kept in position order, and sequence `i`
+/// rides in micro-batch slot `i % PP`. A retiring sequence leaves by
+/// `swap_remove`, retirees in ascending position, and a retiree moved
+/// into a freed position is removed again there: the order a scan of
+/// every sequence that swap-removes each retiree leaves, so slot
+/// membership is the same as such a scan's. Three incremental
+/// structures make a decode step independent of the batch size:
+///
+/// * a step clock, the decode rounds applied so far: a sequence holds
+///   its context and its end as offsets from it, so an advance bumps
+///   one integer;
+/// * per slot, its member count and Σ context offset, updated on every
+///   push and removal (the sequence moved by a `swap_remove` leaves
+///   slot `(len - 1) % PP` for the freed position's slot), which a
+///   burst or a mixed round reads in O(PP);
+/// * a min-heap of end steps, so the shortest remaining count is its
+///   top and an advance pops exactly the sequences it retires.
 #[derive(Debug, Clone)]
 pub struct Replica {
     /// Data-parallel rank.
     pub dp_rank: usize,
     /// GPU KV cache for this replica.
     pub kv: PagedKvCache,
-    /// Sequences decoding on this replica.
-    pub running: Vec<RunSeq>,
     /// Per-micro-batch-slot pipeline tails (length = PP): the end of
     /// each slot's latest pass, chaining rounds so the pipeline never
     /// drains between scheduler decisions.
     pub tails: Vec<Option<SimTime>>,
+    running: Running,
     scratch: Scratch,
 }
 
-/// Working buffers of bursts, mixed rounds and decode advances, kept
-/// on the replica so that a warmed-up one allocates nothing. Each is
-/// O(PP), or O(sequences retired by one advance).
+/// The sequences decoding on a replica (see [`Replica`]).
+#[derive(Debug, Clone, Default)]
+struct Running {
+    /// Decode rounds applied so far.
+    step: usize,
+    /// The sequences, in position order.
+    seqs: Vec<Live>,
+    /// Per micro-batch slot: (members, Σ `ctx_base`), wrapping.
+    slots: Vec<(usize, usize)>,
+    /// `(end, handle)` of every sequence, least end on top.
+    ends: BinaryHeap<Reverse<(usize, usize)>>,
+    /// Per handle: its sequence's position in `seqs`.
+    pos: Vec<usize>,
+    /// Handles no sequence holds.
+    free: Vec<usize>,
+    /// The positions the current advance retires.
+    retiring: Vec<usize>,
+}
+
+/// A decoding sequence, relative to the step clock.
+#[derive(Debug, Clone, Copy)]
+struct Live {
+    id: u64,
+    /// Context minus the step clock (wrapping): the context is
+    /// `ctx_base + step`.
+    ctx_base: usize,
+    /// The step at which its last token is decoded.
+    end: usize,
+    /// Its entry in `Running::pos`.
+    handle: usize,
+}
+
+impl Running {
+    fn with_slots(pp: usize) -> Self {
+        Running {
+            slots: vec![(0, 0); pp],
+            ..Running::default()
+        }
+    }
+
+    fn seq(&self, live: &Live) -> RunSeq {
+        RunSeq {
+            id: live.id,
+            ctx: live.ctx_base.wrapping_add(self.step),
+            remaining: live.end - self.step,
+        }
+    }
+
+    fn join_slot(&mut self, i: usize, ctx_base: usize) {
+        let pp = self.slots.len();
+        let (seqs, ctx) = &mut self.slots[i % pp];
+        *seqs += 1;
+        *ctx = ctx.wrapping_add(ctx_base);
+    }
+
+    fn leave_slot(&mut self, i: usize, ctx_base: usize) {
+        let pp = self.slots.len();
+        let (seqs, ctx) = &mut self.slots[i % pp];
+        *seqs -= 1;
+        *ctx = ctx.wrapping_sub(ctx_base);
+    }
+
+    fn push(&mut self, seq: RunSeq) {
+        let handle = self.free.pop().unwrap_or_else(|| {
+            self.pos.push(0);
+            self.pos.len() - 1
+        });
+        let i = self.seqs.len();
+        self.pos[handle] = i;
+        let live = Live {
+            id: seq.id,
+            ctx_base: seq.ctx.wrapping_sub(self.step),
+            end: self.step + seq.remaining,
+            handle,
+        };
+        self.seqs.push(live);
+        self.join_slot(i, live.ctx_base);
+        self.ends.push(Reverse((live.end, handle)));
+    }
+
+    /// `swap_remove` position `i`, moving the last sequence (if
+    /// another) from its slot to position `i`'s.
+    fn remove(&mut self, i: usize) -> Live {
+        let last = self.seqs.len() - 1;
+        let gone = self.seqs.swap_remove(i);
+        self.leave_slot(i, gone.ctx_base);
+        if i < last {
+            let moved = self.seqs[i];
+            self.leave_slot(last, moved.ctx_base);
+            self.join_slot(i, moved.ctx_base);
+            self.pos[moved.handle] = i;
+        }
+        self.free.push(gone.handle);
+        gone
+    }
+
+    /// Apply `rounds` decode rounds and append the sequences that
+    /// finish to `finished`, in the order an ascending scan with
+    /// `swap_remove` removes them.
+    fn advance(&mut self, rounds: usize, finished: &mut Vec<RunSeq>) {
+        self.step += rounds;
+        self.retiring.clear();
+        while let Some(&Reverse((end, handle))) = self.ends.peek() {
+            if end > self.step {
+                break;
+            }
+            debug_assert_eq!(end, self.step, "advanced past a sequence's end");
+            self.ends.pop();
+            self.retiring.push(self.pos[handle]);
+        }
+        self.retiring.sort_unstable();
+        for k in 0..self.retiring.len() {
+            // The scan reaches a retiree's position with it still
+            // there (only positions behind the scan receive moved
+            // sequences) unless it was the last and already moved;
+            // a retiree moved into the freed position goes too.
+            let i = self.retiring[k];
+            while i < self.seqs.len() && self.seqs[i].end <= self.step {
+                let gone = self.remove(i);
+                finished.push(self.seq(&gone));
+            }
+        }
+    }
+
+    /// Per slot: (members, Σ context).
+    fn slot_sums(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let step = self.step;
+        self.slots
+            .iter()
+            .map(move |&(seqs, base)| (seqs, base.wrapping_add(seqs.wrapping_mul(step))))
+    }
+
+    /// Re-derive the slot sums for `pp` slots.
+    fn set_slots(&mut self, pp: usize) {
+        self.slots.clear();
+        self.slots.resize(pp, (0, 0));
+        for i in 0..self.seqs.len() {
+            self.join_slot(i, self.seqs[i].ctx_base);
+        }
+    }
+}
+
+/// Working buffers of prefill batches, bursts, mixed rounds and decode
+/// advances, kept on the replica so that a warmed-up one allocates
+/// nothing. Each is O(PP), or O(sequences in one prefill batch or
+/// retired by one advance).
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// Per micro-batch slot: (sequences, Σ context) of its members.
-    sums: Vec<(usize, usize)>,
     /// A burst's passes, one per non-empty slot in slot order.
     passes: Vec<SlotPass>,
     /// A mixed round's passes, one per non-empty slot.
@@ -96,6 +261,50 @@ struct Scratch {
     ready_by: SimTime,
     /// Sequences the last [`Replica::advance_decode`] retired.
     finished: Vec<RunSeq>,
+    prefill: PrefillSlots,
+}
+
+/// A prefill batch's assignment to micro-batch slots.
+#[derive(Debug, Clone, Default)]
+struct PrefillSlots {
+    /// The batch, longest prompt first.
+    order: Vec<(u64, usize)>,
+    /// Per slot: its members `(id, prompt)`. Only the first
+    /// [`PrefillSlots::assign`]'s count are the current batch's.
+    members: Vec<Vec<(u64, usize)>>,
+    /// Per slot: its prompt tokens.
+    load: Vec<usize>,
+    /// One pass's stage durations.
+    durs: Vec<f64>,
+}
+
+impl PrefillSlots {
+    /// Balanced assignment of a prefill batch to up to `pp` micro-batch
+    /// slots (longest-processing-time greedy on token counts). Returns
+    /// the number of slots used, whose members are the first in
+    /// `self.members`.
+    fn assign(&mut self, seqs: &[(u64, usize)], pp: usize) -> usize {
+        self.order.clear();
+        self.order.extend_from_slice(seqs);
+        // Request ids are distinct, so the order is total.
+        self.order
+            .sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let nslots = pp.min(seqs.len()).max(1);
+        if self.members.len() < nslots {
+            self.members.resize_with(nslots, Vec::new);
+        }
+        self.members[..nslots].iter_mut().for_each(Vec::clear);
+        self.load.clear();
+        self.load.resize(nslots, 0);
+        for &(id, len) in &self.order {
+            let lightest = (0..nslots)
+                .min_by_key(|&s| self.load[s])
+                .expect("nslots >= 1");
+            self.members[lightest].push((id, len));
+            self.load[lightest] += len;
+        }
+        nslots
+    }
 }
 
 /// A replica's pipeline stages as fused passes see them.
@@ -193,47 +402,63 @@ impl Replica {
         Replica {
             dp_rank,
             kv: PagedKvCache::new(capacity_tokens, PagedKvCache::DEFAULT_BLOCK_TOKENS),
-            running: Vec::new(),
             tails: vec![None; pp],
+            running: Running::with_slots(pp),
             scratch: Scratch::default(),
         }
+    }
+
+    /// Start decoding `seq` (its KV is already allocated): it takes the
+    /// next position.
+    pub fn push_running(&mut self, seq: RunSeq) {
+        self.running.push(seq);
+    }
+
+    /// Sequences decoding on this replica.
+    pub fn num_running(&self) -> usize {
+        self.running.seqs.len()
+    }
+
+    /// The decoding sequences in position order (sequence `i` rides in
+    /// slot `i % PP`).
+    pub fn running(&self) -> impl Iterator<Item = RunSeq> + '_ {
+        self.running.seqs.iter().map(|live| self.running.seq(live))
+    }
+
+    /// Per micro-batch slot, the sequence count and context sum of the
+    /// sequences it holds.
+    pub fn slot_sums(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.running.slot_sums()
     }
 
     /// Largest burst every running sequence survives (min remaining),
     /// capped at `cap`. Returns 0 when nothing is running.
     pub fn max_burst(&self, cap: usize) -> usize {
         self.running
-            .iter()
-            .map(|s| s.remaining)
-            .min()
-            .unwrap_or(0)
+            .ends
+            .peek()
+            .map_or(0, |&Reverse((end, _))| end - self.running.step)
             .min(cap)
     }
 
     /// Apply `rounds` decode rounds: advance contexts, retire finished
     /// sequences (freeing their KV), and return them.
     pub fn advance_decode(&mut self, rounds: usize) -> &[RunSeq] {
-        debug_assert!(self.running.iter().all(|s| s.remaining >= rounds));
         let finished = &mut self.scratch.finished;
         finished.clear();
-        let mut i = 0;
-        while i < self.running.len() {
-            self.running[i].ctx += rounds;
-            self.running[i].remaining -= rounds;
-            if self.running[i].remaining == 0 {
-                let seq = self.running.swap_remove(i);
-                self.kv.free(seq.id).expect("running seq must be resident");
-                finished.push(seq);
-            } else {
-                i += 1;
-            }
+        self.running.advance(rounds, finished);
+        for seq in finished.iter() {
+            self.kv.free(seq.id).expect("running seq must be resident");
         }
         finished
     }
 
-    /// Reset pipeline tails (after a drain, e.g. at re-sharding).
+    /// Reset pipeline tails (after a drain, e.g. at re-sharding) for
+    /// `pp` slots.
     pub fn reset_tails(&mut self, pp: usize) {
-        self.tails = vec![None; pp];
+        self.tails.clear();
+        self.tails.resize(pp, None);
+        self.running.set_slots(pp);
     }
 }
 
@@ -244,23 +469,23 @@ pub fn kv_capacity(capacity_tokens: u64) -> usize {
 }
 
 /// Per-stage service durations for a pure-stage pass, including the
-/// inter-stage activation hop on all but the last stage. The layer
-/// cost is evaluated once per pass and scaled by each stage's layer
-/// count.
+/// inter-stage activation hop on all but the last stage, written over
+/// `durs`. The layer cost is evaluated once per pass and scaled by each
+/// stage's layer count.
 pub fn stage_durations(
     rl: &Roofline,
     cfg: ParallelConfig,
     stage: Stage,
     shape: &BatchShape,
-) -> Vec<f64> {
+    durs: &mut Vec<f64>,
+) {
     let layer = rl.layer_cost(stage, shape, cfg.tp).layer_time();
     let p2p = p2p_hop(rl, cfg, shape);
-    (0..cfg.pp)
-        .map(|s| {
-            let (a, b) = cfg.stage_layers(rl.model().num_layers, s);
-            (b - a) as f64 * layer + if s + 1 < cfg.pp { p2p } else { 0.0 }
-        })
-        .collect()
+    durs.clear();
+    durs.extend((0..cfg.pp).map(|s| {
+        let (a, b) = cfg.stage_layers(rl.model().num_layers, s);
+        (b - a) as f64 * layer + if s + 1 < cfg.pp { p2p } else { 0.0 }
+    }));
 }
 
 /// Activation hop between adjacent stages for a pass of `shape` (none
@@ -270,19 +495,6 @@ fn p2p_hop(rl: &Roofline, cfg: ParallelConfig, shape: &BatchShape) -> f64 {
         rl.cluster().interconnect.p2p_time(rl.p2p_bytes(shape))
     } else {
         0.0
-    }
-}
-
-/// Per micro-batch slot, the sequence count and context sum of the
-/// running sequences it holds. Sequence `i` rides in slot `i % pp`
-/// (round-robin; stable while membership is unchanged).
-fn slot_sums(running: &[RunSeq], pp: usize, sums: &mut Vec<(usize, usize)>) {
-    sums.clear();
-    sums.resize(pp, (0, 0));
-    for (i, seq) in running.iter().enumerate() {
-        let (seqs, ctx) = &mut sums[i % pp];
-        *seqs += 1;
-        *ctx += seq.ctx;
     }
 }
 
@@ -319,7 +531,7 @@ pub fn submit_decode_burst(
     replica: &mut Replica,
     rounds: usize,
 ) -> Option<SimTime> {
-    if replica.running.is_empty() || rounds == 0 {
+    if replica.num_running() == 0 || rounds == 0 {
         return None;
     }
     let d = replica.dp_rank;
@@ -332,10 +544,10 @@ pub fn submit_decode_burst(
         (0..cfg.pp).all(|s| (0..cfg.tp).all(|t| cs.compute_idle(cfg.gpu_index(d, s, t)))),
         "decode burst on replica {d} while its compute GPUs are busy"
     );
+    debug_assert_eq!(replica.running.slots.len(), cfg.pp, "one slot per stage");
     let sc = &mut replica.scratch;
-    slot_sums(&replica.running, cfg.pp, &mut sc.sums);
     sc.passes.clear();
-    for (slot, &(seqs, base_ctx)) in sc.sums.iter().enumerate() {
+    for (slot, (seqs, base_ctx)) in replica.running.slot_sums().enumerate() {
         if seqs > 0 {
             sc.passes.push(SlotPass {
                 slot,
@@ -363,26 +575,12 @@ pub fn submit_decode_burst(
     Some(end)
 }
 
-/// Balanced assignment of a prefill batch to up to `pp` micro-batch
-/// slots (longest-processing-time greedy on token counts).
-pub fn assign_prefill_slots(seqs: &[(u64, usize)], pp: usize) -> Vec<Vec<(u64, usize)>> {
-    let mut order: Vec<&(u64, usize)> = seqs.iter().collect();
-    order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let nslots = pp.min(seqs.len()).max(1);
-    let mut slots: Vec<Vec<(u64, usize)>> = vec![Vec::new(); nslots];
-    let mut load = vec![0usize; nslots];
-    for &&(id, len) in &order {
-        let lightest = (0..nslots).min_by_key(|&s| load[s]).expect("nslots >= 1");
-        slots[lightest].push((id, len));
-        load[lightest] += len;
-    }
-    slots
-}
-
 /// Submit a pipelined prefill pass for a batch of whole prompts on one
-/// replica. Returns one `(end, member ids)` pair per micro-batch slot
-/// used: the time that slot's sequences exit the last pipeline stage
-/// (swap-outs should depend on it).
+/// replica, balancing its prompts over up to PP micro-batch slots
+/// (longest-processing-time greedy on token counts). Writes over `out`
+/// one `(end, id)` pair per member, slot by slot: `end` is the time
+/// its slot's pass exits the last pipeline stage (swap-outs should
+/// depend on it).
 ///
 /// Unlike decode rounds, consecutive prefill micro-batches carry no
 /// data dependency, so no slot-tail chaining is used — the stage
@@ -393,24 +591,25 @@ pub fn submit_prefill_batch(
     cfg: ParallelConfig,
     replica: &mut Replica,
     seqs: &[(u64, usize)],
-) -> Vec<(SimTime, Vec<u64>)> {
+    out: &mut Vec<(SimTime, u64)>,
+) {
+    out.clear();
     if seqs.is_empty() {
-        return Vec::new();
+        return;
     }
-    let assignment = assign_prefill_slots(seqs, cfg.pp);
     let overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
-    let mut out = Vec::new();
-    for members in assignment.iter() {
+    let slots = &mut replica.scratch.prefill;
+    let nslots = slots.assign(seqs, cfg.pp);
+    for members in &slots.members[..nslots] {
         if members.is_empty() {
             continue;
         }
         let shape = BatchShape::prefill_iter(members.iter().map(|&(_, l)| l));
-        let mut durs = stage_durations(rl, cfg, Stage::Prefill, &shape);
-        durs[0] += overhead;
-        let tail = cs.submit_pass(cfg, replica.dp_rank, &durs, None, TaskKind::Compute);
-        out.push((tail, members.iter().map(|&(id, _)| id).collect()));
+        stage_durations(rl, cfg, Stage::Prefill, &shape, &mut slots.durs);
+        slots.durs[0] += overhead;
+        let end = cs.submit_pass(cfg, replica.dp_rank, &slots.durs, None, TaskKind::Compute);
+        out.extend(members.iter().map(|&(id, _)| (end, id)));
     }
-    out
 }
 
 /// Run one mixed round on one replica: every running sequence decodes
@@ -454,11 +653,12 @@ pub fn submit_mixed_round(
     chunk: &BatchShape,
     chunk_slot: usize,
 ) -> Option<SimTime> {
-    if replica.running.is_empty() && chunk.is_empty() {
+    if replica.num_running() == 0 && chunk.is_empty() {
         return None;
     }
     let d = replica.dp_rank;
     let now = cs.now();
+    debug_assert_eq!(replica.running.slots.len(), cfg.pp, "one slot per stage");
     let sc = &mut replica.scratch;
     assert!(
         sc.ready_by <= now,
@@ -467,9 +667,8 @@ pub fn submit_mixed_round(
     );
     sc.stages.load(rl, cfg);
     sc.slot_end.resize(cfg.pp, SimTime::ZERO);
-    slot_sums(&replica.running, cfg.pp, &mut sc.sums);
     sc.mixed.clear();
-    for (slot, &(seqs, ctx)) in sc.sums.iter().enumerate() {
+    for (slot, (seqs, ctx)) in replica.running.slot_sums().enumerate() {
         // Each member attends over its context plus the new token.
         let dshape = BatchShape::decode_total(seqs, ctx + seqs);
         let pshape = if slot == chunk_slot % cfg.pp { *chunk } else { BatchShape::empty() };
@@ -513,8 +712,8 @@ mod tests {
         let mut rep = Replica::new(0, 100_000, cfg.pp);
         rep.kv.allocate(1, 600).unwrap();
         rep.kv.allocate(2, 700).unwrap();
-        rep.running.push(RunSeq { id: 1, ctx: 500, remaining: 3 });
-        rep.running.push(RunSeq { id: 2, ctx: 600, remaining: 5 });
+        rep.push_running(RunSeq { id: 1, ctx: 500, remaining: 3 });
+        rep.push_running(RunSeq { id: 2, ctx: 600, remaining: 5 });
         let burst = rep.max_burst(64);
         assert_eq!(burst, 3);
         let h = submit_decode_burst(&mut cs, &rl, cfg, &mut rep, burst).unwrap();
@@ -522,8 +721,8 @@ mod tests {
         let done = rep.advance_decode(burst).to_vec();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, 1);
-        assert_eq!(rep.running.len(), 1);
-        assert_eq!(rep.running[0].ctx, 603);
+        let left: Vec<RunSeq> = rep.running().collect();
+        assert_eq!(left, [RunSeq { id: 2, ctx: 603, remaining: 2 }]);
         assert_eq!(rep.kv.num_seqs(), 1);
         assert!(cs.now().as_secs() > 0.0);
     }
@@ -537,14 +736,16 @@ mod tests {
         let mut rep = Replica::new(0, 1_000_000, cfg.pp);
         for id in 0..8u64 {
             rep.kv.allocate(id, 1000).unwrap();
-            rep.running.push(RunSeq { id, ctx: 1000, remaining: 20 });
+            rep.push_running(RunSeq { id, ctx: 1000, remaining: 20 });
         }
         let h = submit_decode_burst(&mut cs, &rl, cfg, &mut rep, 20).unwrap();
         let t_pipelined = cs.sim.run_until(h).as_secs();
 
         // Serialized estimate: sum of all stage durations.
         let shape = BatchShape::decode(&[1000; 4]);
-        let per_round: f64 = stage_durations(&rl, cfg, Stage::Decode, &shape).iter().sum();
+        let mut durs = Vec::new();
+        stage_durations(&rl, cfg, Stage::Decode, &shape, &mut durs);
+        let per_round: f64 = durs.iter().sum();
         let serial = per_round * 2.0 * 20.0;
         assert!(
             t_pipelined < 0.7 * serial,
@@ -555,8 +756,9 @@ mod tests {
     #[test]
     fn prefill_slot_assignment_balances_tokens() {
         let seqs: Vec<(u64, usize)> = vec![(0, 4000), (1, 1000), (2, 1000), (3, 1000), (4, 1000)];
-        let slots = assign_prefill_slots(&seqs, 2);
-        let loads: Vec<usize> = slots
+        let mut slots = PrefillSlots::default();
+        let nslots = slots.assign(&seqs, 2);
+        let loads: Vec<usize> = slots.members[..nslots]
             .iter()
             .map(|s| s.iter().map(|&(_, l)| l).sum())
             .collect();
@@ -570,11 +772,12 @@ mod tests {
         let cfg = ParallelConfig::new(1, 2, 2);
         let mut rep = Replica::new(0, 1_000_000, cfg.pp);
         let seqs: Vec<(u64, usize)> = (0..6).map(|i| (i, 512)).collect();
-        let parts = submit_prefill_batch(&mut cs, &rl, cfg, &mut rep, &seqs);
-        let mut ids: Vec<u64> = parts.iter().flat_map(|(_, v)| v.clone()).collect();
+        let mut parts = Vec::new();
+        submit_prefill_batch(&mut cs, &rl, cfg, &mut rep, &seqs, &mut parts);
+        let mut ids: Vec<u64> = parts.iter().map(|&(_, id)| id).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..6).collect::<Vec<_>>());
-        let join = cs.join(&parts.into_iter().map(|(h, _)| h).collect::<Vec<_>>());
+        let join = cs.join(&parts.iter().map(|&(h, _)| h).collect::<Vec<_>>());
         assert!(cs.sim.run_until(join).as_secs() > 0.0);
     }
 

@@ -335,6 +335,8 @@ struct SeesawRun<'a> {
     /// `(replica, rounds, end)`, and the ends to join.
     bursts: Vec<(usize, usize, SimTime)>,
     burst_joins: Vec<SimTime>,
+    /// One replica's prefill pass ends `(end, id)`.
+    prefill_parts: Vec<(SimTime, u64)>,
 }
 
 impl<'a> SeesawRun<'a> {
@@ -375,6 +377,7 @@ impl<'a> SeesawRun<'a> {
             scratch_b: Vec::new(),
             bursts: Vec::new(),
             burst_joins: Vec::new(),
+            prefill_parts: Vec::new(),
         }
     }
 
@@ -550,34 +553,32 @@ impl<'a> SeesawRun<'a> {
         }
 
         // Run the prefill passes and attach swap-outs.
-        let mut joins = Vec::new();
+        let mut join = self.cs.now();
+        let mut parts = std::mem::take(&mut self.prefill_parts);
         for d in 0..dp {
             if admitted[d].is_empty() {
                 continue;
             }
-            let parts =
-                submit_prefill_batch(&mut self.cs, rl, cfg, &mut self.replicas[d], &admitted[d]);
-            for (pass, ids) in parts {
-                joins.push(pass);
-                for id in ids {
-                    let req = self.intake.meta.req(id);
-                    // The pass exit emits the slot's first tokens
-                    // (and finishes single-token requests).
-                    self.rec.first_token(id, pass);
-                    if req.output_len <= 1 {
-                        self.rec.completed(id, pass);
-                    }
-                    let p = self.submit_swap_out(d, id, req, pass);
-                    if p.buffered.is_some() {
-                        self.phase.buffered_any = true;
-                    }
-                    self.phase.pending[d].push(p);
+            submit_prefill_batch(&mut self.cs, rl, cfg, &mut self.replicas[d], &admitted[d], &mut parts);
+            for &(pass, id) in &parts {
+                join = join.max(pass);
+                let req = self.intake.meta.req(id);
+                // The pass exit emits the slot's first tokens (and
+                // finishes single-token requests).
+                self.rec.first_token(id, pass);
+                if req.output_len <= 1 {
+                    self.rec.completed(id, pass);
                 }
+                let p = self.submit_swap_out(d, id, req, pass);
+                if p.buffered.is_some() {
+                    self.phase.buffered_any = true;
+                }
+                self.phase.pending[d].push(p);
             }
         }
+        self.prefill_parts = parts;
         // Keep two batch joins in flight so pipeline stages stay
         // busy across batch boundaries.
-        let join = self.cs.join(&joins);
         self.phase.outstanding.push_back(join);
         if self.phase.outstanding.len() >= 2 {
             let oldest = self.phase.outstanding.pop_front().expect("non-empty");
@@ -687,7 +688,7 @@ impl<'a> SeesawRun<'a> {
                 while i < inflight[d].len() {
                     if self.cs.sim.completed(inflight[d][i].ready) {
                         let p = inflight[d].swap_remove(i);
-                        self.replicas[d].running.push(RunSeq {
+                        self.replicas[d].push_running(RunSeq {
                             id: p.id,
                             ctx: p.tokens + 1,
                             remaining: p.output_len - 1,
@@ -698,7 +699,7 @@ impl<'a> SeesawRun<'a> {
                 }
             }
 
-            let any_running = self.replicas.iter().any(|r| !r.running.is_empty());
+            let any_running = self.replicas.iter().any(|r| r.num_running() > 0);
             let any_inflight = inflight.iter().any(|v| !v.is_empty());
             if !any_running {
                 if any_inflight {
@@ -970,7 +971,7 @@ mod tests {
     /// burst markers and joins were tasks). The count grows with the
     /// stream across its prefill/decode cycles.
     #[test]
-    fn arena_is_bounded_by_in_flight_tasks() {
+    fn submitted_task_counts_are_pinned() {
         use seesaw_workload::ArrivalDist;
         let stream = |n| {
             WorkloadGen::constant(512, 32)

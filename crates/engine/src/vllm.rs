@@ -219,6 +219,10 @@ struct RunState<'a> {
     /// admission admitted and the prompt-token budget it left.
     admitted: Vec<Vec<(u64, usize)>>,
     budget: Vec<usize>,
+    /// Admission lists of integrated prefill batches, for reuse.
+    spare_admitted: Vec<Vec<Vec<(u64, usize)>>>,
+    /// One replica's prefill pass ends `(end, id)`.
+    prefill_parts: Vec<(SimTime, u64)>,
 }
 
 impl<'a> RunState<'a> {
@@ -254,6 +258,8 @@ impl<'a> RunState<'a> {
             decoded: Vec::new(),
             admitted: vec![Vec::new(); eng.cfg.dp],
             budget: Vec::new(),
+            spare_admitted: Vec::new(),
+            prefill_parts: Vec::new(),
         }
     }
 
@@ -261,7 +267,7 @@ impl<'a> RunState<'a> {
     /// every pushed request served, so the answer depends on pushes
     /// still to come.
     fn all_done(&self) -> Option<bool> {
-        if self.replicas.iter().any(|r| !r.running.is_empty())
+        if self.replicas.iter().any(|r| r.num_running() > 0)
             || self.prefilling.iter().any(|p| !p.is_empty())
         {
             return Some(false);
@@ -329,7 +335,7 @@ impl<'a> RunState<'a> {
                 }
                 None => {
                     // No replica can take the head request right now.
-                    if self.replicas.iter().all(|r| r.running.is_empty())
+                    if self.replicas.iter().all(|r| r.num_running() == 0)
                         && self.prefilling.iter().all(|p| p.is_empty())
                         && self.admitted.iter().all(|a| a.is_empty())
                     {
@@ -345,40 +351,30 @@ impl<'a> RunState<'a> {
         }
     }
 
-    /// Submit a whole-prompt prefill pass for admitted batches,
-    /// returning the in-flight record (end time + members). The
-    /// caller decides when to wait on it, so consecutive batches keep
-    /// the pipeline full.
-    fn submit_prefill(
-        &mut self,
-        rl: &Roofline,
-        admitted: Vec<Vec<(u64, usize)>>,
-    ) -> Option<InflightPrefill> {
-        if admitted.iter().all(|a| a.is_empty()) {
-            return None;
-        }
-        let mut joins: Vec<SimTime> = Vec::new();
-        for (d, batch) in admitted.iter().enumerate() {
+    /// Submit a whole-prompt prefill pass for the batches in
+    /// `self.admitted`, returning when its last pass ends. The caller
+    /// decides when to wait on it, so consecutive batches keep the
+    /// pipeline full.
+    fn submit_prefill(&mut self, rl: &Roofline) -> SimTime {
+        let mut join = self.cs.now();
+        for (d, batch) in self.admitted.iter().enumerate() {
             if batch.is_empty() {
                 continue;
             }
-            let parts =
-                submit_prefill_batch(&mut self.cs, rl, self.eng.cfg, &mut self.replicas[d], batch);
-            for (h, ids) in parts {
-                // The slot's pass exit is where its sequences' first
-                // tokens appear (and where single-token requests
-                // finish outright).
-                for &id in &ids {
-                    self.rec.first_token(id, h);
-                    if self.intake.meta.req(id).output_len <= 1 {
-                        self.rec.completed(id, h);
-                    }
+            let parts = &mut self.prefill_parts;
+            submit_prefill_batch(&mut self.cs, rl, self.eng.cfg, &mut self.replicas[d], batch, parts);
+            // The slot's pass exit is where its sequences' first
+            // tokens appear (and where single-token requests finish
+            // outright).
+            for &(h, id) in parts.iter() {
+                self.rec.first_token(id, h);
+                if self.intake.meta.req(id).output_len <= 1 {
+                    self.rec.completed(id, h);
                 }
-                joins.push(h);
+                join = join.max(h);
             }
         }
-        let join = self.cs.join(&joins);
-        Some(InflightPrefill { join, admitted })
+        join
     }
 
     /// Wait for one in-flight prefill batch and move its sequences to
@@ -387,14 +383,14 @@ impl<'a> RunState<'a> {
         let t0 = self.cs.now();
         self.cs.sim.run_until(batch.join);
         self.prefill_wall += self.cs.now() - t0;
-        for (d, members) in batch.admitted.into_iter().enumerate() {
-            for (id, prompt) in members {
+        for (d, members) in batch.admitted.iter().enumerate() {
+            for &(id, prompt) in members {
                 let req = self.intake.meta.req(id);
                 if req.output_len <= 1 {
                     self.replicas[d].kv.free(id).expect("was allocated");
                     self.completed += 1;
                 } else {
-                    self.replicas[d].running.push(RunSeq {
+                    self.replicas[d].push_running(RunSeq {
                         id,
                         ctx: prompt + 1,
                         remaining: req.output_len - 1,
@@ -402,6 +398,7 @@ impl<'a> RunState<'a> {
                 }
             }
         }
+        self.spare_admitted.push(batch.admitted);
     }
 
     /// Admit + prefill with up to two batches in flight, so pipeline
@@ -416,17 +413,21 @@ impl<'a> RunState<'a> {
                 return false;
             }
             self.admit(MAX_PREFILL_TOKENS);
-            let admitted = std::mem::replace(&mut self.admitted, vec![Vec::new(); self.eng.cfg.dp]);
-            match self.submit_prefill(rl, admitted) {
-                Some(batch) => {
-                    self.prefilled = true;
-                    self.batches.push_back(batch);
-                    if self.batches.len() >= 2 {
-                        let oldest = self.batches.pop_front().expect("non-empty");
-                        self.integrate_prefill(oldest);
-                    }
-                }
-                None => break,
+            if self.admitted.iter().all(|a| a.is_empty()) {
+                break;
+            }
+            let join = self.submit_prefill(rl);
+            // `admit` clears the lists it reuses.
+            let spare = self
+                .spare_admitted
+                .pop()
+                .unwrap_or_else(|| vec![Vec::new(); self.eng.cfg.dp]);
+            let admitted = std::mem::replace(&mut self.admitted, spare);
+            self.prefilled = true;
+            self.batches.push_back(InflightPrefill { join, admitted });
+            if self.batches.len() >= 2 {
+                let oldest = self.batches.pop_front().expect("non-empty");
+                self.integrate_prefill(oldest);
             }
         }
         while let Some(batch) = self.batches.pop_front() {
@@ -540,7 +541,7 @@ impl<'a> RunState<'a> {
                         return false;
                     }
                     let mut progressed = self.prefilled;
-                    while self.replicas.iter().any(|r| !r.running.is_empty()) {
+                    while self.replicas.iter().any(|r| r.num_running() > 0) {
                         self.do_decode_burst(rl);
                         progressed = true;
                     }
@@ -665,7 +666,7 @@ impl<'a> RunState<'a> {
                     self.graduated.push((d, p.id, p.prompt));
                 }
             }
-            let had_running = !self.replicas[d].running.is_empty();
+            let had_running = self.replicas[d].num_running() > 0;
             if let Some(end) = submit_mixed_round(
                 &mut self.cs,
                 rl,
@@ -698,7 +699,7 @@ impl<'a> RunState<'a> {
                 self.completed += 1;
                 self.rec.completed(id, end);
             } else {
-                self.replicas[d].running.push(RunSeq {
+                self.replicas[d].push_running(RunSeq {
                     id,
                     ctx: prompt + 1,
                     remaining: req.output_len - 1,
@@ -783,7 +784,7 @@ mod tests {
     /// marker tasks and joins were tasks). A stream four times longer
     /// submits proportionally more.
     #[test]
-    fn arena_is_bounded_by_in_flight_tasks() {
+    fn submitted_task_counts_are_pinned() {
         use seesaw_workload::ArrivalDist;
         let stream = |n| {
             WorkloadGen::constant(512, 32)

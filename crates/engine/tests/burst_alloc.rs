@@ -1,13 +1,16 @@
-//! Fused decode bursts and mixed rounds keep their working buffers on
-//! the replica, so once warmed up they allocate nothing: a 1-round and
-//! a 64-round burst make the same number of heap allocations, and a
-//! whole engine-loop step (burst, wait, advance; or mixed round,
-//! advance, wait) makes none. The counting
-//! allocator counts only the thread that switched it on, so the test
-//! harness's own threads do not disturb the count.
+//! Prefill batches, fused decode bursts and mixed rounds keep their
+//! working buffers on the replica, so once warmed up they allocate
+//! nothing: a 1-round and a 64-round burst make the same number of heap
+//! allocations, and a whole engine-loop step (burst, wait, advance;
+//! mixed round, advance, wait; or admission, prefill batch, wait,
+//! on-boarding) makes none. The counting allocator counts only the
+//! thread that switched it on, so the test harness's own threads do not
+//! disturb the count.
 
 use seesaw_engine::cluster_sim::ClusterSim;
-use seesaw_engine::driver::{submit_decode_burst, submit_mixed_round, Replica, RunSeq};
+use seesaw_engine::driver::{
+    submit_decode_burst, submit_mixed_round, submit_prefill_batch, Replica, RunSeq,
+};
 use seesaw_hw::ClusterSpec;
 use seesaw_model::presets;
 use seesaw_parallel::ParallelConfig;
@@ -79,13 +82,13 @@ fn setup(cfg: ParallelConfig) -> (ClusterSim, Roofline, Replica) {
     let cluster = ClusterSpec::a10x4();
     let rl = Roofline::new(cluster.clone(), presets::llama2_13b());
     let mut rep = Replica::new(0, 1 << 20, cfg.pp);
-    rep.running = (0..6u64)
-        .map(|id| RunSeq {
+    for id in 0..6u64 {
+        rep.push_running(RunSeq {
             id,
             ctx: 500 + 100 * id as usize,
             remaining: 1 << 20,
-        })
-        .collect();
+        });
+    }
     (ClusterSim::new(cluster), rl, rep)
 }
 
@@ -142,4 +145,65 @@ fn a_warmed_up_mixed_round_step_allocates_nothing() {
         }
     });
     assert_eq!(allocs, 0, "64 warmed-up mixed round steps allocate");
+}
+
+/// Buffers a prefill step reuses, as the engine loops keep them.
+#[derive(Default)]
+struct PrefillBuffers {
+    batch: Vec<(u64, usize)>,
+    parts: Vec<(SimTime, u64)>,
+    next_id: u64,
+}
+
+/// One prefill engine-loop step: admit six fresh requests into KV,
+/// submit their prefill batch, wait for its last pass and on-board
+/// them; then decode them to completion in one burst, which retires
+/// them and frees their KV.
+fn prefill_step(
+    cs: &mut ClusterSim,
+    rl: &Roofline,
+    cfg: ParallelConfig,
+    rep: &mut Replica,
+    buf: &mut PrefillBuffers,
+) {
+    buf.batch.clear();
+    for k in 0..6 {
+        let prompt = 256 + 128 * k;
+        rep.kv.allocate(buf.next_id, prompt + 8).expect("KV fits");
+        buf.batch.push((buf.next_id, prompt));
+        buf.next_id += 1;
+    }
+    submit_prefill_batch(cs, rl, cfg, rep, &buf.batch, &mut buf.parts);
+    let join = buf.parts.iter().fold(cs.now(), |t, &(end, _)| t.max(end));
+    cs.sim.run_until(join);
+    for &(id, prompt) in &buf.batch {
+        rep.push_running(RunSeq {
+            id,
+            ctx: prompt + 1,
+            remaining: 7,
+        });
+    }
+    let rounds = rep.max_burst(64);
+    let end = submit_decode_burst(cs, rl, cfg, rep, rounds).expect("replica is running");
+    cs.sim.run_until(end);
+    assert_eq!(rep.advance_decode(rounds).len(), 6, "the batch retires");
+}
+
+#[test]
+fn a_warmed_up_prefill_step_allocates_nothing() {
+    let cfg = ParallelConfig::new(1, 2, 2);
+    let cluster = ClusterSpec::a10x4();
+    let rl = Roofline::new(cluster.clone(), presets::llama2_13b());
+    let mut cs = ClusterSim::new(cluster);
+    let mut rep = Replica::new(0, 1 << 20, cfg.pp);
+    let mut buf = PrefillBuffers::default();
+    for _ in 0..16 {
+        prefill_step(&mut cs, &rl, cfg, &mut rep, &mut buf);
+    }
+    let allocs = allocations(|| {
+        for _ in 0..64 {
+            prefill_step(&mut cs, &rl, cfg, &mut rep, &mut buf);
+        }
+    });
+    assert_eq!(allocs, 0, "64 warmed-up prefill steps allocate");
 }

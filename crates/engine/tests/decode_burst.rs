@@ -3,10 +3,15 @@
 //! per-round version it replaced, run on the event-driven executor
 //! that the eager `Simulator` replaced (`tests/support`): one
 //! task-graph pass per micro-batch slot per round, chained on the
-//! slot's previous tail and served by FIFO stage queues. The two share
-//! no scheduling code. On random layouts, batches and burst lengths
-//! they must agree bit for bit on every time and busy total, and
-//! record the same spans.
+//! slot's previous tail and served by FIFO stage queues. Its running
+//! sequences are a plain `Vec<RunSeq>` kept by the scan the replica's
+//! incremental bookkeeping replaced (`tests/support/scan.rs`). The two
+//! share no scheduling or bookkeeping code. On random layouts and
+//! batches, driven burst after burst at each replica's longest
+//! survivable length, so sequences retire and slots reshuffle between
+//! bursts, they must agree bit for bit on every time and busy total,
+//! retire the same sequences in the same order, and record the same
+//! spans.
 
 mod support;
 
@@ -19,23 +24,26 @@ use seesaw_parallel::ParallelConfig;
 use seesaw_roofline::{BatchShape, Roofline, Stage};
 use seesaw_sim::{SimTime, Span, TaskKind, TraceSummary};
 use support::heap::Handle;
-use support::HeapCluster;
+use support::{scan, HeapCluster};
 
-/// The per-round burst on the heap: `rounds` × non-empty slots passes,
-/// each behind its slot's tail, with its stage durations evaluated
-/// from the full layer cost. Returns the join of the last round.
+/// The per-round burst on the heap for replica `d` running `running`:
+/// `rounds` × non-empty slots passes, each behind its slot's tail, with
+/// its stage durations evaluated from the full layer cost. Returns the
+/// join of the last round.
 fn reference_burst(
     heap: &mut HeapCluster,
     rl: &Roofline,
     cfg: ParallelConfig,
-    replica: &Replica,
+    d: usize,
+    running: &[RunSeq],
     tails: &mut [Option<Handle>],
     rounds: usize,
 ) -> Handle {
     let mut slots = vec![Vec::new(); cfg.pp];
-    for (i, seq) in replica.running.iter().enumerate() {
+    for (i, seq) in running.iter().enumerate() {
         slots[i % cfg.pp].push(seq.ctx);
     }
+    let mut durs = Vec::new();
     let overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
     let mut last = Vec::new();
     for r in 0..rounds {
@@ -45,9 +53,9 @@ fn reference_burst(
                 continue;
             }
             let shape = BatchShape::decode_iter(ctxs.iter().map(|&ctx| ctx + r + 1));
-            let mut durs = stage_durations(rl, cfg, Stage::Decode, &shape);
+            stage_durations(rl, cfg, Stage::Decode, &shape, &mut durs);
             durs[0] += overhead;
-            let tail = heap.pass(cfg, replica.dp_rank, &durs, tails[slot]);
+            let tail = heap.pass(cfg, d, &durs, tails[slot]);
             tails[slot] = Some(tail);
             last.push(tail);
         }
@@ -60,6 +68,9 @@ fn reference_burst(
 struct Observed {
     /// Per burst: the join time, then every replica's slot-tail times.
     times: Vec<Vec<Option<u64>>>,
+    /// Per burst: every replica's round count and the ids it retired,
+    /// in retirement order.
+    retired: Vec<Vec<(usize, Vec<u64>)>>,
     /// Busy seconds of every GPU's compute engine.
     busy: Vec<u64>,
 }
@@ -68,54 +79,73 @@ fn bits(t: SimTime) -> u64 {
     t.as_secs().to_bits()
 }
 
-/// Replicas running `contexts`, none finishing within `rounds`.
-fn replicas(cfg: ParallelConfig, contexts: &[Vec<usize>], rounds: usize) -> Vec<Replica> {
-    contexts
-        .iter()
-        .enumerate()
-        .map(|(d, ctxs)| {
-            let mut rep = Replica::new(d, 1 << 20, cfg.pp);
-            rep.running = ctxs
+/// Per replica, its sequences `(ctx, remaining)` as `RunSeq`s with ids
+/// unique across replicas.
+fn batches(seqs: &[Vec<(usize, usize)>]) -> Vec<Vec<RunSeq>> {
+    let mut id = 0;
+    seqs.iter()
+        .map(|batch| {
+            batch
                 .iter()
-                .enumerate()
-                .map(|(i, &ctx)| RunSeq {
-                    id: i as u64,
-                    ctx,
-                    remaining: rounds + 1,
+                .map(|&(ctx, remaining)| {
+                    id += 1;
+                    RunSeq { id, ctx, remaining }
                 })
-                .collect();
-            rep
+                .collect()
         })
         .collect()
 }
 
-/// Run `bursts` (per burst, the round count) back to back on every
-/// replica the way the engine loops do: submit every replica's burst,
-/// join, wait for the join, advance the contexts.
+/// Run bursts back to back on every replica the way the engine loops
+/// do, until nothing runs or `caps` (per burst, the round cap) runs
+/// out: every running replica bursts for its longest survivable length
+/// under the cap, then join, wait for the join, advance.
 fn drive_fused(
     cluster: &ClusterSpec,
     rl: &Roofline,
     cfg: ParallelConfig,
-    contexts: &[Vec<usize>],
-    bursts: &[usize],
+    seqs: &[Vec<(usize, usize)>],
+    caps: &[usize],
 ) -> (Observed, ClusterSim) {
     let mut cs = ClusterSim::with_trace(cluster.clone());
-    let mut replicas = replicas(cfg, contexts, bursts.iter().sum());
-    let mut times = Vec::new();
-    for &rounds in bursts {
-        let ends: Vec<SimTime> = replicas
-            .iter_mut()
-            .map(|rep| {
-                submit_decode_burst(&mut cs, rl, cfg, rep, rounds).expect("replica is running")
-            })
-            .collect();
+    let mut replicas: Vec<Replica> = batches(seqs)
+        .into_iter()
+        .enumerate()
+        .map(|(d, batch)| {
+            let mut rep = Replica::new(d, 1 << 20, cfg.pp);
+            for seq in batch {
+                rep.kv.allocate(seq.id, seq.ctx + seq.remaining).expect("KV fits");
+                rep.push_running(seq);
+            }
+            rep
+        })
+        .collect();
+    let (mut times, mut retired) = (Vec::new(), Vec::new());
+    for &cap in caps {
+        let mut ends = Vec::new();
+        let mut rounds = Vec::new();
+        for rep in &mut replicas {
+            let n = rep.max_burst(cap);
+            rounds.push(n);
+            ends.extend(submit_decode_burst(&mut cs, rl, cfg, rep, n));
+        }
+        if ends.is_empty() {
+            break;
+        }
         let join = cs.join(&ends);
         let mut row = vec![Some(bits(cs.sim.run_until(join)))];
-        for rep in &mut replicas {
+        let mut out = Vec::new();
+        for (rep, n) in replicas.iter_mut().zip(rounds) {
             row.extend(rep.tails.iter().map(|t| t.map(bits)));
-            assert!(rep.advance_decode(rounds).is_empty());
+            let ids = if n > 0 {
+                rep.advance_decode(n).iter().map(|s| s.id).collect()
+            } else {
+                Vec::new()
+            };
+            out.push((n, ids));
         }
         times.push(row);
+        retired.push(out);
     }
     let busy = (0..cluster.num_gpus)
         .map(|g| {
@@ -127,7 +157,14 @@ fn drive_fused(
             cs.sim.busy_time(r).to_bits()
         })
         .collect();
-    (Observed { times, busy }, cs)
+    (
+        Observed {
+            times,
+            retired,
+            busy,
+        },
+        cs,
+    )
 }
 
 /// [`drive_fused`] with per-round bursts on the heap; also returns its
@@ -136,34 +173,45 @@ fn drive_reference(
     cluster: &ClusterSpec,
     rl: &Roofline,
     cfg: ParallelConfig,
-    contexts: &[Vec<usize>],
-    bursts: &[usize],
+    seqs: &[Vec<(usize, usize)>],
+    caps: &[usize],
 ) -> (Observed, Vec<Span>) {
     let mut heap = HeapCluster::new(cluster);
-    let mut replicas = replicas(cfg, contexts, bursts.iter().sum());
+    let mut replicas = batches(seqs);
     let mut tails = vec![vec![None; cfg.pp]; replicas.len()];
-    let mut times = Vec::new();
-    for &rounds in bursts {
-        let ends: Vec<Handle> = replicas
-            .iter()
-            .zip(&mut tails)
-            .map(|(rep, tails)| reference_burst(&mut heap, rl, cfg, rep, tails, rounds))
-            .collect();
+    let (mut times, mut retired) = (Vec::new(), Vec::new());
+    for &cap in caps {
+        let mut ends = Vec::new();
+        let mut rounds = Vec::new();
+        for (d, (running, tails)) in replicas.iter().zip(&mut tails).enumerate() {
+            let n = scan::max_burst(running, cap);
+            rounds.push(n);
+            if n > 0 {
+                ends.push(reference_burst(&mut heap, rl, cfg, d, running, tails, n));
+            }
+        }
+        if ends.is_empty() {
+            break;
+        }
         let end = heap.join(&ends);
         let mut row = vec![Some(bits(heap.sim.run_until(end)))];
-        for (rep, tails) in replicas.iter_mut().zip(&tails) {
+        let mut out = Vec::new();
+        for ((running, tails), n) in replicas.iter_mut().zip(&tails).zip(rounds) {
             row.extend(
                 tails
                     .iter()
                     .map(|t| t.map(|h| bits(heap.sim.completion_time(h).expect("tail done")))),
             );
-            assert!(rep.advance_decode(rounds).is_empty());
+            let ids = scan::advance(running, n).iter().map(|s| s.id).collect();
+            out.push((n, ids));
         }
         times.push(row);
+        retired.push(out);
     }
     (
         Observed {
             times,
+            retired,
             busy: heap.compute_busy(),
         },
         heap.spans(),
@@ -226,15 +274,15 @@ fn setup(which: usize) -> (ClusterSpec, seesaw_model::ModelConfig) {
     }
 }
 
-/// A random decode setup: cluster, layout, per-replica contexts and
-/// the round counts of 2–3 back-to-back bursts.
+/// A random decode setup: cluster, layout, per-replica sequences
+/// `(ctx, remaining)` and the round caps of 2–7 back-to-back bursts.
 #[derive(Debug, Clone)]
 struct Case {
     /// Index into [`setup`].
     setup: usize,
     cfg: ParallelConfig,
-    contexts: Vec<Vec<usize>>,
-    bursts: Vec<usize>,
+    seqs: Vec<Vec<(usize, usize)>>,
+    caps: Vec<usize>,
 }
 
 fn cases() -> impl Strategy<Value = Case> {
@@ -244,29 +292,30 @@ fn cases() -> impl Strategy<Value = Case> {
         prop::sample::select(vec![1usize, 2, 4]),
         1usize..9,
     );
-    let batches = prop::collection::vec(prop::collection::vec(1usize..4000, 1..41), 8..9);
+    let seq = (1usize..4000, 1usize..100);
+    let batches = prop::collection::vec(prop::collection::vec(seq, 1..41), 8..9);
     let short = prop::sample::select(vec![false, true]);
-    let bursts = prop::collection::vec(1usize..65, 2..4);
-    (layout, batches, short, bursts).prop_map(|((which, tp, pp, dp), batches, short, bursts)| {
+    let caps = prop::collection::vec(1usize..65, 2..8);
+    (layout, batches, short, caps).prop_map(|((which, tp, pp, dp), batches, short, caps)| {
         let gpus = setup(which).0.num_gpus;
         // Shrink the layout until it fits the cluster: tp first, then
         // pp, then dp.
         let tp = tp.min(gpus);
         let pp = if tp * pp > gpus { gpus / tp } else { pp };
         let dp = dp.min(gpus / (tp * pp));
-        let mut contexts = batches;
-        contexts.truncate(dp);
+        let mut seqs = batches;
+        seqs.truncate(dp);
         // Half the cases give the last replica 1–3 sequences, fewer
         // than the slots of a 4-stage pipeline.
         if short {
-            let last = contexts.last_mut().expect("dp >= 1");
-            last.truncate(1 + last[0] % 3);
+            let last = seqs.last_mut().expect("dp >= 1");
+            last.truncate(1 + last[0].0 % 3);
         }
         Case {
             setup: which,
             cfg: ParallelConfig::new(dp, tp, pp),
-            contexts,
-            bursts,
+            seqs,
+            caps,
         }
     })
 }
@@ -278,9 +327,8 @@ proptest! {
     fn fused_burst_matches_the_per_round_reference(case in cases()) {
         let (cluster, model) = setup(case.setup);
         let rl = Roofline::new(cluster.clone(), model);
-        let (fused, fused_cs) = drive_fused(&cluster, &rl, case.cfg, &case.contexts, &case.bursts);
-        let (reference, spans) =
-            drive_reference(&cluster, &rl, case.cfg, &case.contexts, &case.bursts);
+        let (fused, fused_cs) = drive_fused(&cluster, &rl, case.cfg, &case.seqs, &case.caps);
+        let (reference, spans) = drive_reference(&cluster, &rl, case.cfg, &case.seqs, &case.caps);
         prop_assert_eq!(&fused, &reference, "{:?}", case);
         let fused_spans = fused_cs.sim.trace().spans();
         prop_assert_eq!(span_multiset(fused_spans), span_multiset(&spans), "{:?}", case);
@@ -293,13 +341,13 @@ fn one_replica(cfg: ParallelConfig, seqs: usize) -> (ClusterSim, Roofline, Repli
     let cluster = ClusterSpec::a10x4();
     let rl = Roofline::new(cluster.clone(), presets::llama2_13b());
     let mut rep = Replica::new(0, 1 << 20, cfg.pp);
-    rep.running = (0..seqs as u64)
-        .map(|id| RunSeq {
+    for id in 0..seqs as u64 {
+        rep.push_running(RunSeq {
             id,
             ctx: 600,
             remaining: 64,
-        })
-        .collect();
+        });
+    }
     (ClusterSim::new(cluster), rl, rep)
 }
 

@@ -3,7 +3,9 @@
 //! version it replaced, run on the event-driven executor that the
 //! eager `Simulator` replaced (`tests/support`): one pass per non-empty
 //! micro-batch slot, behind the slot's previous pass and served by
-//! FIFO stage queues. The two share no scheduling code. Driven the way
+//! FIFO stage queues, its running sequences kept by the scan the
+//! replica's incremental bookkeeping replaced (`tests/support/scan.rs`).
+//! The two share no scheduling or bookkeeping code. Driven the way
 //! the chunked-prefill engine drives rounds — two in flight, the chunk
 //! slot rotating, sequences joining and retiring — they must agree bit
 //! for bit on every round end and busy total, and record the same
@@ -22,29 +24,27 @@ use seesaw_sim::{SimTime, Span, TraceSummary};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use support::heap::Handle;
-use support::HeapCluster;
+use support::{scan, HeapCluster};
 
-/// The task-graph mixed round on the heap: per non-empty slot, one
-/// pass chained on the slot's previous tail. Returns the join of this
-/// round's slot tails.
+/// The task-graph mixed round on the heap for replica `d` running
+/// `running`: per non-empty slot, one pass chained on the slot's
+/// previous tail. Returns the join of this round's slot tails.
+#[allow(clippy::too_many_arguments)] // the round's full context, as the library takes it
 fn reference_round(
     heap: &mut HeapCluster,
     rl: &Roofline,
     cfg: ParallelConfig,
-    replica: &Replica,
+    d: usize,
+    running: &[RunSeq],
     tails: &mut [Option<Handle>],
     chunk: &BatchShape,
     chunk_slot: usize,
 ) -> Option<Handle> {
-    if replica.running.is_empty() && chunk.is_empty() {
+    if running.is_empty() && chunk.is_empty() {
         return None;
     }
     let overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
-    let mut sums = vec![(0usize, 0usize); cfg.pp];
-    for (i, seq) in replica.running.iter().enumerate() {
-        sums[i % cfg.pp].0 += 1;
-        sums[i % cfg.pp].1 += seq.ctx;
-    }
+    let sums = scan::slot_sums(running, cfg.pp);
     let mut last = Vec::new();
     for (slot, &(seqs, ctx)) in sums.iter().enumerate() {
         let dshape = BatchShape::decode_total(seqs, ctx + seqs);
@@ -71,7 +71,7 @@ fn reference_round(
             })
             .collect();
         durs[0] += overhead;
-        let tail = heap.pass(cfg, replica.dp_rank, &durs, tails[slot]);
+        let tail = heap.pass(cfg, d, &durs, tails[slot]);
         tails[slot] = Some(tail);
         last.push(tail);
     }
@@ -104,33 +104,37 @@ fn bits(t: SimTime) -> u64 {
 /// The chunked engine's loop over `rounds` (per round, one step per
 /// replica): submit every replica's part, decode a token, let
 /// graduated sequences join, and with two rounds in flight wait for
-/// the older one. Round `r` rides its chunk in slot `r % PP`. `round`
-/// submits a replica's part and returns its end, if it has a pass;
-/// `join_ends` joins a round's ends when it is submitted; `wait` waits for
-/// a join and returns its time and the clock after the wait.
+/// the older one. Round `r` rides its chunk in slot `r % PP`. Each
+/// replica's sequences are kept twice, by the library's `Replica` and
+/// by the scan. `round` submits a replica's part and returns its end,
+/// if it has a pass; `join_ends` joins a round's ends when it is
+/// submitted; `wait` waits for a join and returns its time and the
+/// clock after the wait.
 fn drive<H: Copy>(
     cfg: ParallelConfig,
     running: &[Vec<(usize, usize)>],
     rounds: &[Vec<Step>],
-    mut round: impl FnMut(&mut Replica, &BatchShape, usize) -> Option<H>,
+    mut round: impl FnMut(&mut Replica, &[RunSeq], &BatchShape, usize) -> Option<H>,
     mut join_ends: impl FnMut(&[H]) -> H,
     mut wait: impl FnMut(H) -> (u64, u64),
 ) -> Vec<(u64, u64)> {
     let mut next_id = 0u64;
-    let mut join = |rep: &mut Replica, (ctx, remaining): (usize, usize)| {
+    let mut join = |(rep, scanned): &mut (Replica, Vec<RunSeq>), (ctx, remaining)| {
         rep.kv.allocate(next_id, ctx + remaining).expect("KV fits");
-        rep.running.push(RunSeq {
+        let seq = RunSeq {
             id: next_id,
             ctx,
             remaining,
-        });
+        };
+        rep.push_running(seq);
+        scanned.push(seq);
         next_id += 1;
     };
-    let mut replicas: Vec<Replica> = running
+    let mut replicas: Vec<(Replica, Vec<RunSeq>)> = running
         .iter()
         .enumerate()
         .map(|(d, seqs)| {
-            let mut rep = Replica::new(d, 1 << 24, cfg.pp);
+            let mut rep = (Replica::new(d, 1 << 24, cfg.pp), Vec::new());
             for &seq in seqs {
                 join(&mut rep, seq);
             }
@@ -141,19 +145,21 @@ fn drive<H: Copy>(
     let mut inflight = VecDeque::new();
     for (r, steps) in rounds.iter().enumerate() {
         let mut ends = Vec::new();
-        for (rep, step) in replicas.iter_mut().zip(steps) {
+        for (both, step) in replicas.iter_mut().zip(steps) {
             let chunk = step.chunk.map_or(BatchShape::empty(), |(tokens, prefix)| {
                 BatchShape::prefill_chunk(tokens, prefix)
             });
-            let had_running = !rep.running.is_empty();
-            if let Some(end) = round(rep, &chunk, r + 1) {
+            let (rep, scanned) = both;
+            let had_running = !scanned.is_empty();
+            if let Some(end) = round(rep, scanned, &chunk, r + 1) {
                 ends.push(end);
                 if had_running {
                     rep.advance_decode(1);
+                    scan::advance(scanned, 1);
                 }
             }
             if let Some(seq) = step.joins {
-                join(rep, seq);
+                join(both, seq);
             }
         }
         if ends.is_empty() {
@@ -183,7 +189,7 @@ fn drive_fused(
         cfg,
         running,
         rounds,
-        |rep, chunk, slot| submit_mixed_round(&mut cs.borrow_mut(), rl, cfg, rep, chunk, slot),
+        |rep, _, chunk, slot| submit_mixed_round(&mut cs.borrow_mut(), rl, cfg, rep, chunk, slot),
         |ends| cs.borrow().join(ends),
         |end| {
             let mut cs = cs.borrow_mut();
@@ -220,9 +226,10 @@ fn drive_reference(
         cfg,
         running,
         rounds,
-        |rep, chunk, slot| {
-            let tails = &mut tails[rep.dp_rank];
-            reference_round(&mut heap.borrow_mut(), rl, cfg, rep, tails, chunk, slot)
+        |rep, running, chunk, slot| {
+            let d = rep.dp_rank;
+            let heap = &mut heap.borrow_mut();
+            reference_round(heap, rl, cfg, d, running, &mut tails[d], chunk, slot)
         },
         |ends| heap.borrow_mut().join(ends),
         |end| {
@@ -417,7 +424,7 @@ fn a_third_round_in_flight_panics() {
     let mut cs = ClusterSim::new(cluster);
     let mut rep = Replica::new(0, 1 << 20, cfg.pp);
     rep.kv.allocate(0, 700).expect("KV fits");
-    rep.running.push(RunSeq {
+    rep.push_running(RunSeq {
         id: 0,
         ctx: 600,
         remaining: 64,

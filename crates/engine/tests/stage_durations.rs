@@ -49,7 +49,8 @@ fn stage_durations_match_per_stage_evaluation() {
                     rl.stage_time(cfg, s, stage, &shape) + hop
                 })
                 .collect();
-            let durs = stage_durations(&rl, cfg, stage, &shape);
+            let mut durs = vec![f64::NAN; 9];
+            stage_durations(&rl, cfg, stage, &shape, &mut durs);
             assert_eq!(bits(&durs), bits(&want), "{stage:?} {shape:?} {cfg:?}");
         }
     }

@@ -1,10 +1,12 @@
 //! `ClusterSim`'s task graph on the event-driven executor that the
-//! eager `Simulator` replaced: the reference the fused decode burst
-//! and mixed round are checked against, sharing no scheduling code
-//! with them.
+//! eager `Simulator` replaced, and the scan-based decode bookkeeping
+//! that `Replica`'s incremental state replaced: the references the
+//! fused decode burst, the mixed round and the running set are checked
+//! against, sharing no scheduling or bookkeeping code with them.
 
 #[path = "../../../sim/tests/support/heap.rs"]
 pub mod heap;
+pub mod scan;
 
 use heap::{Handle, HeapSim};
 use seesaw_hw::ClusterSpec;
