@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the reproduction's hot paths: the
-//! eager task scheduler, the paged KV allocator, the re-sharding
-//! planner, the roofline evaluation, and end-to-end engine runs at
-//! small scale.
+//! eager task scheduler, the fused decode burst, the paged KV
+//! allocator, the re-sharding planner, the roofline evaluation, and
+//! end-to-end engine runs at small scale.
 //!
 //! These guard the *simulator's* performance (a full Figure 10 panel
 //! executes hundreds of engine runs), not the modeled GPU times.
@@ -41,6 +41,48 @@ fn bench_sim_executor(c: &mut Criterion) {
             black_box(drive(&mut sim))
         })
     });
+    g.finish();
+}
+
+/// One decode step of an engine loop (a fused burst, the wait for its
+/// end, the advance) on one replica of 160 running sequences, per
+/// layout. The throughput is in stage-iterations, one per (round, slot,
+/// stage), so `/elem` is the cost of serving one pass through one
+/// stage.
+fn bench_decode_burst(c: &mut Criterion) {
+    use seesaw_engine::cluster_sim::ClusterSim;
+    use seesaw_engine::driver::{submit_decode_burst, Replica, RunSeq};
+    const SEQS: usize = 160;
+    const ROUNDS: usize = 5;
+    let cluster = ClusterSpec::a10x8();
+    let rl = Roofline::new(cluster.clone(), presets::llama2_13b());
+    let mut g = c.benchmark_group("decode_burst");
+    for (name, cfg) in [
+        ("p8", ParallelConfig::pp(8)),
+        ("t2p4", ParallelConfig::new(1, 2, 4)),
+        ("t2p2", ParallelConfig::new(1, 2, 2)),
+        ("t8", ParallelConfig::tp(8)),
+    ] {
+        let mut cs = ClusterSim::new(cluster.clone());
+        let mut rep = Replica::new(0, 1 << 30, cfg.pp);
+        for id in 0..SEQS as u64 {
+            rep.push_running(RunSeq {
+                id,
+                ctx: 256 + 8 * id as usize,
+                remaining: usize::MAX / 2,
+            });
+        }
+        let stage_iters = ROUNDS * cfg.pp.min(SEQS) * cfg.pp;
+        g.throughput(Throughput::Elements(stage_iters as u64));
+        g.bench_function(&format!("{name}_{SEQS}seqs_{ROUNDS}rounds"), |b| {
+            b.iter(|| {
+                let end = submit_decode_burst(&mut cs, &rl, cfg, &mut rep, ROUNDS)
+                    .expect("replica is running");
+                cs.sim.run_until(end);
+                black_box(rep.advance_decode(ROUNDS).len())
+            })
+        });
+    }
     g.finish();
 }
 
@@ -183,6 +225,7 @@ fn bench_workload_gen(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sim_executor,
+    bench_decode_burst,
     bench_paged_kv,
     bench_reshard_planner,
     bench_roofline,

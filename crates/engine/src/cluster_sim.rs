@@ -21,16 +21,19 @@
 //! rounds do not submit a task per pass:
 //! [`submit_decode_burst`](crate::driver::submit_decode_burst) and
 //! [`submit_mixed_round`](crate::driver::submit_mixed_round) compute
-//! their pipeline schedule in closed form and charge each stage
-//! interval to the stage's TP group with [`ClusterSim::record_stage`],
-//! which occupies those GPUs until the interval ends. Every other
-//! compute task (prefill passes, re-shard overheads) is submitted
-//! through [`ClusterSim::submit_pass`] or
-//! [`ClusterSim::submit_compute_overhead`] and queues behind that work.
+//! their pipeline schedule in closed form. They borrow the replica's
+//! compute engines once per burst or round
+//! ([`ClusterSim::compute_block`]), add each stage interval to the
+//! stage's TP group's busy counters, and mark each GPU busy until its
+//! last interval ends. Every other compute task (prefill passes,
+//! re-shard overheads) is submitted through [`ClusterSim::submit_pass`]
+//! or [`ClusterSim::submit_compute_overhead`] and queues behind that
+//! work.
 
 use seesaw_hw::ClusterSpec;
 use seesaw_parallel::ParallelConfig;
-use seesaw_sim::{ResourceId, SimTime, Simulator, TaskKind};
+use seesaw_sim::{Block, ResourceId, SimTime, Simulator, TaskKind};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The simulated cluster: resources plus the underlying simulator.
@@ -73,8 +76,11 @@ impl ClusterSim {
         let mut block = |engine: &str| -> Vec<ResourceId> {
             (0..n).map(|i| sim.add_resource(format!("gpu{i}.{engine}"))).collect()
         };
+        // Compute engines first, so GPU `g`'s is resource `g`
+        // (`compute_block` relies on it).
         let (compute, h2d, d2h, staging) =
             (block("compute"), block("h2d"), block("d2h"), block("staging"));
+        debug_assert!(compute.iter().enumerate().all(|(g, r)| r.index() == g));
         ClusterSim {
             sim,
             cluster,
@@ -162,31 +168,13 @@ impl ClusterSim {
             .submit_on(self.compute[gpu], duration, TaskKind::Overhead, gpu as u64, dep)
     }
 
-    /// Charge the compute engines of pipeline stage `stage` of replica
-    /// `dp_rank` (its TP group, in lockstep) one pass stage served over
-    /// `[start, end]`, scheduled by the caller rather than the
-    /// simulator (a fused decode burst or mixed round). Adds busy time
-    /// and, when tracing, a `Compute` span per GPU, and occupies the
-    /// GPUs until `end`.
-    pub fn record_stage(
-        &mut self,
-        cfg: ParallelConfig,
-        dp_rank: usize,
-        stage: usize,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        let compute = &self.compute;
-        let group = (0..cfg.tp).map(|t| {
-            let g = cfg.gpu_index(dp_rank, stage, t);
-            (compute[g], g as u64)
-        });
-        self.sim.record_service(group, start, end, TaskKind::Compute);
-    }
-
-    /// Whether GPU `gpu`'s compute engine has finished all its work.
-    pub fn compute_idle(&self, gpu: usize) -> bool {
-        self.sim.is_idle(self.compute[gpu])
+    /// Borrow the compute engines of GPUs `gpus` (entry `i` is GPU
+    /// `gpus.start + i`), to charge work the caller schedules itself: a
+    /// replica's fused decode burst or mixed round, whose GPUs are
+    /// contiguous in [`ParallelConfig::gpu_index`] order.
+    pub fn compute_block(&mut self, gpus: Range<usize>) -> Block<'_> {
+        assert!(gpus.end <= self.compute.len(), "GPUs {gpus:?} outside the cluster");
+        self.sim.block(gpus)
     }
 
     /// Mean busy fraction of the GPUs' compute engines over the run —

@@ -5,20 +5,26 @@
 //! Only prefill batches are submitted pass by pass, as tasks
 //! ([`ClusterSim::submit_pass`]). Decode bursts and mixed rounds
 //! compute their pipeline schedule in closed form (a max-plus
-//! recurrence over passes and stages) and charge each stage's TP group
-//! directly ([`ClusterSim::record_stage`]), instead of submitting
+//! recurrence over passes and stages), instead of submitting
 //! `passes × PP × TP` tasks. Either way the caller gets the work's end
 //! time to wait on:
 //!
 //! * [`submit_decode_burst`] schedules a burst's rounds in (round,
 //!   slot) order. Everything about a slot's pass but its total context
-//!   is fixed for the burst, so each slot's [`DecodeCost`] is
-//!   evaluated once and a round costs a few adds.
+//!   depends only on its member count, so each slot's [`DecodeCost`]
+//!   and activation hop are priced once per member count and a round
+//!   costs a few adds.
 //! * [`submit_mixed_round`] schedules one round of a chunked-prefill
-//!   run, whose passes stage 0 serves in readiness order.
+//!   run, whose passes stage 0 serves in readiness order. Every slot
+//!   but the chunk's is a pure-decode pass priced the same way.
 //!
-//! The task-graph versions they replaced live on as the test oracles
-//! in `tests/decode_burst.rs` and `tests/mixed_round.rs`.
+//! Both run one stage kernel: it borrows the replica's compute engines
+//! from the simulator once per burst or round
+//! ([`ClusterSim::compute_block`]), adds each stage interval to the
+//! busy counters of the stage's TP group, records spans only when
+//! tracing, checks a pass's end once, and marks each GPU busy once, at
+//! the end. The task-graph versions they replaced live on as the test
+//! oracles in `tests/decode_burst.rs` and `tests/mixed_round.rs`.
 //!
 //! A replica keeps its decoding sequences so that a decode step costs
 //! O(PP + sequences it retires), not O(running) (see [`Replica`]):
@@ -33,7 +39,7 @@ use seesaw_hw::efficiency;
 use seesaw_kv::PagedKvCache;
 use seesaw_parallel::ParallelConfig;
 use seesaw_roofline::{BatchShape, DecodeCost, Roofline, Stage};
-use seesaw_sim::{SimTime, TaskKind};
+use seesaw_sim::{Block, SimTime, TaskKind};
 use seesaw_workload::Request;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -255,6 +261,8 @@ struct Scratch {
     mixed: Vec<MixedPass>,
     /// The replica's stages, for fused passes.
     stages: Stages,
+    /// Per slot: its latest decode price under the loaded layout.
+    prices: Vec<Option<SlotPrice>>,
     /// Per slot: the end of its latest mixed pass.
     slot_end: Vec<SimTime>,
     /// The latest stage-0 readiness of any mixed pass scheduled so far.
@@ -307,13 +315,59 @@ impl PrefillSlots {
     }
 }
 
+impl Scratch {
+    /// Load `cfg`'s stages unless they are loaded. A new layout forgets
+    /// every slot price.
+    fn prepare(&mut self, rl: &Roofline, cfg: ParallelConfig) {
+        if self.stages.cfg != Some(cfg) {
+            self.stages.load(rl, cfg);
+            self.prices.clear();
+            self.prices.resize(cfg.pp, None);
+        }
+    }
+
+    /// The decode price of `slot` holding `seqs > 0` sequences: the
+    /// memo's if it was evaluated for as many, else a fresh one. A
+    /// replica serves one model on one cluster, so the memo is keyed by
+    /// the member count and the layout alone.
+    fn price(&mut self, rl: &Roofline, cfg: ParallelConfig, slot: usize, seqs: usize) -> SlotPrice {
+        match self.prices[slot] {
+            Some(price) if price.seqs == seqs => price,
+            _ => {
+                let price = SlotPrice {
+                    seqs,
+                    cost: rl.decode_cost(seqs, cfg.tp),
+                    // The hop carries one token per member, whatever
+                    // their contexts.
+                    p2p: p2p_hop(rl, cfg, &BatchShape::decode_total(seqs, 0)),
+                };
+                self.prices[slot] = Some(price);
+                price
+            }
+        }
+    }
+}
+
+/// A decode slot's price: everything about its pass but the members'
+/// total context, which depends only on the member count and the
+/// layout.
+#[derive(Debug, Clone, Copy)]
+struct SlotPrice {
+    seqs: usize,
+    cost: DecodeCost,
+    /// Activation hop to the next stage.
+    p2p: f64,
+}
+
 /// A replica's pipeline stages as fused passes see them.
 #[derive(Debug, Clone, Default)]
 struct Stages {
+    /// The layout loaded, if any.
+    cfg: Option<ParallelConfig>,
     /// Per stage: its layer count.
     layers: Vec<f64>,
-    /// Per stage: the end of the last pass it served.
-    free: Vec<SimTime>,
+    /// Per stage: the end of the last pass it served, in seconds.
+    free: Vec<f64>,
     /// The per-pass step overhead, charged on stage 0.
     overhead: f64,
 }
@@ -323,6 +377,7 @@ impl Stages {
     /// Stages keep the end of their last pass; a stage new to the
     /// layout is free from zero.
     fn load(&mut self, rl: &Roofline, cfg: ParallelConfig) {
+        self.cfg = Some(cfg);
         self.overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
         let num_layers = rl.model().num_layers;
         self.layers.clear();
@@ -330,41 +385,82 @@ impl Stages {
             let (a, b) = cfg.stage_layers(num_layers, s);
             (b - a) as f64
         }));
-        self.free.resize(cfg.pp, SimTime::ZERO);
+        self.free.resize(cfg.pp, 0.0);
     }
 
     /// Serve a pass that is ready for stage 0 at `ready` through every
-    /// stage of replica `d`, first come, first served, and return its
-    /// end. Stage `s` starts at the later of the pass's readiness (its
-    /// previous stage's end) and the stage's previous end, and takes
-    /// `layer` seconds per layer, plus the activation hop `p2p` on all
-    /// but the last stage and the step overhead on stage 0: the
-    /// simulator's floating-point operations. Each interval is charged
-    /// to the stage's TP group.
+    /// stage, first come, first served, and return its end. Stage `s`
+    /// starts at the later of the pass's readiness (its previous
+    /// stage's end) and the stage's previous end, and takes `layer`
+    /// seconds per layer, plus the activation hop `p2p` on all but the
+    /// last stage and the step overhead on stage 0: the simulator's
+    /// floating-point operations.
+    ///
+    /// `gpus` is the replica's compute block, stage `s`'s TP group its
+    /// entries `s·tp..(s+1)·tp`. Each interval is added to the busy
+    /// counter of every GPU of the stage's group, and, when `trace` is
+    /// the block's first GPU index, recorded as a span per GPU; the
+    /// GPUs are marked busy by [`Stages::occupy`]. Times are plain
+    /// seconds: a non-finite stage end carries through the later
+    /// stages (`free > NaN` is false, ∞ wins every `max`) to the pass's
+    /// end, whose conversion back to [`SimTime`] is the pass's one
+    /// finiteness check.
+    #[inline]
     fn serve(
         &mut self,
-        cs: &mut ClusterSim,
-        cfg: ParallelConfig,
-        d: usize,
-        mut ready: SimTime,
+        gpus: &mut Block,
+        tp: usize,
+        trace: Option<u64>,
+        ready: SimTime,
         layer: f64,
         p2p: f64,
     ) -> SimTime {
-        let last_stage = cfg.pp - 1;
-        for (s, free) in self.free.iter_mut().enumerate() {
+        let last_stage = self.free.len() - 1;
+        let mut ready = ready.as_secs();
+        for (s, (free, &layers)) in self.free.iter_mut().zip(&self.layers).enumerate() {
             let hop = if s < last_stage { p2p } else { 0.0 };
-            let mut dur = self.layers[s] * layer + hop;
+            let mut dur = layers * layer + hop;
             if s == 0 {
                 dur += self.overhead;
             }
-            let start = ready.max(*free);
+            let start = if *free > ready { *free } else { ready };
             let end = start + dur;
-            cs.record_stage(cfg, d, s, start, end);
+            let service = end - start;
+            let group = s * tp..(s + 1) * tp;
+            for busy in &mut gpus.busy[group.clone()] {
+                *busy += service;
+            }
+            if let Some(first) = trace {
+                for i in group {
+                    gpus.span(i, TaskKind::Compute, start, end, first + i as u64);
+                }
+            }
             *free = end;
             ready = end;
         }
-        ready
+        SimTime::from_secs(ready)
     }
+
+    /// Mark every GPU of `gpus` busy until its stage's last pass ends
+    /// (a stage's ends never decrease, so that is its latest interval).
+    fn occupy(&self, gpus: &mut Block, tp: usize) {
+        for (group, &free) in gpus.free.chunks_exact_mut(tp).zip(&self.free) {
+            let free = SimTime::from_secs(free);
+            for until in group {
+                *until = (*until).max(free);
+            }
+        }
+    }
+}
+
+/// The compute engines of replica `d`, whose GPUs are contiguous in
+/// [`ParallelConfig::gpu_index`] order, stage by stage; and, when
+/// tracing, the index of its first GPU (the spans' tag base).
+fn replica_block(cs: &mut ClusterSim, cfg: ParallelConfig, d: usize) -> (Block<'_>, Option<u64>) {
+    let first = cfg.gpu_index(d, 0, 0);
+    let gpus = cs.compute_block(first..first + cfg.pp * cfg.tp);
+    let trace = gpus.tracing().then_some(first as u64);
+    (gpus, trace)
 }
 
 /// One non-empty slot's pass in a decode burst: everything but its
@@ -511,13 +607,16 @@ fn p2p_hop(rl: &Roofline, cfg: ParallelConfig, shape: &BatchShape) -> f64 {
 /// `s` starts at the later of its stage `s - 1` end and the stage's
 /// previous end — the max-plus recurrence of submitting every pass as
 /// a task, with the same floating-point operations in the same order.
-/// Each stage interval is charged to the stage's TP group at once, and
-/// each non-empty slot's tail becomes its final pass's end.
+/// Each stage interval is added to the busy time of the stage's TP
+/// group as it is scheduled, every GPU is marked busy until its
+/// stage's last interval ends, and each non-empty slot's tail becomes
+/// its final pass's end.
 ///
 /// Only a slot's total context changes between rounds (by one token
-/// per member), so its [`DecodeCost`] and activation hop are evaluated
-/// once per burst, and a pass's layer time is
-/// [`DecodeCost::layer_time`] of `base + seqs · (r + 1)` tokens.
+/// per member), so its [`DecodeCost`] and activation hop are priced
+/// once per member count (and kept across bursts while the count
+/// holds), and a pass's layer time is [`DecodeCost::layer_time`] of
+/// `base + seqs · (r + 1)` tokens.
 ///
 /// Panics unless the replica's compute GPUs are idle and its previous
 /// tails have completed: callers drain earlier compute work (prefill
@@ -540,33 +639,36 @@ pub fn submit_decode_burst(
         replica.tails.iter().flatten().all(|&t| t <= now),
         "decode burst on replica {d} before its previous pipeline tails completed"
     );
+    let (mut gpus, trace) = replica_block(cs, cfg, d);
     assert!(
-        (0..cfg.pp).all(|s| (0..cfg.tp).all(|t| cs.compute_idle(cfg.gpu_index(d, s, t)))),
+        gpus.free.iter().all(|&t| t <= now),
         "decode burst on replica {d} while its compute GPUs are busy"
     );
     debug_assert_eq!(replica.running.slots.len(), cfg.pp, "one slot per stage");
     let sc = &mut replica.scratch;
+    sc.prepare(rl, cfg);
     sc.passes.clear();
     for (slot, (seqs, base_ctx)) in replica.running.slot_sums().enumerate() {
         if seqs > 0 {
+            let price = sc.price(rl, cfg, slot, seqs);
             sc.passes.push(SlotPass {
                 slot,
                 seqs,
                 base_ctx,
-                cost: rl.decode_cost(seqs, cfg.tp),
-                p2p: p2p_hop(rl, cfg, &BatchShape::decode_total(seqs, base_ctx)),
+                cost: price.cost,
+                p2p: price.p2p,
                 tail: now,
             });
         }
     }
-    sc.stages.load(rl, cfg);
-    sc.stages.free.fill(now);
+    sc.stages.free.fill(now.as_secs());
     for r in 0..rounds {
         for pass in sc.passes.iter_mut() {
             let layer = pass.cost.layer_time(pass.base_ctx + pass.seqs * (r + 1));
-            pass.tail = sc.stages.serve(cs, cfg, d, pass.tail, layer, pass.p2p);
+            pass.tail = sc.stages.serve(&mut gpus, cfg.tp, trace, pass.tail, layer, pass.p2p);
         }
     }
+    sc.stages.occupy(&mut gpus, cfg.tp);
     let mut end = now;
     for pass in &sc.passes {
         replica.tails[pass.slot] = Some(pass.tail);
@@ -622,10 +724,13 @@ pub fn submit_prefill_batch(
 /// if it has no pass (nothing running, no chunk).
 ///
 /// Like [`submit_decode_burst`], the round's schedule is computed in
-/// closed form and charged with [`ClusterSim::record_stage`]; no task
-/// is submitted, and the caller waits on the returned end (or the
-/// latest end over its replicas). The schedule is the one FIFO stage
-/// queues produce for per-slot chained passes submitted as tasks:
+/// closed form and charged by the same stage kernel; no task is
+/// submitted, and the caller waits on the returned end (or the latest
+/// end over its replicas). A pure-decode slot's pass is priced from its
+/// slot's decode price: without prefill work,
+/// [`Roofline::layer_cost_mixed`] is the decode cost bit for bit. The
+/// schedule is the one FIFO stage queues produce for per-slot chained
+/// passes submitted as tasks:
 ///
 /// * A slot's pass is ready for stage 0 at the later of now and the
 ///   end of the slot's previous pass, and stage 0 serves in readiness
@@ -665,31 +770,41 @@ pub fn submit_mixed_round(
         "mixed round on replica {d} at {now} before a pass of the previous round is ready at {}",
         sc.ready_by
     );
-    sc.stages.load(rl, cfg);
+    sc.prepare(rl, cfg);
     sc.slot_end.resize(cfg.pp, SimTime::ZERO);
     sc.mixed.clear();
+    let chunk_slot = chunk_slot % cfg.pp;
     for (slot, (seqs, ctx)) in replica.running.slot_sums().enumerate() {
         // Each member attends over its context plus the new token.
-        let dshape = BatchShape::decode_total(seqs, ctx + seqs);
-        let pshape = if slot == chunk_slot % cfg.pp { *chunk } else { BatchShape::empty() };
-        if dshape.seqs == 0 && pshape.is_empty() {
+        let (layer, p2p) = if slot == chunk_slot && !chunk.is_empty() {
+            let dshape = BatchShape::decode_total(seqs, ctx + seqs);
+            let layer = rl.layer_cost_mixed(chunk, &dshape, cfg.tp).layer_time();
+            (layer, p2p_hop(rl, cfg, &chunk.merge(&dshape)))
+        } else if seqs > 0 {
+            // A pure-decode pass: `layer_cost_mixed` without prefill
+            // work is the slot's decode price, bit for bit.
+            let price = sc.price(rl, cfg, slot, seqs);
+            (price.cost.layer_time(ctx + seqs), price.p2p)
+        } else {
             continue;
-        }
+        };
         sc.mixed.push(MixedPass {
             slot,
-            layer: rl.layer_cost_mixed(&pshape, &dshape, cfg.tp).layer_time(),
-            p2p: p2p_hop(rl, cfg, &pshape.merge(&dshape)),
+            layer,
+            p2p,
             ready: now.max(sc.slot_end[slot]),
         });
     }
     sc.mixed.sort_unstable_by_key(|p| (p.ready, p.slot));
+    let (mut gpus, trace) = replica_block(cs, cfg, d);
     let mut round_end = now;
     for pass in &sc.mixed {
-        let end = sc.stages.serve(cs, cfg, d, pass.ready, pass.layer, pass.p2p);
+        let end = sc.stages.serve(&mut gpus, cfg.tp, trace, pass.ready, pass.layer, pass.p2p);
         sc.slot_end[pass.slot] = end;
         sc.ready_by = sc.ready_by.max(pass.ready);
         round_end = round_end.max(end);
     }
+    sc.stages.occupy(&mut gpus, cfg.tp);
     Some(round_end)
 }
 

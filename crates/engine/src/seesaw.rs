@@ -337,6 +337,10 @@ struct SeesawRun<'a> {
     burst_joins: Vec<SimTime>,
     /// One replica's prefill pass ends `(end, id)`.
     prefill_parts: Vec<(SimTime, u64)>,
+    /// Per replica: the prompts a prefill admission admitted, and the
+    /// prompt-token budget it left.
+    admitted: Vec<Vec<(u64, usize)>>,
+    budget: Vec<usize>,
 }
 
 impl<'a> SeesawRun<'a> {
@@ -378,6 +382,8 @@ impl<'a> SeesawRun<'a> {
             bursts: Vec::new(),
             burst_joins: Vec::new(),
             prefill_parts: Vec::new(),
+            admitted: Vec::new(),
+            budget: Vec::new(),
         }
     }
 
@@ -461,8 +467,12 @@ impl<'a> SeesawRun<'a> {
         let dp = cfg.dp;
         // Admission: GPU KV must fit the prompt, CPU buffer must
         // have room for its eventual KV.
-        let mut admitted: Vec<Vec<(u64, usize)>> = vec![Vec::new(); dp];
-        let mut budget = vec![MAX_PREFILL_TOKENS; dp];
+        let admitted = &mut self.admitted;
+        admitted.resize_with(dp, Vec::new);
+        admitted.iter_mut().for_each(Vec::clear);
+        let budget = &mut self.budget;
+        budget.clear();
+        budget.resize(dp, MAX_PREFILL_TOKENS);
         let mut buffer_full = false;
         let mut arrivals_pending = false;
         while let Some(&req) = self.intake.waiting.front() {
@@ -555,6 +565,7 @@ impl<'a> SeesawRun<'a> {
         // Run the prefill passes and attach swap-outs.
         let mut join = self.cs.now();
         let mut parts = std::mem::take(&mut self.prefill_parts);
+        let admitted = std::mem::take(&mut self.admitted);
         for d in 0..dp {
             if admitted[d].is_empty() {
                 continue;
@@ -577,6 +588,7 @@ impl<'a> SeesawRun<'a> {
             }
         }
         self.prefill_parts = parts;
+        self.admitted = admitted;
         // Keep two batch joins in flight so pipeline stages stay
         // busy across batch boundaries.
         self.phase.outstanding.push_back(join);

@@ -3,9 +3,10 @@
 //! nothing: a 1-round and a 64-round burst make the same number of heap
 //! allocations, and a whole engine-loop step (burst, wait, advance;
 //! mixed round, advance, wait; or admission, prefill batch, wait,
-//! on-boarding) makes none. The counting allocator counts only the
-//! thread that switched it on, so the test harness's own threads do not
-//! disturb the count.
+//! on-boarding) makes none. Neither does a Seesaw engine's prefill
+//! round once its phase is warmed up. The counting allocator counts
+//! only the thread that switched it on, so the test harness's own
+//! threads do not disturb the count.
 
 use seesaw_engine::cluster_sim::ClusterSim;
 use seesaw_engine::driver::{
@@ -206,4 +207,50 @@ fn a_warmed_up_prefill_step_allocates_nothing() {
         }
     });
     assert_eq!(allocs, 0, "64 warmed-up prefill steps allocate");
+}
+
+/// A Seesaw replica fed through its actor: the first batch of prompts
+/// prefills, buffers and decodes, and the second batch arrives at a
+/// later instant, starting a second prefill phase. A state read runs
+/// the phase's prefill rounds (reclaim, admission, prefill batch,
+/// swap-out chains, batch join) up to the read's instant; once the
+/// second phase has warmed its buffers, reads that run rounds allocate
+/// nothing.
+#[test]
+fn a_warmed_up_seesaw_prefill_round_allocates_nothing() {
+    use seesaw_engine::online::OnlineEngine;
+    use seesaw_engine::seesaw::{SeesawEngine, SeesawSpec};
+    use seesaw_workload::Request;
+    const N: u64 = 512;
+    let eng = SeesawEngine::new(
+        ClusterSpec::a10x4(),
+        presets::llama2_13b(),
+        SeesawSpec::new(ParallelConfig::pp(4), ParallelConfig::tp(4)),
+    )
+    .expect("P4 -> T4 fits");
+    let mut actor = eng.actor(0.0);
+    let second = 10_000.0;
+    for id in 0..2 * N {
+        let arrival = if id < N { 0.0 } else { second };
+        actor.push(Request::new(id, 512, 8).with_arrival(arrival));
+    }
+    // The first batch's whole cycle, then the second phase's first
+    // rounds.
+    let mut t = second;
+    while actor.depth_at(t).running < 64 {
+        t += 0.25;
+    }
+    let waiting = actor.depth_at(t).waiting;
+    let allocs = allocations(|| {
+        for _ in 0..32 {
+            t += 0.25;
+            actor.depth_at(t);
+        }
+    });
+    let depth = actor.depth_at(t);
+    assert!(
+        depth.waiting + 64 <= waiting && depth.waiting > 0,
+        "the reads ran prefill rounds, inside the phase: {waiting} -> {depth:?}"
+    );
+    assert_eq!(allocs, 0, "32 reads over warmed-up Seesaw prefill rounds allocate");
 }

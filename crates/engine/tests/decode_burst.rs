@@ -9,9 +9,10 @@
 //! share no scheduling or bookkeeping code. On random layouts and
 //! batches, driven burst after burst at each replica's longest
 //! survivable length, so sequences retire and slots reshuffle between
-//! bursts, they must agree bit for bit on every time and busy total,
-//! retire the same sequences in the same order, and record the same
-//! spans.
+//! bursts, they must agree bit for bit on every time, busy total and
+//! busy-until time, and retire the same sequences in the same order,
+//! untraced (every production run) and traced; traced, they must also
+//! record the same spans.
 
 mod support;
 
@@ -71,6 +72,8 @@ struct Observed {
     /// Per burst: every replica's round count and the ids it retired,
     /// in retirement order.
     retired: Vec<Vec<(usize, Vec<u64>)>>,
+    /// Per burst: until when every GPU's compute engine is busy.
+    until: Vec<Vec<u64>>,
     /// Busy seconds of every GPU's compute engine.
     busy: Vec<u64>,
 }
@@ -99,15 +102,21 @@ fn batches(seqs: &[Vec<(usize, usize)>]) -> Vec<Vec<RunSeq>> {
 /// Run bursts back to back on every replica the way the engine loops
 /// do, until nothing runs or `caps` (per burst, the round cap) runs
 /// out: every running replica bursts for its longest survivable length
-/// under the cap, then join, wait for the join, advance.
+/// under the cap, then join, wait for the join, advance. Spans are
+/// recorded when `traced`.
 fn drive_fused(
     cluster: &ClusterSpec,
     rl: &Roofline,
     cfg: ParallelConfig,
     seqs: &[Vec<(usize, usize)>],
     caps: &[usize],
+    traced: bool,
 ) -> (Observed, ClusterSim) {
-    let mut cs = ClusterSim::with_trace(cluster.clone());
+    let mut cs = if traced {
+        ClusterSim::with_trace(cluster.clone())
+    } else {
+        ClusterSim::new(cluster.clone())
+    };
     let mut replicas: Vec<Replica> = batches(seqs)
         .into_iter()
         .enumerate()
@@ -120,7 +129,7 @@ fn drive_fused(
             rep
         })
         .collect();
-    let (mut times, mut retired) = (Vec::new(), Vec::new());
+    let (mut times, mut retired, mut until) = (Vec::new(), Vec::new(), Vec::new());
     for &cap in caps {
         let mut ends = Vec::new();
         let mut rounds = Vec::new();
@@ -134,6 +143,8 @@ fn drive_fused(
         }
         let join = cs.join(&ends);
         let mut row = vec![Some(bits(cs.sim.run_until(join)))];
+        let gpus = cs.compute_block(0..cluster.num_gpus);
+        until.push(gpus.free.iter().map(|&t| bits(t)).collect());
         let mut out = Vec::new();
         for (rep, n) in replicas.iter_mut().zip(rounds) {
             row.extend(rep.tails.iter().map(|t| t.map(bits)));
@@ -161,6 +172,7 @@ fn drive_fused(
         Observed {
             times,
             retired,
+            until,
             busy,
         },
         cs,
@@ -179,7 +191,7 @@ fn drive_reference(
     let mut heap = HeapCluster::new(cluster);
     let mut replicas = batches(seqs);
     let mut tails = vec![vec![None; cfg.pp]; replicas.len()];
-    let (mut times, mut retired) = (Vec::new(), Vec::new());
+    let (mut times, mut retired, mut until) = (Vec::new(), Vec::new(), Vec::new());
     for &cap in caps {
         let mut ends = Vec::new();
         let mut rounds = Vec::new();
@@ -195,6 +207,8 @@ fn drive_reference(
         }
         let end = heap.join(&ends);
         let mut row = vec![Some(bits(heap.sim.run_until(end)))];
+        // The join waits for every pass of the step.
+        until.push(heap.compute_until());
         let mut out = Vec::new();
         for ((running, tails), n) in replicas.iter_mut().zip(&tails).zip(rounds) {
             row.extend(
@@ -212,6 +226,7 @@ fn drive_reference(
         Observed {
             times,
             retired,
+            until,
             busy: heap.compute_busy(),
         },
         heap.spans(),
@@ -327,9 +342,13 @@ proptest! {
     fn fused_burst_matches_the_per_round_reference(case in cases()) {
         let (cluster, model) = setup(case.setup);
         let rl = Roofline::new(cluster.clone(), model);
-        let (fused, fused_cs) = drive_fused(&cluster, &rl, case.cfg, &case.seqs, &case.caps);
         let (reference, spans) = drive_reference(&cluster, &rl, case.cfg, &case.seqs, &case.caps);
-        prop_assert_eq!(&fused, &reference, "{:?}", case);
+        let (plain, plain_cs) =
+            drive_fused(&cluster, &rl, case.cfg, &case.seqs, &case.caps, false);
+        prop_assert_eq!(&plain, &reference, "untraced {:?}", case);
+        prop_assert!(plain_cs.sim.trace().spans().is_empty());
+        let (fused, fused_cs) = drive_fused(&cluster, &rl, case.cfg, &case.seqs, &case.caps, true);
+        prop_assert_eq!(&fused, &reference, "traced {:?}", case);
         let fused_spans = fused_cs.sim.trace().spans();
         prop_assert_eq!(span_multiset(fused_spans), span_multiset(&spans), "{:?}", case);
         assert_summaries_close(fused_cs.sim.trace().summary(), summary(&spans));
@@ -390,7 +409,7 @@ fn a_compute_task_inside_a_fused_burst_queues_behind_it() {
     let cfg = ParallelConfig::pp(2);
     let (mut cs, rl, mut rep) = one_replica(cfg, 4);
     let end = submit_decode_burst(&mut cs, &rl, cfg, &mut rep, 4).expect("running");
-    assert!(!cs.compute_idle(1));
+    assert_eq!(cs.compute_block(1..2).free, [end], "busy until the burst ends");
     let h = cs.submit_compute_overhead(1, 0.5, None);
     assert_eq!(
         h,

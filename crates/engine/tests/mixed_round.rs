@@ -8,8 +8,9 @@
 //! The two share no scheduling or bookkeeping code. Driven the way
 //! the chunked-prefill engine drives rounds — two in flight, the chunk
 //! slot rotating, sequences joining and retiring — they must agree bit
-//! for bit on every round end and busy total, and record the same
-//! spans.
+//! for bit on every round end, busy total and final busy-until time,
+//! untraced (every production run) and traced; traced, they must also
+//! record the same spans.
 
 mod support;
 
@@ -95,6 +96,8 @@ struct Observed {
     times: Vec<(u64, u64)>,
     /// Busy seconds of every GPU's compute engine.
     busy: Vec<u64>,
+    /// Until when every GPU's compute engine is busy, after the run.
+    until: Vec<u64>,
 }
 
 fn bits(t: SimTime) -> u64 {
@@ -176,15 +179,21 @@ fn drive<H: Copy>(
     times
 }
 
-/// [`drive`] with closed-form rounds on `ClusterSim`.
+/// [`drive`] with closed-form rounds on `ClusterSim`, recording spans
+/// when `traced`.
 fn drive_fused(
     cluster: &ClusterSpec,
     rl: &Roofline,
     cfg: ParallelConfig,
     running: &[Vec<(usize, usize)>],
     rounds: &[Vec<Step>],
+    traced: bool,
 ) -> (Observed, ClusterSim) {
-    let cs = RefCell::new(ClusterSim::with_trace(cluster.clone()));
+    let cs = RefCell::new(if traced {
+        ClusterSim::with_trace(cluster.clone())
+    } else {
+        ClusterSim::new(cluster.clone())
+    });
     let times = drive(
         cfg,
         running,
@@ -197,7 +206,13 @@ fn drive_fused(
             (bits(end), bits(cs.now()))
         },
     );
-    let cs = cs.into_inner();
+    let mut cs = cs.into_inner();
+    let until = cs
+        .compute_block(0..cluster.num_gpus)
+        .free
+        .iter()
+        .map(|&t| bits(t))
+        .collect();
     let busy = (0..cluster.num_gpus)
         .map(|g| {
             let r = cs
@@ -208,7 +223,7 @@ fn drive_fused(
             cs.sim.busy_time(r).to_bits()
         })
         .collect();
-    (Observed { times, busy }, cs)
+    (Observed { times, busy, until }, cs)
 }
 
 /// [`drive`] with task-graph rounds on the heap; also returns its
@@ -243,6 +258,7 @@ fn drive_reference(
         Observed {
             times,
             busy: heap.compute_busy(),
+            until: heap.compute_until(),
         },
         heap.spans(),
     )
@@ -304,9 +320,12 @@ fn assert_fused_matches_reference(
 ) {
     let (cluster, model) = setup(which);
     let rl = Roofline::new(cluster.clone(), model);
-    let (fused, fused_cs) = drive_fused(&cluster, &rl, cfg, running, rounds);
     let (reference, spans) = drive_reference(&cluster, &rl, cfg, running, rounds);
-    assert_eq!(fused, reference, "{cfg:?} {running:?} {rounds:?}");
+    let (plain, plain_cs) = drive_fused(&cluster, &rl, cfg, running, rounds, false);
+    assert_eq!(plain, reference, "untraced {cfg:?} {running:?} {rounds:?}");
+    assert!(plain_cs.sim.trace().spans().is_empty());
+    let (fused, fused_cs) = drive_fused(&cluster, &rl, cfg, running, rounds, true);
+    assert_eq!(fused, reference, "traced {cfg:?} {running:?} {rounds:?}");
     assert_eq!(
         span_multiset(fused_cs.sim.trace().spans()),
         span_multiset(&spans),

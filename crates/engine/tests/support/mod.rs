@@ -74,6 +74,19 @@ impl HeapCluster {
             .collect()
     }
 
+    /// Per GPU, the end of the last task its compute engine completed
+    /// (zero if none), as bits: once every submitted task has
+    /// completed, how long each GPU is busy.
+    pub fn compute_until(&self) -> Vec<u64> {
+        let mut until = vec![0.0f64; self.compute.len()];
+        for span in self.sim.spans() {
+            if let Some(g) = self.compute.iter().position(|&r| Some(r) == span.resource) {
+                until[g] = until[g].max(span.end.as_secs());
+            }
+        }
+        until.iter().map(|t| t.to_bits()).collect()
+    }
+
     pub fn spans(&self) -> Vec<Span> {
         self.sim.spans().to_vec()
     }

@@ -201,6 +201,15 @@ impl Roofline {
     }
 
     fn prefill_layer_cost(&self, shape: &BatchShape, tp: usize) -> LayerCost {
+        LayerCost {
+            comm: self.allreduce_pair(shape.new_tokens, tp),
+            ..self.prefill_terms(shape, tp)
+        }
+    }
+
+    /// [`Self::prefill_layer_cost`] without its all-reduce (`comm` is
+    /// zero).
+    fn prefill_terms(&self, shape: &BatchShape, tp: usize) -> LayerCost {
         let m = &self.model;
         let g = &self.cluster.gpu;
         let dt = m.dtype.bytes() as f64;
@@ -213,29 +222,35 @@ impl Roofline {
             * d
             * (shape.new_tokens as f64 * hq_rank + 2.0 * kv_rank * shape.ctx_tokens as f64);
         let flops = 2.0 * hq_rank * d * shape.sq_sum;
-        let (linear_dm, linear_comp, comm) = self.token_terms(shape.new_tokens, tp);
+        let (linear_dm, linear_comp) = self.linear_terms(shape.new_tokens, tp);
         LayerCost {
             linear_dm,
             linear_comp,
             attn_dm: g.hbm_time(bytes),
             attn_comp: g.attn_time(flops),
-            comm,
+            comm: 0.0,
         }
     }
 
-    /// The terms of one layer's cost that depend only on the pass's
-    /// new-token count: weight streaming (once per pass, sharded by
-    /// TP), linear FLOPs, and two all-reduces per layer over the
-    /// activation tensor (tokens × hidden, replicated on every rank).
-    fn token_terms(&self, new_tokens: usize, tp: usize) -> (f64, f64, f64) {
+    /// The linear terms of one layer's cost, which depend only on the
+    /// pass's new-token count: weight streaming (once per pass, sharded
+    /// by TP) and linear FLOPs.
+    fn linear_terms(&self, new_tokens: usize, tp: usize) -> (f64, f64) {
         let m = &self.model;
         let g = &self.cluster.gpu;
         let tpf = tp as f64;
         let linear_dm = g.hbm_time(m.weight_bytes_per_layer() as f64 / tpf);
         let linear_comp = g.gemm_time(m.linear_flops_per_token_layer() * new_tokens as f64 / tpf);
-        let ar_bytes = new_tokens as f64 * m.hidden as f64 * m.dtype.bytes() as f64;
-        let comm = 2.0 * self.cluster.interconnect.allreduce_time(ar_bytes, tp);
-        (linear_dm, linear_comp, comm)
+        (linear_dm, linear_comp)
+    }
+
+    /// A layer's communication: two all-reduces over the activation
+    /// tensor of `tokens` new tokens (tokens × hidden, replicated on
+    /// every rank).
+    fn allreduce_pair(&self, tokens: usize, tp: usize) -> f64 {
+        let m = &self.model;
+        let ar_bytes = tokens as f64 * m.hidden as f64 * m.dtype.bytes() as f64;
+        2.0 * self.cluster.interconnect.allreduce_time(ar_bytes, tp)
     }
 
     /// The decode layer cost of a micro-batch of `seqs` sequences at
@@ -250,17 +265,25 @@ impl Roofline {
     /// empty shape at zero before it gets here.
     pub fn decode_cost(&self, seqs: usize, tp: usize) -> DecodeCost {
         assert!(seqs > 0, "a decode batch holds at least one sequence");
+        DecodeCost {
+            comm: self.allreduce_pair(seqs, tp),
+            ..self.decode_terms(seqs, tp)
+        }
+    }
+
+    /// [`Self::decode_cost`] without its all-reduce (`comm` is zero).
+    fn decode_terms(&self, seqs: usize, tp: usize) -> DecodeCost {
         let m = &self.model;
         let g = &self.cluster.gpu;
         let dt = m.dtype.bytes() as f64;
         let hq_rank = (m.num_heads as f64 / tp as f64).max(1.0);
         let kv_rank = kv_heads_per_rank(m.num_kv_heads, tp) as f64;
         let d = m.head_dim as f64;
-        let (linear_dm, linear_comp, comm) = self.token_terms(seqs, tp);
+        let (linear_dm, linear_comp) = self.linear_terms(seqs, tp);
         DecodeCost {
             linear_dm,
             linear_comp,
-            comm,
+            comm: 0.0,
             // Read K and V across each sequence's context.
             kv_bytes_per_token: 2.0 * dt * kv_rank * d,
             attn_flops_per_token: 4.0 * hq_rank * d,
@@ -272,31 +295,39 @@ impl Roofline {
     /// Cost of one layer for a *mixed* batch (chunked prefill
     /// piggybacking decodes): weights stream once; attention and
     /// compute terms accumulate; the all-reduce covers the combined
-    /// token count.
+    /// token count. With no prefill work it is the decode cost: the
+    /// layer time of `layer_cost_mixed(∅, decode_total(n, c))` is
+    /// bit-identical to `decode_cost(n, tp).layer_time(c)` (the merge
+    /// adds zeros, and the all-reduce covers the same `n` tokens).
     pub fn layer_cost_mixed(
         &self,
         prefill: &BatchShape,
         decode: &BatchShape,
         tp: usize,
     ) -> LayerCost {
-        let p = self.layer_cost(Stage::Prefill, prefill, tp);
-        let d = self.layer_cost(Stage::Decode, decode, tp);
-        let mut c = LayerCost {
+        if prefill.is_empty() && decode.is_empty() {
+            return LayerCost::default();
+        }
+        // Each sub-batch's terms without its own all-reduce, which the
+        // combined one replaces.
+        let p = if prefill.is_empty() {
+            LayerCost::default()
+        } else {
+            self.prefill_terms(prefill, tp)
+        };
+        let d = if decode.is_empty() {
+            LayerCost::default()
+        } else {
+            self.decode_terms(decode.new_tokens, tp).layer_cost(decode.ctx_tokens)
+        };
+        LayerCost {
             // Weights stream once per pass, not per sub-batch.
             linear_dm: p.linear_dm.max(d.linear_dm),
             linear_comp: p.linear_comp + d.linear_comp,
             attn_dm: p.attn_dm + d.attn_dm,
             attn_comp: p.attn_comp + d.attn_comp,
-            comm: 0.0,
-        };
-        let m = &self.model;
-        let tokens = prefill.new_tokens + decode.new_tokens;
-        let ar_bytes = tokens as f64 * m.hidden as f64 * m.dtype.bytes() as f64;
-        c.comm = 2.0 * self.cluster.interconnect.allreduce_time(ar_bytes, tp);
-        if prefill.is_empty() && decode.is_empty() {
-            return LayerCost::default();
+            comm: self.allreduce_pair(prefill.new_tokens + decode.new_tokens, tp),
         }
-        c
     }
 
     /// Time for pipeline stage `pp_rank` of `config` to process one

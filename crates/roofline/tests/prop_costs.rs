@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use seesaw_hw::ClusterSpec;
 use seesaw_model::presets;
 use seesaw_parallel::shard::kv_heads_per_rank;
-use seesaw_roofline::{BatchShape, Roofline, Stage};
+use seesaw_roofline::{BatchShape, LayerCost, Roofline, Stage};
 
 fn rl() -> Roofline {
     Roofline::new(ClusterSpec::a10x8(), presets::codellama_34b())
@@ -145,6 +145,89 @@ proptest! {
         prop_assert_eq!(
             table3_decode_layer_time(&rl, &shape, tp).to_bits(),
             full.layer_time().to_bits()
+        );
+    }
+}
+
+/// `layer_cost_mixed` as it was before it stopped computing the
+/// sub-batches' own all-reduces: both pure costs in full, then one
+/// all-reduce over the combined tokens in place of theirs.
+fn three_all_reduce_mixed(
+    rl: &Roofline,
+    prefill: &BatchShape,
+    decode: &BatchShape,
+    tp: usize,
+) -> LayerCost {
+    let p = rl.layer_cost(Stage::Prefill, prefill, tp);
+    let d = rl.layer_cost(Stage::Decode, decode, tp);
+    let m = rl.model();
+    let tokens = prefill.new_tokens + decode.new_tokens;
+    let ar_bytes = tokens as f64 * m.hidden as f64 * m.dtype.bytes() as f64;
+    let c = LayerCost {
+        linear_dm: p.linear_dm.max(d.linear_dm),
+        linear_comp: p.linear_comp + d.linear_comp,
+        attn_dm: p.attn_dm + d.attn_dm,
+        attn_comp: p.attn_comp + d.attn_comp,
+        comm: 2.0 * rl.cluster().interconnect.allreduce_time(ar_bytes, tp),
+    };
+    if prefill.is_empty() && decode.is_empty() {
+        return LayerCost::default();
+    }
+    c
+}
+
+fn cost_bits(c: LayerCost) -> [u64; 5] {
+    [c.linear_dm, c.linear_comp, c.attn_dm, c.attn_comp, c.comm].map(f64::to_bits)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A mixed round prices its pure-decode slots from the slot's
+    /// decode price: with no prefill work, the mixed cost must be the
+    /// decode cost bit for bit, and the pass's activation hop must
+    /// carry the bytes of the slot's decode batch whatever its context.
+    #[test]
+    fn pure_decode_mixed_cost_is_the_decode_cost(
+        cluster in 0usize..6,
+        model in 0usize..4,
+        tp in prop::sample::select(vec![1usize, 2, 4, 8]),
+        seqs in 1usize..512,
+        ctx in 0usize..1 << 22,
+    ) {
+        let rl = Roofline::new(clusters()[cluster].clone(), presets::all()[model].clone());
+        let (none, decode) = (BatchShape::empty(), BatchShape::decode_total(seqs, ctx));
+        let mixed = rl.layer_cost_mixed(&none, &decode, tp);
+        let cost = rl.decode_cost(seqs, tp);
+        prop_assert_eq!(mixed.layer_time().to_bits(), cost.layer_time(ctx).to_bits());
+        prop_assert_eq!(cost_bits(mixed), cost_bits(cost.layer_cost(ctx)));
+        prop_assert_eq!(
+            rl.p2p_bytes(&none.merge(&decode)).to_bits(),
+            rl.p2p_bytes(&BatchShape::decode_total(seqs, 0)).to_bits()
+        );
+    }
+
+    /// `layer_cost_mixed` evaluates one all-reduce, not three; its
+    /// cost must be the three-all-reduce formula's bit for bit, with a
+    /// chunk, a decode batch, both or neither.
+    #[test]
+    fn mixed_cost_matches_the_three_all_reduce_formula(
+        cluster in 0usize..6,
+        model in 0usize..4,
+        tp in prop::sample::select(vec![1usize, 2, 4, 8]),
+        chunk in (0usize..4097, 0usize..16384),
+        seqs in 0usize..256,
+        ctx in 0usize..1 << 20,
+    ) {
+        let rl = Roofline::new(clusters()[cluster].clone(), presets::all()[model].clone());
+        let prefill = match chunk {
+            (0, _) => BatchShape::empty(),
+            (tokens, prefix) => BatchShape::prefill_chunk(tokens, prefix),
+        };
+        let decode = BatchShape::decode_total(seqs, if seqs == 0 { 0 } else { ctx });
+        prop_assert_eq!(
+            cost_bits(rl.layer_cost_mixed(&prefill, &decode, tp)),
+            cost_bits(three_all_reduce_mixed(&rl, &prefill, &decode, tp))
         );
     }
 }

@@ -3,6 +3,7 @@
 use crate::resource::{ResourceId, ResourcePool};
 use crate::time::SimTime;
 use crate::trace::{Span, TaskKind, Trace};
+use std::ops::Range;
 
 /// The simulated cluster's clock and resources.
 ///
@@ -19,9 +20,8 @@ use crate::trace::{Span, TaskKind, Trace};
 /// The contract:
 ///
 /// * Each resource serves in submission order. Work whose schedule the
-///   caller computed itself is charged with
-///   [`Simulator::record_service`], which occupies the resources until
-///   its end the same way.
+///   caller computed itself is charged straight into a [`Block`] of
+///   resources, and occupies them until its end the same way.
 /// * Busy time and trace spans are charged at submission, so they
 ///   include submitted work that ends after [`Simulator::now`]. Read
 ///   them after [`Simulator::run_until_idle`].
@@ -141,37 +141,42 @@ impl Simulator {
         let start = dep.map_or(self.now, |d| self.now.max(d)).max(self.free[r]);
         let end = start + duration;
         self.submitted += 1;
-        self.record_service([(resource, tag)], start, end, kind);
+        self.record_service(resource, tag, start, end, kind);
         end
     }
 
-    /// Charge each of `resources` (a resource and its span tag) one
-    /// service interval `[start, end]` of work the caller scheduled
-    /// itself: `end - start` busy seconds, when tracing a span, and
-    /// the resource is busy until `end` — exactly what submitting a
-    /// task on each resource would do. A TP group serving one pipeline
-    /// stage in lockstep is charged in one call. The caller keeps each
-    /// resource's order: the interval may not start before the
-    /// resource's earlier work ends.
-    pub fn record_service(
+    /// Charge `resource` the service interval `[start, end]`: `end -
+    /// start` busy seconds, when tracing a span tagged `tag`, and the
+    /// resource is busy until `end`.
+    fn record_service(
         &mut self,
-        resources: impl IntoIterator<Item = (ResourceId, u64)>,
+        resource: ResourceId,
+        tag: u64,
         start: SimTime,
         end: SimTime,
         kind: TaskKind,
     ) {
-        let service = end - start;
-        for (resource, tag) in resources {
-            let r = resource.index();
-            self.busy[r] += service;
-            self.free[r] = self.free[r].max(end);
-            self.trace.record(Span {
-                resource: Some(resource),
-                kind,
-                start,
-                end,
-                tag,
-            });
+        let r = resource.index();
+        self.busy[r] += end - start;
+        self.free[r] = self.free[r].max(end);
+        self.trace.record(Span {
+            resource: Some(resource),
+            kind,
+            start,
+            end,
+            tag,
+        });
+    }
+
+    /// Borrow the busy counters and busy-until times of the resources
+    /// whose indices are `range`, to charge work the caller schedules
+    /// itself without a call per interval (a fused pipeline's stages).
+    pub fn block(&mut self, range: Range<usize>) -> Block<'_> {
+        Block {
+            first: range.start,
+            busy: &mut self.busy[range.clone()],
+            free: &mut self.free[range],
+            trace: &mut self.trace,
         }
     }
 
@@ -201,6 +206,44 @@ impl Simulator {
             self.now
         );
         self.now = self.now.max(t);
+    }
+}
+
+/// A contiguous run of a simulator's resources, borrowed by
+/// [`Simulator::block`]: resource `first + i` is entry `i`. The caller
+/// charges its work the way submitting it as tasks would: each
+/// interval's `end - start` added to `busy`, `free` raised to the end
+/// of the resource's last interval, and a span per interval when
+/// [`Block::tracing`]. It keeps each resource's order: an interval may
+/// not start before the resource's earlier work ends.
+#[derive(Debug)]
+pub struct Block<'a> {
+    first: usize,
+    /// Per resource: service seconds submitted so far.
+    pub busy: &'a mut [f64],
+    /// Per resource: the end of the last work submitted to it.
+    pub free: &'a mut [SimTime],
+    trace: &'a mut Trace,
+}
+
+impl Block<'_> {
+    /// Whether spans are being recorded.
+    pub fn tracing(&self) -> bool {
+        self.trace.is_enabled()
+    }
+
+    /// Record a span of `kind` work over `[start, end]` seconds on entry
+    /// `i` (a no-op unless tracing). Panics on a time that is not a
+    /// valid [`SimTime`].
+    pub fn span(&mut self, i: usize, kind: TaskKind, start: f64, end: f64, tag: u64) {
+        assert!(i < self.busy.len(), "entry {i} outside the block");
+        self.trace.record(Span {
+            resource: Some(ResourceId(self.first + i)),
+            kind,
+            start: SimTime::from_secs(start),
+            end: SimTime::from_secs(end),
+            tag,
+        });
     }
 }
 
@@ -450,7 +493,7 @@ mod tests {
         let mut recorded = Simulator::new();
         let r0 = recorded.add_resource("g0");
         let end = SimTime::from_secs(0.75);
-        recorded.record_service([(r0, 7)], SimTime::ZERO, end, TaskKind::Compute);
+        recorded.record_service(r0, 7, SimTime::ZERO, end, TaskKind::Compute);
         assert_eq!(recorded.busy_time(r0), run.busy_time(g0));
         assert_eq!(recorded.trace().spans(), run.trace().spans());
         assert_eq!(recorded.submitted_tasks(), 0, "recorded work is not a task");
@@ -461,5 +504,27 @@ mod tests {
         let b = recorded.submit_on(r0, 1.0, TaskKind::Compute, 0, None);
         assert_eq!(b, run.submit_on(g0, 1.0, TaskKind::Compute, 0, None));
         assert_eq!(recorded.run_until_idle(), a + 1.0);
+    }
+
+    #[test]
+    fn work_charged_into_a_block_matches_record_service() {
+        let mut recorded = Simulator::new();
+        let mut charged = Simulator::new();
+        for sim in [&mut recorded, &mut charged] {
+            for i in 0..3 {
+                sim.add_resource(format!("g{i}"));
+            }
+        }
+        let r1 = recorded.pool().id(1);
+        let (start, end) = (SimTime::from_secs(0.25), SimTime::from_secs(1.0));
+        recorded.record_service(r1, 9, start, end, TaskKind::Compute);
+        let mut block = charged.block(1..3);
+        assert!(block.tracing());
+        block.busy[0] += end - start;
+        block.free[0] = block.free[0].max(end);
+        block.span(0, TaskKind::Compute, 0.25, 1.0, 9);
+        assert_eq!(charged.busy_time(r1), recorded.busy_time(r1));
+        assert_eq!(charged.trace().spans(), recorded.trace().spans());
+        assert!(!charged.is_idle(r1) && charged.is_idle(charged.pool().id(2)));
     }
 }

@@ -19,9 +19,11 @@
 //! * The simulator knows nothing about LLMs; durations are computed by
 //!   callers (`seesaw-roofline`, the engines) from the hardware cost
 //!   models.
-//! * Work whose schedule the caller computes itself (the engines' fused
-//!   decode bursts and mixed rounds) is charged to a group of
-//!   resources with [`Simulator::record_service`].
+//! * Work whose schedule the caller computes itself is charged straight
+//!   into a borrowed [`Block`] of resources: the engines' fused decode
+//!   bursts and mixed rounds add each stage interval to their GPUs'
+//!   busy counters and mark each GPU busy once, at the end of its last
+//!   interval.
 //! * [`EventQueue`] orders the fleet and controller loops' events on
 //!   one global clock.
 
@@ -32,7 +34,7 @@ pub mod time;
 pub mod trace;
 
 pub use events::EventQueue;
-pub use executor::Simulator;
+pub use executor::{Block, Simulator};
 pub use resource::{ResourceId, ResourcePool};
 pub use time::SimTime;
 pub use trace::{Span, TaskKind, Trace, TraceSummary};

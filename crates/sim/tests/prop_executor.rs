@@ -292,8 +292,14 @@ fn drive(shape: &Shape) -> (Pair, Vec<(SimTime, Handle)>) {
                 let group: Vec<(ResourceId, u64)> = (0..tp)
                     .map(|t| (p.res[COMPUTE][gpu(stage, t)], gpu(stage, t) as u64))
                     .collect();
-                p.eager
-                    .record_service(group.iter().copied(), start, end, TaskKind::Compute);
+                // Compute engines are resources `0..gpus`, a stage's TP
+                // group contiguous among them.
+                let mut block = p.eager.block(gpu(stage, 0)..gpu(stage, 0) + tp);
+                for (i, &(_, tag)) in group.iter().enumerate() {
+                    block.busy[i] += end - start;
+                    block.free[i] = block.free[i].max(end);
+                    block.span(i, TaskKind::Compute, start.as_secs(), end.as_secs(), tag);
+                }
                 let h = p.heap.occupy(&group, start, end, TaskKind::Compute);
                 for t in 0..tp {
                     p.last_compute[gpu(stage, t)] = Some((end, h));

@@ -59,8 +59,16 @@ pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
         return None;
     }
     let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latency samples"));
+    sort_samples(&mut sorted);
     Some(percentile_of_sorted(&sorted, p))
+}
+
+/// Sort latency samples ascending. Unstable, yet the sorted sequence
+/// is the one a stable sort gives: finite samples that compare equal
+/// have equal bits, zeros of both signs aside, and a latency is a
+/// difference of non-negative times, so never `-0.0`. Panics on NaN.
+fn sort_samples(xs: &mut [f64]) {
+    xs.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite latency samples"));
 }
 
 /// Nearest-rank percentile of an already-ascending non-empty sample.
@@ -108,7 +116,7 @@ impl LatencySummary {
             return None;
         }
         let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latency samples"));
+        sort_samples(&mut sorted);
         Some(LatencySummary {
             mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
             p50: percentile_of_sorted(&sorted, 50.0),
