@@ -28,13 +28,13 @@ fn bench_sim_executor(c: &mut Criterion) {
         for i in 0..TASKS {
             let r = sim.pool().id(i % 8);
             let dep = prev.filter(|_| i % 3 == 0);
-            prev = Some(sim.submit_on(r, 0.001, TaskKind::Compute, 0, dep));
+            prev = Some(sim.submit_on(r, 0.001, TaskKind::Compute, dep));
         }
         sim.run_until_idle()
     };
     g.bench_function("fifo_chain_10k_tasks", |b| {
         b.iter(|| {
-            let mut sim = Simulator::without_trace();
+            let mut sim = Simulator::new();
             (0..8).for_each(|i| {
                 sim.add_resource(format!("r{i}"));
             });

@@ -33,9 +33,9 @@
 //! `--metrics-out FILE` writes the same metric snapshot (counters /
 //! gauges / histograms, including the recorder's dropped-event
 //! health counters) as a standalone JSON file.
-//! `--breakdown` runs the same cell with engine tracing and prints
-//! the fleet-wide engine-time breakdown (compute / communication /
-//! weight transfer / ...) merged from the per-replica sim spans.
+//! `--breakdown` runs the same cell and prints the fleet-wide
+//! engine-time breakdown (compute / communication / weight transfer /
+//! ...) merged from the replica reports' per-kind busy totals.
 
 use seesaw_bench::cli::{fail, Flags, TelemetryOut};
 use seesaw_bench::fleet::{self, FleetScenario};
@@ -183,14 +183,8 @@ fn main() {
         }
     }
     if args.breakdown {
-        let (report, summaries) = fleet::breakdown_cell_with(
-            &runner,
-            &scenario,
-            args.compare_replicas,
-            args.compare_load,
-            args.policy,
-        );
-        let table = fleet::render_breakdown(&report, &summaries);
+        let (cell, reqs, _) = scenario.cell(args.compare_replicas, args.compare_load);
+        let table = fleet::render_breakdown(&cell.run_with(&runner, args.policy, &reqs));
         if args.json {
             // Keep stdout a valid JSON document.
             eprint!("{table}");

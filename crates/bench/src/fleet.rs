@@ -174,7 +174,7 @@ impl FleetScenario {
     /// A dedicated cell: `n_replicas` replicas and the Poisson-paced
     /// requests at `multiplier ×` their aggregate capacity, with that
     /// rate.
-    fn cell(&self, n_replicas: usize, multiplier: f64) -> (Fleet, Vec<Request>, f64) {
+    pub fn cell(&self, n_replicas: usize, multiplier: f64) -> (Fleet, Vec<Request>, f64) {
         let rate = multiplier * n_replicas as f64 * self.capacity_rps;
         let reqs = paced(&self.base, &poisson_unit(self.base.len(), self.seed), rate);
         (Fleet::homogeneous(n_replicas, |i| self.replica(i)), reqs, rate)
@@ -215,30 +215,16 @@ pub fn observed_cell_with(
     ObservedCell { policy, n_replicas, offered_rps, report, telemetry }
 }
 
-/// Run the same dedicated cell with engine tracing on and merge each
-/// replica's sim-level time buckets — the `--breakdown` flag's body.
-/// Returns the (trace-identical) report and the per-replica summaries
-/// in replica order.
-pub fn breakdown_cell_with(
-    runner: &SweepRunner,
-    scenario: &FleetScenario,
-    n_replicas: usize,
-    multiplier: f64,
-    policy: RouterPolicy,
-) -> (FleetReport, Vec<TraceSummary>) {
-    let (fleet, reqs, _) = scenario.cell(n_replicas, multiplier);
-    fleet.run_breakdown_with(runner, policy, &reqs)
-}
-
 /// Render the merged engine-time breakdown as the `--breakdown`
-/// table: one row per replica plus a fleet-total row, bucketed the
-/// way the engine's sim spans are (compute / communication / weight
-/// transfer / reshard / kv swap / other).
-pub fn render_breakdown(report: &FleetReport, summaries: &[TraceSummary]) -> String {
+/// table: one row per replica (its report's per-kind busy totals) plus
+/// a fleet-total row, bucketed the way the simulators charge work
+/// (compute / communication / weight transfer / reshard / kv swap /
+/// other).
+pub fn render_breakdown(report: &FleetReport) -> String {
     let mut out = format!(
         "\n=== fleet: engine time breakdown ({} replicas, {} policy, {} requests) ===\n\
          per-replica sim spans merged fleet-wide; seconds of simulated device time\n",
-        summaries.len(),
+        report.replicas.len(),
         report.policy,
         report.stats.requests,
     );
@@ -253,7 +239,7 @@ pub fn render_breakdown(report: &FleetReport, summaries: &[TraceSummary]) -> Str
         "total",
     ]);
     let mut fleet_total = TraceSummary::default();
-    for (i, s) in summaries.iter().enumerate() {
+    for (i, s) in report.replicas.iter().map(|r| &r.busy_by_kind).enumerate() {
         t.row(&[
             format!("r{i}"),
             f3(s.compute),
@@ -665,16 +651,12 @@ mod tests {
     /// carries every bucket column.
     #[test]
     fn breakdown_cell_reconciles_and_renders() {
-        let (report, summaries) = breakdown_cell_with(
-            &SweepRunner::serial(),
-            &FleetScenario::new(EngineKind::Vllm, 12, 42),
-            2,
-            0.9,
-            RouterPolicy::JoinShortestQueue,
-        );
+        let (fleet, reqs, _) = FleetScenario::new(EngineKind::Vllm, 12, 42).cell(2, 0.9);
+        let report = fleet.run_with(&SweepRunner::serial(), RouterPolicy::JoinShortestQueue, &reqs);
+        let summaries: Vec<TraceSummary> = report.replicas.iter().map(|r| r.busy_by_kind).collect();
         assert_eq!(summaries.len(), 2, "one summary per replica");
         assert!(summaries.iter().any(|s| s.total() > 0.0));
-        let table = render_breakdown(&report, &summaries);
+        let table = render_breakdown(&report);
         for col in ["compute", "comm", "weights", "reshard", "kv swap", "fleet"] {
             assert!(table.contains(col), "missing column {col}");
         }

@@ -62,7 +62,7 @@ use crate::sweep::SweepRunner;
 use crate::timing::TimingRecorder;
 use seesaw_hw::FxBuildHasher;
 use seesaw_roofline::Roofline;
-use seesaw_sim::{SimTime, TraceSummary};
+use seesaw_sim::SimTime;
 use seesaw_workload::{Request, RequestMap, RunStats};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
@@ -254,12 +254,12 @@ pub(crate) trait Resumable: Clone + Send {
     /// Run scheduling decisions until one needs requests not pushed
     /// yet (`false`) or the run is complete (`true`).
     fn advance(&mut self, rl: &Roofline) -> bool;
-    /// The report of a completed run, plus its busy-time summary.
-    fn finish(self) -> (EngineReport, TraceSummary);
+    /// The report of a completed run.
+    fn finish(self) -> EngineReport;
 }
 
 /// Run `st` (whose intake is closed) to completion.
-pub(crate) fn run_to_end<R: Resumable>(mut st: R, rl: &Roofline) -> (EngineReport, TraceSummary) {
+pub(crate) fn run_to_end<R: Resumable>(mut st: R, rl: &Roofline) -> EngineReport {
     let done = st.advance(rl);
     assert!(done, "a closed run always completes");
     st.finish()
@@ -336,7 +336,7 @@ impl<R: Resumable> EngineActor for SimActor<'_, R> {
             self.projections += 1;
             self.reprojected += (fork.intake().len() - fork.completed()) as u64;
             let rl = fork.roofline();
-            self.projection = Some(run_to_end(fork, &rl).0);
+            self.projection = Some(run_to_end(fork, &rl));
         }
         self.projection.as_ref().expect("projection was just filled")
     }
@@ -349,7 +349,7 @@ impl<R: Resumable> EngineActor for SimActor<'_, R> {
         self.intake_mut().close();
         self.advanced();
         let run = self.run.take().expect("advanced starts the run");
-        run.finish().0
+        run.finish()
     }
 }
 

@@ -17,21 +17,19 @@
 //!
 //! Every task's completion time is known when it is submitted (see
 //! [`Simulator`]), so a task handle is a [`SimTime`] and a join is the
-//! latest of its handles. Decode bursts and mixed (chunked-prefill)
-//! rounds do not submit a task per pass:
+//! latest of its handles. Forward passes are not submitted as tasks:
+//! [`submit_prefill_batch`](crate::driver::submit_prefill_batch),
 //! [`submit_decode_burst`](crate::driver::submit_decode_burst) and
 //! [`submit_mixed_round`](crate::driver::submit_mixed_round) compute
 //! their pipeline schedule in closed form. They borrow the replica's
-//! compute engines once per burst or round
+//! compute engines once per batch, burst or round
 //! ([`ClusterSim::compute_block`]), add each stage interval to the
 //! stage's TP group's busy counters, and mark each GPU busy until its
-//! last interval ends. Every other compute task (prefill passes,
-//! re-shard overheads) is submitted through [`ClusterSim::submit_pass`]
-//! or [`ClusterSim::submit_compute_overhead`] and queues behind that
-//! work.
+//! last interval ends. The compute engines' only tasks are re-shard
+//! overheads ([`ClusterSim::submit_compute_overhead`]); the DMA and
+//! staging engines carry every KV swap and weight reload.
 
 use seesaw_hw::ClusterSpec;
-use seesaw_parallel::ParallelConfig;
 use seesaw_sim::{Block, ResourceId, SimTime, Simulator, TaskKind};
 use std::ops::Range;
 use std::sync::Arc;
@@ -56,22 +54,9 @@ pub struct ClusterSim {
 
 impl ClusterSim {
     /// Instantiate resources for every GPU of `cluster`.
-    ///
-    /// The simulator skips span recording ([`Simulator::without_trace`])
-    /// — what engines and autotune probes use by default, since sweep
-    /// throughput only needs the clock. Use
-    /// [`ClusterSim::with_trace`] when the execution trace itself is
-    /// the product (breakdown figures, timeline debugging).
     pub fn new(cluster: impl Into<Arc<ClusterSpec>>) -> Self {
-        Self::build(cluster.into(), Simulator::without_trace())
-    }
-
-    /// Instantiate with span recording enabled.
-    pub fn with_trace(cluster: impl Into<Arc<ClusterSpec>>) -> Self {
-        Self::build(cluster.into(), Simulator::new())
-    }
-
-    fn build(cluster: Arc<ClusterSpec>, mut sim: Simulator) -> Self {
+        let cluster = cluster.into();
+        let mut sim = Simulator::new();
         let n = cluster.num_gpus;
         let mut block = |engine: &str| -> Vec<ResourceId> {
             (0..n).map(|i| sim.add_resource(format!("gpu{i}.{engine}"))).collect()
@@ -96,33 +81,6 @@ impl ClusterSim {
         self.sim.now()
     }
 
-    /// Submit one micro-batch's traversal of all pipeline stages of
-    /// replica `dp_rank`: stage `s` occupies every GPU of its TP group
-    /// for `stage_durations[s]` seconds, after stage `s-1` finishes
-    /// (and after `dep`, the micro-batch slot's previous-round tail).
-    /// Returns the time the last stage finishes.
-    pub fn submit_pass(
-        &mut self,
-        cfg: ParallelConfig,
-        dp_rank: usize,
-        stage_durations: &[f64],
-        dep: Option<SimTime>,
-        kind: TaskKind,
-    ) -> SimTime {
-        assert_eq!(stage_durations.len(), cfg.pp, "one duration per stage");
-        let mut prev = dep;
-        for (s, &dur) in stage_durations.iter().enumerate() {
-            let mut stage_end = self.now();
-            for t in 0..cfg.tp {
-                let g = cfg.gpu_index(dp_rank, s, t);
-                let end = self.sim.submit_on(self.compute[g], dur, kind, g as u64, prev);
-                stage_end = stage_end.max(end);
-            }
-            prev = Some(stage_end);
-        }
-        prev.expect("pp >= 1 guarantees at least one stage")
-    }
-
     /// Submit a device-to-host transfer on GPU `gpu`'s D2H DMA engine.
     pub fn submit_d2h(
         &mut self,
@@ -131,7 +89,7 @@ impl ClusterSim {
         dep: Option<SimTime>,
         kind: TaskKind,
     ) -> SimTime {
-        self.sim.submit_on(self.d2h[gpu], duration, kind, gpu as u64, dep)
+        self.sim.submit_on(self.d2h[gpu], duration, kind, dep)
     }
 
     /// Submit a host-to-device transfer on GPU `gpu`'s H2D DMA engine.
@@ -142,7 +100,7 @@ impl ClusterSim {
         dep: Option<SimTime>,
         kind: TaskKind,
     ) -> SimTime {
-        self.sim.submit_on(self.h2d[gpu], duration, kind, gpu as u64, dep)
+        self.sim.submit_on(self.h2d[gpu], duration, kind, dep)
     }
 
     /// Submit a host-side staging copy on GPU `gpu`'s staging thread.
@@ -152,8 +110,7 @@ impl ClusterSim {
         duration: f64,
         dep: Option<SimTime>,
     ) -> SimTime {
-        self.sim
-            .submit_on(self.staging[gpu], duration, TaskKind::StagingCopy, gpu as u64, dep)
+        self.sim.submit_on(self.staging[gpu], duration, TaskKind::StagingCopy, dep)
     }
 
     /// Submit a fixed-duration overhead task on a GPU's compute engine
@@ -164,14 +121,14 @@ impl ClusterSim {
         duration: f64,
         dep: Option<SimTime>,
     ) -> SimTime {
-        self.sim
-            .submit_on(self.compute[gpu], duration, TaskKind::Overhead, gpu as u64, dep)
+        self.sim.submit_on(self.compute[gpu], duration, TaskKind::Overhead, dep)
     }
 
     /// Borrow the compute engines of GPUs `gpus` (entry `i` is GPU
     /// `gpus.start + i`), to charge work the caller schedules itself: a
-    /// replica's fused decode burst or mixed round, whose GPUs are
-    /// contiguous in [`ParallelConfig::gpu_index`] order.
+    /// replica's fused passes, whose GPUs are contiguous in
+    /// [`ParallelConfig::gpu_index`](seesaw_parallel::ParallelConfig::gpu_index)
+    /// order.
     pub fn compute_block(&mut self, gpus: Range<usize>) -> Block<'_> {
         assert!(gpus.end <= self.compute.len(), "GPUs {gpus:?} outside the cluster");
         self.sim.block(gpus)
@@ -198,68 +155,111 @@ impl ClusterSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seesaw_hw::ClusterSpec;
+    use crate::driver::{submit_prefill_batch, Replica};
+    use seesaw_hw::{efficiency, ClusterSpec};
+    use seesaw_model::presets;
+    use seesaw_parallel::ParallelConfig;
+    use seesaw_roofline::{BatchShape, Roofline, Stage};
+
+    /// A 13B model on 4× A10, and replica 0 of `cfg`.
+    fn setup(cfg: ParallelConfig) -> (ClusterSim, Roofline, Replica) {
+        let cluster = ClusterSpec::a10x4();
+        let rl = Roofline::new(cluster.clone(), presets::llama2_13b());
+        (ClusterSim::new(cluster), rl, Replica::new(0, 1 << 20, cfg.pp))
+    }
+
+    /// The stage durations of one prefill pass over `prompts`: each
+    /// stage's layers, the activation hop on all but the last, the step
+    /// overhead on stage 0.
+    fn pass_durs(rl: &Roofline, cfg: ParallelConfig, prompts: &[usize]) -> Vec<f64> {
+        let shape = BatchShape::prefill(prompts);
+        let p2p = rl.cluster().interconnect.p2p_time(rl.p2p_bytes(&shape));
+        let mut durs: Vec<f64> = (0..cfg.pp)
+            .map(|s| {
+                let hop = if s + 1 < cfg.pp { p2p } else { 0.0 };
+                rl.stage_time(cfg, s, Stage::Prefill, &shape) + hop
+            })
+            .collect();
+        durs[0] += efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
+        durs
+    }
+
+    /// Run a prefill batch of `prompts` on replica 0 and return the end
+    /// of each slot's pass, in slot order.
+    fn prefill(
+        cs: &mut ClusterSim,
+        rl: &Roofline,
+        cfg: ParallelConfig,
+        rep: &mut Replica,
+        prompts: &[usize],
+    ) -> Vec<SimTime> {
+        let seqs: Vec<(u64, usize)> =
+            prompts.iter().enumerate().map(|(i, &l)| (i as u64, l)).collect();
+        let mut out = Vec::new();
+        submit_prefill_batch(cs, rl, cfg, rep, &seqs, &mut out);
+        let mut ends: Vec<SimTime> = out.iter().map(|&(end, _)| end).collect();
+        ends.dedup();
+        ends
+    }
 
     #[test]
     fn pass_occupies_tp_group_in_lockstep() {
-        let mut cs = ClusterSim::new(ClusterSpec::a10x4());
         let cfg = ParallelConfig::new(1, 2, 2);
-        let h = cs.submit_pass(cfg, 0, &[1.0, 2.0], None, TaskKind::Compute);
-        let end = cs.sim.run_until(h);
-        assert_eq!(end.as_secs(), 3.0);
+        let (mut cs, rl, mut rep) = setup(cfg);
+        let durs = pass_durs(&rl, cfg, &[512]);
+        let end = prefill(&mut cs, &rl, cfg, &mut rep, &[512]);
+        assert_eq!(end, [SimTime::ZERO + durs[0] + durs[1]]);
+        // Each GPU is charged its stage's interval, once per GPU.
+        let stage0 = SimTime::ZERO + durs[0];
+        let (busy0, busy1) = (durs[0], end[0] - stage0);
+        let gpus = cs.compute_block(0..4);
+        assert_eq!(gpus.free, [stage0, stage0, end[0], end[0]]);
+        assert_eq!(gpus.busy, [busy0, busy0, busy1, busy1]);
+        assert_eq!(cs.sim.busy_by_kind().compute, busy0 + busy0 + busy1 + busy1);
+        assert_eq!(cs.sim.submitted_tasks(), 0, "a pass is not a task");
     }
 
     #[test]
     fn micro_batches_pipeline_across_stages() {
-        // Two micro-batches, two stages of 1s each: second ubatch's
-        // stage0 overlaps first ubatch's stage1 -> finish at 3s.
-        let mut cs = ClusterSim::new(ClusterSpec::a10x4());
+        // Two equal micro-batches on two stages: the second's stage 0
+        // overlaps the first's stage 1.
         let cfg = ParallelConfig::pp(2);
-        let a = cs.submit_pass(cfg, 0, &[1.0, 1.0], None, TaskKind::Compute);
-        let b = cs.submit_pass(cfg, 0, &[1.0, 1.0], None, TaskKind::Compute);
-        cs.sim.run_until(a);
-        let end = cs.sim.run_until(b);
-        assert_eq!(end.as_secs(), 3.0);
+        let (mut cs, rl, mut rep) = setup(cfg);
+        let d = pass_durs(&rl, cfg, &[512]);
+        let ends = prefill(&mut cs, &rl, cfg, &mut rep, &[512, 512]);
+        let first = SimTime::ZERO + d[0] + d[1];
+        let second = SimTime::from_secs(d[0] + d[0]).max(first) + d[1];
+        assert_eq!(ends, [first, second]);
+        assert!(second.as_secs() < 2.0 * first.as_secs());
     }
 
     #[test]
     fn transfers_overlap_compute() {
-        let mut cs = ClusterSim::new(ClusterSpec::a10x4());
-        let cfg = ParallelConfig::new(1, 1, 1);
-        let pass = cs.submit_pass(cfg, 0, &[2.0], None, TaskKind::Compute);
+        let cfg = ParallelConfig::tp(4);
+        let (mut cs, rl, mut rep) = setup(cfg);
+        let pass = prefill(&mut cs, &rl, cfg, &mut rep, &[512])[0];
         // An independent H2D transfer runs concurrently.
-        let xfer = cs.submit_h2d(0, 2.0, None, TaskKind::SwapIn);
-        cs.sim.run_until(pass);
-        let end = cs.sim.run_until(xfer);
-        assert_eq!(end.as_secs(), 2.0, "DMA must overlap compute");
+        let xfer = cs.submit_h2d(0, pass.as_secs(), None, TaskKind::SwapIn);
+        assert_eq!(xfer, pass, "DMA must overlap compute");
+        assert_eq!(cs.sim.run_until_idle(), pass);
     }
 
     #[test]
     fn chained_rounds_have_no_drain_bubble() {
-        // Round 2 of a 2-stage pipeline starts its stage0 immediately
-        // after round 1's stage0 vacates the resource, not after the
-        // whole round 1 drains.
-        let mut cs = ClusterSim::new(ClusterSpec::a10x4());
+        // A second batch submitted while the first is in flight starts
+        // its stage 0 as soon as the first vacates it, not after the
+        // whole first batch drains.
         let cfg = ParallelConfig::pp(2);
-        let r1 = cs.submit_pass(cfg, 0, &[1.0, 1.0], None, TaskKind::Compute);
-        let r2 = cs.submit_pass(cfg, 0, &[1.0, 1.0], Some(r1), TaskKind::Compute);
-        // With dep on r1's completion, stage0 of r2 starts at 2.0 and
-        // r2 completes at 4.0. (The per-slot tail chaining in the
-        // driver avoids even this by keying on slots, tested there.)
-        assert_eq!(cs.sim.run_until(r2).as_secs(), 4.0);
-    }
-
-    #[test]
-    fn trace_is_opt_in() {
-        let mut plain = ClusterSim::new(ClusterSpec::a10x4());
-        let h = plain.submit_pass(ParallelConfig::tp(4), 0, &[1.0], None, TaskKind::Compute);
-        plain.sim.run_until(h);
-        assert!(plain.sim.trace().spans().is_empty(), "untraced sim records nothing");
-
-        let mut traced = ClusterSim::with_trace(ClusterSpec::a10x4());
-        let h = traced.submit_pass(ParallelConfig::tp(4), 0, &[1.0], None, TaskKind::Compute);
-        traced.sim.run_until(h);
-        assert!(!traced.sim.trace().spans().is_empty(), "trace on request");
+        let (mut cs, rl, mut rep) = setup(cfg);
+        let d = pass_durs(&rl, cfg, &[512]);
+        let first = prefill(&mut cs, &rl, cfg, &mut rep, &[512])[0];
+        let second = prefill(&mut cs, &rl, cfg, &mut rep, &[512])[0];
+        assert_eq!(second, SimTime::from_secs(d[0] + d[0]).max(first) + d[1]);
+        assert!(second < first + first.as_secs());
+        // Work charged meanwhile on a stage's GPU delays that stage.
+        let overhead = cs.submit_compute_overhead(0, 1.0, None);
+        let third = prefill(&mut cs, &rl, cfg, &mut rep, &[512])[0];
+        assert_eq!(third, (overhead + d[0]).max(second) + d[1]);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use seesaw_hw::ClusterSpec;
 use seesaw_model::ModelConfig;
 use seesaw_parallel::{FitError, ParallelConfig};
 use seesaw_roofline::{Roofline, ThroughputModel};
+use seesaw_sim::TraceSummary;
 use seesaw_workload::{LatencyStats, Request, RequestTiming, RunStats, SloSpec};
 use std::sync::Arc;
 
@@ -222,6 +223,7 @@ impl DisaggEngine {
                 swap_in_bytes: 0,
                 phases: Vec::new(),
                 gpu_utilization: 0.0,
+                busy_by_kind: TraceSummary::default(),
                 timeline: Vec::new(),
                 latency: None,
             };
@@ -287,6 +289,7 @@ impl DisaggEngine {
             swap_in_bytes: kv_bytes_total,
             phases: Vec::new(),
             gpu_utilization: gpu_utilization.min(1.0),
+            busy_by_kind: TraceSummary::default(),
             timeline,
             latency,
         }

@@ -2,13 +2,14 @@
 //! assignment, and pipelined pass submission for prefill batches,
 //! decode bursts and mixed (chunked) rounds.
 //!
-//! Only prefill batches are submitted pass by pass, as tasks
-//! ([`ClusterSim::submit_pass`]). Decode bursts and mixed rounds
-//! compute their pipeline schedule in closed form (a max-plus
-//! recurrence over passes and stages), instead of submitting
-//! `passes × PP × TP` tasks. Either way the caller gets the work's end
-//! time to wait on:
+//! No pass is submitted as a task: prefill batches, decode bursts and
+//! mixed rounds compute their pipeline schedule in closed form (a
+//! max-plus recurrence over passes and stages), instead of submitting
+//! `passes × PP × TP` tasks. The caller gets the work's end time to
+//! wait on:
 //!
+//! * [`submit_prefill_batch`] serves a batch's slot passes in slot
+//!   order behind whatever the replica's GPUs are still running.
 //! * [`submit_decode_burst`] schedules a burst's rounds in (round,
 //!   slot) order. Everything about a slot's pass but its total context
 //!   depends only on its member count, so each slot's [`DecodeCost`]
@@ -18,13 +19,14 @@
 //!   run, whose passes stage 0 serves in readiness order. Every slot
 //!   but the chunk's is a pure-decode pass priced the same way.
 //!
-//! Both run one stage kernel: it borrows the replica's compute engines
-//! from the simulator once per burst or round
+//! All three run one stage kernel (`Stages::serve`): it borrows the
+//! replica's compute engines from the simulator once per call
 //! ([`ClusterSim::compute_block`]), adds each stage interval to the
-//! busy counters of the stage's TP group, records spans only when
-//! tracing, checks a pass's end once, and marks each GPU busy once, at
-//! the end. The task-graph versions they replaced live on as the test
-//! oracles in `tests/decode_burst.rs` and `tests/mixed_round.rs`.
+//! busy counters of the stage's TP group and to the simulator's
+//! per-kind totals, checks a pass's end once, and marks each GPU busy
+//! once, at the end. The task-graph versions they replaced live on as
+//! the test oracles in `tests/decode_burst.rs` and
+//! `tests/mixed_round.rs`.
 //!
 //! A replica keeps its decoding sequences so that a decode step costs
 //! O(PP + sequences it retires), not O(running) (see [`Replica`]):
@@ -35,11 +37,11 @@
 //! on the [`Replica`], so once warmed up they allocate nothing.
 
 use crate::cluster_sim::ClusterSim;
-use seesaw_hw::efficiency;
+use seesaw_hw::{efficiency, AllReduce};
 use seesaw_kv::PagedKvCache;
 use seesaw_parallel::ParallelConfig;
 use seesaw_roofline::{BatchShape, DecodeCost, Roofline, Stage};
-use seesaw_sim::{Block, SimTime, TaskKind};
+use seesaw_sim::{Block, SimTime};
 use seesaw_workload::Request;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -251,9 +253,10 @@ impl Running {
 
 /// Working buffers of prefill batches, bursts, mixed rounds and decode
 /// advances, kept on the replica so that a warmed-up one allocates
-/// nothing. Each is O(PP), or O(sequences in one prefill batch or
+/// nothing, and the stage state and slot prices they carry from call
+/// to call. Each is O(PP), or O(sequences in one prefill batch or
 /// retired by one advance).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Scratch {
     /// A burst's passes, one per non-empty slot in slot order.
     passes: Vec<SlotPass>,
@@ -272,6 +275,21 @@ struct Scratch {
     prefill: PrefillSlots,
 }
 
+impl Clone for Scratch {
+    /// A fork (an actor's projection) keeps the state later calls read;
+    /// the working buffers, which every call refills first, start
+    /// empty.
+    fn clone(&self) -> Self {
+        Scratch {
+            stages: self.stages.clone(),
+            prices: self.prices.clone(),
+            slot_end: self.slot_end.clone(),
+            ready_by: self.ready_by,
+            ..Scratch::default()
+        }
+    }
+}
+
 /// A prefill batch's assignment to micro-batch slots.
 #[derive(Debug, Clone, Default)]
 struct PrefillSlots {
@@ -282,8 +300,6 @@ struct PrefillSlots {
     members: Vec<Vec<(u64, usize)>>,
     /// Per slot: its prompt tokens.
     load: Vec<usize>,
-    /// One pass's stage durations.
-    durs: Vec<f64>,
 }
 
 impl PrefillSlots {
@@ -370,15 +386,18 @@ struct Stages {
     free: Vec<f64>,
     /// The per-pass step overhead, charged on stage 0.
     overhead: f64,
+    /// The TP group's all-reduce, for mixed passes.
+    allreduce: Option<AllReduce>,
 }
 
 impl Stages {
-    /// Take the layer counts and step overhead of `cfg`'s stages.
-    /// Stages keep the end of their last pass; a stage new to the
-    /// layout is free from zero.
+    /// Take the layer counts, step overhead and all-reduce of `cfg`'s
+    /// stages. Stages keep the end of their last pass; a stage new to
+    /// the layout is free from zero.
     fn load(&mut self, rl: &Roofline, cfg: ParallelConfig) {
         self.cfg = Some(cfg);
         self.overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
+        self.allreduce = Some(rl.cluster().interconnect.allreduce(cfg.tp));
         let num_layers = rl.model().num_layers;
         self.layers.clear();
         self.layers.extend((0..cfg.pp).map(|s| {
@@ -386,6 +405,23 @@ impl Stages {
             (b - a) as f64
         }));
         self.free.resize(cfg.pp, 0.0);
+    }
+
+    /// Take each stage's end from its TP group's busy-until times in
+    /// `gpus`, so passes queue behind whatever the GPUs were charged
+    /// since (re-shard overheads, another kind of pass). Every pass
+    /// occupies a whole group, so its GPUs agree unless all are free
+    /// by `now`; then any of their times delays a pass ready at `now`
+    /// alike, by nothing.
+    fn resume(&mut self, gpus: &Block, tp: usize, now: SimTime) {
+        for (free, group) in self.free.iter_mut().zip(gpus.free.chunks_exact(tp)) {
+            let until = group.iter().fold(SimTime::ZERO, |t, &u| t.max(u));
+            debug_assert!(
+                until <= now || group.iter().all(|&u| u == until),
+                "a TP group busy until different times: {group:?}"
+            );
+            *free = until.as_secs();
+        }
     }
 
     /// Serve a pass that is ready for stage 0 at `ready` through every
@@ -398,9 +434,9 @@ impl Stages {
     ///
     /// `gpus` is the replica's compute block, stage `s`'s TP group its
     /// entries `s·tp..(s+1)·tp`. Each interval is added to the busy
-    /// counter of every GPU of the stage's group, and, when `trace` is
-    /// the block's first GPU index, recorded as a span per GPU; the
-    /// GPUs are marked busy by [`Stages::occupy`]. Times are plain
+    /// counter of every GPU of the stage's group and, once per GPU, to
+    /// the compute total, in the order per-GPU tasks would charge it;
+    /// the GPUs are marked busy by [`Stages::occupy`]. Times are plain
     /// seconds: a non-finite stage end carries through the later
     /// stages (`free > NaN` is false, ∞ wins every `max`) to the pass's
     /// end, whose conversion back to [`SimTime`] is the pass's one
@@ -410,13 +446,14 @@ impl Stages {
         &mut self,
         gpus: &mut Block,
         tp: usize,
-        trace: Option<u64>,
         ready: SimTime,
         layer: f64,
         p2p: f64,
     ) -> SimTime {
         let last_stage = self.free.len() - 1;
         let mut ready = ready.as_secs();
+        // The running compute total, kept in a register for the pass.
+        let mut compute = gpus.kinds.compute;
         for (s, (free, &layers)) in self.free.iter_mut().zip(&self.layers).enumerate() {
             let hop = if s < last_stage { p2p } else { 0.0 };
             let mut dur = layers * layer + hop;
@@ -426,18 +463,14 @@ impl Stages {
             let start = if *free > ready { *free } else { ready };
             let end = start + dur;
             let service = end - start;
-            let group = s * tp..(s + 1) * tp;
-            for busy in &mut gpus.busy[group.clone()] {
+            for busy in &mut gpus.busy[s * tp..(s + 1) * tp] {
                 *busy += service;
-            }
-            if let Some(first) = trace {
-                for i in group {
-                    gpus.span(i, TaskKind::Compute, start, end, first + i as u64);
-                }
+                compute += service;
             }
             *free = end;
             ready = end;
         }
+        gpus.kinds.compute = compute;
         SimTime::from_secs(ready)
     }
 
@@ -454,13 +487,10 @@ impl Stages {
 }
 
 /// The compute engines of replica `d`, whose GPUs are contiguous in
-/// [`ParallelConfig::gpu_index`] order, stage by stage; and, when
-/// tracing, the index of its first GPU (the spans' tag base).
-fn replica_block(cs: &mut ClusterSim, cfg: ParallelConfig, d: usize) -> (Block<'_>, Option<u64>) {
+/// [`ParallelConfig::gpu_index`] order, stage by stage.
+fn replica_block(cs: &mut ClusterSim, cfg: ParallelConfig, d: usize) -> Block<'_> {
     let first = cfg.gpu_index(d, 0, 0);
-    let gpus = cs.compute_block(first..first + cfg.pp * cfg.tp);
-    let trace = gpus.tracing().then_some(first as u64);
-    (gpus, trace)
+    cs.compute_block(first..first + cfg.pp * cfg.tp)
 }
 
 /// One non-empty slot's pass in a decode burst: everything but its
@@ -564,26 +594,6 @@ pub fn kv_capacity(capacity_tokens: u64) -> usize {
     PagedKvCache::new(capacity_tokens, PagedKvCache::DEFAULT_BLOCK_TOKENS).capacity_tokens()
 }
 
-/// Per-stage service durations for a pure-stage pass, including the
-/// inter-stage activation hop on all but the last stage, written over
-/// `durs`. The layer cost is evaluated once per pass and scaled by each
-/// stage's layer count.
-pub fn stage_durations(
-    rl: &Roofline,
-    cfg: ParallelConfig,
-    stage: Stage,
-    shape: &BatchShape,
-    durs: &mut Vec<f64>,
-) {
-    let layer = rl.layer_cost(stage, shape, cfg.tp).layer_time();
-    let p2p = p2p_hop(rl, cfg, shape);
-    durs.clear();
-    durs.extend((0..cfg.pp).map(|s| {
-        let (a, b) = cfg.stage_layers(rl.model().num_layers, s);
-        (b - a) as f64 * layer + if s + 1 < cfg.pp { p2p } else { 0.0 }
-    }));
-}
-
 /// Activation hop between adjacent stages for a pass of `shape` (none
 /// without pipelining).
 fn p2p_hop(rl: &Roofline, cfg: ParallelConfig, shape: &BatchShape) -> f64 {
@@ -639,7 +649,7 @@ pub fn submit_decode_burst(
         replica.tails.iter().flatten().all(|&t| t <= now),
         "decode burst on replica {d} before its previous pipeline tails completed"
     );
-    let (mut gpus, trace) = replica_block(cs, cfg, d);
+    let mut gpus = replica_block(cs, cfg, d);
     assert!(
         gpus.free.iter().all(|&t| t <= now),
         "decode burst on replica {d} while its compute GPUs are busy"
@@ -665,7 +675,7 @@ pub fn submit_decode_burst(
     for r in 0..rounds {
         for pass in sc.passes.iter_mut() {
             let layer = pass.cost.layer_time(pass.base_ctx + pass.seqs * (r + 1));
-            pass.tail = sc.stages.serve(&mut gpus, cfg.tp, trace, pass.tail, layer, pass.p2p);
+            pass.tail = sc.stages.serve(&mut gpus, cfg.tp, pass.tail, layer, pass.p2p);
         }
     }
     sc.stages.occupy(&mut gpus, cfg.tp);
@@ -677,7 +687,7 @@ pub fn submit_decode_burst(
     Some(end)
 }
 
-/// Submit a pipelined prefill pass for a batch of whole prompts on one
+/// Run a pipelined prefill pass for a batch of whole prompts on one
 /// replica, balancing its prompts over up to PP micro-batch slots
 /// (longest-processing-time greedy on token counts). Writes over `out`
 /// one `(end, id)` pair per member, slot by slot: `end` is the time
@@ -685,8 +695,12 @@ pub fn submit_decode_burst(
 /// depend on it).
 ///
 /// Unlike decode rounds, consecutive prefill micro-batches carry no
-/// data dependency, so no slot-tail chaining is used — the stage
-/// resources' FIFO queues provide maximal pipelining on their own.
+/// data dependency: every slot's pass is ready for stage 0 now, and
+/// the stage kernel serves them in slot order behind the work the
+/// replica's GPUs were charged before (an earlier batch still in
+/// flight), so the pipeline stays full across batches. Re-shard
+/// overheads, the compute engines' only tasks, are drained before a
+/// batch.
 pub fn submit_prefill_batch(
     cs: &mut ClusterSim,
     rl: &Roofline,
@@ -699,19 +713,22 @@ pub fn submit_prefill_batch(
     if seqs.is_empty() {
         return;
     }
-    let overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
-    let slots = &mut replica.scratch.prefill;
-    let nslots = slots.assign(seqs, cfg.pp);
-    for members in &slots.members[..nslots] {
+    let now = cs.now();
+    let sc = &mut replica.scratch;
+    sc.prepare(rl, cfg);
+    let nslots = sc.prefill.assign(seqs, cfg.pp);
+    let mut gpus = replica_block(cs, cfg, replica.dp_rank);
+    sc.stages.resume(&gpus, cfg.tp, now);
+    for members in &sc.prefill.members[..nslots] {
         if members.is_empty() {
             continue;
         }
         let shape = BatchShape::prefill_iter(members.iter().map(|&(_, l)| l));
-        stage_durations(rl, cfg, Stage::Prefill, &shape, &mut slots.durs);
-        slots.durs[0] += overhead;
-        let end = cs.submit_pass(cfg, replica.dp_rank, &slots.durs, None, TaskKind::Compute);
+        let layer = rl.layer_cost(Stage::Prefill, &shape, cfg.tp).layer_time();
+        let end = sc.stages.serve(&mut gpus, cfg.tp, now, layer, p2p_hop(rl, cfg, &shape));
         out.extend(members.iter().map(|&(id, _)| (end, id)));
     }
+    sc.stages.occupy(&mut gpus, cfg.tp);
 }
 
 /// Run one mixed round on one replica: every running sequence decodes
@@ -748,8 +765,8 @@ pub fn submit_prefill_batch(
 /// round is ready for stage 0 by now: then no pass of this round can
 /// be served before it, and the previous rounds' schedule stands. The
 /// engines keep that by submitting a round only after the one two
-/// back has ended; a round submitted earlier panics. Compute tasks
-/// (prefill batches, re-shard overheads) are drained first.
+/// back has ended; a round submitted earlier panics. Re-shard
+/// overheads are drained first.
 pub fn submit_mixed_round(
     cs: &mut ClusterSim,
     rl: &Roofline,
@@ -774,11 +791,12 @@ pub fn submit_mixed_round(
     sc.slot_end.resize(cfg.pp, SimTime::ZERO);
     sc.mixed.clear();
     let chunk_slot = chunk_slot % cfg.pp;
+    let allreduce = sc.stages.allreduce.expect("stages loaded");
     for (slot, (seqs, ctx)) in replica.running.slot_sums().enumerate() {
         // Each member attends over its context plus the new token.
         let (layer, p2p) = if slot == chunk_slot && !chunk.is_empty() {
             let dshape = BatchShape::decode_total(seqs, ctx + seqs);
-            let layer = rl.layer_cost_mixed(chunk, &dshape, cfg.tp).layer_time();
+            let layer = rl.layer_cost_mixed(chunk, &dshape, &allreduce).layer_time();
             (layer, p2p_hop(rl, cfg, &chunk.merge(&dshape)))
         } else if seqs > 0 {
             // A pure-decode pass: `layer_cost_mixed` without prefill
@@ -796,10 +814,10 @@ pub fn submit_mixed_round(
         });
     }
     sc.mixed.sort_unstable_by_key(|p| (p.ready, p.slot));
-    let (mut gpus, trace) = replica_block(cs, cfg, d);
+    let mut gpus = replica_block(cs, cfg, d);
     let mut round_end = now;
     for pass in &sc.mixed {
-        let end = sc.stages.serve(&mut gpus, cfg.tp, trace, pass.ready, pass.layer, pass.p2p);
+        let end = sc.stages.serve(&mut gpus, cfg.tp, pass.ready, pass.layer, pass.p2p);
         sc.slot_end[pass.slot] = end;
         sc.ready_by = sc.ready_by.max(pass.ready);
         round_end = round_end.max(end);
@@ -858,9 +876,9 @@ mod tests {
 
         // Serialized estimate: sum of all stage durations.
         let shape = BatchShape::decode(&[1000; 4]);
-        let mut durs = Vec::new();
-        stage_durations(&rl, cfg, Stage::Decode, &shape, &mut durs);
-        let per_round: f64 = durs.iter().sum();
+        let per_round: f64 = (0..cfg.pp)
+            .map(|s| rl.stage_time(cfg, s, Stage::Decode, &shape) + p2p_hop(&rl, cfg, &shape))
+            .sum();
         let serial = per_round * 2.0 * 20.0;
         assert!(
             t_pipelined < 0.7 * serial,

@@ -67,15 +67,12 @@ pub trait OnlineEngine: Send + Sync {
     /// request).
     fn service_rates(&self, avg_in: usize, avg_out: usize) -> ServiceRates;
 
-    /// [`OnlineEngine::run`] with span recording enabled
-    /// ([`seesaw_sim::Trace`]), returning the report plus the
-    /// per-category busy-time summary — the fleet `--breakdown`
-    /// path. The report must equal `run`'s byte-for-byte (tracing
-    /// only observes). Engines without a traced path fall back to an
-    /// untraced run and an all-zero summary, which renders as an
-    /// empty breakdown rather than wrong numbers.
+    /// [`OnlineEngine::run`], plus the report's per-kind busy totals
+    /// ([`EngineReport::busy_by_kind`]).
     fn run_traced(&self, requests: &[Request]) -> (EngineReport, seesaw_sim::TraceSummary) {
-        (self.run(requests), seesaw_sim::TraceSummary::default())
+        let report = self.run(requests);
+        let busy = report.busy_by_kind;
+        (report, busy)
     }
 
     /// [`OnlineEngine::run`] for a replica that only becomes ready

@@ -1,5 +1,6 @@
 //! Run reports common to every engine.
 
+use seesaw_sim::TraceSummary;
 use seesaw_workload::{LatencyStats, RequestTiming, RunStats, SloSpec};
 
 /// Engine phase, for the execution timeline.
@@ -69,6 +70,10 @@ pub struct EngineReport {
     pub phases: Vec<PhaseSpan>,
     /// Mean busy fraction of the GPUs' compute engines over the run.
     pub gpu_utilization: f64,
+    /// Simulated busy seconds per kind of work, summed over every
+    /// resource of the cluster (all zero for an engine that simulates
+    /// no cluster).
+    pub busy_by_kind: TraceSummary,
     /// Per-request arrival/first-token/completion timestamps, sorted
     /// by request id (round-granular: a request completes at the end
     /// of the decode burst that retired it).
@@ -137,6 +142,7 @@ mod tests {
             swap_in_bytes: 0,
             phases: Vec::new(),
             gpu_utilization: 0.5,
+            busy_by_kind: Default::default(),
             timeline: Vec::new(),
             latency: None,
         };
@@ -185,6 +191,7 @@ mod tests {
             swap_in_bytes: 0,
             phases: Vec::new(),
             gpu_utilization: 0.5,
+            busy_by_kind: Default::default(),
             timeline,
             latency,
         };

@@ -21,7 +21,7 @@ use seesaw_hw::ClusterSpec;
 use seesaw_model::ModelConfig;
 use seesaw_parallel::{FitError, MemoryPlan, ParallelConfig};
 use seesaw_roofline::{BatchShape, Roofline};
-use seesaw_sim::{SimTime, TraceSummary};
+use seesaw_sim::SimTime;
 use seesaw_workload::{LatencyStats, Request};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -117,19 +117,7 @@ impl VllmEngine {
 
     /// Process `requests` to completion, returning the run report.
     pub fn run(&self, requests: &[Request]) -> EngineReport {
-        self.run_impl(requests, false).0
-    }
-
-    /// [`VllmEngine::run`] with span recording on
-    /// ([`ClusterSim::with_trace`]), additionally returning the
-    /// per-category busy-time summary. The report itself is identical
-    /// to `run`'s — tracing only observes.
-    pub fn run_traced(&self, requests: &[Request]) -> (EngineReport, TraceSummary) {
-        self.run_impl(requests, true)
-    }
-
-    fn run_impl(&self, requests: &[Request], traced: bool) -> (EngineReport, TraceSummary) {
-        run_to_end(RunState::new(self, Intake::closed(requests), traced), &self.roofline())
+        run_to_end(RunState::new(self, Intake::closed(requests)), &self.roofline())
     }
 
     fn roofline(&self) -> Roofline {
@@ -146,12 +134,8 @@ impl OnlineEngine for VllmEngine {
         VllmEngine::run(self, requests)
     }
 
-    fn run_traced(&self, requests: &[Request]) -> (EngineReport, TraceSummary) {
-        VllmEngine::run_traced(self, requests)
-    }
-
     fn actor(&self, ready_s: f64) -> Box<dyn EngineActor + '_> {
-        let start = move |intake| RunState::new(self, intake, false);
+        let start = move |intake| RunState::new(self, intake);
         Box::new(SimActor::new(Intake::open(ready_s), start))
     }
 
@@ -226,12 +210,8 @@ struct RunState<'a> {
 }
 
 impl<'a> RunState<'a> {
-    fn new(eng: &'a VllmEngine, intake: Intake, traced: bool) -> Self {
-        let cs = if traced {
-            ClusterSim::with_trace(Arc::clone(&eng.cluster))
-        } else {
-            ClusterSim::new(Arc::clone(&eng.cluster))
-        };
+    fn new(eng: &'a VllmEngine, intake: Intake) -> Self {
+        let cs = ClusterSim::new(Arc::clone(&eng.cluster));
         let replicas = (0..eng.cfg.dp)
             .map(|d| Replica::new(d, eng.plan.kv_tokens_per_replica, eng.cfg.pp))
             .collect();
@@ -739,15 +719,14 @@ impl Resumable for RunState<'_> {
         }
     }
 
-    fn finish(mut self) -> (EngineReport, TraceSummary) {
+    fn finish(mut self) -> EngineReport {
         debug_assert_eq!(self.at, Resume::Done, "finish runs after the loop completes");
         let end = self.cs.sim.run_until_idle();
         assert_eq!(self.completed, self.intake.len(), "all requests must finish");
-        let trace_summary = self.cs.sim.trace().summary();
         let gpu_utilization = self.cs.mean_compute_utilization();
         let timeline = std::mem::take(&mut self.rec).resolve(&self.intake.meta);
         let latency = LatencyStats::from_timeline(&timeline);
-        let report = EngineReport {
+        EngineReport {
             label: self.eng.label(),
             stats: self.intake.stats(end.as_secs()),
             prefill_wall_s: self.prefill_wall,
@@ -759,10 +738,10 @@ impl Resumable for RunState<'_> {
             swap_in_bytes: 0,
             phases: Vec::new(),
             gpu_utilization,
+            busy_by_kind: self.cs.sim.busy_by_kind(),
             timeline,
             latency,
-        };
-        (report, trace_summary)
+        }
     }
 }
 
@@ -776,26 +755,23 @@ mod tests {
         WorkloadGen::constant(512, 32).generate(n)
     }
 
-    /// The simulator keeps nothing per task, so its memory is bounded
-    /// however long the stream; what is left to pin is what a run
-    /// submits. Only prefill passes are tasks, one per stage per GPU:
-    /// decode bursts and mixed rounds are scheduled in closed form, and
-    /// a join is a `max` (759 and 981 tasks when bursts and rounds left
-    /// marker tasks and joins were tasks). A stream four times longer
-    /// submits proportionally more.
+    /// No vLLM pass is a task: prefill batches, decode bursts and mixed
+    /// rounds are scheduled in closed form, and a join is a `max`. A
+    /// 400-request stream submitted 380 tasks under either
+    /// prefill/decode-prioritized policy while prefill batches were
+    /// submitted pass by pass (759 when burst markers and joins were
+    /// tasks), and 981 under the chunked one with round markers.
     #[test]
     fn submitted_task_counts_are_pinned() {
         use seesaw_workload::ArrivalDist;
-        let stream = |n| {
-            WorkloadGen::constant(512, 32)
-                .with_arrivals(ArrivalDist::Poisson { rate: 4.0 })
-                .expect("valid arrivals")
-                .generate(n)
-        };
-        for (policy, pinned) in [
-            (SchedulingPolicy::PrefillPrioritized, 380),
-            (SchedulingPolicy::DecodePrioritized, 380),
-            (SchedulingPolicy::ChunkedPrefill { chunk_tokens: 512 }, 0),
+        let stream = WorkloadGen::constant(512, 32)
+            .with_arrivals(ArrivalDist::Poisson { rate: 4.0 })
+            .expect("valid arrivals")
+            .generate(400);
+        for policy in [
+            SchedulingPolicy::PrefillPrioritized,
+            SchedulingPolicy::DecodePrioritized,
+            SchedulingPolicy::ChunkedPrefill { chunk_tokens: 512 },
         ] {
             let eng = VllmEngine::new(
                 ClusterSpec::a10x4(),
@@ -804,14 +780,10 @@ mod tests {
                 policy,
             )
             .unwrap();
-            let submitted = |n| {
-                let mut run = RunState::new(&eng, Intake::closed(&stream(n)), false);
-                assert!(run.advance(&eng.roofline()), "a closed run always completes");
-                run.cs.sim.submitted_tasks()
-            };
-            let (short, long) = (submitted(100), submitted(400));
-            assert_eq!(long, pinned, "{policy:?}: submitted {short} vs {long}");
-            assert!(long >= 3 * short, "{policy:?}: submitted {short} vs {long}");
+            let mut run = RunState::new(&eng, Intake::closed(&stream));
+            assert!(run.advance(&eng.roofline()), "a closed run always completes");
+            assert_eq!(run.cs.sim.submitted_tasks(), 0, "{policy:?}");
+            assert!(run.cs.sim.busy_by_kind().compute > 0.0, "{policy:?}");
         }
     }
 
@@ -842,10 +814,11 @@ mod tests {
         )
         .unwrap();
         let reqs = small_requests(12);
-        let (report, summary) = eng.run_traced(&reqs);
-        assert_eq!(report, eng.run(&reqs), "tracing only observes");
+        let (report, summary) = OnlineEngine::run_traced(&eng, &reqs);
+        assert_eq!(report, eng.run(&reqs), "the totals are the report's");
+        assert_eq!(summary, report.busy_by_kind);
         assert!(summary.compute > 0.0, "forward passes land in compute");
-        assert!(summary.total() > 0.0);
+        assert_eq!(summary.total(), summary.compute, "vLLM runs nothing but passes");
     }
 
     #[test]

@@ -1,280 +1,438 @@
-//! A fused decode burst (`driver::submit_decode_burst`) computes its
-//! pipeline schedule in closed form. The reference here is the
-//! per-round version it replaced, run on the event-driven executor
-//! that the eager `Simulator` replaced (`tests/support`): one
-//! task-graph pass per micro-batch slot per round, chained on the
-//! slot's previous tail and served by FIFO stage queues. Its running
-//! sequences are a plain `Vec<RunSeq>` kept by the scan the replica's
-//! incremental bookkeeping replaced (`tests/support/scan.rs`). The two
-//! share no scheduling or bookkeeping code. On random layouts and
-//! batches, driven burst after burst at each replica's longest
+//! A fused decode burst (`driver::submit_decode_burst`) and a prefill
+//! batch (`driver::submit_prefill_batch`) compute their pipeline
+//! schedule in closed form. The reference here is the task-graph
+//! version they replaced, run on the event-driven executor that the
+//! eager `Simulator` replaced (`tests/support`): one pass per
+//! micro-batch slot (per round, chained on the slot's previous tail,
+//! for a burst), each stage a task on every GPU of its TP group, served
+//! by FIFO stage queues. Its running sequences are a plain
+//! `Vec<RunSeq>` kept by the scan the replica's incremental bookkeeping
+//! replaced (`tests/support/scan.rs`). The two share no scheduling or
+//! bookkeeping code. On random layouts, driven the way the vLLM loop
+//! drives them — prefill batches with two in flight, whose sequences
+//! then join the running set, and bursts at each replica's longest
 //! survivable length, so sequences retire and slots reshuffle between
-//! bursts, they must agree bit for bit on every time, busy total and
-//! busy-until time, and retire the same sequences in the same order,
-//! untraced (every production run) and traced; traced, they must also
-//! record the same spans.
+//! steps — they must agree bit for bit on every time, busy total,
+//! busy-until time and per-kind total (the reference's summed per
+//! interval in submission order), and retire the same sequences in the
+//! same order.
 
 mod support;
 
 use proptest::prelude::*;
 use seesaw_engine::cluster_sim::ClusterSim;
-use seesaw_engine::driver::{stage_durations, submit_decode_burst, Replica, RunSeq};
+use seesaw_engine::driver::{submit_decode_burst, submit_prefill_batch, Replica, RunSeq};
 use seesaw_hw::{efficiency, ClusterSpec};
 use seesaw_model::presets;
 use seesaw_parallel::ParallelConfig;
 use seesaw_roofline::{BatchShape, Roofline, Stage};
-use seesaw_sim::{SimTime, Span, TaskKind, TraceSummary};
+use seesaw_sim::{SimTime, TraceSummary};
+use std::collections::VecDeque;
 use support::heap::Handle;
-use support::{scan, HeapCluster};
+use support::{scan, stage_durations, HeapCluster};
 
-/// The per-round burst on the heap for replica `d` running `running`:
-/// `rounds` × non-empty slots passes, each behind its slot's tail, with
-/// its stage durations evaluated from the full layer cost. Returns the
-/// join of the last round.
-fn reference_burst(
-    heap: &mut HeapCluster,
-    rl: &Roofline,
-    cfg: ParallelConfig,
-    d: usize,
-    running: &[RunSeq],
-    tails: &mut [Option<Handle>],
-    rounds: usize,
-) -> Handle {
-    let mut slots = vec![Vec::new(); cfg.pp];
-    for (i, seq) in running.iter().enumerate() {
-        slots[i % cfg.pp].push(seq.ctx);
-    }
-    let mut durs = Vec::new();
-    let overhead = efficiency::STEP_SCHED_OVERHEAD_S / cfg.pp as f64;
-    let mut last = Vec::new();
-    for r in 0..rounds {
-        last.clear();
-        for (slot, ctxs) in slots.iter().enumerate() {
-            if ctxs.is_empty() {
-                continue;
-            }
-            let shape = BatchShape::decode_iter(ctxs.iter().map(|&ctx| ctx + r + 1));
-            stage_durations(rl, cfg, Stage::Decode, &shape, &mut durs);
-            durs[0] += overhead;
-            let tail = heap.pass(cfg, d, &durs, tails[slot]);
-            tails[slot] = Some(tail);
-            last.push(tail);
-        }
-    }
-    heap.join(&last)
+/// One step of an engine loop, on every replica.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Drain the prefill batches in flight, then burst every running
+    /// replica for its longest survivable length under this cap, wait
+    /// for the join and advance.
+    Burst(usize),
+    /// Per replica, a prefill batch of sequences `(prompt, remaining
+    /// decode steps)`. With two batches in flight the older is waited
+    /// for, and its sequences start decoding.
+    Prefill(Vec<Vec<(usize, usize)>>),
 }
 
-/// What one engine loop observes after each burst.
+/// What one engine loop observes.
 #[derive(Debug, PartialEq)]
 struct Observed {
-    /// Per burst: the join time, then every replica's slot-tail times.
+    /// Per wait: the time waited for, then (after a burst) every
+    /// replica's slot-tail times or (after a prefill batch) every
+    /// member's `(id, pass end)`.
     times: Vec<Vec<Option<u64>>>,
     /// Per burst: every replica's round count and the ids it retired,
     /// in retirement order.
     retired: Vec<Vec<(usize, Vec<u64>)>>,
-    /// Per burst: until when every GPU's compute engine is busy.
+    /// Per burst, and at the end: until when every GPU's compute engine
+    /// is busy.
     until: Vec<Vec<u64>>,
     /// Busy seconds of every GPU's compute engine.
     busy: Vec<u64>,
+    /// Busy seconds per kind.
+    kinds: TraceSummary,
 }
+
+/// A prefill batch in flight: its join, and per member its replica,
+/// its pass end and the sequence it starts.
+type Inflight<H> = (H, Vec<(usize, H, RunSeq)>);
 
 fn bits(t: SimTime) -> u64 {
     t.as_secs().to_bits()
 }
 
-/// Per replica, its sequences `(ctx, remaining)` as `RunSeq`s with ids
-/// unique across replicas.
-fn batches(seqs: &[Vec<(usize, usize)>]) -> Vec<Vec<RunSeq>> {
-    let mut id = 0;
-    seqs.iter()
-        .map(|batch| {
-            batch
-                .iter()
-                .map(|&(ctx, remaining)| {
-                    id += 1;
-                    RunSeq { id, ctx, remaining }
-                })
-                .collect()
-        })
-        .collect()
+/// A simulated cluster the loop drives: the library's or the reference.
+trait Engine {
+    type H: Copy;
+    fn max_burst(&self, d: usize, cap: usize) -> usize;
+    /// A burst of `rounds` on replica `d`.
+    fn burst(&mut self, d: usize, rounds: usize) -> Self::H;
+    /// Replica `d`'s slot tails, as bits (after its burst completed).
+    fn tails(&self, d: usize) -> Vec<Option<u64>>;
+    /// Apply `rounds` on replica `d`; the ids it retires, in order.
+    fn advance(&mut self, d: usize, rounds: usize) -> Vec<u64>;
+    /// A prefill batch of `(id, prompt)` on replica `d`: each member's
+    /// pass end.
+    fn prefill(&mut self, d: usize, batch: &[(u64, usize)]) -> Vec<(u64, Self::H)>;
+    fn join(&mut self, parts: &[Self::H]) -> Self::H;
+    /// Wait for `h`; its time.
+    fn wait(&mut self, h: Self::H) -> SimTime;
+    /// The time of completed `h`.
+    fn time(&self, h: Self::H) -> SimTime;
+    /// Replica `d` starts decoding `seq`.
+    fn admit(&mut self, d: usize, seq: RunSeq);
+    /// Until when every GPU is busy, once everything submitted is done.
+    fn until(&mut self) -> Vec<u64>;
+    fn busy(&mut self) -> Vec<u64>;
+    fn kinds(&self) -> TraceSummary;
 }
 
-/// Run bursts back to back on every replica the way the engine loops
-/// do, until nothing runs or `caps` (per burst, the round cap) runs
-/// out: every running replica bursts for its longest survivable length
-/// under the cap, then join, wait for the join, advance. Spans are
-/// recorded when `traced`.
-fn drive_fused(
-    cluster: &ClusterSpec,
-    rl: &Roofline,
-    cfg: ParallelConfig,
-    seqs: &[Vec<(usize, usize)>],
-    caps: &[usize],
-    traced: bool,
-) -> (Observed, ClusterSim) {
-    let mut cs = if traced {
-        ClusterSim::with_trace(cluster.clone())
-    } else {
-        ClusterSim::new(cluster.clone())
+/// Run `steps` the way the vLLM loop does. Every replica starts with
+/// `seqs` (per replica, `(ctx, remaining)`); ids are unique across
+/// replicas.
+fn drive<E: Engine>(e: &mut E, seqs: &[Vec<(usize, usize)>], steps: &[Step]) -> Observed {
+    let dp = seqs.len();
+    let mut next_id = 0;
+    let mut new_seq = |ctx, remaining| {
+        next_id += 1;
+        RunSeq {
+            id: next_id,
+            ctx,
+            remaining,
+        }
     };
-    let mut replicas: Vec<Replica> = batches(seqs)
-        .into_iter()
-        .enumerate()
-        .map(|(d, batch)| {
-            let mut rep = Replica::new(d, 1 << 20, cfg.pp);
-            for seq in batch {
-                rep.kv.allocate(seq.id, seq.ctx + seq.remaining).expect("KV fits");
-                rep.push_running(seq);
-            }
-            rep
-        })
-        .collect();
-    let (mut times, mut retired, mut until) = (Vec::new(), Vec::new(), Vec::new());
-    for &cap in caps {
-        let mut ends = Vec::new();
-        let mut rounds = Vec::new();
-        for rep in &mut replicas {
-            let n = rep.max_burst(cap);
-            rounds.push(n);
-            ends.extend(submit_decode_burst(&mut cs, rl, cfg, rep, n));
+    for (d, batch) in seqs.iter().enumerate() {
+        for &(ctx, remaining) in batch {
+            e.admit(d, new_seq(ctx, remaining));
         }
-        if ends.is_empty() {
-            break;
-        }
-        let join = cs.join(&ends);
-        let mut row = vec![Some(bits(cs.sim.run_until(join)))];
-        let gpus = cs.compute_block(0..cluster.num_gpus);
-        until.push(gpus.free.iter().map(|&t| bits(t)).collect());
-        let mut out = Vec::new();
-        for (rep, n) in replicas.iter_mut().zip(rounds) {
-            row.extend(rep.tails.iter().map(|t| t.map(bits)));
-            let ids = if n > 0 {
-                rep.advance_decode(n).iter().map(|s| s.id).collect()
-            } else {
-                Vec::new()
-            };
-            out.push((n, ids));
-        }
-        times.push(row);
-        retired.push(out);
     }
-    let busy = (0..cluster.num_gpus)
-        .map(|g| {
-            let r = cs
-                .sim
-                .pool()
-                .find(&format!("gpu{g}.compute"))
-                .expect("compute engine");
-            cs.sim.busy_time(r).to_bits()
-        })
-        .collect();
-    (
-        Observed {
-            times,
-            retired,
-            until,
-            busy,
-        },
-        cs,
-    )
+    let (mut times, mut retired, mut until) = (Vec::new(), Vec::new(), Vec::new());
+    let mut inflight: VecDeque<Inflight<E::H>> = VecDeque::new();
+    let integrate = |e: &mut E, (join, members): Inflight<E::H>| {
+        let mut row = vec![Some(bits(e.wait(join)))];
+        for (d, end, seq) in members {
+            row.extend([Some(seq.id), Some(bits(e.time(end)))]);
+            e.admit(d, seq);
+        }
+        row
+    };
+    for step in steps {
+        match step {
+            Step::Prefill(batches) => {
+                let mut ends = Vec::new();
+                let mut members = Vec::new();
+                for (d, batch) in batches.iter().enumerate().take(dp) {
+                    let seqs: Vec<RunSeq> = batch
+                        .iter()
+                        .map(|&(prompt, remaining)| new_seq(prompt + 1, remaining))
+                        .collect();
+                    let admitted: Vec<(u64, usize)> =
+                        seqs.iter().map(|s| (s.id, s.ctx - 1)).collect();
+                    for (id, end) in e.prefill(d, &admitted) {
+                        let seq = *seqs.iter().find(|s| s.id == id).expect("a member");
+                        ends.push(end);
+                        members.push((d, end, seq));
+                    }
+                }
+                if ends.is_empty() {
+                    continue;
+                }
+                let join = e.join(&ends);
+                inflight.push_back((join, members));
+                if inflight.len() >= 2 {
+                    let oldest = inflight.pop_front().expect("two in flight");
+                    times.push(integrate(e, oldest));
+                }
+            }
+            &Step::Burst(cap) => {
+                while let Some(batch) = inflight.pop_front() {
+                    times.push(integrate(e, batch));
+                }
+                let mut ends = Vec::new();
+                let mut rounds = Vec::new();
+                for d in 0..dp {
+                    let n = e.max_burst(d, cap);
+                    rounds.push(n);
+                    if n > 0 {
+                        ends.push(e.burst(d, n));
+                    }
+                }
+                if ends.is_empty() {
+                    continue;
+                }
+                let join = e.join(&ends);
+                let mut row = vec![Some(bits(e.wait(join)))];
+                until.push(e.until());
+                let mut out = Vec::new();
+                for (d, n) in rounds.into_iter().enumerate() {
+                    row.extend(e.tails(d));
+                    let ids = if n > 0 { e.advance(d, n) } else { Vec::new() };
+                    out.push((n, ids));
+                }
+                times.push(row);
+                retired.push(out);
+            }
+        }
+    }
+    while let Some(batch) = inflight.pop_front() {
+        times.push(integrate(e, batch));
+    }
+    until.push(e.until());
+    Observed {
+        times,
+        retired,
+        until,
+        busy: e.busy(),
+        kinds: e.kinds(),
+    }
 }
 
-/// [`drive_fused`] with per-round bursts on the heap; also returns its
-/// spans.
-fn drive_reference(
-    cluster: &ClusterSpec,
-    rl: &Roofline,
+/// The library: `ClusterSim` and one `Replica` per DP rank.
+struct Fused<'a> {
+    cs: ClusterSim,
+    rl: &'a Roofline,
     cfg: ParallelConfig,
-    seqs: &[Vec<(usize, usize)>],
-    caps: &[usize],
-) -> (Observed, Vec<Span>) {
-    let mut heap = HeapCluster::new(cluster);
-    let mut replicas = batches(seqs);
-    let mut tails = vec![vec![None; cfg.pp]; replicas.len()];
-    let (mut times, mut retired, mut until) = (Vec::new(), Vec::new(), Vec::new());
-    for &cap in caps {
-        let mut ends = Vec::new();
-        let mut rounds = Vec::new();
-        for (d, (running, tails)) in replicas.iter().zip(&mut tails).enumerate() {
-            let n = scan::max_burst(running, cap);
-            rounds.push(n);
-            if n > 0 {
-                ends.push(reference_burst(&mut heap, rl, cfg, d, running, tails, n));
+    replicas: Vec<Replica>,
+}
+
+impl<'a> Fused<'a> {
+    fn new(cluster: &ClusterSpec, rl: &'a Roofline, cfg: ParallelConfig) -> Self {
+        Fused {
+            cs: ClusterSim::new(cluster.clone()),
+            rl,
+            cfg,
+            replicas: (0..cfg.dp)
+                .map(|d| Replica::new(d, 1 << 24, cfg.pp))
+                .collect(),
+        }
+    }
+}
+
+impl Engine for Fused<'_> {
+    type H = SimTime;
+
+    fn max_burst(&self, d: usize, cap: usize) -> usize {
+        self.replicas[d].max_burst(cap)
+    }
+
+    fn burst(&mut self, d: usize, rounds: usize) -> SimTime {
+        submit_decode_burst(
+            &mut self.cs,
+            self.rl,
+            self.cfg,
+            &mut self.replicas[d],
+            rounds,
+        )
+        .expect("replica is running")
+    }
+
+    fn tails(&self, d: usize) -> Vec<Option<u64>> {
+        self.replicas[d].tails.iter().map(|t| t.map(bits)).collect()
+    }
+
+    fn advance(&mut self, d: usize, rounds: usize) -> Vec<u64> {
+        self.replicas[d]
+            .advance_decode(rounds)
+            .iter()
+            .map(|s| s.id)
+            .collect()
+    }
+
+    fn prefill(&mut self, d: usize, batch: &[(u64, usize)]) -> Vec<(u64, SimTime)> {
+        let mut out = Vec::new();
+        let rep = &mut self.replicas[d];
+        submit_prefill_batch(&mut self.cs, self.rl, self.cfg, rep, batch, &mut out);
+        out.into_iter().map(|(end, id)| (id, end)).collect()
+    }
+
+    fn join(&mut self, parts: &[SimTime]) -> SimTime {
+        self.cs.join(parts)
+    }
+
+    fn wait(&mut self, h: SimTime) -> SimTime {
+        self.cs.sim.run_until(h)
+    }
+
+    fn time(&self, h: SimTime) -> SimTime {
+        assert!(self.cs.sim.completed(h));
+        h
+    }
+
+    fn admit(&mut self, d: usize, seq: RunSeq) {
+        let rep = &mut self.replicas[d];
+        rep.kv
+            .allocate(seq.id, seq.ctx + seq.remaining)
+            .expect("KV fits");
+        rep.push_running(seq);
+    }
+
+    fn until(&mut self) -> Vec<u64> {
+        let n = self.cs.cluster.num_gpus;
+        self.cs
+            .compute_block(0..n)
+            .free
+            .iter()
+            .map(|&t| bits(t))
+            .collect()
+    }
+
+    fn busy(&mut self) -> Vec<u64> {
+        let n = self.cs.cluster.num_gpus;
+        self.cs
+            .compute_block(0..n)
+            .busy
+            .iter()
+            .map(|b| b.to_bits())
+            .collect()
+    }
+
+    fn kinds(&self) -> TraceSummary {
+        assert_eq!(
+            self.cs.sim.submitted_tasks(),
+            0,
+            "fused passes submit no task"
+        );
+        self.cs.sim.busy_by_kind()
+    }
+}
+
+/// The reference: task-graph passes on the heap executor, sequences
+/// kept by the scan.
+struct Reference<'a> {
+    heap: HeapCluster,
+    rl: &'a Roofline,
+    cfg: ParallelConfig,
+    running: Vec<Vec<RunSeq>>,
+    tails: Vec<Vec<Option<Handle>>>,
+}
+
+impl<'a> Reference<'a> {
+    fn new(cluster: &ClusterSpec, rl: &'a Roofline, cfg: ParallelConfig) -> Self {
+        Reference {
+            heap: HeapCluster::new(cluster),
+            rl,
+            cfg,
+            running: vec![Vec::new(); cfg.dp],
+            tails: vec![vec![None; cfg.pp]; cfg.dp],
+        }
+    }
+
+    /// A pass of `shape` on replica `d` after `dep`, its stage
+    /// durations evaluated from the full layer cost.
+    fn pass(&mut self, d: usize, stage: Stage, shape: &BatchShape, dep: Option<Handle>) -> Handle {
+        let mut durs = Vec::new();
+        stage_durations(self.rl, self.cfg, stage, shape, &mut durs);
+        durs[0] += efficiency::STEP_SCHED_OVERHEAD_S / self.cfg.pp as f64;
+        self.heap.pass(self.cfg, d, &durs, dep)
+    }
+}
+
+impl Engine for Reference<'_> {
+    type H = Handle;
+
+    fn max_burst(&self, d: usize, cap: usize) -> usize {
+        scan::max_burst(&self.running[d], cap)
+    }
+
+    /// Per round, per non-empty slot, one pass behind the slot's tail.
+    fn burst(&mut self, d: usize, rounds: usize) -> Handle {
+        let pp = self.cfg.pp;
+        let mut slots = vec![Vec::new(); pp];
+        for (i, seq) in self.running[d].iter().enumerate() {
+            slots[i % pp].push(seq.ctx);
+        }
+        let mut last = Vec::new();
+        for r in 0..rounds {
+            last.clear();
+            for (slot, ctxs) in slots.iter().enumerate() {
+                if ctxs.is_empty() {
+                    continue;
+                }
+                let shape = BatchShape::decode_iter(ctxs.iter().map(|&ctx| ctx + r + 1));
+                let tail = self.pass(d, Stage::Decode, &shape, self.tails[d][slot]);
+                self.tails[d][slot] = Some(tail);
+                last.push(tail);
             }
         }
-        if ends.is_empty() {
-            break;
-        }
-        let end = heap.join(&ends);
-        let mut row = vec![Some(bits(heap.sim.run_until(end)))];
-        // The join waits for every pass of the step.
-        until.push(heap.compute_until());
-        let mut out = Vec::new();
-        for ((running, tails), n) in replicas.iter_mut().zip(&tails).zip(rounds) {
-            row.extend(
-                tails
-                    .iter()
-                    .map(|t| t.map(|h| bits(heap.sim.completion_time(h).expect("tail done")))),
-            );
-            let ids = scan::advance(running, n).iter().map(|s| s.id).collect();
-            out.push((n, ids));
-        }
-        times.push(row);
-        retired.push(out);
+        self.heap.join(&last)
     }
-    (
-        Observed {
-            times,
-            retired,
-            until,
-            busy: heap.compute_busy(),
-        },
-        heap.spans(),
-    )
-}
 
-/// Spans as a sorted multiset of exactly comparable keys.
-fn span_multiset(spans: &[Span]) -> Vec<(Option<usize>, String, u64, u64, u64)> {
-    let mut keys: Vec<_> = spans
-        .iter()
-        .map(|s| {
-            let resource = s.resource.map(|r| r.index());
-            (
-                resource,
-                format!("{:?}", s.kind),
-                bits(s.start),
-                bits(s.end),
-                s.tag,
-            )
-        })
-        .collect();
-    keys.sort();
-    keys
-}
+    fn tails(&self, d: usize) -> Vec<Option<u64>> {
+        self.tails[d]
+            .iter()
+            .map(|t| t.map(|h| bits(self.heap.sim.completion_time(h).expect("tail done"))))
+            .collect()
+    }
 
-/// Busy seconds per category of `spans`.
-fn summary(spans: &[Span]) -> TraceSummary {
-    let mut trace = seesaw_sim::Trace::enabled();
-    spans.iter().for_each(|&s| trace.record(s));
-    trace.summary()
-}
+    fn advance(&mut self, d: usize, rounds: usize) -> Vec<u64> {
+        scan::advance(&mut self.running[d], rounds)
+            .iter()
+            .map(|s| s.id)
+            .collect()
+    }
 
-/// Spans are recorded in a different order, so bucket sums may differ
-/// in the last bits.
-fn assert_summaries_close(a: TraceSummary, b: TraceSummary) {
-    let pairs = [
-        (a.compute, b.compute),
-        (a.communication, b.communication),
-        (a.weight_transfer, b.weight_transfer),
-        (a.reshard, b.reshard),
-        (a.kv_swap, b.kv_swap),
-        (a.other, b.other),
-    ];
-    for (x, y) in pairs {
-        assert!(
-            (x - y).abs() <= 1e-12 * x.abs().max(y.abs()),
-            "{a:?} vs {b:?}"
-        );
+    /// Longest prompt first (ids break ties), each onto the least
+    /// loaded of up to PP slots; then one pass per non-empty slot, in
+    /// slot order, on nothing but the stage queues.
+    fn prefill(&mut self, d: usize, batch: &[(u64, usize)]) -> Vec<(u64, Handle)> {
+        if batch.is_empty() {
+            return Vec::new();
+        }
+        let mut order = batch.to_vec();
+        order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let nslots = self.cfg.pp.min(batch.len());
+        let mut slots = vec![Vec::new(); nslots];
+        let mut load = vec![0; nslots];
+        for (id, len) in order {
+            let lightest = (0..nslots).min_by_key(|&s| load[s]).expect("a slot");
+            slots[lightest].push((id, len));
+            load[lightest] += len;
+        }
+        let mut out = Vec::new();
+        for members in slots.iter().filter(|m| !m.is_empty()) {
+            let shape = BatchShape::prefill_iter(members.iter().map(|&(_, l)| l));
+            let end = self.pass(d, Stage::Prefill, &shape, None);
+            out.extend(members.iter().map(|&(id, _)| (id, end)));
+        }
+        out
+    }
+
+    fn join(&mut self, parts: &[Handle]) -> Handle {
+        self.heap.join(parts)
+    }
+
+    fn wait(&mut self, h: Handle) -> SimTime {
+        self.heap.sim.run_until(h)
+    }
+
+    fn time(&self, h: Handle) -> SimTime {
+        self.heap.sim.completion_time(h).expect("completed")
+    }
+
+    fn admit(&mut self, d: usize, seq: RunSeq) {
+        self.running[d].push(seq);
+    }
+
+    fn until(&mut self) -> Vec<u64> {
+        self.heap.compute_until()
+    }
+
+    fn busy(&mut self) -> Vec<u64> {
+        self.heap.compute_busy()
+    }
+
+    fn kinds(&self) -> TraceSummary {
+        self.heap.sim.busy_by_kind()
     }
 }
 
@@ -289,15 +447,15 @@ fn setup(which: usize) -> (ClusterSpec, seesaw_model::ModelConfig) {
     }
 }
 
-/// A random decode setup: cluster, layout, per-replica sequences
-/// `(ctx, remaining)` and the round caps of 2–7 back-to-back bursts.
+/// A random engine run: cluster, layout, per-replica sequences
+/// `(ctx, remaining)` and 2–9 steps, bursts and prefill batches.
 #[derive(Debug, Clone)]
 struct Case {
     /// Index into [`setup`].
     setup: usize,
     cfg: ParallelConfig,
     seqs: Vec<Vec<(usize, usize)>>,
-    caps: Vec<usize>,
+    steps: Vec<Step>,
 }
 
 fn cases() -> impl Strategy<Value = Case> {
@@ -310,8 +468,14 @@ fn cases() -> impl Strategy<Value = Case> {
     let seq = (1usize..4000, 1usize..100);
     let batches = prop::collection::vec(prop::collection::vec(seq, 1..41), 8..9);
     let short = prop::sample::select(vec![false, true]);
-    let caps = prop::collection::vec(1usize..65, 2..8);
-    (layout, batches, short, caps).prop_map(|((which, tp, pp, dp), batches, short, caps)| {
+    // Per step: the kind (a prefill batch one time in three), the
+    // burst cap, and per replica 0–5 prompts `(length, remaining)`.
+    let prompts = prop::collection::vec(
+        prop::collection::vec((1usize..4000, 1usize..100), 0..6),
+        8..9,
+    );
+    let steps = prop::collection::vec((0u32..3, 1usize..65, prompts), 2..10);
+    (layout, batches, short, steps).prop_map(|((which, tp, pp, dp), batches, short, steps)| {
         let gpus = setup(which).0.num_gpus;
         // Shrink the layout until it fits the cluster: tp first, then
         // pp, then dp.
@@ -326,11 +490,22 @@ fn cases() -> impl Strategy<Value = Case> {
             let last = seqs.last_mut().expect("dp >= 1");
             last.truncate(1 + last[0].0 % 3);
         }
+        let steps = steps
+            .into_iter()
+            .map(|(kind, cap, mut prompts)| {
+                if kind == 0 {
+                    prompts.truncate(dp);
+                    Step::Prefill(prompts)
+                } else {
+                    Step::Burst(cap)
+                }
+            })
+            .collect();
         Case {
             setup: which,
             cfg: ParallelConfig::new(dp, tp, pp),
             seqs,
-            caps,
+            steps,
         }
     })
 }
@@ -342,17 +517,10 @@ proptest! {
     fn fused_burst_matches_the_per_round_reference(case in cases()) {
         let (cluster, model) = setup(case.setup);
         let rl = Roofline::new(cluster.clone(), model);
-        let (reference, spans) = drive_reference(&cluster, &rl, case.cfg, &case.seqs, &case.caps);
-        let (plain, plain_cs) =
-            drive_fused(&cluster, &rl, case.cfg, &case.seqs, &case.caps, false);
-        prop_assert_eq!(&plain, &reference, "untraced {:?}", case);
-        prop_assert!(plain_cs.sim.trace().spans().is_empty());
-        let (fused, fused_cs) = drive_fused(&cluster, &rl, case.cfg, &case.seqs, &case.caps, true);
-        prop_assert_eq!(&fused, &reference, "traced {:?}", case);
-        let fused_spans = fused_cs.sim.trace().spans();
-        prop_assert_eq!(span_multiset(fused_spans), span_multiset(&spans), "{:?}", case);
-        assert_summaries_close(fused_cs.sim.trace().summary(), summary(&spans));
-        prop_assert_eq!(fused_cs.sim.submitted_tasks(), 0, "a fused burst submits no task");
+        let (seqs, steps) = (&case.seqs, &case.steps);
+        let reference = drive(&mut Reference::new(&cluster, &rl, case.cfg), seqs, steps);
+        let fused = drive(&mut Fused::new(&cluster, &rl, case.cfg), seqs, steps);
+        prop_assert_eq!(&fused, &reference, "{:?}", case);
     }
 }
 
@@ -389,7 +557,7 @@ fn an_empty_slot_has_no_tail() {
 fn a_burst_on_busy_gpus_panics() {
     let cfg = ParallelConfig::pp(2);
     let (mut cs, rl, mut rep) = one_replica(cfg, 4);
-    cs.submit_pass(cfg, 0, &[1.0, 1.0], None, TaskKind::Compute);
+    cs.submit_compute_overhead(1, 1.0, None);
     submit_decode_burst(&mut cs, &rl, cfg, &mut rep, 4);
 }
 
@@ -409,7 +577,11 @@ fn a_compute_task_inside_a_fused_burst_queues_behind_it() {
     let cfg = ParallelConfig::pp(2);
     let (mut cs, rl, mut rep) = one_replica(cfg, 4);
     let end = submit_decode_burst(&mut cs, &rl, cfg, &mut rep, 4).expect("running");
-    assert_eq!(cs.compute_block(1..2).free, [end], "busy until the burst ends");
+    assert_eq!(
+        cs.compute_block(1..2).free,
+        [end],
+        "busy until the burst ends"
+    );
     let h = cs.submit_compute_overhead(1, 0.5, None);
     assert_eq!(
         h,

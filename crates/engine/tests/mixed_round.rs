@@ -9,8 +9,8 @@
 //! the chunked-prefill engine drives rounds — two in flight, the chunk
 //! slot rotating, sequences joining and retiring — they must agree bit
 //! for bit on every round end, busy total and final busy-until time,
-//! untraced (every production run) and traced; traced, they must also
-//! record the same spans.
+//! and on the per-kind totals up to the order of their sums (stage 0
+//! serves in readiness order, the reference submits in slot order).
 
 mod support;
 
@@ -21,7 +21,7 @@ use seesaw_hw::{efficiency, ClusterSpec};
 use seesaw_model::presets;
 use seesaw_parallel::ParallelConfig;
 use seesaw_roofline::{BatchShape, Roofline};
-use seesaw_sim::{SimTime, Span, TraceSummary};
+use seesaw_sim::{SimTime, TraceSummary};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use support::heap::Handle;
@@ -57,7 +57,10 @@ fn reference_round(
         if dshape.seqs == 0 && pshape.is_empty() {
             continue;
         }
-        let layer = rl.layer_cost_mixed(&pshape, &dshape, cfg.tp).layer_time();
+        let allreduce = rl.cluster().interconnect.allreduce(cfg.tp);
+        let layer = rl
+            .layer_cost_mixed(&pshape, &dshape, &allreduce)
+            .layer_time();
         let p2p = if cfg.pp > 1 {
             rl.cluster()
                 .interconnect
@@ -179,21 +182,16 @@ fn drive<H: Copy>(
     times
 }
 
-/// [`drive`] with closed-form rounds on `ClusterSim`, recording spans
-/// when `traced`.
+/// [`drive`] with closed-form rounds on `ClusterSim`; also returns its
+/// per-kind totals.
 fn drive_fused(
     cluster: &ClusterSpec,
     rl: &Roofline,
     cfg: ParallelConfig,
     running: &[Vec<(usize, usize)>],
     rounds: &[Vec<Step>],
-    traced: bool,
-) -> (Observed, ClusterSim) {
-    let cs = RefCell::new(if traced {
-        ClusterSim::with_trace(cluster.clone())
-    } else {
-        ClusterSim::new(cluster.clone())
-    });
+) -> (Observed, TraceSummary) {
+    let cs = RefCell::new(ClusterSim::new(cluster.clone()));
     let times = drive(
         cfg,
         running,
@@ -207,34 +205,22 @@ fn drive_fused(
         },
     );
     let mut cs = cs.into_inner();
-    let until = cs
-        .compute_block(0..cluster.num_gpus)
-        .free
-        .iter()
-        .map(|&t| bits(t))
-        .collect();
-    let busy = (0..cluster.num_gpus)
-        .map(|g| {
-            let r = cs
-                .sim
-                .pool()
-                .find(&format!("gpu{g}.compute"))
-                .expect("compute engine");
-            cs.sim.busy_time(r).to_bits()
-        })
-        .collect();
-    (Observed { times, busy, until }, cs)
+    assert_eq!(cs.sim.submitted_tasks(), 0, "a mixed round submits no task");
+    let gpus = cs.compute_block(0..cluster.num_gpus);
+    let until = gpus.free.iter().map(|&t| bits(t)).collect();
+    let busy = gpus.busy.iter().map(|b| b.to_bits()).collect();
+    (Observed { times, busy, until }, cs.sim.busy_by_kind())
 }
 
 /// [`drive`] with task-graph rounds on the heap; also returns its
-/// spans.
+/// per-kind totals.
 fn drive_reference(
     cluster: &ClusterSpec,
     rl: &Roofline,
     cfg: ParallelConfig,
     running: &[Vec<(usize, usize)>],
     rounds: &[Vec<Step>],
-) -> (Observed, Vec<Span>) {
+) -> (Observed, TraceSummary) {
     let heap = RefCell::new(HeapCluster::new(cluster));
     let mut tails = vec![vec![None; cfg.pp]; running.len()];
     let times = drive(
@@ -260,40 +246,14 @@ fn drive_reference(
             busy: heap.compute_busy(),
             until: heap.compute_until(),
         },
-        heap.spans(),
+        heap.sim.busy_by_kind(),
     )
 }
 
-/// Spans as a sorted multiset of exactly comparable keys.
-fn span_multiset(spans: &[Span]) -> Vec<(Option<usize>, String, u64, u64, u64)> {
-    let mut keys: Vec<_> = spans
-        .iter()
-        .map(|s| {
-            let resource = s.resource.map(|r| r.index());
-            (
-                resource,
-                format!("{:?}", s.kind),
-                bits(s.start),
-                bits(s.end),
-                s.tag,
-            )
-        })
-        .collect();
-    keys.sort();
-    keys
-}
-
-/// Busy seconds per category of `spans`.
-fn summary(spans: &[Span]) -> TraceSummary {
-    let mut trace = seesaw_sim::Trace::enabled();
-    spans.iter().for_each(|&s| trace.record(s));
-    trace.summary()
-}
-
-/// Spans are recorded in a different order, so bucket sums may differ
-/// in the last bits.
+/// The fused round charges its passes in readiness order, the reference
+/// in slot order, so per-kind sums may differ in the last bits.
 fn assert_summaries_close(a: TraceSummary, b: TraceSummary) {
-    for (x, y) in [(a.compute, b.compute), (a.other, b.other)] {
+    for (x, y) in [(a.compute, b.compute), (a.total(), b.total())] {
         assert!(
             (x - y).abs() <= 1e-12 * x.abs().max(y.abs()),
             "{a:?} vs {b:?}"
@@ -320,23 +280,10 @@ fn assert_fused_matches_reference(
 ) {
     let (cluster, model) = setup(which);
     let rl = Roofline::new(cluster.clone(), model);
-    let (reference, spans) = drive_reference(&cluster, &rl, cfg, running, rounds);
-    let (plain, plain_cs) = drive_fused(&cluster, &rl, cfg, running, rounds, false);
-    assert_eq!(plain, reference, "untraced {cfg:?} {running:?} {rounds:?}");
-    assert!(plain_cs.sim.trace().spans().is_empty());
-    let (fused, fused_cs) = drive_fused(&cluster, &rl, cfg, running, rounds, true);
-    assert_eq!(fused, reference, "traced {cfg:?} {running:?} {rounds:?}");
-    assert_eq!(
-        span_multiset(fused_cs.sim.trace().spans()),
-        span_multiset(&spans),
-        "{cfg:?}"
-    );
-    assert_summaries_close(fused_cs.sim.trace().summary(), summary(&spans));
-    assert_eq!(
-        fused_cs.sim.submitted_tasks(),
-        0,
-        "a mixed round submits no task"
-    );
+    let (reference, reference_kinds) = drive_reference(&cluster, &rl, cfg, running, rounds);
+    let (fused, fused_kinds) = drive_fused(&cluster, &rl, cfg, running, rounds);
+    assert_eq!(fused, reference, "{cfg:?} {running:?} {rounds:?}");
+    assert_summaries_close(fused_kinds, reference_kinds);
 }
 
 /// A random chunked run: cluster, layout, per-replica running sets

@@ -1,13 +1,17 @@
-//! Per-pass stage durations evaluate the layer cost once and scale it
-//! by each stage's layer count. Both hoisted paths must equal the
-//! per-stage `Roofline::stage_time` evaluation bit for bit, including
-//! uneven layer splits.
+//! The task-graph oracles' per-pass stage durations
+//! (`support::stage_durations`) and the throughput model's bottleneck
+//! evaluate the layer cost once and scale it by each stage's layer
+//! count, as the fused stage kernel does. Both hoisted paths must equal
+//! the per-stage `Roofline::stage_time` evaluation bit for bit,
+//! including uneven layer splits.
 
-use seesaw_engine::driver::stage_durations;
+mod support;
+
 use seesaw_hw::ClusterSpec;
 use seesaw_model::presets;
 use seesaw_parallel::ParallelConfig;
 use seesaw_roofline::{BatchShape, Roofline, Stage, ThroughputModel};
+use support::stage_durations;
 
 fn cases() -> Vec<(Roofline, Stage, BatchShape)> {
     let mut out = Vec::new();

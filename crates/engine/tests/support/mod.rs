@@ -1,8 +1,11 @@
 //! `ClusterSim`'s task graph on the event-driven executor that the
 //! eager `Simulator` replaced, and the scan-based decode bookkeeping
 //! that `Replica`'s incremental state replaced: the references the
-//! fused decode burst, the mixed round and the running set are checked
-//! against, sharing no scheduling or bookkeeping code with them.
+//! fused passes and the running set are checked against, sharing no
+//! scheduling or bookkeeping code with them; and the stage pricing of a
+//! task-graph pass.
+
+#![allow(dead_code)]
 
 #[path = "../../../sim/tests/support/heap.rs"]
 pub mod heap;
@@ -11,7 +14,32 @@ pub mod scan;
 use heap::{Handle, HeapSim};
 use seesaw_hw::ClusterSpec;
 use seesaw_parallel::ParallelConfig;
-use seesaw_sim::{ResourceId, Span, TaskKind};
+use seesaw_roofline::{BatchShape, Roofline, Stage};
+use seesaw_sim::{ResourceId, TaskKind};
+
+/// Per-stage service durations of a pure-stage pass, including the
+/// inter-stage activation hop on all but the last stage, written over
+/// `durs`: the layer cost evaluated once per pass and scaled by each
+/// stage's layer count.
+pub fn stage_durations(
+    rl: &Roofline,
+    cfg: ParallelConfig,
+    stage: Stage,
+    shape: &BatchShape,
+    durs: &mut Vec<f64>,
+) {
+    let layer = rl.layer_cost(stage, shape, cfg.tp).layer_time();
+    let p2p = if cfg.pp > 1 {
+        rl.cluster().interconnect.p2p_time(rl.p2p_bytes(shape))
+    } else {
+        0.0
+    };
+    durs.clear();
+    durs.extend((0..cfg.pp).map(|s| {
+        let (a, b) = cfg.stage_layers(rl.model().num_layers, s);
+        (b - a) as f64 * layer + if s + 1 < cfg.pp { p2p } else { 0.0 }
+    }));
+}
 
 /// An event-driven simulator with `ClusterSim`'s resources, registered
 /// in its order (so resource ids match).
@@ -35,8 +63,9 @@ impl HeapCluster {
         HeapCluster { sim, compute }
     }
 
-    /// `ClusterSim::submit_pass`: per stage of replica `d`, a task on
-    /// each GPU of its TP group after the previous stage's join.
+    /// A pass as tasks, the way the fused stage kernel's passes used to
+    /// be submitted: per stage of replica `d`, a task on each GPU of its
+    /// TP group after the previous stage's join.
     pub fn pass(
         &mut self,
         cfg: ParallelConfig,
@@ -50,7 +79,7 @@ impl HeapCluster {
                 .map(|t| {
                     let g = cfg.gpu_index(d, s, t);
                     self.sim
-                        .submit_on(self.compute[g], dur, TaskKind::Compute, g as u64, prev)
+                        .submit_on(self.compute[g], dur, TaskKind::Compute, prev)
                 })
                 .collect();
             prev = Some(self.join(&parts));
@@ -80,14 +109,10 @@ impl HeapCluster {
     pub fn compute_until(&self) -> Vec<u64> {
         let mut until = vec![0.0f64; self.compute.len()];
         for span in self.sim.spans() {
-            if let Some(g) = self.compute.iter().position(|&r| Some(r) == span.resource) {
+            if let Some(g) = self.compute.iter().position(|&r| r == span.resource) {
                 until[g] = until[g].max(span.end.as_secs());
             }
         }
         until.iter().map(|t| t.to_bits()).collect()
-    }
-
-    pub fn spans(&self) -> Vec<Span> {
-        self.sim.spans().to_vec()
     }
 }

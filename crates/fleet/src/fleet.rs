@@ -5,7 +5,7 @@ use crate::router::RouterPolicy;
 use seesaw_engine::online::mean_lengths;
 use seesaw_engine::{OnlineEngine, ServiceRates, SweepRunner};
 use seesaw_telemetry::Instrument;
-use seesaw_workload::{split_stream, Request};
+use seesaw_workload::Request;
 
 /// N replicas of (possibly heterogeneous) engines behind a router.
 ///
@@ -100,32 +100,6 @@ impl Fleet {
         self.run_instrumented_with(runner, policy, requests, &mut Instrument::off())
     }
 
-    /// Serve `requests` under `policy` with engine span recording on
-    /// ([`OnlineEngine::run_traced`]), returning the fleet report plus
-    /// each replica's per-category busy-time summary (replica order) —
-    /// the `fleet --breakdown` path. The assignment comes from
-    /// [`Fleet::run_with`]; the per-replica streams it implies are then
-    /// re-run with span recording, which reproduces the same replica
-    /// reports, so the result matches the untraced run byte-for-byte.
-    /// Engines without a traced path contribute all-zero summaries.
-    pub fn run_breakdown_with(
-        &self,
-        runner: &SweepRunner,
-        policy: RouterPolicy,
-        requests: &[Request],
-    ) -> (FleetReport, Vec<seesaw_sim::TraceSummary>) {
-        let n = self.replicas.len();
-        let assignment = self.run_with(runner, policy, requests).assignment;
-        let streams = split_stream(requests, &assignment, n);
-        let indices: Vec<usize> = (0..n).collect();
-        let traced = runner.map(&indices, |&i| self.replicas[i].run_traced(&streams[i]));
-        let (reports, summaries): (Vec<_>, Vec<_>) = traced.into_iter().unzip();
-        (
-            FleetReport::from_replica_reports(policy, reports, assignment),
-            summaries,
-        )
-    }
-
     /// Per-replica analytic service rates for routing under `policy`.
     /// Round-robin is load-oblivious — no service estimates needed,
     /// so the vec is empty. A known-homogeneous fleet computes one
@@ -166,7 +140,7 @@ mod tests {
     use seesaw_hw::ClusterSpec;
     use seesaw_model::{presets, ModelConfig};
     use seesaw_parallel::ParallelConfig;
-    use seesaw_workload::{ArrivalDist, WorkloadGen};
+    use seesaw_workload::{split_stream, ArrivalDist, WorkloadGen};
     use std::sync::Arc;
 
     fn vllm_replica(
@@ -260,20 +234,21 @@ mod tests {
         }
     }
 
+    /// Each replica's report, busy totals included, is what a plain run
+    /// of the stream routed to it reports, however it was routed.
     #[test]
     fn breakdown_matches_untraced_report_and_fills_buckets() {
         let fleet = small_fleet(2);
         let reqs = online_reqs(12, 5.0);
         for policy in RouterPolicy::all_with_live() {
-            let plain = fleet.run_with(&SweepRunner::serial(), policy, &reqs);
-            let (report, summaries) =
-                fleet.run_breakdown_with(&SweepRunner::serial(), policy, &reqs);
-            assert_eq!(plain, report, "{policy}: tracing only observes");
-            assert_eq!(summaries.len(), 2);
-            assert!(
-                summaries.iter().all(|s| s.compute > 0.0),
-                "{policy}: every replica ran traced compute"
-            );
+            let report = fleet.run_with(&SweepRunner::serial(), policy, &reqs);
+            let streams = split_stream(&reqs, &report.assignment, 2);
+            for (i, replica) in report.replicas.iter().enumerate() {
+                let (rerun, totals) = fleet.replicas[i].run_traced(&streams[i]);
+                assert_eq!(replica, &rerun, "{policy}: replica {i}");
+                assert_eq!(replica.busy_by_kind, totals, "{policy}: replica {i}");
+                assert!(totals.compute > 0.0, "{policy}: replica {i} ran compute");
+            }
         }
     }
 

@@ -165,6 +165,7 @@ mod tests {
             swap_in_bytes: 0,
             phases: Vec::new(),
             gpu_utilization: 0.5,
+            busy_by_kind: Default::default(),
             timeline: ids
                 .iter()
                 .map(|&id| RequestTiming {

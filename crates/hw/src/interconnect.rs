@@ -98,12 +98,19 @@ impl Interconnect {
     ///
     /// Returns 0 for `n <= 1` (no communication needed).
     pub fn allreduce_time(&self, bytes: f64, n: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
+        self.allreduce(n).time(bytes)
+    }
+
+    /// The ring all-reduce across `n` ranks, its per-rank bandwidth
+    /// evaluated once for every tensor size it is then priced at.
+    pub fn allreduce(&self, n: usize) -> AllReduce {
+        let steps = 2 * n.saturating_sub(1);
+        AllReduce {
+            ranks: n,
+            share: 2.0 * (n as f64 - 1.0) / n as f64,
+            rank_bw: self.collective_rank_bw(n.max(1)),
+            latency: steps as f64 * self.step_latency(),
         }
-        let steps = 2 * (n - 1);
-        let volume_per_rank = 2.0 * (n as f64 - 1.0) / n as f64 * bytes;
-        volume_per_rank / self.collective_rank_bw(n) + steps as f64 * self.step_latency()
     }
 
     /// The paper's "all-reduce bandwidth" metric: tensor size divided
@@ -124,6 +131,34 @@ impl Interconnect {
             InterconnectKind::NvLinkSwitch => self.link_bw * eff::ALLREDUCE_EFF_NVLINK,
         };
         self.step_latency() + bytes / (bw * self.allreduce_scale)
+    }
+}
+
+/// A ring all-reduce across a fixed number of ranks of one fabric
+/// ([`Interconnect::allreduce`]): each rank moves `share = 2·(n−1)/n`
+/// of the tensor at `rank_bw` bytes/s, plus `latency` over the
+/// `2·(n−1)` steps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AllReduce {
+    ranks: usize,
+    share: f64,
+    rank_bw: f64,
+    latency: f64,
+}
+
+impl AllReduce {
+    /// Ranks taking part.
+    pub fn ranks(&self) -> usize {
+        self.ranks
+    }
+
+    /// Time to all-reduce `bytes` (0 for a single rank, whatever the
+    /// other fields hold).
+    pub fn time(&self, bytes: f64) -> f64 {
+        if self.ranks <= 1 {
+            return 0.0;
+        }
+        self.share * bytes / self.rank_bw + self.latency
     }
 }
 

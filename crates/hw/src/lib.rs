@@ -28,5 +28,5 @@ pub mod units;
 pub use cluster::ClusterSpec;
 pub use fxhash::{FxBuildHasher, FxHasher};
 pub use gpu::GpuSpec;
-pub use interconnect::{HostLink, Interconnect, InterconnectKind};
+pub use interconnect::{AllReduce, HostLink, Interconnect, InterconnectKind};
 pub use units::{ByteSize, GIB, MIB};

@@ -1,7 +1,7 @@
 //! Per-layer and per-stage cost computation.
 
 use crate::batch::BatchShape;
-use seesaw_hw::ClusterSpec;
+use seesaw_hw::{AllReduce, ClusterSpec};
 use seesaw_model::ModelConfig;
 use seesaw_parallel::shard::kv_heads_per_rank;
 use seesaw_parallel::ParallelConfig;
@@ -202,13 +202,15 @@ impl Roofline {
 
     fn prefill_layer_cost(&self, shape: &BatchShape, tp: usize) -> LayerCost {
         LayerCost {
-            comm: self.allreduce_pair(shape.new_tokens, tp),
+            linear_dm: self.weight_streaming(tp),
+            comm: self.allreduce_pair(&self.cluster.interconnect.allreduce(tp), shape.new_tokens),
             ..self.prefill_terms(shape, tp)
         }
     }
 
-    /// [`Self::prefill_layer_cost`] without its all-reduce (`comm` is
-    /// zero).
+    /// [`Self::prefill_layer_cost`] without the terms a pass pays once
+    /// however many sub-batches it carries: weight streaming
+    /// (`linear_dm`) and the all-reduce (`comm`) are zero.
     fn prefill_terms(&self, shape: &BatchShape, tp: usize) -> LayerCost {
         let m = &self.model;
         let g = &self.cluster.gpu;
@@ -222,35 +224,34 @@ impl Roofline {
             * d
             * (shape.new_tokens as f64 * hq_rank + 2.0 * kv_rank * shape.ctx_tokens as f64);
         let flops = 2.0 * hq_rank * d * shape.sq_sum;
-        let (linear_dm, linear_comp) = self.linear_terms(shape.new_tokens, tp);
         LayerCost {
-            linear_dm,
-            linear_comp,
+            linear_dm: 0.0,
+            linear_comp: self.linear_compute(shape.new_tokens, tp),
             attn_dm: g.hbm_time(bytes),
             attn_comp: g.attn_time(flops),
             comm: 0.0,
         }
     }
 
-    /// The linear terms of one layer's cost, which depend only on the
-    /// pass's new-token count: weight streaming (once per pass, sharded
-    /// by TP) and linear FLOPs.
-    fn linear_terms(&self, new_tokens: usize, tp: usize) -> (f64, f64) {
-        let m = &self.model;
+    /// One layer's weight streaming: once per pass, sharded by TP.
+    fn weight_streaming(&self, tp: usize) -> f64 {
         let g = &self.cluster.gpu;
-        let tpf = tp as f64;
-        let linear_dm = g.hbm_time(m.weight_bytes_per_layer() as f64 / tpf);
-        let linear_comp = g.gemm_time(m.linear_flops_per_token_layer() * new_tokens as f64 / tpf);
-        (linear_dm, linear_comp)
+        g.hbm_time(self.model.weight_bytes_per_layer() as f64 / tp as f64)
     }
 
-    /// A layer's communication: two all-reduces over the activation
-    /// tensor of `tokens` new tokens (tokens × hidden, replicated on
-    /// every rank).
-    fn allreduce_pair(&self, tokens: usize, tp: usize) -> f64 {
+    /// One layer's linear FLOPs over the pass's new tokens, sharded by
+    /// TP.
+    fn linear_compute(&self, new_tokens: usize, tp: usize) -> f64 {
+        let g = &self.cluster.gpu;
+        g.gemm_time(self.model.linear_flops_per_token_layer() * new_tokens as f64 / tp as f64)
+    }
+
+    /// A layer's communication: two all-reduces `ar` over the
+    /// activation tensor of `tokens` new tokens (tokens × hidden,
+    /// replicated on every rank).
+    fn allreduce_pair(&self, ar: &AllReduce, tokens: usize) -> f64 {
         let m = &self.model;
-        let ar_bytes = tokens as f64 * m.hidden as f64 * m.dtype.bytes() as f64;
-        2.0 * self.cluster.interconnect.allreduce_time(ar_bytes, tp)
+        2.0 * ar.time(tokens as f64 * m.hidden as f64 * m.dtype.bytes() as f64)
     }
 
     /// The decode layer cost of a micro-batch of `seqs` sequences at
@@ -266,12 +267,14 @@ impl Roofline {
     pub fn decode_cost(&self, seqs: usize, tp: usize) -> DecodeCost {
         assert!(seqs > 0, "a decode batch holds at least one sequence");
         DecodeCost {
-            comm: self.allreduce_pair(seqs, tp),
+            linear_dm: self.weight_streaming(tp),
+            comm: self.allreduce_pair(&self.cluster.interconnect.allreduce(tp), seqs),
             ..self.decode_terms(seqs, tp)
         }
     }
 
-    /// [`Self::decode_cost`] without its all-reduce (`comm` is zero).
+    /// [`Self::decode_cost`] without weight streaming and the
+    /// all-reduce (`linear_dm` and `comm` are zero).
     fn decode_terms(&self, seqs: usize, tp: usize) -> DecodeCost {
         let m = &self.model;
         let g = &self.cluster.gpu;
@@ -279,10 +282,9 @@ impl Roofline {
         let hq_rank = (m.num_heads as f64 / tp as f64).max(1.0);
         let kv_rank = kv_heads_per_rank(m.num_kv_heads, tp) as f64;
         let d = m.head_dim as f64;
-        let (linear_dm, linear_comp) = self.linear_terms(seqs, tp);
         DecodeCost {
-            linear_dm,
-            linear_comp,
+            linear_dm: 0.0,
+            linear_comp: self.linear_compute(seqs, tp),
             comm: 0.0,
             // Read K and V across each sequence's context.
             kv_bytes_per_token: 2.0 * dt * kv_rank * d,
@@ -293,23 +295,27 @@ impl Roofline {
     }
 
     /// Cost of one layer for a *mixed* batch (chunked prefill
-    /// piggybacking decodes): weights stream once; attention and
-    /// compute terms accumulate; the all-reduce covers the combined
-    /// token count. With no prefill work it is the decode cost: the
-    /// layer time of `layer_cost_mixed(∅, decode_total(n, c))` is
-    /// bit-identical to `decode_cost(n, tp).layer_time(c)` (the merge
-    /// adds zeros, and the all-reduce covers the same `n` tokens).
+    /// piggybacking decodes) on a TP group whose all-reduce is `ar`
+    /// ([`Interconnect::allreduce`](seesaw_hw::Interconnect::allreduce)
+    /// of the TP degree, which a caller pricing many rounds keeps per
+    /// layout): weights stream once; attention and compute terms
+    /// accumulate; the all-reduce covers the combined token count. With
+    /// no prefill work it is the decode cost: the layer time of
+    /// `layer_cost_mixed(∅, decode_total(n, c))` is bit-identical to
+    /// `decode_cost(n, tp).layer_time(c)` (the merge adds zeros, and
+    /// the all-reduce covers the same `n` tokens).
     pub fn layer_cost_mixed(
         &self,
         prefill: &BatchShape,
         decode: &BatchShape,
-        tp: usize,
+        ar: &AllReduce,
     ) -> LayerCost {
         if prefill.is_empty() && decode.is_empty() {
             return LayerCost::default();
         }
-        // Each sub-batch's terms without its own all-reduce, which the
-        // combined one replaces.
+        let tp = ar.ranks();
+        // Each sub-batch's own terms; the pass streams the weights and
+        // all-reduces once.
         let p = if prefill.is_empty() {
             LayerCost::default()
         } else {
@@ -321,12 +327,11 @@ impl Roofline {
             self.decode_terms(decode.new_tokens, tp).layer_cost(decode.ctx_tokens)
         };
         LayerCost {
-            // Weights stream once per pass, not per sub-batch.
-            linear_dm: p.linear_dm.max(d.linear_dm),
+            linear_dm: self.weight_streaming(tp),
             linear_comp: p.linear_comp + d.linear_comp,
             attn_dm: p.attn_dm + d.attn_dm,
             attn_comp: p.attn_comp + d.attn_comp,
-            comm: self.allreduce_pair(prefill.new_tokens + decode.new_tokens, tp),
+            comm: self.allreduce_pair(ar, prefill.new_tokens + decode.new_tokens),
         }
     }
 
@@ -461,7 +466,7 @@ mod tests {
         let r = rl();
         let p = BatchShape::prefill_chunk(256, 0);
         let d = BatchShape::decode_uniform(32, 600);
-        let mixed = r.layer_cost_mixed(&p, &d, 2);
+        let mixed = r.layer_cost_mixed(&p, &d, &r.cluster().interconnect.allreduce(2));
         let p_only = r.layer_cost(Stage::Prefill, &p, 2);
         let d_only = r.layer_cost(Stage::Decode, &d, 2);
         assert!(mixed.linear_dm <= p_only.linear_dm + d_only.linear_dm);
@@ -485,7 +490,8 @@ mod tests {
         let r = rl();
         let c = r.layer_cost(Stage::Prefill, &BatchShape::empty(), 4);
         assert_eq!(c.layer_time(), 0.0);
-        let m = r.layer_cost_mixed(&BatchShape::empty(), &BatchShape::empty(), 4);
+        let ar = r.cluster().interconnect.allreduce(4);
+        let m = r.layer_cost_mixed(&BatchShape::empty(), &BatchShape::empty(), &ar);
         assert_eq!(m.layer_time(), 0.0);
     }
 

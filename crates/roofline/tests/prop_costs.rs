@@ -110,7 +110,7 @@ proptest! {
         let r = rl();
         let p = BatchShape::prefill_chunk(chunk, 0);
         let d = BatchShape::decode_uniform(b, ctx);
-        let mixed = r.layer_cost_mixed(&p, &d, 2).layer_time();
+        let mixed = r.layer_cost_mixed(&p, &d, &r.cluster().interconnect.allreduce(2)).layer_time();
         let pure_p = r.layer_cost(Stage::Prefill, &p, 2).layer_time();
         let pure_d = r.layer_cost(Stage::Decode, &d, 2).layer_time();
         prop_assert!(mixed <= pure_p + pure_d + 1e-12);
@@ -150,8 +150,10 @@ proptest! {
 }
 
 /// `layer_cost_mixed` as it was before it stopped computing the
-/// sub-batches' own all-reduces: both pure costs in full, then one
-/// all-reduce over the combined tokens in place of theirs.
+/// sub-batches' own all-reduces and weight streaming: both pure costs
+/// in full (each streaming the weights), the larger weight-streaming
+/// term, then one all-reduce over the combined tokens in place of
+/// theirs, its rank bandwidth derived afresh.
 fn three_all_reduce_mixed(
     rl: &Roofline,
     prefill: &BatchShape,
@@ -197,7 +199,8 @@ proptest! {
     ) {
         let rl = Roofline::new(clusters()[cluster].clone(), presets::all()[model].clone());
         let (none, decode) = (BatchShape::empty(), BatchShape::decode_total(seqs, ctx));
-        let mixed = rl.layer_cost_mixed(&none, &decode, tp);
+        let ar = rl.cluster().interconnect.allreduce(tp);
+        let mixed = rl.layer_cost_mixed(&none, &decode, &ar);
         let cost = rl.decode_cost(seqs, tp);
         prop_assert_eq!(mixed.layer_time().to_bits(), cost.layer_time(ctx).to_bits());
         prop_assert_eq!(cost_bits(mixed), cost_bits(cost.layer_cost(ctx)));
@@ -207,9 +210,11 @@ proptest! {
         );
     }
 
-    /// `layer_cost_mixed` evaluates one all-reduce, not three; its
-    /// cost must be the three-all-reduce formula's bit for bit, with a
-    /// chunk, a decode batch, both or neither.
+    /// `layer_cost_mixed` evaluates one all-reduce, not three, streams
+    /// the weights once, and takes the all-reduce's rank bandwidth from
+    /// the layout's `AllReduce`; its cost must be the three-all-reduce
+    /// formula's bit for bit, with a chunk, a decode batch, both or
+    /// neither.
     #[test]
     fn mixed_cost_matches_the_three_all_reduce_formula(
         cluster in 0usize..6,
@@ -225,8 +230,9 @@ proptest! {
             (tokens, prefix) => BatchShape::prefill_chunk(tokens, prefix),
         };
         let decode = BatchShape::decode_total(seqs, if seqs == 0 { 0 } else { ctx });
+        let ar = rl.cluster().interconnect.allreduce(tp);
         prop_assert_eq!(
-            cost_bits(rl.layer_cost_mixed(&prefill, &decode, tp)),
+            cost_bits(rl.layer_cost_mixed(&prefill, &decode, &ar)),
             cost_bits(three_all_reduce_mixed(&rl, &prefill, &decode, tp))
         );
     }

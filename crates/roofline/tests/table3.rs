@@ -123,7 +123,7 @@ fn empty_shapes_cost_nothing() {
             assert_eq!(rl.layer_cost(stage, &empty, tp), LayerCost::default());
         }
         assert_eq!(
-            rl.layer_cost_mixed(&empty, &empty, tp),
+            rl.layer_cost_mixed(&empty, &empty, &rl.cluster().interconnect.allreduce(tp)),
             LayerCost::default()
         );
     }

@@ -2,7 +2,7 @@
 
 use crate::resource::{ResourceId, ResourcePool};
 use crate::time::SimTime;
-use crate::trace::{Span, TaskKind, Trace};
+use crate::trace::{TaskKind, TraceSummary};
 use std::ops::Range;
 
 /// The simulated cluster's clock and resources.
@@ -22,51 +22,30 @@ use std::ops::Range;
 /// * Each resource serves in submission order. Work whose schedule the
 ///   caller computed itself is charged straight into a [`Block`] of
 ///   resources, and occupies them until its end the same way.
-/// * Busy time and trace spans are charged at submission, so they
-///   include submitted work that ends after [`Simulator::now`]. Read
-///   them after [`Simulator::run_until_idle`].
-/// * Spans are stored in submission order.
+/// * Busy time, per resource and per [`TaskKind`], is charged at
+///   submission, so it includes submitted work that ends after
+///   [`Simulator::now`]. Read it after [`Simulator::run_until_idle`].
 /// * A task counts as [completed](Simulator::completed) once the clock
 ///   has reached its end, at that very instant included.
 ///
 /// A clone is an independent simulator at the same instant.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Simulator {
     pool: ResourcePool,
     /// Per resource: the end of the last work submitted to it.
     free: Vec<SimTime>,
-    /// Per resource: service seconds submitted so far (kept even when
-    /// span tracing is disabled, for utilization reporting).
+    /// Per resource: service seconds submitted so far.
     busy: Vec<f64>,
+    /// Service seconds per kind over every resource, in charge order.
+    kinds: TraceSummary,
     now: SimTime,
-    trace: Trace,
     submitted: usize,
 }
 
-impl Default for Simulator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Simulator {
-    /// A simulator with tracing enabled.
+    /// An empty simulator at time zero.
     pub fn new() -> Self {
-        Simulator {
-            pool: ResourcePool::new(),
-            free: Vec::new(),
-            busy: Vec::new(),
-            now: SimTime::ZERO,
-            trace: Trace::enabled(),
-            submitted: 0,
-        }
-    }
-
-    /// A simulator that skips span recording (faster for long runs).
-    pub fn without_trace() -> Self {
-        let mut s = Self::new();
-        s.trace = Trace::disabled();
-        s
+        Self::default()
     }
 
     /// Register a resource.
@@ -80,6 +59,12 @@ impl Simulator {
     /// Total service seconds submitted to a resource so far.
     pub fn busy_time(&self, r: ResourceId) -> f64 {
         self.busy[r.index()]
+    }
+
+    /// Service seconds submitted so far per kind, summed over every
+    /// resource in the order the work was charged.
+    pub fn busy_by_kind(&self) -> TraceSummary {
+        self.kinds
     }
 
     /// Busy fraction of a resource over the elapsed simulated time
@@ -103,11 +88,6 @@ impl Simulator {
         self.now
     }
 
-    /// The execution trace so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Whether work ending at `end` has completed.
     pub fn completed(&self, end: SimTime) -> bool {
         end <= self.now
@@ -125,12 +105,13 @@ impl Simulator {
 
     /// Submit a task of `duration` seconds on `resource`, after `dep`
     /// (a completion time) if given, and return its completion time.
+    /// Its service interval is charged to the resource and to `kind`,
+    /// and the resource is busy until its end.
     pub fn submit_on(
         &mut self,
         resource: ResourceId,
         duration: f64,
         kind: TaskKind,
-        tag: u64,
         dep: Option<SimTime>,
     ) -> SimTime {
         assert!(
@@ -140,43 +121,23 @@ impl Simulator {
         let r = resource.index();
         let start = dep.map_or(self.now, |d| self.now.max(d)).max(self.free[r]);
         let end = start + duration;
+        let service = end - start;
         self.submitted += 1;
-        self.record_service(resource, tag, start, end, kind);
+        self.busy[r] += service;
+        self.kinds.add(kind, service);
+        self.free[r] = self.free[r].max(end);
         end
     }
 
-    /// Charge `resource` the service interval `[start, end]`: `end -
-    /// start` busy seconds, when tracing a span tagged `tag`, and the
-    /// resource is busy until `end`.
-    fn record_service(
-        &mut self,
-        resource: ResourceId,
-        tag: u64,
-        start: SimTime,
-        end: SimTime,
-        kind: TaskKind,
-    ) {
-        let r = resource.index();
-        self.busy[r] += end - start;
-        self.free[r] = self.free[r].max(end);
-        self.trace.record(Span {
-            resource: Some(resource),
-            kind,
-            start,
-            end,
-            tag,
-        });
-    }
-
     /// Borrow the busy counters and busy-until times of the resources
-    /// whose indices are `range`, to charge work the caller schedules
-    /// itself without a call per interval (a fused pipeline's stages).
+    /// whose indices are `range`, and the per-kind totals, to charge
+    /// work the caller schedules itself without a call per interval (a
+    /// fused pipeline's stages).
     pub fn block(&mut self, range: Range<usize>) -> Block<'_> {
         Block {
-            first: range.start,
             busy: &mut self.busy[range.clone()],
             free: &mut self.free[range],
-            trace: &mut self.trace,
+            kinds: &mut self.kinds,
         }
     }
 
@@ -210,41 +171,21 @@ impl Simulator {
 }
 
 /// A contiguous run of a simulator's resources, borrowed by
-/// [`Simulator::block`]: resource `first + i` is entry `i`. The caller
+/// [`Simulator::block`]: resource `range.start + i` is entry `i`. The caller
 /// charges its work the way submitting it as tasks would: each
-/// interval's `end - start` added to `busy`, `free` raised to the end
-/// of the resource's last interval, and a span per interval when
-/// [`Block::tracing`]. It keeps each resource's order: an interval may
-/// not start before the resource's earlier work ends.
+/// interval's `end - start` added to its resource's `busy` and to its
+/// kind in `kinds`, in the order the tasks would have been submitted,
+/// and `free` raised to the end of the resource's last interval. It
+/// keeps each resource's order: an interval may not start before the
+/// resource's earlier work ends.
 #[derive(Debug)]
 pub struct Block<'a> {
-    first: usize,
     /// Per resource: service seconds submitted so far.
     pub busy: &'a mut [f64],
     /// Per resource: the end of the last work submitted to it.
     pub free: &'a mut [SimTime],
-    trace: &'a mut Trace,
-}
-
-impl Block<'_> {
-    /// Whether spans are being recorded.
-    pub fn tracing(&self) -> bool {
-        self.trace.is_enabled()
-    }
-
-    /// Record a span of `kind` work over `[start, end]` seconds on entry
-    /// `i` (a no-op unless tracing). Panics on a time that is not a
-    /// valid [`SimTime`].
-    pub fn span(&mut self, i: usize, kind: TaskKind, start: f64, end: f64, tag: u64) {
-        assert!(i < self.busy.len(), "entry {i} outside the block");
-        self.trace.record(Span {
-            resource: Some(ResourceId(self.first + i)),
-            kind,
-            start: SimTime::from_secs(start),
-            end: SimTime::from_secs(end),
-            tag,
-        });
-    }
+    /// The simulator's service seconds per kind.
+    pub kinds: &'a mut TraceSummary,
 }
 
 #[cfg(test)]
@@ -252,7 +193,7 @@ mod tests {
     use super::*;
 
     fn compute(sim: &mut Simulator, r: ResourceId, dur: f64) -> SimTime {
-        sim.submit_on(r, dur, TaskKind::Compute, 0, None)
+        sim.submit_on(r, dur, TaskKind::Compute, None)
     }
 
     #[test]
@@ -281,7 +222,7 @@ mod tests {
         let g0 = sim.add_resource("gpu0.compute");
         let link = sim.add_resource("gpu0.d2h");
         let fwd = compute(&mut sim, g0, 1.0);
-        let xfer = sim.submit_on(link, 0.5, TaskKind::SwapOut, 0, Some(fwd));
+        let xfer = sim.submit_on(link, 0.5, TaskKind::SwapOut, Some(fwd));
         assert_eq!(sim.run_until(xfer).as_secs(), 1.5);
     }
 
@@ -304,8 +245,8 @@ mod tests {
         let a = compute(&mut sim, g0, 1.0);
         let b = compute(&mut sim, g1, 1.0);
         sim.run_until(a.max(b));
-        assert_eq!(sim.trace().spans().len(), 2);
         assert_eq!(sim.submitted_tasks(), 2);
+        assert_eq!(sim.busy_by_kind().total(), 2.0, "a join charges nothing");
     }
 
     #[test]
@@ -318,7 +259,7 @@ mod tests {
             let g1 = sim.add_resource("g1");
             let a = compute(&mut sim, g0, 1.0);
             let b = compute(&mut sim, g1, 1.0);
-            let c = sim.submit_on(g0, 0.5, TaskKind::Compute, 0, Some(a.max(b)));
+            let c = sim.submit_on(g0, 0.5, TaskKind::Compute, Some(a.max(b)));
             sim.run_until(c).as_secs()
         };
         assert_eq!(run(), run());
@@ -353,7 +294,7 @@ mod tests {
 
     #[test]
     fn clone_continues_independently() {
-        let mut sim = Simulator::without_trace();
+        let mut sim = Simulator::new();
         let g0 = sim.add_resource("g0");
         let a = compute(&mut sim, g0, 1.0);
         let b = compute(&mut sim, g0, 2.0);
@@ -414,7 +355,7 @@ mod tests {
         let a = compute(&mut sim, g0, 1.0);
         sim.run_until(a);
         sim.advance_to(SimTime::from_secs(4.0));
-        let b = sim.submit_on(g1, 1.0, TaskKind::Compute, 0, Some(a));
+        let b = sim.submit_on(g1, 1.0, TaskKind::Compute, Some(a));
         assert_eq!(b.as_secs(), 5.0, "starts now, not at the dependency's end");
     }
 
@@ -428,16 +369,16 @@ mod tests {
         let mut last = SimTime::ZERO;
         let mut prev_s0 = None;
         for _ in 0..4 {
-            let t0 = sim.submit_on(s0, 1.0, TaskKind::Compute, 0, prev_s0);
+            let t0 = sim.submit_on(s0, 1.0, TaskKind::Compute, prev_s0);
             prev_s0 = Some(t0);
-            last = sim.submit_on(s1, 1.0, TaskKind::Compute, 0, Some(t0));
+            last = sim.submit_on(s1, 1.0, TaskKind::Compute, Some(t0));
         }
         assert_eq!(sim.run_until(last).as_secs(), 5.0);
     }
 
     #[test]
     fn busy_time_accumulates_per_resource() {
-        let mut sim = Simulator::without_trace();
+        let mut sim = Simulator::new();
         let g0 = sim.add_resource("g0");
         let g1 = sim.add_resource("g1");
         compute(&mut sim, g0, 1.0);
@@ -451,18 +392,22 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_service_spans() {
+    fn busy_by_kind_sums_service_intervals() {
         let mut sim = Simulator::new();
         let g0 = sim.add_resource("g0");
-        compute(&mut sim, g0, 1.0);
+        let link = sim.add_resource("g0.d2h");
+        let a = compute(&mut sim, g0, 1.0);
         compute(&mut sim, g0, 2.0);
+        sim.submit_on(link, 0.5, TaskKind::SwapOut, Some(a));
+        sim.submit_on(g0, 0.25, TaskKind::Overhead, None);
         sim.run_until_idle();
-        let spans = sim.trace().spans();
-        assert_eq!(spans.len(), 2);
-        // Second span starts when the first ends (queueing excluded
-        // from service time).
-        assert_eq!(spans[1].start.as_secs(), 1.0);
-        assert!((sim.trace().summary().compute - 3.0).abs() < 1e-12);
+        let kinds = sim.busy_by_kind();
+        // Queueing is not service: the second task waits 1 s.
+        assert_eq!(
+            (kinds.compute, kinds.kv_swap, kinds.other),
+            (3.0, 0.5, 0.25)
+        );
+        assert_eq!(kinds.total(), sim.busy_time(g0) + sim.busy_time(link));
     }
 
     #[test]
@@ -470,7 +415,7 @@ mod tests {
     fn negative_duration_rejected() {
         let mut sim = Simulator::new();
         let g0 = sim.add_resource("g0");
-        sim.submit_on(g0, -1.0, TaskKind::Compute, 0, None);
+        sim.submit_on(g0, -1.0, TaskKind::Compute, None);
     }
 
     #[test]
@@ -486,45 +431,27 @@ mod tests {
     }
 
     #[test]
-    fn record_service_matches_an_executed_task() {
+    fn work_charged_into_a_block_matches_a_submitted_task() {
         let mut run = Simulator::new();
-        let g0 = run.add_resource("g0");
-        let a = run.submit_on(g0, 0.75, TaskKind::Compute, 7, None);
-        let mut recorded = Simulator::new();
-        let r0 = recorded.add_resource("g0");
-        let end = SimTime::from_secs(0.75);
-        recorded.record_service(r0, 7, SimTime::ZERO, end, TaskKind::Compute);
-        assert_eq!(recorded.busy_time(r0), run.busy_time(g0));
-        assert_eq!(recorded.trace().spans(), run.trace().spans());
-        assert_eq!(recorded.submitted_tasks(), 0, "recorded work is not a task");
-        assert!(
-            !recorded.is_idle(r0),
-            "the resource is busy until the recorded end"
-        );
-        let b = recorded.submit_on(r0, 1.0, TaskKind::Compute, 0, None);
-        assert_eq!(b, run.submit_on(g0, 1.0, TaskKind::Compute, 0, None));
-        assert_eq!(recorded.run_until_idle(), a + 1.0);
-    }
-
-    #[test]
-    fn work_charged_into_a_block_matches_record_service() {
-        let mut recorded = Simulator::new();
         let mut charged = Simulator::new();
-        for sim in [&mut recorded, &mut charged] {
+        for sim in [&mut run, &mut charged] {
             for i in 0..3 {
                 sim.add_resource(format!("g{i}"));
             }
         }
-        let r1 = recorded.pool().id(1);
-        let (start, end) = (SimTime::from_secs(0.25), SimTime::from_secs(1.0));
-        recorded.record_service(r1, 9, start, end, TaskKind::Compute);
-        let mut block = charged.block(1..3);
-        assert!(block.tracing());
+        let (r1, r2) = (run.pool().id(1), run.pool().id(2));
+        let a = run.submit_on(r1, 0.75, TaskKind::Compute, None);
+        let block = charged.block(1..3);
+        let (start, end) = (SimTime::ZERO, SimTime::from_secs(0.75));
         block.busy[0] += end - start;
+        block.kinds.add(TaskKind::Compute, end - start);
         block.free[0] = block.free[0].max(end);
-        block.span(0, TaskKind::Compute, 0.25, 1.0, 9);
-        assert_eq!(charged.busy_time(r1), recorded.busy_time(r1));
-        assert_eq!(charged.trace().spans(), recorded.trace().spans());
-        assert!(!charged.is_idle(r1) && charged.is_idle(charged.pool().id(2)));
+        assert_eq!(charged.busy_time(r1), run.busy_time(r1));
+        assert_eq!(charged.busy_by_kind(), run.busy_by_kind());
+        assert_eq!(charged.submitted_tasks(), 0, "charged work is not a task");
+        assert!(!charged.is_idle(r1) && charged.is_idle(r2));
+        let b = charged.submit_on(r1, 1.0, TaskKind::Compute, None);
+        assert_eq!(b, run.submit_on(r1, 1.0, TaskKind::Compute, None));
+        assert_eq!(charged.run_until_idle(), a + 1.0);
     }
 }

@@ -5,8 +5,10 @@
 //! compute engine, each direction of its PCIe link, the host staging
 //! engine) on which *tasks* of known duration execute. Engines submit
 //! tasks with dependencies; the simulator keeps the clock, resolves
-//! contention, and records a trace from which the paper's time
-//! breakdowns (Figures 1 and 12) are derived.
+//! contention, and sums busy time per resource and per [`TaskKind`]
+//! (the `fleet --breakdown` table). The paper's breakdown figures come
+//! from elsewhere: Figure 1 from the roofline's per-pass attribution,
+//! Figure 12 from end-to-end runs.
 //!
 //! Design notes:
 //!
@@ -21,8 +23,9 @@
 //!   models.
 //! * Work whose schedule the caller computes itself is charged straight
 //!   into a borrowed [`Block`] of resources: the engines' fused decode
-//!   bursts and mixed rounds add each stage interval to their GPUs'
-//!   busy counters and mark each GPU busy once, at the end of its last
+//!   passes (prefill batches, decode bursts, mixed rounds) add each
+//!   stage interval to their GPUs' busy counters and the per-kind
+//!   totals, and mark each GPU busy once, at the end of its last
 //!   interval.
 //! * [`EventQueue`] orders the fleet and controller loops' events on
 //!   one global clock.
@@ -37,4 +40,4 @@ pub use events::EventQueue;
 pub use executor::{Block, Simulator};
 pub use resource::{ResourceId, ResourcePool};
 pub use time::SimTime;
-pub use trace::{Span, TaskKind, Trace, TraceSummary};
+pub use trace::{TaskKind, TraceSummary};

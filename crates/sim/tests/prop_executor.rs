@@ -40,8 +40,9 @@ fn tasks_strategy(n_res: usize) -> impl Strategy<Value = Vec<GenTask>> {
 }
 
 /// Submit `tasks` (a task on several dependencies waits for the latest
-/// of them) and run to the end.
-fn build_and_run(tasks: &[GenTask], n_res: usize) -> Simulator {
+/// of them) and run to the end. Returns the simulator and each task's
+/// completion time.
+fn build_and_run(tasks: &[GenTask], n_res: usize) -> (Simulator, Vec<SimTime>) {
     let mut sim = Simulator::new();
     (0..n_res).for_each(|i| {
         sim.add_resource(format!("r{i}"));
@@ -55,10 +56,10 @@ fn build_and_run(tasks: &[GenTask], n_res: usize) -> Simulator {
             .map(|&off| ends[i - off])
             .max();
         let r = sim.pool().id(t.resource);
-        ends.push(sim.submit_on(r, t.duration, TaskKind::Compute, 0, dep));
+        ends.push(sim.submit_on(r, t.duration, TaskKind::Compute, dep));
     }
     sim.run_until_idle();
-    sim
+    (sim, ends)
 }
 
 /// One step of an engine-shaped run, decoded from raw draws.
@@ -183,12 +184,8 @@ impl Pair {
         dep: Option<(SimTime, Handle)>,
     ) -> (SimTime, Handle) {
         let r = self.res[engine][gpu];
-        let t = self
-            .eager
-            .submit_on(r, dur, kind, gpu as u64, dep.map(|d| d.0));
-        let h = self
-            .heap
-            .submit_on(r, dur, kind, gpu as u64, dep.map(|d| d.1));
+        let t = self.eager.submit_on(r, dur, kind, dep.map(|d| d.0));
+        let h = self.heap.submit_on(r, dur, kind, dep.map(|d| d.1));
         if engine == COMPUTE {
             self.last_compute[gpu] = Some((t, h));
         }
@@ -289,16 +286,15 @@ fn drive(shape: &Shape) -> (Pair, Vec<(SimTime, Handle)>) {
                 }
                 let start = SimTime::from_secs(p.eager.now().as_secs() + offset);
                 let end = start + dur;
-                let group: Vec<(ResourceId, u64)> = (0..tp)
-                    .map(|t| (p.res[COMPUTE][gpu(stage, t)], gpu(stage, t) as u64))
-                    .collect();
+                let group: Vec<ResourceId> =
+                    (0..tp).map(|t| p.res[COMPUTE][gpu(stage, t)]).collect();
                 // Compute engines are resources `0..gpus`, a stage's TP
                 // group contiguous among them.
-                let mut block = p.eager.block(gpu(stage, 0)..gpu(stage, 0) + tp);
-                for (i, &(_, tag)) in group.iter().enumerate() {
+                let block = p.eager.block(gpu(stage, 0)..gpu(stage, 0) + tp);
+                for i in 0..tp {
                     block.busy[i] += end - start;
+                    block.kinds.add(TaskKind::Compute, end - start);
                     block.free[i] = block.free[i].max(end);
-                    block.span(i, TaskKind::Compute, start.as_secs(), end.as_secs(), tag);
                 }
                 let h = p.heap.occupy(&group, start, end, TaskKind::Compute);
                 for t in 0..tp {
@@ -317,25 +313,6 @@ fn drive(shape: &Shape) -> (Pair, Vec<(SimTime, Handle)>) {
     (p, handles)
 }
 
-/// Spans as a sorted multiset of exactly comparable keys.
-fn span_multiset(spans: &[seesaw_sim::Span]) -> Vec<(Option<usize>, String, u64, u64, u64)> {
-    let mut keys: Vec<_> = spans
-        .iter()
-        .map(|s| {
-            let (start, end) = (s.start.as_secs().to_bits(), s.end.as_secs().to_bits());
-            (
-                s.resource.map(|r| r.index()),
-                format!("{:?}", s.kind),
-                start,
-                end,
-                s.tag,
-            )
-        })
-        .collect();
-    keys.sort();
-    keys
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -343,7 +320,7 @@ proptest! {
     /// at most the sum of all durations (plus epsilon).
     #[test]
     fn makespan_within_bounds(tasks in tasks_strategy(3)) {
-        let sim = build_and_run(&tasks, 3);
+        let (sim, _) = build_and_run(&tasks, 3);
         let total: f64 = tasks.iter().map(|t| t.duration).sum();
         let mut per_res = [0.0f64; 3];
         for t in &tasks {
@@ -355,17 +332,16 @@ proptest! {
         prop_assert!(end <= total + 1e-9, "end {end} > total {total}");
     }
 
-    /// No two spans on the same resource overlap.
+    /// No two services on the same resource overlap.
     #[test]
     fn resources_serve_one_task_at_a_time(tasks in tasks_strategy(2)) {
-        let sim = build_and_run(&tasks, 2);
+        let (_, ends) = build_and_run(&tasks, 2);
         for r in 0..2 {
-            let mut spans: Vec<(f64, f64)> = sim
-                .trace()
-                .spans()
+            let mut spans: Vec<(f64, f64)> = tasks
                 .iter()
-                .filter(|s| s.resource.map(|id| id.index()) == Some(r))
-                .map(|s| (s.start.as_secs(), s.end.as_secs()))
+                .zip(&ends)
+                .filter(|(t, _)| t.resource == r)
+                .map(|(t, end)| (end.as_secs() - t.duration, end.as_secs()))
                 .collect();
             spans.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
             for w in spans.windows(2) {
@@ -379,27 +355,24 @@ proptest! {
         }
     }
 
-    /// Work conservation: the trace's total busy time equals the sum
-    /// of durations.
+    /// Work conservation: the total busy time equals the sum of
+    /// durations.
     #[test]
     fn work_is_conserved(tasks in tasks_strategy(3)) {
-        let sim = build_and_run(&tasks, 3);
+        let (sim, _) = build_and_run(&tasks, 3);
         let total: f64 = tasks.iter().map(|t| t.duration).sum();
-        let busy = sim.trace().summary().total();
+        let busy = sim.busy_by_kind().total();
         prop_assert!((busy - total).abs() < 1e-6, "busy {busy} vs total {total}");
     }
 
     /// Replays are bit-identical (determinism).
     #[test]
     fn deterministic_replay(tasks in tasks_strategy(3)) {
-        let a = build_and_run(&tasks, 3);
-        let b = build_and_run(&tasks, 3);
+        let (a, a_ends) = build_and_run(&tasks, 3);
+        let (b, b_ends) = build_and_run(&tasks, 3);
         prop_assert_eq!(a.now(), b.now());
-        prop_assert_eq!(a.trace().spans().len(), b.trace().spans().len());
-        for (x, y) in a.trace().spans().iter().zip(b.trace().spans()) {
-            prop_assert_eq!(x.start, y.start);
-            prop_assert_eq!(x.end, y.end);
-        }
+        prop_assert_eq!(a_ends, b_ends);
+        prop_assert_eq!(a.busy_by_kind(), b.busy_by_kind());
     }
 }
 
@@ -410,8 +383,9 @@ proptest! {
     /// joins, caller-scheduled intervals, waits between submissions —
     /// every resource is served in submission order, and the eager
     /// executor agrees bit for bit with the event-driven one on every
-    /// completion time, every clock after a wait, every busy total and
-    /// the multiset of spans.
+    /// completion time, every clock after a wait, every busy total per
+    /// resource, and the busy totals per kind, summed in submission
+    /// order.
     #[test]
     fn eager_matches_the_event_heap(shape in shapes()) {
         let (p, handles) = drive(&shape);
@@ -434,11 +408,6 @@ proptest! {
                 );
             }
         }
-        prop_assert_eq!(
-            span_multiset(p.eager.trace().spans()),
-            span_multiset(p.heap.spans()),
-            "{:?}",
-            shape
-        );
+        prop_assert_eq!(p.eager.busy_by_kind(), p.heap.busy_by_kind(), "{:?}", shape);
     }
 }

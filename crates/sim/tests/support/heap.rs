@@ -6,11 +6,13 @@
 //!
 //! Where every resource is served in submission order the two agree bit
 //! for bit; [`HeapSim::overtakes`] counts the services that were not.
+//! It records a [`Span`] per service, from which it derives busy totals
+//! per resource and per kind.
 //!
 //! [`Simulator`]: seesaw_sim::Simulator
 #![allow(dead_code)]
 
-use seesaw_sim::{ResourceId, ResourcePool, SimTime, Span, TaskKind};
+use seesaw_sim::{ResourceId, ResourcePool, SimTime, TaskKind, TraceSummary};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -18,13 +20,23 @@ use std::collections::{BinaryHeap, VecDeque};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Handle(usize);
 
+/// One service: a task's interval on its resource.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Span {
+    /// The task, numbered in submission order.
+    pub task: usize,
+    pub resource: ResourceId,
+    pub kind: TaskKind,
+    pub start: SimTime,
+    pub end: SimTime,
+}
+
 #[derive(Debug, Clone)]
 struct Task {
-    /// `None` for a join, which occupies nothing.
-    resource: Option<ResourceId>,
+    /// The resource and the kind of work, or `None` for a join, which
+    /// occupies nothing.
+    work: Option<(ResourceId, TaskKind)>,
     duration: f64,
-    kind: TaskKind,
-    tag: u64,
     dependents: Vec<usize>,
     waiting_on: usize,
     start: SimTime,
@@ -80,6 +92,18 @@ impl HeapSim {
         &self.spans
     }
 
+    /// Service seconds per kind, summed in submission order (the order
+    /// the eager simulator charges them).
+    pub fn busy_by_kind(&self) -> TraceSummary {
+        let mut spans = self.spans.clone();
+        spans.sort_by_key(|s| s.task);
+        let mut kinds = TraceSummary::default();
+        for s in &spans {
+            kinds.add(s.kind, s.end - s.start);
+        }
+        kinds
+    }
+
     /// Services that started a task submitted before the previous one
     /// its resource started.
     pub fn overtakes(&self) -> usize {
@@ -99,13 +123,11 @@ impl HeapSim {
         !self.serving[r.index()] && self.queues[r.index()].is_empty()
     }
 
-    /// A task of `duration` seconds on `resource` after `deps`.
-    pub fn submit(
+    /// A task of `duration` seconds of `work` after `deps`.
+    fn submit(
         &mut self,
-        resource: Option<ResourceId>,
+        work: Option<(ResourceId, TaskKind)>,
         duration: f64,
-        kind: TaskKind,
-        tag: u64,
         deps: &[Handle],
     ) -> Handle {
         assert!(
@@ -122,10 +144,8 @@ impl HeapSim {
             }
         }
         self.tasks.push(Task {
-            resource,
+            work,
             duration,
-            kind,
-            tag,
             dependents: Vec::new(),
             waiting_on,
             start: SimTime::ZERO,
@@ -142,37 +162,34 @@ impl HeapSim {
         resource: ResourceId,
         duration: f64,
         kind: TaskKind,
-        tag: u64,
         dep: Option<Handle>,
     ) -> Handle {
-        self.submit(Some(resource), duration, kind, tag, dep.as_slice())
+        self.submit(Some((resource, kind)), duration, dep.as_slice())
     }
 
     /// A join: completes the instant its last dependency does.
     pub fn join(&mut self, deps: &[Handle]) -> Handle {
-        self.submit(None, 0.0, TaskKind::Sync, 0, deps)
+        self.submit(None, 0.0, deps)
     }
 
-    /// Serve `[start, end]` on each of the idle `resources` (with its
-    /// span tag), as if a task had started there at `start`. Returns
-    /// the last of those tasks; they all complete at `end`.
+    /// Serve `[start, end]` on each of the idle `resources`, as if a
+    /// task had started there at `start`. Returns the last of those
+    /// tasks; they all complete at `end`.
     pub fn occupy(
         &mut self,
-        resources: &[(ResourceId, u64)],
+        resources: &[ResourceId],
         start: SimTime,
         end: SimTime,
         kind: TaskKind,
     ) -> Handle {
         assert!(start >= self.now && end >= start, "interval in the past");
         assert!(!resources.is_empty(), "occupying nothing");
-        for &(r, tag) in resources {
+        for &r in resources {
             assert!(self.is_idle(r), "occupying busy {r}");
             let id = self.tasks.len();
             self.tasks.push(Task {
-                resource: Some(r),
+                work: Some((r, kind)),
                 duration: end - start,
-                kind,
-                tag,
                 dependents: Vec::new(),
                 waiting_on: 0,
                 start,
@@ -214,7 +231,7 @@ impl HeapSim {
     }
 
     fn ready(&mut self, id: usize) {
-        match self.tasks[id].resource {
+        match self.tasks[id].work.map(|(r, _)| r) {
             None => {
                 self.tasks[id].start = self.now;
                 self.schedule(id, self.now);
@@ -240,13 +257,13 @@ impl HeapSim {
         let task = &mut self.tasks[id];
         task.end = Some(now);
         let dependents = std::mem::take(&mut task.dependents);
-        if let Some(r) = task.resource {
+        if let Some((r, kind)) = task.work {
             let span = Span {
-                resource: Some(r),
-                kind: task.kind,
+                task: id,
+                resource: r,
+                kind,
                 start: task.start,
                 end: now,
-                tag: task.tag,
             };
             self.busy[r.index()] += span.end - span.start;
             self.spans.push(span);
