@@ -430,8 +430,10 @@ mod tests {
         assert!(sim.is_idle(g1));
     }
 
-    #[test]
-    fn work_charged_into_a_block_matches_a_submitted_task() {
+    /// Two three-resource simulators: `run` executes a 0.75 s compute
+    /// task on resource 1, `charged` charges the same work straight into
+    /// a block over resources 1..3.
+    fn run_and_charged() -> (Simulator, Simulator, SimTime) {
         let mut run = Simulator::new();
         let mut charged = Simulator::new();
         for sim in [&mut run, &mut charged] {
@@ -439,19 +441,33 @@ mod tests {
                 sim.add_resource(format!("g{i}"));
             }
         }
-        let (r1, r2) = (run.pool().id(1), run.pool().id(2));
-        let a = run.submit_on(r1, 0.75, TaskKind::Compute, None);
+        let a = run.submit_on(run.pool().id(1), 0.75, TaskKind::Compute, None);
         let block = charged.block(1..3);
         let (start, end) = (SimTime::ZERO, SimTime::from_secs(0.75));
         block.busy[0] += end - start;
         block.kinds.add(TaskKind::Compute, end - start);
         block.free[0] = block.free[0].max(end);
+        (run, charged, a)
+    }
+
+    #[test]
+    fn work_charged_into_a_block_matches_a_submitted_task() {
+        let (run, charged, _) = run_and_charged();
+        let (r1, r2) = (run.pool().id(1), run.pool().id(2));
         assert_eq!(charged.busy_time(r1), run.busy_time(r1));
+        assert_eq!(charged.busy_time(r2), 0.0);
         assert_eq!(charged.busy_by_kind(), run.busy_by_kind());
-        assert_eq!(charged.submitted_tasks(), 0, "charged work is not a task");
         assert!(!charged.is_idle(r1) && charged.is_idle(r2));
+    }
+
+    #[test]
+    fn charged_work_holds_the_resource_like_a_submitted_task() {
+        let (mut run, mut charged, a) = run_and_charged();
+        let r1 = run.pool().id(1);
+        assert_eq!(charged.submitted_tasks(), 0, "charged work is not a task");
         let b = charged.submit_on(r1, 1.0, TaskKind::Compute, None);
         assert_eq!(b, run.submit_on(r1, 1.0, TaskKind::Compute, None));
         assert_eq!(charged.run_until_idle(), a + 1.0);
+        assert_eq!(charged.run_until_idle(), run.run_until_idle());
     }
 }
