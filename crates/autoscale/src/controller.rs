@@ -2,9 +2,14 @@
 //! time-sliced elastic fleet, growing and shrinking the replica count
 //! online.
 //!
-//! The replay is one loop over a [`seesaw_sim::EventQueue`] holding
-//! replica kills, base arrivals and retry/resume dispatches on one
-//! global clock, each popped into a small named handler. Time
+//! The replay is one loop on one global clock that merges three
+//! time-sorted sources: the fault schedule's kills and the trace's
+//! base arrivals, each read by a cursor, and a
+//! [`seesaw_sim::EventQueue`] that holds only the retry and resume
+//! dispatches still pending. At one instant a kill runs before an
+//! arrival and an arrival before a redispatch. Each event goes to a
+//! small named handler, so the controller's state is O(pending
+//! events), not O(trace). Time
 //! advances in fixed control windows: the loop pops every event before
 //! the window end, then closes the window. A dispatch routes over the
 //! replicas *currently accepting traffic* (warm, not retiring) using
@@ -332,16 +337,17 @@ struct ReplicaState<'e> {
     ready_s: f64,
     retire_s: Option<f64>,
     killed_s: Option<f64>,
-    stream: Vec<Request>,
+    /// Dispatch attempts routed here (lost ones included).
+    dispatched: usize,
+    /// Their attempt ids in dispatch order, kept only while faults can
+    /// strike: a kill requeues the ones it catches in this order, so
+    /// equal-time retries pop in the order they were dispatched.
+    stream: Vec<u64>,
 }
 
 impl<'e> ReplicaState<'e> {
     fn live(&self) -> bool {
         self.retire_s.is_none() && self.killed_s.is_none()
-    }
-
-    fn accepting(&self, t: f64) -> bool {
-        self.live() && self.ready_s <= t
     }
 
     fn actor(&mut self) -> &mut (dyn EngineActor + 'e) {
@@ -369,14 +375,17 @@ impl EngineArena {
     }
 }
 
-/// One pending event of the replay. Push order settles ties at one
-/// instant (the queue is FIFO there): every kill is pushed first, then
-/// every base arrival, then retries and resumes as they are scheduled.
-/// So a kill runs before a dispatch at the same instant (a request
-/// arriving exactly then already finds the replica gone), a base
-/// arrival before a retry, and equal-time retries in the order they
-/// were lost. Window close runs before anything at the window end,
-/// because the loop only pops events strictly inside the window.
+/// One event of the replay. Kills and arrivals are read in order from
+/// the fault schedule and the trace; only redispatches wait in the
+/// event queue. Ties at one instant run a kill first, then an arrival,
+/// then a redispatch, the order in which an up-front queue of every
+/// kill, then every arrival, then each redispatch as it is scheduled
+/// would pop them. So a request arriving exactly at a kill already
+/// finds the replica gone, a base arrival runs before a retry, and
+/// equal-time redispatches run in the order they were scheduled (the
+/// queue is FIFO there). Window close runs before anything at the
+/// window end, because the loop only takes events strictly inside the
+/// window.
 enum Event {
     /// `faults.events[i]` strikes.
     Kill(usize),
@@ -424,21 +433,29 @@ struct Replay<'a> {
     /// relative order is what routing needs, and it keeps Static
     /// trajectories byte-identical to the fixed fleet tier).
     calib: f64,
+    /// Next kill in `faults.events`.
+    next_kill: usize,
+    /// Next base arrival in `requests`.
+    next_arrival: usize,
+    /// Pending retries and resumes.
     queue: EventQueue<Event>,
     replicas: Vec<ReplicaState<'a>>,
     router: Router,
     assignment: Vec<usize>,
-    /// Attempt id → `(original request index, attempt number)` for
-    /// every retry and resume. Hash containers are lookup-only (never
-    /// iterated), so their order cannot leak into output.
-    retry_meta: HashMap<u64, (usize, u32)>,
+    /// The first retry or resume id: one past the largest request id.
+    /// Later attempt ids follow in sequence.
+    attempt_base: u64,
+    /// `(original request index, attempt number)` of retry or resume
+    /// id `attempt_base + k`, at `k` (8 bytes a retry: indices fit in
+    /// `u32`, checked at construction).
+    retry_meta: Vec<(u32, u32)>,
     /// Request id → index in `requests`, built at the first kill: the
-    /// origin of every lost first attempt.
+    /// origin of every lost first attempt. Lookup-only (never
+    /// iterated), so hash order cannot leak into output.
     first_attempts: Option<HashMap<u64, usize>>,
     /// `(projections, requests they re-simulated)` of the actors
     /// finished at their kill.
     killed_projections: (u64, u64),
-    next_attempt_id: u64,
     failures: Vec<FailureEvent>,
     attempts: usize,
     retries: usize,
@@ -452,7 +469,17 @@ struct Replay<'a> {
     events: Vec<ScaleEvent>,
     peak_replicas: usize,
     windows_since_event: usize,
-    eligible: Vec<usize>,
+    /// Replicas accepting traffic (live and ready), sorted by index.
+    accepting: Vec<usize>,
+    /// Live replicas not yet moved into `accepting`: warming ones, and
+    /// ones whose ready time passed since the set was last brought up
+    /// to date.
+    warming: Vec<usize>,
+    /// Events handled, parks, and attempts lost at dispatch
+    /// (profiling counters).
+    events_handled: u64,
+    parks: u64,
+    lost_at_dispatch: u64,
     /// Calibrated fluid backlog: outstanding replica-seconds of work,
     /// drained at one second per accepting replica-second.
     backlog_s: f64,
@@ -474,13 +501,7 @@ impl<'a> Replay<'a> {
     ) -> Self {
         let cfg = ctl.config;
         let n0 = ctl.policy.initial_replicas(cfg.min_replicas, cfg.max_replicas);
-        let mut queue = EventQueue::new();
-        for (i, e) in faults.events.iter().enumerate() {
-            queue.push(SimTime::from_secs(e.t_s), Event::Kill(i));
-        }
-        for (i, r) in requests.iter().enumerate() {
-            queue.push(SimTime::from_secs(r.arrival_s), Event::Arrival(i));
-        }
+        assert!(u32::try_from(requests.len()).is_ok(), "more than u32::MAX requests");
         let mut replay = Replay {
             ctl,
             build,
@@ -494,14 +515,16 @@ impl<'a> Replay<'a> {
             avg_lengths: mean_lengths(requests),
             // Set below, from the first initial replica's rates.
             calib: 0.0,
-            queue,
+            next_kill: 0,
+            next_arrival: 0,
+            queue: EventQueue::new(),
             replicas: Vec::new(),
             router: Router::new(cfg.router, n0),
             assignment: vec![0; requests.len()],
-            retry_meta: HashMap::new(),
+            attempt_base: requests.iter().map(|r| r.id).max().unwrap_or(0).saturating_add(1),
+            retry_meta: Vec::new(),
             first_attempts: None,
             killed_projections: (0, 0),
-            next_attempt_id: requests.iter().map(|r| r.id).max().unwrap_or(0).saturating_add(1),
             failures: Vec::new(),
             attempts: 0,
             retries: 0,
@@ -513,7 +536,12 @@ impl<'a> Replay<'a> {
             events: Vec::new(),
             peak_replicas: n0,
             windows_since_event: ctl.policy.cooldown_windows(),
-            eligible: Vec::new(),
+            // The initial fleet starts warm.
+            accepting: (0..n0).collect(),
+            warming: Vec::new(),
+            events_handled: 0,
+            parks: 0,
+            lost_at_dispatch: 0,
             backlog_s: 0.0,
             backlog_t: 0.0,
             tally: WindowTally::default(),
@@ -551,15 +579,25 @@ impl<'a> Replay<'a> {
             ready_s,
             retire_s: None,
             killed_s: None,
+            dispatched: 0,
             stream: Vec::new(),
         }
     }
 
-    /// A fresh attempt id.
-    fn attempt_id(&mut self) -> u64 {
-        let id = self.next_attempt_id;
-        self.next_attempt_id = id.checked_add(1).expect("attempt ids exhausted");
+    /// A fresh attempt id for attempt `attempt` of `requests[idx]`.
+    fn attempt_id(&mut self, idx: usize, attempt: u32) -> u64 {
+        let id = self.attempt_base + self.retry_meta.len() as u64;
+        assert!(id < u64::MAX, "attempt ids exhausted");
+        self.retry_meta.push((idx as u32, attempt));
         id
+    }
+
+    /// `(request index, attempt number)` of retry or resume `id`;
+    /// `None` for a first attempt.
+    fn retry_origin(&self, id: u64) -> Option<(usize, u32)> {
+        let k = id.checked_sub(self.attempt_base)?;
+        let &(idx, attempt) = self.retry_meta.get(usize::try_from(k).ok()?)?;
+        Some((idx as usize, attempt))
     }
 
     /// Replay every window, popping each window's events into their
@@ -572,22 +610,59 @@ impl<'a> Replay<'a> {
         let base_windows = (last_arrival / window_s) as usize + 1;
         self.windows.reserve(base_windows);
         let mut w = 0usize;
-        while w < base_windows || !self.queue.is_empty() {
+        while w < base_windows || self.pending() {
             let t0 = w as f64 * window_s;
             let t1 = t0 + window_s;
-            while self.queue.peek_time().is_some_and(|t| t.as_secs() < t1) {
-                let (at, event) = self.queue.pop().expect("peeked an event");
+            while let Some((at, event)) = self.next_event(t1) {
+                self.events_handled += 1;
                 match event {
                     Event::Kill(i) => self.kill(i),
                     Event::Arrival(idx) => self.dispatch(self.requests[idx], idx, 1),
                     Event::Redispatch { id, idx, attempt, resume } => {
-                        self.redispatch(at.as_secs(), id, idx, attempt, resume)
+                        self.redispatch(at, id, idx, attempt, resume)
                     }
                 }
             }
             self.close_window(w, t0, t1);
             w += 1;
         }
+    }
+
+    /// Whether any kill, arrival or redispatch is still to come.
+    fn pending(&self) -> bool {
+        self.next_kill < self.faults.events.len()
+            || self.next_arrival < self.requests.len()
+            || !self.queue.is_empty()
+    }
+
+    /// Take the earliest pending event due before `t1`, with its time:
+    /// the three sources merged, ties going to the kill, then the
+    /// arrival, then the redispatch.
+    fn next_event(&mut self, t1: f64) -> Option<(f64, Event)> {
+        let kill = self.faults.events.get(self.next_kill).map(|e| e.t_s);
+        let arrival = self.requests.get(self.next_arrival).map(|r| r.arrival_s);
+        let redispatch = self.queue.peek_time().map(SimTime::as_secs);
+        // `min_by` keeps the first of equal minima: source order.
+        let (source, at) = [kill, arrival, redispatch]
+            .into_iter()
+            .enumerate()
+            .filter_map(|(source, t)| Some((source, t?)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))?;
+        if at >= t1 {
+            return None;
+        }
+        let event = match source {
+            0 => {
+                self.next_kill += 1;
+                Event::Kill(self.next_kill - 1)
+            }
+            1 => {
+                self.next_arrival += 1;
+                Event::Arrival(self.next_arrival - 1)
+            }
+            _ => self.queue.pop().expect("peeked a redispatch").1,
+        };
+        Some((at, event))
     }
 
     /// Fault `faults.events[fault]` strikes: kill its victims.
@@ -617,6 +692,7 @@ impl<'a> Replay<'a> {
     /// (or failed).
     fn kill_replica(&mut self, v: usize, tk: f64, group: Option<usize>) {
         self.replicas[v].killed_s = Some(tk);
+        self.stop_accepting(v);
         self.replicas_killed += 1;
         self.tally.failures += 1;
         self.router.reset_replica(v);
@@ -659,12 +735,11 @@ impl<'a> Replay<'a> {
         let mut report = actor.finish();
         let completion: HashMap<u64, f64> =
             report.timeline.iter().map(|t| (t.id, t.completion_s)).collect();
-        let lost = rep
-            .stream
-            .iter()
-            .filter_map(|r| {
-                let done = completion.get(&r.id).copied().unwrap_or(f64::INFINITY);
-                (done > tk).then_some((r.id, done))
+        let lost = std::mem::take(&mut rep.stream)
+            .into_iter()
+            .filter_map(|id| {
+                let done = completion.get(&id).copied().unwrap_or(f64::INFINITY);
+                (done > tk).then_some((id, done))
             })
             .collect();
         report.timeline.retain(|t| t.completion_s <= tk);
@@ -676,7 +751,7 @@ impl<'a> Replay<'a> {
     /// `(request index, attempt number)` of attempt `id`: retries and
     /// resumes are in `retry_meta`, any other id is a first attempt.
     fn origin(&mut self, id: u64) -> (usize, u32) {
-        if let Some(&meta) = self.retry_meta.get(&id) {
+        if let Some(meta) = self.retry_origin(id) {
             return meta;
         }
         let requests = self.requests;
@@ -700,8 +775,7 @@ impl<'a> Replay<'a> {
             self.failed += 1;
             return;
         }
-        let id = self.attempt_id();
-        self.retry_meta.insert(id, (idx, attempt));
+        let id = self.attempt_id(idx, attempt);
         let event = Event::Redispatch { id, idx, attempt, resume: false };
         self.queue.push(SimTime::from_secs(retry_at), event);
     }
@@ -730,29 +804,30 @@ impl<'a> Replay<'a> {
     /// replica's actor; park it when every replica is dark.
     fn dispatch(&mut self, req: Request, idx: usize, attempt: u32) {
         let now = req.arrival_s;
-        self.eligible.clear();
-        self.eligible
-            .extend((0..self.replicas.len()).filter(|&i| self.replicas[i].accepting(now)));
-        if self.eligible.is_empty() {
+        self.admit_ready(now);
+        if self.accepting.is_empty() {
             return self.park(req, idx, attempt);
         }
         self.attempts += 1;
-        let accepting = self.eligible.len() as f64;
+        let accepting = self.accepting.len() as f64;
         self.backlog_s = (self.backlog_s - (now - self.backlog_t) * accepting).max(0.0);
         self.backlog_t = now;
         let live = self.read_live(now);
         let replicas = &self.replicas;
         let routed = self
             .router
-            .route(&req, &self.eligible, &live, |i, r| replicas[i].rates.est_service_s(r))
-            .expect("eligible is non-empty");
+            .route(&req, &self.accepting, &live, |i, r| replicas[i].rates.est_service_s(r))
+            .expect("the accepting set is non-empty");
         self.assignment[idx] = routed.replica;
         if self.telemetry {
             self.record_route(&req, &routed, &live);
         }
         let rep = &mut self.replicas[routed.replica];
         let work = self.calib * rep.rates.est_service_s(&req);
-        rep.stream.push(req);
+        rep.dispatched += 1;
+        if self.injecting {
+            rep.stream.push(req.id);
+        }
         rep.actor().push(req);
         self.tally.waits_ok +=
             usize::from(self.backlog_s / accepting <= self.cfg().slo.ttft_s);
@@ -761,9 +836,9 @@ impl<'a> Replay<'a> {
         self.tally.arrivals += 1;
     }
 
-    /// Measured state of each eligible replica at `now` (live policies
+    /// Measured state of each accepting replica at `now` (live policies
     /// only; estimated policies ignore the vec and read their virtual
-    /// queues). Queried serially in eligible order, so the trajectory
+    /// queues). Queried serially in index order, so the trajectory
     /// stays deterministic and jobs-invariant.
     fn read_live(&mut self, now: f64) -> Vec<(usize, f64)> {
         if !self.live_routing {
@@ -772,7 +847,7 @@ impl<'a> Replay<'a> {
         let start = self.instr.profiling.then(Instant::now);
         let policy = self.cfg().router;
         let states = self
-            .eligible
+            .accepting
             .iter()
             .map(|&i| policy.read_live(self.replicas[i].actor(), now))
             .collect();
@@ -785,10 +860,9 @@ impl<'a> Replay<'a> {
     fn record_route(&mut self, req: &Request, routed: &Routed, live: &[(usize, f64)]) {
         let (depth, work_s) = if self.live_routing {
             let pos = self
-                .eligible
-                .iter()
-                .position(|&i| i == routed.replica)
-                .expect("routed among eligible");
+                .accepting
+                .binary_search(&routed.replica)
+                .expect("routed among the accepting replicas");
             live[pos]
         } else {
             self.router.queue_state(req.arrival_s)[routed.replica]
@@ -814,18 +888,16 @@ impl<'a> Replay<'a> {
         let now = req.arrival_s;
         assert!(self.injecting, "no accepting replica at t={now} (min_replicas guards this)");
         self.backlog_t = now;
-        let resume = self
-            .replicas
-            .iter()
-            .filter(|r| r.live())
-            .map(|r| r.ready_s)
-            .fold(f64::INFINITY, f64::min);
+        // Nothing accepts, so every live replica is still warming.
+        let replicas = &self.replicas;
+        let resume =
+            self.warming.iter().map(|&i| replicas[i].ready_s).fold(f64::INFINITY, f64::min);
         let orig_id = self.requests[idx].id;
         if resume.is_finite() {
-            debug_assert!(resume > now, "a ready live replica would have been eligible");
-            let id = self.attempt_id();
+            debug_assert!(resume > now, "a ready live replica would have been accepting");
+            self.parks += 1;
             // Same attempt number: parking is not a retry.
-            self.retry_meta.insert(id, (idx, attempt));
+            let id = self.attempt_id(idx, attempt);
             let event = Event::Redispatch { id, idx, attempt, resume: true };
             self.queue.push(SimTime::from_secs(resume), event);
             if self.telemetry {
@@ -841,6 +913,7 @@ impl<'a> Replay<'a> {
             self.tally.arrivals += 1;
             self.attempts += 1;
             self.lost_attempts += 1;
+            self.lost_at_dispatch += 1;
             if self.telemetry {
                 let name = format!("lost-at-dispatch req {orig_id}");
                 self.instr.recorder.instant(CONTROLLER_TRACK, &name, now, &[]);
@@ -856,8 +929,9 @@ impl<'a> Replay<'a> {
         let cfg = *self.cfg();
         let tally = std::mem::take(&mut self.tally);
         let queue_state = self.router.queue_state(t1);
-        let ready = self.replicas.iter().filter(|r| r.accepting(t1)).count();
-        let provisioned = self.replicas.iter().filter(|r| r.live()).count();
+        self.admit_ready(t1);
+        let ready = self.accepting.len();
+        let provisioned = ready + self.warming.len();
         self.backlog_s = (self.backlog_s - (t1 - self.backlog_t) * ready.max(1) as f64).max(0.0);
         self.backlog_t = t1;
         let signals = WindowSignals {
@@ -903,7 +977,7 @@ impl<'a> Replay<'a> {
         // does NOT reset the cooldown — replacing lost capacity is
         // repair, not a policy decision.
         if self.faults.replace_failures {
-            let live_now = self.replicas.iter().filter(|r| r.live()).count();
+            let live_now = self.accepting.len() + self.warming.len();
             let want = self.desired.clamp(cfg.min_replicas, cfg.max_replicas);
             if live_now < want {
                 self.spawn(want - live_now, t1);
@@ -926,8 +1000,8 @@ impl<'a> Replay<'a> {
         }
         let start = self.instr.profiling.then(Instant::now);
         let mut depth = 0usize;
-        for rep in self.replicas.iter_mut().filter(|r| r.accepting(t1)) {
-            depth += rep.actor().depth_at(t1).queue_depth;
+        for &i in &self.accepting {
+            depth += self.replicas[i].actor().depth_at(t1).queue_depth;
         }
         self.replay_s += lap(start);
         depth as f64
@@ -944,20 +1018,51 @@ impl<'a> Replay<'a> {
                 register_replica_track(&mut self.instr.recorder, idx, &label);
             }
             self.replicas.push(replica);
+            self.warming.push(idx);
         }
     }
 
     /// Retire the `k` emptiest accepting replicas at `t1` (fastest
     /// drain); ties prefer the newest (LIFO), all deterministic.
+    /// The accepting set must be up to date at `t1`.
     fn retire(&mut self, k: usize, t1: f64, queue_state: &[(usize, f64)]) {
-        let mut victims: Vec<usize> =
-            (0..self.replicas.len()).filter(|&i| self.replicas[i].accepting(t1)).collect();
+        let mut victims = self.accepting.clone();
         victims.sort_by(|&a, &b| {
             let (qa, qb) = (queue_state[a], queue_state[b]);
             qa.0.cmp(&qb.0).then(qa.1.total_cmp(&qb.1)).then(b.cmp(&a))
         });
         for &v in victims.iter().take(k) {
             self.replicas[v].retire_s = Some(t1);
+            self.stop_accepting(v);
+        }
+    }
+
+    /// Bring the accepting set up to date at `now`: move in every
+    /// warming replica that is ready by then.
+    fn admit_ready(&mut self, now: f64) {
+        let (replicas, accepting) = (&self.replicas, &mut self.accepting);
+        self.warming.retain(|&i| {
+            let ready = replicas[i].ready_s <= now;
+            if ready {
+                let pos = accepting.binary_search(&i).expect_err("warming is not accepting");
+                accepting.insert(pos, i);
+            }
+            !ready
+        });
+        debug_assert!(
+            self.accepting.iter().copied().eq((0..self.replicas.len())
+                .filter(|&i| self.replicas[i].live() && self.replicas[i].ready_s <= now)),
+            "the accepting set drifted from the replicas' state"
+        );
+    }
+
+    /// Replica `v` retired or died: drop it from the accepting or the
+    /// warming set.
+    fn stop_accepting(&mut self, v: usize) {
+        if let Ok(pos) = self.accepting.binary_search(&v) {
+            self.accepting.remove(pos);
+        } else if let Some(pos) = self.warming.iter().position(|&i| i == v) {
+            self.warming.remove(pos);
         }
     }
 
@@ -1095,6 +1200,9 @@ impl<'a> Replay<'a> {
                 total_s: lap(run_start),
                 windows: self.windows.len(),
                 dispatches: self.attempts as u64,
+                events: self.events_handled,
+                parks: self.parks,
+                lost_at_dispatch: self.lost_at_dispatch,
                 replays,
                 replayed_requests,
             });
@@ -1123,7 +1231,7 @@ impl<'a> Replay<'a> {
     fn fold_retries(&self, reports: &mut [EngineReport]) {
         for report in reports {
             for t in &mut report.timeline {
-                if let Some(&(idx, attempt)) = self.retry_meta.get(&t.id) {
+                if let Some((idx, attempt)) = self.retry_origin(t.id) {
                     t.id = self.requests[idx].id;
                     t.arrival_s = self.requests[idx].arrival_s;
                     t.attempts = attempt;
@@ -1205,7 +1313,7 @@ fn lifecycle(
         retire_s: rep.retire_s,
         killed_s: rep.killed_s,
         end_s,
-        requests: rep.stream.len(),
+        requests: rep.dispatched,
     }
 }
 
@@ -1299,6 +1407,8 @@ mod tests {
     use seesaw_hw::ClusterSpec;
     use seesaw_model::{presets, ModelConfig};
     use seesaw_parallel::ParallelConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use seesaw_workload::{ArrivalDist, WorkloadGen};
     use std::sync::Arc;
 
@@ -1866,5 +1976,197 @@ mod tests {
         assert_eq!(p2.replays, 0);
         assert_eq!(p2.replayed_requests, 0);
         assert_eq!(p2.replay_s, 0.0);
+    }
+
+    /// The exact loop counters of a profile: events handled, parks,
+    /// attempts lost at dispatch.
+    fn loop_counts(profile: &ControllerProfile) -> [u64; 3] {
+        [profile.events, profile.parks, profile.lost_at_dispatch]
+    }
+
+    /// The oracle: the replay as it ran before kills and arrivals were
+    /// read by cursor. Every kill, then every arrival, is pushed into
+    /// the event queue up front, so the cursors start exhausted and
+    /// the same loop pops everything from the queue into the same
+    /// handlers.
+    fn up_front_replay(
+        ctl: &AutoscaleController,
+        build: ReplicaBuilder,
+        reqs: &[Request],
+        faults: &FaultSchedule,
+    ) -> (ElasticFleetReport, [u64; 3]) {
+        let mut instr = Instrument::profiling();
+        let engines = EngineArena::default();
+        let mut replay = Replay::new(ctl, build, &engines, reqs, faults, &mut instr);
+        for (i, e) in faults.events.iter().enumerate() {
+            replay.queue.push(SimTime::from_secs(e.t_s), Event::Kill(i));
+        }
+        for (i, r) in reqs.iter().enumerate() {
+            replay.queue.push(SimTime::from_secs(r.arrival_s), Event::Arrival(i));
+        }
+        (replay.next_kill, replay.next_arrival) = (faults.events.len(), reqs.len());
+        replay.run();
+        let report = replay.finish(&SweepRunner::serial(), 0.0, None);
+        (report, loop_counts(&instr.profile))
+    }
+
+    /// Run `ctl` both ways under every router policy and require
+    /// bit-identical reports (compared through their `Debug` text, in
+    /// which distinct floats print differently) and equal loop
+    /// counts. Returns the summed counts of the cursor runs.
+    fn assert_matches_oracle(
+        config: AutoscaleConfig,
+        policy: ScalingPolicy,
+        reqs: &[Request],
+        faults: &FaultSchedule,
+        case: &str,
+    ) -> [u64; 3] {
+        let build = builder();
+        let mut total = [0; 3];
+        for router in RouterPolicy::all_with_live() {
+            let ctl = AutoscaleController::new(AutoscaleConfig { router, ..config }, policy);
+            let mut instr = Instrument::profiling();
+            let report = ctl.run_with(&SweepRunner::serial(), &build, reqs, faults, &mut instr);
+            let counts = loop_counts(&instr.profile);
+            let (oracle, oracle_counts) = up_front_replay(&ctl, &build, reqs, faults);
+            assert!(
+                format!("{report:?}") == format!("{oracle:?}"),
+                "{case}, {router}, {policy}: the report differs from the up-front replay's"
+            );
+            assert_eq!(counts, oracle_counts, "{case}, {router}, {policy}");
+            let a = &report.availability;
+            // Every kill, arrival, retry and resume is handled once.
+            let redispatches = a.retries + counts[1] as usize;
+            assert_eq!(counts[0] as usize, faults.events.len() + a.offered + redispatches);
+            for (t, c) in total.iter_mut().zip(counts) {
+                *t += c;
+            }
+        }
+        total
+    }
+
+    /// `n` requests on a quarter-second grid, several sharing an
+    /// instant.
+    fn grid_requests(rng: &mut StdRng, n: usize) -> Vec<Request> {
+        let mut t = 0.0;
+        (0..n)
+            .map(|i| {
+                t += 0.25 * rng.gen_range(0..4usize) as f64;
+                Request::new(i as u64, 512, 32).with_arrival(t)
+            })
+            .collect()
+    }
+
+    /// A random fault schedule on the same grid: half the faults strike
+    /// exactly at an arrival, two may share an instant, and with
+    /// grid-valued detection delays and backoffs every retry lands on
+    /// the grid too, so kills, arrivals and redispatches tie often.
+    fn grid_faults(rng: &mut StdRng, reqs: &[Request]) -> FaultSchedule {
+        let groups = rng.gen_range(1..=2usize);
+        let end = reqs.last().map_or(0.0, |r| r.arrival_s);
+        let mut times: Vec<f64> = (0..rng.gen_range(0..=6usize))
+            .map(|_| {
+                if rng.gen_range(0..2u32) == 0 {
+                    reqs[rng.gen_range(0..reqs.len())].arrival_s
+                } else {
+                    0.25 * rng.gen_range(0..=(4.0 * end) as u64) as f64
+                }
+            })
+            .collect();
+        if times.len() > 1 && rng.gen_range(0..2u32) == 0 {
+            times[1] = times[0];
+        }
+        times.sort_by(f64::total_cmp);
+        let events = times
+            .into_iter()
+            .map(|t_s| {
+                let kind = if rng.gen_range(0..10u32) < 7 {
+                    FaultKind::KillReplica { pick: rng.gen_range(0..u64::MAX) }
+                } else {
+                    FaultKind::GroupOutage { group: rng.gen_range(0..groups) }
+                };
+                FaultEvent { t_s, kind }
+            })
+            .collect();
+        FaultSchedule {
+            events,
+            groups,
+            detect_s: 0.25 * rng.gen_range(0..=8u32) as f64,
+            retry: RetryPolicy {
+                max_attempts: rng.gen_range(1..=5u32),
+                backoff_base_s: 0.5,
+                ..RetryPolicy::default()
+            },
+            replace_failures: rng.gen_range(0..10u32) < 7,
+        }
+    }
+
+    /// Reading kills and arrivals by cursor changes nothing: on random
+    /// schedules whose kills, arrivals, retries, resumes and window
+    /// ends share instants, under all six router policies, the report
+    /// is bit-identical to the up-front queue's.
+    #[test]
+    fn cursor_replay_matches_the_up_front_queue_on_random_schedules() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut totals = [0; 3];
+        for case in 0..12 {
+            let n = 30 + rng.gen_range(0..20usize);
+            let reqs = grid_requests(&mut rng, n);
+            let faults = grid_faults(&mut rng, &reqs);
+            faults.validate().expect("a valid schedule");
+            let warmup_s = 0.25 * rng.gen_range(0..=24u32) as f64;
+            let policy = if case % 2 == 0 {
+                ScalingPolicy::Static { n: 1 + case % 3 }
+            } else {
+                ScalingPolicy::reactive_default()
+            };
+            let config = cfg(5.0, warmup_s, 4);
+            let case = format!("case {case}");
+            let counts = assert_matches_oracle(config, policy, &reqs, &faults, &case);
+            for (t, c) in totals.iter_mut().zip(counts) {
+                *t += c;
+            }
+        }
+        assert!(totals[1] > 0 && totals[2] > 0, "the cases park and lose work: {totals:?}");
+    }
+
+    /// The heavy-fault probe, compressed: 1500 kills and 40 two-group
+    /// outages over a 180 s day keep the fleet dark most of the time,
+    /// so most dispatches park or are lost and retried.
+    #[test]
+    fn cursor_replay_matches_the_up_front_queue_under_heavy_faults() {
+        let mut rng = StdRng::seed_from_u64(1540);
+        let day_s = 180.0;
+        let reqs = traced(150, 150.0 / day_s, 41);
+        let (kills, outages) = (1500.0, 40.0);
+        let rate = (kills + outages) / day_s;
+        let mut t = 0.0;
+        let mut events = Vec::new();
+        loop {
+            t -= (1.0 - rng.gen_range(0.0..1.0)).ln() / rate;
+            if t >= day_s {
+                break;
+            }
+            let kind = if rng.gen_range(0.0..1.0) < outages / (kills + outages) {
+                FaultKind::GroupOutage { group: rng.gen_range(0..2usize) }
+            } else {
+                FaultKind::KillReplica { pick: rng.gen_range(0..u64::MAX) }
+            };
+            events.push(FaultEvent { t_s: t, kind });
+        }
+        let faults = FaultSchedule {
+            events,
+            groups: 2,
+            detect_s: 2.0,
+            retry: RetryPolicy::default(),
+            replace_failures: true,
+        };
+        faults.validate().expect("a valid schedule");
+        for policy in [ScalingPolicy::Static { n: 2 }, ScalingPolicy::reactive_default()] {
+            let [events, parks, lost] =
+                assert_matches_oracle(cfg(6.0, 6.0, 4), policy, &reqs, &faults, "heavy faults");
+            assert!(parks > 0 && lost > 0, "{policy}: the probe parks and loses work");
+            assert!(events > 6 * 1500, "{policy}: {events} events");
+        }
     }
 }

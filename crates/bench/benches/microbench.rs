@@ -35,8 +35,8 @@ fn bench_sim_executor(c: &mut Criterion) {
     g.bench_function("fifo_chain_10k_tasks", |b| {
         b.iter(|| {
             let mut sim = Simulator::new();
-            (0..8).for_each(|i| {
-                sim.add_resource(format!("r{i}"));
+            (0..8).for_each(|_| {
+                sim.add_resource();
             });
             black_box(drive(&mut sim))
         })

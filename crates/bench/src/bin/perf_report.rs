@@ -387,7 +387,8 @@ fn main() {
     json.push_str(&format!(
         "  \"controller_profile\": {{\"runs\": {PROFILE_RUNS}, \"routing_s\": {:.4}, \
          \"replay_s\": {:.4}, \"engine_s\": {:.4}, \"metrics_s\": {:.4}, \"total_s\": {:.4}, \
-         \"coverage\": {:.4}, \"replay_amplification\": {:.3}}},\n",
+         \"coverage\": {:.4}, \"replay_amplification\": {:.3}, \"dispatches\": {}, \
+         \"events\": {}, \"parks\": {}, \"lost_at_dispatch\": {}}},\n",
         profile.routing_s,
         profile.replay_s,
         profile.engine_s,
@@ -395,6 +396,10 @@ fn main() {
         profile.total_s,
         profile.coverage(),
         profile.replay_amplification(),
+        profile.dispatches,
+        profile.events,
+        profile.parks,
+        profile.lost_at_dispatch,
     ));
     json.push_str("  \"figures\": [\n");
     for (i, t) in timings.iter().enumerate() {

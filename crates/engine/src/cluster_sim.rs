@@ -58,13 +58,10 @@ impl ClusterSim {
         let cluster = cluster.into();
         let mut sim = Simulator::new();
         let n = cluster.num_gpus;
-        let mut block = |engine: &str| -> Vec<ResourceId> {
-            (0..n).map(|i| sim.add_resource(format!("gpu{i}.{engine}"))).collect()
-        };
+        let mut block = || -> Vec<ResourceId> { (0..n).map(|_| sim.add_resource()).collect() };
         // Compute engines first, so GPU `g`'s is resource `g`
         // (`compute_block` relies on it).
-        let (compute, h2d, d2h, staging) =
-            (block("compute"), block("h2d"), block("d2h"), block("staging"));
+        let (compute, h2d, d2h, staging) = (block(), block(), block(), block());
         debug_assert!(compute.iter().enumerate().all(|(g, r)| r.index() == g));
         ClusterSim {
             sim,

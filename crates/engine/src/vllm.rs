@@ -314,10 +314,14 @@ impl<'a> RunState<'a> {
                     self.budget[d] -= req.input_len;
                 }
                 None => {
-                    // No replica can take the head request right now.
+                    // No replica can take the head request right now;
+                    // it is too large only if nothing holds KV that
+                    // will be freed (in-flight prefill batches do:
+                    // `prefill_step` integrates them and admits again).
                     if self.replicas.iter().all(|r| r.num_running() == 0)
                         && self.prefilling.iter().all(|p| p.is_empty())
                         && self.admitted.iter().all(|a| a.is_empty())
+                        && self.batches.is_empty()
                     {
                         let cap = self.replicas[0].kv.capacity_tokens();
                         panic!(
@@ -913,6 +917,32 @@ mod tests {
         // One request larger than the whole KV space.
         let reqs = vec![Request::new(0, 2_000_000, 10)];
         eng.run(&reqs);
+    }
+
+    /// A request that fits once in-flight prefill batches are
+    /// integrated must wait for them, not be reported as larger than
+    /// the cache: under decode priority at D2P2 and D2T2, admission
+    /// once found its only KV holders in `batches` and panicked on a
+    /// 455- and a 707-token request against 26 096 tokens of capacity.
+    #[test]
+    fn admission_waits_for_in_flight_prefill_batches() {
+        use seesaw_workload::ArrivalDist;
+        let stream = WorkloadGen::sharegpt(7)
+            .with_arrivals(ArrivalDist::Poisson { rate: 3.0 })
+            .expect("valid arrivals")
+            .generate(200);
+        for config in [ParallelConfig::new(2, 1, 2), ParallelConfig::new(2, 2, 1)] {
+            let eng = VllmEngine::new(
+                ClusterSpec::a10x4(),
+                presets::llama2_13b(),
+                config,
+                SchedulingPolicy::DecodePrioritized,
+            )
+            .unwrap();
+            let report = eng.run(&stream);
+            assert_eq!(report.stats.requests, 200, "{config:?}");
+            assert_eq!(report.timeline.len(), 200, "{config:?}");
+        }
     }
 
     #[test]

@@ -52,10 +52,11 @@ impl HeapCluster {
     pub fn new(cluster: &ClusterSpec) -> Self {
         let mut sim = HeapSim::new();
         let mut compute = Vec::new();
-        for engine in ["compute", "h2d", "d2h", "staging"] {
-            for g in 0..cluster.num_gpus {
-                let id = sim.add_resource(format!("gpu{g}.{engine}"));
-                if engine == "compute" {
+        // Compute, h2d, d2h, staging: one block of resources each.
+        for engine in 0..4 {
+            for _ in 0..cluster.num_gpus {
+                let id = sim.add_resource();
+                if engine == 0 {
                     compute.push(id);
                 }
             }

@@ -275,6 +275,14 @@ impl Router {
     /// spot. Po2 samples two distinct eligible positions with its
     /// seeded RNG.
     ///
+    /// Only the virtual queues a decision reads are advanced to the
+    /// arrival: every eligible one under JSQ and least-work, po2's two
+    /// samples, and under every policy the chosen one before it takes
+    /// the request. Other queues, ineligible or dead ones included,
+    /// catch up when next read. A queue drains its expired requests
+    /// front to back, one subtraction at a time, so one late advance
+    /// leaves the same bits as an advance at every arrival.
+    ///
     /// An empty `eligible` set — every replica dark mid-outage — is a
     /// typed [`NoAcceptingReplica`] error, not a panic: the caller
     /// decides whether to buffer, requeue, or fail the arrival.
@@ -300,20 +308,24 @@ impl Router {
             self.policy
         );
         let now = req.arrival_s;
-        for q in &mut self.queues {
-            q.advance_to(now);
-        }
-        let chosen = if let RouterPolicy::PowerOfTwoChoices { .. } = self.policy {
-            self.po2(eligible)
-        } else {
-            self.argmin(eligible, live)
+        let chosen = match self.policy {
+            RouterPolicy::PowerOfTwoChoices { .. } => self.po2(eligible, now),
+            RouterPolicy::JoinShortestQueue | RouterPolicy::LeastEstimatedWork => {
+                for &i in eligible {
+                    self.queues[i].advance_to(now);
+                }
+                self.argmin(eligible, live)
+            }
+            _ => self.argmin(eligible, live),
         };
         let est = est_service(chosen, req);
         assert!(
             est.is_finite() && est > 0.0,
             "service estimate must be positive and finite, got {est}"
         );
-        let start = self.queues[chosen].push(now, est);
+        let queue = &mut self.queues[chosen];
+        queue.advance_to(now);
+        let start = queue.push(now, est);
         Ok(Routed { replica: chosen, est_wait_s: start - now })
     }
 
@@ -328,7 +340,8 @@ impl Router {
         self.queues[idx] = VirtualQueue::default();
     }
 
-    /// Advance every virtual queue to `now` and report
+    /// Advance every virtual queue to `now`, unlike [`Router::route`],
+    /// which advances only the queues it reads, and report
     /// `(in-flight requests, estimated outstanding work seconds)` per
     /// replica — the controller's end-of-window backlog snapshot.
     /// Idempotent with later routing: queues drain monotonically, so
@@ -377,7 +390,7 @@ impl Router {
     /// and keep the one with fewer in-flight requests. The first
     /// sample wins ties — it is already uniform, so tied (e.g.
     /// drained) queues spread instead of hot-spotting a fixed index.
-    fn po2(&mut self, eligible: &[usize]) -> usize {
+    fn po2(&mut self, eligible: &[usize], now: f64) -> usize {
         let k = eligible.len();
         if k == 1 {
             return eligible[0];
@@ -389,6 +402,8 @@ impl Router {
             b += 1;
         }
         let (a, b) = (eligible[a], eligible[b]);
+        self.queues[a].advance_to(now);
+        self.queues[b].advance_to(now);
         if self.queues[b].inflight.len() < self.queues[a].inflight.len() {
             b
         } else {
@@ -693,5 +708,50 @@ mod tests {
     fn live_policy_rejects_estimated_route() {
         let reqs = reqs_at(&[0.0]);
         assign(RouterPolicy::JoinShortestQueueLive, 2, &reqs, UNIT_EST);
+    }
+
+    /// Advancing only the queues a decision reads leaves every decision
+    /// and every queue's bits as advancing all of them at each arrival
+    /// did: on a random stream with random eligible subsets, random
+    /// service estimates and random live state, under every policy,
+    /// the picks, estimated waits and final queue state are
+    /// bit-identical to a router advanced in full (`queue_state`)
+    /// before each decision.
+    #[test]
+    fn lazy_queues_match_advancing_every_queue() {
+        let n = 6;
+        let est = |replica: usize, r: &Request| 0.1 * (r.input_len + replica) as f64 + 0.013;
+        for policy in RouterPolicy::all_with_live() {
+            let mut rng = StdRng::seed_from_u64(77);
+            let (mut lazy, mut eager) = (Router::new(policy, n), Router::new(policy, n));
+            let mut t = 0.0;
+            for id in 0..400 {
+                t += rng.gen_range(0.0..0.4);
+                let req = Request::new(id, 1 + id as usize % 7, 1).with_arrival(t);
+                let mut eligible: Vec<usize> =
+                    (0..n).filter(|_| rng.gen_range(0..3u32) > 0).collect();
+                if eligible.is_empty() {
+                    eligible.push(rng.gen_range(0..n));
+                }
+                let live: Vec<(usize, f64)> = eligible
+                    .iter()
+                    .map(|_| (rng.gen_range(0..4usize), rng.gen_range(0.0..2.0)))
+                    .collect();
+                if id == 200 {
+                    lazy.reset_replica(2);
+                    eager.reset_replica(2);
+                }
+                eager.queue_state(t);
+                let a = lazy.route(&req, &eligible, &live, est).expect("eligible");
+                let b = eager.route(&req, &eligible, &live, est).expect("eligible");
+                assert_eq!(a.replica, b.replica, "{policy}: request {id}");
+                let waits = (a.est_wait_s.to_bits(), b.est_wait_s.to_bits());
+                assert_eq!(waits.0, waits.1, "{policy}: request {id}");
+            }
+            let bits = |state: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
+                state.into_iter().map(|(d, w)| (d, w.to_bits())).collect()
+            };
+            assert_eq!(bits(lazy.queue_state(t)), bits(eager.queue_state(t)), "{policy}");
+        }
     }
 }

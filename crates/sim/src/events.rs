@@ -2,9 +2,12 @@
 //!
 //! Events are keyed by a packed `u128` — time bits first, then an
 //! insertion sequence number — so equal-time events pop in push order
-//! and the heap never compares floats directly. Fleet tiers push
-//! arrivals, kills, and controller ticks onto one global clock and
-//! pop them in a single deterministic order, independent of how many
+//! and the heap never compares floats directly. The fixed-fleet loop
+//! pushes its arrivals here; the autoscale controller keeps only the
+//! events it schedules as it runs (retries and resumes) and merges
+//! them with its already-sorted kills and arrivals, read by cursor, so
+//! the queue holds what is pending, not the whole trace. Either way
+//! events come out in one deterministic order, independent of how many
 //! worker threads later simulate the consequences. (The engines'
 //! [`Simulator`](crate::Simulator) needs no queue: its resources serve
 //! in submission order, so every completion time is known up front.)

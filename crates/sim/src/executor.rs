@@ -49,8 +49,8 @@ impl Simulator {
     }
 
     /// Register a resource.
-    pub fn add_resource(&mut self, name: impl Into<String>) -> ResourceId {
-        let id = self.pool.add(name);
+    pub fn add_resource(&mut self) -> ResourceId {
+        let id = self.pool.add();
         self.free.push(SimTime::ZERO);
         self.busy.push(0.0);
         id
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn fifo_contention_serializes() {
         let mut sim = Simulator::new();
-        let gpu = sim.add_resource("gpu0.compute");
+        let gpu = sim.add_resource();
         let a = compute(&mut sim, gpu, 1.0);
         let b = compute(&mut sim, gpu, 2.0);
         assert_eq!(sim.run_until_idle().as_secs(), 3.0);
@@ -209,8 +209,8 @@ mod tests {
     #[test]
     fn independent_resources_overlap() {
         let mut sim = Simulator::new();
-        let g0 = sim.add_resource("gpu0.compute");
-        let g1 = sim.add_resource("gpu1.compute");
+        let g0 = sim.add_resource();
+        let g1 = sim.add_resource();
         compute(&mut sim, g0, 2.0);
         compute(&mut sim, g1, 2.0);
         assert_eq!(sim.run_until_idle().as_secs(), 2.0);
@@ -219,8 +219,8 @@ mod tests {
     #[test]
     fn dependencies_sequence_across_resources() {
         let mut sim = Simulator::new();
-        let g0 = sim.add_resource("gpu0.compute");
-        let link = sim.add_resource("gpu0.d2h");
+        let g0 = sim.add_resource();
+        let link = sim.add_resource();
         let fwd = compute(&mut sim, g0, 1.0);
         let xfer = sim.submit_on(link, 0.5, TaskKind::SwapOut, Some(fwd));
         assert_eq!(sim.run_until(xfer).as_secs(), 1.5);
@@ -230,8 +230,8 @@ mod tests {
     fn sync_node_joins_fan_in() {
         // A join is the latest of its tasks' ends, not a task.
         let mut sim = Simulator::new();
-        let g0 = sim.add_resource("g0");
-        let g1 = sim.add_resource("g1");
+        let g0 = sim.add_resource();
+        let g1 = sim.add_resource();
         let a = compute(&mut sim, g0, 1.0);
         let b = compute(&mut sim, g1, 3.0);
         assert_eq!(sim.run_until(a.max(b)).as_secs(), 3.0);
@@ -240,8 +240,8 @@ mod tests {
     #[test]
     fn joins_leave_no_span() {
         let mut sim = Simulator::new();
-        let g0 = sim.add_resource("g0");
-        let g1 = sim.add_resource("g1");
+        let g0 = sim.add_resource();
+        let g1 = sim.add_resource();
         let a = compute(&mut sim, g0, 1.0);
         let b = compute(&mut sim, g1, 1.0);
         sim.run_until(a.max(b));
@@ -255,8 +255,8 @@ mod tests {
         // runs agree exactly.
         let run = || {
             let mut sim = Simulator::new();
-            let g0 = sim.add_resource("g0");
-            let g1 = sim.add_resource("g1");
+            let g0 = sim.add_resource();
+            let g1 = sim.add_resource();
             let a = compute(&mut sim, g0, 1.0);
             let b = compute(&mut sim, g1, 1.0);
             let c = sim.submit_on(g0, 0.5, TaskKind::Compute, Some(a.max(b)));
@@ -269,8 +269,8 @@ mod tests {
     #[test]
     fn run_until_leaves_others_in_flight() {
         let mut sim = Simulator::new();
-        let g0 = sim.add_resource("g0");
-        let g1 = sim.add_resource("g1");
+        let g0 = sim.add_resource();
+        let g1 = sim.add_resource();
         let quick = compute(&mut sim, g0, 1.0);
         let slow = compute(&mut sim, g1, 10.0);
         sim.run_until(quick);
@@ -284,7 +284,7 @@ mod tests {
     #[test]
     fn waiting_for_a_finished_task_keeps_the_clock() {
         let mut sim = Simulator::new();
-        let g0 = sim.add_resource("g0");
+        let g0 = sim.add_resource();
         let a = compute(&mut sim, g0, 1.0);
         let b = compute(&mut sim, g0, 2.0);
         sim.run_until(b);
@@ -295,7 +295,7 @@ mod tests {
     #[test]
     fn clone_continues_independently() {
         let mut sim = Simulator::new();
-        let g0 = sim.add_resource("g0");
+        let g0 = sim.add_resource();
         let a = compute(&mut sim, g0, 1.0);
         let b = compute(&mut sim, g0, 2.0);
         sim.run_until(a);
@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn advance_to_moves_idle_clock_forward_only() {
         let mut sim = Simulator::new();
-        let g0 = sim.add_resource("g0");
+        let g0 = sim.add_resource();
         let a = compute(&mut sim, g0, 1.0);
         sim.run_until(a);
         sim.advance_to(SimTime::from_secs(5.0));
@@ -332,7 +332,7 @@ mod tests {
     #[should_panic(expected = "requires an idle simulator")]
     fn advance_to_rejects_pending_events() {
         let mut sim = Simulator::new();
-        let g0 = sim.add_resource("g0");
+        let g0 = sim.add_resource();
         compute(&mut sim, g0, 1.0);
         sim.advance_to(SimTime::from_secs(5.0));
     }
@@ -340,7 +340,7 @@ mod tests {
     #[test]
     fn submit_after_run_resumes_from_now() {
         let mut sim = Simulator::new();
-        let g0 = sim.add_resource("g0");
+        let g0 = sim.add_resource();
         let a = compute(&mut sim, g0, 2.0);
         sim.run_until(a);
         let b = compute(&mut sim, g0, 1.0);
@@ -350,8 +350,8 @@ mod tests {
     #[test]
     fn dependency_on_completed_task_is_immediate() {
         let mut sim = Simulator::new();
-        let g0 = sim.add_resource("g0");
-        let g1 = sim.add_resource("g1");
+        let g0 = sim.add_resource();
+        let g1 = sim.add_resource();
         let a = compute(&mut sim, g0, 1.0);
         sim.run_until(a);
         sim.advance_to(SimTime::from_secs(4.0));
@@ -364,8 +364,8 @@ mod tests {
         // 2-stage pipeline, 4 micro-batches of 1s per stage:
         // total = fill(1) + 4 = 5s on the last stage.
         let mut sim = Simulator::new();
-        let s0 = sim.add_resource("stage0");
-        let s1 = sim.add_resource("stage1");
+        let s0 = sim.add_resource();
+        let s1 = sim.add_resource();
         let mut last = SimTime::ZERO;
         let mut prev_s0 = None;
         for _ in 0..4 {
@@ -379,8 +379,8 @@ mod tests {
     #[test]
     fn busy_time_accumulates_per_resource() {
         let mut sim = Simulator::new();
-        let g0 = sim.add_resource("g0");
-        let g1 = sim.add_resource("g1");
+        let g0 = sim.add_resource();
+        let g1 = sim.add_resource();
         compute(&mut sim, g0, 1.0);
         compute(&mut sim, g0, 2.0);
         compute(&mut sim, g1, 0.5);
@@ -394,8 +394,8 @@ mod tests {
     #[test]
     fn busy_by_kind_sums_service_intervals() {
         let mut sim = Simulator::new();
-        let g0 = sim.add_resource("g0");
-        let link = sim.add_resource("g0.d2h");
+        let g0 = sim.add_resource();
+        let link = sim.add_resource();
         let a = compute(&mut sim, g0, 1.0);
         compute(&mut sim, g0, 2.0);
         sim.submit_on(link, 0.5, TaskKind::SwapOut, Some(a));
@@ -414,15 +414,15 @@ mod tests {
     #[should_panic(expected = "invalid task duration")]
     fn negative_duration_rejected() {
         let mut sim = Simulator::new();
-        let g0 = sim.add_resource("g0");
+        let g0 = sim.add_resource();
         sim.submit_on(g0, -1.0, TaskKind::Compute, None);
     }
 
     #[test]
     fn completion_counts_at_its_own_instant() {
         let mut sim = Simulator::new();
-        let g0 = sim.add_resource("g0");
-        let g1 = sim.add_resource("g1");
+        let g0 = sim.add_resource();
+        let g1 = sim.add_resource();
         let a = compute(&mut sim, g0, 1.0);
         let b = compute(&mut sim, g1, 1.0);
         sim.run_until(a);
@@ -437,8 +437,8 @@ mod tests {
         let mut run = Simulator::new();
         let mut charged = Simulator::new();
         for sim in [&mut run, &mut charged] {
-            for i in 0..3 {
-                sim.add_resource(format!("g{i}"));
+            for _ in 0..3 {
+                sim.add_resource();
             }
         }
         let a = run.submit_on(run.pool().id(1), 0.75, TaskKind::Compute, None);

@@ -27,8 +27,8 @@
 //!   stage interval to their GPUs' busy counters and the per-kind
 //!   totals, and mark each GPU busy once, at the end of its last
 //!   interval.
-//! * [`EventQueue`] orders the fleet and controller loops' events on
-//!   one global clock.
+//! * [`EventQueue`] orders the fleet loop's arrivals and the
+//!   controller's pending retries and resumes on one global clock.
 
 pub mod events;
 pub mod executor;

@@ -1,4 +1,4 @@
-//! Named FIFO resources.
+//! FIFO resources, identified by dense ids.
 
 use std::fmt;
 
@@ -19,15 +19,16 @@ impl fmt::Display for ResourceId {
     }
 }
 
-/// A registry of named, single-server FIFO resources.
+/// A registry of single-server FIFO resources.
 ///
 /// Each resource executes one task at a time; queued tasks run in the
-/// order they became ready. Names are free-form but conventionally
-/// `"{device}.{function}"`, e.g. `"gpu3.compute"`, `"gpu3.h2d"`,
-/// `"fabric"`, `"host.staging"`.
+/// order they became ready. Resources are known by their id alone:
+/// ids are handed out densely in registration order, so a caller that
+/// registers its resources in a fixed order (say, every GPU's compute
+/// engine first) can rely on their indices.
 #[derive(Debug, Default, Clone)]
 pub struct ResourcePool {
-    names: Vec<String>,
+    len: usize,
 }
 
 impl ResourcePool {
@@ -37,37 +38,27 @@ impl ResourcePool {
     }
 
     /// Register a resource, returning its id.
-    pub fn add(&mut self, name: impl Into<String>) -> ResourceId {
-        self.names.push(name.into());
-        ResourceId(self.names.len() - 1)
+    pub fn add(&mut self) -> ResourceId {
+        self.len += 1;
+        ResourceId(self.len - 1)
     }
 
     /// Number of registered resources.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.len
     }
 
     /// Whether the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// Name of a resource.
-    pub fn name(&self, id: ResourceId) -> &str {
-        &self.names[id.0]
+        self.len == 0
     }
 
     /// The id at a raw index (ids are assigned densely in registration
     /// order, so this is the inverse of [`ResourceId::index`]). Panics
     /// when out of range.
     pub fn id(&self, index: usize) -> ResourceId {
-        assert!(index < self.names.len(), "resource index {index} out of range");
+        assert!(index < self.len, "resource index {index} out of range");
         ResourceId(index)
-    }
-
-    /// Find a resource by exact name.
-    pub fn find(&self, name: &str) -> Option<ResourceId> {
-        self.names.iter().position(|n| n == name).map(ResourceId)
     }
 }
 
@@ -78,20 +69,19 @@ mod tests {
     #[test]
     fn add_and_lookup() {
         let mut pool = ResourcePool::new();
-        let a = pool.add("gpu0.compute");
-        let b = pool.add("gpu0.h2d");
+        assert!(pool.is_empty());
+        let a = pool.add();
+        let b = pool.add();
         assert_eq!(pool.len(), 2);
         assert_ne!(a, b);
-        assert_eq!(pool.name(a), "gpu0.compute");
-        assert_eq!(pool.find("gpu0.h2d"), Some(b));
-        assert_eq!(pool.find("nope"), None);
+        assert_eq!(pool.id(1), b);
     }
 
     #[test]
     fn ids_are_stable_indices() {
         let mut pool = ResourcePool::new();
         for i in 0..10 {
-            let id = pool.add(format!("r{i}"));
+            let id = pool.add();
             assert_eq!(id.index(), i);
         }
     }

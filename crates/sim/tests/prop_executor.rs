@@ -44,8 +44,8 @@ fn tasks_strategy(n_res: usize) -> impl Strategy<Value = Vec<GenTask>> {
 /// completion time.
 fn build_and_run(tasks: &[GenTask], n_res: usize) -> (Simulator, Vec<SimTime>) {
     let mut sim = Simulator::new();
-    (0..n_res).for_each(|i| {
-        sim.add_resource(format!("r{i}"));
+    (0..n_res).for_each(|_| {
+        sim.add_resource();
     });
     let mut ends: Vec<SimTime> = Vec::new();
     for (i, t) in tasks.iter().enumerate() {
@@ -154,13 +154,13 @@ const STAGING: usize = 3;
 impl Pair {
     fn new(gpus: usize) -> Self {
         let (mut eager, mut heap) = (Simulator::new(), HeapSim::new());
-        let res = ["compute", "h2d", "d2h", "staging"]
-            .iter()
-            .map(|engine| {
+        // Compute, h2d, d2h, staging: one block of resources each.
+        let res = (0..4)
+            .map(|_| {
                 (0..gpus)
-                    .map(|g| {
-                        let id = eager.add_resource(format!("gpu{g}.{engine}"));
-                        assert_eq!(heap.add_resource(format!("gpu{g}.{engine}")), id);
+                    .map(|_| {
+                        let id = eager.add_resource();
+                        assert_eq!(heap.add_resource(), id);
                         id
                     })
                     .collect()

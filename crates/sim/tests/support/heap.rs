@@ -67,12 +67,12 @@ impl HeapSim {
         Self::default()
     }
 
-    pub fn add_resource(&mut self, name: impl Into<String>) -> ResourceId {
+    pub fn add_resource(&mut self) -> ResourceId {
         self.serving.push(false);
         self.queues.push(VecDeque::new());
         self.last_started.push(None);
         self.busy.push(0.0);
-        self.pool.add(name)
+        self.pool.add()
     }
 
     pub fn pool(&self) -> &ResourcePool {

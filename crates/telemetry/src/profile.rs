@@ -29,6 +29,15 @@ pub struct ControllerProfile {
     pub windows: usize,
     /// Requests dispatched (including retries).
     pub dispatches: u64,
+    /// Events the controller loop handled: kills, base arrivals,
+    /// retries and resumes.
+    pub events: u64,
+    /// Dispatches parked because every replica was dark while one was
+    /// warming (each comes back as a resume event).
+    pub parks: u64,
+    /// Dispatches lost because every replica was dark and none was
+    /// warming (each is retried or failed like killed work).
+    pub lost_at_dispatch: u64,
     /// Projections behind live reads: an actor cloned and run to
     /// completion to read a forward-looking signal (remaining work, a
     /// kill's lost set). Depth reads never project; the default
@@ -76,6 +85,9 @@ impl ControllerProfile {
         self.total_s += other.total_s;
         self.windows += other.windows;
         self.dispatches += other.dispatches;
+        self.events += other.events;
+        self.parks += other.parks;
+        self.lost_at_dispatch += other.lost_at_dispatch;
         self.replays += other.replays;
         self.replayed_requests += other.replayed_requests;
     }
@@ -85,8 +97,9 @@ impl ControllerProfile {
         let pct = |s: f64| if self.total_s > 0.0 { 100.0 * s / self.total_s } else { 0.0 };
         let mut out = String::new();
         out.push_str(&format!(
-            "controller phase attribution ({} windows, {} dispatches):\n",
-            self.windows, self.dispatches
+            "controller phase attribution ({} windows, {} dispatches, {} events, {} parks, \
+             {} lost at dispatch):\n",
+            self.windows, self.dispatches, self.events, self.parks, self.lost_at_dispatch
         ));
         out.push_str(&format!(
             "  routing            {:>9.4}s  {:>5.1}%\n",
@@ -134,6 +147,9 @@ mod tests {
             total_s: 10.0,
             windows: 12,
             dispatches: 100,
+            events: 130,
+            parks: 20,
+            lost_at_dispatch: 10,
             replays: 40,
             replayed_requests: 450,
         };
@@ -142,6 +158,7 @@ mod tests {
         assert!((p.replay_amplification() - 4.5).abs() < 1e-12);
         let text = p.render();
         assert!(text.contains("actor advancement"));
+        assert!(text.contains("100 dispatches, 130 events, 20 parks, 10 lost at dispatch"));
         assert!(text.contains("95.0% of 10.0000s total"));
     }
 
@@ -155,10 +172,20 @@ mod tests {
     #[test]
     fn absorb_sums_fields() {
         let mut a = ControllerProfile { routing_s: 1.0, dispatches: 5, ..Default::default() };
-        let b = ControllerProfile { routing_s: 2.0, dispatches: 7, windows: 3, ..Default::default() };
+        let b = ControllerProfile {
+            routing_s: 2.0,
+            dispatches: 7,
+            windows: 3,
+            events: 9,
+            parks: 2,
+            lost_at_dispatch: 1,
+            ..Default::default()
+        };
         a.absorb(&b);
-        assert_eq!(a.routing_s, 3.0);
-        assert_eq!(a.dispatches, 12);
-        assert_eq!(a.windows, 3);
+        a.absorb(&b);
+        assert_eq!(a.routing_s, 5.0);
+        assert_eq!(a.dispatches, 19);
+        assert_eq!((a.events, a.parks, a.lost_at_dispatch), (18, 4, 2));
+        assert_eq!(a.windows, 6);
     }
 }
