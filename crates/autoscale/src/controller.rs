@@ -733,12 +733,17 @@ impl<'a> Replay<'a> {
         self.killed_projections.0 += projections;
         self.killed_projections.1 += reprojected;
         let mut report = actor.finish();
-        let completion: HashMap<u64, f64> =
-            report.timeline.iter().map(|t| (t.id, t.completion_s)).collect();
+        let timeline = &report.timeline;
+        debug_assert!(
+            timeline.windows(2).all(|w| w[0].id < w[1].id),
+            "timeline is id-sorted"
+        );
         let lost = std::mem::take(&mut rep.stream)
             .into_iter()
             .filter_map(|id| {
-                let done = completion.get(&id).copied().unwrap_or(f64::INFINITY);
+                let done = timeline
+                    .binary_search_by_key(&id, |t| t.id)
+                    .map_or(f64::INFINITY, |i| timeline[i].completion_s);
                 (done > tk).then_some((id, done))
             })
             .collect();

@@ -93,8 +93,10 @@ pub fn abl_buffer_with(runner: &SweepRunner, n_requests: usize) -> String {
     out
 }
 
-/// D3 — asynchronous pipeline on/off.
-/// Runs on `runner` (both arms run concurrently).
+/// D3 — asynchronous pipeline on/off. The off arm serializes only
+/// the swap-outs with prefill compute; its swap-ins overlap decode as
+/// in the on arm (see `SeesawSpec::overlap`), so the table measures
+/// half of the pipeline. Runs on `runner` (both arms run concurrently).
 pub fn abl_overlap_with(runner: &SweepRunner, n_requests: usize) -> String {
     let (cluster, model, base) = setting();
     let reqs = workload(n_requests);

@@ -42,12 +42,15 @@
 //!   would) or at finish (as the prefix run would).
 //!
 //! A depth query advances the loop through every decision before `t`
-//! and counts the in-flight requests from their timing records, read
-//! by position in the run's recorder. Every record holds its final
-//! time the moment it is made — the simulator knows each piece of
-//! work's end when it is submitted, closed-form decode bursts and
-//! mixed rounds included — so a record at or before `t` is exactly
-//! what the full run would report, and a depth read never projects.
+//! and counts from the pushed total and the run's timing records: a
+//! request is waiting until its first-token record is due, running
+//! until its completion record is. Every record holds its final time
+//! the moment it is made — the simulator knows each piece of work's
+//! end when it is submitted, closed-form decode bursts and mixed rounds
+//! included — so a record at or before `t` is exactly what the full
+//! run would report, and a depth read never projects. The recorder's
+//! lists are append-only, so each is read by a cursor that keeps only
+//! the times of records made but not yet due.
 //!
 //! A projection clones the run, closes its intake and runs it to
 //! completion; only forward-looking signals — remaining work, a
@@ -60,11 +63,11 @@ use crate::driver::assert_arrivals_sorted;
 use crate::report::EngineReport;
 use crate::sweep::SweepRunner;
 use crate::timing::TimingRecorder;
-use seesaw_hw::FxBuildHasher;
 use seesaw_roofline::Roofline;
 use seesaw_sim::SimTime;
 use seesaw_workload::{Request, RequestMap, RunStats};
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Mutex;
 
 /// Backward-looking counts of a replica at one instant.
@@ -89,8 +92,8 @@ pub trait EngineActor: Send {
 
     /// Exact waiting/running/queue-depth counts at `t`, which must not
     /// precede an earlier push or query. The vLLM and Seesaw actors
-    /// answer in time proportional to the requests in flight, with no
-    /// projection.
+    /// answer from the timing records made since the previous query
+    /// (and those still not due), with no projection.
     fn depth_at(&mut self, t: f64) -> Depth;
 
     /// The report of the assigned stream run to completion as if
@@ -275,7 +278,8 @@ type Start<'a, R> = Box<dyn FnOnce(Intake) -> R + Send + 'a>;
 pub(crate) struct SimActor<'a, R> {
     unstarted: Option<(Intake, Start<'a, R>)>,
     run: Option<R>,
-    inflight: Inflight,
+    firsts: DueCount,
+    dones: DueCount,
     projection: Option<EngineReport>,
     projections: u64,
     reprojected: u64,
@@ -286,7 +290,8 @@ impl<'a, R: Resumable> SimActor<'a, R> {
         SimActor {
             unstarted: Some((intake, Box::new(start))),
             run: None,
-            inflight: Inflight::default(),
+            firsts: DueCount::default(),
+            dones: DueCount::default(),
             projection: None,
             projections: 0,
             reprojected: 0,
@@ -316,7 +321,6 @@ impl<'a, R: Resumable> SimActor<'a, R> {
 impl<R: Resumable> EngineActor for SimActor<'_, R> {
     fn push(&mut self, req: Request) {
         self.intake_mut().push(req);
-        self.inflight.add(req.id);
         self.projection = None;
     }
 
@@ -324,7 +328,14 @@ impl<R: Resumable> EngineActor for SimActor<'_, R> {
         self.intake_mut().observe(t);
         self.advanced();
         let run = self.run.as_ref().expect("advanced starts the run");
-        self.inflight.depth_at(t, run.recorder())
+        let (rec, pushed) = (run.recorder(), run.intake().len());
+        let first = self.firsts.at(t, rec.first_tokens());
+        let done = self.dones.at(t, rec.completions());
+        Depth {
+            waiting: pushed - first,
+            running: first - done,
+            queue_depth: pushed - done,
+        }
     }
 
     fn projected(&mut self) -> &EngineReport {
@@ -353,74 +364,77 @@ impl<R: Resumable> EngineActor for SimActor<'_, R> {
     }
 }
 
-/// Pushed requests not yet known to be complete, with the positions
-/// of their first-token and completion records in the run's
-/// [`TimingRecorder`].
+/// A cursor over one of the recorder's append-only lists: how many of
+/// its records are due by the latest query. A record may end after the
+/// query that absorbs it; its time then waits in a min-heap.
 #[derive(Debug, Default)]
-struct Inflight {
-    /// Recorder entries already absorbed.
-    firsts_seen: usize,
-    dones_seen: usize,
-    slots: Vec<Slot>,
-    index: HashMap<u64, usize, FxBuildHasher>,
+struct DueCount {
+    /// Records absorbed so far.
+    seen: usize,
+    /// Absorbed records at or before the latest query.
+    due: usize,
+    /// Times of absorbed records after the latest query.
+    later: BinaryHeap<Reverse<SimTime>>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    id: u64,
-    first: Option<usize>,
-    done: Option<usize>,
-}
-
-impl Inflight {
-    fn add(&mut self, id: u64) {
-        self.index.insert(id, self.slots.len());
-        self.slots.push(Slot {
-            id,
-            first: None,
-            done: None,
-        });
-    }
-
-    /// Counts at `t`. Requests complete by `t` are retired: queries
-    /// never move backwards.
-    fn depth_at(&mut self, t: f64, rec: &TimingRecorder) -> Depth {
-        let (firsts, dones) = (rec.first_tokens(), rec.completions());
-        for (i, &(id, _)) in firsts.iter().enumerate().skip(self.firsts_seen) {
-            if let Some(&s) = self.index.get(&id) {
-                self.slots[s].first = Some(i);
-            }
+impl DueCount {
+    /// Records of `records` at or before `t`, which must not precede
+    /// an earlier query; `records` only grows between calls.
+    fn at(&mut self, t: f64, records: &[(u64, SimTime)]) -> usize {
+        let due = |at: SimTime| at.as_secs() <= t;
+        while self.later.peek().is_some_and(|&Reverse(at)| due(at)) {
+            self.later.pop();
+            self.due += 1;
         }
-        self.firsts_seen = firsts.len();
-        for (i, &(id, _)) in dones.iter().enumerate().skip(self.dones_seen) {
-            if let Some(&s) = self.index.get(&id) {
-                self.slots[s].done = Some(i);
-            }
-        }
-        self.dones_seen = dones.len();
-        let by_t = |records: &[(u64, SimTime)], i: Option<usize>| {
-            i.is_some_and(|i| records[i].1.as_secs() <= t)
-        };
-        let mut depth = Depth::default();
-        let mut i = 0;
-        while i < self.slots.len() {
-            let slot = self.slots[i];
-            if by_t(dones, slot.done) {
-                self.index.remove(&slot.id);
-                self.slots.swap_remove(i);
-                if let Some(moved) = self.slots.get(i) {
-                    self.index.insert(moved.id, i);
-                }
-                continue;
-            }
-            if by_t(firsts, slot.first) {
-                depth.running += 1;
+        for &(_, at) in &records[self.seen..] {
+            if due(at) {
+                self.due += 1;
             } else {
-                depth.waiting += 1;
+                self.later.push(Reverse(at));
             }
-            i += 1;
         }
-        depth.queue_depth = depth.waiting + depth.running;
-        depth
+        self.seen = records.len();
+        self.due
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The cursor count equals a brute-force count over every record
+    /// so far, on random records appended between nondecreasing
+    /// queries: before, at and after the query instant, on a half-second
+    /// grid so that ties are common.
+    #[test]
+    fn due_count_matches_a_brute_force_count() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut draw = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let (mut ties, mut later) = (0, 0);
+        for _ in 0..64 {
+            let mut records: Vec<(u64, SimTime)> = Vec::new();
+            let mut count = DueCount::default();
+            let mut t = 0.0;
+            for _ in 0..32 {
+                t += draw(3) as f64 * 0.5;
+                for _ in 0..draw(5) {
+                    let at = (t + (draw(9) as f64 - 3.0) * 0.5).max(0.0);
+                    ties += usize::from(at == t);
+                    later += usize::from(at > t);
+                    records.push((records.len() as u64, SimTime::from_secs(at)));
+                }
+                let brute = records.iter().filter(|&&(_, at)| at.as_secs() <= t).count();
+                assert_eq!(count.at(t, &records), brute, "at {t}");
+            }
+        }
+        assert!(
+            ties > 100 && later > 100,
+            "{ties} ties, {later} records after their query"
+        );
     }
 }

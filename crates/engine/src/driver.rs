@@ -51,8 +51,18 @@ use std::collections::BinaryHeap;
 /// (every in-repo generator emits arrivals that way; offline all-zero
 /// streams trivially qualify). An out-of-order slice would silently
 /// charge later-queued-but-earlier-arriving requests the head's wait
-/// as TTFT — reject it up front instead.
+/// as TTFT — reject it up front instead, along with an arrival that is
+/// not a finite, non-negative time.
 pub fn assert_arrivals_sorted(requests: &[Request]) {
+    if let Some(r) = requests
+        .iter()
+        .find(|r| !(r.arrival_s.is_finite() && r.arrival_s >= 0.0))
+    {
+        panic!(
+            "request {} has arrival time {}s; arrivals must be finite and non-negative",
+            r.id, r.arrival_s
+        );
+    }
     if let Some(w) = requests
         .windows(2)
         .find(|w| w[0].arrival_s > w[1].arrival_s)
@@ -102,8 +112,8 @@ pub struct Replica {
     /// GPU KV cache for this replica.
     pub kv: PagedKvCache,
     /// Per-micro-batch-slot pipeline tails (length = PP): the end of
-    /// each slot's latest pass, chaining rounds so the pipeline never
-    /// drains between scheduler decisions.
+    /// each slot's latest decode-burst or mixed-round pass, chaining
+    /// rounds so the pipeline never drains between scheduler decisions.
     pub tails: Vec<Option<SimTime>>,
     running: Running,
     scratch: Scratch,
@@ -266,8 +276,6 @@ struct Scratch {
     stages: Stages,
     /// Per slot: its latest decode price under the loaded layout.
     prices: Vec<Option<SlotPrice>>,
-    /// Per slot: the end of its latest mixed pass.
-    slot_end: Vec<SimTime>,
     /// The latest stage-0 readiness of any mixed pass scheduled so far.
     ready_by: SimTime,
     /// Sequences the last [`Replica::advance_decode`] retired.
@@ -283,7 +291,6 @@ impl Clone for Scratch {
         Scratch {
             stages: self.stages.clone(),
             prices: self.prices.clone(),
-            slot_end: self.slot_end.clone(),
             ready_by: self.ready_by,
             ..Scratch::default()
         }
@@ -788,7 +795,6 @@ pub fn submit_mixed_round(
         sc.ready_by
     );
     sc.prepare(rl, cfg);
-    sc.slot_end.resize(cfg.pp, SimTime::ZERO);
     sc.mixed.clear();
     let chunk_slot = chunk_slot % cfg.pp;
     let allreduce = sc.stages.allreduce.expect("stages loaded");
@@ -810,7 +816,7 @@ pub fn submit_mixed_round(
             slot,
             layer,
             p2p,
-            ready: now.max(sc.slot_end[slot]),
+            ready: replica.tails[slot].map_or(now, |tail| now.max(tail)),
         });
     }
     sc.mixed.sort_unstable_by_key(|p| (p.ready, p.slot));
@@ -818,7 +824,7 @@ pub fn submit_mixed_round(
     let mut round_end = now;
     for pass in &sc.mixed {
         let end = sc.stages.serve(&mut gpus, cfg.tp, pass.ready, pass.layer, pass.p2p);
-        sc.slot_end[pass.slot] = end;
+        replica.tails[pass.slot] = Some(end);
         sc.ready_by = sc.ready_by.max(pass.ready);
         round_end = round_end.max(end);
     }

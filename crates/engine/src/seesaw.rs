@@ -55,7 +55,11 @@ pub struct SeesawSpec {
     /// Host KV layout (paper §5.2 recommends `HND`).
     pub layout: KvLayout,
     /// Enable the asynchronous swap pipeline (swap-out/in overlapped
-    /// with compute). Disable for the ablation in `abl_overlap`.
+    /// with compute). Disable for the ablation in `abl_overlap`: off,
+    /// each prefill iteration first waits for the pending swap-outs.
+    /// Swap-ins are issued only between decode bursts, once every
+    /// pipeline tail has ended, so they overlap the next burst either
+    /// way: the ablation serializes half of the pipeline.
     pub overlap: bool,
     /// Override the CPU KV buffer capacity in tokens (total across
     /// the cluster). `None` uses the cluster's full host budget.
@@ -755,12 +759,6 @@ impl<'a> SeesawRun<'a> {
                 .kv
                 .allocate(seq.req_id, reserve)
                 .expect("can_fit checked");
-            // Serialize with compute when the async pipeline is off.
-            let dep = if self.eng.spec.overlap {
-                None
-            } else {
-                self.replicas[d].tails.iter().flatten().next().copied()
-            };
             let mut parts = std::mem::take(&mut self.scratch_a);
             parts.clear();
             for pp_rank in 0..cfg.pp {
@@ -773,7 +771,7 @@ impl<'a> SeesawRun<'a> {
                     if xfer <= 0.0 {
                         continue;
                     }
-                    let st = self.cs.submit_staging(gpu, stage_t, dep);
+                    let st = self.cs.submit_staging(gpu, stage_t, None);
                     let h2d = self.cs.submit_h2d(gpu, xfer, Some(st), TaskKind::SwapIn);
                     parts.push(h2d);
                 }

@@ -143,6 +143,27 @@ fn out_of_order_arrivals_are_rejected() {
     vllm(SchedulingPolicy::PrefillPrioritized).run(&reqs);
 }
 
+/// An arrival that is not a finite, non-negative time is rejected up
+/// front, naming the request, before any of it reaches the simulator.
+#[test]
+fn invalid_arrival_times_are_rejected() {
+    for bad in [f64::NAN, f64::INFINITY, -1.0] {
+        let mut reqs: Vec<Request> = (0..4)
+            .map(|i| Request::new(i, 512, 16).with_arrival(i as f64))
+            .collect();
+        reqs[2].arrival_s = bad;
+        let run = || vllm(SchedulingPolicy::PrefillPrioritized).run(&reqs);
+        let err = std::panic::catch_unwind(run).expect_err("an invalid arrival must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(
+            msg.contains(&format!("request 2 has arrival time {bad}s")),
+            "{bad}: {msg}"
+        );
+    }
+}
+
 /// An empty request set is a no-op run reporting zero throughput
 /// (regression: this used to produce NaN).
 #[test]

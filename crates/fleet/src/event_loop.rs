@@ -2,18 +2,18 @@
 //! [`Fleet`] runs.
 //!
 //! This module hosts the N replicas as engine actors
-//! ([`seesaw_engine::EngineActor`]) on a single
-//! [`seesaw_sim::EventQueue`]: every arrival is an event; popping one
-//! advances the global clock to that instant, routes the request
-//! through [`Router::route`] and pushes it to the chosen actor. Live
-//! policies (`jsq-live`, `least-work-live`) first read each replica's
-//! exact measured state there — the actors keep running on the global
-//! clock, so each replica is simulated once rather than re-run from
-//! t=0 — while estimated policies decide from the router's virtual
-//! queues and never query the actors. Decisions are serial in event
-//! order, so runs are deterministic and runner-invariant; finishing
-//! the actors — the final per-replica simulations — parallelizes on
-//! the [`SweepRunner`].
+//! ([`seesaw_engine::EngineActor`]) on one global clock. The arrivals
+//! are the only events and come sorted, so the loop walks them in
+//! index order: each advances the clock to its instant, routes the
+//! request through [`Router::route`] and pushes it to the chosen
+//! actor. Live policies (`jsq-live`, `least-work-live`) first read
+//! each replica's exact measured state there — the actors keep running
+//! on the global clock, so each replica is simulated once rather than
+//! re-run from t=0 — while estimated policies decide from the router's
+//! virtual queues and never query the actors. Decisions are serial in
+//! arrival order, so runs are deterministic and runner-invariant;
+//! finishing the actors — the final per-replica simulations —
+//! parallelizes on the [`SweepRunner`].
 //!
 //! For estimated policies the result equals the merged-timeline
 //! construction (route the whole stream, split it per replica, run
@@ -27,7 +27,6 @@ use crate::router::RouterPolicy;
 use crate::telemetry::{record_request_spans, register_tracks, route_args};
 use seesaw_engine::driver::assert_arrivals_sorted;
 use seesaw_engine::{finish_all, EngineActor, SweepRunner};
-use seesaw_sim::{EventQueue, SimTime};
 use seesaw_telemetry::{Instrument, ROUTER_TRACK};
 use seesaw_workload::Request;
 
@@ -61,17 +60,12 @@ impl Fleet {
         let mut actors: Vec<Box<dyn EngineActor + '_>> =
             self.replicas.iter().map(|r| r.actor(0.0)).collect();
         let all: Vec<usize> = (0..n).collect();
-        let mut events: EventQueue<usize> = EventQueue::new();
-        for (idx, req) in requests.iter().enumerate() {
-            events.push(SimTime::from_secs(req.arrival_s), idx);
-        }
         if telemetry {
             register_tracks(&mut instr.recorder, &format!("router ({policy})"), &self.labels());
         }
         let mut assignment = vec![0usize; requests.len()];
-        while let Some((at, idx)) = events.pop() {
-            let req = &requests[idx];
-            let now = at.as_secs();
+        for (idx, req) in requests.iter().enumerate() {
+            let now = req.arrival_s;
             // Measured state of every replica at this instant —
             // queried serially in replica order for determinism.
             let live: Vec<(usize, f64)> = if live_routing {
@@ -105,8 +99,10 @@ impl Fleet {
             actors[routed.replica].push(*req);
         }
         if telemetry {
-            instr.metrics.counter_add("fleet.events.pushed", events.total_pushes());
-            instr.metrics.counter_add("fleet.events.popped", events.total_pops());
+            // Every arrival is one routing event.
+            let routed = requests.len() as u64;
+            instr.metrics.counter_add("fleet.events.pushed", routed);
+            instr.metrics.counter_add("fleet.events.popped", routed);
             // Projections (and the requests they re-simulated) behind
             // the live reads: zero under `jsq-live`.
             let (projections, reprojected) = actors
@@ -191,6 +187,30 @@ mod tests {
             let serial = fleet.run_with(&SweepRunner::serial(), policy, &reqs);
             let parallel = fleet.run_with(&SweepRunner::new(4), policy, &reqs);
             assert_eq!(serial, parallel, "{policy}");
+        }
+    }
+
+    /// The loop reads arrival times as they are, so the fleet's
+    /// arrival check must reject one that is not a finite,
+    /// non-negative time, naming the request.
+    #[test]
+    fn invalid_arrival_times_are_rejected() {
+        let fleet = vllm_fleet(2);
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut reqs = online_reqs(6, 4.0);
+            reqs[3].arrival_s = bad;
+            let id = reqs[3].id;
+            let policy = RouterPolicy::JoinShortestQueue;
+            let run = || fleet.run_with(&SweepRunner::serial(), policy, &reqs);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("an invalid arrival must panic");
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("a formatted panic message");
+            assert!(
+                msg.contains(&format!("request {id} has arrival time {bad}s")),
+                "{bad}: {msg}"
+            );
         }
     }
 

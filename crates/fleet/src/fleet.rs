@@ -12,8 +12,8 @@ use seesaw_workload::Request;
 /// A `Fleet` owns its replicas as [`OnlineEngine`] trait objects, so
 /// Seesaw, vLLM, and disaggregated backends mix freely. Every run
 /// goes through the fleet's global event loop ([`crate::event_loop`]):
-/// each arrival is routed in global time order (see
-/// [`crate::router`]) and pushed to its replica's engine actor; the
+/// the arrivals, sorted by time, are routed in order (see
+/// [`crate::router`]) and each is pushed to its replica's actor; the
 /// actors then finish concurrently on the given [`SweepRunner`], and
 /// their per-replica timelines combine into a [`FleetReport`] with
 /// fleet-level percentiles and imbalance statistics.

@@ -26,7 +26,7 @@
 //!   offered load) and router-policy head-to-head comparisons.
 //!
 //! Everything is deterministic: routing is a single serial pass in
-//! global event order, replica simulations are independent, and
+//! arrival order, replica simulations are independent, and
 //! results are collected in replica order — so fleet output is
 //! byte-identical for every `--jobs` value, and a single-replica round-robin fleet
 //! reproduces the bare engine's report exactly.

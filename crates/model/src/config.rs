@@ -152,27 +152,6 @@ impl ModelConfig {
     }
 
     // ------------------------------------------------------------------
-    // Data movement (per layer)
-    // ------------------------------------------------------------------
-
-    /// Bytes of Q/K/V traffic per layer to prefill one sequence of `s`
-    /// tokens: `2·s·(h_q + 2·h_kv)·d` elements (paper Table 3).
-    pub fn attn_dm_prefill_bytes(&self, s: usize) -> f64 {
-        (s as u64 * (self.num_heads as u64 + 2 * self.num_kv_heads as u64)
-            * self.head_dim as u64
-            * self.dtype.bytes()) as f64
-    }
-
-    /// Bytes of KV-cache traffic per layer for one decode step at
-    /// context `ctx`: `2·ctx·2·h_kv·d` bytes = `4·ctx·h_kv·d` at fp16
-    /// (paper Table 3).
-    pub fn attn_dm_decode_bytes(&self, ctx: usize) -> f64 {
-        (2 * ctx as u64
-            * (self.num_kv_heads * self.head_dim) as u64
-            * self.dtype.bytes()) as f64
-    }
-
-    // ------------------------------------------------------------------
     // Tensor-parallel communication
     // ------------------------------------------------------------------
 

@@ -1,16 +1,17 @@
-//! A deterministic time-ordered event queue for fleet-level loops.
+//! A deterministic time-ordered event queue for the controller loop.
 //!
 //! Events are keyed by a packed `u128` — time bits first, then an
 //! insertion sequence number — so equal-time events pop in push order
-//! and the heap never compares floats directly. The fixed-fleet loop
-//! pushes its arrivals here; the autoscale controller keeps only the
-//! events it schedules as it runs (retries and resumes) and merges
-//! them with its already-sorted kills and arrivals, read by cursor, so
-//! the queue holds what is pending, not the whole trace. Either way
-//! events come out in one deterministic order, independent of how many
-//! worker threads later simulate the consequences. (The engines'
-//! [`Simulator`](crate::Simulator) needs no queue: its resources serve
-//! in submission order, so every completion time is known up front.)
+//! and the heap never compares floats directly. The autoscale
+//! controller keeps here only the redispatches it schedules as it runs
+//! (retries and resumes) and merges them with its already-sorted kills
+//! and arrivals, read by cursor, so the queue holds what is pending,
+//! not the whole trace; the fixed fleet's sorted arrivals need no
+//! queue at all. Events come out in one deterministic order,
+//! independent of how many worker threads later simulate the
+//! consequences. (The engines' [`Simulator`](crate::Simulator) needs
+//! no queue: its resources serve in submission order, so every
+//! completion time is known up front.)
 //!
 //! Determinism contract: for a fixed push sequence, the pop sequence
 //! is fixed. Ties on time break by push order (FIFO), which is what a
@@ -49,8 +50,8 @@ pub struct EventQueue<T> {
     slots: Vec<Option<T>>,
     free: Vec<usize>,
     seq: u64,
+    /// The timestamp of the last popped event (zero before any pop).
     now: SimTime,
-    pops: u64,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -68,29 +69,7 @@ impl<T> EventQueue<T> {
             free: Vec::new(),
             seq: 0,
             now: SimTime::ZERO,
-            pops: 0,
         }
-    }
-
-    /// Lifetime push count (telemetry hook: event-loop volume).
-    pub fn total_pushes(&self) -> u64 {
-        self.seq
-    }
-
-    /// Lifetime pop count (telemetry hook: events actually driven).
-    pub fn total_pops(&self) -> u64 {
-        self.pops
-    }
-
-    /// Current simulated time: the timestamp of the last popped
-    /// event (zero before any pop).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
     }
 
     /// Whether no events are pending.
@@ -99,7 +78,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Schedule `payload` at time `at`. Panics if `at` precedes the
-    /// current clock — events in the past would break causality.
+    /// last popped event — events in the past would break causality.
     pub fn push(&mut self, at: SimTime, payload: T) {
         assert!(
             at >= self.now,
@@ -132,7 +111,6 @@ impl<T> EventQueue<T> {
         let at = unpack_time(key);
         debug_assert!(unpack_seq(key) <= self.seq);
         self.now = at;
-        self.pops += 1;
         let payload = self.slots[slot].take().expect("slot holds a pending event");
         self.free.push(slot);
         Some((at, payload))
@@ -151,7 +129,6 @@ mod tests {
         q.push(SimTime::from_secs(2.0), "b");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
-        assert_eq!(q.now(), SimTime::from_secs(3.0));
     }
 
     #[test]
@@ -188,24 +165,11 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(4.0), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(4.0)));
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_secs(4.0));
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn push_pop_counters_track_volume() {
-        let mut q = EventQueue::new();
-        assert_eq!((q.total_pushes(), q.total_pops()), (0, 0));
+        // Peeking moved nothing: an earlier event is still accepted.
         q.push(SimTime::from_secs(1.0), ());
-        q.push(SimTime::from_secs(2.0), ());
-        assert_eq!((q.total_pushes(), q.total_pops()), (2, 0));
-        q.pop();
-        assert_eq!((q.total_pushes(), q.total_pops()), (2, 1));
-        q.pop();
-        q.pop();
-        assert_eq!((q.total_pushes(), q.total_pops()), (2, 2), "empty pops don't count");
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1.0), ())));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(4.0), ())));
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

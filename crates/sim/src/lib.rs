@@ -27,8 +27,9 @@
 //!   stage interval to their GPUs' busy counters and the per-kind
 //!   totals, and mark each GPU busy once, at the end of its last
 //!   interval.
-//! * [`EventQueue`] orders the fleet loop's arrivals and the
-//!   controller's pending retries and resumes on one global clock.
+//! * [`EventQueue`] holds the autoscale controller's pending
+//!   redispatches (retries and resumes) in time order, ties in push
+//!   order.
 
 pub mod events;
 pub mod executor;

@@ -92,6 +92,12 @@ for key in ("counters", "gauges", "histograms"):
 for drop in ("telemetry.dropped_spans", "telemetry.dropped_instants"):
     assert drop in snap["counters"], f"{name}: missing health counter {drop!r}"
     assert snap["counters"][drop] == 0, f"{name}: {drop} nonzero on an uncapped run"
+if name == "fleet":
+    # The fleet loop routes each arrival once, in order.
+    c = snap["counters"]
+    routed = sum(v for k, v in c.items() if k.startswith("fleet.requests.replica"))
+    pushed, popped = c["fleet.events.pushed"], c["fleet.events.popped"]
+    assert pushed == popped == routed > 0, f"fleet: events {pushed}/{popped}, routed {routed}"
 print(f"bench.sh: {name} metrics OK ({len(snap['counters'])} counters)")
 EOF
 }
