@@ -1165,6 +1165,8 @@ impl<'a> Replay<'a> {
             .collect();
         let replica_seconds: f64 = lifecycles.iter().map(ReplicaLifecycle::billed_s).sum();
         let assignment = std::mem::take(&mut self.assignment);
+        // Every read of a replica's own timeline is above: the merge
+        // moves them all into the fleet's.
         let fleet = FleetReport::from_replica_reports(cfg.router, reports, assignment);
         let windowed = windowed_metrics(&fleet.timeline, cfg.slo, cfg.window_s, horizon_s);
         let alerts = AlertEngine::evaluate(&[self.ctl.alert], &windowed);
@@ -1498,18 +1500,21 @@ mod tests {
         );
         assert!(report.peak_replicas > 1);
         // Every non-initial replica pays the warm-up delay and never
-        // serves a request before it is ready.
-        for (lc, rep) in report.lifecycles.iter().zip(&report.fleet.replicas).skip(1) {
+        // serves a request before it is ready; some of them serve.
+        let mut served_late = 0;
+        for (i, lc) in report.lifecycles.iter().enumerate().skip(1) {
             assert!((lc.ready_s - lc.spawn_s - 8.0).abs() < 1e-9);
-            for t in &rep.timeline {
+            for t in report.fleet.replica_timeline(i) {
                 assert!(
                     t.first_token_s >= lc.ready_s,
                     "replica served at {} before ready at {}",
                     t.first_token_s,
                     lc.ready_s
                 );
+                served_late += 1;
             }
         }
+        assert!(served_late > 0, "the spawned replicas must serve requests");
         // All requests still served exactly once.
         assert_eq!(report.fleet.timeline.len(), 120);
     }
@@ -1517,8 +1522,10 @@ mod tests {
     #[test]
     fn quiet_tail_scales_down_and_retired_replicas_drain() {
         let build = builder();
-        // A burst then silence: the controller must shed replicas.
-        let mut reqs = traced(60, 6.0, 5);
+        // A burst then silence: the controller must shed replicas. The
+        // burst outlasts the first spawned replica's warm-up, so that
+        // replica serves before it retires.
+        let mut reqs = traced(120, 6.0, 5);
         let burst_end = reqs.last().unwrap().arrival_s;
         // Sparse trickle long after the burst keeps windows coming.
         for i in 0..6 {
@@ -1539,14 +1546,18 @@ mod tests {
             assert!(lc.end_s >= lc.retire_s.unwrap());
             assert!(lc.billed_s() >= 0.0);
         }
-        // Retired replicas received nothing after their retire time.
-        for (lc, rep) in report.lifecycles.iter().zip(&report.fleet.replicas) {
+        // Retired replicas received nothing after their retire time,
+        // and served something before it.
+        let mut served_before_retire = 0;
+        for (i, lc) in report.lifecycles.iter().enumerate() {
             if let Some(retire) = lc.retire_s {
-                for t in &rep.timeline {
+                for t in report.fleet.replica_timeline(i) {
                     assert!(t.arrival_s < retire, "routed to a retiring replica");
+                    served_before_retire += 1;
                 }
             }
         }
+        assert!(served_before_retire > 0, "the retired replicas must have served requests");
         assert_eq!(report.fleet.timeline.len(), reqs.len());
     }
 

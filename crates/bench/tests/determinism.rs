@@ -217,10 +217,11 @@ fn single_replica_fleet_point_matches_bare_serving_point() {
     let bare_point = &bare.points[0];
     let fleet_point = &fleet_sweep.points[0];
     // Same engine, same paced stream: the replica's report is
-    // byte-identical to the bare engine's, and the fleet aggregates
-    // coincide.
-    assert_eq!(fleet_point.report.replicas[0], bare_point.report);
-    assert_eq!(fleet_point.report.timeline, bare_point.report.timeline);
+    // byte-identical to the bare engine's (its timeline moved into
+    // the fleet's), and the fleet aggregates coincide.
+    let mut bare_report = bare_point.report.clone();
+    assert_eq!(fleet_point.report.timeline, std::mem::take(&mut bare_report.timeline));
+    assert_eq!(fleet_point.report.replicas[0], bare_report);
     assert_eq!(fleet_point.report.latency, bare_point.report.latency);
     assert!((fleet_point.attainment - bare_point.attainment).abs() < 1e-12);
     assert!((fleet_point.goodput_rps - bare_point.goodput_rps).abs() < 1e-12);

@@ -216,17 +216,20 @@ fn no_router_completes_requests_on_a_dead_replica() {
         let a = &report.availability;
         assert!(a.replicas_killed > 0, "{router}: the plan must strike the trace");
         assert_eq!(a.completed + a.failed, a.offered, "{router}");
-        for (lc, rep) in report.lifecycles.iter().zip(&report.fleet.replicas) {
+        let mut served_before_kill = 0;
+        for (i, lc) in report.lifecycles.iter().enumerate() {
             let Some(killed) = lc.killed_s else { continue };
-            for t in &rep.timeline {
+            for t in report.fleet.replica_timeline(i) {
                 assert!(
                     t.completion_s <= killed,
                     "{router}: request {} completed at {} on a replica killed at {killed}",
                     t.id,
                     t.completion_s
                 );
+                served_before_kill += 1;
             }
         }
+        assert!(served_before_kill > 0, "{router}: a killed replica must have served first");
     }
 }
 

@@ -76,7 +76,9 @@ pub struct EngineReport {
     pub busy_by_kind: TraceSummary,
     /// Per-request arrival/first-token/completion timestamps, sorted
     /// by request id (round-granular: a request completes at the end
-    /// of the decode burst that retired it).
+    /// of the decode burst that retired it). Empty in a fleet
+    /// replica's report: its entries live in the fleet's merged
+    /// timeline (`FleetReport::replica_timeline` reads them back).
     pub timeline: Vec<RequestTiming>,
     /// Latency percentiles over [`EngineReport::timeline`] (`None`
     /// when the run processed no requests). Offline runs report them

@@ -15,7 +15,8 @@ use seesaw_workload::Request;
 /// the arrivals, sorted by time, are routed in order (see
 /// [`crate::router`]) and each is pushed to its replica's actor; the
 /// actors then finish concurrently on the given [`SweepRunner`], and
-/// their per-replica timelines combine into a [`FleetReport`] with
+/// their per-replica timelines move into one merged timeline of a
+/// [`FleetReport`] (which records the replica behind each entry) with
 /// fleet-level percentiles and imbalance statistics.
 pub struct Fleet {
     pub(crate) replicas: Vec<Box<dyn OnlineEngine>>,
@@ -235,7 +236,8 @@ mod tests {
     }
 
     /// Each replica's report, busy totals included, is what a plain run
-    /// of the stream routed to it reports, however it was routed.
+    /// of the stream routed to it reports, however it was routed; its
+    /// timeline is the fleet's entries served by that replica.
     #[test]
     fn breakdown_matches_untraced_report_and_fills_buckets() {
         let fleet = small_fleet(2);
@@ -244,11 +246,36 @@ mod tests {
             let report = fleet.run_with(&SweepRunner::serial(), policy, &reqs);
             let streams = split_stream(&reqs, &report.assignment, 2);
             for (i, replica) in report.replicas.iter().enumerate() {
-                let (rerun, totals) = fleet.replicas[i].run_traced(&streams[i]);
+                let (mut rerun, totals) = fleet.replicas[i].run_traced(&streams[i]);
+                let own: Vec<_> = report.replica_timeline(i).copied().collect();
+                assert_eq!(own, std::mem::take(&mut rerun.timeline), "{policy}: replica {i}");
                 assert_eq!(replica, &rerun, "{policy}: replica {i}");
                 assert_eq!(replica.busy_by_kind, totals, "{policy}: replica {i}");
                 assert!(totals.compute > 0.0, "{policy}: replica {i} ran compute");
             }
+        }
+    }
+
+    /// A fleet keeps each request's timing once: the replicas' own
+    /// timelines are empty, and `served_by` splits the merged timeline
+    /// into the requests each replica was assigned.
+    #[test]
+    fn replica_timelines_are_empty_and_served_by_partitions_the_merged_one() {
+        let fleet = small_fleet(3);
+        let reqs = online_reqs(30, 6.0);
+        for policy in RouterPolicy::all_with_live() {
+            let report = fleet.run_with(&SweepRunner::serial(), policy, &reqs);
+            assert_eq!(report.served_by.len(), report.timeline.len(), "{policy}");
+            let streams = split_stream(&reqs, &report.assignment, 3);
+            for (i, replica) in report.replicas.iter().enumerate() {
+                assert!(replica.timeline.is_empty(), "{policy}: replica {i}");
+                let ids: Vec<u64> = report.replica_timeline(i).map(|t| t.id).collect();
+                let routed: Vec<u64> = streams[i].iter().map(|r| r.id).collect();
+                assert_eq!(ids, routed, "{policy}: replica {i}");
+                assert_eq!(ids.len(), replica.stats.requests, "{policy}: replica {i}");
+            }
+            let per_replica: usize = (0..3).map(|i| report.replica_timeline(i).count()).sum();
+            assert_eq!(per_replica, report.timeline.len(), "{policy}: every entry once");
         }
     }
 

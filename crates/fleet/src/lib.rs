@@ -19,9 +19,11 @@
 //! * [`Fleet::run_with`] runs the fleet on its global event loop
 //!   ([`event_loop`]): arrivals are routed in time order and pushed to
 //!   per-replica engine actors, which finish concurrently on a
-//!   [`seesaw_engine::SweepRunner`]; the per-replica timelines merge
-//!   into a [`FleetReport`] with fleet-level latency percentiles, SLO
-//!   attainment, goodput, and per-replica load-imbalance statistics.
+//!   [`seesaw_engine::SweepRunner`]; the per-replica timelines move
+//!   into one merged timeline of a [`FleetReport`] (each timing kept
+//!   once, with the replica that served it) with fleet-level latency
+//!   percentiles, SLO attainment, goodput, and per-replica
+//!   load-imbalance statistics.
 //! * [`sweep`] evaluates capacity-scaling grids (replica count ×
 //!   offered load) and router-policy head-to-head comparisons.
 //!
@@ -29,7 +31,8 @@
 //! arrival order, replica simulations are independent, and
 //! results are collected in replica order — so fleet output is
 //! byte-identical for every `--jobs` value, and a single-replica round-robin fleet
-//! reproduces the bare engine's report exactly.
+//! reproduces the bare engine's report exactly (its timeline as the
+//! fleet's, the rest as the replica's report).
 
 pub mod event_loop;
 pub mod fleet;

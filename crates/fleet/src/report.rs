@@ -30,19 +30,26 @@ pub struct LoadImbalance {
 }
 
 /// Outcome of one fleet run: every replica's own [`EngineReport`]
-/// plus the merged fleet-level view.
+/// plus the merged fleet-level view. Each request's timing is kept
+/// once, in the merged [`FleetReport::timeline`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Routing policy that produced the assignment.
     pub policy: RouterPolicy,
     /// Per-replica reports, in replica order (replica i's label is
-    /// `replicas[i].label`).
+    /// `replicas[i].label`). Each report's `timeline` is empty: its
+    /// entries moved into the fleet's [`FleetReport::timeline`] (read
+    /// them with [`FleetReport::replica_timeline`]); every other
+    /// field, `latency` included, is the replica's own.
     pub replicas: Vec<EngineReport>,
     /// Replica index each request was routed to, in stream order.
     pub assignment: Vec<usize>,
     /// Merged per-request timeline, id-sorted (same convention as a
-    /// single engine's report).
+    /// single engine's report): every replica's entries, each once.
     pub timeline: Vec<RequestTiming>,
+    /// Replica index that served each [`FleetReport::timeline`] entry
+    /// (parallel to it).
+    pub served_by: Vec<u32>,
     /// Latency percentiles over the merged timeline (`None` when no
     /// requests ran).
     pub latency: Option<LatencyStats>,
@@ -52,14 +59,16 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Assemble the fleet view from per-replica reports.
+    /// Assemble the fleet view from per-replica reports, moving each
+    /// replica's id-sorted timeline into the merged one.
     pub fn from_replica_reports(
         policy: RouterPolicy,
-        replicas: Vec<EngineReport>,
+        mut replicas: Vec<EngineReport>,
         assignment: Vec<usize>,
     ) -> Self {
         assert!(!replicas.is_empty(), "a fleet report needs replicas");
-        let timeline = merge_timelines(replicas.iter().map(|r| r.timeline.as_slice()));
+        let (timeline, served_by) =
+            merge_timelines(replicas.iter_mut().map(|r| std::mem::take(&mut r.timeline)));
         let latency = LatencyStats::from_timeline(&timeline);
         let stats = RunStats {
             requests: replicas.iter().map(|r| r.stats.requests).sum(),
@@ -75,9 +84,20 @@ impl FleetReport {
             replicas,
             assignment,
             timeline,
+            served_by,
             latency,
             stats,
         }
+    }
+
+    /// Replica `i`'s served requests, id-sorted: the entries its own
+    /// report's timeline held before the merge.
+    pub fn replica_timeline(&self, i: usize) -> impl Iterator<Item = &RequestTiming> + '_ {
+        self.timeline
+            .iter()
+            .zip(&self.served_by)
+            .filter(move |&(_, &r)| r as usize == i)
+            .map(|(t, _)| t)
     }
 
     /// Number of replicas.
@@ -193,6 +213,7 @@ mod tests {
         assert!((fr.stats.duration_s - 6.0).abs() < 1e-12);
         assert!((fr.throughput_rps() - 0.5).abs() < 1e-12);
         assert_eq!(fr.timeline.iter().map(|t| t.id).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(fr.served_by, vec![0, 1, 0]);
         assert_eq!(fr.latency.unwrap().count, 3);
     }
 

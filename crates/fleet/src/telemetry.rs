@@ -10,7 +10,6 @@
 //! and the recorded bytes independent of `--jobs`.
 
 use crate::report::FleetReport;
-use seesaw_engine::EngineReport;
 use seesaw_telemetry::{fmt_secs, Recorder, CONTROLLER_TRACK, REPLICA_TRACK_BASE, ROUTER_TRACK};
 
 /// Register the controller/router/replica tracks with display names.
@@ -34,12 +33,18 @@ pub fn replica_track(i: usize) -> u32 {
     REPLICA_TRACK_BASE + i as u32
 }
 
-/// Record one replica's served requests as spans on its track:
-/// arrival → completion, with TTFT and output length as args.
-pub fn record_replica_requests(rec: &mut Recorder, replica: usize, report: &EngineReport) {
-    for t in &report.timeline {
+/// Record every replica's request lifecycles from a merged fleet
+/// report, each as a span on its replica's track: arrival →
+/// completion, with TTFT and output length as args. Replica order,
+/// then id order — deterministic.
+pub fn record_request_spans(rec: &mut Recorder, report: &FleetReport) {
+    let mut order: Vec<usize> = (0..report.timeline.len()).collect();
+    // Stable: the merged timeline is id-sorted within each replica.
+    order.sort_by_key(|&j| report.served_by[j]);
+    for j in order {
+        let t = &report.timeline[j];
         rec.span(
-            replica_track(replica),
+            replica_track(report.served_by[j] as usize),
             &format!("req {}", t.id),
             t.arrival_s,
             t.completion_s - t.arrival_s,
@@ -50,14 +55,6 @@ pub fn record_replica_requests(rec: &mut Recorder, replica: usize, report: &Engi
                 ("attempts", t.attempts.to_string()),
             ],
         );
-    }
-}
-
-/// Record every replica's request lifecycles from a merged fleet
-/// report (replica order, then timeline order — deterministic).
-pub fn record_request_spans(rec: &mut Recorder, report: &FleetReport) {
-    for (i, rep) in report.replicas.iter().enumerate() {
-        record_replica_requests(rec, i, rep);
     }
 }
 
@@ -82,10 +79,11 @@ pub fn route_args(
 mod tests {
     use super::*;
     use crate::router::RouterPolicy;
+    use seesaw_engine::EngineReport;
     use seesaw_workload::{RequestTiming, RunStats};
 
-    fn tiny_report() -> FleetReport {
-        let rep = |ids: &[u64]| EngineReport {
+    fn replica_report(ids: &[u64]) -> EngineReport {
+        EngineReport {
             label: "x".into(),
             stats: RunStats {
                 requests: ids.len(),
@@ -109,18 +107,68 @@ mod tests {
                     id,
                     arrival_s: 0.1 * id as f64,
                     first_token_s: 0.1 * id as f64 + 0.2,
-                    completion_s: 0.1 * id as f64 + 1.0,
-                    output_len: 4,
-                    attempts: 1,
+                    completion_s: 0.1 * id as f64 + 1.0 + 0.01 * (id % 7) as f64,
+                    output_len: 4 + id as usize % 5,
+                    attempts: 1 + (id % 3 == 0) as u32,
                 })
                 .collect(),
             latency: None,
-        };
+        }
+    }
+
+    fn tiny_report() -> FleetReport {
         FleetReport::from_replica_reports(
             RouterPolicy::JoinShortestQueue,
-            vec![rep(&[0, 2]), rep(&[1])],
+            vec![replica_report(&[0, 2]), replica_report(&[1])],
             vec![0, 1, 0],
         )
+    }
+
+    /// The rendering from before replica timelines moved into the
+    /// fleet's: each replica's own timeline, in replica order.
+    fn per_replica_spans(rec: &mut Recorder, replicas: &[EngineReport]) {
+        for (i, report) in replicas.iter().enumerate() {
+            for t in &report.timeline {
+                rec.span(
+                    replica_track(i),
+                    &format!("req {}", t.id),
+                    t.arrival_s,
+                    t.completion_s - t.arrival_s,
+                    &[
+                        ("ttft_s", fmt_secs(t.first_token_s - t.arrival_s)),
+                        ("e2e_s", fmt_secs(t.completion_s - t.arrival_s)),
+                        ("output_tokens", t.output_len.to_string()),
+                        ("attempts", t.attempts.to_string()),
+                    ],
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn merged_spans_match_the_per_replica_rendering_byte_for_byte() {
+        // 60 ids spread unevenly over 5 replicas, one of them idle.
+        let n = 5;
+        let mut ids: Vec<Vec<u64>> = vec![Vec::new(); n];
+        let mut x = 17u64;
+        for id in 0..60 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ids[[0, 0, 0, 1, 2, 4][(x >> 33) as usize % 6]].push(id);
+        }
+        assert!(ids[3].is_empty() && ids.iter().filter(|v| !v.is_empty()).count() == 4);
+        let replicas: Vec<EngineReport> = ids.iter().map(|v| replica_report(v)).collect();
+        let labels: Vec<String> = (0..n).map(|i| format!("r{i}")).collect();
+        let render = |fill: &dyn Fn(&mut Recorder)| {
+            let mut rec = Recorder::enabled();
+            register_tracks(&mut rec, "router (jsq)", &labels);
+            fill(&mut rec);
+            seesaw_telemetry::perfetto::render(&rec, "fleet")
+        };
+        let oracle = render(&|rec| per_replica_spans(rec, &replicas));
+        let report =
+            FleetReport::from_replica_reports(RouterPolicy::JoinShortestQueue, replicas, Vec::new());
+        assert_eq!(render(&|rec| record_request_spans(rec, &report)), oracle);
+        assert_eq!(oracle.matches("\"ph\":\"X\"").count(), 60);
     }
 
     #[test]

@@ -38,18 +38,18 @@ fn online_reqs(n: usize, rate: f64, seed: u64) -> Vec<Request> {
 
 /// A fleet of one behind round-robin is a transparent wrapper: its
 /// only replica's report is byte-identical to the bare engine run on
-/// the same stream, and the fleet-level aggregates coincide with the
-/// engine's own.
+/// the same stream (its timeline moved into the fleet's), and the
+/// fleet-level aggregates coincide with the engine's own.
 #[test]
 fn single_replica_round_robin_is_byte_identical_to_bare_engine() {
     let (cluster, model) = specs();
     let reqs = online_reqs(32, 3.0, 42);
-    let bare = vllm_engine(&cluster, &model).run(&reqs);
+    let mut bare = vllm_engine(&cluster, &model).run(&reqs);
     let fleet = Fleet::new(vec![Box::new(vllm_engine(&cluster, &model))]);
     let report = fleet.run_with(&SweepRunner::serial(), RouterPolicy::RoundRobin, &reqs);
     assert_eq!(report.replicas.len(), 1);
+    assert_eq!(report.timeline, std::mem::take(&mut bare.timeline));
     assert_eq!(report.replicas[0], bare, "fleet-of-one must not perturb the engine run");
-    assert_eq!(report.timeline, bare.timeline);
     assert_eq!(report.latency, bare.latency);
     assert_eq!(report.stats, bare.stats);
     assert!(report.assignment.iter().all(|&r| r == 0));

@@ -9,13 +9,16 @@
 //! at admission (and the property `tests/prop_stream.rs` exercises
 //! over random traces).
 //!
-//! After each replica runs, [`merge_timelines`] recombines the
-//! per-replica [`RequestTiming`] timelines into one fleet-level
-//! timeline (id-sorted, matching the single-engine report
-//! convention) for aggregate latency/SLO statistics.
+//! After each replica runs, [`merge_timelines`] moves the per-replica
+//! [`RequestTiming`] timelines into one fleet-level timeline (id-sorted,
+//! matching the single-engine report convention) for aggregate
+//! latency/SLO statistics, plus the replica each entry came from. The
+//! per-replica timelines are consumed, so each timing is kept once.
 
 use crate::latency::RequestTiming;
 use crate::request::Request;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Split `reqs` into `n_streams` per-replica streams according to
 /// `assignment` (parallel to `reqs`; values in `[0, n_streams)`).
@@ -38,22 +41,49 @@ pub fn split_stream(reqs: &[Request], assignment: &[usize], n_streams: usize) ->
     streams
 }
 
-/// Merge per-replica timelines into one id-sorted fleet timeline.
-/// Ids must be globally unique (they came from one request stream).
-pub fn merge_timelines<'a, I>(parts: I) -> Vec<RequestTiming>
+/// Merge per-replica timelines, each id-sorted, into one id-sorted
+/// fleet timeline of exact capacity, returned with a parallel vector of
+/// the index of the part each entry came from. The parts are consumed
+/// (a k-way merge moves every timing once, and frees each part as soon
+/// as it is used up). Ids must be globally unique (they came from one
+/// request stream): a repeated id, or a part out of id order, panics.
+pub fn merge_timelines<I>(parts: I) -> (Vec<RequestTiming>, Vec<u32>)
 where
-    I: IntoIterator<Item = &'a [RequestTiming]>,
+    I: IntoIterator<Item = Vec<RequestTiming>>,
 {
-    let mut merged: Vec<RequestTiming> = parts.into_iter().flatten().copied().collect();
-    merged.sort_by_key(|t| t.id);
-    for w in merged.windows(2) {
-        assert!(
-            w[0].id != w[1].id,
-            "duplicate request id {} across replica timelines",
-            w[0].id
-        );
+    let mut runs: Vec<std::vec::IntoIter<RequestTiming>> =
+        parts.into_iter().map(Vec::into_iter).collect();
+    let total = runs.iter().map(ExactSizeIterator::len).sum();
+    let mut merged: Vec<RequestTiming> = Vec::with_capacity(total);
+    let mut source = Vec::with_capacity(total);
+    // Min-heap of every unfinished part's next id.
+    let head = |run: &std::vec::IntoIter<RequestTiming>, part: u32| {
+        run.as_slice().first().map(|t| Reverse((t.id, part)))
+    };
+    let mut heads: BinaryHeap<Reverse<(u64, u32)>> = runs
+        .iter()
+        .enumerate()
+        .filter_map(|(part, run)| head(run, part as u32))
+        .collect();
+    while let Some(Reverse((_, part))) = heads.pop() {
+        let run = &mut runs[part as usize];
+        let t = run.next().expect("a queued part has a next timing");
+        if let Some(last) = merged.last() {
+            assert!(
+                last.id != t.id,
+                "duplicate request id {} across replica timelines",
+                t.id
+            );
+            assert!(last.id < t.id, "replica timeline {part} is not id-sorted");
+        }
+        merged.push(t);
+        source.push(part);
+        match head(run, part) {
+            Some(next) => heads.push(next),
+            None => *run = Vec::new().into_iter(),
+        }
     }
-    merged
+    (merged, source)
 }
 
 #[cfg(test)]
@@ -91,35 +121,34 @@ mod tests {
         split_stream(&[Request::new(0, 10, 1)], &[1], 1);
     }
 
-    #[test]
-    fn merge_sorts_by_id() {
-        let t = |id: u64| RequestTiming {
+    fn t(id: u64) -> RequestTiming {
+        RequestTiming {
             id,
             arrival_s: 0.0,
             first_token_s: 1.0,
             completion_s: 2.0,
             output_len: 4,
             attempts: 1,
-        };
-        let a = vec![t(3), t(5)];
-        let b = vec![t(0), t(4)];
-        let merged = merge_timelines([a.as_slice(), b.as_slice()]);
+        }
+    }
+
+    #[test]
+    fn merge_sorts_by_id() {
+        let (merged, source) = merge_timelines([vec![t(3), t(5)], vec![t(0), t(4)]]);
         assert_eq!(merged.iter().map(|x| x.id).collect::<Vec<_>>(), vec![0, 3, 4, 5]);
+        assert_eq!(source, vec![1, 0, 1, 0]);
+        assert_eq!(merged.capacity(), 4, "exact capacity");
     }
 
     #[test]
     #[should_panic(expected = "duplicate request id")]
     fn merge_rejects_duplicate_ids() {
-        let t = |id: u64| RequestTiming {
-            id,
-            arrival_s: 0.0,
-            first_token_s: 1.0,
-            completion_s: 2.0,
-            output_len: 4,
-            attempts: 1,
-        };
-        let a = vec![t(3)];
-        let b = vec![t(3)];
-        merge_timelines([a.as_slice(), b.as_slice()]);
+        merge_timelines([vec![t(3)], vec![t(3)]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not id-sorted")]
+    fn merge_rejects_unsorted_parts() {
+        merge_timelines([vec![t(5), t(3)], vec![t(4)]]);
     }
 }

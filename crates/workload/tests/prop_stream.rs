@@ -2,7 +2,9 @@
 //! global stream split by *any* assignment stays arrival-sorted per
 //! replica (order preservation), partitions exactly, and merges back
 //! losslessly — so a router can never trip the engines'
-//! `assert_arrivals_sorted` guard.
+//! `assert_arrivals_sorted` guard. The owned k-way timeline merge is
+//! checked against concatenate-then-stable-sort, kept here as the
+//! oracle.
 
 use proptest::prelude::*;
 use seesaw_workload::{merge_timelines, split_stream, ArrivalDist, Request, RequestTiming};
@@ -13,6 +15,22 @@ fn traced_requests(n: usize, seed: u64, rate: f64, cv: f64) -> Vec<Request> {
     ArrivalDist::Gamma { rate, cv }
         .attach(&base, seed)
         .expect("valid arrival process")
+}
+
+/// The merge as it was before it took ownership: concatenate the
+/// parts, stable-sort by id, reject repeated ids; each entry tagged
+/// with its part.
+fn concat_sort_merge(parts: &[Vec<RequestTiming>]) -> (Vec<RequestTiming>, Vec<u32>) {
+    let mut tagged: Vec<(RequestTiming, u32)> = parts
+        .iter()
+        .enumerate()
+        .flat_map(|(i, part)| part.iter().map(move |t| (*t, i as u32)))
+        .collect();
+    tagged.sort_by_key(|(t, _)| t.id);
+    for w in tagged.windows(2) {
+        assert!(w[0].0.id != w[1].0.id, "duplicate request id {}", w[0].0.id);
+    }
+    tagged.into_iter().unzip()
 }
 
 proptest! {
@@ -80,10 +98,48 @@ proptest! {
                     .collect()
             })
             .collect();
-        let merged = merge_timelines(timelines.iter().map(Vec::as_slice));
+        let (merged, served_by) = merge_timelines(timelines);
         prop_assert_eq!(merged.len(), n);
         for (i, t) in merged.iter().enumerate() {
             prop_assert_eq!(t.id, i as u64, "merged timeline must be id-sorted and complete");
+            prop_assert_eq!(served_by[i] as usize, assignment[i], "entry tagged with its replica");
         }
+    }
+
+    /// The k-way merge equals concatenate + stable sort, timings and
+    /// source parts alike, over sparse unique ids spread unevenly
+    /// across parts (some empty), and its timeline has exact capacity.
+    #[test]
+    fn kway_merge_matches_concat_and_stable_sort(
+        n in 0usize..300,
+        n_parts in 1usize..12,
+        seed in 0u64..10_000,
+    ) {
+        let mut x = seed.wrapping_mul(2).wrapping_add(1);
+        let mut next = || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x >> 33
+        };
+        // Only the first `used` parts receive requests.
+        let used = 1 + next() as usize % n_parts;
+        let mut parts: Vec<Vec<RequestTiming>> = vec![Vec::new(); n_parts];
+        let mut id = 0u64;
+        for _ in 0..n {
+            id += 1 + next() % 4;
+            let arrival_s = next() as f64 * 1e-6;
+            parts[next() as usize % used].push(RequestTiming {
+                id,
+                arrival_s,
+                first_token_s: arrival_s + 0.25,
+                completion_s: arrival_s + 1.0 + (id % 5) as f64,
+                output_len: 1 + id as usize % 17,
+                attempts: 1 + (id % 3) as u32,
+            });
+        }
+        let oracle = concat_sort_merge(&parts);
+        let (merged, served_by) = merge_timelines(parts);
+        prop_assert_eq!(merged.capacity(), n);
+        prop_assert_eq!(&merged, &oracle.0);
+        prop_assert_eq!(&served_by, &oracle.1);
     }
 }

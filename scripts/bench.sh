@@ -46,13 +46,14 @@ cd "$(dirname "$0")/.."
 # for the process lifetime peaked at 460 MiB; pooled simulator arenas
 # at 29 MiB).
 ALL_FIGURES_MAX_RSS_MIB=64
-# `chaos --day 3600 --jobs 1` peaks near 22 MiB. It peaked near
-# 27.5 MiB while the controller queued every arrival and kill up front
-# and kept retry origins in a hash map, and at 95 MiB when the
-# simulator kept a task arena that grew with simulated time (it keeps
-# nothing per task now: every completion time is computed at
+# `chaos --day 3600 --jobs 1` peaks near 15 MiB. It peaked near 20 MiB
+# while every fleet replica's report kept a second copy of its request
+# timings, near 27.5 MiB while the controller queued every arrival and
+# kill up front and kept retry origins in a hash map, and at 95 MiB
+# when the simulator kept a task arena that grew with simulated time
+# (it keeps nothing per task now: every completion time is computed at
 # submission).
-CHAOS_DAY_MAX_RSS_MIB=32
+CHAOS_DAY_MAX_RSS_MIB=18
 
 cargo build --release -p seesaw-bench --bin perf_report --bin fleet --bin autoscale \
     --bin chaos --bin all_figures
