@@ -72,7 +72,6 @@ use seesaw_telemetry::{
 };
 use seesaw_workload::{windowed_metrics, LatencyStats, Request, SloSpec, WindowMetrics};
 use std::cell::OnceCell;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Elapsed seconds of an optional phase-timer start (0 when the timer
@@ -339,10 +338,23 @@ struct ReplicaState<'e> {
     killed_s: Option<f64>,
     /// Dispatch attempts routed here (lost ones included).
     dispatched: usize,
-    /// Their attempt ids in dispatch order, kept only while faults can
+    /// Those attempts in dispatch order, kept only while faults can
     /// strike: a kill requeues the ones it catches in this order, so
-    /// equal-time retries pop in the order they were dispatched.
-    stream: Vec<u64>,
+    /// equal-time retries pop in the order they were dispatched, and
+    /// every retry or resume that completes is folded back onto its
+    /// request from here.
+    stream: Vec<Attempt>,
+}
+
+/// A dispatch attempt and its origin: attempt `attempt` of
+/// `requests[idx]`, under id `id` (the request's own id for a first
+/// attempt, a fresh one for a retry or resume). Request indices fit in
+/// `u32`, checked at construction.
+#[derive(Debug, Clone, Copy)]
+struct Attempt {
+    id: u64,
+    idx: u32,
+    attempt: u32,
 }
 
 impl<'e> ReplicaState<'e> {
@@ -441,18 +453,10 @@ struct Replay<'a> {
     queue: EventQueue<Event>,
     replicas: Vec<ReplicaState<'a>>,
     router: Router,
-    assignment: Vec<usize>,
-    /// The first retry or resume id: one past the largest request id.
-    /// Later attempt ids follow in sequence.
-    attempt_base: u64,
-    /// `(original request index, attempt number)` of retry or resume
-    /// id `attempt_base + k`, at `k` (8 bytes a retry: indices fit in
-    /// `u32`, checked at construction).
-    retry_meta: Vec<(u32, u32)>,
-    /// Request id → index in `requests`, built at the first kill: the
-    /// origin of every lost first attempt. Lookup-only (never
-    /// iterated), so hash order cannot leak into output.
-    first_attempts: Option<HashMap<u64, usize>>,
+    assignment: Vec<u32>,
+    /// The next retry or resume id. The first is one past the largest
+    /// request id; each park or requeue takes the next in sequence.
+    next_attempt_id: u64,
     /// `(projections, requests they re-simulated)` of the actors
     /// finished at their kill.
     killed_projections: (u64, u64),
@@ -521,9 +525,7 @@ impl<'a> Replay<'a> {
             replicas: Vec::new(),
             router: Router::new(cfg.router, n0),
             assignment: vec![0; requests.len()],
-            attempt_base: requests.iter().map(|r| r.id).max().unwrap_or(0).saturating_add(1),
-            retry_meta: Vec::new(),
-            first_attempts: None,
+            next_attempt_id: requests.iter().map(|r| r.id).max().unwrap_or(0).saturating_add(1),
             killed_projections: (0, 0),
             failures: Vec::new(),
             attempts: 0,
@@ -584,20 +586,12 @@ impl<'a> Replay<'a> {
         }
     }
 
-    /// A fresh attempt id for attempt `attempt` of `requests[idx]`.
-    fn attempt_id(&mut self, idx: usize, attempt: u32) -> u64 {
-        let id = self.attempt_base + self.retry_meta.len() as u64;
+    /// A fresh id for a retry or resume.
+    fn attempt_id(&mut self) -> u64 {
+        let id = self.next_attempt_id;
         assert!(id < u64::MAX, "attempt ids exhausted");
-        self.retry_meta.push((idx as u32, attempt));
+        self.next_attempt_id += 1;
         id
-    }
-
-    /// `(request index, attempt number)` of retry or resume `id`;
-    /// `None` for a first attempt.
-    fn retry_origin(&self, id: u64) -> Option<(usize, u32)> {
-        let k = id.checked_sub(self.attempt_base)?;
-        let &(idx, attempt) = self.retry_meta.get(usize::try_from(k).ok()?)?;
-        Some((idx as usize, attempt))
     }
 
     /// Replay every window, popping each window's events into their
@@ -711,21 +705,22 @@ impl<'a> Replay<'a> {
             );
             self.instr.metrics.counter_add("autoscale.kills", 1);
         }
-        for (id, done) in lost {
-            let (idx, attempt) = self.origin(id);
+        for (a, done) in lost {
+            let idx = a.idx as usize;
             let work = self.calib * self.replicas[v].rates.est_service_s(&self.requests[idx]);
             // The unserved remainder of the lost work leaves the fluid
             // backlog; the retry re-adds its full cost when dispatched.
             self.backlog_s = (self.backlog_s - work.min(done - tk)).max(0.0);
-            self.requeue_or_fail(tk, idx, attempt);
+            self.requeue_or_fail(tk, idx, a.attempt);
         }
     }
 
     /// Finish victim `v`'s actor at its kill instant `tk`: nothing more
-    /// reaches it, so its run is final. Keep the completions up to `tk`
-    /// as its report and return the attempts it had not completed, as
-    /// `(attempt id, measured completion)` in dispatch order.
-    fn finish_victim(&mut self, v: usize, tk: f64) -> Vec<(u64, f64)> {
+    /// reaches it, so its run is final. Keep the completions up to `tk`,
+    /// folded onto their requests, as its report and return the attempts
+    /// it had not completed, with their measured completion, in dispatch
+    /// order.
+    fn finish_victim(&mut self, v: usize, tk: f64) -> Vec<(Attempt, f64)> {
         let start = self.instr.profiling.then(Instant::now);
         let rep = &mut self.replicas[v];
         let actor = rep.actor.take().expect("a replica is killed once");
@@ -733,37 +728,10 @@ impl<'a> Replay<'a> {
         self.killed_projections.0 += projections;
         self.killed_projections.1 += reprojected;
         let mut report = actor.finish();
-        let timeline = &report.timeline;
-        debug_assert!(
-            timeline.windows(2).all(|w| w[0].id < w[1].id),
-            "timeline is id-sorted"
-        );
-        let lost = std::mem::take(&mut rep.stream)
-            .into_iter()
-            .filter_map(|id| {
-                let done = timeline
-                    .binary_search_by_key(&id, |t| t.id)
-                    .map_or(f64::INFINITY, |i| timeline[i].completion_s);
-                (done > tk).then_some((id, done))
-            })
-            .collect();
-        report.timeline.retain(|t| t.completion_s <= tk);
+        let lost = fold_attempts(&mut report, std::mem::take(&mut rep.stream), tk, self.requests);
         rep.report = Some(report);
         self.replay_s += lap(start);
         lost
-    }
-
-    /// `(request index, attempt number)` of attempt `id`: retries and
-    /// resumes are in `retry_meta`, any other id is a first attempt.
-    fn origin(&mut self, id: u64) -> (usize, u32) {
-        if let Some(meta) = self.retry_origin(id) {
-            return meta;
-        }
-        let requests = self.requests;
-        let index = self
-            .first_attempts
-            .get_or_insert_with(|| requests.iter().enumerate().map(|(i, r)| (r.id, i)).collect());
-        (*index.get(&id).expect("a first attempt carries its request's id"), 1)
     }
 
     /// Requeue attempt `attempt` of `requests[idx]`, lost at
@@ -780,7 +748,7 @@ impl<'a> Replay<'a> {
             self.failed += 1;
             return;
         }
-        let id = self.attempt_id(idx, attempt);
+        let id = self.attempt_id();
         let event = Event::Redispatch { id, idx, attempt, resume: false };
         self.queue.push(SimTime::from_secs(retry_at), event);
     }
@@ -823,7 +791,7 @@ impl<'a> Replay<'a> {
             .router
             .route(&req, &self.accepting, &live, |i, r| replicas[i].rates.est_service_s(r))
             .expect("the accepting set is non-empty");
-        self.assignment[idx] = routed.replica;
+        self.assignment[idx] = routed.replica as u32;
         if self.telemetry {
             self.record_route(&req, &routed, &live);
         }
@@ -831,7 +799,7 @@ impl<'a> Replay<'a> {
         let work = self.calib * rep.rates.est_service_s(&req);
         rep.dispatched += 1;
         if self.injecting {
-            rep.stream.push(req.id);
+            rep.stream.push(Attempt { id: req.id, idx: idx as u32, attempt });
         }
         rep.actor().push(req);
         self.tally.waits_ok +=
@@ -902,7 +870,7 @@ impl<'a> Replay<'a> {
             debug_assert!(resume > now, "a ready live replica would have been accepting");
             self.parks += 1;
             // Same attempt number: parking is not a retry.
-            let id = self.attempt_id(idx, attempt);
+            let id = self.attempt_id();
             let event = Event::Redispatch { id, idx, attempt, resume: true };
             self.queue.push(SimTime::from_secs(resume), event);
             if self.telemetry {
@@ -1154,8 +1122,13 @@ impl<'a> Replay<'a> {
             "a killed replica completed a request after its kill"
         );
         let metrics_start = prof.then(Instant::now);
-        if self.injecting {
-            self.fold_retries(&mut reports);
+        // Victims folded their rows at the kill; survivors fold theirs
+        // now.
+        for (rep, report) in self.replicas.iter_mut().zip(&mut reports) {
+            if self.injecting && rep.killed_s.is_none() {
+                let stream = std::mem::take(&mut rep.stream);
+                fold_attempts(report, stream, f64::INFINITY, self.requests);
+            }
         }
         let lifecycles: Vec<ReplicaLifecycle> = self
             .replicas
@@ -1231,24 +1204,6 @@ impl<'a> Replay<'a> {
         }
     }
 
-    /// Fold surviving retries back onto their original request: the
-    /// timeline's identity and arrival are the *first* attempt's (so
-    /// e2e spans detection + backoff + requeue), while the simulated
-    /// completion is the surviving attempt's.
-    fn fold_retries(&self, reports: &mut [EngineReport]) {
-        for report in reports {
-            for t in &mut report.timeline {
-                if let Some((idx, attempt)) = self.retry_origin(t.id) {
-                    t.id = self.requests[idx].id;
-                    t.arrival_s = self.requests[idx].arrival_s;
-                    t.attempts = attempt;
-                }
-            }
-            report.timeline.sort_by_key(|t| t.id);
-            report.latency = LatencyStats::from_timeline(&report.timeline);
-        }
-    }
-
     /// Record the finished run: request spans, alert transitions, and
     /// the run's registry counters.
     fn record_run(
@@ -1294,6 +1249,52 @@ impl<'a> Replay<'a> {
         m.gauge_set("autoscale.peak_replicas", self.peak_replicas as f64);
         m.gauge_set("autoscale.unavailability_s", availability.unavailability_s);
     }
+}
+
+/// Settle a replica's finished `report` against its dispatch `stream`
+/// at `until`, its kill instant (infinite for a replica never killed):
+/// drop the rows completed after it, and return the attempts not
+/// completed by then, with their measured completion, in dispatch
+/// order. A kept retry or resume is folded back onto its request: the
+/// row takes the request's id and arrival (so e2e spans detection,
+/// backoff and requeue) and its attempt number, while the completion
+/// stays the surviving attempt's.
+fn fold_attempts(
+    report: &mut EngineReport,
+    stream: Vec<Attempt>,
+    until: f64,
+    requests: &[Request],
+) -> Vec<(Attempt, f64)> {
+    let timeline = &mut report.timeline;
+    debug_assert!(timeline.windows(2).all(|w| w[0].id < w[1].id), "timeline is id-sorted");
+    let mut lost = Vec::new();
+    let mut folds = Vec::new();
+    for a in stream {
+        let first = a.id == requests[a.idx as usize].id;
+        if first && until == f64::INFINITY {
+            // A survivor completed it under its request's own id.
+            continue;
+        }
+        let row = timeline.binary_search_by_key(&a.id, |t| t.id).ok();
+        let done = row.map_or(f64::INFINITY, |i| timeline[i].completion_s);
+        if done > until {
+            lost.push((a, done));
+        } else if !first {
+            folds.push((row.expect("a completed attempt has a row"), a));
+        }
+    }
+    // Rows are found by id above, so ids change only once all are found.
+    for (i, a) in folds {
+        let req = &requests[a.idx as usize];
+        let t = &mut timeline[i];
+        t.id = req.id;
+        t.arrival_s = req.arrival_s;
+        t.attempts = a.attempt;
+    }
+    timeline.retain(|t| t.completion_s <= until);
+    timeline.sort_by_key(|t| t.id);
+    report.latency = LatencyStats::from_timeline(timeline);
+    lost
 }
 
 /// Replica `rep`'s billed lifetime, from its finished `report`.
@@ -1682,7 +1683,7 @@ mod tests {
         let faults = kill_at(reqs[k].arrival_s, victim as u64, true);
         let report = run(&ctl, &SweepRunner::serial(), &build, &reqs, &faults);
         assert_eq!(report.failures.len(), 1);
-        assert_eq!(report.failures[0].replica, victim);
+        assert_eq!(report.failures[0].replica, victim as usize);
         assert_ne!(report.fleet.assignment[k], victim, "routed to the replica killed on arrival");
         let timing = report.fleet.timeline.iter().find(|t| t.id == reqs[k].id).expect("served");
         assert_eq!(timing.attempts, 1, "the arrival must not be lost to the kill");

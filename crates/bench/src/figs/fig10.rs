@@ -4,6 +4,9 @@
 //! The paper's protocol: sweep every single-parallelism configuration
 //! for vLLM (chunk size tuned), report the best; run Seesaw with its
 //! chosen `(c_p, c_d)`; plot throughput normalized to the vLLM bar.
+//! [`best_vllm_with`] returns exactly the best report of the whole
+//! sweep; it only skips building the reports of candidates that
+//! provably cannot win (see [`crate::harness`]).
 
 use crate::harness::{best_vllm_with, seesaw_auto_with};
 use crate::table::{f2, f3, Table};

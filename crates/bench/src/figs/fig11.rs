@@ -1,5 +1,9 @@
 //! Figure 11: throughput on A100 — PCIe vs NVLink interconnects,
 //! LLaMA2-70B, both datasets, normalized to vLLM on NVLink.
+//!
+//! The vLLM rows follow Figure 10's protocol: the best report of the
+//! whole configuration × chunk-size sweep, found by the exact search
+//! of [`crate::harness`].
 
 use crate::harness::{best_vllm_with, seesaw_auto_with};
 use crate::table::{f3, Table};

@@ -4,23 +4,24 @@
 //! wall-clock time, never output.
 
 use seesaw_bench::figs;
-use seesaw_bench::harness::{best_vllm_with, seesaw_auto_with, vllm_sweep_with};
+use seesaw_bench::harness::{best_vllm_with, seesaw_auto_with};
 use seesaw_engine::SweepRunner;
 use seesaw_hw::ClusterSpec;
 use seesaw_model::presets;
 use seesaw_workload::WorkloadGen;
 
+/// The baseline search drops candidates wave by wave, so its waves
+/// differ with the job count; the report it returns must not.
 #[test]
 fn vllm_sweep_parallel_matches_serial_reports_exactly() {
     let cluster = ClusterSpec::a10x4();
     let model = presets::llama2_13b();
     let reqs = WorkloadGen::constant(512, 32).generate(16);
-    let serial = vllm_sweep_with(&SweepRunner::serial(), &cluster, &model, &reqs);
-    let parallel = vllm_sweep_with(&SweepRunner::new(4), &cluster, &model, &reqs);
-    assert!(serial.len() >= 3, "sweep must cover several candidates");
+    let serial = best_vllm_with(&SweepRunner::serial(), &cluster, &model, &reqs);
+    let parallel = best_vllm_with(&SweepRunner::new(4), &cluster, &model, &reqs);
     // EngineReport is PartialEq over every field (stats, walls,
-    // transfer accounting), so this is a bit-level comparison of the
-    // simulated outcomes, in candidate order.
+    // transfer accounting, timeline), so this is a bit-level
+    // comparison of the simulated outcome.
     assert_eq!(serial, parallel);
 }
 

@@ -145,6 +145,15 @@ impl SweepRunner {
         self.jobs
     }
 
+    /// Worker threads a sweep started on the calling thread would use:
+    /// [`SweepRunner::jobs`], clamped to this thread's share of any
+    /// enclosing sweep.
+    pub fn effective_jobs(&self) -> usize {
+        JOB_BUDGET
+            .with(|c| c.get())
+            .map_or(self.jobs, |budget| self.jobs.min(budget.max(1)))
+    }
+
     /// Worker-thread count the caller asked for, before clamping.
     pub fn requested_jobs(&self) -> usize {
         self.requested
@@ -185,10 +194,7 @@ impl SweepRunner {
             }
         };
 
-        // Clamp to this thread's share of any enclosing sweep.
-        let effective = JOB_BUDGET
-            .with(|c| c.get())
-            .map_or(self.jobs, |budget| self.jobs.min(budget.max(1)));
+        let effective = self.effective_jobs();
         if effective == 1 || items.len() <= 1 {
             // A (effectively) serial runner must pin nested sweeps
             // to serial too — otherwise an inner `from_env()` runner

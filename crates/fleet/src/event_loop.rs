@@ -63,7 +63,7 @@ impl Fleet {
         if telemetry {
             register_tracks(&mut instr.recorder, &format!("router ({policy})"), &self.labels());
         }
-        let mut assignment = vec![0usize; requests.len()];
+        let mut assignment = vec![0u32; requests.len()];
         for (idx, req) in requests.iter().enumerate() {
             let now = req.arrival_s;
             // Measured state of every replica at this instant —
@@ -76,7 +76,7 @@ impl Fleet {
             let routed = router
                 .route(req, &all, &live, est)
                 .expect("every replica of a fixed fleet is eligible");
-            assignment[idx] = routed.replica;
+            assignment[idx] = routed.replica as u32;
             if telemetry {
                 // The state this decision saw: measured for live
                 // policies, the router's virtual queue otherwise.

@@ -43,7 +43,7 @@ pub struct FleetReport {
     /// field, `latency` included, is the replica's own.
     pub replicas: Vec<EngineReport>,
     /// Replica index each request was routed to, in stream order.
-    pub assignment: Vec<usize>,
+    pub assignment: Vec<u32>,
     /// Merged per-request timeline, id-sorted (same convention as a
     /// single engine's report): every replica's entries, each once.
     pub timeline: Vec<RequestTiming>,
@@ -64,7 +64,7 @@ impl FleetReport {
     pub fn from_replica_reports(
         policy: RouterPolicy,
         mut replicas: Vec<EngineReport>,
-        assignment: Vec<usize>,
+        assignment: Vec<u32>,
     ) -> Self {
         assert!(!replicas.is_empty(), "a fleet report needs replicas");
         let (timeline, served_by) =

@@ -46,13 +46,13 @@ fn merged_timeline(
     let rates = OnlineEngine::service_rates(&engine, avg_in, avg_out);
     let mut router = Router::new(policy, n);
     let all: Vec<usize> = (0..n).collect();
-    let assignment: Vec<usize> = reqs
+    let assignment: Vec<u32> = reqs
         .iter()
         .map(|r| {
             router
                 .route(r, &all, &[], |_, r| rates.est_service_s(r))
                 .expect("every replica eligible")
-                .replica
+                .replica as u32
         })
         .collect();
     let streams = split_stream(reqs, &assignment, n);

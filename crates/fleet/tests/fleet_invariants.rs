@@ -141,13 +141,13 @@ proptest! {
         };
         let mut router = Router::new(policy, n_replicas);
         let all: Vec<usize> = (0..n_replicas).collect();
-        let assignment: Vec<usize> = reqs
+        let assignment: Vec<u32> = reqs
             .iter()
             .map(|req| {
                 router
                     .route(req, &all, &[], |_, r| 0.01 + r.input_len as f64 / 1000.0)
                     .expect("every replica eligible")
-                    .replica
+                    .replica as u32
             })
             .collect();
         prop_assert_eq!(assignment.len(), n);

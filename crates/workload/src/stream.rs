@@ -24,7 +24,7 @@ use std::collections::BinaryHeap;
 /// `assignment` (parallel to `reqs`; values in `[0, n_streams)`).
 /// Relative order within each stream matches the global stream, so
 /// arrival-sortedness is preserved per replica.
-pub fn split_stream(reqs: &[Request], assignment: &[usize], n_streams: usize) -> Vec<Vec<Request>> {
+pub fn split_stream(reqs: &[Request], assignment: &[u32], n_streams: usize) -> Vec<Vec<Request>> {
     assert_eq!(
         reqs.len(),
         assignment.len(),
@@ -32,6 +32,7 @@ pub fn split_stream(reqs: &[Request], assignment: &[usize], n_streams: usize) ->
     );
     let mut streams: Vec<Vec<Request>> = vec![Vec::new(); n_streams];
     for (r, &a) in reqs.iter().zip(assignment) {
+        let a = a as usize;
         assert!(
             a < n_streams,
             "assignment {a} out of range for {n_streams} replicas"
@@ -95,7 +96,7 @@ mod tests {
         let reqs: Vec<Request> = (0..10)
             .map(|i| Request::new(i, 100, 10).with_arrival(i as f64 * 0.5))
             .collect();
-        let assignment: Vec<usize> = (0..10).map(|i| (i % 3) as usize).collect();
+        let assignment: Vec<u32> = (0..10).map(|i| i % 3).collect();
         let streams = split_stream(&reqs, &assignment, 3);
         assert_eq!(streams.iter().map(Vec::len).sum::<usize>(), 10);
         for s in &streams {

@@ -52,10 +52,10 @@ proptest! {
         prop_assert!(reqs.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s));
         // Arbitrary assignment, independent of the arrivals.
         let mut x = assign_seed.wrapping_mul(2).wrapping_add(1);
-        let assignment: Vec<usize> = (0..n)
+        let assignment: Vec<u32> = (0..n)
             .map(|_| {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (x >> 33) as usize % n_replicas
+                ((x >> 33) as usize % n_replicas) as u32
             })
             .collect();
         let streams = split_stream(&reqs, &assignment, n_replicas);
@@ -67,7 +67,8 @@ proptest! {
                 "replica {} stream lost arrival order", r
             );
             for req in s {
-                prop_assert_eq!(assignment[req.id as usize], r, "request on the wrong replica");
+                let replica = assignment[req.id as usize] as usize;
+                prop_assert_eq!(replica, r, "request on the wrong replica");
             }
         }
     }
@@ -81,7 +82,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let reqs = traced_requests(n, seed, 2.0, 1.0);
-        let assignment: Vec<usize> = (0..n).map(|i| i % n_replicas).collect();
+        let assignment: Vec<u32> = (0..n).map(|i| (i % n_replicas) as u32).collect();
         let streams = split_stream(&reqs, &assignment, n_replicas);
         let timelines: Vec<Vec<RequestTiming>> = streams
             .iter()
@@ -102,7 +103,7 @@ proptest! {
         prop_assert_eq!(merged.len(), n);
         for (i, t) in merged.iter().enumerate() {
             prop_assert_eq!(t.id, i as u64, "merged timeline must be id-sorted and complete");
-            prop_assert_eq!(served_by[i] as usize, assignment[i], "entry tagged with its replica");
+            prop_assert_eq!(served_by[i], assignment[i], "entry tagged with its replica");
         }
     }
 

@@ -40,20 +40,22 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Peak-RSS ceilings, in MiB, measured on x86-64 Linux.
-# `all_figures 1 --jobs 1` peaks near 14 MiB; the ceiling fails on
-# per-thread retention across figure cells (a memo kept per thread
-# for the process lifetime peaked at 460 MiB; pooled simulator arenas
-# at 29 MiB).
-ALL_FIGURES_MAX_RSS_MIB=64
-# `chaos --day 3600 --jobs 1` peaks near 15 MiB. It peaked near 20 MiB
-# while every fleet replica's report kept a second copy of its request
-# timings, near 27.5 MiB while the controller queued every arrival and
-# kill up front and kept retry origins in a hash map, and at 95 MiB
-# when the simulator kept a task arena that grew with simulated time
-# (it keeps nothing per task now: every completion time is computed at
-# submission).
-CHAOS_DAY_MAX_RSS_MIB=18
+# Peak-RSS ceilings, in MiB, measured on x86-64 Linux as the child's
+# own high-water mark (see check_peak_rss).
+# `all_figures 1 --jobs 1` peaks near 4.5 MiB (6.0 MiB while the vLLM
+# baseline search built every candidate's report before taking the
+# best). The ceiling also fails on per-thread retention across figure
+# cells (a memo kept per thread for the process lifetime peaked at
+# 460 MiB; pooled simulator arenas at 29 MiB).
+ALL_FIGURES_MAX_RSS_MIB=5.5
+# `chaos --day 3600 --jobs 1` peaks near 13 MiB (14.5 MiB while the
+# controller kept a table entry per minted retry id and a request-id
+# index). Earlier figures, read with the launcher's resident set
+# included, put it near 20 MiB while every fleet replica's report kept
+# a second copy of its request timings, near 27.5 MiB while the
+# controller queued every arrival and kill up front, and at 95 MiB
+# when the simulator kept a task arena that grew with simulated time.
+CHAOS_DAY_MAX_RSS_MIB=15.5
 
 cargo build --release -p seesaw-bench --bin perf_report --bin fleet --bin autoscale \
     --bin chaos --bin all_figures
@@ -109,17 +111,33 @@ check_telemetry fleet 4 16 --replicas 1 --loads 0.5 --no-hetero --compare-replic
 check_telemetry autoscale 2+ --day 1800 --window 60
 check_telemetry chaos 2+ --day 1800 --window 60
 
-# Memory smoke: the child's peak RSS (ru_maxrss is KiB on Linux). Usage:
+# Memory smoke: the child's own peak RSS, its VmHWM sampled every
+# millisecond until it exits (a lower bound that misses at most the
+# last sample interval). `ru_maxrss` would not do: a child forked from
+# the Python launcher keeps the launcher's resident set as its maximum
+# across `exec` (`/bin/true` reads ~14 MiB that way). Usage:
 # check_peak_rss LIMIT_MIB COMMAND...
 check_peak_rss() {
     python3 - "$@" <<'EOF'
-import resource, subprocess, sys
+import re, subprocess, sys, time
 limit, cmd = float(sys.argv[1]), sys.argv[2:]
-subprocess.run(cmd, stdout=subprocess.DEVNULL, check=True)
-peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 name = " ".join(cmd).removeprefix("./target/release/")
-assert peak <= limit, f"{name} peaked at {peak:.1f} MiB > {limit:.0f} MiB"
-print(f"bench.sh: memory OK ({name} peak RSS {peak:.1f} MiB <= {limit:.0f} MiB)")
+child = subprocess.Popen(cmd, stdout=subprocess.DEVNULL)
+peak_kib = 0
+while child.poll() is None:
+    try:
+        with open(f"/proc/{child.pid}/status") as f:
+            hwm = re.search(r"^VmHWM:\s+(\d+) kB", f.read(), re.M)
+    except OSError:
+        hwm = None
+    if hwm:
+        peak_kib = max(peak_kib, int(hwm.group(1)))
+    time.sleep(0.001)
+assert child.returncode == 0, f"{name} exited with {child.returncode}"
+assert peak_kib > 0, f"{name} exited before its memory was sampled"
+peak = peak_kib / 1024
+assert peak <= limit, f"{name} peaked at {peak:.1f} MiB > {limit:g} MiB"
+print(f"bench.sh: memory OK ({name} peak RSS {peak:.1f} MiB <= {limit:g} MiB)")
 EOF
 }
 
