@@ -17,7 +17,8 @@
 //! track. Everything is deterministic: alerts are a pure fold over
 //! the window sequence.
 //!
-//! The chaos tier scores rules against its injected ground truth with
+//! The elastic sweep scores each cell's alerts against its injected
+//! ground truth with
 //! [`score_detection`]: median detection latency against seeded
 //! correlated outages, missed outages, and false fires on the
 //! fault-free day.

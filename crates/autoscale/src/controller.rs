@@ -273,8 +273,8 @@ pub struct ElasticFleetReport {
     /// past the horizon (the drain tail) extend the axis, so this may
     /// be longer than [`ElasticFleetReport::windows`].
     pub windowed: Vec<WindowMetrics>,
-    /// Burn-rate alert transitions the controller's rule emitted over
-    /// the measured window axis, in window order.
+    /// Burn-rate alert transitions of [`AlertRule::default`] over the
+    /// measured window axis, in window order.
     pub alerts: Vec<AlertEvent>,
     /// The control horizon (last window end), seconds.
     pub horizon_s: f64,
@@ -1142,7 +1142,7 @@ impl<'a> Replay<'a> {
         // moves them all into the fleet's.
         let fleet = FleetReport::from_replica_reports(cfg.router, reports, assignment);
         let windowed = windowed_metrics(&fleet.timeline, cfg.slo, cfg.window_s, horizon_s);
-        let alerts = AlertEngine::evaluate(&[self.ctl.alert], &windowed);
+        let alerts = AlertEngine::evaluate(&[AlertRule::default()], &windowed);
         // Conservation: every offered request either completed or was
         // counted failed — nothing is silently dropped.
         let completed = fleet.timeline.len();
@@ -1333,29 +1333,17 @@ pub struct AutoscaleController {
     pub config: AutoscaleConfig,
     /// The replica-count policy.
     pub policy: ScalingPolicy,
-    /// The burn-rate alert rule evaluated over the measured window
-    /// axis ([`ElasticFleetReport::alerts`]).
-    pub alert: AlertRule,
 }
 
 impl AutoscaleController {
     /// A controller; panics on invalid configuration or policy (use
     /// [`AutoscaleConfig::validate`] / [`ScalingPolicy::validate`]
-    /// for recoverable checks). Alerting defaults to
-    /// [`AlertRule::default`]; override with
-    /// [`AutoscaleController::with_alert`].
+    /// for recoverable checks). Its reports carry the alerts of
+    /// [`AlertRule::default`] over the measured window axis.
     pub fn new(config: AutoscaleConfig, policy: ScalingPolicy) -> Self {
         config.validate().unwrap_or_else(|e| panic!("invalid autoscale config: {e}"));
         policy.validate().unwrap_or_else(|e| panic!("invalid scaling policy: {e}"));
-        AutoscaleController { config, policy, alert: AlertRule::default() }
-    }
-
-    /// The same controller evaluating `alert`; panics on an invalid
-    /// rule.
-    pub fn with_alert(mut self, alert: AlertRule) -> Self {
-        alert.validate().unwrap_or_else(|e| panic!("invalid alert rule: {e}"));
-        self.alert = alert;
-        self
+        AutoscaleController { config, policy }
     }
 
     /// Replay `requests` (sorted by arrival) on replicas built by
@@ -1409,7 +1397,7 @@ impl AutoscaleController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultEvent, RetryPolicy};
+    use crate::faults::{FaultEvent, FaultPlan, RecoverySpec, RetryPolicy};
     use seesaw_engine::vllm::VllmEngine;
     use seesaw_engine::SchedulingPolicy;
     use seesaw_hw::ClusterSpec;
@@ -1596,6 +1584,29 @@ mod tests {
         AutoscaleController::new(
             AutoscaleConfig { window_s: 0.0, ..AutoscaleConfig::default() },
             ScalingPolicy::reactive_default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid fault plan")]
+    fn bad_plan_rejected() {
+        FaultPlan { groups: 0, ..FaultPlan::none() }.schedule_for(
+            &[],
+            AutoscaleConfig::default().window_s,
+            &RecoverySpec::bare(ScalingPolicy::Static { n: 2 }),
+        );
+    }
+
+    #[test]
+    fn recovery_names_expose_the_replacement_posture() {
+        assert_eq!(RecoverySpec::bare(ScalingPolicy::Static { n: 4 }).to_string(), "static-4");
+        assert_eq!(
+            RecoverySpec::healing(ScalingPolicy::reactive_default()).to_string(),
+            "reactive+replace"
+        );
+        assert_eq!(
+            RecoverySpec::healing(ScalingPolicy::Static { n: 3 }).to_string(),
+            "static-3+replace"
         );
     }
 

@@ -1,16 +1,20 @@
-//! Fault-schedule consumption: the types the controller's
-//! fault-aware replay understands, plus availability accounting.
+//! Faults and recovery: the seeded [`FaultPlan`] a replay is judged
+//! under, the [`RecoverySpec`] posture that answers it, the resolved
+//! [`FaultSchedule`] the controller consumes, and availability
+//! accounting.
 //!
-//! This module deliberately contains **no randomness**. A
-//! [`FaultSchedule`] is a fully resolved, serializable list of timed
-//! events — independent replica kills and correlated group outages —
-//! plus the recovery knobs (detection delay, [`RetryPolicy`], whether
-//! failed capacity is replaced). The seeded *generation* of schedules
-//! lives in the `chaos` crate; the controller here only consumes
-//! them, so an empty schedule leaves the plain autoscale replay
-//! bit-identical (one code path, no RNG on it).
+//! A [`FaultSchedule`] is a fully resolved, serializable list of
+//! timed events — independent replica kills and correlated group
+//! outages — plus the recovery knobs (detection delay,
+//! [`RetryPolicy`], whether failed capacity is replaced). All
+//! randomness is spent when a plan is resolved into a schedule
+//! ([`FaultPlan::schedule_for`]); the controller only consumes it, so
+//! an empty schedule leaves the fault-free replay bit-identical (one
+//! code path, no RNG on it).
 
 use crate::controller::ReplicaLifecycle;
+use crate::policy::ScalingPolicy;
+pub use crate::plan::FaultPlan;
 
 /// How lost requests are retried after a replica failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,6 +74,42 @@ impl RetryPolicy {
         // overflows; the cap dominates far earlier anyway.
         let exp = u32::min(attempt - 3, 52);
         (self.backoff_base_s * (1u64 << exp) as f64).min(self.backoff_cap_s)
+    }
+}
+
+/// How the deployment responds to failures: the scaling policy that
+/// drives the trajectory, whether killed capacity is replaced, and
+/// how lost requests retry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RecoverySpec {
+    /// Scaling policy driving the window-by-window trajectory.
+    pub policy: ScalingPolicy,
+    /// Spawn replacements (paying warm-up) for killed replicas.
+    pub replace_failures: bool,
+    /// Retry behaviour for requests lost to failures.
+    pub retry: RetryPolicy,
+}
+
+impl RecoverySpec {
+    /// `policy` on a fleet that never heals: no replacements, default
+    /// retries. Its name is the policy's.
+    pub fn bare(policy: ScalingPolicy) -> Self {
+        RecoverySpec { policy, replace_failures: false, retry: RetryPolicy::default() }
+    }
+
+    /// `policy` replacing killed capacity — the healing fleet.
+    pub fn healing(policy: ScalingPolicy) -> Self {
+        RecoverySpec { replace_failures: true, ..RecoverySpec::bare(policy) }
+    }
+}
+
+impl std::fmt::Display for RecoverySpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.replace_failures {
+            write!(f, "{}+replace", self.policy)
+        } else {
+            write!(f, "{}", self.policy)
+        }
     }
 }
 
@@ -190,7 +230,7 @@ pub struct FailureEvent {
 }
 
 /// Request-conservation and capacity accounting for a fault-injected
-/// replay. The invariant the chaos tier is judged by:
+/// replay. The invariant a faulted replay is judged by:
 /// `completed + failed == offered` and
 /// `attempts == completed + lost_attempts` — nothing is ever
 /// silently dropped.

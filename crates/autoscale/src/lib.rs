@@ -1,10 +1,12 @@
-//! Autoscaling controller tier: trace-driven elastic fleets.
+//! Elastic tier: trace-driven elastic fleets, with and without
+//! seeded failures.
 //!
 //! PR 4's `crates/fleet` answered "how does a *fixed* fleet of N
 //! replicas behave under load?"; this crate answers the elastic
 //! question a capacity planner actually asks: **how many replicas do
-//! you need over a day, and what does each scaling policy cost in
-//! SLO attainment?** It is the next level of the first-principles
+//! you need over a day, what does each scaling policy cost in SLO
+//! attainment, and how much of it survives replicas dying mid-day?**
+//! It is the next level of the first-principles
 //! "model the infrastructure, then sweep the policy space"
 //! methodology — one tier above the fleet, two above the engine:
 //!
@@ -24,18 +26,20 @@
 //!   bounds with hysteresis and cooldown), and
 //!   [`ScalingPolicy::TargetUtilization`] (the classic
 //!   utilization-tracking autoscaler).
-//! * [`sweep::frontier_sweep_with`] runs policy × trace grids and
-//!   tabulates billed replica-seconds against measured SLO
-//!   attainment — the cost-vs-SLO frontier (the `autoscale` bin).
-//! * [`faults`] adds failure injection on top: a [`FaultSchedule`]
-//!   kills replicas (or whole groups) mid-trace, lost attempts are
-//!   requeued under a [`RetryPolicy`], replacement spawns restore the
-//!   desired count, and [`AvailabilityStats`] accounts for every
+//! * [`faults`] adds failure injection on top: a seeded [`FaultPlan`]
+//!   resolves to a [`FaultSchedule`] that kills replicas (or whole
+//!   groups) mid-trace, lost attempts are requeued under the
+//!   [`RecoverySpec`]'s [`RetryPolicy`], replacement spawns restore
+//!   the desired count, and [`AvailabilityStats`] accounts for every
 //!   offered request. The controller has one entry point,
 //!   [`AutoscaleController::run_with`], and a fault-free day is that
-//!   replay under [`FaultSchedule::none`] — one code path (the `chaos`
-//!   crate builds seeded schedules and sweeps the availability
-//!   frontier).
+//!   replay under [`FaultSchedule::none`] — one code path.
+//! * [`sweep::elastic_sweep_with`] runs trace × fault × recovery grids
+//!   and tabulates billed replica-seconds against measured SLO
+//!   attainment and availability — one [`ElasticFrontier`] per trace.
+//!   The `autoscale` bin's cost-vs-SLO frontier is that sweep with the
+//!   fault roster `{none}`; the `chaos` bin's availability frontier
+//!   crosses seeded fault plans with recovery postures.
 //!
 //! Everything is deterministic and runner-invariant: the decision
 //! trajectory is causal and serial; only the final per-replica engine
@@ -46,6 +50,7 @@
 pub mod alert;
 pub mod controller;
 pub mod faults;
+mod plan;
 pub mod policy;
 pub mod sweep;
 
@@ -55,7 +60,8 @@ pub use controller::{
     WindowSignals,
 };
 pub use faults::{
-    AvailabilityStats, FailureEvent, FaultEvent, FaultKind, FaultSchedule, RetryPolicy,
+    AvailabilityStats, FailureEvent, FaultEvent, FaultKind, FaultPlan, FaultSchedule,
+    RecoverySpec, RetryPolicy,
 };
 pub use policy::{ScaleDecision, ScalingPolicy};
-pub use sweep::{frontier_sweep_with, FrontierPoint, FrontierSweep};
+pub use sweep::{elastic_sweep_with, ElasticFrontier, ElasticPoint};

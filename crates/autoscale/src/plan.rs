@@ -1,7 +1,7 @@
 //! Seeded fault-plan generation: rates in, a resolved
 //! [`FaultSchedule`] out.
 //!
-//! All of the chaos tier's randomness lives here, at *schedule
+//! All of the elastic tier's randomness lives here, at *schedule
 //! build* time. Independent kills and correlated group outages are
 //! each a homogeneous Poisson process (exponential gaps hand-rolled
 //! from a seeded [`StdRng`]); every per-event decision the replay
@@ -12,9 +12,10 @@
 //! streams, so changing the kill rate never reshuffles the outage
 //! times.
 
+use crate::faults::{FaultEvent, FaultKind, FaultSchedule, RecoverySpec, RetryPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use seesaw_autoscale::{FaultEvent, FaultKind, FaultSchedule, RetryPolicy};
+use seesaw_workload::Request;
 
 /// Salt separating the kill stream from other draws on the same seed.
 const KILL_SALT: u64 = 0x6b69_6c6c_0000_0001;
@@ -41,8 +42,8 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// The empty plan: no failures ever. Scheduling it yields
-    /// [`FaultSchedule::none`]-shaped output, so a chaos run under it
-    /// is byte-identical to the plain autoscale run.
+    /// [`FaultSchedule::none`]-shaped output, so a replay under it is
+    /// the fault-free replay.
     pub fn none() -> Self {
         FaultPlan {
             seed: 0,
@@ -78,7 +79,7 @@ impl FaultPlan {
     /// Resolve the plan into a concrete schedule over `[0,
     /// horizon_s)`, attaching the recovery knobs the replay needs.
     /// Deterministic in (plan, horizon): same inputs, same bytes.
-    pub fn schedule(
+    fn schedule(
         &self,
         horizon_s: f64,
         retry: RetryPolicy,
@@ -116,6 +117,23 @@ impl FaultPlan {
             .validate()
             .unwrap_or_else(|e| panic!("generated schedule must validate: {e}"));
         schedule
+    }
+
+    /// The schedule a replay of `requests` (sorted by arrival) in
+    /// `window_s`-second control windows runs under, with
+    /// `recovery`'s knobs: faults span the trace's base window
+    /// horizon — the horizon the fault-free replay would have — so the
+    /// failure process is a property of the *day*, not of how long the
+    /// retry tail drags on. Also the detection-scoring ground truth.
+    pub fn schedule_for(
+        &self,
+        requests: &[Request],
+        window_s: f64,
+        recovery: &RecoverySpec,
+    ) -> FaultSchedule {
+        let last_arrival = requests.last().map_or(0.0, |r| r.arrival_s);
+        let horizon_s = ((last_arrival / window_s) as usize + 1) as f64 * window_s;
+        self.schedule(horizon_s, recovery.retry, recovery.replace_failures)
     }
 }
 

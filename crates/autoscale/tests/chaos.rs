@@ -1,14 +1,14 @@
-//! Chaos-tier integration invariants: the empty plan nests the
-//! autoscale tier byte-for-byte, grids are `--jobs`-invariant, every
-//! request reconciles (nothing silently dropped), and recovery
-//! postures order the way operations intuition says they must.
+//! Fault-injection invariants of the elastic tier: the empty plan
+//! nests the fault-free replay byte-for-byte, grids are
+//! `--jobs`-invariant, every request reconciles (nothing silently
+//! dropped), and recovery postures order the way operations intuition
+//! says they must.
 
 use proptest::prelude::*;
 use seesaw_autoscale::{
-    AutoscaleConfig, AutoscaleController, ElasticFleetReport, FaultSchedule, RetryPolicy,
-    ScalingPolicy,
+    elastic_sweep_with, AutoscaleConfig, AutoscaleController, ElasticFleetReport, FaultPlan,
+    FaultSchedule, RecoverySpec, ScalingPolicy,
 };
-use seesaw_chaos::{chaos_sweep_with, ChaosController, FaultPlan, RecoverySpec};
 use seesaw_engine::vllm::VllmEngine;
 use seesaw_engine::{OnlineEngine, SchedulingPolicy, SweepRunner};
 use seesaw_fleet::RouterPolicy;
@@ -19,13 +19,31 @@ use seesaw_telemetry::Instrument;
 use seesaw_workload::{ArrivalDist, Request, SloSpec, WorkloadGen};
 use std::sync::Arc;
 
-/// A serial run of `chaos` with telemetry off.
+/// A serial replay of `reqs` under `plan`'s schedule with `recovery`,
+/// recording into `instr`.
+fn run_instrumented(
+    (config, plan, recovery): (AutoscaleConfig, FaultPlan, RecoverySpec),
+    build: &(dyn Fn(usize) -> Box<dyn OnlineEngine> + Sync),
+    reqs: &[Request],
+    instr: &mut Instrument,
+) -> ElasticFleetReport {
+    let schedule = plan.schedule_for(reqs, config.window_s, &recovery);
+    AutoscaleController::new(config, recovery.policy).run_with(
+        &SweepRunner::serial(),
+        build,
+        reqs,
+        &schedule,
+        instr,
+    )
+}
+
+/// [`run_instrumented`] with telemetry off.
 fn run(
-    chaos: &ChaosController,
+    cell: (AutoscaleConfig, FaultPlan, RecoverySpec),
     build: &(dyn Fn(usize) -> Box<dyn OnlineEngine> + Sync),
     reqs: &[Request],
 ) -> ElasticFleetReport {
-    chaos.run_instrumented_with(&SweepRunner::serial(), build, reqs, &mut Instrument::off())
+    run_instrumented(cell, build, reqs, &mut Instrument::off())
 }
 
 fn builder() -> impl Fn(usize) -> Box<dyn OnlineEngine> + Sync {
@@ -80,12 +98,7 @@ fn empty_plan_reproduces_the_autoscale_run_byte_for_byte() {
     let reqs = traced(50, 2.5, 21);
     for policy in [ScalingPolicy::Static { n: 2 }, ScalingPolicy::reactive_default()] {
         let config = cfg(RouterPolicy::JoinShortestQueue);
-        let chaos = ChaosController::new(
-            config,
-            FaultPlan::none(),
-            RecoverySpec { policy, replace_failures: false, retry: RetryPolicy::default() },
-        );
-        let faulted = run(&chaos, &build, &reqs);
+        let faulted = run((config, FaultPlan::none(), RecoverySpec::bare(policy)), &build, &reqs);
         let plain = AutoscaleController::new(config, policy).run_with(
             &SweepRunner::serial(),
             &build,
@@ -106,19 +119,22 @@ fn chaos_grid_is_jobs_invariant() {
         ("kills".to_string(), dense_kills(5)),
     ];
     let recoveries = [
-        RecoverySpec::bare_static(2),
+        RecoverySpec::bare(ScalingPolicy::Static { n: 2 }),
         RecoverySpec::healing(ScalingPolicy::reactive_default()),
     ];
+    let traces = [("test".to_string(), reqs)];
     let run = |runner: &SweepRunner| {
-        chaos_sweep_with(
+        let mut frontiers = elastic_sweep_with(
             runner,
             &build,
             cfg(RouterPolicy::JoinShortestQueue),
+            &traces,
             &faults,
             &recoveries,
-            ("test", &reqs),
             (2.5, "T2P2"),
-        )
+        );
+        assert_eq!(frontiers.len(), 1, "one frontier per trace");
+        frontiers.remove(0)
     };
     let serial = run(&SweepRunner::serial());
     let parallel = run(&SweepRunner::new(4));
@@ -161,25 +177,10 @@ fn replacement_recovers_attainment_a_bare_fleet_loses() {
         groups: 1,
         detect_s: 2.0,
     };
-    let baseline = run(
-        &ChaosController::new(config, FaultPlan::none(), RecoverySpec::bare_static(2)),
-        &build,
-        &reqs,
-    );
-    let healed = run(
-        &ChaosController::new(
-            config,
-            outage,
-            RecoverySpec::healing(ScalingPolicy::Static { n: 2 }),
-        ),
-        &build,
-        &reqs,
-    );
-    let bare = run(
-        &ChaosController::new(config, outage, RecoverySpec::bare_static(2)),
-        &build,
-        &reqs,
-    );
+    let static_2 = ScalingPolicy::Static { n: 2 };
+    let baseline = run((config, FaultPlan::none(), RecoverySpec::bare(static_2)), &build, &reqs);
+    let healed = run((config, outage, RecoverySpec::healing(static_2)), &build, &reqs);
+    let bare = run((config, outage, RecoverySpec::bare(static_2)), &build, &reqs);
     assert!(baseline.availability.failed == 0);
     assert_eq!(healed.availability.completed + healed.availability.failed, reqs.len());
     assert_eq!(bare.availability.completed + bare.availability.failed, reqs.len());
@@ -207,12 +208,8 @@ fn no_router_completes_requests_on_a_dead_replica() {
     let build = builder();
     let reqs = traced(60, 3.0, 37);
     for router in RouterPolicy::all_with_live() {
-        let chaos = ChaosController::new(
-            cfg(router),
-            dense_kills(11),
-            RecoverySpec::healing(ScalingPolicy::Static { n: 3 }),
-        );
-        let report = run(&chaos, &build, &reqs);
+        let recovery = RecoverySpec::healing(ScalingPolicy::Static { n: 3 });
+        let report = run((cfg(router), dense_kills(11), recovery), &build, &reqs);
         let a = &report.availability;
         assert!(a.replicas_killed > 0, "{router}: the plan must strike the trace");
         assert_eq!(a.completed + a.failed, a.offered, "{router}");
@@ -261,12 +258,8 @@ proptest! {
             groups,
             detect_s: 1.5,
         };
-        let chaos = ChaosController::new(
-            cfg(router),
-            plan,
-            RecoverySpec::healing(ScalingPolicy::reactive_default()),
-        );
-        let report = run(&chaos, &build, &reqs);
+        let recovery = RecoverySpec::healing(ScalingPolicy::reactive_default());
+        let report = run((cfg(router), plan, recovery), &build, &reqs);
         let a = &report.availability;
         prop_assert_eq!(a.offered, 30);
         prop_assert_eq!(a.completed + a.failed, a.offered);
@@ -283,24 +276,24 @@ proptest! {
     }
 }
 
-/// The chaos entry point is a passthrough: with the instrument off it
-/// records nothing, and with tracing on it records the injected kills without perturbing the
+/// A faulted replay with the instrument off records nothing, and with
+/// tracing on it records the injected kills without perturbing the
 /// report.
 #[test]
 fn instrumented_chaos_run_records_kills_without_perturbing() {
     let build = builder();
     let reqs = traced(50, 2.5, 31);
-    let chaos = ChaosController::new(
+    let cell = (
         cfg(RouterPolicy::JoinShortestQueue),
         dense_kills(5),
         RecoverySpec::healing(ScalingPolicy::reactive_default()),
     );
     let mut off = Instrument::off();
-    let plain = chaos.run_instrumented_with(&SweepRunner::serial(), &build, &reqs, &mut off);
+    let plain = run_instrumented(cell, &build, &reqs, &mut off);
     assert!(off.recorder.spans().is_empty() && off.metrics.is_empty());
 
     let mut instr = Instrument::tracing();
-    let traced = chaos.run_instrumented_with(&SweepRunner::serial(), &build, &reqs, &mut instr);
+    let traced = run_instrumented(cell, &build, &reqs, &mut instr);
     assert_eq!(plain, traced, "telemetry must not perturb the chaos run");
     assert!(plain.availability.replicas_killed > 0, "plan must strike the trace");
     let trace = seesaw_telemetry::perfetto::render(&instr.recorder, "chaos");

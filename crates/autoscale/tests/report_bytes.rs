@@ -9,8 +9,10 @@
 //! and the replay runs on `SweepRunner::serial()`, so every byte the
 //! replay allocates is counted.
 
-use seesaw_autoscale::{AutoscaleConfig, RetryPolicy, ScalingPolicy};
-use seesaw_chaos::{ChaosController, FaultPlan, RecoverySpec};
+use seesaw_autoscale::{
+    AutoscaleConfig, AutoscaleController, ElasticFleetReport, FaultPlan, RecoverySpec,
+    RetryPolicy, ScalingPolicy,
+};
 use seesaw_engine::vllm::VllmEngine;
 use seesaw_engine::{OnlineEngine, SchedulingPolicy, SweepRunner};
 use seesaw_fleet::RouterPolicy;
@@ -77,6 +79,23 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, isize, isize) {
     (out, net, PEAK.with(Cell::get))
 }
 
+/// A serial replay of `reqs` under `plan`'s schedule with `recovery`,
+/// telemetry off: `(report, net, peak)` heap bytes of the replay alone
+/// (the schedule is resolved before counting starts).
+fn counted_replay(
+    config: AutoscaleConfig,
+    plan: FaultPlan,
+    recovery: RecoverySpec,
+    reqs: &[Request],
+) -> (ElasticFleetReport, isize, isize) {
+    let build = builder();
+    let schedule = plan.schedule_for(reqs, config.window_s, &recovery);
+    let controller = AutoscaleController::new(config, recovery.policy);
+    counted(|| {
+        controller.run_with(&SweepRunner::serial(), &build, reqs, &schedule, &mut Instrument::off())
+    })
+}
+
 fn builder() -> impl Fn(usize) -> Box<dyn OnlineEngine> + Sync {
     let cluster = Arc::new(ClusterSpec::a10x4());
     let model = Arc::new(presets::llama2_13b());
@@ -105,7 +124,6 @@ fn traced(n: usize) -> Vec<Request> {
 /// Net bytes a replay of `n` offered requests keeps in its report,
 /// with replicas killed under reactive scaling and replacement.
 fn report_bytes(n: usize) -> isize {
-    let build = builder();
     let reqs = traced(n);
     let config = AutoscaleConfig {
         window_s: 30.0,
@@ -123,14 +141,8 @@ fn report_bytes(n: usize) -> isize {
         groups: 1,
         detect_s: 2.0,
     };
-    let chaos = ChaosController::new(
-        config,
-        plan,
-        RecoverySpec::healing(ScalingPolicy::reactive_default()),
-    );
-    let (report, bytes, _) = counted(|| {
-        chaos.run_instrumented_with(&SweepRunner::serial(), &build, &reqs, &mut Instrument::off())
-    });
+    let recovery = RecoverySpec::healing(ScalingPolicy::reactive_default());
+    let (report, bytes, _) = counted_replay(config, plan, recovery, &reqs);
     let a = &report.availability;
     assert!(a.replicas_killed > 0, "the plan must strike the trace");
     assert!(a.retries > 0, "kills must requeue work");
@@ -163,7 +175,6 @@ fn a_chaos_report_keeps_each_timing_once() {
 /// replacement, so every later arrival is lost at dispatch and retried
 /// until its 12-attempt budget runs out (11 fresh attempt ids each).
 fn dark_peak_bytes(n: usize) -> f64 {
-    let build = builder();
     let reqs = traced(n);
     let config = AutoscaleConfig {
         window_s: 30.0,
@@ -188,12 +199,9 @@ fn dark_peak_bytes(n: usize) -> f64 {
             backoff_cap_s: 60.0,
             deadline_s: 600.0,
         },
-        ..RecoverySpec::bare_static(2)
+        ..RecoverySpec::bare(ScalingPolicy::Static { n: 2 })
     };
-    let chaos = ChaosController::new(config, plan, recovery);
-    let (report, _, peak) = counted(|| {
-        chaos.run_instrumented_with(&SweepRunner::serial(), &build, &reqs, &mut Instrument::off())
-    });
+    let (report, _, peak) = counted_replay(config, plan, recovery, &reqs);
     let a = &report.availability;
     assert_eq!(a.replicas_killed, 2, "both replicas die");
     assert!(a.failed > n / 2, "most requests exhaust their budget: {} failed", a.failed);

@@ -1,6 +1,8 @@
-//! Autoscaling harness: the default day-long elastic-fleet scenario,
-//! its policy × trace cost-vs-SLO frontier sweep, and the table/JSON
-//! renderings (the `autoscale` bin).
+//! Elastic harness: the default day-long elastic-fleet scenario shared
+//! by the `autoscale` and `chaos` bins, its fault-free policy × trace
+//! cost-vs-SLO frontier and the table/JSON renderings (the `autoscale`
+//! bin), and the one telemetry-on cell behind both bins'
+//! `--trace-out`.
 //!
 //! The scenario follows the capacity-planning workflow end to end:
 //! measure one replica's offline capacity, shape a day of traffic
@@ -24,8 +26,8 @@ use crate::jsonfmt;
 use crate::serving::{default_engine_of, default_specs, EngineKind};
 use crate::table::{f2, f3, Table};
 use seesaw_autoscale::{
-    frontier_sweep_with, AutoscaleConfig, AutoscaleController, ElasticFleetReport, FaultSchedule,
-    FrontierPoint, FrontierSweep, ScalingPolicy,
+    elastic_sweep_with, AutoscaleConfig, AutoscaleController, ElasticFleetReport, ElasticFrontier,
+    ElasticPoint, FaultPlan, RecoverySpec, ScalingPolicy,
 };
 use seesaw_engine::{OnlineEngine, SweepRunner};
 use seesaw_fleet::offline_capacity;
@@ -282,8 +284,10 @@ impl Scenario {
     }
 }
 
-/// Run the default frontier: sweep `scenario`'s policy × trace grid.
-pub fn default_frontier_with(runner: &SweepRunner, scenario: &Scenario) -> FrontierSweep {
+/// Run the default frontier: sweep `scenario`'s traces × policies, each
+/// policy a bare posture under the fault roster `{none}`. One
+/// frontier per trace.
+pub fn default_frontier_with(runner: &SweepRunner, scenario: &Scenario) -> Vec<ElasticFrontier> {
     let (spec, config) = (&scenario.spec, scenario.config);
     // Size the static baselines from the load actually replayed: the
     // envelope multipliers for generated days, the measured
@@ -297,67 +301,79 @@ pub fn default_frontier_with(runner: &SweepRunner, scenario: &Scenario) -> Front
             default_diurnal_envelope(spec.trough_mult, spec.peak_mult, spec.day_s).mean_rps(),
         )
     };
-    let policies = default_policies(peak_mult, mean_mult);
-    frontier_sweep_with(
+    let recoveries: Vec<RecoverySpec> =
+        default_policies(peak_mult, mean_mult).into_iter().map(RecoverySpec::bare).collect();
+    elastic_sweep_with(
         runner,
         &|i| scenario.replica(i),
         config,
-        &policies,
         &scenario.traces,
+        &[("none".into(), FaultPlan::none())],
+        &recoveries,
         (config.capacity_rps, &scenario.label),
     )
 }
 
-/// One frontier cell run with the telemetry recorder on: the
-/// dedicated observability cell behind the `autoscale` bin's
+/// One elastic cell run with the telemetry recorder on: the dedicated
+/// observability cell behind the `autoscale` and `chaos` bins'
 /// `--trace-out` flag.
 #[derive(Debug)]
-pub struct ObservedFrontierCell {
+pub struct ObservedCell {
     /// Trace name (envelope name or replayed file path).
     pub trace: String,
-    /// Scaling policy of the traced run.
-    pub policy: ScalingPolicy,
+    /// Failure-model name of the traced run.
+    pub fault: String,
+    /// Recovery-posture name of the traced run.
+    pub recovery: String,
     /// The (telemetry-identical) elastic-fleet report.
     pub report: ElasticFleetReport,
     /// The run's trace and metric snapshot.
     pub telemetry: Telemetry,
 }
 
-/// Run one dedicated frontier cell — the reactive controller on the
-/// first trace (the diurnal day, or the replayed trace file) — with
-/// the telemetry recorder on, and render its Perfetto trace. Recorded
-/// bytes are sim-time only, so the trace is byte-identical for every
-/// `--jobs` value.
-pub fn observed_frontier_cell_with(
+/// Run `recovery` under the failure model `fault` on `scenario`'s first
+/// trace (the diurnal day, or the replayed trace file) with the
+/// telemetry recorder on, and render its Perfetto trace as `process`.
+/// Recorded bytes are sim-time only, so the trace is byte-identical
+/// for every `--jobs` value.
+pub fn observed_cell_with(
     runner: &SweepRunner,
     scenario: &Scenario,
-) -> ObservedFrontierCell {
+    (fault, plan): &(String, FaultPlan),
+    recovery: RecoverySpec,
+    process: &str,
+) -> ObservedCell {
     let (trace, requests) = &scenario.traces[0];
-    let policy = ScalingPolicy::reactive_default();
     let mut instr = Instrument::tracing();
-    let report = AutoscaleController::new(scenario.config, policy).run_with(
+    let report = AutoscaleController::new(scenario.config, recovery.policy).run_with(
         runner,
         &|i| scenario.replica(i),
         requests,
-        &FaultSchedule::none(),
+        &plan.schedule_for(requests, scenario.config.window_s, &recovery),
         &mut instr,
     );
-    let telemetry = Telemetry::finish(instr, "autoscale");
-    ObservedFrontierCell { trace: trace.clone(), policy, report, telemetry }
+    ObservedCell {
+        trace: trace.clone(),
+        fault: fault.clone(),
+        recovery: recovery.to_string(),
+        report,
+        telemetry: Telemetry::finish(instr, process),
+    }
 }
 
-/// Render the frontier as the `autoscale` bin's table. Cost is billed
-/// replica-seconds; `cost vs peak` normalizes it to the same trace's
-/// static provision-for-peak row (< 1.0 means cheaper).
-pub fn render_frontier(sweep: &FrontierSweep) -> String {
-    let cfg = &sweep.config;
+/// Render the per-trace frontiers as the `autoscale` bin's table. Cost
+/// is billed replica-seconds; `cost vs peak` normalizes it to the same
+/// trace's static provision-for-peak row (< 1.0 means cheaper).
+pub fn render_frontier(frontiers: &[ElasticFrontier]) -> String {
+    let head = &frontiers[0];
+    let cfg = &head.config;
     let mut out = format!(
         "\n=== autoscale: policy x trace cost-vs-SLO frontier ({} replicas, sharegpt lengths) ===\n\
          per-replica capacity (offline, {CAPACITY_PROBE_REQUESTS}-request probe) = {} rps; \
          SLO: TTFT <= {}s, TPOT <= {}s\n\
          window {}s, warm-up {}s, replicas {}..{}, {} routing; cost = billed replica-seconds\n",
-        sweep.label,
-        f3(sweep.capacity_rps),
+        head.label,
+        f3(head.capacity_rps),
         cfg.slo.ttft_s,
         cfg.slo.tpot_s,
         cfg.window_s,
@@ -380,25 +396,25 @@ pub fn render_frontier(sweep: &FrontierSweep) -> String {
         "SLO att",
         "goodput",
     ]);
-    for p in &sweep.points {
+    for (frontier, p) in frontiers.iter().flat_map(|f| f.points.iter().map(move |p| (f, p))) {
         // The roster's first policy is the baseline (static
         // provision-for-peak in the default scenario).
-        let peak_cost = sweep
+        let peak_cost = frontier
             .points
             .iter()
-            .find(|q| q.trace == p.trace && q.policy.to_string() == sweep.policies[0])
+            .find(|q| q.recovery == frontier.recoveries[0])
             .map(|q| q.replica_seconds)
             .filter(|&c| c > 0.0);
         let lat = p.report.fleet.latency;
         t.row(&[
-            p.trace.clone(),
-            p.policy.to_string(),
+            frontier.trace.clone(),
+            p.recovery.clone(),
             p.n_requests.to_string(),
             format!("{:.0}", p.replica_seconds),
             peak_cost.map_or("n/a".into(), |c| format!("{:.2}x", p.replica_seconds / c)),
             f2(p.mean_replicas),
             p.peak_replicas.to_string(),
-            p.scale_events.to_string(),
+            p.report.events.len().to_string(),
             lat.map_or("n/a".into(), |l| f2(l.ttft.p99)),
             lat.map_or("n/a".into(), |l| format!("{:.4}", l.tpot.p99)),
             format!("{:.1}%", 100.0 * p.attainment),
@@ -409,14 +425,15 @@ pub fn render_frontier(sweep: &FrontierSweep) -> String {
     out
 }
 
-/// Render one cell's per-window timeline: the controller's signal and
-/// replica-count trajectory against the measured windowed attainment
-/// — the "did the fleet follow the day?" picture.
-pub fn render_timeline(point: &FrontierPoint) -> String {
+/// Render one cell of `trace`'s frontier as a per-window timeline: the
+/// controller's signal and replica-count trajectory against the
+/// measured windowed attainment — the "did the fleet follow the day?"
+/// picture.
+pub fn render_timeline(trace: &str, point: &ElasticPoint) -> String {
     let r: &ElasticFleetReport = &point.report;
     let mut out = format!(
         "\n=== autoscale: {} on {} — per-window trajectory ===\n",
-        point.policy, point.trace
+        point.recovery, trace
     );
     let mut t = Table::new(&[
         "window",
@@ -447,6 +464,21 @@ pub fn render_timeline(point: &FrontierPoint) -> String {
     out
 }
 
+/// The controller config as one JSON object, echoed by the `autoscale`
+/// and `chaos` documents.
+pub fn config_json(cfg: &AutoscaleConfig) -> String {
+    format!(
+        "{{\"window_s\": {}, \"warmup_s\": {}, \"min_replicas\": {}, \
+         \"max_replicas\": {}, \"router\": \"{}\", \"slo\": {}}}",
+        jsonfmt::num(cfg.window_s),
+        jsonfmt::num(cfg.warmup_s),
+        cfg.min_replicas,
+        cfg.max_replicas,
+        jsonfmt::esc(&cfg.router.to_string()),
+        jsonfmt::slo(cfg.slo),
+    )
+}
+
 /// The scenario knobs as one JSON object — the seed-and-shape echo
 /// shared by the `autoscale` and `chaos` documents (envelope knobs
 /// and workload seed; chaos adds its fault plan per point).
@@ -463,7 +495,7 @@ pub fn scenario_json(spec: &ScenarioSpec) -> String {
     )
 }
 
-/// The frontier as one machine-readable JSON document (the
+/// The per-trace frontiers as one machine-readable JSON document (the
 /// `autoscale` bin's `--json` output): headline numbers per cell plus
 /// the per-window series for plotting fleet-size trajectories. The
 /// header echoes the full scenario (engine, day shape, workload seed)
@@ -472,31 +504,25 @@ pub fn scenario_json(spec: &ScenarioSpec) -> String {
 /// when a traced run produced one, so the plain document stays
 /// byte-identical to pre-telemetry output.
 pub fn to_json(
-    sweep: &FrontierSweep,
+    frontiers: &[ElasticFrontier],
     spec: &ScenarioSpec,
     telemetry: Option<&MetricsRegistry>,
 ) -> String {
-    let cfg = &sweep.config;
+    let head = &frontiers[0];
+    let cfg = &head.config;
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"label\": \"{}\",\n", jsonfmt::esc(&sweep.label)));
+    out.push_str(&format!("  \"label\": \"{}\",\n", jsonfmt::esc(&head.label)));
     out.push_str(&format!(
         "  \"capacity_rps\": {},\n",
-        jsonfmt::num(sweep.capacity_rps)
+        jsonfmt::num(head.capacity_rps)
     ));
     out.push_str(&format!("  \"scenario\": {},\n", scenario_json(spec)));
-    out.push_str(&format!(
-        "  \"config\": {{\"window_s\": {}, \"warmup_s\": {}, \"min_replicas\": {}, \
-         \"max_replicas\": {}, \"router\": \"{}\", \"slo\": {}}},\n",
-        jsonfmt::num(cfg.window_s),
-        jsonfmt::num(cfg.warmup_s),
-        cfg.min_replicas,
-        cfg.max_replicas,
-        jsonfmt::esc(&cfg.router.to_string()),
-        jsonfmt::slo(cfg.slo),
-    ));
+    out.push_str(&format!("  \"config\": {},\n", config_json(cfg)));
     out.push_str("  \"points\": [\n");
-    for (i, p) in sweep.points.iter().enumerate() {
+    let points: Vec<_> =
+        frontiers.iter().flat_map(|f| f.points.iter().map(move |p| (&f.trace, p))).collect();
+    for (i, (trace, p)) in points.iter().enumerate() {
         // Every point repeats the router policy and workload seed so
         // a single extracted point stays reproducible without the
         // document header.
@@ -506,15 +532,15 @@ pub fn to_json(
              \"replica_seconds\": {}, \"mean_replicas\": {}, \"peak_replicas\": {}, \
              \"scale_events\": {}, \"attainment\": {}, \"goodput_rps\": {}, \
              \"latency\": {},\n",
-            jsonfmt::esc(&p.trace),
-            jsonfmt::esc(&p.policy.to_string()),
+            jsonfmt::esc(trace),
+            jsonfmt::esc(&p.recovery),
             jsonfmt::esc(&cfg.router.to_string()),
             spec.seed,
             p.n_requests,
             jsonfmt::num(p.replica_seconds),
             jsonfmt::num(p.mean_replicas),
             p.peak_replicas,
-            p.scale_events,
+            p.report.events.len(),
             jsonfmt::num(p.attainment),
             jsonfmt::num(p.goodput_rps),
             jsonfmt::latency_stats(p.report.fleet.latency.as_ref()),
@@ -539,7 +565,7 @@ pub fn to_json(
         }
         out.push_str(&format!(
             "]}}{}\n",
-            if i + 1 < sweep.points.len() { "," } else { "" }
+            if i + 1 < points.len() { "," } else { "" }
         ));
     }
     out.push_str("  ]");
@@ -575,11 +601,14 @@ pub(crate) mod tests {
         day_s: f64,
         policies: &[ScalingPolicy],
         seed: u64,
-    ) -> FrontierSweep {
+    ) -> Vec<ElasticFrontier> {
         let spec = ScenarioSpec { day_s, seed, ..ScenarioSpec::default() };
         let s = Scenario::with_probe(&spec, mini_config(day_s), 64, None);
         let capacity = (s.config.capacity_rps, s.label.as_str());
-        frontier_sweep_with(runner, &|i| s.replica(i), s.config, policies, &s.traces, capacity)
+        let none = [("none".to_string(), FaultPlan::none())];
+        let recoveries: Vec<_> = policies.iter().copied().map(RecoverySpec::bare).collect();
+        let build = |i| s.replica(i);
+        elastic_sweep_with(runner, &build, s.config, &s.traces, &none, &recoveries, capacity)
     }
 
     #[test]
@@ -628,7 +657,8 @@ pub(crate) mod tests {
         assert_eq!(serial, parallel);
         assert_eq!(render_frontier(&serial), render_frontier(&parallel));
         assert_eq!(to_json(&serial, &spec, None), to_json(&parallel, &spec, None));
-        assert_eq!(serial.points.len(), 4, "2 traces x 2 policies");
+        assert_eq!(serial.len(), 2, "one frontier per trace");
+        assert!(serial.iter().all(|f| f.points.len() == 2), "2 policies per trace");
         let rendered = render_frontier(&serial);
         assert!(rendered.contains("cost vs peak"));
         assert!(rendered.contains("diurnal"));
@@ -645,10 +675,10 @@ pub(crate) mod tests {
         assert!(json.contains("\"day_s\": 120"));
         // ... and every *point* repeats the router and seed, so a
         // single extracted point is reproducible on its own.
-        assert_eq!(json.matches("\"router\": \"").count(), 1 + serial.points.len());
-        assert_eq!(json.matches("\"seed\": 42").count(), 1 + serial.points.len());
+        assert_eq!(json.matches("\"router\": \"").count(), 1 + 4);
+        assert_eq!(json.matches("\"seed\": 42").count(), 1 + 4);
         // The timeline renders for any cell.
-        let tl = render_timeline(&serial.points[1]);
+        let tl = render_timeline(&serial[0].trace, &serial[0].points[1]);
         assert!(tl.contains("per-window trajectory"));
         assert!(tl.contains("SLO att (measured)"));
     }

@@ -33,6 +33,7 @@
 //! the recorder's dropped-event health counters) as a standalone
 //! JSON file.
 
+use seesaw_autoscale::{FaultPlan, RecoverySpec, ScalingPolicy};
 use seesaw_bench::autoscale::{self, Scenario};
 use seesaw_bench::cli::{fail, ScenarioArgs};
 use seesaw_engine::SweepRunner;
@@ -55,27 +56,27 @@ fn main() {
     let runner = SweepRunner::with_jobs(args.jobs);
     let scenario =
         Scenario::new(&args.spec, args.config, trace_file.as_deref()).unwrap_or_else(|e| fail(e));
-    let sweep = autoscale::default_frontier_with(&runner, &scenario);
-    let observed =
-        args.out.wanted().then(|| autoscale::observed_frontier_cell_with(&runner, &scenario));
+    let frontiers = autoscale::default_frontier_with(&runner, &scenario);
+    let observed = args.out.wanted().then(|| {
+        let none = ("none".to_string(), FaultPlan::none());
+        let reactive = RecoverySpec::bare(ScalingPolicy::reactive_default());
+        autoscale::observed_cell_with(&runner, &scenario, &none, reactive, "autoscale")
+    });
     if let Some(cell) = &observed {
-        args.out.write(&cell.telemetry, &format!("{} on {}", cell.policy, cell.trace));
+        args.out.write(&cell.telemetry, &format!("{} on {}", cell.recovery, cell.trace));
     }
     if args.json {
         let telemetry = observed.as_ref().map(|c| &c.telemetry.metrics);
-        print!("{}", autoscale::to_json(&sweep, &args.spec, telemetry));
+        print!("{}", autoscale::to_json(&frontiers, &args.spec, telemetry));
     } else {
-        print!("{}", autoscale::render_frontier(&sweep));
+        print!("{}", autoscale::render_frontier(&frontiers));
         if let Some(policy) = &args.timeline {
-            match sweep
-                .points
-                .iter()
-                .find(|p| p.trace == sweep.traces[0] && &p.policy.to_string() == policy)
-            {
-                Some(point) => print!("{}", autoscale::render_timeline(point)),
+            let first = &frontiers[0];
+            match first.point("none", policy) {
+                Some(point) => print!("{}", autoscale::render_timeline(&first.trace, point)),
                 None => eprintln!(
                     "no policy '{policy}' in this sweep (have: {})",
-                    sweep.policies.join(", ")
+                    first.recoveries.join(", ")
                 ),
             }
         }

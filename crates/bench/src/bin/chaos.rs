@@ -1,7 +1,7 @@
 //! `chaos` — replay the day-long diurnal trace through an elastic
 //! fleet while a seeded fault plan kills replicas, and print the
 //! fault × recovery cost-vs-SLO-vs-availability frontier (see
-//! `seesaw_bench::chaos` and the `crates/chaos` subsystem).
+//! `seesaw_bench::chaos` and the `crates/autoscale` subsystem).
 //!
 //! Usage:
 //!   chaos [--jobs N] [--engine seesaw|vllm|disagg] [--day S]
@@ -43,7 +43,7 @@
 //! recorder's dropped-event health counters) as a standalone JSON
 //! file.
 
-use seesaw_bench::autoscale::{Scenario, CAPACITY_PROBE_REQUESTS};
+use seesaw_bench::autoscale::{self, Scenario, CAPACITY_PROBE_REQUESTS};
 use seesaw_bench::chaos::{self, ChaosSpec};
 use seesaw_bench::cli::{fail, ScenarioArgs};
 use seesaw_engine::SweepRunner;
@@ -78,8 +78,12 @@ fn main() {
     let runner = SweepRunner::with_jobs(args.jobs);
     let scenario = Scenario::with_probe(&args.spec, args.config, CAPACITY_PROBE_REQUESTS, None);
     let frontier = chaos::default_chaos_frontier_with(&runner, &scenario, &chaos);
-    let observed =
-        args.out.wanted().then(|| chaos::observed_chaos_cell_with(&runner, &scenario, &chaos));
+    // The traced cell: independent kills against reactive+replace.
+    let observed = args.out.wanted().then(|| {
+        let kills = &chaos.fault_roster(args.spec.day_s)[1];
+        let reactive = chaos.recovery_roster(args.spec.peak_mult)[2];
+        autoscale::observed_cell_with(&runner, &scenario, kills, reactive, "chaos")
+    });
     if let Some(cell) = &observed {
         args.out.write(&cell.telemetry, &format!("{} under {}", cell.recovery, cell.fault));
     }

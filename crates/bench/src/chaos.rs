@@ -18,16 +18,15 @@
 //! fault schedules are resolved from their seeds before the replay,
 //! and all requeue decisions happen on the serial causal trajectory.
 
-use crate::autoscale::{scenario_json, show, Scenario, ScenarioSpec};
-use crate::cli::Telemetry;
+use crate::autoscale::{config_json, scenario_json, show, Scenario, ScenarioSpec};
 use crate::jsonfmt;
 use crate::table::{f2, f3, Table};
-use seesaw_autoscale::{ElasticFleetReport, RetryPolicy, ScalingPolicy};
-use seesaw_chaos::{
-    chaos_sweep_with, ChaosController, ChaosFrontier, ChaosPoint, FaultPlan, RecoverySpec,
+use seesaw_autoscale::{
+    elastic_sweep_with, ElasticFrontier, ElasticPoint, FaultPlan, RecoverySpec, RetryPolicy,
+    ScalingPolicy,
 };
 use seesaw_engine::SweepRunner;
-use seesaw_telemetry::{Instrument, MetricsRegistry};
+use seesaw_telemetry::MetricsRegistry;
 
 /// Most fault events (kills plus outages) a chaos run may expect over
 /// its fault horizon — one day, rounded up to whole control windows.
@@ -151,24 +150,14 @@ impl ChaosSpec {
     /// replacement spawns, and the reactive controller with
     /// replacement.
     pub fn recovery_roster(&self, peak_mult: f64) -> Vec<RecoverySpec> {
-        let n_peak = (peak_mult.ceil() as usize).max(1);
-        vec![
-            RecoverySpec {
-                policy: ScalingPolicy::Static { n: n_peak },
-                replace_failures: false,
-                retry: self.retry,
-            },
-            RecoverySpec {
-                policy: ScalingPolicy::Static { n: n_peak },
-                replace_failures: true,
-                retry: self.retry,
-            },
-            RecoverySpec {
-                policy: ScalingPolicy::reactive_default(),
-                replace_failures: true,
-                retry: self.retry,
-            },
+        let static_peak = ScalingPolicy::Static { n: (peak_mult.ceil() as usize).max(1) };
+        [
+            RecoverySpec::bare(static_peak),
+            RecoverySpec::healing(static_peak),
+            RecoverySpec::healing(ScalingPolicy::reactive_default()),
         ]
+        .map(|r| RecoverySpec { retry: self.retry, ..r })
+        .to_vec()
     }
 }
 
@@ -178,71 +167,25 @@ pub fn default_chaos_frontier_with(
     runner: &SweepRunner,
     scenario: &Scenario,
     chaos: &ChaosSpec,
-) -> ChaosFrontier {
-    let (trace_name, requests) = &scenario.traces[0];
+) -> ElasticFrontier {
     let config = scenario.config;
-    chaos_sweep_with(
+    let mut frontiers = elastic_sweep_with(
         runner,
         &|i| scenario.replica(i),
         config,
+        &scenario.traces[..1],
         &chaos.fault_roster(scenario.spec.day_s),
         &chaos.recovery_roster(scenario.spec.peak_mult),
-        (trace_name, requests),
         (config.capacity_rps, &scenario.label),
-    )
-}
-
-/// One chaos cell run with the telemetry recorder on: the dedicated
-/// observability cell behind the `chaos` bin's `--trace-out` flag.
-#[derive(Debug)]
-pub struct ObservedChaosCell {
-    /// Fault-model name of the traced run.
-    pub fault: String,
-    /// Recovery-posture name of the traced run.
-    pub recovery: String,
-    /// The (telemetry-identical) elastic-fleet report.
-    pub report: ElasticFleetReport,
-    /// The run's trace and metric snapshot.
-    pub telemetry: Telemetry,
-}
-
-/// Run one dedicated chaos cell — independent kills against the
-/// reactive-with-replacement posture on `scenario`'s diurnal day —
-/// with the telemetry recorder on, and render its Perfetto trace
-/// (kill and retry markers land on the controller track). Recorded
-/// bytes are sim-time only, so the trace is byte-identical for every
-/// `--jobs` value.
-pub fn observed_chaos_cell_with(
-    runner: &SweepRunner,
-    scenario: &Scenario,
-    chaos: &ChaosSpec,
-) -> ObservedChaosCell {
-    let plan = chaos.plan(scenario.spec.day_s, false);
-    let recovery = RecoverySpec {
-        policy: ScalingPolicy::reactive_default(),
-        replace_failures: true,
-        retry: chaos.retry,
-    };
-    let mut instr = Instrument::tracing();
-    let report = ChaosController::new(scenario.config, plan, recovery).run_instrumented_with(
-        runner,
-        &|i| scenario.replica(i),
-        &scenario.traces[0].1,
-        &mut instr,
     );
-    ObservedChaosCell {
-        fault: format!("kills-{:.0}/day", chaos.kills_per_day),
-        recovery: recovery.to_string(),
-        report,
-        telemetry: Telemetry::finish(instr, "chaos"),
-    }
+    frontiers.remove(0)
 }
 
 /// Render the frontier as the `chaos` bin's table: cost and SLO
 /// columns like the autoscale frontier, plus the availability
 /// accounting (kills, lost/retried/failed requests, retry
 /// amplification, blackout seconds).
-pub fn render_chaos(frontier: &ChaosFrontier) -> String {
+pub fn render_chaos(frontier: &ElasticFrontier) -> String {
     let cfg = &frontier.config;
     let mut out = format!(
         "\n=== chaos: fault x recovery cost-vs-SLO-vs-availability frontier \
@@ -305,7 +248,7 @@ pub fn render_chaos(frontier: &ChaosFrontier) -> String {
 /// windowed arrivals, so the burn reads 0 while the fleet is dark
 /// (the `dark s` column of the availability table catches what the
 /// pager misses).
-pub fn render_detection_frontier(frontier: &ChaosFrontier) -> String {
+pub fn render_detection_frontier(frontier: &ElasticFrontier) -> String {
     let mut out = format!(
         "\n=== chaos: fault-detection frontier (rule {}) ===\n\
          fires matched to correlated outages; detection latency from outage to fire\n",
@@ -339,7 +282,7 @@ pub fn render_detection_frontier(frontier: &ChaosFrontier) -> String {
 /// Render one cell's per-window availability trajectory: live
 /// replicas and accepting capacity against arrivals, kills, and the
 /// measured windowed attainment.
-pub fn render_chaos_timeline(point: &ChaosPoint) -> String {
+pub fn render_chaos_timeline(point: &ElasticPoint) -> String {
     let r = &point.report;
     let mut out = format!(
         "\n=== chaos: {} under {} — per-window availability ===\n",
@@ -386,7 +329,7 @@ pub fn render_chaos_timeline(point: &ChaosPoint) -> String {
 /// a traced run produced one, so the plain document stays
 /// byte-identical to pre-telemetry output.
 pub fn to_json(
-    frontier: &ChaosFrontier,
+    frontier: &ElasticFrontier,
     spec: &ScenarioSpec,
     chaos: &ChaosSpec,
     telemetry: Option<&MetricsRegistry>,
@@ -401,16 +344,7 @@ pub fn to_json(
         jsonfmt::num(frontier.capacity_rps)
     ));
     out.push_str(&format!("  \"scenario\": {},\n", scenario_json(spec)));
-    out.push_str(&format!(
-        "  \"config\": {{\"window_s\": {}, \"warmup_s\": {}, \"min_replicas\": {}, \
-         \"max_replicas\": {}, \"router\": \"{}\", \"slo\": {}}},\n",
-        jsonfmt::num(cfg.window_s),
-        jsonfmt::num(cfg.warmup_s),
-        cfg.min_replicas,
-        cfg.max_replicas,
-        jsonfmt::esc(&cfg.router.to_string()),
-        jsonfmt::slo(cfg.slo),
-    ));
+    out.push_str(&format!("  \"config\": {},\n", config_json(cfg)));
     out.push_str(&format!(
         "  \"retry\": {{\"max_attempts\": {}, \"backoff_base_s\": {}, \
          \"backoff_cap_s\": {}, \"deadline_s\": {}, \"detect_s\": {}}},\n",
@@ -486,6 +420,7 @@ mod tests {
         score_detection, AutoscaleConfig, AutoscaleController, FaultEvent, FaultKind,
         FaultSchedule,
     };
+    use seesaw_telemetry::Instrument;
 
     /// A miniature chaos frontier (small day, small windows): the
     /// default scenario's code path at a fraction of the volume.
@@ -495,19 +430,19 @@ mod tests {
         faults: &[(String, FaultPlan)],
         recoveries: &[RecoverySpec],
         seed: u64,
-    ) -> ChaosFrontier {
+    ) -> ElasticFrontier {
         let spec = ScenarioSpec { day_s, seed, ..ScenarioSpec::default() };
         let s = Scenario::with_probe(&spec, mini_config(day_s), 64, None);
-        let (trace_name, requests) = &s.traces[0];
-        chaos_sweep_with(
+        let mut frontiers = elastic_sweep_with(
             runner,
             &|i| s.replica(i),
             s.config,
+            &s.traces[..1],
             faults,
             recoveries,
-            (trace_name, requests),
             (s.config.capacity_rps, &s.label),
-        )
+        );
+        frontiers.remove(0)
     }
 
     #[test]
@@ -617,7 +552,7 @@ mod tests {
         };
         let faults = chaos.fault_roster(120.0);
         let recoveries = [
-            RecoverySpec::bare_static(3),
+            RecoverySpec::bare(ScalingPolicy::Static { n: 3 }),
             RecoverySpec::healing(ScalingPolicy::reactive_default()),
         ];
         let run = |runner: &SweepRunner| {
@@ -675,5 +610,25 @@ mod tests {
         let tl = render_chaos_timeline(&serial.points[3]);
         assert!(tl.contains("per-window availability"));
         assert!(tl.contains("capacity s"));
+    }
+
+    /// Replacement only acts on kills, so under the empty plan a
+    /// static fleet with and without it replays identically: the
+    /// default roster's `none × static-N` and `none × static-N+replace`
+    /// cells carry equal reports.
+    #[test]
+    fn replacement_is_a_no_op_without_faults() {
+        let chaos = ChaosSpec::default();
+        let faults = &chaos.fault_roster(120.0)[..1];
+        let recoveries = chaos.recovery_roster(ScenarioSpec::default().peak_mult);
+        assert_eq!(faults[0].0, "none");
+        let frontier =
+            mini_chaos_frontier_with(&SweepRunner::serial(), 120.0, faults, &recoveries, 42);
+        let bare = frontier.point("none", &recoveries[0].to_string()).expect("bare static cell");
+        let healing =
+            frontier.point("none", &recoveries[1].to_string()).expect("healing static cell");
+        assert_eq!(recoveries[0].policy, recoveries[1].policy);
+        assert!(!recoveries[0].replace_failures && recoveries[1].replace_failures);
+        assert_eq!(bare.report, healing.report);
     }
 }

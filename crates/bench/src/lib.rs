@@ -15,13 +15,13 @@
 //! * [`fleet`] — the multi-replica tier: capacity-scaling and
 //!   router-policy sweeps over `seesaw_fleet::Fleet` (the `fleet`
 //!   bin).
-//! * [`autoscale`] — the elastic tier: day-long policy × trace
-//!   cost-vs-SLO frontier sweeps over `seesaw_autoscale` (the
-//!   `autoscale` bin).
-//! * [`chaos`] — the robustness tier: seeded failure injection over
-//!   the elastic day, fault × recovery
-//!   cost-vs-SLO-vs-availability frontiers over `seesaw_chaos` (the
-//!   `chaos` bin).
+//! * [`autoscale`] and [`chaos`] — the elastic tier, both views of
+//!   one `seesaw_autoscale::elastic_sweep_with` grid over the shared
+//!   day-long [`autoscale::Scenario`]: the fault-free policy × trace
+//!   cost-vs-SLO frontier (the `autoscale` bin) and the fault ×
+//!   recovery cost-vs-SLO-vs-availability frontier on the diurnal day
+//!   (the `chaos` bin), plus the one telemetry-on cell behind both
+//!   bins' `--trace-out` ([`autoscale::observed_cell_with`]).
 //! * [`simsbench`] — the canonical `sims_per_sec` single-candidate
 //!   workload shared by `perf_report`, the criterion microbench, and
 //!   the determinism tests.

@@ -47,9 +47,8 @@
 
 use seesaw_autoscale::{
     AlertEngine, AlertEvent, AlertRule, AutoscaleConfig, AutoscaleController, ElasticFleetReport,
-    FaultSchedule, RetryPolicy, ScalingPolicy,
+    FaultPlan, FaultSchedule, RecoverySpec, RetryPolicy, ScalingPolicy,
 };
-use seesaw_chaos::{ChaosController, FaultPlan, RecoverySpec};
 use seesaw_engine::seesaw::{SeesawEngine, SeesawSpec};
 use seesaw_engine::vllm::VllmEngine;
 use seesaw_engine::{EngineReport, OnlineEngine, SchedulingPolicy, SweepRunner};
@@ -349,8 +348,8 @@ impl SimsBench {
     }
 
     /// One chaos evaluation (`sims_per_sec.chaos`): the autoscale
-    /// scenario replayed through [`ChaosController`] with a fixed
-    /// seeded fault plan — ~3 expected replica kills over the
+    /// scenario replayed under the schedule of a fixed seeded fault
+    /// plan — ~3 expected replica kills over the
     /// compressed day, reactive scaling with replacement spawns, and
     /// the lost work requeued under a compressed retry policy. This
     /// is a chaos-frontier grid cell: everything the autoscale cell
@@ -379,12 +378,14 @@ impl SimsBench {
             replace_failures: true,
             retry,
         };
-        let controller = ChaosController::new(self.autoscale_config(), plan, recovery);
+        let config = self.autoscale_config();
+        let schedule = plan.schedule_for(&self.autoscale_reqs, config.window_s, &recovery);
         let build = |_: usize| -> Box<dyn OnlineEngine> { Box::new(self.vllm()) };
-        controller.run_instrumented_with(
+        AutoscaleController::new(config, recovery.policy).run_with(
             &SweepRunner::serial(),
             &build,
             &self.autoscale_reqs,
+            &schedule,
             &mut Instrument::off(),
         )
     }

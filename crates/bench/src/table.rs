@@ -28,12 +28,6 @@ impl Table {
         self
     }
 
-    /// Convenience: append a row of `&str`.
-    pub fn row_str(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -88,7 +82,7 @@ mod tests {
     #[test]
     fn renders_aligned_markdown() {
         let mut t = Table::new(&["config", "rps"]);
-        t.row_str(&["P8", "1.0"]);
+        t.row(&["P8".to_string(), "1.0".to_string()]);
         t.row(&["T4P2".to_string(), f3(0.5)]);
         let s = t.render();
         assert!(s.contains("| config |"));
@@ -102,6 +96,6 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn rejects_ragged_rows() {
         let mut t = Table::new(&["a", "b"]);
-        t.row_str(&["only-one"]);
+        t.row(&["only-one".to_string()]);
     }
 }

@@ -1,37 +1,55 @@
-//! Chaos tier: seeded failure injection over the elastic fleet.
-//!
-//! The autoscale tier answers "what does a scaling policy cost on a
-//! clean day?"; this crate asks the question an SRE actually signs
-//! off on: **what happens when replicas die mid-day — how much SLO
-//! and availability does each recovery posture buy, and at what
-//! cost?** It is the robustness level of the same first-principles
-//! methodology — model the failure process, then sweep the policy
-//! space:
-//!
-//! * [`FaultPlan`] is the seeded failure model: independent replica
-//!   kills and correlated rack/zone group outages as Poisson
-//!   processes. All randomness is spent at schedule-build time
-//!   (victim picks and outage groups are pre-drawn into the events),
-//!   so the replay consumes a fully resolved, serializable
-//!   [`seesaw_autoscale::FaultSchedule`] with no RNG on the causal
-//!   path — byte-identical across `--jobs`.
-//! * [`RecoverySpec`] is the deployment's posture: a scaling policy,
-//!   whether killed capacity is replaced (paying the usual warm-up),
-//!   and the [`seesaw_autoscale::RetryPolicy`] lost requests follow
-//!   (detection delay, exponential backoff, attempt budget,
-//!   deadline). Exhausted requests are counted failed — never
-//!   silently dropped: `completed + failed == offered` always holds.
-//! * [`ChaosController`] composes the two over the autoscale replay;
-//!   with an empty plan it reproduces the plain autoscale run
-//!   byte-for-byte (one code path — the controller's one entry point,
-//!   `AutoscaleController::run_with`, under an empty schedule).
-//! * [`chaos_sweep_with`] runs failure-model × recovery grids into
-//!   the cost-vs-SLO-vs-availability frontier (the `chaos` bin).
+//! The chaos tier's old import path, kept only so the benchmark in
+//! `perfbench/` builds unchanged: the elastic tier lives in
+//! [`seesaw_autoscale`], and nothing else in the workspace depends on
+//! this crate. It goes with the next benchmark-only change (ROADMAP
+//! items 7 and 8).
 
-pub mod controller;
-pub mod plan;
-pub mod sweep;
+use seesaw_autoscale::{AutoscaleConfig, AutoscaleController, ElasticFleetReport, FaultSchedule};
+use seesaw_engine::SweepRunner;
+use seesaw_fleet::sweep::ReplicaBuilder;
+use seesaw_telemetry::Instrument;
+use seesaw_workload::Request;
 
-pub use controller::{ChaosController, RecoverySpec};
-pub use plan::FaultPlan;
-pub use sweep::{chaos_sweep_with, ChaosFrontier, ChaosPoint};
+pub use seesaw_autoscale::{
+    ElasticFrontier as ChaosFrontier, ElasticPoint as ChaosPoint, FaultPlan, RecoverySpec,
+};
+
+/// A controller config, fault plan and recovery posture: one cell of
+/// the chaos frontier.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChaosController {
+    config: AutoscaleConfig,
+    plan: FaultPlan,
+    recovery: RecoverySpec,
+}
+
+impl ChaosController {
+    /// The cell `plan` × `recovery` under `config`.
+    pub fn new(config: AutoscaleConfig, plan: FaultPlan, recovery: RecoverySpec) -> Self {
+        ChaosController { config, plan, recovery }
+    }
+
+    /// [`AutoscaleController::run_with`] under
+    /// [`ChaosController::schedule_for`].
+    pub fn run_instrumented_with(
+        &self,
+        runner: &SweepRunner,
+        build: ReplicaBuilder,
+        requests: &[Request],
+        instr: &mut Instrument,
+    ) -> ElasticFleetReport {
+        AutoscaleController::new(self.config, self.recovery.policy).run_with(
+            runner,
+            build,
+            requests,
+            &self.schedule_for(requests),
+            instr,
+        )
+    }
+
+    /// [`FaultPlan::schedule_for`] over `requests` in the config's
+    /// control windows.
+    pub fn schedule_for(&self, requests: &[Request]) -> FaultSchedule {
+        self.plan.schedule_for(requests, self.config.window_s, &self.recovery)
+    }
+}

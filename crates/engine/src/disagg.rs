@@ -19,7 +19,7 @@ use seesaw_model::ModelConfig;
 use seesaw_parallel::{FitError, ParallelConfig};
 use seesaw_roofline::{Roofline, ThroughputModel};
 use seesaw_sim::TraceSummary;
-use seesaw_workload::{LatencyStats, Request, RequestTiming, RunStats, SloSpec};
+use seesaw_workload::{LatencyStats, Request, RequestTiming, RunStats};
 use std::sync::Arc;
 
 /// One evaluated disaggregation split.
@@ -58,13 +58,6 @@ impl DisaggReport {
     pub fn mismatch(&self) -> f64 {
         let hi = self.prefill_rps.max(self.decode_rps);
         hi / self.combined_rps()
-    }
-
-    /// Whether the analytic latency floor meets `slo`. A split
-    /// failing this misses the SLO at *any* offered load; passing it
-    /// only says the unloaded system complies.
-    pub fn meets_slo_floor(&self, slo: SloSpec) -> bool {
-        self.est_ttft_s <= slo.ttft_s && self.est_tpot_s <= slo.tpot_s
     }
 }
 
@@ -428,9 +421,6 @@ mod tests {
         let r = eng.evaluate_split(4, 3000, 250).unwrap();
         assert!(r.est_ttft_s > 0.0 && r.est_ttft_s.is_finite());
         assert!(r.est_tpot_s > 0.0 && r.est_tpot_s.is_finite());
-        // A generous SLO passes the floor; an impossible one fails.
-        assert!(r.meets_slo_floor(SloSpec { ttft_s: 1e6, tpot_s: 1e6 }));
-        assert!(!r.meets_slo_floor(SloSpec { ttft_s: 0.0, tpot_s: 0.0 }));
     }
 
     #[test]

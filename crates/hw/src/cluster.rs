@@ -71,11 +71,6 @@ impl ClusterSpec {
         Self::new(GpuSpec::a100_40g_pcie(), 8)
     }
 
-    /// Total device memory across the node, bytes.
-    pub fn total_gpu_mem(&self) -> u64 {
-        self.gpu.mem_bytes * self.num_gpus as u64
-    }
-
     /// Total host KV-buffer budget across the node, bytes.
     pub fn total_cpu_mem(&self) -> u64 {
         self.cpu_mem_per_gpu * self.num_gpus as u64
@@ -123,7 +118,6 @@ mod tests {
     #[test]
     fn totals() {
         let c = ClusterSpec::l4x4();
-        assert_eq!(c.total_gpu_mem(), 4 * 24 * GIB);
         assert_eq!(c.total_cpu_mem(), 4 * 80 * GIB);
     }
 

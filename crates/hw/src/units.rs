@@ -41,11 +41,6 @@ impl ByteSize {
     pub const fn bytes(self) -> u64 {
         self.0
     }
-
-    /// The size as a floating-point number of gibibytes.
-    pub fn as_gib(self) -> f64 {
-        self.0 as f64 / GIB as f64
-    }
 }
 
 impl fmt::Display for ByteSize {
@@ -84,7 +79,6 @@ mod tests {
     fn bytesize_constructors() {
         assert_eq!(ByteSize::gib(24).bytes(), 24 * GIB);
         assert_eq!(ByteSize::mib(512).bytes(), 512 * MIB);
-        assert!((ByteSize::gib(40).as_gib() - 40.0).abs() < 1e-12);
     }
 
     #[test]

@@ -142,11 +142,6 @@ impl PagedKvCache {
         self.seqs.values().map(|a| a.tokens).sum()
     }
 
-    /// Context length of a resident sequence.
-    pub fn seq_tokens(&self, id: u64) -> Option<usize> {
-        self.seqs.get(&id).map(|a| a.tokens)
-    }
-
     /// Token capacity still available (in whole blocks).
     pub fn free_tokens(&self) -> usize {
         self.free_blocks * self.block_tokens
@@ -155,13 +150,6 @@ impl PagedKvCache {
     /// Total token capacity.
     pub fn capacity_tokens(&self) -> usize {
         self.total_blocks * self.block_tokens
-    }
-
-    /// Tokens lost to internal fragmentation (allocated-but-unused
-    /// block slack).
-    pub fn fragmentation_tokens(&self) -> usize {
-        let allocated: usize = self.seqs.values().map(|a| a.blocks).sum();
-        allocated * self.block_tokens - self.used_tokens()
     }
 }
 
@@ -176,13 +164,14 @@ mod tests {
         assert_eq!(kv.num_seqs(), 1);
         assert_eq!(kv.used_tokens(), 100);
         // 100 tokens = 7 blocks of 16 = 112 token slots.
-        assert_eq!(kv.fragmentation_tokens(), 12);
+        let cap = kv.capacity_tokens();
+        assert_eq!(kv.free_tokens(), cap - 7 * 16);
         for _ in 0..12 {
             kv.append_token(1).unwrap();
         }
-        assert_eq!(kv.fragmentation_tokens(), 0);
+        assert_eq!(kv.free_tokens(), cap - 7 * 16, "slack filled without a new block");
         kv.append_token(1).unwrap(); // new block
-        assert_eq!(kv.fragmentation_tokens(), 15);
+        assert_eq!(kv.free_tokens(), cap - 8 * 16);
         assert_eq!(kv.free(1).unwrap(), 113);
         assert_eq!(kv.used_tokens(), 0);
         assert_eq!(kv.free_tokens(), kv.capacity_tokens());
@@ -216,7 +205,7 @@ mod tests {
         assert!(matches!(err, KvError::OutOfBlocks { .. }));
         kv.free(2).unwrap();
         kv.append_token(1).unwrap();
-        assert_eq!(kv.seq_tokens(1), Some(17));
+        assert_eq!(kv.used_tokens(), 17);
     }
 
     #[test]

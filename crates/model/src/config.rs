@@ -166,11 +166,6 @@ impl ModelConfig {
     pub const fn allreduces_per_layer(&self) -> usize {
         2
     }
-
-    /// Total bytes all-reduced per layer for `tokens` tokens.
-    pub fn allreduce_bytes_per_layer(&self, tokens: usize) -> f64 {
-        self.allreduces_per_layer() as f64 * tokens as f64 * self.activation_bytes_per_token()
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +232,7 @@ mod tests {
     #[test]
     fn allreduce_volume_is_two_hidden_vectors_per_token() {
         let m = presets::llama2_13b();
-        let per_token = m.allreduce_bytes_per_layer(1);
+        let per_token = m.allreduces_per_layer() as f64 * m.activation_bytes_per_token();
         assert!((per_token - 2.0 * (m.hidden as f64) * 2.0).abs() < 1e-9);
     }
 }

@@ -42,11 +42,6 @@ impl ParallelConfig {
         self.dp * self.tp * self.pp
     }
 
-    /// GPUs per data-parallel replica.
-    pub fn gpus_per_replica(&self) -> usize {
-        self.tp * self.pp
-    }
-
     /// Flat GPU index for a `(dp_rank, pp_rank, tp_rank)` coordinate.
     /// The rank order `(dp, pp, tp)` is fixed workspace-wide so that
     /// shard maps from different configs refer to the same physical
@@ -237,12 +232,5 @@ mod tests {
         assert_eq!(spans[1], (14, 27));
         assert_eq!(spans[2], (27, 40));
         assert_eq!(c.max_stage_layers(40), 14);
-    }
-
-    #[test]
-    fn gpus_per_replica() {
-        let c = ParallelConfig::new(2, 2, 2);
-        assert_eq!(c.num_gpus(), 8);
-        assert_eq!(c.gpus_per_replica(), 4);
     }
 }

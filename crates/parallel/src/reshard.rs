@@ -67,11 +67,6 @@ impl ReshardPlan {
     pub fn max_load_bytes(&self) -> u64 {
         self.moves.iter().map(|m| m.load_bytes).max().unwrap_or(0)
     }
-
-    /// Whether this transition is a no-op (identical configs).
-    pub fn is_noop(&self) -> bool {
-        self.from == self.to
-    }
 }
 
 /// Bytes of the new shard already present: per layer owned under both
@@ -109,7 +104,6 @@ mod tests {
         let m = presets::codellama_34b();
         let c = ParallelConfig::new(1, 2, 2);
         let plan = ReshardPlan::plan(&m, c, c);
-        assert!(plan.is_noop());
         assert_eq!(plan.total_load_bytes(), 0);
         for mv in &plan.moves {
             assert_eq!(mv.load_bytes, 0);

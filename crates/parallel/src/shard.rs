@@ -128,16 +128,6 @@ impl ShardMap {
     pub fn kv_bytes_per_token_on_gpu(&self, gpu: usize) -> u64 {
         self.kv_bytes_per_token_layer_rank * self.shards[gpu].num_layers() as u64
     }
-
-    /// KV bytes per token summed across one DP replica — what a
-    /// sequence costs the cluster.
-    pub fn kv_bytes_per_token_replica(&self) -> u64 {
-        self.shards
-            .iter()
-            .filter(|s| s.dp_rank == 0)
-            .map(|s| self.kv_bytes_per_token_on_gpu(s.gpu))
-            .sum()
-    }
 }
 
 /// KV heads per tensor-parallel rank: evenly divided, or replicated
@@ -233,6 +223,16 @@ mod tests {
         assert_eq!(kv_heads_per_rank(40, 16), 3); // uneven: ceil(40/16)
     }
 
+    /// KV bytes per token summed across one DP replica — what a
+    /// sequence costs the cluster.
+    fn kv_bytes_per_token_replica(map: &ShardMap) -> u64 {
+        map.shards
+            .iter()
+            .filter(|s| s.dp_rank == 0)
+            .map(|s| map.kv_bytes_per_token_on_gpu(s.gpu))
+            .sum()
+    }
+
     #[test]
     fn kv_per_token_replica_matches_model_total_when_tp_divides() {
         let m = presets::codellama_34b(); // 8 kv heads
@@ -240,7 +240,7 @@ mod tests {
         {
             let map = ShardMap::new(&m, cfg);
             assert_eq!(
-                map.kv_bytes_per_token_replica(),
+                kv_bytes_per_token_replica(&map),
                 m.kv_bytes_per_token(),
                 "cfg {cfg}"
             );
@@ -251,7 +251,7 @@ mod tests {
     fn kv_replication_inflates_footprint_when_tp_exceeds_heads() {
         let m = presets::codellama_34b(); // 8 kv heads
         let map = ShardMap::new(&m, ParallelConfig::tp(16));
-        assert!(map.kv_bytes_per_token_replica() > m.kv_bytes_per_token());
+        assert!(kv_bytes_per_token_replica(&map) > m.kv_bytes_per_token());
     }
 
     #[test]

@@ -348,25 +348,6 @@ impl Roofline {
         (e - s) as f64 * self.layer_cost(stage, shape, config.tp).layer_time()
     }
 
-    /// Latency of one micro-batch traversing the *whole* pipeline
-    /// (all stages + inter-stage activation hops). This is a latency
-    /// figure; sustained throughput overlaps micro-batches and is the
-    /// simulator's job.
-    pub fn micro_pass_latency(
-        &self,
-        config: ParallelConfig,
-        stage: Stage,
-        shape: &BatchShape,
-    ) -> f64 {
-        let per_layer = self.layer_cost(stage, shape, config.tp).layer_time();
-        let mut t = self.model.num_layers as f64 * per_layer;
-        if config.pp > 1 {
-            t += (config.pp - 1) as f64
-                * self.cluster.interconnect.p2p_time(self.p2p_bytes(shape));
-        }
-        t
-    }
-
     /// Bytes of activations passed between adjacent pipeline stages
     /// for a micro-batch of `shape`.
     pub fn p2p_bytes(&self, shape: &BatchShape) -> f64 {
@@ -481,7 +462,7 @@ mod tests {
         let cfg = ParallelConfig::pp(4); // 40 layers -> 10 per stage
         let shape = BatchShape::prefill(&[512; 4]);
         let t0 = r.stage_time(cfg, 0, Stage::Prefill, &shape);
-        let full = r.micro_pass_latency(ParallelConfig::new(1, 1, 1), Stage::Prefill, &shape);
+        let full = r.stage_time(ParallelConfig::new(1, 1, 1), 0, Stage::Prefill, &shape);
         assert!((t0 * 4.0 - full).abs() / full < 0.05);
     }
 

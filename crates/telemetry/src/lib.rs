@@ -72,14 +72,6 @@ impl Instrument {
         Instrument { recorder: Recorder::enabled(), ..Instrument::off() }
     }
 
-    /// [`Instrument::tracing`] with explicit recorder caps instead of
-    /// [`DEFAULT_SPAN_CAP`]/[`DEFAULT_INSTANT_CAP`], for callers that
-    /// trade trace completeness against memory (or tests that force
-    /// overflow).
-    pub fn tracing_with_caps(span_cap: usize, instant_cap: usize) -> Self {
-        Instrument { recorder: Recorder::with_caps(span_cap, instant_cap), ..Instrument::off() }
-    }
-
     /// Collect only the wall-time phase profile (perf_report's mode).
     pub fn profiling() -> Self {
         Instrument { profiling: true, ..Instrument::off() }
@@ -126,7 +118,7 @@ mod tests {
 
     #[test]
     fn capped_instrument_counts_drops_into_metrics() {
-        let mut i = Instrument::tracing_with_caps(1, 2);
+        let mut i = Instrument { recorder: Recorder::with_caps(1, 2), ..Instrument::off() };
         assert!(i.telemetry_on());
         for k in 0..4 {
             i.recorder.span(CONTROLLER_TRACK, "w", k as f64, 1.0, &[]);

@@ -59,11 +59,6 @@ impl RunStats {
     pub fn output_tokens_per_sec(&self) -> f64 {
         self.per_sec(self.output_tokens as f64)
     }
-
-    /// Total-token throughput (input + output), tokens/second.
-    pub fn total_tokens_per_sec(&self) -> f64 {
-        self.per_sec((self.input_tokens + self.output_tokens) as f64)
-    }
 }
 
 /// Geometric mean of a slice of positive ratios — the paper reports
@@ -91,7 +86,6 @@ mod tests {
         let s = RunStats::from_requests(&reqs, 5.0);
         assert!((s.throughput_rps() - 2.0).abs() < 1e-12);
         assert!((s.output_tokens_per_sec() - 100.0).abs() < 1e-12);
-        assert!((s.total_tokens_per_sec() - 300.0).abs() < 1e-12);
     }
 
     #[test]
@@ -100,7 +94,6 @@ mod tests {
         let s = RunStats::from_requests(&[], 0.0);
         assert_eq!(s.throughput_rps(), 0.0);
         assert_eq!(s.output_tokens_per_sec(), 0.0);
-        assert_eq!(s.total_tokens_per_sec(), 0.0);
         // An empty run with elapsed time is also all-zero.
         let s = RunStats::from_requests(&[], 2.0);
         assert_eq!(s.throughput_rps(), 0.0);

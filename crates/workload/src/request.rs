@@ -49,11 +49,6 @@ impl Request {
     pub fn total_len(&self) -> usize {
         self.input_len + self.output_len
     }
-
-    /// Output-to-input ratio (`D:P` in §6.5).
-    pub fn dp_ratio(&self) -> f64 {
-        self.output_len as f64 / self.input_len as f64
-    }
 }
 
 /// Read-only request-metadata store keyed by id, replacing the
@@ -220,7 +215,6 @@ mod tests {
     fn totals_and_ratio() {
         let r = Request::new(0, 3000, 300);
         assert_eq!(r.total_len(), 3300);
-        assert!((r.dp_ratio() - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI performance gate: build release, regenerate the sweep/sims
 # benchmark, and fail when
+#   * the benchmark package in perfbench/ does not build, or
 #   * clippy reports any warning on the workspace (all targets), or
 #   * parallel figure output diverges from serial (determinism), or
 #   * any sims/sec figure (seesaw, vllm, its chunked-prefill twin
@@ -59,6 +60,9 @@ CHAOS_DAY_MAX_RSS_MIB=15.5
 
 cargo build --release -p seesaw-bench --bin perf_report --bin fleet --bin autoscale \
     --bin chaos --bin all_figures
+# The benchmark package pins library names (its own workspace, built as
+# the benchmark builds it): a change that breaks them fails here.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 
 ./target/release/perf_report "$@" \

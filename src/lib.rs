@@ -16,8 +16,11 @@
 //! * [`roofline`] — the analytical performance model (paper Appendix A).
 //! * [`engine`] — the Seesaw engine plus vLLM-like and disaggregated
 //!   baselines.
-//! * [`autoscale`] — the elastic-fleet controller tier: trace-driven
-//!   scaling policies over multi-replica deployments.
+//! * [`fleet`] — fixed multi-replica deployments: request routers and
+//!   the fleet event loop.
+//! * [`autoscale`] — the elastic tier: trace-driven scaling policies
+//!   over multi-replica deployments, seeded failure injection, and the
+//!   trace × fault × recovery frontier sweep.
 //!
 //! # Quickstart
 //!
@@ -40,6 +43,7 @@
 
 pub use seesaw_autoscale as autoscale;
 pub use seesaw_engine as engine;
+pub use seesaw_fleet as fleet;
 pub use seesaw_hw as hw;
 pub use seesaw_kv as kv;
 pub use seesaw_model as model;
