@@ -1,4 +1,4 @@
-//! Multi-window SLO burn-rate alerting over streaming window metrics.
+//! Multi-window SLO burn-rate alerting over window metrics.
 //!
 //! Production fleets watch an SLO's **error budget**: with an
 //! objective of, say, 95% attainment, the budget is the 5% of traffic
@@ -10,12 +10,13 @@
 //! long window (de-noising) burn above threshold, and uses hysteresis
 //! so a single calm window does not flap the alert closed.
 //!
-//! [`AlertEngine`] evaluates [`AlertRule`]s *streamingly*: the
-//! controller feeds it one [`WindowMetrics`] at a time as the causal
-//! replay closes each window, and typed [`AlertEvent`]s come out —
-//! onto the report and, when telemetry is on, the recorder's alert
-//! track. Everything is deterministic: alerts are a pure fold over
-//! the window sequence.
+//! [`AlertEngine`] evaluates one [`AlertRule`] as a fold over the
+//! window axis, one [`WindowMetrics`] at a time in axis order. The
+//! controller runs it over the whole axis at once when it builds a
+//! report ([`AlertEngine::evaluate`]), after the replay has closed
+//! every window, and typed [`AlertEvent`]s come out — onto the report
+//! and, when telemetry is on, the recorder's alert track. Everything is
+//! deterministic: alerts are a pure fold over the window sequence.
 //!
 //! The elastic sweep scores each cell's alerts against its injected
 //! ground truth with
@@ -134,52 +135,38 @@ pub struct AlertEvent {
     pub long_burn: f64,
 }
 
-/// Per-rule streaming evaluation state.
-#[derive(Debug, Clone)]
-struct RuleState {
-    rule: AlertRule,
-    name: String,
-    active: bool,
-    calm_streak: usize,
-}
-
-/// Streaming burn-rate evaluator: feed windows in order, collect
+/// Burn-rate evaluator of one rule: feed windows in order, collect
 /// typed transitions. A pure deterministic fold — no clocks, no
 /// randomness — so replays are byte-identical across `--jobs`.
 #[derive(Debug, Clone)]
 pub struct AlertEngine {
-    rules: Vec<RuleState>,
-    /// Trailing `(arrivals, missed)` ring, sized to the longest span.
+    rule: AlertRule,
+    name: String,
+    active: bool,
+    calm_streak: usize,
+    /// Trailing `(arrivals, missed)` ring, sized to the long span.
     history: Vec<(u64, u64)>,
     window: usize,
 }
 
 impl AlertEngine {
-    /// An engine evaluating `rules`; panics on an invalid rule.
-    pub fn new(rules: &[AlertRule]) -> Self {
-        for r in rules {
-            r.validate().unwrap_or_else(|e| panic!("invalid alert rule: {e}"));
-        }
+    /// An engine evaluating `rule`; panics on an invalid rule.
+    pub fn new(rule: AlertRule) -> Self {
+        rule.validate().unwrap_or_else(|e| panic!("invalid alert rule: {e}"));
         AlertEngine {
-            rules: rules
-                .iter()
-                .map(|&rule| RuleState {
-                    rule,
-                    name: rule.to_string(),
-                    active: false,
-                    calm_streak: 0,
-                })
-                .collect(),
+            rule,
+            name: rule.to_string(),
+            active: false,
+            calm_streak: 0,
             history: Vec::new(),
             window: 0,
         }
     }
 
-    /// Burn rate over the trailing `span` windows for `objective`:
-    /// observed error fraction (arrival-weighted; spans with no
-    /// arrivals burn 0 — quiet is not an outage) over the error
-    /// budget.
-    fn burn(&self, span: usize, objective: f64) -> f64 {
+    /// Burn rate over the trailing `span` windows: observed error
+    /// fraction (arrival-weighted; spans with no arrivals burn 0 —
+    /// quiet is not an outage) over the error budget.
+    fn burn(&self, span: usize) -> f64 {
         let take = span.min(self.history.len());
         let (mut arrivals, mut missed) = (0u64, 0u64);
         for &(a, m) in &self.history[self.history.len() - take..] {
@@ -189,70 +176,57 @@ impl AlertEngine {
         if arrivals == 0 {
             return 0.0;
         }
-        (missed as f64 / arrivals as f64) / (1.0 - objective)
+        (missed as f64 / arrivals as f64) / (1.0 - self.rule.objective)
     }
 
-    /// Fold one closed window in and return any transitions it
-    /// caused. Windows must arrive in axis order.
-    pub fn observe(&mut self, w: &WindowMetrics) -> Vec<AlertEvent> {
+    /// Fold one closed window in and return the transition it caused,
+    /// if any. Windows must arrive in axis order.
+    pub fn observe(&mut self, w: &WindowMetrics) -> Option<AlertEvent> {
         let arrivals = w.arrivals as u64;
         // attainment = met/arrivals exactly; recover the integer.
         let met = w
             .attainment
             .map_or(0.0, |a| (a * w.arrivals as f64).round()) as u64;
         self.history.push((arrivals, arrivals - met.min(arrivals)));
-        let longest = self.rules.iter().map(|r| r.rule.long_windows).max().unwrap_or(1);
-        if self.history.len() > longest {
+        if self.history.len() > self.rule.long_windows {
             self.history.remove(0);
         }
         let window = self.window;
         self.window += 1;
-        let mut events = Vec::new();
-        for i in 0..self.rules.len() {
-            let rule = self.rules[i].rule;
-            let short = self.burn(rule.short_windows, rule.objective);
-            let long = self.burn(rule.long_windows, rule.objective);
-            let s = &mut self.rules[i];
-            if !s.active {
-                if short >= rule.burn && long >= rule.burn {
-                    s.active = true;
-                    s.calm_streak = 0;
-                    events.push(AlertEvent {
-                        rule: s.name.clone(),
-                        kind: AlertKind::Fire,
-                        t_s: w.t1,
-                        window,
-                        short_burn: short,
-                        long_burn: long,
-                    });
-                }
-            } else if short < rule.burn {
-                s.calm_streak += 1;
-                if s.calm_streak >= rule.clear_windows {
-                    s.active = false;
-                    s.calm_streak = 0;
-                    events.push(AlertEvent {
-                        rule: s.name.clone(),
-                        kind: AlertKind::Clear,
-                        t_s: w.t1,
-                        window,
-                        short_burn: short,
-                        long_burn: long,
-                    });
-                }
-            } else {
-                s.calm_streak = 0;
+        let rule = self.rule;
+        let short = self.burn(rule.short_windows);
+        let long = self.burn(rule.long_windows);
+        let kind = if !self.active && short >= rule.burn && long >= rule.burn {
+            self.active = true;
+            AlertKind::Fire
+        } else if self.active && short < rule.burn {
+            self.calm_streak += 1;
+            if self.calm_streak < rule.clear_windows {
+                return None;
             }
-        }
-        events
+            self.active = false;
+            AlertKind::Clear
+        } else {
+            // Calm and quiet, or active and still burning: no calm
+            // streak runs.
+            self.calm_streak = 0;
+            return None;
+        };
+        self.calm_streak = 0;
+        Some(AlertEvent {
+            rule: self.name.clone(),
+            kind,
+            t_s: w.t1,
+            window,
+            short_burn: short,
+            long_burn: long,
+        })
     }
 
-    /// Evaluate a whole window axis at once (the post-hoc
-    /// convenience; identical to streaming the windows through
-    /// [`AlertEngine::observe`]).
-    pub fn evaluate(rules: &[AlertRule], windows: &[WindowMetrics]) -> Vec<AlertEvent> {
-        let mut engine = AlertEngine::new(rules);
-        windows.iter().flat_map(|w| engine.observe(w)).collect()
+    /// Evaluate `rule` over a whole window axis at once.
+    pub fn evaluate(rule: AlertRule, windows: &[WindowMetrics]) -> Vec<AlertEvent> {
+        let mut engine = AlertEngine::new(rule);
+        windows.iter().filter_map(|w| engine.observe(w)).collect()
     }
 }
 
@@ -347,24 +321,23 @@ mod tests {
 
     #[test]
     fn healthy_traffic_never_fires() {
-        let rules = [AlertRule::default()];
+        let rule = AlertRule::default();
         let windows: Vec<WindowMetrics> =
             (0..50).map(|w| window(w, 100, 97)).collect();
-        assert!(AlertEngine::evaluate(&rules, &windows).is_empty());
+        assert!(AlertEngine::evaluate(rule, &windows).is_empty());
         // Quiet windows (no arrivals) burn nothing either.
         let quiet: Vec<WindowMetrics> = (0..50).map(|w| window(w, 0, 0)).collect();
-        assert!(AlertEngine::evaluate(&rules, &quiet).is_empty());
+        assert!(AlertEngine::evaluate(rule, &quiet).is_empty());
     }
 
     #[test]
     fn outage_fires_fast_and_clears_with_hysteresis() {
-        let rules = [AlertRule::default()];
         // 5 healthy windows, 2 collapsed ones, then recovery.
         let mut ws: Vec<WindowMetrics> = (0..5).map(|w| window(w, 100, 100)).collect();
         ws.push(window(5, 100, 5));
         ws.push(window(6, 100, 0));
         ws.extend((7..14).map(|w| window(w, 100, 100)));
-        let events = AlertEngine::evaluate(&rules, &ws);
+        let events = AlertEngine::evaluate(AlertRule::default(), &ws);
         assert_eq!(events.len(), 2, "one fire, one clear: {events:?}");
         assert_eq!(events[0].kind, AlertKind::Fire);
         // Short burn 0.95/0.10 = 9.5 ≥ 4 at window 5; long burn
@@ -386,7 +359,7 @@ mod tests {
         for w in 0..12 {
             ws.push(window(w, 100, if w == 6 { 40 } else { 100 }));
         }
-        assert!(AlertEngine::evaluate(&[rule], &ws).is_empty());
+        assert!(AlertEngine::evaluate(rule, &ws).is_empty());
     }
 
     #[test]

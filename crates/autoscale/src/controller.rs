@@ -80,6 +80,14 @@ fn lap(start: Option<Instant>) -> f64 {
     start.map_or(0.0, |t| t.elapsed().as_secs_f64())
 }
 
+/// Control windows a replay covers before any drain tail: those up to
+/// and including the one holding the last arrival, at
+/// `last_arrival_s`. An arrival at exactly `k · window_s` opens window
+/// `k`. A ratio past `usize` saturates.
+pub fn base_windows(last_arrival_s: f64, window_s: f64) -> usize {
+    ((last_arrival_s / window_s) as usize).saturating_add(1)
+}
+
 /// Controller configuration shared by every policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleConfig {
@@ -601,7 +609,7 @@ impl<'a> Replay<'a> {
     fn run(&mut self) {
         let window_s = self.cfg().window_s;
         let last_arrival = self.requests.last().map_or(0.0, |r| r.arrival_s);
-        let base_windows = (last_arrival / window_s) as usize + 1;
+        let base_windows = base_windows(last_arrival, window_s);
         self.windows.reserve(base_windows);
         let mut w = 0usize;
         while w < base_windows || self.pending() {
@@ -1142,7 +1150,7 @@ impl<'a> Replay<'a> {
         // moves them all into the fleet's.
         let fleet = FleetReport::from_replica_reports(cfg.router, reports, assignment);
         let windowed = windowed_metrics(&fleet.timeline, cfg.slo, cfg.window_s, horizon_s);
-        let alerts = AlertEngine::evaluate(&[AlertRule::default()], &windowed);
+        let alerts = AlertEngine::evaluate(AlertRule::default(), &windowed);
         // Conservation: every offered request either completed or was
         // counted failed — nothing is silently dropped.
         let completed = fleet.timeline.len();
@@ -1407,6 +1415,14 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use seesaw_workload::{ArrivalDist, WorkloadGen};
     use std::sync::Arc;
+
+    #[test]
+    fn an_arrival_on_a_window_edge_opens_that_window() {
+        assert_eq!(base_windows(0.0, 60.0), 1);
+        assert_eq!(base_windows(179.5, 60.0), 3);
+        assert_eq!(base_windows(180.0, 60.0), 4, "an arrival at 3 · 60 s opens window 3");
+        assert_eq!(base_windows(1e300, 1e-300), usize::MAX, "saturates");
+    }
 
     fn builder() -> impl Fn(usize) -> Box<dyn OnlineEngine> + Sync {
         let cluster = Arc::new(ClusterSpec::a10x4());

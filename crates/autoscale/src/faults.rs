@@ -176,11 +176,6 @@ impl FaultSchedule {
         }
     }
 
-    /// Whether the schedule contains no faults.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Validate the schedule (sorted finite nonnegative times, sane
     /// knobs).
     pub fn validate(&self) -> Result<(), String> {
@@ -362,7 +357,7 @@ mod tests {
     #[test]
     fn schedule_validation() {
         assert!(FaultSchedule::none().validate().is_ok());
-        assert!(FaultSchedule::none().is_empty());
+        assert!(FaultSchedule::none().events.is_empty());
         let mut s = FaultSchedule::none();
         s.events = vec![
             FaultEvent { t_s: 5.0, kind: FaultKind::KillReplica { pick: 1 } },

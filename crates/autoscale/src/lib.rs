@@ -56,8 +56,8 @@ pub mod sweep;
 
 pub use alert::{score_detection, AlertEngine, AlertEvent, AlertKind, AlertRule, DetectionScore};
 pub use controller::{
-    AutoscaleConfig, AutoscaleController, ElasticFleetReport, ReplicaLifecycle, ScaleEvent,
-    WindowSignals,
+    base_windows, AutoscaleConfig, AutoscaleController, ElasticFleetReport, ReplicaLifecycle,
+    ScaleEvent, WindowSignals,
 };
 pub use faults::{
     AvailabilityStats, FailureEvent, FaultEvent, FaultKind, FaultPlan, FaultSchedule,

@@ -12,6 +12,7 @@
 //! streams, so changing the kill rate never reshuffles the outage
 //! times.
 
+use crate::controller::base_windows;
 use crate::faults::{FaultEvent, FaultKind, FaultSchedule, RecoverySpec, RetryPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,11 +53,6 @@ impl FaultPlan {
             groups: 1,
             detect_s: 0.0,
         }
-    }
-
-    /// Whether the plan can never produce an event.
-    pub fn is_empty(&self) -> bool {
-        self.kills_per_hour <= 0.0 && self.outages_per_hour <= 0.0
     }
 
     /// Validate the plan's knobs.
@@ -132,7 +128,7 @@ impl FaultPlan {
         recovery: &RecoverySpec,
     ) -> FaultSchedule {
         let last_arrival = requests.last().map_or(0.0, |r| r.arrival_s);
-        let horizon_s = ((last_arrival / window_s) as usize + 1) as f64 * window_s;
+        let horizon_s = base_windows(last_arrival, window_s) as f64 * window_s;
         self.schedule(horizon_s, recovery.retry, recovery.replace_failures)
     }
 }
@@ -170,8 +166,7 @@ mod tests {
     #[test]
     fn empty_plan_schedules_nothing() {
         let s = FaultPlan::none().schedule(86_400.0, RetryPolicy::default(), true);
-        assert!(s.is_empty());
-        assert!(FaultPlan::none().is_empty());
+        assert!(s.events.is_empty());
         assert!(s.replace_failures, "recovery knobs pass through");
     }
 
@@ -181,7 +176,7 @@ mod tests {
         let a = plan.schedule(3600.0, RetryPolicy::default(), false);
         let b = plan.schedule(3600.0, RetryPolicy::default(), false);
         assert_eq!(a, b, "same plan, same bytes");
-        assert!(!a.is_empty(), "120/hour over an hour is never empty");
+        assert!(!a.events.is_empty(), "120/hour over an hour is never empty");
         assert!(a.validate().is_ok());
         let c = FaultPlan { seed: 8, ..plan }.schedule(3600.0, RetryPolicy::default(), false);
         assert_ne!(a.events, c.events, "seed moves the schedule");

@@ -10,7 +10,9 @@
 //! cores), `PATH = BENCH_sweep.json`. The full catalog runs twice —
 //! once on a single-threaded runner, once on the parallel runner —
 //! and the two outputs are compared byte-for-byte before the timings
-//! are reported.
+//! are reported. The serial output's FNV-1a 64 digest (the bytes
+//! `all_figures` prints at that subsample) is written as
+//! `output_digest`.
 //!
 //! The sims/sec microbench times repeated *single-candidate*
 //! evaluations (engine construction + full run on a fixed workload)
@@ -25,7 +27,10 @@
 //! sims/sec figure (`seesaw`, `vllm`, `vllm_chunked`, `serving`,
 //! `fleet`, `fleet_live`, `fleet_live_traced`, `autoscale`, `metrics`,
 //! `chaos`) regresses more than 20% against the committed artifact
-//! (or when parallel output ever diverges from serial). `metrics` is
+//! (or when parallel output ever diverges from serial), and when the
+//! committed artifact holds an `output_digest` for the same subsample
+//! that differs from this run's: the figures' bytes are pinned across
+//! builds, so a deliberate re-baseline updates that one line. `metrics` is
 //! the controller's metrics phase in isolation (`windowed_metrics`
 //! plus burn-rate evaluation over a precomputed day, exactly what
 //! `AutoscaleController` runs when it builds a report) and must
@@ -251,6 +256,25 @@ fn json_number(text: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// Extract `"key": "<string>"` from the artifact the same way.
+fn json_string<'t>(text: &'t str, key: &str) -> Option<&'t str> {
+    let pat = format!("\"{key}\":");
+    let at = text.find(&pat)? + pat.len();
+    text[at..].trim_start().strip_prefix('"')?.split('"').next()
+}
+
+/// FNV-1a 64 of the catalog's output as `all_figures` prints it: each
+/// figure's text and a newline, in catalog order.
+fn output_digest(figs: &[(&'static str, f64, String)]) -> String {
+    let hash = figs
+        .iter()
+        .flat_map(|(_, _, text)| text.bytes().chain([b'\n']))
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+    format!("{hash:016x}")
+}
+
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -347,6 +371,7 @@ fn main() {
         .iter()
         .zip(&parallel_figs)
         .all(|((_, _, a), (_, _, b))| a == b);
+    let digest = output_digest(&serial_figs);
     let speedup = serial_total / parallel_total.max(1e-9);
     let timings: Vec<FigTiming> = serial_figs
         .iter()
@@ -372,6 +397,7 @@ fn main() {
     json.push_str(&format!("  \"parallel_wall_s\": {parallel_total:.4},\n"));
     json.push_str(&format!("  \"speedup\": {speedup:.3},\n"));
     json.push_str(&format!("  \"outputs_identical\": {outputs_identical},\n"));
+    json.push_str(&format!("  \"output_digest\": \"{digest}\",\n"));
     json.push_str("  \"sims_per_sec\": {\n");
     for (name, value) in sims.named() {
         json.push_str(&format!("    \"{name}\": {value:.1},\n"));
@@ -459,6 +485,24 @@ fn main() {
     }
 
     if let Some((baseline_path, baseline)) = baseline {
+        // The digest gate: only a baseline of the same subsample pins
+        // the bytes.
+        let pinned = json_number(&baseline, "subsample") == Some(subsample as f64);
+        let digest_changed = match json_string(&baseline, "output_digest") {
+            Some(before) if pinned => {
+                let changed = before != digest;
+                let verdict = if changed { "CHANGED" } else { "ok" };
+                println!("baseline output_digest: {before} -> {digest} ({verdict})");
+                changed
+            }
+            _ => {
+                println!(
+                    "baseline output_digest: none for subsample {subsample} in {baseline_path}, \
+                     skipping"
+                );
+                false
+            }
+        };
         let mut failed = false;
         for (name, current) in sims.named() {
             match json_number(&baseline, name) {
@@ -483,7 +527,13 @@ fn main() {
             100.0 * disabled_overhead,
             if overhead_ok { "ok" } else { "REGRESSION" }
         );
-        if failed || !overhead_ok {
+        if failed || !overhead_ok || digest_changed {
+            if digest_changed {
+                eprintln!(
+                    "ERROR: figure output digest {digest} differs from {baseline_path}'s; \
+                     a deliberate re-baseline updates its output_digest"
+                );
+            }
             if !overhead_ok {
                 eprintln!(
                     "ERROR: telemetry-disabled path costs more than {:.0}% vs fleet_live",

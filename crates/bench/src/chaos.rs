@@ -22,7 +22,7 @@ use crate::autoscale::{config_json, scenario_json, show, Scenario, ScenarioSpec}
 use crate::jsonfmt;
 use crate::table::{f2, f3, Table};
 use seesaw_autoscale::{
-    elastic_sweep_with, ElasticFrontier, ElasticPoint, FaultPlan, RecoverySpec, RetryPolicy,
+    base_windows, elastic_sweep_with, ElasticFrontier, ElasticPoint, FaultPlan, RecoverySpec, RetryPolicy,
     ScalingPolicy,
 };
 use seesaw_engine::SweepRunner;
@@ -103,9 +103,10 @@ impl ChaosSpec {
     /// `day_s`-second day in `window_s`-second windows: each must be
     /// valid (a rate scaled past `f64` range is not), and at most
     /// [`MAX_FAULT_EVENTS`] may be expected before the last window
-    /// ends.
+    /// ends. `day_s` bounds the last arrival, so the horizon is at
+    /// least any day's fault horizon.
     pub fn check(&self, day_s: f64, window_s: f64) -> Result<(), String> {
-        let horizon_s = ((day_s / window_s).floor() + 1.0) * window_s;
+        let horizon_s = base_windows(day_s, window_s) as f64 * window_s;
         for (_, plan) in self.fault_roster(day_s) {
             plan.validate()?;
             let expected = (plan.kills_per_hour + plan.outages_per_hour) * horizon_s / 3600.0;
@@ -525,7 +526,7 @@ mod tests {
         let faults = chaos.fault_roster(86_400.0);
         assert_eq!(faults.len(), 3);
         assert_eq!(faults[0].0, "none");
-        assert!(faults[0].1.is_empty());
+        assert_eq!(faults[0].1, FaultPlan::none());
         assert!((faults[1].1.kills_per_hour - 8.0 / 24.0).abs() < 1e-12);
         assert_eq!(faults[1].1.outages_per_hour, 0.0);
         assert!(faults[2].1.outages_per_hour > 0.0);

@@ -329,7 +329,7 @@ impl SimsBench {
             config.window_s,
             self.metrics_horizon_s,
         );
-        let alerts = AlertEngine::evaluate(&[AlertRule::default()], &windows);
+        let alerts = AlertEngine::evaluate(AlertRule::default(), &windows);
         (windows, alerts)
     }
 

@@ -24,8 +24,10 @@
 //!
 //! # How the vLLM and Seesaw actors stay exact
 //!
-//! Their scheduling loops ([`Resumable`]) are written as resumable
-//! state machines over one simulated cluster. Engines are causal —
+//! Their scheduling loops (`Resumable`) are written as resumable
+//! state machines over one `RunCore`: the simulated cluster, the
+//! replicas, the intake the actor pushes into and the timing recorder
+//! its depth reads come from. Engines are causal —
 //! admission gates on arrival times — so a decision only depends on
 //! requests not pushed yet in two ways, and the loop pauses at both:
 //!
@@ -56,13 +58,13 @@
 //! completion; only forward-looking signals — remaining work, a
 //! killed replica's lost set and completion times — need one. The
 //! actor keeps no roofline of its own: each advance, projection or
-//! finish builds one from the engine's shared specs (what a plain
-//! `run` uses), which is two reference-count bumps.
+//! finish builds one from the run's shared specs
+//! (`RunCore::roofline`, what a plain `run` uses), which is two
+//! reference-count bumps.
 
-use crate::driver::assert_arrivals_sorted;
+use crate::driver::{assert_arrivals_sorted, RunCore};
 use crate::report::EngineReport;
 use crate::sweep::SweepRunner;
-use crate::timing::TimingRecorder;
 use seesaw_roofline::Roofline;
 use seesaw_sim::SimTime;
 use seesaw_workload::{Request, RequestMap, RunStats};
@@ -245,15 +247,11 @@ impl Intake {
     }
 }
 
-/// One engine's scheduling loop written as a resumable state machine.
+/// One engine's scheduling loop written as a resumable state machine
+/// over a [`RunCore`].
 pub(crate) trait Resumable: Clone + Send {
-    fn intake(&self) -> &Intake;
-    fn intake_mut(&mut self) -> &mut Intake;
-    fn recorder(&self) -> &TimingRecorder;
-    /// Requests retired so far.
-    fn completed(&self) -> usize;
-    /// A roofline over the engine's shared specs.
-    fn roofline(&self) -> Roofline;
+    fn core(&self) -> &RunCore;
+    fn core_mut(&mut self) -> &mut RunCore;
     /// Run scheduling decisions until one needs requests not pushed
     /// yet (`false`) or the run is complete (`true`).
     fn advance(&mut self, rl: &Roofline) -> bool;
@@ -262,8 +260,9 @@ pub(crate) trait Resumable: Clone + Send {
 }
 
 /// Run `st` (whose intake is closed) to completion.
-pub(crate) fn run_to_end<R: Resumable>(mut st: R, rl: &Roofline) -> EngineReport {
-    let done = st.advance(rl);
+pub(crate) fn run_to_end<R: Resumable>(mut st: R) -> EngineReport {
+    let rl = st.core().roofline();
+    let done = st.advance(&rl);
     assert!(done, "a closed run always completes");
     st.finish()
 }
@@ -301,7 +300,7 @@ impl<'a, R: Resumable> SimActor<'a, R> {
     fn intake_mut(&mut self) -> &mut Intake {
         match (&mut self.unstarted, &mut self.run) {
             (Some((intake, _)), _) => intake,
-            (None, Some(run)) => run.intake_mut(),
+            (None, Some(run)) => &mut run.core_mut().intake,
             (None, None) => unreachable!("an actor is either unstarted or running"),
         }
     }
@@ -313,7 +312,8 @@ impl<'a, R: Resumable> SimActor<'a, R> {
             self.run = Some(start(intake));
         }
         let run = self.run.as_mut().expect("started above");
-        run.advance(&run.roofline());
+        let rl = run.core().roofline();
+        run.advance(&rl);
         run
     }
 }
@@ -327,10 +327,10 @@ impl<R: Resumable> EngineActor for SimActor<'_, R> {
     fn depth_at(&mut self, t: f64) -> Depth {
         self.intake_mut().observe(t);
         self.advanced();
-        let run = self.run.as_ref().expect("advanced starts the run");
-        let (rec, pushed) = (run.recorder(), run.intake().len());
-        let first = self.firsts.at(t, rec.first_tokens());
-        let done = self.dones.at(t, rec.completions());
+        let core = self.run.as_ref().expect("advanced starts the run").core();
+        let pushed = core.intake.len();
+        let first = self.firsts.at(t, core.rec.first_tokens());
+        let done = self.dones.at(t, core.rec.completions());
         Depth {
             waiting: pushed - first,
             running: first - done,
@@ -343,11 +343,11 @@ impl<R: Resumable> EngineActor for SimActor<'_, R> {
             // Move the shared trajectory as far as it is known first,
             // so the fork only simulates what lies beyond it.
             let mut fork = self.advanced().clone();
-            fork.intake_mut().close();
+            let core = fork.core_mut();
+            core.intake.close();
             self.projections += 1;
-            self.reprojected += (fork.intake().len() - fork.completed()) as u64;
-            let rl = fork.roofline();
-            self.projection = Some(run_to_end(fork, &rl));
+            self.reprojected += (core.intake.len() - core.completed) as u64;
+            self.projection = Some(run_to_end(fork));
         }
         self.projection.as_ref().expect("projection was just filled")
     }

@@ -1,6 +1,17 @@
-//! Shared engine machinery: per-replica run state, micro-batch slot
-//! assignment, and pipelined pass submission for prefill batches,
-//! decode bursts and mixed (chunked) rounds.
+//! Shared engine machinery: the run core both resumable engines embed,
+//! per-replica run state, micro-batch slot assignment, and pipelined
+//! pass submission for prefill batches, decode bursts and mixed
+//! (chunked) rounds.
+//!
+//! `RunCore` holds what a vLLM and a Seesaw run keep alike — the
+//! simulated cluster, the replicas, the intake, the timing recorder and
+//! the admission and burst buffers — and writes their shared steps
+//! once: idling until the next arrival, a replica's prefill batch with
+//! its first-token records, one decode burst across the replicas
+//! (`RunCore::decode_burst`, capped at `BURST_CAP` rounds), moving
+//! prefilled requests to decode and retiring finished ones, and the
+//! report of a finished run. `MAX_PREFILL_TOKENS` bounds both engines'
+//! prefill passes.
 //!
 //! No pass is submitted as a task: prefill batches, decode bursts and
 //! mixed rounds compute their pipeline schedule in closed form (a
@@ -36,15 +47,208 @@
 //! Prefill batches, bursts and mixed rounds keep their working buffers
 //! on the [`Replica`], so once warmed up they allocate nothing.
 
+use crate::actor::Intake;
 use crate::cluster_sim::ClusterSim;
-use seesaw_hw::{efficiency, AllReduce};
+use crate::report::EngineReport;
+use crate::timing::TimingRecorder;
+use seesaw_hw::{efficiency, AllReduce, ClusterSpec};
 use seesaw_kv::PagedKvCache;
+use seesaw_model::ModelConfig;
 use seesaw_parallel::ParallelConfig;
 use seesaw_roofline::{BatchShape, DecodeCost, Roofline, Stage};
 use seesaw_sim::{Block, SimTime};
-use seesaw_workload::Request;
+use seesaw_workload::{LatencyStats, Request};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
+
+/// Most decode rounds a burst runs between scheduling decisions.
+pub(crate) const BURST_CAP: usize = 64;
+
+/// Most prompt tokens one replica's prefill pass admits (vLLM's
+/// `max_num_batched_tokens`-style bound).
+pub(crate) const MAX_PREFILL_TOKENS: usize = 16384;
+
+/// The state a resumable engine run keeps whatever its policy, and the
+/// steps written on it alone.
+#[derive(Clone)]
+pub(crate) struct RunCore {
+    pub cs: ClusterSim,
+    model: Arc<ModelConfig>,
+    pub replicas: Vec<Replica>,
+    pub intake: Intake,
+    pub rec: TimingRecorder,
+    /// Requests retired so far.
+    pub completed: usize,
+    /// Admission buffers: per replica, the requests the last admission
+    /// admitted and the prompt-token budget it left.
+    pub admitted: Vec<Vec<(u64, usize)>>,
+    pub budget: Vec<usize>,
+    /// One replica's prefill pass ends `(end, id)`.
+    pub prefill_parts: Vec<(SimTime, u64)>,
+    /// A decode burst's `(replica, rounds, end)` per replica.
+    bursts: Vec<(usize, usize, SimTime)>,
+}
+
+impl RunCore {
+    /// A fresh run of `intake` on `cluster`: `dp` replicas of
+    /// `kv_tokens` KV and `pp` pipeline slots each.
+    pub fn new(
+        cluster: &Arc<ClusterSpec>,
+        model: &Arc<ModelConfig>,
+        intake: Intake,
+        dp: usize,
+        kv_tokens: u64,
+        pp: usize,
+    ) -> Self {
+        RunCore {
+            cs: ClusterSim::new(Arc::clone(cluster)),
+            model: Arc::clone(model),
+            replicas: (0..dp).map(|d| Replica::new(d, kv_tokens, pp)).collect(),
+            rec: TimingRecorder::with_capacity(intake.len()),
+            intake,
+            completed: 0,
+            admitted: vec![Vec::new(); dp],
+            budget: Vec::new(),
+            prefill_parts: Vec::new(),
+            bursts: Vec::new(),
+        }
+    }
+
+    /// A roofline over the run's shared specs (two reference-count
+    /// bumps).
+    pub fn roofline(&self) -> Roofline {
+        Roofline::new(Arc::clone(&self.cs.cluster), Arc::clone(&self.model))
+    }
+
+    /// Idle the cluster until the head request arrives. Only called
+    /// when no admission, prefill or decode progress is possible, which
+    /// for a request available now would have panicked in admission
+    /// instead, so the head arrival lies in the future.
+    pub fn wait_for_next_arrival(&mut self) {
+        let t = self
+            .intake
+            .waiting
+            .front()
+            .expect("an idle, unfinished engine must have pending arrivals")
+            .arrival_s;
+        // Drain any stragglers (e.g. in-flight mixed rounds) first; if
+        // they carried the clock past the arrival, no idle gap exists
+        // and admission can proceed immediately.
+        self.cs.sim.run_until_idle();
+        self.cs.sim.advance_to(SimTime::from_secs(t));
+    }
+
+    /// One decode burst across the replicas under `cfg`, each of the
+    /// longest length its running sequences all survive, at most
+    /// `cap` rounds: submit every replica's burst, wait for the last to
+    /// end, and retire the sequences that finish. Returns whether any
+    /// replica decoded.
+    pub fn decode_burst(&mut self, rl: &Roofline, cfg: ParallelConfig, cap: usize) -> bool {
+        self.bursts.clear();
+        for (d, replica) in self.replicas.iter_mut().enumerate() {
+            let rounds = replica.max_burst(cap);
+            if let Some(h) = submit_decode_burst(&mut self.cs, rl, cfg, replica, rounds) {
+                self.bursts.push((d, rounds, h));
+            }
+        }
+        if self.bursts.is_empty() {
+            return false;
+        }
+        let join = self.bursts.iter().fold(self.cs.now(), |t, &(_, _, h)| t.max(h));
+        self.cs.sim.run_until(join);
+        for i in 0..self.bursts.len() {
+            // The burst is capped at the least remaining count, so
+            // retirees emit their last token in its final round.
+            let (d, rounds, h) = self.bursts[i];
+            self.advance_decode(d, rounds, h);
+        }
+        true
+    }
+
+    /// Submit replica `d`'s prefill batch, `admitted[d]`, under `cfg`,
+    /// and record each member's first token at its pass's exit (where a
+    /// request that wants one token completes). Leaves the passes'
+    /// `(end, id)` in `prefill_parts`; returns the last end, or now for
+    /// an empty batch.
+    pub fn submit_prefill(&mut self, rl: &Roofline, cfg: ParallelConfig, d: usize) -> SimTime {
+        let (parts, replica) = (&mut self.prefill_parts, &mut self.replicas[d]);
+        submit_prefill_batch(&mut self.cs, rl, cfg, replica, &self.admitted[d], parts);
+        let mut join = self.cs.now();
+        for &(end, id) in parts.iter() {
+            self.rec.first_token(id, end);
+            if self.intake.meta.req(id).output_len <= 1 {
+                self.rec.completed(id, end);
+            }
+            join = join.max(end);
+        }
+        join
+    }
+
+    /// Apply `rounds` decode rounds on replica `d` and retire the
+    /// sequences they finish, recording their completion at `at`.
+    pub fn advance_decode(&mut self, d: usize, rounds: usize, at: SimTime) {
+        let finished = self.replicas[d].advance_decode(rounds);
+        self.completed += finished.len();
+        for seq in finished {
+            self.rec.completed(seq.id, at);
+        }
+    }
+
+    /// Start decoding request `id`, whose `prompt` tokens of KV are on
+    /// replica `d` and whose first token is out; a request whose first
+    /// token was its last retires instead, freeing its KV. Returns
+    /// whether it retired.
+    pub fn graduate(&mut self, d: usize, id: u64, prompt: usize) -> bool {
+        let req = self.intake.meta.req(id);
+        if req.output_len <= 1 {
+            self.replicas[d].kv.free(id).expect("was allocated");
+            self.completed += 1;
+            return true;
+        }
+        self.replicas[d].push_running(RunSeq {
+            id,
+            ctx: prompt + 1,
+            remaining: req.output_len - 1,
+        });
+        false
+    }
+
+    /// The report of a finished run labelled `label`, with every wall,
+    /// transition and swap field zero: each engine fills its own.
+    pub fn finish(mut self, label: String) -> EngineReport {
+        let end = self.cs.sim.run_until_idle();
+        assert_eq!(self.completed, self.intake.len(), "all requests must finish");
+        for r in &self.replicas {
+            debug_assert!(
+                r.kv.num_seqs() == 0 && r.kv.used_tokens() == 0,
+                "replica {} still holds {} KV tokens of {} sequences after the run",
+                r.dp_rank,
+                r.kv.used_tokens(),
+                r.kv.num_seqs()
+            );
+        }
+        let gpu_utilization = self.cs.mean_compute_utilization();
+        let timeline = self.rec.resolve(&self.intake.meta);
+        let latency = LatencyStats::from_timeline(&timeline);
+        EngineReport {
+            label,
+            stats: self.intake.stats(end.as_secs()),
+            prefill_wall_s: 0.0,
+            decode_wall_s: 0.0,
+            mixed_wall_s: 0.0,
+            reshard_wall_s: 0.0,
+            transitions: 0,
+            swap_out_bytes: 0,
+            swap_in_bytes: 0,
+            phases: Vec::new(),
+            gpu_utilization,
+            busy_by_kind: self.cs.sim.busy_by_kind(),
+            timeline,
+            latency,
+        }
+    }
+}
 
 /// Engines admit from the queue head and idle to the *head's* arrival
 /// time, so a request slice must be nondecreasing in `arrival_s`

@@ -18,7 +18,12 @@
 use crate::actor::EngineActor;
 use crate::report::EngineReport;
 use crate::stepper::EngineStepper;
+use seesaw_hw::ClusterSpec;
+use seesaw_model::ModelConfig;
+use seesaw_parallel::ParallelConfig;
+use seesaw_roofline::{Roofline, ThroughputModel};
 use seesaw_workload::{LatencyStats, Request, RequestMap};
+use std::sync::Arc;
 
 /// Analytic steady-state service rates of an engine, for cost-aware
 /// routing. Derived from the roofline model (Eq. 1/2), not measured:
@@ -42,6 +47,29 @@ impl ServiceRates {
     pub fn est_service_s(&self, req: &Request) -> f64 {
         req.input_len as f64 / self.prefill_tokens_per_sec
             + req.output_len as f64 / self.decode_tokens_per_sec
+    }
+}
+
+/// The roofline service rates of prefilling under `prefill` and
+/// decoding under `decode` on one cluster: a static engine passes its
+/// one config twice. A Seesaw pair's phases time-share the same GPUs,
+/// so its two rates bound the same budget a static engine's do (cf.
+/// Eq. 1/2's request-rate estimate for a Seesaw pair). Both configs
+/// must fit.
+pub(crate) fn roofline_rates(
+    cluster: &Arc<ClusterSpec>,
+    model: &Arc<ModelConfig>,
+    prefill: ParallelConfig,
+    decode: ParallelConfig,
+    avg_in: usize,
+    avg_out: usize,
+) -> ServiceRates {
+    let tm = ThroughputModel::new(Roofline::new(Arc::clone(cluster), Arc::clone(model)));
+    ServiceRates {
+        prefill_tokens_per_sec: tm.prefill_tokens_per_sec(prefill, avg_in.max(1), 4),
+        decode_tokens_per_sec: tm
+            .decode_seq_steps_per_sec_max_batch(decode, avg_in + avg_out / 2)
+            .expect("decode config validated at construction"),
     }
 }
 

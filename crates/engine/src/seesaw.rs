@@ -20,30 +20,30 @@
 //! KV re-sharding needs no extra traffic: shards are pushed under
 //! `c_p`'s layout and pulled under `c_d`'s from the same shared host
 //! buffer (paper Figure 7).
+//!
+//! A run (`SeesawRun`) keeps the phase machine, the CPU buffers and
+//! the swap and re-shard accounting on top of the shared `RunCore`,
+//! whose decode burst it runs at `BURST_CAP` rounds, or at
+//! `BURST_CAP_INFLIGHT` while swap-ins are in flight.
 
 use crate::actor::{run_to_end, EngineActor, Intake, Resumable, SimActor};
 use crate::autotune;
-use crate::cluster_sim::ClusterSim;
-use crate::driver::{kv_capacity, submit_decode_burst, submit_prefill_batch, Replica, RunSeq};
+use crate::driver::{kv_capacity, RunCore, BURST_CAP, MAX_PREFILL_TOKENS};
+use crate::online::{roofline_rates, ServiceRates};
 use crate::report::{EngineReport, Phase, PhaseSpan};
-use crate::timing::TimingRecorder;
 use seesaw_hw::{efficiency, ClusterSpec};
 use seesaw_kv::{BufferedSeq, CpuKvBuffer, KvLayout, PagedKvCache, SwapSizer};
 use seesaw_model::ModelConfig;
 use seesaw_parallel::{FitError, MemoryPlan, ParallelConfig, ReshardPlan};
 use seesaw_roofline::Roofline;
 use seesaw_sim::{SimTime, TaskKind};
-use seesaw_workload::{LatencyStats, Request};
+use seesaw_workload::Request;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Decode rounds per burst while the prefetcher is idle.
-const BURST_CAP: usize = 64;
-/// Decode rounds per burst while swap-ins are in flight (shorter so
-/// arriving sequences join promptly).
+/// Decode rounds per burst while swap-ins are in flight (shorter than
+/// [`BURST_CAP`] so arriving sequences join promptly).
 const BURST_CAP_INFLIGHT: usize = 4;
-/// Prompt-token budget per prefill pass.
-const MAX_PREFILL_TOKENS: usize = 16384;
 
 /// Full specification of a Seesaw deployment.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,11 +204,7 @@ impl SeesawEngine {
 
     /// Process `requests` to completion.
     pub fn run(&self, requests: &[Request]) -> EngineReport {
-        run_to_end(SeesawRun::new(self, Intake::closed(requests)), &self.roofline())
-    }
-
-    fn roofline(&self) -> Roofline {
-        Roofline::new(Arc::clone(&self.cluster), Arc::clone(&self.model))
+        run_to_end(SeesawRun::new(self, Intake::closed(requests)))
     }
 }
 
@@ -226,21 +222,9 @@ impl crate::online::OnlineEngine for SeesawEngine {
         Box::new(SimActor::new(Intake::open(ready_s), start))
     }
 
-    fn service_rates(&self, avg_in: usize, avg_out: usize) -> crate::online::ServiceRates {
-        // Prefill runs under `c_p`, decode under `c_d`; the phases
-        // time-share the same GPUs, so the two rates bound the same
-        // budget a static engine's do (cf. Eq. 1/2's request-rate
-        // estimate for a Seesaw pair).
-        let tm = seesaw_roofline::ThroughputModel::new(Roofline::new(
-            Arc::clone(&self.cluster),
-            Arc::clone(&self.model),
-        ));
-        crate::online::ServiceRates {
-            prefill_tokens_per_sec: tm.prefill_tokens_per_sec(self.spec.prefill, avg_in.max(1), 4),
-            decode_tokens_per_sec: tm
-                .decode_seq_steps_per_sec_max_batch(self.spec.decode, avg_in + avg_out / 2)
-                .expect("decode config validated at construction"),
-        }
+    fn service_rates(&self, avg_in: usize, avg_out: usize) -> ServiceRates {
+        let (cp, cd) = (self.spec.prefill, self.spec.decode);
+        roofline_rates(&self.cluster, &self.model, cp, cd, avg_in, avg_out)
     }
 }
 
@@ -260,7 +244,6 @@ struct PendingSwapOut {
 struct PendingSwapIn {
     id: u64,
     tokens: usize,
-    output_len: usize,
     /// When the H2D copies are done.
     ready: SimTime,
 }
@@ -299,13 +282,10 @@ struct PrefillPhase {
 #[derive(Clone)]
 struct SeesawRun<'a> {
     eng: &'a SeesawEngine,
-    cs: ClusterSim,
-    replicas: Vec<Replica>,
+    core: RunCore,
     buffers: Vec<CpuKvBuffer>,
-    intake: Intake,
     sizer_p: SwapSizer,
     sizer_d: SwapSizer,
-    completed: usize,
     prefill_wall: f64,
     decode_wall: f64,
     reshard_wall: f64,
@@ -313,44 +293,25 @@ struct SeesawRun<'a> {
     swap_out_bytes: u64,
     swap_in_bytes: u64,
     phases: Vec<PhaseSpan>,
-    rec: TimingRecorder,
     at: Step,
     phase: PrefillPhase,
     /// Reusable part buffers for the per-sequence swap chains.
     scratch_a: Vec<SimTime>,
     scratch_b: Vec<SimTime>,
-    /// Reusable buffers of a decode burst step: per replica burst
-    /// `(replica, rounds, end)`, and the ends to join.
-    bursts: Vec<(usize, usize, SimTime)>,
-    burst_joins: Vec<SimTime>,
-    /// One replica's prefill pass ends `(end, id)`.
-    prefill_parts: Vec<(SimTime, u64)>,
-    /// Per replica: the prompts a prefill admission admitted, and the
-    /// prompt-token budget it left.
-    admitted: Vec<Vec<(u64, usize)>>,
-    budget: Vec<usize>,
 }
 
 impl<'a> SeesawRun<'a> {
     fn new(eng: &'a SeesawEngine, intake: Intake) -> Self {
-        let dp = eng.spec.prefill.dp;
-        let cs = ClusterSim::new(Arc::clone(&eng.cluster));
-        let replicas = (0..dp)
-            .map(|d| Replica::new(d, eng.plan_p.kv_tokens_per_replica, eng.spec.prefill.pp))
-            .collect();
-        let buffers = (0..dp)
+        let (cp, kv_tokens) = (eng.spec.prefill, eng.plan_p.kv_tokens_per_replica);
+        let buffers = (0..cp.dp)
             .map(|_| CpuKvBuffer::new(eng.buffer_tokens_per_replica()))
             .collect();
-        let rec = TimingRecorder::with_capacity(intake.len());
         SeesawRun {
             eng,
-            cs,
-            replicas,
+            core: RunCore::new(&eng.cluster, &eng.model, intake, cp.dp, kv_tokens, cp.pp),
             buffers,
-            intake,
             sizer_p: SwapSizer::new(&eng.model, eng.spec.prefill, eng.spec.layout),
             sizer_d: SwapSizer::new(&eng.model, eng.spec.decode, eng.spec.layout),
-            completed: 0,
             prefill_wall: 0.0,
             decode_wall: 0.0,
             reshard_wall: 0.0,
@@ -358,39 +319,27 @@ impl<'a> SeesawRun<'a> {
             swap_out_bytes: 0,
             swap_in_bytes: 0,
             phases: Vec::new(),
-            rec,
             at: Step::PrefillStart,
             phase: PrefillPhase::default(),
             scratch_a: Vec::new(),
             scratch_b: Vec::new(),
-            bursts: Vec::new(),
-            burst_joins: Vec::new(),
-            prefill_parts: Vec::new(),
-            admitted: Vec::new(),
-            budget: Vec::new(),
         }
     }
 
     fn record_phase(&mut self, phase: Phase, start_s: f64) {
-        let end_s = self.cs.now().as_secs();
+        let end_s = self.core.cs.now().as_secs();
         if end_s > start_s {
             self.phases.push(PhaseSpan { phase, start_s, end_s });
         }
     }
 
-    /// Idle the cluster until the head request arrives (online
-    /// serving). Only reached when a prefill phase could admit
-    /// nothing and buffered nothing, which for an already-available
-    /// request would have panicked inside the phase instead.
-    fn wait_for_next_arrival(&mut self) {
-        let t = self
-            .intake
-            .waiting
-            .front()
-            .expect("an idle, unfinished engine must have pending arrivals")
-            .arrival_s;
-        self.cs.sim.run_until_idle();
-        self.cs.sim.advance_to(SimTime::from_secs(t));
+    /// Load a layout of `pp` pipeline slots, with an empty KV cache of
+    /// `kv_tokens` on every replica.
+    fn relayout(&mut self, kv_tokens: u64, pp: usize) {
+        for rep in &mut self.core.replicas {
+            rep.kv = PagedKvCache::new(kv_tokens, PagedKvCache::DEFAULT_BLOCK_TOKENS);
+            rep.reset_tails(pp);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -401,17 +350,11 @@ impl<'a> SeesawRun<'a> {
     /// until the CPU buffer is full or no prompts remain.
     fn begin_prefill(&mut self) {
         let cfg = self.eng.spec.prefill;
-        for rep in &mut self.replicas {
-            rep.kv = PagedKvCache::new(
-                self.eng.plan_p.kv_tokens_per_replica,
-                PagedKvCache::DEFAULT_BLOCK_TOKENS,
-            );
-            rep.reset_tails(cfg.pp);
-        }
+        self.relayout(self.eng.plan_p.kv_tokens_per_replica, cfg.pp);
         self.phase = PrefillPhase {
             pending: vec![Vec::new(); cfg.dp],
             outstanding: VecDeque::new(),
-            t_phase: self.cs.now().as_secs(),
+            t_phase: self.core.cs.now().as_secs(),
             buffered_any: false,
         };
     }
@@ -427,15 +370,15 @@ impl<'a> SeesawRun<'a> {
                 .iter()
                 .flat_map(|v| v.iter().map(|p| p.buffered.unwrap_or(p.vacate)))
             {
-                self.cs.sim.run_until(h);
+                self.core.cs.sim.run_until(h);
             }
         }
         for (d, list) in pending.iter_mut().enumerate() {
             let mut i = 0;
             while i < list.len() {
-                if self.cs.sim.completed(list[i].vacate) {
+                if self.core.cs.sim.completed(list[i].vacate) {
                     let p = list.swap_remove(i);
-                    self.replicas[d].kv.free(p.id).expect("resident");
+                    self.core.replicas[d].kv.free(p.id).expect("resident");
                 } else {
                     i += 1;
                 }
@@ -451,26 +394,25 @@ impl<'a> SeesawRun<'a> {
         let dp = cfg.dp;
         // Admission: GPU KV must fit the prompt, CPU buffer must
         // have room for its eventual KV.
-        let admitted = &mut self.admitted;
-        admitted.resize_with(dp, Vec::new);
+        let admitted = &mut self.core.admitted;
         admitted.iter_mut().for_each(Vec::clear);
-        let budget = &mut self.budget;
+        let budget = &mut self.core.budget;
         budget.clear();
         budget.resize(dp, MAX_PREFILL_TOKENS);
         let mut buffer_full = false;
         let mut arrivals_pending = false;
-        while let Some(&req) = self.intake.waiting.front() {
+        while let Some(&req) = self.core.intake.waiting.front() {
             // Online serving: requests become schedulable only
             // once their arrival time has passed. (Offline
             // arrival_s == 0.0 never trips this.)
-            if req.arrival_s > self.cs.now().as_secs() {
+            if req.arrival_s > self.core.cs.now().as_secs() {
                 arrivals_pending = true;
                 break;
             }
             let mut best: Option<usize> = None;
             for d in 0..dp {
                 if budget[d] >= req.input_len
-                    && self.replicas[d].kv.can_fit(req.input_len)
+                    && self.core.replicas[d].kv.can_fit(req.input_len)
                     && self.buffers[d].can_fit(req.input_len)
                 {
                     let better = match best {
@@ -499,8 +441,8 @@ impl<'a> SeesawRun<'a> {
                 }
                 break;
             };
-            self.intake.waiting.pop_front();
-            self.replicas[d]
+            self.core.intake.waiting.pop_front();
+            self.core.replicas[d]
                 .kv
                 .allocate(req.id, req.input_len)
                 .expect("can_fit checked");
@@ -520,7 +462,7 @@ impl<'a> SeesawRun<'a> {
 
         let nothing_admitted = admitted.iter().all(|a| a.is_empty());
         if nothing_admitted {
-            if buffer_full || self.intake.waiting.is_empty() || arrivals_pending {
+            if buffer_full || self.core.intake.waiting.is_empty() || arrivals_pending {
                 // Phase over. With arrivals pending the outer
                 // loop decodes whatever was buffered (or idles
                 // until the next arrival if nothing was).
@@ -535,50 +477,35 @@ impl<'a> SeesawRun<'a> {
                 .find_map(|v| v.first().map(|p| p.vacate));
             match oldest {
                 Some(h) => {
-                    self.cs.sim.run_until(h);
+                    self.core.cs.sim.run_until(h);
                     return Step::PrefillIter;
                 }
                 None => panic!(
                     "prefill stalled: prompt {} does not fit GPU KV ({} tokens)",
-                    self.intake.waiting.front().expect("non-empty").input_len,
-                    self.replicas[0].kv.capacity_tokens()
+                    self.core.intake.waiting.front().expect("non-empty").input_len,
+                    self.core.replicas[0].kv.capacity_tokens()
                 ),
             }
         }
 
         // Run the prefill passes and attach swap-outs.
-        let mut join = self.cs.now();
-        let mut parts = std::mem::take(&mut self.prefill_parts);
-        let admitted = std::mem::take(&mut self.admitted);
+        let mut join = self.core.cs.now();
         for d in 0..dp {
-            if admitted[d].is_empty() {
-                continue;
-            }
-            submit_prefill_batch(&mut self.cs, rl, cfg, &mut self.replicas[d], &admitted[d], &mut parts);
+            join = join.max(self.core.submit_prefill(rl, cfg, d));
+            let parts = std::mem::take(&mut self.core.prefill_parts);
             for &(pass, id) in &parts {
-                join = join.max(pass);
-                let req = self.intake.meta.req(id);
-                // The pass exit emits the slot's first tokens (and
-                // finishes single-token requests).
-                self.rec.first_token(id, pass);
-                if req.output_len <= 1 {
-                    self.rec.completed(id, pass);
-                }
-                let p = self.submit_swap_out(d, id, req, pass);
-                if p.buffered.is_some() {
-                    self.phase.buffered_any = true;
-                }
+                let p = self.submit_swap_out(d, id, pass);
+                self.phase.buffered_any |= p.buffered.is_some();
                 self.phase.pending[d].push(p);
             }
+            self.core.prefill_parts = parts;
         }
-        self.prefill_parts = parts;
-        self.admitted = admitted;
         // Keep two batch joins in flight so pipeline stages stay
         // busy across batch boundaries.
         self.phase.outstanding.push_back(join);
         if self.phase.outstanding.len() >= 2 {
             let oldest = self.phase.outstanding.pop_front().expect("non-empty");
-            self.cs.sim.run_until(oldest);
+            self.core.cs.sim.run_until(oldest);
         }
         Step::PrefillIter
     }
@@ -589,7 +516,7 @@ impl<'a> SeesawRun<'a> {
     fn end_prefill(&mut self) -> bool {
         let mut phase = std::mem::take(&mut self.phase);
         while let Some(j) = phase.outstanding.pop_front() {
-            self.cs.sim.run_until(j);
+            self.core.cs.sim.run_until(j);
         }
         let handles: Vec<SimTime> = phase
             .pending
@@ -597,16 +524,16 @@ impl<'a> SeesawRun<'a> {
             .flat_map(|v| v.iter().map(|p| p.buffered.unwrap_or(p.vacate)))
             .collect();
         if !handles.is_empty() {
-            let join = self.cs.join(&handles);
-            self.cs.sim.run_until(join);
+            let join = self.core.cs.join(&handles);
+            self.core.cs.sim.run_until(join);
         }
         for (d, list) in phase.pending.iter_mut().enumerate() {
             for p in list.drain(..) {
-                self.replicas[d].kv.free(p.id).expect("resident");
+                self.core.replicas[d].kv.free(p.id).expect("resident");
             }
         }
         // Attribute the whole phase's wall clock (incl. drain) to prefill.
-        self.prefill_wall += self.cs.now().as_secs() - phase.t_phase;
+        self.prefill_wall += self.core.cs.now().as_secs() - phase.t_phase;
         self.record_phase(Phase::Prefill, phase.t_phase);
         phase.buffered_any
     }
@@ -615,9 +542,10 @@ impl<'a> SeesawRun<'a> {
     /// D2H into pinned staging (dep: the prefill pass), then the
     /// host-side copy into shared memory. Sequences that finished at
     /// prefill (`output_len == 1`) skip the swap entirely.
-    fn submit_swap_out(&mut self, d: usize, id: u64, req: Request, pass: SimTime) -> PendingSwapOut {
+    fn submit_swap_out(&mut self, d: usize, id: u64, pass: SimTime) -> PendingSwapOut {
+        let req = self.core.intake.meta.req(id);
         if req.output_len <= 1 {
-            self.completed += 1;
+            self.core.completed += 1;
             return PendingSwapOut {
                 id,
                 vacate: pass,
@@ -637,16 +565,16 @@ impl<'a> SeesawRun<'a> {
                 if xfer <= 0.0 {
                     continue;
                 }
-                let d2h = self.cs.submit_d2h(gpu, xfer, Some(pass), TaskKind::SwapOut);
+                let d2h = self.core.cs.submit_d2h(gpu, xfer, Some(pass), TaskKind::SwapOut);
                 let stage_t = self.sizer_p.seq_staging_time(&self.eng.cluster, gpu, tokens);
-                let st = self.cs.submit_staging(gpu, stage_t, Some(d2h));
+                let st = self.core.cs.submit_staging(gpu, stage_t, Some(d2h));
                 d2h_parts.push(d2h);
                 staging_parts.push(st);
             }
         }
         self.swap_out_bytes += self.sizer_p.seq_bytes_total(tokens);
-        let vacate = self.cs.join(&d2h_parts);
-        let buffered = self.cs.join(&staging_parts);
+        let vacate = self.core.cs.join(&d2h_parts);
+        let buffered = self.core.cs.join(&staging_parts);
         self.scratch_a = d2h_parts;
         self.scratch_b = staging_parts;
         PendingSwapOut {
@@ -664,14 +592,8 @@ impl<'a> SeesawRun<'a> {
     fn decode_phase(&mut self, rl: &Roofline) {
         let cfg = self.eng.spec.decode;
         let dp = cfg.dp;
-        for rep in &mut self.replicas {
-            rep.kv = PagedKvCache::new(
-                self.eng.plan_d.kv_tokens_per_replica,
-                PagedKvCache::DEFAULT_BLOCK_TOKENS,
-            );
-            rep.reset_tails(cfg.pp);
-        }
-        let t_phase = self.cs.now();
+        self.relayout(self.eng.plan_d.kv_tokens_per_replica, cfg.pp);
+        let t_phase = self.core.cs.now();
         let mut inflight: Vec<Vec<PendingSwapIn>> = vec![Vec::new(); dp];
         for d in 0..dp {
             self.prefetch(d, &mut inflight[d]);
@@ -682,20 +604,16 @@ impl<'a> SeesawRun<'a> {
             for d in 0..dp {
                 let mut i = 0;
                 while i < inflight[d].len() {
-                    if self.cs.sim.completed(inflight[d][i].ready) {
+                    if self.core.cs.sim.completed(inflight[d][i].ready) {
                         let p = inflight[d].swap_remove(i);
-                        self.replicas[d].push_running(RunSeq {
-                            id: p.id,
-                            ctx: p.tokens + 1,
-                            remaining: p.output_len - 1,
-                        });
+                        self.core.graduate(d, p.id, p.tokens);
                     } else {
                         i += 1;
                     }
                 }
             }
 
-            let any_running = self.replicas.iter().any(|r| r.num_running() > 0);
+            let any_running = self.core.replicas.iter().any(|r| r.num_running() > 0);
             let any_inflight = inflight.iter().any(|v| !v.is_empty());
             if !any_running {
                 if any_inflight {
@@ -704,44 +622,19 @@ impl<'a> SeesawRun<'a> {
                         .flat_map(|v| v.iter().map(|p| p.ready))
                         .next()
                         .expect("non-empty");
-                    self.cs.sim.run_until(next);
+                    self.core.cs.sim.run_until(next);
                     continue;
                 }
                 break; // buffers drained, everything decoded
             }
 
-            // Decode burst.
             let cap = if any_inflight { BURST_CAP_INFLIGHT } else { BURST_CAP };
-            self.bursts.clear();
-            for d in 0..dp {
-                let rounds = self.replicas[d].max_burst(cap);
-                if rounds == 0 {
-                    continue;
-                }
-                if let Some(h) =
-                    submit_decode_burst(&mut self.cs, rl, cfg, &mut self.replicas[d], rounds)
-                {
-                    self.bursts.push((d, rounds, h));
-                }
-            }
-            self.burst_joins.clear();
-            self.burst_joins.extend(self.bursts.iter().map(|&(_, _, h)| h));
-            let join = self.cs.join(&self.burst_joins);
-            self.cs.sim.run_until(join);
-            for &(d, rounds, h) in &self.bursts {
-                let finished = self.replicas[d].advance_decode(rounds);
-                self.completed += finished.len();
-                // Bursts are capped at the minimum remaining count,
-                // so retirees finish in the burst's last round.
-                for seq in finished {
-                    self.rec.completed(seq.id, h);
-                }
-            }
+            self.core.decode_burst(rl, cfg, cap);
             for d in 0..dp {
                 self.prefetch(d, &mut inflight[d]);
             }
         }
-        self.decode_wall += self.cs.now() - t_phase;
+        self.decode_wall += self.core.cs.now() - t_phase;
         self.record_phase(Phase::Decode, t_phase.as_secs());
     }
 
@@ -751,11 +644,11 @@ impl<'a> SeesawRun<'a> {
         let cfg = self.eng.spec.decode;
         while let Some(&front) = self.buffers[d].peek() {
             let reserve = front.tokens + front.output_len;
-            if !self.replicas[d].kv.can_fit(reserve) {
+            if !self.core.replicas[d].kv.can_fit(reserve) {
                 break;
             }
             let seq = self.buffers[d].pop().expect("peeked");
-            self.replicas[d]
+            self.core.replicas[d]
                 .kv
                 .allocate(seq.req_id, reserve)
                 .expect("can_fit checked");
@@ -771,18 +664,17 @@ impl<'a> SeesawRun<'a> {
                     if xfer <= 0.0 {
                         continue;
                     }
-                    let st = self.cs.submit_staging(gpu, stage_t, None);
-                    let h2d = self.cs.submit_h2d(gpu, xfer, Some(st), TaskKind::SwapIn);
+                    let st = self.core.cs.submit_staging(gpu, stage_t, None);
+                    let h2d = self.core.cs.submit_h2d(gpu, xfer, Some(st), TaskKind::SwapIn);
                     parts.push(h2d);
                 }
             }
             self.swap_in_bytes += self.sizer_d.seq_bytes_total(seq.tokens);
-            let ready = self.cs.join(&parts);
+            let ready = self.core.cs.join(&parts);
             self.scratch_a = parts;
             inflight.push(PendingSwapIn {
                 id: seq.req_id,
                 tokens: seq.tokens,
-                output_len: seq.output_len,
                 ready,
             });
         }
@@ -794,8 +686,8 @@ impl<'a> SeesawRun<'a> {
 
     fn reshard(&mut self, from: ParallelConfig, to: ParallelConfig) {
         // Quiesce the cluster (communicators must be rebuilt anyway).
-        self.cs.sim.run_until_idle();
-        let t0 = self.cs.now();
+        self.core.cs.sim.run_until_idle();
+        let t0 = self.core.cs.now();
         let plan = ReshardPlan::plan(&self.eng.model, from, to);
         let mut handles = Vec::new();
         for mv in &plan.moves {
@@ -805,17 +697,17 @@ impl<'a> SeesawRun<'a> {
                 .host_link
                 .pinned_copy_time(mv.load_bytes as f64);
             if dur > 0.0 {
-                handles.push(self.cs.submit_h2d(mv.gpu, dur, None, TaskKind::ReshardLoad));
+                handles.push(self.core.cs.submit_h2d(mv.gpu, dur, None, TaskKind::ReshardLoad));
             }
-            handles.push(self.cs.submit_compute_overhead(
+            handles.push(self.core.cs.submit_compute_overhead(
                 mv.gpu,
                 efficiency::RESHARD_FIXED_OVERHEAD_S,
                 None,
             ));
         }
-        let join = self.cs.join(&handles);
-        self.cs.sim.run_until(join);
-        self.reshard_wall += self.cs.now() - t0;
+        let join = self.core.cs.join(&handles);
+        self.core.cs.sim.run_until(join);
+        self.reshard_wall += self.core.cs.now() - t0;
         self.transitions += 1;
         self.record_phase(Phase::Reshard, t0.as_secs());
     }
@@ -823,24 +715,12 @@ impl<'a> SeesawRun<'a> {
 }
 
 impl Resumable for SeesawRun<'_> {
-    fn intake(&self) -> &Intake {
-        &self.intake
+    fn core(&self) -> &RunCore {
+        &self.core
     }
 
-    fn intake_mut(&mut self) -> &mut Intake {
-        &mut self.intake
-    }
-
-    fn recorder(&self) -> &TimingRecorder {
-        &self.rec
-    }
-
-    fn completed(&self) -> usize {
-        self.completed
-    }
-
-    fn roofline(&self) -> Roofline {
-        self.eng.roofline()
+    fn core_mut(&mut self) -> &mut RunCore {
+        &mut self.core
     }
 
     /// The model is initially loaded in the prefill sharding; each
@@ -858,7 +738,7 @@ impl Resumable for SeesawRun<'_> {
                     self.at = Step::PrefillAdmit;
                 }
                 Step::PrefillAdmit => {
-                    if !self.intake.sees_arrivals(self.cs.now()) {
+                    if !self.core.intake.sees_arrivals(self.core.cs.now()) {
                         return false;
                     }
                     self.at = self.prefill_round(rl);
@@ -872,7 +752,7 @@ impl Resumable for SeesawRun<'_> {
                         self.at = Step::Unbuffered;
                     }
                 }
-                Step::AfterDecode => match self.intake.drained() {
+                Step::AfterDecode => match self.core.intake.drained() {
                     None => return false,
                     Some(true) => self.at = Step::Done,
                     Some(false) => {
@@ -880,7 +760,7 @@ impl Resumable for SeesawRun<'_> {
                         self.at = Step::PrefillStart;
                     }
                 },
-                Step::Unbuffered => match self.intake.drained() {
+                Step::Unbuffered => match self.core.intake.drained() {
                     None => return false,
                     Some(true) => self.at = Step::Done,
                     Some(false) => {
@@ -889,7 +769,7 @@ impl Resumable for SeesawRun<'_> {
                         // until the next one. (Offline, an unbuffered
                         // phase with requests waiting cannot occur:
                         // prefill always makes progress or panics.)
-                        self.wait_for_next_arrival();
+                        self.core.wait_for_next_arrival();
                         self.at = Step::PrefillStart;
                     }
                 },
@@ -898,28 +778,17 @@ impl Resumable for SeesawRun<'_> {
         }
     }
 
-    fn finish(mut self) -> EngineReport {
+    fn finish(self) -> EngineReport {
         debug_assert_eq!(self.at, Step::Done, "finish runs after the loop completes");
-        let end = self.cs.sim.run_until_idle();
-        assert_eq!(self.completed, self.intake.len(), "all requests must finish");
-        let gpu_utilization = self.cs.mean_compute_utilization();
-        let timeline = std::mem::take(&mut self.rec).resolve(&self.intake.meta);
-        let latency = LatencyStats::from_timeline(&timeline);
         EngineReport {
-            label: self.eng.spec.label(),
-            stats: self.intake.stats(end.as_secs()),
             prefill_wall_s: self.prefill_wall,
             decode_wall_s: self.decode_wall,
-            mixed_wall_s: 0.0,
             reshard_wall_s: self.reshard_wall,
             transitions: self.transitions,
             swap_out_bytes: self.swap_out_bytes,
             swap_in_bytes: self.swap_in_bytes,
-            phases: std::mem::take(&mut self.phases),
-            gpu_utilization,
-            busy_by_kind: self.cs.sim.busy_by_kind(),
-            timeline,
-            latency,
+            phases: self.phases,
+            ..self.core.finish(self.eng.spec.label())
         }
     }
 }
@@ -974,8 +843,8 @@ mod tests {
         let eng = SeesawEngine::new(ClusterSpec::a10x4(), presets::llama2_13b(), spec).unwrap();
         let submitted = |n| {
             let mut run = SeesawRun::new(&eng, Intake::closed(&stream(n)));
-            assert!(run.advance(&eng.roofline()), "a closed run always completes");
-            run.cs.sim.submitted_tasks()
+            assert!(run.advance(&run.core.roofline()), "a closed run always completes");
+            run.core.cs.sim.submitted_tasks()
         };
         let (short, long) = (submitted(100), submitted(400));
         assert!(long > 3 * short, "submitted {short} vs {long}");

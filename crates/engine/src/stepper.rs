@@ -45,9 +45,6 @@ pub struct LiveState {
     /// stretch in-flight completions). The backward-looking counts
     /// (`waiting`/`running`/`queue_depth`) are exact regardless.
     pub work_s: f64,
-    /// The next instant at which this replica's state changes (a
-    /// first token or a completion), if any work is pending.
-    pub next_event_s: Option<f64>,
 }
 
 impl LiveState {
@@ -69,12 +66,6 @@ pub fn live_state(report: &EngineReport, t: f64) -> LiveState {
     let mut waiting = 0usize;
     let mut running = 0usize;
     let mut work_s = 0.0f64;
-    let mut next: Option<f64> = None;
-    let mut note = |at: f64| {
-        if at > t && next.is_none_or(|n| at < n) {
-            next = Some(at);
-        }
-    };
     for entry in &report.timeline {
         if entry.arrival_s > t || entry.completion_s <= t {
             continue;
@@ -83,17 +74,14 @@ pub fn live_state(report: &EngineReport, t: f64) -> LiveState {
             running += 1;
         } else {
             waiting += 1;
-            note(entry.first_token_s);
         }
         work_s += entry.completion_s - t;
-        note(entry.completion_s);
     }
     LiveState {
         waiting,
         running,
         queue_depth: waiting + running,
         work_s,
-        next_event_s: next,
     }
 }
 
@@ -145,11 +133,6 @@ impl<'a, E: OnlineEngine + ?Sized> EngineStepper<'a, E> {
         }
         self.assigned.push(req);
         self.cache = None;
-    }
-
-    /// The assigned sub-stream so far, in arrival order.
-    pub fn assigned(&self) -> &[Request] {
-        &self.assigned
     }
 
     fn report(&mut self) -> &EngineReport {
@@ -242,7 +225,7 @@ mod tests {
         let s = live_state(&report, -1.0);
         assert_eq!((s.waiting, s.running, s.queue_depth), (0, 0, 0));
         assert_eq!(s.work_s, 0.0);
-        // After everything completes: empty, no next event.
+        // After everything completes: empty.
         let end = report
             .timeline
             .iter()
@@ -250,7 +233,6 @@ mod tests {
             .fold(0.0f64, f64::max);
         let s = live_state(&report, end + 1.0);
         assert_eq!(s.queue_depth, 0);
-        assert_eq!(s.next_event_s, None);
         // Mid-run at the last arrival: depth counts exactly the
         // unfinished arrived requests, and work is their remaining
         // completion mass.
@@ -264,7 +246,6 @@ mod tests {
         assert_eq!(s.queue_depth, expect.len());
         let work: f64 = expect.iter().map(|e| e.completion_s - t).sum();
         assert!((s.work_s - work).abs() < 1e-9);
-        assert!(s.next_event_s.expect("work pending") > t);
     }
 
     #[test]

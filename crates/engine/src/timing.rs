@@ -74,6 +74,11 @@ impl TimingRecorder {
             .map(|(&(id, first), &(done_id, done))| {
                 assert_eq!(id, done_id, "timing streams out of sync at request {id}");
                 let req = meta.req(id);
+                debug_assert!(
+                    req.arrival_s <= first.as_secs() && first <= done,
+                    "request {id} arrives at {}s, first token at {first}, completes at {done}",
+                    req.arrival_s
+                );
                 RequestTiming {
                     id,
                     arrival_s: req.arrival_s,

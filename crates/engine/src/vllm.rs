@@ -7,31 +7,26 @@
 //! so no preemption is ever needed (this matches the paper's
 //! Appendix A batching model, where max batch size is derived from
 //! average *total* sequence length).
+//!
+//! A run (`RunState`) keeps only its policy state on top of the
+//! shared `RunCore`: the core idles to arrivals, runs decode bursts
+//! of at most `BURST_CAP` rounds and builds the report; this module
+//! admits, prefills (at most `MAX_PREFILL_TOKENS` prompt tokens per
+//! replica pass) and schedules chunked mixed rounds.
 
 use crate::actor::{run_to_end, EngineActor, Intake, Resumable, SimActor};
-use crate::cluster_sim::ClusterSim;
-use crate::driver::{
-    kv_capacity, submit_decode_burst, submit_mixed_round, submit_prefill_batch, Replica, RunSeq,
-};
-use crate::online::{OnlineEngine, ServiceRates};
+use crate::driver::{kv_capacity, submit_mixed_round, RunCore, BURST_CAP, MAX_PREFILL_TOKENS};
+use crate::online::{roofline_rates, OnlineEngine, ServiceRates};
 use crate::report::EngineReport;
-use crate::timing::TimingRecorder;
 use crate::SchedulingPolicy;
 use seesaw_hw::ClusterSpec;
 use seesaw_model::ModelConfig;
 use seesaw_parallel::{FitError, MemoryPlan, ParallelConfig};
 use seesaw_roofline::{BatchShape, Roofline};
 use seesaw_sim::SimTime;
-use seesaw_workload::{LatencyStats, Request};
+use seesaw_workload::Request;
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Maximum decode rounds submitted between scheduling decisions.
-const BURST_CAP: usize = 64;
-
-/// Maximum prompt tokens admitted into one prefill pass (vLLM's
-/// `max_num_batched_tokens`-style bound).
-const MAX_PREFILL_TOKENS: usize = 16384;
 
 /// A static-parallelism engine instance.
 ///
@@ -117,11 +112,7 @@ impl VllmEngine {
 
     /// Process `requests` to completion, returning the run report.
     pub fn run(&self, requests: &[Request]) -> EngineReport {
-        run_to_end(RunState::new(self, Intake::closed(requests)), &self.roofline())
-    }
-
-    fn roofline(&self) -> Roofline {
-        Roofline::new(Arc::clone(&self.cluster), Arc::clone(&self.model))
+        run_to_end(RunState::new(self, Intake::closed(requests)))
     }
 }
 
@@ -140,16 +131,7 @@ impl OnlineEngine for VllmEngine {
     }
 
     fn service_rates(&self, avg_in: usize, avg_out: usize) -> ServiceRates {
-        let tm = seesaw_roofline::ThroughputModel::new(Roofline::new(
-            Arc::clone(&self.cluster),
-            Arc::clone(&self.model),
-        ));
-        ServiceRates {
-            prefill_tokens_per_sec: tm.prefill_tokens_per_sec(self.cfg, avg_in.max(1), 4),
-            decode_tokens_per_sec: tm
-                .decode_seq_steps_per_sec_max_batch(self.cfg, avg_in + avg_out / 2)
-                .expect("config validated at construction"),
-        }
+        roofline_rates(&self.cluster, &self.model, self.cfg, self.cfg, avg_in, avg_out)
     }
 }
 
@@ -174,15 +156,11 @@ enum Resume {
 #[derive(Clone)]
 struct RunState<'a> {
     eng: &'a VllmEngine,
-    cs: ClusterSim,
-    replicas: Vec<Replica>,
-    intake: Intake,
+    core: RunCore,
     prefilling: Vec<VecDeque<Prefilling>>,
-    completed: usize,
     prefill_wall: f64,
     decode_wall: f64,
     mixed_wall: f64,
-    rec: TimingRecorder,
     at: Resume,
     /// Prefill batches in flight within the current prefill step.
     batches: VecDeque<InflightPrefill>,
@@ -191,55 +169,32 @@ struct RunState<'a> {
     /// Ends of the mixed rounds in flight (chunked policy).
     rounds: VecDeque<SimTime>,
     round: usize,
-    /// Reusable buffers of a decode burst step: per replica burst
-    /// `(replica, rounds, end)`, and the ends to join.
-    bursts: Vec<(usize, usize, SimTime)>,
-    burst_joins: Vec<SimTime>,
     /// Reusable buffers of a mixed round step: the prompts it finishes
     /// `(replica, id, prompt)`, and the replicas it decodes.
     graduated: Vec<(usize, u64, usize)>,
     decoded: Vec<usize>,
-    /// Admission buffers: per replica, the requests the last
-    /// admission admitted and the prompt-token budget it left.
-    admitted: Vec<Vec<(u64, usize)>>,
-    budget: Vec<usize>,
     /// Admission lists of integrated prefill batches, for reuse.
     spare_admitted: Vec<Vec<Vec<(u64, usize)>>>,
-    /// One replica's prefill pass ends `(end, id)`.
-    prefill_parts: Vec<(SimTime, u64)>,
 }
 
 impl<'a> RunState<'a> {
     fn new(eng: &'a VllmEngine, intake: Intake) -> Self {
-        let cs = ClusterSim::new(Arc::clone(&eng.cluster));
-        let replicas = (0..eng.cfg.dp)
-            .map(|d| Replica::new(d, eng.plan.kv_tokens_per_replica, eng.cfg.pp))
-            .collect();
-        let rec = TimingRecorder::with_capacity(intake.len());
+        let (cfg, kv_tokens) = (eng.cfg, eng.plan.kv_tokens_per_replica);
         RunState {
             eng,
-            cs,
-            replicas,
-            intake,
-            prefilling: vec![VecDeque::new(); eng.cfg.dp],
-            completed: 0,
+            core: RunCore::new(&eng.cluster, &eng.model, intake, cfg.dp, kv_tokens, cfg.pp),
+            prefilling: vec![VecDeque::new(); cfg.dp],
             prefill_wall: 0.0,
             decode_wall: 0.0,
             mixed_wall: 0.0,
-            rec,
             at: Resume::Top,
             batches: VecDeque::new(),
             prefilled: false,
             rounds: VecDeque::new(),
             round: 0,
-            bursts: Vec::new(),
-            burst_joins: Vec::new(),
             graduated: Vec::new(),
             decoded: Vec::new(),
-            admitted: vec![Vec::new(); eng.cfg.dp],
-            budget: Vec::new(),
             spare_admitted: Vec::new(),
-            prefill_parts: Vec::new(),
         }
     }
 
@@ -247,56 +202,39 @@ impl<'a> RunState<'a> {
     /// every pushed request served, so the answer depends on pushes
     /// still to come.
     fn all_done(&self) -> Option<bool> {
-        if self.replicas.iter().any(|r| r.num_running() > 0)
+        if self.core.replicas.iter().any(|r| r.num_running() > 0)
             || self.prefilling.iter().any(|p| !p.is_empty())
         {
             return Some(false);
         }
-        self.intake.drained()
-    }
-
-    /// Idle the cluster until the head request arrives. Only called
-    /// when no admission, prefill, or decode progress is possible —
-    /// which, for requests available *now*, would have panicked in
-    /// `admit` instead — so the head arrival must lie in the future.
-    fn wait_for_next_arrival(&mut self) {
-        let t = self
-            .intake
-            .waiting
-            .front()
-            .expect("an idle, unfinished engine must have pending arrivals")
-            .arrival_s;
-        // Drain any stragglers (e.g. in-flight mixed rounds) first;
-        // if they carried the clock past the arrival, no idle gap
-        // exists and admission can proceed immediately.
-        self.cs.sim.run_until_idle();
-        self.cs.sim.advance_to(SimTime::from_secs(t));
+        self.core.intake.drained()
     }
 
     /// Admit waiting requests into replica KV caches (full
     /// `input+output` reservation), spreading across replicas, with
     /// up to `token_budget` prompt tokens per replica. Leaves the
     /// per-replica admitted `(id, prompt_len)` lists in
-    /// `self.admitted`.
+    /// `self.core.admitted`.
     fn admit(&mut self, token_budget: usize) {
-        self.admitted.iter_mut().for_each(Vec::clear);
-        self.budget.clear();
-        self.budget.resize(self.eng.cfg.dp, token_budget);
-        'outer: while let Some(&req) = self.intake.waiting.front() {
+        let core = &mut self.core;
+        core.admitted.iter_mut().for_each(Vec::clear);
+        core.budget.clear();
+        core.budget.resize(core.replicas.len(), token_budget);
+        'outer: while let Some(&req) = core.intake.waiting.front() {
             // Online serving: a request is only schedulable once its
             // arrival time has passed in simulated time. (Offline
             // workloads carry arrival_s == 0.0 and never break here.)
-            if req.arrival_s > self.cs.now().as_secs() {
+            if req.arrival_s > core.cs.now().as_secs() {
                 break 'outer;
             }
             let reserve = req.total_len();
             // Pick the replica with the most free KV that can take it.
             let mut best: Option<usize> = None;
-            for (d, rep) in self.replicas.iter().enumerate() {
-                if self.budget[d] >= req.input_len && rep.kv.can_fit(reserve) {
+            for (d, rep) in core.replicas.iter().enumerate() {
+                if core.budget[d] >= req.input_len && rep.kv.can_fit(reserve) {
                     let better = match best {
                         None => true,
-                        Some(b) => rep.kv.free_tokens() > self.replicas[b].kv.free_tokens(),
+                        Some(b) => rep.kv.free_tokens() > core.replicas[b].kv.free_tokens(),
                     };
                     if better {
                         best = Some(d);
@@ -305,25 +243,25 @@ impl<'a> RunState<'a> {
             }
             match best {
                 Some(d) => {
-                    self.intake.waiting.pop_front();
-                    self.replicas[d]
+                    core.intake.waiting.pop_front();
+                    core.replicas[d]
                         .kv
                         .allocate(req.id, reserve)
                         .expect("can_fit checked");
-                    self.admitted[d].push((req.id, req.input_len));
-                    self.budget[d] -= req.input_len;
+                    core.admitted[d].push((req.id, req.input_len));
+                    core.budget[d] -= req.input_len;
                 }
                 None => {
                     // No replica can take the head request right now;
                     // it is too large only if nothing holds KV that
                     // will be freed (in-flight prefill batches do:
                     // `prefill_step` integrates them and admits again).
-                    if self.replicas.iter().all(|r| r.num_running() == 0)
+                    if core.replicas.iter().all(|r| r.num_running() == 0)
                         && self.prefilling.iter().all(|p| p.is_empty())
-                        && self.admitted.iter().all(|a| a.is_empty())
+                        && core.admitted.iter().all(|a| a.is_empty())
                         && self.batches.is_empty()
                     {
-                        let cap = self.replicas[0].kv.capacity_tokens();
+                        let cap = core.replicas[0].kv.capacity_tokens();
                         panic!(
                             "request {} needs {} KV tokens but replica capacity is {cap}",
                             req.id, reserve
@@ -335,51 +273,16 @@ impl<'a> RunState<'a> {
         }
     }
 
-    /// Submit a whole-prompt prefill pass for the batches in
-    /// `self.admitted`, returning when its last pass ends. The caller
-    /// decides when to wait on it, so consecutive batches keep the
-    /// pipeline full.
-    fn submit_prefill(&mut self, rl: &Roofline) -> SimTime {
-        let mut join = self.cs.now();
-        for (d, batch) in self.admitted.iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let parts = &mut self.prefill_parts;
-            submit_prefill_batch(&mut self.cs, rl, self.eng.cfg, &mut self.replicas[d], batch, parts);
-            // The slot's pass exit is where its sequences' first
-            // tokens appear (and where single-token requests finish
-            // outright).
-            for &(h, id) in parts.iter() {
-                self.rec.first_token(id, h);
-                if self.intake.meta.req(id).output_len <= 1 {
-                    self.rec.completed(id, h);
-                }
-                join = join.max(h);
-            }
-        }
-        join
-    }
-
     /// Wait for one in-flight prefill batch and move its sequences to
     /// `running` (their first token is produced by the prefill pass).
     fn integrate_prefill(&mut self, batch: InflightPrefill) {
-        let t0 = self.cs.now();
-        self.cs.sim.run_until(batch.join);
-        self.prefill_wall += self.cs.now() - t0;
+        let core = &mut self.core;
+        let t0 = core.cs.now();
+        core.cs.sim.run_until(batch.join);
+        self.prefill_wall += core.cs.now() - t0;
         for (d, members) in batch.admitted.iter().enumerate() {
             for &(id, prompt) in members {
-                let req = self.intake.meta.req(id);
-                if req.output_len <= 1 {
-                    self.replicas[d].kv.free(id).expect("was allocated");
-                    self.completed += 1;
-                } else {
-                    self.replicas[d].push_running(RunSeq {
-                        id,
-                        ctx: prompt + 1,
-                        remaining: req.output_len - 1,
-                    });
-                }
+                core.graduate(d, id, prompt);
             }
         }
         self.spare_admitted.push(batch.admitted);
@@ -393,20 +296,24 @@ impl<'a> RunState<'a> {
     /// `self.prefilled` then says whether any prefill work happened.
     fn prefill_step(&mut self, rl: &Roofline) -> bool {
         loop {
-            if !self.intake.sees_arrivals(self.cs.now()) {
+            if !self.core.intake.sees_arrivals(self.core.cs.now()) {
                 return false;
             }
             self.admit(MAX_PREFILL_TOKENS);
-            if self.admitted.iter().all(|a| a.is_empty()) {
+            if self.core.admitted.iter().all(|a| a.is_empty()) {
                 break;
             }
-            let join = self.submit_prefill(rl);
+            // Whole-prompt passes for the admitted batches; waiting on
+            // them is left to the next batch, so the pipeline stays full.
+            let (core, cfg) = (&mut self.core, self.eng.cfg);
+            let join =
+                (0..cfg.dp).fold(core.cs.now(), |t, d| t.max(core.submit_prefill(rl, cfg, d)));
             // `admit` clears the lists it reuses.
             let spare = self
                 .spare_admitted
                 .pop()
                 .unwrap_or_else(|| vec![Vec::new(); self.eng.cfg.dp]);
-            let admitted = std::mem::replace(&mut self.admitted, spare);
+            let admitted = std::mem::replace(&mut self.core.admitted, spare);
             self.prefilled = true;
             self.batches.push_back(InflightPrefill { join, admitted });
             if self.batches.len() >= 2 {
@@ -420,44 +327,15 @@ impl<'a> RunState<'a> {
         true
     }
 
-    /// One decode burst across replicas (each replica uses its own
-    /// safe burst length). Returns whether any work ran.
+    /// One decode burst across replicas, charging its wall time to
+    /// decode. Returns whether any work ran.
     fn do_decode_burst(&mut self, rl: &Roofline) -> bool {
-        self.bursts.clear();
-        for d in 0..self.replicas.len() {
-            let rounds = self.replicas[d].max_burst(BURST_CAP);
-            if rounds == 0 {
-                continue;
-            }
-            if let Some(h) = submit_decode_burst(
-                &mut self.cs,
-                rl,
-                self.eng.cfg,
-                &mut self.replicas[d],
-                rounds,
-            ) {
-                self.bursts.push((d, rounds, h));
-            }
+        let t0 = self.core.cs.now();
+        let ran = self.core.decode_burst(rl, self.eng.cfg, BURST_CAP);
+        if ran {
+            self.decode_wall += self.core.cs.now() - t0;
         }
-        if self.bursts.is_empty() {
-            return false;
-        }
-        let t0 = self.cs.now();
-        self.burst_joins.clear();
-        self.burst_joins.extend(self.bursts.iter().map(|&(_, _, h)| h));
-        let join = self.cs.join(&self.burst_joins);
-        self.cs.sim.run_until(join);
-        self.decode_wall += self.cs.now() - t0;
-        for &(d, rounds, h) in &self.bursts {
-            let finished = self.replicas[d].advance_decode(rounds);
-            self.completed += finished.len();
-            // The burst is capped at the minimum remaining count, so
-            // retirees emit their last token in its final round.
-            for seq in finished {
-                self.rec.completed(seq.id, h);
-            }
-        }
-        true
+        ran
     }
 
     /// The loop-top all-done check: on to a fresh prefill step or to
@@ -501,7 +379,7 @@ impl<'a> RunState<'a> {
                     if !self.prefilled && !decoded {
                         // Nothing running and nothing admissible: the
                         // only remaining work is a future arrival.
-                        self.wait_for_next_arrival();
+                        self.core.wait_for_next_arrival();
                     }
                     self.at = Resume::Top;
                 }
@@ -525,12 +403,12 @@ impl<'a> RunState<'a> {
                         return false;
                     }
                     let mut progressed = self.prefilled;
-                    while self.replicas.iter().any(|r| r.num_running() > 0) {
+                    while self.core.replicas.iter().any(|r| r.num_running() > 0) {
                         self.do_decode_burst(rl);
                         progressed = true;
                     }
                     if !progressed {
-                        self.wait_for_next_arrival();
+                        self.core.wait_for_next_arrival();
                     }
                     self.at = Resume::Top;
                 }
@@ -552,13 +430,13 @@ impl<'a> RunState<'a> {
         loop {
             match self.at {
                 Resume::Top | Resume::Admit => {
-                    if !self.intake.sees_arrivals(self.cs.now()) {
+                    if !self.core.intake.sees_arrivals(self.core.cs.now()) {
                         self.at = Resume::Admit;
                         return false;
                     }
                     // Admit into the prefilling queues.
                     self.admit(usize::MAX);
-                    for (d, batch) in self.admitted.iter().enumerate() {
+                    for (d, batch) in self.core.admitted.iter().enumerate() {
                         for &(id, prompt) in batch {
                             self.prefilling[d].push_back(Prefilling { id, prompt, done: 0 });
                         }
@@ -590,19 +468,16 @@ impl<'a> RunState<'a> {
                         }
                         Some(false) => {}
                     }
+                    let now = self.core.cs.now().as_secs();
                     if !self.do_decode_burst(rl)
-                        && self
-                            .intake
-                            .waiting
-                            .front()
-                            .is_some_and(|r| r.arrival_s > self.cs.now().as_secs())
+                        && self.core.intake.waiting.front().is_some_and(|r| r.arrival_s > now)
                     {
                         // Nothing running and nothing chunking, but
                         // waiting non-empty: either the drain just made
                         // the head request admissible, or its arrival
                         // is still in the future and the cluster idles
                         // until it.
-                        self.wait_for_next_arrival();
+                        self.core.wait_for_next_arrival();
                     }
                     self.at = Resume::Admit;
                 }
@@ -615,9 +490,10 @@ impl<'a> RunState<'a> {
     /// Wait for one in-flight mixed round's end, charging mixed-batch
     /// time.
     fn wait_mixed(&mut self, end: SimTime) {
-        let t0 = self.cs.now();
-        self.cs.sim.run_until(end);
-        self.mixed_wall += self.cs.now() - t0;
+        let cs = &mut self.core.cs;
+        let t0 = cs.now();
+        cs.sim.run_until(end);
+        self.mixed_wall += cs.now() - t0;
     }
 
     /// Run one mixed round per replica (every running sequence decodes
@@ -632,8 +508,9 @@ impl<'a> RunState<'a> {
     ) -> Option<SimTime> {
         self.graduated.clear();
         self.decoded.clear();
+        let core = &mut self.core;
         let mut round_end: Option<SimTime> = None;
-        for d in 0..self.replicas.len() {
+        for d in 0..core.replicas.len() {
             // Build this replica's chunk from the head of its queue.
             let mut budget = chunk_tokens;
             let mut chunk = BatchShape::empty();
@@ -650,15 +527,10 @@ impl<'a> RunState<'a> {
                     self.graduated.push((d, p.id, p.prompt));
                 }
             }
-            let had_running = self.replicas[d].num_running() > 0;
-            if let Some(end) = submit_mixed_round(
-                &mut self.cs,
-                rl,
-                self.eng.cfg,
-                &mut self.replicas[d],
-                &chunk,
-                round,
-            ) {
+            let replica = &mut core.replicas[d];
+            let had_running = replica.num_running() > 0;
+            let cfg = self.eng.cfg;
+            if let Some(end) = submit_mixed_round(&mut core.cs, rl, cfg, replica, &chunk, round) {
                 round_end = Some(round_end.map_or(end, |e| e.max(end)));
                 if had_running {
                     self.decoded.push(d);
@@ -667,27 +539,14 @@ impl<'a> RunState<'a> {
         }
         let end = round_end?;
         for &d in &self.decoded {
-            let finished = self.replicas[d].advance_decode(1);
-            self.completed += finished.len();
-            for seq in finished {
-                self.rec.completed(seq.id, end);
-            }
+            self.core.advance_decode(d, 1, end);
         }
         for &(d, id, prompt) in &self.graduated {
-            let req = self.intake.meta.req(id);
             // The round that finishes a prompt's last chunk emits its
             // first token.
-            self.rec.first_token(id, end);
-            if req.output_len <= 1 {
-                self.replicas[d].kv.free(id).expect("was allocated");
-                self.completed += 1;
-                self.rec.completed(id, end);
-            } else {
-                self.replicas[d].push_running(RunSeq {
-                    id,
-                    ctx: prompt + 1,
-                    remaining: req.output_len - 1,
-                });
+            self.core.rec.first_token(id, end);
+            if self.core.graduate(d, id, prompt) {
+                self.core.rec.completed(id, end);
             }
         }
         Some(end)
@@ -695,24 +554,12 @@ impl<'a> RunState<'a> {
 }
 
 impl Resumable for RunState<'_> {
-    fn intake(&self) -> &Intake {
-        &self.intake
+    fn core(&self) -> &RunCore {
+        &self.core
     }
 
-    fn intake_mut(&mut self) -> &mut Intake {
-        &mut self.intake
-    }
-
-    fn recorder(&self) -> &TimingRecorder {
-        &self.rec
-    }
-
-    fn completed(&self) -> usize {
-        self.completed
-    }
-
-    fn roofline(&self) -> Roofline {
-        self.eng.roofline()
+    fn core_mut(&mut self) -> &mut RunCore {
+        &mut self.core
     }
 
     fn advance(&mut self, rl: &Roofline) -> bool {
@@ -723,28 +570,13 @@ impl Resumable for RunState<'_> {
         }
     }
 
-    fn finish(mut self) -> EngineReport {
+    fn finish(self) -> EngineReport {
         debug_assert_eq!(self.at, Resume::Done, "finish runs after the loop completes");
-        let end = self.cs.sim.run_until_idle();
-        assert_eq!(self.completed, self.intake.len(), "all requests must finish");
-        let gpu_utilization = self.cs.mean_compute_utilization();
-        let timeline = std::mem::take(&mut self.rec).resolve(&self.intake.meta);
-        let latency = LatencyStats::from_timeline(&timeline);
         EngineReport {
-            label: self.eng.label(),
-            stats: self.intake.stats(end.as_secs()),
             prefill_wall_s: self.prefill_wall,
             decode_wall_s: self.decode_wall,
             mixed_wall_s: self.mixed_wall,
-            reshard_wall_s: 0.0,
-            transitions: 0,
-            swap_out_bytes: 0,
-            swap_in_bytes: 0,
-            phases: Vec::new(),
-            gpu_utilization,
-            busy_by_kind: self.cs.sim.busy_by_kind(),
-            timeline,
-            latency,
+            ..self.core.finish(self.eng.label())
         }
     }
 }
@@ -785,9 +617,9 @@ mod tests {
             )
             .unwrap();
             let mut run = RunState::new(&eng, Intake::closed(&stream));
-            assert!(run.advance(&eng.roofline()), "a closed run always completes");
-            assert_eq!(run.cs.sim.submitted_tasks(), 0, "{policy:?}");
-            assert!(run.cs.sim.busy_by_kind().compute > 0.0, "{policy:?}");
+            assert!(run.advance(&run.core.roofline()), "a closed run always completes");
+            assert_eq!(run.core.cs.sim.submitted_tasks(), 0, "{policy:?}");
+            assert!(run.core.cs.sim.busy_by_kind().compute > 0.0, "{policy:?}");
         }
     }
 

@@ -150,22 +150,6 @@ impl ModelConfig {
     pub fn attn_flops_decode(&self, ctx: usize) -> f64 {
         4.0 * (self.num_heads * self.head_dim) as f64 * ctx as f64
     }
-
-    // ------------------------------------------------------------------
-    // Tensor-parallel communication
-    // ------------------------------------------------------------------
-
-    /// Activation bytes per token (`A` in the paper: one hidden
-    /// vector).
-    pub fn activation_bytes_per_token(&self) -> f64 {
-        (self.hidden as u64 * self.dtype.bytes()) as f64
-    }
-
-    /// All-reduce operations per layer under tensor parallelism (one
-    /// after attention output, one after the MLP — Megatron-style).
-    pub const fn allreduces_per_layer(&self) -> usize {
-        2
-    }
 }
 
 #[cfg(test)]
@@ -227,12 +211,5 @@ mod tests {
         assert!(
             (m.linear_flops_per_token_layer() - 2.0 * m.params_per_layer() as f64).abs() < 1.0
         );
-    }
-
-    #[test]
-    fn allreduce_volume_is_two_hidden_vectors_per_token() {
-        let m = presets::llama2_13b();
-        let per_token = m.allreduces_per_layer() as f64 * m.activation_bytes_per_token();
-        assert!((per_token - 2.0 * (m.hidden as f64) * 2.0).abs() < 1e-9);
     }
 }

@@ -4,6 +4,10 @@
 #   * the benchmark package in perfbench/ does not build, or
 #   * clippy reports any warning on the workspace (all targets), or
 #   * parallel figure output diverges from serial (determinism), or
+#   * the serial figure output's FNV-1a 64 digest differs from the
+#     committed BENCH_sweep.json's "output_digest" at the same
+#     subsample (byte identity across builds; checked inside
+#     perf_report; a deliberate re-baseline updates that one line), or
 #   * any sims/sec figure (seesaw, vllm, its chunked-prefill twin
 #     "vllm_chunked", the online-serving
 #     load-point rate "serving", the 4-replica-JSQ fleet grid-cell
