@@ -1,5 +1,7 @@
 //! `serving` — online-serving sweep: offered load vs SLO attainment
-//! and goodput (see `seesaw_bench::serving`).
+//! and goodput of one engine, run as the fleet scaling sweep at one
+//! replica under round-robin (see `seesaw_bench::serving` and
+//! `seesaw_bench::fleet::FleetScenario::scaling_with`).
 //!
 //! Usage:
 //!   serving [n_requests] [--jobs N] [--engine seesaw|vllm|disagg]
@@ -14,8 +16,10 @@
 //! of the table.
 
 use seesaw_bench::cli::Flags;
+use seesaw_bench::fleet::FleetScenario;
 use seesaw_bench::serving::{self, EngineKind};
 use seesaw_engine::SweepRunner;
+use seesaw_fleet::RouterPolicy;
 use seesaw_workload::SloSpec;
 
 struct Args {
@@ -61,13 +65,13 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     let runner = SweepRunner::with_jobs(args.jobs);
-    let sweep = serving::default_sweep_of_with(
+    let sweep = FleetScenario::new(args.engine, args.n_requests, args.seed).scaling_with(
         &runner,
-        args.engine,
-        args.n_requests,
+        None,
+        &[1],
         &args.multipliers,
+        RouterPolicy::RoundRobin,
         args.slo,
-        args.seed,
     );
     if args.json {
         print!("{}", serving::to_json(&sweep));

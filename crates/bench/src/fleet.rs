@@ -1,14 +1,18 @@
 //! Fleet-serving harness: the default multi-replica scenario, its
 //! capacity-scaling and router-comparison sweeps, and their
-//! table/JSON renderings (the `fleet` bin).
+//! table/JSON renderings (the `fleet` bin; the `serving` bin is the
+//! scaling sweep at one replica).
 //!
-//! Two experiments, mirroring how capacity planning actually works:
+//! Three experiments, mirroring how capacity planning actually works:
 //!
 //! * **Scaling curve** — replica count × offered load (as a multiple
 //!   of `N ×` single-replica offline capacity), goodput and SLO
-//!   attainment per cell. A perfectly balanced fleet keeps its
-//!   goodput knee at the same multiplier for every N; the table makes
-//!   routing losses visible as the knee sliding left with N.
+//!   attainment per cell ([`FleetScenario::scaling_with`]). A
+//!   perfectly balanced fleet keeps its goodput knee at the same
+//!   multiplier for every N; the table makes routing losses visible
+//!   as the knee sliding left with N. At `N = 1` under round-robin
+//!   the fleet is a transparent wrapper of its one engine, so that
+//!   row of the grid is the `serving` bin's offered-load sweep.
 //! * **Router head-to-head** — every policy (the four estimated-queue
 //!   ones plus the live `jsq-live`/`least-work-live` pair) on the
 //!   same fleet size and request stream at one fixed (default:
@@ -40,6 +44,7 @@ use seesaw_parallel::ParallelConfig;
 use seesaw_sim::TraceSummary;
 use seesaw_telemetry::{Instrument, MetricsRegistry};
 use seesaw_workload::{unit_rate_pattern, ArrivalDist, Request, SloSpec, ARRIVAL_SEED_SALT};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Default replica counts for the scaling sweep.
@@ -68,7 +73,9 @@ pub const HETERO_REPLICAS: usize = 4;
 pub const DEFAULT_HETERO_LOAD: f64 = 1.2;
 
 /// The seeded unit-rate Poisson arrival pattern behind every default
-/// fleet experiment: `n` times, salted like every serving sweep.
+/// fleet experiment: `n` times, salted like
+/// `WorkloadGen::with_arrivals` so request lengths and inter-arrival
+/// gaps come from different draws of the same seed.
 fn poisson_unit(n: usize, seed: u64) -> Vec<f64> {
     ArrivalDist::Poisson { rate: 1.0 }
         .sample_times(n, seed ^ ARRIVAL_SEED_SALT)
@@ -171,13 +178,47 @@ impl FleetScenario {
         default_engine_of(self.kind, &self.cluster, &self.model)
     }
 
+    /// `pattern`, or the seeded unit-rate Poisson pattern when none is
+    /// given.
+    fn unit<'a>(&self, pattern: Option<&'a [f64]>) -> Cow<'a, [f64]> {
+        pattern.map_or_else(|| poisson_unit(self.base.len(), self.seed).into(), Cow::Borrowed)
+    }
+
     /// A dedicated cell: `n_replicas` replicas and the Poisson-paced
     /// requests at `multiplier ×` their aggregate capacity, with that
     /// rate.
     pub fn cell(&self, n_replicas: usize, multiplier: f64) -> (Fleet, Vec<Request>, f64) {
         let rate = multiplier * n_replicas as f64 * self.capacity_rps;
-        let reqs = paced(&self.base, &poisson_unit(self.base.len(), self.seed), rate);
+        let reqs = paced(&self.base, &self.unit(None), rate);
         (Fleet::homogeneous(n_replicas, |i| self.replica(i)), reqs, rate)
+    }
+
+    /// The scaling sweep: fleets of `replica_counts` default replicas
+    /// at `multipliers ×` their aggregate capacity under `policy`, on
+    /// `pattern` (unit-rate Poisson when `None`). At `&[1]` under
+    /// round-robin this is the `serving` bin's offered-load sweep of
+    /// one engine.
+    pub fn scaling_with(
+        &self,
+        runner: &SweepRunner,
+        pattern: Option<&[f64]>,
+        replica_counts: &[usize],
+        multipliers: &[f64],
+        policy: RouterPolicy,
+        slo: SloSpec,
+    ) -> FleetScalingSweep {
+        scaling_sweep_patterned_at_capacity_with(
+            runner,
+            &|i| self.replica(i),
+            &self.workload,
+            &self.base,
+            (self.capacity_rps, &self.label),
+            &self.unit(pattern),
+            replica_counts,
+            multipliers,
+            policy,
+            slo,
+        )
     }
 }
 
@@ -319,32 +360,13 @@ pub fn default_experiments_patterned_with(
     compare_load: f64,
     slo: SloSpec,
 ) -> (FleetScalingSweep, Vec<FleetPoint>) {
-    let base = &scenario.base;
-    let poisson;
-    let unit: &[f64] = match pattern {
-        Some(u) => u,
-        None => {
-            poisson = poisson_unit(base.len(), scenario.seed);
-            &poisson
-        }
-    };
-    let scaling = scaling_sweep_patterned_at_capacity_with(
-        runner,
-        &|i| scenario.replica(i),
-        &scenario.workload,
-        base,
-        (scenario.capacity_rps, &scenario.label),
-        unit,
-        replica_counts,
-        multipliers,
-        policy,
-        slo,
-    );
+    let scaling =
+        scenario.scaling_with(runner, pattern, replica_counts, multipliers, policy, slo);
     let comparison = policy_comparison_patterned_with(
         runner,
         &|| Fleet::homogeneous(compare_replicas, |i| scenario.replica(i)),
-        base,
-        unit,
+        &scenario.base,
+        &scenario.unit(pattern),
         (compare_load, compare_load * compare_replicas as f64 * scenario.capacity_rps),
         &RouterPolicy::all_with_live(),
         slo,

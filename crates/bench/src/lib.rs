@@ -9,12 +9,14 @@
 //! * [`table::Table`] — aligned markdown table printer.
 //! * [`harness`] — the vLLM configuration/policy sweep ("best static
 //!   baseline", as the paper tunes it) and the Seesaw auto-probed run.
-//! * [`serving`] — the online-serving harness: offered-load sweeps
-//!   against SLO attainment and goodput (the `serving` bin), for any
-//!   engine backend (`--engine seesaw|vllm|disagg`).
+//! * [`serving`] — the default scenario every experiment bin shares
+//!   (engines for `--engine seesaw|vllm|disagg`, specs, requests, SLO)
+//!   and the `serving` bin's offered-load vs SLO-attainment renderings.
 //! * [`fleet`] — the multi-replica tier: capacity-scaling and
 //!   router-policy sweeps over `seesaw_fleet::Fleet` (the `fleet`
-//!   bin).
+//!   bin). The `serving` bin's sweep is its scaling sweep at one
+//!   replica under round-robin
+//!   ([`fleet::FleetScenario::scaling_with`]).
 //! * [`autoscale`] and [`chaos`] — the elastic tier, both views of
 //!   one `seesaw_autoscale::elastic_sweep_with` grid over the shared
 //!   day-long [`autoscale::Scenario`]: the fault-free policy × trace

@@ -13,10 +13,11 @@
 //!
 //! The serving variant replays the same request set with fixed-seed
 //! Poisson arrivals at twice the scenario's offline capacity (a
-//! mildly overloaded point — the regime serving sweeps live in) and
-//! is the unit of work behind `sims_per_sec.serving`: one online
-//! engine run *including* latency-percentile computation, i.e. one
-//! serving-sweep load point per evaluation.
+//! mildly overloaded point) and is the unit of work behind
+//! `sims_per_sec.serving`: one bare vLLM engine run under online
+//! arrivals — arrival-gated admission, idle gaps and the
+//! latency-percentile computation included — with no fleet or router
+//! around it.
 //!
 //! The fleet variant (`sims_per_sec.fleet`) is one fleet-sweep grid
 //! cell: a 4-replica fleet of the vLLM candidate, join-shortest-queue
@@ -193,10 +194,9 @@ impl SimsBench {
         .run(&self.reqs)
     }
 
-    /// One online-serving evaluation: the vLLM candidate on the
+    /// One online-serving evaluation: the bare vLLM candidate on the
     /// arrival-laden request set — arrival-gated admission, idle
-    /// gaps, and latency-percentile computation included. This is a
-    /// serving sweep's per-load-point unit of work.
+    /// gaps, and latency-percentile computation included.
     pub fn run_serving_once(&self) -> EngineReport {
         self.vllm().run(&self.serving_reqs)
     }

@@ -84,15 +84,32 @@ fn figure_output_is_byte_identical_across_job_counts() {
     assert_eq!(serial, parallel);
 }
 
+/// The `serving` bin's sweep: the default scenario's fleet scaling
+/// sweep at one replica under round-robin.
+fn serving_sweep(
+    runner: &SweepRunner,
+    kind: seesaw_bench::serving::EngineKind,
+    n_requests: usize,
+    multipliers: &[f64],
+) -> seesaw_fleet::FleetScalingSweep {
+    seesaw_bench::fleet::FleetScenario::new(kind, n_requests, seesaw_bench::SEED).scaling_with(
+        runner,
+        None,
+        &[1],
+        multipliers,
+        seesaw_fleet::RouterPolicy::RoundRobin,
+        seesaw_bench::serving::DEFAULT_SLO,
+    )
+}
+
 /// The online-serving sweep inherits the same contract: identical
 /// points (reports, timelines, latency percentiles, attainment) and
 /// identical rendered output for every job count, warm pools or not.
 #[test]
 fn serving_sweep_is_byte_identical_across_job_counts() {
-    use seesaw_bench::serving;
-    let run = |runner: &SweepRunner| {
-        serving::default_sweep_with(runner, 48, &[0.5, 1.0, 2.0, 4.0], serving::DEFAULT_SLO, 42)
-    };
+    use seesaw_bench::serving::{self, EngineKind};
+    let run =
+        |runner: &SweepRunner| serving_sweep(runner, EngineKind::Vllm, 48, &[0.5, 1.0, 2.0, 4.0]);
     let serial = run(&SweepRunner::serial());
     let parallel = run(&SweepRunner::new(4));
     assert_eq!(serial, parallel, "serving points must be runner-invariant");
@@ -110,14 +127,9 @@ fn serving_sweep_is_byte_identical_across_job_counts() {
 /// shipped default is the contract.)
 #[test]
 fn serving_attainment_knee_is_monotone() {
-    use seesaw_bench::serving;
-    let sweep = serving::default_sweep_with(
-        &SweepRunner::from_env(),
-        200,
-        serving::DEFAULT_LOAD_MULTIPLIERS,
-        serving::DEFAULT_SLO,
-        seesaw_bench::SEED,
-    );
+    use seesaw_bench::serving::{EngineKind, DEFAULT_LOAD_MULTIPLIERS};
+    let sweep =
+        serving_sweep(&SweepRunner::from_env(), EngineKind::Vllm, 200, DEFAULT_LOAD_MULTIPLIERS);
     for w in sweep.points.windows(2) {
         assert!(
             w[1].attainment <= w[0].attainment + 1e-12,
@@ -193,57 +205,13 @@ fn fleet_sweeps_are_byte_identical_across_job_counts() {
     assert_eq!(s1, warm, "warm-pool fleet rerun drifted");
 }
 
-/// A single-replica round-robin fleet is a transparent wrapper around
-/// the bare engine: the corresponding serving-sweep point (same
-/// request pacing) and the fleet cell agree report-for-report.
-#[test]
-fn single_replica_fleet_point_matches_bare_serving_point() {
-    use seesaw_bench::{fleet, serving};
-    use seesaw_fleet::RouterPolicy;
-    let runner = SweepRunner::serial();
-    let slo = serving::DEFAULT_SLO;
-    let bare = serving::default_sweep_with(&runner, 32, &[0.75], slo, seesaw_bench::SEED);
-    let (fleet_sweep, _) = fleet::default_experiments_patterned_with(
-        &runner,
-        &fleet::FleetScenario::new(serving::EngineKind::Vllm, 32, seesaw_bench::SEED),
-        None,
-        &[1],
-        &[0.75],
-        RouterPolicy::RoundRobin,
-        1,
-        0.75,
-        slo,
-    );
-    assert!((fleet_sweep.capacity_rps - bare.capacity_rps).abs() < 1e-12);
-    let bare_point = &bare.points[0];
-    let fleet_point = &fleet_sweep.points[0];
-    // Same engine, same paced stream: the replica's report is
-    // byte-identical to the bare engine's (its timeline moved into
-    // the fleet's), and the fleet aggregates coincide.
-    let mut bare_report = bare_point.report.clone();
-    assert_eq!(fleet_point.report.timeline, std::mem::take(&mut bare_report.timeline));
-    assert_eq!(fleet_point.report.replicas[0], bare_report);
-    assert_eq!(fleet_point.report.latency, bare_point.report.latency);
-    assert!((fleet_point.attainment - bare_point.attainment).abs() < 1e-12);
-    assert!((fleet_point.goodput_rps - bare_point.goodput_rps).abs() < 1e-12);
-}
-
 /// The serving sweep's `--json` rendering is deterministic across job
 /// counts and engine backends.
 #[test]
 fn serving_json_is_runner_invariant() {
     use seesaw_bench::serving::{self, EngineKind};
     for kind in [EngineKind::Vllm, EngineKind::Disagg] {
-        let run = |runner: &SweepRunner| {
-            serving::default_sweep_of_with(
-                runner,
-                kind,
-                24,
-                &[0.5, 2.0],
-                serving::DEFAULT_SLO,
-                seesaw_bench::SEED,
-            )
-        };
+        let run = |runner: &SweepRunner| serving_sweep(runner, kind, 24, &[0.5, 2.0]);
         let serial = serving::to_json(&run(&SweepRunner::serial()));
         let parallel = serving::to_json(&run(&SweepRunner::new(4)));
         assert_eq!(serial, parallel, "{kind:?} JSON must be runner-invariant");

@@ -11,7 +11,6 @@
 //! configuration; KV transfer between instances rides the host links
 //! and is accounted as a decode-side overhead.
 
-use crate::autotune;
 use crate::online::{mean_lengths, OnlineEngine, ServiceRates};
 use crate::report::EngineReport;
 use seesaw_hw::ClusterSpec;
@@ -349,9 +348,7 @@ pub fn whole_cluster_decode_rps(
     avg_in: usize,
     avg_out: usize,
 ) -> Result<f64, FitError> {
-    let (cfg, step_rate) = best_decode_config(cluster, model, avg_in + avg_out / 2)?;
-    let _ = autotune::best_static_config(cluster, model, avg_in, avg_out)?; // sanity: model fits
-    let _ = cfg;
+    let (_, step_rate) = best_decode_config(cluster, model, avg_in + avg_out / 2)?;
     Ok(step_rate / avg_out as f64)
 }
 
@@ -402,6 +399,15 @@ mod tests {
             frac < 0.4,
             "4-GPU decode should be a small fraction of 8-GPU, got {frac:.2}"
         );
+    }
+
+    /// With no configuration that holds the model, the whole-cluster
+    /// reference errs instead of reporting a rate.
+    #[test]
+    fn whole_cluster_decode_errs_when_no_config_fits() {
+        let whole =
+            whole_cluster_decode_rps(&ClusterSpec::a10x4(), &presets::llama2_70b(), 3000, 250);
+        assert!(whole.is_err(), "70B cannot fit 4x A10, got {whole:?}");
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Fleet-level sweeps: capacity scaling (replica count × offered
 //! load) and router-policy head-to-head comparison.
 //!
-//! Both sweeps follow the serving harness's methodology: one
-//! unit-rate Poisson arrival pattern is sampled per seed and *scaled*
-//! per point, so every grid cell replays the same requests in the
-//! same order and differs only in pacing. Offered load is expressed
-//! as a multiple of `N ×` the single replica's measured *offline*
-//! capacity, so the goodput knee of a well-balanced fleet sits near
-//! multiplier 1.0 for every N — deviations from that are exactly the
-//! routing/imbalance losses this tier exists to measure.
+//! Both sweeps replay one unit-rate arrival pattern (a Poisson pattern
+//! sampled per seed, or a trace shape) *scaled* per point, so every
+//! grid cell replays the same requests in the same order and differs
+//! only in pacing. The scaling sweep at one replica under round-robin
+//! is a single engine's offered-load sweep (the `serving` bin's).
+//! Offered load is expressed as a multiple of `N ×` the single
+//! replica's measured *offline* capacity, so the goodput knee of a
+//! well-balanced fleet sits near multiplier 1.0 for every N —
+//! deviations from that are exactly the routing/imbalance losses this
+//! tier exists to measure.
 //!
 //! Grid cells are independent fleet runs evaluated on a
 //! [`SweepRunner`]; within each cell the replicas parallelize on the

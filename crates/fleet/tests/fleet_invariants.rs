@@ -36,23 +36,44 @@ fn online_reqs(n: usize, rate: f64, seed: u64) -> Vec<Request> {
         .expect("valid arrivals")
 }
 
-/// A fleet of one behind round-robin is a transparent wrapper: its
-/// only replica's report is byte-identical to the bare engine run on
-/// the same stream (its timeline moved into the fleet's), and the
-/// fleet-level aggregates coincide with the engine's own.
+fn seesaw_engine(cluster: &Arc<ClusterSpec>, model: &Arc<ModelConfig>) -> SeesawEngine {
+    SeesawEngine::new(
+        Arc::clone(cluster),
+        Arc::clone(model),
+        SeesawSpec::new(ParallelConfig::pp(4), ParallelConfig::tp(4)),
+    )
+    .expect("valid spec")
+}
+
+/// A fleet of one behind round-robin is a transparent wrapper for
+/// every backend (vLLM, Seesaw `P4->T4`, disagg): its only replica's
+/// report is byte-identical to the bare engine run on the same stream
+/// (its timeline moved into the fleet's), and the fleet-level
+/// aggregates coincide with the engine's own. The replica runs as an
+/// actor (disagg's replays prefixes), so each actor must finish
+/// exactly like `run`; the `serving` bin's sweep relies on it.
 #[test]
 fn single_replica_round_robin_is_byte_identical_to_bare_engine() {
     let (cluster, model) = specs();
     let reqs = online_reqs(32, 3.0, 42);
-    let mut bare = vllm_engine(&cluster, &model).run(&reqs);
-    let fleet = Fleet::new(vec![Box::new(vllm_engine(&cluster, &model))]);
-    let report = fleet.run_with(&SweepRunner::serial(), RouterPolicy::RoundRobin, &reqs);
-    assert_eq!(report.replicas.len(), 1);
-    assert_eq!(report.timeline, std::mem::take(&mut bare.timeline));
-    assert_eq!(report.replicas[0], bare, "fleet-of-one must not perturb the engine run");
-    assert_eq!(report.latency, bare.latency);
-    assert_eq!(report.stats, bare.stats);
-    assert!(report.assignment.iter().all(|&r| r == 0));
+    type Backend = fn(&Arc<ClusterSpec>, &Arc<ModelConfig>) -> Box<dyn OnlineEngine>;
+    let backends: [Backend; 3] = [
+        |c, m| Box::new(vllm_engine(c, m)),
+        |c, m| Box::new(seesaw_engine(c, m)),
+        |c, m| Box::new(DisaggEngine::new(Arc::clone(c), Arc::clone(m))),
+    ];
+    for build in backends {
+        let mut bare = build(&cluster, &model).run(&reqs);
+        let fleet = Fleet::new(vec![build(&cluster, &model)]);
+        let report = fleet.run_with(&SweepRunner::serial(), RouterPolicy::RoundRobin, &reqs);
+        let label = &bare.label;
+        assert_eq!(report.replicas.len(), 1);
+        assert_eq!(report.timeline, std::mem::take(&mut bare.timeline), "{label}");
+        assert_eq!(report.replicas[0], bare, "fleet-of-one must not perturb {label}");
+        assert_eq!(report.latency, bare.latency, "{label}");
+        assert_eq!(report.stats, bare.stats, "{label}");
+        assert!(report.assignment.iter().all(|&r| r == 0));
+    }
 }
 
 /// Every routing policy produces an identical report on 1 vs 4 jobs,
@@ -63,14 +84,7 @@ fn heterogeneous_fleet_is_runner_invariant_under_every_policy() {
     let build = || -> Vec<Box<dyn OnlineEngine>> {
         vec![
             Box::new(vllm_engine(&cluster, &model)),
-            Box::new(
-                SeesawEngine::new(
-                    Arc::clone(&cluster),
-                    Arc::clone(&model),
-                    SeesawSpec::new(ParallelConfig::pp(4), ParallelConfig::tp(4)),
-                )
-                .expect("valid spec"),
-            ),
+            Box::new(seesaw_engine(&cluster, &model)),
             Box::new(DisaggEngine::new(Arc::clone(&cluster), Arc::clone(&model))),
         ]
     };

@@ -87,14 +87,6 @@ impl CpuKvBuffer {
     pub fn capacity_tokens(&self) -> u64 {
         self.capacity_tokens
     }
-
-    /// Occupancy in `[0, 1]`.
-    pub fn occupancy(&self) -> f64 {
-        if self.capacity_tokens == 0 {
-            return 1.0;
-        }
-        self.used_tokens as f64 / self.capacity_tokens as f64
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +122,6 @@ mod tests {
         assert!(!buf.push(seq(2, 100)), "push past capacity must fail");
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.used_tokens(), 200);
-        assert!((buf.occupancy() - 0.8).abs() < 1e-12);
         buf.pop();
         assert!(buf.push(seq(2, 100)));
     }
@@ -152,6 +143,5 @@ mod tests {
     fn zero_capacity_is_always_full() {
         let buf = CpuKvBuffer::new(0);
         assert!(!buf.can_fit(1));
-        assert_eq!(buf.occupancy(), 1.0);
     }
 }

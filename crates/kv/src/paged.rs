@@ -101,25 +101,6 @@ impl PagedKvCache {
         Ok(())
     }
 
-    /// Grow a sequence by one decode token, allocating a block when
-    /// the current one fills.
-    pub fn append_token(&mut self, id: u64) -> Result<(), KvError> {
-        let alloc = self.seqs.get(&id).ok_or(KvError::UnknownSeq(id))?;
-        let need = self.blocks_for(alloc.tokens + 1);
-        let extra = need - alloc.blocks;
-        if extra > self.free_blocks {
-            return Err(KvError::OutOfBlocks {
-                need: extra,
-                free: self.free_blocks,
-            });
-        }
-        self.free_blocks -= extra;
-        let alloc = self.seqs.get_mut(&id).expect("checked above");
-        alloc.blocks = need;
-        alloc.tokens += 1;
-        Ok(())
-    }
-
     /// Release a sequence, returning its token count.
     pub fn free(&mut self, id: u64) -> Result<usize, KvError> {
         let alloc = self.seqs.remove(&id).ok_or(KvError::UnknownSeq(id))?;
@@ -166,11 +147,9 @@ mod tests {
         // 100 tokens = 7 blocks of 16 = 112 token slots.
         let cap = kv.capacity_tokens();
         assert_eq!(kv.free_tokens(), cap - 7 * 16);
-        for _ in 0..12 {
-            kv.append_token(1).unwrap();
-        }
-        assert_eq!(kv.free_tokens(), cap - 7 * 16, "slack filled without a new block");
-        kv.append_token(1).unwrap(); // new block
+        // A sequence grows by being re-reserved at its final context.
+        assert_eq!(kv.free(1).unwrap(), 100);
+        kv.allocate(1, 113).unwrap();
         assert_eq!(kv.free_tokens(), cap - 8 * 16);
         assert_eq!(kv.free(1).unwrap(), 113);
         assert_eq!(kv.used_tokens(), 0);
@@ -192,19 +171,18 @@ mod tests {
         let mut kv = PagedKvCache::new(1000, 16);
         kv.allocate(1, 10).unwrap();
         assert_eq!(kv.allocate(1, 10).unwrap_err(), KvError::DuplicateSeq(1));
-        assert_eq!(kv.append_token(9).unwrap_err(), KvError::UnknownSeq(9));
         assert_eq!(kv.free(9).unwrap_err(), KvError::UnknownSeq(9));
     }
 
     #[test]
-    fn append_fails_when_full_then_recovers() {
+    fn allocate_fails_when_full_then_recovers() {
         let mut kv = PagedKvCache::new(32, 16); // 2 blocks
         kv.allocate(1, 16).unwrap();
         kv.allocate(2, 16).unwrap();
-        let err = kv.append_token(1).unwrap_err();
-        assert!(matches!(err, KvError::OutOfBlocks { .. }));
+        let err = kv.allocate(3, 1).unwrap_err();
+        assert!(matches!(err, KvError::OutOfBlocks { need: 1, free: 0 }));
         kv.free(2).unwrap();
-        kv.append_token(1).unwrap();
+        kv.allocate(3, 1).unwrap();
         assert_eq!(kv.used_tokens(), 17);
     }
 

@@ -8,7 +8,6 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 enum Op {
     Allocate { id: u64, tokens: usize },
-    Append { id: u64 },
     Free { id: u64 },
 }
 
@@ -16,7 +15,6 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
             (0u64..8, 1usize..200).prop_map(|(id, tokens)| Op::Allocate { id, tokens }),
-            (0u64..8).prop_map(|id| Op::Append { id }),
             (0u64..8).prop_map(|id| Op::Free { id }),
         ],
         1..120,
@@ -63,26 +61,6 @@ proptest! {
                         }
                         Err(KvError::OutOfBlocks { .. }) => {
                             prop_assert!(!expect_ok, "allocate should have succeeded");
-                        }
-                        Err(e) => prop_assert!(false, "unexpected error {e}"),
-                    }
-                }
-                Op::Append { id } => {
-                    let expect = reference.seqs.get(&id).copied();
-                    match kv.append_token(id) {
-                        Ok(()) => {
-                            let t = expect.expect("append succeeded on unknown seq");
-                            // Either fits in the current block or a new
-                            // block was available.
-                            reference.seqs.insert(id, t + 1);
-                            prop_assert!(reference.blocks(BLOCK) <= total_blocks);
-                        }
-                        Err(KvError::UnknownSeq(_)) => prop_assert!(expect.is_none()),
-                        Err(KvError::OutOfBlocks { .. }) => {
-                            let t = expect.expect("oob on unknown seq");
-                            // Growing must genuinely need a new block.
-                            prop_assert_eq!(t % BLOCK, 0);
-                            prop_assert_eq!(reference.blocks(BLOCK), total_blocks);
                         }
                         Err(e) => prop_assert!(false, "unexpected error {e}"),
                     }

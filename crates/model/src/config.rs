@@ -137,19 +137,6 @@ impl ModelConfig {
     pub fn linear_flops_per_token_layer(&self) -> f64 {
         2.0 * self.params_per_layer() as f64
     }
-
-    /// Attention-score FLOPs per layer to *prefill* one sequence of
-    /// `s` tokens: QKᵀ and A·V over a causal mask,
-    /// `≈ 2·h_q·d·s²` (two matmuls × s²/2 causal positions × 2 flops).
-    pub fn attn_flops_prefill(&self, s: usize) -> f64 {
-        2.0 * (self.num_heads * self.head_dim) as f64 * (s as f64) * (s as f64)
-    }
-
-    /// Attention-score FLOPs per layer for one *decode* step of a
-    /// sequence with `ctx` tokens of context: `4·h_q·d·ctx`.
-    pub fn attn_flops_decode(&self, ctx: usize) -> f64 {
-        4.0 * (self.num_heads * self.head_dim) as f64 * ctx as f64
-    }
 }
 
 #[cfg(test)]
@@ -189,20 +176,6 @@ mod tests {
         );
         // GQA: 70B has 8 KV heads of dim 128 => 2*8*128*2 = 4096 B/layer.
         assert_eq!(m.kv_bytes_per_token_layer(), 4096);
-    }
-
-    #[test]
-    fn prefill_attn_flops_quadratic() {
-        let m = presets::llama2_13b();
-        let f1 = m.attn_flops_prefill(512);
-        let f2 = m.attn_flops_prefill(1024);
-        assert!((f2 / f1 - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn decode_attn_flops_linear_in_context() {
-        let m = presets::llama2_13b();
-        assert!((m.attn_flops_decode(2000) / m.attn_flops_decode(1000) - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Deterministic observability for the tiers above the engine.
 //!
-//! Everything below the fleet tier is already inspectable through
-//! [`seesaw_sim`]'s span traces; this crate covers the rest of the
+//! Below the fleet tier, every engine run reports its simulated busy
+//! seconds per task kind (`EngineReport::busy_by_kind`, which the
+//! `fleet --breakdown` table reads); this crate covers the rest of the
 //! stack — router decisions, request lifecycles, scale transitions,
 //! fault injections — with three cooperating pieces:
 //!

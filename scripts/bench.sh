@@ -32,6 +32,10 @@
 #     peaks above ALL_FIGURES_MAX_RSS_MIB of resident memory, or the
 #     chaos bin's one-hour day (`chaos --day 3600 --jobs 1`) peaks
 #     above CHAOS_DAY_MAX_RSS_MIB, or
+#   * the serving bin's sweep (the fleet scaling sweep at one
+#     replica) prints different bytes at --jobs 1 and --jobs 2, or its
+#     --json is not valid JSON with one point per load and offered
+#     load rising, or
 #   * a heavy-fault chaos grid (1500 kills and 40 outages per day,
 #     on an 1800 s day; ~0.5 s) has a cell where `completed + failed`
 #     differs from the offered request count (request reconciliation).
@@ -63,7 +67,7 @@ ALL_FIGURES_MAX_RSS_MIB=5.5
 CHAOS_DAY_MAX_RSS_MIB=15.5
 
 cargo build --release -p seesaw-bench --bin perf_report --bin fleet --bin autoscale \
-    --bin chaos --bin all_figures
+    --bin chaos --bin all_figures --bin serving
 # The benchmark package pins library names (its own workspace, built as
 # the benchmark builds it): a change that breaks them fails here.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
@@ -151,6 +155,23 @@ EOF
 
 check_peak_rss "$ALL_FIGURES_MAX_RSS_MIB" ./target/release/all_figures 1 --jobs 1
 check_peak_rss "$CHAOS_DAY_MAX_RSS_MIB" ./target/release/chaos --day 3600 --jobs 1
+
+# Serving smoke: the one-replica sweep is byte-identical across job
+# counts, and its JSON carries one point per load in rising offered
+# load.
+serial=$(./target/release/serving 48 --loads 0.5,2 --jobs 1)
+parallel=$(./target/release/serving 48 --loads 0.5,2 --jobs 2)
+[ "$serial" = "$parallel" ] || { echo "bench.sh: serving output differs across --jobs" >&2; exit 1; }
+./target/release/serving 48 --loads 0.5,2 --json > target/serving.json
+python3 - target/serving.json <<'EOF'
+import json, sys
+points = json.load(open(sys.argv[1]))["points"]
+loads = [p["load_multiplier"] for p in points]
+rates = [p["offered_rps"] for p in points]
+assert loads == [0.5, 2.0], f"serving: expected one point per load, got {loads}"
+assert all(a < b for a, b in zip(rates, rates[1:])), f"serving: offered load not rising: {rates}"
+print(f"bench.sh: serving OK ({len(points)} points, byte-identical across --jobs)")
+EOF
 
 # Reconciliation smoke: under heavy faults every chaos cell must still
 # account for each offered request as completed or failed.
