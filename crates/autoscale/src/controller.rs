@@ -9,14 +9,16 @@
 //! dispatches still pending. At one instant a kill runs before an
 //! arrival and an arrival before a redispatch. Each event goes to a
 //! small named handler, so the controller's state is O(pending
-//! events), not O(trace). Time
-//! advances in fixed control windows: the loop pops every event before
-//! the window end, then closes the window. A dispatch routes over the
-//! replicas *currently accepting traffic* (warm, not retiring) using
-//! the fleet tier's [`Router`]; at the window boundary the controller
-//! reads its signals — queue depth, offered load, estimated
-//! utilization, estimated TTFT attainment — and lets the
-//! [`ScalingPolicy`] propose an action, subject to its cooldown:
+//! events), not O(trace). Time advances in fixed control windows: the
+//! loop pops every event before the window end, then closes the
+//! window. A dispatch takes the fleet tier's [`Dispatch`] step over the
+//! replicas *currently accepting traffic* (warm, not retiring): it
+//! routes, records the route and pushes the request to the chosen
+//! replica's engine actor, so the actors run on the replay's clock. At
+//! the window boundary the controller reads its signals — queue depth,
+//! offered load, estimated utilization, estimated TTFT attainment —
+//! and lets the [`ScalingPolicy`] propose an action, subject to its
+//! cooldown:
 //!
 //! * **Scale up** spawns replicas that pay a warm-up delay
 //!   (weight-load time) before accepting traffic; routing flows
@@ -34,21 +36,16 @@
 //!   disappearing — the replica's billed lifetime extends to its last
 //!   completion.
 //!
-//! Each dispatch is pushed to its replica's actor as it is routed, so
-//! the actors run on the replay's clock: live policies (`jsq-live`,
-//! `least-work-live`) read their measured state at the arrival
-//! instant; estimated policies decide from the router's virtual
-//! queues and roofline service estimates. A kill, under every policy,
-//! finishes the victim's actor at the kill instant (nothing can reach
-//! a dead replica, so that run is final) and loses exactly the
-//! attempts it had not completed by then. Decisions are serial in
-//! event order, so the trajectory is deterministic and independent of
-//! the [`SweepRunner`]; finishing the surviving actors — the rest of
-//! each replica's simulation — runs in parallel and merges into an
-//! ordinary [`FleetReport`] judged by measured (not estimated)
-//! latency. A [`ScalingPolicy::Static`] trajectory never scales, which
-//! makes the elastic run collapse exactly — byte-for-byte — onto the
-//! fixed [`seesaw_fleet::Fleet`] of the same size.
+//! A kill, under every policy, takes the victim out of the dispatch and
+//! finishes its actor at the kill instant (nothing can reach a dead
+//! replica, so that run is final), losing exactly the attempts it had
+//! not completed by then. Decisions are serial in event order, so the
+//! trajectory is deterministic and independent of the [`SweepRunner`];
+//! the surviving actors finish in parallel and merge into an ordinary
+//! [`FleetReport`] judged by measured (not estimated) latency. A
+//! [`ScalingPolicy::Static`] trajectory never scales, so the elastic
+//! run collapses byte-for-byte onto the fixed [`seesaw_fleet::Fleet`]
+//! of the same size, which takes the same step.
 
 use crate::alert::{AlertEngine, AlertEvent, AlertKind, AlertRule};
 use crate::faults::{
@@ -58,18 +55,12 @@ use crate::faults::{
 use crate::policy::{ScaleDecision, ScalingPolicy};
 use seesaw_engine::driver::assert_arrivals_sorted;
 use seesaw_engine::online::mean_lengths;
-use seesaw_engine::{
-    finish_all, EngineActor, EngineReport, OnlineEngine, ServiceRates, SweepRunner,
-};
+use seesaw_engine::{EngineReport, OnlineEngine, ServiceRates, SweepRunner};
 use seesaw_fleet::sweep::ReplicaBuilder;
-use seesaw_fleet::telemetry::{
-    record_request_spans, register_replica_track, register_tracks, route_args,
-};
-use seesaw_fleet::{FleetReport, Routed, Router, RouterPolicy};
+use seesaw_fleet::telemetry::{record_request_spans, register_replica_track, register_tracks};
+use seesaw_fleet::{Dispatch, FleetReport, Routed, RouterPolicy};
 use seesaw_sim::{EventQueue, SimTime};
-use seesaw_telemetry::{
-    fmt_secs, ControllerProfile, Instrument, ALERT_TRACK, CONTROLLER_TRACK, ROUTER_TRACK,
-};
+use seesaw_telemetry::{fmt_secs, ControllerProfile, Instrument, ALERT_TRACK, CONTROLLER_TRACK};
 use seesaw_workload::{windowed_metrics, LatencyStats, Request, SloSpec, WindowMetrics};
 use std::cell::OnceCell;
 use std::time::Instant;
@@ -331,11 +322,6 @@ impl ElasticFleetReport {
 /// One replica's controller-side state during the replay.
 struct ReplicaState<'e> {
     engine: &'e dyn OnlineEngine,
-    /// The replica on the global clock: every dispatch is pushed as
-    /// it is routed, live routing reads its measured state, and
-    /// finishing it yields the replica's report. Taken at the kill,
-    /// or once the trajectory is fixed.
-    actor: Option<Box<dyn EngineActor + 'e>>,
     /// A killed replica's report, finished at the kill and keeping
     /// only the completions up to it.
     report: Option<EngineReport>,
@@ -366,12 +352,24 @@ struct Attempt {
 }
 
 impl<'e> ReplicaState<'e> {
-    fn live(&self) -> bool {
-        self.retire_s.is_none() && self.killed_s.is_none()
+    /// Replica `engine`, provisioned at `spawn_s`, ready at `ready_s`,
+    /// priced at the trace's mean `(input, output)` lengths.
+    fn new(engine: &'e dyn OnlineEngine, avg: (usize, usize), spawn_s: f64, ready_s: f64) -> Self {
+        ReplicaState {
+            engine,
+            report: None,
+            rates: engine.service_rates(avg.0, avg.1),
+            spawn_s,
+            ready_s,
+            retire_s: None,
+            killed_s: None,
+            dispatched: 0,
+            stream: Vec::new(),
+        }
     }
 
-    fn actor(&mut self) -> &mut (dyn EngineActor + 'e) {
-        self.actor.as_deref_mut().expect("only running replicas are read")
+    fn live(&self) -> bool {
+        self.retire_s.is_none() && self.killed_s.is_none()
     }
 }
 
@@ -427,8 +425,9 @@ struct WindowTally {
     failures: usize,
 }
 
-/// The state of one elastic replay: replicas, router and event queue,
-/// plus the counters the report is built from.
+/// The state of one elastic replay: the shared [`Dispatch`] step (router,
+/// replica actors, assignment), each replica's elastic state and the
+/// event queue, plus the counters the report is built from.
 struct Replay<'a> {
     ctl: &'a AutoscaleController,
     build: ReplicaBuilder<'a>,
@@ -460,8 +459,7 @@ struct Replay<'a> {
     /// Pending retries and resumes.
     queue: EventQueue<Event>,
     replicas: Vec<ReplicaState<'a>>,
-    router: Router,
-    assignment: Vec<u32>,
+    dispatch: Dispatch<'a>,
     /// The next retry or resume id. The first is one past the largest
     /// request id; each park or requeue takes the next in sequence.
     next_attempt_id: u64,
@@ -514,6 +512,12 @@ impl<'a> Replay<'a> {
         let cfg = ctl.config;
         let n0 = ctl.policy.initial_replicas(cfg.min_replicas, cfg.max_replicas);
         assert!(u32::try_from(requests.len()).is_ok(), "more than u32::MAX requests");
+        let avg_lengths = mean_lengths(requests);
+        // The initial fleet starts warm.
+        let replicas: Vec<ReplicaState<'a>> = (0..n0)
+            .map(|i| ReplicaState::new(engines.push(build(i)), avg_lengths, 0.0, 0.0))
+            .collect();
+        let actors = replicas.iter().map(|r| r.engine.actor(0.0)).collect();
         let mut replay = Replay {
             ctl,
             build,
@@ -524,15 +528,14 @@ impl<'a> Replay<'a> {
             instr,
             live_routing: cfg.router.needs_live_state(),
             injecting: !faults.events.is_empty(),
-            avg_lengths: mean_lengths(requests),
+            avg_lengths,
             // Set below, from the first initial replica's rates.
             calib: 0.0,
             next_kill: 0,
             next_arrival: 0,
             queue: EventQueue::new(),
-            replicas: Vec::new(),
-            router: Router::new(cfg.router, n0),
-            assignment: vec![0; requests.len()],
+            replicas,
+            dispatch: Dispatch::new(cfg.router, actors, requests.len()),
             next_attempt_id: requests.iter().map(|r| r.id).max().unwrap_or(0).saturating_add(1),
             killed_projections: (0, 0),
             failures: Vec::new(),
@@ -546,7 +549,6 @@ impl<'a> Replay<'a> {
             events: Vec::new(),
             peak_replicas: n0,
             windows_since_event: ctl.policy.cooldown_windows(),
-            // The initial fleet starts warm.
             accepting: (0..n0).collect(),
             warming: Vec::new(),
             events_handled: 0,
@@ -557,7 +559,6 @@ impl<'a> Replay<'a> {
             tally: WindowTally::default(),
             replay_s: 0.0,
         };
-        replay.replicas = (0..n0).map(|i| replay.replica(i, 0.0, 0.0)).collect();
         if replay.telemetry {
             let labels: Vec<String> = replay.replicas.iter().map(|r| r.engine.label()).collect();
             let name = format!("router ({})", cfg.router);
@@ -572,26 +573,6 @@ impl<'a> Replay<'a> {
 
     fn cfg(&self) -> &AutoscaleConfig {
         &self.ctl.config
-    }
-
-    /// Build replica `idx`, provisioned at `spawn_s` and accepting
-    /// traffic from `ready_s`.
-    fn replica(&self, idx: usize, spawn_s: f64, ready_s: f64) -> ReplicaState<'a> {
-        let engines: &'a EngineArena = self.engines;
-        let engine = engines.push((self.build)(idx));
-        let (avg_in, avg_out) = self.avg_lengths;
-        ReplicaState {
-            engine,
-            actor: Some(engine.actor(ready_s)),
-            report: None,
-            rates: engine.service_rates(avg_in, avg_out),
-            spawn_s,
-            ready_s,
-            retire_s: None,
-            killed_s: None,
-            dispatched: 0,
-            stream: Vec::new(),
-        }
     }
 
     /// A fresh id for a retry or resume.
@@ -697,7 +678,6 @@ impl<'a> Replay<'a> {
         self.stop_accepting(v);
         self.replicas_killed += 1;
         self.tally.failures += 1;
-        self.router.reset_replica(v);
         let lost = self.finish_victim(v, tk);
         self.lost_attempts += lost.len();
         self.failures.push(FailureEvent { t_s: tk, replica: v, group, lost_attempts: lost.len() });
@@ -723,15 +703,15 @@ impl<'a> Replay<'a> {
         }
     }
 
-    /// Finish victim `v`'s actor at its kill instant `tk`: nothing more
-    /// reaches it, so its run is final. Keep the completions up to `tk`,
-    /// folded onto their requests, as its report and return the attempts
-    /// it had not completed, with their measured completion, in dispatch
-    /// order.
+    /// Take victim `v` out of the dispatch and finish its actor at its
+    /// kill instant `tk`: nothing more reaches it, so its run is final.
+    /// Keep the completions up to `tk`, folded onto their requests, as
+    /// its report and return the attempts it had not completed, with
+    /// their measured completion, in dispatch order.
     fn finish_victim(&mut self, v: usize, tk: f64) -> Vec<(Attempt, f64)> {
         let start = self.instr.profiling.then(Instant::now);
+        let actor = self.dispatch.take(v);
         let rep = &mut self.replicas[v];
-        let actor = rep.actor.take().expect("a replica is killed once");
         let (projections, reprojected) = actor.projection_counts();
         self.killed_projections.0 += projections;
         self.killed_projections.1 += reprojected;
@@ -781,8 +761,9 @@ impl<'a> Replay<'a> {
     }
 
     /// Route dispatch attempt `attempt` of `requests[idx]` (carried by
-    /// `req`) among the accepting replicas and push it to the chosen
-    /// replica's actor; park it when every replica is dark.
+    /// `req`) among the accepting replicas through the [`Dispatch`]
+    /// step, which pushes it to the chosen replica's actor; park it when
+    /// every replica is dark.
     fn dispatch(&mut self, req: Request, idx: usize, attempt: u32) {
         let now = req.arrival_s;
         self.admit_ready(now);
@@ -795,13 +776,11 @@ impl<'a> Replay<'a> {
         self.backlog_t = now;
         let live = self.read_live(now);
         let replicas = &self.replicas;
-        let routed = self
-            .router
-            .route(&req, &self.accepting, &live, |i, r| replicas[i].rates.est_service_s(r))
-            .expect("the accepting set is non-empty");
-        self.assignment[idx] = routed.replica as u32;
+        let est = |i: usize, r: &Request| replicas[i].rates.est_service_s(r);
+        let rec = &mut self.instr.recorder;
+        let routed = self.dispatch.route(idx, &req, &self.accepting, &live, est, rec);
         if self.telemetry {
-            self.record_route(&req, &routed, &live);
+            self.record_route(&routed);
         }
         let rep = &mut self.replicas[routed.replica];
         let work = self.calib * rep.rates.est_service_s(&req);
@@ -809,7 +788,6 @@ impl<'a> Replay<'a> {
         if self.injecting {
             rep.stream.push(Attempt { id: req.id, idx: idx as u32, attempt });
         }
-        rep.actor().push(req);
         self.tally.waits_ok +=
             usize::from(self.backlog_s / accepting <= self.cfg().slo.ttft_s);
         self.backlog_s += work;
@@ -817,43 +795,22 @@ impl<'a> Replay<'a> {
         self.tally.arrivals += 1;
     }
 
-    /// Measured state of each accepting replica at `now` (live policies
-    /// only; estimated policies ignore the vec and read their virtual
-    /// queues). Queried serially in index order, so the trajectory
-    /// stays deterministic and jobs-invariant.
+    /// Measured state of each accepting replica at `now`
+    /// ([`Dispatch::read_live`]), timed as live-state replay; empty
+    /// under estimated policies.
     fn read_live(&mut self, now: f64) -> Vec<(usize, f64)> {
         if !self.live_routing {
             return Vec::new();
         }
         let start = self.instr.profiling.then(Instant::now);
-        let policy = self.cfg().router;
-        let states = self
-            .accepting
-            .iter()
-            .map(|&i| policy.read_live(self.replicas[i].actor(), now))
-            .collect();
+        let states = self.dispatch.read_live(&self.accepting, now);
         self.replay_s += lap(start);
         states
     }
 
-    /// Record a route decision and the state it saw: measured for live
-    /// policies, the router's virtual queue otherwise.
-    fn record_route(&mut self, req: &Request, routed: &Routed, live: &[(usize, f64)]) {
-        let (depth, work_s) = if self.live_routing {
-            let pos = self
-                .accepting
-                .binary_search(&routed.replica)
-                .expect("routed among the accepting replicas");
-            live[pos]
-        } else {
-            self.router.queue_state(req.arrival_s)[routed.replica]
-        };
-        self.instr.recorder.instant(
-            ROUTER_TRACK,
-            &format!("route {} -> r{}", req.id, routed.replica),
-            req.arrival_s,
-            &route_args(depth, work_s, routed.est_wait_s, self.live_routing),
-        );
+    /// Count a route decision (its instant is recorded by the
+    /// [`Dispatch`] step).
+    fn record_route(&mut self, routed: &Routed) {
         let counter = format!("autoscale.route.replica{}", routed.replica);
         self.instr.metrics.counter_add(&counter, 1);
         self.instr.metrics.observe("autoscale.route.est_wait_s", routed.est_wait_s);
@@ -909,7 +866,7 @@ impl<'a> Replay<'a> {
     fn close_window(&mut self, w: usize, t0: f64, t1: f64) {
         let cfg = *self.cfg();
         let tally = std::mem::take(&mut self.tally);
-        let queue_state = self.router.queue_state(t1);
+        let queue_state = self.dispatch.queue_state(t1);
         self.admit_ready(t1);
         let ready = self.accepting.len();
         let provisioned = ready + self.warming.len();
@@ -982,7 +939,7 @@ impl<'a> Replay<'a> {
         let start = self.instr.profiling.then(Instant::now);
         let mut depth = 0usize;
         for &i in &self.accepting {
-            depth += self.replicas[i].actor().depth_at(t1).queue_depth;
+            depth += self.dispatch.actor(i).depth_at(t1).queue_depth;
         }
         self.replay_s += lap(start);
         depth as f64
@@ -990,10 +947,13 @@ impl<'a> Replay<'a> {
 
     /// Spawn `k` replicas at `at`; they accept traffic after warm-up.
     fn spawn(&mut self, k: usize, at: f64) {
+        let engines: &'a EngineArena = self.engines;
         for _ in 0..k {
-            let idx = self.router.add_replica();
-            debug_assert_eq!(idx, self.replicas.len());
-            let replica = self.replica(idx, at, at + self.cfg().warmup_s);
+            let idx = self.replicas.len();
+            let engine = engines.push((self.build)(idx));
+            let replica = ReplicaState::new(engine, self.avg_lengths, at, at + self.cfg().warmup_s);
+            let added = self.dispatch.add(engine.actor(replica.ready_s));
+            debug_assert_eq!(added, idx);
             if self.telemetry {
                 let label = replica.engine.label();
                 register_replica_track(&mut self.instr.recorder, idx, &label);
@@ -1107,20 +1067,15 @@ impl<'a> Replay<'a> {
         let horizon_s = self.windows.len() as f64 * cfg.window_s;
         // Projections behind the live reads, and the requests they
         // re-simulated (deterministic: they follow the trajectory).
-        let (replays, replayed_requests) = self
-            .replicas
-            .iter()
-            .filter_map(|r| r.actor.as_deref())
-            .map(|a| a.projection_counts())
-            .fold(self.killed_projections, |(a, b), (c, d)| (a + c, b + d));
+        let (live, killed) = (self.dispatch.projection_counts(), self.killed_projections);
+        let (replays, replayed_requests) = (live.0 + killed.0, live.1 + killed.1);
         // Killed replicas finished at their kill; run out the rest.
         let engine_start = prof.then(Instant::now);
-        let actors = self.replicas.iter_mut().filter_map(|r| r.actor.take()).collect();
-        let mut finished = finish_all(runner, actors).into_iter();
-        let mut reports: Vec<EngineReport> = self
-            .replicas
-            .iter_mut()
-            .map(|r| r.report.take().unwrap_or_else(|| finished.next().expect("a live actor")))
+        let (finished, assignment) = self.dispatch.finish(runner);
+        let mut reports: Vec<EngineReport> = finished
+            .into_iter()
+            .zip(&mut self.replicas)
+            .map(|(f, r)| f.unwrap_or_else(|| r.report.take().expect("a killed replica's report")))
             .collect();
         let engine_s = lap(engine_start);
         debug_assert!(
@@ -1145,7 +1100,6 @@ impl<'a> Replay<'a> {
             .map(|(rep, report)| lifecycle(rep, report, horizon_s))
             .collect();
         let replica_seconds: f64 = lifecycles.iter().map(ReplicaLifecycle::billed_s).sum();
-        let assignment = std::mem::take(&mut self.assignment);
         // Every read of a replica's own timeline is above: the merge
         // moves them all into the fleet's.
         let fleet = FleetReport::from_replica_reports(cfg.router, reports, assignment);
@@ -1869,12 +1823,7 @@ mod tests {
         replay.run();
         let victim = replay.killed_projections;
         assert!(victim.0 > 0, "least-work-live projects the victim before its kill");
-        let survivors = replay
-            .replicas
-            .iter()
-            .filter_map(|r| r.actor.as_deref())
-            .map(|a| a.projection_counts())
-            .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
+        let survivors = replay.dispatch.projection_counts();
         assert!(survivors.0 > 0);
         let report = replay.finish(&SweepRunner::serial(), 0.0, None);
         assert_eq!(report.availability.replicas_killed, 1);

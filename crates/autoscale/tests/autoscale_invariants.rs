@@ -65,14 +65,16 @@ fn sharegpt_trace(n: usize, rate: f64, seed: u64) -> Vec<Request> {
 }
 
 /// A Static trajectory never scales, so the elastic run must collapse
-/// onto the PR-4 fixed fleet *byte-for-byte* — same assignment, same
+/// onto the fixed fleet *byte-for-byte* — same assignment, same
 /// per-replica reports, same merged timeline and latency — for every
-/// routing policy, including the RNG-carrying po2.
+/// routing policy, including the RNG-carrying po2 and the two live
+/// policies, whose measured reads then follow one trajectory in both
+/// loops.
 #[test]
 fn static_policy_reproduces_the_fixed_fleet_byte_for_byte() {
     let (cluster, model) = specs();
     let reqs = sharegpt_trace(48, 3.0, 17);
-    for router in RouterPolicy::all_default() {
+    for router in RouterPolicy::all_with_live() {
         for n in [1usize, 3] {
             let fixed = Fleet::homogeneous(n, |_| {
                 Box::new(vllm_engine(&cluster, &model)) as Box<dyn OnlineEngine>

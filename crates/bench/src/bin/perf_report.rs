@@ -17,10 +17,10 @@
 //! The sims/sec microbench times repeated *single-candidate*
 //! evaluations (engine construction + full run on a fixed workload)
 //! for one Seesaw and one vLLM candidate, exactly the unit of work a
-//! sweep performs per grid cell — plus one online-serving candidate
-//! (fixed-seed Poisson arrivals, arrival-gated admission, latency
-//! percentiles), the unit of work a serving sweep performs per load
-//! point. Candidates share `Arc`'d specs across iterations — the
+//! sweep performs per grid cell — plus one online-serving load point
+//! (a one-replica round-robin fleet on fixed-seed Poisson arrivals:
+//! arrival-gated admission, latency percentiles), the unit of work the
+//! `serving` bin performs per load point. Candidates share `Arc`'d specs across iterations — the
 //! steady state of a sweep worker.
 //!
 //! With `--baseline PATH`, the report exits non-zero when any
@@ -56,6 +56,7 @@
 //! replay / engine runs / metrics), which must explain >= 90% of the
 //! controller's total wall time.
 
+use seesaw_bench::jsonfmt::esc;
 use seesaw_bench::simsbench::{SimsBench, WORKLOAD_LABEL};
 use seesaw_bench::{cli, figs};
 use seesaw_engine::sweep::host_cores;
@@ -125,68 +126,25 @@ fn sims_per_sec<T>(mut f: impl FnMut() -> T) -> f64 {
     1.0 / best
 }
 
-/// All sims/sec figures of one measurement pass, in report order.
-#[derive(Clone, Copy)]
-struct Sims {
-    seesaw: f64,
-    vllm: f64,
-    vllm_chunked: f64,
-    serving: f64,
-    fleet: f64,
-    fleet_live: f64,
-    fleet_live_traced: f64,
-    autoscale: f64,
-    metrics: f64,
-    chaos: f64,
+/// All sims/sec figures of one measurement pass: `(gate key, value)`
+/// pairs, in report order.
+type Sims = [(&'static str, f64); 10];
+
+/// Per-figure max of two passes (the regression-gate retry).
+fn best_of(a: &Sims, b: &Sims) -> Sims {
+    std::array::from_fn(|i| (a[i].0, a[i].1.max(b[i].1)))
 }
 
-impl Sims {
-    /// `(gate-key, value)` pairs, in report order.
-    fn named(&self) -> [(&'static str, f64); 10] {
-        [
-            ("seesaw", self.seesaw),
-            ("vllm", self.vllm),
-            ("vllm_chunked", self.vllm_chunked),
-            ("serving", self.serving),
-            ("fleet", self.fleet),
-            ("fleet_live", self.fleet_live),
-            ("fleet_live_traced", self.fleet_live_traced),
-            ("autoscale", self.autoscale),
-            ("metrics", self.metrics),
-            ("chaos", self.chaos),
-        ]
-    }
-
-    /// Per-figure max with another pass (the regression-gate retry).
-    fn max(&self, other: &Sims) -> Sims {
-        Sims {
-            seesaw: self.seesaw.max(other.seesaw),
-            vllm: self.vllm.max(other.vllm),
-            vllm_chunked: self.vllm_chunked.max(other.vllm_chunked),
-            serving: self.serving.max(other.serving),
-            fleet: self.fleet.max(other.fleet),
-            fleet_live: self.fleet_live.max(other.fleet_live),
-            fleet_live_traced: self.fleet_live_traced.max(other.fleet_live_traced),
-            autoscale: self.autoscale.max(other.autoscale),
-            metrics: self.metrics.max(other.metrics),
-            chaos: self.chaos.max(other.chaos),
-        }
-    }
-
-    fn summary(&self) -> String {
-        self.named()
-            .iter()
-            .map(|(name, v)| format!("{name} {v:.0}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
+fn summary(sims: &Sims) -> String {
+    let figures: Vec<String> = sims.iter().map(|(name, v)| format!("{name} {v:.0}")).collect();
+    figures.join(", ")
 }
 
 /// The tier-1 sims/sec microbench — see [`seesaw_bench::simsbench`]
 /// for the canonical scenario definition. `vllm_chunked` is the vLLM
 /// candidate under 512-token chunked prefill. `serving` is the
-/// latency-metric throughput: online serving-sweep load points
-/// (arrival-gated run + percentile computation) per second. `fleet`
+/// latency-metric throughput: `serving` load points (a one-replica
+/// round-robin fleet run + percentile computation) per second. `fleet`
 /// is the fleet-sweep grid-cell rate: a serial 4-replica JSQ fleet
 /// run (routing + 4 replica simulations + merged report) per second;
 /// `fleet_live` is the same cell under `jsq-live` — the same event
@@ -200,18 +158,18 @@ impl Sims {
 /// under a fixed seeded kill schedule with replacement spawns and
 /// retry/requeue — one chaos-frontier grid cell per evaluation.
 fn measure_sims_per_sec(bench: &SimsBench) -> Sims {
-    Sims {
-        seesaw: sims_per_sec(|| bench.run_seesaw_once()),
-        vllm: sims_per_sec(|| bench.run_vllm_once()),
-        vllm_chunked: sims_per_sec(|| bench.run_vllm_chunked_once()),
-        serving: sims_per_sec(|| bench.run_serving_once()),
-        fleet: sims_per_sec(|| bench.run_fleet_once()),
-        fleet_live: sims_per_sec(|| bench.run_fleet_live_once()),
-        fleet_live_traced: sims_per_sec(|| bench.run_fleet_live_traced_once()),
-        autoscale: sims_per_sec(|| bench.run_autoscale_once()),
-        metrics: sims_per_sec(|| bench.run_metrics_once()),
-        chaos: sims_per_sec(|| bench.run_chaos_once()),
-    }
+    [
+        ("seesaw", sims_per_sec(|| bench.run_seesaw_once())),
+        ("vllm", sims_per_sec(|| bench.run_vllm_once())),
+        ("vllm_chunked", sims_per_sec(|| bench.run_vllm_chunked_once())),
+        ("serving", sims_per_sec(|| bench.run_serving_once())),
+        ("fleet", sims_per_sec(|| bench.run_fleet_once())),
+        ("fleet_live", sims_per_sec(|| bench.run_fleet_live_once())),
+        ("fleet_live_traced", sims_per_sec(|| bench.run_fleet_live_traced_once())),
+        ("autoscale", sims_per_sec(|| bench.run_autoscale_once())),
+        ("metrics", sims_per_sec(|| bench.run_metrics_once())),
+        ("chaos", sims_per_sec(|| bench.run_chaos_once())),
+    ]
 }
 
 /// Alternating-batch comparison of two cells: batches of `a` and `b`
@@ -275,8 +233,20 @@ fn output_digest(figs: &[(&'static str, f64, String)]) -> String {
     format!("{hash:016x}")
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// The `figures` array's rows, one per catalog entry, labels escaped
+/// per RFC 8259.
+fn figure_rows(timings: &[FigTiming]) -> String {
+    let mut rows = String::new();
+    for (i, t) in timings.iter().enumerate() {
+        rows.push_str(&format!(
+            "    {{\"name\": \"{}\", \"serial_s\": {:.4}, \"parallel_s\": {:.4}}}{}\n",
+            esc(t.name),
+            t.serial_s,
+            t.parallel_s,
+            if i + 1 < timings.len() { "," } else { "" }
+        ));
+    }
+    rows
 }
 
 fn main() {
@@ -313,7 +283,7 @@ fn main() {
     eprintln!("parallel: {parallel_total:.2}s; measuring sims/sec...");
     let bench = SimsBench::new();
     let mut sims = measure_sims_per_sec(&bench);
-    eprintln!("sims/sec: {}", sims.summary());
+    eprintln!("sims/sec: {}", summary(&sims));
 
     // The ratio gates come from alternating batch pairs
     // (`paired_rates`), not from the best-of-batches figures above, so
@@ -358,12 +328,12 @@ fn main() {
     // measurement windows; a real regression fails both measurements.
     let floor_of = |before: f64| before * (1.0 - SIMS_REGRESSION_TOLERANCE);
     if let Some((_, text)) = &baseline {
-        let below = sims.named().iter().any(|&(name, c)| {
+        let below = sims.iter().any(|&(name, c)| {
             json_number(text, name).is_some_and(|b| b > 0.0 && c < floor_of(b))
         });
         if below {
             eprintln!("apparent sims/sec regression; re-measuring once...");
-            sims = sims.max(&measure_sims_per_sec(&bench));
+            sims = best_of(&sims, &measure_sims_per_sec(&bench));
         }
     }
 
@@ -399,12 +369,12 @@ fn main() {
     json.push_str(&format!("  \"outputs_identical\": {outputs_identical},\n"));
     json.push_str(&format!("  \"output_digest\": \"{digest}\",\n"));
     json.push_str("  \"sims_per_sec\": {\n");
-    for (name, value) in sims.named() {
+    for (name, value) in sims {
         json.push_str(&format!("    \"{name}\": {value:.1},\n"));
     }
     json.push_str(&format!("    \"iters_per_batch\": {SIMS_BATCH},\n"));
     json.push_str(&format!("    \"batches\": {SIMS_BATCHES},\n"));
-    json.push_str(&format!("    \"workload\": \"{}\"\n", json_escape(WORKLOAD_LABEL)));
+    json.push_str(&format!("    \"workload\": \"{}\"\n", esc(WORKLOAD_LABEL)));
     json.push_str("  },\n");
     json.push_str(&format!(
         "  \"telemetry_disabled\": {{\"fleet_live\": {live:.1}, \"disabled\": {disabled:.1}, \
@@ -428,15 +398,7 @@ fn main() {
         profile.lost_at_dispatch,
     ));
     json.push_str("  \"figures\": [\n");
-    for (i, t) in timings.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"serial_s\": {:.4}, \"parallel_s\": {:.4}}}{}\n",
-            json_escape(t.name),
-            t.serial_s,
-            t.parallel_s,
-            if i + 1 < timings.len() { "," } else { "" }
-        ));
-    }
+    json.push_str(&figure_rows(&timings));
     json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).unwrap_or_else(|e| {
         eprintln!("cannot write {out_path}: {e}");
@@ -447,7 +409,7 @@ fn main() {
         "all_figures {subsample}: serial {serial_total:.2}s, {} jobs {parallel_total:.2}s -> {speedup:.2}x (outputs identical: {outputs_identical})",
         parallel_runner.jobs()
     );
-    println!("sims/sec: {}", sims.summary());
+    println!("sims/sec: {}", summary(&sims));
     println!(
         "telemetry disabled: {disabled:.0} vs {live:.0} sims/sec ({:.1}% overhead)",
         100.0 * disabled_overhead
@@ -504,7 +466,7 @@ fn main() {
             }
         };
         let mut failed = false;
-        for (name, current) in sims.named() {
+        for (name, current) in sims {
             match json_number(&baseline, name) {
                 Some(before) if before > 0.0 => {
                     let regressed = current < floor_of(before);
@@ -548,5 +510,27 @@ fn main() {
             }
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A control character in a label is escaped, so the artifact stays
+    /// valid JSON: a raw newline inside a string literal would end it.
+    #[test]
+    fn figure_rows_escape_a_newline_in_a_label() {
+        let timings = [
+            FigTiming { name: "fig\n\"1\"", serial_s: 1.0, parallel_s: 0.5 },
+            FigTiming { name: "fig2", serial_s: 2.0, parallel_s: 1.0 },
+        ];
+        let rows = figure_rows(&timings);
+        assert_eq!(
+            rows,
+            "    {\"name\": \"fig\\n\\\"1\\\"\", \"serial_s\": 1.0000, \"parallel_s\": 0.5000},\n    \
+             {\"name\": \"fig2\", \"serial_s\": 2.0000, \"parallel_s\": 1.0000}\n"
+        );
+        assert_eq!(rows.lines().count(), timings.len(), "one line per row");
     }
 }

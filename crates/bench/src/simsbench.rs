@@ -14,10 +14,10 @@
 //! The serving variant replays the same request set with fixed-seed
 //! Poisson arrivals at twice the scenario's offline capacity (a
 //! mildly overloaded point) and is the unit of work behind
-//! `sims_per_sec.serving`: one bare vLLM engine run under online
-//! arrivals — arrival-gated admission, idle gaps and the
-//! latency-percentile computation included — with no fleet or router
-//! around it.
+//! `sims_per_sec.serving`: what the `serving` bin runs per load
+//! point, a one-replica round-robin fleet of the vLLM candidate —
+//! arrival-gated admission, idle gaps, the dispatch step and the
+//! merged report's latency percentiles included.
 //!
 //! The fleet variant (`sims_per_sec.fleet`) is one fleet-sweep grid
 //! cell: a 4-replica fleet of the vLLM candidate, join-shortest-queue
@@ -194,11 +194,13 @@ impl SimsBench {
         .run(&self.reqs)
     }
 
-    /// One online-serving evaluation: the bare vLLM candidate on the
-    /// arrival-laden request set — arrival-gated admission, idle
-    /// gaps, and latency-percentile computation included.
-    pub fn run_serving_once(&self) -> EngineReport {
-        self.vllm().run(&self.serving_reqs)
+    /// One online-serving evaluation, the `serving` bin's load point:
+    /// a one-replica round-robin fleet of the vLLM candidate on the
+    /// arrival-laden request set — arrival-gated admission, idle gaps,
+    /// and latency-percentile computation included.
+    pub fn run_serving_once(&self) -> FleetReport {
+        let serving = RouterPolicy::RoundRobin;
+        self.fleet(1).run_with(&SweepRunner::serial(), serving, &self.serving_reqs)
     }
 
     /// One fleet evaluation: construct a [`FLEET_REPLICAS`]-replica
@@ -206,15 +208,11 @@ impl SimsBench {
     /// set under join-shortest-queue routing, serially (the metric is
     /// single-thread grid-cell rate, like the other sims/sec
     /// figures). This is a fleet sweep's per-cell unit of work:
-    /// service-rate estimation, routing on the event loop, four
+    /// service-rate estimation, routing on the fleet loop, four
     /// replica simulations, and the merged fleet report.
     pub fn run_fleet_once(&self) -> FleetReport {
-        let fleet = Fleet::homogeneous(FLEET_REPLICAS, |_| Box::new(self.vllm()) as _);
-        fleet.run_with(
-            &SweepRunner::serial(),
-            RouterPolicy::JoinShortestQueue,
-            &self.fleet_reqs,
-        )
+        let jsq = RouterPolicy::JoinShortestQueue;
+        self.fleet(FLEET_REPLICAS).run_with(&SweepRunner::serial(), jsq, &self.fleet_reqs)
     }
 
     /// One live-routed fleet evaluation (`sims_per_sec.fleet_live`):
@@ -226,18 +224,14 @@ impl SimsBench {
     /// the ratio of the two rates is the cost of those live reads
     /// (`perf_report` holds it to at least 0.7).
     pub fn run_fleet_live_once(&self) -> FleetReport {
-        let fleet = Fleet::homogeneous(FLEET_REPLICAS, |_| Box::new(self.vllm()) as _);
-        fleet.run_with(
-            &SweepRunner::serial(),
-            RouterPolicy::JoinShortestQueueLive,
-            &self.fleet_reqs,
-        )
+        let live = RouterPolicy::JoinShortestQueueLive;
+        self.fleet(FLEET_REPLICAS).run_with(&SweepRunner::serial(), live, &self.fleet_reqs)
     }
 
-    /// The live-fleet cell's fleet (shared by the plain, traced, and
-    /// disabled-telemetry variants so they measure identical work).
-    fn live_fleet(&self) -> Fleet {
-        Fleet::homogeneous(FLEET_REPLICAS, |_| Box::new(self.vllm()) as _)
+    /// A fleet of `n` vLLM candidates: every fleet cell's, so the
+    /// cells measure identical replicas.
+    fn fleet(&self, n: usize) -> Fleet {
+        Fleet::homogeneous(n, |_| Box::new(self.vllm()) as _)
     }
 
     /// One telemetry-traced live-fleet evaluation
@@ -248,7 +242,7 @@ impl SimsBench {
     /// can render or validate the trace.
     pub fn run_fleet_live_traced_once(&self) -> (FleetReport, Instrument) {
         let mut instr = Instrument::tracing();
-        let report = self.live_fleet().run_instrumented_with(
+        let report = self.fleet(FLEET_REPLICAS).run_instrumented_with(
             &SweepRunner::serial(),
             RouterPolicy::JoinShortestQueueLive,
             &self.fleet_reqs,
@@ -263,7 +257,7 @@ impl SimsBench {
     /// (zero-cost-when-disabled, measured rather than assumed).
     pub fn run_fleet_live_disabled_once(&self) -> FleetReport {
         let mut instr = Instrument::off();
-        self.live_fleet().run_instrumented_with(
+        self.fleet(FLEET_REPLICAS).run_instrumented_with(
             &SweepRunner::serial(),
             RouterPolicy::JoinShortestQueueLive,
             &self.fleet_reqs,

@@ -178,11 +178,6 @@ impl SeesawEngine {
         })
     }
 
-    /// The deployment spec.
-    pub fn spec(&self) -> &SeesawSpec {
-        &self.spec
-    }
-
     /// Whether a replica can ever run `req`: its prompt fits one
     /// prefill pass, the prefill config's KV and the CPU buffer, and
     /// its full length fits the decode config's KV.

@@ -1,7 +1,11 @@
-//! The fleet itself: N engine replicas served by one router.
+//! The fixed fleet: N engine replicas served by one router, and its
+//! run loop over the shared [`Dispatch`] step.
 
+use crate::dispatch::Dispatch;
 use crate::report::FleetReport;
 use crate::router::RouterPolicy;
+use crate::telemetry::{record_request_spans, register_tracks};
+use seesaw_engine::driver::assert_arrivals_sorted;
 use seesaw_engine::online::mean_lengths;
 use seesaw_engine::{OnlineEngine, ServiceRates, SweepRunner};
 use seesaw_telemetry::Instrument;
@@ -11,10 +15,10 @@ use seesaw_workload::Request;
 ///
 /// A `Fleet` owns its replicas as [`OnlineEngine`] trait objects, so
 /// Seesaw, vLLM, and disaggregated backends mix freely. Every run
-/// goes through the fleet's global event loop ([`crate::event_loop`]):
-/// the arrivals, sorted by time, are routed in order (see
-/// [`crate::router`]) and each is pushed to its replica's actor; the
-/// actors then finish concurrently on the given [`SweepRunner`], and
+/// walks the arrivals, sorted by time, in order and takes the
+/// [`Dispatch`] step at each: route (see [`crate::router`]) and push
+/// the request to its replica's actor; the actors then finish
+/// concurrently on the given [`SweepRunner`], and
 /// their per-replica timelines move into one merged timeline of a
 /// [`FleetReport`] (which records the replica behind each entry) with
 /// fleet-level percentiles and imbalance statistics.
@@ -99,6 +103,65 @@ impl Fleet {
         requests: &[Request],
     ) -> FleetReport {
         self.run_instrumented_with(runner, policy, requests, &mut Instrument::off())
+    }
+
+    /// [`Fleet::run_with`] with a telemetry [`Instrument`]: route
+    /// instants are recorded as the loop runs, request spans and
+    /// registry metrics from the finished report. With
+    /// `Instrument::off()` this *is* `run_with`, byte for byte. The
+    /// arrivals come sorted, so the loop takes the [`Dispatch`] step
+    /// at each in index order; under estimated policies the result is
+    /// the merged-timeline oracle's (`tests/event_core.rs`).
+    pub fn run_instrumented_with(
+        &self,
+        runner: &SweepRunner,
+        policy: RouterPolicy,
+        requests: &[Request],
+        instr: &mut Instrument,
+    ) -> FleetReport {
+        assert_arrivals_sorted(requests);
+        let telemetry = instr.telemetry_on();
+        let rates = self.routing_rates(policy, requests);
+        let est = |replica: usize, req: &Request| {
+            rates.get(replica).map_or(1.0, |r| r.est_service_s(req))
+        };
+        let actors = self.replicas.iter().map(|r| r.actor(0.0)).collect();
+        let mut dispatch = Dispatch::new(policy, actors, requests.len());
+        let all: Vec<usize> = (0..self.replicas.len()).collect();
+        if telemetry {
+            register_tracks(&mut instr.recorder, &format!("router ({policy})"), &self.labels());
+        }
+        for (idx, req) in requests.iter().enumerate() {
+            let live = dispatch.read_live(&all, req.arrival_s);
+            let routed = dispatch.route(idx, req, &all, &live, est, &mut instr.recorder);
+            if telemetry {
+                instr
+                    .metrics
+                    .counter_add(&format!("fleet.route.{policy}.replica{}", routed.replica), 1);
+                instr.metrics.observe("fleet.route.est_wait_s", routed.est_wait_s);
+            }
+        }
+        if telemetry {
+            // Every arrival is one routing event.
+            let routed = requests.len() as u64;
+            instr.metrics.counter_add("fleet.events.pushed", routed);
+            instr.metrics.counter_add("fleet.events.popped", routed);
+            let (projections, reprojected) = dispatch.projection_counts();
+            instr.metrics.counter_add("fleet.replay.count", projections);
+            instr.metrics.counter_add("fleet.replay.requests", reprojected);
+        }
+        let (reports, assignment) = dispatch.finish(runner);
+        let reports = reports.into_iter().map(|r| r.expect("a fixed fleet loses no replica"));
+        let report = FleetReport::from_replica_reports(policy, reports.collect(), assignment);
+        if telemetry {
+            record_request_spans(&mut instr.recorder, &report);
+            for (i, rep) in report.replicas.iter().enumerate() {
+                instr
+                    .metrics
+                    .counter_add(&format!("fleet.requests.replica{i}"), rep.stats.requests as u64);
+            }
+        }
+        report
     }
 
     /// Per-replica analytic service rates for routing under `policy`.

@@ -16,9 +16,13 @@
 //!   roofline service-rate estimates — plus the live-feedback
 //!   `jsq-live` and `least-work-live` policies that rank replicas by
 //!   *measured* engine state.
-//! * [`Fleet::run_with`] runs the fleet on its global event loop
-//!   ([`event_loop`]): arrivals are routed in time order and pushed to
-//!   per-replica engine actors, which finish concurrently on a
+//! * [`Dispatch`] is the one step every fleet loop takes at an
+//!   arrival: read live replica state, route, record the route
+//!   instant, note the assignment and push the request to the chosen
+//!   replica's engine actor. The fixed fleet and the autoscale
+//!   controller's elastic replay both run on it.
+//! * [`Fleet::run_with`] walks the arrivals in time order through
+//!   [`Dispatch`]; the per-replica engine actors finish concurrently on a
 //!   [`seesaw_engine::SweepRunner`]; the per-replica timelines move
 //!   into one merged timeline of a [`FleetReport`] (each timing kept
 //!   once, with the replica that served it) with fleet-level latency
@@ -34,13 +38,14 @@
 //! reproduces the bare engine's report exactly (its timeline as the
 //! fleet's, the rest as the replica's report).
 
-pub mod event_loop;
+pub mod dispatch;
 pub mod fleet;
 pub mod report;
 pub mod router;
 pub mod sweep;
 pub mod telemetry;
 
+pub use dispatch::Dispatch;
 pub use fleet::Fleet;
 pub use report::{FleetReport, LoadImbalance};
 pub use router::{NoAcceptingReplica, Routed, Router, RouterPolicy};

@@ -238,11 +238,6 @@ impl Router {
         }
     }
 
-    /// Number of replicas routed over.
-    pub fn n_replicas(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Add a replica (an empty virtual queue), returning its index.
     /// Elastic fleets call this when the autoscaling controller
     /// spawns a replica mid-stream: the router is *resumable* — its

@@ -159,17 +159,6 @@ fn validate_structure(model: &ModelConfig, config: ParallelConfig) -> Result<(),
     Ok(())
 }
 
-/// Maximum global batch size for `model` on `cluster` under `config`
-/// at average sequence length `avg_len` — convenience wrapper.
-pub fn max_batch_size(
-    model: &ModelConfig,
-    cluster: &ClusterSpec,
-    config: ParallelConfig,
-    avg_len: usize,
-) -> Result<usize, FitError> {
-    Ok(MemoryPlan::new(model, cluster, config)?.max_batch(avg_len))
-}
-
 /// Enumerate every structurally valid configuration that uses
 /// *exactly* `cluster.num_gpus` GPUs (the paper sweeps these as the
 /// vLLM baselines). Feasibility (memory) is NOT checked here; pair

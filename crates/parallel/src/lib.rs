@@ -19,6 +19,6 @@ pub mod reshard;
 pub mod shard;
 
 pub use config::ParallelConfig;
-pub use feasible::{enumerate_configs, max_batch_size, FitError, MemoryPlan};
+pub use feasible::{enumerate_configs, FitError, MemoryPlan};
 pub use reshard::{ReshardPlan, WeightMove};
 pub use shard::{GpuShard, ShardMap};

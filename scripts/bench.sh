@@ -27,7 +27,9 @@
 #     and instants, or
 #   * one of those bins' --metrics-out snapshot is not valid JSON
 #     carrying the recorder's dropped-event health counters at zero,
-#     or
+#     or its route counters disagree with what it dispatched (fleet:
+#     event counters vs Σ requests per replica; the fault-free
+#     autoscale run: Σ routes per replica vs attempts), or
 #   * full-fidelity figure generation (`all_figures 1 --jobs 1`)
 #     peaks above ALL_FIGURES_MAX_RSS_MIB of resident memory, or the
 #     chaos bin's one-hour day (`chaos --day 3600 --jobs 1`) peaks
@@ -113,6 +115,12 @@ if name == "fleet":
     routed = sum(v for k, v in c.items() if k.startswith("fleet.requests.replica"))
     pushed, popped = c["fleet.events.pushed"], c["fleet.events.popped"]
     assert pushed == popped == routed > 0, f"fleet: events {pushed}/{popped}, routed {routed}"
+if name == "autoscale":
+    # No faults: every dispatch attempt is routed exactly once.
+    c = snap["counters"]
+    routed = sum(v for k, v in c.items() if k.startswith("autoscale.route.replica"))
+    attempts = c["autoscale.attempts"]
+    assert routed == attempts > 0, f"autoscale: routed {routed}, attempts {attempts}"
 print(f"bench.sh: {name} metrics OK ({len(snap['counters'])} counters)")
 EOF
 }

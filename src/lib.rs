@@ -17,7 +17,7 @@
 //! * [`engine`] — the Seesaw engine plus vLLM-like and disaggregated
 //!   baselines.
 //! * [`fleet`] — fixed multi-replica deployments: request routers and
-//!   the fleet event loop.
+//!   the dispatch step every fleet loop takes.
 //! * [`autoscale`] — the elastic tier: trace-driven scaling policies
 //!   over multi-replica deployments, seeded failure injection, and the
 //!   trace × fault × recovery frontier sweep.
