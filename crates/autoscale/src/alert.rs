@@ -27,85 +27,39 @@
 use crate::faults::{FaultKind, FaultSchedule};
 use seesaw_workload::WindowMetrics;
 
-/// A multi-window burn-rate alert rule. `Copy`, so controllers and
-/// sweep grids pass it by value like every other config knob; the
-/// display name (e.g. `burn6x-1s/3l@0.90`) is derived.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AlertRule {
-    /// Attainment objective the error budget is defined against
-    /// (e.g. 0.90: up to 10% of arrivals may miss the SLO).
-    pub objective: f64,
-    /// Trailing windows in the short (fast-detection) span, ≥ 1.
-    pub short_windows: usize,
-    /// Trailing windows in the long (de-noising) span, ≥
-    /// `short_windows`.
-    pub long_windows: usize,
-    /// Burn-rate threshold: fire when **both** spans burn at ≥ this
-    /// multiple of the budget rate.
-    pub burn: f64,
-    /// Hysteresis: consecutive short-span evaluations below threshold
-    /// before an active alert clears, ≥ 1.
-    pub clear_windows: usize,
-}
+/// The rule's attainment objective, which the error budget is defined
+/// against: up to 10% of arrivals may miss the SLO.
+pub const OBJECTIVE: f64 = 0.90;
+/// Trailing windows in the short (fast-detection) span.
+pub const SHORT_WINDOWS: usize = 1;
+/// Trailing windows in the long (de-noising) span.
+pub const LONG_WINDOWS: usize = 3;
+/// Burn-rate threshold: fire when **both** spans burn at ≥ this
+/// multiple of the budget rate.
+pub const BURN: f64 = 3.5;
+/// Hysteresis: consecutive short-span evaluations below threshold
+/// before an active alert clears.
+pub const CLEAR_WINDOWS: usize = 2;
 
-impl Default for AlertRule {
-    /// The default paging rule: short span 1 window, long span 3,
-    /// burn ≥ 3.5× on a 90% objective, 2 calm windows to clear. Tuned
-    /// against measured frontiers: a correlated group outage collapses
-    /// attainment toward 0 (burn → 10) and fires on the first or
-    /// second window it touches even when it lands in the diurnal
-    /// trough. One collapsed window beside two healthy ones burns
-    /// ~3.7× over the long span, so the threshold sits below that.
-    /// The fault-free default day's worst scale-up-lag window burns
-    /// 1.8× on the short span and 0.8× over the long one (rush-hours
-    /// trace, reactive policy): a 2.0× margin below threshold, so a
-    /// clean day never pages.
-    fn default() -> Self {
-        AlertRule {
-            objective: 0.90,
-            short_windows: 1,
-            long_windows: 3,
-            burn: 3.5,
-            clear_windows: 2,
-        }
-    }
-}
-
-impl AlertRule {
-    /// Validate the rule.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.objective > 0.0 && self.objective < 1.0) {
-            return Err(format!(
-                "alert objective must be in (0, 1), got {}",
-                self.objective
-            ));
-        }
-        if self.short_windows == 0 {
-            return Err("short span must cover at least 1 window".into());
-        }
-        if self.long_windows < self.short_windows {
-            return Err(format!(
-                "long span ({}) must cover at least the short span ({})",
-                self.long_windows, self.short_windows
-            ));
-        }
-        if !(self.burn.is_finite() && self.burn > 0.0) {
-            return Err(format!("burn threshold must be finite and > 0, got {}", self.burn));
-        }
-        if self.clear_windows == 0 {
-            return Err("hysteresis must be at least 1 window".into());
-        }
-        Ok(())
-    }
-}
+/// The one multi-window burn-rate paging rule: short span
+/// [`SHORT_WINDOWS`], long span [`LONG_WINDOWS`], burn ≥ [`BURN`]× on
+/// an [`OBJECTIVE`] objective, [`CLEAR_WINDOWS`] calm windows to
+/// clear. Its display name is `burn3.5x-1s/3l@0.90`.
+///
+/// Tuned against measured frontiers: a correlated group outage
+/// collapses attainment toward 0 (burn → 10) and fires on the first or
+/// second window it touches even when it lands in the diurnal trough.
+/// One collapsed window beside two healthy ones burns ~3.7× over the
+/// long span, so the threshold sits below that. The fault-free default
+/// day's worst scale-up-lag window burns 1.8× on the short span and
+/// 0.8× over the long one (rush-hours trace, reactive policy): a 2.0×
+/// margin below threshold, so a clean day never pages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct AlertRule;
 
 impl std::fmt::Display for AlertRule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "burn{}x-{}s/{}l@{:.2}",
-            self.burn, self.short_windows, self.long_windows, self.objective
-        )
+        write!(f, "burn{BURN}x-{SHORT_WINDOWS}s/{LONG_WINDOWS}l@{OBJECTIVE:.2}")
     }
 }
 
@@ -135,13 +89,11 @@ pub struct AlertEvent {
     pub long_burn: f64,
 }
 
-/// Burn-rate evaluator of one rule: feed windows in order, collect
-/// typed transitions. A pure deterministic fold — no clocks, no
-/// randomness — so replays are byte-identical across `--jobs`.
+/// Burn-rate evaluator of [`AlertRule`]: feed windows in order,
+/// collect typed transitions. A pure deterministic fold — no clocks,
+/// no randomness — so replays are byte-identical across `--jobs`.
 #[derive(Debug, Clone)]
 pub struct AlertEngine {
-    rule: AlertRule,
-    name: String,
     active: bool,
     calm_streak: usize,
     /// Trailing `(arrivals, missed)` ring, sized to the long span.
@@ -150,12 +102,8 @@ pub struct AlertEngine {
 }
 
 impl AlertEngine {
-    /// An engine evaluating `rule`; panics on an invalid rule.
-    pub fn new(rule: AlertRule) -> Self {
-        rule.validate().unwrap_or_else(|e| panic!("invalid alert rule: {e}"));
+    fn new() -> Self {
         AlertEngine {
-            rule,
-            name: rule.to_string(),
             active: false,
             calm_streak: 0,
             history: Vec::new(),
@@ -176,32 +124,31 @@ impl AlertEngine {
         if arrivals == 0 {
             return 0.0;
         }
-        (missed as f64 / arrivals as f64) / (1.0 - self.rule.objective)
+        (missed as f64 / arrivals as f64) / (1.0 - OBJECTIVE)
     }
 
     /// Fold one closed window in and return the transition it caused,
     /// if any. Windows must arrive in axis order.
-    pub fn observe(&mut self, w: &WindowMetrics) -> Option<AlertEvent> {
+    fn observe(&mut self, w: &WindowMetrics) -> Option<AlertEvent> {
         let arrivals = w.arrivals as u64;
         // attainment = met/arrivals exactly; recover the integer.
         let met = w
             .attainment
             .map_or(0.0, |a| (a * w.arrivals as f64).round()) as u64;
         self.history.push((arrivals, arrivals - met.min(arrivals)));
-        if self.history.len() > self.rule.long_windows {
+        if self.history.len() > LONG_WINDOWS {
             self.history.remove(0);
         }
         let window = self.window;
         self.window += 1;
-        let rule = self.rule;
-        let short = self.burn(rule.short_windows);
-        let long = self.burn(rule.long_windows);
-        let kind = if !self.active && short >= rule.burn && long >= rule.burn {
+        let short = self.burn(SHORT_WINDOWS);
+        let long = self.burn(LONG_WINDOWS);
+        let kind = if !self.active && short >= BURN && long >= BURN {
             self.active = true;
             AlertKind::Fire
-        } else if self.active && short < rule.burn {
+        } else if self.active && short < BURN {
             self.calm_streak += 1;
-            if self.calm_streak < rule.clear_windows {
+            if self.calm_streak < CLEAR_WINDOWS {
                 return None;
             }
             self.active = false;
@@ -214,7 +161,7 @@ impl AlertEngine {
         };
         self.calm_streak = 0;
         Some(AlertEvent {
-            rule: self.name.clone(),
+            rule: AlertRule.to_string(),
             kind,
             t_s: w.t1,
             window,
@@ -223,9 +170,9 @@ impl AlertEngine {
         })
     }
 
-    /// Evaluate `rule` over a whole window axis at once.
-    pub fn evaluate(rule: AlertRule, windows: &[WindowMetrics]) -> Vec<AlertEvent> {
-        let mut engine = AlertEngine::new(rule);
+    /// Evaluate [`AlertRule`] over a whole window axis at once.
+    pub fn evaluate(windows: &[WindowMetrics]) -> Vec<AlertEvent> {
+        let mut engine = AlertEngine::new();
         windows.iter().filter_map(|w| engine.observe(w)).collect()
     }
 }
@@ -308,26 +255,17 @@ mod tests {
     }
 
     #[test]
-    fn default_rule_validates_and_displays() {
-        let r = AlertRule::default();
-        assert!(r.validate().is_ok());
-        assert_eq!(r.to_string(), "burn3.5x-1s/3l@0.90");
-        assert!(AlertRule { objective: 1.0, ..r }.validate().is_err());
-        assert!(AlertRule { short_windows: 0, ..r }.validate().is_err());
-        assert!(AlertRule { long_windows: 0, ..r }.validate().is_err());
-        assert!(AlertRule { burn: 0.0, ..r }.validate().is_err());
-        assert!(AlertRule { clear_windows: 0, ..r }.validate().is_err());
+    fn default_rule_displays() {
+        assert_eq!(AlertRule.to_string(), "burn3.5x-1s/3l@0.90");
     }
 
     #[test]
     fn healthy_traffic_never_fires() {
-        let rule = AlertRule::default();
-        let windows: Vec<WindowMetrics> =
-            (0..50).map(|w| window(w, 100, 97)).collect();
-        assert!(AlertEngine::evaluate(rule, &windows).is_empty());
+        let windows: Vec<WindowMetrics> = (0..50).map(|w| window(w, 100, 97)).collect();
+        assert!(AlertEngine::evaluate(&windows).is_empty());
         // Quiet windows (no arrivals) burn nothing either.
         let quiet: Vec<WindowMetrics> = (0..50).map(|w| window(w, 0, 0)).collect();
-        assert!(AlertEngine::evaluate(rule, &quiet).is_empty());
+        assert!(AlertEngine::evaluate(&quiet).is_empty());
     }
 
     #[test]
@@ -337,7 +275,7 @@ mod tests {
         ws.push(window(5, 100, 5));
         ws.push(window(6, 100, 0));
         ws.extend((7..14).map(|w| window(w, 100, 100)));
-        let events = AlertEngine::evaluate(AlertRule::default(), &ws);
+        let events = AlertEngine::evaluate(&ws);
         assert_eq!(events.len(), 2, "one fire, one clear: {events:?}");
         assert_eq!(events[0].kind, AlertKind::Fire);
         // Short burn 0.95/0.10 = 9.5 ≥ 4 at window 5; long burn
@@ -354,12 +292,11 @@ mod tests {
     fn single_bad_window_inside_long_span_does_not_page() {
         // Long span de-noises: one collapsed window between healthy
         // neighbours keeps the 3-window burn below threshold.
-        let rule = AlertRule { long_windows: 4, ..AlertRule::default() };
         let mut ws: Vec<WindowMetrics> = Vec::new();
         for w in 0..12 {
             ws.push(window(w, 100, if w == 6 { 40 } else { 100 }));
         }
-        assert!(AlertEngine::evaluate(rule, &ws).is_empty());
+        assert!(AlertEngine::evaluate(&ws).is_empty());
     }
 
     #[test]

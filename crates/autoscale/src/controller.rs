@@ -47,7 +47,7 @@
 //! run collapses byte-for-byte onto the fixed [`seesaw_fleet::Fleet`]
 //! of the same size, which takes the same step.
 
-use crate::alert::{AlertEngine, AlertEvent, AlertKind, AlertRule};
+use crate::alert::{AlertEngine, AlertEvent, AlertKind};
 use crate::faults::{
     accepting_capacity_per_window, unavailability_s, AvailabilityStats, FailureEvent,
     FaultKind, FaultSchedule,
@@ -272,7 +272,7 @@ pub struct ElasticFleetReport {
     /// past the horizon (the drain tail) extend the axis, so this may
     /// be longer than [`ElasticFleetReport::windows`].
     pub windowed: Vec<WindowMetrics>,
-    /// Burn-rate alert transitions of [`AlertRule::default`] over the
+    /// Burn-rate alert transitions of [`AlertRule`](crate::alert::AlertRule) over the
     /// measured window axis, in window order.
     pub alerts: Vec<AlertEvent>,
     /// The control horizon (last window end), seconds.
@@ -1104,7 +1104,7 @@ impl<'a> Replay<'a> {
         // moves them all into the fleet's.
         let fleet = FleetReport::from_replica_reports(cfg.router, reports, assignment);
         let windowed = windowed_metrics(&fleet.timeline, cfg.slo, cfg.window_s, horizon_s);
-        let alerts = AlertEngine::evaluate(AlertRule::default(), &windowed);
+        let alerts = AlertEngine::evaluate(&windowed);
         // Conservation: every offered request either completed or was
         // counted failed — nothing is silently dropped.
         let completed = fleet.timeline.len();
@@ -1301,7 +1301,7 @@ impl AutoscaleController {
     /// A controller; panics on invalid configuration or policy (use
     /// [`AutoscaleConfig::validate`] / [`ScalingPolicy::validate`]
     /// for recoverable checks). Its reports carry the alerts of
-    /// [`AlertRule::default`] over the measured window axis.
+    /// [`AlertRule`](crate::alert::AlertRule) over the measured window axis.
     pub fn new(config: AutoscaleConfig, policy: ScalingPolicy) -> Self {
         config.validate().unwrap_or_else(|e| panic!("invalid autoscale config: {e}"));
         policy.validate().unwrap_or_else(|e| panic!("invalid scaling policy: {e}"));
@@ -1450,7 +1450,7 @@ mod tests {
         // this workload): the reactive policy must grow the fleet.
         let reqs = traced(120, 4.0, 3);
         let ctl =
-            AutoscaleController::new(cfg(5.0, 8.0, 6), ScalingPolicy::reactive_default());
+            AutoscaleController::new(cfg(5.0, 8.0, 6), ScalingPolicy::ReactiveThreshold);
         let report = run(&ctl, &SweepRunner::serial(), &build, &reqs, &FaultSchedule::none());
         assert!(
             report.events.iter().any(|e| e.to > e.from),
@@ -1494,7 +1494,7 @@ mod tests {
             );
         }
         let ctl =
-            AutoscaleController::new(cfg(5.0, 5.0, 6), ScalingPolicy::reactive_default());
+            AutoscaleController::new(cfg(5.0, 5.0, 6), ScalingPolicy::ReactiveThreshold);
         let report = run(&ctl, &SweepRunner::serial(), &build, &reqs, &FaultSchedule::none());
         let downs: Vec<&ScaleEvent> =
             report.events.iter().filter(|e| e.to < e.from).collect();
@@ -1526,8 +1526,8 @@ mod tests {
         let reqs = traced(80, 3.0, 11);
         for policy in [
             ScalingPolicy::Static { n: 2 },
-            ScalingPolicy::reactive_default(),
-            ScalingPolicy::target_utilization_default(),
+            ScalingPolicy::ReactiveThreshold,
+            ScalingPolicy::TargetUtilization,
         ] {
             let ctl = AutoscaleController::new(cfg(5.0, 6.0, 6), policy);
             let serial = run(&ctl, &SweepRunner::serial(), &build, &reqs, &FaultSchedule::none());
@@ -1539,7 +1539,7 @@ mod tests {
     #[test]
     fn empty_trace_yields_one_quiet_window() {
         let build = builder();
-        let ctl = AutoscaleController::new(cfg(10.0, 5.0, 4), ScalingPolicy::reactive_default());
+        let ctl = AutoscaleController::new(cfg(10.0, 5.0, 4), ScalingPolicy::ReactiveThreshold);
         let report = run(&ctl, &SweepRunner::serial(), &build, &[], &FaultSchedule::none());
         assert_eq!(report.windows.len(), 1);
         assert_eq!(report.fleet.stats.requests, 0);
@@ -1553,7 +1553,7 @@ mod tests {
     fn bad_config_rejected() {
         AutoscaleController::new(
             AutoscaleConfig { window_s: 0.0, ..AutoscaleConfig::default() },
-            ScalingPolicy::reactive_default(),
+            ScalingPolicy::ReactiveThreshold,
         );
     }
 
@@ -1571,7 +1571,7 @@ mod tests {
     fn recovery_names_expose_the_replacement_posture() {
         assert_eq!(RecoverySpec::bare(ScalingPolicy::Static { n: 4 }).to_string(), "static-4");
         assert_eq!(
-            RecoverySpec::healing(ScalingPolicy::reactive_default()).to_string(),
+            RecoverySpec::healing(ScalingPolicy::ReactiveThreshold).to_string(),
             "reactive+replace"
         );
         assert_eq!(
@@ -1596,7 +1596,7 @@ mod tests {
     fn empty_fault_schedule_reproduces_the_plain_run() {
         let build = builder();
         let reqs = traced(60, 3.0, 9);
-        for policy in [ScalingPolicy::Static { n: 2 }, ScalingPolicy::reactive_default()] {
+        for policy in [ScalingPolicy::Static { n: 2 }, ScalingPolicy::ReactiveThreshold] {
             let ctl = AutoscaleController::new(cfg(5.0, 6.0, 6), policy);
             let plain = run(&ctl, &SweepRunner::serial(), &build, &reqs, &FaultSchedule::none());
             // Recovery knobs without a fault never act: no kill means
@@ -1746,7 +1746,7 @@ mod tests {
     fn faulted_report_is_runner_invariant() {
         let build = builder();
         let reqs = traced(70, 3.0, 19);
-        for policy in [ScalingPolicy::Static { n: 2 }, ScalingPolicy::reactive_default()] {
+        for policy in [ScalingPolicy::Static { n: 2 }, ScalingPolicy::ReactiveThreshold] {
             let ctl = AutoscaleController::new(cfg(5.0, 5.0, 6), policy);
             let faults = kill_at(6.0, 0, true);
             let serial = run(&ctl, &SweepRunner::serial(), &build, &reqs, &faults);
@@ -1869,7 +1869,7 @@ mod tests {
     #[test]
     fn ratio_paths_stay_finite_on_empty_and_degenerate_runs() {
         let build = builder();
-        let ctl = AutoscaleController::new(cfg(10.0, 5.0, 4), ScalingPolicy::reactive_default());
+        let ctl = AutoscaleController::new(cfg(10.0, 5.0, 4), ScalingPolicy::ReactiveThreshold);
         let report = run(&ctl, &SweepRunner::serial(), &build, &[], &FaultSchedule::none());
         assert_eq!(report.attainment(), 0.0);
         assert_eq!(report.goodput_rps(), 0.0);
@@ -1894,7 +1894,7 @@ mod tests {
         let faults = kill_at(8.0, 1, true);
         for router in [RouterPolicy::JoinShortestQueue, RouterPolicy::JoinShortestQueueLive] {
             let config = AutoscaleConfig { router, ..cfg(5.0, 4.0, 6) };
-            let ctl = AutoscaleController::new(config, ScalingPolicy::reactive_default());
+            let ctl = AutoscaleController::new(config, ScalingPolicy::ReactiveThreshold);
             let plain = run(&ctl, &SweepRunner::serial(), &build, &reqs, &faults);
 
             let mut off = Instrument::off();
@@ -2111,7 +2111,7 @@ mod tests {
             let policy = if case % 2 == 0 {
                 ScalingPolicy::Static { n: 1 + case % 3 }
             } else {
-                ScalingPolicy::reactive_default()
+                ScalingPolicy::ReactiveThreshold
             };
             let config = cfg(5.0, warmup_s, 4);
             let case = format!("case {case}");
@@ -2155,7 +2155,7 @@ mod tests {
             replace_failures: true,
         };
         faults.validate().expect("a valid schedule");
-        for policy in [ScalingPolicy::Static { n: 2 }, ScalingPolicy::reactive_default()] {
+        for policy in [ScalingPolicy::Static { n: 2 }, ScalingPolicy::ReactiveThreshold] {
             let [events, parks, lost] =
                 assert_matches_oracle(cfg(6.0, 6.0, 4), policy, &reqs, &faults, "heavy faults");
             assert!(parks > 0 && lost > 0, "{policy}: the probe parks and loses work");

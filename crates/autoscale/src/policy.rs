@@ -24,6 +24,36 @@ pub enum ScaleDecision {
     Down(usize),
 }
 
+/// Reactive policy: scale up when estimated outstanding requests per
+/// accepting replica exceed this.
+pub const REACTIVE_UP_QUEUE_PER_REPLICA: f64 = 2.0;
+/// Reactive policy: scale down only when estimated outstanding
+/// requests per accepting replica are below this (hysteresis: well
+/// below the up bound).
+pub const REACTIVE_DOWN_QUEUE_PER_REPLICA: f64 = 0.25;
+/// Reactive policy: scale up when estimated per-replica utilization
+/// (offered work per accepting replica-second, capacity-calibrated)
+/// exceeds this. The utilization band (0.30–0.55) brackets the
+/// SLO-healthy load range on the default scenario: the TPOT knee sits
+/// near 0.6× per-replica capacity, so the up-trigger fires with
+/// headroom while the down-trigger waits for genuine slack.
+pub const REACTIVE_UP_UTILIZATION: f64 = 0.55;
+/// Reactive policy: scale down only when estimated per-replica
+/// utilization is below this.
+pub const REACTIVE_DOWN_UTILIZATION: f64 = 0.30;
+/// Reactive policy: scale up when the window's estimated TTFT
+/// attainment (fraction of arrivals whose estimated queue wait meets
+/// the TTFT SLO) falls below this; scale down requires being at or
+/// above it.
+pub const REACTIVE_ATTAINMENT_FLOOR: f64 = 0.95;
+/// Target-utilization policy: the desired per-replica utilization
+/// (45%, the middle of the SLO-healthy load band on the default
+/// scenario).
+pub const TARGET_UTILIZATION: f64 = 0.45;
+/// Windows that must pass after a scale event before an elastic
+/// policy may act again.
+pub const COOLDOWN_WINDOWS: usize = 2;
+
 /// A replica-count policy evaluated once per control window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScalingPolicy {
@@ -34,11 +64,12 @@ pub enum ScalingPolicy {
         /// Replica count, held for the whole trace.
         n: usize,
     },
-    /// Scale on queue-depth, utilization, and estimated-attainment
-    /// bounds, with hysteresis (each down bound well below its up
-    /// bound) so the fleet does not flap around a single threshold,
-    /// and a cooldown between events so one burst triggers one
-    /// action, not one per window.
+    /// Scale by one replica on queue-depth, utilization, and
+    /// estimated-attainment bounds (the `REACTIVE_*` constants), with
+    /// hysteresis (each down bound well below its up bound) so the
+    /// fleet does not flap around a single threshold, and a cooldown
+    /// between events so one burst triggers one action, not one per
+    /// window.
     ///
     /// The queue bound catches genuine overload (backlog growth,
     /// ρ > 1); the utilization bound catches the *latency* failure
@@ -46,125 +77,24 @@ pub enum ScalingPolicy {
     /// TPOT SLO well before their queues grow, so a queue-only
     /// autoscaler converges on a fleet that keeps up with load while
     /// missing the SLO all day.
-    ReactiveThreshold {
-        /// Scale up when estimated outstanding requests per accepting
-        /// replica exceed this.
-        up_queue_per_replica: f64,
-        /// Scale down only when estimated outstanding requests per
-        /// accepting replica are below this (must be < the up bound).
-        down_queue_per_replica: f64,
-        /// Scale up when estimated per-replica utilization (offered
-        /// work per accepting replica-second, capacity-calibrated)
-        /// exceeds this.
-        up_utilization: f64,
-        /// Scale down only when estimated per-replica utilization is
-        /// below this (must be < the up bound).
-        down_utilization: f64,
-        /// Scale up when the window's estimated TTFT attainment
-        /// (fraction of arrivals whose estimated queue wait meets the
-        /// TTFT SLO) falls below this; scale down requires being at
-        /// or above it.
-        attainment_floor: f64,
-        /// Replicas added or removed per event.
-        step: usize,
-        /// Windows that must pass after a scale event before the next.
-        cooldown_windows: usize,
-    },
-    /// Track a target per-replica utilization (offered work seconds
+    ReactiveThreshold,
+    /// Track [`TARGET_UTILIZATION`] per replica (offered work seconds
     /// per accepting replica-second), the classic
     /// CPU-utilization-style autoscaler: desired count =
     /// `ceil(ready × utilization / target)`. Scale-ups jump straight
     /// to the desired count; scale-downs step by one replica per
     /// event (conservative drain).
-    TargetUtilization {
-        /// Desired per-replica utilization in (0, 1).
-        target: f64,
-        /// Windows that must pass after a scale event before the next.
-        cooldown_windows: usize,
-    },
+    TargetUtilization,
 }
 
 impl ScalingPolicy {
-    /// The default reactive policy. The utilization band (0.30–0.55)
-    /// brackets the SLO-healthy load range on the default scenario:
-    /// the TPOT knee sits near 0.6× per-replica capacity, so the
-    /// up-trigger fires with headroom while the down-trigger waits
-    /// for genuine slack.
-    pub fn reactive_default() -> Self {
-        ScalingPolicy::ReactiveThreshold {
-            up_queue_per_replica: 2.0,
-            down_queue_per_replica: 0.25,
-            up_utilization: 0.55,
-            down_utilization: 0.30,
-            attainment_floor: 0.95,
-            step: 1,
-            cooldown_windows: 2,
-        }
-    }
-
-    /// The default utilization-tracking policy (target 45%, the
-    /// middle of the SLO-healthy load band on the default scenario).
-    pub fn target_utilization_default() -> Self {
-        ScalingPolicy::TargetUtilization { target: 0.45, cooldown_windows: 2 }
-    }
-
-    /// Validate the policy's parameters.
+    /// Validate the policy: a static fleet needs a replica.
     pub fn validate(&self) -> Result<(), String> {
         match *self {
-            ScalingPolicy::Static { n } => {
-                if n == 0 {
-                    return Err("static policy needs at least one replica".into());
-                }
-                Ok(())
+            ScalingPolicy::Static { n: 0 } => {
+                Err("static policy needs at least one replica".into())
             }
-            ScalingPolicy::ReactiveThreshold {
-                up_queue_per_replica,
-                down_queue_per_replica,
-                up_utilization,
-                down_utilization,
-                attainment_floor,
-                step,
-                ..
-            } => {
-                for (name, v) in [
-                    ("up_queue_per_replica", up_queue_per_replica),
-                    ("down_queue_per_replica", down_queue_per_replica),
-                    ("up_utilization", up_utilization),
-                    ("down_utilization", down_utilization),
-                ] {
-                    if !(v.is_finite() && v >= 0.0) {
-                        return Err(format!("{name} must be finite and >= 0, got {v}"));
-                    }
-                }
-                for (pair, down, up) in [
-                    ("queue", down_queue_per_replica, up_queue_per_replica),
-                    ("utilization", down_utilization, up_utilization),
-                ] {
-                    if down >= up {
-                        return Err(format!(
-                            "hysteresis requires the down {pair} bound {down} < the up \
-                             {pair} bound {up}"
-                        ));
-                    }
-                }
-                if !(attainment_floor.is_finite() && (0.0..=1.0).contains(&attainment_floor)) {
-                    return Err(format!(
-                        "attainment_floor must be in [0, 1], got {attainment_floor}"
-                    ));
-                }
-                if step == 0 {
-                    return Err("reactive step must be at least 1".into());
-                }
-                Ok(())
-            }
-            ScalingPolicy::TargetUtilization { target, .. } => {
-                if !(target.is_finite() && target > 0.0 && target < 1.0) {
-                    return Err(format!(
-                        "utilization target must be in (0, 1), got {target}"
-                    ));
-                }
-                Ok(())
-            }
+            _ => Ok(()),
         }
     }
 
@@ -181,8 +111,7 @@ impl ScalingPolicy {
     pub fn cooldown_windows(&self) -> usize {
         match *self {
             ScalingPolicy::Static { .. } => 0,
-            ScalingPolicy::ReactiveThreshold { cooldown_windows, .. } => cooldown_windows,
-            ScalingPolicy::TargetUtilization { cooldown_windows, .. } => cooldown_windows,
+            _ => COOLDOWN_WINDOWS,
         }
     }
 
@@ -202,32 +131,25 @@ impl ScalingPolicy {
         let ready = s.ready.max(1);
         match *self {
             ScalingPolicy::Static { .. } => ScaleDecision::Hold,
-            ScalingPolicy::ReactiveThreshold {
-                up_queue_per_replica,
-                down_queue_per_replica,
-                up_utilization,
-                down_utilization,
-                attainment_floor,
-                step,
-                ..
-            } => {
+            ScalingPolicy::ReactiveThreshold => {
                 let per_replica = s.queue_depth / ready as f64;
-                let overloaded = per_replica > up_queue_per_replica
-                    || s.utilization_est > up_utilization
-                    || s.est_attainment < attainment_floor;
-                let idle = per_replica < down_queue_per_replica
-                    && s.utilization_est < down_utilization
-                    && s.est_attainment >= attainment_floor;
+                let overloaded = per_replica > REACTIVE_UP_QUEUE_PER_REPLICA
+                    || s.utilization_est > REACTIVE_UP_UTILIZATION
+                    || s.est_attainment < REACTIVE_ATTAINMENT_FLOOR;
+                let idle = per_replica < REACTIVE_DOWN_QUEUE_PER_REPLICA
+                    && s.utilization_est < REACTIVE_DOWN_UTILIZATION
+                    && s.est_attainment >= REACTIVE_ATTAINMENT_FLOOR;
                 if overloaded && provisioned < max_replicas {
-                    ScaleDecision::Up(step.min(max_replicas - provisioned))
+                    ScaleDecision::Up(1)
                 } else if idle && s.provisioned == s.ready && provisioned > min_replicas {
-                    ScaleDecision::Down(step.min(provisioned - min_replicas))
+                    ScaleDecision::Down(1)
                 } else {
                     ScaleDecision::Hold
                 }
             }
-            ScalingPolicy::TargetUtilization { target, .. } => {
-                let desired = ((ready as f64 * s.utilization_est / target).ceil() as usize)
+            ScalingPolicy::TargetUtilization => {
+                let desired = ((ready as f64 * s.utilization_est / TARGET_UTILIZATION).ceil()
+                    as usize)
                     .clamp(min_replicas, max_replicas);
                 if desired > provisioned {
                     ScaleDecision::Up(desired - provisioned)
@@ -245,9 +167,9 @@ impl std::fmt::Display for ScalingPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             ScalingPolicy::Static { n } => write!(f, "static-{n}"),
-            ScalingPolicy::ReactiveThreshold { .. } => write!(f, "reactive"),
-            ScalingPolicy::TargetUtilization { target, .. } => {
-                write!(f, "target-util-{:.0}%", target * 100.0)
+            ScalingPolicy::ReactiveThreshold => write!(f, "reactive"),
+            ScalingPolicy::TargetUtilization => {
+                write!(f, "target-util-{:.0}%", TARGET_UTILIZATION * 100.0)
             }
         }
     }
@@ -274,7 +196,7 @@ mod tests {
 
     #[test]
     fn reactive_scales_up_on_queue_or_attainment_and_respects_bounds() {
-        let p = ScalingPolicy::reactive_default();
+        let p = ScalingPolicy::ReactiveThreshold;
         // Deep queue: up.
         assert_eq!(p.decide(&signals(8.0, 2, 0.2, 1.0), 1, 8), ScaleDecision::Up(1));
         // High utilization with a drained queue: still up (the TPOT
@@ -291,7 +213,7 @@ mod tests {
 
     #[test]
     fn reactive_hysteresis_band_holds() {
-        let p = ScalingPolicy::reactive_default();
+        let p = ScalingPolicy::ReactiveThreshold;
         // Queue depth and utilization between their down and up
         // bounds: hold.
         assert_eq!(p.decide(&signals(2.0, 2, 0.45, 1.0), 1, 8), ScaleDecision::Hold);
@@ -301,7 +223,7 @@ mod tests {
 
     #[test]
     fn warming_replicas_block_scale_down() {
-        let p = ScalingPolicy::reactive_default();
+        let p = ScalingPolicy::ReactiveThreshold;
         let mut s = signals(0.0, 4, 0.1, 1.0);
         s.provisioned = 5; // one replica still warming
         assert_eq!(p.decide(&s, 1, 8), ScaleDecision::Hold);
@@ -309,13 +231,13 @@ mod tests {
 
     #[test]
     fn target_utilization_tracks_the_ratio() {
-        let p = ScalingPolicy::TargetUtilization { target: 0.5, cooldown_windows: 0 };
-        // 4 ready at 80% -> desired ceil(4*0.8/0.5) = 7.
-        assert_eq!(p.decide(&signals(0.0, 4, 0.8, 1.0), 1, 16), ScaleDecision::Up(3));
+        let p = ScalingPolicy::TargetUtilization;
+        // 4 ready at 80% -> desired ceil(4*0.8/0.45) = 8.
+        assert_eq!(p.decide(&signals(0.0, 4, 0.8, 1.0), 1, 16), ScaleDecision::Up(4));
         // 4 ready at 10% -> desired 1, but down steps by one.
         assert_eq!(p.decide(&signals(0.0, 4, 0.1, 1.0), 1, 16), ScaleDecision::Down(1));
-        // On target: hold.
-        assert_eq!(p.decide(&signals(0.0, 4, 0.5, 1.0), 1, 16), ScaleDecision::Hold);
+        // Just under target: desired ceil(4*0.4/0.45) = 4, hold.
+        assert_eq!(p.decide(&signals(0.0, 4, 0.4, 1.0), 1, 16), ScaleDecision::Hold);
         // Desired clamps to max.
         assert_eq!(p.decide(&signals(0.0, 8, 0.9, 1.0), 1, 10), ScaleDecision::Up(2));
     }
@@ -329,42 +251,17 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_inverted_hysteresis_and_bad_targets() {
-        let bad = ScalingPolicy::ReactiveThreshold {
-            up_queue_per_replica: 1.0,
-            down_queue_per_replica: 2.0,
-            up_utilization: 0.6,
-            down_utilization: 0.3,
-            attainment_floor: 0.9,
-            step: 1,
-            cooldown_windows: 1,
-        };
-        assert!(bad.validate().is_err());
-        let bad_util = ScalingPolicy::ReactiveThreshold {
-            up_queue_per_replica: 2.0,
-            down_queue_per_replica: 1.0,
-            up_utilization: 0.3,
-            down_utilization: 0.6,
-            attainment_floor: 0.9,
-            step: 1,
-            cooldown_windows: 1,
-        };
-        assert!(bad_util.validate().is_err());
-        assert!(ScalingPolicy::TargetUtilization { target: 1.5, cooldown_windows: 0 }
-            .validate()
-            .is_err());
+    fn validation_rejects_an_empty_static_fleet() {
         assert!(ScalingPolicy::Static { n: 0 }.validate().is_err());
-        assert!(ScalingPolicy::reactive_default().validate().is_ok());
-        assert!(ScalingPolicy::target_utilization_default().validate().is_ok());
+        assert!(ScalingPolicy::Static { n: 1 }.validate().is_ok());
+        assert!(ScalingPolicy::ReactiveThreshold.validate().is_ok());
+        assert!(ScalingPolicy::TargetUtilization.validate().is_ok());
     }
 
     #[test]
     fn display_names_are_stable() {
         assert_eq!(ScalingPolicy::Static { n: 4 }.to_string(), "static-4");
-        assert_eq!(ScalingPolicy::reactive_default().to_string(), "reactive");
-        assert_eq!(
-            ScalingPolicy::target_utilization_default().to_string(),
-            "target-util-45%"
-        );
+        assert_eq!(ScalingPolicy::ReactiveThreshold.to_string(), "reactive");
+        assert_eq!(ScalingPolicy::TargetUtilization.to_string(), "target-util-45%");
     }
 }

@@ -170,7 +170,7 @@ pub fn elastic_sweep_with(
             trace: trace.clone(),
             faults: faults.iter().map(|(n, _)| n.clone()).collect(),
             recoveries: recoveries.iter().map(RecoverySpec::to_string).collect(),
-            alert_rule: AlertRule::default().to_string(),
+            alert_rule: AlertRule.to_string(),
             points: points.by_ref().take(faults.len() * recoveries.len()).collect(),
         })
         .collect()
@@ -232,7 +232,7 @@ mod tests {
         let faults = [("none".to_string(), FaultPlan::none())];
         let recoveries = [
             RecoverySpec::bare(ScalingPolicy::Static { n: 2 }),
-            RecoverySpec::bare(ScalingPolicy::reactive_default()),
+            RecoverySpec::bare(ScalingPolicy::ReactiveThreshold),
         ];
         let run = |runner: &SweepRunner| {
             elastic_sweep_with(

@@ -6,6 +6,7 @@
 //! on step loads.
 
 use proptest::prelude::*;
+use seesaw_autoscale::policy::COOLDOWN_WINDOWS;
 use seesaw_autoscale::{
     AutoscaleConfig, AutoscaleController, ElasticFleetReport, FaultSchedule, ScaleEvent,
     ScalingPolicy,
@@ -114,7 +115,7 @@ fn longer_warmup_never_improves_attainment() {
     let run = |warmup_s: f64| {
         let controller = AutoscaleController::new(
             config(5.0, warmup_s, 8, RouterPolicy::JoinShortestQueue),
-            ScalingPolicy::reactive_default(),
+            ScalingPolicy::ReactiveThreshold,
         );
         plain(&controller, &SweepRunner::serial(), &build, &reqs)
     };
@@ -158,18 +159,11 @@ fn cooldown_prevents_oscillation_on_a_step_trace() {
     for (i, r) in surge.into_iter().enumerate() {
         reqs.push(r.with_arrival(20.0 + i as f64 / 6.0));
     }
-    let cooldown = 2usize;
+    let cooldown = COOLDOWN_WINDOWS;
     let window_s = 5.0;
-    let policy = {
-        let mut p = ScalingPolicy::reactive_default();
-        if let ScalingPolicy::ReactiveThreshold { ref mut cooldown_windows, .. } = p {
-            *cooldown_windows = cooldown;
-        }
-        p
-    };
     let controller = AutoscaleController::new(
         config(window_s, 2.0, 8, RouterPolicy::JoinShortestQueue),
-        policy,
+        ScalingPolicy::ReactiveThreshold,
     );
     let report = plain(&controller, &SweepRunner::serial(), &build, &reqs);
     let events: &Vec<ScaleEvent> = &report.events;
@@ -217,8 +211,8 @@ proptest! {
             .expect("valid");
         let policy = match policy_idx {
             0 => ScalingPolicy::Static { n: 2 },
-            1 => ScalingPolicy::reactive_default(),
-            _ => ScalingPolicy::target_utilization_default(),
+            1 => ScalingPolicy::ReactiveThreshold,
+            _ => ScalingPolicy::TargetUtilization,
         };
         let (cluster, model) = specs();
         let build = |_: usize| -> Box<dyn OnlineEngine> {

@@ -96,7 +96,7 @@ fn dense_kills(seed: u64) -> FaultPlan {
 fn empty_plan_reproduces_the_autoscale_run_byte_for_byte() {
     let build = builder();
     let reqs = traced(50, 2.5, 21);
-    for policy in [ScalingPolicy::Static { n: 2 }, ScalingPolicy::reactive_default()] {
+    for policy in [ScalingPolicy::Static { n: 2 }, ScalingPolicy::ReactiveThreshold] {
         let config = cfg(RouterPolicy::JoinShortestQueue);
         let faulted = run((config, FaultPlan::none(), RecoverySpec::bare(policy)), &build, &reqs);
         let plain = AutoscaleController::new(config, policy).run_with(
@@ -120,7 +120,7 @@ fn chaos_grid_is_jobs_invariant() {
     ];
     let recoveries = [
         RecoverySpec::bare(ScalingPolicy::Static { n: 2 }),
-        RecoverySpec::healing(ScalingPolicy::reactive_default()),
+        RecoverySpec::healing(ScalingPolicy::ReactiveThreshold),
     ];
     let traces = [("test".to_string(), reqs)];
     let run = |runner: &SweepRunner| {
@@ -258,7 +258,7 @@ proptest! {
             groups,
             detect_s: 1.5,
         };
-        let recovery = RecoverySpec::healing(ScalingPolicy::reactive_default());
+        let recovery = RecoverySpec::healing(ScalingPolicy::ReactiveThreshold);
         let report = run((cfg(router), plan, recovery), &build, &reqs);
         let a = &report.availability;
         prop_assert_eq!(a.offered, 30);
@@ -286,7 +286,7 @@ fn instrumented_chaos_run_records_kills_without_perturbing() {
     let cell = (
         cfg(RouterPolicy::JoinShortestQueue),
         dense_kills(5),
-        RecoverySpec::healing(ScalingPolicy::reactive_default()),
+        RecoverySpec::healing(ScalingPolicy::ReactiveThreshold),
     );
     let mut off = Instrument::off();
     let plain = run_instrumented(cell, &build, &reqs, &mut off);

@@ -141,7 +141,7 @@ fn report_bytes(n: usize) -> isize {
         groups: 1,
         detect_s: 2.0,
     };
-    let recovery = RecoverySpec::healing(ScalingPolicy::reactive_default());
+    let recovery = RecoverySpec::healing(ScalingPolicy::ReactiveThreshold);
     let (report, bytes, _) = counted_replay(config, plan, recovery, &reqs);
     let a = &report.availability;
     assert!(a.replicas_killed > 0, "the plan must strike the trace");

@@ -140,8 +140,8 @@ pub fn default_policies(peak_mult: f64, mean_mult: f64) -> Vec<ScalingPolicy> {
     if n_mean != n_peak {
         policies.push(ScalingPolicy::Static { n: n_mean });
     }
-    policies.push(ScalingPolicy::reactive_default());
-    policies.push(ScalingPolicy::target_utilization_default());
+    policies.push(ScalingPolicy::ReactiveThreshold);
+    policies.push(ScalingPolicy::TargetUtilization);
     policies
 }
 
@@ -617,8 +617,8 @@ pub(crate) mod tests {
         assert_eq!(policies.len(), 4);
         assert_eq!(policies[0], ScalingPolicy::Static { n: 5 });
         assert_eq!(policies[1], ScalingPolicy::Static { n: 3 });
-        assert!(matches!(policies[2], ScalingPolicy::ReactiveThreshold { .. }));
-        assert!(matches!(policies[3], ScalingPolicy::TargetUtilization { .. }));
+        assert_eq!(policies[2], ScalingPolicy::ReactiveThreshold);
+        assert_eq!(policies[3], ScalingPolicy::TargetUtilization);
         // Degenerate scenario where mean rounds up to peak: no
         // duplicate static row.
         assert_eq!(default_policies(2.0, 1.5).len(), 3);
@@ -649,7 +649,7 @@ pub(crate) mod tests {
     fn mini_frontier_renders_and_is_jobs_invariant() {
         let policies = [
             ScalingPolicy::Static { n: 2 },
-            ScalingPolicy::reactive_default(),
+            ScalingPolicy::ReactiveThreshold,
         ];
         let serial = mini_frontier_with(&SweepRunner::serial(), 120.0, &policies, 42);
         let parallel = mini_frontier_with(&SweepRunner::new(4), 120.0, &policies, 42);

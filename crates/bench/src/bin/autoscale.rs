@@ -59,7 +59,7 @@ fn main() {
     let frontiers = autoscale::default_frontier_with(&runner, &scenario);
     let observed = args.out.wanted().then(|| {
         let none = ("none".to_string(), FaultPlan::none());
-        let reactive = RecoverySpec::bare(ScalingPolicy::reactive_default());
+        let reactive = RecoverySpec::bare(ScalingPolicy::ReactiveThreshold);
         autoscale::observed_cell_with(&runner, &scenario, &none, reactive, "autoscale")
     });
     if let Some(cell) = &observed {

@@ -74,7 +74,7 @@ fn parse_policy(s: &str) -> RouterPolicy {
     match s {
         "rr" | "round-robin" => RouterPolicy::RoundRobin,
         "jsq" => RouterPolicy::JoinShortestQueue,
-        "po2" | "p2c" => RouterPolicy::PowerOfTwoChoices { seed: 0 },
+        "po2" | "p2c" => RouterPolicy::PowerOfTwoChoices,
         "lew" | "least-work" => RouterPolicy::LeastEstimatedWork,
         "jsq-live" => RouterPolicy::JoinShortestQueueLive,
         "lew-live" | "least-work-live" => RouterPolicy::LeastWorkLive,

@@ -155,7 +155,7 @@ impl ChaosSpec {
         [
             RecoverySpec::bare(static_peak),
             RecoverySpec::healing(static_peak),
-            RecoverySpec::healing(ScalingPolicy::reactive_default()),
+            RecoverySpec::healing(ScalingPolicy::ReactiveThreshold),
         ]
         .map(|r| RecoverySpec { retry: self.retry, ..r })
         .to_vec()
@@ -554,7 +554,7 @@ mod tests {
         let faults = chaos.fault_roster(120.0);
         let recoveries = [
             RecoverySpec::bare(ScalingPolicy::Static { n: 3 }),
-            RecoverySpec::healing(ScalingPolicy::reactive_default()),
+            RecoverySpec::healing(ScalingPolicy::ReactiveThreshold),
         ];
         let run = |runner: &SweepRunner| {
             mini_chaos_frontier_with(runner, 120.0, &faults, &recoveries, 42)

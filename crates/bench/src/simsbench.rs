@@ -47,7 +47,7 @@
 //! `autoscale`.
 
 use seesaw_autoscale::{
-    AlertEngine, AlertEvent, AlertRule, AutoscaleConfig, AutoscaleController, ElasticFleetReport,
+    AlertEngine, AlertEvent, AutoscaleConfig, AutoscaleController, ElasticFleetReport,
     FaultPlan, FaultSchedule, RecoverySpec, RetryPolicy, ScalingPolicy,
 };
 use seesaw_engine::seesaw::{SeesawEngine, SeesawSpec};
@@ -273,7 +273,7 @@ impl SimsBench {
     /// per-cell unit of work, run serially like the other figures.
     pub fn run_autoscale_once(&self) -> ElasticFleetReport {
         let controller =
-            AutoscaleController::new(self.autoscale_config(), ScalingPolicy::reactive_default());
+            AutoscaleController::new(self.autoscale_config(), ScalingPolicy::ReactiveThreshold);
         let build = |_: usize| -> Box<dyn OnlineEngine> { Box::new(self.vllm()) };
         controller.run_with(
             &SweepRunner::serial(),
@@ -297,7 +297,7 @@ impl SimsBench {
             router: RouterPolicy::JoinShortestQueueLive,
             ..self.autoscale_config()
         };
-        let controller = AutoscaleController::new(config, ScalingPolicy::reactive_default());
+        let controller = AutoscaleController::new(config, ScalingPolicy::ReactiveThreshold);
         let build = |_: usize| -> Box<dyn OnlineEngine> { Box::new(self.vllm()) };
         let mut instr = Instrument::profiling();
         let report = controller.run_with(
@@ -323,7 +323,7 @@ impl SimsBench {
             config.window_s,
             self.metrics_horizon_s,
         );
-        let alerts = AlertEngine::evaluate(AlertRule::default(), &windows);
+        let alerts = AlertEngine::evaluate(&windows);
         (windows, alerts)
     }
 
@@ -368,7 +368,7 @@ impl SimsBench {
             deadline_s: 60.0,
         };
         let recovery = RecoverySpec {
-            policy: ScalingPolicy::reactive_default(),
+            policy: ScalingPolicy::ReactiveThreshold,
             replace_failures: true,
             retry,
         };

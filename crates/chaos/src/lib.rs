@@ -2,7 +2,7 @@
 //! `perfbench/` builds unchanged: the elastic tier lives in
 //! [`seesaw_autoscale`], and nothing else in the workspace depends on
 //! this crate. It goes with the next benchmark-only change (ROADMAP
-//! items 7 and 8).
+//! item 10).
 
 use seesaw_autoscale::{AutoscaleConfig, AutoscaleController, ElasticFleetReport, FaultSchedule};
 use seesaw_engine::SweepRunner;

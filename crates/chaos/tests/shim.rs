@@ -46,7 +46,7 @@ fn chaos_cell_is_the_controller_run_under_its_schedule() {
         groups: 1,
         detect_s: 2.0,
     };
-    let recovery = RecoverySpec::healing(ScalingPolicy::reactive_default());
+    let recovery = RecoverySpec::healing(ScalingPolicy::ReactiveThreshold);
     let chaos = ChaosController::new(config, plan, recovery);
     let schedule = chaos.schedule_for(&reqs);
     assert_eq!(schedule, plan.schedule_for(&reqs, config.window_s, &recovery));

@@ -106,21 +106,12 @@ pub fn best_seesaw_pair(
 /// the serial search. Slower than [`best_seesaw_pair`] but immune to
 /// analytic-model ranking error; this is what
 /// [`SeesawSpec::auto_for`](crate::seesaw::SeesawSpec) uses.
+/// Binaries thread their `--jobs` choice through `runner`.
 ///
 /// When the shortlists admit no probeable pair at all (e.g. every
 /// top-prefill × top-decode combination mixes DP degrees), the search
 /// falls back to the analytic [`best_seesaw_pair`] over the *full*
 /// candidate set instead of reporting a spurious [`FitError`].
-pub fn best_seesaw_pair_probed(
-    cluster: &ClusterSpec,
-    model: &ModelConfig,
-    probe: &[seesaw_workload::Request],
-) -> Result<(ParallelConfig, ParallelConfig), FitError> {
-    best_seesaw_pair_probed_with(&crate::sweep::SweepRunner::from_env(), cluster, model, probe)
-}
-
-/// [`best_seesaw_pair_probed`] on an explicit runner (binaries thread
-/// their `--jobs` choice through here).
 pub fn best_seesaw_pair_probed_with(
     runner: &crate::sweep::SweepRunner,
     cluster: &ClusterSpec,
@@ -130,19 +121,20 @@ pub fn best_seesaw_pair_probed_with(
     assert!(!probe.is_empty(), "probe workload must be non-empty");
     let stats = seesaw_workload::LengthStats::of(probe);
     let (avg_in, avg_out) = (stats.mean_input as usize, stats.mean_output.max(1.0) as usize);
+    let avg_ctx = ThroughputModel::decode_context(avg_in, avg_out);
     let tm = ThroughputModel::new(Roofline::new(cluster.clone(), model.clone()));
     let candidates = feasible::feasible_configs(model, cluster);
 
     // Shortlist by per-stage analytic strength.
     let mut by_prefill: Vec<(ParallelConfig, f64)> = candidates
         .iter()
-        .map(|&c| (c, tm.prefill_tokens_per_sec(c, avg_in.max(1), 4)))
+        .map(|&c| (c, tm.prefill_tokens_per_sec(c, avg_in.max(1))))
         .collect();
     by_prefill.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
     let mut by_decode: Vec<(ParallelConfig, f64)> = candidates
         .iter()
         .filter_map(|&c| {
-            tm.decode_seq_steps_per_sec_max_batch(c, avg_in + avg_out / 2)
+            tm.decode_seq_steps_per_sec_max_batch(c, avg_ctx)
                 .ok()
                 .map(|r| (c, r))
         })
@@ -274,12 +266,13 @@ mod tests {
             (ClusterSpec::a10x4(), presets::llama3_15b()),
             (ClusterSpec::a10x8(), presets::codellama_34b()),
         ];
+        let runner = crate::sweep::SweepRunner::serial();
         for (cluster, model) in combos {
             if best_seesaw_pair(&cluster, &model, 512, 32).is_err() {
                 continue;
             }
             let probe: Vec<Request> = (0..8).map(|i| Request::new(i, 512, 32)).collect();
-            let pair = best_seesaw_pair_probed(&cluster, &model, &probe);
+            let pair = best_seesaw_pair_probed_with(&runner, &cluster, &model, &probe);
             assert!(
                 pair.is_ok(),
                 "probed search must not dead-end on {} / {}x{}: {:?}",

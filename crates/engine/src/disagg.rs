@@ -110,14 +110,15 @@ impl DisaggEngine {
         // Best config per instance: prefill instance optimizes prompt
         // rate, decode instance optimizes generation rate.
         let (pcfg, _) = best_prefill_config(&pre_cluster, &self.model, avg_in)?;
-        let (dcfg, _) = best_decode_config(&dec_cluster, &self.model, avg_in + avg_out / 2)?;
+        let avg_ctx = ThroughputModel::decode_context(avg_in, avg_out);
+        let (dcfg, _) = best_decode_config(&dec_cluster, &self.model, avg_ctx)?;
 
         let tm_p = ThroughputModel::new(Roofline::new(pre_cluster, self.model.clone()));
-        let prefill_tok_rate = tm_p.prefill_tokens_per_sec(pcfg, avg_in.max(1), 4);
+        let prefill_tok_rate = tm_p.prefill_tokens_per_sec(pcfg, avg_in.max(1));
         let prefill_rps = prefill_tok_rate / avg_in as f64;
 
         let tm_d = ThroughputModel::new(Roofline::new(dec_cluster.clone(), self.model.clone()));
-        let step_rate = tm_d.decode_seq_steps_per_sec_max_batch(dcfg, avg_in + avg_out / 2)?;
+        let step_rate = tm_d.decode_seq_steps_per_sec_max_batch(dcfg, avg_ctx)?;
         // KV must cross from prefill to decode GPUs: one D2H + one H2D
         // of the prompt KV per request, spread across the decode
         // instance's host links.
@@ -317,7 +318,7 @@ fn best_prefill_config(
     let tm = ThroughputModel::new(Roofline::new(cluster.clone(), model.clone()));
     seesaw_parallel::feasible::feasible_configs(model, cluster)
         .into_iter()
-        .map(|c| (c, tm.prefill_tokens_per_sec(c, avg_in.max(1), 4)))
+        .map(|c| (c, tm.prefill_tokens_per_sec(c, avg_in.max(1))))
         .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
         .ok_or(FitError::Invalid("no feasible prefill config".into()))
 }
@@ -348,7 +349,8 @@ pub fn whole_cluster_decode_rps(
     avg_in: usize,
     avg_out: usize,
 ) -> Result<f64, FitError> {
-    let (_, step_rate) = best_decode_config(cluster, model, avg_in + avg_out / 2)?;
+    let avg_ctx = ThroughputModel::decode_context(avg_in, avg_out);
+    let (_, step_rate) = best_decode_config(cluster, model, avg_ctx)?;
     Ok(step_rate / avg_out as f64)
 }
 

@@ -65,10 +65,11 @@ pub(crate) fn roofline_rates(
     avg_out: usize,
 ) -> ServiceRates {
     let tm = ThroughputModel::new(Roofline::new(Arc::clone(cluster), Arc::clone(model)));
+    let avg_ctx = ThroughputModel::decode_context(avg_in, avg_out);
     ServiceRates {
-        prefill_tokens_per_sec: tm.prefill_tokens_per_sec(prefill, avg_in.max(1), 4),
+        prefill_tokens_per_sec: tm.prefill_tokens_per_sec(prefill, avg_in.max(1)),
         decode_tokens_per_sec: tm
-            .decode_seq_steps_per_sec_max_batch(decode, avg_in + avg_out / 2)
+            .decode_seq_steps_per_sec_max_batch(decode, avg_ctx)
             .expect("decode config validated at construction"),
     }
 }

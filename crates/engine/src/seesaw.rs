@@ -31,6 +31,7 @@ use crate::autotune;
 use crate::driver::{kv_capacity, RunCore, BURST_CAP, MAX_PREFILL_TOKENS};
 use crate::online::{roofline_rates, ServiceRates};
 use crate::report::{EngineReport, Phase, PhaseSpan};
+use crate::sweep::SweepRunner;
 use seesaw_hw::{efficiency, ClusterSpec};
 use seesaw_kv::{BufferedSeq, CpuKvBuffer, KvLayout, PagedKvCache, SwapSizer};
 use seesaw_model::ModelConfig;
@@ -78,16 +79,10 @@ impl SeesawSpec {
         }
     }
 
-    /// Auto-tuned spec for a generic workload (2000-token prompts,
-    /// 250-token outputs). Use [`SeesawSpec::auto_for`] when workload
-    /// statistics are known.
-    pub fn auto(cluster: &ClusterSpec, model: &ModelConfig) -> Result<Self, FitError> {
-        Self::auto_for(cluster, model, 2000, 250)
-    }
-
     /// Auto-tuned spec for a workload averaging `avg_in` prompt and
     /// `avg_out` generated tokens. Shortlists candidates analytically,
-    /// then picks the pair with the best *simulated* probe throughput.
+    /// then picks the pair with the best *simulated* probe throughput,
+    /// probing on the environment's runner ([`SweepRunner::from_env`]).
     pub fn auto_for(
         cluster: &ClusterSpec,
         model: &ModelConfig,
@@ -97,24 +92,14 @@ impl SeesawSpec {
         let probe: Vec<Request> = (0..24)
             .map(|i| Request::new(u64::MAX - i, avg_in.max(1), avg_out.max(1)))
             .collect();
-        let (cp, cd) = autotune::best_seesaw_pair_probed(cluster, model, &probe)?;
-        Ok(Self::new(cp, cd))
+        Self::auto_probed_with(&SweepRunner::from_env(), cluster, model, &probe)
     }
 
-    /// Auto-tuned spec probed with a caller-supplied sample of the
-    /// real workload (better than [`SeesawSpec::auto_for`] for skewed
-    /// length distributions).
-    pub fn auto_probed(
-        cluster: &ClusterSpec,
-        model: &ModelConfig,
-        probe: &[Request],
-    ) -> Result<Self, FitError> {
-        Self::auto_probed_with(&crate::sweep::SweepRunner::from_env(), cluster, model, probe)
-    }
-
-    /// [`SeesawSpec::auto_probed`] on an explicit sweep runner.
+    /// Auto-tuned spec probed on `runner` with a caller-supplied
+    /// sample of the real workload (better than
+    /// [`SeesawSpec::auto_for`] for skewed length distributions).
     pub fn auto_probed_with(
-        runner: &crate::sweep::SweepRunner,
+        runner: &SweepRunner,
         cluster: &ClusterSpec,
         model: &ModelConfig,
         probe: &[Request],

@@ -35,44 +35,22 @@ pub struct Fleet {
 impl Fleet {
     /// A fleet over explicit replicas (at least one), possibly
     /// heterogeneous — each replica's routing cost estimates are
-    /// computed from its own engine. Panics on an empty vec; use
-    /// [`Fleet::try_new`] to validate instead.
+    /// computed from its own engine. Panics on an empty vec.
     pub fn new(replicas: Vec<Box<dyn OnlineEngine>>) -> Self {
-        Self::try_new(replicas).expect("a fleet needs at least one replica")
-    }
-
-    /// [`Fleet::new`], rejecting an empty replica vec with an error
-    /// instead of panicking — for callers assembling fleets from
-    /// external configuration.
-    pub fn try_new(replicas: Vec<Box<dyn OnlineEngine>>) -> Result<Self, String> {
-        if replicas.is_empty() {
-            return Err(String::from("a fleet needs at least one replica"));
-        }
-        Ok(Fleet { replicas, homogeneous: false })
+        assert!(!replicas.is_empty(), "a fleet needs at least one replica");
+        Fleet { replicas, homogeneous: false }
     }
 
     /// A homogeneous fleet: `n` identical replicas built by `make`
     /// (`make` must return equivalently-configured engines — the
     /// fleet computes routing cost estimates once and shares them).
-    /// Panics when `n == 0`; use [`Fleet::try_homogeneous`] to
-    /// validate instead.
+    /// Panics when `n == 0`, before building any replica.
     pub fn homogeneous(n: usize, make: impl Fn(usize) -> Box<dyn OnlineEngine>) -> Self {
-        Self::try_homogeneous(n, make).expect("a fleet needs at least one replica")
-    }
-
-    /// [`Fleet::homogeneous`], rejecting `n == 0` with an error
-    /// instead of panicking.
-    pub fn try_homogeneous(
-        n: usize,
-        make: impl Fn(usize) -> Box<dyn OnlineEngine>,
-    ) -> Result<Self, String> {
-        if n == 0 {
-            return Err(String::from("a fleet needs at least one replica"));
-        }
-        Ok(Fleet {
+        assert!(n > 0, "a fleet needs at least one replica");
+        Fleet {
             replicas: (0..n).map(make).collect(),
             homogeneous: true,
-        })
+        }
     }
 
     /// Number of replicas.
@@ -348,26 +326,6 @@ mod tests {
         let report = fleet.run_with(&SweepRunner::serial(), RouterPolicy::RoundRobin, &[]);
         assert_eq!(report.stats.requests, 0);
         assert!(report.latency.is_none());
-    }
-
-    #[test]
-    fn empty_fleet_rejected_up_front() {
-        assert!(Fleet::try_new(Vec::new()).is_err());
-        assert!(Fleet::try_homogeneous(0, |_| unreachable!("never built")).is_err());
-        let cluster = Arc::new(ClusterSpec::a10x4());
-        let model = Arc::new(presets::llama2_13b());
-        assert_eq!(
-            Fleet::try_new(vec![vllm_replica(&cluster, &model)])
-                .expect("one replica is a fleet")
-                .len(),
-            1
-        );
-        assert_eq!(
-            Fleet::try_homogeneous(2, |_| vllm_replica(&cluster, &model))
-                .expect("two replicas are a fleet")
-                .len(),
-            2
-        );
     }
 
     #[test]

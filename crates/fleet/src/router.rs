@@ -15,7 +15,8 @@
 //! loop. Every decision goes through the one [`Router::route`].
 //!
 //! All policies are deterministic: [`RouterPolicy::PowerOfTwoChoices`]
-//! carries its own RNG seed, and queue-state ties break by a
+//! samples from an RNG seeded with [`PO2_SEED`], and queue-state ties
+//! break by a
 //! deterministic round-robin rotor (never "always replica 0", which
 //! would pile every request onto one replica whenever the estimated
 //! queues drain between arrivals — light load must degenerate to
@@ -27,6 +28,10 @@ use seesaw_engine::{live_state, EngineActor};
 use seesaw_workload::Request;
 use std::collections::VecDeque;
 
+/// Seed of [`RouterPolicy::PowerOfTwoChoices`]'s RNG: same seed, same
+/// choices.
+pub const PO2_SEED: u64 = 0;
+
 /// How the fleet router picks a replica for each arriving request.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RouterPolicy {
@@ -36,14 +41,11 @@ pub enum RouterPolicy {
     /// Fewest outstanding (dispatched, not yet estimated-complete)
     /// requests wins.
     JoinShortestQueue,
-    /// Sample two distinct replicas with the seeded RNG and keep the
-    /// one with fewer outstanding requests — the classic
-    /// "power of two choices" balancer (near-JSQ balance at O(1)
-    /// inspection cost).
-    PowerOfTwoChoices {
-        /// RNG seed: same seed, same choices.
-        seed: u64,
-    },
+    /// Sample two distinct replicas with an RNG seeded with
+    /// [`PO2_SEED`] and keep the one with fewer outstanding requests —
+    /// the classic "power of two choices" balancer (near-JSQ balance
+    /// at O(1) inspection cost).
+    PowerOfTwoChoices,
     /// Least estimated outstanding *work* (sum of roofline-estimated
     /// service seconds still in flight) wins — JSQ weighted by
     /// request size, so one huge prompt counts for more than several
@@ -65,7 +67,7 @@ impl std::fmt::Display for RouterPolicy {
         match self {
             RouterPolicy::RoundRobin => write!(f, "round-robin"),
             RouterPolicy::JoinShortestQueue => write!(f, "jsq"),
-            RouterPolicy::PowerOfTwoChoices { .. } => write!(f, "po2"),
+            RouterPolicy::PowerOfTwoChoices => write!(f, "po2"),
             RouterPolicy::LeastEstimatedWork => write!(f, "least-work"),
             RouterPolicy::JoinShortestQueueLive => write!(f, "jsq-live"),
             RouterPolicy::LeastWorkLive => write!(f, "least-work-live"),
@@ -74,13 +76,12 @@ impl std::fmt::Display for RouterPolicy {
 }
 
 impl RouterPolicy {
-    /// The four estimated-queue policies at their defaults (po2
-    /// seeded with 0), in comparison-table order.
+    /// The four estimated-queue policies, in comparison-table order.
     pub fn all_default() -> Vec<RouterPolicy> {
         vec![
             RouterPolicy::RoundRobin,
             RouterPolicy::JoinShortestQueue,
-            RouterPolicy::PowerOfTwoChoices { seed: 0 },
+            RouterPolicy::PowerOfTwoChoices,
             RouterPolicy::LeastEstimatedWork,
         ]
     }
@@ -227,7 +228,7 @@ impl Router {
     pub fn new(policy: RouterPolicy, n_replicas: usize) -> Self {
         assert!(n_replicas > 0, "a fleet needs at least one replica");
         let rng = match policy {
-            RouterPolicy::PowerOfTwoChoices { seed } => Some(StdRng::seed_from_u64(seed)),
+            RouterPolicy::PowerOfTwoChoices => Some(StdRng::seed_from_u64(PO2_SEED)),
             _ => None,
         };
         Router {
@@ -304,7 +305,7 @@ impl Router {
         );
         let now = req.arrival_s;
         let chosen = match self.policy {
-            RouterPolicy::PowerOfTwoChoices { .. } => self.po2(eligible, now),
+            RouterPolicy::PowerOfTwoChoices => self.po2(eligible, now),
             RouterPolicy::JoinShortestQueue | RouterPolicy::LeastEstimatedWork => {
                 for &i in eligible {
                     self.queues[i].advance_to(now);
@@ -360,7 +361,7 @@ impl Router {
             RouterPolicy::LeastEstimatedWork => self.queues[replica].work,
             RouterPolicy::JoinShortestQueueLive => live[pos].0 as f64,
             RouterPolicy::LeastWorkLive => live[pos].1,
-            RouterPolicy::PowerOfTwoChoices { .. } => unreachable!("po2 samples, it has no key"),
+            RouterPolicy::PowerOfTwoChoices => unreachable!("po2 samples, it has no key"),
         }
     }
 
@@ -498,7 +499,7 @@ mod tests {
     #[test]
     fn po2_is_seed_deterministic() {
         let reqs = reqs_at(&[0.2; 40]);
-        let p = RouterPolicy::PowerOfTwoChoices { seed: 9 };
+        let p = RouterPolicy::PowerOfTwoChoices;
         assert_eq!(assign(p, 4, &reqs, UNIT_EST), assign(p, 4, &reqs, UNIT_EST));
         // Uses more than one replica on a long stream.
         let a = assign(p, 4, &reqs, UNIT_EST);
@@ -510,7 +511,7 @@ mod tests {
     #[test]
     fn po2_single_replica_never_panics() {
         let reqs = reqs_at(&[0.0, 0.0]);
-        let a = assign(RouterPolicy::PowerOfTwoChoices { seed: 1 }, 1, &reqs, UNIT_EST);
+        let a = assign(RouterPolicy::PowerOfTwoChoices, 1, &reqs, UNIT_EST);
         assert_eq!(a, vec![0, 0]);
     }
 

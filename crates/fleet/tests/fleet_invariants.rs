@@ -143,14 +143,13 @@ proptest! {
         rate in 0.2f64..30.0,
         cv in 0.2f64..3.0,
         policy_idx in 0usize..4,
-        po2_seed in 0u64..100,
     ) {
         let base: Vec<Request> = (0..n).map(|i| Request::new(i as u64, 64, 8)).collect();
         let reqs = ArrivalDist::Gamma { rate, cv }.attach(&base, seed).expect("valid");
         let policy = match policy_idx {
             0 => RouterPolicy::RoundRobin,
             1 => RouterPolicy::JoinShortestQueue,
-            2 => RouterPolicy::PowerOfTwoChoices { seed: po2_seed },
+            2 => RouterPolicy::PowerOfTwoChoices,
             _ => RouterPolicy::LeastEstimatedWork,
         };
         let mut router = Router::new(policy, n_replicas);

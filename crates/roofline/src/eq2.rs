@@ -10,6 +10,9 @@ use crate::batch::BatchShape;
 use crate::cost::{Roofline, Stage};
 use seesaw_parallel::{FitError, MemoryPlan, ParallelConfig};
 
+/// Prompts per prefill micro-batch in the analytic prefill rate.
+pub const PREFILL_UBATCH_SEQS: usize = 4;
+
 /// Analytic throughput model over a [`Roofline`].
 #[derive(Debug, Clone)]
 pub struct ThroughputModel {
@@ -73,15 +76,18 @@ impl ThroughputModel {
         Ok(self.decode_seq_steps_per_sec(cfg, avg_ctx, b))
     }
 
+    /// Average context of a decoding sequence on a workload of `avg_in`
+    /// input and `avg_out` output tokens: the prompt plus half the
+    /// output, the context midway through generation.
+    pub fn decode_context(avg_in: usize, avg_out: usize) -> usize {
+        avg_in + avg_out / 2
+    }
+
     /// Sustained prefill rate in tokens per second for prompts of
-    /// `prompt_len`, with `ubatch_seqs` sequences per micro-batch.
-    pub fn prefill_tokens_per_sec(
-        &self,
-        cfg: ParallelConfig,
-        prompt_len: usize,
-        ubatch_seqs: usize,
-    ) -> f64 {
-        let shape = BatchShape::prefill(&vec![prompt_len; ubatch_seqs.max(1)]);
+    /// `prompt_len`, with [`PREFILL_UBATCH_SEQS`] sequences per
+    /// micro-batch.
+    pub fn prefill_tokens_per_sec(&self, cfg: ParallelConfig, prompt_len: usize) -> f64 {
+        let shape = BatchShape::prefill(&[prompt_len; PREFILL_UBATCH_SEQS]);
         let t = self.stage_bottleneck_time(cfg, Stage::Prefill, &shape);
         if t <= 0.0 {
             return f64::INFINITY;
@@ -101,9 +107,9 @@ impl ThroughputModel {
         avg_in: usize,
         avg_out: usize,
     ) -> Result<f64, FitError> {
-        let prefill_rate = self.prefill_tokens_per_sec(cfg_p, avg_in.max(1), 4);
+        let prefill_rate = self.prefill_tokens_per_sec(cfg_p, avg_in.max(1));
         let t_prefill = avg_in as f64 / prefill_rate;
-        let avg_ctx = avg_in + avg_out / 2;
+        let avg_ctx = Self::decode_context(avg_in, avg_out);
         let step_rate = self.decode_seq_steps_per_sec_max_batch(cfg_d, avg_ctx)?;
         // Also verify the prefill config itself fits.
         MemoryPlan::new(self.roofline.model(), self.roofline.cluster(), cfg_p)?;
@@ -130,8 +136,8 @@ mod tests {
         let pp8 = ParallelConfig::pp(8);
         let tp8 = ParallelConfig::tp(8);
 
-        let prefill_pp = t.prefill_tokens_per_sec(pp8, 2000, 4);
-        let prefill_tp = t.prefill_tokens_per_sec(tp8, 2000, 4);
+        let prefill_pp = t.prefill_tokens_per_sec(pp8, 2000);
+        let prefill_tp = t.prefill_tokens_per_sec(tp8, 2000);
         assert!(
             prefill_pp > prefill_tp,
             "prefill: PP8 {prefill_pp:.0} tok/s should beat TP8 {prefill_tp:.0}"
@@ -153,8 +159,8 @@ mod tests {
         let pcie = tm(ClusterSpec::a100x8_pcie(), presets::llama2_70b());
         let nvl = tm(ClusterSpec::a100x8_nvlink(), presets::llama2_70b());
         let gap = |t: &ThroughputModel| {
-            t.prefill_tokens_per_sec(ParallelConfig::pp(8), 2000, 4)
-                / t.prefill_tokens_per_sec(ParallelConfig::tp(8), 2000, 4)
+            t.prefill_tokens_per_sec(ParallelConfig::pp(8), 2000)
+                / t.prefill_tokens_per_sec(ParallelConfig::tp(8), 2000)
         };
         assert!(gap(&pcie) > gap(&nvl));
         assert!(gap(&nvl) < 1.5, "NVLink TP8 prefill should be competitive");

@@ -78,11 +78,6 @@ impl Instrument {
         Instrument { profiling: true, ..Instrument::off() }
     }
 
-    /// Record everything.
-    pub fn full() -> Self {
-        Instrument { profiling: true, ..Instrument::tracing() }
-    }
-
     /// Whether deterministic telemetry (events + metrics) is on.
     pub fn telemetry_on(&self) -> bool {
         self.recorder.is_enabled()
@@ -148,6 +143,5 @@ mod tests {
         assert!(!Instrument::tracing().profiling);
         assert!(Instrument::profiling().profiling);
         assert!(!Instrument::profiling().telemetry_on());
-        assert!(Instrument::full().telemetry_on() && Instrument::full().profiling);
     }
 }

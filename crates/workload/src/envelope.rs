@@ -5,9 +5,9 @@
 //! a capacity-planning question is the opposite: the rate follows a
 //! production-shaped daily curve and the fleet must follow it. A
 //! [`RateEnvelope`] describes that curve analytically — sinusoidal
-//! (one daily peak), bimodal (morning + evening peaks), or constant —
-//! and samples it into concrete arrival times via Poisson thinning
-//! (a non-homogeneous Poisson process: candidates arrive at the peak
+//! (one daily peak) or bimodal (morning + evening peaks) — and samples
+//! it into concrete arrival times via Poisson thinning (a
+//! non-homogeneous Poisson process: candidates arrive at the peak
 //! rate, each kept with probability `rate(t) / peak`). Sampling is
 //! seeded and deterministic, like every other generator in this
 //! crate.
@@ -27,12 +27,6 @@ use rand::{Rng, SeedableRng};
 /// `period_s`, so traces longer than one period repeat the shape).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RateEnvelope {
-    /// Flat rate — the degenerate envelope (a homogeneous Poisson
-    /// process; useful as a sweep baseline).
-    Constant {
-        /// Offered load, requests/second (finite, > 0).
-        rps: f64,
-    },
     /// One daily cycle: trough at t = 0, peak at half period. The
     /// raised cosine is taken to the `sharpness` power, so `1.0` is
     /// the classic sinusoid (half the day above the midpoint) while
@@ -72,14 +66,9 @@ pub enum RateEnvelope {
 }
 
 impl RateEnvelope {
-    /// A pure sinusoidal day swinging between `trough_rps` and
-    /// `peak_rps` (sharpness 1).
-    pub fn diurnal(trough_rps: f64, peak_rps: f64, day_s: f64) -> Self {
-        Self::diurnal_sharp(trough_rps, peak_rps, day_s, 1.0)
-    }
-
-    /// A diurnal day with an explicit peak-concentration exponent
-    /// (see [`RateEnvelope::Sinusoidal`]).
+    /// A diurnal day swinging between `trough_rps` and `peak_rps`
+    /// with peak-concentration exponent `sharpness` (see
+    /// [`RateEnvelope::Sinusoidal`]; `1.0` is the pure sinusoid).
     pub fn diurnal_sharp(trough_rps: f64, peak_rps: f64, day_s: f64, sharpness: f64) -> Self {
         RateEnvelope::Sinusoidal { trough_rps, peak_rps, period_s: day_s, sharpness }
     }
@@ -115,7 +104,6 @@ impl RateEnvelope {
             }
         };
         match *self {
-            RateEnvelope::Constant { rps } => positive("rps", rps),
             RateEnvelope::Sinusoidal { trough_rps, peak_rps, period_s, sharpness } => {
                 finite_nonneg("trough_rps", trough_rps)?;
                 positive("peak_rps", peak_rps)?;
@@ -165,7 +153,6 @@ impl RateEnvelope {
     /// envelope's period).
     pub fn rate_at(&self, t: f64) -> f64 {
         match *self {
-            RateEnvelope::Constant { rps } => rps,
             RateEnvelope::Sinusoidal { trough_rps, peak_rps, period_s, sharpness } => {
                 let u = t.rem_euclid(period_s);
                 let phase = 2.0 * std::f64::consts::PI * u / period_s;
@@ -198,7 +185,6 @@ impl RateEnvelope {
     /// a peak-provisioned static fleet is sized against).
     pub fn peak_rps(&self) -> f64 {
         match *self {
-            RateEnvelope::Constant { rps } => rps,
             RateEnvelope::Sinusoidal { peak_rps, .. } => peak_rps,
             RateEnvelope::Bimodal { peak_rps, .. } => peak_rps,
         }
@@ -208,7 +194,6 @@ impl RateEnvelope {
     /// deterministic 4096-step trapezoid otherwise).
     pub fn mean_rps(&self) -> f64 {
         match *self {
-            RateEnvelope::Constant { rps } => rps,
             RateEnvelope::Sinusoidal { trough_rps, peak_rps, sharpness: 1.0, .. } => {
                 0.5 * (trough_rps + peak_rps)
             }
@@ -381,7 +366,7 @@ mod tests {
 
     #[test]
     fn sinusoidal_peaks_mid_period_and_wraps() {
-        let env = RateEnvelope::diurnal(1.0, 5.0, 100.0);
+        let env = RateEnvelope::diurnal_sharp(1.0, 5.0, 100.0, 1.0);
         assert!((env.rate_at(0.0) - 1.0).abs() < 1e-12);
         assert!((env.rate_at(50.0) - 5.0).abs() < 1e-12);
         assert!((env.rate_at(150.0) - 5.0).abs() < 1e-9, "periodic wrap");
@@ -391,7 +376,7 @@ mod tests {
 
     #[test]
     fn sharpness_concentrates_the_peak_without_moving_it() {
-        let flat = RateEnvelope::diurnal(0.0, 4.0, 100.0);
+        let flat = RateEnvelope::diurnal_sharp(0.0, 4.0, 100.0, 1.0);
         let sharp = RateEnvelope::diurnal_sharp(0.0, 4.0, 100.0, 3.0);
         // Peak value and location unchanged.
         assert!((sharp.rate_at(50.0) - 4.0).abs() < 1e-12);
@@ -417,7 +402,7 @@ mod tests {
 
     #[test]
     fn thinning_is_seeded_nondecreasing_and_tracks_the_mean() {
-        let env = RateEnvelope::diurnal(1.0, 3.0, 500.0);
+        let env = RateEnvelope::diurnal_sharp(1.0, 3.0, 500.0, 1.0);
         let a = env.sample_trace(500.0, 9).unwrap();
         let b = env.sample_trace(500.0, 9).unwrap();
         assert_eq!(a, b, "same seed must replay the same trace");
@@ -432,7 +417,7 @@ mod tests {
 
     #[test]
     fn thinning_concentrates_arrivals_at_the_peak() {
-        let env = RateEnvelope::diurnal(0.2, 4.0, 1000.0);
+        let env = RateEnvelope::diurnal_sharp(0.2, 4.0, 1000.0, 1.0);
         let times = env.sample_trace(1000.0, 3).unwrap();
         let trough_half = times.iter().filter(|&&t| !(250.0..750.0).contains(&t)).count();
         let peak_half = times.len() - trough_half;
@@ -444,7 +429,7 @@ mod tests {
 
     #[test]
     fn sample_n_extends_past_one_period() {
-        let env = RateEnvelope::diurnal(1.0, 2.0, 10.0);
+        let env = RateEnvelope::diurnal_sharp(1.0, 2.0, 10.0, 1.0);
         let times = env.sample_n(100, 4).unwrap();
         assert_eq!(times.len(), 100);
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
@@ -453,10 +438,9 @@ mod tests {
 
     #[test]
     fn invalid_envelopes_error() {
-        assert!(RateEnvelope::Constant { rps: 0.0 }.validate().is_err());
-        assert!(RateEnvelope::diurnal(2.0, 1.0, 100.0).validate().is_err());
-        assert!(RateEnvelope::diurnal(1.0, 2.0, 0.0).validate().is_err());
-        assert!(RateEnvelope::diurnal(1.0, f64::NAN, 100.0).validate().is_err());
+        assert!(RateEnvelope::diurnal_sharp(2.0, 1.0, 100.0, 1.0).validate().is_err());
+        assert!(RateEnvelope::diurnal_sharp(1.0, 2.0, 0.0, 1.0).validate().is_err());
+        assert!(RateEnvelope::diurnal_sharp(1.0, f64::NAN, 100.0, 1.0).validate().is_err());
         let bad_frac = RateEnvelope::Bimodal {
             base_rps: 0.1,
             peak_rps: 1.0,
@@ -466,8 +450,8 @@ mod tests {
             width_frac: 0.1,
         };
         assert!(bad_frac.validate().is_err());
-        assert!(RateEnvelope::diurnal(1.0, 2.0, 100.0).sample_trace(-5.0, 0).is_err());
-        assert!(RateEnvelope::diurnal(1.0, 2.0, 100.0).validate().is_ok());
+        assert!(RateEnvelope::diurnal_sharp(1.0, 2.0, 100.0, 1.0).sample_trace(-5.0, 0).is_err());
+        assert!(RateEnvelope::diurnal_sharp(1.0, 2.0, 100.0, 1.0).validate().is_ok());
     }
 
     #[test]

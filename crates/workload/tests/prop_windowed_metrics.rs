@@ -111,3 +111,36 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Window refinement: doubling the width merges adjacent pairs.
+    /// Windows `2k` and `2k+1` at width `w` hold exactly the arrivals
+    /// and completions of window `k` at width `2w`, and the count at
+    /// `2w` is the count at `w` halved and rounded up. Widths span four
+    /// decades, and about one arrival in ten lands on a boundary of
+    /// the `w` axis (every other one is a boundary of the `2w` axis).
+    #[test]
+    fn doubling_the_window_merges_adjacent_pairs(
+        n in 0usize..200,
+        seed in 0u64..1_000,
+        log_w in -1.5f64..2.5,
+        horizon_s in 0.0f64..150.0,
+        zeros in prop::sample::select(vec![false, false, false, true]),
+    ) {
+        let w = 10f64.powf(log_w);
+        let timeline = random_timeline(n, seed, w, zeros);
+        let slo = SloSpec { ttft_s: 1.5, tpot_s: 0.2 };
+        let fine = windowed_metrics(&timeline, slo, w, horizon_s);
+        let coarse = windowed_metrics(&timeline, slo, 2.0 * w, horizon_s);
+        prop_assert_eq!(coarse.len(), fine.len().div_ceil(2), "w = {}", w);
+        for (k, c) in coarse.iter().enumerate() {
+            let pair = &fine[2 * k..(2 * k + 2).min(fine.len())];
+            let arrivals: usize = pair.iter().map(|f| f.arrivals).sum();
+            let completions: usize = pair.iter().map(|f| f.completions).sum();
+            prop_assert_eq!(c.arrivals, arrivals, "window {} at w = {}", k, w);
+            prop_assert_eq!(c.completions, completions, "window {} at w = {}", k, w);
+        }
+    }
+}

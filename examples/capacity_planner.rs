@@ -33,6 +33,7 @@ fn main() {
     );
 
     let tm = ThroughputModel::new(Roofline::new(cluster.clone(), model.clone()));
+    let avg_ctx = ThroughputModel::decode_context(avg_in, avg_out);
     println!(
         "{:<10} {:>14} {:>14} {:>10} {:>12} {:>12}",
         "config", "weights/GPU", "KV tokens", "max batch", "prefill t/s", "decode st/s"
@@ -41,9 +42,9 @@ fn main() {
         match MemoryPlan::new(&model, &cluster, cfg) {
             Err(e) => println!("{:<10} INFEASIBLE: {e}", cfg.to_string()),
             Ok(plan) => {
-                let prefill = tm.prefill_tokens_per_sec(cfg, avg_in, 4);
+                let prefill = tm.prefill_tokens_per_sec(cfg, avg_in);
                 let decode = tm
-                    .decode_seq_steps_per_sec_max_batch(cfg, avg_in + avg_out / 2)
+                    .decode_seq_steps_per_sec_max_batch(cfg, avg_ctx)
                     .unwrap_or(0.0);
                 println!(
                     "{:<10} {:>14} {:>14} {:>10} {:>12.0} {:>12.0}",

@@ -12,6 +12,7 @@
 //! cargo run --release --example offline_summarization
 //! ```
 
+use seesaw::engine::SweepRunner;
 use seesaw::prelude::*;
 use seesaw::workload::LengthStats;
 
@@ -46,7 +47,8 @@ fn main() {
     .run(&docs);
 
     // Seesaw.
-    let spec = SeesawSpec::auto_probed(&cluster, &model, &docs[..32]).expect("feasible pair");
+    let spec = SeesawSpec::auto_probed_with(&SweepRunner::from_env(), &cluster, &model, &docs[..32])
+        .expect("feasible pair");
     let ours = SeesawEngine::new(cluster.clone(), model.clone(), spec)
         .expect("validated")
         .run(&docs);

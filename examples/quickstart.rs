@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use seesaw::engine::SweepRunner;
 use seesaw::prelude::*;
 
 fn main() {
@@ -29,7 +30,8 @@ fn main() {
 
     // 3. Seesaw: pick (c_p, c_d) by probing, then run with dynamic
     //    model re-sharding + tiered KV buffering.
-    let spec = SeesawSpec::auto_probed(&cluster, &model, &requests[..32])
+    let runner = SweepRunner::from_env();
+    let spec = SeesawSpec::auto_probed_with(&runner, &cluster, &model, &requests[..32])
         .expect("a feasible Seesaw pair exists");
     let seesaw = SeesawEngine::new(cluster, model, spec)
         .expect("validated spec")

@@ -7,6 +7,7 @@
 //! cargo run --release --example scheduler_explorer
 //! ```
 
+use seesaw::engine::SweepRunner;
 use seesaw::prelude::*;
 
 fn main() {
@@ -42,7 +43,9 @@ fn main() {
     }
 
     // Seesaw: transition-minimizing scheduling with re-sharding.
-    let spec = SeesawSpec::auto_probed(&cluster, &model, &requests[..32]).expect("feasible");
+    let runner = SweepRunner::from_env();
+    let spec = SeesawSpec::auto_probed_with(&runner, &cluster, &model, &requests[..32])
+        .expect("feasible");
     let r = SeesawEngine::new(cluster, model, spec).expect("validated").run(&requests);
     println!(
         "{:<28} {:>9.3} {:>10.1} {:>9.1} {:>9.1}   ({} transitions, {:.2}s re-sharding)",

@@ -38,6 +38,9 @@
 #     replica) prints different bytes at --jobs 1 and --jobs 2, or its
 #     --json is not valid JSON with one point per load and offered
 #     load rising, or
+#   * the autoscale or chaos bin's frontier on an 1800 s day
+#     (`--day 1800 --window 60`) prints different bytes at --jobs 1
+#     and --jobs 2, or
 #   * a heavy-fault chaos grid (1500 kills and 40 outages per day,
 #     on an 1800 s day; ~0.5 s) has a cell where `completed + failed`
 #     differs from the offered request count (request reconciliation).
@@ -180,6 +183,15 @@ assert loads == [0.5, 2.0], f"serving: expected one point per load, got {loads}"
 assert all(a < b for a, b in zip(rates, rates[1:])), f"serving: offered load not rising: {rates}"
 print(f"bench.sh: serving OK ({len(points)} points, byte-identical across --jobs)")
 EOF
+
+# Elastic determinism: the autoscale and chaos frontiers print the
+# same bytes at any job count.
+for bin in autoscale chaos; do
+    serial=$(./target/release/"$bin" --day 1800 --window 60 --jobs 1)
+    parallel=$(./target/release/"$bin" --day 1800 --window 60 --jobs 2)
+    [ "$serial" = "$parallel" ] || { echo "bench.sh: $bin output differs across --jobs" >&2; exit 1; }
+    echo "bench.sh: $bin OK (byte-identical across --jobs)"
+done
 
 # Reconciliation smoke: under heavy faults every chaos cell must still
 # account for each offered request as completed or failed.

@@ -33,8 +33,9 @@
 //! let mut gen = WorkloadGen::arxiv_summarization(42);
 //! let requests = gen.generate(64);
 //!
-//! // Seesaw: pipeline-parallel prefill, tensor-parallel decode.
-//! let spec = SeesawSpec::auto(&cluster, &model).expect("feasible config");
+//! // Seesaw: pipeline-parallel prefill, tensor-parallel decode, tuned
+//! // for 2000-token prompts and 250-token outputs.
+//! let spec = SeesawSpec::auto_for(&cluster, &model, 2000, 250).expect("feasible config");
 //! let report = SeesawEngine::new(cluster, model, spec)
 //!     .expect("engine construction")
 //!     .run(&requests);

@@ -2,6 +2,7 @@
 //! policies, and the report invariants, exercised through the facade
 //! crate's public API.
 
+use seesaw::engine::SweepRunner;
 use seesaw::prelude::*;
 use seesaw::workload::LengthStats;
 
@@ -79,7 +80,8 @@ fn seesaw_beats_every_static_config_on_arxiv_34b() {
     let model = ModelConfig::codellama_34b();
     let reqs = WorkloadGen::arxiv_summarization(17).generate(80);
 
-    let spec = SeesawSpec::auto_probed(&cluster, &model, &reqs[..24]).expect("pair");
+    let spec = SeesawSpec::auto_probed_with(&SweepRunner::from_env(), &cluster, &model, &reqs[..24])
+        .expect("pair");
     let ours = SeesawEngine::new(cluster.clone(), model.clone(), spec)
         .expect("valid")
         .run(&reqs);
@@ -148,7 +150,7 @@ fn sim_and_roofline_agree_on_prefill_ordering() {
         .unwrap()
         .run(&reqs);
         sim_rates.push(rep.throughput_rps());
-        analytic_rates.push(tm.prefill_tokens_per_sec(cfg, 2000, 4));
+        analytic_rates.push(tm.prefill_tokens_per_sec(cfg, 2000));
     }
     for i in 0..sim_rates.len() - 1 {
         assert_eq!(
