@@ -30,14 +30,21 @@
 //!   run, whose passes stage 0 serves in readiness order. Every slot
 //!   but the chunk's is a pure-decode pass priced the same way.
 //!
-//! All three run one stage kernel (`Stages::serve`): it borrows the
-//! replica's compute engines from the simulator once per call
-//! ([`ClusterSim::compute_block`]), adds each stage interval to the
-//! busy counters of the stage's TP group and to the simulator's
-//! per-kind totals, checks a pass's end once, and marks each GPU busy
-//! once, at the end. The task-graph versions they replaced live on as
-//! the test oracles in `tests/decode_burst.rs` and
-//! `tests/mixed_round.rs`.
+//! All three serve a pass through a stage with one step (`charge`) and
+//! borrow the replica's compute engines from the simulator once per
+//! call ([`ClusterSim::compute_block`]): each stage interval is added
+//! to the busy counters of the stage's TP group and to the simulator's
+//! per-kind totals, and each GPU is marked busy once, at the end.
+//! Prefill batches and mixed rounds serve pass by pass
+//! (`Stages::serve`, which checks each pass's end for finiteness). A
+//! burst on a layout with PP, TP ∈ {1, 2, 4, 8} and PP·TP ≤ 8 (every
+//! layout of the repo's clusters) runs that layout's burst kernel
+//! (`burst_rounds::<PP, TP>`), which keeps the stage ends, busy
+//! counters, compute total and slot tails in registers for the whole
+//! burst and checks each slot's tail once, at its end; any other
+//! layout (a 6-GPU pool's P3, P6 or T2P3) serves its burst pass by
+//! pass. The task-graph versions they replaced live on as the test
+//! oracles in `tests/decode_burst.rs` and `tests/mixed_round.rs`.
 //!
 //! A replica keeps its decoding sequences so that a decode step costs
 //! O(PP + sequences it retires), not O(running) (see [`Replica`]):
@@ -652,6 +659,10 @@ impl Stages {
     /// stages (`free > NaN` is false, ∞ wins every `max`) to the pass's
     /// end, whose conversion back to [`SimTime`] is the pass's one
     /// finiteness check.
+    ///
+    /// Prefill batches and mixed rounds serve every pass here; a decode
+    /// burst does only on a layout with no burst kernel
+    /// ([`burst_rounds`]), one call per (round, slot).
     #[inline]
     fn serve(
         &mut self,
@@ -661,25 +672,14 @@ impl Stages {
         layer: f64,
         p2p: f64,
     ) -> SimTime {
-        let last_stage = self.free.len() - 1;
+        let pp = self.free.len();
         let mut ready = ready.as_secs();
         // The running compute total, kept in a register for the pass.
         let mut compute = gpus.kinds.compute;
         for (s, (free, &layers)) in self.free.iter_mut().zip(&self.layers).enumerate() {
-            let hop = if s < last_stage { p2p } else { 0.0 };
-            let mut dur = layers * layer + hop;
-            if s == 0 {
-                dur += self.overhead;
-            }
-            let start = if *free > ready { *free } else { ready };
-            let end = start + dur;
-            let service = end - start;
-            for busy in &mut gpus.busy[s * tp..(s + 1) * tp] {
-                *busy += service;
-                compute += service;
-            }
-            *free = end;
-            ready = end;
+            let dur = stage_duration(s, pp, layers, layer, p2p, self.overhead);
+            let group = &mut gpus.busy[s * tp..(s + 1) * tp];
+            ready = charge(free, ready, dur, group, &mut compute);
         }
         gpus.kinds.compute = compute;
         SimTime::from_secs(ready)
@@ -717,6 +717,117 @@ struct SlotPass {
     p2p: f64,
     /// End of the slot's latest pass.
     tail: SimTime,
+}
+
+impl SlotPass {
+    /// Seconds per layer of the pass in round `r` of the burst.
+    #[inline(always)]
+    fn layer_time(&self, r: usize) -> f64 {
+        self.cost.layer_time(self.base_ctx + self.seqs * (r + 1))
+    }
+}
+
+/// Runs `rounds` rounds of a burst's passes, in (round, slot) order,
+/// on stages whose ends are loaded and on the replica's compute block,
+/// at TP degree `tp`; leaves each pass's final end in its `tail` and
+/// each stage's last end in the stages, for [`Stages::occupy`].
+type BurstKernel = fn(&mut Stages, &mut Block, usize, &mut [SlotPass], usize);
+
+/// The burst kernel of a layout with no specialized one: one
+/// [`Stages::serve`] per pass.
+fn serve_rounds(stages: &mut Stages, gpus: &mut Block, tp: usize, passes: &mut [SlotPass], rounds: usize) {
+    for r in 0..rounds {
+        for pass in passes.iter_mut() {
+            pass.tail = stages.serve(gpus, tp, pass.tail, pass.layer_time(r), pass.p2p);
+        }
+    }
+}
+
+/// The burst kernel of the `PP`-stage, `TP`-way layout: the schedule
+/// [`serve_rounds`] computes, with the same floating-point operations
+/// in the same order, kept in registers for the whole burst. Stage
+/// ends, every GPU's busy counter, the running compute total and each
+/// pass's tail live in stack arrays of compile-time size, so the stage
+/// and TP loops unroll; nothing is read from or written to the replica
+/// or the simulator between the first round and the last.
+///
+/// Times are plain seconds throughout: a non-finite stage end carries
+/// to its pass's end and from there to every later end of the same
+/// slot (`free > NaN` is false, ∞ wins every comparison), so
+/// converting each tail back to [`SimTime`] at the end is the burst's
+/// one finiteness check.
+fn burst_rounds<const PP: usize, const TP: usize>(
+    stages: &mut Stages,
+    gpus: &mut Block,
+    tp: usize,
+    passes: &mut [SlotPass],
+    rounds: usize,
+) {
+    debug_assert!(tp == TP && stages.free.len() == PP && passes.len() <= PP);
+    let overhead = stages.overhead;
+    let layers: [f64; PP] = stages.layers[..].try_into().expect("one layer count per stage");
+    let mut free: [f64; PP] = stages.free[..].try_into().expect("one end per stage");
+    let mut busy = [[0.0; TP]; PP];
+    for (group, counters) in busy.iter_mut().zip(gpus.busy.chunks_exact(TP)) {
+        group.copy_from_slice(counters);
+    }
+    let mut compute = gpus.kinds.compute;
+    let mut tails = [0.0; PP];
+    for (tail, pass) in tails.iter_mut().zip(passes.iter()) {
+        *tail = pass.tail.as_secs();
+    }
+    for r in 0..rounds {
+        for (tail, pass) in tails.iter_mut().zip(passes.iter()) {
+            let layer = pass.layer_time(r);
+            let mut ready = *tail;
+            for s in 0..PP {
+                let dur = stage_duration(s, PP, layers[s], layer, pass.p2p, overhead);
+                ready = charge(&mut free[s], ready, dur, &mut busy[s], &mut compute);
+            }
+            *tail = ready;
+        }
+    }
+    for (counters, group) in gpus.busy.chunks_exact_mut(TP).zip(&busy) {
+        counters.copy_from_slice(group);
+    }
+    gpus.kinds.compute = compute;
+    stages.free.copy_from_slice(&free);
+    for (pass, &tail) in passes.iter_mut().zip(&tails) {
+        pass.tail = SimTime::from_secs(tail);
+    }
+}
+
+/// Stage `s`'s share of a pass through `pp` stages that takes `layer`
+/// seconds per layer over the stage's `layers`: plus the activation
+/// hop `p2p` on all but the last stage and the step `overhead` on
+/// stage 0.
+#[inline(always)]
+fn stage_duration(s: usize, pp: usize, layers: f64, layer: f64, p2p: f64, overhead: f64) -> f64 {
+    let hop = if s + 1 < pp { p2p } else { 0.0 };
+    let mut dur = layers * layer + hop;
+    if s == 0 {
+        dur += overhead;
+    }
+    dur
+}
+
+/// Serve a pass ready at `ready` for `dur` seconds on a stage that
+/// ends its previous pass at `free`, first come, first served: it
+/// starts at the later of the two. Adds the interval to each of the
+/// stage's GPU `busy` counters and, once per GPU, to the `compute`
+/// total, in the order per-GPU tasks would charge them; moves `free`
+/// to the pass's end and returns it.
+#[inline(always)]
+fn charge(free: &mut f64, ready: f64, dur: f64, busy: &mut [f64], compute: &mut f64) -> f64 {
+    let start = if *free > ready { *free } else { ready };
+    let end = start + dur;
+    let service = end - start;
+    for counter in busy {
+        *counter += service;
+        *compute += service;
+    }
+    *free = end;
+    end
 }
 
 /// One non-empty slot's pass in a mixed round.
@@ -839,6 +950,16 @@ fn p2p_hop(rl: &Roofline, cfg: ParallelConfig, shape: &BatchShape) -> f64 {
 /// holds), and a pass's layer time is [`DecodeCost::layer_time`] of
 /// `base + seqs · (r + 1)` tokens.
 ///
+/// The rounds run in the layout's burst kernel: for PP, TP ∈ {1, 2, 4,
+/// 8} with PP·TP ≤ 8, [`burst_rounds`] keeps every stage end, every
+/// GPU's busy counter, the compute total and each slot's tail in stack
+/// arrays from the first round to the last, and converts each tail to
+/// [`SimTime`], the burst's one finiteness check, at the end. Any other
+/// layout (P3, P6 or T2P3 on a 6-GPU pool) serves one
+/// [`Stages::serve`] per pass, checking each pass's end. Both add the
+/// same intervals in the same order, so the schedule and every busy
+/// total are bit for bit the same.
+///
 /// Panics unless the replica's compute GPUs are idle and its previous
 /// tails have completed: callers drain earlier compute work (prefill
 /// batches, mixed rounds, the previous burst, re-shard overheads)
@@ -883,12 +1004,20 @@ pub fn submit_decode_burst(
         }
     }
     sc.stages.free.fill(now.as_secs());
-    for r in 0..rounds {
-        for pass in sc.passes.iter_mut() {
-            let layer = pass.cost.layer_time(pass.base_ctx + pass.seqs * (r + 1));
-            pass.tail = sc.stages.serve(&mut gpus, cfg.tp, pass.tail, layer, pass.p2p);
-        }
-    }
+    let kernel: BurstKernel = match (cfg.pp, cfg.tp) {
+        (1, 1) => burst_rounds::<1, 1>,
+        (1, 2) => burst_rounds::<1, 2>,
+        (1, 4) => burst_rounds::<1, 4>,
+        (1, 8) => burst_rounds::<1, 8>,
+        (2, 1) => burst_rounds::<2, 1>,
+        (2, 2) => burst_rounds::<2, 2>,
+        (2, 4) => burst_rounds::<2, 4>,
+        (4, 1) => burst_rounds::<4, 1>,
+        (4, 2) => burst_rounds::<4, 2>,
+        (8, 1) => burst_rounds::<8, 1>,
+        _ => serve_rounds,
+    };
+    kernel(&mut sc.stages, &mut gpus, cfg.tp, &mut sc.passes, rounds);
     sc.stages.occupy(&mut gpus, cfg.tp);
     let mut end = now;
     for pass in &sc.passes {

@@ -29,7 +29,7 @@ use seesaw_roofline::{BatchShape, Roofline, Stage};
 use seesaw_sim::{SimTime, TraceSummary};
 use std::collections::VecDeque;
 use support::heap::Handle;
-use support::{scan, stage_durations, HeapCluster};
+use support::{scan, setup, stage_durations, HeapCluster, SETUPS};
 
 /// One step of an engine loop, on every replica.
 #[derive(Debug, Clone)]
@@ -436,17 +436,6 @@ impl Engine for Reference<'_> {
     }
 }
 
-/// The cluster/model pairs drawn: PCIe with an MHA model, PCIe with a
-/// GQA model, and NVLink with GQA `llama2_70b` (whose eight KV heads
-/// shard down to one per rank at TP 8).
-fn setup(which: usize) -> (ClusterSpec, seesaw_model::ModelConfig) {
-    match which {
-        0 => (ClusterSpec::a10x4(), presets::llama2_13b()),
-        1 => (ClusterSpec::l4x8(), presets::llama3_15b()),
-        _ => (ClusterSpec::a100x8_nvlink(), presets::llama2_70b()),
-    }
-}
-
 /// A random engine run: cluster, layout, per-replica sequences
 /// `(ctx, remaining)` and 2–9 steps, bursts and prefill batches.
 #[derive(Debug, Clone)]
@@ -460,9 +449,9 @@ struct Case {
 
 fn cases() -> impl Strategy<Value = Case> {
     let layout = (
-        0usize..3,
+        0usize..SETUPS,
         prop::sample::select(vec![1usize, 2, 4, 8]),
-        prop::sample::select(vec![1usize, 2, 4]),
+        prop::sample::select(vec![1usize, 2, 4, 8]),
         1usize..9,
     );
     let seq = (1usize..4000, 1usize..100);
@@ -521,6 +510,55 @@ proptest! {
         let reference = drive(&mut Reference::new(&cluster, &rl, case.cfg), seqs, steps);
         let fused = drive(&mut Fused::new(&cluster, &rl, case.cfg), seqs, steps);
         prop_assert_eq!(&fused, &reference, "{:?}", case);
+    }
+}
+
+/// Every layout with a specialized burst kernel (PP, TP ∈ {1, 2, 4, 8},
+/// PP·TP ≤ 8) and layouts without one (P3, P6, T2P3, T3, T6), each on a
+/// fixed run of bursts and prefill batches: on eight and on six PCIe
+/// GPUs, whose decode attention is memory-bound, and on the eight GPUs
+/// whose attention is compute-bound, where the decode price takes its
+/// two-division form.
+#[test]
+fn every_layout_matches_the_per_round_reference() {
+    // (pp, tp): the ten kernels, then five layouts without one.
+    let layouts = [
+        (1, 1), (1, 2), (1, 4), (1, 8), (2, 1), (2, 2), (2, 4), (4, 1), (4, 2), (8, 1),
+        (3, 1), (6, 1), (3, 2), (1, 3), (1, 6),
+    ];
+    let prompts = |d: usize| vec![(500 + 40 * d, 9), (1200, 30), (64, 2)];
+    let steps = [
+        Step::Burst(64),
+        Step::Prefill((0..8).map(prompts).collect()),
+        Step::Burst(5),
+        Step::Prefill((0..8).map(|d| prompts(d + 1)).collect()),
+        Step::Prefill((0..8).map(|d| prompts(d + 2)[..2].to_vec()).collect()),
+        Step::Burst(64),
+        Step::Burst(1),
+        Step::Burst(64),
+    ];
+    for (which, memory_bound) in [(1, true), (3, true), (4, false)] {
+        let (cluster, model) = setup(which);
+        let rl = Roofline::new(cluster.clone(), model);
+        for (pp, tp) in layouts {
+            if pp * tp > cluster.num_gpus {
+                continue;
+            }
+            let cfg = ParallelConfig::new(cluster.num_gpus / (pp * tp), tp, pp);
+            assert_eq!(rl.decode_cost(1, tp).attn_memory_bound(), memory_bound);
+            // Replica d holds 2 + 3d sequences: the first has fewer
+            // than the deeper pipelines' slots.
+            let seqs: Vec<Vec<(usize, usize)>> = (0..cfg.dp)
+                .map(|d| {
+                    (0..2 + 3 * d)
+                        .map(|i| (300 + 37 * i + 11 * d, 1 + (7 * i + d) % 23))
+                        .collect()
+                })
+                .collect();
+            let reference = drive(&mut Reference::new(&cluster, &rl, cfg), &seqs, &steps);
+            let fused = drive(&mut Fused::new(&cluster, &rl, cfg), &seqs, &steps);
+            assert_eq!(fused, reference, "{} {cfg:?}", cluster.gpu.name);
+        }
     }
 }
 

@@ -18,14 +18,13 @@ use proptest::prelude::*;
 use seesaw_engine::cluster_sim::ClusterSim;
 use seesaw_engine::driver::{submit_mixed_round, Replica, RunSeq};
 use seesaw_hw::{efficiency, ClusterSpec};
-use seesaw_model::presets;
 use seesaw_parallel::ParallelConfig;
 use seesaw_roofline::{BatchShape, Roofline};
 use seesaw_sim::{SimTime, TraceSummary};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use support::heap::Handle;
-use support::{scan, HeapCluster};
+use support::{scan, setup, HeapCluster, SETUPS};
 
 /// The task-graph mixed round on the heap for replica `d` running
 /// `running`: per non-empty slot, one pass chained on the slot's
@@ -261,16 +260,6 @@ fn assert_summaries_close(a: TraceSummary, b: TraceSummary) {
     }
 }
 
-/// The cluster/model pairs drawn: PCIe with an MHA model, PCIe with a
-/// GQA model, and NVLink with GQA `llama2_70b`.
-fn setup(which: usize) -> (ClusterSpec, seesaw_model::ModelConfig) {
-    match which {
-        0 => (ClusterSpec::a10x4(), presets::llama2_13b()),
-        1 => (ClusterSpec::l4x8(), presets::llama3_15b()),
-        _ => (ClusterSpec::a100x8_nvlink(), presets::llama2_70b()),
-    }
-}
-
 /// Both schedules over one run; they must agree exactly.
 fn assert_fused_matches_reference(
     which: usize,
@@ -300,9 +289,9 @@ struct Case {
 
 fn cases() -> impl Strategy<Value = Case> {
     let layout = (
-        0usize..3,
+        0usize..SETUPS,
         prop::sample::select(vec![1usize, 2, 4]),
-        prop::sample::select(vec![1usize, 2, 4]),
+        prop::sample::select(vec![1usize, 2, 4, 8]),
         1usize..9,
     );
     let seq = (1usize..4000, 1usize..30);

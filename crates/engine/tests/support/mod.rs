@@ -2,8 +2,8 @@
 //! eager `Simulator` replaced, and the scan-based decode bookkeeping
 //! that `Replica`'s incremental state replaced: the references the
 //! fused passes and the running set are checked against, sharing no
-//! scheduling or bookkeeping code with them; and the stage pricing of a
-//! task-graph pass.
+//! scheduling or bookkeeping code with them; the stage pricing of a
+//! task-graph pass; and the cluster/model pairs the oracles draw.
 
 #![allow(dead_code)]
 
@@ -12,10 +12,38 @@ pub mod heap;
 pub mod scan;
 
 use heap::{Handle, HeapSim};
-use seesaw_hw::ClusterSpec;
+use seesaw_hw::{ClusterSpec, GpuSpec};
+use seesaw_model::{presets, ModelConfig};
 use seesaw_parallel::ParallelConfig;
 use seesaw_roofline::{BatchShape, Roofline, Stage};
 use seesaw_sim::{ResourceId, TaskKind};
+
+/// Number of [`setup`]s.
+pub const SETUPS: usize = 5;
+
+/// The cluster/model pairs the oracles draw: PCIe with an MHA model,
+/// PCIe with a GQA model, NVLink with GQA `llama2_70b` (whose eight KV
+/// heads shard down to one per rank at TP 8), six PCIe GPUs with an MHA
+/// model, whose layouts include ones with no specialized burst kernel
+/// (P6, T2P3, T6), as a disaggregated pool's may, and eight GPUs whose
+/// attention kernel is slow enough that decode attention is
+/// compute-bound, the decode price's two-division form.
+pub fn setup(which: usize) -> (ClusterSpec, ModelConfig) {
+    match which {
+        0 => (ClusterSpec::a10x4(), presets::llama2_13b()),
+        1 => (ClusterSpec::l4x8(), presets::llama3_15b()),
+        2 => (ClusterSpec::a100x8_nvlink(), presets::llama2_70b()),
+        3 => (ClusterSpec::new(GpuSpec::a10(), 6), presets::llama2_13b()),
+        _ => {
+            let slow_attention = GpuSpec {
+                name: "A10-slow-attention".to_string(),
+                peak_flops: 1e12,
+                ..GpuSpec::a10()
+            };
+            (ClusterSpec::new(slow_attention, 8), presets::llama2_13b())
+        }
+    }
+}
 
 /// Per-stage service durations of a pure-stage pass, including the
 /// inter-stage activation hop on all but the last stage, written over

@@ -130,7 +130,7 @@ impl Fleet {
         }
         let (reports, assignment) = dispatch.finish(runner);
         let reports = reports.into_iter().map(|r| r.expect("a fixed fleet loses no replica"));
-        let report = FleetReport::from_replica_reports(policy, reports.collect(), assignment);
+        let report = FleetReport::from_whole_replica_reports(policy, reports.collect(), assignment);
         if telemetry {
             record_request_spans(&mut instr.recorder, &report);
             for (i, rep) in report.replicas.iter().enumerate() {

@@ -63,13 +63,39 @@ impl FleetReport {
     /// replica's id-sorted timeline into the merged one.
     pub fn from_replica_reports(
         policy: RouterPolicy,
-        mut replicas: Vec<EngineReport>,
+        replicas: Vec<EngineReport>,
         assignment: Vec<u32>,
     ) -> Self {
+        let mut report = Self::merged(policy, replicas, assignment);
+        report.latency = LatencyStats::from_timeline(&report.timeline);
+        report
+    }
+
+    /// [`Self::from_replica_reports`] for reports whose `latency`
+    /// summarizes the timeline they hold, as every finished engine's
+    /// does: a one-replica fleet's timeline is its replica's, so the
+    /// replica's statistics are the fleet's and are not recomputed.
+    /// (An elastic replay trims a victim's timeline after its
+    /// statistics are built, so it assembles with the recomputing
+    /// constructor.)
+    pub(crate) fn from_whole_replica_reports(
+        policy: RouterPolicy,
+        replicas: Vec<EngineReport>,
+        assignment: Vec<u32>,
+    ) -> Self {
+        let mut report = Self::merged(policy, replicas, assignment);
+        report.latency = match report.replicas.as_slice() {
+            [lone] => lone.latency,
+            _ => LatencyStats::from_timeline(&report.timeline),
+        };
+        report
+    }
+
+    /// The fleet view without its latency statistics.
+    fn merged(policy: RouterPolicy, mut replicas: Vec<EngineReport>, assignment: Vec<u32>) -> Self {
         assert!(!replicas.is_empty(), "a fleet report needs replicas");
         let (timeline, served_by) =
             merge_timelines(replicas.iter_mut().map(|r| std::mem::take(&mut r.timeline)));
-        let latency = LatencyStats::from_timeline(&timeline);
         let stats = RunStats {
             requests: replicas.iter().map(|r| r.stats.requests).sum(),
             input_tokens: replicas.iter().map(|r| r.stats.input_tokens).sum(),
@@ -85,7 +111,7 @@ impl FleetReport {
             assignment,
             timeline,
             served_by,
-            latency,
+            latency: None,
             stats,
         }
     }

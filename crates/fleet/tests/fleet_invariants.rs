@@ -12,7 +12,7 @@ use seesaw_fleet::{Fleet, Router, RouterPolicy};
 use seesaw_hw::ClusterSpec;
 use seesaw_model::{presets, ModelConfig};
 use seesaw_parallel::ParallelConfig;
-use seesaw_workload::{split_stream, ArrivalDist, Request, WorkloadGen};
+use seesaw_workload::{split_stream, ArrivalDist, LatencyStats, Request, WorkloadGen};
 use std::sync::Arc;
 
 fn specs() -> (Arc<ClusterSpec>, Arc<ModelConfig>) {
@@ -45,6 +45,18 @@ fn seesaw_engine(cluster: &Arc<ClusterSpec>, model: &Arc<ModelConfig>) -> Seesaw
     .expect("valid spec")
 }
 
+/// Every float of `latency`, as bits, and its count.
+fn latency_bits(latency: &Option<LatencyStats>) -> Option<(usize, Vec<u64>)> {
+    latency.as_ref().map(|l| {
+        let floats = [l.ttft, l.tpot, l.e2e]
+            .iter()
+            .flat_map(|m| [m.mean, m.p50, m.p90, m.p99, m.max])
+            .map(f64::to_bits)
+            .collect();
+        (l.count, floats)
+    })
+}
+
 /// A fleet of one behind round-robin is a transparent wrapper for
 /// every backend (vLLM, Seesaw `P4->T4`, disagg): its only replica's
 /// report is byte-identical to the bare engine run on the same stream
@@ -70,7 +82,8 @@ fn single_replica_round_robin_is_byte_identical_to_bare_engine() {
         assert_eq!(report.replicas.len(), 1);
         assert_eq!(report.timeline, std::mem::take(&mut bare.timeline), "{label}");
         assert_eq!(report.replicas[0], bare, "fleet-of-one must not perturb {label}");
-        assert_eq!(report.latency, bare.latency, "{label}");
+        assert_eq!(latency_bits(&report.latency), latency_bits(&bare.latency), "{label}");
+        assert!(report.latency.is_some(), "{label}");
         assert_eq!(report.stats, bare.stats, "{label}");
         assert!(report.assignment.iter().all(|&r| r == 0));
     }

@@ -111,6 +111,18 @@ impl StageBreakdown {
 /// A decode micro-batch's per-layer cost with its context-free terms
 /// evaluated: what [`Roofline::decode_cost`] returns. Only the
 /// attention terms are left, linear in the batch's total context.
+///
+/// The attention regime is settled once, when the cost is built. Each
+/// attention term is a per-token rate times the context, rounded
+/// twice, so the two terms' computed ratio stays within a few ulps of
+/// the ratio of their rates, whatever the context. When the memory
+/// rate (`kv_bytes_per_token / hbm_bw`) exceeds the compute rate
+/// (`attn_flops_per_token / attn_flops`) by a relative 1e-9, far
+/// above that bound, `attn_dm` is the larger term at every context, so
+/// [`DecodeCost::layer_time`] evaluates it alone: one division, bit
+/// for bit the two-term maximum. Otherwise it evaluates both. Every
+/// model preset decodes memory-bound by more than 10× on every GPU
+/// preset at every TP degree.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecodeCost {
     linear_dm: f64,
@@ -124,9 +136,38 @@ pub struct DecodeCost {
     hbm_bw: f64,
     /// Effective attention-kernel throughput, FLOP/s.
     attn_flops: f64,
+    /// `max(linear_dm, linear_comp)`.
+    linear: f64,
+    /// Whether `attn_dm ≥ attn_comp` at every context (see above).
+    attn_memory_bound: bool,
 }
 
+/// Relative margin by which the attention memory rate must exceed the
+/// compute rate for [`DecodeCost`] to settle its regime as
+/// memory-bound: orders of magnitude above the ~4-ulp (~1e-15)
+/// rounding of the two terms.
+const ATTN_REGIME_MARGIN: f64 = 1e-9;
+
 impl DecodeCost {
+    /// Derive the context-free maximum and the attention regime from
+    /// the other fields.
+    fn settled(self) -> Self {
+        let memory_rate = self.kv_bytes_per_token / self.hbm_bw;
+        let compute_rate = self.attn_flops_per_token / self.attn_flops;
+        DecodeCost {
+            linear: self.linear_dm.max(self.linear_comp),
+            attn_memory_bound: memory_rate.is_finite()
+                && memory_rate > compute_rate * (1.0 + ATTN_REGIME_MARGIN),
+            ..self
+        }
+    }
+
+    /// Whether attention is memory-bound at every context, so that
+    /// [`Self::layer_time`] divides once.
+    pub fn attn_memory_bound(&self) -> bool {
+        self.attn_memory_bound
+    }
+
     /// The layer cost when the batch's contexts sum to `ctx_tokens`.
     #[inline]
     pub fn layer_cost(&self, ctx_tokens: usize) -> LayerCost {
@@ -140,10 +181,19 @@ impl DecodeCost {
         }
     }
 
-    /// [`LayerCost::layer_time`] of [`Self::layer_cost`].
+    /// [`LayerCost::layer_time`] of [`Self::layer_cost`], bit for bit:
+    /// the attention compute term is evaluated only when the regime
+    /// was not settled memory-bound.
     #[inline]
     pub fn layer_time(&self, ctx_tokens: usize) -> f64 {
-        self.layer_cost(ctx_tokens).layer_time()
+        let ctx = ctx_tokens as f64;
+        let attn_dm = self.kv_bytes_per_token * ctx / self.hbm_bw;
+        let attn = if self.attn_memory_bound {
+            attn_dm
+        } else {
+            attn_dm.max(self.attn_flops_per_token * ctx / self.attn_flops)
+        };
+        self.linear + attn + self.comm
     }
 }
 
@@ -255,11 +305,12 @@ impl Roofline {
     }
 
     /// The decode layer cost of a micro-batch of `seqs` sequences at
-    /// TP degree `tp`, with every term but the context-dependent KV
-    /// read evaluated up front. Within a decode burst only a slot's
-    /// total context changes from round to round, so one `DecodeCost`
-    /// per slot serves every round: [`DecodeCost::layer_time`] is a
-    /// few flops, bit-identical to
+    /// TP degree `tp`, with every term but the context-dependent
+    /// attention evaluated, and the attention regime settled, up front.
+    /// Within a decode burst only a slot's total context changes from
+    /// round to round, so one `DecodeCost` per slot serves every round:
+    /// [`DecodeCost::layer_time`] is a few flops (one division when
+    /// attention is memory-bound), bit-identical to
     /// `layer_cost(Stage::Decode, ..).layer_time()` on the same batch.
     ///
     /// Panics on an empty batch (`seqs == 0`); `layer_cost` prices an
@@ -271,10 +322,12 @@ impl Roofline {
             comm: self.allreduce_pair(&self.cluster.interconnect.allreduce(tp), seqs),
             ..self.decode_terms(seqs, tp)
         }
+        .settled()
     }
 
     /// [`Self::decode_cost`] without weight streaming and the
-    /// all-reduce (`linear_dm` and `comm` are zero).
+    /// all-reduce (`linear_dm` and `comm` are zero), and unsettled:
+    /// only its [`DecodeCost::layer_cost`] is meaningful.
     fn decode_terms(&self, seqs: usize, tp: usize) -> DecodeCost {
         let m = &self.model;
         let g = &self.cluster.gpu;
@@ -291,6 +344,11 @@ impl Roofline {
             attn_flops_per_token: 4.0 * hq_rank * d,
             hbm_bw: g.effective_hbm_bw(),
             attn_flops: g.effective_attn_flops(),
+            // Derived by `settled`, which `decode_cost` applies once
+            // the other terms are in; `layer_cost_mixed` reads only
+            // `layer_cost`.
+            linear: 0.0,
+            attn_memory_bound: false,
         }
     }
 

@@ -2,7 +2,7 @@
 //! scaling laws that must hold for any batch shape.
 
 use proptest::prelude::*;
-use seesaw_hw::ClusterSpec;
+use seesaw_hw::{efficiency, ClusterSpec, GpuSpec};
 use seesaw_model::presets;
 use seesaw_parallel::shard::kv_heads_per_rank;
 use seesaw_roofline::{BatchShape, LayerCost, Roofline, Stage};
@@ -12,7 +12,7 @@ fn rl() -> Roofline {
 }
 
 /// Every cluster preset.
-fn clusters() -> Vec<ClusterSpec> {
+fn preset_clusters() -> Vec<ClusterSpec> {
     vec![
         ClusterSpec::a10x8(),
         ClusterSpec::a10x4(),
@@ -21,6 +21,39 @@ fn clusters() -> Vec<ClusterSpec> {
         ClusterSpec::a100x8_nvlink(),
         ClusterSpec::a100x8_pcie(),
     ]
+}
+
+/// Eight A10s with the attention kernel's peak FLOPs set to
+/// `peak_flops`.
+fn a10x8_with_peak_flops(name: &str, peak_flops: f64) -> ClusterSpec {
+    let gpu = GpuSpec {
+        name: name.to_string(),
+        peak_flops,
+        ..GpuSpec::a10()
+    };
+    ClusterSpec::new(gpu, 8)
+}
+
+/// A10s whose decode attention is compute-bound for every model.
+fn compute_bound_attention() -> ClusterSpec {
+    a10x8_with_peak_flops("A10-compute-bound-attention", 1e11)
+}
+
+/// A10s on which an MHA model's two attention terms tie to within
+/// rounding at TP 1: peak FLOPs × attention MFU = bandwidth × HBM
+/// efficiency.
+fn balanced_attention() -> ClusterSpec {
+    let a10 = GpuSpec::a10();
+    let tie = a10.hbm_bw * efficiency::HBM_EFFICIENCY / efficiency::MFU_ATTENTION;
+    a10x8_with_peak_flops("A10-balanced-attention", tie)
+}
+
+/// Every cluster preset, then the two slowed A10 variants, so that
+/// `DecodeCost` prices both attention regimes and their tie.
+fn clusters() -> Vec<ClusterSpec> {
+    let mut all = preset_clusters();
+    all.extend([compute_bound_attention(), balanced_attention()]);
+    all
 }
 
 /// The Table 3 decode layer time written out term by term, in the
@@ -128,7 +161,7 @@ proptest! {
     /// and every TP degree, and equal the Table 3 closed form.
     #[test]
     fn decode_cost_is_layer_cost_bit_for_bit(
-        cluster in 0usize..6,
+        cluster in 0..clusters().len(),
         model in 0usize..4,
         tp in prop::sample::select(vec![1usize, 2, 4, 8]),
         ctxs in prop::collection::vec(1usize..32768, 1..65),
@@ -146,6 +179,40 @@ proptest! {
             table3_decode_layer_time(&rl, &shape, tp).to_bits(),
             full.layer_time().to_bits()
         );
+    }
+}
+
+/// Every model on every cluster preset at every TP degree up to a
+/// node's eight GPUs decodes with memory-bound attention, so its decode
+/// price divides once: the figures, the serving tiers and the elastic
+/// scenarios all draw from these presets (and disaggregated pools from
+/// subsets of them, which keep the GPU). The regime depends on neither
+/// the batch nor the cluster's size.
+#[test]
+fn every_preset_decodes_with_one_division() {
+    for cluster in preset_clusters() {
+        for model in presets::all() {
+            let rl = Roofline::new(cluster.clone(), model.clone());
+            for tp in 1..=8 {
+                assert!(
+                    rl.decode_cost(1, tp).attn_memory_bound(),
+                    "{} {} TP{tp}",
+                    cluster.gpu.name,
+                    model.name
+                );
+            }
+        }
+    }
+}
+
+/// A compute-bound attention kernel keeps the two-division price.
+#[test]
+fn compute_bound_attention_decodes_with_two_divisions() {
+    for model in presets::all() {
+        let rl = Roofline::new(compute_bound_attention(), model.clone());
+        for tp in 1..=8 {
+            assert!(!rl.decode_cost(1, tp).attn_memory_bound(), "{} TP{tp}", model.name);
+        }
     }
 }
 
@@ -191,7 +258,7 @@ proptest! {
     /// carry the bytes of the slot's decode batch whatever its context.
     #[test]
     fn pure_decode_mixed_cost_is_the_decode_cost(
-        cluster in 0usize..6,
+        cluster in 0..clusters().len(),
         model in 0usize..4,
         tp in prop::sample::select(vec![1usize, 2, 4, 8]),
         seqs in 1usize..512,
@@ -217,7 +284,7 @@ proptest! {
     /// neither.
     #[test]
     fn mixed_cost_matches_the_three_all_reduce_formula(
-        cluster in 0usize..6,
+        cluster in 0..clusters().len(),
         model in 0usize..4,
         tp in prop::sample::select(vec![1usize, 2, 4, 8]),
         chunk in (0usize..4097, 0usize..16384),

@@ -44,16 +44,28 @@ pub fn split_stream(reqs: &[Request], assignment: &[u32], n_streams: usize) -> V
 
 /// Merge per-replica timelines, each id-sorted, into one id-sorted
 /// fleet timeline of exact capacity, returned with a parallel vector of
-/// the index of the part each entry came from. The parts are consumed
-/// (a k-way merge moves every timing once, and frees each part as soon
-/// as it is used up). Ids must be globally unique (they came from one
-/// request stream): a repeated id, or a part out of id order, panics.
+/// the index of the part each entry came from. The parts are consumed:
+/// a lone part is the timeline (moved, not copied, unless it has spare
+/// capacity), and several are k-way merged, which moves every timing
+/// once and frees each part as soon as it is used up. Ids must be
+/// globally unique (they came from one request stream): a repeated id,
+/// or a part out of id order, panics.
 pub fn merge_timelines<I>(parts: I) -> (Vec<RequestTiming>, Vec<u32>)
 where
     I: IntoIterator<Item = Vec<RequestTiming>>,
 {
     let mut runs: Vec<std::vec::IntoIter<RequestTiming>> =
         parts.into_iter().map(Vec::into_iter).collect();
+    if let [run] = runs.as_mut_slice() {
+        // Collecting an untouched `IntoIter` hands back its buffer.
+        let mut lone: Vec<RequestTiming> = std::mem::take(run).collect();
+        lone.shrink_to_fit();
+        for w in lone.windows(2) {
+            assert_id_order(&w[0], &w[1], 0);
+        }
+        let source = vec![0; lone.len()];
+        return (lone, source);
+    }
     let total = runs.iter().map(ExactSizeIterator::len).sum();
     let mut merged: Vec<RequestTiming> = Vec::with_capacity(total);
     let mut source = Vec::with_capacity(total);
@@ -70,12 +82,7 @@ where
         let run = &mut runs[part as usize];
         let t = run.next().expect("a queued part has a next timing");
         if let Some(last) = merged.last() {
-            assert!(
-                last.id != t.id,
-                "duplicate request id {} across replica timelines",
-                t.id
-            );
-            assert!(last.id < t.id, "replica timeline {part} is not id-sorted");
+            assert_id_order(last, &t, part);
         }
         merged.push(t);
         source.push(part);
@@ -85,6 +92,17 @@ where
         }
     }
     (merged, source)
+}
+
+/// Panics unless `next`, taken from part `part`, follows `last` in
+/// strictly increasing id order.
+fn assert_id_order(last: &RequestTiming, next: &RequestTiming, part: u32) {
+    assert!(
+        last.id != next.id,
+        "duplicate request id {} across replica timelines",
+        next.id
+    );
+    assert!(last.id < next.id, "replica timeline {part} is not id-sorted");
 }
 
 #[cfg(test)]
@@ -151,5 +169,29 @@ mod tests {
     #[should_panic(expected = "not id-sorted")]
     fn merge_rejects_unsorted_parts() {
         merge_timelines([vec![t(5), t(3)], vec![t(4)]]);
+    }
+
+    #[test]
+    fn a_lone_part_is_moved_whole() {
+        let part = vec![t(0), t(2), t(7)];
+        let at = part.as_ptr();
+        let (merged, source) = merge_timelines([part]);
+        assert_eq!(merged.as_ptr(), at, "the part's buffer, not a copy");
+        assert_eq!(merged.iter().map(|x| x.id).collect::<Vec<_>>(), vec![0, 2, 7]);
+        assert_eq!(source, vec![0, 0, 0]);
+        let (empty, none) = merge_timelines([Vec::new()]);
+        assert!(empty.is_empty() && none.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "replica timeline 0 is not id-sorted")]
+    fn a_lone_unsorted_part_is_rejected() {
+        merge_timelines([vec![t(5), t(3)]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate request id 4")]
+    fn a_lone_part_with_a_repeated_id_is_rejected() {
+        merge_timelines([vec![t(4), t(4)]]);
     }
 }
