@@ -75,8 +75,6 @@ pub enum AlertKind {
 /// One typed alert transition, emitted at a window boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlertEvent {
-    /// Display name of the rule that transitioned.
-    pub rule: String,
     /// Fire or clear.
     pub kind: AlertKind,
     /// The window boundary the transition was observed at, seconds.
@@ -161,7 +159,6 @@ impl AlertEngine {
         };
         self.calm_streak = 0;
         Some(AlertEvent {
-            rule: AlertRule.to_string(),
             kind,
             t_s: w.t1,
             window,
@@ -310,7 +307,6 @@ mod tests {
             FaultEvent { t_s: 800.0, kind: FaultKind::GroupOutage { group: 0 } },
         ];
         let fire = |t_s: f64| AlertEvent {
-            rule: "r".into(),
             kind: AlertKind::Fire,
             t_s,
             window: 0,

@@ -47,7 +47,7 @@
 //! run collapses byte-for-byte onto the fixed [`seesaw_fleet::Fleet`]
 //! of the same size, which takes the same step.
 
-use crate::alert::{AlertEngine, AlertEvent, AlertKind};
+use crate::alert::{AlertEngine, AlertEvent, AlertKind, AlertRule};
 use crate::faults::{
     accepting_capacity_per_window, unavailability_s, AvailabilityStats, FailureEvent,
     FaultKind, FaultSchedule,
@@ -1176,6 +1176,7 @@ impl<'a> Replay<'a> {
         (replays, replayed_requests): (u64, u64),
     ) {
         record_request_spans(&mut self.instr.recorder, fleet);
+        let rule = AlertRule.to_string();
         for a in alerts {
             let name = match a.kind {
                 AlertKind::Fire => "alert.fire",
@@ -1186,7 +1187,7 @@ impl<'a> Replay<'a> {
                 name,
                 a.t_s,
                 &[
-                    ("rule", a.rule.clone()),
+                    ("rule", rule.clone()),
                     ("window", a.window.to_string()),
                     ("short_burn", format!("{:.2}", a.short_burn)),
                     ("long_burn", format!("{:.2}", a.long_burn)),

@@ -309,8 +309,8 @@ mod tests {
             self.actor.depth_at(t)
         }
 
-        fn projected(&mut self) -> &EngineReport {
-            self.actor.projected()
+        fn work_at(&mut self, t: f64) -> f64 {
+            self.actor.work_at(t)
         }
 
         fn projection_counts(&self) -> (u64, u64) {

@@ -12,10 +12,11 @@
 //! For a replica that becomes ready at `ready_s`, after pushing the
 //! arrival-ordered requests `assigned`:
 //!
-//! * [`EngineActor::projected`] equals
-//!   `run_ready(assigned, ready_s)` byte-for-byte;
-//! * [`EngineActor::depth_at`]`(t)` equals the counts of
-//!   [`crate::live_state`]`(projected(), t)`;
+//! * [`EngineActor::depth_at`]`(t)` equals the waiting/running counts
+//!   of `run_ready(assigned, ready_s)`'s timeline at `t`;
+//! * [`EngineActor::work_at`]`(t)` equals that prefix run's remaining
+//!   work at `t` bit for bit: the sum, in request-id order from `0.0`,
+//!   of `completion_s - t` over the entries unfinished at `t`;
 //! * [`EngineActor::finish`] equals `run_ready` of the full stream.
 //!
 //! Time never runs backwards: a push must not arrive before an
@@ -54,11 +55,13 @@
 //! lists are append-only, so each is read by a cursor that keeps only
 //! the times of records made but not yet due.
 //!
-//! A projection clones the run, closes its intake and runs it to
-//! completion; only forward-looking signals — remaining work, a
-//! killed replica's lost set and completion times — need one. The
-//! actor keeps no roofline of its own: each advance, projection or
-//! finish builds one from the run's shared specs
+//! A work read projects: it clones the run, closes its intake and
+//! advances it until every pushed request has completed, then keeps
+//! only the completion records still ahead of `t`, sorted by id. It
+//! builds no report: the records already hold the prefix run's
+//! completion times. The kept records answer later reads until the
+//! next push. The actor keeps no roofline of its own: each advance,
+//! projection or finish builds one from the run's shared specs
 //! (`RunCore::roofline`, what a plain `run` uses), which is two
 //! reference-count bumps.
 
@@ -98,9 +101,10 @@ pub trait EngineActor: Send {
     /// (and those still not due), with no projection.
     fn depth_at(&mut self, t: f64) -> Depth;
 
-    /// The report of the assigned stream run to completion as if
-    /// nothing more arrived. Memoized until the next push.
-    fn projected(&mut self) -> &EngineReport;
+    /// The summed remaining seconds at `t` of the requests unfinished
+    /// then, if nothing more is pushed; `t` must not precede an
+    /// earlier push or query. Memoized until the next push.
+    fn work_at(&mut self, t: f64) -> f64;
 
     /// `(projections, requests they re-simulated)` so far — the
     /// replay-amplification counters telemetry reports.
@@ -259,11 +263,19 @@ pub(crate) trait Resumable: Clone + Send {
     fn finish(self) -> EngineReport;
 }
 
-/// Run `st` (whose intake is closed) to completion.
-pub(crate) fn run_to_end<R: Resumable>(mut st: R) -> EngineReport {
+/// Advance `st`, whose intake is closed, until every pushed request
+/// has completed.
+fn complete<R: Resumable>(st: &mut R) {
     let rl = st.core().roofline();
     let done = st.advance(&rl);
     assert!(done, "a closed run always completes");
+    let core = st.core();
+    assert_eq!(core.completed, core.intake.len(), "every pushed request completed");
+}
+
+/// Run `st` (whose intake is closed) to completion.
+pub(crate) fn run_to_end<R: Resumable>(mut st: R) -> EngineReport {
+    complete(&mut st);
     st.finish()
 }
 
@@ -279,7 +291,9 @@ pub(crate) struct SimActor<'a, R> {
     run: Option<R>,
     firsts: DueCount,
     dones: DueCount,
-    projection: Option<EngineReport>,
+    /// The latest projection's `(id, completion)` records still ahead
+    /// of the latest work read, sorted by id; `None` after a push.
+    inflight: Option<Vec<(u64, SimTime)>>,
     projections: u64,
     reprojected: u64,
 }
@@ -291,7 +305,7 @@ impl<'a, R: Resumable> SimActor<'a, R> {
             run: None,
             firsts: DueCount::default(),
             dones: DueCount::default(),
-            projection: None,
+            inflight: None,
             projections: 0,
             reprojected: 0,
         }
@@ -321,7 +335,7 @@ impl<'a, R: Resumable> SimActor<'a, R> {
 impl<R: Resumable> EngineActor for SimActor<'_, R> {
     fn push(&mut self, req: Request) {
         self.intake_mut().push(req);
-        self.projection = None;
+        self.inflight = None;
     }
 
     fn depth_at(&mut self, t: f64) -> Depth {
@@ -338,8 +352,9 @@ impl<R: Resumable> EngineActor for SimActor<'_, R> {
         }
     }
 
-    fn projected(&mut self) -> &EngineReport {
-        if self.projection.is_none() {
+    fn work_at(&mut self, t: f64) -> f64 {
+        self.intake_mut().observe(t);
+        if self.inflight.is_none() {
             // Move the shared trajectory as far as it is known first,
             // so the fork only simulates what lies beyond it.
             let mut fork = self.advanced().clone();
@@ -347,9 +362,16 @@ impl<R: Resumable> EngineActor for SimActor<'_, R> {
             core.intake.close();
             self.projections += 1;
             self.reprojected += (core.intake.len() - core.completed) as u64;
-            self.projection = Some(run_to_end(fork));
+            complete(&mut fork);
+            let records = fork.core().rec.completions();
+            let mut ahead: Vec<_> =
+                records.iter().copied().filter(|&(_, at)| at.as_secs() > t).collect();
+            ahead.sort_unstable_by_key(|&(id, _)| id);
+            self.inflight = Some(ahead);
         }
-        self.projection.as_ref().expect("projection was just filled")
+        let inflight = self.inflight.as_mut().expect("projection was just filled");
+        inflight.retain(|&(_, at)| at.as_secs() > t);
+        inflight.iter().fold(0.0, |work, &(_, at)| work + (at.as_secs() - t))
     }
 
     fn projection_counts(&self) -> (u64, u64) {

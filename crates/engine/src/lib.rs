@@ -50,7 +50,7 @@ pub mod vllm;
 pub use actor::{finish_all, Depth, EngineActor};
 pub use online::{OnlineEngine, ServiceRates};
 pub use report::{EngineReport, Phase, PhaseSpan};
-pub use stepper::{live_state, EngineStepper, LiveState};
+pub use stepper::EngineStepper;
 pub use sweep::{SweepResult, SweepRunner};
 pub use timing::TimingRecorder;
 

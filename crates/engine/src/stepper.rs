@@ -1,89 +1,30 @@
-//! Live-state reads of a replica, and the prefix-replay actor.
+//! The prefix-replay actor.
 //!
-//! The fleet tier's global event loop needs, at each arrival instant,
-//! the *actual* state of every replica — live queue depth and
-//! remaining in-flight work — not the router's virtual-queue
-//! estimate. Engines in this crate are **causal**: admission gates on
-//! `Request::arrival_s`, so an engine's trajectory up to time `t`
-//! depends only on the requests that arrived at or before `t`.
-//! Replaying the engine over the prefix of its assigned stream
-//! therefore reproduces its live state at any `t` up to the next
-//! assignment *exactly* — same rounds, same batches, same clock.
+//! A live router needs, at each arrival instant, the *actual* state of
+//! every replica — live queue depth and remaining in-flight work — not
+//! its own virtual-queue estimate. Engines in this crate are
+//! **causal**: admission gates on `Request::arrival_s`, so an engine's
+//! trajectory up to time `t` depends only on the requests that arrived
+//! at or before `t`. Replaying the engine over the prefix of its
+//! assigned stream therefore reproduces its live state at any `t` up to
+//! the next assignment *exactly* — same rounds, same batches, same
+//! clock.
 //!
-//! [`EngineStepper`] is that replay packaged as an
-//! [`EngineActor`]: the replay report is memoized and only
-//! invalidated when the replica receives another request. Every
-//! state query after a push re-simulates the whole assigned prefix,
-//! so a stream of `n` arrivals over `N` replicas costs `O((n/N)^2)`
-//! replica-rounds per replica. It is the default
-//! [`OnlineEngine::actor`] — kept for engines whose `run` is not
-//! causal (disaggregation picks its split from the whole stream) and
-//! as the test oracle for the resumable actors of the vLLM and Seesaw
-//! engines ([`crate::actor`]), which simulate each replica once.
+//! [`EngineStepper`] is that replay packaged as an [`EngineActor`]:
+//! `depth_at` and `work_at` read the entries of the replay's timeline
+//! unfinished at `t`, and the replay is memoized until the replica
+//! receives another request. Every read after a push re-simulates the
+//! whole assigned prefix, so a stream of `n` arrivals over `N` replicas
+//! costs `O((n/N)^2)` replica-rounds per replica. It is the default
+//! [`OnlineEngine::actor`] — kept for engines whose `run` is not causal
+//! (disaggregation picks its split from the whole stream) and as the
+//! test oracle for the resumable actors of the vLLM and Seesaw engines
+//! ([`crate::actor`]), which simulate each replica once.
 
 use crate::actor::{Depth, EngineActor};
 use crate::online::OnlineEngine;
 use crate::report::EngineReport;
-use seesaw_workload::Request;
-
-/// A replica's observable state at one instant, read from a run
-/// report of its assigned stream (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LiveState {
-    /// Requests that have arrived but not yet produced a first token.
-    pub waiting: usize,
-    /// Requests past their first token but not yet complete.
-    pub running: usize,
-    /// Total unfinished requests (`waiting + running`) — the live
-    /// analogue of the router's virtual queue depth.
-    pub queue_depth: usize,
-    /// Summed remaining wall-clock seconds of all unfinished
-    /// requests — the live analogue of the router's estimated work.
-    /// Forward-looking: measured against the replayed completion
-    /// times, i.e. the work remaining *if no further requests join
-    /// this replica* (future assignments add batch contention and can
-    /// stretch in-flight completions). The backward-looking counts
-    /// (`waiting`/`running`/`queue_depth`) are exact regardless.
-    pub work_s: f64,
-}
-
-impl LiveState {
-    /// The backward-looking counts alone.
-    pub fn depth(&self) -> Depth {
-        Depth {
-            waiting: self.waiting,
-            running: self.running,
-            queue_depth: self.queue_depth,
-        }
-    }
-}
-
-/// Observable state of a finished (or replayed) engine run at time
-/// `t`: which timeline entries are waiting, running, or done, and how
-/// much wall-clock work remains. Entries arriving after `t` are
-/// ignored, so passing a full-run report queries any instant of it.
-pub fn live_state(report: &EngineReport, t: f64) -> LiveState {
-    let mut waiting = 0usize;
-    let mut running = 0usize;
-    let mut work_s = 0.0f64;
-    for entry in &report.timeline {
-        if entry.arrival_s > t || entry.completion_s <= t {
-            continue;
-        }
-        if entry.first_token_s <= t {
-            running += 1;
-        } else {
-            waiting += 1;
-        }
-        work_s += entry.completion_s - t;
-    }
-    LiveState {
-        waiting,
-        running,
-        queue_depth: waiting + running,
-        work_s,
-    }
-}
+use seesaw_workload::{Request, RequestTiming};
 
 /// Step-wise wrapper over one replica: accepts routed requests one at
 /// a time and answers exact live-state queries between pushes by
@@ -144,10 +85,9 @@ impl<'a, E: OnlineEngine + ?Sized> EngineStepper<'a, E> {
         self.cache.as_ref().expect("cache was just filled")
     }
 
-    /// Exact live state at `t`, which must be at or after the last
-    /// pushed arrival. Memoized: repeated queries between pushes
-    /// re-simulate nothing.
-    pub fn state_at(&mut self, t: f64) -> LiveState {
+    /// The replay's entries that have arrived by `t` and are not
+    /// complete then; `t` must be at or after the last pushed arrival.
+    fn unfinished_at(&mut self, t: f64) -> impl Iterator<Item = &RequestTiming> {
         if let Some(last) = self.assigned.last() {
             assert!(
                 t >= last.arrival_s,
@@ -155,7 +95,8 @@ impl<'a, E: OnlineEngine + ?Sized> EngineStepper<'a, E> {
                 last.arrival_s
             );
         }
-        live_state(self.report(), t)
+        let timeline = &self.report().timeline;
+        timeline.iter().filter(move |e| e.arrival_s <= t && e.completion_s > t)
     }
 
     /// Run the assigned stream to completion and return the final
@@ -172,11 +113,19 @@ impl<E: OnlineEngine + ?Sized> EngineActor for EngineStepper<'_, E> {
     }
 
     fn depth_at(&mut self, t: f64) -> Depth {
-        self.state_at(t).depth()
+        let (mut waiting, mut running) = (0, 0);
+        for e in self.unfinished_at(t) {
+            if e.first_token_s <= t {
+                running += 1;
+            } else {
+                waiting += 1;
+            }
+        }
+        Depth { waiting, running, queue_depth: waiting + running }
     }
 
-    fn projected(&mut self) -> &EngineReport {
-        self.report()
+    fn work_at(&mut self, t: f64) -> f64 {
+        self.unfinished_at(t).fold(0.0, |work, e| work + (e.completion_s - t))
     }
 
     /// Each cache refill is one projection: a `run_ready` over the
@@ -216,36 +165,52 @@ mod tests {
             .collect()
     }
 
+    /// The counts of `report`'s entries unfinished at `t`, read
+    /// straight from its timeline.
+    fn timeline_depth(report: &EngineReport, t: f64) -> Depth {
+        let unfinished = report.timeline.iter().filter(|e| e.arrival_s <= t && e.completion_s > t);
+        let (mut waiting, mut running) = (0, 0);
+        for e in unfinished {
+            if e.first_token_s <= t {
+                running += 1;
+            } else {
+                waiting += 1;
+            }
+        }
+        Depth { waiting, running, queue_depth: waiting + running }
+    }
+
     #[test]
     fn live_state_counts_match_timeline() {
         let eng = engine();
         let stream = reqs(6, 0.05);
         let report = eng.run(&stream);
-        // Before anything arrives: empty.
-        let s = live_state(&report, -1.0);
-        assert_eq!((s.waiting, s.running, s.queue_depth), (0, 0, 0));
-        assert_eq!(s.work_s, 0.0);
-        // After everything completes: empty.
         let end = report
             .timeline
             .iter()
             .map(|t| t.completion_s)
             .fold(0.0f64, f64::max);
-        let s = live_state(&report, end + 1.0);
-        assert_eq!(s.queue_depth, 0);
-        // Mid-run at the last arrival: depth counts exactly the
-        // unfinished arrived requests, and work is their remaining
-        // completion mass.
-        let t = 5.0 * 0.05;
-        let s = live_state(&report, t);
-        let expect: Vec<_> = report
-            .timeline
-            .iter()
-            .filter(|e| e.arrival_s <= t && e.completion_s > t)
-            .collect();
-        assert_eq!(s.queue_depth, expect.len());
-        let work: f64 = expect.iter().map(|e| e.completion_s - t).sum();
-        assert!((s.work_s - work).abs() < 1e-9);
+        // Mid-run at the last arrival, depth counts exactly the
+        // unfinished arrived requests and work is their remaining
+        // completion mass; once everything completes, both are empty.
+        for t in [5.0 * 0.05, end, end + 1.0] {
+            let mut stepper = EngineStepper::new(&eng, 0.0);
+            for r in &stream {
+                stepper.push(*r);
+            }
+            let unfinished: Vec<_> =
+                report.timeline.iter().filter(|e| e.completion_s > t).collect();
+            let running = unfinished.iter().filter(|e| e.first_token_s <= t).count();
+            let depth = Depth {
+                waiting: unfinished.len() - running,
+                running,
+                queue_depth: unfinished.len(),
+            };
+            assert_eq!(stepper.depth_at(t), depth, "at {t}");
+            assert_eq!(depth.queue_depth == 0, t >= end, "at {t}");
+            let work: f64 = unfinished.iter().map(|e| e.completion_s - t).sum();
+            assert!((stepper.work_at(t) - work).abs() < 1e-9, "at {t}");
+        }
     }
 
     #[test]
@@ -261,12 +226,9 @@ mod tests {
         let mut stepper = EngineStepper::new(&eng, 0.0);
         for req in &stream {
             stepper.push(*req);
-            let now = stepper.state_at(req.arrival_s);
-            let reference = live_state(&full, req.arrival_s);
-            assert_eq!(now.queue_depth, reference.queue_depth);
-            assert_eq!(now.waiting, reference.waiting);
-            assert_eq!(now.running, reference.running);
-            assert!(now.work_s > 0.0, "the just-arrived request is unfinished");
+            let t = req.arrival_s;
+            assert_eq!(stepper.depth_at(t), timeline_depth(&full, t));
+            assert!(stepper.work_at(t) > 0.0, "the just-arrived request is unfinished");
         }
         let finished = stepper.finish();
         assert_eq!(finished, full, "stepper over the full stream is the full run");
@@ -277,13 +239,13 @@ mod tests {
         let eng = engine();
         let mut stepper = EngineStepper::new(&eng, 0.0);
         stepper.push(Request::new(0, 128, 8).with_arrival(0.0));
-        let a = stepper.state_at(0.5);
-        let b = stepper.state_at(0.5);
+        let a = (stepper.depth_at(0.5), stepper.work_at(0.5));
+        let b = (stepper.depth_at(0.5), stepper.work_at(0.5));
         assert_eq!(a, b);
         assert!(stepper.cache.is_some(), "state queries memoize the replay");
         assert_eq!(stepper.projection_counts(), (1, 1), "one refill, one request replayed");
         stepper.push(Request::new(1, 128, 8).with_arrival(1.0));
-        stepper.state_at(1.0);
+        stepper.work_at(1.0);
         assert_eq!(stepper.projection_counts(), (2, 3), "second refill replays both requests");
     }
 
@@ -292,7 +254,7 @@ mod tests {
         let eng = engine();
         let mut stepper = EngineStepper::new(&eng, 10.0);
         stepper.push(Request::new(0, 128, 8).with_arrival(1.0));
-        let s = stepper.state_at(1.0);
+        let s = stepper.depth_at(1.0);
         assert_eq!(s.queue_depth, 1);
         assert_eq!(s.running, 0, "nothing runs before ready_s");
         let done = stepper.finish();
@@ -306,7 +268,7 @@ mod tests {
         let eng = engine();
         let mut stepper = EngineStepper::new(&eng, 0.0);
         stepper.push(Request::new(0, 128, 8).with_arrival(2.0));
-        stepper.state_at(1.0);
+        stepper.depth_at(1.0);
     }
 
     #[test]

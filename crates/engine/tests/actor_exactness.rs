@@ -2,17 +2,21 @@
 //! replay: over random arrival-sorted streams, random readiness and
 //! random interleavings of pushes and queries — same-instant pushes
 //! and long idle gaps included — every depth read equals the counts of
-//! a fresh `run_ready` of the assigned prefix, every projection equals
-//! that run byte-for-byte, and `finish` equals the full run.
+//! a fresh `run_ready` of the assigned prefix, every work read (a
+//! projection, or a later read of the same one) equals that run's
+//! remaining work bit for bit, and `finish` equals the full run.
+
+mod support;
 
 use proptest::prelude::*;
 use seesaw_engine::seesaw::{SeesawEngine, SeesawSpec};
 use seesaw_engine::vllm::VllmEngine;
-use seesaw_engine::{live_state, Depth, OnlineEngine, SchedulingPolicy};
+use seesaw_engine::{Depth, OnlineEngine, SchedulingPolicy};
 use seesaw_hw::ClusterSpec;
 use seesaw_model::presets;
 use seesaw_parallel::ParallelConfig;
 use seesaw_workload::Request;
+use support::live::live_state;
 
 /// The four scheduling loops with native actors: vLLM under each
 /// policy (chunked prefill also on a 4-stage pipeline, where a mixed
@@ -77,7 +81,8 @@ fn check(engine: &dyn OnlineEngine, feed: &[(usize, usize, u32, u32)], ready_s: 
         .collect();
     let label = engine.label();
     let mut actor = engine.actor(ready_s);
-    // Depth reads never project: every projection is one of these.
+    // Depth reads never project, and a work read projects once per
+    // push at most: every projection is one of these.
     let mut projected = 0;
     for (i, req) in stream.iter().enumerate() {
         actor.push(*req);
@@ -86,19 +91,24 @@ fn check(engine: &dyn OnlineEngine, feed: &[(usize, usize, u32, u32)], ready_s: 
             continue;
         };
         let oracle = engine.run_ready(&stream[..=i], ready_s);
-        assert_eq!(
-            actor.depth_at(t),
-            live_state(&oracle, t).depth(),
-            "{label}: depth at {t} after {} pushes",
-            i + 1
-        );
+        let (depth, work) = live_state(&oracle, t);
+        assert_eq!(actor.depth_at(t), depth, "{label}: depth at {t} after {} pushes", i + 1);
         if feed[i].3 % 2 == 1 {
             projected += 1;
-            assert_eq!(actor.projected(), &oracle, "{label}: projection after {} pushes", i + 1);
+            // The projection, then a later read of the same one.
+            for (at, expect) in [(t, work), (next, live_state(&oracle, next).1)] {
+                assert_eq!(
+                    actor.work_at(at).to_bits(),
+                    expect.to_bits(),
+                    "{label}: work at {at} after {} pushes",
+                    i + 1
+                );
+            }
         }
         assert!(
             actor.projection_counts().0 <= projected,
-            "{label}: a depth read projected ({:?} for {projected} projected() calls)",
+            "{label}: a depth read or a second work read projected ({:?} for {projected} \
+             projections)",
             actor.projection_counts()
         );
     }
@@ -143,8 +153,8 @@ fn seesaw_actor_reshards_back_on_push_not_on_finish() {
     }
     assert_eq!(parked.depth_at(500.0), Depth::default(), "everything drained by t=500");
     assert_eq!(parked.projection_counts(), (0, 0), "a depth read needs no projection");
-    let prefix = parked.projected().clone();
-    assert_eq!(prefix, eng.run(&early));
+    assert_eq!(parked.work_at(500.0), 0.0, "no work is left at t=500");
+    let prefix = eng.run(&early);
     assert_eq!(prefix.transitions, 1, "the prefix run ends in the decode sharding");
     assert_eq!(parked.finish(), prefix, "finish does not re-shard back");
 

@@ -254,3 +254,33 @@ fn a_warmed_up_seesaw_prefill_round_allocates_nothing() {
     );
     assert_eq!(allocs, 0, "32 reads over warmed-up Seesaw prefill rounds allocate");
 }
+
+/// A work read projects once per push: a second read after the same
+/// push, at a later instant, keeps the in-flight records still ahead of
+/// it in place, so it allocates nothing and adds no projection.
+#[test]
+fn a_second_work_read_after_a_push_allocates_nothing() {
+    use seesaw_engine::online::OnlineEngine;
+    use seesaw_engine::vllm::VllmEngine;
+    use seesaw_engine::SchedulingPolicy;
+    use seesaw_workload::Request;
+    let eng = VllmEngine::new(
+        ClusterSpec::a10x4(),
+        presets::llama2_13b(),
+        ParallelConfig::new(1, 2, 2),
+        SchedulingPolicy::PrefillPrioritized,
+    )
+    .expect("valid config");
+    let mut actor = eng.actor(0.0);
+    for id in 0..16 {
+        actor.push(Request::new(id, 256 + 32 * id as usize, 24).with_arrival(0.01 * id as f64));
+    }
+    let first = actor.work_at(0.2);
+    let counts = actor.projection_counts();
+    assert_eq!(counts.0, 1, "the first read after a push projects");
+    let mut later = 0.0;
+    let allocs = allocations(|| later = actor.work_at(0.5));
+    assert_eq!(actor.projection_counts(), counts, "a second read after a push projects");
+    assert!(0.0 < later && later < first, "work left: {first} at 0.2, {later} at 0.5");
+    assert_eq!(allocs, 0, "a second work read after a push allocates");
+}

@@ -3,12 +3,15 @@
 //! that `Replica`'s incremental state replaced: the references the
 //! fused passes and the running set are checked against, sharing no
 //! scheduling or bookkeeping code with them; the stage pricing of a
-//! task-graph pass; and the cluster/model pairs the oracles draw.
+//! task-graph pass; the cluster/model pairs the oracles draw; and the
+//! live state read from a finished run's timeline (`live`), the
+//! actors' oracle.
 
 #![allow(dead_code)]
 
 #[path = "../../../sim/tests/support/heap.rs"]
 pub mod heap;
+pub mod live;
 pub mod scan;
 
 use heap::{Handle, HeapSim};

@@ -24,7 +24,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use seesaw_engine::{live_state, EngineActor};
+use seesaw_engine::EngineActor;
 use seesaw_workload::Request;
 use std::collections::VecDeque;
 
@@ -115,18 +115,16 @@ impl RouterPolicy {
     /// policy ranks a replica by at `t`, read from its actor.
     /// `jsq-live` reads only the depth — an exact in-flight count, no
     /// projection — and leaves the work unread (NaN). `least-work-live`
-    /// needs the forward-looking work, which costs one projection per
-    /// busy replica that received work since its last read (an idle
-    /// one has no work left by definition).
+    /// reads `(depth, actor.work_at(t))`: the forward-looking work
+    /// costs one projection per busy replica that received work since
+    /// its last projection. An idle replica has no work left by
+    /// definition, so its work is not read.
     pub fn read_live<A: EngineActor + ?Sized>(&self, actor: &mut A, t: f64) -> (usize, f64) {
         // Advancing the actor to `t` first keeps the projection short.
         let depth = actor.depth_at(t).queue_depth;
         match self {
             RouterPolicy::LeastWorkLive if depth == 0 => (0, 0.0),
-            RouterPolicy::LeastWorkLive => {
-                let s = live_state(actor.projected(), t);
-                (s.queue_depth, s.work_s)
-            }
+            RouterPolicy::LeastWorkLive => (depth, actor.work_at(t)),
             _ => (depth, f64::NAN),
         }
     }

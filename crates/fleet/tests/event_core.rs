@@ -5,8 +5,9 @@
 //! jobs-invariant over arbitrary traces.
 
 use proptest::prelude::*;
-use seesaw_engine::vllm::VllmEngine;
 use seesaw_engine::online::mean_lengths;
+use seesaw_engine::seesaw::{SeesawEngine, SeesawSpec};
+use seesaw_engine::vllm::VllmEngine;
 use seesaw_engine::{EngineReport, OnlineEngine, SchedulingPolicy, ServiceRates, SweepRunner};
 use seesaw_fleet::{Fleet, FleetReport, Router, RouterPolicy};
 use seesaw_hw::ClusterSpec;
@@ -60,11 +61,17 @@ fn merged_timeline(
     FleetReport::from_replica_reports(policy, reports, assignment)
 }
 
-/// A vLLM replica behind the default actor, which replays the
-/// assigned prefix on every read.
-struct Replayed(VllmEngine);
+fn seesaw_engine() -> SeesawEngine {
+    let (cluster, model) = specs();
+    SeesawEngine::new(cluster, model, SeesawSpec::new(ParallelConfig::pp(4), ParallelConfig::tp(4)))
+        .expect("valid spec")
+}
 
-impl OnlineEngine for Replayed {
+/// A replica behind the default actor, which replays the assigned
+/// prefix on every read.
+struct Replayed<E>(E);
+
+impl<E: OnlineEngine> OnlineEngine for Replayed<E> {
     fn label(&self) -> String {
         self.0.label()
     }
@@ -76,21 +83,6 @@ impl OnlineEngine for Replayed {
     fn service_rates(&self, avg_in: usize, avg_out: usize) -> ServiceRates {
         OnlineEngine::service_rates(&self.0, avg_in, avg_out)
     }
-}
-
-fn replayed_fleet(n: usize) -> Fleet {
-    let (cluster, model) = specs();
-    Fleet::homogeneous(n, |_| {
-        Box::new(Replayed(
-            VllmEngine::new(
-                Arc::clone(&cluster),
-                Arc::clone(&model),
-                ParallelConfig::new(1, 2, 2),
-                SchedulingPolicy::PrefillPrioritized,
-            )
-            .expect("valid config"),
-        )) as Box<dyn OnlineEngine>
-    })
 }
 
 fn online_reqs(n: usize, rate: f64, seed: u64) -> Vec<Request> {
@@ -132,10 +124,10 @@ fn event_loop_matches_merged_timeline_under_bursty_load() {
 }
 
 /// Live reads cost only what the policy reads. On a 4-replica live
-/// fleet, `jsq-live` routes on depths without a single projection,
-/// and `least-work-live` re-simulates fewer requests than replaying
-/// every replica's prefix did — while both route exactly as the
-/// prefix-replay actors do.
+/// fleet of vLLM or of Seesaw `P4->T4` replicas, `jsq-live` routes on
+/// depths without a single projection, and `least-work-live`
+/// re-simulates fewer requests than replaying every replica's prefix
+/// did — while both route exactly as the prefix-replay actors do.
 #[test]
 fn live_reads_project_only_where_work_is_read() {
     let reqs = online_reqs(48, 8.0, 5);
@@ -149,22 +141,32 @@ fn live_reads_project_only_where_work_is_read() {
         );
         (report, counts)
     };
-    let (actors, replay) = (vllm_fleet(4), replayed_fleet(4));
+    type Build = fn() -> Box<dyn OnlineEngine>;
+    let engines: [(Build, Build); 2] = [
+        (|| Box::new(vllm_engine()), || Box::new(Replayed(vllm_engine()))),
+        (|| Box::new(seesaw_engine()), || Box::new(Replayed(seesaw_engine()))),
+    ];
+    for (native, replayed) in engines {
+        let actors = Fleet::homogeneous(4, |_| native());
+        let replay = Fleet::homogeneous(4, |_| replayed());
+        let label = native().label();
 
-    let (report, counts) = run(&actors, RouterPolicy::JoinShortestQueueLive);
-    assert_eq!(counts, (0, 0), "jsq-live reads depths without projecting");
-    let (replayed, replay_counts) = run(&replay, RouterPolicy::JoinShortestQueueLive);
-    assert_eq!(report, replayed, "jsq-live: actors route exactly as prefix replay");
-    assert!(replay_counts.1 > 0, "the prefix-replay actor replays on every read");
+        let (report, counts) = run(&actors, RouterPolicy::JoinShortestQueueLive);
+        assert_eq!(counts, (0, 0), "{label}: jsq-live reads depths without projecting");
+        let (replayed, replay_counts) = run(&replay, RouterPolicy::JoinShortestQueueLive);
+        assert_eq!(report, replayed, "{label}: jsq-live routes exactly as prefix replay");
+        assert!(replay_counts.1 > 0, "{label}: the prefix-replay actor replays on every read");
 
-    let (report, (projections, reprojected)) = run(&actors, RouterPolicy::LeastWorkLive);
-    let (replayed, (_, replayed_requests)) = run(&replay, RouterPolicy::LeastWorkLive);
-    assert_eq!(report, replayed, "least-work-live: actors route exactly as prefix replay");
-    assert!(projections > 0, "least-work-live reads projected work");
-    assert!(
-        reprojected < replayed_requests,
-        "projections re-simulate {reprojected} requests, prefix replay {replayed_requests}"
-    );
+        let (report, (projections, reprojected)) = run(&actors, RouterPolicy::LeastWorkLive);
+        let (replayed, (_, replayed_requests)) = run(&replay, RouterPolicy::LeastWorkLive);
+        assert_eq!(report, replayed, "{label}: least-work-live routes exactly as prefix replay");
+        assert!(projections > 0, "{label}: least-work-live reads projected work");
+        assert!(
+            reprojected < replayed_requests,
+            "{label}: projections re-simulate {reprojected} requests, prefix replay \
+             {replayed_requests}"
+        );
+    }
 }
 
 proptest! {

@@ -12,7 +12,9 @@ use seesaw_fleet::{Fleet, Router, RouterPolicy};
 use seesaw_hw::ClusterSpec;
 use seesaw_model::{presets, ModelConfig};
 use seesaw_parallel::ParallelConfig;
-use seesaw_workload::{split_stream, ArrivalDist, LatencyStats, Request, WorkloadGen};
+use seesaw_workload::{
+    split_stream, ArrivalDist, LatencyStats, Request, RequestTiming, WorkloadGen,
+};
 use std::sync::Arc;
 
 fn specs() -> (Arc<ClusterSpec>, Arc<ModelConfig>) {
@@ -86,6 +88,40 @@ fn single_replica_round_robin_is_byte_identical_to_bare_engine() {
         assert!(report.latency.is_some(), "{label}");
         assert_eq!(report.stats, bare.stats, "{label}");
         assert!(report.assignment.iter().all(|&r| r == 0));
+    }
+}
+
+/// Replica symmetry: round-robin over N identical vLLM replicas, fed N
+/// interleaved copies of one online stream (equal arrivals, copy `k`'s
+/// ids `N·id + k`), sends copy `k` to replica `k`, whose report and
+/// timeline are the single-replica run's with the ids mapped back.
+#[test]
+fn round_robin_over_identical_replicas_serves_each_copy_like_one_replica() {
+    let (cluster, model) = specs();
+    let reqs = online_reqs(24, 2.0, 3);
+    let mut bare = vllm_engine(&cluster, &model).run(&reqs);
+    let single = std::mem::take(&mut bare.timeline);
+    for n in 2..=4u64 {
+        let copies: Vec<Request> = reqs
+            .iter()
+            .flat_map(|r| (0..n).map(move |k| Request { id: n * r.id + k, ..*r }))
+            .collect();
+        let fleet =
+            Fleet::homogeneous(n as usize, |_| Box::new(vllm_engine(&cluster, &model)) as _);
+        let report = fleet.run_with(&SweepRunner::serial(), RouterPolicy::RoundRobin, &copies);
+        assert_eq!(report.timeline.len(), copies.len(), "N = {n}");
+        for k in 0..n {
+            let i = k as usize;
+            let served: Vec<_> = report
+                .replica_timeline(i)
+                .map(|e| {
+                    assert_eq!(e.id % n, k, "N = {n}: replica {k} served request {}", e.id);
+                    RequestTiming { id: e.id / n, ..*e }
+                })
+                .collect();
+            assert_eq!(served, single, "N = {n}: replica {k}'s timeline");
+            assert_eq!(report.replicas[i], bare, "N = {n}: replica {k}'s report");
+        }
     }
 }
 

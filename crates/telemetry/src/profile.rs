@@ -39,8 +39,8 @@ pub struct ControllerProfile {
     /// warming (each is retried or failed like killed work).
     pub lost_at_dispatch: u64,
     /// Projections behind live reads: an actor cloned and run to
-    /// completion to read a forward-looking signal (remaining work, a
-    /// kill's lost set). Depth reads never project; the default
+    /// completion to read its remaining work. Depth reads never
+    /// project, nor does a kill, which finishes its victim; the default
     /// prefix-replay actor projects on every read after a push.
     pub replays: u64,
     /// Requests those projections re-simulated — the replay

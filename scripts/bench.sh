@@ -38,6 +38,10 @@
 #     replica) prints different bytes at --jobs 1 and --jobs 2, or its
 #     --json is not valid JSON with one point per load and offered
 #     load rising, or
+#   * the fleet bin (`fleet 48`: scaling grid, router table and the
+#     heterogeneous head-to-head, whose tables run both live policies
+#     and so read live depth and remaining work) prints different
+#     bytes at --jobs 1 and --jobs 2, or
 #   * the autoscale or chaos bin's frontier on an 1800 s day
 #     (`--day 1800 --window 60`) prints different bytes at --jobs 1
 #     and --jobs 2, or
@@ -183,6 +187,13 @@ assert loads == [0.5, 2.0], f"serving: expected one point per load, got {loads}"
 assert all(a < b for a, b in zip(rates, rates[1:])), f"serving: offered load not rising: {rates}"
 print(f"bench.sh: serving OK ({len(points)} points, byte-identical across --jobs)")
 EOF
+
+# Fleet determinism: the router tables, both live policies included,
+# print the same bytes at any job count.
+serial=$(./target/release/fleet 48 --jobs 1)
+parallel=$(./target/release/fleet 48 --jobs 2)
+[ "$serial" = "$parallel" ] || { echo "bench.sh: fleet output differs across --jobs" >&2; exit 1; }
+echo "bench.sh: fleet OK (byte-identical across --jobs)"
 
 # Elastic determinism: the autoscale and chaos frontiers print the
 # same bytes at any job count.
